@@ -275,7 +275,7 @@ func BenchmarkParallelServe(b *testing.B) {
 // appended durably before it is acknowledged. The acceptance bar for the
 // durability work is <= 20% ops/sec regression against BenchmarkParallelServe.
 func BenchmarkParallelServeWAL(b *testing.B) {
-	s := newServeSystemWAL(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100, CheckpointEvery: -1})
+	s := newServeSystemWAL(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100})
 	defer s.Close()
 	var ctr atomic.Int64
 	b.ReportAllocs()
@@ -290,7 +290,7 @@ func BenchmarkParallelServeWAL(b *testing.B) {
 // BenchmarkParallelServeWALAsyncRerun adds the async rerun on top of the
 // WAL — the full production configuration of cmd/docs-server.
 func BenchmarkParallelServeWALAsyncRerun(b *testing.B) {
-	s := newServeSystemWAL(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100, CheckpointEvery: -1, AsyncRerun: true})
+	s := newServeSystemWAL(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100, AsyncRerun: true})
 	defer s.Close()
 	var ctr atomic.Int64
 	b.ReportAllocs()

@@ -130,7 +130,6 @@ func httpLoadOne(mode string, totalAnswers, batch, workers int, rate float64) (*
 		WALSyncEveryBatch: true, // the honest configuration: acks survive power loss
 		GoldenCount:       -1,   // no gauntlet: fresh workers submit immediately
 		RerunEvery:        -1,   // measure the serving path, not EM re-inference
-		CheckpointEvery:   -1,
 		SnapshotEvery:     -1,
 		HITSize:           batch,
 	}, httpapi.Options{})

@@ -109,10 +109,9 @@ func recoverOne(n int) (*recoverRow, error) {
 	}
 	defer os.RemoveAll(dir)
 	cfg := core.Config{
-		GoldenCount:     -1, // no golden gauntlet: every worker submits directly
-		RerunEvery:      -1, // measure the pure ingest replay cost
-		CheckpointEvery: -1,
-		SnapshotEvery:   -1, // the snapshot is written deterministically below
+		GoldenCount:   -1, // no golden gauntlet: every worker submits directly
+		RerunEvery:    -1, // measure the pure ingest replay cost
+		SnapshotEvery: -1, // the snapshot is written deterministically below
 	}
 	// Workers cycle every nTasks submissions, so the (i/nTasks, i%nTasks)
 	// pairing below never repeats a (worker, task) pair.

@@ -31,7 +31,6 @@ func main() {
 	storePath := flag.String("store", "", "shared worker-statistics store (empty = <wal-dir>/store.json when -wal-dir is set, else memory-only)")
 	walDir := flag.String("wal-dir", "", "registry root directory: each campaign logs under <dir>/campaigns/<name> and is replayed on boot (empty = memory-only)")
 	walFsync := flag.Bool("wal-fsync", false, "fsync each campaign's WAL once per group-commit batch (survive power loss, not just process crashes)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "answers between WAL checkpoints per campaign (0 = default 5000, negative = never)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "answers between full state snapshots per campaign; snapshots make restart cost proportional to the un-snapshotted WAL suffix (0 = default 5000, negative = never)")
 	golden := flag.Int("golden", 0, "golden task count per campaign (0 = default 20, negative = disabled)")
 	hitSize := flag.Int("hit", 0, "tasks per assignment (0 = default 20)")
@@ -47,7 +46,6 @@ func main() {
 		StorePath:         *storePath,
 		WALDir:            *walDir,
 		WALSyncEveryBatch: *walFsync,
-		CheckpointEvery:   *checkpointEvery,
 		SnapshotEvery:     *snapshotEvery,
 		GoldenCount:       *golden,
 		HITSize:           *hitSize,

@@ -51,7 +51,6 @@ func main() {
 	seed := flag.Uint64("seed", 20160412, "deterministic seed")
 	walDir := flag.String("wal-dir", "", "registry root directory: campaigns become durable under <dir>/campaigns/<name> and an interrupted simulation resumes from the logs (empty = memory-only)")
 	walFsync := flag.Bool("wal-fsync", false, "fsync the WALs once per group-commit batch")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "answers between WAL checkpoints (0 = default, negative = never)")
 	server := flag.String("server", "", "drive a running docs-server at this base URL over HTTP instead of an in-process registry; all workers share one keep-alive connection pool")
 	batch := flag.Int("batch", 0, "submit answers in batches of up to N per call (POST /submit-batch over HTTP, the batched core entry locally); 0 or 1 = one answer per submit")
 	adversarial := flag.String("adversarial", "", `adversarial population spec, e.g. "spam=0.2,sleep=0.1,cliques=2x3,drift=-0.002" (empty = honest crowd)`)
@@ -102,12 +101,11 @@ func main() {
 		walSync = wal.SyncEveryBatch
 	}
 	reg, err := registry.Open(registry.Config{
-		WALDir:          *walDir,
-		GoldenCount:     *golden,
-		HITSize:         *hit,
-		AnswersPerTask:  *redundancy,
-		CheckpointEvery: *checkpointEvery,
-		WALSync:         walSync,
+		WALDir:         *walDir,
+		GoldenCount:    *golden,
+		HITSize:        *hit,
+		AnswersPerTask: *redundancy,
+		WALSync:        walSync,
 	})
 	if err != nil {
 		log.Fatalf("docs-simulate: %v", err)

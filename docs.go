@@ -66,13 +66,13 @@
 // Two artifacts survive a restart. Config.StorePath keeps the long-run
 // per-worker statistics (the paper stores these in the system database so
 // returning workers keep their profile across requesters); it is written
-// as an atomically-replaced JSON checkpoint plus an append-only delta log,
+// as an atomically-replaced JSON file plus an append-only delta log,
 // so no crash window loses a merged session. Config.WALDir keeps the
 // campaign itself: every accepted publication and answer is appended to a
 // segmented, CRC-checked write-ahead log (package docs/internal/wal) with
-// group-commit batching, and New replays the log — checkpoint prefix
-// first, then the intact segment records, dropping a torn final record —
-// through the ordinary serial submit path before serving. Because
+// group-commit batching, and New replays the log — the intact segment
+// records, dropping a torn final record — through the ordinary serial
+// submit path before serving. Because
 // concurrent serving is provably equivalent to a serial replay of the
 // chronological answer log, the recovered state is bit-identical to an
 // uninterrupted serial run of the logged stream; the crash-injection suite
@@ -80,17 +80,15 @@
 //
 // Durability levels: by default an acknowledged Submit has reached the OS
 // (survives process crashes); Config.WALSyncEveryBatch adds one fsync per
-// group-commit batch (survives power loss). Checkpoints every
-// Config.CheckpointEvery answers bound the log's disk footprint — they
-// compact the replayed prefix and delete covered segments. State
-// snapshots every Config.SnapshotEvery answers bound the RECOVERY TIME:
-// a background serial shadow replica of the durable log is serialized
-// (floats as raw bits) to an atomically-replaced snapshot file, and boot
-// restores it and replays only the WAL suffix past it — bit-identical to
-// a full replay, falling back to one loudly if the snapshot is torn,
-// corrupt, or ahead of the durable log. See docs/persistence.md for the
-// full contract and the fallback ladder (snapshot → checkpoint →
-// segments).
+// group-commit batch (survives power loss). The segments are the only
+// copy of the record stream and are never deleted. State snapshots every
+// Config.SnapshotEvery answers bound the RECOVERY TIME: a background
+// serial shadow replica of the durable log is serialized (floats as raw
+// bits) to an atomically-replaced snapshot file, and boot restores it and
+// replays only the WAL suffix past it — bit-identical to a full replay,
+// falling back to one loudly if the snapshot is torn, corrupt, or ahead
+// of the durable log. See docs/persistence.md for the full contract and
+// the fallback ladder (snapshot → segments).
 //
 // # Multiple campaigns
 //
@@ -189,10 +187,6 @@ type Config struct {
 	// the campaign memory-only. See the Persistence section of the package
 	// comment.
 	WALDir string
-	// CheckpointEvery writes a WAL checkpoint (and truncates covered
-	// segments) every so many accepted answers when WALDir is set
-	// (0 = default 5000, negative = never).
-	CheckpointEvery int
 	// SnapshotEvery writes a full state snapshot every so many accepted
 	// answers when WALDir is set (0 = default 5000, negative = never).
 	// A snapshot makes restart time proportional to the un-snapshotted
@@ -256,17 +250,16 @@ func New(cfg Config) (*System, error) {
 		walSync = wal.SyncEveryBatch
 	}
 	sys, err := core.New(core.Config{
-		KB:              k,
-		Store:           st,
-		GoldenCount:     cfg.GoldenCount,
-		HITSize:         cfg.HITSize,
-		AnswersPerTask:  cfg.AnswersPerTask,
-		RerunEvery:      cfg.RerunEvery,
-		AsyncRerun:      cfg.AsyncRerun,
-		CheckpointEvery: cfg.CheckpointEvery,
-		SnapshotEvery:   cfg.SnapshotEvery,
-		WALSync:         walSync,
-		LeaseTTL:        cfg.LeaseTTL,
+		KB:             k,
+		Store:          st,
+		GoldenCount:    cfg.GoldenCount,
+		HITSize:        cfg.HITSize,
+		AnswersPerTask: cfg.AnswersPerTask,
+		RerunEvery:     cfg.RerunEvery,
+		AsyncRerun:     cfg.AsyncRerun,
+		SnapshotEvery:  cfg.SnapshotEvery,
+		WALSync:        walSync,
+		LeaseTTL:       cfg.LeaseTTL,
 	})
 	if err != nil {
 		return nil, err
@@ -447,12 +440,10 @@ type Stats struct {
 	BatchesTotal      int64
 	BatchAnswersTotal int64
 	// WALEnabled reports whether a write-ahead log is armed; WALLastSeq is
-	// the sequence number of the last durable record and Checkpoints*
-	// count WAL checkpoint passes. All zero without a WAL.
-	WALEnabled           bool
-	WALLastSeq           uint64
-	CheckpointsCompleted int64
-	CheckpointsFailed    int64
+	// the sequence number of the last durable record. Both zero without a
+	// WAL.
+	WALEnabled bool
+	WALLastSeq uint64
 	// Snapshots* count background state-snapshot passes; SnapshotLastSeq
 	// is the WAL sequence the newest snapshot covers (what a restart would
 	// restore instead of replaying). All zero without a WAL or with
@@ -466,30 +457,27 @@ type Stats struct {
 // with serving.
 func (s *System) Stats() Stats {
 	done, failed := s.sys.Reruns()
-	ckpts, ckptErrs := s.sys.Checkpoints()
 	snaps, snapErrs := s.sys.Snapshots()
 	batches, batchAnswers := s.sys.BatchCounts()
 	return Stats{
-		Answers:              s.sys.AnswerCount(),
-		SnapshotEpoch:        s.sys.Epoch(),
-		RerunsCompleted:      done,
-		RerunsFailed:         failed,
-		OpenTasks:            s.sys.OpenTasks(),
-		IndexEpoch:           s.sys.IndexEpoch(),
-		LeasesActive:         s.sys.ActiveLeases(),
-		BatchesTotal:         batches,
-		BatchAnswersTotal:    batchAnswers,
-		WALEnabled:           s.sys.Recovery().Enabled,
-		WALLastSeq:           s.sys.WALSeq(),
-		CheckpointsCompleted: ckpts,
-		CheckpointsFailed:    ckptErrs,
-		SnapshotsCompleted:   snaps,
-		SnapshotsFailed:      snapErrs,
-		SnapshotLastSeq:      s.sys.LastSnapshotSeq(),
+		Answers:            s.sys.AnswerCount(),
+		SnapshotEpoch:      s.sys.Epoch(),
+		RerunsCompleted:    done,
+		RerunsFailed:       failed,
+		OpenTasks:          s.sys.OpenTasks(),
+		IndexEpoch:         s.sys.IndexEpoch(),
+		LeasesActive:       s.sys.ActiveLeases(),
+		BatchesTotal:       batches,
+		BatchAnswersTotal:  batchAnswers,
+		WALEnabled:         s.sys.Recovery().Enabled,
+		WALLastSeq:         s.sys.WALSeq(),
+		SnapshotsCompleted: snaps,
+		SnapshotsFailed:    snapErrs,
+		SnapshotLastSeq:    s.sys.LastSnapshotSeq(),
 	}
 }
 
-// Close stops the background re-inference and checkpoint workers and
+// Close stops the background re-inference and snapshot workers and
 // flushes, fsyncs and closes the WAL and the worker store, so a graceful
 // shutdown loses nothing. Do not serve after Close.
 func (s *System) Close() error {

@@ -230,29 +230,7 @@ func runLoggedAdversarialCampaign(t *testing.T, cfg Config, dir string, nTasks i
 		t.Fatal(err)
 	}
 
-	var recs []wal.Record
-	var cpSeq uint64
-	cp, err := wal.ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != nil {
-		recs = append(recs, cp.Records...)
-		cpSeq = cp.LastSeq
-	}
-	st, err := wal.Replay(dir, func(rec wal.Record) error {
-		if rec.Seq > cpSeq {
-			recs = append(recs, rec)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TornTail {
-		t.Fatal("uninterrupted adversarial run left a torn tail")
-	}
-	return recs
+	return readStream(t, dir)
 }
 
 // TestAdversarialCrashInjectionRecoveryExact reuses the Fingerprint
@@ -262,7 +240,7 @@ func runLoggedAdversarialCampaign(t *testing.T, cfg Config, dir string, nTasks i
 // produces, and every surviving prefix must still recover bit-identically.
 func TestAdversarialCrashInjectionRecoveryExact(t *testing.T) {
 	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 4, RerunEvery: 25,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
+		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
 	recs := runLoggedAdversarialCampaign(t, cfg, srcDir, 60)
 	if len(recs) < 50 {

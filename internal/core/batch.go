@@ -6,7 +6,7 @@
 //
 //   - Equivalence: every item runs the exact per-answer sequence Submit
 //     runs (validation, ingest, chronological log append, rerun and
-//     checkpoint cadence), so the resulting state is bit-identical to the
+//     snapshot cadence), so the resulting state is bit-identical to the
 //     same stream submitted individually (TestBatchSubmitEquivalence).
 //   - Isolation: items are validated independently; a rejected item gets
 //     its own status and never poisons its neighbors. Only accepted

@@ -18,7 +18,7 @@ import (
 // log. The batch entry may only change how answers reach the log, never
 // what state they produce.
 func TestBatchSubmitEquivalence(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 6, AnswersPerTask: 3, RerunEvery: 20, CheckpointEvery: -1}
+	cfg := Config{GoldenCount: 4, HITSize: 6, AnswersPerTask: 3, RerunEvery: 20}
 	dirA := t.TempDir()
 	a := newSystem(t, cfg)
 	if _, err := a.Recover(dirA); err != nil {
@@ -231,7 +231,7 @@ func runLoggedBatchedCampaign(t *testing.T, cfg Config, dir string, nTasks int) 
 // pin the all-or-nothing contract on the batch records themselves.
 func TestCrashInjectionBatchedRecoveryExact(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
+		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
 	recs := runLoggedBatchedCampaign(t, cfg, srcDir, 60)
 	if len(recs) < 20 {

@@ -75,10 +75,6 @@ type Config struct {
 	// after the snapshot. The default (false) reruns synchronously inside
 	// Submit, which serial callers rely on for exact reproducibility.
 	AsyncRerun bool
-	// CheckpointEvery writes a WAL checkpoint (and truncates covered
-	// segments) every so many accepted answers when a WAL is armed via
-	// Recover (default 5000, negative = never).
-	CheckpointEvery int
 	// SnapshotEvery writes a full state snapshot every so many accepted
 	// answers when a WAL is armed (default 5000, negative = never). A
 	// snapshot makes restart cost proportional to the un-snapshotted WAL
@@ -177,9 +173,8 @@ type System struct {
 	// logMu guards the chronological answer log — the only globally ordered
 	// write structure left on the Submit path (a single slice append) — and,
 	// when a WAL is armed, the WAL reservation that must share its order.
-	logMu  sync.Mutex
-	log    []model.Answer
-	durLog []wal.Record // full durable-record mirror, the checkpoint source
+	logMu sync.Mutex
+	log   []model.Answer
 
 	// wal fields are written once by Recover, before serving starts.
 	wal        *wal.Log
@@ -197,8 +192,6 @@ type System struct {
 	batchAnswers atomic.Int64
 	reruns       atomic.Int64
 	rerunErrs    atomic.Int64
-	ckpts        atomic.Int64
-	ckptErrs     atomic.Int64
 	snaps        atomic.Int64
 	snapErrs     atomic.Int64
 
@@ -207,18 +200,11 @@ type System struct {
 	snapSeq atomic.Uint64
 	// shadow is the serial replica the snapshot passes advance and
 	// serialize; shadowSeq is the WAL sequence it has replayed through.
-	// Both are touched only by the maintenance worker (and Close, after the
+	// Both are touched only by the snapshot worker (and Close, after the
 	// worker exits).
 	shadow    *System
 	shadowSeq uint64
 	snapCh    chan struct{}
-
-	// ckptMu serializes checkpoint passes and guards the cached checkpoint
-	// tail (last covered sequence and byte length of the intact file).
-	ckptMu      sync.Mutex
-	ckptLastSeq uint64
-	ckptBytes   int64
-	ckptCh      chan struct{}
 
 	rerunMu sync.Mutex // serializes batch re-inference runs
 	// rerunFault, when set (tests only), is invoked at the top of every
@@ -262,9 +248,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.RerunEvery == 0 {
 		cfg.RerunEvery = 100
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 5000
-	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 5000
 	}
@@ -280,7 +263,6 @@ func New(cfg Config) (*System, error) {
 		golden:    make(map[int]bool),
 		inc:       truth.NewIncremental(m),
 		rerunCh:   make(chan struct{}, 1),
-		ckptCh:    make(chan struct{}, 1),
 		snapCh:    make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 	}
@@ -298,7 +280,7 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Close stops the background rerun and checkpoint workers (pending
+// Close stops the background rerun and snapshot workers (pending
 // requests are drained first) and then flushes, fsyncs and closes the WAL,
 // so a graceful shutdown loses nothing regardless of sync policy. A store
 // this System created (rather than received via Config.Store) is released
@@ -309,7 +291,7 @@ func (s *System) Close() error {
 	s.wg.Wait()
 	var err error
 	if s.shadow != nil {
-		// The maintenance worker has exited; the shadow replica has no
+		// The snapshot worker has exited; the shadow replica has no
 		// goroutines or files of its own, but close it for symmetry.
 		err = s.shadow.Close()
 		s.shadow = nil
@@ -649,9 +631,9 @@ func (s *System) Submit(workerID string, taskID, choice int) error {
 // golden record in the durable order) and then commits individually, so the
 // answer-durable-before-profiling-merge invariant documented below holds
 // unchanged under batching. Everything else — validation, ingest, the
-// chronological log append under logMu, the rerun/checkpoint/snapshot
-// cadence — is identical in both modes, which is what makes a batched
-// stream's state bit-identical to the same answers submitted one by one
+// chronological log append under logMu, the rerun/snapshot cadence — is
+// identical in both modes, which is what makes a batched stream's state
+// bit-identical to the same answers submitted one by one
 // (TestBatchSubmitEquivalence).
 func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) error {
 	if workerID == "" {
@@ -783,7 +765,6 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 			return err
 		}
 	}
-	s.maybeCheckpoint(n)
 	s.maybeSnapshot(n)
 	return s.walCommit(p)
 }

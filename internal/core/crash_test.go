@@ -73,21 +73,16 @@ func runLoggedCampaign(t *testing.T, cfg Config, dir string, nTasks int) []wal.R
 		t.Fatal(err)
 	}
 
-	// Read back the durable stream: checkpoint prefix (if any) + segments.
+	return readStream(t, dir)
+}
+
+// readStream reads back the durable record stream a cleanly closed
+// campaign left in dir.
+func readStream(t *testing.T, dir string) []wal.Record {
+	t.Helper()
 	var recs []wal.Record
-	var cpSeq uint64
-	cp, err := wal.ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != nil {
-		recs = append(recs, cp.Records...)
-		cpSeq = cp.LastSeq
-	}
 	st, err := wal.Replay(dir, func(rec wal.Record) error {
-		if rec.Seq > cpSeq {
-			recs = append(recs, rec)
-		}
+		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {
@@ -134,25 +129,16 @@ func segmentSpans(t *testing.T, dir string, afterSeq uint64) map[uint64]frameSpa
 // buildCrashDir reconstructs what disk looks like when the process dies
 // with `surviving` whole records down plus (optionally) tornBytes of the
 // next frame: segments are copied, the one holding the cut is truncated,
-// later ones vanish (they were never created), and the checkpoint (if any)
-// survives untouched.
+// later ones vanish (they were never created).
 func buildCrashDir(t *testing.T, srcDir string, recs []wal.Record, spans map[uint64]frameSpan, surviving int, tornBytes int64) string {
 	t.Helper()
 	dst := t.TempDir()
-	if data, err := os.ReadFile(filepath.Join(srcDir, "checkpoint")); err == nil {
-		if err := os.WriteFile(filepath.Join(dst, "checkpoint"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// The byte cut: end of the last surviving record, plus torn bytes into
 	// the next frame (capped to stay strictly inside it).
 	cutFile, cutOff := "", int64(0)
 	if surviving > 0 {
-		if sp, ok := spans[recs[surviving-1].Seq]; ok {
-			cutFile, cutOff = sp.file, sp.end
-		}
-		// else: the record lives in the checkpoint only; cut is "no segment
-		// bytes at all" and stays at "", 0.
+		sp := spans[recs[surviving-1].Seq]
+		cutFile, cutOff = sp.file, sp.end
 	}
 	if tornBytes > 0 && surviving < len(recs) {
 		if next, ok := spans[recs[surviving].Seq]; ok {
@@ -167,8 +153,7 @@ func buildCrashDir(t *testing.T, srcDir string, recs []wal.Record, spans map[uin
 		}
 	}
 	if cutFile == "" {
-		// The cut precedes every surviving segment byte: the crash dir has
-		// the checkpoint (if any) and no segments.
+		// The cut precedes every segment byte: the crash dir is empty.
 		return dst
 	}
 	entries, err := os.ReadDir(srcDir)
@@ -205,7 +190,7 @@ func buildCrashDir(t *testing.T, srcDir string, recs []wal.Record, spans map[uin
 func applyPrefix(t *testing.T, s *System, recs []wal.Record) {
 	t.Helper()
 	for _, rec := range recs {
-		if err := s.applyRecord(rec, true); err != nil {
+		if err := s.applyRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +205,7 @@ const crashKillPoints = 100
 // one extra serial pass plus the recoveries themselves.
 func TestCrashInjectionRecoveryExact(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
+		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
 	recs := runLoggedCampaign(t, cfg, srcDir, 60)
 	if len(recs) < 50 {
@@ -293,7 +278,7 @@ func TestCrashInjectionRecoveryExact(t *testing.T) {
 // and nothing double-applies.
 func TestCrashRecoveryThenContinueServing(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
+		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
 	recs := runLoggedCampaign(t, cfg, srcDir, 40)
 	spans := segmentSpans(t, srcDir, 0)
@@ -342,132 +327,6 @@ func TestCrashRecoveryThenContinueServing(t *testing.T) {
 	}
 }
 
-// TestCrashInjectionWithCheckpoints kills a campaign whose WAL was
-// checkpointed and truncated mid-run: recovery must stitch checkpoint +
-// surviving segments back into the exact serial state. The checkpoint
-// state is constructed deterministically (checkpoint at 2/3 of the stream,
-// fully-covered segments deleted, exactly what the checkpoint worker
-// produces) so every kill point is reproducible.
-func TestCrashInjectionWithCheckpoints(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
-	srcDir := t.TempDir()
-	recs := runLoggedCampaign(t, cfg, srcDir, 50)
-
-	covered := len(recs) * 2 / 3
-	cpSeq := recs[covered-1].Seq
-	if err := wal.WriteCheckpoint(srcDir, cpSeq, recs[:covered]); err != nil {
-		t.Fatal(err)
-	}
-	// Emulate TruncateBefore: delete segments all of whose records the
-	// checkpoint covers (never the last one).
-	all := segmentSpans(t, srcDir, 0)
-	maxSeqByFile := map[string]uint64{}
-	lastFile := ""
-	for seq, sp := range all {
-		if seq > maxSeqByFile[sp.file] {
-			maxSeqByFile[sp.file] = seq
-		}
-		if sp.file > lastFile {
-			lastFile = sp.file
-		}
-	}
-	for file, maxSeq := range maxSeqByFile {
-		if file != lastFile && maxSeq <= cpSeq {
-			if err := os.Remove(filepath.Join(srcDir, file)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	spans := segmentSpans(t, srcDir, 0)
-
-	// Sorted randomized kill points in [covered, n], so the serial
-	// reference advances incrementally.
-	r := mathx.NewRand(11)
-	ks := make([]int, 0, 20)
-	torns := map[int]int64{}
-	for i := 0; i < 20; i++ {
-		k := covered + int(r.Float64()*float64(len(recs)-covered+1))
-		if k > len(recs) {
-			k = len(recs)
-		}
-		if k < len(recs) && r.Float64() < 0.4 {
-			torns[k] = 1 + int64(r.Float64()*12)
-		}
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-
-	ref := newSystem(t, cfg)
-	applied := 0
-	refPrint := fingerprint(ref)
-	for i, k := range ks {
-		if k > applied {
-			applyPrefix(t, ref, recs[applied:k])
-			applied = k
-			refPrint = fingerprint(ref)
-		}
-		crashDir := buildCrashDir(t, srcDir, recs, spans, k, torns[k])
-		rec := newSystem(t, cfg)
-		info, err := rec.Recover(crashDir)
-		if err != nil {
-			t.Fatalf("kill %d (surviving=%d torn=%d): %v", i, k, torns[k], err)
-		}
-		if info.CheckpointRecords != covered {
-			t.Fatalf("kill %d: checkpoint contributed %d records, want %d", i, info.CheckpointRecords, covered)
-		}
-		if info.Records != k {
-			t.Fatalf("kill %d: recovered %d records, want %d", i, info.Records, k)
-		}
-		if got := fingerprint(rec); got != refPrint {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recovered state differs from serial reference", i, k, torns[k])
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestAsyncCheckpointIntegration runs a campaign with the background
-// checkpoint worker live (small CheckpointEvery forces several passes) and
-// asserts (a) checkpoints actually completed and truncated nothing needed,
-// and (b) full recovery of the resulting dir — whatever mix of checkpoint
-// and segments the worker's timing left — equals the serial reference.
-func TestAsyncCheckpointIntegration(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: 30, WALSegmentBytes: 1 << 10}
-	dir := t.TempDir()
-	recs := runLoggedCampaign(t, cfg, dir, 50)
-
-	cp, err := wal.ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil {
-		t.Fatal("no checkpoint written despite CheckpointEvery=30")
-	}
-
-	ref := newSystem(t, cfg)
-	applyPrefix(t, ref, recs)
-	s := newSystem(t, cfg)
-	info, err := s.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Records != len(recs) {
-		t.Fatalf("recovered %d records, want %d", info.Records, len(recs))
-	}
-	if info.CheckpointRecords == 0 {
-		t.Error("recovery used no checkpoint records")
-	}
-	if fingerprint(s) != fingerprint(ref) {
-		t.Fatal("async-checkpointed log recovered to a different state")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestConcurrentServeWithWALRecovers hammers the system from many
 // goroutines with the WAL armed (group commit under real contention, run
 // with -race), then recovers the log into a fresh system. The recovered
@@ -477,7 +336,7 @@ func TestAsyncCheckpointIntegration(t *testing.T) {
 // replay equivalence is proven against.
 func TestConcurrentServeWithWALRecovers(t *testing.T) {
 	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 5, RerunEvery: 40,
-		AsyncRerun: true, CheckpointEvery: 60, WALSegmentBytes: 1 << 11}
+		AsyncRerun: true, WALSegmentBytes: 1 << 11}
 	dir := t.TempDir()
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(dir); err != nil {
@@ -535,7 +394,7 @@ func TestConcurrentServeWithWALRecovers(t *testing.T) {
 // Systems must fingerprint identically (replay is a pure function of the
 // log bytes).
 func TestRecoveryDeterminism(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20, CheckpointEvery: -1}
+	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20}
 	dir := t.TempDir()
 	runLoggedCampaign(t, cfg, dir, 30)
 	a := newSystem(t, cfg)
@@ -567,7 +426,7 @@ func TestRecoveryDoesNotDoubleMergePersistentStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := newSystem(t, Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3,
-			RerunEvery: -1, CheckpointEvery: -1, Store: st})
+			RerunEvery: -1, Store: st})
 		return s
 	}
 
@@ -640,6 +499,36 @@ func TestRecoverRefusesAfterServing(t *testing.T) {
 	}
 	if _, err := s.Recover(""); err == nil {
 		t.Fatal("Recover with empty dir must fail")
+	}
+}
+
+// TestRecoverRefusesLegacyCheckpoint: a directory that still holds an older
+// version's checkpoint file may have lost the segments it covered, so
+// Recover must refuse it by name — with or without a snapshot to boot
+// from — and apply nothing.
+func TestRecoverRefusesLegacyCheckpoint(t *testing.T) {
+	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20}
+	for _, tc := range []struct {
+		name     string
+		snapshot bool
+	}{{"segments only", false}, {"with snapshot", true}} {
+		dir := t.TempDir()
+		recs := runLoggedCampaign(t, cfg, dir, 20)
+		if tc.snapshot {
+			writeStateAt(t, cfg, dir, recs, len(recs))
+		}
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint"), []byte("DOCSCKP2"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newSystem(t, cfg)
+		_, err := s.Recover(dir)
+		if err == nil || !strings.Contains(err.Error(), `"checkpoint"`) {
+			t.Fatalf("%s: err = %v, want a refusal naming the checkpoint file", tc.name, err)
+		}
+		if n := s.AnswerCount(); n != 0 {
+			t.Fatalf("%s: refused boot still applied %d answers", tc.name, n)
+		}
+		s.Close()
 	}
 }
 

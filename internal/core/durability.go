@@ -6,9 +6,9 @@
 // under the same lock that orders the in-memory answer log, so the durable
 // order equals the order the serial-replay equivalence proofs are anchored
 // to. Submit acknowledges only after the record's group-commit batch is
-// down. Recovery replays the checkpoint prefix and then the live segments
-// through the ordinary Publish/Submit path with periodic reruns forced
-// synchronous, which reconstructs the exact deterministic serial state.
+// down. Recovery replays the log's segments through the ordinary
+// Publish/Submit path with periodic reruns forced synchronous, which
+// reconstructs the exact deterministic serial state.
 package core
 
 import (
@@ -31,11 +31,9 @@ var ErrDurability = errors.New("durability failure")
 type RecoveryInfo struct {
 	// Enabled is true once a WAL is armed.
 	Enabled bool
-	// CheckpointRecords is how many records came from the checkpoint file.
-	CheckpointRecords int
-	// Records is the total records replayed (checkpoint + segments). With
-	// a snapshot-assisted boot this counts only the suffix past the
-	// snapshot — the records the boot actually paid to re-apply.
+	// Records is the total records replayed. With a snapshot-assisted boot
+	// this counts only the suffix past the snapshot — the records the boot
+	// actually paid to re-apply.
 	Records int
 	// TornTail is true when the final segment ended in a torn record that
 	// was dropped (the crash interrupted an unacknowledged append).
@@ -59,12 +57,13 @@ type RecoveryInfo struct {
 }
 
 // Recover arms the write-ahead log at dir, first replaying any state a
-// previous process left there: the checkpoint prefix, then every intact
-// WAL record after it, all through the ordinary Publish/Submit path. The
-// periodic batch rerun runs synchronously during replay even when
-// Config.AsyncRerun is set, so the recovered state is the deterministic
-// serial state of the logged stream — bit-identical to an uninterrupted
-// serial run, which the crash-injection tests assert record by record.
+// previous process left there: the newest usable state snapshot, then
+// every intact WAL record past it, through the ordinary Publish/Submit
+// path. The periodic batch rerun runs synchronously during replay even
+// when Config.AsyncRerun is set, so the recovered state is the
+// deterministic serial state of the logged stream — bit-identical to an
+// uninterrupted serial run, which the crash-injection tests assert record
+// by record.
 //
 // Recover must be called once, before any Publish or Submit (it refuses
 // otherwise). After it returns, every subsequent accepted mutation is
@@ -85,25 +84,15 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	start := time.Now()
 	s.recovering = true
 
-	cp, err := wal.ReadCheckpoint(dir)
-	if err != nil {
-		s.recovering = false
-		return info, err
-	}
-	var cpSeq uint64
-	if cp != nil {
-		cpSeq = cp.LastSeq
-		s.ckptLastSeq, s.ckptBytes = cp.LastSeq, cp.ValidBytes
-	}
-
-	// Fallback ladder: state snapshot → checkpoint → segments. The newest
-	// usable snapshot restores the serial state through its covered
-	// sequence bit-exactly; only the suffix past it is replayed. A torn,
-	// corrupt, invalid, or log-overreaching snapshot is rejected LOUDLY
-	// (RecoveryInfo.SnapshotRejected) and the boot degrades to the full
-	// replay below — recovery then costs time, never state.
+	// Fallback ladder: state snapshot → segments. The newest usable
+	// snapshot restores the serial state through its covered sequence
+	// bit-exactly; only the suffix past it is replayed, and segments wholly
+	// below it are not even read. A torn, corrupt, invalid, or
+	// log-overreaching snapshot is rejected LOUDLY
+	// (RecoveryInfo.SnapshotRejected) and the boot degrades to a full
+	// replay — recovery then costs time, never state.
 	var snapSeq uint64
-	snap, reject := loadUsableSnapshot(dir, cpSeq)
+	snap, reject := loadUsableSnapshot(dir)
 	info.SnapshotRejected = reject
 	if snap != nil && reject == "" {
 		if rerr := s.restoreSnapshot(snap); rerr != nil {
@@ -118,50 +107,8 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 		}
 	}
 
-	if cp != nil {
-		for _, rec := range cp.Records {
-			if rec.Seq <= snapSeq {
-				// The snapshot already embodies this record's effect.
-				continue
-			}
-			// Checkpointed records are not mirrored into durLog: the
-			// in-memory mirror holds only the un-checkpointed suffix (the
-			// next checkpoint extends the file rather than rebuilding the
-			// whole stream from RAM).
-			if err := s.applyRecord(rec, false); err != nil {
-				s.recovering = false
-				return info, fmt.Errorf("core: checkpoint replay: %w", err)
-			}
-			info.CheckpointRecords++
-			info.Records++
-			if rec.Seq > info.LastSeq {
-				info.LastSeq = rec.Seq
-			}
-		}
-	}
-	// Segments below the checkpoint's coverage are skipped wholesale; when
-	// nothing needs the mirror, segments below the snapshot are too — that
-	// skip is what makes a snapshot boot O(suffix) in I/O as well as CPU.
-	floor := cpSeq
-	if s.cfg.CheckpointEvery <= 0 && snapSeq > floor {
-		floor = snapSeq
-	}
-	st, err := wal.ReplayFrom(dir, floor, func(rec wal.Record) error {
-		if rec.Seq <= snapSeq {
-			// Covered by the snapshot but not yet by the checkpoint file:
-			// the record's effect is already restored, but it must still
-			// enter the un-checkpointed durLog mirror so the next checkpoint
-			// pass appends it. Replay order keeps the mirror in sequence
-			// order.
-			s.logMu.Lock()
-			s.durLog = append(s.durLog, rec)
-			s.logMu.Unlock()
-			if rec.Seq > info.LastSeq {
-				info.LastSeq = rec.Seq
-			}
-			return nil
-		}
-		if err := s.applyRecord(rec, s.cfg.CheckpointEvery > 0); err != nil {
+	st, err := wal.ReplayFrom(dir, snapSeq, func(rec wal.Record) error {
+		if err := s.applyRecord(rec); err != nil {
 			return err
 		}
 		info.Records++
@@ -187,9 +134,9 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	//docs:allow clock recovery duration is diagnostic metadata, never replayed or fingerprinted
 	info.Duration = time.Since(start)
 	s.recovery = info
-	if s.cfg.CheckpointEvery > 0 || s.cfg.SnapshotEvery > 0 {
+	if s.cfg.SnapshotEvery > 0 {
 		s.wg.Add(1)
-		go s.maintenanceWorker()
+		go s.snapshotWorker()
 	}
 	return info, nil
 }
@@ -207,24 +154,15 @@ func (s *System) WALSeq() uint64 {
 	return s.wal.LastSeq()
 }
 
-// Checkpoints returns how many WAL checkpoints have completed and failed.
-func (s *System) Checkpoints() (completed, failed int64) {
-	return s.ckpts.Load(), s.ckptErrs.Load()
-}
-
 // applyRecord replays one durable record through the ordinary serving path.
-// The WAL is nil during recovery, so the replay does not re-log; with
-// mirror set the record enters the un-checkpointed durLog suffix with its
-// original sequence number (false for records the checkpoint file already
-// holds).
+// The WAL is nil during recovery, so the replay does not re-log.
 //
-// This is THE replay entry point — recovery, checkpoint replay and the
-// snapshot shadow replica all funnel through it — so docs-lint roots its
-// determinism analysis here: everything it reaches must replay
-// bit-identically.
+// This is THE replay entry point — recovery and the snapshot shadow
+// replica both funnel through it — so docs-lint roots its determinism
+// analysis here: everything it reaches must replay bit-identically.
 //
 //docs:deterministic
-func (s *System) applyRecord(rec wal.Record, mirror bool) error {
+func (s *System) applyRecord(rec wal.Record) error {
 	switch rec.Kind {
 	case wal.KindPublish:
 		var tasks []*model.Task
@@ -243,9 +181,9 @@ func (s *System) applyRecord(rec wal.Record, mirror bool) error {
 		// the ordinary Submit path. Items were each accepted when logged
 		// (rejected items never enter the record), so a rejection here means
 		// the log is corrupt and must fail loudly. Per-item Submit keeps the
-		// rerun/checkpoint cadence identical to the live batched run — and,
-		// because this is the single replay entry, checkpoint replay and the
-		// snapshot shadow replica handle batches with no further code.
+		// rerun/snapshot cadence identical to the live batched run — and,
+		// because this is the single replay entry, the snapshot shadow
+		// replica handles batches with no further code.
 		items, extra, err := wal.DecodeBatch(rec.Blob, 0)
 		if err != nil || extra != 0 {
 			return fmt.Errorf("batch record %d: bad body: %v", rec.Seq, err)
@@ -273,17 +211,10 @@ func (s *System) applyRecord(rec wal.Record, mirror bool) error {
 	default:
 		return fmt.Errorf("record %d has unknown kind %d", rec.Seq, rec.Kind)
 	}
-	if mirror {
-		s.logMu.Lock()
-		s.durLog = append(s.durLog, rec)
-		s.logMu.Unlock()
-	}
 	return nil
 }
 
-// walReserve queues one record for the armed WAL and, when checkpointing
-// is enabled, mirrors it into the checkpoint source (with checkpoints off
-// nothing ever drains the mirror, so it must not grow). Callers hold logMu
+// walReserve queues one record for the armed WAL. Callers hold logMu
 // (directly or transitively), which makes reservation order — and
 // therefore durable replay order — equal to the in-memory answer-log
 // order. Returns a zero Pending when no WAL is armed.
@@ -294,10 +225,6 @@ func (s *System) walReserve(rec wal.Record) (wal.Pending, error) {
 	p, err := s.wal.Reserve(rec)
 	if err != nil {
 		return wal.Pending{}, fmt.Errorf("core: %w: %v", ErrDurability, err)
-	}
-	if s.cfg.CheckpointEvery > 0 {
-		rec.Seq = p.Seq()
-		s.durLog = append(s.durLog, rec)
 	}
 	return p, nil
 }
@@ -316,20 +243,7 @@ func (s *System) walCommit(p wal.Pending) error {
 	return nil
 }
 
-// maybeCheckpoint nudges the maintenance worker every CheckpointEvery
-// accepted answers.
-func (s *System) maybeCheckpoint(n int64) {
-	z := s.cfg.CheckpointEvery
-	if s.wal == nil || z <= 0 || n%int64(z) != 0 {
-		return
-	}
-	select {
-	case s.ckptCh <- struct{}{}:
-	default: // one is already pending; it will cover this batch too
-	}
-}
-
-// maybeSnapshot nudges the maintenance worker every SnapshotEvery accepted
+// maybeSnapshot nudges the snapshot worker every SnapshotEvery accepted
 // answers.
 func (s *System) maybeSnapshot(n int64) {
 	z := s.cfg.SnapshotEvery
@@ -342,75 +256,22 @@ func (s *System) maybeSnapshot(n int64) {
 	}
 }
 
-// maintenanceWorker runs WAL checkpoint passes and state-snapshot passes
-// on one goroutine: the snapshot pass reads the checkpoint file and the
-// segments the checkpoint pass truncates, and sharing the goroutine makes
-// those reads race-free by construction. On shutdown each pending nudge is
-// drained so a graceful Close leaves the freshest possible boot artifacts.
-func (s *System) maintenanceWorker() {
+// snapshotWorker runs state-snapshot passes in the background. On shutdown
+// a pending nudge is drained so a graceful Close leaves the freshest
+// possible boot artifact.
+func (s *System) snapshotWorker() {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.quit:
-			select {
-			case <-s.ckptCh:
-				s.runCheckpoint()
-			default:
-			}
 			select {
 			case <-s.snapCh:
 				s.runSnapshotPass()
 			default:
 			}
 			return
-		case <-s.ckptCh:
-			s.runCheckpoint()
 		case <-s.snapCh:
 			s.runSnapshotPass()
-		}
-	}
-}
-
-// runCheckpoint appends the records accepted since the last pass to the
-// checkpoint file (O(new), not a prefix rewrite — the tail position is
-// cached across passes) and then truncates the segments it now covers.
-// The checkpoint stores the record stream rather than engine floats: the
-// serving core's canonical state is defined as the serial replay of its
-// log, so replaying the stream is the only representation that recovers
-// it bit-for-bit. durLog holds only the un-checkpointed suffix, so the
-// mirror's steady-state memory is bounded by the checkpoint cadence, not
-// the campaign length.
-func (s *System) runCheckpoint() {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	s.logMu.Lock()
-	fresh := append([]wal.Record(nil), s.durLog...)
-	s.logMu.Unlock()
-	if len(fresh) > 0 {
-		lastSeq, bytes, err := wal.ExtendCheckpoint(s.walDir, s.ckptLastSeq, s.ckptBytes, fresh)
-		if err != nil {
-			s.ckptErrs.Add(1)
-			return
-		}
-		s.ckptLastSeq, s.ckptBytes = lastSeq, bytes
-		// Trim the mirror immediately — the checkpoint now owns these
-		// records, and a later failure must not leave them queued for
-		// re-append (a duplicate would corrupt the stream). Records that
-		// arrived since the snapshot stay: append order under logMu makes
-		// the snapshot a strict prefix of the current durLog.
-		s.logMu.Lock()
-		s.durLog = append([]wal.Record(nil), s.durLog[len(fresh):]...)
-		s.logMu.Unlock()
-		// The checkpoint data is durable: the pass counts as completed even
-		// if the segment cleanup below hits a transient error.
-		s.ckpts.Add(1)
-	}
-	// Truncation runs every pass (not only when new records arrived), so a
-	// previously failed cleanup is retried; until then the covered segments
-	// merely linger — recovery skips their records by sequence number.
-	if s.ckptLastSeq > 0 {
-		if err := s.wal.TruncateBefore(s.ckptLastSeq); err != nil {
-			s.ckptErrs.Add(1)
 		}
 	}
 }

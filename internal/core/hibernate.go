@@ -36,7 +36,7 @@ func (s *System) Hibernate() error {
 	if s.wal == nil {
 		return fmt.Errorf("core: Hibernate needs an armed WAL")
 	}
-	// Stop the background rerun and maintenance workers; pending nudges
+	// Stop the background rerun and snapshot workers; pending nudges
 	// drain first, exactly as in Close.
 	s.closed.Do(func() { close(s.quit) })
 	s.wg.Wait()
@@ -46,7 +46,7 @@ func (s *System) Hibernate() error {
 	// stream, and the snapshot may only ever cover durable records.
 	snapErr := s.wal.Sync()
 	if snapErr == nil {
-		// The maintenance worker has exited, so running the shadow pass on
+		// The snapshot worker has exited, so running the shadow pass on
 		// this goroutine is race-free. The pass advances the serial shadow
 		// replica over the whole durable stream and atomically replaces
 		// the snapshot file with its state.

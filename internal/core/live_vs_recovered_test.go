@@ -230,7 +230,7 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 
 	baseCfg := func(scope string) Config {
 		return Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-			CheckpointEvery: -1, SnapshotEvery: -1, WALSegmentBytes: 1 << 10,
+			SnapshotEvery: -1, WALSegmentBytes: 1 << 10,
 			ProfileScope: scope}
 	}
 
@@ -375,7 +375,7 @@ func TestLostStoreDeltaRepairedExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, SnapshotEvery: -1, WALSegmentBytes: 1 << 10,
+		SnapshotEvery: -1, WALSegmentBytes: 1 << 10,
 		ProfileScope: "camp", Store: st}
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(walDir); err != nil {

@@ -8,7 +8,7 @@
 // it maintains a serial *shadow replica*: a second System, permanently in
 // replay mode (synchronous reruns, no WAL of its own, no writes to a
 // persistent store), fed incrementally from the durable log by the
-// background maintenance worker. Each snapshot pass advances the shadow
+// background snapshot worker. Each snapshot pass advances the shadow
 // over the records that became durable since the last pass and then
 // serializes the shadow's complete state — every float as raw bits — into
 // an atomically-replaced snapshot file keyed by the WAL sequence it
@@ -475,12 +475,10 @@ func truthState(ts snapshot.TaskState) truth.TaskState {
 
 // loadUsableSnapshot reads dir's snapshot and applies the trust guard: a
 // snapshot claiming to cover sequences past the durable log's tail (what a
-// power loss under SyncNever can leave) is rejected. cpSeq is the
-// checkpoint's coverage, which the caller has already read — the
-// checkpoint can be ahead of the segments. Returns the snapshot (nil when
-// none exists or it was rejected) and the loud rejection reason (empty
-// when absent or usable).
-func loadUsableSnapshot(dir string, cpSeq uint64) (*snapshot.State, string) {
+// power loss under SyncNever can leave) is rejected. Returns the snapshot
+// (nil when none exists or it was rejected) and the loud rejection reason
+// (empty when absent or usable).
+func loadUsableSnapshot(dir string) (*snapshot.State, string) {
 	snap, err := snapshot.Read(dir)
 	if err != nil {
 		return nil, err.Error()
@@ -492,16 +490,13 @@ func loadUsableSnapshot(dir string, cpSeq uint64) (*snapshot.State, string) {
 	if err != nil {
 		return nil, err.Error()
 	}
-	if cpSeq > tail {
-		tail = cpSeq
-	}
 	if snap.Seq > tail {
 		return nil, fmt.Sprintf("snapshot covers seq %d but the durable log ends at %d", snap.Seq, tail)
 	}
 	return snap, ""
 }
 
-// --- the background snapshot pass (runs on the maintenance worker) ---
+// --- the background snapshot pass (runs on the snapshot worker) ---
 
 // runSnapshotPass advances the serial shadow replica over the records that
 // became durable since the last pass and atomically replaces the snapshot
@@ -520,49 +515,13 @@ func (s *System) snapshotPass() error {
 			return err
 		}
 	}
-	// Records past the shadow normally live in the surviving segments:
-	// truncation lags the checkpoint and never touches the active segment.
-	// The checkpoint file — which holds the ENTIRE record prefix and would
-	// cost O(campaign) to decode on every pass — is consulted only when
-	// the segments actually have a gap (their oldest possible record
-	// starts past shadowSeq+1, so some needed records were truncated into
-	// the checkpoint). The maintenance worker runs checkpoint passes and
-	// snapshot passes on one goroutine, so truncation never races this.
-	advanced := false
-	floor := s.shadowSeq
-	oldest, err := wal.OldestSeq(s.walDir)
-	if err != nil {
-		return err
-	}
-	if oldest == 0 || oldest > s.shadowSeq+1 {
-		cp, err := wal.ReadCheckpoint(s.walDir)
-		if err != nil {
-			return err
-		}
-		if cp != nil {
-			for _, rec := range cp.Records {
-				if rec.Seq <= s.shadowSeq {
-					continue
-				}
-				if err := s.applyToShadow(rec); err != nil {
-					return err
-				}
-				advanced = true
-			}
-			if cp.LastSeq > floor {
-				floor = cp.LastSeq
-			}
-		}
-	}
 	// A concurrent append can leave a torn final frame in the read; that is
 	// fine — those records are not durable yet and the next pass picks them
 	// up once they are whole.
-	if _, err := wal.ReplayFrom(s.walDir, floor, func(rec wal.Record) error {
-		if err := s.applyToShadow(rec); err != nil {
-			return err
-		}
+	advanced := false
+	if _, err := wal.ReplayFrom(s.walDir, s.shadowSeq, func(rec wal.Record) error {
 		advanced = true
-		return nil
+		return s.applyToShadow(rec)
 	}); err != nil {
 		return err
 	}
@@ -593,7 +552,7 @@ func (s *System) snapshotPass() error {
 // the next pass rebuilds it from the last good snapshot (or from zero)
 // and retries cleanly, surfacing the real error each time.
 func (s *System) applyToShadow(rec wal.Record) error {
-	if err := s.shadow.applyRecord(rec, false); err != nil {
+	if err := s.shadow.applyRecord(rec); err != nil {
 		_ = s.shadow.Close()
 		s.shadow = nil
 		s.shadowSeq = 0
@@ -611,7 +570,6 @@ func (s *System) initShadow() error {
 	cfg.KB = s.kb
 	cfg.AsyncRerun = false // the shadow must replay serially
 	cfg.SnapshotEvery = -1
-	cfg.CheckpointEvery = -1
 	cfg.LeaseTTL = 0 // the shadow never serves requests
 	if s.store.Persistent() {
 		// Share the store read-only: the shadow stays in replay mode, which
@@ -631,13 +589,7 @@ func (s *System) initShadow() error {
 		return err
 	}
 	sh.recovering = true // permanent replay mode: sync reruns, no store merges
-	// One-time checkpoint read for the trust guard (the checkpoint can be
-	// ahead of the segments); the per-pass loop above avoids it.
-	var cpSeq uint64
-	if cp, err := wal.ReadCheckpoint(s.walDir); err == nil && cp != nil {
-		cpSeq = cp.LastSeq
-	}
-	if snap, reject := loadUsableSnapshot(s.walDir, cpSeq); snap != nil && reject == "" {
+	if snap, reject := loadUsableSnapshot(s.walDir); snap != nil && reject == "" {
 		if err := sh.restoreSnapshot(snap); err == nil {
 			s.shadowSeq = snap.Seq
 		}

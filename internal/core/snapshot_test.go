@@ -48,7 +48,6 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			HITSize:         3 + r.Intn(3),
 			AnswersPerTask:  2 + r.Intn(3),
 			RerunEvery:      15 + r.Intn(20),
-			CheckpointEvery: -1,
 			WALSegmentBytes: 1 << 10,
 		}
 		nTasks := 25 + r.Intn(40)
@@ -122,7 +121,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 // RecoveryInfo.SnapshotRejected (silent fallback would hide rot).
 func TestSnapshotFallbackLoud(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
+		WALSegmentBytes: 1 << 10}
 	dir := t.TempDir()
 	recs := runLoggedCampaign(t, cfg, dir, 30)
 
@@ -211,7 +210,7 @@ func TestSnapshotFallbackLoud(t *testing.T) {
 // reference.
 func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
+		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
 	recs := runLoggedCampaign(t, cfg, srcDir, 50)
 	if len(recs) < 40 {
@@ -321,48 +320,19 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 	}
 }
 
-// TestSnapshotCheckpointInterleaving pins the snapshot/checkpoint
-// interplay in both orders — snapshot older than the checkpoint's
-// coverage (its suffix comes from the checkpoint file, then segments) and
-// snapshot newer (segment records below it must enter the durLog mirror
-// without re-applying) — including a checkpoint pass AFTER the
-// snapshot-assisted boot, whose extended file must itself recover cleanly.
+// TestSnapshotCheckpointInterleaving pins the background pass after a
+// snapshot-assisted boot: the shadow replica boots from the mid-stream
+// snapshot on disk, advances over the segment suffix, and the snapshot it
+// writes covers the whole log and boots bit-identically to a full replay.
 func TestSnapshotCheckpointInterleaving(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		CheckpointEvery: -1, WALSegmentBytes: 1 << 10}
-	srcDir := t.TempDir()
-	recs := runLoggedCampaign(t, cfg, srcDir, 40)
-
-	covered := len(recs) * 2 / 3
-	cpSeq := recs[covered-1].Seq
-	if err := wal.WriteCheckpoint(srcDir, cpSeq, recs[:covered]); err != nil {
-		t.Fatal(err)
-	}
-	// Emulate TruncateBefore: segments wholly covered by the checkpoint
-	// are gone, so records below the surviving segments exist ONLY in the
-	// checkpoint file — the gap both recovery and the shadow's snapshot
-	// pass must bridge from it.
-	all := segmentSpans(t, srcDir, 0)
-	maxSeqByFile := map[string]uint64{}
-	lastFile := ""
-	for seq, sp := range all {
-		if seq > maxSeqByFile[sp.file] {
-			maxSeqByFile[sp.file] = seq
-		}
-		if sp.file > lastFile {
-			lastFile = sp.file
-		}
-	}
-	for file, maxSeq := range maxSeqByFile {
-		if file != lastFile && maxSeq <= cpSeq {
-			if err := os.Remove(filepath.Join(srcDir, file)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+		WALSegmentBytes: 1 << 10}
+	dir := t.TempDir()
+	recs := runLoggedCampaign(t, cfg, dir, 40)
+	tail := recs[len(recs)-1].Seq
 
 	full := newSystem(t, cfg)
-	if _, err := full.Recover(srcDir); err != nil {
+	if _, err := full.Recover(dir); err != nil {
 		t.Fatal(err)
 	}
 	want := full.Fingerprint()
@@ -370,83 +340,43 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The checkpoint mirror matters from here on.
-	cfg.CheckpointEvery = 1 << 30
+	snapAt := len(recs) / 2
+	writeStateAt(t, cfg, dir, recs, snapAt)
+	s := newSystem(t, cfg)
+	info, err := s.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.SnapshotUsed || info.SnapshotSeq != recs[snapAt-1].Seq {
+		t.Fatalf("snapshot not used as expected (%+v)", info)
+	}
+	if got := s.Fingerprint(); got != want {
+		t.Fatalf("recovered state differs from full replay\n%s", DiffFingerprints(got, want, 4))
+	}
+	s.runSnapshotPass()
+	if done, failed := s.Snapshots(); done != 1 || failed != 0 {
+		t.Fatalf("snapshot pass done=%d failed=%d", done, failed)
+	}
+	if got := s.LastSnapshotSeq(); got != tail {
+		t.Fatalf("pass covered seq %d, want log tail %d", got, tail)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	for _, tc := range []struct {
-		name   string
-		snapAt int
-	}{
-		{"snapshot-behind-checkpoint", covered / 2},
-		{"snapshot-ahead-of-checkpoint", covered + (len(recs)-covered)/2},
-	} {
-		dir := t.TempDir()
-		copyDir(t, srcDir, dir)
-		writeStateAt(t, cfg, dir, recs, tc.snapAt)
-
-		s := newSystem(t, cfg)
-		info, err := s.Recover(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !info.SnapshotUsed || info.SnapshotSeq != recs[tc.snapAt-1].Seq {
-			t.Fatalf("%s: snapshot not used as expected (%+v)", tc.name, info)
-		}
-		if got := s.Fingerprint(); got != want {
-			t.Fatalf("%s: recovered state differs from full replay\n%s",
-				tc.name, DiffFingerprints(got, want, 4))
-		}
-		// Run a checkpoint pass on the booted system: it must append
-		// exactly the un-checkpointed records — including any the snapshot
-		// covered but the checkpoint file did not — and the result must
-		// still recover to the same state.
-		s.runCheckpoint()
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := wal.ReadCheckpoint(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cp.LastSeq != recs[len(recs)-1].Seq {
-			t.Fatalf("%s: post-boot checkpoint covers seq %d, want %d", tc.name, cp.LastSeq, recs[len(recs)-1].Seq)
-		}
-		again := newSystem(t, cfg)
-		if _, err := again.Recover(dir); err != nil {
-			t.Fatalf("%s: re-recovery: %v", tc.name, err)
-		}
-		if got := again.Fingerprint(); got != want {
-			t.Fatalf("%s: re-recovery after checkpoint differs", tc.name)
-		}
-		// Drive a live snapshot pass: the shadow boots from the on-disk
-		// snapshot and — when that snapshot predates the surviving
-		// segments — must bridge the gap from the checkpoint file. The
-		// pass must end with a snapshot covering the whole log that boots
-		// bit-identically.
-		again.runSnapshotPass()
-		if done, failed := again.Snapshots(); done != 1 || failed != 0 {
-			t.Fatalf("%s: snapshot pass done=%d failed=%d", tc.name, done, failed)
-		}
-		if got := again.LastSnapshotSeq(); got != recs[len(recs)-1].Seq {
-			t.Fatalf("%s: pass covered seq %d, want log tail %d", tc.name, got, recs[len(recs)-1].Seq)
-		}
-		if err := again.Close(); err != nil {
-			t.Fatal(err)
-		}
-		final := newSystem(t, cfg)
-		info, err = final.Recover(dir)
-		if err != nil {
-			t.Fatalf("%s: boot from pass-written snapshot: %v", tc.name, err)
-		}
-		if !info.SnapshotUsed || info.SnapshotSeq != recs[len(recs)-1].Seq {
-			t.Fatalf("%s: pass-written snapshot not used (%+v)", tc.name, info)
-		}
-		if got := final.Fingerprint(); got != want {
-			t.Fatalf("%s: boot from pass-written snapshot differs", tc.name)
-		}
-		if err := final.Close(); err != nil {
-			t.Fatal(err)
-		}
+	final := newSystem(t, cfg)
+	info, err = final.Recover(dir)
+	if err != nil {
+		t.Fatalf("boot from pass-written snapshot: %v", err)
+	}
+	if !info.SnapshotUsed || info.SnapshotSeq != tail || info.Records != 0 {
+		t.Fatalf("pass-written snapshot not used (%+v)", info)
+	}
+	if got := final.Fingerprint(); got != want {
+		t.Fatal("boot from pass-written snapshot differs")
+	}
+	if err := final.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -457,7 +387,7 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 // the surviving log produces — and that both equal the serial reference.
 func TestSnapshotWorkerIntegration(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		AsyncRerun: true, CheckpointEvery: 30, SnapshotEvery: 25, WALSegmentBytes: 1 << 10}
+		AsyncRerun: true, SnapshotEvery: 25, WALSegmentBytes: 1 << 10}
 	dir := t.TempDir()
 	recs := runLoggedCampaign(t, cfg, dir, 40)
 
@@ -535,7 +465,7 @@ func copyDir(t *testing.T, src, dst string) {
 // a failing rerun skipped it until the next SUCCESSFUL rerun, unboundedly
 // long if the failure repeats.
 func TestFailedRerunStillResyncsIndex(t *testing.T) {
-	s := newSystem(t, Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 1, RerunEvery: 2, CheckpointEvery: -1})
+	s := newSystem(t, Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 1, RerunEvery: 2})
 	if err := s.Publish(indexTasks(16, s.Domains().Size())); err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +509,7 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 // the last good snapshot on the next attempt.
 func TestShadowDiscardedOnApplyFailure(t *testing.T) {
 	cfg := Config{GoldenCount: -1, HITSize: 4, RerunEvery: 10,
-		CheckpointEvery: -1, SnapshotEvery: -1, WALSegmentBytes: 1 << 10}
+		SnapshotEvery: -1, WALSegmentBytes: 1 << 10}
 	dir := t.TempDir()
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(dir); err != nil {

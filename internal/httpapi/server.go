@@ -474,8 +474,6 @@ type statsJSON struct {
 	// Durability counters, all zero when the server runs without -wal-dir.
 	WALEnabled            bool   `json:"wal_enabled"`
 	WALLastSeq            uint64 `json:"wal_last_seq"`
-	CheckpointsCompleted  int64  `json:"checkpoints_completed"`
-	CheckpointsFailed     int64  `json:"checkpoints_failed"`
 	SnapshotsCompleted    int64  `json:"snapshots_completed"`
 	SnapshotsFailed       int64  `json:"snapshots_failed"`
 	SnapshotLastSeq       uint64 `json:"snapshot_last_seq"`
@@ -532,8 +530,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BatchAnswersTotal:        st.BatchAnswersTotal,
 		WALEnabled:               st.WALEnabled,
 		WALLastSeq:               st.WALLastSeq,
-		CheckpointsCompleted:     st.CheckpointsCompleted,
-		CheckpointsFailed:        st.CheckpointsFailed,
 		SnapshotsCompleted:       st.SnapshotsCompleted,
 		SnapshotsFailed:          st.SnapshotsFailed,
 		SnapshotLastSeq:          st.SnapshotLastSeq,

@@ -43,7 +43,6 @@ func crashConfig(root string) Config {
 		HITSize:         crashKnobs.hit,
 		AnswersPerTask:  crashKnobs.perTask,
 		RerunEvery:      crashKnobs.rerun,
-		CheckpointEvery: -1,
 		WALSegmentBytes: crashKnobs.segBytes,
 	}
 }
@@ -106,24 +105,12 @@ func driveInterleaved(t *testing.T, reg *Registry, names []string, nWorkers int,
 	}
 }
 
-// readStream reads back a campaign's durable record stream: checkpoint
-// prefix (if any) plus every intact segment record after it.
+// readStream reads back a campaign's durable record stream.
 func readStream(t *testing.T, dir string) []wal.Record {
 	t.Helper()
 	var recs []wal.Record
-	var cpSeq uint64
-	cp, err := wal.ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != nil {
-		recs = append(recs, cp.Records...)
-		cpSeq = cp.LastSeq
-	}
 	st, err := wal.Replay(dir, func(rec wal.Record) error {
-		if rec.Seq > cpSeq {
-			recs = append(recs, rec)
-		}
+		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {
@@ -271,10 +258,9 @@ func storePrint(st *store.Store) string {
 
 // referenceSystem builds the serial reference for one campaign at one kill
 // point: a fresh core.System over its own copy of the crashed store file,
-// recovering a fabricated checkpoint that holds exactly the surviving
-// records. Recovery of a checkpoint replays the records through the
-// ordinary serial Publish/Submit path — the exact definition of the
-// campaign's canonical state.
+// recovering a fabricated log that holds exactly the surviving records.
+// Recovery replays them through the ordinary serial Publish/Submit path —
+// the exact definition of the campaign's canonical state.
 func referenceSystem(t *testing.T, scope string, recs []wal.Record, storeSrc string, m int) (*core.System, *store.Store) {
 	t.Helper()
 	refRoot := t.TempDir()
@@ -292,17 +278,23 @@ func referenceSystem(t *testing.T, scope string, recs []wal.Record, storeSrc str
 		HITSize:         crashKnobs.hit,
 		AnswersPerTask:  crashKnobs.perTask,
 		RerunEvery:      crashKnobs.rerun,
-		CheckpointEvery: -1,
 		WALSegmentBytes: crashKnobs.segBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	walDir := filepath.Join(refRoot, "wal")
-	if len(recs) > 0 {
-		if err := wal.WriteCheckpoint(walDir, recs[len(recs)-1].Seq, recs); err != nil {
+	log, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if _, err := log.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := sys.Recover(walDir); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@
 //
 // A registry opened with a WAL root owns that directory:
 //
-//	<root>/store.json         shared worker store (checkpoint + .delta log)
+//	<root>/store.json         shared worker store (base file + .delta log)
 //	<root>/campaigns/<name>/  one WAL namespace per campaign
 //	<root>/campaigns/<name>/archived   marker: campaign closed for good
 //
@@ -150,7 +150,6 @@ type Config struct {
 	AnswersPerTask  int
 	RerunEvery      int
 	AsyncRerun      bool
-	CheckpointEvery int
 	SnapshotEvery   int
 	WALSegmentBytes int64
 	WALSync         wal.SyncPolicy
@@ -450,7 +449,6 @@ func (r *Registry) openCampaign(name, dir string) (*core.System, int, error) {
 		AnswersPerTask:  r.cfg.AnswersPerTask,
 		RerunEvery:      r.cfg.RerunEvery,
 		AsyncRerun:      r.cfg.AsyncRerun,
-		CheckpointEvery: r.cfg.CheckpointEvery,
 		SnapshotEvery:   r.cfg.SnapshotEvery,
 		WALSegmentBytes: r.cfg.WALSegmentBytes,
 		WALSync:         r.cfg.WALSync,

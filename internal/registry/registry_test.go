@@ -107,7 +107,7 @@ func TestValidateName(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	root := t.TempDir()
-	cfg := Config{WALDir: root, GoldenCount: -1, HITSize: 4, AnswersPerTask: 2, RerunEvery: -1, CheckpointEvery: -1}
+	cfg := Config{WALDir: root, GoldenCount: -1, HITSize: 4, AnswersPerTask: 2, RerunEvery: -1}
 	reg, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestRegistryLifecycle(t *testing.T) {
 // the same root: every campaign must come back published with its answers.
 func TestRegistryRebootRecoversAllCampaigns(t *testing.T) {
 	root := t.TempDir()
-	cfg := Config{WALDir: root, GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: -1, CheckpointEvery: -1}
+	cfg := Config{WALDir: root, GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: -1}
 	reg, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@
 // # What a snapshot is
 //
 // The serving core's canonical state is *defined* as the serial replay of
-// its durable record stream (see docs/internal/wal's checkpoint notes), so
-// a snapshot is only correct if it is bit-for-bit that serial state. The
+// its durable record stream (see docs/internal/wal), so a snapshot is only
+// correct if it is bit-for-bit that serial state. The
 // core therefore never snapshots its live concurrently-mutated state; it
 // maintains a serial shadow replica fed from the durable log and
 // serializes that (see docs/internal/core's snapshot worker). This package

@@ -13,8 +13,10 @@
 //
 // # On-disk format
 //
-// A log is a directory of segment files named <firstSeq:016x>.wal. Each
-// segment is a sequence of frames:
+// A log is a directory of segment files named <firstSeq:016x>.wal. They are
+// the only copy of the record stream and are never deleted, so sequence
+// numbers count up from 1 without a hole; replay reports a hole (a missing
+// segment) as corruption. Each segment is a sequence of frames:
 //
 //	+----------------+----------------+=================+
 //	| length (u32le) | CRC32-C (u32le)|  payload bytes  |
@@ -157,40 +159,22 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l.cond = sync.NewCond(&l.mu)
 
-	// The writer must never assign a sequence number the checkpoint already
-	// covers — recovery skips those as checkpointed, silently dropping the
-	// new records. The checkpoint can be AHEAD of the segments: it snapshots
-	// reserved records whose group-commit batch may not have landed before a
-	// crash. So numbering continues from max(segment tail, checkpoint).
-	var cpSeq uint64
-	if cp, err := ReadCheckpoint(dir); err != nil {
-		return nil, err
-	} else if cp != nil {
-		cpSeq = cp.LastSeq
-	}
-
 	if len(segs) == 0 {
-		first := cpSeq + 1
-		l.seq, l.pending, l.flushed = cpSeq, cpSeq, cpSeq
-		if err := l.openSegment(first); err != nil {
+		if err := l.openSegment(1); err != nil {
 			return nil, err
 		}
 	} else {
 		// Scan the last segment to find the end of valid data and the last
 		// sequence number; truncate a torn tail in place.
 		last := segs[len(segs)-1]
-		lastSeq := last.firstSeq - 1
+		next := last.firstSeq
 		end := int64(0)
-		serr := ScanSegment(filepath.Join(dir, last.name), func(rec Record, _, off int64) error {
-			lastSeq = rec.Seq
+		serr := scanInOrder(dir, last, &next, func(_ Record, _, off int64) error {
 			end = off
 			return nil
 		})
 		if serr != nil && !errors.Is(serr, errTornTail) {
 			return nil, serr
-		}
-		if cpSeq > lastSeq {
-			lastSeq = cpSeq
 		}
 		f, err := os.OpenFile(filepath.Join(dir, last.name), os.O_RDWR, 0o644)
 		if err != nil {
@@ -205,7 +189,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		l.f, l.size = f, end
-		l.seq, l.pending, l.flushed = lastSeq, lastSeq, lastSeq
+		l.seq, l.pending, l.flushed = next-1, next-1, next-1
 	}
 	go l.flusher()
 	return l, nil
@@ -346,27 +330,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// TruncateBefore deletes every segment whose records all have sequence
-// numbers <= seq (typically a checkpoint's last covered sequence). The
-// active segment is never deleted. Replay after truncation may still see
-// records <= seq in the surviving segments; recovery skips them.
-func (l *Log) TruncateBefore(seq uint64) error {
-	segs, err := segments(l.dir)
-	if err != nil {
-		return err
-	}
-	for i := 0; i+1 < len(segs); i++ {
-		// Segment i spans [segs[i].firstSeq, segs[i+1].firstSeq); it is
-		// fully covered when the next segment starts at or below seq+1.
-		if segs[i+1].firstSeq <= seq+1 {
-			if err := os.Remove(filepath.Join(l.dir, segs[i].name)); err != nil {
-				return fmt.Errorf("wal: truncate: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // poison records the first I/O error and wakes every waiter.
 func (l *Log) poison(err error) error {
 	l.mu.Lock()
@@ -476,6 +439,10 @@ type segmentInfo struct {
 	firstSeq uint64
 }
 
+// legacyCheckpointName is a file older versions wrote into the log
+// directory; segments refuses a directory that still holds one.
+const legacyCheckpointName = "checkpoint"
+
 func segments(dir string) ([]segmentInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -484,6 +451,13 @@ func segments(dir string) ([]segmentInfo, error) {
 	var segs []segmentInfo
 	for _, e := range entries {
 		name := e.Name()
+		if name == legacyCheckpointName {
+			// Older versions moved the log's prefix into this file and deleted
+			// the segments it covered; reading the segments alone would boot
+			// with that prefix silently missing.
+			return nil, fmt.Errorf("wal: %s holds a legacy %q file, which this version cannot read: its records may no longer be in the segments",
+				dir, name)
+		}
 		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
 			continue
 		}
@@ -561,6 +535,24 @@ func ScanSegment(path string, fn func(rec Record, start, end int64) error) error
 	return nil
 }
 
+// scanInOrder is ScanSegment under the gapless rule: segments are never
+// deleted, so the log counts up from sequence 1 without holes. seg must
+// start at *next and each of its records must be the one after the last;
+// *next advances past every record delivered. Anything else means a segment
+// (or part of one) is missing and is reported as ErrCorrupt.
+func scanInOrder(dir string, seg segmentInfo, next *uint64, fn func(rec Record, start, end int64) error) error {
+	if seg.firstSeq != *next {
+		return fmt.Errorf("%w: segment %s where seq %d was expected: a segment is missing", ErrCorrupt, seg.name, *next)
+	}
+	return ScanSegment(filepath.Join(dir, seg.name), func(rec Record, start, end int64) error {
+		if rec.Seq != *next {
+			return fmt.Errorf("%w: %s: record seq %d where %d was expected", ErrCorrupt, seg.name, rec.Seq, *next)
+		}
+		*next++
+		return fn(rec, start, end)
+	})
+}
+
 // ReplayStats summarizes a Replay pass.
 type ReplayStats struct {
 	// Records is the number of valid records delivered to the callback.
@@ -574,8 +566,9 @@ type ReplayStats struct {
 
 // Replay streams every valid record in the log directory, in sequence
 // order, to fn. A torn frame at the tail of the last segment is tolerated
-// and reported via ReplayStats.TornTail; torn or corrupt data anywhere else
-// fails with ErrCorrupt. A missing directory replays zero records.
+// and reported via ReplayStats.TornTail; torn or corrupt data anywhere
+// else, or a hole in the sequence numbers (a missing segment), fails with
+// ErrCorrupt. A missing directory replays zero records.
 func Replay(dir string, fn func(rec Record) error) (ReplayStats, error) {
 	return ReplayFrom(dir, 0, fn)
 }
@@ -596,14 +589,21 @@ func ReplayFrom(dir string, afterSeq uint64, fn func(rec Record) error) (ReplayS
 	if err != nil {
 		return st, err
 	}
+	// Segment i spans [segs[i].firstSeq, segs[i+1].firstSeq): it holds
+	// nothing past the cut when the next segment starts at or below
+	// afterSeq+1.
+	for len(segs) > 1 && segs[1].firstSeq <= afterSeq+1 {
+		segs = segs[1:]
+	}
+	if len(segs) == 0 {
+		return st, nil
+	}
+	next := segs[0].firstSeq
+	if next > afterSeq+1 {
+		return st, fmt.Errorf("%w: first segment %s starts past seq %d: a segment is missing", ErrCorrupt, segs[0].name, afterSeq+1)
+	}
 	for i, seg := range segs {
-		// Segment i spans [segs[i].firstSeq, segs[i+1].firstSeq): it holds
-		// nothing past the cut when the next segment starts at or below
-		// afterSeq+1 (the same coverage rule TruncateBefore deletes by).
-		if i+1 < len(segs) && segs[i+1].firstSeq <= afterSeq+1 {
-			continue
-		}
-		serr := ScanSegment(filepath.Join(dir, seg.name), func(rec Record, _, _ int64) error {
+		serr := scanInOrder(dir, seg, &next, func(rec Record, _, _ int64) error {
 			if rec.Seq <= afterSeq {
 				return nil
 			}
@@ -626,34 +626,14 @@ func ReplayFrom(dir string, afterSeq uint64, fn func(rec Record) error) (ReplayS
 	return st, nil
 }
 
-// OldestSeq returns the first sequence number the log's surviving
-// segments can hold (the oldest segment's name), or 0 when there are no
-// segments. Records below it live only in the checkpoint file; the
-// serving core's snapshot pass uses this to skip reading — and fully
-// decoding — the checkpoint, which holds the entire record prefix, on
-// every pass where the segments alone cover everything it needs.
-func OldestSeq(dir string) (uint64, error) {
-	segs, err := segments(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	return segs[0].firstSeq, nil
-}
-
 // TailSeq returns the sequence number of the last intact record in the
 // directory's segments (0 when there are none), tolerating a torn tail in
-// the final segment. Together with the checkpoint's LastSeq it bounds what
-// a recovery can possibly replay — the guard a state snapshot must pass
-// before it is trusted: a snapshot claiming to cover sequences the durable
-// log does not hold (possible after a power loss under SyncNever) would
-// silently resurrect unacknowledged state, so such a snapshot is rejected
-// and the boot falls back to a full replay.
+// the final segment. It bounds what a recovery can possibly replay — the
+// guard a state snapshot must pass before it is trusted: a snapshot
+// claiming to cover sequences the durable log does not hold (possible
+// after a power loss under SyncNever) would silently resurrect
+// unacknowledged state, so such a snapshot is rejected and the boot falls
+// back to a full replay.
 func TailSeq(dir string) (uint64, error) {
 	segs, err := segments(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -665,20 +645,16 @@ func TailSeq(dir string) (uint64, error) {
 	// Walk backwards: a freshly rotated final segment can be empty, in
 	// which case the tail lives in the previous one.
 	for i := len(segs) - 1; i >= 0; i-- {
-		var seq uint64
-		found := false
-		serr := ScanSegment(filepath.Join(dir, segs[i].name), func(rec Record, _, _ int64) error {
-			seq, found = rec.Seq, true
-			return nil
-		})
+		next := segs[i].firstSeq
+		serr := scanInOrder(dir, segs[i], &next, func(Record, int64, int64) error { return nil })
 		if serr != nil && !errors.Is(serr, errTornTail) {
 			return 0, serr
 		}
 		if serr != nil && i != len(segs)-1 {
 			return 0, fmt.Errorf("%w: %v", ErrCorrupt, serr)
 		}
-		if found {
-			return seq, nil
+		if next > segs[i].firstSeq {
+			return next - 1, nil
 		}
 	}
 	return 0, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -208,230 +209,100 @@ func TestRotInFinalSegmentFailsLoudly(t *testing.T) {
 	}
 }
 
-func TestRotationAndTruncateBefore(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: minSegmentBytes})
-	if err != nil {
-		t.Fatal(err)
+// TestReplayRejectsMissingSegment: segments are never deleted, so the log
+// is gapless from seq 1 and a hole means acknowledged records are gone.
+// Replay must say so instead of delivering what is left.
+func TestReplayRejectsMissingSegment(t *testing.T) {
+	build := func(t *testing.T) (string, []segmentInfo) {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{SegmentBytes: minSegmentBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, testRecords(200))
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := segments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 4 {
+			t.Fatalf("want >= 4 segments after 200 records, got %d", len(segs))
+		}
+		return dir, segs
 	}
-	recs := testRecords(300)
-	appendAll(t, l, recs)
-	segs, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("want >= 3 segments after 300 records, got %d", len(segs))
-	}
-	// Truncate through the midpoint; every record > mid must survive.
-	mid := uint64(len(recs) / 2)
-	if err := l.TruncateBefore(mid); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	left, err := segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) >= len(segs) {
-		t.Errorf("truncation removed no segments (%d -> %d)", len(segs), len(left))
-	}
+
+	dir, segs := build(t)
 	got, _ := replayAll(t, dir)
-	if len(got) == 0 || got[len(got)-1].Seq != uint64(len(recs)) {
-		t.Fatalf("tail lost: last seq %v", got[len(got)-1].Seq)
+	if len(got) != 200 {
+		t.Fatalf("intact log replayed %d records, want 200", len(got))
 	}
-	seen := false
-	for _, r := range got {
-		if r.Seq == mid+1 {
-			seen = true
+	// A cut inside the second segment skips the first and delivers exactly
+	// the suffix.
+	next := segs[1].firstSeq + 2
+	st, err := ReplayFrom(dir, next-1, func(rec Record) error {
+		if rec.Seq != next {
+			t.Fatalf("ReplayFrom delivered seq %d, want %d", rec.Seq, next)
 		}
-		if r.Seq > mid && seen == false && r.Seq != got[0].Seq {
-			t.Fatalf("records after %d must be contiguous", mid)
-		}
+		next++
+		return nil
+	})
+	if err != nil || st.LastSeq != 200 {
+		t.Fatalf("ReplayFrom: last seq %d, err %v", st.LastSeq, err)
 	}
-	if !seen {
-		t.Fatalf("record %d (first uncovered) was truncated away", mid+1)
+
+	for _, tc := range []struct {
+		name   string
+		remove int
+	}{{"first", 0}, {"middle", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, segs := build(t)
+			if err := os.Remove(filepath.Join(dir, segs[tc.remove].name)); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Replay(dir, func(Record) error { return nil })
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("replayed %d records with err = %v, want ErrCorrupt", st.Records, err)
+			}
+			// One record short of covering the hole is still a hole; a cut
+			// that covers it never reads the missing segment.
+			covers := segs[tc.remove+1].firstSeq - 1
+			if _, err := ReplayFrom(dir, covers-1, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReplayFrom(%d): err = %v, want ErrCorrupt", covers-1, err)
+			}
+			if _, err := ReplayFrom(dir, covers, func(Record) error { return nil }); err != nil {
+				t.Fatalf("ReplayFrom(%d) needs nothing from the missing segment: %v", covers, err)
+			}
+		})
 	}
 }
 
-func TestCheckpointRoundtripAndOpenAfterFullTruncation(t *testing.T) {
-	dir := t.TempDir()
-	recs := testRecords(20)
-	for i := range recs {
-		recs[i].Seq = uint64(i + 1)
-	}
-	if err := WriteCheckpoint(dir, recs[len(recs)-1].Seq, recs); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil || cp.LastSeq != uint64(len(recs)) || len(cp.Records) != len(recs) {
-		t.Fatalf("checkpoint roundtrip: %+v", cp)
-	}
-	// A log opened over checkpoint-only state must continue numbering after
-	// the checkpoint, or recovery would skip its records as covered.
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := l.Append(answerRec("next", 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(len(recs) + 1); seq != want {
-		t.Fatalf("first post-checkpoint seq = %d, want %d", seq, want)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenAfterCheckpointAheadOfSegments: a checkpoint may cover reserved
-// records whose group-commit batch never hit the segments before a crash.
-// Open must continue numbering after the checkpoint, not after the segment
-// tail — reusing covered sequence numbers would make recovery silently
-// drop the new records as already-checkpointed.
-func TestOpenAfterCheckpointAheadOfSegments(t *testing.T) {
+// TestLegacyCheckpointRefused: a directory written by a version that kept a
+// checkpoint file may have had the segments under it deleted, so every way
+// into the log must refuse it by name rather than read around the hole.
+func TestLegacyCheckpointRefused(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, l, testRecords(5)) // segments end at seq 5
+	appendAll(t, l, testRecords(5))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cpRecs := testRecords(8) // checkpoint claims seqs 1..8
-	for i := range cpRecs {
-		cpRecs[i].Seq = uint64(i + 1)
-	}
-	if err := WriteCheckpoint(dir, 8, cpRecs); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint"), []byte("DOCSCKP2"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := l2.Append(answerRec("w", 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 9 {
-		t.Fatalf("post-checkpoint seq = %d, want 9 (checkpoint covers 1..8)", seq)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckpointCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
-	recs := testRecords(10)
-	for i := range recs {
-		recs[i].Seq = uint64(i + 1)
-	}
-	if err := WriteCheckpoint(dir, uint64(len(recs)), recs); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, checkpointName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Present-but-wrong bytes are corruption and must refuse to load.
-	for name, mutate := range map[string]func([]byte) []byte{
-		"bit flip":     func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
-		"bad magic":    func(b []byte) []byte { b[0] = 'X'; return b },
-		"payload flip": func(b []byte) []byte { b[16] ^= 0x7f; return b },
+	for name, enter := range map[string]func() error{
+		"Open":    func() error { _, err := Open(dir, Options{}); return err },
+		"Replay":  func() error { _, err := Replay(dir, func(Record) error { return nil }); return err },
+		"TailSeq": func() error { _, err := TailSeq(dir); return err },
 	} {
-		cp := append([]byte(nil), data...)
-		if err := os.WriteFile(path, mutate(cp), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadCheckpoint(dir); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		if err := enter(); err == nil || !strings.Contains(err.Error(), `"checkpoint"`) {
+			t.Errorf("%s: err = %v, want a refusal naming the checkpoint file", name, err)
 		}
 	}
-	// A frame cut short at EOF is an interrupted extend: tolerated, with
-	// the torn record dropped and reported (its bytes are still in the
-	// segments, which are only truncated after a successful extend).
-	for name, mutate := range map[string]func([]byte) []byte{
-		"torn tail":     func(b []byte) []byte { return b[:len(b)-1] },
-		"trailing junk": func(b []byte) []byte { return append(b, 0x00, 0x01) },
-	} {
-		cp := append([]byte(nil), data...)
-		if err := os.WriteFile(path, mutate(cp), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadCheckpoint(dir)
-		if err != nil || !got.TornTail {
-			t.Errorf("%s: err=%v torn=%v, want tolerated torn tail", name, err, got != nil && got.TornTail)
-		}
-	}
-}
-
-// TestExtendCheckpoint covers the incremental path: create via extend,
-// extend again, survive an interrupted extend (torn tail truncated away on
-// the next pass), and reject non-continuing sequences.
-func TestExtendCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	recs := testRecords(12)
-	for i := range recs {
-		recs[i].Seq = uint64(i + 1)
-	}
-	lastSeq, bytes, err := ExtendCheckpoint(dir, 0, 0, recs[:5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastSeq != 5 {
-		t.Fatalf("lastSeq = %d, want 5", lastSeq)
-	}
-	lastSeq, bytes, err = ExtendCheckpoint(dir, lastSeq, bytes, recs[5:9])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(dir)
-	if err != nil || cp.LastSeq != 9 || len(cp.Records) != 9 || cp.TornTail {
-		t.Fatalf("after two extends: cp=%+v err=%v", cp, err)
-	}
-	if cp.ValidBytes != bytes {
-		t.Fatalf("ValidBytes = %d, extend reported %d", cp.ValidBytes, bytes)
-	}
-	// Interrupted extend: garbage half-frame at the tail.
-	path := filepath.Join(dir, checkpointName)
-	if err := os.WriteFile(path, append(readFile(t, path), 0x55, 0x66, 0x77), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err = ReadCheckpoint(dir)
-	if err != nil || !cp.TornTail || len(cp.Records) != 9 {
-		t.Fatalf("torn extend: cp=%+v err=%v", cp, err)
-	}
-	// The next extend (from the intact tail) truncates the garbage.
-	lastSeq, bytes, err = ExtendCheckpoint(dir, cp.LastSeq, cp.ValidBytes, recs[9:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err = ReadCheckpoint(dir)
-	if err != nil || cp.TornTail || cp.LastSeq != 12 || len(cp.Records) != 12 {
-		t.Fatalf("extend over torn tail: cp=%+v err=%v", cp, err)
-	}
-	// Sequence must continue.
-	if _, _, err := ExtendCheckpoint(dir, lastSeq, bytes, recs[:1]); err == nil {
-		t.Fatal("extend accepted a non-continuing sequence")
-	}
-}
-
-func readFile(t *testing.T, path string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 func TestConcurrentAppendGroupCommit(t *testing.T) {

@@ -58,17 +58,16 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 		walSync = wal.SyncEveryBatch
 	}
 	reg, err := registry.Open(registry.Config{
-		WALDir:          cfg.WALDir,
-		StorePath:       cfg.StorePath,
-		GoldenCount:     cfg.GoldenCount,
-		HITSize:         cfg.HITSize,
-		AnswersPerTask:  cfg.AnswersPerTask,
-		RerunEvery:      cfg.RerunEvery,
-		AsyncRerun:      cfg.AsyncRerun,
-		CheckpointEvery: cfg.CheckpointEvery,
-		SnapshotEvery:   cfg.SnapshotEvery,
-		WALSync:         walSync,
-		LeaseTTL:        cfg.LeaseTTL,
+		WALDir:         cfg.WALDir,
+		StorePath:      cfg.StorePath,
+		GoldenCount:    cfg.GoldenCount,
+		HITSize:        cfg.HITSize,
+		AnswersPerTask: cfg.AnswersPerTask,
+		RerunEvery:     cfg.RerunEvery,
+		AsyncRerun:     cfg.AsyncRerun,
+		SnapshotEvery:  cfg.SnapshotEvery,
+		WALSync:        walSync,
+		LeaseTTL:       cfg.LeaseTTL,
 
 		MaxLiveCampaigns: cfg.MaxLiveCampaigns,
 		HibernateAfter:   cfg.HibernateAfter,

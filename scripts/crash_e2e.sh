@@ -7,6 +7,11 @@
 # bit-exact recovery contract the internal live-vs-recovered suites prove
 # at float64-bit granularity; it exists so a regression that somehow slips
 # past the fingerprint suites still fails loudly at the API surface.
+#
+# The whole thing runs twice, once per rung of the recovery ladder: with
+# snapshots off the reboot is a full replay of the segments, and with a
+# small -snapshot-every a snapshot lands before the kill so the reboot is
+# snapshot restore + suffix replay.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,10 +24,10 @@ go build -o "$workdir/docs-server" ./cmd/docs-server
 
 addr=127.0.0.1:18080
 base="http://$addr"
+# start_server <data dir> <snapshot-every>
 start_server() {
-    "$workdir/docs-server" -addr "$addr" -wal-dir "$workdir/data" -wal-fsync \
-        -sync-rerun -golden 3 -hit 3 -redundancy 3 \
-        -checkpoint-every -1 -snapshot-every -1 &
+    "$workdir/docs-server" -addr "$addr" -wal-dir "$1" -wal-fsync \
+        -sync-rerun -golden 3 -hit 3 -redundancy 3 -snapshot-every "$2" &
     server_pid=$!
     for _ in $(seq 1 100); do
         if curl -sf "$base/healthz" >/dev/null 2>&1; then
@@ -34,9 +39,11 @@ start_server() {
     exit 2
 }
 
-start_server
-echo "crash_e2e: driving contested campaign (pid $server_pid)"
-python3 - "$base" <<'PYEOF'
+stats_field() { # stats_field <field>: one scalar out of GET /stats
+    curl -sf "$base/stats" | python3 -c "import json,sys; print(json.load(sys.stdin)['$1'])"
+}
+
+cat > "$workdir/drive.py" <<'PYEOF'
 import json, sys, urllib.request
 
 base = sys.argv[1]
@@ -83,40 +90,67 @@ for round_ in range(40):
 print("campaign driven")
 PYEOF
 
-echo "crash_e2e: capturing live responses"
-curl -sf "$base/results" > "$workdir/live_results.json"
-for task in 0 4 5 6; do
-    curl -sf "$base/result?task=$task" > "$workdir/live_result_$task.json"
-done
+# run_pass <name> <snapshot-every> <expected recovered_from_snapshot>
+run_pass() {
+    local name=$1 every=$2 want_snapshot=$3 out="$workdir/$1"
+    mkdir "$out"
+    start_server "$out/data" "$every"
+    echo "crash_e2e[$name]: driving contested campaign (pid $server_pid)"
+    python3 "$workdir/drive.py" "$base"
+    if [ "$want_snapshot" = True ]; then
+        # The snapshot worker runs behind the submits; the kill must find
+        # a snapshot on disk or the reboot would not use this rung.
+        for _ in $(seq 1 100); do
+            [ "$(stats_field snapshot_last_seq)" -gt 0 ] && break
+            sleep 0.1
+        done
+    fi
 
-echo "crash_e2e: kill -9 $server_pid"
-kill -9 "$server_pid"
-wait "$server_pid" 2>/dev/null || true
+    echo "crash_e2e[$name]: capturing live responses"
+    curl -sf "$base/results" > "$out/live_results.json"
+    for task in 0 4 5 6; do
+        curl -sf "$base/result?task=$task" > "$out/live_result_$task.json"
+    done
 
-start_server
-echo "crash_e2e: comparing recovered responses (pid $server_pid)"
-curl -sf "$base/results" > "$workdir/recovered_results.json"
-for task in 0 4 5 6; do
-    curl -sf "$base/result?task=$task" > "$workdir/recovered_result_$task.json"
-done
+    echo "crash_e2e[$name]: kill -9 $server_pid"
+    kill -9 "$server_pid"
+    wait "$server_pid" 2>/dev/null || true
 
-fail=0
-if ! cmp -s "$workdir/live_results.json" "$workdir/recovered_results.json"; then
-    echo "crash_e2e: FAIL — /results diverged after kill -9" >&2
-    diff <(head -c 2000 "$workdir/live_results.json") \
-         <(head -c 2000 "$workdir/recovered_results.json") >&2 || true
-    fail=1
-fi
-for task in 0 4 5 6; do
-    if ! cmp -s "$workdir/live_result_$task.json" "$workdir/recovered_result_$task.json"; then
-        echo "crash_e2e: FAIL — /result?task=$task diverged after kill -9" >&2
-        diff "$workdir/live_result_$task.json" "$workdir/recovered_result_$task.json" >&2 || true
+    start_server "$out/data" "$every"
+    echo "crash_e2e[$name]: comparing recovered responses (pid $server_pid)"
+    local got_snapshot
+    got_snapshot=$(stats_field recovered_from_snapshot)
+    if [ "$got_snapshot" != "$want_snapshot" ]; then
+        echo "crash_e2e[$name]: FAIL — recovered_from_snapshot=$got_snapshot, want $want_snapshot" >&2
+        exit 1
+    fi
+    curl -sf "$base/results" > "$out/recovered_results.json"
+    for task in 0 4 5 6; do
+        curl -sf "$base/result?task=$task" > "$out/recovered_result_$task.json"
+    done
+
+    local fail=0
+    if ! cmp -s "$out/live_results.json" "$out/recovered_results.json"; then
+        echo "crash_e2e[$name]: FAIL — /results diverged after kill -9" >&2
+        diff <(head -c 2000 "$out/live_results.json") \
+             <(head -c 2000 "$out/recovered_results.json") >&2 || true
         fail=1
     fi
-done
-if [ "$fail" -ne 0 ]; then
-    exit 1
-fi
+    for task in 0 4 5 6; do
+        if ! cmp -s "$out/live_result_$task.json" "$out/recovered_result_$task.json"; then
+            echo "crash_e2e[$name]: FAIL — /result?task=$task diverged after kill -9" >&2
+            diff "$out/live_result_$task.json" "$out/recovered_result_$task.json" >&2 || true
+            fail=1
+        fi
+    done
+    if [ "$fail" -ne 0 ]; then
+        exit 1
+    fi
 
-kill -9 "$server_pid" 2>/dev/null || true
-echo "crash_e2e: OK — live and recovered /result bytes identical"
+    kill -9 "$server_pid" 2>/dev/null || true
+    wait "$server_pid" 2>/dev/null || true
+    echo "crash_e2e[$name]: OK — live and recovered /result bytes identical"
+}
+
+run_pass full-replay -1 False
+run_pass snapshot-suffix 5 True
