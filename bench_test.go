@@ -5,13 +5,9 @@
 package docs
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"docs/internal/assign"
-	"docs/internal/core"
 	"docs/internal/crowd"
 	"docs/internal/dve"
 	"docs/internal/entitylink"
@@ -205,157 +201,6 @@ func BenchmarkAssignTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		assign.Assign(states, q, 20, nil)
 	}
-}
-
-// --- Concurrent serving benchmarks ---
-
-// serveTasks builds n two-choice tasks with precomputed one-hot domain
-// vectors so Publish skips entity linking.
-func serveTasks(m, n int) []*model.Task {
-	tasks := make([]*model.Task, n)
-	for i := range tasks {
-		dom := make(model.DomainVector, m)
-		dom[i%m] = 1
-		tasks[i] = &model.Task{
-			ID: i, Text: fmt.Sprintf("task %d", i), Choices: []string{"a", "b"},
-			Domain: dom, Truth: model.NoTruth, TrueDomain: model.NoTruth,
-		}
-	}
-	return tasks
-}
-
-// serveWorkload is one unit of the mixed serving benchmark: a fresh worker
-// requests a HIT of 5 and submits answers for the first two tasks.
-func serveWorkload(b *testing.B, n int64, request func(string, int) ([]*model.Task, error), submit func(string, int, int) error) {
-	w := fmt.Sprintf("w%d", n)
-	got, err := request(w, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, tk := range got {
-		if i >= 2 {
-			break
-		}
-		if err := submit(w, tk.ID, int(n)%2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func newServeSystem(b *testing.B, cfg core.Config) *core.System {
-	b.Helper()
-	s, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Publish(serveTasks(s.Domains().Size(), 400)); err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkParallelServe measures the concurrent serving core under a mixed
-// Request/Submit workload (the tentpole target). Compare against
-// BenchmarkSerializedServe, which runs the identical workload behind one
-// global mutex — the seed's locking discipline.
-func BenchmarkParallelServe(b *testing.B) {
-	s := newServeSystem(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100})
-	var ctr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			serveWorkload(b, ctr.Add(1), s.Request, s.Submit)
-		}
-	})
-}
-
-// BenchmarkParallelServeWAL is BenchmarkParallelServe with the write-ahead
-// log armed (group commit, no per-record fsync): every accepted submit is
-// appended durably before it is acknowledged. The acceptance bar for the
-// durability work is <= 20% ops/sec regression against BenchmarkParallelServe.
-func BenchmarkParallelServeWAL(b *testing.B) {
-	s := newServeSystemWAL(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100})
-	defer s.Close()
-	var ctr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			serveWorkload(b, ctr.Add(1), s.Request, s.Submit)
-		}
-	})
-}
-
-// BenchmarkParallelServeWALAsyncRerun adds the async rerun on top of the
-// WAL — the full production configuration of cmd/docs-server.
-func BenchmarkParallelServeWALAsyncRerun(b *testing.B) {
-	s := newServeSystemWAL(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100, AsyncRerun: true})
-	defer s.Close()
-	var ctr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			serveWorkload(b, ctr.Add(1), s.Request, s.Submit)
-		}
-	})
-}
-
-func newServeSystemWAL(b *testing.B, cfg core.Config) *core.System {
-	b.Helper()
-	s, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.Recover(b.TempDir()); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Publish(serveTasks(s.Domains().Size(), 400)); err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkParallelServeAsyncRerun is BenchmarkParallelServe with the
-// periodic batch re-inference moved off the Submit path.
-func BenchmarkParallelServeAsyncRerun(b *testing.B) {
-	s := newServeSystem(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100, AsyncRerun: true})
-	defer s.Close()
-	var ctr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			serveWorkload(b, ctr.Add(1), s.Request, s.Submit)
-		}
-	})
-}
-
-// BenchmarkSerializedServe funnels the identical workload through a single
-// global mutex, reproducing the seed's System-wide lock for an in-repo
-// before/after comparison.
-func BenchmarkSerializedServe(b *testing.B) {
-	s := newServeSystem(b, core.Config{GoldenCount: -1, HITSize: 5, RerunEvery: 100})
-	var mu sync.Mutex
-	var ctr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			serveWorkload(b, ctr.Add(1),
-				func(w string, k int) ([]*model.Task, error) {
-					mu.Lock()
-					defer mu.Unlock()
-					return s.Request(w, k)
-				},
-				func(w string, id, c int) error {
-					mu.Lock()
-					defer mu.Unlock()
-					return s.Submit(w, id, c)
-				})
-		}
-	})
 }
 
 // BenchmarkBenefitAlloc measures one benefit evaluation with the one-shot

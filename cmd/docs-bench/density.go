@@ -3,13 +3,16 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
 
+	"docs/internal/core"
 	"docs/internal/experiment"
+	"docs/internal/model"
 	"docs/internal/registry"
 )
 
@@ -51,8 +54,8 @@ type densityReport struct {
 //     set never exceeds L.
 //
 // The experiment fails (rather than reporting numbers) on any fingerprint
-// mismatch or un-snapshotted wake — like the recover experiment, it is a
-// correctness check first and a benchmark second.
+// mismatch or un-snapshotted wake: it is a correctness check first and a
+// measurement second.
 func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, quick bool) (*experiment.Table, error) {
 	return func(seed uint64, quick bool) (*experiment.Table, error) {
 		n := *nCampaigns
@@ -247,6 +250,28 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 		}
 		return tb, nil
 	}
+}
+
+// synthTasks builds n two-choice tasks with preset one-hot domain vectors
+// over m domains, so publishing them runs no DVE.
+func synthTasks(n, m int) []*model.Task {
+	tasks := make([]*model.Task, n)
+	for i := range tasks {
+		dom := make(model.DomainVector, m)
+		dom[i%m] = 1
+		tasks[i] = &model.Task{
+			ID: i, Text: fmt.Sprintf("t%d", i), Choices: []string{"a", "b"},
+			Domain: dom, Truth: model.NoTruth, TrueDomain: model.NoTruth,
+		}
+	}
+	return tasks
+}
+
+// fingerprintHash condenses the (large) state fingerprint for comparison.
+func fingerprintHash(s *core.System) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s.Fingerprint()))
+	return h.Sum64()
 }
 
 // heapInUse samples live heap bytes after a forced collection.

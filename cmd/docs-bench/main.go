@@ -9,33 +9,22 @@
 //	docs-bench -seed 42         # change the deterministic seed
 //
 // Experiments: table3, fig3, fig4a, fig4b, fig4c, fig4d, fig4e, fig5,
-// fig6, fig7a, fig7b, fig8, fig8c, wal, multicampaign, assign, recover,
-// http, density, all.
+// fig6, fig7a, fig7b, fig8, fig8c, ablation, accuracy, density, all.
 //
-// The wal experiment measures the durable ingest path added on top of the
-// paper (answer WAL with group commit); -wal-dir points it at a real
-// device instead of a temp directory. The multicampaign experiment
-// measures the campaign registry: N concurrent campaigns served by one
-// overlapping worker population, with the shared worker store (profiles
-// carry across campaigns) against isolated per-campaign stores (every
-// campaign re-profiles every worker).
+// accuracy and density go beyond the paper and are the two guards
+// scripts/check_bench.sh gates, both machine-independent: accuracy is
+// seeded and byte-deterministic, density compares two heap sizes from the
+// same run. Serving timings are not measured here; `go run ./cmd/docs-perf`
+// is the repository's one timing benchmark.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"docs/internal/core"
 	"docs/internal/experiment"
-	"docs/internal/mathx"
-	"docs/internal/model"
-	"docs/internal/registry"
-	"docs/internal/wal"
 )
 
 type runner struct {
@@ -62,16 +51,9 @@ var runners = []runner{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table3, fig3, ..., fig8c, wal, recover, all)")
+	exp := flag.String("exp", "all", "experiment to run (table3, fig3, ..., fig8c, ablation, accuracy, density, all)")
 	seed := flag.Uint64("seed", 20160412, "deterministic seed")
 	quick := flag.Bool("quick", false, "reduced sizes for a fast pass")
-	walDir := flag.String("wal-dir", "", "directory for the wal experiment's log files (empty = a temp directory)")
-	recoverAnswers := flag.String("recover-answers", "", "comma-separated campaign sizes for the recover experiment (default 10000,100000; quick 2000; add 1000000 for the million-answer point)")
-	jsonOut := flag.String("json", "", "write the recover experiment's rows as JSON to this path (the BENCH_recover.json CI artifact)")
-	httpRate := flag.Float64("http-rate", 0, "http experiment offered arrival rate in answers/sec (0 = unthrottled: measure sustainable capacity)")
-	httpClients := flag.Int("http-workers", 0, "http experiment concurrent client goroutines (0 = default 128, quick 32)")
-	httpBatch := flag.Int("http-batch", 64, "http experiment answers per batch")
-	httpJSON := flag.String("http-json", "", "write the http experiment's rows as JSON to this path (the BENCH_http.json CI artifact)")
 	accuracyJSON := flag.String("accuracy-json", "", "write the accuracy experiment's rows as JSON to this path (the BENCH_accuracy.json CI artifact)")
 	densityCampaigns := flag.Int("density-campaigns", 0, "density experiment campaign count (0 = default 10000, quick 1200)")
 	densityLive := flag.Int("density-live", 0, "density experiment MaxLiveCampaigns cap (0 = default 64, quick 16)")
@@ -79,11 +61,6 @@ func main() {
 	flag.Parse()
 
 	runners := append(runners,
-		runner{"wal", walThroughput(*walDir), "answer WAL group-commit throughput"},
-		runner{"multicampaign", multiCampaign, "registry serving N campaigns, shared vs isolated worker store"},
-		runner{"assign", assignLatency, "per-request assignment latency: indexed candidate set vs full scan"},
-		runner{"recover", recoverBoot(*recoverAnswers, jsonOut), "boot lag: full WAL replay vs state-snapshot restore"},
-		runner{"http", httpLoad(httpRate, httpClients, httpBatch, httpJSON), "open-loop HTTP load: single vs batched submission over the real server"},
 		runner{"accuracy", accuracyRunner(accuracyJSON), "adversarial crowds: DOCS vs MV/IC/FC/D-Max accuracy per population mix"},
 		runner{"density", densityRun(densityCampaigns, densityLive, densityJSON), "campaign density: hibernating LRU cap vs all-live baseline, cold-wake latency"})
 	ran := 0
@@ -109,236 +86,5 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
-	}
-}
-
-// multiCampaign measures the campaign registry end to end: N campaigns in
-// one process, hammered by goroutines driving an overlapping worker
-// population round-robin across campaigns. The "shared" rows host every
-// campaign over one worker store — a worker runs the golden gauntlet once,
-// ever — while the "isolated" rows give each campaign its own store, so
-// every campaign re-profiles every worker. The golden-answer column is the
-// profiling traffic the shared store saves; the answers/sec column is the
-// registry's aggregate ingest rate.
-func multiCampaign(seed uint64, quick bool) (*experiment.Table, error) {
-	nTasks, nWorkers, goroutines := 160, 48, 8
-	counts := []int{1, 2, 4, 8}
-	if quick {
-		nTasks, nWorkers = 60, 24
-		counts = []int{1, 2, 4}
-	}
-	tb := &experiment.Table{
-		Title:  "Multi-campaign registry — overlapping workers, shared vs isolated store",
-		Header: []string{"campaigns", "store", "answers", "golden", "elapsed", "answers/sec"},
-	}
-	m := 26
-	makeTasks := func(offset int) []*model.Task {
-		tasks := make([]*model.Task, nTasks)
-		for i := range tasks {
-			dom := make(model.DomainVector, m)
-			dom[(i+offset)%m] = 1
-			tasks[i] = &model.Task{
-				ID: i, Text: fmt.Sprintf("t%d", i), Choices: []string{"a", "b"},
-				Domain: dom, Truth: (i + offset) % 2, TrueDomain: model.NoTruth,
-			}
-		}
-		return tasks
-	}
-	for _, n := range counts {
-		for _, shared := range []bool{true, false} {
-			// Shared: one registry hosts all N campaigns over one store.
-			// Isolated: N single-campaign registries, one store each.
-			regs := make([]*registry.Registry, 0, n)
-			open := func() (*registry.Registry, error) {
-				return registry.Open(registry.Config{
-					GoldenCount: 8, HITSize: 4, AnswersPerTask: 3, RerunEvery: 50,
-				})
-			}
-			var err error
-			if shared {
-				var reg *registry.Registry
-				if reg, err = open(); err != nil {
-					return nil, err
-				}
-				regs = append(regs, reg)
-			} else {
-				for i := 0; i < n; i++ {
-					reg, oerr := open()
-					if oerr != nil {
-						return nil, oerr
-					}
-					regs = append(regs, reg)
-				}
-			}
-			campaigns := make([]*campaignUnderTest, n)
-			for i := 0; i < n; i++ {
-				reg := regs[0]
-				if !shared {
-					reg = regs[i]
-				}
-				sys, cerr := reg.Create(fmt.Sprintf("c%d", i))
-				if cerr != nil {
-					return nil, cerr
-				}
-				if cerr := sys.Publish(makeTasks(3 * i)); cerr != nil {
-					return nil, cerr
-				}
-				golden := map[int]bool{}
-				for _, id := range sys.GoldenTasks() {
-					golden[id] = true
-				}
-				campaigns[i] = &campaignUnderTest{sys: sys, golden: golden}
-			}
-
-			var goldenAnswers atomic.Int64
-			start := time.Now()
-			var wg sync.WaitGroup
-			errs := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					r := mathx.NewRand(seed + uint64(1000*g))
-					empty := 0
-					for empty < 100*n {
-						w := fmt.Sprintf("w%d", r.Intn(nWorkers))
-						c := campaigns[r.Intn(n)]
-						got, rerr := c.sys.Request(w, 4)
-						if rerr != nil {
-							errs <- rerr
-							return
-						}
-						if len(got) == 0 {
-							empty++
-							continue
-						}
-						empty = 0
-						for _, tk := range got {
-							choice := tk.Truth
-							if c.golden[tk.ID] {
-								goldenAnswers.Add(1)
-							} else if r.Float64() >= 0.85 {
-								choice = 1 - choice
-							}
-							if serr := c.sys.Submit(w, tk.ID, choice); serr != nil {
-								errs <- serr
-								return
-							}
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				return nil, err
-			}
-			elapsed := time.Since(start)
-			var answers int64
-			for _, c := range campaigns {
-				answers += c.sys.AnswerCount()
-			}
-			total := answers + goldenAnswers.Load()
-			storeKind := "shared"
-			if !shared {
-				storeKind = "isolated"
-			}
-			tb.AddRow(fmt.Sprintf("%d", n), storeKind,
-				fmt.Sprintf("%d", answers), fmt.Sprintf("%d", goldenAnswers.Load()),
-				elapsed.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.0f", float64(total)/elapsed.Seconds()))
-			for _, reg := range regs {
-				if cerr := reg.Close(); cerr != nil {
-					return nil, cerr
-				}
-			}
-		}
-	}
-	tb.Notes = append(tb.Notes,
-		"one overlapping worker pool drives every campaign; golden = profiling answers collected",
-		"shared rows profile each worker once ever (the registry's shared store); isolated rows re-profile per campaign")
-	return tb, nil
-}
-
-// campaignUnderTest pairs a campaign's serving core with its golden set.
-type campaignUnderTest struct {
-	sys    *core.System
-	golden map[int]bool
-}
-
-// walThroughput returns a runner measuring the durable ingest path: append
-// throughput of the answer WAL under increasing submitter concurrency,
-// with and without per-batch fsync. It quantifies what durability costs
-// the serving core's hot path (compare the single-appender row against the
-// grouped ones to see group commit amortizing the write syscalls).
-func walThroughput(dir string) func(seed uint64, quick bool) (*experiment.Table, error) {
-	return func(seed uint64, quick bool) (*experiment.Table, error) {
-		records := 200000
-		if quick {
-			records = 20000
-		}
-		tb := &experiment.Table{
-			Title:  "WAL — group-commit append throughput",
-			Header: []string{"appenders", "sync", "records", "records/sec", "µs/record"},
-		}
-		for _, policy := range []wal.SyncPolicy{wal.SyncNever, wal.SyncEveryBatch} {
-			for _, appenders := range []int{1, 4, 16} {
-				d := dir
-				if d == "" {
-					tmp, err := os.MkdirTemp("", "docs-walbench-*")
-					if err != nil {
-						return nil, err
-					}
-					defer os.RemoveAll(tmp)
-					d = tmp
-				}
-				d = filepath.Join(d, fmt.Sprintf("run-%d-%d", policy, appenders))
-				l, err := wal.Open(d, wal.Options{Sync: policy})
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				var wg sync.WaitGroup
-				perG := records / appenders
-				errs := make(chan error, appenders)
-				for g := 0; g < appenders; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						rec := wal.Record{Kind: wal.KindAnswer, Worker: fmt.Sprintf("w%d", g)}
-						for i := 0; i < perG; i++ {
-							rec.Task, rec.Choice = i, i%4
-							if _, err := l.Append(rec); err != nil {
-								errs <- err
-								return
-							}
-						}
-					}(g)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					l.Close()
-					return nil, err
-				}
-				if err := l.Close(); err != nil {
-					return nil, err
-				}
-				elapsed := time.Since(start)
-				n := perG * appenders
-				rate := float64(n) / elapsed.Seconds()
-				syncName := "none"
-				if policy == wal.SyncEveryBatch {
-					syncName = "batch"
-				}
-				tb.AddRow(fmt.Sprintf("%d", appenders), syncName, fmt.Sprintf("%d", n),
-					fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.2f", elapsed.Seconds()/float64(n)*1e6))
-			}
-		}
-		tb.Notes = append(tb.Notes,
-			"append = enqueue + wait for the group-commit batch; sync=batch adds one fsync per batch",
-			"logs written under a fresh directory per row; pass -wal-dir to target a real device")
-		return tb, nil
 	}
 }

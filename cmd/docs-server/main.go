@@ -5,9 +5,9 @@
 // batched with POST /c/{campaign}/submit-batch, and requesters read
 // inferred truths from GET /c/{campaign}/results. Worker profiles are
 // shared across campaigns through one store. The handlers live in
-// docs/internal/httpapi (shared with the load harness); see that package
-// for the full API (including the legacy single-campaign aliases),
-// docs/protocol.md for the batch wire formats, and README.md for the
+// docs/internal/httpapi (shared with the tests and the benchmark); see that
+// package for the full API (including the legacy single-campaign aliases),
+// docs/protocol.md for the batch wire format, and README.md for the
 // durability contract.
 package main
 

@@ -27,14 +27,13 @@ import (
 //  3. the crash-injection kill-point sweep recovers bit-identically from a
 //     spammer-heavy campaign's WAL.
 
-// traceAdversarialCampaign is traceCampaignCfg with an adversarial
+// traceAdversarialCampaign is traceCampaign with an adversarial
 // population: same dataset, same serial protocol, but ~45% of the workers
 // are spammers/sleepers/colluders and everyone drifts.
-func traceAdversarialCampaign(t *testing.T, cfg Config) (string, *System) {
+func traceAdversarialCampaign(t *testing.T, s *System) (string, *System) {
 	t.Helper()
 	ds := dataset.Item(3)
 	tasks := ds.Tasks[:120]
-	s := newSystem(t, cfg)
 	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +78,12 @@ func traceAdversarialCampaign(t *testing.T, cfg Config) (string, *System) {
 // Fingerprint even when the answer stream is pathological.
 func TestAdversarialIndexedAssignmentEquivalence(t *testing.T) {
 	base := Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}
-	scanCfg := base
-	scanCfg.ScanAssign = true
 	leaseCfg := base
 	leaseCfg.LeaseTTL = time.Hour
 
-	scanTrace, scanSys := traceAdversarialCampaign(t, scanCfg)
-	idxTrace, idxSys := traceAdversarialCampaign(t, base)
-	leaseTrace, leaseSys := traceAdversarialCampaign(t, leaseCfg)
+	scanTrace, scanSys := traceAdversarialCampaign(t, newScanSystem(t, base))
+	idxTrace, idxSys := traceAdversarialCampaign(t, newSystem(t, base))
+	leaseTrace, leaseSys := traceAdversarialCampaign(t, newSystem(t, leaseCfg))
 
 	diffTraces(t, "adversarial scan vs indexed", scanTrace, idxTrace)
 	diffTraces(t, "adversarial scan vs indexed+leases", scanTrace, leaseTrace)

@@ -141,7 +141,7 @@ func TestBatchSubmitEquivalence(t *testing.T) {
 	if _, err := wal.Replay(dirA, func(rec wal.Record) error {
 		if rec.Kind == wal.KindBatch {
 			sawBatch = true
-			if _, extra, err := wal.DecodeBatch(rec.Blob, 0); err != nil || extra != 0 {
+			if _, err := wal.DecodeBatch(rec.Blob); err != nil {
 				return fmt.Errorf("undecodable batch record %d: %v", rec.Seq, err)
 			}
 		}
@@ -296,5 +296,48 @@ func TestCrashInjectionBatchedRecoveryExact(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBatchIsOneWALRecord pins the count the batched protocol exists for:
+// a SubmitBatch of N accepted regular answers costs exactly one WAL record
+// where N single Submit calls cost N.
+func TestBatchIsOneWALRecord(t *testing.T) {
+	const n = 16
+	s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1})
+	if _, err := s.Recover(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Publish(concTasks(s.m, n)); err != nil {
+		t.Fatal(err)
+	}
+
+	before := s.WALSeq()
+	items := make([]BatchItem, n)
+	for i := range items {
+		items[i] = BatchItem{Worker: "batcher", Task: i, Choice: 0}
+	}
+	statuses, err := s.SubmitBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range statuses {
+		if !st.OK {
+			t.Fatalf("item %d rejected: %s", i, st.Err)
+		}
+	}
+	if got := s.WALSeq() - before; got != 1 {
+		t.Fatalf("SubmitBatch of %d answers advanced the WAL by %d records, want 1", n, got)
+	}
+
+	before = s.WALSeq()
+	for i := 0; i < n; i++ {
+		if err := s.Submit("single", i, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.WALSeq() - before; got != n {
+		t.Fatalf("%d Submit calls advanced the WAL by %d records, want %d", n, got, n)
 	}
 }

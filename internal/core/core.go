@@ -100,11 +100,6 @@ type Config struct {
 	// Clock supplies the lease clock (nil = time.Now). Tests inject a fake
 	// clock to drive TTL expiry deterministically, with no sleeps.
 	Clock func() time.Time
-	// ScanAssign selects the legacy per-request full-scan assignment path
-	// instead of the live candidate index. The two produce bit-identical
-	// assignments; the scan survives as the equivalence oracle and the
-	// benchmark baseline (docs-bench -exp assign).
-	ScanAssign bool
 	// ProfileScope namespaces this campaign's golden-profiling merges in
 	// the shared long-run store: each worker's profiling merge is recorded
 	// under ProfileScope+"/"+worker and applied exactly once no matter how
@@ -211,6 +206,10 @@ type System struct {
 	// rerun attempt; a non-nil return fails the rerun — the seam the
 	// failed-rerun regression test injects through.
 	rerunFault func() error
+	// scanAssign, when set (tests only, before any traffic), routes
+	// requests through assignScan — the oracle the indexed path is held
+	// bit-identical to.
+	scanAssign bool
 	rerunCh    chan struct{}
 	quit       chan struct{}
 	wg         sync.WaitGroup
@@ -525,7 +524,7 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 	redundancy := s.cfg.AnswersPerTask
 	as := s.assigners.Get().(*assign.Assigner)
 	var ids []int
-	if s.cfg.ScanAssign {
+	if s.scanAssign {
 		ids = s.assignScan(as, tasks, golden, excluded, leased, q, k, redundancy)
 	} else {
 		ids = s.assignIndexed(as, excluded, leased, q, k, redundancy)
@@ -587,9 +586,9 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 
 // assignScan is the seed's per-request full scan: rebuild the candidate
 // set from all tasks, materializing a TaskState slice proportional to
-// campaign size. It survives behind Config.ScanAssign as the equivalence
-// oracle (TestIndexedAssignmentEquivalence) and the benchmark baseline;
-// the indexed path must stay bit-identical to it on serial campaigns.
+// campaign size. It survives behind the test-only scanAssign field as the
+// equivalence oracle (TestIndexedAssignmentEquivalence): the indexed path
+// must stay bit-identical to it on serial campaigns.
 func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden map[int]bool, excluded, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
 	backing := make([]assign.TaskState, 0, len(tasks))
 	for _, t := range tasks {

@@ -184,9 +184,9 @@ func (s *System) applyRecord(rec wal.Record) error {
 		// rerun/snapshot cadence identical to the live batched run — and,
 		// because this is the single replay entry, the snapshot shadow
 		// replica handles batches with no further code.
-		items, extra, err := wal.DecodeBatch(rec.Blob, 0)
-		if err != nil || extra != 0 {
-			return fmt.Errorf("batch record %d: bad body: %v", rec.Seq, err)
+		items, err := wal.DecodeBatch(rec.Blob)
+		if err != nil {
+			return fmt.Errorf("batch record %d: bad body: %w", rec.Seq, err)
 		}
 		for i, it := range items {
 			if err := s.Submit(it.Worker, it.Task, it.Choice); err != nil {

@@ -11,15 +11,14 @@ import (
 	"docs/internal/model"
 )
 
-// traceCampaignCfg drives a full serial campaign (the determinism-test
-// workload: golden gauntlet + OTA + periodic reruns + redundancy cap) and
-// returns the assignment/answer trace plus the finished system, so callers
-// can compare both the decisions and the final state across configs.
-func traceCampaignCfg(t *testing.T, cfg Config) (string, *System) {
+// traceCampaign drives a full serial campaign (the determinism-test
+// workload: golden gauntlet + OTA + periodic reruns + redundancy cap) on a
+// fresh system and returns the assignment/answer trace plus that system,
+// so callers can compare both the decisions and the final state.
+func traceCampaign(t *testing.T, s *System) (string, *System) {
 	t.Helper()
 	ds := dataset.Item(3)
 	tasks := ds.Tasks[:120]
-	s := newSystem(t, cfg)
 	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +74,15 @@ func diffTraces(t *testing.T, label, a, b string) {
 	t.Fatalf("%s: one trace is a prefix of the other (len %d vs %d)", label, len(a), len(b))
 }
 
+// newScanSystem builds a System served by the assignScan oracle instead of
+// the candidate index.
+func newScanSystem(t *testing.T, cfg Config) *System {
+	t.Helper()
+	s := newSystem(t, cfg)
+	s.scanAssign = true
+	return s
+}
+
 // TestIndexedAssignmentEquivalence is the tentpole contract: a serial
 // campaign served from the candidate index makes bit-identical assignment
 // decisions — and therefore ends in bit-identical campaign state
@@ -82,10 +90,8 @@ func diffTraces(t *testing.T, label, a, b string) {
 // per-request full scan.
 func TestIndexedAssignmentEquivalence(t *testing.T) {
 	base := Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}
-	scanCfg := base
-	scanCfg.ScanAssign = true
-	scanTrace, scanSys := traceCampaignCfg(t, scanCfg)
-	idxTrace, idxSys := traceCampaignCfg(t, base)
+	scanTrace, scanSys := traceCampaign(t, newScanSystem(t, base))
+	idxTrace, idxSys := traceCampaign(t, newSystem(t, base))
 	diffTraces(t, "scan vs indexed", scanTrace, idxTrace)
 	if fa, fb := scanSys.Fingerprint(), idxSys.Fingerprint(); fa != fb {
 		t.Fatalf("fingerprints differ between scan and indexed paths")
@@ -101,12 +107,10 @@ func TestIndexedAssignmentEquivalence(t *testing.T) {
 // nothing — the trace stays bit-identical to the lease-free scan.
 func TestIndexedAssignmentEquivalenceWithLeases(t *testing.T) {
 	base := Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}
-	scanCfg := base
-	scanCfg.ScanAssign = true
 	leaseCfg := base
 	leaseCfg.LeaseTTL = time.Hour
-	scanTrace, scanSys := traceCampaignCfg(t, scanCfg)
-	leaseTrace, leaseSys := traceCampaignCfg(t, leaseCfg)
+	scanTrace, scanSys := traceCampaign(t, newScanSystem(t, base))
+	leaseTrace, leaseSys := traceCampaign(t, newSystem(t, leaseCfg))
 	diffTraces(t, "scan vs indexed+leases", scanTrace, leaseTrace)
 	if fa, fb := scanSys.Fingerprint(), leaseSys.Fingerprint(); fa != fb {
 		t.Fatalf("fingerprints differ between scan and leased indexed paths")

@@ -157,8 +157,9 @@ func TestLeaseScanPathParity(t *testing.T) {
 		clk := newFakeClock()
 		s := newSystem(t, Config{
 			GoldenCount: -1, HITSize: k, RerunEvery: -1, AnswersPerTask: 1,
-			LeaseTTL: time.Minute, Clock: clk.Now, ScanAssign: scan,
+			LeaseTTL: time.Minute, Clock: clk.Now,
 		})
+		s.scanAssign = scan
 		if err := s.Publish(indexTasks(n, s.Domains().Size())); err != nil {
 			t.Fatal(err)
 		}

@@ -37,35 +37,6 @@ import (
 	"docs/internal/wal"
 )
 
-// WriteSnapshot serializes the system's current state as a recovery
-// snapshot covering every WAL record reserved so far and atomically
-// replaces <walDir>/snapshot with it. The caller asserts the system is
-// quiescent and its state IS the serial state of the log — true
-// immediately after Recover with no traffic served yet, and for campaigns
-// only ever driven serially. The serving path never calls this on the live
-// system; the background worker snapshots the serial shadow instead.
-func (s *System) WriteSnapshot() error {
-	if s.wal == nil {
-		return fmt.Errorf("core: WriteSnapshot: no WAL armed")
-	}
-	seq := s.wal.ReservedSeq()
-	// Everything the snapshot covers must be power-loss durable before the
-	// snapshot can become the boot source; otherwise a lost tail would make
-	// the snapshot claim records the log no longer holds.
-	if err := s.wal.Sync(); err != nil {
-		return err
-	}
-	st, err := s.exportState(seq)
-	if err != nil {
-		return err
-	}
-	if err := snapshot.Write(s.walDir, st); err != nil {
-		return err
-	}
-	s.snapSeq.Store(seq)
-	return nil
-}
-
 // Snapshots returns how many background snapshot passes have completed
 // and failed.
 func (s *System) Snapshots() (completed, failed int64) {

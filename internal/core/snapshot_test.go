@@ -33,6 +33,19 @@ func writeStateAt(t *testing.T, cfg Config, dir string, recs []wal.Record, cover
 	}
 }
 
+// writeSnapshot snapshots a freshly recovered, quiescent system — whose
+// state IS the serial state of its log — covering every record it replayed.
+func writeSnapshot(t *testing.T, s *System) {
+	t.Helper()
+	st, err := s.exportState(s.wal.ReservedSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Write(s.walDir, st); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSnapshotRoundTripProperty drives randomized campaign shapes (task
 // count, golden count, redundancy, rerun cadence) through the logged
 // serial harness, snapshots the recovered state, and asserts a
@@ -62,9 +75,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		want := full.Fingerprint()
-		if err := full.WriteSnapshot(); err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
+		writeSnapshot(t, full)
 
 		snapped := newSystem(t, cfg)
 		info, err := snapped.Recover(dir)
@@ -130,9 +141,7 @@ func TestSnapshotFallbackLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := full.Fingerprint()
-	if err := full.WriteSnapshot(); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshot(t, full)
 	if err := full.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,26 +3,19 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
 	"docs"
-	"docs/internal/wal"
 )
 
 // DefaultMaxBatch is how many items one POST /submit-batch materializes
 // unless -max-batch overrides it.
 const DefaultMaxBatch = 256
 
-// BatchContentType selects the binary batch framing (docs/protocol.md);
-// any other content type is decoded as the JSON schema.
-const BatchContentType = "application/x-docs-batch"
-
 // maxBatchItemBytes is the body budget per admitted batch item. It bounds
 // the whole request body (via http.MaxBytesReader) to maxBatch items of
-// generous size plus slack for framing, so neither decoder can be made to
-// buffer an unbounded body regardless of what the client claims.
+// generous size plus slack for framing, so the decoder can never be made
+// to buffer an unbounded body regardless of what the client claims.
 const maxBatchItemBytes = 1 << 10
 
 type batchAnswerJSON struct {
@@ -47,8 +40,7 @@ type batchResponse struct {
 	Statuses []batchItemStatus `json:"statuses"`
 }
 
-// handleSubmitBatch accepts N answers in one body — JSON by default, the
-// WAL-framed binary encoding under BatchContentType — validates each item
+// handleSubmitBatch accepts N answers in one JSON body, validates each item
 // independently, and commits all accepted answers as ONE WAL group. The
 // response carries one status per item: a bad item never poisons the
 // batch (400 is reserved for bodies with no decodable items at all, 5xx
@@ -57,42 +49,23 @@ type batchResponse struct {
 // numbers never size server allocations.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*maxBatchItemBytes+4096)
-	var answers []docs.Answer
-	clamped := 0
-	if strings.HasPrefix(r.Header.Get("Content-Type"), BatchContentType) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-			return
-		}
-		items, extra, err := wal.DecodeBatch(body, s.maxBatch)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		clamped = extra
-		answers = make([]docs.Answer, len(items))
-		for i, it := range items {
-			answers[i] = docs.Answer{Worker: it.Worker, TaskID: it.Task, Choice: it.Choice}
-		}
-	} else {
-		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
-			return
-		}
-		if len(req.Answers) > s.maxBatch {
-			clamped = len(req.Answers) - s.maxBatch
-			req.Answers = req.Answers[:s.maxBatch]
-		}
-		answers = make([]docs.Answer, len(req.Answers))
-		for i, a := range req.Answers {
-			answers[i] = docs.Answer{Worker: a.Worker, TaskID: a.Task, Choice: a.Choice}
-		}
+	var req batchRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+		return
 	}
-	if len(answers)+clamped == 0 {
+	if len(req.Answers) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
+	}
+	clamped := 0
+	if len(req.Answers) > s.maxBatch {
+		clamped = len(req.Answers) - s.maxBatch
+		req.Answers = req.Answers[:s.maxBatch]
+	}
+	answers := make([]docs.Answer, len(req.Answers))
+	for i, a := range req.Answers {
+		answers[i] = docs.Answer{Worker: a.Worker, TaskID: a.Task, Choice: a.Choice}
 	}
 	sys, name, ok := s.campaign(w, r)
 	if !ok {

@@ -45,45 +45,27 @@ func jsonBatch(t *testing.T, answers []batchAnswerJSON) []byte {
 	return blob
 }
 
-func binBatch(answers []batchAnswerJSON) []byte {
-	recs := make([]wal.Record, len(answers))
-	for i, a := range answers {
-		recs[i] = wal.Record{Worker: a.Worker, Task: a.Task, Choice: a.Choice}
-	}
-	return wal.EncodeBatch(nil, recs)
-}
-
-// TestBatchSubmitJSONAndBinary drives the same answers through both wire
-// encodings and checks the per-item statuses plus the /stats counters.
-func TestBatchSubmitJSONAndBinary(t *testing.T) {
+// TestBatchSubmitJSON drives two batches through the endpoint and checks
+// the per-item statuses plus the /stats counters.
+func TestBatchSubmitJSON(t *testing.T) {
 	ts, _ := testServer(t)
 	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 
-	jsonAnswers := []batchAnswerJSON{
-		{Worker: "wj", Task: 0, Choice: 0}, {Worker: "wj", Task: 1, Choice: 1}, {Worker: "wj", Task: 2, Choice: 0},
-	}
-	resp, out := postBatch(t, ts.URL, "application/json", jsonBatch(t, jsonAnswers))
-	if resp.StatusCode != 200 {
-		t.Fatalf("json batch = %d", resp.StatusCode)
-	}
-	if out.Accepted != 3 || out.Rejected != 0 || len(out.Statuses) != 3 {
-		t.Fatalf("json batch response = %+v", out)
-	}
-	if out.Campaign != defaultCampaign {
-		t.Fatalf("batch campaign = %q", out.Campaign)
-	}
-
-	binAnswers := []batchAnswerJSON{
-		{Worker: "wb", Task: 0, Choice: 1}, {Worker: "wb", Task: 1, Choice: 0}, {Worker: "wb", Task: 2, Choice: 1},
-	}
-	resp, out = postBatch(t, ts.URL, BatchContentType, binBatch(binAnswers))
-	if resp.StatusCode != 200 {
-		t.Fatalf("binary batch = %d", resp.StatusCode)
-	}
-	if out.Accepted != 3 || out.Rejected != 0 {
-		t.Fatalf("binary batch response = %+v", out)
+	for _, w := range []string{"wa", "wb"} {
+		resp, out := postBatch(t, ts.URL, "application/json", jsonBatch(t, []batchAnswerJSON{
+			{Worker: w, Task: 0, Choice: 0}, {Worker: w, Task: 1, Choice: 1}, {Worker: w, Task: 2, Choice: 0},
+		}))
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s batch = %d", w, resp.StatusCode)
+		}
+		if out.Accepted != 3 || out.Rejected != 0 || len(out.Statuses) != 3 {
+			t.Fatalf("%s batch response = %+v", w, out)
+		}
+		if out.Campaign != defaultCampaign {
+			t.Fatalf("batch campaign = %q", out.Campaign)
+		}
 	}
 
 	// Both batches (and all six answers) show up in the campaign's stats.
@@ -112,15 +94,21 @@ func TestBatchSubmitEmptyAndMalformed(t *testing.T) {
 		{"empty json answers", "application/json", []byte(`{"answers":[]}`)},
 		{"missing answers key", "application/json", []byte(`{}`)},
 		{"invalid json", "application/json", []byte(`{"answers":`)},
-		{"binary magic only", BatchContentType, []byte("DBB1")},
-		{"binary bad magic", BatchContentType, []byte("NOPE")},
-		{"binary torn frame", BatchContentType, binBatch([]batchAnswerJSON{{Worker: "w", Task: 0}})[:8]},
+		// The retired binary framing gets no branch of its own: its content
+		// type is decoded like any other body — as JSON.
+		{"retired binary framing", "application/x-docs-batch",
+			wal.EncodeBatch(nil, []wal.Record{{Worker: "w", Task: 0, Choice: 0}})},
 	}
 	for _, tc := range cases {
 		resp, _ := postBatch(t, ts.URL, tc.contentType, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+	var st statsJSON
+	mustGetJSON(t, ts.URL+"/stats", &st)
+	if st.Answers != 0 || st.BatchesTotal != 0 {
+		t.Errorf("rejected bodies applied %d answers in %d batches", st.Answers, st.BatchesTotal)
 	}
 
 	// Unpublished campaign: a decodable batch still gets the 409 the
@@ -134,7 +122,7 @@ func TestBatchSubmitEmptyAndMalformed(t *testing.T) {
 
 // TestBatchSubmitClamp pins the DoS guard: a batch longer than -max-batch
 // is truncated to the clamp — mirroring ?k= — with the overflow rejected
-// per-item, on both wire encodings.
+// per-item.
 func TestBatchSubmitClamp(t *testing.T) {
 	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3}, Options{MaxBatch: 4})
 	if err != nil {
@@ -147,43 +135,30 @@ func TestBatchSubmitClamp(t *testing.T) {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 
-	// Distinct workers per encoding: both passes run against one campaign,
-	// and a repeated (worker, task) pair would be rejected as a duplicate.
-	mkAnswers := func(enc string) []batchAnswerJSON {
-		answers := make([]batchAnswerJSON, 10)
-		for i := range answers {
-			answers[i] = batchAnswerJSON{Worker: fmt.Sprintf("%s-w%d", enc, i), Task: i % 3, Choice: 0}
-		}
-		return answers
+	answers := make([]batchAnswerJSON, 10)
+	for i := range answers {
+		answers[i] = batchAnswerJSON{Worker: fmt.Sprintf("w%d", i), Task: i % 3, Choice: 0}
 	}
-	for _, enc := range []struct {
-		name, contentType string
-		body              []byte
-	}{
-		{"json", "application/json", jsonBatch(t, mkAnswers("json"))},
-		{"binary", BatchContentType, binBatch(mkAnswers("bin"))},
-	} {
-		resp, out := postBatch(t, ts.URL, enc.contentType, enc.body)
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", enc.name, resp.StatusCode)
+	resp, out := postBatch(t, ts.URL, "application/json", jsonBatch(t, answers))
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if out.Accepted != 4 || out.Rejected != 6 || len(out.Statuses) != 10 {
+		t.Fatalf("accepted/rejected/statuses = %d/%d/%d, want 4/6/10",
+			out.Accepted, out.Rejected, len(out.Statuses))
+	}
+	for i, st := range out.Statuses {
+		if i < 4 && !st.OK {
+			t.Fatalf("item %d rejected: %s", i, st.Error)
 		}
-		if out.Accepted != 4 || out.Rejected != 6 || len(out.Statuses) != 10 {
-			t.Fatalf("%s: accepted/rejected/statuses = %d/%d/%d, want 4/6/10",
-				enc.name, out.Accepted, out.Rejected, len(out.Statuses))
-		}
-		for i, st := range out.Statuses {
-			if i < 4 && !st.OK {
-				t.Fatalf("%s: item %d rejected: %s", enc.name, i, st.Error)
-			}
-			if i >= 4 && (st.OK || !strings.Contains(st.Error, "clamped to 4")) {
-				t.Fatalf("%s: item %d = %+v, want clamp rejection", enc.name, i, st)
-			}
+		if i >= 4 && (st.OK || !strings.Contains(st.Error, "clamped to 4")) {
+			t.Fatalf("item %d = %+v, want clamp rejection", i, st)
 		}
 	}
 	var st statsJSON
 	mustGetJSON(t, ts.URL+"/stats", &st)
-	if st.BatchAnswersTotal != 8 {
-		t.Fatalf("batch_answers_total = %d, want 8 (two clamped batches of 4)", st.BatchAnswersTotal)
+	if st.BatchAnswersTotal != 4 {
+		t.Fatalf("batch_answers_total = %d, want 4 (one batch clamped to 4)", st.BatchAnswersTotal)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 
 // Package httpapi implements the docs-server HTTP API as an importable
 // handler, so the real server (cmd/docs-server), the end-to-end tests and
-// the open-loop load harness (docs-bench -exp http) all drive the exact
-// same routing, decoding and stats code.
+// the benchmark's in-process rungs (cmd/docs-perf) all drive the exact same
+// routing, decoding and stats code.
 //
 // Server exposes a campaign registry over a JSON HTTP API: one process
 // hosts many named DOCS campaigns (each a full serving core with its own
@@ -29,7 +29,7 @@ import (
 //	POST /c/{campaign}/publish  {"tasks":[...]}   (creates the campaign if absent)
 //	GET  /c/{campaign}/request?worker=W&k=20      → {"tasks":[...]}
 //	POST /c/{campaign}/submit   {"worker":"W","task":0,"choice":1}
-//	POST /c/{campaign}/submit-batch  {"answers":[...]} or binary (docs/protocol.md)
+//	POST /c/{campaign}/submit-batch  {"answers":[...]}   (docs/protocol.md)
 //	GET  /c/{campaign}/result?task=0              → current inferred truth
 //	GET  /c/{campaign}/results                    → final inference
 //	GET  /c/{campaign}/worker?id=W                → quality vector
@@ -74,6 +74,10 @@ type rateObs struct {
 
 // defaultCampaign backs the legacy single-campaign paths.
 const defaultCampaign = "default"
+
+// maxSmallBodyBytes caps the bodies of POST /submit and POST /campaigns,
+// whose legitimate payloads (one answer, one name) are well under 1 KiB.
+const maxSmallBodyBytes = 4 << 10
 
 // Options tunes the handler independently of the campaign Config.
 type Options struct {
@@ -200,17 +204,20 @@ type publishRequest struct {
 type campaignJSON struct {
 	Name             string `json:"name"`
 	Archived         bool   `json:"archived"`
+	Hibernated       bool   `json:"hibernated"`
 	Published        bool   `json:"published"`
 	Answers          int64  `json:"answers"`
 	RecoveredRecords int    `json:"recovered_records"`
+	Wakes            int    `json:"wakes"`
 }
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	infos := s.reg.Campaigns()
 	out := make([]campaignJSON, len(infos))
 	for i, in := range infos {
-		out[i] = campaignJSON{Name: in.Name, Archived: in.Archived, Published: in.Published,
-			Answers: in.Answers, RecoveredRecords: in.RecoveredRecords}
+		out[i] = campaignJSON{Name: in.Name, Archived: in.Archived, Hibernated: in.Hibernated,
+			Published: in.Published, Answers: in.Answers,
+			RecoveredRecords: in.RecoveredRecords, Wakes: in.Wakes}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out})
 }
@@ -219,6 +226,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxSmallBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
 		return
@@ -358,6 +366,7 @@ type submitRequest struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxSmallBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +181,25 @@ func TestServerValidation(t *testing.T) {
 	if resp, _ := doJSON(t, "GET", ts.URL+"/worker", nil); resp.StatusCode != 400 {
 		t.Errorf("missing worker id = %d, want 400", resp.StatusCode)
 	}
+	// An oversized /submit body (a valid answer padded past the cap) is
+	// refused and applies nothing.
+	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
+	}
+	huge := `{"worker":"w","task":0,"choice":0,"pad":"` + strings.Repeat("x", 2*maxSmallBodyBytes) + `"}`
+	resp, err = http.Post(ts.URL+"/submit", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode > 499 {
+		t.Errorf("oversized submit = %d, want 4xx", resp.StatusCode)
+	}
+	var st statsJSON
+	mustGetJSON(t, ts.URL+"/stats", &st)
+	if st.Answers != 0 {
+		t.Errorf("oversized submit applied %d answers", st.Answers)
+	}
 	// Campaign-level validation.
 	if resp, _ := doJSON(t, "GET", ts.URL+"/c/no-such/request?worker=w", nil); resp.StatusCode != 404 {
 		t.Errorf("unknown campaign request = %d, want 404", resp.StatusCode)
@@ -308,7 +328,14 @@ func TestStatsSharesPublishSourceOfTruth(t *testing.T) {
 // separate stats, and archive independently — while the default campaign
 // and the legacy aliases stay untouched.
 func TestServerMultiCampaign(t *testing.T) {
-	ts, _ := testServer(t)
+	// Durable, so the listing can be checked against a hibernated campaign.
+	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, WALDir: t.TempDir()}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 
 	// Publishing to a fresh name creates the campaign.
 	resp, out := doJSON(t, "POST", ts.URL+"/c/photos/publish", publishBody())
@@ -366,26 +393,54 @@ func TestServerMultiCampaign(t *testing.T) {
 	}
 
 	// The listing shows all three (default included), separately published.
-	resp, out = doJSON(t, "GET", ts.URL+"/campaigns", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("campaigns = %d", resp.StatusCode)
+	listing := func() map[string]campaignJSON {
+		t.Helper()
+		resp, out := doJSON(t, "GET", ts.URL+"/campaigns", nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("campaigns = %d", resp.StatusCode)
+		}
+		var list []campaignJSON
+		if err := json.Unmarshal(out["campaigns"], &list); err != nil {
+			t.Fatal(err)
+		}
+		byName := map[string]campaignJSON{}
+		for _, c := range list {
+			byName[c.Name] = c
+		}
+		return byName
 	}
-	var list []campaignJSON
-	if err := json.Unmarshal(out["campaigns"], &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 3 {
-		t.Fatalf("campaigns = %+v, want default, ner, photos", list)
-	}
-	byName := map[string]campaignJSON{}
-	for _, c := range list {
-		byName[c.Name] = c
+	byName := listing()
+	if len(byName) != 3 {
+		t.Fatalf("campaigns = %+v, want default, ner, photos", byName)
 	}
 	if byName[defaultCampaign].Published {
 		t.Error("default campaign reported published; nothing was published to it")
 	}
 	if !byName["photos"].Published || !byName["ner"].Published {
 		t.Error("named campaigns not reported published")
+	}
+	if byName["ner"].Hibernated || byName["ner"].Wakes != 0 {
+		t.Errorf("resident campaign listed as %+v", byName["ner"])
+	}
+
+	// The listing is the one endpoint that describes a campaign without
+	// waking it: a hibernated campaign says so, keeps its counters, and is
+	// still hibernated after the call. The next request wakes it and the
+	// listing counts the wake.
+	if err := srv.Registry().Hibernate("ner"); err != nil {
+		t.Fatal(err)
+	}
+	if c := listing()["ner"]; !c.Hibernated || !c.Published || c.Answers != 2 || c.Wakes != 0 {
+		t.Errorf("hibernated campaign listed as %+v", c)
+	}
+	if srv.Registry().CampaignResident("ner") {
+		t.Error("GET /campaigns woke a hibernated campaign")
+	}
+	if resp, _ := doJSON(t, "GET", ts.URL+"/c/ner/stats", nil); resp.StatusCode != 200 {
+		t.Fatalf("stats ner = %d", resp.StatusCode)
+	}
+	if c := listing()["ner"]; c.Hibernated || c.Wakes != 1 {
+		t.Errorf("woken campaign listed as %+v", c)
 	}
 
 	// Archive photos: gone for serving, still listed, ner unaffected.
@@ -401,14 +456,8 @@ func TestServerMultiCampaign(t *testing.T) {
 	if resp, _ := doJSON(t, "GET", ts.URL+"/c/ner/request?worker=w2&k=1", nil); resp.StatusCode != 200 {
 		t.Errorf("ner after photos archive = %d, want 200", resp.StatusCode)
 	}
-	resp, out = doJSON(t, "GET", ts.URL+"/campaigns", nil)
-	if err := json.Unmarshal(out["campaigns"], &list); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range list {
-		if c.Name == "photos" && !c.Archived {
-			t.Error("archived campaign not flagged in the listing")
-		}
+	if !listing()["photos"].Archived {
+		t.Error("archived campaign not flagged in the listing")
 	}
 }
 

@@ -26,8 +26,8 @@ const (
 	// tasks, including the domain vectors DVE computed, so recovery does
 	// not depend on the knowledge base being byte-identical across builds.
 	KindPublish Kind = 2
-	// KindBatch is one batched-submit group: the blob is the wire batch
-	// body (EncodeBatch) holding N accepted answers. The whole group lives
+	// KindBatch is one batched-submit group: the blob (EncodeBatch, layout
+	// in wire.go) holds N accepted answers. The whole group lives
 	// in one frame, so under the torn-tail crash rule it is durable
 	// all-or-nothing; replay expands it back into per-answer submits.
 	KindBatch Kind = 3
@@ -51,7 +51,7 @@ type Record struct {
 	Task   int
 	Choice int
 
-	// KindPublish payload (JSON-encoded tasks); KindBatch wire body;
+	// KindPublish payload (JSON-encoded tasks); KindBatch blob;
 	// KindSeed stats payload.
 	Blob []byte
 }

@@ -1,13 +1,11 @@
-// Wire batch bodies: the binary encoding of a batched answer submit.
+// Batch blobs: the encoding of a batched answer submit inside a KindBatch
+// record.
 //
-// The batch endpoint's binary content type reuses this package's frame
-// codec (length + CRC32-C + canonical-varint payload), so the wire format
-// and the durable format share one encoder/decoder and one fuzz surface
-// (FuzzBatchDecode): a body accepted off the network is byte-for-byte a
-// sequence of the same frames the WAL replays after a crash. A batch body
-// is also exactly the blob a KindBatch record carries, which is what makes
-// a batched submit one durable frame — all-or-nothing under the torn-tail
-// rule — instead of N.
+// The blob reuses this package's frame codec (length + CRC32-C +
+// canonical-varint payload), so a batch shares the record stream's
+// encoder/decoder and has its own fuzz surface (FuzzBatchDecode). Carrying
+// the whole group in one record's blob is what makes a batched submit one
+// durable frame — all-or-nothing under the torn-tail rule — instead of N.
 //
 // Layout:
 //
@@ -16,7 +14,7 @@
 // where each frame payload is a KindAnswer record whose Seq is the item's
 // 1-based position in the batch. Positions make the encoding canonical
 // (decode rejects any other Seq, so one batch has exactly one encoding)
-// and give torn or reordered bodies no way to alias a shorter batch.
+// and give torn or reordered blobs no way to alias a shorter batch.
 package wal
 
 import (
@@ -24,14 +22,11 @@ import (
 	"fmt"
 )
 
-// batchMagic opens every binary batch body. Versioned: a future layout
-// bumps the trailing byte.
+// batchMagic opens every batch blob. Versioned: a future layout bumps the
+// trailing byte.
 var batchMagic = []byte("DBB1")
 
-// BatchOverhead is the fixed byte cost of a batch body before its items.
-const BatchOverhead = len("DBB1")
-
-// EncodeBatch appends the wire encoding of a batch of answers to dst.
+// EncodeBatch appends the blob encoding of a batch of answers to dst.
 // Only the Worker/Task/Choice fields of each item are encoded; Seq and
 // Kind are derived from the item's position (callers need not set them).
 //
@@ -49,25 +44,16 @@ func EncodeBatch(dst []byte, items []Record) []byte {
 	return dst
 }
 
-// DecodeBatch parses a wire batch body, materializing at most max items
-// (max <= 0 means no bound). Frames past the bound are still walked and
-// CRC-checked but only counted — extra reports how many were clamped off —
-// so a client-chosen batch size can never drive the server's allocation
-// past the configured bound (the same contract as the ?k= clamp; the
-// alloc-pinned test holds it). A torn, corrupt, or non-canonical body is
-// rejected whole: unlike the WAL's recovery walk, the wire has no crash
-// excuse for a half-frame.
-func DecodeBatch(data []byte, max int) (items []Record, extra int, err error) {
+// DecodeBatch parses a batch blob. A torn, corrupt, or non-canonical blob
+// is rejected whole: the enclosing record's CRC already held, so a bad
+// frame inside it has no crash excuse.
+func DecodeBatch(data []byte) (items []Record, err error) {
 	if !bytes.HasPrefix(data, batchMagic) {
-		return nil, 0, fmt.Errorf("wal: batch body lacks magic %q", batchMagic)
+		return nil, fmt.Errorf("wal: batch blob lacks magic %q", batchMagic)
 	}
 	pos := 0
 	torn, err := DecodeFrames(data[len(batchMagic):], func(payload []byte) error {
 		pos++
-		if max > 0 && pos > max {
-			extra++
-			return nil
-		}
 		rec, err := Decode(payload)
 		if err != nil {
 			return fmt.Errorf("batch item %d: %w", pos, err)
@@ -82,10 +68,10 @@ func DecodeBatch(data []byte, max int) (items []Record, extra int, err error) {
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if torn {
-		return nil, 0, fmt.Errorf("wal: batch body ends in a torn frame")
+		return nil, fmt.Errorf("wal: batch blob ends in a torn frame")
 	}
-	return items, extra, nil
+	return items, nil
 }

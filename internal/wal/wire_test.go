@@ -17,12 +17,12 @@ func sampleBatch(n int) []Record {
 func TestBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 64, 300} {
 		body := EncodeBatch(nil, sampleBatch(n))
-		items, extra, err := DecodeBatch(body, 0)
+		items, err := DecodeBatch(body)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
-		if extra != 0 || len(items) != n {
-			t.Fatalf("n=%d: got %d items, %d extra", n, len(items), extra)
+		if len(items) != n {
+			t.Fatalf("n=%d: got %d items", n, len(items))
 		}
 		for i, it := range items {
 			want := sampleBatch(n)[i]
@@ -52,7 +52,7 @@ func TestBatchDecodeRejects(t *testing.T) {
 			Record{Seq: 2, Kind: KindAnswer, Worker: "w"}.Encode()),
 	}
 	for name, body := range cases {
-		if _, _, err := DecodeBatch(body, 0); err == nil {
+		if _, err := DecodeBatch(body); err == nil {
 			t.Errorf("%s: decode accepted", name)
 		}
 	}
@@ -64,44 +64,11 @@ func flip(b []byte, i int) []byte {
 	return c
 }
 
-// TestBatchDecodeClamp pins the DoS guard: a body carrying far more items
-// than the server's bound materializes only the bound, counts the rest,
-// and — like the ?k= clamp on the request path — never lets the client's
-// chosen size drive the allocation. The alloc ceiling is measured against
-// a body that is exactly at the bound, so growth past it would fail here.
-func TestBatchDecodeClamp(t *testing.T) {
-	const max = 8
-	huge := EncodeBatch(nil, sampleBatch(10*1000))
-	items, extra, err := DecodeBatch(huge, max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != max || extra != 10*1000-max {
-		t.Fatalf("clamped decode = %d items, %d extra; want %d, %d", len(items), extra, max, 10*1000-max)
-	}
-
-	atBound := EncodeBatch(nil, sampleBatch(max))
-	baseline := testing.AllocsPerRun(50, func() {
-		if _, _, err := DecodeBatch(atBound, max); err != nil {
-			t.Fatal(err)
-		}
-	})
-	clamped := testing.AllocsPerRun(50, func() {
-		if _, _, err := DecodeBatch(huge, max); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if clamped > baseline {
-		t.Fatalf("clamped decode of a 10000-item body allocates %.0f times, an at-bound body %.0f — overflow items must cost zero allocations", clamped, baseline)
-	}
-}
-
-// FuzzBatchDecode drives arbitrary bytes through the wire batch decoder —
-// the surface a hostile client reaches with POST /submit-batch and the
-// binary content type, and byte-identical to what a KindBatch WAL record
-// replays after a crash. It must never panic, and every accepted body must
-// re-encode to the exact input bytes (one batch, one encoding). Seed
-// corpus lives in testdata/fuzz/FuzzBatchDecode (checked in).
+// FuzzBatchDecode drives arbitrary bytes through the batch blob decoder —
+// the bytes a KindBatch WAL record hands to replay after a crash. It must
+// never panic, and every accepted blob must re-encode to the exact input
+// bytes (one batch, one encoding). Seed corpus lives in
+// testdata/fuzz/FuzzBatchDecode (checked in).
 func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DBB1"))
@@ -112,12 +79,9 @@ func FuzzBatchDecode(f *testing.F) {
 	torn := EncodeBatch(nil, sampleBatch(2))
 	f.Add(torn[:len(torn)-3])
 	f.Fuzz(func(t *testing.T, body []byte) {
-		items, extra, err := DecodeBatch(body, 0)
+		items, err := DecodeBatch(body)
 		if err != nil {
 			return // rejected input: fine, as long as we did not panic
-		}
-		if extra != 0 {
-			t.Fatalf("unbounded decode reported %d clamped items", extra)
 		}
 		if got := EncodeBatch(nil, items); !bytes.Equal(got, body) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", body, got)

@@ -1,116 +1,18 @@
 #!/usr/bin/env bash
-# Guard against serving-core throughput regressions: run the fixed-
-# iteration BenchmarkParallelServe and fail if ns/op exceeds the committed
-# baseline (bench/baseline.txt) by more than the threshold (default 25%).
-#
-# The benchmark runs a fixed -benchtime=1490x so every measurement does
-# identical work; the script takes the best of two runs to damp scheduler
-# noise on shared CI machines. Override the headroom with
-# BENCH_GUARD_THRESHOLD (a multiplier, e.g. 1.50) when a runner class is
-# known to be slower than the reference machine in the baseline file.
+# The two deterministic, machine-independent guards over docs-bench:
+# -exp accuracy (seeded; DOCS-vs-MV margins against the committed
+# bench/BENCH_accuracy.json) and -exp density (capped heap vs all-live heap
+# in the same run). Timings are not gated here or anywhere: the reference
+# machine drifts by up to 2x, so they are measured by
+# `go run ./cmd/docs-perf` and compared in pairs (cmd/docs-perf/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Preflight: benchmark numbers from a tree that violates the determinism
-# or lock-order contracts are not worth measuring. docs-lint findings
-# print as file:line: analyzer: message and abort the run.
+# Preflight: numbers from a tree that violates the determinism or
+# lock-order contracts are not worth measuring. docs-lint findings print
+# as file:line: analyzer: message and abort the run.
 echo "check_bench: preflight docs-lint ./..."
 go run ./cmd/docs-lint ./...
-
-baseline_file=bench/baseline.txt
-threshold=${BENCH_GUARD_THRESHOLD:-1.25}
-iters=1490
-
-base=$(awk '$1 == "BenchmarkParallelServe" {print $2}' "$baseline_file")
-if [ -z "$base" ]; then
-    echo "check_bench: no BenchmarkParallelServe entry in $baseline_file" >&2
-    exit 2
-fi
-
-best=""
-for run in 1 2; do
-    out=$(go test -run '^$' -bench '^BenchmarkParallelServe$' -benchtime="${iters}x" -count=1 .)
-    echo "$out"
-    ns=$(echo "$out" | awk '/^BenchmarkParallelServe(-[0-9]+)?[[:space:]]/ {print $3; exit}')
-    if [ -z "$ns" ]; then
-        echo "check_bench: could not parse ns/op from benchmark output" >&2
-        exit 2
-    fi
-    if [ -z "$best" ] || [ "$ns" -lt "$best" ]; then
-        best=$ns
-    fi
-done
-
-awk -v ns="$best" -v base="$base" -v thr="$threshold" 'BEGIN {
-    limit = base * thr
-    printf "check_bench: best %d ns/op, baseline %d ns/op, limit %.0f ns/op (x%.2f)\n", ns, base, limit, thr
-    if (ns > limit) {
-        printf "check_bench: FAIL — BenchmarkParallelServe regressed %.1f%% past the baseline\n", (ns / base - 1) * 100
-        exit 1
-    }
-    printf "check_bench: OK (%+.1f%% vs baseline)\n", (ns / base - 1) * 100
-}'
-
-# Smoke path: the assignment experiment compares the indexed candidate
-# set against the legacy scan and asserts every measured request's
-# assignment identical between the two, so running it at all is a
-# correctness check. Run-only — no latency threshold; machine-dependent
-# speedups are reported, not gated.
-echo "check_bench: smoke-running docs-bench -exp assign (run-only, no threshold)"
-go run ./cmd/docs-bench -exp assign -quick
-
-# Recovery smoke: boots the same logged campaign by full replay and by
-# state snapshot and asserts the two fingerprints bit-identical before
-# reporting timings, so running it at all is a correctness check too.
-# Run-only — the speedup is machine-dependent and is recorded, not gated;
-# the JSON rows land in bench/BENCH_recover.json (uploaded as a CI
-# artifact).
-echo "check_bench: smoke-running docs-bench -exp recover (run-only, no threshold)"
-go run ./cmd/docs-bench -exp recover -quick -json bench/BENCH_recover.json
-
-# HTTP load guard: drive the real server (real TCP, WAL + fsync) with the
-# open-loop harness and gate BATCHED throughput two ways against the
-# committed bench/BENCH_http.json (quick-mode shape, reference machine):
-#  1. relative — best batched answers/sec must not regress more than the
-#     threshold (default 25%, override with BENCH_HTTP_THRESHOLD, a
-#     multiplier like 1.50 for slower runner classes);
-#  2. structural — batched must stay >= 3x single-submit in the SAME
-#     fresh run (machine-independent: it is the protocol's whole point).
-# The fresh rows overwrite bench/BENCH_http.json in the workspace so CI
-# uploads what this run measured; the committed copy stays the baseline.
-http_json=bench/BENCH_http.json
-http_threshold=${BENCH_HTTP_THRESHOLD:-1.25}
-parse_http() { # $1=file $2=mode-regex -> best answers_per_sec among matching rows
-    awk -v want="$2" '
-        /"mode":/    { m = $2; gsub(/[",]/, "", m) }
-        /"answers_per_sec":/ {
-            v = $2; gsub(/,/, "", v)
-            if (m ~ want && v + 0 > best) best = v + 0
-        }
-        END { print best + 0 }' "$1"
-}
-base_batched=$(parse_http "$http_json" "^batch-")
-if [ "$base_batched" = "0" ]; then
-    echo "check_bench: no batched rows in committed $http_json" >&2
-    exit 2
-fi
-echo "check_bench: running docs-bench -exp http (batched throughput guard)"
-go run ./cmd/docs-bench -exp http -quick -http-json "$http_json"
-new_batched=$(parse_http "$http_json" "^batch-")
-new_single=$(parse_http "$http_json" "^single$")
-awk -v new="$new_batched" -v base="$base_batched" -v single="$new_single" -v thr="$http_threshold" 'BEGIN {
-    floor = base / thr
-    printf "check_bench: batched %.0f answers/sec, baseline %.0f, floor %.0f (/%.2f); single %.0f\n", new, base, floor, thr, single
-    if (new < floor) {
-        printf "check_bench: FAIL — batched HTTP throughput regressed %.1f%% below the baseline\n", (1 - new / base) * 100
-        exit 1
-    }
-    if (new < 3 * single) {
-        printf "check_bench: FAIL — batched throughput %.1fx single, need >= 3x\n", new / single
-        exit 1
-    }
-    printf "check_bench: OK (batched %+.1f%% vs baseline, %.1fx single)\n", (new / base - 1) * 100, new / single
-}'
 
 # Accuracy guard: adversarial crowds must not erase DOCS's edge. The
 # committed bench/BENCH_accuracy.json carries the DOCS(TI) − MV margin per
