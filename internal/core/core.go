@@ -193,6 +193,10 @@ type System struct {
 	// snapSeq is the WAL sequence covered by the newest state snapshot this
 	// process wrote or booted from.
 	snapSeq atomic.Uint64
+	// publishSeq is the WAL sequence of the record that carries the
+	// publication (0 until one is logged or replayed): a state snapshot
+	// names that record instead of repeating its contents.
+	publishSeq atomic.Uint64
 	// shadow is the serial replica the snapshot passes advance and
 	// serialize; shadowSeq is the WAL sequence it has replayed through.
 	// Both are touched only by the snapshot worker (and Close, after the
@@ -443,6 +447,7 @@ func (s *System) Publish(tasks []*model.Task) error {
 		if err != nil {
 			return err
 		}
+		s.publishSeq.Store(p.Seq())
 		return s.walCommit(p)
 	}
 	return nil

@@ -95,7 +95,7 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	snap, reject := loadUsableSnapshot(dir)
 	info.SnapshotRejected = reject
 	if snap != nil && reject == "" {
-		if rerr := s.restoreSnapshot(snap); rerr != nil {
+		if rerr := s.restoreSnapshot(dir, snap); rerr != nil {
 			// restoreSnapshot validates before mutating, so the system is
 			// still virgin and the full replay below recovers everything.
 			info.SnapshotRejected = rerr.Error()
@@ -165,13 +165,14 @@ func (s *System) WALSeq() uint64 {
 func (s *System) applyRecord(rec wal.Record) error {
 	switch rec.Kind {
 	case wal.KindPublish:
-		var tasks []*model.Task
-		if err := json.Unmarshal(rec.Blob, &tasks); err != nil {
-			return fmt.Errorf("publish record %d: %w", rec.Seq, err)
+		tasks, err := decodePublication(rec)
+		if err != nil {
+			return err
 		}
 		if err := s.Publish(tasks); err != nil {
 			return fmt.Errorf("publish record %d: %w", rec.Seq, err)
 		}
+		s.publishSeq.Store(rec.Seq)
 	case wal.KindAnswer:
 		if err := s.Submit(rec.Worker, rec.Task, rec.Choice); err != nil {
 			return fmt.Errorf("answer record %d: %w", rec.Seq, err)
@@ -212,6 +213,15 @@ func (s *System) applyRecord(rec wal.Record) error {
 		return fmt.Errorf("record %d has unknown kind %d", rec.Seq, rec.Kind)
 	}
 	return nil
+}
+
+// decodePublication parses a publish record's task set.
+func decodePublication(rec wal.Record) ([]*model.Task, error) {
+	var tasks []*model.Task
+	if err := json.Unmarshal(rec.Blob, &tasks); err != nil {
+		return nil, fmt.Errorf("publish record %d: %w", rec.Seq, err)
+	}
+	return tasks, nil
 }
 
 // walReserve queues one record for the armed WAL. Callers hold logMu

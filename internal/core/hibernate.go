@@ -45,11 +45,14 @@ func (s *System) Hibernate() error {
 	// final snapshot pass reads the log: the pass replays the on-disk
 	// stream, and the snapshot may only ever cover durable records.
 	snapErr := s.wal.Sync()
-	if snapErr == nil {
+	if snapErr == nil && s.snapSeq.Load() != s.wal.ReservedSeq() {
 		// The snapshot worker has exited, so running the shadow pass on
 		// this goroutine is race-free. The pass advances the serial shadow
 		// replica over the whole durable stream and atomically replaces
-		// the snapshot file with its state.
+		// the snapshot file with its state. A campaign that took no record
+		// since the snapshot it booted from (or last wrote) skips the pass:
+		// that file already covers the tail, and building a replica only to
+		// find nothing to advance over is the whole cost of a clean eviction.
 		snapErr = s.snapshotPass()
 	}
 	if snapErr == nil {

@@ -10,12 +10,14 @@
 // persistent store), fed incrementally from the durable log by the
 // background snapshot worker. Each snapshot pass advances the shadow
 // over the records that became durable since the last pass and then
-// serializes the shadow's complete state — every float as raw bits — into
-// an atomically-replaced snapshot file keyed by the WAL sequence it
-// covers. Because the shadow replayed exactly the records a booting
-// process would, restoring the snapshot and replaying the WAL suffix past
-// it reconstructs the full-replay state bit for bit; the crash-injection
-// suite asserts that equality at every kill point, both ways.
+// serializes the shadow's state — every float as raw bits, minus what the
+// log beside it already determines (the publication, untouched tasks,
+// answered sets) — into an atomically-replaced snapshot file keyed by the
+// WAL sequence it covers. Because the shadow replayed exactly the records
+// a booting process would, restoring the snapshot and replaying the WAL
+// suffix past it reconstructs the full-replay state bit for bit; the
+// crash-injection suite asserts that equality at every kill point, both
+// ways.
 //
 // The trade-offs are explicit: the shadow doubles the campaign's resident
 // state and re-pays the serial inference cost (including periodic batch
@@ -26,7 +28,7 @@
 package core
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -56,81 +58,47 @@ func (s *System) LastSnapshotSeq() uint64 { return s.snapSeq.Load() }
 // per-key isolated), and every float must travel as raw bits.
 //
 //docs:deterministic
-func (s *System) exportState(seq uint64) (*snapshot.State, error) {
-	st := &snapshot.State{Seq: seq, Answers: s.submissions.Load()}
+func (s *System) exportState(seq uint64) *snapshot.State {
+	st := &snapshot.State{Seq: seq, PublishSeq: s.publishSeq.Load(), Answers: s.submissions.Load()}
 
 	s.mu.RLock()
-	tasks := s.tasks
 	for _, t := range s.tasks {
 		if s.golden[t.ID] {
 			st.GoldenIDs = append(st.GoldenIDs, t.ID)
 		}
 	}
 	s.mu.RUnlock()
-	if len(tasks) > 0 {
-		blob, err := json.Marshal(tasks)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot: %w", err)
-		}
-		st.Tasks = blob
-	}
 
+	// Only the tasks touched since publication: the rest are at the prior
+	// AddTask re-derives on restore.
 	for _, ts := range s.inc.ExportTasks() {
-		st.TaskStates = append(st.TaskStates, snapshot.TaskState{
-			ID:   ts.ID,
-			MHat: snapshot.BitsMatrix(ts.MHat),
-			S:    snapshot.Bits(ts.S),
-		})
+		st.TaskStates = append(st.TaskStates, snapshot.TaskState(ts))
 	}
 	for _, w := range s.inc.Workers() {
-		ws := s.inc.Worker(w)
-		st.Workers = append(st.Workers, snapshot.WorkerStats{ID: w, Q: snapshot.Bits(ws.Q), U: snapshot.Bits(ws.U)})
+		st.Workers = append(st.Workers, codecStats(w, s.inc.Worker(w)))
 	}
 
 	// Per-worker serving state, gathered across the shards and sorted for a
-	// deterministic encoding.
-	type servingCopy struct {
-		golden   []model.Answer
-		profiled bool
-		answered []int
-		anchor   *truth.Stats
-	}
-	serving := make(map[string]*servingCopy)
+	// deterministic encoding. The answered-task sets are not exported: they
+	// are the per-worker projection of the log below.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for w, ws := range sh.workers {
-			sc := &servingCopy{profiled: ws.profiled}
-			sc.golden = append(sc.golden, ws.goldenAnswers...)
-			for id := range ws.answered {
-				sc.answered = append(sc.answered, id)
+			sv := snapshot.WorkerServing{ID: w, Profiled: ws.profiled}
+			for _, a := range ws.goldenAnswers {
+				sv.GoldenTasks = append(sv.GoldenTasks, a.Task)
+				sv.GoldenChoices = append(sv.GoldenChoices, a.Choice)
 			}
-			sort.Ints(sc.answered)
 			if ws.anchor != nil {
-				sc.anchor = ws.anchor.Clone()
+				a := ws.anchor.Clone()
+				sv.AnchorQ, sv.AnchorU = a.Q, a.U
 			}
-			serving[w] = sc
+			st.Serving = append(st.Serving, sv)
 		}
 		sh.mu.Unlock()
 	}
-	names := make([]string, 0, len(serving))
-	for w := range serving {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-	for _, w := range names {
-		sc := serving[w]
-		ws := snapshot.WorkerServing{ID: w, Profiled: sc.profiled, Answered: sc.answered}
-		for _, a := range sc.golden {
-			ws.GoldenTasks = append(ws.GoldenTasks, a.Task)
-			ws.GoldenChoices = append(ws.GoldenChoices, a.Choice)
-		}
-		if sc.anchor != nil {
-			ws.AnchorQ = snapshot.Bits(sc.anchor.Q)
-			ws.AnchorU = snapshot.Bits(sc.anchor.U)
-		}
-		st.Serving = append(st.Serving, ws)
-	}
+	sort.Slice(st.Serving, func(i, j int) bool { return st.Serving[i].ID < st.Serving[j].ID })
 
 	// The chronological answer log, column-packed with a worker dictionary.
 	s.logMu.Lock()
@@ -155,26 +123,58 @@ func (s *System) exportState(seq uint64) (*snapshot.State, error) {
 	if !s.store.Persistent() {
 		for _, w := range s.store.Workers() {
 			ws, _ := s.store.Worker(w)
-			st.Store = append(st.Store, snapshot.WorkerStats{ID: w, Q: snapshot.Bits(ws.Q), U: snapshot.Bits(ws.U)})
+			st.Store = append(st.Store, codecStats(w, ws))
 		}
 		for _, pid := range s.store.ProfileIDs() {
 			a, _ := s.store.ProfileAnchor(pid)
-			st.StoreProfiles = append(st.StoreProfiles,
-				snapshot.WorkerStats{ID: pid, Q: snapshot.Bits(a.Q), U: snapshot.Bits(a.U)})
+			st.StoreProfiles = append(st.StoreProfiles, codecStats(pid, a))
 		}
 	}
-	return st, nil
+	return st
+}
+
+// codecStats puts worker statistics the caller owns into codec form.
+func codecStats(id string, st *truth.Stats) snapshot.WorkerStats {
+	return snapshot.WorkerStats{ID: id, Q: st.Q, U: st.U}
+}
+
+// readPublication returns the task set the WAL's publish record at seq
+// carries. The log is gapless from sequence 1 and segments are never
+// deleted, so the record a snapshot names is there unless the directory
+// was damaged — which the caller reports as a rejected snapshot.
+func readPublication(dir string, seq uint64) ([]*model.Task, error) {
+	var tasks []*model.Task
+	found := errors.New("found")
+	_, err := wal.ReplayFrom(dir, seq-1, func(rec wal.Record) error {
+		if rec.Kind != wal.KindPublish {
+			return fmt.Errorf("record %d is not a publish record", rec.Seq)
+		}
+		var derr error
+		if tasks, derr = decodePublication(rec); derr != nil {
+			return derr
+		}
+		return found
+	})
+	if err == nil {
+		return nil, fmt.Errorf("publish record %d is missing from the log", seq)
+	}
+	if !errors.Is(err, found) {
+		return nil, err
+	}
+	return tasks, nil
 }
 
 // restoreSnapshot installs a snapshot's state into a virgin system (no
-// publish, no answers). It validates the entire snapshot against the
+// publish, no answers), taking the publication from the WAL record in dir
+// the snapshot names. It validates the entire snapshot against the
 // system's configuration BEFORE mutating anything, so an error return
 // leaves the system untouched and the caller can fall back to a full
 // replay; an error after mutation begins is impossible by construction
-// (every failing check runs in the validation phase).
+// (every failing check runs in the validation phase). The system keeps
+// references into snap, which the caller must not reuse.
 //
 //docs:deterministic
-func (s *System) restoreSnapshot(snap *snapshot.State) error {
+func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	s.mu.RLock()
 	published := len(s.tasks) > 0
 	s.mu.RUnlock()
@@ -183,10 +183,14 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 	}
 
 	// --- validation phase: parse and cross-check everything ---
+	if snap.PublishSeq > snap.Seq {
+		return fmt.Errorf("core: snapshot at seq %d names publish record %d", snap.Seq, snap.PublishSeq)
+	}
 	var tasks []*model.Task
-	if len(snap.Tasks) > 0 {
-		if err := json.Unmarshal(snap.Tasks, &tasks); err != nil {
-			return fmt.Errorf("core: snapshot tasks: %w", err)
+	if snap.PublishSeq > 0 {
+		var err error
+		if tasks, err = readPublication(dir, snap.PublishSeq); err != nil {
+			return fmt.Errorf("core: snapshot publication: %w", err)
 		}
 	}
 	if len(tasks) == 0 {
@@ -220,7 +224,8 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 		golden[id] = true
 	}
 
-	// Every non-golden task must carry exactly one inference state.
+	// A non-golden task carries at most one inference state; one without is
+	// untouched and stays at the prior AddTask gives it.
 	states := make(map[int]snapshot.TaskState, len(snap.TaskStates))
 	for _, ts := range snap.TaskStates {
 		t, ok := byID[ts.ID]
@@ -230,20 +235,11 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 		if _, dup := states[ts.ID]; dup {
 			return fmt.Errorf("core: snapshot repeats task state %d", ts.ID)
 		}
-		ell := t.NumChoices()
-		if len(ts.MHat) != s.m || len(ts.S) != ell {
+		// The codec guarantees every M̂ row is len(S) long.
+		if len(ts.MHat) != s.m || len(ts.S) != t.NumChoices() {
 			return fmt.Errorf("core: snapshot task %d state has wrong dimensions", ts.ID)
 		}
-		for _, row := range ts.MHat {
-			if len(row) != ell {
-				return fmt.Errorf("core: snapshot task %d state has wrong dimensions", ts.ID)
-			}
-		}
 		states[ts.ID] = ts
-	}
-	if len(states) != len(tasks)-len(golden) {
-		return fmt.Errorf("core: snapshot has %d task states for %d non-golden tasks",
-			len(states), len(tasks)-len(golden))
 	}
 
 	// Decode and validate the chronological log; rebuild per-task answer
@@ -267,6 +263,9 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 		if !ok || golden[tid] {
 			return fmt.Errorf("core: snapshot log entry %d targets unknown or golden task %d", i, tid)
 		}
+		if _, ok := states[tid]; !ok {
+			return fmt.Errorf("core: snapshot log entry %d targets task %d, which has no state", i, tid)
+		}
 		if c < 0 || c >= t.NumChoices() {
 			return fmt.Errorf("core: snapshot log entry %d has choice %d out of range", i, c)
 		}
@@ -285,7 +284,7 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 	// Worker statistics and serving state.
 	workerStats := make(map[string]*truth.Stats, len(snap.Workers))
 	for _, ws := range snap.Workers {
-		st, err := statsFromBits(ws, s.m)
+		st, err := validStats(ws, s.m)
 		if err != nil {
 			return err
 		}
@@ -300,7 +299,7 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 			return fmt.Errorf("core: snapshot serving state for %q has mismatched golden columns", ws.ID)
 		}
 		if len(ws.AnchorQ) > 0 || len(ws.AnchorU) > 0 {
-			a, err := statsFromBits(snapshot.WorkerStats{ID: ws.ID, Q: ws.AnchorQ, U: ws.AnchorU}, s.m)
+			a, err := validStats(snapshot.WorkerStats{ID: ws.ID, Q: ws.AnchorQ, U: ws.AnchorU}, s.m)
 			if err != nil {
 				return fmt.Errorf("core: snapshot anchor: %w", err)
 			}
@@ -315,15 +314,10 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 				return fmt.Errorf("core: snapshot golden answer for %q has choice out of range", ws.ID)
 			}
 		}
-		for _, tid := range ws.Answered {
-			if _, ok := byID[tid]; !ok {
-				return fmt.Errorf("core: snapshot answered set for %q holds unknown task %d", ws.ID, tid)
-			}
-		}
 	}
 	storeStats := make([]storeEntry, 0, len(snap.Store))
 	for _, ws := range snap.Store {
-		st, err := statsFromBits(ws, s.m)
+		st, err := validStats(ws, s.m)
 		if err != nil {
 			return err
 		}
@@ -331,7 +325,7 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 	}
 	storeProfiles := make([]storeEntry, 0, len(snap.StoreProfiles))
 	for _, ws := range snap.StoreProfiles {
-		st, err := statsFromBits(ws, s.m)
+		st, err := validStats(ws, s.m)
 		if err != nil {
 			return err
 		}
@@ -357,6 +351,7 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 		}
 	}
 	s.mu.Unlock()
+	s.publishSeq.Store(snap.PublishSeq)
 
 	for _, t := range tasks {
 		if golden[t.ID] {
@@ -365,8 +360,10 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 		if err := s.inc.AddTask(t); err != nil {
 			panic(fmt.Sprintf("core: snapshot restore: %v", err)) // virgin engine, validated tasks
 		}
-		if err := s.inc.RestoreTask(truthState(states[t.ID]), byTask[t.ID]); err != nil {
-			panic(fmt.Sprintf("core: snapshot restore: %v", err)) // dimensions validated above
+		if ts, ok := states[t.ID]; ok {
+			if err := s.inc.RestoreTask(truth.TaskState(ts), byTask[t.ID]); err != nil {
+				panic(fmt.Sprintf("core: snapshot restore: %v", err)) // dimensions validated above
+			}
 		}
 	}
 	statIDs := make([]string, 0, len(workerStats))
@@ -387,9 +384,13 @@ func (s *System) restoreSnapshot(snap *snapshot.State) error {
 			state.goldenAnswers = append(state.goldenAnswers,
 				model.Answer{Worker: ws.ID, Task: tid, Choice: ws.GoldenChoices[i]})
 		}
-		for _, tid := range ws.Answered {
-			state.answered[tid] = true
-		}
+		sh.mu.Unlock()
+	}
+	// Each worker's answered-task set is her projection of the log.
+	for _, a := range log {
+		sh := s.shard(a.Worker)
+		sh.mu.Lock()
+		sh.state(a.Worker).answered[a.Task] = true
 		sh.mu.Unlock()
 	}
 	for _, e := range storeStats {
@@ -429,19 +430,13 @@ type storeEntry struct {
 	st *truth.Stats
 }
 
-// statsFromBits rebuilds validated worker statistics from their raw-bit
-// encoding.
-func statsFromBits(ws snapshot.WorkerStats, m int) (*truth.Stats, error) {
-	st := &truth.Stats{Q: model.QualityVector(snapshot.Floats(ws.Q)), U: snapshot.Floats(ws.U)}
+// validStats turns codec worker statistics into validated engine form.
+func validStats(ws snapshot.WorkerStats, m int) (*truth.Stats, error) {
+	st := &truth.Stats{Q: ws.Q, U: ws.U}
 	if err := st.Validate(m); err != nil {
 		return nil, fmt.Errorf("core: snapshot worker %q: %w", ws.ID, err)
 	}
 	return st, nil
-}
-
-// truthState converts a codec task state to the truth engine's form.
-func truthState(ts snapshot.TaskState) truth.TaskState {
-	return truth.TaskState{ID: ts.ID, MHat: snapshot.FloatsMatrix(ts.MHat), S: snapshot.Floats(ts.S)}
 }
 
 // loadUsableSnapshot reads dir's snapshot and applies the trust guard: a
@@ -504,11 +499,7 @@ func (s *System) snapshotPass() error {
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
-	st, err := s.shadow.exportState(s.shadowSeq)
-	if err != nil {
-		return err
-	}
-	if err := snapshot.Write(s.walDir, st); err != nil {
+	if err := snapshot.Write(s.walDir, s.shadow.exportState(s.shadowSeq)); err != nil {
 		return err
 	}
 	s.snapSeq.Store(s.shadowSeq)
@@ -561,7 +552,7 @@ func (s *System) initShadow() error {
 	}
 	sh.recovering = true // permanent replay mode: sync reruns, no store merges
 	if snap, reject := loadUsableSnapshot(s.walDir); snap != nil && reject == "" {
-		if err := sh.restoreSnapshot(snap); err == nil {
+		if err := sh.restoreSnapshot(s.walDir, snap); err == nil {
 			s.shadowSeq = snap.Seq
 		}
 		// A restore failure is not fatal: the shadow just replays from zero

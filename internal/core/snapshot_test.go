@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,10 +25,7 @@ func writeStateAt(t *testing.T, cfg Config, dir string, recs []wal.Record, cover
 	ref := newSystem(t, cfg)
 	defer ref.Close()
 	applyPrefix(t, ref, recs[:covered])
-	st, err := ref.exportState(recs[covered-1].Seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := ref.exportState(recs[covered-1].Seq)
 	if err := snapshot.Write(dir, st); err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +35,7 @@ func writeStateAt(t *testing.T, cfg Config, dir string, recs []wal.Record, cover
 // state IS the serial state of its log — covering every record it replayed.
 func writeSnapshot(t *testing.T, s *System) {
 	t.Helper()
-	st, err := s.exportState(s.wal.ReservedSeq())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.exportState(s.wal.ReservedSeq())
 	if err := snapshot.Write(s.walDir, st); err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +86,9 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		if got := snapped.Fingerprint(); got != want {
 			t.Fatalf("case %d: snapshot boot differs from replay boot\nsnap: %.300s\nfull: %.300s", i, got, want)
 		}
+		// Encode(export(restore(Decode(b)))) == b: a snapshot survives a
+		// restore byte for byte, so it is stable across boots.
+		assertReexportIdentical(t, snapped, dir)
 
 		// Continue serving the same stream down both systems: any drift in
 		// the restored numerators, answer lists, worker stats or the rerun
@@ -124,6 +122,76 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// assertReexportIdentical re-exports a system that just booted from dir's
+// snapshot and asserts the encoding equals the file it booted from.
+func assertReexportIdentical(t *testing.T, s *System, dir string) {
+	t.Helper()
+	onDisk, err := os.ReadFile(filepath.Join(dir, snapshot.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.exportState(s.LastSnapshotSeq())
+	again, err := snapshot.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, onDisk) {
+		t.Fatalf("re-export after restore is %d bytes and differs from the %d-byte snapshot restored", len(again), len(onDisk))
+	}
+}
+
+// TestSnapshotSparseTaskStates: a snapshot carries inference state only for
+// the tasks something touched. Answers on 3 of 200 tasks with no rerun
+// encode exactly 3 task states; the other 197 restore to the registration
+// prior, and the restored system re-exports the identical bytes.
+func TestSnapshotSparseTaskStates(t *testing.T) {
+	cfg := Config{GoldenCount: -1, HITSize: 4, RerunEvery: -1, WALSegmentBytes: 1 << 10}
+	dir := t.TempDir()
+	live := newSystem(t, cfg)
+	if _, err := live.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Publish(concTasks(live.m, 200)); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []int{7, 90, 199} {
+		if err := live.Submit(fmt.Sprintf("w%d", i), id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := live.Fingerprint()
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	full := newSystem(t, cfg)
+	if _, err := full.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	st := full.exportState(full.wal.ReservedSeq())
+	if len(st.TaskStates) != 3 {
+		t.Fatalf("snapshot holds %d task states, want the 3 answered tasks", len(st.TaskStates))
+	}
+	writeSnapshot(t, full)
+	if err := full.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snapped := newSystem(t, cfg)
+	defer snapped.Close()
+	info, err := snapped.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.SnapshotUsed || info.Records != 0 {
+		t.Fatalf("sparse snapshot not used (%+v)", info)
+	}
+	if got := snapped.Fingerprint(); got != want {
+		t.Fatalf("sparse snapshot boot differs from the live state\n%s", DiffFingerprints(got, want, 4))
+	}
+	assertReexportIdentical(t, snapped, dir)
 }
 
 // TestSnapshotFallbackLoud: a torn, corrupt, or log-overreaching snapshot
@@ -181,6 +249,40 @@ func TestSnapshotFallbackLoud(t *testing.T) {
 	corrupt("torn tail", func(b []byte) []byte { return b[:len(b)-7] })
 	corrupt("payload rot", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b })
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
+	// The previous (JSON) format: unreadable, so the campaign pays one full
+	// replay and its next snapshot pass writes the current format.
+	corrupt("DOCSSNP2 file", func(b []byte) []byte { copy(b, "DOCSSNP2"); return b })
+
+	// CRC-valid snapshots that contradict the log they sit beside.
+	edited := func(edit func(*snapshot.State)) func([]byte) []byte {
+		return func(b []byte) []byte {
+			st, err := snapshot.Decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(st)
+			out, err := snapshot.Encode(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	corrupt("log names a task without a state", edited(func(st *snapshot.State) {
+		for i, ts := range st.TaskStates {
+			if ts.ID == st.Log.T[0] {
+				st.TaskStates = append(st.TaskStates[:i:i], st.TaskStates[i+1:]...)
+				return
+			}
+		}
+		t.Fatal("no state for the first logged task")
+	}))
+	corrupt("publish record is not where the snapshot says", edited(func(st *snapshot.State) {
+		st.PublishSeq++
+	}))
+	corrupt("publish record past the snapshot", edited(func(st *snapshot.State) {
+		st.PublishSeq = st.Seq + 1
+	}))
 
 	// A snapshot claiming sequences past the durable log (what a power loss
 	// under SyncNever leaves behind): crash the log at a prefix but keep
@@ -234,10 +336,7 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 	for _, j := range snapAt {
 		ref := newSystem(t, cfg)
 		applyPrefix(t, ref, recs[:j])
-		st, err := ref.exportState(recs[j-1].Seq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := ref.exportState(recs[j-1].Seq)
 		states[j] = st
 		if err := ref.Close(); err != nil {
 			t.Fatal(err)

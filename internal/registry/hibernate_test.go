@@ -1,8 +1,11 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"docs/internal/core"
 	"docs/internal/mathx"
 	"docs/internal/model"
+	"docs/internal/snapshot"
 )
 
 // The hibernation lifecycle suite. Hibernate/wake cycles must be invisible
@@ -213,6 +217,74 @@ func TestHibernateWakeFingerprintExact(t *testing.T) {
 	}
 	if total, _, _ := ref.WakeStats(); total != 0 {
 		t.Fatalf("reference registry woke %d campaigns", total)
+	}
+}
+
+// TestCleanEvictionWritesNothing: a campaign woken only to be read — no
+// record logged since the snapshot it booted from — hibernates without
+// touching the snapshot file (Hibernate returns before it would build a
+// shadow replica), and the wake after that is still a zero-suffix snapshot
+// restore.
+func TestCleanEvictionWritesNothing(t *testing.T) {
+	root := t.TempDir()
+	reg, err := Open(crashConfig(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	sys, err := reg.Create("reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 2)); err != nil {
+		t.Fatal(err)
+	}
+	driveInterleaved(t, reg, []string{"reader"}, 3, 5)
+	if err := reg.Hibernate("reader"); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(root, campaignsDir, "reader", snapshot.FileName)
+	before, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Backdate the file so a rewrite of identical bytes would still show.
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(snapPath, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	var want string
+	for cycle := 0; cycle < 2; cycle++ {
+		sys, err = reg.Get("reader") // wakes
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := sys.Recovery(); !info.SnapshotUsed || info.Records != 0 {
+			t.Fatalf("cycle %d: wake replayed %d records (snapshot used: %v, rejected: %q)",
+				cycle, info.Records, info.SnapshotUsed, info.SnapshotRejected)
+		}
+		fp := sys.Fingerprint()
+		if cycle == 0 {
+			want = fp
+		} else if fp != want {
+			t.Fatalf("cycle %d: state changed across a clean eviction", cycle)
+		}
+		_, _ = sys.Result(0)
+		if err := reg.Hibernate("reader"); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) || !st.ModTime().Equal(old) {
+			t.Fatalf("cycle %d: clean eviction rewrote the snapshot (mtime %v, want %v)", cycle, st.ModTime(), old)
+		}
 	}
 }
 

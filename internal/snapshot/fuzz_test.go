@@ -1,0 +1,69 @@
+package snapshot
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// elements counts every slice element, string byte and struct a decoded
+// state holds — what Decode had to allocate for.
+func elements(st *State) int {
+	stats := func(ws []WorkerStats) int {
+		n := len(ws)
+		for _, w := range ws {
+			n += len(w.ID) + len(w.Q) + len(w.U)
+		}
+		return n
+	}
+	n := len(st.GoldenIDs) + len(st.TaskStates) + stats(st.Workers) + len(st.Serving) +
+		stats(st.Store) + stats(st.StoreProfiles) +
+		len(st.Log.Workers) + len(st.Log.W) + len(st.Log.T) + len(st.Log.C)
+	for _, ts := range st.TaskStates {
+		n += len(ts.MHat) + len(ts.MHat)*len(ts.S) + len(ts.S)
+	}
+	for _, ws := range st.Serving {
+		n += len(ws.ID) + len(ws.GoldenTasks) + len(ws.GoldenChoices) + len(ws.AnchorQ) + len(ws.AnchorU)
+	}
+	for _, w := range st.Log.Workers {
+		n += len(w)
+	}
+	return n
+}
+
+// FuzzSnapshotDecode drives arbitrary bytes through the snapshot decoder.
+// It reads whatever a crash or rot left on disk at every boot and wake, so
+// it must never panic, must reject with ErrCorrupt only, must not allocate
+// more elements than the input has bytes (a hostile count cannot buy
+// memory), and must accept only canonical images — an accepted input
+// re-encodes to the identical bytes. Seed corpus lives in
+// testdata/fuzz/FuzzSnapshotDecode (checked in): a real campaign's
+// snapshot, the same cut at three points, with one byte flipped inside the
+// frame, and with a count field set to 2^63.
+func FuzzSnapshotDecode(f *testing.F) {
+	data, err := Encode(sampleState())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(magic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Decode(data)
+		if err != nil {
+			if st != nil || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection returned state %v, error %v", st, err)
+			}
+			return
+		}
+		if n := elements(st); n > len(data) {
+			t.Fatalf("decoded %d elements out of %d bytes", n, len(data))
+		}
+		again, err := Encode(st)
+		if err != nil {
+			t.Fatalf("accepted state does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, again)
+		}
+	})
+}

@@ -14,21 +14,43 @@
 // serializes that (see docs/internal/core's snapshot worker). This package
 // is just the codec and the atomic file protocol.
 //
-// Every float64 that participates in inference — the truth-matrix
-// numerators M̂, the probabilistic truths s, worker quality q and weight u
-// — is stored as its raw IEEE-754 bits (uint64), so "close" can never pass
-// for "equal" across an encode/decode round trip. Task metadata travels as
-// the same JSON encoding the WAL's publish record uses.
+// A snapshot holds only what the log and the publication do not already
+// determine. Three things are derivable and therefore absent: the
+// publication itself (PublishSeq names the WAL record that carries it — the
+// log is gapless from sequence 1 and segments are never deleted), the
+// inference state of a task nothing has touched since it was registered
+// (it is the uniform prior truth.Incremental.AddTask computes), and each
+// worker's answered-task set (the per-worker projection of Log).
 //
 // # File format
 //
-//	magic "DOCSSNP2" | one frame: length (u32le) | CRC32-C (u32le) | JSON
+//	magic "DOCSSNP3" | one frame: length (u32le) | CRC32-C (u32le) | payload
 //
-// The magic doubles as the format version: "DOCSSNP2" added the per-worker
-// profile anchors (AnchorQ/AnchorU). A "DOCSSNP1" snapshot is rejected as
-// unreadable and the boot falls back to a full log replay, which
-// reconstructs the anchors from the WAL — an automatic, lossless
-// migration paid once in boot time.
+// The payload is binary: an integer is a minimal uvarint, a float64 is its
+// 8 raw IEEE-754 bytes little-endian (so "close" can never pass for
+// "equal"), a string or slice is a uvarint count followed by its elements.
+// Sections come in one fixed order, with no tags and no padding:
+//
+//	seq | publishSeq | answers
+//	goldenIDs    []int
+//	taskStates   [](id | rows | cols ≥ 1 | rows×cols floats M̂ | cols floats s)
+//	workers      []stats            stats = id string | q []float | u []float
+//	serving      [](id string | profiled 0/1 | goldenTasks []int |
+//	                goldenChoices []int | anchorQ []float | anchorU []float)
+//	store        []stats
+//	storeProfiles []stats
+//	log          workers []string | w []int | t []int | c []int
+//
+// The encoding is canonical — one State has one byte string, and Decode
+// accepts nothing Encode would not produce (overlong varints, a profiled
+// byte above 1 and trailing bytes are all corruption) — and every count is
+// checked against the bytes that remain before anything is allocated.
+//
+// The magic doubles as the format version. A snapshot with any other
+// magic ("DOCSSNP2" was the JSON encoding) is rejected as unreadable and
+// the boot falls back to a full log replay, which reconstructs everything
+// from the WAL — an automatic, lossless migration paid once per campaign
+// in boot time; the next snapshot pass writes the current format.
 //
 // The frame is the WAL's frame encoding (wal.EncodeFrame), so torn-write
 // discrimination follows the WAL's rule: a frame cut short by EOF is a
@@ -37,13 +59,15 @@
 // Either way the snapshot is rejected and the boot falls back to a full
 // log replay — losing time, never state.
 //
-// The file is written to a temp name, fsynced, renamed over
+// The file is written to <dir>/snapshot.tmp, fsynced, renamed over
 // <dir>/snapshot, and the directory fsynced, so readers see either the old
-// complete snapshot or the new complete snapshot, never a mix.
+// complete snapshot or the new complete snapshot, never a mix. A directory
+// has one snapshot writer at a time, so the temp name is fixed: what a
+// crash strands there is overwritten by the next write.
 package snapshot
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -56,7 +80,11 @@ import (
 // FileName is the snapshot's name inside a campaign's WAL directory.
 const FileName = "snapshot"
 
-const magic = "DOCSSNP2"
+// tmpName is where Write stages the next snapshot before renaming it over
+// FileName.
+const tmpName = FileName + ".tmp"
+
+const magic = "DOCSSNP3"
 
 // ErrCorrupt marks a snapshot file that exists but cannot be trusted —
 // torn, CRC-mismatched, undecodable, or structurally invalid. Boots treat
@@ -64,51 +92,53 @@ const magic = "DOCSSNP2"
 var ErrCorrupt = errors.New("snapshot: corrupt")
 
 // State is the complete recoverable state of one campaign at a WAL
-// sequence number. Restoring it and then replaying WAL records with
-// Seq > Seq reconstructs exactly the state a full replay would.
+// sequence number, given the campaign's log: restoring it and then
+// replaying WAL records with Seq > Seq reconstructs exactly the state a
+// full replay would.
 type State struct {
 	// Seq is the last WAL sequence number the snapshot covers.
-	Seq uint64 `json:"seq"`
+	Seq uint64
+	// PublishSeq is the sequence number of the WAL record that carries the
+	// publication (the task set with its DVE-computed domain vectors); 0 for
+	// an unpublished campaign. The restore reads the tasks from that record,
+	// so a restored publication is the replayed one by construction.
+	PublishSeq uint64
 	// Answers is the accepted non-golden answer count (the counter that
 	// drives the periodic-rerun cadence; must equal the log length).
-	Answers int64 `json:"answers"`
-	// Tasks is the published task set with DVE-computed domain vectors —
-	// the same JSON encoding the WAL's publish record carries, so a
-	// restored publication matches a replayed one exactly.
-	Tasks json.RawMessage `json:"tasks,omitempty"`
+	Answers int64
 	// GoldenIDs are the golden task IDs in publication order.
-	GoldenIDs []int `json:"golden_ids,omitempty"`
-	// TaskStates hold each non-golden task's inference state, sorted by ID.
-	TaskStates []TaskState `json:"task_states,omitempty"`
+	GoldenIDs []int
+	// TaskStates hold the inference state of every non-golden task touched
+	// since it was registered (answered, reseeded by a rerun, or restored),
+	// sorted by ID. An absent task is at its registration prior.
+	TaskStates []TaskState
 	// Workers are the truth engine's per-worker statistics, sorted by ID.
-	Workers []WorkerStats `json:"workers,omitempty"`
+	Workers []WorkerStats
 	// Serving is the orchestrator's per-worker serving state (golden
-	// answers, profiling flag, answered-task sets), sorted by ID.
-	Serving []WorkerServing `json:"serving,omitempty"`
+	// answers, profiling flag, profile anchor), sorted by ID.
+	Serving []WorkerServing
 	// Store holds the long-run worker store's contents — present only when
 	// the campaign runs over a memory-only store (a persistent store is
 	// durable on its own; recovery's only writes to it are idempotent
 	// merge-once profile repairs).
-	Store []WorkerStats `json:"store,omitempty"`
+	Store []WorkerStats
 	// StoreProfiles is the memory-only store's merge-once profile ledger:
-	// each recorded profile ID with its post-merge anchor bits (WorkerStats
-	// with ID holding the profile ID). Empty for persistent stores, whose
-	// ledger lives in their own file.
-	StoreProfiles []WorkerStats `json:"store_profiles,omitempty"`
+	// each recorded profile ID with its post-merge anchor (WorkerStats with
+	// ID holding the profile ID). Empty for persistent stores, whose ledger
+	// lives in their own file.
+	StoreProfiles []WorkerStats
 	// Log is the chronological non-golden answer log, column-packed.
-	Log Log `json:"log"`
+	Log Log
 }
 
 // Log is the chronological answer log in columnar form: Workers is a
 // dictionary in first-appearance order and W/T/C are parallel arrays of
-// (worker index, task ID, choice). Columnar integers decode an order of
-// magnitude faster than an array of objects, and the log dominates a
-// snapshot's size.
+// (worker index, task ID, choice).
 type Log struct {
-	Workers []string `json:"workers,omitempty"`
-	W       []int    `json:"w,omitempty"`
-	T       []int    `json:"t,omitempty"`
-	C       []int    `json:"c,omitempty"`
+	Workers []string
+	W       []int
+	T       []int
+	C       []int
 }
 
 // Len returns the number of logged answers.
@@ -118,108 +148,173 @@ func (l *Log) Len() int { return len(l.W) }
 // answers are not stored: they are exactly the per-task subsequence of the
 // chronological log, from which the restore rebuilds them.
 type TaskState struct {
-	ID int `json:"id"`
+	ID int
 	// MHat are the raw (rescaled) numerators M̂ the incremental updates
 	// multiply into — not the normalized M, which is derived. Row per
-	// domain, column per choice, as float64 bits.
-	MHat [][]uint64 `json:"mhat"`
-	// S is the probabilistic truth s_i, as float64 bits.
-	S []uint64 `json:"s"`
+	// domain, column per choice; every row is len(S) long.
+	MHat [][]float64
+	// S is the probabilistic truth s_i.
+	S []float64
 }
 
-// WorkerStats is one worker's (q, u) statistics as float64 bits.
+// WorkerStats is one worker's (q, u) statistics.
 type WorkerStats struct {
-	ID string   `json:"id"`
-	Q  []uint64 `json:"q"`
-	U  []uint64 `json:"u"`
+	ID string
+	Q  []float64
+	U  []float64
 }
 
-// WorkerServing is one worker's orchestrator-side serving state.
+// WorkerServing is one worker's orchestrator-side serving state. The
+// regular tasks she answered are not stored: they are her entries in Log.
 type WorkerServing struct {
-	ID       string `json:"id"`
-	Profiled bool   `json:"profiled,omitempty"`
+	ID       string
+	Profiled bool
 	// GoldenTasks/GoldenChoices are the worker's golden answers in the
 	// order profiling consumed them.
-	GoldenTasks   []int `json:"golden_tasks,omitempty"`
-	GoldenChoices []int `json:"golden_choices,omitempty"`
-	// Answered are the regular tasks the worker answered (T(w)), sorted.
-	Answered []int `json:"answered,omitempty"`
+	GoldenTasks   []int
+	GoldenChoices []int
 	// AnchorQ/AnchorU are the worker's pinned profile anchor — the
 	// long-run store statistics adopted when she was profiled or first
-	// seeded — as float64 bits. Both empty when no anchor is pinned.
-	AnchorQ []uint64 `json:"anchor_q,omitempty"`
-	AnchorU []uint64 `json:"anchor_u,omitempty"`
-}
-
-// Bits converts floats to their raw IEEE-754 bits.
-func Bits(fs []float64) []uint64 {
-	out := make([]uint64, len(fs))
-	for i, f := range fs {
-		out[i] = math.Float64bits(f)
-	}
-	return out
-}
-
-// Floats converts raw bits back to floats.
-func Floats(bs []uint64) []float64 {
-	out := make([]float64, len(bs))
-	for i, b := range bs {
-		out[i] = math.Float64frombits(b)
-	}
-	return out
-}
-
-// BitsMatrix converts a float matrix to raw bits row by row.
-func BitsMatrix(m [][]float64) [][]uint64 {
-	out := make([][]uint64, len(m))
-	for i, row := range m {
-		out[i] = Bits(row)
-	}
-	return out
-}
-
-// FloatsMatrix converts a bit matrix back to floats row by row.
-func FloatsMatrix(m [][]uint64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = Floats(row)
-	}
-	return out
+	// seeded. Both empty when no anchor is pinned.
+	AnchorQ []float64
+	AnchorU []float64
 }
 
 // Encode renders the state as a complete snapshot file image. Snapshots
 // are compared bit-for-bit across boots, so Encode is a docs-lint
-// determinism root (json.Marshal of the State struct is deterministic:
-// fields in declaration order, floats already converted to raw bits).
+// determinism root (the encoding is a pure function of the State: fields
+// in the package comment's order, floats as raw bits). It fails only on a
+// State the format cannot express: a negative integer, or a task state
+// whose S is empty or whose M̂ rows are not len(S) long.
 //
 //docs:deterministic
 func Encode(st *State) ([]byte, error) {
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: encode: %w", err)
+	if st.Answers < 0 {
+		return nil, fmt.Errorf("snapshot: encode: negative answer count %d", st.Answers)
 	}
-	out := make([]byte, 0, len(magic)+8+len(payload))
+	var e encoder
+	e.uvarint(st.Seq)
+	e.uvarint(st.PublishSeq)
+	e.uvarint(uint64(st.Answers))
+	e.ints(st.GoldenIDs)
+	e.count(len(st.TaskStates))
+	for _, ts := range st.TaskStates {
+		if len(ts.S) == 0 {
+			return nil, fmt.Errorf("snapshot: encode: task %d has no choices", ts.ID)
+		}
+		e.int(ts.ID)
+		e.count(len(ts.MHat))
+		e.count(len(ts.S))
+		for _, row := range ts.MHat {
+			if len(row) != len(ts.S) {
+				return nil, fmt.Errorf("snapshot: encode: task %d has an M̂ row of %d choices, want %d",
+					ts.ID, len(row), len(ts.S))
+			}
+			e.rawFloats(row)
+		}
+		e.rawFloats(ts.S)
+	}
+	e.stats(st.Workers)
+	e.count(len(st.Serving))
+	for _, ws := range st.Serving {
+		e.str(ws.ID)
+		profiled := byte(0)
+		if ws.Profiled {
+			profiled = 1
+		}
+		e.b = append(e.b, profiled)
+		e.ints(ws.GoldenTasks)
+		e.ints(ws.GoldenChoices)
+		e.floats(ws.AnchorQ)
+		e.floats(ws.AnchorU)
+	}
+	e.stats(st.Store)
+	e.stats(st.StoreProfiles)
+	e.count(len(st.Log.Workers))
+	for _, w := range st.Log.Workers {
+		e.str(w)
+	}
+	e.ints(st.Log.W)
+	e.ints(st.Log.T)
+	e.ints(st.Log.C)
+	if e.err != nil {
+		return nil, fmt.Errorf("snapshot: encode: %w", e.err)
+	}
+	out := make([]byte, 0, len(magic)+8+len(e.b))
 	out = append(out, magic...)
-	return wal.EncodeFrame(out, payload), nil
+	return wal.EncodeFrame(out, e.b), nil
+}
+
+// encoder appends the payload's primitives; the first value the format
+// cannot express is kept in err and reported once by Encode.
+type encoder struct {
+	b   []byte
+	err error
+}
+
+func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *encoder) count(n int)      { e.uvarint(uint64(n)) }
+
+func (e *encoder) int(v int) {
+	if v < 0 && e.err == nil {
+		e.err = fmt.Errorf("negative integer %d", v)
+	}
+	e.uvarint(uint64(v))
+}
+
+func (e *encoder) ints(vs []int) {
+	e.count(len(vs))
+	for _, v := range vs {
+		e.int(v)
+	}
+}
+
+func (e *encoder) str(s string) {
+	e.count(len(s))
+	e.b = append(e.b, s...)
+}
+
+func (e *encoder) rawFloats(fs []float64) {
+	for _, f := range fs {
+		e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f))
+	}
+}
+
+func (e *encoder) floats(fs []float64) {
+	e.count(len(fs))
+	e.rawFloats(fs)
+}
+
+func (e *encoder) stats(ws []WorkerStats) {
+	e.count(len(ws))
+	for _, w := range ws {
+		e.str(w.ID)
+		e.floats(w.Q)
+		e.floats(w.U)
+	}
 }
 
 // Decode parses a snapshot file image, distinguishing a torn tail (frame
 // cut short by EOF) from present-but-wrong bytes; both reject the snapshot
-// with ErrCorrupt, carrying the reason.
+// with ErrCorrupt, carrying the reason. It never panics on arbitrary input
+// and allocates no slice longer than the bytes that remain to fill it
+// (FuzzSnapshotDecode holds it to both).
 func Decode(data []byte) (*State, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
 	var st *State
-	frames := 0
 	torn, err := wal.DecodeFrames(data[len(magic):], func(payload []byte) error {
-		frames++
-		if frames > 1 {
+		if st != nil {
 			return fmt.Errorf("%w: trailing frame after state", ErrCorrupt)
 		}
-		st = new(State)
-		if jerr := json.Unmarshal(payload, st); jerr != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, jerr)
+		d := decoder{b: payload}
+		st = d.state()
+		if d.err == nil && len(d.b) != 0 {
+			d.err = fmt.Errorf("%d trailing bytes after state", len(d.b))
+		}
+		if d.err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, d.err)
 		}
 		return nil
 	})
@@ -238,6 +333,171 @@ func Decode(data []byte) (*State, error) {
 	return st, nil
 }
 
+// decoder pops the payload's primitives off b. The first malformed field
+// is kept in err; after it every pop returns a zero value without
+// consuming anything, so the section loops run out harmlessly and Decode
+// reports the one error.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+		d.b = nil
+	}
+}
+
+// uvarint pops one uvarint, rejecting non-minimal encodings: the format is
+// canonical, so every accepted payload re-encodes to the same bytes.
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || (n > 1 && v>>(7*(n-1)) == 0) {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) int() int {
+	v := d.uvarint()
+	if v > math.MaxInt {
+		d.fail("integer %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
+
+// count pops an element count and checks it against the bytes remaining,
+// each element taking at least size bytes — so the caller may allocate
+// count elements before reading them.
+func (d *decoder) count(size int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/size) {
+		d.fail("count %d exceeds the %d bytes remaining", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) ints() []int {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = d.int()
+	}
+	return out
+}
+
+func (d *decoder) str() string {
+	n := d.count(1)
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// rawFloats fills dst from the next 8·len(dst) bytes, which the caller has
+// already checked are there.
+func (d *decoder) rawFloats(dst []float64) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*i:]))
+	}
+	d.b = d.b[8*len(dst):]
+}
+
+func (d *decoder) floats() []float64 {
+	n := d.count(8)
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, n)
+	d.rawFloats(out)
+	return out
+}
+
+func (d *decoder) stats() []WorkerStats {
+	n := d.count(3)
+	if n == 0 {
+		return nil
+	}
+	out := make([]WorkerStats, n)
+	for i := range out {
+		out[i] = WorkerStats{ID: d.str(), Q: d.floats(), U: d.floats()}
+	}
+	return out
+}
+
+// taskState pops one task state. M̂ and s share one allocation: the
+// (rows+1)×cols floats are contiguous in the payload.
+func (d *decoder) taskState() TaskState {
+	ts := TaskState{ID: d.int()}
+	rows, cols := d.count(1), d.count(8)
+	if d.err != nil {
+		return ts
+	}
+	if cols == 0 || rows+1 > len(d.b)/8/cols {
+		d.fail("task %d state of %d×%d floats does not fit the %d bytes remaining", ts.ID, rows+1, cols, len(d.b))
+		return ts
+	}
+	flat := make([]float64, (rows+1)*cols)
+	d.rawFloats(flat)
+	if rows > 0 {
+		ts.MHat = make([][]float64, rows)
+		for k := range ts.MHat {
+			ts.MHat[k] = flat[k*cols : (k+1)*cols : (k+1)*cols]
+		}
+	}
+	ts.S = flat[rows*cols:]
+	return ts
+}
+
+func (d *decoder) state() *State {
+	st := &State{Seq: d.uvarint(), PublishSeq: d.uvarint()}
+	answers := d.uvarint()
+	if answers > math.MaxInt64 {
+		d.fail("answer count %d out of range", answers)
+	}
+	st.Answers = int64(answers)
+	st.GoldenIDs = d.ints()
+	if n := d.count(11); n > 0 {
+		st.TaskStates = make([]TaskState, n)
+		for i := range st.TaskStates {
+			st.TaskStates[i] = d.taskState()
+		}
+	}
+	st.Workers = d.stats()
+	if n := d.count(6); n > 0 {
+		st.Serving = make([]WorkerServing, n)
+		for i := range st.Serving {
+			ws := &st.Serving[i]
+			ws.ID = d.str()
+			if len(d.b) == 0 || d.b[0] > 1 {
+				d.fail("bad profiled flag")
+			} else {
+				ws.Profiled = d.b[0] == 1
+				d.b = d.b[1:]
+			}
+			ws.GoldenTasks, ws.GoldenChoices = d.ints(), d.ints()
+			ws.AnchorQ, ws.AnchorU = d.floats(), d.floats()
+		}
+	}
+	st.Store = d.stats()
+	st.StoreProfiles = d.stats()
+	if n := d.count(1); n > 0 {
+		st.Log.Workers = make([]string, n)
+		for i := range st.Log.Workers {
+			st.Log.Workers[i] = d.str()
+		}
+	}
+	st.Log.W, st.Log.T, st.Log.C = d.ints(), d.ints(), d.ints()
+	return st
+}
+
 // Write atomically replaces dir's snapshot with the given state: temp
 // file, fsync, rename, directory fsync. A crash at any point leaves either
 // the previous snapshot or the new one.
@@ -249,28 +509,13 @@ func Write(dir string, st *State) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".snapshot-*")
-	if err != nil {
+	tmp := filepath.Join(dir, tmpName)
+	if err := writeSynced(tmp, data); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, FileName)); err != nil {
-		os.Remove(tmpName)
+	if err := os.Rename(tmp, filepath.Join(dir, FileName)); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	d, err := os.Open(dir)
@@ -282,6 +527,23 @@ func Write(dir string, st *State) error {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
+}
+
+// writeSynced creates or truncates path, writes data and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Read loads dir's snapshot, or (nil, nil) when none exists. Any other

@@ -21,10 +21,15 @@ type TaskState struct {
 	S    []float64
 }
 
-// ExportTasks returns every registered task's internal inference state,
-// sorted by task ID. All slices are private copies. The export is a
-// consistent cut only on a quiescent engine — the serving core calls it on
-// its serial shadow replica, which nothing mutates concurrently.
+// ExportTasks returns the internal inference state of every task touched
+// since AddTask registered it — answered, reseeded by a rerun, or restored
+// — sorted by task ID. An untouched task is left out: its state is the
+// prior AddTask derives from the task alone, which a restore re-derives by
+// registering it. RestoreTask marks a task touched, so the exported set is
+// the same before and after a restore. All slices are private copies. The
+// export is a consistent cut only on a quiescent engine — the serving core
+// calls it on its serial shadow replica, which nothing mutates
+// concurrently.
 func (inc *Incremental) ExportTasks() []TaskState {
 	inc.mu.RLock()
 	ids := make([]int, 0, len(inc.tasks))
@@ -33,19 +38,21 @@ func (inc *Incremental) ExportTasks() []TaskState {
 	}
 	inc.mu.RUnlock()
 	sort.Ints(ids)
-	out := make([]TaskState, 0, len(ids))
+	var out []TaskState
 	for _, id := range ids {
 		it := inc.lookup(id)
 		if it == nil {
 			continue
 		}
 		it.mu.Lock()
-		ts := TaskState{ID: id, MHat: make([][]float64, len(it.mhat)), S: mathx.Clone(it.s)}
-		for k, row := range it.mhat {
-			ts.MHat[k] = mathx.Clone(row)
+		if it.touched {
+			ts := TaskState{ID: id, MHat: make([][]float64, len(it.mhat)), S: mathx.Clone(it.s)}
+			for k, row := range it.mhat {
+				ts.MHat[k] = mathx.Clone(row)
+			}
+			out = append(out, ts)
 		}
 		it.mu.Unlock()
-		out = append(out, ts)
 	}
 	return out
 }
@@ -79,6 +86,7 @@ func (inc *Incremental) RestoreTask(ts TaskState, answers []model.Answer) error 
 	}
 	it.s = mathx.Clone(ts.S)
 	it.answers = append(it.answers[:0], answers...)
+	it.touched = true
 	it.publishView(inc.epoch.Add(1))
 	it.mu.Unlock()
 	return nil

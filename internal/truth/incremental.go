@@ -65,6 +65,10 @@ type incTask struct {
 	s       []float64
 	answers []model.Answer
 	qbuf    []float64 // scratch copy of the submitting worker's quality
+	// touched is set by every mutation after AddTask (Submit, Reseed,
+	// RestoreTask). An untouched task is at the prior AddTask computes from
+	// the task alone, so ExportTasks leaves it out.
+	touched bool
 
 	view atomic.Pointer[TaskView]
 }
@@ -322,6 +326,7 @@ func (inc *Incremental) Submit(a model.Answer) error {
 	}
 
 	it.answers = append(it.answers, a)
+	it.touched = true
 	it.publishView(inc.epoch.Add(1))
 	return nil
 }
@@ -450,6 +455,7 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 		}
 		it.s = mathx.Clone(res.S[i])
 		it.answers = append(it.answers[:0], snap...)
+		it.touched = true
 		it.publishView(inc.epoch.Add(1))
 		it.mu.Unlock()
 	}
