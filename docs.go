@@ -117,6 +117,7 @@ import (
 
 	"docs/internal/core"
 	"docs/internal/kb"
+	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/store"
 	"docs/internal/truth"
@@ -501,7 +502,7 @@ func (s *System) Results() ([]Result, error) {
 	tasks := s.sys.InferTasks()
 	out := make([]Result, len(tasks))
 	for i, t := range tasks {
-		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: res.S[i]}
+		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
 	}
 	return out, nil
 }
@@ -539,7 +540,7 @@ func InferTruth(tasks []Task, answers []Answer) ([]Result, error) {
 	}
 	out := make([]Result, len(internal))
 	for i, t := range internal {
-		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: res.S[i]}
+		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
 	}
 	return out, nil
 }

@@ -145,3 +145,60 @@ func TestInferTruthValidation(t *testing.T) {
 		t.Error("out-of-range answer accepted")
 	}
 }
+
+// TestResultsConfidenceIsCallersCopy: a Confidence slice belongs to the
+// caller. Rewriting one in place — or appending to it — must reach neither a
+// neighbouring result nor anything a later call returns.
+func TestResultsConfidenceIsCallersCopy(t *testing.T) {
+	sys, err := New(Config{GoldenCount: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(exampleTasks()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Submit("alice", 1, 0); err != nil { // tasks 0 and 2 stay unanswered
+		t.Fatal(err)
+	}
+	vandalize := func(results []Result) [][]float64 {
+		kept := make([][]float64, len(results))
+		for i, r := range results {
+			kept[i] = append([]float64(nil), r.Confidence...)
+		}
+		c := results[0].Confidence
+		for j := range c {
+			c[j] = -1
+		}
+		_ = append(c, -1)
+		for i, r := range results[1:] {
+			for j, x := range r.Confidence {
+				if x != kept[i+1][j] {
+					t.Errorf("task %d confidence[%d] = %g after writing task %d's, was %g", r.TaskID, j, x, results[0].TaskID, kept[i+1][j])
+				}
+			}
+		}
+		return kept
+	}
+	first, err := sys.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := vandalize(first)
+	second, err := sys.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range second {
+		for j, x := range r.Confidence {
+			if x != want[i][j] {
+				t.Errorf("second Results: task %d confidence[%d] = %g, want %g", r.TaskID, j, x, want[i][j])
+			}
+		}
+	}
+
+	offline, err := InferTruth(exampleTasks(), []Answer{{Worker: "alice", TaskID: 1, Choice: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vandalize(offline)
+}

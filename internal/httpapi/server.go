@@ -51,7 +51,10 @@ type Server struct {
 	reg      *docs.Registry
 	cfg      docs.Config
 	maxBatch int
-	start    time.Time
+	// maxPublishBody is maxPublishBodyBytes; a field only so the in-package
+	// tests can exercise the cap without posting 64 MiB.
+	maxPublishBody int64
+	start          time.Time
 
 	// rateMu guards the per-campaign observations behind the /stats recent
 	// answer rate; it is touched only by /stats calls, never the hot path.
@@ -78,6 +81,12 @@ const defaultCampaign = "default"
 // maxSmallBodyBytes caps the bodies of POST /submit and POST /campaigns,
 // whose legitimate payloads (one answer, one name) are well under 1 KiB.
 const maxSmallBodyBytes = 4 << 10
+
+// maxPublishBodyBytes caps the body of POST /publish. A publication is the
+// one legitimately large request (6,000 tasks are about 1.3 MB), so the cap
+// is generous; it exists so the decoder cannot be made to buffer without
+// bound.
+const maxPublishBodyBytes = 64 << 20
 
 // Options tunes the handler independently of the campaign Config.
 type Options struct {
@@ -108,7 +117,7 @@ func New(cfg docs.Config, opts Options) (*Server, error) {
 		maxBatch = DefaultMaxBatch
 	}
 	//docs:allow clock uptime anchor for /stats; reporting only, never durable
-	s := &Server{reg: reg, cfg: cfg, maxBatch: maxBatch, start: time.Now(), rates: make(map[string]rateObs)}
+	s := &Server{reg: reg, cfg: cfg, maxBatch: maxBatch, maxPublishBody: maxPublishBodyBytes, start: time.Now(), rates: make(map[string]rateObs)}
 	// Prune the per-campaign /stats rate observation whenever a campaign
 	// leaves memory, so the map is bounded by the resident set even when
 	// an LRU cap or idle sweeps cycle thousands of campaigns through. The
@@ -267,6 +276,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	var req publishRequest
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxPublishBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
 		return

@@ -159,7 +159,7 @@ func TestServerLifecycle(t *testing.T) {
 }
 
 func TestServerValidation(t *testing.T) {
-	ts, _ := testServer(t)
+	ts, srv := testServer(t)
 	if resp, _ := doJSON(t, "POST", ts.URL+"/publish", map[string]any{"tasks": []any{}}); resp.StatusCode != 400 {
 		t.Errorf("empty publish = %d, want 400", resp.StatusCode)
 	}
@@ -180,6 +180,20 @@ func TestServerValidation(t *testing.T) {
 	}
 	if resp, _ := doJSON(t, "GET", ts.URL+"/worker", nil); resp.StatusCode != 400 {
 		t.Errorf("missing worker id = %d, want 400", resp.StatusCode)
+	}
+	// An oversized /publish body (a valid publication padded past the cap,
+	// lowered here from maxPublishBodyBytes) is refused and publishes
+	// nothing; a correct publish afterwards succeeds.
+	srv.maxPublishBody = 8 << 10
+	padded := publishBody()
+	padded["pad"] = strings.Repeat("x", 16<<10)
+	if resp, _ := doJSON(t, "POST", ts.URL+"/publish", padded); resp.StatusCode < 400 || resp.StatusCode > 499 {
+		t.Errorf("oversized publish = %d, want 4xx", resp.StatusCode)
+	}
+	var unpublished statsJSON
+	mustGetJSON(t, ts.URL+"/stats", &unpublished)
+	if unpublished.Published {
+		t.Error("oversized publish took effect")
 	}
 	// An oversized /submit body (a valid answer padded past the cap) is
 	// refused and applies nothing.

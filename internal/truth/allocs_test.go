@@ -1,0 +1,152 @@
+package truth
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"docs/internal/mathx"
+	"docs/internal/model"
+)
+
+// Allocation guards for the cost model: an unanswered task costs the rerun
+// and the engine a few machine words, never an m×ℓ matrix.
+
+const (
+	allocM   = 26
+	allocEll = 4
+	// allocMatrixBytes is what one m×ℓ matrix of float64 weighs, headers
+	// aside: the object no unanswered task may cost.
+	allocMatrixBytes = allocM * allocEll * 8
+)
+
+func skipAllocsUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+}
+
+// allocBytes is the heap f allocates, the least of three runs.
+func allocBytes(f func()) uint64 {
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for run := 0; run < 3; run++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// allocCampaign is nAnswered tasks with three answers each followed by
+// nUnanswered tasks with none.
+func allocCampaign(t *testing.T, nAnswered, nUnanswered int) ([]*model.Task, *model.AnswerSet) {
+	t.Helper()
+	r := mathx.NewRand(5)
+	tasks := make([]*model.Task, nAnswered+nUnanswered)
+	as := model.NewAnswerSet()
+	for i := range tasks {
+		tasks[i] = &model.Task{
+			ID: i, Text: "t", Choices: make([]string, allocEll),
+			Domain: model.DomainVector(r.Dirichlet(allocM, 0.5)),
+			Truth:  model.NoTruth, TrueDomain: model.NoTruth,
+		}
+		for w := 0; i < nAnswered && w < 3; w++ {
+			a := model.Answer{Worker: fmt.Sprintf("w%d", (i+w)%10), Task: i, Choice: r.Intn(allocEll)}
+			if err := as.Add(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tasks, as
+}
+
+func TestAllocsInferUnansweredTask(t *testing.T) {
+	skipAllocsUnderRace(t)
+	const nUnanswered = 5000
+	small, smallSet := allocCampaign(t, 50, 0)
+	large, largeSet := allocCampaign(t, 50, nUnanswered)
+	infer := func(tasks []*model.Task, as *model.AnswerSet, iters int) func() {
+		return func() {
+			if _, err := Infer(tasks, as, allocM, Options{MaxIter: iters, Epsilon: -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := allocBytes(infer(small, smallSet, 20))
+	with := allocBytes(infer(large, largeSet, 20))
+	perTask := float64(with-base) / nUnanswered
+	t.Logf("Infer: %d B over 50 answered tasks, %.1f B per additional unanswered task", base, perTask)
+	if perTask >= 100 {
+		t.Errorf("an unanswered task costs Infer %.1f B, want < 100 (its ℓ floats of S and its result slots)", perTask)
+	}
+
+	at5 := testing.AllocsPerRun(5, infer(large, largeSet, 5))
+	at20 := testing.AllocsPerRun(5, infer(large, largeSet, 20))
+	t.Logf("Infer: %.0f allocations at 5 iterations, %.0f at 20", at5, at20)
+	if at20 != at5 {
+		t.Errorf("Infer allocates %.0f times at 20 iterations but %.0f at 5: something allocates per iteration", at20, at5)
+	}
+}
+
+func TestAllocsAddTaskSharesPrior(t *testing.T) {
+	skipAllocsUnderRace(t)
+	const n = 2000
+	tasks, _ := allocCampaign(t, 0, n+1)
+	inc := NewIncremental(allocM)
+	if err := inc.AddTask(tasks[n]); err != nil { // the first task of this (m, ℓ) builds the shared states
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, tk := range tasks[:n] {
+		if err := inc.AddTask(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.TotalAlloc-before.TotalAlloc) / n
+	count := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("AddTask: %.1f B in %.2f allocations per task", perTask, count)
+	// incTask + s + TaskView + the task map's growth; a private matrix alone
+	// would be 27 allocations and allocMatrixBytes more.
+	if count > 5 || perTask >= allocMatrixBytes/2 {
+		t.Errorf("AddTask of a seen ℓ costs %.1f B in %.2f allocations, want ≤ 5 allocations and < %d B", perTask, count, allocMatrixBytes/2)
+	}
+}
+
+func TestAllocsRepeatReseed(t *testing.T) {
+	skipAllocsUnderRace(t)
+	const nUnanswered = 2000
+	reseedBytes := func(nUnanswered int) uint64 {
+		tasks, as := allocCampaign(t, 50, nUnanswered)
+		inc := NewIncremental(allocM)
+		for _, tk := range tasks {
+			if err := inc.AddTask(tk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, a := range as.All() {
+			if err := inc.Submit(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := Infer(tasks, as, allocM, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc.Reseed(tasks, res, as)
+		return allocBytes(func() { inc.Reseed(tasks, res, as) })
+	}
+	base := reseedBytes(0)
+	perTask := float64(reseedBytes(nUnanswered)-base) / nUnanswered
+	t.Logf("second Reseed: %d B over 50 answered tasks, %.1f B per additional unanswered task", base, perTask)
+	// One TaskView and one slot in the sorted entry list.
+	if perTask >= allocMatrixBytes/4 {
+		t.Errorf("an unanswered task costs a repeat Reseed %.1f B, want < %d", perTask, allocMatrixBytes/4)
+	}
+}

@@ -46,11 +46,7 @@ func (inc *Incremental) ExportTasks() []TaskState {
 		}
 		it.mu.Lock()
 		if it.touched {
-			ts := TaskState{ID: id, MHat: make([][]float64, len(it.mhat)), S: mathx.Clone(it.s)}
-			for k, row := range it.mhat {
-				ts.MHat[k] = mathx.Clone(row)
-			}
-			out = append(out, ts)
+			out = append(out, TaskState{ID: id, MHat: cloneMatrix(it.mhat), S: mathx.Clone(it.s)})
 		}
 		it.mu.Unlock()
 	}
@@ -81,13 +77,14 @@ func (inc *Incremental) RestoreTask(ts TaskState, answers []model.Answer) error 
 		return fmt.Errorf("truth: task %d restore s has %d choices, want %d", ts.ID, len(ts.S), ell)
 	}
 	it.mu.Lock()
+	it.own()
 	for k := range it.mhat {
 		copy(it.mhat[k], ts.MHat[k])
 	}
 	it.s = mathx.Clone(ts.S)
 	it.answers = append(it.answers[:0], answers...)
 	it.touched = true
-	it.publishView(inc.epoch.Add(1))
+	it.publishView(inc.epoch.Add(1), normalizeRows(it.mhat))
 	it.mu.Unlock()
 	return nil
 }

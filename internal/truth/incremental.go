@@ -61,10 +61,16 @@ type incTask struct {
 	task *model.Task
 	// mhat[k][j] is the running numerator of Equation 3 for domain k and
 	// choice j, rescaled per row to avoid underflow (only ratios matter).
+	// Copy-on-write: a task holding no answers aliases one of the shared
+	// restStates matrices until own() gives it a private one. s is never
+	// written in place — every mutation installs a fresh slice — so the
+	// published views alias it.
 	mhat    [][]float64
 	s       []float64
 	answers []model.Answer
-	qbuf    []float64 // scratch copy of the submitting worker's quality
+	// qbuf is the scratch copy of the submitting worker's quality, carved
+	// from the private M̂'s allocation: nil exactly while mhat is shared.
+	qbuf []float64
 	// touched is set by every mutation after AddTask (Submit, Reseed,
 	// RestoreTask). An untouched task is at the prior AddTask computes from
 	// the task alone, so ExportTasks leaves it out.
@@ -74,9 +80,11 @@ type incTask struct {
 }
 
 // TaskView is an immutable snapshot of one task's inference state, published
-// atomically after every mutation. All slices are private copies: readers
-// (the OTA hot path, the HTTP result endpoints) may hold a view across
-// concurrent submits but must not modify it.
+// atomically after every mutation. Readers (the OTA hot path, the HTTP
+// result endpoints) may hold a view across concurrent submits but must not
+// modify it: no later mutation writes through its slices, and the M of a
+// task holding no answers aliases a process-wide read-only matrix shared by
+// every such task of the same (m, ℓ).
 type TaskView struct {
 	// Task is the underlying task (immutable after publication).
 	Task *model.Task
@@ -128,21 +136,14 @@ func (inc *Incremental) AddTask(t *model.Task) error {
 	if err := t.Validate(inc.m); err != nil {
 		return err
 	}
-	ell := t.NumChoices()
-	it := &incTask{task: t, mhat: make([][]float64, inc.m), qbuf: make([]float64, inc.m)}
-	for k := range it.mhat {
-		row := make([]float64, ell)
-		for j := range row {
-			row[j] = 1 // uniform prior numerator
-		}
-		it.mhat[k] = row
-	}
-	it.s = applyDomain(t.Domain, normalizeRows(it.mhat))
+	prior := restStatesFor(inc.m, t.NumChoices()).prior // uniform prior numerator: M̂ all ones
+	it := &incTask{task: t, mhat: prior.mhat, s: make([]float64, t.NumChoices())}
+	applyDomain(it.s, t.Domain, prior.norm)
 	// Publish the initial view before the task becomes visible in the map:
 	// a Submit racing this AddTask can only find the task after the insert,
 	// by which point the view exists and every later view carries a larger
 	// epoch.
-	it.publishView(inc.epoch.Add(1))
+	it.publishView(inc.epoch.Add(1), prior.norm)
 
 	inc.mu.Lock()
 	if _, dup := inc.tasks[t.ID]; dup {
@@ -154,13 +155,14 @@ func (inc *Incremental) AddTask(t *model.Task) error {
 	return nil
 }
 
-// publishView snapshots the task's current state into an immutable view.
+// publishView snapshots the task's current state into an immutable view;
+// M is normalizeRows(it.mhat), which the caller has computed or shares.
 // Callers hold it.mu (or have exclusive access, as in AddTask).
-func (it *incTask) publishView(epoch uint64) {
+func (it *incTask) publishView(epoch uint64, M [][]float64) {
 	v := &TaskView{
 		Task:       it.task,
-		M:          normalizeRows(it.mhat),
-		S:          mathx.Clone(it.s),
+		M:          M,
+		S:          it.s,
 		Truth:      mathx.ArgMax(it.s),
 		NumAnswers: len(it.answers),
 		Epoch:      epoch,
@@ -269,6 +271,7 @@ func (inc *Incremental) Submit(a model.Answer) error {
 			return fmt.Errorf("truth: worker %q already answered task %d", a.Worker, a.Task)
 		}
 	}
+	it.own()
 	// Snapshot the submitting worker's quality: Step 1 folds it into M̂ and
 	// must see one consistent vector even if other tasks' submits are
 	// adjusting this worker concurrently.
@@ -276,7 +279,7 @@ func (inc *Incremental) Submit(a model.Answer) error {
 	r := it.task.Domain
 
 	// Step 1: fold the answer's likelihood into M̂^(i), refresh M and s.
-	sTilde := mathx.Clone(it.s)
+	sTilde := it.s
 	for k := 0; k < inc.m; k++ {
 		qk := clampQ(it.qbuf[k])
 		wrong := (1 - qk) / float64(ell-1)
@@ -298,7 +301,9 @@ func (inc *Incremental) Submit(a model.Answer) error {
 			}
 		}
 	}
-	it.s = applyDomain(r, normalizeRows(it.mhat))
+	M := normalizeRows(it.mhat)
+	it.s = make([]float64, ell)
+	applyDomain(it.s, r, M)
 
 	// Step 2a: the submitting worker absorbs the new evidence.
 	inc.withWorker(a.Worker, func(st *Stats) {
@@ -327,7 +332,7 @@ func (inc *Incremental) Submit(a model.Answer) error {
 
 	it.answers = append(it.answers, a)
 	it.touched = true
-	it.publishView(inc.epoch.Add(1))
+	it.publishView(inc.epoch.Add(1), M)
 	return nil
 }
 
@@ -387,11 +392,7 @@ func (inc *Incremental) M(id int) [][]float64 {
 	if v == nil {
 		return nil
 	}
-	out := make([][]float64, len(v.M))
-	for k, row := range v.M {
-		out[k] = mathx.Clone(row)
-	}
-	return out
+	return cloneMatrix(v.M)
 }
 
 // Truth returns the current inferred truth for task id (-1 if unknown).
@@ -421,42 +422,49 @@ func (inc *Incremental) Answers(id int) int {
 // left untouched — its extra incremental evidence would otherwise be lost;
 // the next rerun picks it up.
 func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.AnswerSet) {
-	pos := make(map[int]int, len(tasks))
-	for idx, t := range tasks {
-		pos[t.ID] = idx
-	}
 	type taskEntry struct {
-		id int
+		i  int // index into tasks (and res)
 		it *incTask
 	}
 	inc.mu.RLock()
-	entries := make([]taskEntry, 0, len(inc.tasks))
-	for id, it := range inc.tasks {
-		entries = append(entries, taskEntry{id, it})
+	entries := make([]taskEntry, 0, len(tasks))
+	for i, t := range tasks {
+		if it := inc.tasks[t.ID]; it != nil {
+			entries = append(entries, taskEntry{i, it})
+		}
 	}
 	inc.mu.RUnlock()
 	// Sorted so the per-view epochs assigned below are a deterministic
-	// function of the task set, not of map iteration order.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
+	// function of the task set, not of the order the caller listed it in.
+	sort.Slice(entries, func(a, b int) bool { return entries[a].it.task.ID < entries[b].it.task.ID })
 	for _, e := range entries {
-		it := e.it
-		i, ok := pos[e.id]
-		if !ok {
-			continue
-		}
-		snap := answers.ForTask(e.id)
+		it, i := e.it, e.i
+		snap := answers.ForTask(it.task.ID)
 		it.mu.Lock()
 		if len(it.answers) > len(snap) {
 			it.mu.Unlock()
 			continue
 		}
-		for k := range it.mhat {
-			copy(it.mhat[k], res.M[i][k])
+		// Infer hands every unanswered task the shared uniform matrix (and
+		// s = Uniform(ℓ)): such a task aliases the reseeded rest state whole,
+		// dropping any private matrix it held. Note M̂ is 1/ℓ here, not the
+		// AddTask prior's 1 — the bits exports and snapshots have always
+		// carried for a reseeded task.
+		rest := restStatesFor(inc.m, it.task.NumChoices())
+		M := rest.reseeded.norm
+		if sameMatrix(res.M[i], rest.reseeded.mhat) {
+			it.mhat, it.qbuf, it.s = rest.reseeded.mhat, nil, rest.uniform
+		} else {
+			it.own()
+			for k := range it.mhat {
+				copy(it.mhat[k], res.M[i][k])
+			}
+			it.s = mathx.Clone(res.S[i])
+			M = normalizeRows(it.mhat)
 		}
-		it.s = mathx.Clone(res.S[i])
 		it.answers = append(it.answers[:0], snap...)
 		it.touched = true
-		it.publishView(inc.epoch.Add(1))
+		it.publishView(inc.epoch.Add(1), M)
 		it.mu.Unlock()
 	}
 	session := SessionStats(tasks, answers, res, inc.m)
@@ -478,10 +486,102 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 	}
 }
 
+// restStates holds, for one (m, ℓ), the two states a task holding no answers
+// can be in — they depend on nothing else — each with the row-normalized
+// matrix its view publishes. Every such task of every engine in the process
+// aliases them; nothing writes them after construction.
+type restStates struct {
+	prior    restState // as AddTask leaves it: M̂ all ones
+	reseeded restState // as a rerun leaves it: M̂ rows uniform
+	uniform  []float64 // Uniform(ℓ), the reseeded s
+}
+
+type restState struct{ mhat, norm [][]float64 }
+
+var (
+	restMu    sync.RWMutex
+	restTable = make(map[[2]int]*restStates) // keyed by (m, ℓ); grows with the distinct shapes seen, never shrinks
+)
+
+// restStatesFor returns the shared rest states for m domains and ℓ choices.
+func restStatesFor(m, ell int) *restStates {
+	key := [2]int{m, ell}
+	restMu.RLock()
+	st := restTable[key]
+	restMu.RUnlock()
+	if st != nil {
+		return st
+	}
+	st = &restStates{uniform: mathx.Uniform(ell)}
+	st.prior.mhat, st.reseeded.mhat = newMatrix(m, ell), newMatrix(m, ell)
+	for k := 0; k < m; k++ {
+		for j := 0; j < ell; j++ {
+			st.prior.mhat[k][j] = 1
+		}
+		copy(st.reseeded.mhat[k], st.uniform)
+	}
+	st.prior.norm, st.reseeded.norm = normalizeRows(st.prior.mhat), normalizeRows(st.reseeded.mhat)
+	restMu.Lock()
+	if first := restTable[key]; first != nil {
+		st = first // lost the race: everyone must alias the same matrices
+	} else {
+		restTable[key] = st
+	}
+	restMu.Unlock()
+	return st
+}
+
+// own gives the task a private M̂ (a copy of the shared one it aliased)
+// before its first write. Callers hold it.mu.
+func (it *incTask) own() {
+	if it.qbuf != nil {
+		return
+	}
+	m, ell := len(it.mhat), it.task.NumChoices()
+	buf := make([]float64, m*ell+m)
+	private := matrixOver(buf[:m*ell], m, ell)
+	for k, row := range it.mhat {
+		copy(private[k], row)
+	}
+	it.mhat, it.qbuf = private, buf[m*ell:]
+}
+
+// sameMatrix reports whether a and b are the same matrix (not equal ones).
+func sameMatrix(a, b [][]float64) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// newMatrix returns a zeroed m×ℓ matrix: one backing array, one header
+// array.
+func newMatrix(m, ell int) [][]float64 {
+	return matrixOver(make([]float64, m*ell), m, ell)
+}
+
+// matrixOver lays m rows of ℓ floats over buf.
+func matrixOver(buf []float64, m, ell int) [][]float64 {
+	M := make([][]float64, m)
+	for k := range M {
+		M[k] = buf[k*ell : (k+1)*ell : (k+1)*ell]
+	}
+	return M
+}
+
+// cloneMatrix returns a private copy of a non-ragged matrix.
+func cloneMatrix(M [][]float64) [][]float64 {
+	if len(M) == 0 {
+		return [][]float64{}
+	}
+	out := newMatrix(len(M), len(M[0]))
+	for k, row := range M {
+		copy(out[k], row)
+	}
+	return out
+}
+
 func normalizeRows(mhat [][]float64) [][]float64 {
-	out := make([][]float64, len(mhat))
-	for k, row := range mhat {
-		out[k] = mathx.Normalize(mathx.Clone(row))
+	out := cloneMatrix(mhat)
+	for _, row := range out {
+		mathx.Normalize(row)
 	}
 	return out
 }

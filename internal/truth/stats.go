@@ -69,10 +69,7 @@ func (s *Stats) Clone() *Stats {
 // stats via Theorem 1. For each worker, u_k = Σ_{t∈T(w)} r_k and
 // q_k = Σ r_k·s_{i,v^w_i} / u_k (Equation 5 restricted to this session).
 func SessionStats(tasks []*model.Task, answers *model.AnswerSet, res *Result, m int) map[string]*Stats {
-	pos := make(map[int]int, len(tasks))
-	for idx, t := range tasks {
-		pos[t.ID] = idx
-	}
+	pos := res.answeredIndex(tasks)
 	out := make(map[string]*Stats)
 	for _, w := range answers.Workers() {
 		st := &Stats{Q: make(model.QualityVector, m), U: make([]float64, m)}

@@ -66,7 +66,9 @@ type Result struct {
 	// S[i] is task i's probabilistic truth s_i (indexed by position in the
 	// task slice passed to Infer).
 	S [][]float64
-	// M[i] is task i's per-domain truth matrix M^(i) of size m × ℓ_i.
+	// M[i] is task i's per-domain truth matrix M^(i) of size m × ℓ_i. The
+	// matrices of unanswered tasks alias one process-wide read-only uniform
+	// matrix per ℓ: read them, never write them.
 	M [][][]float64
 	// Truth[i] is argmax_j S[i][j], the inferred truth v*_i.
 	Truth []int
@@ -76,11 +78,39 @@ type Result struct {
 	Iterations int
 	// Deltas is the per-iteration parameter change (if recorded).
 	Deltas []float64
+
+	// pos maps the ID of every answered or pinned task to its index in the
+	// slice Infer was given, kept so that SessionStats over the same slice
+	// need not rebuild it.
+	pos map[int]int
+}
+
+// answeredIndex returns a task ID -> slice index map covering at least the
+// answered tasks among tasks: the one Infer built when the result came from
+// Infer over the same slice, a fresh one over every task for a
+// hand-assembled Result.
+func (r *Result) answeredIndex(tasks []*model.Task) map[int]int {
+	if r.pos != nil {
+		return r.pos
+	}
+	pos := make(map[int]int, len(tasks))
+	for idx, t := range tasks {
+		pos[t.ID] = idx
+	}
+	return pos
 }
 
 // Infer runs the iterative truth-inference algorithm over the given tasks
 // and answers. Every task must carry a domain vector of size m. Tasks with
 // no answers receive a uniform probabilistic truth.
+//
+// The cost is a function of the answered tasks. A pinned task is one-hot and
+// an unanswered one uniform for the whole run, so both are settled before
+// the loop and only the active (answered, unpinned) tasks are iterated; an
+// unanswered task costs its ℓ floats of S and its slots in the result
+// slices. Everything the loop touches is allocated once per call. The
+// floating-point operations and their order are those of the textbook
+// formulation kept in reference_test.go, so the result is the same bits.
 func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = DefaultMaxIter
@@ -88,7 +118,15 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 	if opt.Epsilon == 0 {
 		opt.Epsilon = DefaultEpsilon
 	}
-	pos := make(map[int]int, len(tasks)) // task ID -> slice index
+	// pos maps task ID -> slice index for the tasks something looks up by
+	// ID: the answered and the pinned. An unanswered task is only ever
+	// reached by position.
+	answered := answers.Tasks()
+	pos := make(map[int]int, len(answered)+len(opt.Pinned))
+	// sLen is Σ ℓ over all tasks; owners counts the tasks that get a matrix
+	// of their own (answered or pinned) and mLen the floats those hold.
+	sLen, owners, mLen := 0, 0, 0
+	ascending := true
 	for idx, t := range tasks {
 		if t.Domain == nil {
 			return nil, fmt.Errorf("truth: task %d has no domain vector (run DVE first)", t.ID)
@@ -96,41 +134,39 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		if err := t.Validate(m); err != nil {
 			return nil, err
 		}
-		if _, dup := pos[t.ID]; dup {
-			return nil, fmt.Errorf("truth: duplicate task ID %d", t.ID)
+		if idx > 0 && t.ID <= tasks[idx-1].ID {
+			ascending = false
 		}
-		pos[t.ID] = idx
+		_, pinned := opt.Pinned[t.ID]
+		if pinned || len(answers.ForTask(t.ID)) > 0 {
+			pos[t.ID] = idx
+			owners++
+			mLen += m * t.NumChoices()
+		}
+		sLen += t.NumChoices()
 	}
-	for _, id := range answers.Tasks() {
-		if _, ok := pos[id]; !ok {
+	if !ascending { // strictly ascending IDs cannot repeat
+		ids := make([]int, len(tasks))
+		for idx, t := range tasks {
+			ids[idx] = t.ID
+		}
+		sort.Ints(ids)
+		for x := 1; x < len(ids); x++ {
+			if ids[x] == ids[x-1] {
+				return nil, fmt.Errorf("truth: duplicate task ID %d", ids[x])
+			}
+		}
+	}
+	for _, id := range answered {
+		i, ok := pos[id]
+		if !ok {
 			return nil, fmt.Errorf("truth: answers reference unknown task %d", id)
 		}
+		ell := tasks[i].NumChoices()
 		for _, a := range answers.ForTask(id) {
-			if ell := len(tasks[pos[id]].Choices); a.Choice < 0 || a.Choice >= ell {
+			if a.Choice < 0 || a.Choice >= ell {
 				return nil, fmt.Errorf("truth: worker %q chose %d on task %d with %d choices", a.Worker, a.Choice, id, ell)
 			}
-		}
-	}
-
-	// Initialize worker qualities. Workers are processed in sorted order
-	// everywhere below: map iteration order would otherwise reorder the
-	// floating-point accumulation in the convergence metric and make runs
-	// differ in the last ulp — enough to flip an early stop and change
-	// downstream assignment decisions.
-	workers := answers.Workers()
-	sort.Strings(workers)
-	quality := make(map[string]model.QualityVector)
-	for _, w := range workers {
-		if init, ok := opt.InitQuality[w]; ok {
-			q := make(model.QualityVector, m)
-			copy(q, init)
-			quality[w] = q
-		} else {
-			q := make(model.QualityVector, m)
-			for k := range q {
-				q[k] = DefaultQuality
-			}
-			quality[w] = q
 		}
 	}
 
@@ -152,62 +188,167 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		}
 	}
 
-	res := &Result{
-		S:       make([][]float64, len(tasks)),
-		M:       make([][][]float64, len(tasks)),
-		Truth:   make([]int, len(tasks)),
-		Quality: quality,
-	}
-	for i, t := range tasks {
-		if pv, ok := opt.Pinned[t.ID]; ok {
-			res.S[i] = oneHot(t.NumChoices(), pv)
+	// Worker qualities live in one worker-major [W×m] array. Workers are
+	// processed in sorted order everywhere below: map iteration order would
+	// otherwise reorder the floating-point accumulation in the convergence
+	// metric and make runs differ in the last ulp — enough to flip an early
+	// stop and change downstream assignment decisions.
+	workers := answers.Workers()
+	wIdx := make(map[string]int32, len(workers))
+	q := make([]float64, len(workers)*m)
+	for wi, w := range workers {
+		wIdx[w] = int32(wi)
+		qw := q[wi*m : (wi+1)*m]
+		if init, ok := opt.InitQuality[w]; ok {
+			copy(qw, init)
 			continue
 		}
-		res.S[i] = mathx.Uniform(t.NumChoices())
+		for k := range qw {
+			qw[k] = DefaultQuality
+		}
 	}
 
-	prevS := make([][]float64, len(tasks))
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		for i := range res.S {
-			prevS[i] = mathx.Clone(res.S[i])
+	// Settle the pinned and unanswered tasks and lay out the active ones.
+	res := &Result{
+		S:     make([][]float64, len(tasks)),
+		M:     make([][][]float64, len(tasks)),
+		Truth: make([]int, len(tasks)),
+		pos:   pos,
+	}
+	sBuf := make([]float64, sLen)
+	mBuf := make([]float64, mLen)
+	rows := make([][]float64, owners*m)
+	var (
+		active  = make([]activeTask, 0, len(answered))
+		taskAns = make([]taskAnswer, 0, answers.Len())
+		prevLen int // Σ ℓ over active tasks
+		// The distinct ℓ, numbered in first-seen order: ℓ -> number, and per
+		// number the shared uniform s and matrix, float64(ℓ−1), and
+		// answersEll[d*W+w] = worker w has answered an active task of the
+		// d'th ℓ.
+		ellIdx     = make(map[int]int)
+		rest       []*restStates
+		wrongDiv   []float64
+		answersEll []bool
+		maxEll     int
+	)
+	for i, t := range tasks {
+		ell := t.NumChoices()
+		s := sBuf[:ell:ell]
+		sBuf = sBuf[ell:]
+		res.S[i] = s
+		d, seen := ellIdx[ell]
+		if !seen {
+			d = len(rest)
+			ellIdx[ell] = d
+			rest = append(rest, restStatesFor(m, ell))
+			wrongDiv = append(wrongDiv, float64(ell-1))
+			answersEll = append(answersEll, make([]bool, len(workers))...)
+			maxEll = max(maxEll, ell)
 		}
-		prevQ := cloneQuality(quality)
+		pv, pinned := opt.Pinned[t.ID]
+		v := answers.ForTask(t.ID)
+		if !pinned {
+			copy(s, rest[d].uniform)
+		}
+		if !pinned && len(v) == 0 {
+			res.M[i] = rest[d].reseeded.mhat
+			continue
+		}
+		M := rows[:m:m]
+		rows = rows[m:]
+		for k := range M {
+			M[k] = mBuf[:ell:ell]
+			mBuf = mBuf[ell:]
+		}
+		res.M[i] = M
+		if pinned {
+			s[pv] = 1
+			for k := range M {
+				M[k][pv] = 1
+			}
+			continue
+		}
+		from := len(taskAns)
+		for _, a := range v {
+			w := wIdx[a.Worker]
+			taskAns = append(taskAns, taskAnswer{w: w, choice: int32(a.Choice)})
+			answersEll[d*len(workers)+int(w)] = true
+		}
+		active = append(active, activeTask{i: i, d: d, answers: taskAns[from:len(taskAns):len(taskAns)]})
+		prevLen += ell
+	}
 
-		// Step 1: q^w → s_i. Pinned (golden) tasks keep their one-hot truth.
-		for i, t := range tasks {
-			if pv, ok := opt.Pinned[t.ID]; ok {
-				res.M[i] = pinnedMatrix(m, t.NumChoices(), pv)
-				res.S[i] = oneHot(t.NumChoices(), pv)
-				continue
+	// Each worker's answers as (task index, choice), and the Step-2
+	// denominators Σ r_k, which no iteration changes.
+	workerAns := make([]workerAnswer, 0, answers.Len())
+	workerEnd := make([]int, len(workers))
+	den := make([]float64, len(q))
+	for wi, w := range workers {
+		dw := den[wi*m : (wi+1)*m]
+		for _, a := range answers.ForWorker(w) {
+			i := pos[a.Task]
+			workerAns = append(workerAns, workerAnswer{i: int32(i), choice: int32(a.Choice)})
+			for k, rk := range tasks[i].Domain {
+				dw[k] += rk
 			}
-			v := answers.ForTask(t.ID)
-			if len(v) == 0 {
-				res.M[i] = uniformMatrix(m, t.NumChoices())
-				res.S[i] = mathx.Uniform(t.NumChoices())
-				continue
+		}
+		workerEnd[wi] = len(workerAns)
+	}
+
+	var (
+		prevS      = make([]float64, prevLen)
+		prevQ      = make([]float64, len(q))
+		logCorrect = make([]float64, len(q))           // log q^w_k
+		logWrong   = make([]float64, len(rest)*len(q)) // log((1−q^w_k)/(ℓ−1)) per distinct ℓ
+		logRows    = make([]float64, m*maxEll)
+		num        = make([]float64, m)
+	)
+	for iter := 0; iter < opt.MaxIter; iter++ {
+		off := 0
+		for _, at := range active {
+			off += copy(prevS[off:], res.S[at.i])
+		}
+		copy(prevQ, q)
+
+		// The two logarithms of Equation 4 depend on (worker, domain, ℓ)
+		// only: tabulate them once per iteration instead of once per
+		// (answer, domain) — and only for the ℓ a worker has answered, so
+		// the table never costs more logarithms than the answers did.
+		for wi := range workers {
+			for x := wi * m; x < (wi+1)*m; x++ {
+				qk := clampQ(q[x])
+				logCorrect[x] = math.Log(qk)
+				for d, div := range wrongDiv {
+					if answersEll[d*len(workers)+wi] {
+						logWrong[d*len(q)+x] = math.Log((1 - qk) / div)
+					}
+				}
 			}
-			M := truthMatrix(t, v, quality, m)
-			res.M[i] = M
-			res.S[i] = applyDomain(t.Domain, M)
+		}
+
+		// Step 1: q^w → s_i, for the active tasks.
+		for _, at := range active {
+			s, M := res.S[at.i], res.M[at.i]
+			truthMatrix(M, at.answers, logCorrect, logWrong[at.d*len(q):], logRows[:m*len(s)])
+			applyDomain(s, tasks[at.i].Domain, M)
 		}
 
 		// Step 2: s_i → q^w.
-		for _, w := range workers {
-			q := quality[w]
-			num := make([]float64, m)
-			den := make([]float64, m)
-			for _, a := range answers.ForWorker(w) {
-				i := pos[a.Task]
-				r := tasks[i].Domain
-				si := res.S[i]
-				for k := 0; k < m; k++ {
-					num[k] += r[k] * si[a.Choice]
-					den[k] += r[k]
+		from := 0
+		for wi, to := range workerEnd {
+			clear(num)
+			for _, a := range workerAns[from:to] {
+				sa := res.S[a.i][a.choice]
+				for k, rk := range tasks[a.i].Domain {
+					num[k] += rk * sa
 				}
 			}
-			for k := 0; k < m; k++ {
-				if den[k] > 0 {
-					q[k] = num[k] / den[k]
+			from = to
+			qw, dw := q[wi*m:(wi+1)*m], den[wi*m:(wi+1)*m]
+			for k := range qw {
+				if dw[k] > 0 {
+					qw[k] = num[k] / dw[k]
 				}
 				// Domains the worker never touched keep their previous value
 				// (the paper's maintenance keeps them at the stored prior).
@@ -215,7 +356,7 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		}
 
 		res.Iterations = iter + 1
-		delta := paramDelta(res.S, prevS, workers, quality, prevQ, m)
+		delta := paramDelta(res.S, prevS, active, len(tasks), q, prevQ, m)
 		if opt.RecordDeltas {
 			res.Deltas = append(res.Deltas, delta)
 		}
@@ -227,62 +368,73 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 	for i := range res.S {
 		res.Truth[i] = mathx.ArgMax(res.S[i])
 	}
+	res.Quality = make(map[string]model.QualityVector, len(workers))
+	for wi, w := range workers {
+		res.Quality[w] = q[wi*m : (wi+1)*m : (wi+1)*m]
+	}
 	return res, nil
 }
 
-// truthMatrix computes M^(i) (Equations 3–4) for a task: row k is the truth
+// activeTask is an answered, unpinned task: the only kind the loop visits.
+type activeTask struct {
+	i       int          // index into the task slice
+	d       int          // index of the task's ℓ among the distinct ℓ
+	answers []taskAnswer // V(i) in submission order
+}
+
+// taskAnswer is one answer as Step 1 reads it; workerAnswer as Step 2 does.
+type taskAnswer struct{ w, choice int32 }
+type workerAnswer struct{ i, choice int32 }
+
+// truthMatrix computes M^(i) (Equations 3–4) into M: row k is the truth
 // distribution conditioned on the task's true domain being k. Likelihoods
-// are accumulated in log space so large answer sets cannot underflow.
-func truthMatrix(t *model.Task, v []model.Answer, quality map[string]model.QualityVector, m int) [][]float64 {
-	ell := t.NumChoices()
-	M := make([][]float64, m)
-	logRow := make([]float64, ell)
-	for k := 0; k < m; k++ {
-		for j := range logRow {
-			logRow[j] = 0
-		}
-		for _, a := range v {
-			qk := clampQ(quality[a.Worker][k])
-			logCorrect := math.Log(qk)
-			logWrong := math.Log((1 - qk) / float64(ell-1))
-			for j := 0; j < ell; j++ {
-				if a.Choice == j {
-					logRow[j] += logCorrect
+// are accumulated in log space so large answer sets cannot underflow;
+// logRows is the m×ℓ scratch they accumulate in.
+func truthMatrix(M [][]float64, v []taskAnswer, logCorrect, logWrong, logRows []float64) {
+	m, ell := len(M), len(M[0])
+	clear(logRows)
+	for _, a := range v {
+		base, choice := int(a.w)*m, int(a.choice)
+		for k := 0; k < m; k++ {
+			correct, wrong := logCorrect[base+k], logWrong[base+k]
+			logRow := logRows[k*ell : (k+1)*ell]
+			for j := range logRow {
+				if j == choice {
+					logRow[j] += correct
 				} else {
-					logRow[j] += logWrong
+					logRow[j] += wrong
 				}
 			}
 		}
-		M[k] = softmax(logRow)
 	}
-	return M
+	for k, row := range M {
+		softmax(row, logRows[k*ell:(k+1)*ell])
+	}
 }
 
-// applyDomain computes s = r × M (Equation 2).
-func applyDomain(r model.DomainVector, M [][]float64) []float64 {
-	ell := len(M[0])
-	s := make([]float64, ell)
+// applyDomain computes s = r × M (Equation 2) into s.
+func applyDomain(s []float64, r model.DomainVector, M [][]float64) {
+	clear(s)
 	for k, row := range M {
 		rk := r[k]
 		if rk == 0 {
 			continue
 		}
-		for j := 0; j < ell; j++ {
+		for j := range s {
 			s[j] += rk * row[j]
 		}
 	}
-	return mathx.Normalize(s)
+	mathx.Normalize(s)
 }
 
-// softmax exponentiates and normalizes a log-weight vector stably.
-func softmax(logw []float64) []float64 {
+// softmax exponentiates and normalizes a log-weight vector stably into out.
+func softmax(out, logw []float64) {
 	max := logw[0]
 	for _, x := range logw[1:] {
 		if x > max {
 			max = x
 		}
 	}
-	out := make([]float64, len(logw))
 	var sum float64
 	for i, x := range logw {
 		out[i] = math.Exp(x - max)
@@ -291,7 +443,6 @@ func softmax(logw []float64) []float64 {
 	for i := range out {
 		out[i] /= sum
 	}
-	return out
 }
 
 func clampQ(q float64) float64 {
@@ -304,57 +455,27 @@ func clampQ(q float64) float64 {
 	return q
 }
 
-func uniformMatrix(rows, cols int) [][]float64 {
-	M := make([][]float64, rows)
-	for k := range M {
-		M[k] = mathx.Uniform(cols)
-	}
-	return M
-}
-
-func oneHot(n, idx int) []float64 {
-	v := make([]float64, n)
-	v[idx] = 1
-	return v
-}
-
-func pinnedMatrix(rows, cols, idx int) [][]float64 {
-	M := make([][]float64, rows)
-	for k := range M {
-		M[k] = oneHot(cols, idx)
-	}
-	return M
-}
-
-func cloneQuality(q map[string]model.QualityVector) map[string]model.QualityVector {
-	out := make(map[string]model.QualityVector, len(q))
-	for w, v := range q {
-		c := make(model.QualityVector, len(v))
-		copy(c, v)
-		out[w] = c
-	}
-	return out
-}
-
 // paramDelta is the convergence metric Δ of Section 6.3: the mean absolute
 // change of the probabilistic truths plus the mean absolute change of the
-// worker qualities.
-func paramDelta(s, sPrev [][]float64, workers []string, q, qPrev map[string]model.QualityVector, m int) float64 {
+// worker qualities. Only active tasks can move, and a settled task's term
+// is exactly +0, so the sum runs over the active set and the mean over all
+// nTasks.
+func paramDelta(s [][]float64, prevS []float64, active []activeTask, nTasks int, q, prevQ []float64, m int) float64 {
 	var ds float64
-	var terms int
-	for i := range s {
-		ds += mathx.L1Distance(s[i], sPrev[i]) / float64(len(s[i]))
-		terms++
+	for _, at := range active {
+		si := s[at.i]
+		ds += mathx.L1Distance(si, prevS[:len(si)]) / float64(len(si))
+		prevS = prevS[len(si):]
 	}
-	if terms > 0 {
-		ds /= float64(terms)
+	if nTasks > 0 {
+		ds /= float64(nTasks)
 	}
 	var dq float64
-	for _, w := range workers {
-		dq += mathx.L1Distance(q[w], qPrev[w])
+	for x := 0; x < len(q); x += m {
+		dq += mathx.L1Distance(q[x:x+m], prevQ[x:x+m])
 	}
-	if len(workers) > 0 {
-		dq /= float64(len(workers) * m)
+	if len(q) > 0 {
+		dq /= float64(len(q))
 	}
 	return ds + dq
 }
