@@ -82,10 +82,10 @@
 // (survives process crashes); Config.WALSyncEveryBatch adds one fsync per
 // group-commit batch (survives power loss). The segments are the only
 // copy of the record stream and are never deleted. State snapshots every
-// Config.SnapshotEvery answers bound the RECOVERY TIME: a background
-// serial shadow replica of the durable log is serialized (floats as raw
-// bits) to an atomically-replaced snapshot file, and boot restores it and
-// replays only the WAL suffix past it — bit-identical to a full replay,
+// Config.SnapshotEvery answers bound the RECOVERY TIME: a background pass
+// boots a scratch serial replica from the durable log, serializes it
+// (floats as raw bits) to an atomically-replaced snapshot file and drops
+// it, and boot restores the file and replays only the WAL suffix past it — bit-identical to a full replay,
 // falling back to one loudly if the snapshot is torn, corrupt, or ahead
 // of the durable log. See docs/persistence.md for the full contract and
 // the fallback ladder (snapshot → segments).
@@ -192,8 +192,8 @@ type Config struct {
 	// answers when WALDir is set (0 = default 5000, negative = never).
 	// A snapshot makes restart time proportional to the un-snapshotted
 	// WAL suffix instead of the whole campaign history, while keeping the
-	// bit-exact recovery contract: it is built from a serial shadow
-	// replica of the durable log, so snapshot-assisted boot and full
+	// bit-exact recovery contract: it is built from a scratch serial
+	// replay of the durable log, so snapshot-assisted boot and full
 	// replay reconstruct identical state. A torn or corrupt snapshot is
 	// rejected loudly and boot falls back to full replay. See
 	// docs/persistence.md.

@@ -78,10 +78,10 @@ type Config struct {
 	// SnapshotEvery writes a full state snapshot every so many accepted
 	// answers when a WAL is armed (default 5000, negative = never). A
 	// snapshot makes restart cost proportional to the un-snapshotted WAL
-	// suffix instead of the whole log; it is built from a serial shadow
-	// replica (created lazily on the first pass) so the snapshotted state
-	// is exactly the serial-replay state recovery must reconstruct — see
-	// snapshot.go for the design and its memory/CPU trade-off.
+	// suffix instead of the whole log; each pass boots a scratch serial
+	// replica from the log and serializes that, so the snapshotted state is
+	// exactly the serial-replay state recovery must reconstruct — see
+	// snapshot.go for the design and what a pass costs.
 	SnapshotEvery int
 	// WALSegmentBytes overrides the WAL segment rotation size (0 = the wal
 	// package default).
@@ -103,7 +103,7 @@ type Config struct {
 	// ProfileScope namespaces this campaign's golden-profiling merges in
 	// the shared long-run store: each worker's profiling merge is recorded
 	// under ProfileScope+"/"+worker and applied exactly once no matter how
-	// often the campaign's log replays (crash recovery, snapshot shadow).
+	// often the campaign's log replays (crash recovery, snapshot passes).
 	// The registry passes the campaign name; a standalone System may leave
 	// it empty (the bare "/" namespace). Campaigns sharing one persistent
 	// store MUST use distinct scopes, or one campaign's replay would treat
@@ -174,7 +174,7 @@ type System struct {
 	// wal fields are written once by Recover, before serving starts.
 	wal        *wal.Log
 	walDir     string
-	recovering bool // Recover's replay is in flight: no re-logging, sync reruns
+	recovering bool // replay is in flight: no re-logging, no store seeds, sync reruns
 	recovery   RecoveryInfo
 
 	submissions atomic.Int64
@@ -197,19 +197,16 @@ type System struct {
 	// publication (0 until one is logged or replayed): a state snapshot
 	// names that record instead of repeating its contents.
 	publishSeq atomic.Uint64
-	// shadow is the serial replica the snapshot passes advance and
-	// serialize; shadowSeq is the WAL sequence it has replayed through.
-	// Both are touched only by the snapshot worker (and Close, after the
-	// worker exits).
-	shadow    *System
-	shadowSeq uint64
-	snapCh    chan struct{}
+	snapCh     chan struct{}
 
 	rerunMu sync.Mutex // serializes batch re-inference runs
 	// rerunFault, when set (tests only), is invoked at the top of every
 	// rerun attempt; a non-nil return fails the rerun — the seam the
 	// failed-rerun regression test injects through.
 	rerunFault func() error
+	// passRerunFault (tests only) is installed as the rerunFault of every
+	// snapshot pass's scratch replica.
+	passRerunFault func() error
 	// scanAssign, when set (tests only, before any traffic), routes
 	// requests through assignScan — the oracle the indexed path is held
 	// bit-identical to.
@@ -293,16 +290,8 @@ func (s *System) Close() error {
 	s.closed.Do(func() { close(s.quit) })
 	s.wg.Wait()
 	var err error
-	if s.shadow != nil {
-		// The snapshot worker has exited; the shadow replica has no
-		// goroutines or files of its own, but close it for symmetry.
-		err = s.shadow.Close()
-		s.shadow = nil
-	}
 	if s.wal != nil {
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
-		}
+		err = s.wal.Close()
 	}
 	if s.ownsStore {
 		if cerr := s.store.Close(); err == nil {
@@ -1069,7 +1058,7 @@ func (s *System) workerReady(workerID string, goldenList []*model.Task) (bool, e
 //
 // The store merge is idempotent by profile ID (store.MergeProfile): the
 // live system applies it and fsyncs the delta; every replay of the same
-// gauntlet completion — crash recovery, the snapshot shadow replica —
+// gauntlet completion — crash recovery, every snapshot pass —
 // finds the recorded ID and adopts the recorded post-merge anchor without
 // double-counting. When a crash lost the merge delta after the completing
 // answer became WAL-durable, the replay's MergeProfile finds no ID and

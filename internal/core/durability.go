@@ -69,57 +69,22 @@ type RecoveryInfo struct {
 // otherwise). After it returns, every subsequent accepted mutation is
 // appended to the log with group-commit batching.
 func (s *System) Recover(dir string) (RecoveryInfo, error) {
-	var info RecoveryInfo
 	if dir == "" {
-		return info, fmt.Errorf("core: empty WAL directory")
+		return RecoveryInfo{}, fmt.Errorf("core: empty WAL directory")
 	}
 	s.mu.RLock()
 	published := len(s.tasks) > 0
 	s.mu.RUnlock()
 	if published || s.submissions.Load() != 0 || s.wal != nil {
-		return info, fmt.Errorf("core: Recover must run once, before serving")
+		return RecoveryInfo{}, fmt.Errorf("core: Recover must run once, before serving")
 	}
 
 	//docs:allow clock recovery duration is diagnostic metadata, never replayed or fingerprinted
 	start := time.Now()
-	s.recovering = true
-
-	// Fallback ladder: state snapshot → segments. The newest usable
-	// snapshot restores the serial state through its covered sequence
-	// bit-exactly; only the suffix past it is replayed, and segments wholly
-	// below it are not even read. A torn, corrupt, invalid, or
-	// log-overreaching snapshot is rejected LOUDLY
-	// (RecoveryInfo.SnapshotRejected) and the boot degrades to a full
-	// replay — recovery then costs time, never state.
-	var snapSeq uint64
-	snap, reject := loadUsableSnapshot(dir)
-	info.SnapshotRejected = reject
-	if snap != nil && reject == "" {
-		if rerr := s.restoreSnapshot(dir, snap); rerr != nil {
-			// restoreSnapshot validates before mutating, so the system is
-			// still virgin and the full replay below recovers everything.
-			info.SnapshotRejected = rerr.Error()
-		} else {
-			snapSeq = snap.Seq
-			info.SnapshotUsed, info.SnapshotSeq = true, snapSeq
-			info.LastSeq = snapSeq
-			s.snapSeq.Store(snapSeq)
-		}
-	}
-
-	st, err := wal.ReplayFrom(dir, snapSeq, func(rec wal.Record) error {
-		if err := s.applyRecord(rec); err != nil {
-			return err
-		}
-		info.Records++
-		info.LastSeq = rec.Seq
-		return nil
-	})
-	s.recovering = false
+	info, err := s.replay(dir)
 	if err != nil {
 		return info, fmt.Errorf("core: WAL replay: %w", err)
 	}
-	info.TornTail = st.TornTail
 
 	log, err := wal.Open(dir, wal.Options{
 		SegmentBytes: s.cfg.WALSegmentBytes,
@@ -141,6 +106,47 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	return info, nil
 }
 
+// replay rebuilds the serial state a virgin system's directory holds, in
+// replay mode (no re-logging, no store seeds, reruns synchronous). It is
+// the one spelling of the fallback ladder — state snapshot → segments —
+// and both a boot (Recover) and a snapshot pass's scratch replica run it.
+// The newest usable snapshot restores the serial state through its covered
+// sequence bit-exactly; only the suffix past it is replayed, and segments
+// wholly below it are not even read. A torn, corrupt, invalid, or
+// log-overreaching snapshot is rejected LOUDLY
+// (RecoveryInfo.SnapshotRejected) and the replay degrades to the whole log
+// — it then costs time, never state.
+func (s *System) replay(dir string) (RecoveryInfo, error) {
+	var info RecoveryInfo
+	s.recovering = true
+	defer func() { s.recovering = false }()
+
+	snap, reject := loadUsableSnapshot(dir)
+	info.SnapshotRejected = reject
+	if snap != nil && reject == "" {
+		if rerr := s.restoreSnapshot(dir, snap); rerr != nil {
+			// restoreSnapshot validates before mutating, so the system is
+			// still virgin and the full replay below recovers everything.
+			info.SnapshotRejected = rerr.Error()
+		} else {
+			info.SnapshotUsed, info.SnapshotSeq = true, snap.Seq
+			info.LastSeq = snap.Seq
+			s.snapSeq.Store(snap.Seq)
+		}
+	}
+
+	st, err := wal.ReplayFrom(dir, info.SnapshotSeq, func(rec wal.Record) error {
+		if err := s.applyRecord(rec); err != nil {
+			return err
+		}
+		info.Records++
+		info.LastSeq = rec.Seq
+		return nil
+	})
+	info.TornTail = st.TornTail
+	return info, err
+}
+
 // Recovery returns what the last Recover call replayed (zero value when no
 // WAL is armed).
 func (s *System) Recovery() RecoveryInfo { return s.recovery }
@@ -157,9 +163,9 @@ func (s *System) WALSeq() uint64 {
 // applyRecord replays one durable record through the ordinary serving path.
 // The WAL is nil during recovery, so the replay does not re-log.
 //
-// This is THE replay entry point — recovery and the snapshot shadow
-// replica both funnel through it — so docs-lint roots its determinism
-// analysis here: everything it reaches must replay bit-identically.
+// This is THE replay entry point — a boot and a snapshot pass both funnel
+// through it (replay) — so docs-lint roots its determinism analysis here:
+// everything it reaches must replay bit-identically.
 //
 //docs:deterministic
 func (s *System) applyRecord(rec wal.Record) error {
@@ -182,9 +188,7 @@ func (s *System) applyRecord(rec wal.Record) error {
 		// the ordinary Submit path. Items were each accepted when logged
 		// (rejected items never enter the record), so a rejection here means
 		// the log is corrupt and must fail loudly. Per-item Submit keeps the
-		// rerun/snapshot cadence identical to the live batched run — and,
-		// because this is the single replay entry, the snapshot shadow
-		// replica handles batches with no further code.
+		// rerun/snapshot cadence identical to the live batched run.
 		items, err := wal.DecodeBatch(rec.Blob)
 		if err != nil {
 			return fmt.Errorf("batch record %d: bad body: %w", rec.Seq, err)

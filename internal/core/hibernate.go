@@ -3,7 +3,7 @@
 //
 // Hibernate is Close plus one promise: before the memory is released, a
 // final state snapshot covering the ENTIRE durable log is written through
-// the same serial shadow-replica path the background snapshot passes use
+// the same scratch-boot pass the background snapshot worker runs
 // (the live concurrent system is never serialized — its state is not the
 // canonical serial-replay state). A later Recover then restores the
 // snapshot and replays an empty WAL suffix, so waking a hibernated
@@ -45,14 +45,11 @@ func (s *System) Hibernate() error {
 	// final snapshot pass reads the log: the pass replays the on-disk
 	// stream, and the snapshot may only ever cover durable records.
 	snapErr := s.wal.Sync()
-	if snapErr == nil && s.snapSeq.Load() != s.wal.ReservedSeq() {
-		// The snapshot worker has exited, so running the shadow pass on
-		// this goroutine is race-free. The pass advances the serial shadow
-		// replica over the whole durable stream and atomically replaces
-		// the snapshot file with its state. A campaign that took no record
-		// since the snapshot it booted from (or last wrote) skips the pass:
-		// that file already covers the tail, and building a replica only to
-		// find nothing to advance over is the whole cost of a clean eviction.
+	if snapErr == nil {
+		// The snapshot worker has exited, so running the pass on this
+		// goroutine is race-free. A campaign that took no record since the
+		// snapshot it booted from (or last wrote) costs nothing here: the
+		// pass returns before building anything.
 		snapErr = s.snapshotPass()
 	}
 	if snapErr == nil {

@@ -4,27 +4,24 @@
 // its durable record stream, so a correct state snapshot must be exactly
 // that serial state — and the live system, serving concurrently (and
 // possibly rerunning inference asynchronously), is NOT in that state. The
-// snapshot subsystem therefore never serializes the live System. Instead
-// it maintains a serial *shadow replica*: a second System, permanently in
-// replay mode (synchronous reruns, no WAL of its own, no writes to a
-// persistent store), fed incrementally from the durable log by the
-// background snapshot worker. Each snapshot pass advances the shadow
-// over the records that became durable since the last pass and then
-// serializes the shadow's state — every float as raw bits, minus what the
-// log beside it already determines (the publication, untouched tasks,
-// answered sets) — into an atomically-replaced snapshot file keyed by the
-// WAL sequence it covers. Because the shadow replayed exactly the records
+// snapshot subsystem therefore never serializes the live System: a
+// snapshot pass is a scratch boot. It builds a virgin serial System,
+// replays the WAL directory into it exactly as Recover would (newest
+// usable snapshot, then the suffix past it), serializes that replica —
+// every float as raw bits, minus what the log beside it already determines
+// (the publication, untouched tasks, answered sets) — into an
+// atomically-replaced snapshot file keyed by the WAL sequence it covers,
+// and drops the replica. Because the replica replayed exactly the records
 // a booting process would, restoring the snapshot and replaying the WAL
 // suffix past it reconstructs the full-replay state bit for bit; the
 // crash-injection suite asserts that equality at every kill point, both
 // ways.
 //
-// The trade-offs are explicit: the shadow doubles the campaign's resident
-// state and re-pays the serial inference cost (including periodic batch
-// reruns) in the background, in exchange for boot time proportional to
-// the un-snapshotted suffix. The shadow is created lazily on the first
-// snapshot pass, so campaigns that never reach the snapshot cadence pay
-// nothing.
+// A pass costs one boot: a snapshot restore plus the serial replay of the
+// records since (periodic batch reruns included), on the background
+// worker, holding a second copy of the campaign's state only while it
+// runs. Between passes nothing is resident, and a campaign that never
+// reaches the snapshot cadence pays nothing.
 package core
 
 import (
@@ -34,7 +31,6 @@ import (
 
 	"docs/internal/model"
 	"docs/internal/snapshot"
-	"docs/internal/store"
 	"docs/internal/truth"
 	"docs/internal/wal"
 )
@@ -50,8 +46,8 @@ func (s *System) Snapshots() (completed, failed int64) {
 func (s *System) LastSnapshotSeq() uint64 { return s.snapSeq.Load() }
 
 // exportState serializes the system's complete recoverable state at the
-// given WAL sequence. The system must be quiescent (the shadow between
-// passes, or a freshly recovered system before serving).
+// given WAL sequence. The system must be quiescent (a pass's scratch
+// replica, or a freshly recovered system before serving).
 //
 // A snapshot is compared bit-for-bit across boots, so this is a docs-lint
 // determinism root: map iteration below must stay collect-then-sort (or
@@ -462,11 +458,10 @@ func loadUsableSnapshot(dir string) (*snapshot.State, string) {
 	return snap, ""
 }
 
-// --- the background snapshot pass (runs on the snapshot worker) ---
+// --- the snapshot pass (runs on the snapshot worker, or in Hibernate) ---
 
-// runSnapshotPass advances the serial shadow replica over the records that
-// became durable since the last pass and atomically replaces the snapshot
-// file with the shadow's serialized state.
+// runSnapshotPass runs one snapshot pass and counts its outcome; a pass
+// that found nothing new to cover counts as completed.
 func (s *System) runSnapshotPass() {
 	if err := s.snapshotPass(); err != nil {
 		s.snapErrs.Add(1)
@@ -475,89 +470,47 @@ func (s *System) runSnapshotPass() {
 	s.snaps.Add(1)
 }
 
+// snapshotPass boots a scratch serial replica from the WAL directory —
+// the same replay a restarting process runs — and atomically replaces the
+// snapshot file with the replica's state. Nothing of the replica outlives
+// the pass, so a failed pass leaves nothing behind to repair: the next one
+// boots afresh and surfaces the real error again.
 func (s *System) snapshotPass() error {
-	if s.shadow == nil {
-		if err := s.initShadow(); err != nil {
-			return err
-		}
+	if s.snapSeq.Load() == s.wal.ReservedSeq() {
+		return nil // the newest snapshot already covers every record
 	}
+	cfg := s.cfg
+	cfg.KB = s.kb
+	cfg.AsyncRerun = false // no rerun worker: replay reruns synchronously anyway
+	cfg.LeaseTTL = 0       // the replica never serves requests
+	// A persistent store is shared (replayed merges are idempotent by profile
+	// ID); a memory-only one is derived state, so the replica rebuilds its
+	// own exactly as a booting replay would and the snapshot carries it.
+	cfg.Store = nil
+	if s.store.Persistent() {
+		cfg.Store = s.store
+	}
+	r, err := New(cfg)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	r.rerunFault = s.passRerunFault
 	// A concurrent append can leave a torn final frame in the read; that is
 	// fine — those records are not durable yet and the next pass picks them
 	// up once they are whole.
-	advanced := false
-	if _, err := wal.ReplayFrom(s.walDir, s.shadowSeq, func(rec wal.Record) error {
-		advanced = true
-		return s.applyToShadow(rec)
-	}); err != nil {
+	info, err := r.replay(s.walDir)
+	if err != nil {
 		return err
-	}
-	if !advanced && s.snapSeq.Load() == s.shadowSeq {
-		return nil // nothing new since the last written snapshot
 	}
 	// Everything the snapshot covers must be power-loss durable before the
 	// snapshot can become the boot source.
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
-	if err := snapshot.Write(s.walDir, s.shadow.exportState(s.shadowSeq)); err != nil {
+	if err := snapshot.Write(s.walDir, r.exportState(info.LastSeq)); err != nil {
 		return err
 	}
-	s.snapSeq.Store(s.shadowSeq)
-	return nil
-}
-
-// applyToShadow replays one record into the shadow replica, advancing its
-// position. An apply failure can leave the record HALF-applied (Submit
-// ingests the answer before a due synchronous rerun can fail), and a
-// half-applied replica would wedge every later pass on misleading
-// duplicate-answer errors — so the replica is discarded on failure and
-// the next pass rebuilds it from the last good snapshot (or from zero)
-// and retries cleanly, surfacing the real error each time.
-func (s *System) applyToShadow(rec wal.Record) error {
-	if err := s.shadow.applyRecord(rec); err != nil {
-		_ = s.shadow.Close()
-		s.shadow = nil
-		s.shadowSeq = 0
-		return err
-	}
-	s.shadowSeq = rec.Seq
-	return nil
-}
-
-// initShadow builds the serial shadow replica, booting it from the
-// existing snapshot when a usable one is on disk (the common case after a
-// snapshot-assisted boot) and from zero otherwise.
-func (s *System) initShadow() error {
-	cfg := s.cfg
-	cfg.KB = s.kb
-	cfg.AsyncRerun = false // the shadow must replay serially
-	cfg.SnapshotEvery = -1
-	cfg.LeaseTTL = 0 // the shadow never serves requests
-	if s.store.Persistent() {
-		// Share the store read-only: the shadow stays in replay mode, which
-		// skips persistent-store merges (they are already durable).
-		cfg.Store = s.store
-	} else {
-		// A memory-only store is derived state; the shadow rebuilds its own
-		// copy exactly as a booting replay would, and the snapshot carries it.
-		ms, err := store.Open("", s.m)
-		if err != nil {
-			return err
-		}
-		cfg.Store = ms
-	}
-	sh, err := New(cfg)
-	if err != nil {
-		return err
-	}
-	sh.recovering = true // permanent replay mode: sync reruns, no store merges
-	if snap, reject := loadUsableSnapshot(s.walDir); snap != nil && reject == "" {
-		if err := sh.restoreSnapshot(s.walDir, snap); err == nil {
-			s.shadowSeq = snap.Seq
-		}
-		// A restore failure is not fatal: the shadow just replays from zero
-		// and the next written snapshot heals the file.
-	}
-	s.shadow = sh
+	s.snapSeq.Store(info.LastSeq)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -15,8 +16,9 @@ import (
 
 // writeStateAt fabricates the snapshot a background pass would have
 // written after the first `covered` records: it replays them through a
-// WAL-less serial system (exactly what the shadow replica does) and
-// serializes that state keyed by the last covered sequence.
+// WAL-less serial system through applyRecord — what a pass's scratch
+// replica does in replay, from an empty directory's rung of the ladder —
+// and serializes that state keyed by the last covered sequence.
 func writeStateAt(t *testing.T, cfg Config, dir string, recs []wal.Record, covered int) {
 	t.Helper()
 	if covered <= 0 {
@@ -329,8 +331,8 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 	}
 	spans := segmentSpans(t, srcDir, 0)
 
-	// Snapshot states at fixed prefixes, fabricated exactly as the shadow
-	// replica would have written them.
+	// Snapshot states at fixed prefixes, fabricated exactly as a pass's
+	// scratch replica would have written them.
 	snapAt := []int{len(recs) / 4, len(recs) / 2, 3 * len(recs) / 4}
 	states := map[int]*snapshot.State{}
 	for _, j := range snapAt {
@@ -429,8 +431,8 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 }
 
 // TestSnapshotCheckpointInterleaving pins the background pass after a
-// snapshot-assisted boot: the shadow replica boots from the mid-stream
-// snapshot on disk, advances over the segment suffix, and the snapshot it
+// snapshot-assisted boot: the scratch replica boots from the mid-stream
+// snapshot on disk, replays the segment suffix, and the snapshot it
 // writes covers the whole log and boots bit-identically to a full replay.
 func TestSnapshotCheckpointInterleaving(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
@@ -490,7 +492,7 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 
 // TestSnapshotWorkerIntegration runs a campaign with the background
 // snapshot worker live (small SnapshotEvery forces several passes, async
-// rerun stresses the shadow's serial independence) and asserts the
+// rerun stresses the scratch replica's serial independence) and asserts the
 // snapshot it leaves behind boots to exactly the state a full replay of
 // the surviving log produces — and that both equal the serial reference.
 func TestSnapshotWorkerIntegration(t *testing.T) {
@@ -608,14 +610,12 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 	}
 }
 
-// TestShadowDiscardedOnApplyFailure: a record that fails to apply inside
-// the shadow replica can be HALF-applied (Submit ingests the answer before
-// a due synchronous rerun fails), and before the fix the pass kept the
-// wedged replica — every later pass re-applied the same record, hit a
-// misleading duplicate-answer error, and no snapshot was ever written
-// again. The pass must discard the replica on failure and rebuild it from
-// the last good snapshot on the next attempt.
-func TestShadowDiscardedOnApplyFailure(t *testing.T) {
+// TestSnapshotPassRetriesAfterApplyFailure: a record that fails to apply
+// inside a pass's replica can be HALF-applied (Submit ingests the answer
+// before a due synchronous rerun fails). The replica is scratch, so the
+// failed pass is counted, moves nothing, and leaves nothing behind: the
+// next pass boots afresh from the last good snapshot and covers the tail.
+func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 	cfg := Config{GoldenCount: -1, HITSize: 4, RerunEvery: 10,
 		SnapshotEvery: -1, WALSegmentBytes: 1 << 10}
 	dir := t.TempDir()
@@ -637,10 +637,10 @@ func TestShadowDiscardedOnApplyFailure(t *testing.T) {
 	}
 	goodSeq := s.LastSnapshotSeq()
 
-	// Fault the live shadow's rerun and push the campaign across the next
-	// rerun boundary (the shadow replays to 20 and its rerun fails AFTER
+	// Fault the next pass's replica and push the campaign across the next
+	// rerun boundary (the replica replays to 20 and its rerun fails AFTER
 	// the 20th answer was ingested — the half-applied shape).
-	s.shadow.rerunFault = func() error { return fmt.Errorf("injected shadow rerun failure") }
+	s.passRerunFault = func() error { return fmt.Errorf("injected replica rerun failure") }
 	for i := 15; i < 21; i++ {
 		if err := s.Submit(fmt.Sprintf("w%d", i), i, 0); err != nil {
 			t.Fatal(err)
@@ -650,15 +650,13 @@ func TestShadowDiscardedOnApplyFailure(t *testing.T) {
 	if done, failed := s.Snapshots(); done != 1 || failed != 1 {
 		t.Fatalf("faulted pass: done=%d failed=%d", done, failed)
 	}
-	if s.shadow != nil {
-		t.Fatal("wedged shadow replica was kept after an apply failure")
-	}
 	if got := s.LastSnapshotSeq(); got != goodSeq {
 		t.Fatalf("failed pass moved the snapshot seq to %d", got)
 	}
 
-	// The next pass rebuilds a fresh replica from the last good snapshot
-	// and succeeds — before the fix it wedged on a duplicate answer.
+	// With the fault gone, the next pass boots a fresh replica from the
+	// last good snapshot and succeeds.
+	s.passRerunFault = nil
 	s.runSnapshotPass()
 	if done, failed := s.Snapshots(); done != 2 || failed != 1 {
 		t.Fatalf("recovery pass: done=%d failed=%d", done, failed)
@@ -676,12 +674,58 @@ func TestShadowDiscardedOnApplyFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !info.SnapshotUsed {
-		t.Fatalf("snapshot not used after shadow recovery (rejected: %q)", info.SnapshotRejected)
+		t.Fatalf("snapshot not used after the retried pass (rejected: %q)", info.SnapshotRejected)
 	}
 	if got := boot.Fingerprint(); got != want {
 		t.Fatal("boot from post-recovery snapshot differs from live serial state")
 	}
 	if err := boot.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// heapAfterGC is the live heap once a collection has run (the
+// BENCH_density method).
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSnapshotPassLeavesNothingResident: a pass boots a scratch replica
+// and drops it, so the heap a campaign holds is the same before and after
+// one — a replica kept between passes would show up as roughly one more
+// copy of the campaign.
+func TestSnapshotPassLeavesNothingResident(t *testing.T) {
+	const n = 3000
+	base := heapAfterGC()
+	s := newSystem(t, Config{GoldenCount: -1, HITSize: 4, RerunEvery: 1000, SnapshotEvery: -1})
+	if _, err := s.Recover(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Publish(indexTasks(n, s.m)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Submit(fmt.Sprintf("w%d", i%50), i, i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := heapAfterGC()
+	campaign := before - base
+	s.runSnapshotPass()
+	after := heapAfterGC()
+	if done, failed := s.Snapshots(); done != 1 || failed != 0 {
+		t.Fatalf("snapshot pass done=%d failed=%d", done, failed)
+	}
+	if got, want := s.LastSnapshotSeq(), s.wal.ReservedSeq(); got != want {
+		t.Fatalf("pass covered seq %d, want log tail %d", got, want)
+	}
+	if kept := int64(after) - int64(before); kept > int64(campaign/4) {
+		t.Fatalf("a pass left %d KiB resident; the campaign itself holds %d KiB", kept>>10, campaign>>10)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

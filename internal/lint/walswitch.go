@@ -9,8 +9,7 @@ import (
 
 // walswitchAnalyzer makes record-kind dispatch exhaustive: for every type
 // declared //docs:exhaustive (wal.Kind), every switch over a value of the
-// type — the live apply path, recovery replay, the shadow replica, wire
-// encoders — must mention every declared constant of the type. A default
+// type — the live apply path, recovery replay, wire encoders — must mention every declared constant of the type. A default
 // clause does NOT satisfy a missing constant: the default is the
 // unknown-kind error path, and "new kind falls into the error arm" is
 // exactly the silent-skip regression this analyzer exists to prevent.

@@ -222,8 +222,8 @@ func TestHibernateWakeFingerprintExact(t *testing.T) {
 
 // TestCleanEvictionWritesNothing: a campaign woken only to be read — no
 // record logged since the snapshot it booted from — hibernates without
-// touching the snapshot file (Hibernate returns before it would build a
-// shadow replica), and the wake after that is still a zero-suffix snapshot
+// touching the snapshot file (the final pass returns before it would
+// build a replica), and the wake after that is still a zero-suffix snapshot
 // restore.
 func TestCleanEvictionWritesNothing(t *testing.T) {
 	root := t.TempDir()

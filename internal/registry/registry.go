@@ -40,8 +40,8 @@
 // Create registers a live campaign and arms its WAL; the returned
 // core.System serves Publish/Request/Submit/Results as usual. Hibernation
 // releases an idle campaign's memory: its core is drained, a final state
-// snapshot covering its whole log is written through the serial
-// shadow-replica path, the WAL is fsynced and closed, and the serving
+// snapshot covering its whole log is written by one last snapshot
+// pass, the WAL is fsynced and closed, and the serving
 // core is dropped — the campaign's entire durable state stays on disk. A
 // request to a hibernated campaign wakes it first: Get rebuilds the core
 // via the ordinary recovery ladder (snapshot restore + WAL-suffix
@@ -604,8 +604,8 @@ func (r *Registry) wake(name string, c *campaign) (*core.System, error) {
 }
 
 // Hibernate releases the named campaign's memory: the serving core is
-// drained, a final state snapshot covering its whole log is written via
-// the serial shadow-replica path, the WAL is fsynced and closed, and the
+// drained, a final state snapshot covering its whole log is written by
+// one last snapshot pass, the WAL is fsynced and closed, and the
 // core is dropped. The campaign stays listed and any later request wakes
 // it. Hibernating an already-hibernated campaign is a no-op. An error
 // after the drain means the final snapshot could not be written — the

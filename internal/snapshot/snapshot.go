@@ -9,8 +9,8 @@
 // The serving core's canonical state is *defined* as the serial replay of
 // its durable record stream (see docs/internal/wal), so a snapshot is only
 // correct if it is bit-for-bit that serial state. The
-// core therefore never snapshots its live concurrently-mutated state; it
-// maintains a serial shadow replica fed from the durable log and
+// core therefore never snapshots its live concurrently-mutated state; each
+// snapshot pass boots a scratch serial replica from the durable log and
 // serializes that (see docs/internal/core's snapshot worker). This package
 // is just the codec and the atomic file protocol.
 //

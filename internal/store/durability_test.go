@@ -100,7 +100,7 @@ func TestTornDeltaTailTolerated(t *testing.T) {
 
 // TestCrashMidSaveKeepsOldCheckpoint: Save goes through a temp file and an
 // atomic rename, so a copy of the state mid-write (the temp file) never
-// shadows the real checkpoint, and a straggler temp file is ignored by
+// masks the real checkpoint, and a straggler temp file is ignored by
 // Open.
 func TestCrashMidSaveKeepsOldCheckpoint(t *testing.T) {
 	dir := t.TempDir()

@@ -27,7 +27,7 @@
 // records each merge under a caller-chosen profile ID (one per
 // campaign×worker) together with the post-merge statistics. The record
 // makes the merge idempotent across campaign-log replays — crash
-// recovery and the snapshot shadow replica re-drive the same gauntlet
+// recovery and every snapshot pass re-drive the same gauntlet
 // completion through the same code path — and lets a merge whose delta
 // died with the process be repaired bit-exactly from the replay.
 package store
@@ -56,7 +56,7 @@ type Store struct {
 	// the post-merge statistics the merge produced. MergeProfile consults
 	// it to apply each profiling merge exactly once no matter how many
 	// times the same campaign event is replayed (live, crash recovery,
-	// snapshot shadow), and returns the recorded value so every replica
+	// snapshot passes), and returns the recorded value so every replica
 	// anchors on identical bits.
 	profiles map[string]*truth.Stats
 	path     string
@@ -262,7 +262,7 @@ func (s *Store) Merge(id string, session *truth.Stats) error {
 // the worker's stored record (durably, when file-backed: the delta is
 // fsynced before returning) and records the post-merge value under pid;
 // every later call — a crash-recovery replay of the same gauntlet
-// completion, the snapshot shadow replica re-applying it, a double boot —
+// completion, a snapshot pass re-applying it, a double boot —
 // finds the pid and returns the recorded value WITHOUT touching the
 // worker's record, so replay cannot double-count and a merge whose delta
 // died with the process is repaired from the replayed campaign log (the

@@ -28,7 +28,7 @@ type TaskState struct {
 // registering it. RestoreTask marks a task touched, so the exported set is
 // the same before and after a restore. All slices are private copies. The
 // export is a consistent cut only on a quiescent engine — the serving core
-// calls it on its serial shadow replica, which nothing mutates
+// calls it on a snapshot pass's scratch replica, which nothing mutates
 // concurrently.
 func (inc *Incremental) ExportTasks() []TaskState {
 	inc.mu.RLock()

@@ -5,8 +5,15 @@
 # in the same run). Timings are not gated here or anywhere: the reference
 # machine drifts by up to 2x, so they are measured by
 # `go run ./cmd/docs-perf` and compared in pairs (cmd/docs-perf/README.md).
+#
+# Usage: check_bench.sh [out-dir]. The fresh reports land in out-dir (a
+# mktemp directory by default; CI names one so it can upload them) and are
+# compared against the committed bench/*.json, which this script never
+# writes: `git status --porcelain bench/` stays empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+out_dir=${1:-$(mktemp -d)}
+mkdir -p "$out_dir"
 
 # Preflight: numbers from a tree that violates the determinism or
 # lock-order contracts are not worth measuring. docs-lint findings print
@@ -20,9 +27,8 @@ go run ./cmd/docs-lint ./...
 # numbers are machine-independent) must reproduce every margin within
 # BENCH_ACCURACY_TOLERANCE (absolute accuracy points, default 0.05) and
 # must keep DOCS strictly above majority vote at the top spammer fraction.
-# The fresh rows overwrite bench/BENCH_accuracy.json in the workspace so
-# CI uploads what this run measured; the committed copy stays the baseline.
 acc_json=bench/BENCH_accuracy.json
+fresh_acc_json=$out_dir/BENCH_accuracy.json
 acc_tol=${BENCH_ACCURACY_TOLERANCE:-0.05}
 parse_margins() { # $1=file -> lines "spammer_fraction docs_minus_mv" from the margins array
     awk '
@@ -37,8 +43,8 @@ if [ -z "$committed_margins" ]; then
     exit 2
 fi
 echo "check_bench: running docs-bench -exp accuracy (DOCS vs MV margin guard)"
-go run ./cmd/docs-bench -exp accuracy -quick -accuracy-json "$acc_json"
-fresh_margins=$(parse_margins "$acc_json")
+go run ./cmd/docs-bench -exp accuracy -quick -accuracy-json "$fresh_acc_json"
+fresh_margins=$(parse_margins "$fresh_acc_json")
 awk -v tol="$acc_tol" '
     NR == FNR { base[$1] = $2; next }
     { fresh[$1] = $2; if ($1 + 0 > top) top = $1 + 0 }
@@ -72,11 +78,10 @@ awk -v tol="$acc_tol" '
 # the shell-level gate is purely structural and machine-independent:
 # capped-serving heap must come in at or below HALF the all-live heap in
 # the SAME fresh run. Absolute heap and wake latencies are machine-
-# dependent and are recorded, not gated. The fresh report overwrites
-# bench/BENCH_density.json in the workspace so CI uploads what this run
-# measured; the committed copy (full-scale, 10k campaigns) stays the
-# reference.
-density_json=bench/BENCH_density.json
+# dependent and are recorded, not gated. The committed
+# bench/BENCH_density.json (full-scale, 10k campaigns) is the reference
+# and is not read here.
+density_json=$out_dir/BENCH_density.json
 echo "check_bench: running docs-bench -exp density (bounded-RSS structural guard)"
 go run ./cmd/docs-bench -exp density -quick -density-json "$density_json"
 awk '
