@@ -319,15 +319,28 @@ func (s *System) Recovery() Recovery {
 // Publish registers the campaign's tasks and runs Domain Vector Estimation
 // over their text. Must be called exactly once, before Request/Submit.
 func (s *System) Publish(tasks []Task) error {
-	internal := make([]*model.Task, 0, len(tasks))
-	for _, t := range tasks {
-		it, err := toInternal(t)
-		if err != nil {
-			return err
-		}
-		internal = append(internal, it)
+	internal, err := toInternalTasks(tasks)
+	if err != nil {
+		return err
 	}
 	return s.sys.Publish(internal)
+}
+
+// ValidateTasks reports the error Publish would return for a batch that is
+// structurally unpublishable — a task with fewer than two choices, a golden
+// truth out of range, a task ID used twice — without a System and without
+// estimating any domain vector. Check a publication with it before creating
+// the campaign it is for, so a rejected batch leaves no empty campaign behind.
+func ValidateTasks(tasks []Task) error {
+	k, err := kb.Default()
+	if err != nil {
+		return err
+	}
+	internal, err := toInternalTasks(tasks)
+	if err != nil {
+		return err
+	}
+	return core.ValidateTasks(internal, k.Domains().Size())
 }
 
 // Request serves the arriving worker up to k tasks: golden tasks first for
@@ -543,6 +556,18 @@ func InferTruth(tasks []Task, answers []Answer) ([]Result, error) {
 		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
 	}
 	return out, nil
+}
+
+func toInternalTasks(tasks []Task) ([]*model.Task, error) {
+	internal := make([]*model.Task, 0, len(tasks))
+	for _, t := range tasks {
+		it, err := toInternal(t)
+		if err != nil {
+			return nil, err
+		}
+		internal = append(internal, it)
+	}
+	return internal, nil
 }
 
 func toInternal(t Task) (*model.Task, error) {

@@ -342,6 +342,32 @@ func (sh *workerShard) state(workerID string) *workerState {
 // Domains returns the system's domain set.
 func (s *System) Domains() *model.DomainSet { return s.kb.Domains() }
 
+// ValidateTasks is the structural half of Publish's validation, the half
+// that needs neither a campaign nor DVE: no task ID twice, and every task's
+// own invariants (at least two choices, truth in range, a requester-supplied
+// domain vector well-formed) over a domain set of size m. A server calls it
+// before it creates a campaign for a publication, so a batch Publish would
+// reject leaves no empty campaign behind.
+func ValidateTasks(tasks []*model.Task, m int) error {
+	_, err := tasksByID(tasks, m)
+	return err
+}
+
+// tasksByID validates the batch and returns it indexed by task ID.
+func tasksByID(tasks []*model.Task, m int) (map[int]*model.Task, error) {
+	byID := make(map[int]*model.Task, len(tasks))
+	for _, t := range tasks {
+		if _, dup := byID[t.ID]; dup {
+			return nil, fmt.Errorf("core: duplicate task ID %d", t.ID)
+		}
+		if err := t.Validate(m); err != nil {
+			return nil, err
+		}
+		byID[t.ID] = t
+	}
+	return byID, nil
+}
+
 // Publish runs DVE over the tasks, selects golden tasks among those with
 // ground truth, and opens the campaign. Tasks without a precomputed Domain
 // get one from the DVE pipeline (entity linking + Algorithm 1); tasks the
@@ -355,20 +381,22 @@ func (s *System) Publish(tasks []*model.Task) error {
 	// Validate the whole batch into a local map before mutating any
 	// campaign state: a rejected task must leave the system exactly as it
 	// was, so the requester can fix the batch and re-publish (a partial
-	// insert would make the retry fail on its own leftovers).
-	byID := make(map[int]*model.Task, len(tasks))
+	// insert would make the retry fail on its own leftovers). The
+	// structural pass comes first and whole, so a batch it rejects has cost
+	// no domain vector.
+	byID, err := tasksByID(tasks, s.m)
+	if err != nil {
+		return err
+	}
 	for _, t := range tasks {
-		if _, dup := byID[t.ID]; dup {
-			return fmt.Errorf("core: duplicate task ID %d", t.ID)
+		if t.Domain != nil {
+			continue
 		}
-		if t.Domain == nil {
-			ents := dve.FromLinked(s.linker.Link(t.Text), s.m)
-			t.Domain = dve.Normalized(ents, s.m)
-		}
+		ents := dve.FromLinked(s.linker.Link(t.Text), s.m)
+		t.Domain = dve.Normalized(ents, s.m)
 		if err := t.Validate(s.m); err != nil {
 			return err
 		}
-		byID[t.ID] = t
 	}
 	s.byID = byID
 	s.tasks = tasks

@@ -28,17 +28,28 @@ type Entity struct {
 }
 
 // FromLinked converts linker output into DVE input for a domain set of
-// size m.
+// size m. Each H[j] is the knowledge base's own indicator vector for that
+// concept, shared by every task that mentions it and read-only; the whole
+// conversion is three allocations however many candidates there are.
 func FromLinked(ents []entitylink.Entity, m int) []Entity {
-	out := make([]Entity, 0, len(ents))
+	n := 0
 	for _, e := range ents {
-		de := Entity{
-			Probs: make([]float64, len(e.Candidates)),
-			H:     make([][]float64, len(e.Candidates)),
-		}
-		for j, c := range e.Candidates {
-			de.Probs[j] = c.Prob
-			de.H[j] = c.Concept.Indicator(m)
+		n += len(e.Candidates)
+	}
+	out := make([]Entity, 0, len(ents))
+	probs := make([]float64, n)
+	hs := make([][]float64, n)
+	for _, e := range ents {
+		c := len(e.Candidates)
+		de := Entity{Probs: probs[:c:c], H: hs[:c:c]}
+		probs, hs = probs[c:], hs[c:]
+		for j, cand := range e.Candidates {
+			de.Probs[j] = cand.Prob
+			h := cand.Concept.SharedIndicator()
+			if len(h) != m { // a concept no KB holds, or another domain set
+				h = cand.Concept.Indicator(m)
+			}
+			de.H[j] = h
 		}
 		out = append(out, de)
 	}
@@ -82,27 +93,45 @@ func Validate(entities []Entity, m int) error {
 // normalized vector). Consequently Σ_k r^t_k may be below 1 by the total
 // probability of all-unrelated linkings; see Normalized for the practical
 // wrapper.
+//
+// The program runs only for the domains some candidate relates to. For any
+// other domain every state keeps nm = 0, so r^t_k is a sum of zeros: +0,
+// which is what the untouched element already holds. With |supp| such
+// domains the cost is O(c·|supp|·x_max·|E_t|³) against the paper's
+// O(c·m²·|E_t|³), in three allocations whatever m and |E_t| are.
 func Compute(entities []Entity, m int) []float64 {
 	r := make([]float64, m)
 	if len(entities) == 0 {
 		return r
 	}
-	// Pre-compute x_{i,j} = Σ_k h_{i,j,k} (line 1 of Algorithm 1).
-	x := make([][]int, len(entities))
+	nCand := 0
+	for _, e := range entities {
+		nCand += len(e.H)
+	}
+	// One pass over the indicator rows yields everything the program reads
+	// of them: x_{i,j} = Σ_k h_{i,j,k} (line 1 of Algorithm 1), each
+	// entity's largest x, and which domains have support. All of it, and
+	// the column h_{·,·,k} of the domain in hand, lives in one block.
+	ints := make([]int, 2*nCand+len(entities)+m)
+	x, hk := ints[:nCand], ints[nCand:2*nCand]
+	entMaxX, supported := ints[2*nCand:2*nCand+len(entities)], ints[2*nCand+len(entities):]
 	maxX := 0
+	c := 0
 	for i, e := range entities {
-		x[i] = make([]int, len(e.H))
-		for j, h := range e.H {
-			s := 0
-			for _, v := range h {
+		for _, h := range e.H {
+			for k, v := range h {
 				if v != 0 {
-					s++
+					x[c]++
+					supported[k] = 1
 				}
 			}
-			x[i][j] = s
-			if s > maxX {
-				maxX = s
+			if x[c] > entMaxX[i] {
+				entMaxX[i] = x[c]
 			}
+			c++
+		}
+		if entMaxX[i] > maxX {
+			maxX = entMaxX[i]
 		}
 	}
 
@@ -114,14 +143,28 @@ func Compute(entities []Entity, m int) []float64 {
 	// last ulp from run to run, breaking the system's reproducibility.
 	nmMax := len(entities) + 1
 	dmMax := maxX*len(entities) + 1
-	cur := make([]float64, nmMax*dmMax)
-	next := make([]float64, nmMax*dmMax)
+	table := make([]float64, 2*nmMax*dmMax)
+	cur, next := table[:nmMax*dmMax], table[nmMax*dmMax:]
 	for k := 0; k < m; k++ {
+		if supported[k] == 0 {
+			continue
+		}
+		c = 0
+		for _, e := range entities {
+			for _, h := range e.H {
+				hk[c] = 0
+				if h[k] != 0 {
+					hk[c] = 1
+				}
+				c++
+			}
+		}
 		for i := range cur {
 			cur[i] = 0
 		}
 		cur[0] = 1 // state (nm=0, dm=0)
 		reachNm, reachDm := 0, 0
+		c = 0
 		for i, e := range entities {
 			for j := range next[:(reachNm+2)*dmMax] {
 				next[j] = 0
@@ -134,17 +177,14 @@ func Compute(entities []Entity, m int) []float64 {
 						continue
 					}
 					for j, pj := range e.Probs {
-						hk := 0
-						if e.H[j][k] != 0 {
-							hk = 1
-						}
-						next[(nm+hk)*dmMax+dm+x[i][j]] += val * pj
+						next[(nm+hk[c+j])*dmMax+dm+x[c+j]] += val * pj
 					}
 				}
 			}
+			c += len(e.H)
 			cur, next = next, cur
 			reachNm++
-			reachDm += maxXOf(x[i])
+			reachDm += entMaxX[i]
 			if reachNm >= nmMax {
 				reachNm = nmMax - 1
 			}
@@ -164,16 +204,6 @@ func Compute(entities []Entity, m int) []float64 {
 		r[k] = rk
 	}
 	return r
-}
-
-func maxXOf(xs []int) int {
-	max := 0
-	for _, v := range xs {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // ComputeEnum evaluates Equation 1 by enumerating every linking π ∈ Ω.

@@ -10,6 +10,7 @@
 package entitylink
 
 import (
+	"slices"
 	"strings"
 
 	"docs/internal/kb"
@@ -60,48 +61,33 @@ func New(k *kb.KB) *Linker {
 // normalized candidate distributions. Detection is greedy longest-match over
 // the KB alias table: at each token position the longest known alias wins
 // and the scan resumes after it, so "Golden State Warriors" links as one
-// entity rather than three.
+// entity rather than three. The match walks the KB's compiled alias index
+// one token at a time, so a text costs its tokens plus the steps its
+// matches take — nothing per window, nothing per alias in the KB.
 func (l *Linker) Link(text string) []Entity {
 	tokens := Tokenize(text)
-	if len(tokens) == 0 {
-		return nil
-	}
-	maxWords := l.kb.MaxAliasWords()
-	bag := contextBag(tokens)
+	var bag []string // built at the first match
 
 	var out []Entity
 	for i := 0; i < len(tokens); {
-		matched := 0
-		var mention string
-		limit := maxWords
-		if rem := len(tokens) - i; rem < limit {
-			limit = rem
-		}
-		for n := limit; n >= 1; n-- {
-			candidate := strings.Join(tokens[i:i+n], " ")
-			if l.kb.HasAlias(candidate) {
-				matched = n
-				mention = candidate
-				break
-			}
-		}
-		if matched == 0 {
+		n, concepts := l.kb.LongestAlias(tokens[i:])
+		if n == 0 {
 			i++
 			continue
 		}
-		ent := l.disambiguate(mention, i, bag)
-		if len(ent.Candidates) > 0 {
-			out = append(out, ent)
+		if bag == nil {
+			bag = contextBag(tokens)
 		}
-		i += matched
+		out = append(out, l.disambiguate(strings.Join(tokens[i:i+n], " "), i, concepts, bag))
+		i += n
 	}
 	return out
 }
 
-// disambiguate ranks the mention's candidates by prior × context fit and
-// normalizes to a distribution, truncated to TopC.
-func (l *Linker) disambiguate(mention string, start int, bag map[string]bool) Entity {
-	concepts := l.kb.Candidates(mention)
+// disambiguate ranks the mention's candidates (in kb.Candidates' order, not
+// modified) by prior × context fit and normalizes to a distribution,
+// truncated to TopC.
+func (l *Linker) disambiguate(mention string, start int, concepts []*kb.Concept, bag []string) Entity {
 	topC := l.TopC
 	if topC <= 0 {
 		topC = DefaultTopC
@@ -110,7 +96,7 @@ func (l *Linker) disambiguate(mention string, start int, bag map[string]bool) En
 	for j, c := range concepts {
 		hits := 0
 		for _, kw := range c.Context {
-			if bag[kw] {
+			if _, ok := slices.BinarySearch(bag, kw); ok {
 				hits++
 			}
 		}
@@ -129,16 +115,13 @@ func (l *Linker) disambiguate(mention string, start int, bag map[string]bool) En
 }
 
 // Tokenize splits text into normalized tokens using the same normalization
-// as the KB alias table, so n-gram joins compare directly against aliases.
-func Tokenize(text string) []string {
-	return strings.Fields(kb.NormalizeMention(text))
-}
+// as the KB alias table, so token runs compare directly against aliases.
+func Tokenize(text string) []string { return kb.Tokenize(text) }
 
-// contextBag builds the set of tokens available as disambiguation context.
-func contextBag(tokens []string) map[string]bool {
-	bag := make(map[string]bool, len(tokens))
-	for _, t := range tokens {
-		bag[t] = true
-	}
+// contextBag builds the set of tokens available as disambiguation context:
+// the tokens, sorted.
+func contextBag(tokens []string) []string {
+	bag := slices.Clone(tokens)
+	slices.Sort(bag)
 	return bag
 }

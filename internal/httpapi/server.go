@@ -293,8 +293,14 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	sys, err := s.reg.Campaign(name)
 	if errors.Is(err, docs.ErrCampaignNotFound) {
 		// Publishing to a fresh name creates the campaign — the one-call
-		// path a requester actually wants. The payload was validated above
-		// so a bad request never leaves an empty campaign behind.
+		// path a requester actually wants. Everything Publish can reject
+		// the batch for is checked first, so a bad request never leaves an
+		// empty campaign (a directory, a WAL, a slot under the resident
+		// cap) behind.
+		if err := docs.ValidateTasks(tasks); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		sys, err = s.reg.Create(name)
 		if errors.Is(err, docs.ErrCampaignExists) {
 			// Lost a race with a concurrent publish to the same fresh

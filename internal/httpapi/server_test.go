@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +225,63 @@ func TestServerValidation(t *testing.T) {
 	}
 	if resp, _ := doJSON(t, "POST", ts.URL+"/c/%2e%2e/publish", publishBody()); resp.StatusCode != 400 {
 		t.Errorf("publish to traversal name = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRejectedPublishLeavesNoCampaign: a publication Publish would reject —
+// here two tasks sharing an ID — answers 400 before the campaign it names is
+// created: nothing is listed, nothing is on disk, nothing counts toward the
+// resident cap (so no serving campaign is evicted for it), and the corrected
+// batch publishes to the same name.
+func TestRejectedPublishLeavesNoCampaign(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, WALDir: dir, MaxLiveCampaigns: 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	if resp, out := doJSON(t, "POST", ts.URL+"/c/serving/publish", publishBody()); resp.StatusCode != 200 {
+		t.Fatalf("publish serving = %d: %s", resp.StatusCode, out["error"])
+	}
+	liveBefore, hibBefore, _ := srv.Registry().CampaignCounts()
+
+	duplicate := publishBody()
+	duplicate["tasks"].([]map[string]any)[1]["id"] = 0
+	oneChoice := publishBody()
+	oneChoice["tasks"].([]map[string]any)[2]["choices"] = []string{"only"}
+	truthOutOfRange := publishBody()
+	truthOutOfRange["tasks"].([]map[string]any)[0]["golden_truth"] = 2
+	for name, body := range map[string]map[string]any{"duplicate": duplicate, "one choice": oneChoice, "truth out of range": truthOutOfRange} {
+		resp, out := doJSON(t, "POST", ts.URL+"/c/bad/publish", body)
+		if resp.StatusCode != 400 {
+			t.Fatalf("%s publish = %d, want 400", name, resp.StatusCode)
+		}
+		if name == "duplicate" && !strings.Contains(string(out["error"]), "duplicate task ID 0") {
+			t.Errorf("duplicate publish error = %s", out["error"])
+		}
+		for _, c := range srv.Registry().Campaigns() {
+			if c.Name == "bad" {
+				t.Fatalf("after the rejected %s publish the campaign is listed: %+v", name, c)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "campaigns", "bad")); !os.IsNotExist(err) {
+			t.Fatalf("after the rejected %s publish the campaign directory exists (stat: %v)", name, err)
+		}
+		if live, hib, _ := srv.Registry().CampaignCounts(); live != liveBefore || hib != hibBefore {
+			t.Fatalf("after the rejected %s publish: %d resident, %d hibernated, want %d and %d", name, live, hib, liveBefore, hibBefore)
+		}
+		if !srv.Registry().CampaignResident("serving") {
+			t.Fatalf("the rejected %s publish evicted the serving campaign", name)
+		}
+	}
+
+	if resp, out := doJSON(t, "POST", ts.URL+"/c/bad/publish", publishBody()); resp.StatusCode != 200 {
+		t.Fatalf("corrected publish = %d: %s", resp.StatusCode, out["error"])
+	}
+	if _, err := os.Stat(filepath.Join(dir, "campaigns", "bad")); err != nil {
+		t.Errorf("the corrected publish left no campaign directory: %v", err)
 	}
 }
 

@@ -12,8 +12,8 @@ package kb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"unicode"
 
 	"docs/internal/model"
 )
@@ -30,6 +30,9 @@ var YahooDomains = []string{
 
 // Concept is a knowledge-base concept (a Freebase topic / Wikipedia page in
 // the paper). Its Domains set induces the indicator vector h used by DVE.
+// A concept must not change once AddConcept has accepted it: the alias
+// index keeps it in (Prior, ID) order and the knowledge base keeps its
+// indicator vector.
 type Concept struct {
 	// ID is the unique concept identifier (e.g. "person/michael_jordan").
 	ID string
@@ -43,6 +46,10 @@ type Concept struct {
 	// Context holds lowercase keywords that, when present near a mention,
 	// make this concept the more plausible link target.
 	Context []string
+
+	// indicator is Indicator over the owning KB's domain set, computed once
+	// by AddConcept; nil for a concept no KB holds.
+	indicator []float64
 }
 
 // Indicator returns the concept's indicator vector h of size m: h_k = 1 iff
@@ -57,20 +64,43 @@ func (c *Concept) Indicator(m int) []float64 {
 	return h
 }
 
+// SharedIndicator returns the indicator vector the owning knowledge base
+// computed when the concept was added, sized to that KB's domain set. Every
+// caller gets the same slice and must not write to it; it is nil for a
+// concept that was never added to a KB.
+func (c *Concept) SharedIndicator() []float64 { return c.indicator }
+
 // KB is an in-memory knowledge base: a domain set, a concept catalogue and
 // an alias (surface form → candidate concepts) table.
 type KB struct {
 	domains  *model.DomainSet
 	concepts map[string]*Concept
-	aliases  map[string][]string // normalized alias -> concept IDs
+	// aliases is the alias table compiled into a trie over normalized
+	// tokens. addAlias is its only writer, so it is never stale and a
+	// finished KB (kb.Default) is read by any number of linkers at once.
+	aliases aliasNode
+	// maxAliasWords is the depth of the trie, at least 1.
+	maxAliasWords int
+}
+
+// aliasNode is one node of the alias trie: the path from the root spells an
+// alias token by token.
+type aliasNode struct {
+	next map[string]*aliasNode
+	// concepts are the candidates of the alias ending here, kept in
+	// Candidates' order: descending prior, ties by ascending ID. That is a
+	// strict total order over distinct concepts, so inserting each one at
+	// its place yields the one sequence sorting would. Empty for a node
+	// that is only a prefix of longer aliases.
+	concepts []*Concept
 }
 
 // New returns an empty knowledge base over the given domain set.
 func New(domains *model.DomainSet) *KB {
 	return &KB{
-		domains:  domains,
-		concepts: make(map[string]*Concept),
-		aliases:  make(map[string][]string),
+		domains:       domains,
+		concepts:      make(map[string]*Concept),
+		maxAliasWords: 1,
 	}
 }
 
@@ -98,34 +128,68 @@ func (k *KB) AddConcept(c *Concept) error {
 			return fmt.Errorf("kb: concept %q domain index %d out of range [0,%d)", c.ID, d, m)
 		}
 	}
-	if c.Prior <= 0 {
+	if !(c.Prior > 0) { // also rejects NaN, which no order could place
 		return fmt.Errorf("kb: concept %q has non-positive prior %g", c.ID, c.Prior)
 	}
+	c.indicator = c.Indicator(m)
 	k.concepts[c.ID] = c
-	k.addAlias(c.Name, c.ID)
+	k.addAlias(c.Name, c)
 	return nil
 }
 
 // AddAlias registers an additional surface form for an existing concept.
 func (k *KB) AddAlias(alias, conceptID string) error {
-	if _, ok := k.concepts[conceptID]; !ok {
+	c, ok := k.concepts[conceptID]
+	if !ok {
 		return fmt.Errorf("kb: alias %q refers to unknown concept %q", alias, conceptID)
 	}
 	if strings.TrimSpace(alias) == "" {
 		return fmt.Errorf("kb: empty alias for concept %q", conceptID)
 	}
-	k.addAlias(alias, conceptID)
+	k.addAlias(alias, c)
 	return nil
 }
 
-func (k *KB) addAlias(alias, conceptID string) {
-	key := NormalizeMention(alias)
-	for _, id := range k.aliases[key] {
-		if id == conceptID {
+func (k *KB) addAlias(alias string, c *Concept) {
+	tokens := Tokenize(alias)
+	node := &k.aliases
+	for _, tok := range tokens {
+		child := node.next[tok]
+		if child == nil {
+			if node.next == nil {
+				node.next = make(map[string]*aliasNode)
+			}
+			child = &aliasNode{}
+			node.next[tok] = child
+		}
+		node = child
+	}
+	at := len(node.concepts)
+	for i, o := range node.concepts {
+		if o == c {
 			return
 		}
+		if at == len(node.concepts) && (c.Prior > o.Prior || c.Prior == o.Prior && c.ID < o.ID) {
+			at = i
+		}
 	}
-	k.aliases[key] = append(k.aliases[key], conceptID)
+	node.concepts = append(node.concepts, nil)
+	copy(node.concepts[at+1:], node.concepts[at:])
+	node.concepts[at] = c
+	if len(tokens) > k.maxAliasWords {
+		k.maxAliasWords = len(tokens)
+	}
+}
+
+// lookup returns the trie node the surface form's tokens spell, or nil.
+func (k *KB) lookup(mention string) *aliasNode {
+	node := &k.aliases
+	for _, tok := range Tokenize(mention) {
+		if node = node.next[tok]; node == nil {
+			return nil
+		}
+	}
+	return node
 }
 
 // Concept returns the concept with the given ID, or nil.
@@ -135,58 +199,74 @@ func (k *KB) Concept(id string) *Concept { return k.concepts[id] }
 // descending prior (ties broken by ID for determinism). The slice is fresh;
 // callers may reorder it.
 func (k *KB) Candidates(mention string) []*Concept {
-	ids := k.aliases[NormalizeMention(mention)]
-	if len(ids) == 0 {
+	node := k.lookup(mention)
+	if node == nil || len(node.concepts) == 0 {
 		return nil
 	}
-	out := make([]*Concept, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, k.concepts[id])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prior != out[j].Prior {
-			return out[i].Prior > out[j].Prior
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return append([]*Concept(nil), node.concepts...)
 }
 
 // HasAlias reports whether the surface form is known to the alias table.
 func (k *KB) HasAlias(mention string) bool {
-	_, ok := k.aliases[NormalizeMention(mention)]
-	return ok
+	node := k.lookup(mention)
+	return node != nil && len(node.concepts) > 0
 }
 
-// MaxAliasWords returns the largest number of words in any registered alias;
-// the linker uses it to bound its longest-match window.
-func (k *KB) MaxAliasWords() int {
-	max := 1
-	//docs:allow determinism max over map keys is order-independent
-	for a := range k.aliases {
-		if n := strings.Count(a, " ") + 1; n > max {
-			max = n
+// LongestAlias matches the longest registered alias that is a prefix of the
+// token sequence (tokens as Tokenize yields them). It returns the alias's
+// length in tokens and its candidates in Candidates' order, or 0 and nil if
+// no alias starts at tokens[0]. The slice is the index's own: callers must
+// not modify it. The cost is one trie step per matched token, whatever the
+// size of the alias table.
+func (k *KB) LongestAlias(tokens []string) (n int, concepts []*Concept) {
+	node := &k.aliases
+	for i, tok := range tokens {
+		if node = node.next[tok]; node == nil {
+			break
+		}
+		if len(node.concepts) > 0 {
+			n, concepts = i+1, node.concepts
 		}
 	}
-	return max
+	return n, concepts
 }
+
+// MaxAliasWords returns the largest number of words in any registered alias
+// (at least 1): the bound on a longest-match window.
+func (k *KB) MaxAliasWords() int { return k.maxAliasWords }
 
 // NormalizeMention lowercases a surface form, strips punctuation other than
 // intra-word apostrophes and hyphens, and collapses whitespace, so alias
 // lookup is insensitive to casing, spacing and punctuation ("Washington,
-// D.C." and "washington d c" normalize identically).
+// D.C." and "washington d c" normalize identically). It is one pass over
+// the runes into one copy of the text.
 func NormalizeMention(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
-	for _, r := range strings.ToLower(s) {
+	gap := false // a separator since the last kept rune
+	for _, r := range s {
+		r = unicode.ToLower(r)
 		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '\'', r == '-':
-			b.WriteRune(r)
-		case r > 127: // keep non-ASCII letters (e.g. "Beyoncé", "Pelé")
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '\'', r == '-',
+			r > 127 && !unicode.IsSpace(r): // keep non-ASCII letters (e.g. "Beyoncé", "Pelé")
+			if gap && b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			gap = false
 			b.WriteRune(r)
 		default:
-			b.WriteByte(' ')
+			gap = true
 		}
 	}
-	return strings.Join(strings.Fields(b.String()), " ")
+	return b.String()
+}
+
+// Tokenize splits a text into the words of its normalized form. The tokens
+// share NormalizeMention's one copy of the text.
+func Tokenize(s string) []string {
+	norm := NormalizeMention(s)
+	if norm == "" {
+		return nil
+	}
+	return strings.Split(norm, " ")
 }
