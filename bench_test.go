@@ -1,7 +1,5 @@
-// Benchmarks mirroring the paper's evaluation. One Benchmark per table and
-// figure wraps the corresponding experiment runner (in quick mode, so
-// `go test -bench=.` completes in minutes; run cmd/docs-bench for the
-// full-scale tables). Micro-benchmarks for the core algorithms follow.
+// Micro-benchmarks of the core algorithms. The paper's tables and figures
+// are cmd/docs-bench's runners table; experiment_test.go pins their shapes.
 package docs
 
 import (
@@ -11,48 +9,11 @@ import (
 	"docs/internal/crowd"
 	"docs/internal/dve"
 	"docs/internal/entitylink"
-	"docs/internal/experiment"
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/truth"
 )
-
-const benchSeed = 20160412
-
-func benchExperiment(b *testing.B, fn func(uint64, bool) (*experiment.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(benchSeed, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- One benchmark per table and figure (Section 6) ---
-
-func BenchmarkTable3DVE(b *testing.B)           { benchExperiment(b, experiment.Table3DVE) }
-func BenchmarkFig3DomainDetection(b *testing.B) { benchExperiment(b, experiment.Fig3DomainDetection) }
-func BenchmarkFig4aConvergence(b *testing.B)    { benchExperiment(b, experiment.Fig4aConvergence) }
-func BenchmarkFig4bGoldenTasks(b *testing.B)    { benchExperiment(b, experiment.Fig4bGoldenTasks) }
-func BenchmarkFig4cAnswers(b *testing.B)        { benchExperiment(b, experiment.Fig4cAnswersPerTask) }
-func BenchmarkFig4dWorkerQuality(b *testing.B)  { benchExperiment(b, experiment.Fig4dWorkerQuality) }
-func BenchmarkFig4eTIScalability(b *testing.B)  { benchExperiment(b, experiment.Fig4eTIScalability) }
-func BenchmarkFig5TruthInference(b *testing.B)  { benchExperiment(b, experiment.Fig5TruthInference) }
-func BenchmarkFig6CaseStudy(b *testing.B)       { benchExperiment(b, experiment.Fig6CaseStudy) }
-func BenchmarkFig7aGoldenSelection(b *testing.B) {
-	benchExperiment(b, experiment.Fig7aGoldenSelection)
-}
-func BenchmarkFig7bGoldenScalability(b *testing.B) {
-	benchExperiment(b, experiment.Fig7bGoldenScalability)
-}
-func BenchmarkFig8Assignment(b *testing.B) { benchExperiment(b, experiment.Fig8Assignment) }
-func BenchmarkFig8cOTAScalability(b *testing.B) {
-	benchExperiment(b, experiment.Fig8cOTAScalability)
-}
-func BenchmarkAblationStudy(b *testing.B) { benchExperiment(b, experiment.AblationStudy) }
-
-// --- Micro-benchmarks of the core algorithms ---
 
 // BenchmarkDVEAlgorithm1 measures the paper's polynomial DP on a padded
 // Wikifier-shaped input (4 entities × 20 candidates × 26 domains).

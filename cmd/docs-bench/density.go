@@ -90,10 +90,8 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 		// background cadence — the footprint measured is the serving state
 		// itself, and wake cost is the snapshot restore.
 		cfg := registry.Config{
-			WALDir:        root,
-			GoldenCount:   -1,
-			RerunEvery:    -1,
-			SnapshotEvery: -1,
+			WALDir:   root,
+			Campaign: core.Config{GoldenCount: -1, RerunEvery: -1, SnapshotEvery: -1},
 		}
 
 		// Phase 1 — build and hibernate N campaigns.

@@ -6,9 +6,8 @@
 // inferred truths from GET /c/{campaign}/results. Worker profiles are
 // shared across campaigns through one store. The handlers live in
 // docs/internal/httpapi (shared with the tests and the benchmark); see that
-// package for the full API (including the legacy single-campaign aliases),
-// docs/protocol.md for the batch wire format, and README.md for the
-// durability contract.
+// package for the full API, docs/protocol.md for the batch wire format, and
+// README.md for the durability contract.
 package main
 
 import (

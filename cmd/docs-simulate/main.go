@@ -10,18 +10,16 @@
 // gauntlet everywhere else — the paper's cross-requester story — and the
 // tool reports how many profiles carried over per campaign.
 //
-// With -server URL it drives a running docs-server over HTTP instead of
-// an in-process registry — every simulated worker shares one keep-alive
-// connection pool so the simulator measures the server, not its own
-// connection churn. With -batch N answers are submitted in groups of up
-// to N per call: POST /submit-batch over HTTP, the batched (group-
-// committed) core entry locally. See docs/protocol.md.
+// With -batch N answers are submitted in groups of up to N per call
+// through the batched (group-committed) core entry, the path POST
+// /submit-batch uses. To load a running docs-server over HTTP, use
+// cmd/docs-perf.
 //
 // Usage:
 //
 //	docs-simulate -dataset 4D -workers 50 -redundancy 10 -seed 7
 //	docs-simulate -dataset Item -campaigns 4 -workers 80
-//	docs-simulate -server http://localhost:8080 -batch 20
+//	docs-simulate -dataset Item -batch 20
 package main
 
 import (
@@ -51,8 +49,7 @@ func main() {
 	seed := flag.Uint64("seed", 20160412, "deterministic seed")
 	walDir := flag.String("wal-dir", "", "registry root directory: campaigns become durable under <dir>/campaigns/<name> and an interrupted simulation resumes from the logs (empty = memory-only)")
 	walFsync := flag.Bool("wal-fsync", false, "fsync the WALs once per group-commit batch")
-	server := flag.String("server", "", "drive a running docs-server at this base URL over HTTP instead of an in-process registry; all workers share one keep-alive connection pool")
-	batch := flag.Int("batch", 0, "submit answers in batches of up to N per call (POST /submit-batch over HTTP, the batched core entry locally); 0 or 1 = one answer per submit")
+	batch := flag.Int("batch", 0, "submit answers through the batched core entry in groups of up to N per call; 0 or 1 = one answer per submit")
 	adversarial := flag.String("adversarial", "", `adversarial population spec, e.g. "spam=0.2,sleep=0.1,cliques=2x3,drift=-0.002" (empty = honest crowd)`)
 	flag.Parse()
 
@@ -61,51 +58,18 @@ func main() {
 		log.Fatalf("docs-simulate: -adversarial: %v", err)
 	}
 
-	if *server != "" {
-		client := newSimClient()
-		base, err := dataset.ByName(*name, *seed)
-		if err != nil {
-			log.Fatalf("docs-simulate: %v", err)
-		}
-		pop, err := crowd.NewPopulation(crowd.Config{
-			NumWorkers:      *workers,
-			M:               kb.MustDefault().Domains().Size(),
-			RelevantDomains: base.YahooIndex,
-			Seed:            *seed,
-			Adversarial:     adv,
-		})
-		if err != nil {
-			log.Fatalf("docs-simulate: %v", err)
-		}
-		if *adversarial != "" {
-			printComposition(pop)
-		}
-		for ci := 0; ci < *campaigns; ci++ {
-			ds := base
-			if ci > 0 {
-				if ds, err = dataset.ByName(*name, *seed+uint64(ci)); err != nil {
-					log.Fatalf("docs-simulate: %v", err)
-				}
-			}
-			cname := fmt.Sprintf("c%d", ci)
-			if *campaigns > 1 {
-				fmt.Printf("=== campaign %s ===\n", cname)
-			}
-			runCampaignHTTP(client, *server, cname, ds, pop, *name, *hit, *redundancy, *batch)
-		}
-		return
-	}
-
 	walSync := wal.SyncNever
 	if *walFsync {
 		walSync = wal.SyncEveryBatch
 	}
 	reg, err := registry.Open(registry.Config{
-		WALDir:         *walDir,
-		GoldenCount:    *golden,
-		HITSize:        *hit,
-		AnswersPerTask: *redundancy,
-		WALSync:        walSync,
+		WALDir: *walDir,
+		Campaign: core.Config{
+			GoldenCount:    *golden,
+			HITSize:        *hit,
+			AnswersPerTask: *redundancy,
+			WALSync:        walSync,
+		},
 	})
 	if err != nil {
 		log.Fatalf("docs-simulate: %v", err)

@@ -227,6 +227,28 @@ type Config struct {
 	HibernateAfter time.Duration
 }
 
+// campaign maps the per-campaign tuning fields onto the serving core's
+// config: the one place the facade's names meet core's, used by New and
+// OpenRegistry alike. WALDir, StorePath, MaxLiveCampaigns and
+// HibernateAfter say where campaigns live and how many stay resident, and
+// are consumed by New and OpenRegistry themselves.
+func (cfg Config) campaign() core.Config {
+	walSync := wal.SyncNever
+	if cfg.WALSyncEveryBatch {
+		walSync = wal.SyncEveryBatch
+	}
+	return core.Config{
+		GoldenCount:    cfg.GoldenCount,
+		HITSize:        cfg.HITSize,
+		AnswersPerTask: cfg.AnswersPerTask,
+		RerunEvery:     cfg.RerunEvery,
+		AsyncRerun:     cfg.AsyncRerun,
+		SnapshotEvery:  cfg.SnapshotEvery,
+		WALSync:        walSync,
+		LeaseTTL:       cfg.LeaseTTL,
+	}
+}
+
 // System is a running DOCS campaign.
 type System struct {
 	sys *core.System
@@ -246,22 +268,10 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	walSync := wal.SyncNever
-	if cfg.WALSyncEveryBatch {
-		walSync = wal.SyncEveryBatch
-	}
-	sys, err := core.New(core.Config{
-		KB:             k,
-		Store:          st,
-		GoldenCount:    cfg.GoldenCount,
-		HITSize:        cfg.HITSize,
-		AnswersPerTask: cfg.AnswersPerTask,
-		RerunEvery:     cfg.RerunEvery,
-		AsyncRerun:     cfg.AsyncRerun,
-		SnapshotEvery:  cfg.SnapshotEvery,
-		WALSync:        walSync,
-		LeaseTTL:       cfg.LeaseTTL,
-	})
+	cc := cfg.campaign()
+	cc.KB = k
+	cc.Store = st
+	sys, err := core.New(cc)
 	if err != nil {
 		return nil, err
 	}
@@ -529,13 +539,9 @@ func InferTruth(tasks []Task, answers []Answer) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	internal := make([]*model.Task, 0, len(tasks))
-	for _, t := range tasks {
-		it, err := toInternal(t)
-		if err != nil {
-			return nil, err
-		}
-		internal = append(internal, it)
+	internal, err := toInternalTasks(tasks)
+	if err != nil {
+		return nil, err
 	}
 	if err := sys.sys.Publish(internal); err != nil {
 		return nil, err

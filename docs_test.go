@@ -1,7 +1,13 @@
 package docs
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
+
+	"docs/internal/core"
+	"docs/internal/wal"
 )
 
 func exampleTasks() []Task {
@@ -220,4 +226,125 @@ func TestResultsConfidenceIsCallersCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	vandalize(offline)
+}
+
+// fullConfig has every field of Config non-zero.
+func fullConfig(dir string) Config {
+	return Config{
+		GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2, AsyncRerun: true,
+		SnapshotEvery: 1, WALSyncEveryBatch: true, LeaseTTL: time.Minute,
+		WALDir: dir, StorePath: filepath.Join(dir, "workers.json"),
+		MaxLiveCampaigns: 4, HibernateAfter: time.Hour,
+	}
+}
+
+// TestConfigMapping holds Config to one mapping: every field is either
+// consumed by Config.campaign — the method New and OpenRegistry both build
+// their core.Config from — or is one of the four that say where campaigns
+// live and how many stay resident. A field added to Config and forwarded on
+// neither path, or by hand on one, fails here.
+func TestConfigMapping(t *testing.T) {
+	placement := map[string]bool{"StorePath": true, "WALDir": true, "MaxLiveCampaigns": true, "HibernateAfter": true}
+	full := reflect.ValueOf(fullConfig("dir"))
+	for i := 0; i < full.NumField(); i++ {
+		name := full.Type().Field(i).Name
+		if full.Field(i).IsZero() {
+			t.Fatalf("fullConfig leaves %s zero", name)
+		}
+		var only Config
+		reflect.ValueOf(&only).Elem().Field(i).Set(full.Field(i))
+		consumed := !reflect.DeepEqual(only.campaign(), Config{}.campaign())
+		if consumed == placement[name] {
+			t.Errorf("Config.%s: consumed by campaign() = %v, listed as placement = %v; want exactly one", name, consumed, placement[name])
+		}
+		delete(placement, name)
+	}
+	for name := range placement {
+		t.Errorf("placement list names %s, which Config does not have", name)
+	}
+	want := core.Config{GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2, AsyncRerun: true,
+		SnapshotEvery: 1, WALSync: wal.SyncEveryBatch, LeaseTTL: time.Minute}
+	if got := fullConfig("dir").campaign(); !reflect.DeepEqual(got, want) {
+		t.Errorf("campaign() = %+v, want %+v", got, want)
+	}
+}
+
+// TestNewAndRegistryShareTuning drives a standalone System and a registry
+// campaign built from the same all-fields-set Config through one script and
+// requires the same observable tuning from both.
+func TestNewAndRegistryShareTuning(t *testing.T) {
+	tasks := make([]Task, 8)
+	for i := range tasks {
+		tasks[i] = Task{ID: i, Text: "Which food contains more calories, Chocolate or Honey?",
+			Choices: []string{"Chocolate", "Honey"}, GoldenTruth: NoTruth}
+		if i < 4 {
+			tasks[i].GoldenTruth = 0
+		}
+	}
+	type tuning struct {
+		golden, hit     int
+		leases          int64
+		openAfterTwo    int
+		rerun, snapshot bool
+	}
+	observe := func(sys *System) tuning {
+		t.Helper()
+		if err := sys.Publish(tasks); err != nil {
+			t.Fatal(err)
+		}
+		var got tuning
+		got.golden = len(sys.GoldenTaskIDs())
+		serve := func() []Task {
+			t.Helper()
+			batch, err := sys.Request("w", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return batch
+		}
+		for _, tk := range serve() { // the golden gauntlet
+			if err := sys.Submit("w", tk.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch := serve()
+		got.hit = len(batch)
+		got.leases = sys.Stats().LeasesActive
+		for _, tk := range batch[:2] {
+			if err := sys.Submit("w", tk.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got.openAfterTwo = sys.Stats().OpenTasks
+		// The rerun and the snapshot pass run on background workers.
+		deadline := time.Now().Add(10 * time.Second)
+		for !(got.rerun && got.snapshot) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			st := sys.Stats()
+			got.rerun, got.snapshot = st.RerunsCompleted > 0, st.SnapshotsCompleted > 0
+		}
+		return got
+	}
+
+	alone, err := New(fullConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alone.Close()
+	reg, err := OpenRegistry(fullConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	hosted, err := reg.Create("hosted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tuning{golden: 2, hit: 3, leases: 3, openAfterTwo: 4, rerun: true, snapshot: true}
+	if got := observe(alone); got != want {
+		t.Errorf("New: tuning = %+v, want %+v", got, want)
+	}
+	if got := observe(hosted); got != want {
+		t.Errorf("OpenRegistry+Create: tuning = %+v, want %+v", got, want)
+	}
 }

@@ -49,12 +49,13 @@ func jsonBatch(t *testing.T, answers []batchAnswerJSON) []byte {
 // the per-item statuses plus the /stats counters.
 func TestBatchSubmitJSON(t *testing.T) {
 	ts, _ := testServer(t)
-	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	base := ts.URL + "/c/solo"
+	if resp, out := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 
 	for _, w := range []string{"wa", "wb"} {
-		resp, out := postBatch(t, ts.URL, "application/json", jsonBatch(t, []batchAnswerJSON{
+		resp, out := postBatch(t, base, "application/json", jsonBatch(t, []batchAnswerJSON{
 			{Worker: w, Task: 0, Choice: 0}, {Worker: w, Task: 1, Choice: 1}, {Worker: w, Task: 2, Choice: 0},
 		}))
 		if resp.StatusCode != 200 {
@@ -63,14 +64,14 @@ func TestBatchSubmitJSON(t *testing.T) {
 		if out.Accepted != 3 || out.Rejected != 0 || len(out.Statuses) != 3 {
 			t.Fatalf("%s batch response = %+v", w, out)
 		}
-		if out.Campaign != defaultCampaign {
+		if out.Campaign != "solo" {
 			t.Fatalf("batch campaign = %q", out.Campaign)
 		}
 	}
 
 	// Both batches (and all six answers) show up in the campaign's stats.
 	var st statsJSON
-	mustGetJSON(t, ts.URL+"/stats", &st)
+	mustGetJSON(t, base+"/stats", &st)
 	if st.Answers != 6 {
 		t.Fatalf("answers = %d, want 6", st.Answers)
 	}
@@ -84,7 +85,8 @@ func TestBatchSubmitJSON(t *testing.T) {
 // one case the per-item contract does not cover — it must 400.
 func TestBatchSubmitEmptyAndMalformed(t *testing.T) {
 	ts, _ := testServer(t)
-	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	base := ts.URL + "/c/solo"
+	if resp, out := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 	cases := []struct {
@@ -100,13 +102,13 @@ func TestBatchSubmitEmptyAndMalformed(t *testing.T) {
 			wal.EncodeBatch(nil, []wal.Record{{Worker: "w", Task: 0, Choice: 0}})},
 	}
 	for _, tc := range cases {
-		resp, _ := postBatch(t, ts.URL, tc.contentType, tc.body)
+		resp, _ := postBatch(t, base, tc.contentType, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
 	var st statsJSON
-	mustGetJSON(t, ts.URL+"/stats", &st)
+	mustGetJSON(t, base+"/stats", &st)
 	if st.Answers != 0 || st.BatchesTotal != 0 {
 		t.Errorf("rejected bodies applied %d answers in %d batches", st.Answers, st.BatchesTotal)
 	}
@@ -131,7 +133,8 @@ func TestBatchSubmitClamp(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	base := ts.URL + "/c/solo"
+	if resp, out := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 
@@ -139,7 +142,7 @@ func TestBatchSubmitClamp(t *testing.T) {
 	for i := range answers {
 		answers[i] = batchAnswerJSON{Worker: fmt.Sprintf("w%d", i), Task: i % 3, Choice: 0}
 	}
-	resp, out := postBatch(t, ts.URL, "application/json", jsonBatch(t, answers))
+	resp, out := postBatch(t, base, "application/json", jsonBatch(t, answers))
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -156,7 +159,7 @@ func TestBatchSubmitClamp(t *testing.T) {
 		}
 	}
 	var st statsJSON
-	mustGetJSON(t, ts.URL+"/stats", &st)
+	mustGetJSON(t, base+"/stats", &st)
 	if st.BatchAnswersTotal != 4 {
 		t.Fatalf("batch_answers_total = %d, want 4 (one batch clamped to 4)", st.BatchAnswersTotal)
 	}
@@ -174,11 +177,12 @@ func TestBatchSubmitMixedValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	base := ts.URL + "/c/solo"
+	if resp, out := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 
-	resp, out := postBatch(t, ts.URL, "application/json", jsonBatch(t, []batchAnswerJSON{
+	resp, out := postBatch(t, base, "application/json", jsonBatch(t, []batchAnswerJSON{
 		{Worker: "w1", Task: 0, Choice: 0},
 		{Worker: "w1", Task: 99, Choice: 0}, // unknown task
 		{Worker: "w1", Task: 1, Choice: 1},
@@ -218,7 +222,7 @@ func TestBatchSubmitMixedValidity(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(ts2.Close)
 	var st statsJSON
-	mustGetJSON(t, ts2.URL+"/stats", &st)
+	mustGetJSON(t, ts2.URL+"/c/solo/stats", &st)
 	if st.Answers != 3 {
 		t.Fatalf("recovered answers = %d, want 3", st.Answers)
 	}
@@ -227,16 +231,17 @@ func TestBatchSubmitMixedValidity(t *testing.T) {
 	}
 }
 
-// TestLegacySubmitUnchanged pins the pre-batch protocol byte for byte:
-// the single-submit response body must be exactly what it was before the
-// batch endpoint existed, and single-submit traffic must leave every
-// batch counter at zero.
-func TestLegacySubmitUnchanged(t *testing.T) {
+// TestSingleSubmitUnchanged pins the single-submit protocol byte for byte:
+// the response body must be exactly what it was before the batch endpoint
+// existed, and single-submit traffic must leave every batch counter at
+// zero.
+func TestSingleSubmitUnchanged(t *testing.T) {
 	ts, _ := testServer(t)
-	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	base := ts.URL + "/c/solo"
+	if resp, out := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
-	resp, err := http.Post(ts.URL+"/submit", "application/json",
+	resp, err := http.Post(base+"/submit", "application/json",
 		strings.NewReader(`{"worker":"w1","task":0,"choice":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +255,13 @@ func TestLegacySubmitUnchanged(t *testing.T) {
 		t.Fatalf("submit = %d", resp.StatusCode)
 	}
 	if want := "{\"status\":\"accepted\"}\n"; string(body) != want {
-		t.Fatalf("submit response = %q, want %q (legacy byte-identical)", body, want)
+		t.Fatalf("submit response = %q, want %q (byte-identical)", body, want)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("submit content-type = %q", ct)
 	}
 	var st statsJSON
-	mustGetJSON(t, ts.URL+"/stats", &st)
+	mustGetJSON(t, base+"/stats", &st)
 	if st.Answers != 1 {
 		t.Fatalf("answers = %d, want 1", st.Answers)
 	}

@@ -24,13 +24,13 @@ func TestServerWALRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-	resp, _ := doJSON(t, "POST", ts1.URL+"/publish", publishBody())
+	resp, _ := doJSON(t, "POST", ts1.URL+"/c/solo/publish", publishBody())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("publish: %d", resp.StatusCode)
 	}
 	for i := 0; i < 4; i++ {
 		w := fmt.Sprintf("w%d", i)
-		resp, out := doJSON(t, "GET", ts1.URL+"/request?worker="+w+"&k=3", nil)
+		resp, out := doJSON(t, "GET", ts1.URL+"/c/solo/request?worker="+w+"&k=3", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request: %d", resp.StatusCode)
 		}
@@ -45,14 +45,14 @@ func TestServerWALRestart(t *testing.T) {
 			if err := json.Unmarshal(raw, &batch); err != nil {
 				t.Fatal(err)
 			}
-			resp, _ := doJSON(t, "POST", ts1.URL+"/submit",
+			resp, _ := doJSON(t, "POST", ts1.URL+"/c/solo/submit",
 				map[string]any{"worker": w, "task": batch.ID, "choice": batch.ID % 2})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("submit: %d", resp.StatusCode)
 			}
 		}
 	}
-	sys1, err := srv1.reg.Campaign(defaultCampaign)
+	sys1, err := srv1.reg.Campaign("solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestServerWALRestart(t *testing.T) {
 		t.Fatalf("reboot over WAL dir: %v", err)
 	}
 	t.Cleanup(func() { srv2.Close() })
-	sys2, err := srv2.reg.Campaign(defaultCampaign)
+	sys2, err := srv2.reg.Campaign("solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,13 @@ func TestServerWALRestart(t *testing.T) {
 	}
 	// A second publish must be rejected — the recovered campaign owns the
 	// task set.
-	resp, _ = doJSON(t, "POST", ts2.URL+"/publish", publishBody())
+	resp, _ = doJSON(t, "POST", ts2.URL+"/c/solo/publish", publishBody())
 	if resp.StatusCode == http.StatusOK {
 		t.Error("re-publish over a recovered campaign succeeded")
 	}
 	// Serving continues: stats advertise the WAL, recovery lag and the
 	// recovered publish flag straight from the core.
-	resp, out := doJSON(t, "GET", ts2.URL+"/stats", nil)
+	resp, out := doJSON(t, "GET", ts2.URL+"/c/solo/stats", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: %d", resp.StatusCode)
 	}
@@ -166,11 +166,11 @@ func TestServerMultiCampaignRestart(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("campaigns = %d", resp.StatusCode)
 	}
-	var list []campaignJSON
+	var list []docs.CampaignInfo
 	if err := json.Unmarshal(out["campaigns"], &list); err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]campaignJSON{}
+	byName := map[string]docs.CampaignInfo{}
 	for _, c := range list {
 		byName[c.Name] = c
 	}

@@ -11,9 +11,9 @@ import (
 	"docs/internal/registry"
 )
 
-// FuzzSubmitJSON drives arbitrary bytes through the POST /submit body — the
-// one endpoint every worker on the platform hits — against a live published
-// campaign. The handler must never panic and must answer every body with a
+// FuzzSubmitJSON drives arbitrary bytes through the POST
+// /c/{campaign}/submit body — the one endpoint every worker on the platform
+// hits — against a live published campaign. The handler must never panic and must answer every body with a
 // well-formed JSON response in {200, 400}; anything else means hostile
 // input reached deeper than the decode layer. Seed corpus under
 // testdata/fuzz/FuzzSubmitJSON (checked in).
@@ -28,7 +28,7 @@ func FuzzSubmitJSON(f *testing.F) {
 		{ID: 0, Text: "a or b", Choices: []string{"a", "b"}, GoldenTruth: docs.NoTruth},
 		{ID: 1, Text: "c or d", Choices: []string{"c", "d"}, GoldenTruth: docs.NoTruth},
 	}
-	sys, err := srv.reg.Campaign(defaultCampaign)
+	sys, err := srv.reg.Create("fuzz")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func FuzzSubmitJSON(f *testing.F) {
 	f.Add("{\"worker\":\"\x00\",\"task\":0,\"choice\":0}")
 	f.Add(`{"worker":"w1","task":"0","choice":0}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		req := httptest.NewRequest(http.MethodPost, "/submit", strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/c/fuzz/submit", strings.NewReader(body))
 		rr := httptest.NewRecorder()
 		handler.ServeHTTP(rr, req)
 		if rr.Code != http.StatusOK && rr.Code != http.StatusBadRequest {
@@ -79,7 +79,7 @@ func FuzzCampaignPath(f *testing.F) {
 	f.Cleanup(func() { srv.Close() })
 	handler := srv.Handler()
 
-	f.Add("GET", "/c/default/stats", "")
+	f.Add("GET", "/c/new-camp/stats", "")
 	f.Add("POST", "/c/new-camp/publish", `{"tasks":[{"id":0,"text":"a","choices":["a","b"],"golden_truth":-1}]}`)
 	f.Add("POST", "/c/../publish", `{"tasks":[{"id":0,"text":"a","choices":["a","b"],"golden_truth":-1}]}`)
 	f.Add("POST", "/c/%2e%2e%2fescape/publish", `{"tasks":[{"id":0,"text":"a","choices":["a","b"],"golden_truth":-1}]}`)

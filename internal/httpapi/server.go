@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"docs"
@@ -37,46 +35,23 @@ import (
 //	POST /c/{campaign}/archive                    → end the campaign for good
 //	GET  /domains, GET /healthz                   → registry-wide
 //
-// The pre-registry single-campaign paths (/publish, /request, /submit,
-// /result, /results, /worker, /stats) remain as aliases for the campaign
-// named "default".
+// A fresh server hosts no campaign; every campaign endpoint lives under its
+// /c/{campaign}/ namespace only.
 //
 // Handlers take no server-wide lock: each request resolves its campaign in
 // the registry (an RLock'd map read) and the campaign's docs.System is
 // safe for concurrent use. Whether a campaign is published is always read
 // from the serving core itself — the server caches no publish flag, so
 // /stats, /request and the recovery-restore path can never disagree about
-// a half-applied publish.
+// a half-applied publish. No field is written after New.
 type Server struct {
 	reg      *docs.Registry
-	cfg      docs.Config
 	maxBatch int
 	// maxPublishBody is maxPublishBodyBytes; a field only so the in-package
 	// tests can exercise the cap without posting 64 MiB.
 	maxPublishBody int64
 	start          time.Time
-
-	// rateMu guards the per-campaign observations behind the /stats recent
-	// answer rate; it is touched only by /stats calls, never the hot path.
-	// The hibernation hook deletes rate entries while holding the campaign
-	// transition lock, so the order is c.mu before rateMu — which is why
-	// handleStats must resolve its campaign (a potential wake, taking c.mu)
-	// BEFORE taking rateMu, and use CampaignResident (no wake) under it.
-	// docs-lint enforces the order from the declaration below.
-	//
-	//docs:lockorder c.mu < s.rateMu
-	rateMu sync.Mutex
-	rates  map[string]rateObs
 }
-
-// rateObs is the previous /stats observation for one campaign.
-type rateObs struct {
-	at      time.Time
-	answers int64
-}
-
-// defaultCampaign backs the legacy single-campaign paths.
-const defaultCampaign = "default"
 
 // maxSmallBodyBytes caps the bodies of POST /submit and POST /campaigns,
 // whose legitimate payloads (one answer, one name) are well under 1 KiB.
@@ -102,35 +77,12 @@ func New(cfg docs.Config, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The default campaign always exists (unless a previous process
-	// archived it), so the legacy single-campaign paths behave exactly as
-	// they did before the registry: /stats answers published=false and
-	// /request answers 409 until the first /publish.
-	if _, err := reg.Campaign(defaultCampaign); errors.Is(err, docs.ErrCampaignNotFound) {
-		if _, err := reg.Create(defaultCampaign); err != nil {
-			reg.Close()
-			return nil, err
-		}
-	}
 	maxBatch := opts.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
 	//docs:allow clock uptime anchor for /stats; reporting only, never durable
-	s := &Server{reg: reg, cfg: cfg, maxBatch: maxBatch, maxPublishBody: maxPublishBodyBytes, start: time.Now(), rates: make(map[string]rateObs)}
-	// Prune the per-campaign /stats rate observation whenever a campaign
-	// leaves memory, so the map is bounded by the resident set even when
-	// an LRU cap or idle sweeps cycle thousands of campaigns through. The
-	// callback only touches s.rates (never the registry): it runs with
-	// the campaign's transition lock held.
-	//
-	//docs:holds c.mu
-	reg.OnHibernate(func(name string) {
-		s.rateMu.Lock()
-		delete(s.rates, name)
-		s.rateMu.Unlock()
-	})
-	return s, nil
+	return &Server{reg: reg, maxBatch: maxBatch, maxPublishBody: maxPublishBodyBytes, start: time.Now()}, nil
 }
 
 // Close shuts the registry down gracefully (drain workers, flush + fsync
@@ -145,25 +97,14 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /campaigns", s.handleCampaigns)
 	mux.HandleFunc("POST /campaigns", s.handleCreate)
-	for _, route := range []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"POST /publish", s.handlePublish},
-		{"GET /request", s.handleRequest},
-		{"POST /submit", s.handleSubmit},
-		{"POST /submit-batch", s.handleSubmitBatch},
-		{"GET /result", s.handleResult},
-		{"GET /results", s.handleResults},
-		{"GET /worker", s.handleWorker},
-		{"GET /stats", s.handleStats},
-	} {
-		// Every campaign endpoint is registered twice: under its namespace
-		// and at the legacy root path, which serves the "default" campaign.
-		mux.HandleFunc(route.pattern, route.h)
-		method, path, _ := strings.Cut(route.pattern, " ")
-		mux.HandleFunc(method+" /c/{campaign}"+path, route.h)
-	}
+	mux.HandleFunc("POST /c/{campaign}/publish", s.handlePublish)
+	mux.HandleFunc("GET /c/{campaign}/request", s.handleRequest)
+	mux.HandleFunc("POST /c/{campaign}/submit", s.handleSubmit)
+	mux.HandleFunc("POST /c/{campaign}/submit-batch", s.handleSubmitBatch)
+	mux.HandleFunc("GET /c/{campaign}/result", s.handleResult)
+	mux.HandleFunc("GET /c/{campaign}/results", s.handleResults)
+	mux.HandleFunc("GET /c/{campaign}/worker", s.handleWorker)
+	mux.HandleFunc("GET /c/{campaign}/stats", s.handleStats)
 	mux.HandleFunc("POST /c/{campaign}/archive", s.handleArchive)
 	mux.HandleFunc("GET /domains", s.handleDomains)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -172,19 +113,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// campaignName resolves which campaign a request addresses: the {campaign}
-// path segment, or the default campaign on the legacy alias paths.
-func campaignName(r *http.Request) string {
-	if name := r.PathValue("campaign"); name != "" {
-		return name
-	}
-	return defaultCampaign
-}
-
 // campaign resolves the request's campaign, writing the error response
 // (404 unknown, 410 archived) when it cannot.
 func (s *Server) campaign(w http.ResponseWriter, r *http.Request) (*docs.System, string, bool) {
-	name := campaignName(r)
+	name := r.PathValue("campaign")
 	sys, err := s.reg.Campaign(name)
 	switch {
 	case err == nil:
@@ -210,25 +142,8 @@ type publishRequest struct {
 	Tasks []taskJSON `json:"tasks"`
 }
 
-type campaignJSON struct {
-	Name             string `json:"name"`
-	Archived         bool   `json:"archived"`
-	Hibernated       bool   `json:"hibernated"`
-	Published        bool   `json:"published"`
-	Answers          int64  `json:"answers"`
-	RecoveredRecords int    `json:"recovered_records"`
-	Wakes            int    `json:"wakes"`
-}
-
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	infos := s.reg.Campaigns()
-	out := make([]campaignJSON, len(infos))
-	for i, in := range infos {
-		out[i] = campaignJSON{Name: in.Name, Archived: in.Archived, Hibernated: in.Hibernated,
-			Published: in.Published, Answers: in.Answers,
-			RecoveredRecords: in.RecoveredRecords, Wakes: in.Wakes}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out})
+	writeJSON(w, http.StatusOK, map[string]any{"campaigns": s.reg.Campaigns()})
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -252,7 +167,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	name := campaignName(r)
+	name := r.PathValue("campaign")
 	if err := s.reg.Archive(name); err != nil {
 		code := http.StatusBadRequest
 		switch {
@@ -264,13 +179,6 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err)
 		return
 	}
-	// Drop the campaign's rate observation: an archived campaign never
-	// serves /stats again, so its entry would otherwise live for the life
-	// of the process — archive-heavy deployments would leak an entry per
-	// retired campaign.
-	s.rateMu.Lock()
-	delete(s.rates, name)
-	s.rateMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]string{"archived": name})
 }
 
@@ -289,7 +197,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	for _, t := range req.Tasks {
 		tasks = append(tasks, docs.Task{ID: t.ID, Text: t.Text, Choices: t.Choices, GoldenTruth: t.GoldenTruth})
 	}
-	name := campaignName(r)
+	name := r.PathValue("campaign")
 	sys, err := s.reg.Campaign(name)
 	if errors.Is(err, docs.ErrCampaignNotFound) {
 		// Publishing to a fresh name creates the campaign — the one-call
@@ -306,7 +214,13 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 			// Lost a race with a concurrent publish to the same fresh
 			// name: re-resolve and fall through to the published check,
 			// so the loser gets the same 409 a plain double publish gets.
-			sys, err = s.reg.Campaign(name)
+			// A name that does not re-resolve collided with an existing
+			// campaign in case only; Create's error names which.
+			collision := err
+			if sys, err = s.reg.Campaign(name); errors.Is(err, docs.ErrCampaignNotFound) {
+				writeErr(w, http.StatusConflict, collision)
+				return
+			}
 		}
 	}
 	if err != nil {
@@ -459,28 +373,23 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsJSON is the per-campaign /stats payload: goroutine-safe counters
-// describing the serving state. answers_per_sec_recent covers the window
-// since the previous /stats call for the same campaign (equal to the
-// lifetime rate on the first call).
+// describing the serving state.
 type statsJSON struct {
-	Campaign            string  `json:"campaign"`
-	Published           bool    `json:"published"`
-	Answers             int64   `json:"answers"`
-	OpenTasks           int     `json:"open_tasks"`
-	IndexEpoch          uint64  `json:"index_epoch"`
-	LeasesActive        int64   `json:"leases_active"`
-	SnapshotEpoch       uint64  `json:"snapshot_epoch"`
-	RerunsCompleted     int64   `json:"reruns_completed"`
-	RerunsFailed        int64   `json:"reruns_failed"`
-	UptimeSeconds       float64 `json:"uptime_seconds"`
-	AnswersPerSec       float64 `json:"answers_per_sec"`
-	AnswersPerSecRecent float64 `json:"answers_per_sec_recent"`
-	Goroutines          int     `json:"goroutines"`
-	// Campaigns is the serveable census (live + hibernated, excluding
-	// archived), kept for compatibility; the three fields after it split
-	// it by lifecycle state, and the wake fields describe hibernated-
-	// campaign reactivations (see docs/multi-campaign.md).
-	Campaigns           int     `json:"campaigns"`
+	Campaign        string  `json:"campaign"`
+	Published       bool    `json:"published"`
+	Answers         int64   `json:"answers"`
+	OpenTasks       int     `json:"open_tasks"`
+	IndexEpoch      uint64  `json:"index_epoch"`
+	LeasesActive    int64   `json:"leases_active"`
+	SnapshotEpoch   uint64  `json:"snapshot_epoch"`
+	RerunsCompleted int64   `json:"reruns_completed"`
+	RerunsFailed    int64   `json:"reruns_failed"`
+	UptimeSeconds   float64 `json:"uptime_seconds"`
+	AnswersPerSec   float64 `json:"answers_per_sec"`
+	Goroutines      int     `json:"goroutines"`
+	// The campaign census by lifecycle state, and the wake fields
+	// describing hibernated-campaign reactivations (see
+	// docs/multi-campaign.md).
 	CampaignsLive       int     `json:"campaigns_live"`
 	CampaignsHibernated int     `json:"campaigns_hibernated"`
 	CampaignsArchived   int     `json:"campaigns_archived"`
@@ -519,14 +428,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	liveC, hibC, archC := s.reg.CampaignCounts()
 	wakesTotal, wakeP50, wakeP99 := s.reg.WakeStats()
-	// The whole observation happens under rateMu so concurrent /stats
-	// calls on one campaign see monotone (time, answers) pairs and the
-	// recent rate can never go negative.
-	s.rateMu.Lock()
 	st := sys.Stats()
-	//docs:allow clock /stats uptime and rate-window timestamps; reporting only, never durable
-	now := time.Now()
-	uptime := now.Sub(s.start).Seconds()
+	//docs:allow clock /stats uptime; reporting only, never durable
+	uptime := time.Since(s.start).Seconds()
 	rec := sys.Recovery()
 	out := statsJSON{
 		Campaign: name,
@@ -544,7 +448,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RerunsFailed:             st.RerunsFailed,
 		UptimeSeconds:            uptime,
 		Goroutines:               runtime.NumGoroutine(),
-		Campaigns:                liveC + hibC,
 		CampaignsLive:            liveC,
 		CampaignsHibernated:      hibC,
 		CampaignsArchived:        archC,
@@ -571,30 +474,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if st.BatchesTotal > 0 {
 		out.BatchAnswersMean = float64(st.BatchAnswersTotal) / float64(st.BatchesTotal)
 	}
-	prev, seen := s.rates[name]
-	if !seen {
-		out.AnswersPerSecRecent = out.AnswersPerSec
-	} else if dt := now.Sub(prev.at).Seconds(); dt > 0 {
-		out.AnswersPerSecRecent = float64(st.Answers-prev.answers) / dt
-	}
-	// Observations are recorded only for campaigns that resolved above —
-	// /stats probes against unknown names 404 before reaching this point
-	// and must never grow the map — and handleArchive plus the registry's
-	// hibernation hook delete a campaign's entry when it leaves memory, so
-	// the map is bounded by RESIDENT campaigns. The residency re-check
-	// runs under rateMu to close the retirement race: if the campaign was
-	// archived or hibernated after this handler resolved it, either the
-	// re-check sees the flip and skips the write, or the write lands first
-	// and the retirement's delete (which takes rateMu after the flip)
-	// removes it — a non-resident campaign's entry can never survive. The
-	// check must be CampaignResident, not Campaign: a Campaign call here
-	// would wake a hibernated campaign right back up (and deadlock against
-	// the hibernation hook, which takes rateMu while holding the
-	// campaign's transition lock).
-	if s.reg.CampaignResident(name) {
-		s.rates[name] = rateObs{at: now, answers: st.Answers}
-	}
-	s.rateMu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -28,6 +28,15 @@ func testServer(t *testing.T) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
+// createCampaign creates an empty campaign and returns its route prefix.
+func createCampaign(t *testing.T, ts *httptest.Server, name string) string {
+	t.Helper()
+	if resp, out := doJSON(t, "POST", ts.URL+"/campaigns", map[string]string{"name": name}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("create %s = %d: %s", name, resp.StatusCode, out["error"])
+	}
+	return ts.URL + "/c/" + name
+}
+
 func doJSON(t *testing.T, method, url string, body any) (*http.Response, map[string]json.RawMessage) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -65,33 +74,33 @@ func publishBody() map[string]any {
 	}
 }
 
-// TestServerLifecycle drives the legacy single-campaign paths, which alias
-// the "default" campaign — the pre-registry API must keep working
-// unchanged.
+// TestServerLifecycle drives one campaign through every endpoint a
+// requester and a worker use.
 func TestServerLifecycle(t *testing.T) {
 	ts, _ := testServer(t)
+	base := createCampaign(t, ts, "solo")
 
 	if resp, _ := doJSON(t, "GET", ts.URL+"/healthz", nil); resp.StatusCode != 200 {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
 	// Requests before publish are rejected.
-	if resp, _ := doJSON(t, "GET", ts.URL+"/request?worker=w1", nil); resp.StatusCode != http.StatusConflict {
+	if resp, _ := doJSON(t, "GET", base+"/request?worker=w1", nil); resp.StatusCode != http.StatusConflict {
 		t.Errorf("pre-publish request = %d, want 409", resp.StatusCode)
 	}
 
-	resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody())
+	resp, out := doJSON(t, "POST", base+"/publish", publishBody())
 	if resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 
 	// Double publish conflicts.
-	if resp, _ := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != http.StatusConflict {
+	if resp, _ := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != http.StatusConflict {
 		t.Errorf("double publish = %d, want 409", resp.StatusCode)
 	}
 
 	// Worker requests tasks.
-	resp, out = doJSON(t, "GET", ts.URL+"/request?worker=w1&k=2", nil)
+	resp, out = doJSON(t, "GET", base+"/request?worker=w1&k=2", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("request = %d", resp.StatusCode)
 	}
@@ -114,27 +123,27 @@ func TestServerLifecycle(t *testing.T) {
 
 	// Submit answers.
 	for _, b := range batch {
-		resp, out = doJSON(t, "POST", ts.URL+"/submit",
+		resp, out = doJSON(t, "POST", base+"/submit",
 			map[string]any{"worker": "w1", "task": b.ID, "choice": 0})
 		if resp.StatusCode != 200 {
 			t.Fatalf("submit = %d: %s", resp.StatusCode, out["error"])
 		}
 	}
 	// Duplicate answer rejected.
-	resp, _ = doJSON(t, "POST", ts.URL+"/submit",
+	resp, _ = doJSON(t, "POST", base+"/submit",
 		map[string]any{"worker": "w1", "task": batch[0].ID, "choice": 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("duplicate submit = %d, want 400", resp.StatusCode)
 	}
 
 	// Current result.
-	resp, _ = doJSON(t, "GET", ts.URL+"/result?task=0", nil)
+	resp, _ = doJSON(t, "GET", base+"/result?task=0", nil)
 	if resp.StatusCode != 200 {
 		t.Errorf("result = %d", resp.StatusCode)
 	}
 
 	// Worker profile and domains.
-	resp, out = doJSON(t, "GET", ts.URL+"/worker?id=w1", nil)
+	resp, out = doJSON(t, "GET", base+"/worker?id=w1", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("worker = %d", resp.StatusCode)
 	}
@@ -147,7 +156,7 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// Final results.
-	resp, out = doJSON(t, "GET", ts.URL+"/results", nil)
+	resp, out = doJSON(t, "GET", base+"/results", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("results = %d", resp.StatusCode)
 	}
@@ -162,10 +171,11 @@ func TestServerLifecycle(t *testing.T) {
 
 func TestServerValidation(t *testing.T) {
 	ts, srv := testServer(t)
-	if resp, _ := doJSON(t, "POST", ts.URL+"/publish", map[string]any{"tasks": []any{}}); resp.StatusCode != 400 {
+	base := createCampaign(t, ts, "solo")
+	if resp, _ := doJSON(t, "POST", base+"/publish", map[string]any{"tasks": []any{}}); resp.StatusCode != 400 {
 		t.Errorf("empty publish = %d, want 400", resp.StatusCode)
 	}
-	req, _ := http.NewRequest("POST", ts.URL+"/publish", bytes.NewBufferString("{broken"))
+	req, _ := http.NewRequest("POST", base+"/publish", bytes.NewBufferString("{broken"))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -174,13 +184,13 @@ func TestServerValidation(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("broken JSON = %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := doJSON(t, "GET", ts.URL+"/request", nil); resp.StatusCode != 400 {
+	if resp, _ := doJSON(t, "GET", base+"/request", nil); resp.StatusCode != 400 {
 		t.Errorf("missing worker = %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := doJSON(t, "GET", ts.URL+"/result?task=abc", nil); resp.StatusCode != 400 {
+	if resp, _ := doJSON(t, "GET", base+"/result?task=abc", nil); resp.StatusCode != 400 {
 		t.Errorf("bad task id = %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := doJSON(t, "GET", ts.URL+"/worker", nil); resp.StatusCode != 400 {
+	if resp, _ := doJSON(t, "GET", base+"/worker", nil); resp.StatusCode != 400 {
 		t.Errorf("missing worker id = %d, want 400", resp.StatusCode)
 	}
 	// An oversized /publish body (a valid publication padded past the cap,
@@ -189,21 +199,21 @@ func TestServerValidation(t *testing.T) {
 	srv.maxPublishBody = 8 << 10
 	padded := publishBody()
 	padded["pad"] = strings.Repeat("x", 16<<10)
-	if resp, _ := doJSON(t, "POST", ts.URL+"/publish", padded); resp.StatusCode < 400 || resp.StatusCode > 499 {
+	if resp, _ := doJSON(t, "POST", base+"/publish", padded); resp.StatusCode < 400 || resp.StatusCode > 499 {
 		t.Errorf("oversized publish = %d, want 4xx", resp.StatusCode)
 	}
 	var unpublished statsJSON
-	mustGetJSON(t, ts.URL+"/stats", &unpublished)
+	mustGetJSON(t, base+"/stats", &unpublished)
 	if unpublished.Published {
 		t.Error("oversized publish took effect")
 	}
 	// An oversized /submit body (a valid answer padded past the cap) is
 	// refused and applies nothing.
-	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	if resp, out := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 	huge := `{"worker":"w","task":0,"choice":0,"pad":"` + strings.Repeat("x", 2*maxSmallBodyBytes) + `"}`
-	resp, err = http.Post(ts.URL+"/submit", "application/json", strings.NewReader(huge))
+	resp, err = http.Post(base+"/submit", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +222,7 @@ func TestServerValidation(t *testing.T) {
 		t.Errorf("oversized submit = %d, want 4xx", resp.StatusCode)
 	}
 	var st statsJSON
-	mustGetJSON(t, ts.URL+"/stats", &st)
+	mustGetJSON(t, base+"/stats", &st)
 	if st.Answers != 0 {
 		t.Errorf("oversized submit applied %d answers", st.Answers)
 	}
@@ -225,6 +235,18 @@ func TestServerValidation(t *testing.T) {
 	}
 	if resp, _ := doJSON(t, "POST", ts.URL+"/c/%2e%2e/publish", publishBody()); resp.StatusCode != 400 {
 		t.Errorf("publish to traversal name = %d, want 400", resp.StatusCode)
+	}
+	// Publishing to a name that differs from a hosted campaign only by case
+	// is the conflict POST /campaigns reports, not an unknown campaign.
+	resp, out := doJSON(t, "POST", ts.URL+"/c/SOLO/publish", publishBody())
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("case-colliding publish = %d, want 409", resp.StatusCode)
+	}
+	if msg := string(out["error"]); !strings.Contains(msg, "already exists") || !strings.Contains(msg, `collides with \"solo\"`) {
+		t.Errorf("case-colliding publish error = %s", msg)
+	}
+	if list := srv.Registry().Campaigns(); len(list) != 1 || list[0].Name != "solo" {
+		t.Errorf("after the case-colliding publish the listing is %+v, want exactly solo", list)
 	}
 }
 
@@ -287,8 +309,9 @@ func TestRejectedPublishLeavesNoCampaign(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	ts, _ := testServer(t)
+	base := createCampaign(t, ts, "solo")
 
-	resp, out := doJSON(t, "GET", ts.URL+"/stats", nil)
+	resp, out := doJSON(t, "GET", base+"/stats", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("stats = %d", resp.StatusCode)
 	}
@@ -300,12 +323,12 @@ func TestServerStats(t *testing.T) {
 		t.Error("stats reports published before publish")
 	}
 
-	if resp, _ := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	if resp, _ := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d", resp.StatusCode)
 	}
 	for _, w := range []string{"s1", "s2"} {
 		for task := 0; task < 3; task++ {
-			resp, out := doJSON(t, "POST", ts.URL+"/submit",
+			resp, out := doJSON(t, "POST", base+"/submit",
 				map[string]any{"worker": w, "task": task, "choice": 0})
 			if resp.StatusCode != 200 {
 				t.Fatalf("submit = %d: %s", resp.StatusCode, out["error"])
@@ -313,7 +336,7 @@ func TestServerStats(t *testing.T) {
 		}
 	}
 
-	resp, out = doJSON(t, "GET", ts.URL+"/stats", nil)
+	resp, out = doJSON(t, "GET", base+"/stats", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("stats = %d", resp.StatusCode)
 	}
@@ -341,8 +364,8 @@ func TestServerStats(t *testing.T) {
 	if err := json.Unmarshal(out["campaign"], &name); err != nil {
 		t.Fatal(err)
 	}
-	if name != defaultCampaign {
-		t.Errorf("legacy /stats reports campaign %q, want %q", name, defaultCampaign)
+	if name != "solo" {
+		t.Errorf("/stats reports campaign %q, want %q", name, "solo")
 	}
 }
 
@@ -356,11 +379,12 @@ func TestServerStats(t *testing.T) {
 // and /request alike, immediately.
 func TestStatsSharesPublishSourceOfTruth(t *testing.T) {
 	ts, srv := testServer(t)
+	base := createCampaign(t, ts, "solo")
 
 	// Publish through the registry handle directly — the handlers never
 	// see it, exactly like a recovery restore or a half-acknowledged
 	// publish.
-	sys, err := srv.reg.Campaign(defaultCampaign)
+	sys, err := srv.reg.Campaign("solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +400,7 @@ func TestStatsSharesPublishSourceOfTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, out := doJSON(t, "GET", ts.URL+"/stats", nil)
+	resp, out := doJSON(t, "GET", base+"/stats", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("stats = %d", resp.StatusCode)
 	}
@@ -387,19 +411,18 @@ func TestStatsSharesPublishSourceOfTruth(t *testing.T) {
 	if !published {
 		t.Fatal("/stats reports published=false for a campaign the core has published")
 	}
-	if resp, _ := doJSON(t, "GET", ts.URL+"/request?worker=w1&k=1", nil); resp.StatusCode != 200 {
+	if resp, _ := doJSON(t, "GET", base+"/request?worker=w1&k=1", nil); resp.StatusCode != 200 {
 		t.Fatalf("request = %d; /stats and /request disagree on published", resp.StatusCode)
 	}
 	// And a second publish over HTTP conflicts — same source of truth.
-	if resp, _ := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != http.StatusConflict {
+	if resp, _ := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("publish over core-published campaign = %d, want 409", resp.StatusCode)
 	}
 }
 
 // TestServerMultiCampaign exercises the namespaced routes end to end: two
 // campaigns publish different task sets, serve different workers, report
-// separate stats, and archive independently — while the default campaign
-// and the legacy aliases stay untouched.
+// separate stats, and archive independently.
 func TestServerMultiCampaign(t *testing.T) {
 	// Durable, so the listing can be checked against a hibernated campaign.
 	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, WALDir: t.TempDir()}, Options{})
@@ -465,29 +488,26 @@ func TestServerMultiCampaign(t *testing.T) {
 		}
 	}
 
-	// The listing shows all three (default included), separately published.
-	listing := func() map[string]campaignJSON {
+	// The listing shows both, separately published.
+	listing := func() map[string]docs.CampaignInfo {
 		t.Helper()
 		resp, out := doJSON(t, "GET", ts.URL+"/campaigns", nil)
 		if resp.StatusCode != 200 {
 			t.Fatalf("campaigns = %d", resp.StatusCode)
 		}
-		var list []campaignJSON
+		var list []docs.CampaignInfo
 		if err := json.Unmarshal(out["campaigns"], &list); err != nil {
 			t.Fatal(err)
 		}
-		byName := map[string]campaignJSON{}
+		byName := map[string]docs.CampaignInfo{}
 		for _, c := range list {
 			byName[c.Name] = c
 		}
 		return byName
 	}
 	byName := listing()
-	if len(byName) != 3 {
-		t.Fatalf("campaigns = %+v, want default, ner, photos", byName)
-	}
-	if byName[defaultCampaign].Published {
-		t.Error("default campaign reported published; nothing was published to it")
+	if len(byName) != 2 {
+		t.Fatalf("campaigns = %+v, want ner, photos", byName)
 	}
 	if !byName["photos"].Published || !byName["ner"].Published {
 		t.Error("named campaigns not reported published")
@@ -553,12 +573,11 @@ func TestServerConcurrentTraffic(t *testing.T) {
 			"choices": []string{"even", "odd"}, "golden_truth": -1,
 		}
 	}
-	campaigns := []string{"default", "other"}
-	if resp, out := doJSON(t, "POST", hts.URL+"/publish", map[string]any{"tasks": tasks}); resp.StatusCode != 200 {
-		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
-	}
-	if resp, out := doJSON(t, "POST", hts.URL+"/c/other/publish", map[string]any{"tasks": tasks}); resp.StatusCode != 200 {
-		t.Fatalf("publish other = %d: %s", resp.StatusCode, out["error"])
+	campaigns := []string{"first", "other"}
+	for _, name := range campaigns {
+		if resp, out := doJSON(t, "POST", hts.URL+"/c/"+name+"/publish", map[string]any{"tasks": tasks}); resp.StatusCode != 200 {
+			t.Fatalf("publish %s = %d: %s", name, resp.StatusCode, out["error"])
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -649,14 +668,15 @@ func TestLeasedRequestsOverHTTP(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	base := ts.URL + "/c/leased"
 
-	if resp, out := doJSON(t, "POST", ts.URL+"/publish", publishBody()); resp.StatusCode != 200 {
+	if resp, out := doJSON(t, "POST", base+"/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish = %d: %s", resp.StatusCode, out["error"])
 	}
 
 	requestIDs := func() map[int]bool {
 		t.Helper()
-		resp, out := doJSON(t, "GET", ts.URL+"/request?worker=w&k=2", nil)
+		resp, out := doJSON(t, "GET", base+"/request?worker=w&k=2", nil)
 		if resp.StatusCode != 200 {
 			t.Fatalf("request = %d: %s", resp.StatusCode, out["error"])
 		}
@@ -690,7 +710,7 @@ func TestLeasedRequestsOverHTTP(t *testing.T) {
 		t.Fatalf("third request returned %d tasks from a fully leased pool", len(third))
 	}
 
-	resp, out := doJSON(t, "GET", ts.URL+"/stats", nil)
+	resp, out := doJSON(t, "GET", base+"/stats", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("stats = %d", resp.StatusCode)
 	}
@@ -713,59 +733,10 @@ func TestLeasedRequestsOverHTTP(t *testing.T) {
 	}
 }
 
-// TestStatsRateMapPruned is the rate-observation leak regression: the
-// per-campaign map behind answers_per_sec_recent used to keep entries for
-// archived campaigns forever (and nothing may create entries for unknown
-// names probed by scanners) — an archive-heavy or probe-heavy deployment
-// grew the map without bound.
-func TestStatsRateMapPruned(t *testing.T) {
-	ts, srv := testServer(t)
-
-	// 404 probes against unknown campaign names must not touch the map.
-	for i := 0; i < 5; i++ {
-		resp, _ := doJSON(t, "GET", fmt.Sprintf("%s/c/nope%d/stats", ts.URL, i), nil)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("probe %d: status %d, want 404", i, resp.StatusCode)
-		}
-	}
-	srv.rateMu.Lock()
-	leaked := len(srv.rates)
-	srv.rateMu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("unknown-name probes left %d rate entries", leaked)
-	}
-
-	// A live campaign's /stats records an observation; archiving the
-	// campaign must delete it.
-	if resp, _ := doJSON(t, "POST", ts.URL+"/campaigns", map[string]string{"name": "ephemeral"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("create: status %d", resp.StatusCode)
-	}
-	if resp, _ := doJSON(t, "GET", ts.URL+"/c/ephemeral/stats", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: status %d", resp.StatusCode)
-	}
-	srv.rateMu.Lock()
-	_, present := srv.rates["ephemeral"]
-	srv.rateMu.Unlock()
-	if !present {
-		t.Fatal("stats call did not record a rate observation")
-	}
-	if resp, _ := doJSON(t, "POST", ts.URL+"/c/ephemeral/archive", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("archive: status %d", resp.StatusCode)
-	}
-	srv.rateMu.Lock()
-	_, present = srv.rates["ephemeral"]
-	srv.rateMu.Unlock()
-	if present {
-		t.Fatal("archived campaign's rate observation leaked")
-	}
-}
-
-// TestStatsHibernation is the hibernation face of the rate-map regression
-// plus the /stats census split: hibernating a campaign must prune its rate
-// observation (an LRU churning thousands of campaigns would otherwise grow
-// the map without bound), the next /stats request must wake the campaign
-// and serve normally, and the campaigns_live / campaigns_hibernated /
-// wakes_total fields must track the lifecycle.
+// TestStatsHibernation pins the /stats census split and the wake contract:
+// a /stats request to a hibernated campaign wakes it and serves normally,
+// and campaigns_live / campaigns_hibernated / wakes_total track the
+// lifecycle.
 func TestStatsHibernation(t *testing.T) {
 	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, WALDir: t.TempDir()}, Options{})
 	if err != nil {
@@ -775,62 +746,117 @@ func TestStatsHibernation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	if resp, _ := doJSON(t, "POST", ts.URL+"/campaigns", map[string]string{"name": "nap"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("create: status %d", resp.StatusCode)
-	}
-	statField := func(out map[string]json.RawMessage, key string) int64 {
+	nap, awake := createCampaign(t, ts, "nap"), createCampaign(t, ts, "awake")
+	census := func(url string) (live, hibernated, wakes int64) {
 		t.Helper()
-		var v int64
-		if err := json.Unmarshal(out[key], &v); err != nil {
-			t.Fatalf("stats %s: %v", key, err)
+		resp, out := doJSON(t, "GET", url+"/stats", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/stats: status %d (the wake contract says any request wakes)", url, resp.StatusCode)
 		}
-		return v
+		for key, dst := range map[string]*int64{"campaigns_live": &live, "campaigns_hibernated": &hibernated, "wakes_total": &wakes} {
+			if err := json.Unmarshal(out[key], dst); err != nil {
+				t.Fatalf("stats %s: %v", key, err)
+			}
+		}
+		return live, hibernated, wakes
 	}
-	resp, out := doJSON(t, "GET", ts.URL+"/c/nap/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: status %d", resp.StatusCode)
-	}
-	// "default" + "nap", both resident, none hibernated, no wakes yet.
-	if got := statField(out, "campaigns_live"); got != 2 {
-		t.Fatalf("campaigns_live = %d, want 2", got)
-	}
-	if got := statField(out, "campaigns_hibernated"); got != 0 {
-		t.Fatalf("campaigns_hibernated = %d, want 0", got)
-	}
-	if got := statField(out, "wakes_total"); got != 0 {
-		t.Fatalf("wakes_total = %d, want 0", got)
-	}
-	srv.rateMu.Lock()
-	_, present := srv.rates["nap"]
-	srv.rateMu.Unlock()
-	if !present {
-		t.Fatal("stats call did not record a rate observation")
+	// Both resident, none hibernated, no wakes yet.
+	if live, hib, wakes := census(nap); live != 2 || hib != 0 || wakes != 0 {
+		t.Fatalf("fresh census = %d live, %d hibernated, %d wakes, want 2/0/0", live, hib, wakes)
 	}
 
-	// Hibernation prunes the observation through the registry hook.
 	if err := srv.Registry().Hibernate("nap"); err != nil {
 		t.Fatal(err)
 	}
-	srv.rateMu.Lock()
-	_, present = srv.rates["nap"]
-	srv.rateMu.Unlock()
-	if present {
-		t.Fatal("hibernated campaign's rate observation leaked")
+	// Another campaign's /stats reports the hibernation and wakes nothing.
+	if live, hib, wakes := census(awake); live != 1 || hib != 1 || wakes != 0 {
+		t.Fatalf("census after hibernate = %d live, %d hibernated, %d wakes, want 1/1/0", live, hib, wakes)
 	}
-
 	// A campaign-addressed request wakes it: /stats serves 200 and the
 	// census plus wake counters move.
-	resp, out = doJSON(t, "GET", ts.URL+"/c/nap/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats after hibernate: status %d (the wake contract says any request wakes)", resp.StatusCode)
+	if live, hib, wakes := census(nap); live != 2 || hib != 0 || wakes != 1 {
+		t.Fatalf("census after wake = %d live, %d hibernated, %d wakes, want 2/0/1", live, hib, wakes)
 	}
-	if got := statField(out, "campaigns_live"); got != 2 {
-		t.Fatalf("campaigns_live after wake = %d, want 2", got)
+}
+
+// TestNoPhantomCampaign: the server hosts what requesters created and
+// nothing else. It used to create a campaign named "default" at every boot
+// to back root-path aliases of the campaign endpoints; under a resident cap
+// that campaign took a slot, and a health-checker's GET /stats woke it and
+// hibernated a published, serving campaign to make room.
+func TestNoPhantomCampaign(t *testing.T) {
+	dir := t.TempDir()
+	cfg := docs.Config{GoldenCount: -1, HITSize: 3, WALDir: dir, MaxLiveCampaigns: 2}
+	srv, err := New(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := statField(out, "wakes_total"); got != 1 {
-		t.Fatalf("wakes_total after wake = %d, want 1", got)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	if list := srv.Registry().Campaigns(); len(list) != 0 {
+		t.Fatalf("a fresh server lists %+v, want no campaign", list)
 	}
-	if got := statField(out, "campaigns"); got != 2 {
-		t.Fatalf("campaigns = %d, want 2 (live + hibernated, excluding archived)", got)
+	if _, out := doJSON(t, "GET", ts.URL+"/campaigns", nil); string(out["campaigns"]) != "[]" {
+		t.Fatalf("fresh GET /campaigns lists %s, want []", out["campaigns"])
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "campaigns")); err == nil && len(entries) != 0 {
+		t.Fatalf("a fresh server wrote %d entries under campaigns/", len(entries))
+	}
+
+	for _, name := range []string{"a", "b"} {
+		if resp, out := doJSON(t, "POST", ts.URL+"/c/"+name+"/publish", publishBody()); resp.StatusCode != 200 {
+			t.Fatalf("publish %s = %d: %s", name, resp.StatusCode, out["error"])
+		}
+	}
+	assertServing := func(when string) {
+		t.Helper()
+		list := srv.Registry().Campaigns()
+		if len(list) != 2 || list[0].Name != "a" || list[1].Name != "b" {
+			t.Fatalf("%s: listing = %+v, want exactly a and b", when, list)
+		}
+		for _, c := range list {
+			if c.Hibernated || !srv.Registry().CampaignResident(c.Name) {
+				t.Fatalf("%s: campaign %s is not resident: %+v", when, c.Name, c)
+			}
+		}
+		if wakes, _, _ := srv.Registry().WakeStats(); wakes != 0 {
+			t.Fatalf("%s: wakes_total = %d, want 0", when, wakes)
+		}
+	}
+	assertServing("after publishing a and b")
+
+	for _, probe := range []struct{ method, path, body string }{
+		{"GET", "/stats", ""},
+		{"GET", "/request?worker=w", ""},
+		{"POST", "/publish", `{"tasks":[{"id":0,"text":"a or b","choices":["a","b"],"golden_truth":-1}]}`},
+		{"POST", "/submit", `{"worker":"w","task":0,"choice":0}`},
+	} {
+		req, err := http.NewRequest(probe.method, ts.URL+probe.path, strings.NewReader(probe.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", probe.method, probe.path, resp.StatusCode)
+		}
+		assertServing("after " + probe.method + " " + probe.path)
+	}
+
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := docs.OpenRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if list := reopened.Campaigns(); len(list) != 2 || list[0].Name != "a" || list[1].Name != "b" {
+		t.Fatalf("reopened listing = %+v, want exactly a and b", list)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// lockorderAnalyzer statically detects the two deadlock shapes this repo
-// has already found by hand (the rateMu→Campaign AB-BA in the /stats
-// handler, r.mu-under-c.mu inversions in the registry): acquiring a lock
-// while holding one that the declared order says must come AFTER it.
+// lockorderAnalyzer statically detects the deadlock shape this repo has
+// already found by hand (r.mu-under-c.mu inversions in the registry):
+// acquiring a lock while holding one that the declared order says must
+// come AFTER it.
 //
 // It is annotation-driven:
 //
@@ -21,7 +21,7 @@ import (
 //	                                 the syntactic scan cannot see
 //
 // Lock identity is the literal receiver spelling at the Lock/RLock call —
-// "c.mu", "r.mu", "s.rateMu" — which this repo keeps unique by its
+// "c.mu", "r.mu" — which this repo keeps unique by its
 // consistent receiver naming. The analyzer also reads Lock/Unlock pairs
 // syntactically and tracks position intervals, so a call made AFTER an
 // Unlock (or before the Lock) is correctly treated as lock-free; an
@@ -256,7 +256,7 @@ func walkOwn(body *ast.BlockStmt, self *ast.FuncLit, fn func(n ast.Node, inDefer
 	walk(body, false)
 }
 
-// exprText renders a selector chain as written: "s.rateMu", "c.mu".
+// exprText renders a selector chain as written: "c.mu", "r.mu".
 func exprText(e ast.Expr) string {
 	switch t := ast.Unparen(e).(type) {
 	case *ast.Ident:

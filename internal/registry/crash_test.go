@@ -38,12 +38,14 @@ var crashKnobs = struct {
 
 func crashConfig(root string) Config {
 	return Config{
-		WALDir:          root,
-		GoldenCount:     crashKnobs.golden,
-		HITSize:         crashKnobs.hit,
-		AnswersPerTask:  crashKnobs.perTask,
-		RerunEvery:      crashKnobs.rerun,
-		WALSegmentBytes: crashKnobs.segBytes,
+		WALDir: root,
+		Campaign: core.Config{
+			GoldenCount:     crashKnobs.golden,
+			HITSize:         crashKnobs.hit,
+			AnswersPerTask:  crashKnobs.perTask,
+			RerunEvery:      crashKnobs.rerun,
+			WALSegmentBytes: crashKnobs.segBytes,
+		},
 	}
 }
 

@@ -361,7 +361,7 @@ func TestWakeStampedeSingleFlight(t *testing.T) {
 func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 	root := t.TempDir()
 	cfg := crashConfig(root)
-	cfg.AnswersPerTask = 2
+	cfg.Campaign.AnswersPerTask = 2
 	reg, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -490,8 +490,8 @@ func TestLazyBootAndLRUCap(t *testing.T) {
 		t.Fatalf("cold boot counts = %d/%d/%d, want 0/%d/0", live, hib, arch, len(names))
 	}
 	for _, info := range capped.List() {
-		if !info.Hibernated || info.Recovered != 0 {
-			t.Fatalf("cold boot: campaign %s hibernated=%v recovered=%d, want true/0", info.Name, info.Hibernated, info.Recovered)
+		if !info.Hibernated || info.RecoveredRecords != 0 {
+			t.Fatalf("cold boot: campaign %s hibernated=%v recovered=%d, want true/0", info.Name, info.Hibernated, info.RecoveredRecords)
 		}
 	}
 
@@ -601,7 +601,7 @@ func TestHibernateLifecycleErrors(t *testing.T) {
 	}
 
 	// A memory-only registry cannot hibernate a campaign.
-	mem, err := Open(Config{GoldenCount: -1, HITSize: 3})
+	mem, err := Open(Config{Campaign: core.Config{GoldenCount: -1, HITSize: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

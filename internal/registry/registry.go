@@ -77,7 +77,6 @@ import (
 	"docs/internal/core"
 	"docs/internal/kb"
 	"docs/internal/store"
-	"docs/internal/wal"
 )
 
 // Errors the lifecycle methods return; test with errors.Is.
@@ -107,25 +106,18 @@ const storeFile = "store.json"
 // wakeWindow bounds the ring of recent wake latencies behind WakeStats.
 const wakeWindow = 512
 
-// Config configures a Registry. Campaign-tuning fields are applied to every
-// campaign the registry creates or recovers.
+// Config configures a Registry: where it lives, how many campaigns stay
+// resident, and the template every campaign is built from.
 type Config struct {
 	// WALDir is the registry's root directory: the shared store and every
 	// campaign's WAL namespace live under it, and Open replays whatever a
 	// previous process left there. Empty keeps the whole registry
 	// memory-only (campaigns are not durable and vanish with the process).
 	WALDir string
-	// Store is the shared worker store. Nil lets the registry open one:
-	// at StorePath if set, else at <WALDir>/store.json when WALDir is set
-	// (recovery correctness wants the store persistent — see the package
-	// comment), else memory-only. A caller-provided store is never closed
-	// by the registry.
-	Store *store.Store
-	// StorePath overrides the shared store location when Store is nil.
+	// StorePath is the shared worker store's location. Empty selects
+	// <WALDir>/store.json when WALDir is set (recovery correctness wants
+	// the store persistent — see the package comment), else memory-only.
 	StorePath string
-	// KB is the knowledge base shared by every campaign; nil selects the
-	// curated default.
-	KB *kb.KB
 
 	// MaxLiveCampaigns caps how many campaigns are resident (live) at
 	// once. Past the cap the least-recently-touched live campaign is
@@ -144,39 +136,37 @@ type Config struct {
 	// the real clock.
 	Clock func() time.Time
 
-	// Per-campaign tuning, passed through to core.Config.
-	GoldenCount     int
-	HITSize         int
-	AnswersPerTask  int
-	RerunEvery      int
-	AsyncRerun      bool
-	SnapshotEvery   int
-	WALSegmentBytes int64
-	WALSync         wal.SyncPolicy
-	LeaseTTL        time.Duration
+	// Campaign is the template every campaign the registry creates or
+	// recovers is built from. The registry completes each copy: KB when
+	// nil (the curated default, shared by all campaigns), Store (always
+	// the registry's shared store) and ProfileScope (the campaign's name).
+	Campaign core.Config
 }
 
-// Info describes one campaign in List output.
+// Info describes one campaign in List output. The JSON tags are the
+// GET /campaigns wire format.
 type Info struct {
-	Name string
+	// Name is the campaign's registry key (also its URL path segment and
+	// WAL directory name).
+	Name string `json:"name"`
 	// Archived campaigns are closed for good: listed, never served or
 	// replayed.
-	Archived bool
+	Archived bool `json:"archived"`
 	// Hibernated campaigns are durable but not resident: the next request
 	// wakes them.
-	Hibernated bool
+	Hibernated bool `json:"hibernated"`
 	// Published and Answers are the campaign's serving state — for a
 	// hibernated or archived campaign, its state when it left memory this
 	// process, or zero when it has not been resident this boot (cold logs
 	// are not replayed, so their counters are unknown until first touch).
-	Published bool
-	Answers   int64
-	// Recovered is how many WAL records the campaign's most recent replay
-	// (boot or wake) applied.
-	Recovered int
+	Published bool  `json:"published"`
+	Answers   int64 `json:"answers"`
+	// RecoveredRecords is how many WAL records the campaign's most recent
+	// replay (boot or wake) applied.
+	RecoveredRecords int `json:"recovered_records"`
 	// Wakes is how many times the campaign was reactivated from
 	// hibernation this process.
-	Wakes int
+	Wakes int `json:"wakes"`
 }
 
 // campaignState is the lifecycle position of one registry entry.
@@ -223,10 +213,8 @@ type campaign struct {
 // All methods are safe for concurrent use; the *core.System handles it
 // returns are themselves concurrent-safe serving cores.
 type Registry struct {
-	cfg       Config
-	kb        *kb.KB
-	store     *store.Store
-	ownsStore bool
+	cfg   Config
+	store *store.Store
 
 	mu        sync.RWMutex
 	campaigns map[string]*campaign
@@ -236,18 +224,12 @@ type Registry struct {
 	// check is O(1) on the hot path.
 	liveCount atomic.Int64
 
-	wakes        atomic.Int64
-	hibernations atomic.Int64
+	wakes atomic.Int64
 
 	// wakeMu guards the ring of recent wake latencies.
 	wakeMu   sync.Mutex
 	wakeDur  []time.Duration
 	wakeNext int
-
-	// hookMu guards onHibernate, an optional callback invoked after each
-	// hibernation (serving layers prune per-campaign caches through it).
-	hookMu      sync.Mutex
-	onHibernate func(name string)
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -284,38 +266,30 @@ func Open(cfg Config) (*Registry, error) {
 	if (cfg.MaxLiveCampaigns > 0 || cfg.HibernateAfter > 0) && cfg.WALDir == "" {
 		return nil, fmt.Errorf("registry: hibernation (MaxLiveCampaigns/HibernateAfter) requires WALDir: releasing a memory-only campaign would lose it")
 	}
-	k := cfg.KB
-	if k == nil {
-		var err error
-		k, err = kb.Default()
+	if cfg.Campaign.KB == nil {
+		k, err := kb.Default()
 		if err != nil {
 			return nil, err
 		}
+		cfg.Campaign.KB = k
 	}
-	st := cfg.Store
-	ownsStore := false
-	if st == nil {
-		path := cfg.StorePath
-		if path == "" && cfg.WALDir != "" {
-			// Default the shared store next to the campaign logs: recovery
-			// exactness depends on the store being persistent (replay then
-			// never mutates it), so a durable registry gets a durable store
-			// unless the caller explicitly provides their own.
-			path = filepath.Join(cfg.WALDir, storeFile)
-		}
-		if path != "" {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				return nil, fmt.Errorf("registry: %w", err)
-			}
-		}
-		var err error
-		st, err = store.Open(path, k.Domains().Size())
-		if err != nil {
-			return nil, err
-		}
-		ownsStore = true
+	path := cfg.StorePath
+	if path == "" && cfg.WALDir != "" {
+		// Default the shared store next to the campaign logs: recovery
+		// exactness depends on the store being persistent (replay then
+		// never mutates it), so a durable registry gets a durable store.
+		path = filepath.Join(cfg.WALDir, storeFile)
 	}
-	r := &Registry{cfg: cfg, kb: k, store: st, ownsStore: ownsStore,
+	if path != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return nil, fmt.Errorf("registry: %w", err)
+		}
+	}
+	st, err := store.Open(path, cfg.Campaign.KB.Domains().Size())
+	if err != nil {
+		return nil, err
+	}
+	r := &Registry{cfg: cfg, store: st,
 		campaigns: make(map[string]*campaign), quit: make(chan struct{})}
 	if cfg.WALDir != "" {
 		if err := r.recoverAll(); err != nil {
@@ -440,20 +414,10 @@ func (r *Registry) recoverAll() error {
 // different campaigns never alias in the shared store's merge-once ledger.
 // Returns the serving core and how many WAL records the replay applied.
 func (r *Registry) openCampaign(name, dir string) (*core.System, int, error) {
-	sys, err := core.New(core.Config{
-		KB:              r.kb,
-		Store:           r.store,
-		ProfileScope:    name,
-		GoldenCount:     r.cfg.GoldenCount,
-		HITSize:         r.cfg.HITSize,
-		AnswersPerTask:  r.cfg.AnswersPerTask,
-		RerunEvery:      r.cfg.RerunEvery,
-		AsyncRerun:      r.cfg.AsyncRerun,
-		SnapshotEvery:   r.cfg.SnapshotEvery,
-		WALSegmentBytes: r.cfg.WALSegmentBytes,
-		WALSync:         r.cfg.WALSync,
-		LeaseTTL:        r.cfg.LeaseTTL,
-	})
+	cc := r.cfg.Campaign
+	cc.Store = r.store
+	cc.ProfileScope = name
+	sys, err := core.New(cc)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -663,38 +627,14 @@ func (r *Registry) hibernate(name string, c *campaign) (bool, error) {
 	r.mu.Unlock()
 	c.sys.Store(nil)
 	r.liveCount.Add(-1)
-	r.hibernations.Add(1)
 
 	// Drain + final snapshot + fsync + release, outside every registry
 	// lock: only requests to THIS campaign wait (on c.mu), every other
 	// campaign serves on.
-	err := sys.Hibernate()
-	r.notifyHibernate(name)
-	if err != nil {
+	if err := sys.Hibernate(); err != nil {
 		return true, fmt.Errorf("registry: hibernate %q: %w", name, err)
 	}
 	return true, nil
-}
-
-// notifyHibernate invokes the hibernation hook, if any.
-func (r *Registry) notifyHibernate(name string) {
-	r.hookMu.Lock()
-	fn := r.onHibernate
-	r.hookMu.Unlock()
-	if fn != nil {
-		fn(name)
-	}
-}
-
-// OnHibernate registers fn to be called after each campaign hibernation
-// (idle sweep, LRU eviction or explicit Hibernate) with the campaign's
-// name. Serving layers use it to prune per-campaign caches. The callback
-// runs with the campaign's transition lock held: keep it quick and do not
-// call back into the registry.
-func (r *Registry) OnHibernate(fn func(name string)) {
-	r.hookMu.Lock()
-	r.onHibernate = fn
-	r.hookMu.Unlock()
 }
 
 // enforceCap hibernates least-recently-touched live campaigns until the
@@ -838,10 +778,6 @@ func quantile(sorted []time.Duration, q int) time.Duration {
 	return sorted[idx]
 }
 
-// Hibernations returns how many live → hibernated transitions have run
-// (idle sweeps, LRU evictions and explicit Hibernate calls combined).
-func (r *Registry) Hibernations() int64 { return r.hibernations.Load() }
-
 // Names returns every campaign name (live, hibernated and archived),
 // sorted.
 func (r *Registry) Names() []string {
@@ -870,7 +806,7 @@ func (r *Registry) List() []Info {
 		info := Info{Name: name, Archived: c.state == stateArchived,
 			Hibernated: c.state == stateHibernated,
 			Published:  c.published, Answers: c.answers,
-			Recovered: c.recovered, Wakes: c.wakes}
+			RecoveredRecords: c.recovered, Wakes: c.wakes}
 		if sys := c.sys.Load(); sys != nil {
 			info.Published = sys.Published()
 			info.Answers = sys.AnswerCount()
@@ -942,14 +878,6 @@ func (r *Registry) Archive(name string) error {
 	return nil
 }
 
-// Live returns the number of serveable (non-archived) campaigns — live
-// plus hibernated — a cheap counter for serving stats, unlike List which
-// queries every campaign.
-func (r *Registry) Live() int {
-	live, hibernated, _ := r.Counts()
-	return live + hibernated
-}
-
 // Counts returns the campaign census by lifecycle state.
 func (r *Registry) Counts() (live, hibernated, archived int) {
 	r.mu.RLock()
@@ -984,8 +912,8 @@ func (r *Registry) Resident(name string) bool {
 func (r *Registry) Store() *store.Store { return r.store }
 
 // Close shuts every resident campaign down gracefully (background workers
-// drained, WALs flushed and fsynced) and releases the shared store when the
-// registry owns it. Campaign handles must not be used after Close.
+// drained, WALs flushed and fsynced) and releases the shared store.
+// Campaign handles must not be used after Close.
 func (r *Registry) Close() error {
 	type entry struct {
 		name string
@@ -1021,10 +949,8 @@ func (r *Registry) Close() error {
 			err = fmt.Errorf("registry: close %q: %w", e.name, cerr)
 		}
 	}
-	if r.ownsStore {
-		if cerr := r.store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := r.store.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -107,7 +107,7 @@ func TestValidateName(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	root := t.TempDir()
-	cfg := Config{WALDir: root, GoldenCount: -1, HITSize: 4, AnswersPerTask: 2, RerunEvery: -1}
+	cfg := Config{WALDir: root, Campaign: core.Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 2, RerunEvery: -1}}
 	reg, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("rebooted List = %+v, want 2 campaigns", infos)
 	}
-	if !infos[0].Archived || infos[0].Recovered != 0 {
+	if !infos[0].Archived || infos[0].RecoveredRecords != 0 {
 		t.Errorf("alpha after reboot = %+v, want archived, 0 replayed", infos[0])
 	}
 	if infos[1].Archived {
@@ -213,7 +213,7 @@ func TestRegistryLifecycle(t *testing.T) {
 // the same root: every campaign must come back published with its answers.
 func TestRegistryRebootRecoversAllCampaigns(t *testing.T) {
 	root := t.TempDir()
-	cfg := Config{WALDir: root, GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: -1}
+	cfg := Config{WALDir: root, Campaign: core.Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: -1}}
 	reg, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestRegistryRebootRecoversAllCampaigns(t *testing.T) {
 		if info.Answers != answers[info.Name] {
 			t.Errorf("campaign %s recovered %d answers, want %d", info.Name, info.Answers, answers[info.Name])
 		}
-		if info.Recovered == 0 {
+		if info.RecoveredRecords == 0 {
 			t.Errorf("campaign %s replayed no records", info.Name)
 		}
 	}
@@ -263,7 +263,7 @@ func TestRegistryRebootRecoversAllCampaigns(t *testing.T) {
 // domain-quality vector carried over through the shared store — and the
 // store must hold exactly one profiling merge for them.
 func TestCrossCampaignWorkerCarryover(t *testing.T) {
-	reg, err := Open(Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1})
+	reg, err := Open(Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestCrossCampaignWorkerCarryover(t *testing.T) {
 // equal exactly their single profiling merge — no double counting, no lost
 // updates, under full concurrency.
 func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
-	reg, err := Open(Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 8, RerunEvery: 25})
+	reg, err := Open(Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 8, RerunEvery: 25}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 // shared store still carries workers across campaigns, nothing touches
 // disk.
 func TestMemoryOnlyRegistry(t *testing.T) {
-	reg, err := Open(Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1})
+	reg, err := Open(Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestMemoryOnlyRegistry(t *testing.T) {
 // -race in CI, this is also the data-race gate for the parallel boot path.
 func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 	root := t.TempDir()
-	reg, err := Open(Config{WALDir: root, GoldenCount: 3, HITSize: 4, AnswersPerTask: 3, RerunEvery: 15})
+	reg, err := Open(Config{WALDir: root, Campaign: core.Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 3, RerunEvery: 15}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(Config{WALDir: root, GoldenCount: 3, HITSize: 4, AnswersPerTask: 3, RerunEvery: 15})
+	re, err := Open(Config{WALDir: root, Campaign: core.Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 3, RerunEvery: 15}})
 	if err != nil {
 		t.Fatal(err)
 	}

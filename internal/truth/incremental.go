@@ -358,9 +358,6 @@ type Handle struct{ it *incTask }
 // tasks). Handles stay valid for the life of the engine.
 func (inc *Incremental) Handle(id int) Handle { return Handle{it: inc.lookup(id)} }
 
-// Valid reports whether the handle refers to a registered task.
-func (h Handle) Valid() bool { return h.it != nil }
-
 // View returns the latest published immutable snapshot (nil for the zero
 // Handle). Same contract as Incremental.View, minus the map lookup.
 func (h Handle) View() *TaskView {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"docs/internal/registry"
-	"docs/internal/wal"
 )
 
 // Campaign lifecycle errors, returned by Registry methods; test with
@@ -24,27 +23,11 @@ type Registry struct {
 	reg *registry.Registry
 }
 
-// CampaignInfo describes one hosted campaign.
-type CampaignInfo struct {
-	// Name is the campaign's registry key (also its URL path segment and
-	// WAL directory name).
-	Name string
-	// Archived campaigns are closed for good: listed, never served.
-	Archived bool
-	// Hibernated campaigns are durable on disk but not resident in
-	// memory; the next request wakes them (Campaign blocks on the wake).
-	Hibernated bool
-	// Published and Answers are the campaign's serving counters; for a
-	// campaign archived before this process started they are zero (its log
-	// is not replayed).
-	Published bool
-	Answers   int64
-	// RecoveredRecords is how many WAL records the campaign's most recent
-	// replay (boot or wake) applied, and Wakes how many times it has been
-	// reactivated from hibernation this process.
-	RecoveredRecords int
-	Wakes            int
-}
+// CampaignInfo describes one hosted campaign: its name, whether it is
+// archived or hibernated, its serving counters (zero for a campaign not
+// resident this process — cold logs are not replayed), how many WAL
+// records its most recent replay applied and how often it has woken.
+type CampaignInfo = registry.Info
 
 // OpenRegistry creates a campaign registry. Config fields apply to every
 // campaign it hosts: WALDir becomes the registry root (per-campaign logs
@@ -53,24 +36,12 @@ type CampaignInfo struct {
 // set, so durable registries get the persistent store recovery exactness
 // relies on).
 func OpenRegistry(cfg Config) (*Registry, error) {
-	walSync := wal.SyncNever
-	if cfg.WALSyncEveryBatch {
-		walSync = wal.SyncEveryBatch
-	}
 	reg, err := registry.Open(registry.Config{
-		WALDir:         cfg.WALDir,
-		StorePath:      cfg.StorePath,
-		GoldenCount:    cfg.GoldenCount,
-		HITSize:        cfg.HITSize,
-		AnswersPerTask: cfg.AnswersPerTask,
-		RerunEvery:     cfg.RerunEvery,
-		AsyncRerun:     cfg.AsyncRerun,
-		SnapshotEvery:  cfg.SnapshotEvery,
-		WALSync:        walSync,
-		LeaseTTL:       cfg.LeaseTTL,
-
+		WALDir:           cfg.WALDir,
+		StorePath:        cfg.StorePath,
 		MaxLiveCampaigns: cfg.MaxLiveCampaigns,
 		HibernateAfter:   cfg.HibernateAfter,
+		Campaign:         cfg.campaign(),
 	})
 	if err != nil {
 		return nil, err
@@ -103,26 +74,7 @@ func (r *Registry) Campaign(name string) (*System, error) {
 
 // Campaigns lists every hosted campaign (live and archived), sorted by
 // name.
-func (r *Registry) Campaigns() []CampaignInfo {
-	infos := r.reg.List()
-	out := make([]CampaignInfo, len(infos))
-	for i, in := range infos {
-		out[i] = CampaignInfo{
-			Name:             in.Name,
-			Archived:         in.Archived,
-			Hibernated:       in.Hibernated,
-			Published:        in.Published,
-			Answers:          in.Answers,
-			RecoveredRecords: in.Recovered,
-			Wakes:            in.Wakes,
-		}
-	}
-	return out
-}
-
-// CampaignCount returns the number of serveable (non-archived) campaigns
-// — resident plus hibernated — without querying each one's serving state.
-func (r *Registry) CampaignCount() int { return r.reg.Live() }
+func (r *Registry) Campaigns() []CampaignInfo { return r.reg.List() }
 
 // CampaignCounts returns the campaign census by lifecycle state: resident
 // in memory, hibernated on disk, and archived.
@@ -151,12 +103,6 @@ func (r *Registry) Hibernate(name string) error { return r.reg.Hibernate(name) }
 func (r *Registry) WakeStats() (total int64, p50, p99 time.Duration) {
 	return r.reg.WakeStats()
 }
-
-// OnHibernate registers fn to run after each campaign hibernation with
-// the campaign's name; serving layers use it to prune per-campaign
-// caches. The callback runs with the campaign's transition lock held —
-// keep it quick and do not call back into the registry.
-func (r *Registry) OnHibernate(fn func(name string)) { r.reg.OnHibernate(fn) }
 
 // Archive ends a campaign for good: its serving core is drained and
 // closed (WAL flushed and fsynced), and durable registries mark the

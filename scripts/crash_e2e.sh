@@ -24,6 +24,7 @@ go build -o "$workdir/docs-server" ./cmd/docs-server
 
 addr=127.0.0.1:18080
 base="http://$addr"
+campaign="$base/c/e2e"
 # start_server <data dir> <snapshot-every>
 start_server() {
     "$workdir/docs-server" -addr "$addr" -wal-dir "$1" -wal-fsync \
@@ -39,8 +40,8 @@ start_server() {
     exit 2
 }
 
-stats_field() { # stats_field <field>: one scalar out of GET /stats
-    curl -sf "$base/stats" | python3 -c "import json,sys; print(json.load(sys.stdin)['$1'])"
+stats_field() { # stats_field <field>: one scalar out of the campaign's /stats
+    curl -sf "$campaign/stats" | python3 -c "import json,sys; print(json.load(sys.stdin)['$1'])"
 }
 
 cat > "$workdir/drive.py" <<'PYEOF'
@@ -96,7 +97,7 @@ run_pass() {
     mkdir "$out"
     start_server "$out/data" "$every"
     echo "crash_e2e[$name]: driving contested campaign (pid $server_pid)"
-    python3 "$workdir/drive.py" "$base"
+    python3 "$workdir/drive.py" "$campaign"
     if [ "$want_snapshot" = True ]; then
         # The snapshot worker runs behind the submits; the kill must find
         # a snapshot on disk or the reboot would not use this rung.
@@ -107,9 +108,9 @@ run_pass() {
     fi
 
     echo "crash_e2e[$name]: capturing live responses"
-    curl -sf "$base/results" > "$out/live_results.json"
+    curl -sf "$campaign/results" > "$out/live_results.json"
     for task in 0 4 5 6; do
-        curl -sf "$base/result?task=$task" > "$out/live_result_$task.json"
+        curl -sf "$campaign/result?task=$task" > "$out/live_result_$task.json"
     done
 
     echo "crash_e2e[$name]: kill -9 $server_pid"
@@ -124,9 +125,9 @@ run_pass() {
         echo "crash_e2e[$name]: FAIL — recovered_from_snapshot=$got_snapshot, want $want_snapshot" >&2
         exit 1
     fi
-    curl -sf "$base/results" > "$out/recovered_results.json"
+    curl -sf "$campaign/results" > "$out/recovered_results.json"
     for task in 0 4 5 6; do
-        curl -sf "$base/result?task=$task" > "$out/recovered_result_$task.json"
+        curl -sf "$campaign/result?task=$task" > "$out/recovered_result_$task.json"
     done
 
     local fail=0
