@@ -31,7 +31,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -398,6 +397,20 @@ func (s *System) Publish(tasks []*model.Task) error {
 			return err
 		}
 	}
+	// The durable record is encoded here, while a rejection still leaves
+	// the campaign unpublished: a publication too large for one WAL record
+	// is the requester's to split, not a write to acknowledge and then read
+	// back as corruption.
+	var blob []byte
+	if s.wal != nil {
+		if blob, err = encodePublication(tasks, s.m); err != nil {
+			return err
+		}
+		if len(blob) > wal.MaxBlob {
+			return fmt.Errorf("core: publication encodes to %d bytes, over the %d a log record holds; publish fewer or shorter tasks",
+				len(blob), wal.MaxBlob)
+		}
+	}
 	s.byID = byID
 	s.tasks = tasks
 
@@ -454,10 +467,6 @@ func (s *System) Publish(tasks []*model.Task) error {
 	// possibly different knowledge-base build. Campaign structure is
 	// settled at this point; a failure below only voids durability.
 	if s.wal != nil {
-		blob, err := json.Marshal(tasks)
-		if err != nil {
-			return fmt.Errorf("core: wal: %w", err)
-		}
 		s.logMu.Lock()
 		p, err := s.walReserve(wal.Record{Kind: wal.KindPublish, Blob: blob})
 		s.logMu.Unlock()

@@ -12,12 +12,10 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
-	"docs/internal/model"
 	"docs/internal/wal"
 )
 
@@ -171,7 +169,9 @@ func (s *System) WALSeq() uint64 {
 func (s *System) applyRecord(rec wal.Record) error {
 	switch rec.Kind {
 	case wal.KindPublish:
-		tasks, err := decodePublication(rec)
+		// The record's tasks all carry their domain vector (decodePublication
+		// returns no other kind), so this Publish links no text.
+		tasks, err := decodePublication(rec, s.m)
 		if err != nil {
 			return err
 		}
@@ -217,15 +217,6 @@ func (s *System) applyRecord(rec wal.Record) error {
 		return fmt.Errorf("record %d has unknown kind %d", rec.Seq, rec.Kind)
 	}
 	return nil
-}
-
-// decodePublication parses a publish record's task set.
-func decodePublication(rec wal.Record) ([]*model.Task, error) {
-	var tasks []*model.Task
-	if err := json.Unmarshal(rec.Blob, &tasks); err != nil {
-		return nil, fmt.Errorf("publish record %d: %w", rec.Seq, err)
-	}
-	return tasks, nil
 }
 
 // walReserve queues one record for the armed WAL. Callers hold logMu

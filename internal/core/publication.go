@@ -1,0 +1,271 @@
+// Publications: the durable record of a campaign's task set.
+//
+// Publish logs the tasks as they stand after DVE — every task carrying its
+// m-long domain vector — as one KindPublish record, so no boot, wake or
+// snapshot pass re-runs entity linking against a knowledge base that may
+// have changed since. Every one of those is a scratch replay that reads
+// this record again, so its size is most of a young campaign's disk bill
+// and its decode most of a wake.
+//
+// The blob is canonical and binary, in the style of the DOCSSNP3 snapshot
+// and the KindSeed blob:
+//
+//	magic "DPB1" | m uvarint | n uvarint | n × task
+//	task:  id uvarint | text str | ℓ uvarint | ℓ × choice str
+//	       | truth+1 uvarint | trueDomain+1 uvarint
+//	       | nnz uvarint | nnz × (domain index uvarint | 8 raw LE bytes)
+//	str:   len uvarint | bytes
+//
+// An integer is a minimal uvarint; truth and trueDomain are stored plus
+// one, so NoTruth is 0. A domain vector stores only the entries whose
+// Float64bits is non-zero — DVE gives a task weight in two or three of the
+// 26 domains — as raw IEEE-754 bits, indexes strictly ascending and below
+// m, so −0, denormals and the uniform "domain unknown" vector all
+// round-trip bit for bit through the one layout. One task set has one byte
+// string: the decoder accepts nothing the encoder would not write
+// (overlong varints, a zero-bits entry, an index out of order and trailing
+// bytes are all corruption) and checks every count against the bytes that
+// remain before it allocates for it.
+//
+// The magic's first byte cannot open a JSON document. Until this format
+// the blob was json.Marshal of the tasks; segments are never deleted, so
+// those records stay readable (decodeLegacyPublication) — and a binary
+// that only knows JSON refuses a DPB1 record at its first byte instead of
+// misparsing it. Nothing writes JSON any more and nothing selects it.
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+
+	"docs/internal/model"
+	"docs/internal/wal"
+)
+
+// publicationMagic opens every binary publication blob. Versioned: a
+// future layout bumps the trailing byte.
+const publicationMagic = "DPB1"
+
+// minTaskBytes is the least a task occupies in a blob: six one-byte
+// uvarints around an empty text, no choices and an all-zero vector.
+const minTaskBytes = 6
+
+// encodePublication renders a published task set — every task carrying
+// its m-long domain vector — as a KindPublish blob. Replay compares the
+// state it rebuilds from this record bit for bit, so the encoding is a
+// pure function of the tasks. It fails only on a task the format cannot
+// express: a negative ID, a truth or true domain below NoTruth, or a
+// domain vector that is not m long.
+//
+//docs:deterministic
+func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
+	size := len(publicationMagic) + 2*binary.MaxVarintLen64
+	for _, t := range tasks {
+		size += 32 + len(t.Text)
+		for _, c := range t.Choices {
+			size += 1 + len(c)
+		}
+	}
+	b := make([]byte, 0, size)
+	b = append(b, publicationMagic...)
+	b = binary.AppendUvarint(b, uint64(m))
+	b = binary.AppendUvarint(b, uint64(len(tasks)))
+	for _, t := range tasks {
+		if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
+			return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
+				t.ID, t.Truth, t.TrueDomain)
+		}
+		if len(t.Domain) != m {
+			return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
+				t.ID, len(t.Domain), m)
+		}
+		b = binary.AppendUvarint(b, uint64(t.ID))
+		b = appendStr(b, t.Text)
+		b = binary.AppendUvarint(b, uint64(len(t.Choices)))
+		for _, c := range t.Choices {
+			b = appendStr(b, c)
+		}
+		b = binary.AppendUvarint(b, uint64(t.Truth+1))
+		b = binary.AppendUvarint(b, uint64(t.TrueDomain+1))
+		nnz := 0
+		for _, x := range t.Domain {
+			if math.Float64bits(x) != 0 {
+				nnz++
+			}
+		}
+		b = binary.AppendUvarint(b, uint64(nnz))
+		for k, x := range t.Domain {
+			if bits := math.Float64bits(x); bits != 0 {
+				b = binary.AppendUvarint(b, uint64(k))
+				b = binary.LittleEndian.AppendUint64(b, bits)
+			}
+		}
+	}
+	return b, nil
+}
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// decodePublication parses a publish record's task set. It is the one
+// reader of the record — replay (applyRecord) and the snapshot restore
+// (readPublication) both come through it — and it returns only tasks that
+// carry an m-long domain vector, so neither re-runs entity linking on a
+// replayed task. It dispatches on the blob's opening bytes: the binary
+// format Publish writes, or the JSON array earlier builds wrote.
+func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
+	decode := decodeLegacyPublication
+	if bytes.HasPrefix(rec.Blob, []byte(publicationMagic)) {
+		decode = decodeBinaryPublication
+	}
+	tasks, err := decode(rec.Blob, m)
+	if err != nil {
+		return nil, fmt.Errorf("publish record %d: %w", rec.Seq, err)
+	}
+	return tasks, nil
+}
+
+// decodeLegacyPublication reads the JSON array that was the publish blob
+// before the binary format. It exists only because logs written then are
+// still on disk.
+func decodeLegacyPublication(blob []byte, m int) ([]*model.Task, error) {
+	var tasks []*model.Task
+	if err := json.Unmarshal(blob, &tasks); err != nil {
+		return nil, err
+	}
+	for i, t := range tasks {
+		if t == nil {
+			return nil, fmt.Errorf("task %d of the publication is null", i)
+		}
+		if len(t.Domain) != m {
+			return nil, fmt.Errorf("task %d has a domain vector of size %d, want %d", t.ID, len(t.Domain), m)
+		}
+	}
+	return tasks, nil
+}
+
+// decodeBinaryPublication parses a blob that opens with publicationMagic
+// and is stamped with m domains. Whatever follows the magic, it never
+// panics. The n tasks, their n×m domain-vector
+// floats and every string come from four allocations (the strings are
+// substrings of one copy of the blob) plus one choice slice a task; n is
+// checked against the bytes remaining first, so a hostile count buys no
+// memory the blob's own length does not bound.
+func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
+	d := pubDecoder{b: blob, s: string(blob), off: len(publicationMagic)}
+	if stamped := d.uvarint(); d.err == nil && stamped != uint64(m) {
+		return nil, fmt.Errorf("publication has %d domains, want %d", stamped, m)
+	}
+	n := d.count(minTaskBytes)
+	if d.err != nil {
+		return nil, d.err
+	}
+	backing := make([]model.Task, n)
+	domains := make([]float64, n*m)
+	tasks := make([]*model.Task, n)
+	for i := range backing {
+		t := &backing[i]
+		t.ID = d.int()
+		t.Text = d.str()
+		if l := d.count(1); l > 0 {
+			t.Choices = make([]string, l)
+			for c := range t.Choices {
+				t.Choices[c] = d.str()
+			}
+		}
+		t.Truth = d.int() - 1
+		t.TrueDomain = d.int() - 1
+		t.Domain = domains[i*m : (i+1)*m : (i+1)*m]
+		prev := -1
+		for nnz := d.count(9); nnz > 0 && d.err == nil; nnz-- {
+			k, bits := d.int(), d.u64()
+			if d.err == nil && (k <= prev || k >= m || bits == 0) {
+				d.fail("task %d: domain entry %d (bits %#x) after entry %d, of %d domains", t.ID, k, bits, prev, m)
+			}
+			if d.err != nil {
+				break
+			}
+			t.Domain[k] = math.Float64frombits(bits)
+			prev = k
+		}
+		if d.err != nil {
+			return nil, d.err
+		}
+		tasks[i] = t
+	}
+	if d.off != len(d.b) {
+		return nil, fmt.Errorf("%d trailing bytes after the publication", len(d.b)-d.off)
+	}
+	return tasks, nil
+}
+
+// pubDecoder pops a publication blob's primitives. The first malformed
+// field is kept in err; after it every pop returns a zero value and
+// consumes nothing, so the loops run out harmlessly.
+type pubDecoder struct {
+	b   []byte
+	s   string // one copy of b: every decoded string is a substring of it
+	off int
+	err error
+}
+
+func (d *pubDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+		d.off = len(d.b)
+	}
+}
+
+// uvarint pops one uvarint, rejecting non-minimal encodings.
+func (d *pubDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 || (n > 1 && v>>(7*(n-1)) == 0) {
+		d.fail("bad varint at byte %d", d.off)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *pubDecoder) int() int {
+	v := d.uvarint()
+	if v > math.MaxInt {
+		d.fail("integer %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
+
+// count pops an element count and checks it against the bytes remaining,
+// each element taking at least size bytes — so the caller may allocate
+// count elements before reading them.
+func (d *pubDecoder) count(size int) int {
+	n := d.uvarint()
+	if rest := len(d.b) - d.off; n > uint64(rest/size) {
+		d.fail("count %d exceeds the %d bytes remaining", n, rest)
+		return 0
+	}
+	return int(n)
+}
+
+func (d *pubDecoder) str() string {
+	n := d.count(1)
+	s := d.s[d.off : d.off+n]
+	d.off += n
+	return s
+}
+
+func (d *pubDecoder) u64() uint64 {
+	if len(d.b)-d.off < 8 {
+		d.fail("float cut short at byte %d", d.off)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.b[d.off:])
+	d.off += 8
+	return v
+}

@@ -138,7 +138,7 @@ func codecStats(id string, st *truth.Stats) snapshot.WorkerStats {
 // carries. The log is gapless from sequence 1 and segments are never
 // deleted, so the record a snapshot names is there unless the directory
 // was damaged — which the caller reports as a rejected snapshot.
-func readPublication(dir string, seq uint64) ([]*model.Task, error) {
+func readPublication(dir string, seq uint64, m int) ([]*model.Task, error) {
 	var tasks []*model.Task
 	found := errors.New("found")
 	_, err := wal.ReplayFrom(dir, seq-1, func(rec wal.Record) error {
@@ -146,7 +146,7 @@ func readPublication(dir string, seq uint64) ([]*model.Task, error) {
 			return fmt.Errorf("record %d is not a publish record", rec.Seq)
 		}
 		var derr error
-		if tasks, derr = decodePublication(rec); derr != nil {
+		if tasks, derr = decodePublication(rec, m); derr != nil {
 			return derr
 		}
 		return found
@@ -185,7 +185,7 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	var tasks []*model.Task
 	if snap.PublishSeq > 0 {
 		var err error
-		if tasks, err = readPublication(dir, snap.PublishSeq); err != nil {
+		if tasks, err = readPublication(dir, snap.PublishSeq, s.m); err != nil {
 			return fmt.Errorf("core: snapshot publication: %w", err)
 		}
 	}
@@ -197,9 +197,6 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	}
 	byID := make(map[int]*model.Task, len(tasks))
 	for _, t := range tasks {
-		if t.Domain == nil {
-			return fmt.Errorf("core: snapshot task %d has no domain vector", t.ID)
-		}
 		if err := t.Validate(s.m); err != nil {
 			return fmt.Errorf("core: snapshot: %w", err)
 		}

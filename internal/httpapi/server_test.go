@@ -275,7 +275,10 @@ func TestRejectedPublishLeavesNoCampaign(t *testing.T) {
 	oneChoice["tasks"].([]map[string]any)[2]["choices"] = []string{"only"}
 	truthOutOfRange := publishBody()
 	truthOutOfRange["tasks"].([]map[string]any)[0]["golden_truth"] = 2
-	for name, body := range map[string]map[string]any{"duplicate": duplicate, "one choice": oneChoice, "truth out of range": truthOutOfRange} {
+	negativeID := publishBody()
+	negativeID["tasks"].([]map[string]any)[0]["id"] = -1
+	for name, body := range map[string]map[string]any{"duplicate": duplicate, "one choice": oneChoice,
+		"truth out of range": truthOutOfRange, "negative ID": negativeID} {
 		resp, out := doJSON(t, "POST", ts.URL+"/c/bad/publish", body)
 		if resp.StatusCode != 400 {
 			t.Fatalf("%s publish = %d, want 400", name, resp.StatusCode)

@@ -148,8 +148,13 @@ type Task struct {
 func (t *Task) NumChoices() int { return len(t.Choices) }
 
 // Validate checks structural invariants of the task against a domain set of
-// size m. A nil Domain is allowed (DVE has not run yet).
+// size m. A nil Domain is allowed (DVE has not run yet). A negative ID is
+// not: the durable formats store IDs unsigned, so one accepted here would
+// be a record no later boot can read.
 func (t *Task) Validate(m int) error {
+	if t.ID < 0 {
+		return fmt.Errorf("model: task ID %d is negative", t.ID)
+	}
 	if len(t.Choices) < 2 {
 		return fmt.Errorf("model: task %d has %d choices, want >= 2", t.ID, len(t.Choices))
 	}

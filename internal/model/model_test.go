@@ -112,6 +112,11 @@ func TestTaskValidate(t *testing.T) {
 	if err := badVec.Validate(3); err == nil {
 		t.Error("non-normalized domain vector accepted")
 	}
+	// The durable formats store IDs unsigned.
+	badID := &Task{ID: -1, Choices: []string{"a", "b"}, Truth: NoTruth, TrueDomain: NoTruth}
+	if err := badID.Validate(3); err == nil {
+		t.Error("negative task ID accepted")
+	}
 }
 
 func TestAnswerSet(t *testing.T) {

@@ -22,9 +22,11 @@ const (
 	// routes both through the orchestrator's Submit, which re-derives the
 	// distinction).
 	KindAnswer Kind = 1
-	// KindPublish is the campaign publication: a JSON blob of the published
-	// tasks, including the domain vectors DVE computed, so recovery does
-	// not depend on the knowledge base being byte-identical across builds.
+	// KindPublish is the campaign publication: the published tasks,
+	// including the domain vectors DVE computed, so recovery does not
+	// depend on the knowledge base being byte-identical across builds. The
+	// blob is an opaque core-layer payload (docs/internal/core's
+	// publication codec).
 	KindPublish Kind = 2
 	// KindBatch is one batched-submit group: the blob (EncodeBatch, layout
 	// in wire.go) holds N accepted answers. The whole group lives
@@ -51,7 +53,7 @@ type Record struct {
 	Task   int
 	Choice int
 
-	// KindPublish payload (JSON-encoded tasks); KindBatch blob;
+	// KindPublish payload (the encoded tasks); KindBatch blob;
 	// KindSeed stats payload.
 	Blob []byte
 }

@@ -96,6 +96,12 @@ const (
 	// claiming more is treated as corruption, which keeps the decoder from
 	// allocating attacker-controlled amounts.
 	MaxPayload = 16 << 20
+	// MaxBlob is the largest Blob a KindPublish or KindBatch record is sure
+	// to fit under MaxPayload with: the cap less the kind byte and two
+	// maximal uvarints (the sequence number and the blob's length). A
+	// caller that must refuse an over-size write before it mutates
+	// anything checks against this; Reserve checks the record itself.
+	MaxBlob = MaxPayload - 1 - 2*binary.MaxVarintLen64
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -105,6 +111,10 @@ var ErrClosed = errors.New("wal: log closed")
 
 // ErrCorrupt wraps frame-level corruption found before the final torn tail.
 var ErrCorrupt = errors.New("wal: corrupt record")
+
+// ErrTooLarge is returned by Reserve for a record whose payload exceeds
+// MaxPayload — one every later read of the log would reject as corrupt.
+var ErrTooLarge = errors.New("wal: record exceeds MaxPayload")
 
 // Log is an open write-ahead log. It is safe for concurrent Append.
 type Log struct {
@@ -226,7 +236,10 @@ func (p Pending) Wait() error {
 // queues it for the flusher without waiting. Callers that need an ordering
 // guarantee relative to their own state can Reserve under their own lock —
 // reservation order is durable order — and Wait outside it, preserving
-// group-commit batching. Record.Seq is ignored on input.
+// group-commit batching. Record.Seq is ignored on input. A record too
+// large to be read back (ErrTooLarge) is refused whole: it takes no
+// sequence number, nothing of it reaches the file, and the log stays
+// usable.
 func (l *Log) Reserve(rec Record) (Pending, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -238,10 +251,16 @@ func (l *Log) Reserve(rec Record) (Pending, error) {
 		l.mu.Unlock()
 		return Pending{}, err
 	}
-	l.seq++
-	rec.Seq = l.seq
-	seq := l.seq
+	seq := l.seq + 1
+	rec.Seq = seq
+	queued := len(l.buf)
 	l.buf = rec.appendFrame(l.buf)
+	if n := len(l.buf) - queued - frameHeaderLen; n > MaxPayload {
+		l.buf = l.buf[:queued]
+		l.mu.Unlock()
+		return Pending{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	l.seq = seq
 	l.pending = seq
 	l.mu.Unlock()
 	select {

@@ -365,6 +365,46 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestReserveRefusesOversizeRecord: every reader treats a frame longer than
+// MaxPayload as corruption, so the writer must never produce one. A record
+// that large is refused whole — no sequence number, no bytes, no poison —
+// where it used to be written, acknowledged, and fatal to the next boot.
+func TestReserveRefusesOversizeRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, testRecords(3))
+	// Record 4's payload is a kind byte, a one-byte sequence number, a
+	// four-byte length and the blob.
+	const fits = MaxPayload - 6
+	for _, n := range []int{fits + 1, MaxPayload + 1<<20} {
+		_, err := l.Append(Record{Kind: KindPublish, Blob: make([]byte, n)})
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("append of a %d-byte blob: err = %v, want ErrTooLarge", n, err)
+		}
+		if got := l.ReservedSeq(); got != 3 {
+			t.Fatalf("refused record moved the reserved sequence to %d", got)
+		}
+	}
+	// The largest record that can be read back is accepted and takes the
+	// next number; MaxBlob, what callers are promised, is below it.
+	if seq, err := l.Append(Record{Kind: KindPublish, Blob: make([]byte, fits)}); err != nil || seq != 4 || MaxBlob > fits {
+		t.Fatalf("append of a %d-byte blob (MaxBlob %d): seq %d, err %v", fits, MaxBlob, seq, err)
+	}
+	if seq, err := l.Append(answerRec("w", 1, 1)); err != nil || seq != 5 {
+		t.Fatalf("append after the refusals: seq %d, err %v", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, st := replayAll(t, dir)
+	if len(got) != 5 || st.TornTail || len(got[3].Blob) != fits {
+		t.Fatalf("replayed %d records (torn %v), want the 5 accepted", len(got), st.TornTail)
+	}
+}
+
 func TestSyncEveryBatch(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncEveryBatch})
