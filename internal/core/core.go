@@ -258,8 +258,6 @@ func New(cfg Config) (*System, error) {
 		store:     st,
 		ownsStore: ownsStore,
 		cfg:       cfg,
-		byID:      make(map[int]*model.Task),
-		golden:    make(map[int]bool),
 		inc:       truth.NewIncremental(m),
 		rerunCh:   make(chan struct{}, 1),
 		snapCh:    make(chan struct{}, 1),
@@ -274,7 +272,11 @@ func New(cfg Config) (*System, error) {
 	s.assigners.New = func() any { return new(assign.Assigner) }
 	if cfg.AsyncRerun && cfg.RerunEvery > 0 {
 		s.wg.Add(1)
-		go s.rerunWorker()
+		go s.worker(s.rerunCh, func() {
+			if err := s.runRerun(); err != nil {
+				s.rerunErrs.Add(1)
+			}
+		})
 	}
 	return s, nil
 }
@@ -300,25 +302,24 @@ func (s *System) Close() error {
 	return err
 }
 
-func (s *System) rerunWorker() {
+// worker is the loop of both background workers (batch reruns, snapshot
+// passes): run pass once per nudge until the system quits. A nudge that
+// raced the shutdown is drained first, so Close's "pending requests run
+// first" contract holds and a graceful Close leaves the freshest possible
+// boot artifact.
+func (s *System) worker(nudge <-chan struct{}, pass func()) {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.quit:
-			// Drain a rerun request that raced the shutdown so Close's
-			// "pending requests run first" contract holds.
 			select {
-			case <-s.rerunCh:
-				if err := s.runRerun(); err != nil {
-					s.rerunErrs.Add(1)
-				}
+			case <-nudge:
+				pass()
 			default:
 			}
 			return
-		case <-s.rerunCh:
-			if err := s.runRerun(); err != nil {
-				s.rerunErrs.Add(1)
-			}
+		case <-nudge:
+			pass()
 		}
 	}
 }
@@ -411,9 +412,6 @@ func (s *System) Publish(tasks []*model.Task) error {
 				len(blob), wal.MaxBlob)
 		}
 	}
-	s.byID = byID
-	s.tasks = tasks
-
 	// Golden tasks: choose among tasks with known ground truth so a new
 	// worker's answers can be scored (Section 5.2).
 	var withTruth []*model.Task
@@ -422,45 +420,15 @@ func (s *System) Publish(tasks []*model.Task) error {
 			withTruth = append(withTruth, t)
 		}
 	}
+	golden := make(map[int]bool)
 	if n := s.cfg.GoldenCount; n > 0 && len(withTruth) > 0 {
 		for _, idx := range assign.SelectGolden(withTruth, n, s.m) {
-			s.golden[withTruth[idx].ID] = true
+			golden[withTruth[idx].ID] = true
 		}
 	}
-	for _, t := range tasks {
-		if s.golden[t.ID] {
-			s.goldenList = append(s.goldenList, t)
-		}
+	if err := s.installPublication(tasks, byID, golden); err != nil {
+		return err
 	}
-
-	// Non-golden tasks enter the incremental truth-inference engine.
-	for _, t := range tasks {
-		if s.golden[t.ID] {
-			continue
-		}
-		if err := s.inc.AddTask(t); err != nil {
-			return err
-		}
-	}
-
-	// Build the live candidate index over the assignable tasks, in
-	// publication order (the order the assignment tie-break is defined
-	// over). Each candidate carries a lock-free view handle so a request
-	// never touches the task maps; with leases armed, each task gets its
-	// lease counter here, before serving can observe the campaign.
-	master := make([]candidate, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		if s.golden[t.ID] {
-			continue
-		}
-		c := candidate{id: t.ID, domain: t.Domain, h: s.inc.Handle(t.ID)}
-		if s.leases != nil {
-			s.leases.registerTask(t.ID)
-			c.leases = s.leases.counts[t.ID]
-		}
-		master = append(master, c)
-	}
-	s.index.Store(newCandidateIndex(master))
 
 	// Log the publication — tasks with their DVE-computed domain vectors —
 	// so recovery does not depend on re-running entity linking against a
@@ -476,6 +444,37 @@ func (s *System) Publish(tasks []*model.Task) error {
 		s.publishSeq.Store(p.Seq())
 		return s.walCommit(p)
 	}
+	return nil
+}
+
+// installPublication makes tasks the campaign's task set with the given
+// golden subset — the one place a task set becomes serving state, for a
+// live Publish and for a snapshot restore alike. Golden tasks go to the
+// golden list; every other task enters the incremental truth-inference
+// engine and the live candidate index, in publication order (the order the
+// assignment tie-break is defined over). Each candidate carries a
+// lock-free view handle so a request never touches the task maps; with
+// leases armed, each task gets its lease counter here, before serving can
+// observe the campaign. Callers hold s.mu and have validated the tasks.
+func (s *System) installPublication(tasks []*model.Task, byID map[int]*model.Task, golden map[int]bool) error {
+	s.tasks, s.byID, s.golden = tasks, byID, golden
+	master := make([]candidate, 0, len(tasks))
+	for _, t := range tasks {
+		if golden[t.ID] {
+			s.goldenList = append(s.goldenList, t)
+			continue
+		}
+		if err := s.inc.AddTask(t); err != nil {
+			return err
+		}
+		c := candidate{id: t.ID, domain: t.Domain, h: s.inc.Handle(t.ID)}
+		if s.leases != nil {
+			s.leases.registerTask(t.ID)
+			c.leases = s.leases.counts[t.ID]
+		}
+		master = append(master, c)
+	}
+	s.index.Store(newCandidateIndex(master))
 	return nil
 }
 

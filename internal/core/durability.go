@@ -99,7 +99,7 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	s.recovery = info
 	if s.cfg.SnapshotEvery > 0 {
 		s.wg.Add(1)
-		go s.snapshotWorker()
+		go s.worker(s.snapCh, s.runSnapshotPass)
 	}
 	return info, nil
 }
@@ -258,25 +258,5 @@ func (s *System) maybeSnapshot(n int64) {
 	select {
 	case s.snapCh <- struct{}{}:
 	default: // one is already pending; it will cover this batch too
-	}
-}
-
-// snapshotWorker runs state-snapshot passes in the background. On shutdown
-// a pending nudge is drained so a graceful Close leaves the freshest
-// possible boot artifact.
-func (s *System) snapshotWorker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			select {
-			case <-s.snapCh:
-				s.runSnapshotPass()
-			default:
-			}
-			return
-		case <-s.snapCh:
-			s.runSnapshotPass()
-		}
 	}
 }

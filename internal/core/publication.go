@@ -157,115 +157,63 @@ func decodeLegacyPublication(blob []byte, m int) ([]*model.Task, error) {
 // checked against the bytes remaining first, so a hostile count buys no
 // memory the blob's own length does not bound.
 func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
-	d := pubDecoder{b: blob, s: string(blob), off: len(publicationMagic)}
-	if stamped := d.uvarint(); d.err == nil && stamped != uint64(m) {
+	body := blob[len(publicationMagic):]
+	d := pubDecoder{wal.NewCursor(body), string(body)}
+	if stamped := d.Uvarint(); d.Err() == nil && stamped != uint64(m) {
 		return nil, fmt.Errorf("publication has %d domains, want %d", stamped, m)
 	}
-	n := d.count(minTaskBytes)
-	if d.err != nil {
-		return nil, d.err
+	n := d.Count(minTaskBytes)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	backing := make([]model.Task, n)
 	domains := make([]float64, n*m)
 	tasks := make([]*model.Task, n)
 	for i := range backing {
 		t := &backing[i]
-		t.ID = d.int()
+		t.ID = d.Int()
 		t.Text = d.str()
-		if l := d.count(1); l > 0 {
+		if l := d.Count(1); l > 0 {
 			t.Choices = make([]string, l)
 			for c := range t.Choices {
 				t.Choices[c] = d.str()
 			}
 		}
-		t.Truth = d.int() - 1
-		t.TrueDomain = d.int() - 1
+		t.Truth = d.Int() - 1
+		t.TrueDomain = d.Int() - 1
 		t.Domain = domains[i*m : (i+1)*m : (i+1)*m]
 		prev := -1
-		for nnz := d.count(9); nnz > 0 && d.err == nil; nnz-- {
-			k, bits := d.int(), d.u64()
-			if d.err == nil && (k <= prev || k >= m || bits == 0) {
-				d.fail("task %d: domain entry %d (bits %#x) after entry %d, of %d domains", t.ID, k, bits, prev, m)
+		for nnz := d.Count(9); nnz > 0 && d.Err() == nil; nnz-- {
+			k, bits := d.Int(), d.U64()
+			if d.Err() == nil && (k <= prev || k >= m || bits == 0) {
+				d.Failf("task %d: domain entry %d (bits %#x) after entry %d, of %d domains", t.ID, k, bits, prev, m)
 			}
-			if d.err != nil {
+			if d.Err() != nil {
 				break
 			}
 			t.Domain[k] = math.Float64frombits(bits)
 			prev = k
 		}
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		tasks[i] = t
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%d trailing bytes after the publication", len(d.b)-d.off)
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return tasks, nil
 }
 
-// pubDecoder pops a publication blob's primitives. The first malformed
-// field is kept in err; after it every pop returns a zero value and
-// consumes nothing, so the loops run out harmlessly.
+// pubDecoder is the shared cursor plus the one pop the publication keeps
+// to itself: a string that is a substring of s, one copy of the bytes the
+// cursor walks, instead of a copy of its own.
 type pubDecoder struct {
-	b   []byte
-	s   string // one copy of b: every decoded string is a substring of it
-	off int
-	err error
-}
-
-func (d *pubDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-		d.off = len(d.b)
-	}
-}
-
-// uvarint pops one uvarint, rejecting non-minimal encodings.
-func (d *pubDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 || (n > 1 && v>>(7*(n-1)) == 0) {
-		d.fail("bad varint at byte %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *pubDecoder) int() int {
-	v := d.uvarint()
-	if v > math.MaxInt {
-		d.fail("integer %d out of range", v)
-		return 0
-	}
-	return int(v)
-}
-
-// count pops an element count and checks it against the bytes remaining,
-// each element taking at least size bytes — so the caller may allocate
-// count elements before reading them.
-func (d *pubDecoder) count(size int) int {
-	n := d.uvarint()
-	if rest := len(d.b) - d.off; n > uint64(rest/size) {
-		d.fail("count %d exceeds the %d bytes remaining", n, rest)
-		return 0
-	}
-	return int(n)
+	wal.Cursor
+	s string
 }
 
 func (d *pubDecoder) str() string {
-	n := d.count(1)
-	s := d.s[d.off : d.off+n]
-	d.off += n
-	return s
-}
-
-func (d *pubDecoder) u64() uint64 {
-	if len(d.b)-d.off < 8 {
-		d.fail("float cut short at byte %d", d.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
+	n := len(d.Bytes())
+	return d.s[d.Off()-n : d.Off()]
 }

@@ -56,38 +56,36 @@ func encodeSeed(st *truth.Stats, profiled bool) []byte {
 }
 
 // decodeSeed parses a KindSeed blob, validating the statistics against the
-// system's domain count. It never panics on arbitrary input.
+// system's domain count. It never panics on arbitrary input, and what it
+// accepts is exactly what encodeSeed writes: one blob per seed.
 func decodeSeed(blob []byte, m int) (*truth.Stats, bool, error) {
-	n, used := binary.Uvarint(blob)
-	if used <= 0 {
-		return nil, false, fmt.Errorf("bad domain count varint")
+	c := wal.NewCursor(blob)
+	n := c.Uvarint()
+	if err := c.Err(); err != nil {
+		return nil, false, fmt.Errorf("domain count: %w", err)
 	}
 	if n != uint64(m) {
 		return nil, false, fmt.Errorf("seed has %d domains, want %d", n, m)
 	}
-	rest := blob[used:]
-	if len(rest) != 16*m+1 {
-		return nil, false, fmt.Errorf("seed payload is %d bytes, want %d", len(rest), 16*m+1)
+	// The exact length makes every pop below succeed and leaves no byte over.
+	if c.Len() != 16*m+1 {
+		return nil, false, fmt.Errorf("seed payload is %d bytes, want %d", c.Len(), 16*m+1)
 	}
 	st := &truth.Stats{Q: make(model.QualityVector, m), U: make([]float64, m)}
-	for k := 0; k < m; k++ {
-		st.Q[k] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*k:]))
+	for k := range st.Q {
+		st.Q[k] = math.Float64frombits(c.U64())
 	}
-	for k := 0; k < m; k++ {
-		st.U[k] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*(m+k):]))
+	for k := range st.U {
+		st.U[k] = math.Float64frombits(c.U64())
 	}
-	var profiled bool
-	switch rest[16*m] {
-	case 0:
-	case 1:
-		profiled = true
-	default:
-		return nil, false, fmt.Errorf("bad profiled flag %d", rest[16*m])
+	flag := c.Byte()
+	if flag > 1 {
+		return nil, false, fmt.Errorf("bad profiled flag %d", flag)
 	}
 	if err := st.Validate(m); err != nil {
 		return nil, false, err
 	}
-	return st, profiled, nil
+	return st, flag == 1, nil
 }
 
 // profileID is the durable identity of this campaign's profiling merge for

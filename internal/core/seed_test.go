@@ -1,0 +1,156 @@
+package core
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"docs/internal/model"
+	"docs/internal/snapshot"
+	"docs/internal/truth"
+	"docs/internal/wal"
+)
+
+// sampleSeed is a seed over m = 3 domains with the floats a codec could
+// mangle: −0, a denormal, a value that is not a short decimal.
+func sampleSeed() *truth.Stats {
+	return &truth.Stats{
+		Q: model.QualityVector{0.7, math.Copysign(0, -1), 1.0 / 3},
+		U: []float64{2, math.Float64frombits(1), 0},
+	}
+}
+
+// checkSeedDecode holds decodeSeed to the canonical-format contract on
+// arbitrary bytes: it never panics, and whatever it accepts re-encodes to
+// exactly the bytes it was given.
+func checkSeedDecode(t *testing.T, data []byte, m int) {
+	t.Helper()
+	st, profiled, err := decodeSeed(data, m)
+	if err != nil {
+		if st != nil {
+			t.Fatalf("decodeSeed returned statistics beside error %v", err)
+		}
+		return
+	}
+	if again := encodeSeed(st, profiled); !bytes.Equal(again, data) {
+		t.Fatalf("accepted a seed that re-encodes differently:\n in  %x\n out %x", data, again)
+	}
+}
+
+// TestSeedBlobIsCanonical: a seed has one encoding. The domain count
+// written as a non-minimal varint (m = 26 as 0x9a 0x00, the rest of the
+// blob untouched) is refused like any other overlong integer in the log.
+func TestSeedBlobIsCanonical(t *testing.T) {
+	const m = 26
+	st := &truth.Stats{Q: make(model.QualityVector, m), U: make([]float64, m)}
+	for k := range st.Q {
+		st.Q[k], st.U[k] = 0.5+float64(k)/100, float64(k)
+	}
+	blob := encodeSeed(st, true)
+	if blob[0] != m {
+		t.Fatalf("blob opens with %#x, want the one-byte count %#x", blob[0], m)
+	}
+	checkSeedDecode(t, blob, m)
+	if _, _, err := decodeSeed(blob, m); err != nil {
+		t.Fatalf("the valid blob does not decode: %v", err)
+	}
+	overlong := append([]byte{0x80 | m, 0x00}, blob[1:]...)
+	if got, _, err := decodeSeed(overlong, m); err == nil {
+		t.Fatalf("a second encoding of the same seed decoded (%d domains)", len(got.Q))
+	}
+}
+
+// TestSeedDecodeDamage is TestPublicationDecodeDamage for the seed blob:
+// every truncation errors, and every single-bit flip of a valid blob either
+// errors or decodes to something that re-encodes to those exact bytes.
+func TestSeedDecodeDamage(t *testing.T) {
+	for _, profiled := range []bool{false, true} {
+		data := encodeSeed(sampleSeed(), profiled)
+		checkSeedDecode(t, data, 3)
+		for cut := 0; cut < len(data); cut++ {
+			if st, _, err := decodeSeed(data[:cut], 3); err == nil || st != nil {
+				t.Fatalf("truncated at %d: decoded", cut)
+			}
+		}
+		for bit := 0; bit < 8*len(data); bit++ {
+			flipped := append([]byte(nil), data...)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			checkSeedDecode(t, flipped, 3)
+		}
+		for name, blob := range map[string][]byte{
+			"trailing byte":        append(append([]byte(nil), data...), 0),
+			"another domain count": append([]byte{4}, data[1:]...),
+			"profiled flag of 2":   append(append([]byte(nil), data[:len(data)-1]...), 2),
+			"negative weight":      encodeSeed(&truth.Stats{Q: sampleSeed().Q, U: []float64{1, -1, 1}}, profiled),
+			"empty":                nil,
+		} {
+			if _, _, err := decodeSeed(blob, 3); err == nil {
+				t.Errorf("%s: decoded", name)
+			}
+		}
+	}
+}
+
+// FuzzSeedDecode drives arbitrary bytes through the KindSeed blob reader,
+// which every boot, wake and snapshot pass runs once per seeded worker.
+// Seed corpus in testdata/fuzz/FuzzSeedDecode (checked in): sampleSeed's
+// blob profiled and not, the same cut at two points, with an overlong
+// count, with a byte flipped, with a profiled flag of 2.
+func FuzzSeedDecode(f *testing.F) {
+	f.Add(encodeSeed(sampleSeed(), true))
+	f.Add([]byte{3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSeedDecode(t, data, 3)
+	})
+}
+
+// TestOverlongVarintRejectedByEveryDecoder hands each of the five binary
+// decoders a valid input whose first varint has been re-encoded one byte
+// too long — same value, second spelling — and expects five rejections:
+// they all read through the one cursor, so none can forget the rule.
+func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
+	// overlong rewrites the one-byte varint at b[at] as two bytes.
+	overlong := func(b []byte, at int) []byte {
+		if b[at] >= 0x80 {
+			t.Fatalf("byte %d (%#x) is not a one-byte varint", at, b[at])
+		}
+		out := append([]byte(nil), b[:at]...)
+		out = append(out, b[at]|0x80, 0x00)
+		return append(out, b[at+1:]...)
+	}
+	answer := wal.Record{Kind: wal.KindAnswer, Seq: 5, Worker: "w", Task: 3, Choice: 1}
+	item := answer
+	item.Seq = 1 // a batch item's sequence is its position
+	snap, err := snapshot.Encode(&snapshot.State{Seq: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const snapHeader = len("DOCSSNP3") + 8 // magic, then the frame's length and CRC
+	reframe := func(payload []byte) []byte { return wal.EncodeFrame([]byte("DOCSSNP3"), payload) }
+	for name, tc := range map[string]struct {
+		valid, damaged []byte
+		decode         func([]byte) error
+	}{
+		"WAL record": {answer.Encode(), overlong(answer.Encode(), 1), // after the kind byte: seq
+			func(b []byte) error { _, err := wal.Decode(b); return err }},
+		"DBB1 batch": {wal.EncodeBatch(nil, []wal.Record{answer}), // one framed item: its position tag
+			wal.EncodeFrame([]byte("DBB1"), overlong(item.Encode(), 1)),
+			func(b []byte) error { _, err := wal.DecodeBatch(b); return err }},
+		"KindSeed blob": {encodeSeed(sampleSeed(), false), overlong(encodeSeed(sampleSeed(), false), 0), // m
+			func(b []byte) error { _, _, err := decodeSeed(b, 3); return err }},
+		"DPB1 publication": {mustEncodePublication(t, sampleTasks(), 4), overlong(mustEncodePublication(t, sampleTasks(), 4), len(publicationMagic)), // m
+			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
+		"DOCSSNP3 snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq
+			func(b []byte) error { _, err := snapshot.Decode(b); return err }},
+	} {
+		if err := tc.decode(tc.valid); err != nil {
+			t.Errorf("%s: the valid input does not decode: %v", name, err)
+		}
+		if len(tc.damaged) != len(tc.valid)+1 {
+			t.Errorf("%s: damaged input is %d bytes, want the valid %d plus one", name, len(tc.damaged), len(tc.valid))
+		}
+		if err := tc.decode(tc.damaged); err == nil {
+			t.Errorf("%s: accepted an overlong varint", name)
+		}
+	}
+}

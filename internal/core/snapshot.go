@@ -335,28 +335,15 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 
 	// --- mutation phase: nothing below can fail ---
 	s.mu.Lock()
-	s.tasks = tasks
-	s.byID = byID
-	s.golden = golden
-	for _, t := range tasks {
-		if golden[t.ID] {
-			s.goldenList = append(s.goldenList, t)
-		}
-	}
+	err := s.installPublication(tasks, byID, golden)
 	s.mu.Unlock()
+	if err != nil {
+		panic(fmt.Sprintf("core: snapshot restore: %v", err)) // virgin engine, validated tasks
+	}
 	s.publishSeq.Store(snap.PublishSeq)
-
-	for _, t := range tasks {
-		if golden[t.ID] {
-			continue
-		}
-		if err := s.inc.AddTask(t); err != nil {
-			panic(fmt.Sprintf("core: snapshot restore: %v", err)) // virgin engine, validated tasks
-		}
-		if ts, ok := states[t.ID]; ok {
-			if err := s.inc.RestoreTask(truth.TaskState(ts), byTask[t.ID]); err != nil {
-				panic(fmt.Sprintf("core: snapshot restore: %v", err)) // dimensions validated above
-			}
+	for _, ts := range snap.TaskStates {
+		if err := s.inc.RestoreTask(truth.TaskState(ts), byTask[ts.ID]); err != nil {
+			panic(fmt.Sprintf("core: snapshot restore: %v", err)) // dimensions validated above
 		}
 	}
 	statIDs := make([]string, 0, len(workerStats))
@@ -397,24 +384,9 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	s.logMu.Unlock()
 	s.submissions.Store(snap.Answers)
 
-	// Rebuild the candidate index and lease counters exactly as Publish
-	// would, then resync openness from the restored truth snapshots so
-	// tasks already at their redundancy cap start closed.
-	master := make([]candidate, 0, len(tasks))
-	for _, t := range tasks {
-		if golden[t.ID] {
-			continue
-		}
-		c := candidate{id: t.ID, domain: t.Domain, h: s.inc.Handle(t.ID)}
-		if s.leases != nil {
-			s.leases.registerTask(t.ID)
-			c.leases = s.leases.counts[t.ID]
-		}
-		master = append(master, c)
-	}
-	ci := newCandidateIndex(master)
-	ci.resync(s.cfg.AnswersPerTask)
-	s.index.Store(ci)
+	// Resync openness from the restored truth snapshots, so tasks already at
+	// their redundancy cap start closed.
+	s.index.Load().resync(s.cfg.AnswersPerTask)
 	return nil
 }
 

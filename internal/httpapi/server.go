@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -491,7 +492,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Headers are out; nothing more to do but note it.
-		fmt.Printf("docs-server: encode response: %v\n", err)
+		log.Printf("docs-server: encode response: %v", err)
 	}
 }
 

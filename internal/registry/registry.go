@@ -77,6 +77,7 @@ import (
 	"docs/internal/core"
 	"docs/internal/kb"
 	"docs/internal/store"
+	"docs/internal/wal"
 )
 
 // Errors the lifecycle methods return; test with errors.Is.
@@ -867,12 +868,10 @@ func (r *Registry) Archive(name string) error {
 		}
 	}
 	if dir := r.dir(name); dir != "" {
-		if err := os.WriteFile(filepath.Join(dir, archivedMarker), []byte("archived\n"), 0o644); err != nil {
+		// Not durable means not archived: as above, the next boot may revive
+		// the campaign live and the requester re-archives.
+		if err := wal.WriteFileAtomic(filepath.Join(dir, archivedMarker), []byte("archived\n")); err != nil {
 			return fmt.Errorf("registry: archive %q: %w", name, err)
-		}
-		if d, err := os.Open(dir); err == nil {
-			_ = d.Sync()
-			d.Close()
 		}
 	}
 	return nil

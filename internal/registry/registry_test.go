@@ -178,6 +178,9 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, campaignsDir, "alpha", archivedMarker)); err != nil {
 		t.Errorf("archive marker missing: %v", err)
 	}
+	if _, err := os.Stat(filepath.Join(root, campaignsDir, "alpha", archivedMarker+".tmp")); !os.IsNotExist(err) {
+		t.Errorf("the marker's staging file outlived the archive (stat error: %v)", err)
+	}
 
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)

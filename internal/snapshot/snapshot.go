@@ -59,11 +59,9 @@
 // Either way the snapshot is rejected and the boot falls back to a full
 // log replay — losing time, never state.
 //
-// The file is written to <dir>/snapshot.tmp, fsynced, renamed over
-// <dir>/snapshot, and the directory fsynced, so readers see either the old
-// complete snapshot or the new complete snapshot, never a mix. A directory
-// has one snapshot writer at a time, so the temp name is fixed: what a
-// crash strands there is overwritten by the next write.
+// The file is replaced through wal.WriteFileAtomic (staged at
+// <dir>/snapshot.tmp), so readers see either the old complete snapshot or
+// the new complete snapshot, never a mix.
 package snapshot
 
 import (
@@ -79,10 +77,6 @@ import (
 
 // FileName is the snapshot's name inside a campaign's WAL directory.
 const FileName = "snapshot"
-
-// tmpName is where Write stages the next snapshot before renaming it over
-// FileName.
-const tmpName = FileName + ".tmp"
 
 const magic = "DOCSSNP3"
 
@@ -308,13 +302,10 @@ func Decode(data []byte) (*State, error) {
 		if st != nil {
 			return fmt.Errorf("%w: trailing frame after state", ErrCorrupt)
 		}
-		d := decoder{b: payload}
+		d := decoder{wal.NewCursor(payload)}
 		st = d.state()
-		if d.err == nil && len(d.b) != 0 {
-			d.err = fmt.Errorf("%d trailing bytes after state", len(d.b))
-		}
-		if d.err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, d.err)
+		if err := d.End(); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		return nil
 	})
@@ -333,85 +324,34 @@ func Decode(data []byte) (*State, error) {
 	return st, nil
 }
 
-// decoder pops the payload's primitives off b. The first malformed field
-// is kept in err; after it every pop returns a zero value without
-// consuming anything, so the section loops run out harmlessly and Decode
-// reports the one error.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-		d.b = nil
-	}
-}
-
-// uvarint pops one uvarint, rejecting non-minimal encodings: the format is
-// canonical, so every accepted payload re-encodes to the same bytes.
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 || (n > 1 && v>>(7*(n-1)) == 0) {
-		d.fail("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) int() int {
-	v := d.uvarint()
-	if v > math.MaxInt {
-		d.fail("integer %d out of range", v)
-		return 0
-	}
-	return int(v)
-}
-
-// count pops an element count and checks it against the bytes remaining,
-// each element taking at least size bytes — so the caller may allocate
-// count elements before reading them.
-func (d *decoder) count(size int) int {
-	n := d.uvarint()
-	if n > uint64(len(d.b)/size) {
-		d.fail("count %d exceeds the %d bytes remaining", n, len(d.b))
-		return 0
-	}
-	return int(n)
-}
+// decoder pops the payload's sections off the shared cursor, which holds
+// the primitive rules (canonical varints, counts checked before anything is
+// allocated, one sticky error); what is left here is the layout.
+type decoder struct{ wal.Cursor }
 
 func (d *decoder) ints() []int {
-	n := d.count(1)
+	n := d.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = d.int()
+		out[i] = d.Int()
 	}
 	return out
 }
 
-func (d *decoder) str() string {
-	n := d.count(1)
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
+func (d *decoder) str() string { return string(d.Bytes()) }
 
-// rawFloats fills dst from the next 8·len(dst) bytes, which the caller has
-// already checked are there.
+// rawFloats fills dst from the next 8·len(dst) bytes.
 func (d *decoder) rawFloats(dst []float64) {
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*i:]))
+		dst[i] = math.Float64frombits(d.U64())
 	}
-	d.b = d.b[8*len(dst):]
 }
 
 func (d *decoder) floats() []float64 {
-	n := d.count(8)
+	n := d.Count(8)
 	if n == 0 {
 		return nil
 	}
@@ -421,7 +361,7 @@ func (d *decoder) floats() []float64 {
 }
 
 func (d *decoder) stats() []WorkerStats {
-	n := d.count(3)
+	n := d.Count(3)
 	if n == 0 {
 		return nil
 	}
@@ -435,13 +375,13 @@ func (d *decoder) stats() []WorkerStats {
 // taskState pops one task state. M̂ and s share one allocation: the
 // (rows+1)×cols floats are contiguous in the payload.
 func (d *decoder) taskState() TaskState {
-	ts := TaskState{ID: d.int()}
-	rows, cols := d.count(1), d.count(8)
-	if d.err != nil {
+	ts := TaskState{ID: d.Int()}
+	rows, cols := d.Count(1), d.Count(8)
+	if d.Err() != nil {
 		return ts
 	}
-	if cols == 0 || rows+1 > len(d.b)/8/cols {
-		d.fail("task %d state of %d×%d floats does not fit the %d bytes remaining", ts.ID, rows+1, cols, len(d.b))
+	if cols == 0 || rows+1 > d.Len()/8/cols {
+		d.Failf("task %d state of %d×%d floats does not fit the %d bytes remaining", ts.ID, rows+1, cols, d.Len())
 		return ts
 	}
 	flat := make([]float64, (rows+1)*cols)
@@ -457,38 +397,37 @@ func (d *decoder) taskState() TaskState {
 }
 
 func (d *decoder) state() *State {
-	st := &State{Seq: d.uvarint(), PublishSeq: d.uvarint()}
-	answers := d.uvarint()
+	st := &State{Seq: d.Uvarint(), PublishSeq: d.Uvarint()}
+	answers := d.Uvarint()
 	if answers > math.MaxInt64 {
-		d.fail("answer count %d out of range", answers)
+		d.Failf("answer count %d out of range", answers)
 	}
 	st.Answers = int64(answers)
 	st.GoldenIDs = d.ints()
-	if n := d.count(11); n > 0 {
+	if n := d.Count(11); n > 0 {
 		st.TaskStates = make([]TaskState, n)
 		for i := range st.TaskStates {
 			st.TaskStates[i] = d.taskState()
 		}
 	}
 	st.Workers = d.stats()
-	if n := d.count(6); n > 0 {
+	if n := d.Count(6); n > 0 {
 		st.Serving = make([]WorkerServing, n)
 		for i := range st.Serving {
 			ws := &st.Serving[i]
 			ws.ID = d.str()
-			if len(d.b) == 0 || d.b[0] > 1 {
-				d.fail("bad profiled flag")
-			} else {
-				ws.Profiled = d.b[0] == 1
-				d.b = d.b[1:]
+			profiled := d.Byte()
+			if profiled > 1 {
+				d.Failf("bad profiled flag %d", profiled)
 			}
+			ws.Profiled = profiled == 1
 			ws.GoldenTasks, ws.GoldenChoices = d.ints(), d.ints()
 			ws.AnchorQ, ws.AnchorU = d.floats(), d.floats()
 		}
 	}
 	st.Store = d.stats()
 	st.StoreProfiles = d.stats()
-	if n := d.count(1); n > 0 {
+	if n := d.Count(1); n > 0 {
 		st.Log.Workers = make([]string, n)
 		for i := range st.Log.Workers {
 			st.Log.Workers[i] = d.str()
@@ -498,9 +437,9 @@ func (d *decoder) state() *State {
 	return st
 }
 
-// Write atomically replaces dir's snapshot with the given state: temp
-// file, fsync, rename, directory fsync. A crash at any point leaves either
-// the previous snapshot or the new one.
+// Write atomically replaces dir's snapshot with the given state
+// (wal.WriteFileAtomic: one file fsync, one directory fsync). A crash at
+// any point leaves either the previous snapshot or the new one.
 func Write(dir string, st *State) error {
 	data, err := Encode(st)
 	if err != nil {
@@ -509,41 +448,10 @@ func Write(dir string, st *State) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	tmp := filepath.Join(dir, tmpName)
-	if err := writeSynced(tmp, data); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, FileName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err := wal.WriteFileAtomic(filepath.Join(dir, FileName), data); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
-}
-
-// writeSynced creates or truncates path, writes data and fsyncs it.
-func writeSynced(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Read loads dir's snapshot, or (nil, nil) when none exists. Any other

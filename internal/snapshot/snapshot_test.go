@@ -179,7 +179,7 @@ func TestWriteAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := bytes.Repeat([]byte("stale"), 1<<12) // longer than a real image: O_TRUNC must cut it
-	if err := os.WriteFile(filepath.Join(dir, tmpName), stale, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, FileName+".tmp"), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if back, err := Read(dir); err != nil || back.Seq != 41 {

@@ -100,8 +100,8 @@ func TestTornDeltaTailTolerated(t *testing.T) {
 
 // TestCrashMidSaveKeepsOldCheckpoint: Save goes through a temp file and an
 // atomic rename, so a copy of the state mid-write (the temp file) never
-// masks the real checkpoint, and a straggler temp file is ignored by
-// Open.
+// masks the real checkpoint, a straggler temp file is ignored by Open, and
+// the next Save reuses its fixed name instead of leaving it behind forever.
 func TestCrashMidSaveKeepsOldCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.json")
@@ -118,7 +118,7 @@ func TestCrashMidSaveKeepsOldCheckpoint(t *testing.T) {
 	want, _ := s.Worker("w1")
 	// Simulate a crash mid-save: a partially-written temp file next to the
 	// checkpoint (the rename never happened).
-	if err := os.WriteFile(filepath.Join(dir, ".store-crash.json"), []byte(`{"m":2,"wor`), 0o644); err != nil {
+	if err := os.WriteFile(path+".tmp", []byte(`{"m":2,"wor`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(path, 2)
@@ -129,6 +129,70 @@ func TestCrashMidSaveKeepsOldCheckpoint(t *testing.T) {
 	if !ok || !statsEqual(got, want) {
 		t.Fatal("checkpoint lost to a crashed save")
 	}
+	if err := s2.Save(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if n := e.Name(); n != "store.json" && n != "store.json.delta" {
+			t.Fatalf("stray file %q beside the checkpoint after a Save", n)
+		}
+	}
+}
+
+// TestFailedSaveLosesNothing: a Save whose checkpoint cannot be replaced
+// (the rename is refused: a non-empty directory sits at the path) returns
+// the error, strands no temp file, and leaves the delta log whole — so
+// every update from before and after the failure is there at the next Open,
+// and the next Save that can succeed does.
+func TestFailedSaveLosesNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.json")
+	s, err := Open(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Merge("w1", mkStats(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(); err == nil {
+		t.Fatal("Save over a non-empty directory reported success")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed Save left its temp file behind (stat error: %v)", err)
+	}
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Merge("w2", mkStats(2, 5)); err != nil {
+		t.Fatal(err)
+	}
+	want1, _ := s.Worker("w1")
+	want2, _ := s.Worker("w2")
+	check := func(when string) {
+		t.Helper()
+		s2, err := Open(path, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		got1, ok1 := s2.Worker("w1")
+		got2, ok2 := s2.Worker("w2")
+		if !ok1 || !ok2 || !statsEqual(got1, want1) || !statsEqual(got2, want2) {
+			t.Fatalf("%s: an update made around the failed Save is gone or doubled", when)
+		}
+	}
+	check("reopened from the delta log alone")
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened from the retried checkpoint")
 }
 
 // TestStaleDeltasNotReappliedAfterSave covers the crash window between the

@@ -8,7 +8,7 @@
 // # On-disk layout
 //
 // The checkpoint at `path` is a JSON snapshot, always replaced atomically
-// (temp file, fsync, rename, directory fsync), so a crash mid-save leaves
+// (wal.WriteFileAtomic, staged at `path+".tmp"`), so a crash mid-save leaves
 // the previous checkpoint intact. Between saves, every Merge and Put also
 // appends one CRC-framed JSON record to `path+".delta"`, so a crash loses
 // no update that ever returned success — the seed rewrote the whole JSON
@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -360,11 +359,11 @@ func (s *Store) Workers() []string {
 	return ids
 }
 
-// Save writes a fresh checkpoint atomically (temp file, fsync, rename,
-// directory fsync) and resets the delta log. A crash at any point leaves a
-// loadable store: before the rename the old checkpoint + deltas win, after
-// it the generation guard keeps the stale deltas from re-applying. It is a
-// no-op for memory-only stores.
+// Save writes a fresh checkpoint atomically (wal.WriteFileAtomic: one file
+// fsync, one directory fsync) and resets the delta log. A crash at any
+// point leaves a loadable store: before the rename the old checkpoint +
+// deltas win, after it the generation guard keeps the stale deltas from
+// re-applying. It is a no-op for memory-only stores.
 //
 // Save deliberately holds the exclusive lock across the file I/O: a Merge
 // landing between the marshal and the delta-log reset would append a
@@ -378,41 +377,21 @@ func (s *Store) Save() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := snapshot{M: s.m, Gen: s.gen + 1, Workers: s.workers, Profiles: s.profiles}
+	// The generation moves first and stays moved if the write fails: a
+	// failure past the rename (the directory fsync) leaves the new
+	// checkpoint in place, and deltas still tagged with the old generation
+	// would be skipped by the next Open. Bumping early is safe either way —
+	// Open applies every delta at or above the checkpoint's generation, and
+	// a failed Save leaves the delta log whole.
+	s.gen++
+	snap := snapshot{M: s.m, Gen: s.gen, Workers: s.workers, Profiles: s.profiles}
 	data, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, ".store-*.json")
-	if err != nil {
+	if err := wal.WriteFileAtomic(s.path, data); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmpName, s.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	s.gen++
 	// Reset the delta log: its records are folded into the checkpoint now.
 	if s.deltaF != nil {
 		if err := s.deltaF.Truncate(0); err != nil {

@@ -1,0 +1,50 @@
+package wal
+
+import (
+	"os"
+	"path/filepath"
+)
+
+// WriteFileAtomic replaces the file at path with data so that a crash at
+// any point leaves either the previous complete file or the new one, never
+// a mix: the bytes go to path+".tmp", are fsynced, the temp is renamed over
+// path, and the directory is fsynced so the rename itself survives power
+// loss. It is the one atomic replace in the tree (the campaign snapshot,
+// the store checkpoint and the archive marker all come through it). A path
+// has one writer at a time, so the temp name is fixed: what a crash strands
+// there is overwritten by the next write, and a failed write removes it.
+// Every error is returned, bare (an *os.PathError names the step and the
+// file); after one from the directory fsync the new file is in place but
+// not yet known durable.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a file created in it or renamed into it is
+// durable: fsyncing the file alone does not persist its directory entry.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}

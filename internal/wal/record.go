@@ -58,10 +58,6 @@ type Record struct {
 	Blob []byte
 }
 
-// maxStringLen bounds decoded string/blob fields, independently of the
-// frame-level MaxPayload, so a hostile payload cannot claim a huge length.
-const maxStringLen = MaxPayload
-
 // Encode returns the deterministic payload encoding of the record (no
 // frame header). The layout is:
 //
@@ -109,69 +105,33 @@ func (r Record) appendFrame(dst []byte) []byte {
 	return dst
 }
 
-// Decode parses a payload produced by Encode. It never panics on arbitrary
-// input (the fuzz target FuzzWALDecode holds it to that) and rejects
-// payloads with trailing garbage, unknown kinds, or fields whose declared
-// lengths exceed the input.
+// Decode parses a payload produced by Encode, through the Cursor: it never
+// panics on arbitrary input (the fuzz target FuzzWALDecode holds it to
+// that) and rejects payloads with trailing garbage, unknown kinds, overlong
+// varints, or fields whose declared lengths exceed the input.
 func Decode(payload []byte) (Record, error) {
-	var r Record
 	if len(payload) == 0 {
-		return r, fmt.Errorf("wal: empty record payload")
+		return Record{}, fmt.Errorf("wal: empty record payload")
 	}
-	r.Kind = Kind(payload[0])
-	rest := payload[1:]
-	seq, rest, err := readUvarint(rest)
-	if err != nil {
-		return r, fmt.Errorf("wal: seq: %w", err)
-	}
-	r.Seq = seq
+	c := NewCursor(payload)
+	r := Record{Kind: Kind(c.Byte()), Seq: c.Uvarint()}
 	switch r.Kind {
 	case KindAnswer:
-		var worker []byte
-		worker, rest, err = readBytes(rest)
-		if err != nil {
-			return r, fmt.Errorf("wal: worker: %w", err)
-		}
-		r.Worker = string(worker)
-		var task, choice uint64
-		task, rest, err = readUvarint(rest)
-		if err != nil {
-			return r, fmt.Errorf("wal: task: %w", err)
-		}
-		choice, rest, err = readUvarint(rest)
-		if err != nil {
-			return r, fmt.Errorf("wal: choice: %w", err)
-		}
-		if task > maxInt || choice > maxInt {
-			return r, fmt.Errorf("wal: task/choice out of int range")
-		}
-		r.Task, r.Choice = int(task), int(choice)
+		r.Worker = string(c.Bytes())
+		r.Task, r.Choice = c.Int(), c.Int()
 	case KindPublish, KindBatch:
-		r.Blob, rest, err = readBytes(rest)
-		if err != nil {
-			return r, fmt.Errorf("wal: blob: %w", err)
-		}
+		r.Blob = c.Bytes()
 	case KindSeed:
-		var worker []byte
-		worker, rest, err = readBytes(rest)
-		if err != nil {
-			return r, fmt.Errorf("wal: worker: %w", err)
-		}
-		r.Worker = string(worker)
-		r.Blob, rest, err = readBytes(rest)
-		if err != nil {
-			return r, fmt.Errorf("wal: blob: %w", err)
-		}
+		r.Worker = string(c.Bytes())
+		r.Blob = c.Bytes()
 	default:
 		return r, fmt.Errorf("wal: unknown record kind %d", r.Kind)
 	}
-	if len(rest) != 0 {
-		return r, fmt.Errorf("wal: %d trailing bytes after record", len(rest))
+	if err := c.End(); err != nil {
+		return r, fmt.Errorf("wal: kind %d record: %w", r.Kind, err)
 	}
 	return r, nil
 }
-
-const maxInt = uint64(^uint(0) >> 1)
 
 // EncodeFrame wraps an arbitrary payload in the WAL's frame format
 // (length + CRC32-C + payload), appending to dst. Together with
@@ -216,31 +176,4 @@ func DecodeFrames(data []byte, fn func(payload []byte) error) (torn bool, err er
 		off += frameHeaderLen + int(n)
 	}
 	return false, nil
-}
-
-// readUvarint pops one uvarint, rejecting non-minimal ("overlong")
-// encodings: the format is canonical, so every accepted payload re-encodes
-// to the exact same bytes. Without this, two byte strings could alias the
-// same record and CRC-valid garbage would have more ways to parse.
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, b, fmt.Errorf("bad varint")
-	}
-	if n > 1 && v>>(7*(n-1)) == 0 {
-		return 0, b, fmt.Errorf("non-minimal varint")
-	}
-	return v, b[n:], nil
-}
-
-// readBytes pops a uvarint-length-prefixed byte field.
-func readBytes(b []byte) (field, rest []byte, err error) {
-	n, rest, err := readUvarint(b)
-	if err != nil {
-		return nil, b, fmt.Errorf("bad length: %w", err)
-	}
-	if n > maxStringLen || n > uint64(len(rest)) {
-		return nil, b, fmt.Errorf("length %d exceeds remaining %d bytes", n, len(rest))
-	}
-	return rest[:n], rest[n:], nil
 }

@@ -445,7 +445,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	// takes every fsynced record inside it along.
 	if err := syncDir(l.dir); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("wal: %w", err)
 	}
 	l.f, l.size = f, 0
 	return nil
@@ -488,19 +488,6 @@ func segments(dir string) ([]segmentInfo, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
 	return segs, nil
-}
-
-// syncDir fsyncs a directory so renames into it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
 }
 
 // errTornTail is ScanSegment's signal that the segment ends mid-frame.
