@@ -37,7 +37,7 @@ func main() {
 	syncRerun := flag.Bool("sync-rerun", false, "run the periodic batch re-inference on the submitting request instead of the background worker")
 	leaseTTL := flag.Duration("lease-ttl", 0, "assignment lease TTL: tasks served to a worker are excluded from their re-requests and count against redundancy until answered or expired (0 = leases disabled)")
 	maxBatch := flag.Int("max-batch", 0, "max answers one POST /submit-batch materializes; items past the clamp are rejected per-item (0 = default 256)")
-	maxLive := flag.Int("max-live-campaigns", 0, "max campaigns resident in memory; past the cap the least-recently-used campaign hibernates (final snapshot + WAL fsync, memory released) and wakes on its next request; also makes boot lazy — campaign logs replay on first touch (requires -wal-dir, 0 = unlimited)")
+	maxLive := flag.Int("max-live-campaigns", 0, "max campaigns resident in memory; past the cap the least-recently-used campaign hibernates (memory released; a final snapshot is written only if answers arrived since the last one, the WAL fsynced only if not already) and wakes on its next request; also makes boot lazy — campaign logs replay on first touch (requires -wal-dir, 0 = unlimited)")
 	hibernateAfter := flag.Duration("hibernate-after", 0, "hibernate campaigns idle this long (requires -wal-dir, 0 = never)")
 	flag.Parse()
 

@@ -216,10 +216,11 @@ type Config struct {
 
 	// MaxLiveCampaigns (registry only) caps how many campaigns are
 	// resident in memory at once; past the cap the least-recently-used
-	// live campaign hibernates (final snapshot + fsync, memory released)
-	// and wakes on its next request. Also makes boot lazy: campaign logs
-	// replay on first touch, not at open. Requires WALDir. Zero keeps
-	// every campaign live forever (the pre-hibernation behavior).
+	// live campaign hibernates (memory released; a final snapshot only if
+	// answers arrived since the last) and wakes on its next request. Also
+	// makes boot lazy: campaign logs replay on first touch, not at open.
+	// Requires WALDir. Zero keeps every campaign live forever (the
+	// pre-hibernation behavior).
 	MaxLiveCampaigns int
 	// HibernateAfter (registry only) hibernates any campaign idle for
 	// this long. Requires WALDir. Zero disables idle hibernation. See

@@ -192,6 +192,10 @@ type System struct {
 	// snapSeq is the WAL sequence covered by the newest state snapshot this
 	// process wrote or booted from.
 	snapSeq atomic.Uint64
+	// answerSeq is the WAL sequence of the last answer-bearing record
+	// (KindAnswer, KindBatch) this process logged or replayed: a snapshot
+	// pass has work to do only while it lies past snapSeq.
+	answerSeq atomic.Uint64
 	// publishSeq is the WAL sequence of the record that carries the
 	// publication (0 until one is logged or replayed): a state snapshot
 	// names that record instead of repeating its contents.

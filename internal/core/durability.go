@@ -167,6 +167,9 @@ func (s *System) WALSeq() uint64 {
 //
 //docs:deterministic
 func (s *System) applyRecord(rec wal.Record) error {
+	if answerBearing(rec.Kind) {
+		s.answerSeq.Store(rec.Seq)
+	}
 	switch rec.Kind {
 	case wal.KindPublish:
 		// The record's tasks all carry their domain vector (decodePublication
@@ -231,8 +234,16 @@ func (s *System) walReserve(rec wal.Record) (wal.Pending, error) {
 	if err != nil {
 		return wal.Pending{}, fmt.Errorf("core: %w: %v", ErrDurability, err)
 	}
+	if answerBearing(rec.Kind) {
+		s.answerSeq.Store(p.Seq())
+	}
 	return p, nil
 }
+
+// answerBearing reports whether replaying a record of this kind runs
+// inference: an answer or a batch of them. A publication or a seed only
+// installs the bits it carries.
+func answerBearing(k wal.Kind) bool { return k == wal.KindAnswer || k == wal.KindBatch }
 
 // walCommit waits for a reservation's group-commit batch. A zero Pending
 // (no WAL) is a no-op.

@@ -1,13 +1,16 @@
-// Campaign hibernation: release a quiescent system's memory while making
-// the next boot as cheap as possible.
+// Campaign hibernation: release a quiescent system's memory while keeping
+// the next boot cheap.
 //
-// Hibernate is Close plus one promise: before the memory is released, a
-// final state snapshot covering the ENTIRE durable log is written through
-// the same scratch-boot pass the background snapshot worker runs
-// (the live concurrent system is never serialized — its state is not the
-// canonical serial-replay state). A later Recover then restores the
-// snapshot and replays an empty WAL suffix, so waking a hibernated
-// campaign costs O(restore), not O(campaign history).
+// Hibernate is Close plus one promise: when the memory is released, no
+// answer lies past the newest state snapshot. If one does, a final snapshot
+// is written through the same scratch-boot pass the background snapshot
+// worker runs (the live concurrent system is never serialized — its state
+// is not the canonical serial-replay state). If none does — the campaign
+// was only published, or only handed out tasks since it last woke — nothing
+// is written: the suffix is the publication and worker seeds, which replay
+// without running inference. A later Recover then restores the snapshot (if
+// any) and re-installs that suffix, so waking a hibernated campaign costs
+// O(restore + tasks and seeds installed), not O(campaign history).
 //
 // The failure direction is chosen deliberately: every step after the WAL
 // fsync only affects WAKE TIME, never state. A crash or error between the
@@ -19,11 +22,12 @@ package core
 
 import "fmt"
 
-// Hibernate drains the system and closes it like Close, but first fsyncs
-// the WAL and writes a final state snapshot covering every record the log
-// holds, so the next Recover restores the snapshot and replays nothing.
-// It returns an error when the final snapshot could not be written or
-// does not cover the log's tail; the system is closed and its state is
+// Hibernate drains the system and closes it like Close, but first makes
+// the WAL power-loss durable (a no-op when it already is) and, if an answer
+// lies past the newest state snapshot, writes a final snapshot covering the
+// log, so the next Recover replays no answer; an answer-free suffix writes
+// nothing. It returns an error when the final snapshot could not be written
+// or an answer still lies past it; the system is closed and its state is
 // durable in the WAL either way — a failed Hibernate degrades the next
 // wake to a longer replay, it never loses state. Requires an armed WAL:
 // a memory-only campaign released from memory would simply be gone.
@@ -47,22 +51,17 @@ func (s *System) Hibernate() error {
 	snapErr := s.wal.Sync()
 	if snapErr == nil {
 		// The snapshot worker has exited, so running the pass on this
-		// goroutine is race-free. A campaign that took no record since the
-		// snapshot it booted from (or last wrote) costs nothing here: the
-		// pass returns before building anything.
+		// goroutine is race-free.
 		snapErr = s.snapshotPass()
 	}
-	if snapErr == nil {
-		// Verify-covering-seq: the written snapshot must cover the log's
-		// tail, or the wake would pay a suffix replay we claimed to have
-		// eliminated. (A mismatch means records landed after the drain —
-		// the caller broke quiescence — and is surfaced loudly.)
-		if covered, tail := s.snapSeq.Load(), s.wal.ReservedSeq(); covered != tail {
-			snapErr = fmt.Errorf("final snapshot covers seq %d but the log ends at %d", covered, tail)
-		}
+	if snapErr == nil && s.unsnapshottedAnswers() {
+		// An answer landed after the pass read the log (the caller broke
+		// quiescence): the wake would pay the replay we claimed to have
+		// eliminated, so it is surfaced loudly.
+		snapErr = fmt.Errorf("final snapshot covers seq %d but an answer was logged at %d", s.snapSeq.Load(), s.answerSeq.Load())
 	}
 	// Release everything regardless: Close is idempotent past the
-	// closed.Once above and flushes + fsyncs the WAL again on its way out.
+	// closed.Once above and flushes the WAL again on its way out.
 	closeErr := s.Close()
 	if snapErr != nil {
 		return fmt.Errorf("core: hibernate snapshot: %w", snapErr)

@@ -439,14 +439,23 @@ func (s *System) runSnapshotPass() {
 	s.snaps.Add(1)
 }
 
+// unsnapshottedAnswers reports whether an answer-bearing record lies past
+// the newest snapshot — the one test for "a pass has something to do". A
+// suffix of publication and seeds replays without running inference, in
+// time linear in what it installs (a worker is seeded at most twice per
+// campaign, so seeds do not pile up); a snapshot of it would only repeat
+// the log.
+func (s *System) unsnapshottedAnswers() bool { return s.answerSeq.Load() > s.snapSeq.Load() }
+
 // snapshotPass boots a scratch serial replica from the WAL directory —
 // the same replay a restarting process runs — and atomically replaces the
 // snapshot file with the replica's state. Nothing of the replica outlives
 // the pass, so a failed pass leaves nothing behind to repair: the next one
-// boots afresh and surfaces the real error again.
+// boots afresh and surfaces the real error again. With no answer past the
+// newest snapshot the pass returns before building anything.
 func (s *System) snapshotPass() error {
-	if s.snapSeq.Load() == s.wal.ReservedSeq() {
-		return nil // the newest snapshot already covers every record
+	if !s.unsnapshottedAnswers() {
+		return nil
 	}
 	cfg := s.cfg
 	cfg.KB = s.kb

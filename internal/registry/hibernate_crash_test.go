@@ -9,6 +9,7 @@ import (
 	"docs/internal/core"
 	"docs/internal/model"
 	"docs/internal/snapshot"
+	"docs/internal/truth"
 	"docs/internal/wal"
 )
 
@@ -107,6 +108,57 @@ func buildHibernateCrashFixture(t *testing.T) *hibernateCrashFixture {
 	}
 	return &hibernateCrashFixture{root: root, dir: dir, recs: recs, m: m,
 		fpLive: fpLive, staleSnap: staleSnap, staleSeq: staleSeq}
+}
+
+// buildAnswerFreeFixture hibernates a campaign whose whole life holds no
+// answer: the publication alone, or (seeded) the publication plus the
+// KindSeed a store-known worker's first request logs. Such a hibernation
+// writes nothing, so the fixture has no snapshot, stale or otherwise.
+func buildAnswerFreeFixture(t *testing.T, seeded bool) *hibernateCrashFixture {
+	t.Helper()
+	root := t.TempDir()
+	reg, err := Open(crashConfig(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := reg.Create("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sys.Domains().Size()
+	if err := sys.Publish(synthTasks(m, 24, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if seeded {
+		st := truth.NewStats(m)
+		st.Q[0], st.U[0] = 0.9, 3
+		if err := reg.Store().Put("w0", st); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sys.Request("w0", crashKnobs.hit); err != nil || len(got) == 0 {
+			t.Fatalf("store-known worker got %d tasks, err %v", len(got), err)
+		}
+	}
+	fpLive := sys.Fingerprint()
+	if err := reg.Hibernate("solo"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, campaignsDir, "solo")
+	if _, err := os.Stat(filepath.Join(dir, snapshot.FileName)); !os.IsNotExist(err) {
+		t.Fatalf("answer-free hibernate left a snapshot file (stat: %v)", err)
+	}
+	recs := readStream(t, dir)
+	want := 1 // the publication
+	if seeded {
+		want = 2 // and w0's seed
+	}
+	if len(recs) != want {
+		t.Fatalf("answer-free life logged %d records, want %d", len(recs), want)
+	}
+	return &hibernateCrashFixture{root: root, dir: dir, recs: recs, m: m, fpLive: fpLive}
 }
 
 // buildImage copies the fixture's durable tree into a fresh root and lets
@@ -280,6 +332,18 @@ func TestHibernateCrashPointsExact(t *testing.T) {
 		// the lazy path is how a crashed hibernation reboots at density.
 		lazyRoot := f.buildImage(t, tc.mutate)
 		f.bootAndCheck(t, tc.label, lazyRoot, true, tc.snapshotUsed, tc.rejected, tc.records)
+	}
+
+	// A life with no answer in it hibernates by drain → sync → close and
+	// writes no file, so every kill point of that hibernation leaves the one
+	// image: the log alone. It boots by replaying all of it — the
+	// publication, and the seeds — with no snapshot to use or reject.
+	for label, seeded := range map[string]bool{"publish-only": false, "seeds-only": true} {
+		f := buildAnswerFreeFixture(t, seeded)
+		for _, lazy := range []bool{false, true} {
+			image := f.buildImage(t, func(string) {})
+			f.bootAndCheck(t, label, image, lazy, false, false, len(f.recs))
+		}
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/snapshot"
+	"docs/internal/truth"
+	"docs/internal/wal"
 )
 
 // The hibernation lifecycle suite. Hibernate/wake cycles must be invisible
@@ -49,12 +51,14 @@ func (l *lockstep) systems(t *testing.T) (*core.System, *core.System) {
 	return sysA, sysB
 }
 
-// step issues one Request/Submit round for one worker against both
-// registries and asserts the assignments and resulting fingerprints are
-// identical. Returns how many answers were submitted (0 = campaign idle).
-func (l *lockstep) step(t *testing.T, w string, flip func() bool) int {
+// request issues one Request for one worker against both registries
+// (waking the hibernating side's campaign if need be), asserts the
+// assignments are identical and returns them. On its own it is a round that
+// logs no answer: at most the KindSeed of a store-known worker's first
+// visit.
+func (l *lockstep) request(t *testing.T, w string) (sysA, sysB *core.System, got []*model.Task) {
 	t.Helper()
-	sysA, sysB := l.systems(t)
+	sysA, sysB = l.systems(t)
 	gotA, err := sysA.Request(w, crashKnobs.hit)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +77,25 @@ func (l *lockstep) step(t *testing.T, w string, flip func() bool) int {
 				l.name, w, i, gotA[i].ID, gotB[i].ID)
 		}
 	}
+	return sysA, sysB, gotA
+}
+
+// sameFingerprint asserts the hibernating registry's campaign and the
+// reference's are bit-identical.
+func (l *lockstep) sameFingerprint(t *testing.T, when string) {
+	t.Helper()
+	sysA, sysB := l.systems(t)
+	if fpA, fpB := sysA.Fingerprint(), sysB.Fingerprint(); fpA != fpB {
+		t.Fatalf("campaign %s: fingerprint diverged %s\n%s", l.name, when, core.DiffFingerprints(fpA, fpB, 8))
+	}
+}
+
+// step issues one Request/Submit round for one worker against both
+// registries and asserts the assignments and resulting fingerprints are
+// identical. Returns how many answers were submitted (0 = campaign idle).
+func (l *lockstep) step(t *testing.T, w string, flip func() bool) int {
+	t.Helper()
+	sysA, sysB, gotA := l.request(t, w)
 	for _, tk := range gotA {
 		c := tk.Truth
 		if c == model.NoTruth {
@@ -87,19 +110,45 @@ func (l *lockstep) step(t *testing.T, w string, flip func() bool) int {
 			t.Fatal(err)
 		}
 	}
-	if fpA, fpB := sysA.Fingerprint(), sysB.Fingerprint(); fpA != fpB {
-		t.Fatalf("campaign %s worker %s: fingerprint diverged after submit round\n%s",
-			l.name, w, core.DiffFingerprints(fpA, fpB, 8))
-	}
+	l.sameFingerprint(t, "after worker "+w+"'s submit round")
 	return len(gotA)
+}
+
+// wakeShape classifies the boot that produced the hibernating registry's
+// resident campaign and enforces the hibernation contract on it: whatever
+// the campaign's life held, the wake replayed no answer — it restored the
+// newest snapshot (none, for a life nobody answered) and re-installed at
+// most the publication and worker seeds past it.
+func (l *lockstep) wakeShape(t *testing.T, root string) (snapshotUsed bool, replayed int) {
+	t.Helper()
+	sysA, _ := l.systems(t)
+	info := sysA.Recovery()
+	if info.SnapshotRejected != "" {
+		t.Fatalf("campaign %s: wake rejected its snapshot: %s", l.name, info.SnapshotRejected)
+	}
+	suffix := readStream(t, filepath.Join(root, campaignsDir, l.name))[info.SnapshotSeq:]
+	if len(suffix) < info.Records {
+		t.Fatalf("campaign %s: wake replayed %d records, the log holds %d past seq %d", l.name, info.Records, len(suffix), info.SnapshotSeq)
+	}
+	for _, rec := range suffix[:info.Records] {
+		if rec.Kind == wal.KindAnswer || rec.Kind == wal.KindBatch {
+			t.Fatalf("campaign %s: wake after a clean hibernate replayed answer record %d (snapshot used: %v at seq %d)",
+				l.name, rec.Seq, info.SnapshotUsed, info.SnapshotSeq)
+		}
+	}
+	return info.SnapshotUsed, info.Records
 }
 
 // TestHibernateWakeFingerprintExact is the randomized property test:
 // several campaigns interleave traffic with hibernate/wake cycles at
 // random points, and after EVERY acknowledged submit round the hibernating
 // registry's fingerprint must be bit-identical to the never-hibernated
-// reference's. Wakes after a clean hibernate must also be O(suffix):
-// snapshot restored, zero records replayed.
+// reference's. Wakes after a clean hibernate must also be O(suffix): the
+// newest snapshot restored and no answer replayed past it. Two fixed rows
+// open the run, the lives a hibernation writes nothing for: every campaign
+// is hibernated straight after its publication (the wake replays that one
+// record, from no snapshot), and two are hibernated again after a request
+// that logged a worker seed and no answer.
 func TestHibernateWakeFingerprintExact(t *testing.T) {
 	regRoot, refRoot := t.TempDir(), t.TempDir()
 	reg, err := Open(crashConfig(regRoot))
@@ -154,6 +203,41 @@ func TestHibernateWakeFingerprintExact(t *testing.T) {
 	flip := func() bool { return r.Float64() >= 0.85 }
 	idle := map[string]int{}
 	hibernations, cleanWakes := 0, 0
+	// cycle hibernates the campaign and wakes it again, holding the wake to
+	// the answer-free contract and the woken state to the reference.
+	cycle := func(name string) (snapshotUsed bool, replayed int) {
+		t.Helper()
+		if err := reg.Hibernate(name); err != nil {
+			t.Fatalf("hibernate %s: %v", name, err)
+		}
+		hibernations++
+		if reg.Resident(name) {
+			t.Fatalf("campaign %s still resident after Hibernate", name)
+		}
+		snapshotUsed, replayed = steps[name].wakeShape(t, regRoot)
+		cleanWakes++
+		steps[name].sameFingerprint(t, "across a hibernate/wake cycle")
+		return snapshotUsed, replayed
+	}
+	for _, name := range names {
+		if used, n := cycle(name); used || n != 1 {
+			t.Fatalf("campaign %s: publish-only wake used a snapshot (%v) or replayed %d records, want the publication alone", name, used, n)
+		}
+	}
+	// One submit round takes w0 through alpha's golden gauntlet, so the store
+	// knows w0, whose first request of the other two logs a seed, nothing else.
+	if n := steps["alpha"].step(t, "w0", flip); n != crashKnobs.golden {
+		t.Fatalf("profiling round submitted %d answers, want %d", n, crashKnobs.golden)
+	}
+	for _, name := range names[1:] {
+		steps[name].request(t, "w0")
+		if used, n := cycle(name); used || n != 2 {
+			t.Fatalf("campaign %s: seeds-only wake used a snapshot (%v) or replayed %d records, want publication + seed", name, used, n)
+		}
+	}
+	if n := snapshotFiles(t, regRoot); n != 0 {
+		t.Fatalf("%d snapshot files after answer-free hibernations only, want 0", n)
+	}
 	for op := 0; ; op++ {
 		active := false
 		for _, name := range names {
@@ -171,40 +255,14 @@ func TestHibernateWakeFingerprintExact(t *testing.T) {
 			// wakes it. Only the hibernating registry transitions — the
 			// reference keeps serving live.
 			if r.Float64() < 0.12 {
-				if err := reg.Hibernate(name); err != nil {
-					t.Fatalf("hibernate %s: %v", name, err)
-				}
-				hibernations++
-				if reg.Resident(name) {
-					t.Fatalf("campaign %s still resident after Hibernate", name)
-				}
-				// A clean hibernate's wake restores the final snapshot and
-				// replays nothing — the O(suffix) contract with suffix 0.
-				sysA, err := reg.Get(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info := sysA.Recovery(); info.SnapshotUsed && info.Records == 0 {
-					cleanWakes++
-				} else {
-					t.Fatalf("campaign %s: wake after clean hibernate replayed %d records (snapshot used: %v, rejected: %q)",
-						name, info.Records, info.SnapshotUsed, info.SnapshotRejected)
-				}
-				sysB, err := ref.Get(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fpA, fpB := sysA.Fingerprint(), sysB.Fingerprint(); fpA != fpB {
-					t.Fatalf("campaign %s: woken fingerprint differs from never-hibernated reference\n%s",
-						name, core.DiffFingerprints(fpA, fpB, 8))
-				}
+				cycle(name)
 			}
 		}
 		if !active {
 			break
 		}
 	}
-	if hibernations < 5 {
+	if hibernations < 10 {
 		t.Fatalf("workload only exercised %d hibernate/wake cycles", hibernations)
 	}
 	if total, _, p99 := reg.WakeStats(); total != int64(cleanWakes) || p99 < 0 {
@@ -220,11 +278,12 @@ func TestHibernateWakeFingerprintExact(t *testing.T) {
 	}
 }
 
-// TestCleanEvictionWritesNothing: a campaign woken only to be read — no
-// record logged since the snapshot it booted from — hibernates without
-// touching the snapshot file (the final pass returns before it would
-// build a replica), and the wake after that is still a zero-suffix snapshot
-// restore.
+// TestCleanEvictionWritesNothing: a campaign that took no ANSWER since the
+// snapshot it booted from — woken only to be read, or only to hand a
+// store-known worker tasks (which logs that worker's seed) — hibernates
+// without touching the snapshot file (the final pass returns before it
+// would build a replica), and the wake after that restores the same
+// snapshot and replays the seeds alone.
 func TestCleanEvictionWritesNothing(t *testing.T) {
 	root := t.TempDir()
 	reg, err := Open(crashConfig(root))
@@ -253,24 +312,37 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 	if err := os.Chtimes(snapPath, old, old); err != nil {
 		t.Fatal(err)
 	}
+	// A worker the campaign has never seen but the store knows.
+	st := truth.NewStats(sys.Domains().Size())
+	st.Q[0], st.U[0] = 0.9, 3
+	if err := reg.Store().Put("stranger", st); err != nil {
+		t.Fatal(err)
+	}
 
 	var want string
-	for cycle := 0; cycle < 2; cycle++ {
+	for cycle, seeds := 0, 0; cycle < 3; cycle++ {
 		sys, err = reg.Get("reader") // wakes
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info := sys.Recovery(); !info.SnapshotUsed || info.Records != 0 {
-			t.Fatalf("cycle %d: wake replayed %d records (snapshot used: %v, rejected: %q)",
-				cycle, info.Records, info.SnapshotUsed, info.SnapshotRejected)
+		if info := sys.Recovery(); !info.SnapshotUsed || info.Records != seeds {
+			t.Fatalf("cycle %d: wake replayed %d records, want %d seeds (snapshot used: %v, rejected: %q)",
+				cycle, info.Records, seeds, info.SnapshotUsed, info.SnapshotRejected)
 		}
-		fp := sys.Fingerprint()
-		if cycle == 0 {
-			want = fp
-		} else if fp != want {
+		if fp := sys.Fingerprint(); cycle > 0 && fp != want {
 			t.Fatalf("cycle %d: state changed across a clean eviction", cycle)
 		}
 		_, _ = sys.Result(0)
+		if cycle == 1 {
+			seq := sys.WALSeq()
+			if _, err := sys.Request("stranger", crashKnobs.hit); err != nil {
+				t.Fatal(err)
+			}
+			if seeds = int(sys.WALSeq() - seq); seeds != 1 {
+				t.Fatalf("a store-known worker's first request logged %d records, want its seed alone", seeds)
+			}
+		}
+		want = sys.Fingerprint()
 		if err := reg.Hibernate("reader"); err != nil {
 			t.Fatal(err)
 		}
@@ -285,6 +357,95 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 		if !bytes.Equal(after, before) || !st.ModTime().Equal(old) {
 			t.Fatalf("cycle %d: clean eviction rewrote the snapshot (mtime %v, want %v)", cycle, st.ModTime(), old)
 		}
+	}
+}
+
+// TestPropertyLifecycleInvisible is the lifecycle property with the lives
+// a hibernation writes nothing for drawn at random: campaigns are published
+// mid-run, requests come with and without the submits that would follow
+// them, and hibernations land anywhere — straight after a publication,
+// after a request that logged a seed, twice in a row with nothing between —
+// against a twin registry that never hibernates. Both sides must agree as
+// float bits after every operation, and every wake must have replayed no
+// answer.
+func TestPropertyLifecycleInvisible(t *testing.T) {
+	regRoot, refRoot := t.TempDir(), t.TempDir()
+	reg, err := Open(crashConfig(regRoot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ref, err := Open(crashConfig(refRoot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	r := mathx.NewRand(20160412)
+	pick := func(n int) int { return int(r.Float64() * float64(n)) }
+	flip := func() bool { return r.Float64() >= 0.85 }
+	var live []*lockstep
+	publish := func() {
+		name := fmt.Sprintf("c%d", len(live))
+		l := &lockstep{name: name, reg: reg, ref: ref, golden: map[int]bool{}}
+		for _, side := range []*Registry{reg, ref} {
+			sys, err := side.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Publish(synthTasks(sys.Domains().Size(), 10+2*len(live), len(live))); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range sys.GoldenTasks() {
+				l.golden[id] = true
+			}
+		}
+		live = append(live, l)
+	}
+	publish()
+
+	// What the wakes restored from: no snapshot and the publication alone,
+	// no snapshot and seeds too, a snapshot with seeds past it, a snapshot
+	// covering everything.
+	var publishOnly, seedsOnly, seedGap, covered int
+	for op := 0; op < 400; op++ {
+		l := live[pick(len(live))]
+		w := fmt.Sprintf("w%d", pick(8))
+		if !reg.Resident(l.name) {
+			switch used, n := l.wakeShape(t, regRoot); {
+			case !used && n == 1:
+				publishOnly++
+			case !used:
+				seedsOnly++
+			case n > 0:
+				seedGap++
+			default:
+				covered++
+			}
+			l.sameFingerprint(t, fmt.Sprintf("at the wake before op %d", op))
+		}
+		switch x := r.Float64(); {
+		case x < 0.05 && len(live) < 6:
+			publish()
+			l = live[len(live)-1]
+		case x < 0.35:
+			l.request(t, w)
+		case x < 0.70:
+			l.step(t, w, flip)
+		default:
+			if err := reg.Hibernate(l.name); err != nil {
+				t.Fatalf("op %d: hibernate %s: %v", op, l.name, err)
+			}
+			continue // nothing resident to compare until the next touch wakes it
+		}
+		l.sameFingerprint(t, fmt.Sprintf("after op %d", op))
+	}
+	if publishOnly == 0 || seedsOnly == 0 || seedGap == 0 || covered == 0 {
+		t.Fatalf("wakes by shape: %d publish-only, %d seeds-only, %d seeds past a snapshot, %d fully covered — the seed must exercise all four",
+			publishOnly, seedsOnly, seedGap, covered)
+	}
+	if total, _, _ := ref.WakeStats(); total != 0 {
+		t.Fatalf("reference registry woke %d campaigns", total)
 	}
 }
 

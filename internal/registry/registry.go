@@ -40,9 +40,10 @@
 // Create registers a live campaign and arms its WAL; the returned
 // core.System serves Publish/Request/Submit/Results as usual. Hibernation
 // releases an idle campaign's memory: its core is drained, a final state
-// snapshot covering its whole log is written by one last snapshot
-// pass, the WAL is fsynced and closed, and the serving
-// core is dropped — the campaign's entire durable state stays on disk. A
+// snapshot is written by one last snapshot pass if any answer lies past
+// the newest one (a campaign nobody answered writes nothing), the WAL is
+// closed — fsynced first unless already known synced — and the serving
+// core is dropped: the campaign's entire durable state stays on disk. A
 // request to a hibernated campaign wakes it first: Get rebuilds the core
 // via the ordinary recovery ladder (snapshot restore + WAL-suffix
 // replay), under a per-campaign single-flight guard so a stampede of cold
@@ -336,6 +337,11 @@ func (r *Registry) recoverAll() error {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
+	// Every campaign lives under root: its own entry must survive power
+	// loss before any campaign's can.
+	if err := wal.SyncDir(r.cfg.WALDir); err != nil {
+		return fmt.Errorf("registry: %w", err)
+	}
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return fmt.Errorf("registry: %w", err)
@@ -466,7 +472,14 @@ func (r *Registry) Create(name string) (*core.System, error) {
 	}
 	dir := r.dir(name)
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		// The WAL fsyncs dir for its segment; the entry for dir itself lives
+		// in the parent, and without it a power loss after an acknowledged
+		// publish takes the whole campaign.
+		err := os.MkdirAll(dir, 0o755)
+		if err == nil {
+			err = wal.SyncDir(filepath.Dir(dir))
+		}
+		if err != nil {
 			r.mu.Unlock()
 			return nil, fmt.Errorf("registry: %w", err)
 		}
@@ -569,10 +582,12 @@ func (r *Registry) wake(name string, c *campaign) (*core.System, error) {
 }
 
 // Hibernate releases the named campaign's memory: the serving core is
-// drained, a final state snapshot covering its whole log is written by
-// one last snapshot pass, the WAL is fsynced and closed, and the
-// core is dropped. The campaign stays listed and any later request wakes
-// it. Hibernating an already-hibernated campaign is a no-op. An error
+// drained, a final state snapshot is written by one last snapshot pass if
+// an answer lies past the newest one, the WAL is closed (fsynced only if a
+// byte of it may be unsynced), and the core is dropped. A campaign with no
+// answer since its snapshot — or none at all — writes nothing. The
+// campaign stays listed and any later request wakes it. Hibernating an
+// already-hibernated campaign is a no-op. An error
 // after the drain means the final snapshot could not be written — the
 // campaign is hibernated regardless (its state is durable in the WAL) and
 // the next wake pays a longer replay; nothing is lost. Requests holding
@@ -629,9 +644,9 @@ func (r *Registry) hibernate(name string, c *campaign) (bool, error) {
 	c.sys.Store(nil)
 	r.liveCount.Add(-1)
 
-	// Drain + final snapshot + fsync + release, outside every registry
-	// lock: only requests to THIS campaign wait (on c.mu), every other
-	// campaign serves on.
+	// Drain + final snapshot (if answered since the last one) + release,
+	// outside every registry lock: only requests to THIS campaign wait (on
+	// c.mu), every other campaign serves on.
 	if err := sys.Hibernate(); err != nil {
 		return true, fmt.Errorf("registry: hibernate %q: %w", name, err)
 	}

@@ -298,7 +298,8 @@ func Decode(data []byte) (*State, error) {
 		return nil, fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
 	var st *State
-	torn, err := wal.DecodeFrames(data[len(magic):], func(payload []byte) error {
+	frames := data[len(magic):]
+	intact, err := wal.DecodeFrames(frames, func(payload []byte) error {
 		if st != nil {
 			return fmt.Errorf("%w: trailing frame after state", ErrCorrupt)
 		}
@@ -315,7 +316,7 @@ func Decode(data []byte) (*State, error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if torn {
+	if intact < len(frames) {
 		return nil, fmt.Errorf("%w: torn frame", ErrCorrupt)
 	}
 	if st == nil {

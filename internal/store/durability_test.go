@@ -98,6 +98,68 @@ func TestTornDeltaTailTolerated(t *testing.T) {
 	}
 }
 
+// TestTornDeltaTailThenAppendBoots: a boot that tolerates a torn final
+// delta must also cut it off, or the frames appended behind it complete the
+// torn header's declared length and the boot after that reads a CRC
+// mismatch mid-file and refuses. Two acknowledged merges, a third append
+// cut 5 bytes short (a crash mid-append, never acknowledged), reopen, two
+// more merges, reopen: all four acknowledged merges are there.
+func TestTornDeltaTailThenAppendBoots(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.json")
+	merge := func(s *Store, ids ...string) {
+		t.Helper()
+		for i, id := range ids {
+			if err := s.Merge(id, mkStats(2, float64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := Open(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge(s, "w1", "w2", "torn")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path + ".delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path+".delta", st.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(path, 2)
+	if err != nil {
+		t.Fatalf("boot over a torn tail: %v", err)
+	}
+	merge(s2, "w3", "w4")
+	want := map[string]*truth.Stats{}
+	for _, id := range []string{"w1", "w2", "w3", "w4"} {
+		if want[id], _ = s2.Worker(id); want[id] == nil {
+			t.Fatalf("second boot lost %s", id)
+		}
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := Open(path, 2)
+	if err != nil {
+		t.Fatalf("boot after appending behind a torn tail: %v", err)
+	}
+	defer s3.Close()
+	for id, w := range want {
+		if got, ok := s3.Worker(id); !ok || !statsEqual(got, w) {
+			t.Errorf("third boot: merge for %s missing or changed", id)
+		}
+	}
+	if _, ok := s3.Worker("torn"); ok {
+		t.Error("the torn, never-acknowledged merge came back")
+	}
+}
+
 // TestCrashMidSaveKeepsOldCheckpoint: Save goes through a temp file and an
 // atomic rename, so a copy of the state mid-write (the temp file) never
 // masks the real checkpoint, a straggler temp file is ignored by Open, and

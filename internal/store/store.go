@@ -14,8 +14,9 @@
 // no update that ever returned success — the seed rewrote the whole JSON
 // file on Save only, leaving everything since the last Save to die with
 // the process. Open loads the checkpoint and replays the delta log; a torn
-// final delta (the crash interrupted the append) is dropped, torn data
-// anywhere else is corruption. Save folds the deltas into a fresh
+// final delta (the crash interrupted the append) is dropped and cut off the
+// file before anything is appended behind it, torn data anywhere else is
+// corruption. Save folds the deltas into a fresh
 // checkpoint and resets the log.
 //
 // Replaying a delta twice would double-count a Merge, so checkpoint and
@@ -122,14 +123,15 @@ func Open(path string, m int) (*Store, error) {
 		}
 		s.gen = snap.Gen
 	}
-	if err := s.replayDeltas(); err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(s.deltaPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.deltaF = f
+	if err := s.replayDeltas(); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -141,17 +143,17 @@ func (s *Store) deltaPath() string { return s.path + ".delta" }
 func (s *Store) Persistent() bool { return s.path != "" }
 
 // replayDeltas applies the delta log on top of the loaded checkpoint,
-// skipping records from generations the checkpoint already folded in and
-// tolerating a torn final record.
+// skipping records from generations the checkpoint already folded in. A
+// torn final record is the expected crash artifact: it is dropped and cut
+// off the file, because a frame appended behind it would complete the torn
+// header's declared length and the next Open would read the pair as one
+// frame with a bad CRC.
 func (s *Store) replayDeltas() error {
 	data, err := os.ReadFile(s.deltaPath())
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	torn, err := wal.DecodeFrames(data, func(payload []byte) error {
+	intact, err := wal.DecodeFrames(data, func(payload []byte) error {
 		var d delta
 		if err := json.Unmarshal(payload, &d); err != nil {
 			return fmt.Errorf("store: corrupt delta record: %w", err)
@@ -186,7 +188,14 @@ func (s *Store) replayDeltas() error {
 	if err != nil {
 		return fmt.Errorf("store: delta log %s: %w", s.deltaPath(), err)
 	}
-	_ = torn // a torn tail is the expected crash artifact; drop it silently
+	if intact < len(data) {
+		if err = s.deltaF.Truncate(int64(intact)); err == nil {
+			err = s.deltaF.Sync()
+		}
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
 	return nil
 }
 

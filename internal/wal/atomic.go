@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 )
 
 // WriteFileAtomic replaces the file at path with data so that a crash at
@@ -23,7 +24,7 @@ func WriteFileAtomic(path string, data []byte) error {
 		return err
 	}
 	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
+		err = fsync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -35,16 +36,31 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory so a file created in it or renamed into it is
-// durable: fsyncing the file alone does not persist its directory entry.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a file or directory created in it or
+// renamed into it is durable: fsyncing the file alone does not persist its
+// directory entry. It is the one directory fsync in the tree.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	return fsync(d)
 }
+
+var fsyncs atomic.Int64
+
+// fsync is the one fsync in the package: every file and directory sync
+// comes through it and is counted.
+func fsync(f *os.File) error {
+	fsyncs.Add(1)
+	return f.Sync()
+}
+
+// Fsyncs returns how many fsyncs this process has issued through the
+// package — log segments, atomically replaced files and directories alike.
+// Tests read deltas of it to hold an operation to an exact I/O ledger.
+func Fsyncs() int64 { return fsyncs.Load() }

@@ -146,34 +146,36 @@ func EncodeFrame(dst, payload []byte) []byte {
 }
 
 // DecodeFrames walks a byte buffer of frames, calling fn on each intact
-// payload. A frame cut short by the end of the buffer (what a crashed
-// append leaves: writes deliver prefixes) stops the walk with torn = true;
-// a frame whose bytes are all present but wrong (CRC mismatch, absurd
+// payload, and returns how many bytes the intact frames span. A frame cut
+// short by the end of the buffer (what a crashed append leaves: writes
+// deliver prefixes) stops the walk, so intact < len(data) means a torn
+// tail — and is where a writer that appends must first truncate to. A
+// frame whose bytes are all present but wrong (CRC mismatch, absurd
 // length) is rot, not a tear, and returns an error so callers fail loudly
 // instead of silently dropping everything after it.
-func DecodeFrames(data []byte, fn func(payload []byte) error) (torn bool, err error) {
+func DecodeFrames(data []byte, fn func(payload []byte) error) (intact int, err error) {
 	off := 0
 	for off < len(data) {
 		rest := data[off:]
 		if len(rest) < frameHeaderLen {
-			return true, nil
+			return off, nil
 		}
 		n := binary.LittleEndian.Uint32(rest)
 		crc := binary.LittleEndian.Uint32(rest[4:])
 		if n > MaxPayload {
-			return false, fmt.Errorf("%w: frame length %d at offset %d", ErrCorrupt, n, off)
+			return off, fmt.Errorf("%w: frame length %d at offset %d", ErrCorrupt, n, off)
 		}
 		if len(rest) < frameHeaderLen+int(n) {
-			return true, nil
+			return off, nil
 		}
 		payload := rest[frameHeaderLen : frameHeaderLen+int(n)]
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return false, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
+			return off, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
 		}
 		if err := fn(payload); err != nil {
-			return false, err
+			return off, err
 		}
 		off += frameHeaderLen + int(n)
 	}
-	return false, nil
+	return off, nil
 }

@@ -136,6 +136,11 @@ type Log struct {
 	ioMu sync.Mutex
 	f    *os.File // active segment
 	size int64    // bytes written to the active segment
+	// dirty is set before any write to or truncation of the active segment
+	// and cleared only by a successful fsync of it; Sync and Close skip the
+	// syscall while it is clear. A log opened over an existing segment
+	// cannot know what an earlier process left unsynced and starts dirty.
+	dirty bool
 
 	flusherC    chan struct{}
 	done        chan struct{}
@@ -190,6 +195,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
+		l.dirty = true
 		if err := f.Truncate(end); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: %w", err)
@@ -297,7 +303,8 @@ func (l *Log) ReservedSeq() uint64 {
 	return l.seq
 }
 
-// Sync flushes any pending batch and fsyncs the active segment.
+// Sync flushes any pending batch and fsyncs the active segment, unless
+// every byte of it is already known synced.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	for l.flushed < l.pending && l.err == nil {
@@ -313,14 +320,28 @@ func (l *Log) Sync() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncActive(); err != nil {
 		return l.poison(err)
 	}
 	return nil
 }
 
-// Close flushes, fsyncs and closes the log. Appends after Close fail with
-// ErrClosed.
+// syncActive fsyncs the active segment if any byte of it may be unsynced.
+// Callers hold ioMu. A failed fsync leaves dirty set: the kernel may have
+// dropped the pages, so nothing about the file is known any more.
+func (l *Log) syncActive() error {
+	if !l.dirty {
+		return nil
+	}
+	if err := fsync(l.f); err != nil {
+		return err
+	}
+	l.dirty = false
+	return nil
+}
+
+// Close flushes, fsyncs (see Sync) and closes the log. Appends after Close
+// fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -338,7 +359,7 @@ func (l *Log) Close() error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	if l.f != nil {
-		if serr := l.f.Sync(); err == nil {
+		if serr := l.syncActive(); err == nil {
 			err = serr
 		}
 		if cerr := l.f.Close(); err == nil {
@@ -407,12 +428,13 @@ func (l *Log) flusher() {
 func (l *Log) writeBatch(batch []byte, upTo uint64) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	l.dirty = true
 	if _, err := l.f.Write(batch); err != nil {
 		return err
 	}
 	l.size += int64(len(batch))
 	if l.opts.Sync == SyncEveryBatch {
-		if err := l.f.Sync(); err != nil {
+		if err := l.syncActive(); err != nil {
 			return err
 		}
 	}
@@ -425,7 +447,7 @@ func (l *Log) writeBatch(batch []byte, upTo uint64) error {
 // rotate seals the active segment (fsync + close) and opens the next one,
 // named by the first sequence number it will hold. Callers hold ioMu.
 func (l *Log) rotate(nextSeq uint64) error {
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncActive(); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
@@ -443,7 +465,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	// Persist the directory entry: fsyncing the file alone does not make
 	// its existence durable, and a segment that vanishes on power loss
 	// takes every fsynced record inside it along.
-	if err := syncDir(l.dir); err != nil {
+	if err := SyncDir(l.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}

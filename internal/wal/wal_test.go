@@ -423,3 +423,101 @@ func TestSyncEveryBatch(t *testing.T) {
 		t.Fatalf("replayed %d, want 20", len(got))
 	}
 }
+
+// TestSyncSkipsCleanLog holds Sync and Close to the dirty bit: an fsync is
+// issued exactly when a byte of the active segment may be unsynced — after
+// a write the policy did not sync, or over a segment an earlier process
+// left behind — and never on a log that can show it is clean.
+func TestSyncSkipsCleanLog(t *testing.T) {
+	// step runs op and returns how many fsyncs it cost.
+	step := func(t *testing.T, what string, want int64, op func() error) {
+		t.Helper()
+		before := Fsyncs()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := Fsyncs() - before; got != want {
+			t.Fatalf("%s: %d fsyncs, want %d", what, got, want)
+		}
+	}
+	appendOne := func(l *Log) func() error {
+		return func() error { _, err := l.Append(answerRec("w", 1, 0)); return err }
+	}
+	open := func(t *testing.T, dir string, p SyncPolicy) *Log {
+		t.Helper()
+		l, err := Open(dir, Options{Sync: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+
+	t.Run("SyncNever", func(t *testing.T) {
+		l := open(t, t.TempDir(), SyncNever)
+		step(t, "sync of a fresh empty segment", 0, l.Sync)
+		step(t, "append", 0, appendOne(l))
+		step(t, "sync after an unsynced write", 1, l.Sync)
+		step(t, "second sync", 0, l.Sync)
+		step(t, "append", 0, appendOne(l))
+		step(t, "close after an unsynced write", 1, l.Close)
+	})
+	t.Run("SyncEveryBatch", func(t *testing.T) {
+		l := open(t, t.TempDir(), SyncEveryBatch)
+		step(t, "append", 1, appendOne(l))
+		step(t, "sync of a synced batch", 0, l.Sync)
+		step(t, "close", 0, l.Close)
+	})
+	t.Run("reopened", func(t *testing.T) {
+		dir := t.TempDir()
+		l := open(t, dir, SyncEveryBatch)
+		appendAll(t, l, testRecords(3))
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// What the last process synced is not this one's knowledge.
+		l = open(t, dir, SyncEveryBatch)
+		step(t, "sync of a reopened intact log", 1, l.Sync)
+		step(t, "close", 0, l.Close)
+
+		seg := filepath.Join(dir, fmt.Sprintf("%016x%s", 1, segmentSuffix))
+		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{9, 0, 0, 0, 1}); err != nil { // a torn frame header
+			t.Fatal(err)
+		}
+		f.Close()
+		l = open(t, dir, SyncEveryBatch)
+		step(t, "sync over a truncated torn tail", 1, l.Sync)
+		step(t, "close", 0, l.Close)
+		if got, st := replayAll(t, dir); len(got) != 3 || st.TornTail {
+			t.Fatalf("replayed %d records (torn %v), want 3 and the tear gone", len(got), st.TornTail)
+		}
+	})
+	t.Run("failed fsync", func(t *testing.T) {
+		l := open(t, t.TempDir(), SyncNever)
+		defer l.Close()
+		if err := appendOne(l)(); err != nil {
+			t.Fatal(err)
+		}
+		l.ioMu.Lock()
+		l.f.Close() // every later fsync of the segment fails
+		l.ioMu.Unlock()
+		if err := l.Sync(); err == nil {
+			t.Fatal("Sync over a failing fsync returned nil")
+		}
+		l.ioMu.Lock()
+		dirty := l.dirty
+		l.ioMu.Unlock()
+		if !dirty {
+			t.Fatal("a failed fsync cleared the dirty bit")
+		}
+		if _, err := l.Reserve(answerRec("w", 2, 0)); err == nil {
+			t.Fatal("log accepted a record after a failed fsync")
+		}
+		if err := l.Sync(); err == nil {
+			t.Fatal("poisoned log reported a clean Sync")
+		}
+	})
+}

@@ -52,7 +52,8 @@ func DecodeBatch(data []byte) (items []Record, err error) {
 		return nil, fmt.Errorf("wal: batch blob lacks magic %q", batchMagic)
 	}
 	pos := 0
-	torn, err := DecodeFrames(data[len(batchMagic):], func(payload []byte) error {
+	frames := data[len(batchMagic):]
+	intact, err := DecodeFrames(frames, func(payload []byte) error {
 		pos++
 		rec, err := Decode(payload)
 		if err != nil {
@@ -70,7 +71,7 @@ func DecodeBatch(data []byte) (items []Record, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if torn {
+	if intact < len(frames) {
 		return nil, fmt.Errorf("wal: batch blob ends in a torn frame")
 	}
 	return items, nil

@@ -18,6 +18,8 @@ var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 // are skipped; a relative target must exist as a file or directory,
 // resolved against the linking document's own directory. CI runs this as
 // the docs gate, so a rename or move that orphans a link fails the build.
+// No heading may repeat within a file either: a section pasted in twice
+// also makes every #anchor to it ambiguous.
 func TestMarkdownLinks(t *testing.T) {
 	var files []string
 	files = append(files, "README.md")
@@ -36,6 +38,18 @@ func TestMarkdownLinks(t *testing.T) {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
+		}
+		headings, fenced := map[string]int{}, false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			}
+			if h := strings.TrimLeft(line, "#"); !fenced && h != line && strings.HasPrefix(h, " ") {
+				if first, dup := headings[h]; dup {
+					t.Errorf("%s:%d: heading %q repeats line %d", f, i+1, strings.TrimSpace(h), first)
+				}
+				headings[h] = i + 1
+			}
 		}
 		for _, m := range mdLink.FindAllStringSubmatch(string(data), -1) {
 			target := m[1]

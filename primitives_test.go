@@ -14,12 +14,16 @@ import (
 // (which owns the fsync-rename-fsync protocol), and nothing stages a file
 // under a random temp name a crash would strand. A new decoder or a new
 // atomically-replaced file goes through those two; a second copy of either
-// fails here.
+// fails here. An fsync is issued only by wal's counted helper — so
+// wal.SyncDir is the one directory fsync and wal.Fsyncs() sees every sync a
+// campaign pays for — and, until the worker store rides the log, by the
+// store's delta file.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(": {"internal/wal/cursor.go"},
 		"os.Rename(":      {"internal/wal/atomic.go"},
 		"os.CreateTemp(":  nil,
+		".Sync()":         {"internal/store/store.go", "internal/wal/atomic.go"},
 	}
 	got := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -39,8 +43,10 @@ func TestOneReaderOneWriter(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// (*wal.Log).Sync is not an fsync site: it ends in wal's helper.
+		text := strings.ReplaceAll(string(src), ".wal.Sync()", "")
 		for call := range want {
-			if strings.Contains(string(src), call) {
+			if strings.Contains(text, call) {
 				got[call] = append(got[call], filepath.ToSlash(path))
 			}
 		}

@@ -87,10 +87,11 @@ func (r *Registry) CampaignCounts() (live, hibernated, archived int) {
 // the wake). False for hibernated, archived and unknown campaigns.
 func (r *Registry) CampaignResident(name string) bool { return r.reg.Resident(name) }
 
-// Hibernate releases the named campaign's memory after writing a final
-// state snapshot covering its whole log and fsyncing its WAL; the next
-// request to the campaign wakes it (snapshot restore + WAL-suffix
-// replay). A no-op on an already-hibernated campaign. Errors only on
+// Hibernate releases the named campaign's memory, first writing a final
+// state snapshot if an answer lies past the newest one (a campaign nobody
+// answered since writes nothing); the next request to the campaign wakes
+// it (snapshot restore + replay of a suffix that holds no answer). A no-op
+// on an already-hibernated campaign. Errors only on
 // memory-only registries, unknown or archived campaigns, or when the
 // final snapshot could not be written — in which case the campaign is
 // hibernated anyway and the next wake pays a longer replay; state is
