@@ -460,8 +460,10 @@ type Stats struct {
 	// LeasesActive is the number of live assignment leases (always zero
 	// without Config.LeaseTTL).
 	LeasesActive int64
-	// BatchesTotal counts accepted SubmitBatch calls and BatchAnswersTotal
-	// the answers they carried; single-submit traffic leaves both zero.
+	// BatchesTotal counts the batch group records SubmitBatch logged (one
+	// per call of regular answers) and BatchAnswersTotal the answers inside
+	// them; single-submit traffic, golden answers included, leaves both
+	// zero.
 	BatchesTotal      int64
 	BatchAnswersTotal int64
 	// WALEnabled reports whether a write-ahead log is armed; WALLastSeq is

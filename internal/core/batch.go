@@ -25,6 +25,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"docs/internal/wal"
 )
@@ -43,29 +44,39 @@ type BatchStatus struct {
 	Err string // rejection reason, empty when OK
 }
 
-// batchGroup accumulates the WAL records of accepted regular answers that
-// have been applied in memory but not yet reserved in the log. It is local
-// to one SubmitBatch call; appends happen under logMu (see submitOne) so
-// the group's internal order equals the chronological log order.
+// batchGroup accumulates the accepted regular answers that have been
+// applied in memory but not yet reserved in the log, already in the columns
+// their record will hold. It is local to one SubmitBatch call; appends
+// happen under logMu (see submitOne) so the group's internal order equals
+// the chronological log order.
 type batchGroup struct {
-	recs []wal.Record
+	cols wal.ColumnBuilder
 }
 
 // flush reserves the accumulated answers as one KindBatch record and waits
-// for its group-commit batch. No-op when the group is empty or no WAL is
-// armed (walReserve returns a zero Pending and walCommit ignores it).
+// for its group-commit batch. No-op when the group is empty; with no WAL
+// armed the record goes nowhere (walReserve returns a zero Pending and
+// walCommit ignores it). This is the one place a group record comes to be,
+// so it is where the batch counters count: one batch per record, and the
+// answers inside it — what a replay of the log counts again.
 func (g *batchGroup) flush(s *System) error {
-	if len(g.recs) == 0 {
+	n := g.cols.Len()
+	if n == 0 {
 		return nil
 	}
-	blob := wal.EncodeBatch(nil, g.recs)
-	g.recs = g.recs[:0]
+	blob, err := wal.EncodeBatch(nil, &g.cols.Columns)
+	g.cols = wal.ColumnBuilder{}
+	if err != nil {
+		return fmt.Errorf("core: %w: %v", ErrDurability, err)
+	}
 	s.logMu.Lock()
 	p, err := s.walReserve(wal.Record{Kind: wal.KindBatch, Blob: blob})
 	s.logMu.Unlock()
 	if err != nil {
 		return err
 	}
+	s.batches.Add(1)
+	s.batchAnswers.Add(int64(n))
 	return s.walCommit(p)
 }
 
@@ -81,7 +92,6 @@ func (s *System) SubmitBatch(items []BatchItem) ([]BatchStatus, error) {
 	}
 	statuses := make([]BatchStatus, len(items))
 	var g batchGroup
-	accepted := int64(0)
 	for i, it := range items {
 		if err := s.submitOne(it.Worker, it.Task, it.Choice, &g); err != nil {
 			if errors.Is(err, ErrDurability) {
@@ -91,18 +101,19 @@ func (s *System) SubmitBatch(items []BatchItem) ([]BatchStatus, error) {
 			continue
 		}
 		statuses[i].OK = true
-		accepted++
 	}
 	if err := g.flush(s); err != nil {
 		return nil, err
 	}
-	s.batches.Add(1)
-	s.batchAnswers.Add(accepted)
 	return statuses, nil
 }
 
-// BatchCounts returns how many batched submits have been accepted and how
-// many answers they carried (mean answers per batch = answers/batches).
+// BatchCounts returns how many batch group records the campaign has logged
+// and how many answers they hold (mean answers per batch =
+// answers/batches). Both count what the log holds, so a recovered campaign
+// reports what the live one did: a golden answer is a record of its own and
+// counts as a single submit does, and a call whose items were all rejected
+// logged nothing.
 func (s *System) BatchCounts() (batches, answers int64) {
 	return s.batches.Load(), s.batchAnswers.Load()
 }

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -87,12 +92,26 @@ func TestBatchSubmitEquivalence(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no invalid items were exercised")
 	}
+	// The batch counters count what the log holds: group records and the
+	// answers inside them. A golden answer is a record of its own (it counts
+	// as a single submit does) and a call whose items were all rejected logs
+	// nothing, so the answer counter is the accepted REGULAR answers — and
+	// a recovery of the same log must count the same (below).
 	batches, batchAnswers := a.BatchCounts()
 	if batches == 0 {
 		t.Fatal("no batches counted")
 	}
-	if batchAnswers != int64(len(accepted)) {
-		t.Fatalf("batch answer counter %d, accepted %d", batchAnswers, len(accepted))
+	acceptedRegular := int64(0)
+	for _, an := range accepted {
+		if !goldenSet[an.task] {
+			acceptedRegular++
+		}
+	}
+	if acceptedRegular == int64(len(accepted)) {
+		t.Fatal("no golden answer went through a batch")
+	}
+	if batchAnswers != acceptedRegular {
+		t.Fatalf("batch answer counter %d, accepted regular answers %d", batchAnswers, acceptedRegular)
 	}
 	liveA := fingerprint(a)
 	if err := a.Close(); err != nil {
@@ -130,6 +149,14 @@ func TestBatchSubmitEquivalence(t *testing.T) {
 		if got := fingerprint(rec); got != liveA {
 			t.Fatalf("%s log recovered to a different state", name)
 		}
+		wantBatches, wantAnswers := batches, batchAnswers
+		if name == "single" {
+			wantBatches, wantAnswers = 0, 0
+		}
+		if gotBatches, gotAnswers := rec.BatchCounts(); gotBatches != wantBatches || gotAnswers != wantAnswers {
+			t.Fatalf("%s log recovered batch counters %d/%d, live %d/%d",
+				name, gotBatches, gotAnswers, wantBatches, wantAnswers)
+		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +164,10 @@ func TestBatchSubmitEquivalence(t *testing.T) {
 
 	// A's durable stream must actually contain batch groups (the whole
 	// point of the protocol: rejected items absent, accepted ones grouped).
-	sawBatch := false
+	groups := int64(0)
 	if _, err := wal.Replay(dirA, func(rec wal.Record) error {
 		if rec.Kind == wal.KindBatch {
-			sawBatch = true
+			groups++
 			if _, err := wal.DecodeBatch(rec.Blob); err != nil {
 				return fmt.Errorf("undecodable batch record %d: %v", rec.Seq, err)
 			}
@@ -149,8 +176,8 @@ func TestBatchSubmitEquivalence(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !sawBatch {
-		t.Fatal("batched campaign logged no KindBatch records")
+	if groups == 0 || groups != batches {
+		t.Fatalf("batched campaign logged %d KindBatch records, counted %d batches", groups, batches)
 	}
 }
 
@@ -339,5 +366,136 @@ func TestBatchIsOneWALRecord(t *testing.T) {
 	}
 	if got := s.WALSeq() - before; got != n {
 		t.Fatalf("%d Submit calls advanced the WAL by %d records, want %d", n, got, n)
+	}
+}
+
+var updateLegacyBatch = flag.Bool("update-legacy-batch", false,
+	"rewrite testdata/legacy_batch_wal from the test-only DBB1 encoder")
+
+// encodeLegacyBatch is the batch blob as builds before the columnar DBB2
+// wrote it — a magic, then one length+CRC frame per answer, each a
+// KindAnswer record whose Seq is its 1-based position. Production no
+// longer writes it; this copy builds testdata/legacy_batch_wal.
+func encodeLegacyBatch(c wal.Columns) []byte {
+	blob := []byte("DBB1")
+	for i, wi := range c.W {
+		item := wal.Record{Kind: wal.KindAnswer, Seq: uint64(i + 1), Worker: c.Workers[wi], Task: c.T[i], Choice: c.C[i]}
+		blob = wal.EncodeFrame(blob, item.Encode())
+	}
+	return blob
+}
+
+// TestLegacyBatchBoots: testdata/legacy_batch_wal is the log of
+// runLoggedBatchedCampaign (legacyBatchConfig, 60 tasks) with every group
+// record in the per-answer-framed DBB1 encoding logs older than DBB2 hold —
+// byte for byte what the commit before DBB2 (9f25439) writes for that
+// campaign. Segments are never deleted, so this build must boot it — by
+// full replay and by snapshot plus suffix — to the state and the batch
+// counters of the same campaign logged today, and the two logs must differ
+// in their KindBatch records alone, each pair decoding to the same columns.
+func TestLegacyBatchBoots(t *testing.T) {
+	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20, SnapshotEvery: -1}
+	dir := t.TempDir()
+	recs := runLoggedBatchedCampaign(t, cfg, dir, 60)
+
+	fixture := filepath.Join("testdata", "legacy_batch_wal")
+	if *updateLegacyBatch {
+		if err := os.RemoveAll(fixture); err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(fixture, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.Kind == wal.KindBatch {
+				cols, err := wal.DecodeBatch(rec.Blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec.Blob = encodeLegacyBatch(cols)
+			}
+			if _, err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacyDir := t.TempDir()
+	copyDir(t, fixture, legacyDir)
+	legacyRecs := readStream(t, legacyDir)
+	if len(legacyRecs) != len(recs) {
+		t.Fatalf("the fixture holds %d records, this build logged %d", len(legacyRecs), len(recs))
+	}
+	groups, answers, oldBytes, newBytes := int64(0), int64(0), 0, 0
+	for i, rec := range recs {
+		old := legacyRecs[i]
+		if rec.Kind != wal.KindBatch {
+			if !bytes.Equal(rec.Encode(), old.Encode()) {
+				t.Fatalf("record %d differs between the two logs and is no batch", rec.Seq)
+			}
+			continue
+		}
+		if old.Kind != wal.KindBatch || !bytes.HasPrefix(old.Blob, []byte("DBB1")) || !bytes.HasPrefix(rec.Blob, []byte("DBB2")) {
+			t.Fatalf("record %d: want a DBB1 group in the fixture and a DBB2 group in today's log", rec.Seq)
+		}
+		oldCols, err := wal.DecodeBatch(old.Blob)
+		if err != nil {
+			t.Fatalf("fixture record %d: %v", old.Seq, err)
+		}
+		newCols, err := wal.DecodeBatch(rec.Blob)
+		if err != nil {
+			t.Fatalf("record %d: %v", rec.Seq, err)
+		}
+		if !reflect.DeepEqual(oldCols, newCols) {
+			t.Fatalf("record %d: the two encodings decode to different groups", rec.Seq)
+		}
+		groups++
+		answers += int64(newCols.Len())
+		oldBytes += len(old.Blob)
+		newBytes += len(rec.Blob)
+	}
+	if groups == 0 {
+		t.Fatal("the campaign logged no KindBatch record")
+	}
+	t.Logf("%d groups, %d answers: %d blob bytes as DBB1, %d as DBB2", groups, answers, oldBytes, newBytes)
+
+	current := newSystem(t, cfg)
+	if _, err := current.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := current.Fingerprint()
+	if current.reruns.Load() < 1 {
+		t.Fatal("the campaign crosses no rerun boundary")
+	}
+	if err := current.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Snapshot at a prefix that leaves groups in the replayed suffix.
+	covered := len(legacyRecs) * 2 / 3
+	for _, rung := range []string{"full replay", "snapshot plus suffix"} {
+		if rung != "full replay" {
+			writeStateAt(t, cfg, legacyDir, legacyRecs, covered)
+		}
+		legacy := newSystem(t, cfg)
+		info, err := legacy.Recover(legacyDir)
+		if err != nil {
+			t.Fatalf("%s of the legacy log: %v", rung, err)
+		}
+		if info.SnapshotUsed != (rung != "full replay") {
+			t.Fatalf("%s: %+v", rung, info)
+		}
+		if got := legacy.Fingerprint(); got != want {
+			t.Fatalf("%s of the legacy log differs from today's:\n%s", rung, reportDiff(t, "legacy-batch", got, want))
+		}
+		if b, a := legacy.BatchCounts(); !info.SnapshotUsed && (b != groups || a != answers) {
+			t.Fatalf("%s counted %d batches / %d answers, the log holds %d / %d", rung, b, a, groups, answers)
+		}
+		if err := legacy.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

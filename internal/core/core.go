@@ -177,9 +177,10 @@ type System struct {
 	recovery   RecoveryInfo
 
 	submissions atomic.Int64
-	// batches / batchAnswers count SubmitBatch calls and the answers they
-	// accepted (replayed KindBatch records included, so the counters survive
-	// recovery like submissions does). Neither enters the fingerprint:
+	// batches / batchAnswers count KindBatch group records and the answers
+	// inside them — bumped where a group is reserved (batchGroup.flush) and
+	// where one is replayed (applyRecord), so the counters survive recovery
+	// like submissions does. Neither enters the fingerprint:
 	// batched and one-by-one traffic producing the same answer stream are
 	// the same campaign.
 	batches      atomic.Int64
@@ -658,7 +659,7 @@ func (s *System) Submit(workerID string, taskID, choice int) error {
 // submitOne is the one answer-application path, shared by Submit and
 // SubmitBatch. With g nil the answer reserves and commits its own WAL
 // record (the single-submit behavior). With g non-nil, a regular answer
-// defers durability into the group — its record joins g instead of being
+// defers durability into the group — it joins g's columns instead of being
 // reserved, and the caller commits the whole group as ONE KindBatch frame —
 // while a golden answer first flushes the group (group record ahead of the
 // golden record in the durable order) and then commits individually, so the
@@ -776,7 +777,7 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	// batched answer defers even the reservation: it joins the group under
 	// the same lock, and the group is reserved as one record at flush.
 	if g != nil {
-		g.recs = append(g.recs, wal.Record{Kind: wal.KindAnswer, Worker: workerID, Task: taskID, Choice: choice})
+		g.cols.Add(workerID, taskID, choice)
 	} else {
 		p, walErr = s.walReserve(wal.Record{Kind: wal.KindAnswer, Worker: workerID, Task: taskID, Choice: choice})
 	}

@@ -192,17 +192,17 @@ func (s *System) applyRecord(rec wal.Record) error {
 		// (rejected items never enter the record), so a rejection here means
 		// the log is corrupt and must fail loudly. Per-item Submit keeps the
 		// rerun/snapshot cadence identical to the live batched run.
-		items, err := wal.DecodeBatch(rec.Blob)
+		cols, err := wal.DecodeBatch(rec.Blob)
 		if err != nil {
 			return fmt.Errorf("batch record %d: bad body: %w", rec.Seq, err)
 		}
-		for i, it := range items {
-			if err := s.Submit(it.Worker, it.Task, it.Choice); err != nil {
+		for i, wi := range cols.W {
+			if err := s.Submit(cols.Workers[wi], cols.T[i], cols.C[i]); err != nil {
 				return fmt.Errorf("batch record %d item %d: %w", rec.Seq, i+1, err)
 			}
 		}
 		s.batches.Add(1)
-		s.batchAnswers.Add(int64(len(items)))
+		s.batchAnswers.Add(int64(cols.Len()))
 	case wal.KindSeed:
 		// A worker-profile seed: re-install the exact float64 bits the live
 		// system adopted from the long-run store, at the same point in the

@@ -105,9 +105,10 @@ func FuzzSeedDecode(f *testing.F) {
 }
 
 // TestOverlongVarintRejectedByEveryDecoder hands each of the five binary
-// decoders a valid input whose first varint has been re-encoded one byte
-// too long — same value, second spelling — and expects five rejections:
-// they all read through the one cursor, so none can forget the rule.
+// decoders (the batch decoder under both of its magics) a valid input whose
+// first varint has been re-encoded one byte too long — same value, second
+// spelling — and expects as many rejections: they all read through the one
+// cursor, so none can forget the rule.
 func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 	// overlong rewrites the one-byte varint at b[at] as two bytes.
 	overlong := func(b []byte, at int) []byte {
@@ -121,6 +122,10 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 	answer := wal.Record{Kind: wal.KindAnswer, Seq: 5, Worker: "w", Task: 3, Choice: 1}
 	item := answer
 	item.Seq = 1 // a batch item's sequence is its position
+	batch, err := wal.EncodeBatch(nil, &wal.Columns{Workers: []string{"w"}, W: []int{0}, T: []int{3}, C: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap, err := snapshot.Encode(&snapshot.State{Seq: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +138,10 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 	}{
 		"WAL record": {answer.Encode(), overlong(answer.Encode(), 1), // after the kind byte: seq
 			func(b []byte) error { _, err := wal.Decode(b); return err }},
-		"DBB1 batch": {wal.EncodeBatch(nil, []wal.Record{answer}), // one framed item: its position tag
+		"DBB1 batch": {wal.EncodeFrame([]byte("DBB1"), item.Encode()), // one framed item: its position tag
 			wal.EncodeFrame([]byte("DBB1"), overlong(item.Encode(), 1)),
+			func(b []byte) error { _, err := wal.DecodeBatch(b); return err }},
+		"DBB2 batch": {batch, overlong(batch, len("DBB2")), // the dictionary's count
 			func(b []byte) error { _, err := wal.DecodeBatch(b); return err }},
 		"KindSeed blob": {encodeSeed(sampleSeed(), false), overlong(encodeSeed(sampleSeed(), false), 0), // m
 			func(b []byte) error { _, _, err := decodeSeed(b, 3); return err }},

@@ -100,18 +100,11 @@ func (s *System) exportState(seq uint64) *snapshot.State {
 	s.logMu.Lock()
 	logCopy := append([]model.Answer(nil), s.log...)
 	s.logMu.Unlock()
-	widx := make(map[string]int)
+	var lg wal.ColumnBuilder
 	for _, a := range logCopy {
-		i, ok := widx[a.Worker]
-		if !ok {
-			i = len(st.Log.Workers)
-			widx[a.Worker] = i
-			st.Log.Workers = append(st.Log.Workers, a.Worker)
-		}
-		st.Log.W = append(st.Log.W, i)
-		st.Log.T = append(st.Log.T, a.Task)
-		st.Log.C = append(st.Log.C, a.Choice)
+		lg.Add(a.Worker, a.Task, a.Choice)
 	}
+	st.Log = lg.Columns
 
 	// A persistent store is durable on its own and recovery never writes
 	// it; a memory-only store is derived state that a full replay would

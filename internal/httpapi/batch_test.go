@@ -99,7 +99,7 @@ func TestBatchSubmitEmptyAndMalformed(t *testing.T) {
 		// The retired binary framing gets no branch of its own: its content
 		// type is decoded like any other body — as JSON.
 		{"retired binary framing", "application/x-docs-batch",
-			wal.EncodeBatch(nil, []wal.Record{{Worker: "w", Task: 0, Choice: 0}})},
+			wal.EncodeFrame([]byte("DBB1"), wal.Record{Seq: 1, Kind: wal.KindAnswer, Worker: "w"}.Encode())},
 	}
 	for _, tc := range cases {
 		resp, _ := postBatch(t, base, tc.contentType, tc.body)

@@ -398,10 +398,11 @@ type statsJSON struct {
 	WakeP50Ms           float64 `json:"wake_p50_ms"`
 	WakeP99Ms           float64 `json:"wake_p99_ms"`
 
-	// Batched-submit counters: batches_total accepted POST /submit-batch
-	// calls, batch_answers_total the answers they carried,
-	// batch_answers_mean their ratio (0 until the first batch). Single
-	// submits leave all three at zero.
+	// Batched-submit counters: batches_total is the batch group records
+	// POST /submit-batch calls logged (one per call of regular answers),
+	// batch_answers_total the answers inside them, batch_answers_mean their
+	// ratio (0 until the first batch). Single submits leave all three at
+	// zero.
 	BatchesTotal      int64   `json:"batches_total"`
 	BatchAnswersTotal int64   `json:"batch_answers_total"`
 	BatchAnswersMean  float64 `json:"batch_answers_mean"`

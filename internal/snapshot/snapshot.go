@@ -127,16 +127,9 @@ type State struct {
 
 // Log is the chronological answer log in columnar form: Workers is a
 // dictionary in first-appearance order and W/T/C are parallel arrays of
-// (worker index, task ID, choice).
-type Log struct {
-	Workers []string
-	W       []int
-	T       []int
-	C       []int
-}
-
-// Len returns the number of logged answers.
-func (l *Log) Len() int { return len(l.W) }
+// (worker index, task ID, choice). The layout — and the code that appends
+// and pops it — is the one a KindBatch record's blob uses.
+type Log = wal.Columns
 
 // TaskState is one task's recoverable inference state. The task's accepted
 // answers are not stored: they are exactly the per-task subsequence of the
@@ -224,19 +217,16 @@ func Encode(st *State) ([]byte, error) {
 	}
 	e.stats(st.Store)
 	e.stats(st.StoreProfiles)
-	e.count(len(st.Log.Workers))
-	for _, w := range st.Log.Workers {
-		e.str(w)
-	}
-	e.ints(st.Log.W)
-	e.ints(st.Log.T)
-	e.ints(st.Log.C)
+	payload, err := wal.AppendColumns(e.b, &st.Log)
 	if e.err != nil {
-		return nil, fmt.Errorf("snapshot: encode: %w", e.err)
+		err = e.err // the first inexpressible value is the one reported
 	}
-	out := make([]byte, 0, len(magic)+8+len(e.b))
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encode: %w", err)
+	}
+	out := make([]byte, 0, len(magic)+8+len(payload))
 	out = append(out, magic...)
-	return wal.EncodeFrame(out, e.b), nil
+	return wal.EncodeFrame(out, payload), nil
 }
 
 // encoder appends the payload's primitives; the first value the format
@@ -330,18 +320,6 @@ func Decode(data []byte) (*State, error) {
 // allocated, one sticky error); what is left here is the layout.
 type decoder struct{ wal.Cursor }
 
-func (d *decoder) ints() []int {
-	n := d.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Int()
-	}
-	return out
-}
-
 func (d *decoder) str() string { return string(d.Bytes()) }
 
 // rawFloats fills dst from the next 8·len(dst) bytes.
@@ -404,7 +382,7 @@ func (d *decoder) state() *State {
 		d.Failf("answer count %d out of range", answers)
 	}
 	st.Answers = int64(answers)
-	st.GoldenIDs = d.ints()
+	st.GoldenIDs = d.Ints()
 	if n := d.Count(11); n > 0 {
 		st.TaskStates = make([]TaskState, n)
 		for i := range st.TaskStates {
@@ -422,19 +400,13 @@ func (d *decoder) state() *State {
 				d.Failf("bad profiled flag %d", profiled)
 			}
 			ws.Profiled = profiled == 1
-			ws.GoldenTasks, ws.GoldenChoices = d.ints(), d.ints()
+			ws.GoldenTasks, ws.GoldenChoices = d.Ints(), d.Ints()
 			ws.AnchorQ, ws.AnchorU = d.floats(), d.floats()
 		}
 	}
 	st.Store = d.stats()
 	st.StoreProfiles = d.stats()
-	if n := d.Count(1); n > 0 {
-		st.Log.Workers = make([]string, n)
-		for i := range st.Log.Workers {
-			st.Log.Workers[i] = d.str()
-		}
-	}
-	st.Log.W, st.Log.T, st.Log.C = d.ints(), d.ints(), d.ints()
+	st.Log = d.Columns()
 	return st
 }
 

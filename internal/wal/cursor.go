@@ -109,6 +109,34 @@ func (c *Cursor) U64() uint64 {
 	return binary.LittleEndian.Uint64(c.b[c.off-8:])
 }
 
+// Ints pops a count-prefixed run of integers, nil when the count is zero.
+func (c *Cursor) Ints() []int {
+	n := c.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = c.Int()
+	}
+	return out
+}
+
+// Columns pops what AppendColumns appends. The four sections are popped
+// as they come: that their lengths agree and the indexes fit the
+// dictionary is for the format that embeds them to require.
+func (c *Cursor) Columns() Columns {
+	var cols Columns
+	if n := c.Count(1); n > 0 {
+		cols.Workers = make([]string, n)
+		for i := range cols.Workers {
+			cols.Workers[i] = string(c.Bytes())
+		}
+	}
+	cols.W, cols.T, cols.C = c.Ints(), c.Ints(), c.Ints()
+	return cols
+}
+
 // End closes the decode: bytes left over are a failure like any other (a
 // canonical format has no trailing garbage). It returns Err.
 func (c *Cursor) End() error {

@@ -22,10 +22,10 @@ func goldenRecords() []Record {
 		{Seq: 128, Kind: KindAnswer, Worker: "", Task: 128, Choice: 2},
 		{Seq: 300, Kind: KindAnswer, Worker: "wörker-ünïcode", Task: 16384, Choice: 0},
 		{Seq: 301, Kind: KindPublish, Blob: nil},
-		// A batched-submit group: the blob is itself a wire batch body
-		// (magic + framed position-tagged answers), pinning both layers of
-		// the format at once.
-		{Seq: 302, Kind: KindBatch, Blob: EncodeBatch(nil, []Record{
+		// A batched-submit group as logs older than DBB2 hold it: the blob
+		// is magic + framed position-tagged answers, written here by the
+		// test-only encoder. These bytes must decode forever.
+		{Seq: 302, Kind: KindBatch, Blob: encodeLegacyBatch(nil, []Record{
 			{Worker: "w0", Task: 1, Choice: 1},
 			{Worker: "w1", Task: 2, Choice: 0},
 		})},
@@ -41,6 +41,15 @@ func goldenRecords() []Record {
 			0x01,
 		}},
 		{Seq: 304, Kind: KindSeed, Worker: "w-empty-seed", Blob: []byte{0x00, 0x00}},
+		// A batched-submit group as it is written today: the columnar blob —
+		// a repeated worker, a non-ASCII one, one- and two-byte varints in
+		// every column. Appended after the records above, so the golden
+		// file's older bytes are a strict prefix of today's.
+		{Seq: 305, Kind: KindBatch, Blob: mustEncodeBatch(columnsOf([]Record{
+			{Worker: "w0", Task: 1, Choice: 1},
+			{Worker: "wörker", Task: 128, Choice: 0},
+			{Worker: "w0", Task: 16384, Choice: 200},
+		}))},
 	}
 }
 
@@ -74,17 +83,14 @@ func TestGoldenFormat(t *testing.T) {
 	}
 	// And the golden bytes must decode back to the original records: replay
 	// of old logs is the other half of the contract.
-	off := 0
 	var decoded []Record
-	for off < len(want) {
-		n := int(uint32(want[off]) | uint32(want[off+1])<<8 | uint32(want[off+2])<<16 | uint32(want[off+3])<<24)
-		payload := want[off+frameHeaderLen : off+frameHeaderLen+n]
+	intact, err := DecodeFrames(want, func(payload []byte) error {
 		rec, err := Decode(payload)
-		if err != nil {
-			t.Fatalf("decode golden frame at %d: %v", off, err)
-		}
 		decoded = append(decoded, rec)
-		off += frameHeaderLen + n
+		return err
+	})
+	if err != nil || intact != len(want) {
+		t.Fatalf("walking the golden file: %d of %d bytes intact, %v", intact, len(want), err)
 	}
 	wantRecs := goldenRecords()
 	if len(decoded) != len(wantRecs) {

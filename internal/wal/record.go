@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 )
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Kind tags what a record carries.
 //
 // The //docs:exhaustive directive makes docs-lint reject any switch over

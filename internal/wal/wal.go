@@ -57,7 +57,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -103,8 +102,6 @@ const (
 	// anything checks against this; Reserve checks the record itself.
 	MaxBlob = MaxPayload - 1 - 2*binary.MaxVarintLen64
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
@@ -532,33 +529,27 @@ func ScanSegment(path string, fn func(rec Record, start, end int64) error) error
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	var fnErr error
 	off := int64(0)
-	for int(off) < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
-			return fmt.Errorf("%s: truncated header at %d: %w", path, off, errTornTail)
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if n > MaxPayload {
-			return fmt.Errorf("%w: %s: frame length %d at %d", ErrCorrupt, path, n, off)
-		}
-		if len(rest) < frameHeaderLen+int(n) {
-			return fmt.Errorf("%s: truncated payload at %d: %w", path, off, errTornTail)
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+int(n)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return fmt.Errorf("%w: %s: CRC mismatch at %d", ErrCorrupt, path, off)
-		}
+	intact, err := DecodeFrames(data, func(payload []byte) error {
 		rec, err := Decode(payload)
 		if err != nil {
-			return fmt.Errorf("%w: %s: offset %d: %v", ErrCorrupt, path, off, err)
+			return fmt.Errorf("%w: offset %d: %v", ErrCorrupt, off, err)
 		}
-		end := off + frameHeaderLen + int64(n)
-		if err := fn(rec, off, end); err != nil {
-			return err
+		end := off + frameHeaderLen + int64(len(payload))
+		if fnErr = fn(rec, off, end); fnErr != nil {
+			return fnErr
 		}
 		off = end
+		return nil
+	})
+	switch {
+	case fnErr != nil:
+		return fnErr // the caller's own error, as it returned it
+	case err != nil:
+		return fmt.Errorf("%s: %w", path, err)
+	case intact < len(data):
+		return fmt.Errorf("%s: truncated frame at %d: %w", path, intact, errTornTail)
 	}
 	return nil
 }

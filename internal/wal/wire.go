@@ -1,20 +1,27 @@
 // Batch blobs: the encoding of a batched answer submit inside a KindBatch
 // record.
 //
-// The blob reuses this package's frame codec (length + CRC32-C +
-// canonical-varint payload), so a batch shares the record stream's
-// encoder/decoder and has its own fuzz surface (FuzzBatchDecode). Carrying
-// the whole group in one record's blob is what makes a batched submit one
-// durable frame — all-or-nothing under the torn-tail rule — instead of N.
+// Carrying the whole group in one record's blob is what makes a batched
+// submit one durable frame — all-or-nothing under the torn-tail rule —
+// instead of N. Inside the blob the group is columns, not answers dressed
+// as records:
 //
-// Layout:
+//	magic "DBB2" | workers: count, count × str | w: count, n × uvarint |
+//	t: count, n × uvarint | c: count, n × uvarint
 //
-//	magic "DBB1" (4 bytes) | frame(item 1) | frame(item 2) | ...
+// — the Columns layout (columns.go), read through the Cursor like every
+// other decoder. There is no inner CRC: the enclosing record's frame
+// already covers every byte. The encoding is canonical on top of the
+// cursor's rules, so one batch has exactly one byte string: n ≥ 1, the
+// three column counts equal, every index inside the dictionary, and the
+// dictionary holding no duplicate and no unused entry, in the order w
+// first uses them.
 //
-// where each frame payload is a KindAnswer record whose Seq is the item's
-// 1-based position in the batch. Positions make the encoding canonical
-// (decode rejects any other Seq, so one batch has exactly one encoding)
-// and give torn or reordered blobs no way to alias a shorter batch.
+// Segments are never deleted, so logs written before DBB2 still hold
+// "DBB1" blobs (magic, then one length+CRC frame per answer, each a
+// KindAnswer record whose Seq is its 1-based position). DecodeBatch reads
+// them exactly as strictly as it always did, solely for logs already on
+// disk; nothing outside the tests writes one.
 package wal
 
 import (
@@ -22,37 +29,85 @@ import (
 	"fmt"
 )
 
-// batchMagic opens every batch blob. Versioned: a future layout bumps the
-// trailing byte.
-var batchMagic = []byte("DBB1")
+// batchMagic opens every batch blob written today; legacyBatchMagic opens
+// the per-answer-framed blobs older logs hold.
+var (
+	batchMagic       = []byte("DBB2")
+	legacyBatchMagic = []byte("DBB1")
+)
 
-// EncodeBatch appends the blob encoding of a batch of answers to dst.
-// Only the Worker/Task/Choice fields of each item are encoded; Seq and
-// Kind are derived from the item's position (callers need not set them).
+// EncodeBatch appends the blob encoding of a batch of answers to dst. It
+// fails only on a negative task ID or choice, which no reader would accept
+// back.
 //
 //docs:deterministic
-func EncodeBatch(dst []byte, items []Record) []byte {
-	dst = append(dst, batchMagic...)
-	var payload []byte
-	for i, it := range items {
-		it.Kind = KindAnswer
-		it.Seq = uint64(i + 1)
-		it.Blob = nil
-		payload = it.encode(payload[:0])
-		dst = EncodeFrame(dst, payload)
+func EncodeBatch(dst []byte, c *Columns) ([]byte, error) {
+	blob, err := AppendColumns(append(dst, batchMagic...), c)
+	if err != nil {
+		return nil, fmt.Errorf("wal: batch blob: %w", err)
 	}
-	return dst
+	return blob, nil
 }
 
-// DecodeBatch parses a batch blob. A torn, corrupt, or non-canonical blob
-// is rejected whole: the enclosing record's CRC already held, so a bad
-// frame inside it has no crash excuse.
-func DecodeBatch(data []byte) (items []Record, err error) {
-	if !bytes.HasPrefix(data, batchMagic) {
-		return nil, fmt.Errorf("wal: batch blob lacks magic %q", batchMagic)
+// DecodeBatch parses a batch blob of either magic into columns. A torn,
+// corrupt, or non-canonical blob is rejected whole: the enclosing record's
+// CRC already held, so a bad byte inside it has no crash excuse.
+func DecodeBatch(data []byte) (Columns, error) {
+	switch {
+	case bytes.HasPrefix(data, batchMagic):
+		c := NewCursor(data[len(batchMagic):])
+		cols := c.Columns()
+		err := c.End()
+		if err == nil {
+			err = checkBatch(&cols)
+		}
+		if err != nil {
+			return Columns{}, fmt.Errorf("wal: batch blob: %w", err)
+		}
+		return cols, nil
+	case bytes.HasPrefix(data, legacyBatchMagic):
+		return decodeLegacyBatch(data[len(legacyBatchMagic):])
 	}
+	return Columns{}, fmt.Errorf("wal: batch blob lacks magic %q", batchMagic)
+}
+
+// checkBatch holds popped columns to the batch blob's canonical rules.
+func checkBatch(c *Columns) error {
+	n := len(c.W)
+	if n == 0 {
+		return fmt.Errorf("empty batch")
+	}
+	if len(c.T) != n || len(c.C) != n {
+		return fmt.Errorf("column counts %d/%d/%d disagree", n, len(c.T), len(c.C))
+	}
+	used := 0 // dictionary entries w has reached so far
+	for i, w := range c.W {
+		switch {
+		case w >= len(c.Workers):
+			return fmt.Errorf("item %d: worker index %d outside the %d-entry dictionary", i+1, w, len(c.Workers))
+		case w > used:
+			return fmt.Errorf("item %d: worker index %d before index %d was used (dictionary out of first-use order)", i+1, w, used)
+		case w == used:
+			used++
+		}
+	}
+	if used < len(c.Workers) {
+		return fmt.Errorf("dictionary entry %d is unused", used)
+	}
+	seen := make(map[string]struct{}, len(c.Workers))
+	for _, w := range c.Workers {
+		if _, dup := seen[w]; dup {
+			return fmt.Errorf("dictionary repeats worker %q", w)
+		}
+		seen[w] = struct{}{}
+	}
+	return nil
+}
+
+// decodeLegacyBatch reads the frames of a "DBB1" blob.
+func decodeLegacyBatch(frames []byte) (Columns, error) {
+	var b ColumnBuilder
 	pos := 0
-	frames := data[len(batchMagic):]
 	intact, err := DecodeFrames(frames, func(payload []byte) error {
 		pos++
 		rec, err := Decode(payload)
@@ -65,14 +120,14 @@ func DecodeBatch(data []byte) (items []Record, err error) {
 		if rec.Seq != uint64(pos) {
 			return fmt.Errorf("batch item %d: position tag %d (non-canonical)", pos, rec.Seq)
 		}
-		items = append(items, rec)
+		b.Add(rec.Worker, rec.Task, rec.Choice)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return Columns{}, err
 	}
 	if intact < len(frames) {
-		return nil, fmt.Errorf("wal: batch blob ends in a torn frame")
+		return Columns{}, fmt.Errorf("wal: batch blob ends in a torn frame")
 	}
-	return items, nil
+	return b.Columns, nil
 }

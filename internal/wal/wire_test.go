@@ -2,7 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -14,47 +18,129 @@ func sampleBatch(n int) []Record {
 	return items
 }
 
+// columnsOf is the items as the serving core would have accumulated them.
+func columnsOf(items []Record) *Columns {
+	var b ColumnBuilder
+	for _, it := range items {
+		b.Add(it.Worker, it.Task, it.Choice)
+	}
+	return &b.Columns
+}
+
+// itemsOf is the inverse of columnsOf, for columns DecodeBatch accepted.
+func itemsOf(c *Columns) []Record {
+	items := make([]Record, c.Len())
+	for i, wi := range c.W {
+		items[i] = Record{Worker: c.Workers[wi], Task: c.T[i], Choice: c.C[i]}
+	}
+	return items
+}
+
+func mustEncodeBatch(c *Columns) []byte {
+	blob, err := EncodeBatch(nil, c)
+	if err != nil {
+		panic(err)
+	}
+	return blob
+}
+
+// rawBatch lays out a DBB2 blob from whatever columns it is given —
+// canonical or not: AppendColumns checks nothing but the signs.
+func rawBatch(workers []string, w, t, c []int) []byte {
+	return mustEncodeBatch(&Columns{Workers: workers, W: w, T: t, C: c})
+}
+
+// encodeLegacyBatch is the "DBB1" writer production used until the
+// columnar blob replaced it: a magic, then one length+CRC frame per item,
+// each a KindAnswer record whose Seq is its 1-based position. It lives on
+// here only — as the builder of the fixtures older logs are stood in by
+// (testdata/format.golden's record 302, the fuzz corpus) and as the oracle
+// the new encoding is held against: the same items through both encoders
+// must decode to the same columns.
+func encodeLegacyBatch(dst []byte, items []Record) []byte {
+	dst = append(dst, legacyBatchMagic...)
+	var payload []byte
+	for i, it := range items {
+		it.Kind = KindAnswer
+		it.Seq = uint64(i + 1)
+		it.Blob = nil
+		payload = it.encode(payload[:0])
+		dst = EncodeFrame(dst, payload)
+	}
+	return dst
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 64, 300} {
-		body := EncodeBatch(nil, sampleBatch(n))
-		items, err := DecodeBatch(body)
-		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
-		}
-		if len(items) != n {
-			t.Fatalf("n=%d: got %d items", n, len(items))
-		}
-		for i, it := range items {
-			want := sampleBatch(n)[i]
-			if it.Worker != want.Worker || it.Task != want.Task || it.Choice != want.Choice {
-				t.Fatalf("n=%d item %d: got %+v, want %+v", n, i, it, want)
+		items := sampleBatch(n)
+		want := columnsOf(items)
+		body := mustEncodeBatch(want)
+		legacy := encodeLegacyBatch(nil, items)
+		for name, blob := range map[string][]byte{"DBB2": body, "DBB1": legacy} {
+			got, err := DecodeBatch(blob)
+			if err != nil {
+				t.Fatalf("n=%d %s: decode: %v", n, name, err)
+			}
+			if !reflect.DeepEqual(&got, want) {
+				t.Fatalf("n=%d %s: decoded %+v, want %+v", n, name, got, want)
 			}
 		}
-		// Canonical: re-encoding the decoded items reproduces the body.
-		if got := EncodeBatch(nil, items); !bytes.Equal(got, body) {
+		// Canonical: re-encoding the decoded columns reproduces the body.
+		got, _ := DecodeBatch(body)
+		if !bytes.Equal(mustEncodeBatch(&got), body) {
 			t.Fatalf("n=%d: encode/decode not canonical", n)
 		}
+		if got, _ := DecodeBatch(legacy); !bytes.Equal(encodeLegacyBatch(nil, itemsOf(&got)), legacy) {
+			t.Fatalf("n=%d: legacy encode/decode not canonical", n)
+		}
+	}
+	if _, err := EncodeBatch(nil, &Columns{Workers: []string{"w"}, W: []int{0}, T: []int{-1}, C: []int{0}}); err == nil {
+		t.Fatal("a negative task ID was encoded")
 	}
 }
 
 func TestBatchDecodeRejects(t *testing.T) {
-	good := EncodeBatch(nil, sampleBatch(3))
+	good := encodeLegacyBatch(nil, sampleBatch(3))
+	ab := []string{"a", "b"}
+	one := rawBatch([]string{"a"}, []int{0}, []int{5}, []int{1})
 	cases := map[string][]byte{
 		"empty":       nil,
 		"bad magic":   append([]byte("XXX1"), good[4:]...),
 		"torn frame":  good[:len(good)-2],
 		"flipped bit": flip(good, len(good)-1),
 		// A publish record smuggled in as a batch item.
-		"wrong kind": EncodeFrame(append([]byte(nil), batchMagic...),
+		"wrong kind": EncodeFrame(append([]byte(nil), legacyBatchMagic...),
 			Record{Seq: 1, Kind: KindPublish, Blob: []byte("x")}.Encode()),
 		// Position tag 2 on the first item: a reordered or spliced body.
-		"bad position": EncodeFrame(append([]byte(nil), batchMagic...),
+		"bad position": EncodeFrame(append([]byte(nil), legacyBatchMagic...),
 			Record{Seq: 2, Kind: KindAnswer, Worker: "w"}.Encode()),
+
+		// The columnar blob: everything below parses as columns and is
+		// refused for having a second spelling or none.
+		"DBB2 magic only":         []byte("DBB2"),
+		"DBB2 n = 0":              rawBatch(nil, nil, nil, nil),
+		"DBB2 n = 0, one worker":  rawBatch([]string{"a"}, nil, nil, nil),
+		"DBB2 short task column":  rawBatch(ab, []int{0, 1}, []int{5}, []int{1, 1}),
+		"DBB2 long choice column": rawBatch(ab, []int{0, 1}, []int{5, 6}, []int{1, 1, 1}),
+		"DBB2 index out of range": rawBatch(ab, []int{0, 1, 2}, []int{5, 6, 7}, []int{1, 1, 1}),
+		"DBB2 duplicate entry":    rawBatch([]string{"a", "a"}, []int{0, 1}, []int{5, 6}, []int{1, 1}),
+		"DBB2 unused entry":       rawBatch(ab, []int{0, 0}, []int{5, 6}, []int{1, 1}),
+		"DBB2 unused first entry": rawBatch(ab, []int{1, 1}, []int{5, 6}, []int{1, 1}),
+		"DBB2 not first-use order": rawBatch([]string{"a", "b", "c"},
+			[]int{0, 2, 1}, []int{5, 6, 7}, []int{1, 1, 1}),
+		"DBB2 overlong varint": append(append([]byte(nil), one[:len(one)-1]...), 0x81, 0x00),
+		"DBB2 trailing byte":   append(append([]byte(nil), one...), 0x00),
+		"DBB2 count of 2^63":   append([]byte("DBB2"), binary.AppendUvarint(nil, 1<<63)...),
 	}
 	for name, body := range cases {
-		if _, err := DecodeBatch(body); err == nil {
+		if cols, err := DecodeBatch(body); err == nil {
 			t.Errorf("%s: decode accepted", name)
+		} else if !reflect.DeepEqual(cols, Columns{}) {
+			t.Errorf("%s: rejected, yet returned %+v", name, cols)
 		}
+	}
+	if _, err := DecodeBatch(one); err != nil {
+		t.Fatalf("the blob the damaged cases are cut from does not decode: %v", err)
 	}
 }
 
@@ -64,26 +150,192 @@ func flip(b []byte, i int) []byte {
 	return c
 }
 
+// costBatch is one ingest-batch call as docs-perf drives it: 128 answers
+// by one worker over distinct task IDs below 600.
+func costBatch() []Record {
+	items := make([]Record, 128)
+	for i := range items {
+		items[i] = Record{Worker: "w005", Task: (11 + 37*i) % 600, Choice: i % 2}
+	}
+	return items
+}
+
+// TestBatchBytesPerAnswer pins what a batched answer costs on disk and on
+// replay — the numbers docs/architecture.md § "What a batched answer costs"
+// quotes. The blob is 499 bytes for 128 answers (3.90 B each: one index
+// byte, one or two task bytes, one choice byte, and 16 bytes of magic,
+// dictionary and counts shared by all of them) where the per-answer frames
+// of DBB1 took 2,280 (17.81 B each); and decoding it allocates for the
+// dictionary and the three columns, not per answer.
+func TestBatchBytesPerAnswer(t *testing.T) {
+	items := costBatch()
+	blob := mustEncodeBatch(columnsOf(items))
+	legacy := encodeLegacyBatch(nil, items)
+	n := float64(len(items))
+	t.Logf("128 answers: %d B as DBB2 (%.2f B/answer), %d B as DBB1 (%.2f B/answer), ratio %.2f",
+		len(blob), float64(len(blob))/n, len(legacy), float64(len(legacy))/n, float64(len(legacy))/float64(len(blob)))
+	if len(blob) != 499 {
+		t.Errorf("DBB2 blob is %d bytes, pinned at 499", len(blob))
+	}
+	if len(legacy) != 2280 {
+		t.Errorf("DBB1 blob is %d bytes, pinned at 2280", len(legacy))
+	}
+
+	allocs := func(blob []byte) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := DecodeBatch(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// The dictionary slice, its one string, and the three columns.
+	if got := allocs(blob); got != 5 {
+		t.Errorf("decoding 128 answers by one worker allocates %.0f times, pinned at 5", got)
+	}
+	if small := allocs(mustEncodeBatch(columnsOf(items[:8]))); small != allocs(blob) {
+		t.Errorf("decoding 8 answers allocates %.0f times, 128 answers %.0f: not a constant", small, allocs(blob))
+	}
+}
+
+// randomBatch draws a batch whose shape the seed decides: 1–256 items by
+// 1–256 distinct workers whose IDs run from one byte to several hundred,
+// ASCII and not, over task IDs of every varint width an int can take.
+func randomBatch(r *rand.Rand) []Record {
+	workers := make([]string, 1+r.Intn(256))
+	for i := range workers {
+		id := fmt.Sprintf("%d", i)
+		switch r.Intn(4) {
+		case 0:
+			id = "wörker-ünïcode-" + id
+		case 1:
+			id = "工人" + id
+		case 2:
+			id += strings.Repeat("-long", r.Intn(120))
+		}
+		workers[i] = id
+	}
+	items := make([]Record, 1+r.Intn(256))
+	for i := range items {
+		items[i] = Record{
+			Worker: workers[r.Intn(len(workers))],
+			Task:   int(r.Uint64() >> (1 + r.Intn(63))),
+			Choice: r.Intn(1 << r.Intn(9)),
+		}
+	}
+	return items
+}
+
+// TestPropertyBatchRoundTrip: over seeded random batches, decode∘encode is
+// the identity on columns, encode∘decode the identity on bytes, and the
+// retired per-answer encoding of the same items decodes to the same
+// columns — the oracle that the new format says what the old one said.
+func TestPropertyBatchRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(20160412))
+	for round := 0; round < 300; round++ {
+		items := randomBatch(r)
+		want := columnsOf(items)
+		blob := mustEncodeBatch(want)
+		got, err := DecodeBatch(blob)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("round %d: decode∘encode moved the columns", round)
+		}
+		if !bytes.Equal(mustEncodeBatch(&got), blob) {
+			t.Fatalf("round %d: encode∘decode moved the bytes", round)
+		}
+		if !reflect.DeepEqual(itemsOf(&got), items) {
+			t.Fatalf("round %d: the decoded items are not the encoded ones", round)
+		}
+		old, err := DecodeBatch(encodeLegacyBatch(nil, items))
+		if err != nil {
+			t.Fatalf("round %d: legacy: %v", round, err)
+		}
+		if !reflect.DeepEqual(old, got) {
+			t.Fatalf("round %d: DBB1 and DBB2 of the same items decode apart", round)
+		}
+	}
+}
+
+// TestBatchDecodeDamage sweeps every truncation and every single-bit flip
+// of a DBB2 blob. A truncation is always rejected — the counts sit ahead
+// of what they count, so a cut blob cannot pass for a shorter batch. A
+// flipped bit is rejected or, where it lands in a value (a task ID, a
+// choice, a byte of a worker's name), decodes to a different batch whose
+// own canonical encoding is the flipped blob: there is no inner checksum
+// to catch that, by design — the enclosing record's CRC covers these bytes
+// and replay never hands DecodeBatch a blob it did not hold.
+func TestBatchDecodeDamage(t *testing.T) {
+	items := append(sampleBatch(40), Record{Worker: "wörker", Task: 1 << 20, Choice: 300})
+	blob := mustEncodeBatch(columnsOf(items))
+	want, err := DecodeBatch(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(blob); cut++ {
+		if cols, err := DecodeBatch(blob[:cut]); err == nil {
+			t.Fatalf("the blob cut to %d of %d bytes decodes to %d answers", cut, len(blob), cols.Len())
+		}
+	}
+	rejected, moved := 0, 0
+	for bit := 0; bit < 8*len(blob); bit++ {
+		damaged := append([]byte(nil), blob...)
+		damaged[bit/8] ^= 1 << (bit % 8)
+		got, err := DecodeBatch(damaged)
+		if err != nil {
+			rejected++
+			continue
+		}
+		moved++
+		if reflect.DeepEqual(got, want) {
+			t.Fatalf("bit %d flipped and the batch decodes unchanged", bit)
+		}
+		if !bytes.Equal(mustEncodeBatch(&got), damaged) {
+			t.Fatalf("bit %d flipped: accepted a blob that is not its own canonical encoding", bit)
+		}
+	}
+	t.Logf("%d single-bit flips: %d rejected, %d decode to a different canonical batch", 8*len(blob), rejected, moved)
+}
+
 // FuzzBatchDecode drives arbitrary bytes through the batch blob decoder —
-// the bytes a KindBatch WAL record hands to replay after a crash. It must
-// never panic, and every accepted blob must re-encode to the exact input
-// bytes (one batch, one encoding). Seed corpus lives in
+// the bytes a KindBatch WAL record hands to replay after a crash — under
+// both magics. It must never panic; a rejection returns no columns; an
+// accepted blob re-encodes (by the writer of its own magic) to the exact
+// input bytes, so one batch has one encoding; and it decodes to no more
+// elements than it has bytes. Seed corpus lives in
 // testdata/fuzz/FuzzBatchDecode (checked in).
 func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DBB1"))
 	f.Add([]byte("DBB0"))
-	f.Add(EncodeBatch(nil, sampleBatch(1)))
-	f.Add(EncodeBatch(nil, sampleBatch(5)))
-	f.Add(EncodeBatch(nil, []Record{{Worker: "wörker", Task: 1 << 20, Choice: 3}}))
-	torn := EncodeBatch(nil, sampleBatch(2))
+	f.Add(encodeLegacyBatch(nil, sampleBatch(1)))
+	f.Add(encodeLegacyBatch(nil, sampleBatch(5)))
+	f.Add(encodeLegacyBatch(nil, []Record{{Worker: "wörker", Task: 1 << 20, Choice: 3}}))
+	torn := encodeLegacyBatch(nil, sampleBatch(2))
 	f.Add(torn[:len(torn)-3])
+	f.Add([]byte("DBB2"))
+	f.Add(mustEncodeBatch(columnsOf(sampleBatch(1))))
+	f.Add(mustEncodeBatch(columnsOf(sampleBatch(9))))
+	f.Add(mustEncodeBatch(columnsOf([]Record{{Worker: "wörker", Task: 1 << 20, Choice: 3}})))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		items, err := DecodeBatch(body)
+		cols, err := DecodeBatch(body)
 		if err != nil {
+			if !reflect.DeepEqual(cols, Columns{}) {
+				t.Fatalf("rejected, yet returned %+v", cols)
+			}
 			return // rejected input: fine, as long as we did not panic
 		}
-		if got := EncodeBatch(nil, items); !bytes.Equal(got, body) {
+		if n := len(cols.Workers) + len(cols.W) + len(cols.T) + len(cols.C); n > len(body) {
+			t.Fatalf("decoded %d elements from %d bytes", n, len(body))
+		}
+		var got []byte
+		if bytes.HasPrefix(body, legacyBatchMagic) {
+			got = encodeLegacyBatch(nil, itemsOf(&cols))
+		} else {
+			got = mustEncodeBatch(&cols)
+		}
+		if !bytes.Equal(got, body) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", body, got)
 		}
 	})

@@ -17,13 +17,18 @@ import (
 // fails here. An fsync is issued only by wal's counted helper — so
 // wal.SyncDir is the one directory fsync and wal.Fsyncs() sees every sync a
 // campaign pays for — and, until the worker store rides the log, by the
-// store's delta file.
+// store's delta file. A frame's checksum is computed only beside the one
+// frame walker (wal.DecodeFrames) and its two writers, and the retired
+// per-answer batch magic is spelled only where wire.go reads it: nothing
+// outside the tests writes a "DBB1" blob.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(": {"internal/wal/cursor.go"},
 		"os.Rename(":      {"internal/wal/atomic.go"},
 		"os.CreateTemp(":  nil,
 		".Sync()":         {"internal/store/store.go", "internal/wal/atomic.go"},
+		"crc32.Checksum(": {"internal/wal/record.go"},
+		`"DBB1"`:          {"internal/wal/wire.go"},
 	}
 	got := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
