@@ -11,17 +11,18 @@ func TestAssignPicksHighestBenefit(t *testing.T) {
 	// Three tasks: one ambiguous in the worker's expert domain, one
 	// ambiguous outside it, one already confident. The expert-domain
 	// ambiguous task must be ranked first, confident last.
+	// (M holds one row per domain with r_k > 0: one row each here.)
 	expertAmbiguous := &TaskState{
 		ID: 1, R: model.DomainVector{1, 0},
-		M: [][]float64{{0.5, 0.5}, {0.5, 0.5}}, S: []float64{0.5, 0.5},
+		M: [][]float64{{0.5, 0.5}}, S: []float64{0.5, 0.5},
 	}
 	otherAmbiguous := &TaskState{
 		ID: 2, R: model.DomainVector{0, 1},
-		M: [][]float64{{0.5, 0.5}, {0.5, 0.5}}, S: []float64{0.5, 0.5},
+		M: [][]float64{{0.5, 0.5}}, S: []float64{0.5, 0.5},
 	}
 	confident := &TaskState{
 		ID: 3, R: model.DomainVector{1, 0},
-		M: [][]float64{{0.99, 0.01}, {0.99, 0.01}}, S: []float64{0.99, 0.01},
+		M: [][]float64{{0.99, 0.01}}, S: []float64{0.99, 0.01},
 	}
 	// The worker is a domain-0 expert and a pure coin flip on domain 1, so
 	// the domain-1 task carries exactly zero information benefit.

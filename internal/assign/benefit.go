@@ -29,7 +29,10 @@ type TaskState struct {
 	ID int
 	// R is the task's domain vector r^{t_i}.
 	R model.DomainVector
-	// M is the m × ℓ truth matrix M^(i).
+	// M is the truth matrix M^(i): one row of ℓ floats per domain in R's
+	// support (r_k > 0, see model.DomainVector.Has), in ascending domain
+	// order, and nothing else — the form truth.TaskView.M has. A row with
+	// r_k = 0 would be multiplied by zero in Theorems 2 and 3 alike.
 	M [][]float64
 	// S is the probabilistic truth s_i = r × M.
 	S []float64
@@ -40,8 +43,8 @@ func (ts *TaskState) Validate(m int) error {
 	if err := ts.R.Validate(m); err != nil {
 		return fmt.Errorf("assign: task %d: %w", ts.ID, err)
 	}
-	if len(ts.M) != m {
-		return fmt.Errorf("assign: task %d: M has %d rows, want %d", ts.ID, len(ts.M), m)
+	if rows := ts.R.Support(); len(ts.M) != rows {
+		return fmt.Errorf("assign: task %d: M has %d rows, want the %d of R's support", ts.ID, len(ts.M), rows)
 	}
 	ell := len(ts.S)
 	if ell < 2 {
@@ -68,24 +71,30 @@ func (ts *TaskState) Validate(m int) error {
 func AnswerProb(ts *TaskState, q model.QualityVector, a int) float64 {
 	ell := float64(len(ts.S))
 	var p float64
-	for k, rk := range ts.R {
-		if rk == 0 {
+	r, x := ts.R, 0
+	for k, rk := range r {
+		if !r.Has(k) {
 			continue
 		}
-		mka := ts.M[k][a]
+		mka := ts.M[x][a]
+		x++
 		p += rk * (q[k]*mka + (1-q[k])/(ell-1)*(1-mka))
 	}
 	return p
 }
 
 // UpdatedM computes Theorem 3: the truth matrix M^(i)|a after the worker
-// with quality q answers choice a. Row k is reweighted by the likelihood of
-// the answer under domain k and renormalized.
+// with quality q answers choice a, in the same support-rows form as ts.M.
+// The row of domain k is reweighted by the likelihood of the answer under
+// domain k and renormalized.
 func UpdatedM(ts *TaskState, q model.QualityVector, a int) [][]float64 {
 	ell := len(ts.S)
-	out := make([][]float64, len(ts.M))
-	for k, row := range ts.M {
-		qk := q[k]
+	out := make([][]float64, 0, len(ts.M))
+	for k := range ts.R {
+		if !ts.R.Has(k) {
+			continue
+		}
+		row, qk := ts.M[len(out)], q[k]
 		wrong := (1 - qk) / float64(ell-1)
 		nr := make([]float64, ell)
 		var sum float64
@@ -104,7 +113,7 @@ func UpdatedM(ts *TaskState, q model.QualityVector, a int) [][]float64 {
 		} else {
 			copy(nr, mathx.Uniform(ell))
 		}
-		out[k] = nr
+		out = append(out, nr)
 	}
 	return out
 }
@@ -113,13 +122,15 @@ func UpdatedM(ts *TaskState, q model.QualityVector, a int) [][]float64 {
 func PosteriorS(ts *TaskState, q model.QualityVector, a int) []float64 {
 	Ma := UpdatedM(ts, q, a)
 	s := make([]float64, len(ts.S))
+	x := 0
 	for k, rk := range ts.R {
-		if rk == 0 {
+		if !ts.R.Has(k) {
 			continue
 		}
-		for j, v := range Ma[k] {
+		for j, v := range Ma[x] {
 			s[j] += rk * v
 		}
+		x++
 	}
 	return mathx.Normalize(s)
 }
@@ -153,14 +164,17 @@ func (sc *Scratch) posterior(ts *TaskState, q model.QualityVector, a int) []floa
 	for j := range sc.post {
 		sc.post[j] = 0
 	}
-	for k, rk := range ts.R {
-		if rk == 0 {
+	r, x := ts.R, 0
+	for k, rk := range r {
+		if !r.Has(k) {
 			continue
 		}
 		qk := q[k]
 		wrong := (1 - qk) / float64(ell-1)
 		var sum float64
-		for j, mkj := range ts.M[k] {
+		row := ts.M[x]
+		x++
+		for j, mkj := range row {
 			if j == a {
 				sc.row[j] = mkj * qk
 			} else {

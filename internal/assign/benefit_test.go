@@ -131,7 +131,7 @@ func TestBenefitPrefersExpertDomain(t *testing.T) {
 	task := &TaskState{
 		ID: 1,
 		R:  model.DomainVector{1, 0},
-		M:  [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+		M:  [][]float64{{0.5, 0.5}},
 		S:  []float64{0.5, 0.5},
 	}
 	expert := model.QualityVector{0.95, 0.5}
@@ -144,7 +144,7 @@ func TestBenefitPrefersExpertDomain(t *testing.T) {
 	outDomain := &TaskState{
 		ID: 2,
 		R:  model.DomainVector{0, 1},
-		M:  [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+		M:  [][]float64{{0.5, 0.5}},
 		S:  []float64{0.5, 0.5},
 	}
 	if bi, bo := Benefit(inDomain, expert), Benefit(outDomain, expert); bi <= bo {
@@ -237,6 +237,18 @@ func TestTaskStateValidate(t *testing.T) {
 	bad.M = bad.M[:2]
 	if err := bad.Validate(3); err == nil {
 		t.Error("short M accepted")
+	}
+	// M holds the support's rows and nothing else: a third row for a task
+	// that relates to two domains is as wrong as a missing one.
+	sparse := randomState(r, 5, 3, 2)
+	sparse.R = model.DomainVector{0.5, 0, 0.5}
+	if err := sparse.Validate(3); err == nil {
+		t.Error("a row for a zero-weight domain accepted")
+	}
+	sparse.M = [][]float64{sparse.M[0], sparse.M[2]}
+	sparse.S = []float64{(sparse.M[0][0] + sparse.M[1][0]) / 2, (sparse.M[0][1] + sparse.M[1][1]) / 2}
+	if err := sparse.Validate(3); err != nil {
+		t.Errorf("support-rows state rejected: %v", err)
 	}
 	bad2 := randomState(r, 3, 3, 2)
 	bad2.S = []float64{0.6, 0.6}

@@ -36,11 +36,17 @@ func fingerprint(s *System) string { return s.Fingerprint() }
 // in durable order).
 func runLoggedCampaign(t *testing.T, cfg Config, dir string, nTasks int) []wal.Record {
 	t.Helper()
+	return runLoggedTasks(t, cfg, dir, concTasks(kb.MustDefault().Domains().Size(), nTasks))
+}
+
+// runLoggedTasks is runLoggedCampaign over the caller's task set.
+func runLoggedTasks(t *testing.T, cfg Config, dir string, tasks []*model.Task) []wal.Record {
+	t.Helper()
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Publish(concTasks(s.m, nTasks)); err != nil {
+	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
 	goldenSet := map[int]bool{}

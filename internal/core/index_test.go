@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"docs/internal/assign"
 	"docs/internal/crowd"
 	"docs/internal/dataset"
 	"docs/internal/kb"
+	"docs/internal/mathx"
 	"docs/internal/model"
 )
 
@@ -267,4 +270,102 @@ func TestPublishRejectionLeavesNoState(t *testing.T) {
 	if tasks, err := s.Request("w", 3); err != nil || len(tasks) != 3 {
 		t.Fatalf("Request after re-publish = %d tasks, err %v", len(tasks), err)
 	}
+}
+
+// denseBenefit is Definition 5 as the assignment layer computed it while a
+// task's truth matrix held all m rows: M indexed by domain, the zero-weight
+// rows skipped. The oracle TestBenefitCompactMatchesDenseOnTraces holds
+// assign.BenefitWith to.
+func denseBenefit(r model.DomainVector, M [][]float64, s []float64, q model.QualityVector) float64 {
+	ell := len(s)
+	post, row := make([]float64, ell), make([]float64, ell)
+	var expected float64
+	for a := range s {
+		var pa float64
+		for k, rk := range r {
+			if rk == 0 {
+				continue
+			}
+			mka := M[k][a]
+			pa += rk * (q[k]*mka + (1-q[k])/(float64(ell)-1)*(1-mka))
+		}
+		if pa == 0 {
+			continue
+		}
+		clear(post)
+		for k, rk := range r {
+			if rk == 0 {
+				continue
+			}
+			wrong := (1 - q[k]) / float64(ell-1)
+			var sum float64
+			for j, mkj := range M[k] {
+				if j == a {
+					row[j] = mkj * q[k]
+				} else {
+					row[j] = mkj * wrong
+				}
+				sum += row[j]
+			}
+			for j := range row {
+				if sum > 0 {
+					post[j] += rk * (row[j] / sum)
+				} else {
+					post[j] += rk * (1 / float64(ell))
+				}
+			}
+		}
+		expected += pa * mathx.Entropy(mathx.Normalize(post))
+	}
+	return mathx.Entropy(s) - expected
+}
+
+// TestBenefitCompactMatchesDenseOnTraces: at the end of the seeded campaign
+// the equivalence tests above drive (DVE-computed vectors, reruns, the
+// redundancy cap), every task's published view — support rows only — gives
+// every worker the benefit, bit for bit, that the dense formulation gives
+// over the same task with all m rows present (the rows outside the support
+// poisoned with NaN: nothing may read them).
+func TestBenefitCompactMatchesDenseOnTraces(t *testing.T) {
+	_, s := traceCampaign(t, newSystem(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}))
+	var sc assign.Scratch
+	answered, rows := 0, 0
+	for _, tk := range s.tasks {
+		v := s.inc.View(tk.ID)
+		if v == nil { // golden: pinned, never assigned by benefit
+			continue
+		}
+		if len(v.M) != tk.Domain.Support() {
+			t.Fatalf("task %d: view holds %d rows for a support of %d", tk.ID, len(v.M), tk.Domain.Support())
+		}
+		dense := make([][]float64, s.m)
+		x := 0
+		for k := range dense {
+			if tk.Domain.Has(k) {
+				dense[k] = v.M[x]
+				x++
+				continue
+			}
+			dense[k] = make([]float64, len(v.S))
+			for j := range dense[k] {
+				dense[k][j] = math.NaN()
+			}
+		}
+		if v.NumAnswers > 0 {
+			answered++
+			rows += len(v.M)
+		}
+		ts := assign.TaskState{ID: tk.ID, R: tk.Domain, M: v.M, S: v.S}
+		for _, w := range s.inc.Workers() {
+			q := s.inc.Worker(w).Q
+			got, want := assign.BenefitWith(&ts, q, &sc), denseBenefit(tk.Domain, dense, v.S, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("task %d worker %s: benefit %x over the support rows, %x dense", tk.ID, w, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+	if answered == 0 || rows == answered*s.m {
+		t.Fatalf("%d answered tasks holding %d rows: the trace no longer exercises a sparse support", answered, rows)
+	}
+	t.Logf("%d answered tasks, mean support %.2f of %d domains", answered, float64(rows)/float64(answered), s.m)
 }

@@ -7,7 +7,7 @@
 // this record again, so its size is most of a young campaign's disk bill
 // and its decode most of a wake.
 //
-// The blob is canonical and binary, in the style of the DOCSSNP3 snapshot
+// The blob is canonical and binary, in the style of the state snapshot
 // and the KindSeed blob:
 //
 //	magic "DPB1" | m uvarint | n uvarint | n × task
@@ -17,11 +17,13 @@
 //	str:   len uvarint | bytes
 //
 // An integer is a minimal uvarint; truth and trueDomain are stored plus
-// one, so NoTruth is 0. A domain vector stores only the entries whose
-// Float64bits is non-zero — DVE gives a task weight in two or three of the
-// 26 domains — as raw IEEE-754 bits, indexes strictly ascending and below
-// m, so −0, denormals and the uniform "domain unknown" vector all
-// round-trip bit for bit through the one layout. One task set has one byte
+// one, so NoTruth is 0. A domain vector is a wal.SparseFloats against +0:
+// only the entries whose Float64bits is non-zero — DVE gives a task weight
+// in one or two of the 26 domains — as raw IEEE-754 bits, indexes strictly
+// ascending and below m, so −0, denormals and the uniform "domain unknown"
+// vector all round-trip bit for bit through the one layout. (Presence is by
+// bits; membership of the task's support is r_k > 0, model.DomainVector.Has:
+// a −0 entry is stored and is still outside the support.) One task set has one byte
 // string: the decoder accepts nothing the encoder would not write
 // (overlong varints, a zero-bits entry, an index out of order and trailing
 // bytes are all corruption) and checks every count against the bytes that
@@ -39,7 +41,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"docs/internal/model"
 	"docs/internal/wal"
@@ -73,6 +74,7 @@ func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
 	b = append(b, publicationMagic...)
 	b = binary.AppendUvarint(b, uint64(m))
 	b = binary.AppendUvarint(b, uint64(len(tasks)))
+	var domain wal.SparseFloats // reused task to task
 	for _, t := range tasks {
 		if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
 			return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
@@ -90,18 +92,10 @@ func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
 		}
 		b = binary.AppendUvarint(b, uint64(t.Truth+1))
 		b = binary.AppendUvarint(b, uint64(t.TrueDomain+1))
-		nnz := 0
-		for _, x := range t.Domain {
-			if math.Float64bits(x) != 0 {
-				nnz++
-			}
-		}
-		b = binary.AppendUvarint(b, uint64(nnz))
-		for k, x := range t.Domain {
-			if bits := math.Float64bits(x); bits != 0 {
-				b = binary.AppendUvarint(b, uint64(k))
-				b = binary.LittleEndian.AppendUint64(b, bits)
-			}
+		domain = wal.SparseOf(domain, t.Domain, 0)
+		var err error
+		if b, err = wal.AppendSparseFloats(b, domain, m, 0); err != nil {
+			return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
 		}
 	}
 	return b, nil
@@ -169,6 +163,7 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 	backing := make([]model.Task, n)
 	domains := make([]float64, n*m)
 	tasks := make([]*model.Task, n)
+	var domain wal.SparseFloats // reused task to task
 	for i := range backing {
 		t := &backing[i]
 		t.ID = d.Int()
@@ -182,20 +177,12 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 		t.Truth = d.Int() - 1
 		t.TrueDomain = d.Int() - 1
 		t.Domain = domains[i*m : (i+1)*m : (i+1)*m]
-		prev := -1
-		for nnz := d.Count(9); nnz > 0 && d.Err() == nil; nnz-- {
-			k, bits := d.Int(), d.U64()
-			if d.Err() == nil && (k <= prev || k >= m || bits == 0) {
-				d.Failf("task %d: domain entry %d (bits %#x) after entry %d, of %d domains", t.ID, k, bits, prev, m)
-			}
-			if d.Err() != nil {
-				break
-			}
-			t.Domain[k] = math.Float64frombits(bits)
-			prev = k
-		}
+		domain = d.SparseFloats(domain, m, 0)
 		if d.Err() != nil {
-			return nil, d.Err()
+			return nil, fmt.Errorf("task %d: %w", t.ID, d.Err())
+		}
+		if err := domain.Scatter(t.Domain); err != nil {
+			return nil, fmt.Errorf("task %d: %w", t.ID, err)
 		}
 		tasks[i] = t
 	}

@@ -479,7 +479,7 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 
 		// The same record named by a snapshot: rejected loudly, and the
 		// full replay the boot falls back to fails the same way.
-		if err := snapshot.Write(dir, &snapshot.State{Seq: 1, PublishSeq: 1}); err != nil {
+		if err := snapshot.Write(dir, &snapshot.State{Seq: 1, PublishSeq: 1, M: 26}); err != nil {
 			t.Fatal(err)
 		}
 		s = newSystem(t, cfg)

@@ -55,7 +55,8 @@ func (s *System) LastSnapshotSeq() uint64 { return s.snapSeq.Load() }
 //
 //docs:deterministic
 func (s *System) exportState(seq uint64) *snapshot.State {
-	st := &snapshot.State{Seq: seq, PublishSeq: s.publishSeq.Load(), Answers: s.submissions.Load()}
+	st := &snapshot.State{Seq: seq, PublishSeq: s.publishSeq.Load(), Answers: s.submissions.Load(),
+		M: s.m, BaseQ: truth.DefaultQuality}
 
 	s.mu.RLock()
 	for _, t := range s.tasks {
@@ -87,8 +88,8 @@ func (s *System) exportState(seq uint64) *snapshot.State {
 				sv.GoldenChoices = append(sv.GoldenChoices, a.Choice)
 			}
 			if ws.anchor != nil {
-				a := ws.anchor.Clone()
-				sv.AnchorQ, sv.AnchorU = a.Q, a.U
+				a := codecStats(w, ws.anchor)
+				sv.Anchored, sv.AnchorQ, sv.AnchorU = true, a.Q, a.U
 			}
 			st.Serving = append(st.Serving, sv)
 		}
@@ -122,9 +123,14 @@ func (s *System) exportState(seq uint64) *snapshot.State {
 	return st
 }
 
-// codecStats puts worker statistics the caller owns into codec form.
+// codecStats puts worker statistics into codec form: the entries that are
+// not the prior's (truth.NewStats: DefaultQuality, weight +0), by bits.
 func codecStats(id string, st *truth.Stats) snapshot.WorkerStats {
-	return snapshot.WorkerStats{ID: id, Q: st.Q, U: st.U}
+	return snapshot.WorkerStats{
+		ID: id,
+		Q:  wal.SparseOf(wal.SparseFloats{}, st.Q, truth.DefaultQuality),
+		U:  wal.SparseOf(wal.SparseFloats{}, st.U, 0),
+	}
 }
 
 // readPublication returns the task set the WAL's publish record at seq
@@ -172,6 +178,9 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	}
 
 	// --- validation phase: parse and cross-check everything ---
+	if snap.M != s.m {
+		return fmt.Errorf("core: snapshot holds statistics over %d domains, want %d", snap.M, s.m)
+	}
 	if snap.PublishSeq > snap.Seq {
 		return fmt.Errorf("core: snapshot at seq %d names publish record %d", snap.Seq, snap.PublishSeq)
 	}
@@ -221,9 +230,13 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 		if _, dup := states[ts.ID]; dup {
 			return fmt.Errorf("core: snapshot repeats task state %d", ts.ID)
 		}
-		// The codec guarantees every M̂ row is len(S) long.
-		if len(ts.MHat) != s.m || len(ts.S) != t.NumChoices() {
-			return fmt.Errorf("core: snapshot task %d state has wrong dimensions", ts.ID)
+		// The codec guarantees every M̂ row is len(S) long. Which domains
+		// the rows stand for is the publication's to say: a row count that
+		// is not the support's would index the matrix wrongly, so it is a
+		// rejected snapshot, never a restored one.
+		if rows := t.Domain.Support(); len(ts.MHat) != rows || len(ts.S) != t.NumChoices() {
+			return fmt.Errorf("core: snapshot task %d state is %d×%d, want the %d rows of its support × %d choices",
+				ts.ID, len(ts.MHat), len(ts.S), rows, t.NumChoices())
 		}
 		states[ts.ID] = ts
 	}
@@ -270,7 +283,7 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	// Worker statistics and serving state.
 	workerStats := make(map[string]*truth.Stats, len(snap.Workers))
 	for _, ws := range snap.Workers {
-		st, err := validStats(ws, s.m)
+		st, err := validStats(ws, snap)
 		if err != nil {
 			return err
 		}
@@ -284,8 +297,8 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 		if len(ws.GoldenTasks) != len(ws.GoldenChoices) {
 			return fmt.Errorf("core: snapshot serving state for %q has mismatched golden columns", ws.ID)
 		}
-		if len(ws.AnchorQ) > 0 || len(ws.AnchorU) > 0 {
-			a, err := validStats(snapshot.WorkerStats{ID: ws.ID, Q: ws.AnchorQ, U: ws.AnchorU}, s.m)
+		if ws.Anchored {
+			a, err := validStats(snapshot.WorkerStats{ID: ws.ID, Q: ws.AnchorQ, U: ws.AnchorU}, snap)
 			if err != nil {
 				return fmt.Errorf("core: snapshot anchor: %w", err)
 			}
@@ -303,7 +316,7 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	}
 	storeStats := make([]storeEntry, 0, len(snap.Store))
 	for _, ws := range snap.Store {
-		st, err := validStats(ws, s.m)
+		st, err := validStats(ws, snap)
 		if err != nil {
 			return err
 		}
@@ -311,7 +324,7 @@ func (s *System) restoreSnapshot(dir string, snap *snapshot.State) error {
 	}
 	storeProfiles := make([]storeEntry, 0, len(snap.StoreProfiles))
 	for _, ws := range snap.StoreProfiles {
-		st, err := validStats(ws, s.m)
+		st, err := validStats(ws, snap)
 		if err != nil {
 			return err
 		}
@@ -388,10 +401,22 @@ type storeEntry struct {
 	st *truth.Stats
 }
 
-// validStats turns codec worker statistics into validated engine form.
-func validStats(ws snapshot.WorkerStats, m int) (*truth.Stats, error) {
-	st := &truth.Stats{Q: ws.Q, U: ws.U}
-	if err := st.Validate(m); err != nil {
+// validStats turns codec worker statistics into validated engine form: the
+// snapshot's defaults (BaseQ, +0) over its M domains with the listed
+// entries written in.
+func validStats(ws snapshot.WorkerStats, snap *snapshot.State) (*truth.Stats, error) {
+	st := &truth.Stats{Q: make(model.QualityVector, snap.M), U: make([]float64, snap.M)}
+	for k := range st.Q {
+		st.Q[k] = snap.BaseQ
+	}
+	err := ws.Q.Scatter(st.Q)
+	if err == nil {
+		err = ws.U.Scatter(st.U)
+	}
+	if err == nil {
+		err = st.Validate(snap.M)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: snapshot worker %q: %w", ws.ID, err)
 	}
 	return st, nil

@@ -324,18 +324,16 @@ func Fig8cOTAScalability(seed uint64, quick bool) (*Table, error) {
 	for _, n := range sizes {
 		states := make([]*assign.TaskState, n)
 		for i := range states {
-			ts := &assign.TaskState{
-				ID: i,
-				R:  model.DomainVector(r.Dirichlet(m, 0.5)),
-				M:  make([][]float64, m),
-			}
-			for kk := 0; kk < m; kk++ {
-				ts.M[kk] = r.Dirichlet(2, 1)
-			}
+			ts := &assign.TaskState{ID: i, R: model.DomainVector(r.Dirichlet(m, 0.5))}
 			s := make([]float64, 2)
 			for kk, rk := range ts.R {
+				if !ts.R.Has(kk) {
+					continue // M holds a row per domain of the support only
+				}
+				row := r.Dirichlet(2, 1)
+				ts.M = append(ts.M, row)
 				for j := range s {
-					s[j] += rk * ts.M[kk][j]
+					s[j] += rk * row[j]
 				}
 			}
 			ts.S = mathx.Normalize(s)

@@ -80,12 +80,42 @@ func (d *DomainSet) Index(name string) (int, bool) {
 // (Definition 2): r_k ∈ [0,1], Σ r_k = 1.
 type DomainVector []float64
 
-// Validate checks that v is a distribution of the expected size m.
+// Validate checks that v is a distribution of the expected size m with no
+// entry below zero. The sum may be off by Tolerance; a negative entry, however
+// small, is refused, because r_k > 0 is what decides whether domain k
+// takes part in the task at all (Has) and a vector whose entries were merely
+// "close to" non-negative would let two readers disagree about that. −0 is
+// legal and outside the support.
 func (v DomainVector) Validate(m int) error {
 	if len(v) != m {
 		return fmt.Errorf("model: domain vector has size %d, want %d", len(v), m)
 	}
+	for k, x := range v {
+		if x < 0 {
+			//docs:allow floatbits error text is human-facing; never encoded or digested
+			return fmt.Errorf("model: domain vector entry %d = %g is negative", k, x)
+		}
+	}
 	return mathx.CheckDistribution(v, Tolerance)
+}
+
+// Has reports whether domain k is in the support of v: r_k > 0, which for a
+// valid vector is r_k ≠ 0 (so −0 is out). This is the one definition of "the
+// task relates to domain k": the truth matrices hold one row per domain in
+// the support and nothing else, and every kernel that weighs by r walks the
+// support through it.
+func (v DomainVector) Has(k int) bool { return v[k] > 0 }
+
+// Support returns |supp v|, the number of domains the task relates to — the
+// number of rows its truth matrices hold. At least 1 for a valid vector.
+func (v DomainVector) Support() int {
+	n := 0
+	for k := range v {
+		if v.Has(k) {
+			n++
+		}
+	}
+	return n
 }
 
 // Top returns the index of the most related domain.

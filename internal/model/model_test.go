@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 )
 
@@ -54,6 +55,31 @@ func TestDomainVectorValidate(t *testing.T) {
 	}
 	if err := (DomainVector{0.5, 0.4}).Validate(2); err == nil {
 		t.Error("sum 0.9 accepted")
+	}
+}
+
+// TestDomainVectorSupport: r_k > 0 is the one definition of "the task
+// relates to domain k". A negative entry, however close to zero, is not a
+// domain vector at all — it would be in the support by r_k ≠ 0 and out of it
+// by r_k > 0 — while −0 is legal and out, and a denormal is in.
+func TestDomainVectorSupport(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	v := DomainVector{0, negZero, math.SmallestNonzeroFloat64, 0.25, 0.75}
+	if err := v.Validate(5); err != nil {
+		t.Fatalf("−0 and a denormal are legal entries: %v", err)
+	}
+	for k, want := range []bool{false, false, true, true, true} {
+		if v.Has(k) != want {
+			t.Errorf("Has(%d) = %v for entry %g, want %v", k, v.Has(k), v[k], want)
+		}
+	}
+	if v.Support() != 3 {
+		t.Errorf("Support = %d, want 3", v.Support())
+	}
+	for _, neg := range []float64{-1e-7, -math.SmallestNonzeroFloat64, -0.5} {
+		if err := (DomainVector{neg, 1 - neg}).Validate(2); err == nil {
+			t.Errorf("an entry of %g was accepted", neg)
+		}
 	}
 }
 

@@ -4,15 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"docs/internal/wal"
 )
 
 // elements counts every slice element, string byte and struct a decoded
 // state holds — what Decode had to allocate for.
 func elements(st *State) int {
+	sparse := func(vs ...wal.SparseFloats) int {
+		n := 0
+		for _, v := range vs {
+			n += len(v.K) + len(v.V)
+		}
+		return n
+	}
 	stats := func(ws []WorkerStats) int {
 		n := len(ws)
 		for _, w := range ws {
-			n += len(w.ID) + len(w.Q) + len(w.U)
+			n += len(w.ID) + sparse(w.Q, w.U)
 		}
 		return n
 	}
@@ -23,7 +32,7 @@ func elements(st *State) int {
 		n += len(ts.MHat) + len(ts.MHat)*len(ts.S) + len(ts.S)
 	}
 	for _, ws := range st.Serving {
-		n += len(ws.ID) + len(ws.GoldenTasks) + len(ws.GoldenChoices) + len(ws.AnchorQ) + len(ws.AnchorU)
+		n += len(ws.ID) + len(ws.GoldenTasks) + len(ws.GoldenChoices) + sparse(ws.AnchorQ, ws.AnchorU)
 	}
 	for _, w := range st.Log.Workers {
 		n += len(w)

@@ -15,42 +15,60 @@
 // is just the codec and the atomic file protocol.
 //
 // A snapshot holds only what the log and the publication do not already
-// determine. Three things are derivable and therefore absent: the
-// publication itself (PublishSeq names the WAL record that carries it — the
-// log is gapless from sequence 1 and segments are never deleted), the
-// inference state of a task nothing has touched since it was registered
-// (it is the uniform prior truth.Incremental.AddTask computes), and each
-// worker's answered-task set (the per-worker projection of Log).
+// determine, and nothing that is multiplied by zero wherever it is read.
+// Absent because derivable: the publication itself (PublishSeq names the WAL
+// record that carries it — the log is gapless from sequence 1 and segments
+// are never deleted), the inference state of a task nothing has touched
+// since it was registered (it is the uniform prior
+// truth.Incremental.AddTask computes), and each worker's answered-task set
+// (the per-worker projection of Log). Absent because dead weight: the rows
+// of a task's truth matrix for the domains its vector gives no weight (a
+// task relates to one or two of the 26; every reader skips the rest), and
+// the entries of a worker's (q, u) statistics that are still the prior (a
+// worker has answered in a handful of domains).
 //
 // # File format
 //
-//	magic "DOCSSNP3" | one frame: length (u32le) | CRC32-C (u32le) | payload
+//	magic "DOCSSNP4" | one frame: length (u32le) | CRC32-C (u32le) | payload
 //
 // The payload is binary: an integer is a minimal uvarint, a float64 is its
 // 8 raw IEEE-754 bytes little-endian (so "close" can never pass for
 // "equal"), a string or slice is a uvarint count followed by its elements.
 // Sections come in one fixed order, with no tags and no padding:
 //
-//	seq | publishSeq | answers
+//	seq | publishSeq | answers | m | baseQ float
 //	goldenIDs    []int
-//	taskStates   [](id | rows | cols ≥ 1 | rows×cols floats M̂ | cols floats s)
-//	workers      []stats            stats = id string | q []float | u []float
-//	serving      [](id string | profiled 0/1 | goldenTasks []int |
-//	                goldenChoices []int | anchorQ []float | anchorU []float)
+//	taskStates   [](id | rows ≥ 1 | cols ≥ 1 | rows×cols floats M̂ | cols floats s)
+//	workers      []stats            stats = id string | q sparse | u sparse
+//	serving      [](id string | flags | goldenTasks []int | goldenChoices []int |
+//	                anchor q sparse | anchor u sparse, the two only with flag 2)
 //	store        []stats
 //	storeProfiles []stats
 //	log          workers []string | w []int | t []int | c []int
+//	sparse:      count | count × (index < m | float)     (wal.SparseFloats)
+//
+// A task state's rows are the domains of the task's support (r_k > 0) in
+// ascending order; which domains those are is the publication's to say, and
+// the restore checks rows against it. A statistics vector is m long and is
+// stored as the entries whose bits differ from its default — baseQ, written
+// once, for a quality vector and +0 for a weight vector — so any bit pattern
+// round-trips. flags is 1 for a profiled worker plus 2 for one with a pinned
+// anchor: "no anchor" and "an anchor that is all defaults" stay distinct.
 //
 // The encoding is canonical — one State has one byte string, and Decode
-// accepts nothing Encode would not produce (overlong varints, a profiled
-// byte above 1 and trailing bytes are all corruption) — and every count is
-// checked against the bytes that remain before anything is allocated.
+// accepts nothing Encode would not produce (overlong varints, a task state
+// of no rows, a listed entry equal to its default, an index out of order or
+// not below m, flags above 3 and trailing bytes are all corruption) — and
+// every count is checked against the bytes that remain before anything is
+// allocated.
 //
 // The magic doubles as the format version. A snapshot with any other
-// magic ("DOCSSNP2" was the JSON encoding) is rejected as unreadable and
-// the boot falls back to a full log replay, which reconstructs everything
-// from the WAL — an automatic, lossless migration paid once per campaign
-// in boot time; the next snapshot pass writes the current format.
+// magic (version 2 was the JSON encoding, version 3 held all m rows of
+// every task state and every statistics vector in full) is rejected as
+// unreadable and the boot falls back to a full log replay, which
+// reconstructs everything from the WAL — an automatic, lossless migration
+// paid once per campaign in boot time; the next snapshot pass writes the
+// current format.
 //
 // The frame is the WAL's frame encoding (wal.EncodeFrame), so torn-write
 // discrimination follows the WAL's rule: a frame cut short by EOF is a
@@ -78,7 +96,7 @@ import (
 // FileName is the snapshot's name inside a campaign's WAL directory.
 const FileName = "snapshot"
 
-const magic = "DOCSSNP3"
+const magic = "DOCSSNP4"
 
 // ErrCorrupt marks a snapshot file that exists but cannot be trusted —
 // torn, CRC-mismatched, undecodable, or structurally invalid. Boots treat
@@ -100,6 +118,12 @@ type State struct {
 	// Answers is the accepted non-golden answer count (the counter that
 	// drives the periodic-rerun cadence; must equal the log length).
 	Answers int64
+	// M is the length of every statistics vector below (the campaign's
+	// domain count) and BaseQ the value their quality vectors are held
+	// against: a listed entry is one whose bits differ from BaseQ (from +0
+	// for a weight vector).
+	M     int
+	BaseQ float64
 	// GoldenIDs are the golden task IDs in publication order.
 	GoldenIDs []int
 	// TaskStates hold the inference state of every non-golden task touched
@@ -137,18 +161,20 @@ type Log = wal.Columns
 type TaskState struct {
 	ID int
 	// MHat are the raw (rescaled) numerators M̂ the incremental updates
-	// multiply into — not the normalized M, which is derived. Row per
-	// domain, column per choice; every row is len(S) long.
+	// multiply into — not the normalized M, which is derived. One row per
+	// domain of the task's support, ascending, at least one; column per
+	// choice; every row is len(S) long.
 	MHat [][]float64
 	// S is the probabilistic truth s_i.
 	S []float64
 }
 
-// WorkerStats is one worker's (q, u) statistics.
+// WorkerStats is one worker's (q, u) statistics, each vector State.M long
+// and held sparsely: Q against State.BaseQ, U against +0.
 type WorkerStats struct {
 	ID string
-	Q  []float64
-	U  []float64
+	Q  wal.SparseFloats
+	U  wal.SparseFloats
 }
 
 // WorkerServing is one worker's orchestrator-side serving state. The
@@ -160,34 +186,41 @@ type WorkerServing struct {
 	// order profiling consumed them.
 	GoldenTasks   []int
 	GoldenChoices []int
-	// AnchorQ/AnchorU are the worker's pinned profile anchor — the
-	// long-run store statistics adopted when she was profiled or first
-	// seeded. Both empty when no anchor is pinned.
-	AnchorQ []float64
-	AnchorU []float64
+	// Anchored says a profile anchor is pinned — the long-run store
+	// statistics adopted when she was profiled or first seeded — and
+	// AnchorQ/AnchorU hold it, like WorkerStats' vectors. Both are empty
+	// when no anchor is pinned; they may also be empty when one is (an
+	// anchor still at the defaults).
+	Anchored bool
+	AnchorQ  wal.SparseFloats
+	AnchorU  wal.SparseFloats
 }
 
 // Encode renders the state as a complete snapshot file image. Snapshots
 // are compared bit-for-bit across boots, so Encode is a docs-lint
 // determinism root (the encoding is a pure function of the State: fields
 // in the package comment's order, floats as raw bits). It fails only on a
-// State the format cannot express: a negative integer, or a task state
-// whose S is empty or whose M̂ rows are not len(S) long.
+// State the format cannot express: a negative integer, a task state with
+// no row, an empty S or an M̂ row that is not len(S) long, a statistics
+// vector that is not canonical against (M, BaseQ), or anchor entries on a
+// worker with no anchor.
 //
 //docs:deterministic
 func Encode(st *State) ([]byte, error) {
 	if st.Answers < 0 {
 		return nil, fmt.Errorf("snapshot: encode: negative answer count %d", st.Answers)
 	}
-	var e encoder
+	e := encoder{m: st.M, baseQ: st.BaseQ}
 	e.uvarint(st.Seq)
 	e.uvarint(st.PublishSeq)
 	e.uvarint(uint64(st.Answers))
+	e.int(st.M)
+	e.rawFloats([]float64{st.BaseQ})
 	e.ints(st.GoldenIDs)
 	e.count(len(st.TaskStates))
 	for _, ts := range st.TaskStates {
-		if len(ts.S) == 0 {
-			return nil, fmt.Errorf("snapshot: encode: task %d has no choices", ts.ID)
+		if len(ts.S) == 0 || len(ts.MHat) == 0 {
+			return nil, fmt.Errorf("snapshot: encode: task %d has a state of %d rows and %d choices", ts.ID, len(ts.MHat), len(ts.S))
 		}
 		e.int(ts.ID)
 		e.count(len(ts.MHat))
@@ -205,15 +238,21 @@ func Encode(st *State) ([]byte, error) {
 	e.count(len(st.Serving))
 	for _, ws := range st.Serving {
 		e.str(ws.ID)
-		profiled := byte(0)
+		flags := byte(0)
 		if ws.Profiled {
-			profiled = 1
+			flags |= flagProfiled
 		}
-		e.b = append(e.b, profiled)
+		if ws.Anchored {
+			flags |= flagAnchored
+		}
+		e.b = append(e.b, flags)
 		e.ints(ws.GoldenTasks)
 		e.ints(ws.GoldenChoices)
-		e.floats(ws.AnchorQ)
-		e.floats(ws.AnchorU)
+		if ws.Anchored {
+			e.pair(ws.AnchorQ, ws.AnchorU)
+		} else if len(ws.AnchorQ.K)+len(ws.AnchorQ.V)+len(ws.AnchorU.K)+len(ws.AnchorU.V) > 0 && e.err == nil {
+			e.err = fmt.Errorf("worker %q has anchor entries but no anchor", ws.ID)
+		}
 	}
 	e.stats(st.Store)
 	e.stats(st.StoreProfiles)
@@ -229,11 +268,20 @@ func Encode(st *State) ([]byte, error) {
 	return wal.EncodeFrame(out, payload), nil
 }
 
+// The serving section's flag bits.
+const (
+	flagProfiled = 1 << iota
+	flagAnchored
+)
+
 // encoder appends the payload's primitives; the first value the format
-// cannot express is kept in err and reported once by Encode.
+// cannot express is kept in err and reported once by Encode. m and baseQ
+// are what the statistics vectors are held against.
 type encoder struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	m     int
+	baseQ float64
 }
 
 func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
@@ -264,17 +312,29 @@ func (e *encoder) rawFloats(fs []float64) {
 	}
 }
 
-func (e *encoder) floats(fs []float64) {
-	e.count(len(fs))
-	e.rawFloats(fs)
+// sparse appends one statistics vector held against base.
+func (e *encoder) sparse(sf wal.SparseFloats, base float64) {
+	b, err := wal.AppendSparseFloats(e.b, sf, e.m, base)
+	if err != nil {
+		if e.err == nil {
+			e.err = err
+		}
+		return
+	}
+	e.b = b
+}
+
+// pair appends one (q, u) statistic.
+func (e *encoder) pair(q, u wal.SparseFloats) {
+	e.sparse(q, e.baseQ)
+	e.sparse(u, 0)
 }
 
 func (e *encoder) stats(ws []WorkerStats) {
 	e.count(len(ws))
 	for _, w := range ws {
 		e.str(w.ID)
-		e.floats(w.Q)
-		e.floats(w.U)
+		e.pair(w.Q, w.U)
 	}
 }
 
@@ -293,7 +353,7 @@ func Decode(data []byte) (*State, error) {
 		if st != nil {
 			return fmt.Errorf("%w: trailing frame after state", ErrCorrupt)
 		}
-		d := decoder{wal.NewCursor(payload)}
+		d := decoder{Cursor: wal.NewCursor(payload)}
 		st = d.state()
 		if err := d.End(); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -317,8 +377,13 @@ func Decode(data []byte) (*State, error) {
 
 // decoder pops the payload's sections off the shared cursor, which holds
 // the primitive rules (canonical varints, counts checked before anything is
-// allocated, one sticky error); what is left here is the layout.
-type decoder struct{ wal.Cursor }
+// allocated, one sticky error); what is left here is the layout. m and
+// baseQ are the header's, which the statistics vectors are held against.
+type decoder struct {
+	wal.Cursor
+	m     int
+	baseQ float64
+}
 
 func (d *decoder) str() string { return string(d.Bytes()) }
 
@@ -329,14 +394,11 @@ func (d *decoder) rawFloats(dst []float64) {
 	}
 }
 
-func (d *decoder) floats() []float64 {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	d.rawFloats(out)
-	return out
+// pair pops one (q, u) statistic.
+func (d *decoder) pair() (q, u wal.SparseFloats) {
+	q = d.SparseFloats(wal.SparseFloats{}, d.m, d.baseQ)
+	u = d.SparseFloats(wal.SparseFloats{}, d.m, 0)
+	return q, u
 }
 
 func (d *decoder) stats() []WorkerStats {
@@ -346,7 +408,8 @@ func (d *decoder) stats() []WorkerStats {
 	}
 	out := make([]WorkerStats, n)
 	for i := range out {
-		out[i] = WorkerStats{ID: d.str(), Q: d.floats(), U: d.floats()}
+		out[i].ID = d.str()
+		out[i].Q, out[i].U = d.pair()
 	}
 	return out
 }
@@ -355,21 +418,19 @@ func (d *decoder) stats() []WorkerStats {
 // (rows+1)×cols floats are contiguous in the payload.
 func (d *decoder) taskState() TaskState {
 	ts := TaskState{ID: d.Int()}
-	rows, cols := d.Count(1), d.Count(8)
+	rows, cols := d.Count(8), d.Count(8)
 	if d.Err() != nil {
 		return ts
 	}
-	if cols == 0 || rows+1 > d.Len()/8/cols {
+	if rows == 0 || cols == 0 || rows+1 > d.Len()/8/cols {
 		d.Failf("task %d state of %d×%d floats does not fit the %d bytes remaining", ts.ID, rows+1, cols, d.Len())
 		return ts
 	}
 	flat := make([]float64, (rows+1)*cols)
 	d.rawFloats(flat)
-	if rows > 0 {
-		ts.MHat = make([][]float64, rows)
-		for k := range ts.MHat {
-			ts.MHat[k] = flat[k*cols : (k+1)*cols : (k+1)*cols]
-		}
+	ts.MHat = make([][]float64, rows)
+	for x := range ts.MHat {
+		ts.MHat[x] = flat[x*cols : (x+1)*cols : (x+1)*cols]
 	}
 	ts.S = flat[rows*cols:]
 	return ts
@@ -382,26 +443,30 @@ func (d *decoder) state() *State {
 		d.Failf("answer count %d out of range", answers)
 	}
 	st.Answers = int64(answers)
+	st.M, st.BaseQ = d.Int(), math.Float64frombits(d.U64())
+	d.m, d.baseQ = st.M, st.BaseQ
 	st.GoldenIDs = d.Ints()
-	if n := d.Count(11); n > 0 {
+	if n := d.Count(19); n > 0 {
 		st.TaskStates = make([]TaskState, n)
 		for i := range st.TaskStates {
 			st.TaskStates[i] = d.taskState()
 		}
 	}
 	st.Workers = d.stats()
-	if n := d.Count(6); n > 0 {
+	if n := d.Count(4); n > 0 {
 		st.Serving = make([]WorkerServing, n)
 		for i := range st.Serving {
 			ws := &st.Serving[i]
 			ws.ID = d.str()
-			profiled := d.Byte()
-			if profiled > 1 {
-				d.Failf("bad profiled flag %d", profiled)
+			flags := d.Byte()
+			if flags > flagProfiled|flagAnchored {
+				d.Failf("bad serving flags %d", flags)
 			}
-			ws.Profiled = profiled == 1
+			ws.Profiled, ws.Anchored = flags&flagProfiled != 0, flags&flagAnchored != 0
 			ws.GoldenTasks, ws.GoldenChoices = d.Ints(), d.Ints()
-			ws.AnchorQ, ws.AnchorU = d.floats(), d.floats()
+			if ws.Anchored {
+				ws.AnchorQ, ws.AnchorU = d.pair()
+			}
 		}
 	}
 	st.Store = d.stats()

@@ -14,48 +14,89 @@ import (
 	"docs/internal/wal"
 )
 
+// sampleBaseQ is the quality the sample's vectors are held against.
+const sampleBaseQ = 0.7
+
+// sparse is the sparse form of a dense vector against base.
+func sparse(base float64, dense ...float64) wal.SparseFloats {
+	return wal.SparseOf(wal.SparseFloats{}, dense, base)
+}
+
 func sampleState() *State {
 	return &State{
 		Seq:        41,
 		PublishSeq: 1,
 		Answers:    3,
+		M:          3,
+		BaseQ:      sampleBaseQ,
 		GoldenIDs:  []int{7},
 		TaskStates: []TaskState{{
 			ID:   0,
 			MHat: [][]float64{{1, 0.5}, {0.25, 1}},
 			S:    []float64{0.25, 0.75},
 		}},
-		Workers: []WorkerStats{{ID: "w", Q: []float64{0.9}, U: []float64{2}}},
-		Serving: []WorkerServing{{ID: "w", Profiled: true, GoldenTasks: []int{7}, GoldenChoices: []int{1},
-			AnchorQ: []float64{0.8}, AnchorU: []float64{1}}},
-		Store:         []WorkerStats{{ID: "w", Q: []float64{0.7}, U: []float64{3}}},
-		StoreProfiles: []WorkerStats{{ID: "c/w", Q: []float64{0.6}, U: []float64{4}}},
+		Workers: []WorkerStats{{ID: "w", Q: sparse(sampleBaseQ, 0.9, 0.7, 0.5), U: sparse(0, 2, 0, 1)}},
+		Serving: []WorkerServing{
+			{ID: "v", Anchored: true}, // an anchor still at the defaults is not "no anchor"
+			{ID: "w", Profiled: true, GoldenTasks: []int{7}, GoldenChoices: []int{1},
+				Anchored: true, AnchorQ: sparse(sampleBaseQ, 0.7, 0.8, 0.7), AnchorU: sparse(0, 0, 1, 0)},
+		},
+		Store:         []WorkerStats{{ID: "w", Q: sparse(sampleBaseQ, 0.7, 0.7, 0.75), U: sparse(0, 0, 0, 3)}},
+		StoreProfiles: []WorkerStats{{ID: "c/w", Q: sparse(sampleBaseQ, 0.6, 0.7, 0.7), U: sparse(0, 4, 0, 0)}},
 		Log:           Log{Workers: []string{"w"}, W: []int{0, 0, 0}, T: []int{0, 1, 2}, C: []int{1, 0, 1}},
 	}
 }
 
 // TestBitsExactness: the float codec must round-trip every bit pattern,
 // including negative zero, denormals, NaN payloads and values that decimal
-// formatting would mangle.
+// formatting would mangle — in a task state's raw floats, and in a
+// statistics vector whichever value it is held against (the default itself
+// is the one pattern a vector does not list, and it comes back all the
+// same).
 func TestBitsExactness(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1.0 / 3.0, math.SmallestNonzeroFloat64,
-		math.MaxFloat64, 0.1 + 0.2, math.Nextafter(1, 2), math.Inf(-1),
+		math.MaxFloat64, 0.1 + 0.2, math.Nextafter(1, 2), math.Inf(-1), 0.7,
 		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000abc)}
-	data, err := Encode(&State{Workers: []WorkerStats{{ID: "w", Q: vals}}})
-	if err != nil {
-		t.Fatal(err)
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: decoded %d values, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s value %d: %x != %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
 	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := back.Workers[0].Q
-	if len(got) != len(vals) {
-		t.Fatalf("decoded %d values, want %d", len(got), len(vals))
-	}
-	for i := range vals {
-		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-			t.Fatalf("value %d: %x != %x", i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+	for _, base := range vals {
+		st := &State{M: len(vals), BaseQ: base,
+			TaskStates: []TaskState{{ID: 1, MHat: [][]float64{vals}, S: vals}},
+			Workers:    []WorkerStats{{ID: "w", Q: sparse(base, vals...), U: sparse(0, vals...)}}}
+		data, err := Encode(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("base", []float64{back.BaseQ}, []float64{base})
+		same("M̂", back.TaskStates[0].MHat[0], vals)
+		same("s", back.TaskStates[0].S, vals)
+		q, u := make([]float64, back.M), make([]float64, back.M)
+		for k := range q {
+			q[k] = back.BaseQ
+		}
+		if err := back.Workers[0].Q.Scatter(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Workers[0].U.Scatter(u); err != nil {
+			t.Fatal(err)
+		}
+		same("q", q, vals)
+		same("u", u, vals)
+		if listed := len(back.Workers[0].Q.K); listed != len(vals)-1 {
+			t.Fatalf("base %x: q lists %d of %d entries, want all but the default", math.Float64bits(base), listed, len(vals))
 		}
 	}
 }
@@ -99,10 +140,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // hold instead of writing bytes Decode would read back differently.
 func TestEncodeRejectsInexpressible(t *testing.T) {
 	cases := map[string]func(*State){
-		"negative answers": func(st *State) { st.Answers = -1 },
-		"negative task id": func(st *State) { st.GoldenIDs = []int{-7} },
-		"ragged mhat":      func(st *State) { st.TaskStates[0].MHat[1] = []float64{1} },
-		"no choices":       func(st *State) { st.TaskStates[0] = TaskState{ID: 0} },
+		"negative answers":     func(st *State) { st.Answers = -1 },
+		"negative task id":     func(st *State) { st.GoldenIDs = []int{-7} },
+		"negative m":           func(st *State) { st.M = -1 },
+		"ragged mhat":          func(st *State) { st.TaskStates[0].MHat[1] = []float64{1} },
+		"no choices":           func(st *State) { st.TaskStates[0] = TaskState{ID: 0} },
+		"no rows":              func(st *State) { st.TaskStates[0].MHat = nil },
+		"default entry listed": func(st *State) { st.Workers[0].Q.V[0] = sampleBaseQ },
+		"zero weight listed":   func(st *State) { st.Workers[0].U.V[1] = 0 },
+		"index at m":           func(st *State) { st.Workers[0].Q.K[1] = 3 },
+		"index out of order":   func(st *State) { st.Workers[0].U.K[0] = 2 },
+		"ragged vector":        func(st *State) { st.Store[0].Q.K = append(st.Store[0].Q.K, 0) },
+		"entries of no anchor": func(st *State) { st.Serving[1].Anchored = false },
 	}
 	for name, mutate := range cases {
 		st := sampleState()
@@ -142,12 +191,37 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		"second frame":     append(append([]byte(nil), data...), data[len(magic):]...),
 		"empty":            nil,
 		"old magic":        append([]byte("DOCSSNP2"), data[len(magic):]...),
+		"previous magic":   append([]byte("DOCSSNP3"), data[len(magic):]...),
 		// CRC-valid frames around payloads Encode would never produce.
-		"payload cut short":      reframe(payload[:len(payload)-1]),
-		"payload trailing byte":  reframe(append(append([]byte(nil), payload...), 0)),
-		"overlong varint":        reframe(append([]byte{0x80 | 41, 0x00}, payload[1:]...)),
-		"count of 2^63":          reframe(append(append([]byte(nil), payload[:3]...), binary.AppendUvarint(nil, 1<<63)...)),
-		"profiled flag out of 2": reframe(bytes.Replace(payload, []byte{1, 'w', 1, 1, 7}, []byte{1, 'w', 2, 1, 7}, 1)),
+		"payload cut short":     reframe(payload[:len(payload)-1]),
+		"payload trailing byte": reframe(append(append([]byte(nil), payload...), 0)),
+		"overlong varint":       reframe(append([]byte{0x80 | 41, 0x00}, payload[1:]...)),
+		"count of 2^63":         reframe(append(append([]byte(nil), payload[:12]...), binary.AppendUvarint(nil, 1<<63)...)), // the golden-ID count, after seq | publishSeq | answers | m | baseQ
+		"serving flags above 3": reframe(bytes.Replace(payload, []byte{1, 'w', 3, 1, 7}, []byte{1, 'w', 4, 1, 7}, 1)),
+	}
+	// CRC-valid payloads holding a statistics vector Encode refuses to
+	// write, or a task state of no rows: each must be refused on the way in
+	// as it is on the way out.
+	le := func(f float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)) }
+	wQ := append(append([]byte{1, 'w', 2, 0}, le(0.9)...), append([]byte{2}, le(0.5)...)...) // worker w's q: entries 0 and 2
+	if !bytes.Contains(payload, wQ) {
+		t.Fatal("the sample's worker vector is not where the non-canonical cases expect it")
+	}
+	swap := func(with ...[]byte) []byte {
+		return reframe(bytes.Replace(payload, wQ, bytes.Join(with, nil), 1))
+	}
+	cases["default-valued entry listed"] = swap([]byte{1, 'w', 2, 0}, le(0.9), []byte{2}, le(sampleBaseQ))
+	cases["index at m"] = swap([]byte{1, 'w', 2, 0}, le(0.9), []byte{3}, le(0.5))
+	cases["index out of order"] = swap([]byte{1, 'w', 2, 2}, le(0.5), []byte{0}, le(0.9))
+	cases["index repeated"] = swap([]byte{1, 'w', 2, 2}, le(0.9), []byte{2}, le(0.5))
+	noRows := &State{TaskStates: []TaskState{{ID: 5, MHat: [][]float64{{1, 1}}, S: []float64{0.5, 0.5}}}}
+	if data, err := Encode(noRows); err != nil {
+		t.Fatal(err)
+	} else {
+		p := data[len(magic)+8:]
+		// id 5 | rows 1 | cols 2 | one row | s  →  id 5 | rows 0 | cols 2 | s
+		at := bytes.Index(p, []byte{5, 1, 2})
+		cases["task state of no rows"] = reframe(append(append(append([]byte(nil), p[:at]...), 5, 0, 2), p[at+3+16:]...))
 	}
 	for cut := 0; cut < len(data); cut++ {
 		cases["truncated at "+strconv.Itoa(cut)] = data[:cut]

@@ -150,3 +150,94 @@ func TestAllocsRepeatReseed(t *testing.T) {
 		t.Errorf("an unanswered task costs a repeat Reseed %.1f B, want < %d", perTask, allocMatrixBytes/4)
 	}
 }
+
+// supportOneCampaign is nAnswered support-1 tasks over m domains (task i
+// relates to domain i mod 13 only), each answered by three of ten workers.
+func supportOneCampaign(t *testing.T, m, nAnswered int) ([]*model.Task, *model.AnswerSet) {
+	t.Helper()
+	r := mathx.NewRand(5)
+	tasks := make([]*model.Task, nAnswered)
+	as := model.NewAnswerSet()
+	for i := range tasks {
+		dom := make(model.DomainVector, m)
+		dom[i%13] = 1
+		tasks[i] = &model.Task{
+			ID: i, Text: "t", Choices: make([]string, allocEll),
+			Domain: dom, Truth: model.NoTruth, TrueDomain: model.NoTruth,
+		}
+		for w := 0; w < 3; w++ {
+			a := model.Answer{Worker: fmt.Sprintf("w%d", (i+w)%10), Task: i, Choice: r.Intn(allocEll)}
+			if err := as.Add(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tasks, as
+}
+
+// TestAllocsAnsweredTaskIndependentOfM: an answered task costs its support,
+// not the dimension of the space it lives in. The heap a task's first Submit
+// allocates (its private M̂, the view's M, s, the view), and the heap 200
+// more answered support-1 tasks add to one Infer, are byte for byte and
+// allocation for allocation the same over 26 domains and over 260. (The
+// per-worker vectors are m long by design; both measurements hold the
+// workers fixed so they cancel.)
+func TestAllocsAnsweredTaskIndependentOfM(t *testing.T) {
+	skipAllocsUnderRace(t)
+	type cost struct{ bytes, allocs uint64 }
+	measure := func(m int) (submit, infer cost) {
+		tasks, as := supportOneCampaign(t, m, 250)
+		inc := NewIncremental(m)
+		for _, tk := range tasks {
+			if err := inc.AddTask(tk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := inc.SetWorker("w", NewStats(m)); err != nil { // a seen worker: her m-long stats exist already
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := inc.Submit(model.Answer{Worker: "w", Task: 7, Choice: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit = cost{after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs}
+
+		few := model.NewAnswerSet() // the same ten workers over the first 50 tasks
+		for _, a := range as.All() {
+			if a.Task < 50 {
+				if err := few.Add(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run := func(tasks []*model.Task, as *model.AnswerSet) cost {
+			f := func() {
+				if _, err := Infer(tasks, as, m, Options{MaxIter: 5, Epsilon: -1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return cost{allocBytes(f), uint64(testing.AllocsPerRun(3, f))}
+		}
+		base, with := run(tasks[:50], few), run(tasks, as)
+		return submit, cost{with.bytes - base.bytes, with.allocs - base.allocs}
+	}
+	submit26, infer26 := measure(allocM)
+	submit260, infer260 := measure(10 * allocM)
+	t.Logf("first Submit: %d B in %d allocations; 200 more answered tasks cost Infer %d B in %d allocations (%.0f B a task)",
+		submit26.bytes, submit26.allocs, infer26.bytes, infer26.allocs, float64(infer26.bytes)/200)
+	if submit26 != submit260 {
+		t.Errorf("a task's first Submit costs %+v over %d domains but %+v over %d", submit26, allocM, submit260, 10*allocM)
+	}
+	if infer26 != infer260 {
+		t.Errorf("200 answered support-1 tasks cost Infer %+v over %d domains but %+v over %d", infer26, allocM, infer260, 10*allocM)
+	}
+	// One row of ℓ floats each for M̂ (plus the worker's quality on it) and
+	// M, ℓ floats of s, two row headers, the view, the answer: nowhere near
+	// the m×ℓ matrix pair a dense state would take.
+	if submit26.bytes >= allocMatrixBytes/2 {
+		t.Errorf("a support-1 task's first Submit allocates %d B, want < %d", submit26.bytes, allocMatrixBytes/2)
+	}
+}

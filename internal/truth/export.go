@@ -10,7 +10,9 @@ import (
 
 // TaskState is one task's complete recoverable inference state, exported
 // for state snapshots: the raw (rescaled) truth-matrix numerators M̂ the
-// incremental updates multiply into and the probabilistic truth s. The
+// incremental updates multiply into — one row per domain of the task's
+// support, ascending, like every truth matrix — and the probabilistic truth
+// s. The
 // normalized M and the argmax truth are derived and are not exported; the
 // task's accepted answers are restored from the orchestrator's
 // chronological answer log, of which they are exactly the per-task
@@ -65,8 +67,8 @@ func (inc *Incremental) RestoreTask(ts TaskState, answers []model.Answer) error 
 		return fmt.Errorf("truth: restore of unknown task %d", ts.ID)
 	}
 	ell := it.task.NumChoices()
-	if len(ts.MHat) != inc.m {
-		return fmt.Errorf("truth: task %d restore has %d domain rows, want %d", ts.ID, len(ts.MHat), inc.m)
+	if rows := it.task.Domain.Support(); len(ts.MHat) != rows {
+		return fmt.Errorf("truth: task %d restore has %d domain rows, want the %d of its support", ts.ID, len(ts.MHat), rows)
 	}
 	for k, row := range ts.MHat {
 		if len(row) != ell {

@@ -27,10 +27,12 @@ const workerShardCount = shard.Count
 //	        the qualities of workers who answered the task before are
 //	        corrected for the shift from s̃_i to the new s_i.
 //
-// Each Submit costs O(m·ℓ + m·|V(i)|), matching the paper's bound. The
-// trade-off, as the paper notes, is that incremental estimates can drift
-// from the batch fixed point; DOCS therefore re-runs the iterative solver
-// every z submissions (see the core orchestrator).
+// Each Submit costs O(|supp r|·ℓ + |supp r|·|V(i)|) — the paper's
+// O(m·ℓ + m·|V(i)|) bound with m replaced by the number of domains the task
+// relates to, since a task's state holds one row per domain with r_k > 0
+// and nothing else. The trade-off, as the paper notes, is that incremental
+// estimates can drift from the batch fixed point; DOCS therefore re-runs the
+// iterative solver every z submissions (see the core orchestrator).
 //
 // The engine is safe for concurrent use. Mutations take a per-task lock
 // (serializing answers to the same task) plus sharded per-worker locks, so
@@ -59,8 +61,10 @@ type workerShard struct {
 type incTask struct {
 	mu   sync.Mutex
 	task *model.Task
-	// mhat[k][j] is the running numerator of Equation 3 for domain k and
-	// choice j, rescaled per row to avoid underflow (only ratios matter).
+	// mhat[x][j] is the running numerator of Equation 3 for the x'th domain
+	// of the task's support (r_k > 0, ascending) and choice j, rescaled per
+	// row to avoid underflow (only ratios matter). A domain outside the
+	// support has no row: every reader multiplies it by r_k = 0.
 	// Copy-on-write: a task holding no answers aliases one of the shared
 	// restStates matrices until own() gives it a private one. s is never
 	// written in place — every mutation installs a fresh slice — so the
@@ -68,8 +72,9 @@ type incTask struct {
 	mhat    [][]float64
 	s       []float64
 	answers []model.Answer
-	// qbuf is the scratch copy of the submitting worker's quality, carved
-	// from the private M̂'s allocation: nil exactly while mhat is shared.
+	// qbuf is the scratch copy of the submitting worker's quality on the
+	// support (one entry per row), carved from the private M̂'s allocation:
+	// nil exactly while mhat is shared.
 	qbuf []float64
 	// touched is set by every mutation after AddTask (Submit, Reseed,
 	// RestoreTask). An untouched task is at the prior AddTask computes from
@@ -84,11 +89,13 @@ type incTask struct {
 // result endpoints) may hold a view across concurrent submits but must not
 // modify it: no later mutation writes through its slices, and the M of a
 // task holding no answers aliases a process-wide read-only matrix shared by
-// every such task of the same (m, ℓ).
+// every such task of the same (rows, ℓ).
 type TaskView struct {
 	// Task is the underlying task (immutable after publication).
 	Task *model.Task
-	// M is the row-normalized truth matrix M^(i) at snapshot time.
+	// M is the row-normalized truth matrix M^(i) at snapshot time: one row
+	// per domain of Task.Domain's support (r_k > 0), in ascending domain
+	// order, and nothing else.
 	M [][]float64
 	// S is the probabilistic truth s_i at snapshot time.
 	S []float64
@@ -136,7 +143,7 @@ func (inc *Incremental) AddTask(t *model.Task) error {
 	if err := t.Validate(inc.m); err != nil {
 		return err
 	}
-	prior := restStatesFor(inc.m, t.NumChoices()).prior // uniform prior numerator: M̂ all ones
+	prior := restStatesFor(t.Domain.Support(), t.NumChoices()).prior // uniform prior numerator: M̂ all ones
 	it := &incTask{task: t, mhat: prior.mhat, s: make([]float64, t.NumChoices())}
 	applyDomain(it.s, t.Domain, prior.norm)
 	// Publish the initial view before the task becomes visible in the map:
@@ -275,15 +282,22 @@ func (inc *Incremental) Submit(a model.Answer) error {
 	// Snapshot the submitting worker's quality: Step 1 folds it into M̂ and
 	// must see one consistent vector even if other tasks' submits are
 	// adjusting this worker concurrently.
-	inc.withWorker(a.Worker, func(st *Stats) { copy(it.qbuf, st.Q) })
 	r := it.task.Domain
+	inc.withWorker(a.Worker, func(st *Stats) {
+		x := 0
+		for k, qk := range st.Q {
+			if r.Has(k) {
+				it.qbuf[x] = qk
+				x++
+			}
+		}
+	})
 
 	// Step 1: fold the answer's likelihood into M̂^(i), refresh M and s.
 	sTilde := it.s
-	for k := 0; k < inc.m; k++ {
-		qk := clampQ(it.qbuf[k])
+	for x, row := range it.mhat {
+		qk := clampQ(it.qbuf[x])
 		wrong := (1 - qk) / float64(ell-1)
-		row := it.mhat[k]
 		var max float64
 		for j := range row {
 			if j == a.Choice {
@@ -307,8 +321,8 @@ func (inc *Incremental) Submit(a model.Answer) error {
 
 	// Step 2a: the submitting worker absorbs the new evidence.
 	inc.withWorker(a.Worker, func(st *Stats) {
-		for k := 0; k < inc.m; k++ {
-			if rk := r[k]; rk > 0 {
+		for k, rk := range r {
+			if r.Has(k) {
 				st.Q[k] = clamp01((st.Q[k]*st.U[k] + it.s[a.Choice]*rk) / (st.U[k] + rk))
 				st.U[k] += rk
 			}
@@ -320,9 +334,8 @@ func (inc *Incremental) Submit(a model.Answer) error {
 	for _, prev := range it.answers {
 		prev := prev
 		inc.withWorker(prev.Worker, func(ps *Stats) {
-			for k := 0; k < inc.m; k++ {
-				rk := r[k]
-				if rk == 0 || ps.U[k] == 0 {
+			for k, rk := range r {
+				if !r.Has(k) || ps.U[k] == 0 {
 					continue
 				}
 				ps.Q[k] = clamp01((ps.Q[k]*ps.U[k] - sTilde[prev.Choice]*rk + it.s[prev.Choice]*rk) / ps.U[k])
@@ -447,7 +460,7 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 		// dropping any private matrix it held. Note M̂ is 1/ℓ here, not the
 		// AddTask prior's 1 — the bits exports and snapshots have always
 		// carried for a reseeded task.
-		rest := restStatesFor(inc.m, it.task.NumChoices())
+		rest := restStatesFor(len(it.mhat), it.task.NumChoices())
 		M := rest.reseeded.norm
 		if sameMatrix(res.M[i], rest.reseeded.mhat) {
 			it.mhat, it.qbuf, it.s = rest.reseeded.mhat, nil, rest.uniform
@@ -483,10 +496,11 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 	}
 }
 
-// restStates holds, for one (m, ℓ), the two states a task holding no answers
-// can be in — they depend on nothing else — each with the row-normalized
-// matrix its view publishes. Every such task of every engine in the process
-// aliases them; nothing writes them after construction.
+// restStates holds, for one (rows, ℓ) — rows being the size of a task's
+// support — the two states a task holding no answers can be in — they depend
+// on nothing else — each with the row-normalized matrix its view publishes.
+// Every such task of every engine in the process aliases them; nothing writes
+// them after construction.
 type restStates struct {
 	prior    restState // as AddTask leaves it: M̂ all ones
 	reseeded restState // as a rerun leaves it: M̂ rows uniform
@@ -497,12 +511,13 @@ type restState struct{ mhat, norm [][]float64 }
 
 var (
 	restMu    sync.RWMutex
-	restTable = make(map[[2]int]*restStates) // keyed by (m, ℓ); grows with the distinct shapes seen, never shrinks
+	restTable = make(map[[2]int]*restStates) // keyed by (rows, ℓ); grows with the distinct shapes seen, never shrinks
 )
 
-// restStatesFor returns the shared rest states for m domains and ℓ choices.
-func restStatesFor(m, ell int) *restStates {
-	key := [2]int{m, ell}
+// restStatesFor returns the shared rest states for a support of rows domains
+// and ℓ choices.
+func restStatesFor(rows, ell int) *restStates {
+	key := [2]int{rows, ell}
 	restMu.RLock()
 	st := restTable[key]
 	restMu.RUnlock()
@@ -510,12 +525,12 @@ func restStatesFor(m, ell int) *restStates {
 		return st
 	}
 	st = &restStates{uniform: mathx.Uniform(ell)}
-	st.prior.mhat, st.reseeded.mhat = newMatrix(m, ell), newMatrix(m, ell)
-	for k := 0; k < m; k++ {
-		for j := 0; j < ell; j++ {
-			st.prior.mhat[k][j] = 1
+	st.prior.mhat, st.reseeded.mhat = newMatrix(rows, ell), newMatrix(rows, ell)
+	for x := range st.prior.mhat {
+		for j := range st.prior.mhat[x] {
+			st.prior.mhat[x][j] = 1
 		}
-		copy(st.reseeded.mhat[k], st.uniform)
+		copy(st.reseeded.mhat[x], st.uniform)
 	}
 	st.prior.norm, st.reseeded.norm = normalizeRows(st.prior.mhat), normalizeRows(st.reseeded.mhat)
 	restMu.Lock()
@@ -534,13 +549,13 @@ func (it *incTask) own() {
 	if it.qbuf != nil {
 		return
 	}
-	m, ell := len(it.mhat), it.task.NumChoices()
-	buf := make([]float64, m*ell+m)
-	private := matrixOver(buf[:m*ell], m, ell)
-	for k, row := range it.mhat {
-		copy(private[k], row)
+	rows, ell := len(it.mhat), it.task.NumChoices()
+	buf := make([]float64, rows*ell+rows)
+	private := matrixOver(buf[:rows*ell], rows, ell)
+	for x, row := range it.mhat {
+		copy(private[x], row)
 	}
-	it.mhat, it.qbuf = private, buf[m*ell:]
+	it.mhat, it.qbuf = private, buf[rows*ell:]
 }
 
 // sameMatrix reports whether a and b are the same matrix (not equal ones).
@@ -548,17 +563,17 @@ func sameMatrix(a, b [][]float64) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
-// newMatrix returns a zeroed m×ℓ matrix: one backing array, one header
+// newMatrix returns a zeroed rows×ℓ matrix: one backing array, one header
 // array.
-func newMatrix(m, ell int) [][]float64 {
-	return matrixOver(make([]float64, m*ell), m, ell)
+func newMatrix(rows, ell int) [][]float64 {
+	return matrixOver(make([]float64, rows*ell), rows, ell)
 }
 
-// matrixOver lays m rows of ℓ floats over buf.
-func matrixOver(buf []float64, m, ell int) [][]float64 {
-	M := make([][]float64, m)
-	for k := range M {
-		M[k] = buf[k*ell : (k+1)*ell : (k+1)*ell]
+// matrixOver lays rows rows of ℓ floats over buf.
+func matrixOver(buf []float64, rows, ell int) [][]float64 {
+	M := make([][]float64, rows)
+	for x := range M {
+		M[x] = buf[x*ell : (x+1)*ell : (x+1)*ell]
 	}
 	return M
 }

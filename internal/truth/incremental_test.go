@@ -39,9 +39,9 @@ func TestIncrementalSingleTaskMatchesBatchStep1(t *testing.T) {
 	if inc.Truth(1) != 0 {
 		t.Errorf("incremental truth = %d, want 0", inc.Truth(1))
 	}
-	M := inc.M(1)
-	if math.Abs(M[1][0]-0.93) > 0.005 {
-		t.Errorf("M[sports][yes] = %.4f, want ≈0.93", M[1][0])
+	M := inc.M(1) // rows: sports, films — politics has r = 0 and no row
+	if len(M) != 2 || math.Abs(M[0][0]-0.93) > 0.005 {
+		t.Errorf("M = %v, want 2 rows with M[sports][yes] ≈0.93", M)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 
 // inferReference is the iterative TI exactly as it stood before the flat
 // kernel replaced it (PR 20): one fresh matrix per task per iteration, worker
-// qualities in a map, two math.Log calls per (answer, domain). It is kept
-// verbatim as the oracle TestPropertyInferMatchesReference holds Infer to,
-// bit for bit — the way assignScan is the indexed assigner's oracle.
+// qualities in a map, two math.Log calls per (answer, domain). It is dense —
+// every task gets all m rows of M, the zero-weight ones included — and is
+// kept verbatim as the oracle TestPropertyInferMatchesReference holds Infer
+// to, bit for bit: row x of Infer's M is row supp[x] of this one's. The way
+// assignScan is the indexed assigner's oracle.
 func inferReference(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = DefaultMaxIter
@@ -293,8 +295,10 @@ type refCase struct {
 
 // genRefCase draws a campaign built to reach every branch the flat kernel
 // took over: ℓ mixed over {2..5}, a drawn share (0–90 %) of tasks left
-// unanswered, task IDs that are not slice indices, sparse and dense domain
-// vectors (a domain nobody touches keeps its initial quality), pinned tasks
+// unanswered, task IDs that are not slice indices, domain vectors of support
+// 1, of support 1–2, dense (Dirichlet) and exactly uniform — full support,
+// what a text no entity links is given — (a domain nobody touches keeps its
+// initial quality), pinned tasks
 // with and without answers, a worker who only ever agrees with pinned
 // truths and one who only ever contradicts them (their qualities reach 1
 // and 0 and clamp at qualityCeil/qualityFloor), and a partial InitQuality
@@ -311,7 +315,7 @@ func genRefCase(t *testing.T, r *mathx.Rand, cse int) *refCase {
 	for i := 0; i < nTasks; i++ {
 		ell := 2 + r.Intn(4)
 		var dom model.DomainVector
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0:
 			dom = make(model.DomainVector, m)
 			dom[r.Intn(m)] = 1
@@ -320,8 +324,10 @@ func genRefCase(t *testing.T, r *mathx.Rand, cse int) *refCase {
 			w := 0.2 + 0.6*r.Float64()
 			dom[r.Intn(m)] += w
 			dom[r.Intn(m)] += 1 - w
-		default:
+		case 2:
 			dom = model.DomainVector(r.Dirichlet(m, 0.7))
+		default:
+			dom = model.DomainVector(mathx.Uniform(m))
 		}
 		choices := make([]string, ell)
 		for j := range choices {
@@ -427,13 +433,28 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestPropertyInferMatchesReference holds the flat kernel to the textbook
-// formulation it replaced: over 240 seeded campaigns every float of S, M,
-// Quality and Deltas is the same bits, Truth and Iterations are equal, and
+// supportOf returns the domains with r_k > 0, ascending: the rows a compact
+// truth matrix holds, as indexes into the dense one.
+func supportOf(r model.DomainVector) []int {
+	var ks []int
+	for k := range r {
+		if r.Has(k) {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// TestPropertyInferMatchesReference holds the support-only kernel to the
+// dense textbook formulation: over 240 seeded campaigns every float of S,
+// Quality and Deltas is the same bits, Truth and Iterations are equal, M
+// holds exactly the support's rows and each is the reference's row of that
+// domain bit for bit — for active, pinned and unanswered tasks alike — and
 // Infer leaves what it was handed (InitQuality, Pinned) as it found it.
 func TestPropertyInferMatchesReference(t *testing.T) {
 	r := mathx.NewRand(20160412)
 	clamped := 0
+	shapes := map[string]int{} // support-1 / full-support / pinned tasks seen with answers
 	for cse := 0; cse < 240; cse++ {
 		c := genRefCase(t, r, cse)
 		initBefore := cloneQuality(c.opt.InitQuality)
@@ -462,12 +483,23 @@ func TestPropertyInferMatchesReference(t *testing.T) {
 			if !bitsEqual(got.S[i], want.S[i]) {
 				t.Fatalf("case %d task %d: s = %v, reference %v", cse, tk.ID, got.S[i], want.S[i])
 			}
-			if len(got.M[i]) != len(want.M[i]) {
-				t.Fatalf("case %d task %d: M has %d rows, reference %d", cse, tk.ID, len(got.M[i]), len(want.M[i]))
+			supp := supportOf(tk.Domain)
+			if len(got.M[i]) != len(supp) || len(want.M[i]) != c.m {
+				t.Fatalf("case %d task %d: M has %d rows for a support of %d, reference %d of %d domains",
+					cse, tk.ID, len(got.M[i]), len(supp), len(want.M[i]), c.m)
 			}
-			for k := range want.M[i] {
-				if !bitsEqual(got.M[i][k], want.M[i][k]) {
-					t.Fatalf("case %d task %d: M[%d] = %v, reference %v", cse, tk.ID, k, got.M[i][k], want.M[i][k])
+			for x, k := range supp {
+				if !bitsEqual(got.M[i][x], want.M[i][k]) {
+					t.Fatalf("case %d task %d: M row %d = %v, reference M[%d] = %v", cse, tk.ID, x, got.M[i][x], k, want.M[i][k])
+				}
+			}
+			if len(c.answers.ForTask(tk.ID)) > 0 {
+				if _, pinned := c.opt.Pinned[tk.ID]; pinned {
+					shapes["pinned"]++
+				} else if len(supp) == 1 && c.m > 1 {
+					shapes["support 1"]++
+				} else if len(supp) == 26 {
+					shapes["full support of 26"]++
 				}
 			}
 			if got.Truth[i] != want.Truth[i] {
@@ -500,6 +532,11 @@ func TestPropertyInferMatchesReference(t *testing.T) {
 	}
 	if clamped < 100 {
 		t.Errorf("only %d worker qualities ended outside the clamps; the generator no longer exercises clampQ", clamped)
+	}
+	for _, shape := range []string{"support 1", "full support of 26", "pinned"} {
+		if shapes[shape] < 50 {
+			t.Errorf("only %d answered tasks of shape %q; the generator no longer exercises it", shapes[shape], shape)
+		}
 	}
 }
 

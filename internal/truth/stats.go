@@ -81,9 +81,11 @@ func SessionStats(tasks []*model.Task, answers *model.AnswerSet, res *Result, m 
 			}
 			r := tasks[i].Domain
 			si := res.S[i]
-			for k := 0; k < m; k++ {
-				num[k] += r[k] * si[a.Choice]
-				st.U[k] += r[k]
+			for k, rk := range r {
+				if r.Has(k) {
+					num[k] += rk * si[a.Choice]
+					st.U[k] += rk
+				}
 			}
 		}
 		for k := 0; k < m; k++ {

@@ -66,9 +66,12 @@ type Result struct {
 	// S[i] is task i's probabilistic truth s_i (indexed by position in the
 	// task slice passed to Infer).
 	S [][]float64
-	// M[i] is task i's per-domain truth matrix M^(i) of size m × ℓ_i. The
-	// matrices of unanswered tasks alias one process-wide read-only uniform
-	// matrix per ℓ: read them, never write them.
+	// M[i] is task i's per-domain truth matrix M^(i), one row of ℓ_i floats
+	// per domain in the task's support (r_k > 0, see model.DomainVector.Has)
+	// in ascending domain order and nothing else: a row with r_k = 0 is
+	// multiplied by zero wherever it is read, so it is neither computed nor
+	// held. The matrices of unanswered tasks alias one process-wide
+	// read-only uniform matrix per (rows, ℓ): read them, never write them.
 	M [][][]float64
 	// Truth[i] is argmax_j S[i][j], the inferred truth v*_i.
 	Truth []int
@@ -104,13 +107,18 @@ func (r *Result) answeredIndex(tasks []*model.Task) map[int]int {
 // and answers. Every task must carry a domain vector of size m. Tasks with
 // no answers receive a uniform probabilistic truth.
 //
-// The cost is a function of the answered tasks. A pinned task is one-hot and
-// an unanswered one uniform for the whole run, so both are settled before
-// the loop and only the active (answered, unpinned) tasks are iterated; an
-// unanswered task costs its ℓ floats of S and its slots in the result
-// slices. Everything the loop touches is allocated once per call. The
-// floating-point operations and their order are those of the textbook
-// formulation kept in reference_test.go, so the result is the same bits.
+// The cost is a function of the answered tasks and of the domains they
+// relate to. A pinned task is one-hot and an unanswered one uniform for the
+// whole run, so both are settled before the loop and only the active
+// (answered, unpinned) tasks are iterated; an unanswered task costs its ℓ
+// floats of S and its slots in the result slices. An active task costs
+// |supp r|·ℓ per iteration, not m·ℓ: Step 1 computes the rows of its support
+// and Step 2 adds its r_k-weighted evidence at those domains only — every
+// term left out is a multiplication by zero. Everything the loop touches is
+// allocated once per call. The floating-point operations that remain, and
+// their order, are those of the dense textbook formulation kept in
+// reference_test.go, so S, Truth, Quality, Iterations, Deltas and every
+// support row of M are the same bits.
 func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = DefaultMaxIter
@@ -123,9 +131,11 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 	// reached by position.
 	answered := answers.Tasks()
 	pos := make(map[int]int, len(answered)+len(opt.Pinned))
-	// sLen is Σ ℓ over all tasks; owners counts the tasks that get a matrix
-	// of their own (answered or pinned) and mLen the floats those hold.
-	sLen, owners, mLen := 0, 0, 0
+	// sLen is Σ ℓ over all tasks. Over the tasks that get a matrix of their
+	// own (answered or pinned): mRows is Σ |supp r|, mLen the floats those
+	// rows hold, maxRows the largest support and wLen Σ |supp r|·|V(i)|, the
+	// weights Step 2 reads.
+	sLen, mRows, mLen, maxRows, wLen := 0, 0, 0, 0, 0
 	ascending := true
 	for idx, t := range tasks {
 		if t.Domain == nil {
@@ -138,10 +148,13 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 			ascending = false
 		}
 		_, pinned := opt.Pinned[t.ID]
-		if pinned || len(answers.ForTask(t.ID)) > 0 {
+		if v := answers.ForTask(t.ID); pinned || len(v) > 0 {
 			pos[t.ID] = idx
-			owners++
-			mLen += m * t.NumChoices()
+			n := t.Domain.Support()
+			mRows += n
+			mLen += n * t.NumChoices()
+			maxRows = max(maxRows, n)
+			wLen += n * len(v)
 		}
 		sLen += t.NumChoices()
 	}
@@ -217,17 +230,20 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 	}
 	sBuf := make([]float64, sLen)
 	mBuf := make([]float64, mLen)
-	rows := make([][]float64, owners*m)
+	rows := make([][]float64, mRows)
+	supp := make([]int32, 0, mRows)
 	var (
 		active  = make([]activeTask, 0, len(answered))
 		taskAns = make([]taskAnswer, 0, answers.Len())
 		prevLen int // Σ ℓ over active tasks
 		// The distinct ℓ, numbered in first-seen order: ℓ -> number, and per
-		// number the shared uniform s and matrix, float64(ℓ−1), and
+		// number 1/ℓ, the shared uniform matrices by row count (fetched when
+		// an unanswered task of that support first asks), float64(ℓ−1), and
 		// answersEll[d*W+w] = worker w has answered an active task of the
 		// d'th ℓ.
 		ellIdx     = make(map[int]int)
-		rest       []*restStates
+		invEll     []float64
+		rest       [][]*restStates
 		wrongDiv   []float64
 		answersEll []bool
 		maxEll     int
@@ -241,7 +257,8 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		if !seen {
 			d = len(rest)
 			ellIdx[ell] = d
-			rest = append(rest, restStatesFor(m, ell))
+			invEll = append(invEll, 1.0/float64(ell))
+			rest = append(rest, nil)
 			wrongDiv = append(wrongDiv, float64(ell-1))
 			answersEll = append(answersEll, make([]bool, len(workers))...)
 			maxEll = max(maxEll, ell)
@@ -249,49 +266,73 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		pv, pinned := opt.Pinned[t.ID]
 		v := answers.ForTask(t.ID)
 		if !pinned {
-			copy(s, rest[d].uniform)
+			for j := range s {
+				s[j] = invEll[d]
+			}
 		}
 		if !pinned && len(v) == 0 {
-			res.M[i] = rest[d].reseeded.mhat
+			n := t.Domain.Support()
+			for len(rest[d]) <= n {
+				rest[d] = append(rest[d], nil)
+			}
+			if rest[d][n] == nil {
+				rest[d][n] = restStatesFor(n, ell)
+			}
+			res.M[i] = rest[d][n].reseeded.mhat
 			continue
 		}
-		M := rows[:m:m]
-		rows = rows[m:]
-		for k := range M {
-			M[k] = mBuf[:ell:ell]
+		// The task's support, ascending: row x of M is domain ks[x].
+		from := len(supp)
+		for k := range t.Domain {
+			if t.Domain.Has(k) {
+				supp = append(supp, int32(k))
+			}
+		}
+		ks := supp[from:len(supp):len(supp)]
+		M := rows[:len(ks):len(ks)]
+		rows = rows[len(ks):]
+		for x := range M {
+			M[x] = mBuf[:ell:ell]
 			mBuf = mBuf[ell:]
 		}
 		res.M[i] = M
 		if pinned {
 			s[pv] = 1
-			for k := range M {
-				M[k][pv] = 1
+			for x := range M {
+				M[x][pv] = 1
 			}
 			continue
 		}
-		from := len(taskAns)
+		from = len(taskAns)
 		for _, a := range v {
 			w := wIdx[a.Worker]
 			taskAns = append(taskAns, taskAnswer{w: w, choice: int32(a.Choice)})
 			answersEll[d*len(workers)+int(w)] = true
 		}
-		active = append(active, activeTask{i: i, d: d, answers: taskAns[from:len(taskAns):len(taskAns)]})
+		active = append(active, activeTask{i: i, d: d, supp: ks, answers: taskAns[from:len(taskAns):len(taskAns)]})
 		prevLen += ell
 	}
 
-	// Each worker's answers as (task index, choice), and the Step-2
+	// Each worker's answers as (task index, choice, the task's support as
+	// (domain, r_k) pairs laid end to end in wK/wR), and the Step-2
 	// denominators Σ r_k, which no iteration changes.
 	workerAns := make([]workerAnswer, 0, answers.Len())
 	workerEnd := make([]int, len(workers))
+	wK, wR := make([]int32, 0, wLen), make([]float64, 0, wLen)
 	den := make([]float64, len(q))
 	for wi, w := range workers {
 		dw := den[wi*m : (wi+1)*m]
 		for _, a := range answers.ForWorker(w) {
 			i := pos[a.Task]
-			workerAns = append(workerAns, workerAnswer{i: int32(i), choice: int32(a.Choice)})
-			for k, rk := range tasks[i].Domain {
-				dw[k] += rk
+			from := len(wK)
+			r := tasks[i].Domain
+			for k, rk := range r {
+				if r.Has(k) {
+					wK, wR = append(wK, int32(k)), append(wR, rk)
+					dw[k] += rk
+				}
 			}
+			workerAns = append(workerAns, workerAnswer{i: int32(i), choice: int32(a.Choice), rows: int32(len(wK) - from)})
 		}
 		workerEnd[wi] = len(workerAns)
 	}
@@ -299,9 +340,9 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 	var (
 		prevS      = make([]float64, prevLen)
 		prevQ      = make([]float64, len(q))
-		logCorrect = make([]float64, len(q))           // log q^w_k
-		logWrong   = make([]float64, len(rest)*len(q)) // log((1−q^w_k)/(ℓ−1)) per distinct ℓ
-		logRows    = make([]float64, m*maxEll)
+		logCorrect = make([]float64, len(q))               // log q^w_k
+		logWrong   = make([]float64, len(wrongDiv)*len(q)) // log((1−q^w_k)/(ℓ−1)) per distinct ℓ
+		logRows    = make([]float64, maxRows*maxEll)
 		num        = make([]float64, m)
 	)
 	for iter := 0; iter < opt.MaxIter; iter++ {
@@ -314,9 +355,15 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		// The two logarithms of Equation 4 depend on (worker, domain, ℓ)
 		// only: tabulate them once per iteration instead of once per
 		// (answer, domain) — and only for the ℓ a worker has answered, so
-		// the table never costs more logarithms than the answers did.
+		// the table never costs more logarithms than the answers did. Step 1
+		// reads the table at a domain of a task the worker answered, which is
+		// exactly where her Step-2 denominator is non-zero: the rest of the
+		// table is never filled.
 		for wi := range workers {
 			for x := wi * m; x < (wi+1)*m; x++ {
+				if den[x] == 0 {
+					continue
+				}
 				qk := clampQ(q[x])
 				logCorrect[x] = math.Log(qk)
 				for d, div := range wrongDiv {
@@ -330,18 +377,19 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		// Step 1: q^w → s_i, for the active tasks.
 		for _, at := range active {
 			s, M := res.S[at.i], res.M[at.i]
-			truthMatrix(M, at.answers, logCorrect, logWrong[at.d*len(q):], logRows[:m*len(s)])
+			truthMatrix(M, at.supp, m, at.answers, logCorrect, logWrong[at.d*len(q):], logRows[:len(M)*len(s)])
 			applyDomain(s, tasks[at.i].Domain, M)
 		}
 
 		// Step 2: s_i → q^w.
-		from := 0
+		from, off := 0, 0
 		for wi, to := range workerEnd {
 			clear(num)
 			for _, a := range workerAns[from:to] {
 				sa := res.S[a.i][a.choice]
-				for k, rk := range tasks[a.i].Domain {
-					num[k] += rk * sa
+				end := off + int(a.rows)
+				for ; off < end; off++ {
+					num[wK[off]] += wR[off] * sa
 				}
 			}
 			from = to
@@ -379,25 +427,28 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 type activeTask struct {
 	i       int          // index into the task slice
 	d       int          // index of the task's ℓ among the distinct ℓ
+	supp    []int32      // the domains with r_k > 0, ascending: M's rows
 	answers []taskAnswer // V(i) in submission order
 }
 
-// taskAnswer is one answer as Step 1 reads it; workerAnswer as Step 2 does.
+// taskAnswer is one answer as Step 1 reads it; workerAnswer as Step 2 does,
+// rows being the size of the task's support.
 type taskAnswer struct{ w, choice int32 }
-type workerAnswer struct{ i, choice int32 }
+type workerAnswer struct{ i, choice, rows int32 }
 
-// truthMatrix computes M^(i) (Equations 3–4) into M: row k is the truth
-// distribution conditioned on the task's true domain being k. Likelihoods
-// are accumulated in log space so large answer sets cannot underflow;
-// logRows is the m×ℓ scratch they accumulate in.
-func truthMatrix(M [][]float64, v []taskAnswer, logCorrect, logWrong, logRows []float64) {
-	m, ell := len(M), len(M[0])
+// truthMatrix computes M^(i) (Equations 3–4) into M: row x is the truth
+// distribution conditioned on the task's true domain being supp[x].
+// Likelihoods are accumulated in log space so large answer sets cannot
+// underflow; logRows is the |supp|×ℓ scratch they accumulate in, and the log
+// tables are worker-major over m domains.
+func truthMatrix(M [][]float64, supp []int32, m int, v []taskAnswer, logCorrect, logWrong, logRows []float64) {
+	ell := len(M[0])
 	clear(logRows)
 	for _, a := range v {
 		base, choice := int(a.w)*m, int(a.choice)
-		for k := 0; k < m; k++ {
-			correct, wrong := logCorrect[base+k], logWrong[base+k]
-			logRow := logRows[k*ell : (k+1)*ell]
+		for x, k := range supp {
+			correct, wrong := logCorrect[base+int(k)], logWrong[base+int(k)]
+			logRow := logRows[x*ell : (x+1)*ell]
 			for j := range logRow {
 				if j == choice {
 					logRow[j] += correct
@@ -407,19 +458,22 @@ func truthMatrix(M [][]float64, v []taskAnswer, logCorrect, logWrong, logRows []
 			}
 		}
 	}
-	for k, row := range M {
-		softmax(row, logRows[k*ell:(k+1)*ell])
+	for x, row := range M {
+		softmax(row, logRows[x*ell:(x+1)*ell])
 	}
 }
 
-// applyDomain computes s = r × M (Equation 2) into s.
+// applyDomain computes s = r × M (Equation 2) into s, M holding the rows of
+// r's support.
 func applyDomain(s []float64, r model.DomainVector, M [][]float64) {
 	clear(s)
-	for k, row := range M {
-		rk := r[k]
-		if rk == 0 {
+	x := 0
+	for k, rk := range r {
+		if !r.Has(k) {
 			continue
 		}
+		row := M[x]
+		x++
 		for j := range s {
 			s[j] += rk * row[j]
 		}

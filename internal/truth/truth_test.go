@@ -48,26 +48,39 @@ func paperAnswers(t *testing.T) *model.AnswerSet {
 
 // TestStep1WorkedExample reproduces Section 4.1's Step-1 numbers:
 // M^(1)_{1,•} = [0.03, 0.97], M^(1)_{2,•} = [0.93, 0.07],
-// M^(1)_{3,•} = [0.28, 0.72], and s_1 = [0.79, 0.21].
+// M^(1)_{3,•} = [0.28, 0.72], and s_1 = [0.79, 0.21]. Politics has r_1 = 0,
+// so Infer holds the two weighted rows only; the paper's first row is read
+// off the dense oracle, which still computes it.
 func TestStep1WorkedExample(t *testing.T) {
 	tasks := []*model.Task{paperTask()}
-	res, err := Infer(tasks, paperAnswers(t), 3, Options{
+	opt := Options{
 		MaxIter:     1,
 		Epsilon:     -1,
 		InitQuality: paperQualities(),
-	})
+	}
+	res, err := Infer(tasks, paperAnswers(t), 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	M := res.M[0]
-	wantM := [][]float64{{0.03, 0.97}, {0.93, 0.07}, {0.28, 0.72}}
-	for k := range wantM {
-		for j := range wantM[k] {
-			if math.Abs(M[k][j]-wantM[k][j]) > 0.005 {
-				t.Errorf("M[%d][%d] = %.4f, want ≈%.2f", k, j, M[k][j], wantM[k][j])
+	dense, err := inferReference(tasks, paperAnswers(t), 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := func(name string, got, want []float64) {
+		t.Helper()
+		for j := range want {
+			if math.Abs(got[j]-want[j]) > 0.005 {
+				t.Errorf("%s[%d] = %.4f, want ≈%.2f", name, j, got[j], want[j])
 			}
 		}
 	}
+	near("reference M[politics]", dense.M[0][0], []float64{0.03, 0.97})
+	M := res.M[0]
+	if len(M) != 2 {
+		t.Fatalf("M has %d rows, want the 2 of the task's support", len(M))
+	}
+	near("M[sports]", M[0], []float64{0.93, 0.07})
+	near("M[films]", M[1], []float64{0.28, 0.72})
 	// Although two workers answered "no", the domain-aware truth leans "yes"
 	// because w1 is the sports expert.
 	s := res.S[0]
@@ -282,8 +295,9 @@ func TestInferEarlyStop(t *testing.T) {
 	}
 }
 
-// TestInferSIsDistribution: probabilistic truths are distributions and M
-// rows are distributions.
+// TestInferSIsDistribution: probabilistic truths are distributions and the
+// rows a result holds — one per domain of the task's support — are
+// distributions.
 func TestInferSIsDistribution(t *testing.T) {
 	tasks, as, _ := synthetic(t, 60, 10, 4, 37)
 	res, err := Infer(tasks, as, 2, Options{})
@@ -294,9 +308,12 @@ func TestInferSIsDistribution(t *testing.T) {
 		if err := mathx.CheckDistribution(res.S[i], 1e-9); err != nil {
 			t.Fatalf("s[%d]: %v", i, err)
 		}
-		for k := range res.M[i] {
-			if err := mathx.CheckDistribution(res.M[i][k], 1e-9); err != nil {
-				t.Fatalf("M[%d][%d]: %v", i, k, err)
+		if len(res.M[i]) != tasks[i].Domain.Support() {
+			t.Fatalf("M[%d] has %d rows for a support of %d", i, len(res.M[i]), tasks[i].Domain.Support())
+		}
+		for x := range res.M[i] {
+			if err := mathx.CheckDistribution(res.M[i][x], 1e-9); err != nil {
+				t.Fatalf("M[%d][%d]: %v", i, x, err)
 			}
 		}
 	}

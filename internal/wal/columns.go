@@ -9,7 +9,7 @@ import (
 // dictionary of the run's distinct worker IDs in first-appearance order and
 // W/T/C are parallel arrays of (dictionary index, task ID, choice). It is
 // the one layout both durable answer runs use — a KindBatch record's blob
-// (wire.go) and the DOCSSNP3 snapshot's log section — so a worker ID is
+// (wire.go) and the state snapshot's log section — so a worker ID is
 // spelled once per run, not once per answer, and nothing frames an answer
 // on its own.
 type Columns struct {

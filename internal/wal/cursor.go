@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Cursor is the one reader under every binary format this repository keeps
@@ -135,6 +136,29 @@ func (c *Cursor) Columns() Columns {
 	}
 	cols.W, cols.T, cols.C = c.Ints(), c.Ints(), c.Ints()
 	return cols
+}
+
+// SparseFloats pops what AppendSparseFloats appends — a vector of length m
+// held against base — into into's storage (the zero value, or a spent vector
+// whose arrays are reused). The count is checked against the bytes that
+// remain before anything grows, and a listed entry equal to the default, out
+// of order or not below m is a failure: the encoder writes none.
+func (c *Cursor) SparseFloats(into SparseFloats, m int, base float64) SparseFloats {
+	n := c.Count(9)
+	into.K, into.V = slices.Grow(into.K[:0], n), slices.Grow(into.V[:0], n)
+	prev, baseBits := -1, math.Float64bits(base)
+	for ; n > 0; n-- {
+		k, bits := c.Int(), c.U64()
+		if c.err == nil && (k <= prev || k >= m || bits == baseBits) {
+			c.Failf("%v", sparseEntryError(k, bits, prev, m))
+		}
+		if c.err != nil {
+			return SparseFloats{}
+		}
+		into.K, into.V = append(into.K, k), append(into.V, math.Float64frombits(bits))
+		prev = k
+	}
+	return into
 }
 
 // End closes the decode: bytes left over are a failure like any other (a

@@ -20,7 +20,9 @@ import (
 // store's delta file. A frame's checksum is computed only beside the one
 // frame walker (wal.DecodeFrames) and its two writers, and the retired
 // per-answer batch magic is spelled only where wire.go reads it: nothing
-// outside the tests writes a "DBB1" blob.
+// outside the tests writes a "DBB1" blob. The previous snapshot version is
+// spelled nowhere at all: an older file is refused at the magic, so it has
+// neither a reader nor a writer to name it.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(": {"internal/wal/cursor.go"},
@@ -29,6 +31,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		".Sync()":         {"internal/store/store.go", "internal/wal/atomic.go"},
 		"crc32.Checksum(": {"internal/wal/record.go"},
 		`"DBB1"`:          {"internal/wal/wire.go"},
+		"DOCSSNP3":        nil,
 	}
 	got := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
