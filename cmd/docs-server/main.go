@@ -27,7 +27,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	storePath := flag.String("store", "", "shared worker-statistics store (empty = <wal-dir>/store.json when -wal-dir is set, else memory-only)")
+	storePath := flag.String("store", "", "shared worker-statistics store: a log directory, created if missing (empty = <wal-dir>/store when -wal-dir is set, else memory-only)")
 	walDir := flag.String("wal-dir", "", "registry root directory: each campaign logs under <dir>/campaigns/<name> and is replayed on boot (empty = memory-only)")
 	walFsync := flag.Bool("wal-fsync", false, "fsync each campaign's WAL once per group-commit batch (survive power loss, not just process crashes)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "answers between full state snapshots per campaign; snapshots make restart cost proportional to the un-snapshotted WAL suffix (0 = default 5000, negative = never)")

@@ -65,9 +65,9 @@
 //
 // Two artifacts survive a restart. Config.StorePath keeps the long-run
 // per-worker statistics (the paper stores these in the system database so
-// returning workers keep their profile across requesters); it is written
-// as an atomically-replaced JSON file plus an append-only delta log,
-// so no crash window loses a merged session. Config.WALDir keeps the
+// returning workers keep their profile across requesters); it names a log
+// directory of the same write-ahead log a campaign uses, one fsynced record
+// per merged session, so no crash window loses one. Config.WALDir keeps the
 // campaign itself: every accepted publication and answer is appended to a
 // segmented, CRC-checked write-ahead log (package docs/internal/wal) with
 // group-commit batching, and New replays the log — the intact segment
@@ -105,8 +105,8 @@
 //	b, _ := reg.Campaign("product-labels") // same campaign, by name
 //
 // With Config.WALDir set, each campaign logs under its own namespace
-// (<dir>/campaigns/<name>) and the shared store persists at
-// <dir>/store.json; OpenRegistry recovers every campaign a previous
+// (<dir>/campaigns/<name>) and the shared store logs under <dir>/store;
+// OpenRegistry recovers every campaign a previous
 // process left behind. Archive ends a campaign for good; Close shuts the
 // whole registry down gracefully. See docs/multi-campaign.md.
 package docs
@@ -179,8 +179,9 @@ type Config struct {
 	// instead of the submitting goroutine; see the package comment for the
 	// staleness contract. Serving stays deterministic without it.
 	AsyncRerun bool
-	// StorePath persists worker statistics as JSON across campaigns
-	// (empty = memory-only).
+	// StorePath is the log directory that persists worker statistics
+	// across campaigns (empty = memory-only; the registry defaults it to
+	// <WALDir>/store).
 	StorePath string
 	// WALDir arms the write-ahead log: every accepted Publish/Submit is
 	// appended durably (group-commit batched), and New replays whatever a

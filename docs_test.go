@@ -233,7 +233,7 @@ func fullConfig(dir string) Config {
 	return Config{
 		GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2, AsyncRerun: true,
 		SnapshotEvery: 1, WALSyncEveryBatch: true, LeaseTTL: time.Minute,
-		WALDir: dir, StorePath: filepath.Join(dir, "workers.json"),
+		WALDir: dir, StorePath: filepath.Join(dir, "workers"),
 		MaxLiveCampaigns: 4, HibernateAfter: time.Hour,
 	}
 }

@@ -93,6 +93,7 @@ func runCampaign(n int, storePath string, workers []simWorker) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close() // releases the store's log for the next campaign
 	if err := sys.Publish(tasks); err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	storePath := filepath.Join(dir, "workers.json")
+	storePath := filepath.Join(dir, "store")
 
 	workers := []simWorker{{"ana"}, {"ben"}, {"cho"}, {"dee"}}
 	runCampaign(1, storePath, workers)

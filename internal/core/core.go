@@ -818,7 +818,7 @@ func (s *System) Result(taskID int) (choice int, confidence []float64) {
 // and returns the final result (slices aligned with InferTasks). Golden
 // tasks and the workers' golden answers participate as pinned evidence so
 // the quality scale stays anchored. It also merges each worker's session
-// statistics into the long-run store (Theorem 1) and saves the store.
+// statistics into the long-run store (Theorem 1), one durable record each.
 // Inference runs over a snapshot of the answer log, so submits continue
 // concurrently (answers arriving after the snapshot appear in the next
 // call).
@@ -842,9 +842,6 @@ func (s *System) Results() (*truth.Result, error) {
 		if err := s.store.Merge(w, st); err != nil {
 			return nil, err
 		}
-	}
-	if err := s.store.Save(); err != nil {
-		return nil, err
 	}
 	// Trim the golden entries so the result aligns with InferTasks.
 	n := len(inferTasks)
@@ -1098,10 +1095,10 @@ func (s *System) workerReady(workerID string, goldenList []*model.Task) (bool, e
 // Callers hold the worker's shard lock.
 //
 // The store merge is idempotent by profile ID (store.MergeProfile): the
-// live system applies it and fsyncs the delta; every replay of the same
-// gauntlet completion — crash recovery, every snapshot pass —
+// live system applies it and waits for its store record; every replay of
+// the same gauntlet completion — crash recovery, every snapshot pass —
 // finds the recorded ID and adopts the recorded post-merge anchor without
-// double-counting. When a crash lost the merge delta after the completing
+// double-counting. When a crash lost the merge record after the completing
 // answer became WAL-durable, the replay's MergeProfile finds no ID and
 // repairs the store bit-exactly (the worker's stored record is exactly as
 // it was before the lost merge, so the re-applied Theorem-1 fold produces

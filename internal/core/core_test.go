@@ -195,7 +195,7 @@ func TestEndToEndCampaign(t *testing.T) {
 
 func TestStorePersistsAcrossCampaigns(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "workers.json")
+	path := filepath.Join(dir, "store")
 	m := kb.MustDefault().Domains().Size()
 
 	st, err := store.Open(path, m)

@@ -425,7 +425,7 @@ func TestRecoveryDeterminism(t *testing.T) {
 // each profiled worker's statistics.
 func TestRecoveryDoesNotDoubleMergePersistentStore(t *testing.T) {
 	dir := t.TempDir()
-	storePath := filepath.Join(t.TempDir(), "store.json")
+	storePath := filepath.Join(t.TempDir(), "store")
 	newSys := func() *System {
 		st, err := store.Open(storePath, kb.MustDefault().Domains().Size())
 		if err != nil {

@@ -216,6 +216,10 @@ func (s *System) applyRecord(rec wal.Record) error {
 			return fmt.Errorf("seed record %d: %w", rec.Seq, err)
 		}
 		s.applySeed(rec.Worker, st, profiled)
+	case wal.KindStore:
+		// Only a worker store's log holds these: the directory is a store,
+		// not a campaign, and replaying it as one would serve nothing.
+		return fmt.Errorf("record %d is a worker-store update: this is a store log, not a campaign log", rec.Seq)
 	default:
 		return fmt.Errorf("record %d has unknown kind %d", rec.Seq, rec.Kind)
 	}
@@ -248,9 +252,6 @@ func answerBearing(k wal.Kind) bool { return k == wal.KindAnswer || k == wal.Kin
 // walCommit waits for a reservation's group-commit batch. A zero Pending
 // (no WAL) is a no-op.
 func (s *System) walCommit(p wal.Pending) error {
-	if p == (wal.Pending{}) {
-		return nil
-	}
 	if err := p.Wait(); err != nil {
 		// The mutation is already applied in memory; what failed is the
 		// durability promise. Surface it so the platform can stop acking.

@@ -10,6 +10,7 @@ import (
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/store"
+	"docs/internal/wal"
 )
 
 // This file is the live-vs-recovered acceptance harness for the durability
@@ -26,7 +27,7 @@ import (
 // persistent shared store, captures a byte-level image of the durable
 // files plus the live Fingerprint after EVERY acknowledged operation, and
 // then recovers every image — clean boundaries, synthesized torn final
-// frames, and store-delta loss — comparing fingerprints at float64-bit
+// frames, and a lost store record — comparing fingerprints at float64-bit
 // granularity. On failure it writes the bit-level diff report where
 // LIVE_DIFF_REPORT points (CI uploads it as an artifact).
 
@@ -34,41 +35,18 @@ import (
 // fingerprint and a full copy of the durable files at that instant.
 type liveCapture struct {
 	fp  string // live Fingerprint right after the op was acknowledged
-	dir string // copy of WAL dir (wal/) and store files (store.json[.delta])
+	dir string // copy of the WAL dir (wal/) and the store's log (store/)
 }
 
-// captureImage copies the campaign's durable files — WAL segments and the
-// shared store's checkpoint and delta log — into a fresh image directory.
-// The campaign is serial, so between acknowledged operations the files are
-// quiescent and a plain file copy IS the crash image a kill -9 would leave
-// at a clean boundary.
-func captureImage(t *testing.T, walDir, storePath, dst string) {
+// captureImage copies the campaign's durable files — its WAL segments and
+// the shared store's log — into a fresh image directory. The campaign is
+// serial, so between acknowledged operations the files are quiescent and a
+// plain file copy IS the crash image a kill -9 would leave at a clean
+// boundary.
+func captureImage(t *testing.T, walDir, storeDir, dst string) {
 	t.Helper()
-	if err := os.MkdirAll(filepath.Join(dst, "wal"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(walDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return
-		}
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		copyFile(t, filepath.Join(walDir, e.Name()), filepath.Join(dst, "wal", e.Name()))
-	}
-	for _, suffix := range []string{"", ".delta"} {
-		data, err := os.ReadFile(storePath + suffix)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, "store.json"+suffix), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyDir(t, walDir, filepath.Join(dst, "wal"))
+	copyDir(t, storeDir, filepath.Join(dst, "store"))
 }
 
 func copyFile(t *testing.T, src, dst string) {
@@ -82,11 +60,13 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// bootImage recovers a captured image with the same configuration the live
-// system ran, returning the recovered system (caller closes).
-func bootImage(t *testing.T, img string, cfg Config, m int) *System {
+// recoverImage recovers a captured image with the same configuration the
+// live system ran and returns the recovered fingerprint; the system and
+// its store are closed again, so a second boot of the image reads what the
+// first left behind.
+func recoverImage(t *testing.T, img string, cfg Config, m int) string {
 	t.Helper()
-	st, err := store.Open(filepath.Join(img, "store.json"), m)
+	st, err := store.Open(filepath.Join(img, "store"), m)
 	if err != nil {
 		t.Fatalf("boot %s: store: %v", img, err)
 	}
@@ -95,7 +75,14 @@ func bootImage(t *testing.T, img string, cfg Config, m int) *System {
 	if _, err := s.Recover(filepath.Join(img, "wal")); err != nil {
 		t.Fatalf("boot %s: %v", img, err)
 	}
-	return s
+	fp := s.Fingerprint()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return fp
 }
 
 // reportDiff writes the bit-level fingerprint diff where LIVE_DIFF_REPORT
@@ -170,7 +157,7 @@ func tornVariant(t *testing.T, prev, next, dst string, cut float64) bool {
 		if k >= frameLen {
 			k = frameLen - 1
 		}
-		// Image = previous capture + the partial frame. The store files come
+		// Image = previous capture + the partial frame. The store log comes
 		// from the PREVIOUS capture: the serving path acknowledges the WAL
 		// append before any store write, so "store ahead of a torn answer"
 		// cannot occur and "store behind" is the physical window.
@@ -189,18 +176,7 @@ func tornVariant(t *testing.T, prev, next, dst string, cut float64) bool {
 		if err := os.WriteFile(filepath.Join(captureless, e.Name()), torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, suffix := range []string{"", ".delta"} {
-			data, err := os.ReadFile(filepath.Join(prev, "store.json"+suffix))
-			if os.IsNotExist(err) {
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dst, "store.json"+suffix), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		copyDir(t, filepath.Join(prev, "store"), filepath.Join(dst, "store"))
 		return true
 	}
 	return false
@@ -210,13 +186,13 @@ func tornVariant(t *testing.T, prev, next, dst string, cut float64) bool {
 // acknowledged-operation boundary of a contested two-campaign run over a
 // shared persistent store is recovered and compared bit-for-bit against
 // the fingerprint the LIVE system had at that exact moment — clean
-// boundaries, torn final frames, and a lost store delta. The second
+// boundaries, torn final frames, and a lost store record. The second
 // campaign starts workers from the store (the seed path whose re-reading
 // caused the historical ~1e-7 drift), so the suite fails loudly if seeds
 // ever go back to being re-derived instead of restored.
 func TestLiveVsRecoveredExact(t *testing.T) {
 	root := t.TempDir()
-	storePath := filepath.Join(root, "store.json")
+	storePath := filepath.Join(root, "store")
 
 	probe := newSystem(t, Config{GoldenCount: -1})
 	m := probe.Domains().Size()
@@ -227,6 +203,7 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 
 	baseCfg := func(scope string) Config {
 		return Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
@@ -314,12 +291,7 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 	// Clean boundaries: every image recovers to the live fingerprint.
 	for _, run := range runs {
 		for i := run.first; i < run.last; i++ {
-			s := bootImage(t, captures[i].dir, run.cfg, m)
-			got := s.Fingerprint()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got != captures[i].fp {
+			if got := recoverImage(t, captures[i].dir, run.cfg, m); got != captures[i].fp {
 				t.Fatalf("capture %d: recovered != live\n%s",
 					i, reportDiff(t, fmt.Sprintf("clean-%03d", i), got, captures[i].fp))
 			}
@@ -337,12 +309,7 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 				continue
 			}
 			torn++
-			s := bootImage(t, dst, run.cfg, m)
-			got := s.Fingerprint()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got != captures[i].fp {
+			if got := recoverImage(t, dst, run.cfg, m); got != captures[i].fp {
 				t.Fatalf("torn variant after capture %d: recovered != live\n%s",
 					i, reportDiff(t, fmt.Sprintf("torn-%03d", i), got, captures[i].fp))
 			}
@@ -353,16 +320,41 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 	}
 }
 
+// dropLastRecord cuts a log's final record off its last segment, located
+// by wal.ScanSegment's frame offsets: the image of a crash that took the
+// record's write but nothing before it.
+func dropLastRecord(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (%v)", dir, err)
+	}
+	last := segs[len(segs)-1] // zero-padded hex: lexicographic == sequence order
+	cut := int64(-1)
+	if err := wal.ScanSegment(last, func(_ wal.Record, start, _ int64) error {
+		cut = start
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if cut < 0 {
+		t.Fatalf("%s holds no record to drop", last)
+	}
+	if err := os.Truncate(last, cut); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLostStoreDeltaRepairedExact pins the closed lost-merge window at the
-// core level: a profiling merge whose store delta never reached disk (the
-// WAL-committed gauntlet answers survive, the delta log loses its final
+// core level: a profiling merge whose store record never reached disk (the
+// WAL-committed gauntlet answers survive, the store log loses its final
 // record) must be REPAIRED by replay — the recovered system, including the
 // shared store, is bit-identical to the live pre-crash system. A second
 // recovery of the repaired image must reproduce the first bit-for-bit
 // (recovery determinism).
 func TestLostStoreDeltaRepairedExact(t *testing.T) {
 	root := t.TempDir()
-	storePath := filepath.Join(root, "store.json")
+	storePath := filepath.Join(root, "store")
 	walDir := filepath.Join(root, "wal")
 
 	probe := newSystem(t, Config{GoldenCount: -1})
@@ -374,6 +366,7 @@ func TestLostStoreDeltaRepairedExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
 		SnapshotEvery: -1, WALSegmentBytes: 1 << 10,
 		ProfileScope: "camp", Store: st}
@@ -390,23 +383,20 @@ func TestLostStoreDeltaRepairedExact(t *testing.T) {
 	}
 	// Drive two workers through their gauntlets plus some contested
 	// traffic, capturing the live state right after each profiling merge
-	// lands in the store delta log.
+	// lands in the store log.
 	type mergePoint struct {
 		fp  string
 		dir string
 	}
 	var merges []mergePoint
-	deltaLen := func() int {
-		data, err := os.ReadFile(storePath + ".delta")
-		if os.IsNotExist(err) {
-			return 0
-		}
+	storeTail := func() uint64 {
+		seq, err := wal.TailSeq(storePath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(data)
+		return seq
 	}
-	prevDelta := 0
+	prevTail := uint64(0)
 	r := mathx.NewRand(7)
 	for i := 0; ; i++ {
 		w := fmt.Sprintf("w%d", i%5)
@@ -427,8 +417,8 @@ func TestLostStoreDeltaRepairedExact(t *testing.T) {
 			if err := s.Submit(w, tk.ID, c); err != nil {
 				t.Fatal(err)
 			}
-			if n := deltaLen(); n > prevDelta {
-				prevDelta = n
+			if n := storeTail(); n > prevTail {
+				prevTail = n
 				dir := filepath.Join(root, "merge", fmt.Sprintf("%02d", len(merges)))
 				captureImage(t, walDir, storePath, dir)
 				merges = append(merges, mergePoint{fp: s.Fingerprint(), dir: dir})
@@ -443,41 +433,19 @@ func TestLostStoreDeltaRepairedExact(t *testing.T) {
 	}
 
 	for i, mp := range merges {
-		// Drop the delta log's final frame — the merge that just landed.
-		deltaPath := filepath.Join(mp.dir, "store.json.delta")
-		data, err := os.ReadFile(deltaPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spans := frameSpans(data)
-		if len(spans) == 0 {
-			t.Fatalf("merge %d: no delta frames", i)
-		}
-		last := spans[len(spans)-1]
-		if err := os.WriteFile(deltaPath, data[:last[0]], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		// Drop the store log's final record — the merge that just landed.
+		dropLastRecord(t, filepath.Join(mp.dir, "store"))
 
-		boot := bootImage(t, mp.dir, cfg, m)
-		got := boot.Fingerprint()
-		if err := boot.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got != mp.fp {
+		if got := recoverImage(t, mp.dir, cfg, m); got != mp.fp {
 			t.Fatalf("merge %d: repaired recovery != live\n%s",
 				i, reportDiff(t, fmt.Sprintf("lostdelta-%02d", i), got, mp.fp))
 		}
 
 		// Recovery determinism: the first boot repaired the image on disk;
 		// a second boot must land on the identical bits.
-		again := bootImage(t, mp.dir, cfg, m)
-		got2 := again.Fingerprint()
-		if err := again.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got2 != got {
+		if got2 := recoverImage(t, mp.dir, cfg, m); got2 != mp.fp {
 			t.Fatalf("merge %d: second recovery != first\n%s",
-				i, reportDiff(t, fmt.Sprintf("redo-%02d", i), got2, got))
+				i, reportDiff(t, fmt.Sprintf("redo-%02d", i), got2, mp.fp))
 		}
 	}
 }

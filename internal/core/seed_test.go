@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"docs/internal/model"
 	"docs/internal/snapshot"
+	"docs/internal/store"
 	"docs/internal/truth"
 	"docs/internal/wal"
 )
@@ -104,7 +106,48 @@ func FuzzSeedDecode(f *testing.F) {
 	})
 }
 
-// TestOverlongVarintRejectedByEveryDecoder hands each of the five binary
+// storeUpdateCodec returns the KindStore blob a store over 3 domains logs
+// for one profiling merge, and a decoder for such blobs reached the way
+// every store reaches it: the blob is logged as the only record of a fresh
+// store log, and a store is opened over it.
+func storeUpdateCodec(t *testing.T) ([]byte, func([]byte) error) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := store.Open(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.MergeProfile("camp/w", "w", sampleSeed()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	if _, err := wal.Replay(dir, func(rec wal.Record) error { blob = rec.Blob; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return blob, func(b []byte) error {
+		dir := filepath.Join(t.TempDir(), "store")
+		log, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(wal.Record{Kind: wal.KindStore, Worker: "w", Blob: b}); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(dir, 3)
+		if err == nil {
+			st.Close()
+		}
+		return err
+	}
+}
+
+// TestOverlongVarintRejectedByEveryDecoder hands each of the six binary
 // decoders (the batch decoder under both of its magics) a valid input whose
 // first varint has been re-encoded one byte too long — same value, second
 // spelling — and expects as many rejections: they all read through the one
@@ -130,6 +173,7 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storeBlob, decodeStore := storeUpdateCodec(t)
 	const snapHeader = len("DOCSSNP3") + 8 // magic, then the frame's length and CRC
 	reframe := func(payload []byte) []byte { return wal.EncodeFrame([]byte("DOCSSNP3"), payload) }
 	for name, tc := range map[string]struct {
@@ -145,6 +189,7 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 			func(b []byte) error { _, err := wal.DecodeBatch(b); return err }},
 		"KindSeed blob": {encodeSeed(sampleSeed(), false), overlong(encodeSeed(sampleSeed(), false), 0), // m
 			func(b []byte) error { _, _, err := decodeSeed(b, 3); return err }},
+		"KindStore blob": {storeBlob, overlong(storeBlob, 0), decodeStore}, // m
 		"DPB1 publication": {mustEncodePublication(t, sampleTasks(), 4), overlong(mustEncodePublication(t, sampleTasks(), 4), len(publicationMagic)), // m
 			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
 		"DOCSSNP3 snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq

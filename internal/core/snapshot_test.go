@@ -547,10 +547,13 @@ func TestSnapshotWorkerIntegration(t *testing.T) {
 	}
 }
 
-// copyDir copies every regular file in src into dst (flat — WAL dirs hold
-// no subdirectories).
+// copyDir copies every regular file in src into dst, creating it (flat —
+// WAL dirs hold no subdirectories).
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)

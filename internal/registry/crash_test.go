@@ -1,9 +1,7 @@
 package registry
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -152,6 +150,31 @@ func segmentSpans(t *testing.T, dir string) map[uint64]frameSpan {
 	return spans
 }
 
+// dropLastRecord cuts a log's final record off its last segment, located
+// by wal.ScanSegment's frame offsets: the image of a crash that took the
+// record's write but nothing before it.
+func dropLastRecord(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (%v)", dir, err)
+	}
+	last := segs[len(segs)-1] // zero-padded hex: lexicographic == sequence order
+	cut := int64(-1)
+	if err := wal.ScanSegment(last, func(_ wal.Record, start, _ int64) error {
+		cut = start
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if cut < 0 {
+		t.Fatalf("%s holds no record to drop", last)
+	}
+	if err := os.Truncate(last, cut); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // buildCrashCampaign writes the crash image of one campaign's WAL
 // namespace into dst: segments up to the cut survive (the one holding the
 // cut truncated, optionally tornBytes into the next frame), later segments
@@ -211,21 +234,6 @@ func buildCrashCampaign(t *testing.T, srcDir, dst string, recs []wal.Record, spa
 	}
 }
 
-// copyFileIfExists copies src to dst, tolerating a missing src.
-func copyFileIfExists(t *testing.T, src, dst string) {
-	t.Helper()
-	data, err := os.ReadFile(src)
-	if errors.Is(err, fs.ErrNotExist) {
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // storePrint fingerprints a store's full contents — worker records and the
 // merge-once profile ledger — with float64 bits.
 func storePrint(st *store.Store) string {
@@ -259,16 +267,15 @@ func storePrint(st *store.Store) string {
 }
 
 // referenceSystem builds the serial reference for one campaign at one kill
-// point: a fresh core.System over its own copy of the crashed store file,
+// point: a fresh core.System over its own copy of the crashed store log,
 // recovering a fabricated log that holds exactly the surviving records.
 // Recovery replays them through the ordinary serial Publish/Submit path —
 // the exact definition of the campaign's canonical state.
 func referenceSystem(t *testing.T, scope string, recs []wal.Record, storeSrc string, m int) (*core.System, *store.Store) {
 	t.Helper()
 	refRoot := t.TempDir()
-	storePath := filepath.Join(refRoot, "store.json")
-	copyFileIfExists(t, storeSrc, storePath)
-	copyFileIfExists(t, storeSrc+".delta", storePath+".delta")
+	storePath := filepath.Join(refRoot, storeDir)
+	copyTree(t, storeSrc, storePath)
 	st, err := store.Open(storePath, m)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +354,7 @@ func TestMultiCampaignCrashRecoveryExact(t *testing.T) {
 		}
 		spans[name] = segmentSpans(t, dir)
 	}
-	storeSrc := filepath.Join(root, storeFile)
+	storeSrc := filepath.Join(root, storeDir)
 
 	r := mathx.NewRand(7)
 	type cut struct {
@@ -376,8 +383,7 @@ func TestMultiCampaignCrashRecoveryExact(t *testing.T) {
 			}
 		}
 		crashRoot := t.TempDir()
-		copyFileIfExists(t, storeSrc, filepath.Join(crashRoot, storeFile))
-		copyFileIfExists(t, storeSrc+".delta", filepath.Join(crashRoot, storeFile+".delta"))
+		copyTree(t, storeSrc, filepath.Join(crashRoot, storeDir))
 		for _, name := range names {
 			buildCrashCampaign(t, filepath.Join(root, campaignsDir, name),
 				filepath.Join(crashRoot, campaignsDir, name),
@@ -437,7 +443,7 @@ func TestMultiCampaignCrashRecoveryExact(t *testing.T) {
 // the store, and a crash in between used to lose exactly that one merge
 // (the old "bounded loss" carve-out). Since the merge-once profile ledger,
 // replaying the gauntlet REPAIRS the store: the profile ID is absent from
-// the truncated delta log, so replay re-applies the identical merge onto
+// the truncated store log, so replay re-applies the identical merge onto
 // the identical prior record and the repaired store is bit-equal to the
 // live pre-crash store. A later campaign sees the worker and serves them
 // regular tasks — no gauntlet re-run, no loss at all.
@@ -475,42 +481,12 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash image: the full campaign WAL, but the store's delta log loses
-	// its final record — the worker's profiling merge.
+	// Crash image: the full campaign WAL, but the store's log loses its
+	// final record — the worker's profiling merge.
 	crashRoot := t.TempDir()
-	srcDir := filepath.Join(root, campaignsDir, "solo")
-	dstDir := filepath.Join(crashRoot, campaignsDir, "solo")
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		copyFileIfExists(t, filepath.Join(srcDir, e.Name()), filepath.Join(dstDir, e.Name()))
-	}
-	deltaData, err := os.ReadFile(filepath.Join(root, storeFile+".delta"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payloads [][]byte
-	if _, err := wal.DecodeFrames(deltaData, func(p []byte) error {
-		payloads = append(payloads, append([]byte(nil), p...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(payloads) == 0 {
-		t.Fatal("no store deltas logged — profiling never merged?")
-	}
-	var truncated []byte
-	for _, p := range payloads[:len(payloads)-1] {
-		truncated = wal.EncodeFrame(truncated, p)
-	}
-	if err := os.WriteFile(filepath.Join(crashRoot, storeFile+".delta"), truncated, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	copyTree(t, filepath.Join(root, campaignsDir, "solo"), filepath.Join(crashRoot, campaignsDir, "solo"))
+	copyTree(t, filepath.Join(root, storeDir), filepath.Join(crashRoot, storeDir))
+	dropLastRecord(t, filepath.Join(crashRoot, storeDir))
 
 	booted, err := Open(crashConfig(crashRoot))
 	if err != nil {
@@ -525,7 +501,7 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 		t.Fatalf("recovered %d answers, want %d", got, answers)
 	}
 	if _, ok := booted.Store().Worker("w"); !ok {
-		t.Fatal("store forgot the worker — replay did not repair the dropped merge delta")
+		t.Fatal("store forgot the worker — replay did not repair the dropped merge record")
 	}
 	if got := storePrint(booted.Store()); got != liveStore {
 		t.Fatalf("repaired store differs from live pre-crash store\nrepaired: %.300s\nlive:     %.300s", got, liveStore)

@@ -217,7 +217,7 @@ func (f *hibernateCrashFixture) bootAndCheck(t *testing.T, label, crashRoot stri
 			t.Fatalf("%s: %d wakes, want 1", label, total)
 		}
 	}
-	ref, refStore := referenceSystem(t, "solo", f.recs, filepath.Join(f.root, storeFile), f.m)
+	ref, refStore := referenceSystem(t, "solo", f.recs, filepath.Join(f.root, storeDir), f.m)
 	defer refStore.Close()
 	defer ref.Close()
 	if got, want := sys.Fingerprint(), ref.Fingerprint(); got != want {
@@ -359,8 +359,7 @@ func TestHibernateCrashMidLogTear(t *testing.T) {
 	surviving := len(f.recs) - 2
 
 	crashRoot := t.TempDir()
-	copyFileIfExists(t, filepath.Join(f.root, storeFile), filepath.Join(crashRoot, storeFile))
-	copyFileIfExists(t, filepath.Join(f.root, storeFile+".delta"), filepath.Join(crashRoot, storeFile+".delta"))
+	copyTree(t, filepath.Join(f.root, storeDir), filepath.Join(crashRoot, storeDir))
 	dst := filepath.Join(crashRoot, campaignsDir, "solo")
 	buildCrashCampaign(t, f.dir, dst, f.recs, spans, surviving, 5)
 	// Stale snapshot from the first hibernate: it covers a prefix of the
@@ -389,7 +388,7 @@ func TestHibernateCrashMidLogTear(t *testing.T) {
 	if info.Records != surviving-f.staleSeq {
 		t.Fatalf("replayed %d records, want the %d-record suffix", info.Records, surviving-f.staleSeq)
 	}
-	ref, refStore := referenceSystem(t, "solo", f.recs[:surviving], filepath.Join(f.root, storeFile), f.m)
+	ref, refStore := referenceSystem(t, "solo", f.recs[:surviving], filepath.Join(f.root, storeDir), f.m)
 	defer refStore.Close()
 	defer ref.Close()
 	if got, want := sys.Fingerprint(), ref.Fingerprint(); got != want {

@@ -79,7 +79,10 @@ func TestEvictionIOLedger(t *testing.T) {
 
 				{"create a second campaign", 2, 0, func() error { _, err := reg.Create("busy"); return err }},
 				{"publish it", policy.perRecord, 0, publish("busy")},
-				{"profile a worker there", 4 * policy.perRecord, 0, func() error {
+				// four campaign records, and the profiling merge's record in
+				// the store log, which fsyncs every record whatever the
+				// campaign's policy
+				{"profile a worker there", 4*policy.perRecord + 1, 0, func() error {
 					sys, err := reg.Get("busy")
 					if err == nil {
 						profile(t, sys, "w0")

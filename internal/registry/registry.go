@@ -12,9 +12,12 @@
 //
 // A registry opened with a WAL root owns that directory:
 //
-//	<root>/store.json         shared worker store (base file + .delta log)
+//	<root>/store/             shared worker store (its own log of KindStore records)
 //	<root>/campaigns/<name>/  one WAL namespace per campaign
 //	<root>/campaigns/<name>/archived   marker: campaign closed for good
+//
+// A root still holding a store.json or store.json.delta — the JSON store
+// older versions kept — is refused at Open: nothing reads that format.
 //
 // Open enumerates <root>/campaigns and recovers every non-archived
 // campaign through core.Recover before serving. Replay order across
@@ -24,7 +27,7 @@
 // name), which are idempotent and campaign-local, and every other store
 // read a campaign ever made is restored from its own log's seed records
 // rather than re-read. Each campaign's recovered state is therefore a pure
-// function of its own log plus the store file — the multi-campaign crash
+// function of its own log plus the store log — the multi-campaign crash
 // suite asserts exactly that, campaign by campaign, against serial
 // references, and the live-vs-recovered suite asserts it against the
 // pre-kill live system.
@@ -101,9 +104,9 @@ const campaignsDir = "campaigns"
 // marks it archived; boots list but do not replay it.
 const archivedMarker = "archived"
 
-// storeFile is the shared worker store's default location under the WAL
+// storeDir is the shared worker store's default log directory under the WAL
 // root.
-const storeFile = "store.json"
+const storeDir = "store"
 
 // wakeWindow bounds the ring of recent wake latencies behind WakeStats.
 const wakeWindow = 512
@@ -116,9 +119,9 @@ type Config struct {
 	// previous process left there. Empty keeps the whole registry
 	// memory-only (campaigns are not durable and vanish with the process).
 	WALDir string
-	// StorePath is the shared worker store's location. Empty selects
-	// <WALDir>/store.json when WALDir is set (recovery correctness wants
-	// the store persistent — see the package comment), else memory-only.
+	// StorePath is the shared worker store's log directory. Empty selects
+	// <WALDir>/store when WALDir is set (recovery correctness wants the
+	// store persistent — see the package comment), else memory-only.
 	StorePath string
 
 	// MaxLiveCampaigns caps how many campaigns are resident (live) at
@@ -276,15 +279,17 @@ func Open(cfg Config) (*Registry, error) {
 		cfg.Campaign.KB = k
 	}
 	path := cfg.StorePath
-	if path == "" && cfg.WALDir != "" {
-		// Default the shared store next to the campaign logs: recovery
-		// exactness depends on the store being persistent (replay then
-		// never mutates it), so a durable registry gets a durable store.
-		path = filepath.Join(cfg.WALDir, storeFile)
-	}
-	if path != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return nil, fmt.Errorf("registry: %w", err)
+	if cfg.WALDir != "" {
+		for _, name := range []string{"store.json", "store.json.delta"} { // the retired JSON store
+			if _, err := os.Lstat(filepath.Join(cfg.WALDir, name)); err == nil {
+				return nil, fmt.Errorf("registry: %s holds %s, a worker store in the retired JSON format, which this version cannot read", cfg.WALDir, name)
+			}
+		}
+		if path == "" {
+			// Default the shared store next to the campaign logs: recovery
+			// exactness depends on the store being persistent (replay then
+			// never mutates it), so a durable registry gets a durable store.
+			path = filepath.Join(cfg.WALDir, storeDir)
 		}
 	}
 	st, err := store.Open(path, cfg.Campaign.KB.Domains().Size())
@@ -470,21 +475,9 @@ func (r *Registry) Create(name string) (*core.System, error) {
 			return nil, fmt.Errorf("%w: %q (collides with %q)", ErrExists, name, existing)
 		}
 	}
-	dir := r.dir(name)
-	if dir != "" {
-		// The WAL fsyncs dir for its segment; the entry for dir itself lives
-		// in the parent, and without it a power loss after an acknowledged
-		// publish takes the whole campaign.
-		err := os.MkdirAll(dir, 0o755)
-		if err == nil {
-			err = wal.SyncDir(filepath.Dir(dir))
-		}
-		if err != nil {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("registry: %w", err)
-		}
-	}
-	sys, recovered, err := r.openCampaign(name, dir)
+	// The campaign's directory is created, parent entry fsynced, by the
+	// WAL its Recover opens.
+	sys, recovered, err := r.openCampaign(name, r.dir(name))
 	if err != nil {
 		r.mu.Unlock()
 		return nil, err

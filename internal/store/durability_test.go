@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"docs/internal/truth"
+	"docs/internal/wal"
 )
 
 func mkStats(m int, base float64) *truth.Stats {
@@ -20,7 +21,7 @@ func mkStats(m int, base float64) *truth.Stats {
 }
 
 func statsEqual(a, b *truth.Stats) bool {
-	if len(a.Q) != len(b.Q) || len(a.U) != len(b.U) {
+	if a == nil || b == nil || len(a.Q) != len(b.Q) || len(a.U) != len(b.U) {
 		return false
 	}
 	for k := range a.Q {
@@ -32,12 +33,31 @@ func statsEqual(a, b *truth.Stats) bool {
 	return true
 }
 
-// TestDeltaDurabilityWithoutSave is the point of checkpoint-plus-delta:
-// updates that returned success survive a crash even when Save never ran.
-// (The seed's whole-file-on-Save design lost everything since the last
-// Save.)
+// segment returns the path of the store log's one segment (the log rotates
+// at 8 MiB; no test here comes near it).
+func segment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("store log %s holds segments %v (%v), want one", dir, segs, err)
+	}
+	return segs[0]
+}
+
+// records counts the store log's intact records.
+func records(t *testing.T, dir string) int {
+	t.Helper()
+	st, err := wal.Replay(dir, func(wal.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Records
+}
+
+// TestDeltaDurabilityWithoutSave: an update that returned success is on
+// disk — a process that just stops, without a Close, loses none of them.
 func TestDeltaDurabilityWithoutSave(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +73,7 @@ func TestDeltaDurabilityWithoutSave(t *testing.T) {
 	}
 	want1, _ := s.Worker("w1")
 	want2, _ := s.Worker("w2")
-	// No Save, no Close: the "crashed" process just stops. Reopen.
+	// No Close: the "crashed" process just stops. Reopen.
 	s2, err := Open(path, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -61,14 +81,14 @@ func TestDeltaDurabilityWithoutSave(t *testing.T) {
 	got1, ok1 := s2.Worker("w1")
 	got2, ok2 := s2.Worker("w2")
 	if !ok1 || !ok2 || !statsEqual(got1, want1) || !statsEqual(got2, want2) {
-		t.Fatal("unsaved updates did not survive reopen")
+		t.Fatal("acknowledged updates did not survive reopen")
 	}
 }
 
 // TestTornDeltaTailTolerated simulates a crash mid-append: the torn final
 // record is dropped, everything before it survives.
 func TestTornDeltaTailTolerated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -80,32 +100,34 @@ func TestTornDeltaTailTolerated(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path + ".delta")
+	seg := segment(t, path)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Append half of a duplicate record — a torn write.
-	if err := os.WriteFile(path+".delta", append(data, data[:len(data)/2]...), 0o644); err != nil {
+	if err := os.WriteFile(seg, append(data, data[:len(data)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.Close()
 	got, ok := s2.Worker("w1")
 	if !ok || !statsEqual(got, want) {
 		t.Fatal("intact prefix lost after torn tail")
 	}
 }
 
-// TestTornDeltaTailThenAppendBoots: a boot that tolerates a torn final
-// delta must also cut it off, or the frames appended behind it complete the
-// torn header's declared length and the boot after that reads a CRC
-// mismatch mid-file and refuses. Two acknowledged merges, a third append
-// cut 5 bytes short (a crash mid-append, never acknowledged), reopen, two
-// more merges, reopen: all four acknowledged merges are there.
+// TestTornDeltaTailThenAppendBoots: the log's torn-tail rule — a boot that
+// tolerates a torn final record also cuts it off, so records appended
+// behind it never complete the torn header's declared length. Two
+// acknowledged merges, a third append cut 5 bytes short (a crash
+// mid-append, never acknowledged), reopen, two more merges, reopen: all
+// four acknowledged merges are there.
 func TestTornDeltaTailThenAppendBoots(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	merge := func(s *Store, ids ...string) {
 		t.Helper()
 		for i, id := range ids {
@@ -122,11 +144,12 @@ func TestTornDeltaTailThenAppendBoots(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := os.Stat(path + ".delta")
+	seg := segment(t, path)
+	st, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path+".delta", st.Size()-5); err != nil {
+	if err := os.Truncate(seg, st.Size()-5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -160,13 +183,14 @@ func TestTornDeltaTailThenAppendBoots(t *testing.T) {
 	}
 }
 
-// TestCrashMidSaveKeepsOldCheckpoint: Save goes through a temp file and an
-// atomic rename, so a copy of the state mid-write (the temp file) never
-// masks the real checkpoint, a straggler temp file is ignored by Open, and
-// the next Save reuses its fixed name instead of leaving it behind forever.
+// TestCrashMidSaveKeepsOldCheckpoint: the store writes no file beside its
+// log — no checkpoint, no temp — so the only thing a crash can leave
+// half-written is the log's tail. After a life of updates and reopens the
+// directory holds segments alone, and a crash that tore the very first
+// record a fresh store ever wrote reopens to an empty store that takes
+// updates again.
 func TestCrashMidSaveKeepsOldCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -174,45 +198,50 @@ func TestCrashMidSaveKeepsOldCheckpoint(t *testing.T) {
 	if err := s.Merge("w1", mkStats(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := s.Worker("w1")
-	// Simulate a crash mid-save: a partially-written temp file next to the
-	// checkpoint (the rename never happened).
-	if err := os.WriteFile(path+".tmp", []byte(`{"m":2,"wor`), 0o644); err != nil {
+	seg := segment(t, path)
+	if err := os.Truncate(seg, 3); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(path, 2)
 	if err != nil {
+		t.Fatalf("boot over a torn first record: %v", err)
+	}
+	if s2.Len() != 0 {
+		t.Fatalf("the torn, never-acknowledged record left %d workers", s2.Len())
+	}
+	if err := s2.Put("w2", mkStats(2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Worker("w1")
-	if !ok || !statsEqual(got, want) {
-		t.Fatal("checkpoint lost to a crashed save")
-	}
-	if err := s2.Save(); err != nil {
+	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
+	s3, err := Open(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if ids := s3.Workers(); len(ids) != 1 || ids[0] != "w2" {
+		t.Fatalf("workers after the torn first record = %v, want [w2]", ids)
+	}
+	entries, err := os.ReadDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if n := e.Name(); n != "store.json" && n != "store.json.delta" {
-			t.Fatalf("stray file %q beside the checkpoint after a Save", n)
+		if !strings.HasSuffix(e.Name(), ".wal") {
+			t.Fatalf("stray file %q beside the store log", e.Name())
 		}
 	}
 }
 
-// TestFailedSaveLosesNothing: a Save whose checkpoint cannot be replaced
-// (the rename is refused: a non-empty directory sits at the path) returns
-// the error, strands no temp file, and leaves the delta log whole — so
-// every update from before and after the failure is there at the next Open,
-// and the next Save that can succeed does.
+// TestFailedSaveLosesNothing: an update the log refuses — here a record
+// past wal.MaxPayload — returns the error and changes nothing, in memory or
+// on disk; the updates on either side of it are all there at the next Open.
 func TestFailedSaveLosesNothing(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -220,48 +249,39 @@ func TestFailedSaveLosesNothing(t *testing.T) {
 	if err := s.Merge("w1", mkStats(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(path, "in-the-way"), 0o755); err != nil {
-		t.Fatal(err)
+	huge := strings.Repeat("w", wal.MaxPayload)
+	if err := s.Merge(huge, mkStats(2, 5)); err == nil {
+		t.Fatal("a record past MaxPayload reported success")
 	}
-	if err := s.Save(); err == nil {
-		t.Fatal("Save over a non-empty directory reported success")
+	if _, _, err := s.MergeProfile("camp/"+huge, huge, mkStats(2, 5)); err == nil {
+		t.Fatal("a profile record past MaxPayload reported success")
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("the failed Save left its temp file behind (stat error: %v)", err)
-	}
-	if err := os.RemoveAll(path); err != nil {
-		t.Fatal(err)
+	if _, ok := s.Worker(huge); ok || len(s.ProfileIDs()) != 0 {
+		t.Fatal("a refused update changed the store in memory")
 	}
 	if err := s.Merge("w2", mkStats(2, 5)); err != nil {
 		t.Fatal(err)
 	}
 	want1, _ := s.Worker("w1")
 	want2, _ := s.Worker("w2")
-	check := func(when string) {
-		t.Helper()
-		s2, err := Open(path, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s2.Close()
-		got1, ok1 := s2.Worker("w1")
-		got2, ok2 := s2.Worker("w2")
-		if !ok1 || !ok2 || !statsEqual(got1, want1) || !statsEqual(got2, want2) {
-			t.Fatalf("%s: an update made around the failed Save is gone or doubled", when)
-		}
-	}
-	check("reopened from the delta log alone")
-	if err := s.Save(); err != nil {
+	s2, err := Open(path, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("reopened from the retried checkpoint")
+	defer s2.Close()
+	got1, ok1 := s2.Worker("w1")
+	got2, ok2 := s2.Worker("w2")
+	if !ok1 || !ok2 || !statsEqual(got1, want1) || !statsEqual(got2, want2) || s2.Len() != 2 {
+		t.Fatal("an update made around the refused one is gone, doubled, or joined by it")
+	}
 }
 
-// TestStaleDeltasNotReappliedAfterSave covers the crash window between the
-// checkpoint rename and the delta-log reset: deltas already folded into
-// the checkpoint must not double-apply (Merge is not idempotent).
+// TestStaleDeltasNotReappliedAfterSave: a Merge is not idempotent, so each
+// record must apply exactly once however often the log is reopened — two
+// reopens in a row land on the same bits, and a merge made after them
+// applies once more and no more.
 func TestStaleDeltasNotReappliedAfterSave(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -269,48 +289,47 @@ func TestStaleDeltasNotReappliedAfterSave(t *testing.T) {
 	if err := s.Merge("w1", mkStats(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	stale, err := os.ReadFile(path + ".delta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
 	want, _ := s.Worker("w1")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Crash restored the world to: new checkpoint + old (pre-save) deltas.
-	if err := os.WriteFile(path+".delta", stale, 0o644); err != nil {
-		t.Fatal(err)
+	for reopen := 1; reopen <= 2; reopen++ {
+		s2, err := Open(path, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s2.Worker("w1"); !ok || !statsEqual(got, want) {
+			t.Fatalf("reopen %d: a merge was applied again", reopen)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s2, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s2.Worker("w1")
-	if !ok || !statsEqual(got, want) {
-		t.Fatal("stale delta re-applied on top of the checkpoint that folded it in")
-	}
-	// And new deltas after the reopened Save generation still apply.
-	if err := s2.Merge("w1", mkStats(2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	want2, _ := s2.Worker("w1")
 	s3, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, _ := s3.Worker("w1")
-	if !statsEqual(got2, want2) {
-		t.Fatal("post-save delta lost")
+	if err := s3.Merge("w1", mkStats(2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want2, _ := s3.Worker("w1")
+	if err := s3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s4, err := Open(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s4.Close()
+	if got2, _ := s4.Worker("w1"); !statsEqual(got2, want2) {
+		t.Fatal("the merge after the reopens was lost or doubled")
 	}
 }
 
 // TestDeltaMidFileCorruptionRejected: torn-tail tolerance must not mask a
 // rotted record with valid data after it.
 func TestDeltaMidFileCorruptionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -324,12 +343,13 @@ func TestDeltaMidFileCorruptionRejected(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path + ".delta")
+	seg := segment(t, path)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[12] ^= 0xff // inside the first record's payload
-	if err := os.WriteFile(path+".delta", data, 0o644); err != nil {
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// The flip breaks the first frame's CRC while all its bytes are
@@ -337,34 +357,33 @@ func TestDeltaMidFileCorruptionRejected(t *testing.T) {
 	// valid second record behind it would lose acknowledged state. Open
 	// must refuse.
 	if _, err := Open(path, 2); err == nil {
-		t.Fatal("mid-file delta corruption accepted")
+		t.Fatal("mid-file corruption accepted")
 	}
 }
 
-// TestSaveResetsDeltaLog: after Save the delta file is empty, so replay
-// cost does not grow without bound.
+// TestSaveResetsDeltaLog: the log holds one record per update and nothing
+// else — no checkpoint to reset, no record for a read or for a profiling
+// merge replayed under an ID the store already holds.
 func TestSaveResetsDeltaLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	for i := 0; i < 5; i++ {
 		if err := s.Merge("w", mkStats(2, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if fi, err := os.Stat(path + ".delta"); err != nil || fi.Size() == 0 {
-		t.Fatalf("delta log missing or empty before save: %v", err)
+	for i := 0; i < 3; i++ {
+		if _, _, err := s.MergeProfile("camp/w", "w", mkStats(2, 1)); err != nil {
+			t.Fatal(err)
+		}
+		s.Worker("w")
+		s.ProfileAnchor("camp/w")
 	}
-	if err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(path + ".delta"); err != nil || fi.Size() != 0 {
-		t.Fatalf("delta log not reset by save (size %d, err %v)", fi.Size(), err)
-	}
-	// The checkpoint alone now carries the state.
-	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), `"w"`) {
-		t.Fatalf("checkpoint missing merged worker: %v", err)
+	if got := records(t, path); got != 6 {
+		t.Fatalf("the log holds %d records, want 6 (five merges, one profile)", got)
 	}
 }

@@ -1,0 +1,80 @@
+package store
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
+	"docs/internal/truth"
+	"docs/internal/wal"
+)
+
+// The update ops a record can carry.
+const (
+	opPut     byte = 1 // overwrite the worker's record
+	opMerge   byte = 2 // fold a session in (Theorem 1)
+	opProfile byte = 3 // opMerge, and record the result under a profile ID
+)
+
+// update is one Put, Merge or MergeProfile: what a KindStore record holds.
+type update struct {
+	op      byte
+	id, pid string // worker; profile ID (opProfile only)
+	st      *truth.Stats
+}
+
+// encodeUpdate renders the record's blob (the worker is the record's
+// Worker field):
+//
+//	m uvarint | op byte | pid (uvarint length | bytes; opProfile only) | q sparse | u sparse
+//
+// q and u are the update's statistics as wal.SparseFloats against
+// truth.DefaultQuality and +0 — the pair a DOCSSNP4 snapshot writes for every
+// statistic — so the float bits travel raw and a default entry costs
+// nothing.
+func encodeUpdate(u update, m int) ([]byte, error) {
+	b := append(binary.AppendUvarint(nil, uint64(m)), u.op)
+	if u.op == opProfile {
+		b = append(binary.AppendUvarint(b, uint64(len(u.pid))), u.pid...)
+	}
+	b, err := wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, u.st.Q, truth.DefaultQuality), m, truth.DefaultQuality)
+	if err != nil {
+		return nil, err
+	}
+	return wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, u.st.U, 0), m, 0)
+}
+
+// decodeUpdate parses a store-log record over m domains. It never panics,
+// and what it accepts is exactly what encodeUpdate writes: another record
+// kind or domain count, an unknown op, an empty profile ID, a listed default
+// entry, an index out of order or not below m, statistics Validate refuses
+// or a trailing byte is an error.
+func decodeUpdate(rec wal.Record, m int) (update, error) {
+	if rec.Kind != wal.KindStore {
+		return update{}, fmt.Errorf("a kind %d record is not a worker-store update", rec.Kind)
+	}
+	c := wal.NewCursor(rec.Blob)
+	if n := c.Uvarint(); c.Err() == nil && n != uint64(m) {
+		c.Failf("update has %d domains, want %d", n, m)
+	}
+	u := update{op: c.Byte(), id: rec.Worker}
+	switch u.op {
+	case opPut, opMerge:
+	case opProfile:
+		if u.pid = string(c.Bytes()); u.pid == "" {
+			c.Failf("profile update has an empty profile ID")
+		}
+	default:
+		c.Failf("unknown update op %d", u.op)
+	}
+	q := c.SparseFloats(wal.SparseFloats{}, m, truth.DefaultQuality)
+	w := c.SparseFloats(wal.SparseFloats{}, m, 0)
+	if err := c.End(); err != nil {
+		return update{}, err
+	}
+	u.st = truth.NewStats(m)
+	if err := errors.Join(q.Scatter(u.st.Q), w.Scatter(u.st.U), u.st.Validate(m)); err != nil {
+		return update{}, err
+	}
+	return u, nil
+}

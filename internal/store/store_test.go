@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,22 +18,27 @@ func TestOpenMemoryOnly(t *testing.T) {
 	if s.Len() != 0 {
 		t.Errorf("fresh store has %d workers", s.Len())
 	}
-	if err := s.Save(); err != nil {
-		t.Errorf("memory-only Save: %v", err)
+	if s.Persistent() {
+		t.Error("a memory-only store reports itself persistent")
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("memory-only Close: %v", err)
 	}
 }
 
+// TestOpenErrors: a bad domain count, and a path that is a regular file — a
+// store written by an older version was one JSON file — are refused, the
+// latter with an error naming the file.
 func TestOpenErrors(t *testing.T) {
 	if _, err := Open("", 0); err == nil {
 		t.Error("m=0 accepted")
 	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
+	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(bad, 3); err == nil {
-		t.Error("corrupt snapshot accepted")
+	if _, err := Open(bad, 3); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("a regular file as the store's path: error %v, want one naming %s", err, bad)
 	}
 }
 
@@ -90,9 +96,11 @@ func TestMergeTheorem1(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: there is no Save — every update is its own record
+// — so what a closed store held is what a reopen finds, and a reopen over
+// another domain count is refused at the first record.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "workers.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +111,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Put("carol", st); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,6 +119,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reloaded.Close()
 	got, ok := reloaded.Worker("carol")
 	if !ok {
 		t.Fatal("carol missing after reload")
@@ -121,7 +130,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	// Wrong m is rejected.
 	if _, err := Open(path, 5); err == nil {
-		t.Error("snapshot with mismatched m accepted")
+		t.Error("log with mismatched m accepted")
 	}
 }
 
@@ -216,9 +225,11 @@ func TestMergeProfileOnce(t *testing.T) {
 	}
 }
 
+// TestProfileDeltaReplay: a profiling merge is one record, and a reopen
+// replays it into both the ledger and the worker's record — twice over, so
+// a replayed profile is applied once per reopen and never again.
 func TestProfileDeltaReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "workers.json")
+	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -229,39 +240,25 @@ func TestProfileDeltaReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No Save: the profile merge must survive on the delta log alone.
-	reloaded, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := reloaded.ProfileAnchor("camp/alice")
-	if !ok {
-		t.Fatal("profile ledger lost across delta replay")
-	}
-	for k := range got.Q {
-		if got.Q[k] != anchor.Q[k] || got.U[k] != anchor.U[k] {
-			t.Fatalf("replayed anchor %+v, want %+v", got, anchor)
+	// No Close: the profile merge must survive on the log alone.
+	for reopen := 1; reopen <= 2; reopen++ {
+		reloaded, err := Open(path, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	w, _ := reloaded.Worker("alice")
-	if w.Q[0] != anchor.Q[0] || w.U[0] != anchor.U[0] {
-		t.Errorf("replayed worker record %+v, want anchor %+v", w, anchor)
-	}
-
-	// After a Save the ledger must survive via the checkpoint (generation
-	// guard skips the stale delta).
-	if err := reloaded.Save(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Open(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := again.ProfileAnchor("camp/alice"); !ok {
-		t.Fatal("profile ledger lost across Save checkpoint")
-	}
-	if ids := again.ProfileIDs(); len(ids) != 1 || ids[0] != "camp/alice" {
-		t.Errorf("ProfileIDs = %v", ids)
+		got, ok := reloaded.ProfileAnchor("camp/alice")
+		if !ok || !statsEqual(got, anchor) {
+			t.Fatalf("reopen %d: replayed anchor %+v (found %v), want %+v", reopen, got, ok, anchor)
+		}
+		if w, _ := reloaded.Worker("alice"); !statsEqual(w, anchor) {
+			t.Errorf("reopen %d: replayed worker record %+v, want anchor %+v", reopen, w, anchor)
+		}
+		if ids := reloaded.ProfileIDs(); len(ids) != 1 || ids[0] != "camp/alice" {
+			t.Errorf("reopen %d: ProfileIDs = %v", reopen, ids)
+		}
+		if err := reloaded.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // any point leaves either the previous complete file or the new one, never
 // a mix: the bytes go to path+".tmp", are fsynced, the temp is renamed over
 // path, and the directory is fsynced so the rename itself survives power
-// loss. It is the one atomic replace in the tree (the campaign snapshot,
-// the store checkpoint and the archive marker all come through it). A path
+// loss. It is the one atomic replace in the tree (the campaign snapshot
+// and the archive marker both come through it). A path
 // has one writer at a time, so the temp name is fixed: what a crash strands
 // there is overwritten by the next write, and a failed write removes it.
 // Every error is returned, bare (an *os.PathError names the step and the

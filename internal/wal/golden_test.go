@@ -50,6 +50,17 @@ func goldenRecords() []Record {
 			{Worker: "wörker", Task: 128, Choice: 0},
 			{Worker: "w0", Task: 16384, Choice: 200},
 		}))},
+		// A worker-store update: the blob is the store's codec (m, op 3 =
+		// a profiling merge, its profile ID, then q and u as sparse
+		// vectors: domain 0 at 0.9 and at weight 4) but the WAL layer
+		// treats it as opaque bytes keyed to the worker. Appended last, so
+		// the older golden bytes stay a strict prefix.
+		{Seq: 306, Kind: KindStore, Worker: "w-profiled", Blob: []byte{
+			0x02, 0x03,
+			0x06, 'c', 'a', 'm', 'p', '/', 'w',
+			0x01, 0x00, 0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f,
+			0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40,
+		}},
 	}
 }
 

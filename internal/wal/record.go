@@ -42,6 +42,10 @@ const (
 	// replay RESTORE the seed instead of re-reading the store, whose
 	// contents at boot time may postdate the original read.
 	KindSeed Kind = 4
+	// KindStore is one update of the long-run worker store, whose log holds
+	// nothing else (a campaign's holds none): the blob is an opaque
+	// docs/internal/store payload keyed to the worker.
+	KindStore Kind = 5
 )
 
 // Record is one durable event. Seq is assigned by Log.Append and is
@@ -50,13 +54,13 @@ type Record struct {
 	Seq  uint64
 	Kind Kind
 
-	// KindAnswer fields; Worker is also set for KindSeed.
+	// KindAnswer fields; Worker is also set for KindSeed and KindStore.
 	Worker string
 	Task   int
 	Choice int
 
 	// KindPublish payload (the encoded tasks); KindBatch blob;
-	// KindSeed stats payload.
+	// KindSeed and KindStore stats payload.
 	Blob []byte
 }
 
@@ -69,6 +73,7 @@ type Record struct {
 // KindPublish: len(blob) uvarint | blob bytes
 // KindBatch:   len(blob) uvarint | blob bytes (a wire batch body, see wire.go)
 // KindSeed:    len(worker) uvarint | worker bytes | len(blob) uvarint | blob bytes
+// KindStore:   as KindSeed
 //
 //docs:deterministic
 func (r Record) Encode() []byte {
@@ -87,7 +92,7 @@ func (r Record) encode(dst []byte) []byte {
 	case KindPublish, KindBatch:
 		dst = binary.AppendUvarint(dst, uint64(len(r.Blob)))
 		dst = append(dst, r.Blob...)
-	case KindSeed:
+	case KindSeed, KindStore:
 		dst = binary.AppendUvarint(dst, uint64(len(r.Worker)))
 		dst = append(dst, r.Worker...)
 		dst = binary.AppendUvarint(dst, uint64(len(r.Blob)))
@@ -123,7 +128,7 @@ func Decode(payload []byte) (Record, error) {
 		r.Task, r.Choice = c.Int(), c.Int()
 	case KindPublish, KindBatch:
 		r.Blob = c.Bytes()
-	case KindSeed:
+	case KindSeed, KindStore:
 		r.Worker = string(c.Bytes())
 		r.Blob = c.Bytes()
 	default:
@@ -137,8 +142,8 @@ func Decode(payload []byte) (Record, error) {
 
 // EncodeFrame wraps an arbitrary payload in the WAL's frame format
 // (length + CRC32-C + payload), appending to dst. Together with
-// DecodeFrames it lets sibling durable files (the worker store's delta
-// log) share the torn-write detection this package's fuzzing exercises.
+// DecodeFrames it lets a sibling durable file (the state snapshot) share
+// the torn-write detection this package's fuzzing exercises.
 func EncodeFrame(dst, payload []byte) []byte {
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))

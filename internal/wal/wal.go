@@ -148,7 +148,8 @@ type Log struct {
 // writer after the last valid record. It does NOT replay records — use
 // Replay first when recovering, then Open to continue appending. If the
 // last segment ends in a torn frame the tail is truncated away so new
-// frames never follow garbage.
+// frames never follow garbage. The parent of each directory Open creates is
+// fsynced, so no acknowledged record outlives the name that reaches it.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
@@ -156,7 +157,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes < minSegmentBytes {
 		opts.SegmentBytes = minSegmentBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirDurable(dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	segs, err := segments(dir)
@@ -219,9 +220,13 @@ type Pending struct {
 func (p Pending) Seq() uint64 { return p.seq }
 
 // Wait blocks until the reservation's group-commit batch is durable per
-// the sync policy (or the log is poisoned by an I/O error).
+// the sync policy (or the log is poisoned by an I/O error). The zero
+// Pending reserves nothing and returns at once.
 func (p Pending) Wait() error {
 	l := p.l
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	for l.flushed < p.seq && l.err == nil {
 		l.cond.Wait()
@@ -468,6 +473,25 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	}
 	l.f, l.size = f, 0
 	return nil
+}
+
+// mkdirDurable creates dir and any missing ancestor, fsyncing the parent of
+// each directory it creates; an existing name costs one failed mkdir.
+func mkdirDurable(dir string) error {
+	parent := filepath.Dir(dir)
+	err := os.Mkdir(dir, 0o755)
+	switch {
+	case err == nil:
+		return SyncDir(parent)
+	case errors.Is(err, os.ErrExist):
+		return nil
+	case errors.Is(err, os.ErrNotExist) && parent != dir:
+		if err := mkdirDurable(parent); err != nil {
+			return err
+		}
+		return mkdirDurable(dir)
+	}
+	return err
 }
 
 // --- segment discovery and replay ---

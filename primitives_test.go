@@ -16,8 +16,10 @@ import (
 // atomically-replaced file goes through those two; a second copy of either
 // fails here. An fsync is issued only by wal's counted helper — so
 // wal.SyncDir is the one directory fsync and wal.Fsyncs() sees every sync a
-// campaign pays for — and, until the worker store rides the log, by the
-// store's delta file. A frame's checksum is computed only beside the one
+// campaign or the worker store pays for. The worker store rides the log: no
+// file under internal/store imports "os" or "encoding/json", so it can
+// neither open a file of its own nor write a JSON one. A frame's checksum
+// is computed only beside the one
 // frame walker (wal.DecodeFrames) and its two writers, and the retired
 // per-answer batch magic is spelled only where wire.go reads it: nothing
 // outside the tests writes a "DBB1" blob. The previous snapshot version is
@@ -28,10 +30,14 @@ func TestOneReaderOneWriter(t *testing.T) {
 		"binary.Uvarint(": {"internal/wal/cursor.go"},
 		"os.Rename(":      {"internal/wal/atomic.go"},
 		"os.CreateTemp(":  nil,
-		".Sync()":         {"internal/store/store.go", "internal/wal/atomic.go"},
+		".Sync()":         {"internal/wal/atomic.go"},
 		"crc32.Checksum(": {"internal/wal/record.go"},
 		`"DBB1"`:          {"internal/wal/wire.go"},
 		"DOCSSNP3":        nil,
+	}
+	// Imports no file under a directory may name.
+	forbidden := map[string][]string{
+		"internal/store/": {`"os"`, `"encoding/json"`},
 	}
 	got := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -50,6 +56,13 @@ func TestOneReaderOneWriter(t *testing.T) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		for dir, imports := range forbidden {
+			for _, imp := range imports {
+				if strings.HasPrefix(filepath.ToSlash(path), dir) && strings.Contains(string(src), imp) {
+					t.Errorf("%s imports %s, which nothing under %s may", path, imp, dir)
+				}
+			}
 		}
 		// (*wal.Log).Sync is not an fsync site: it ends in wal's helper.
 		text := strings.ReplaceAll(string(src), ".wal.Sync()", "")

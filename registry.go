@@ -32,9 +32,9 @@ type CampaignInfo = registry.Info
 // OpenRegistry creates a campaign registry. Config fields apply to every
 // campaign it hosts: WALDir becomes the registry root (per-campaign logs
 // under <WALDir>/campaigns/<name>, replayed on open) and StorePath the
-// shared worker store (defaulting to <WALDir>/store.json when WALDir is
-// set, so durable registries get the persistent store recovery exactness
-// relies on).
+// shared worker store's log directory (defaulting to <WALDir>/store when
+// WALDir is set, so durable registries get the persistent store recovery
+// exactness relies on).
 func OpenRegistry(cfg Config) (*Registry, error) {
 	reg, err := registry.Open(registry.Config{
 		WALDir:           cfg.WALDir,
