@@ -389,14 +389,19 @@ func encodeLegacyBatch(c wal.Columns) []byte {
 // runLoggedBatchedCampaign (legacyBatchConfig, 60 tasks) with every group
 // record in the per-answer-framed DBB1 encoding logs older than DBB2 hold —
 // byte for byte what the commit before DBB2 (9f25439) writes for that
-// campaign. Segments are never deleted, so this build must boot it — by
-// full replay and by snapshot plus suffix — to the state and the batch
-// counters of the same campaign logged today, and the two logs must differ
-// in their KindBatch records alone, each pair decoding to the same columns.
+// campaign, whose publish record is DPB1. Segments are never deleted, so
+// this build must boot it — by full replay and by snapshot plus suffix — to
+// the state and the batch counters of the same campaign logged today, and
+// the two logs must differ in their KindBatch records, each pair decoding
+// to the same columns, and their publish records, decoding to the same
+// task set, alone.
 func TestLegacyBatchBoots(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20, SnapshotEvery: -1}
 	dir := t.TempDir()
 	recs := runLoggedBatchedCampaign(t, cfg, dir, 60)
+	probe := newSystem(t, cfg)
+	m := probe.m
+	probe.Close()
 
 	fixture := filepath.Join("testdata", "legacy_batch_wal")
 	if *updateLegacyBatch {
@@ -408,12 +413,19 @@ func TestLegacyBatchBoots(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rec := range recs {
-			if rec.Kind == wal.KindBatch {
+			switch rec.Kind {
+			case wal.KindBatch:
 				cols, err := wal.DecodeBatch(rec.Blob)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rec.Blob = encodeLegacyBatch(cols)
+			case wal.KindPublish:
+				tasks, err := decodePublication(rec, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec.Blob = mustEncodeBinaryPublication(t, tasks, m)
 			}
 			if _, err := log.Append(rec); err != nil {
 				t.Fatal(err)
@@ -432,6 +444,18 @@ func TestLegacyBatchBoots(t *testing.T) {
 	groups, answers, oldBytes, newBytes := int64(0), int64(0), 0, 0
 	for i, rec := range recs {
 		old := legacyRecs[i]
+		if rec.Kind == wal.KindPublish && old.Kind == wal.KindPublish && rec.Seq == old.Seq {
+			oldTasks, err := decodePublication(old, m)
+			if err != nil {
+				t.Fatalf("fixture record %d: %v", old.Seq, err)
+			}
+			newTasks, err := decodePublication(rec, m)
+			if err != nil {
+				t.Fatalf("record %d: %v", rec.Seq, err)
+			}
+			sameTasks(t, newTasks, oldTasks)
+			continue
+		}
 		if rec.Kind != wal.KindBatch {
 			if !bytes.Equal(rec.Encode(), old.Encode()) {
 				t.Fatalf("record %d differs between the two logs and is no batch", rec.Seq)

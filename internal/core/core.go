@@ -348,9 +348,10 @@ func (sh *workerShard) state(workerID string) *workerState {
 func (s *System) Domains() *model.DomainSet { return s.kb.Domains() }
 
 // ValidateTasks is the structural half of Publish's validation, the half
-// that needs neither a campaign nor DVE: no task ID twice, and every task's
+// that needs neither a campaign nor DVE: no task ID twice, every task's
 // own invariants (at least two choices, truth in range, a requester-supplied
-// domain vector well-formed) over a domain set of size m. A server calls it
+// domain vector well-formed) over a domain set of size m, and a batch one
+// log record can hold whatever vectors DVE gives it. A server calls it
 // before it creates a campaign for a publication, so a batch Publish would
 // reject leaves no empty campaign behind.
 func ValidateTasks(tasks []*model.Task, m int) error {
@@ -369,6 +370,9 @@ func tasksByID(tasks []*model.Task, m int) (map[int]*model.Task, error) {
 			return nil, err
 		}
 		byID[t.ID] = t
+	}
+	if err := checkPublicationSize(tasks, m); err != nil {
+		return nil, err
 	}
 	return byID, nil
 }
@@ -404,18 +408,24 @@ func (s *System) Publish(tasks []*model.Task) error {
 		}
 	}
 	// The durable record is encoded here, while a rejection still leaves
-	// the campaign unpublished: a publication too large for one WAL record
-	// is the requester's to split, not a write to acknowledge and then read
-	// back as corruption.
+	// the campaign unpublished. It fits one WAL record: tasksByID held the
+	// batch to that with every vector at its largest. Packing it is the
+	// costliest step left in a publish and reads nothing the installation
+	// below writes, so it runs beside that and is waited for before the
+	// append — and on every return.
 	var blob []byte
+	var packing sync.WaitGroup
+	defer packing.Wait()
 	if s.wal != nil {
-		if blob, err = encodePublication(tasks, s.m); err != nil {
+		dpb1, err := encodeBinaryPublication(tasks, s.m)
+		if err != nil {
 			return err
 		}
-		if len(blob) > wal.MaxBlob {
-			return fmt.Errorf("core: publication encodes to %d bytes, over the %d a log record holds; publish fewer or shorter tasks",
-				len(blob), wal.MaxBlob)
-		}
+		packing.Add(1)
+		go func() {
+			defer packing.Done()
+			blob = packPublication(dpb1)
+		}()
 	}
 	// Golden tasks: choose among tasks with known ground truth so a new
 	// worker's answers can be scored (Section 5.2).
@@ -440,6 +450,7 @@ func (s *System) Publish(tasks []*model.Task) error {
 	// possibly different knowledge-base build. Campaign structure is
 	// settled at this point; a failure below only voids durability.
 	if s.wal != nil {
+		packing.Wait()
 		s.logMu.Lock()
 		p, err := s.walReserve(wal.Record{Kind: wal.KindPublish, Blob: blob})
 		s.logMu.Unlock()

@@ -7,8 +7,8 @@
 // this record again, so its size is most of a young campaign's disk bill
 // and its decode most of a wake.
 //
-// The blob is canonical and binary, in the style of the state snapshot
-// and the KindSeed blob:
+// The task set is encoded canonical and binary, in the style of the state
+// snapshot and the KindSeed blob:
 //
 //	magic "DPB1" | m uvarint | n uvarint | n × task
 //	task:  id uvarint | text str | ℓ uvarint | ℓ × choice str
@@ -29,40 +29,104 @@
 // bytes are all corruption) and checks every count against the bytes that
 // remain before it allocates for it.
 //
-// The magic's first byte cannot open a JSON document. Until this format
-// the blob was json.Marshal of the tasks; segments are never deleted, so
-// those records stay readable (decodeLegacyPublication) — and a binary
-// that only knows JSON refuses a DPB1 record at its first byte instead of
+// A publication is mostly its template — a campaign is a batch of questions
+// cut from a few sentence patterns — so the record Publish logs is that
+// blob packed whenever packing makes it shorter:
+//
+//	magic "DPB2" | body length uvarint | LZW(body)
+//
+// where body is the DPB1 blob after its magic and LZW is compress/lzw,
+// least significant bits first, 8-bit literals. LZW has no matching
+// heuristics — greedy longest match, fixed code-width and reset rules — so
+// the stream is a function of the body, and DPB2 is canonical the way DPB1
+// is: the decoder inflates the stream, hands the body to the DPB1 decoder,
+// and refuses a stated length over what a publication may hold, a stream
+// that inflates to more or fewer bytes than stated or has bytes after its
+// end code, a stream that is not the packing of its own body, and a DPB2
+// blob no shorter than the DPB1 it stands for. (testdata/
+// publication_dpb2.golden pins the packer's bytes, so a toolchain whose LZW
+// writer moved fails a test instead of every boot of an older log.) A
+// DPB1 record stays readable whatever its size: every log before DPB2
+// holds one, and so does a publication packing does not shorten.
+//
+// The magic's first byte cannot open a JSON document. Until DPB1 the blob
+// was json.Marshal of the tasks; segments are never deleted, so those
+// records stay readable (decodeLegacyPublication) — and a binary that only
+// knows JSON refuses a DPB1 or DPB2 record at its first byte instead of
 // misparsing it. Nothing writes JSON any more and nothing selects it.
 package core
 
 import (
 	"bytes"
+	"compress/lzw"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"sync"
 
 	"docs/internal/model"
 	"docs/internal/wal"
 )
 
-// publicationMagic opens every binary publication blob. Versioned: a
-// future layout bumps the trailing byte.
-const publicationMagic = "DPB1"
+const (
+	// publicationMagic opens every unpacked binary publication blob, and
+	// packedMagic every packed one. Versioned: a future layout bumps the
+	// trailing byte.
+	publicationMagic = "DPB1"
+	packedMagic      = "DPB2"
+	// maxPackedBody is the longest body a DPB2 blob may state: the body of
+	// the largest DPB1 blob Publish accepts, which is the largest blob one
+	// log record holds.
+	maxPackedBody = wal.MaxBlob - len(publicationMagic)
+)
 
 // minTaskBytes is the least a task occupies in a blob: six one-byte
 // uvarints around an empty text, no choices and an all-zero vector.
 const minTaskBytes = 6
 
-// encodePublication renders a published task set — every task carrying
-// its m-long domain vector — as a KindPublish blob. Replay compares the
-// state it rebuilds from this record bit for bit, so the encoding is a
-// pure function of the tasks. It fails only on a task the format cannot
-// express: a negative ID, a truth or true domain below NoTruth, or a
-// domain vector that is not m long.
+// checkPublicationSize refuses a task set whose DPB1 blob could be too
+// large for one log record. It bounds the blob with every domain vector
+// listing all m entries — exact for the header, the texts, the choices
+// and every varint, an upper bound for the vectors — so it needs no domain
+// vector and holds a batch to the record size before DVE runs.
+func checkPublicationSize(tasks []*model.Task, m int) error {
+	vector := uvarintLen(uint64(m))
+	for k := 0; k < m; k++ {
+		vector += uvarintLen(uint64(k)) + 8
+	}
+	size := len(publicationMagic) + uvarintLen(uint64(m)) + uvarintLen(uint64(len(tasks)))
+	for _, t := range tasks {
+		size += uvarintLen(uint64(t.ID)) + strLen(t.Text) + uvarintLen(uint64(len(t.Choices)))
+		for _, c := range t.Choices {
+			size += strLen(c)
+		}
+		size += uvarintLen(uint64(t.Truth+1)) + uvarintLen(uint64(t.TrueDomain+1)) + vector
+	}
+	if size > wal.MaxBlob {
+		return fmt.Errorf("core: publication may encode to %d bytes, over the %d a log record holds; publish fewer or shorter tasks",
+			size, wal.MaxBlob)
+	}
+	return nil
+}
+
+func uvarintLen(x uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], x)
+}
+
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// encodeBinaryPublication renders a published task set — every task
+// carrying its m-long domain vector — as a DPB1 blob; what Publish logs is
+// packPublication of it. Replay compares the state it rebuilds from the
+// record bit for bit, so the encoding is a pure function of the tasks. It
+// fails only on a task the format cannot express: a negative ID, a truth
+// or true domain below NoTruth, or a domain vector that is not m long.
 //
 //docs:deterministic
-func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
+func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
 	size := len(publicationMagic) + 2*binary.MaxVarintLen64
 	for _, t := range tasks {
 		size += 32 + len(t.Text)
@@ -106,18 +170,144 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// packPublication returns the record Publish logs for a DPB1 blob: its
+// DPB2 packing when that is the shorter, the blob itself otherwise, so a
+// publication never costs more than its DPB1 form. The packer gives up as
+// soon as its output is as long as the blob.
+//
+//docs:deterministic
+func packPublication(dpb1 []byte) []byte {
+	body := dpb1[len(publicationMagic):]
+	out := make([]byte, 0, len(dpb1))
+	out = append(out, packedMagic...)
+	out = binary.AppendUvarint(out, uint64(len(body)))
+	err := lzwPack(body, func(c byte) error {
+		if len(out) >= len(dpb1)-1 {
+			return errNotShorter
+		}
+		out = append(out, c)
+		return nil
+	})
+	if err != nil {
+		return dpb1
+	}
+	return out
+}
+
+var (
+	errNotShorter   = errors.New("packing is no shorter than the blob")
+	errNotCanonical = errors.New("stream is not the packing of its body")
+)
+
+// lzwWriters pools the LZW writers packPublication and unpackPublication's
+// re-pack check run through: a writer is one 64 KiB table, which Reset
+// clears.
+var lzwWriters = sync.Pool{New: func() any { return new(lzw.Writer) }}
+
+// lzwPack runs body through a pooled LZW writer, least significant bits
+// first with 8-bit literals, handing each byte of the stream to emit. It
+// fails only when emit does.
+func lzwPack(body []byte, emit func(byte) error) error {
+	zw := lzwWriters.Get().(*lzw.Writer)
+	zw.Reset(byteSink(emit), lzw.LSB, 8)
+	_, err := zw.Write(body)
+	if cerr := zw.Close(); err == nil {
+		err = cerr
+	}
+	zw.Reset(nil, lzw.LSB, 8) // the pool keeps no reference to emit's output
+	lzwWriters.Put(zw)
+	return err
+}
+
+// byteSink is what an LZW writer writes into. Being an io.ByteWriter with a
+// Flush, it is written to directly: lzw wraps any other writer in a
+// bufio.Writer of its own on every Reset.
+type byteSink func(byte) error
+
+func (f byteSink) WriteByte(c byte) error { return f(c) }
+
+func (f byteSink) Write(p []byte) (int, error) {
+	for i, c := range p {
+		if err := f(c); err != nil {
+			return i, err
+		}
+	}
+	return len(p), nil
+}
+
+func (byteSink) Flush() error { return nil }
+
+// unpackPublication inflates a DPB2 blob into the DPB1 blob it stands for,
+// refusing every blob packPublication would not have written. The buffer
+// grows only as bytes inflate, never to the stated length up front, so a
+// hostile length buys no memory.
+func unpackPublication(blob []byte) ([]byte, error) {
+	c := wal.NewCursor(blob[len(packedMagic):])
+	n := c.Uvarint()
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if n > uint64(maxPackedBody) {
+		return nil, fmt.Errorf("packed body of %d bytes is over the %d a publication holds", n, maxPackedBody)
+	}
+	stream := blob[len(blob)-c.Len():]
+	src := bytes.NewReader(stream)
+	var out bytes.Buffer
+	out.WriteString(publicationMagic)
+	if _, err := out.ReadFrom(io.LimitReader(lzw.NewReader(src, lzw.LSB, 8), int64(n)+1)); err != nil {
+		return nil, fmt.Errorf("packed body: %w", err)
+	}
+	dpb1 := out.Bytes()
+	body := dpb1[len(publicationMagic):]
+	switch {
+	case uint64(len(body)) > n:
+		return nil, fmt.Errorf("packed body inflates past the %d bytes stated", n)
+	case uint64(len(body)) < n:
+		return nil, fmt.Errorf("packed body inflates to %d bytes, not the %d stated", len(body), n)
+	case src.Len() > 0:
+		return nil, fmt.Errorf("%d bytes follow the packed body's end code", src.Len())
+	}
+	rest := stream
+	err := lzwPack(body, func(c byte) error {
+		if len(rest) == 0 || rest[0] != c {
+			return errNotCanonical
+		}
+		rest = rest[1:]
+		return nil
+	})
+	if err == nil && len(rest) > 0 {
+		err = errNotCanonical
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(blob) >= len(dpb1) {
+		return nil, fmt.Errorf("packed publication of %d bytes is no shorter than the %d it packs", len(blob), len(dpb1))
+	}
+	return dpb1, nil
+}
+
 // decodePublication parses a publish record's task set. It is the one
 // reader of the record — replay (applyRecord) and the snapshot restore
 // (readPublication) both come through it — and it returns only tasks that
 // carry an m-long domain vector, so neither re-runs entity linking on a
-// replayed task. It dispatches on the blob's opening bytes: the binary
-// format Publish writes, or the JSON array earlier builds wrote.
+// replayed task. It dispatches on the blob's opening bytes: DPB2, which
+// unpacks to DPB1 and then reads as one; DPB1; or the JSON array earlier
+// builds wrote.
 func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
-	decode := decodeLegacyPublication
-	if bytes.HasPrefix(rec.Blob, []byte(publicationMagic)) {
+	blob, decode := rec.Blob, decodeLegacyPublication
+	var err error
+	switch {
+	case bytes.HasPrefix(blob, []byte(packedMagic)):
+		blob, err = unpackPublication(blob)
+		decode = decodeBinaryPublication
+	case bytes.HasPrefix(blob, []byte(publicationMagic)):
 		decode = decodeBinaryPublication
 	}
-	tasks, err := decode(rec.Blob, m)
+	var tasks []*model.Task
+	if err == nil {
+		tasks, err = decode(blob, m)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("publish record %d: %w", rec.Seq, err)
 	}

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"docs/internal/dataset"
@@ -36,6 +38,18 @@ func sampleTasks() []*model.Task {
 	}
 }
 
+// encodePublication is the record Publish logs for a task set: its DPB1
+// blob, packed as DPB2 when that is shorter.
+func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
+	b, err := encodeBinaryPublication(tasks, m)
+	if err != nil {
+		return nil, err
+	}
+	return packPublication(b), nil
+}
+
+// mustEncodePublication is the record Publish logs: DPB2 when packing is
+// shorter, DPB1 otherwise.
 func mustEncodePublication(t testing.TB, tasks []*model.Task, m int) []byte {
 	t.Helper()
 	blob, err := encodePublication(tasks, m)
@@ -43,6 +57,93 @@ func mustEncodePublication(t testing.TB, tasks []*model.Task, m int) []byte {
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// mustEncodeBinaryPublication is the DPB1 blob, packed or not.
+func mustEncodeBinaryPublication(t testing.TB, tasks []*model.Task, m int) []byte {
+	t.Helper()
+	blob, err := encodeBinaryPublication(tasks, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// lzwStream is the packer's stream for body, whatever its length.
+func lzwStream(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var out []byte
+	if err := lzwPack(body, func(c byte) error { out = append(out, c); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// packedBlob assembles a DPB2 blob from its parts, consistent or not.
+func packedBlob(n uint64, stream []byte) []byte {
+	return append(binary.AppendUvarint([]byte(packedMagic), n), stream...)
+}
+
+// datasetPublications is the first 200 tasks of each of the four datasets
+// as Publish logs them: after DVE, over the default domain set.
+func datasetPublications(t *testing.T) (names []string, sets [][]*model.Task, m int) {
+	t.Helper()
+	for _, ds := range dataset.All(1) {
+		s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1})
+		tasks := ds.Tasks[:200]
+		if err := s.Publish(tasks); err != nil {
+			t.Fatal(err)
+		}
+		m = s.m
+		s.Close()
+		names, sets = append(names, ds.Name), append(sets, tasks)
+	}
+	return names, sets, m
+}
+
+// randomTextTasks is a task set whose texts are random bytes: nothing for
+// LZW to find, so its record must stay DPB1.
+func randomTextTasks(n int) []*model.Task {
+	r := mathx.NewRand(30)
+	tasks := make([]*model.Task, n)
+	for i := range tasks {
+		text := make([]byte, 40+r.Intn(60))
+		for j := range text {
+			text[j] = byte(r.Intn(256))
+		}
+		tasks[i] = &model.Task{ID: i, Text: string(text), Choices: []string{"yes", "no"},
+			Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}
+	}
+	return tasks
+}
+
+// roundTrip holds one task set to the codec's contract in both of its
+// forms and returns the record Publish would log. The DPB1 blob and the
+// record each decode to the tasks field by field (floats as bits) and are
+// canonical: encoding what they decode to gives back the same bytes. The
+// record is DPB2 and shorter than the DPB1 blob, or is the DPB1 blob.
+func roundTrip(t *testing.T, name string, tasks []*model.Task, m int) []byte {
+	t.Helper()
+	dpb1 := mustEncodeBinaryPublication(t, tasks, m)
+	rec := mustEncodePublication(t, tasks, m)
+	if packed := bytes.HasPrefix(rec, []byte(packedMagic)); packed && len(rec) >= len(dpb1) || !packed && !bytes.Equal(rec, dpb1) {
+		t.Fatalf("%s: logged %d bytes opening %q for a %d-byte DPB1 blob", name, len(rec), rec[:4], len(dpb1))
+	}
+	for form, blob := range map[string][]byte{"DPB1 blob": dpb1, "record": rec} {
+		got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, m)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", name, form, err)
+		}
+		sameTasks(t, got, tasks)
+		again := mustEncodePublication(t, got, m)
+		if form == "DPB1 blob" {
+			again = mustEncodeBinaryPublication(t, got, m)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("%s: %s: re-encoding differs:\n in  %x\n out %x", name, form, blob, again)
+		}
+	}
+	return rec
 }
 
 // sameTasks compares two task sets field by field, floats as bits.
@@ -76,13 +177,30 @@ func sameTasks(t *testing.T, got, want []*model.Task) {
 
 // TestPropertyPublicationRoundTrip: seeded task sets — sparse mixes,
 // single spikes, the uniform vector, −0, denormals and NaN payloads, empty
-// text, NoTruth and set truths, over several domain counts — decode to the
-// same tasks field by field (floats compared as bits), and the encoding is
-// canonical: encode(decode(b)) == b.
+// text, NoTruth and set truths, over several domain counts — the first 200
+// tasks of the four datasets after DVE, and sampleTasks' −0 and denormal
+// vectors decode to the same tasks field by field (floats compared as
+// bits) from the DPB1 blob and from the record Publish logs, and both are
+// canonical: encode(decode(b)) == b. The datasets and sampleTasks log
+// DPB2, the seeded sets both forms, and random-byte text stays DPB1.
 func TestPropertyPublicationRoundTrip(t *testing.T) {
+	names, sets, m := datasetPublications(t)
+	for i, tasks := range sets {
+		if rec := roundTrip(t, names[i], tasks, m); !bytes.HasPrefix(rec, []byte(packedMagic)) {
+			t.Errorf("%s logs %q, want a packed record", names[i], rec[:4])
+		}
+	}
+	if rec := roundTrip(t, "sampleTasks", sampleTasks(), 4); !bytes.HasPrefix(rec, []byte(packedMagic)) {
+		t.Errorf("sampleTasks logs %q, want a packed record", rec[:4])
+	}
+	if rec := roundTrip(t, "random text", randomTextTasks(50), 4); !bytes.HasPrefix(rec, []byte(publicationMagic)) {
+		t.Errorf("random text logs %q, want the DPB1 blob", rec[:4])
+	}
+
 	r := mathx.NewRand(24)
 	odd := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.SmallestNonzeroFloat64,
 		math.NaN(), math.Inf(1), math.MaxFloat64, 1 - 1e-16}
+	forms := map[string]int{}
 	for round := 0; round < 200; round++ {
 		m := []int{1, 4, 26}[r.Intn(3)]
 		tasks := make([]*model.Task, r.Intn(20))
@@ -118,15 +236,10 @@ func TestPropertyPublicationRoundTrip(t *testing.T) {
 			}
 			tasks[i] = tk
 		}
-		blob := mustEncodePublication(t, tasks, m)
-		got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, m)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		sameTasks(t, got, tasks)
-		if again := mustEncodePublication(t, got, m); !bytes.Equal(again, blob) {
-			t.Fatalf("round %d: re-encoding differs:\n in  %x\n out %x", round, blob, again)
-		}
+		forms[string(roundTrip(t, fmt.Sprintf("round %d", round), tasks, m)[:4])]++
+	}
+	if forms[packedMagic] == 0 || forms[publicationMagic] == 0 {
+		t.Errorf("seeded rounds logged %v, want both forms", forms)
 	}
 }
 
@@ -148,8 +261,9 @@ func TestEncodePublicationRejectsInexpressible(t *testing.T) {
 
 // checkPublicationDecode holds one decode of arbitrary bytes to the
 // codec's contract: an error, or tasks that all carry an m-long vector,
-// were not allocated beyond what the input's length bounds, and — for a
-// binary blob — re-encode to exactly the input.
+// were not allocated beyond what the DPB1 blob's length bounds (the input,
+// or what a DPB2 input unpacks to), and — for a binary blob — re-encode to
+// exactly the input in its own form.
 func checkPublicationDecode(t *testing.T, data []byte, m int) {
 	t.Helper()
 	tasks, err := decodePublication(wal.Record{Seq: 9, Blob: data}, m)
@@ -169,13 +283,20 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 			strs += len(c)
 		}
 	}
-	if !bytes.HasPrefix(data, []byte(publicationMagic)) {
+	dpb1, encode := data, encodeBinaryPublication
+	switch {
+	case bytes.HasPrefix(data, []byte(packedMagic)):
+		if dpb1, err = unpackPublication(data); err != nil {
+			t.Fatalf("a decoded DPB2 blob does not unpack: %v", err)
+		}
+		encode = encodePublication
+	case !bytes.HasPrefix(data, []byte(publicationMagic)):
 		return // legacy JSON: nothing canonical about it
 	}
-	if len(tasks)*minTaskBytes > len(data) || strs > len(data) {
-		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(data))
+	if len(tasks)*minTaskBytes > len(dpb1) || strs > len(dpb1) {
+		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(dpb1))
 	}
-	again, err := encodePublication(tasks, m)
+	again, err := encode(tasks, m)
 	if err != nil {
 		t.Fatalf("accepted publication does not re-encode: %v", err)
 	}
@@ -185,22 +306,29 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 }
 
 // TestPublicationDecodeDamage is the DOCSSNP3 sweep for the publication
-// blob: every single-byte truncation and every single-bit flip of a valid
-// blob either decodes to something that re-encodes to those exact bytes or
-// errors — it never panics and never over-allocates — and hand-made blobs
-// the encoder would not write are all rejected. (Unlike a snapshot the
-// blob has no CRC of its own; the WAL frame around it does.)
+// blob, over sampleTasks' DPB1 blob and its DPB2 record: every single-byte
+// truncation and every single-bit flip of a valid blob either decodes to
+// something that re-encodes to those exact bytes or errors — it never
+// panics and never over-allocates — and hand-made blobs the encoder would
+// not write are all rejected. (Unlike a snapshot the blob has no CRC of its
+// own; the WAL frame around it does.)
 func TestPublicationDecodeDamage(t *testing.T) {
-	data := mustEncodePublication(t, sampleTasks(), 4)
-	for cut := 0; cut < len(data); cut++ {
-		if tasks, err := decodePublication(wal.Record{Blob: data[:cut]}, 4); err == nil || tasks != nil {
-			t.Fatalf("truncated at %d: decoded to %d tasks", cut, len(tasks))
-		}
+	data := mustEncodeBinaryPublication(t, sampleTasks(), 4)
+	packed := mustEncodePublication(t, sampleTasks(), 4)
+	if !bytes.HasPrefix(packed, []byte(packedMagic)) {
+		t.Fatalf("sampleTasks logs %q, want a packed record", packed[:4])
 	}
-	for bit := 0; bit < 8*len(data); bit++ {
-		flipped := append([]byte(nil), data...)
-		flipped[bit/8] ^= 1 << (bit % 8)
-		checkPublicationDecode(t, flipped, 4)
+	for _, valid := range [][]byte{data, packed} {
+		for cut := 0; cut < len(valid); cut++ {
+			if tasks, err := decodePublication(wal.Record{Blob: valid[:cut]}, 4); err == nil || tasks != nil {
+				t.Fatalf("%q truncated at %d: decoded to %d tasks", valid[:4], cut, len(tasks))
+			}
+		}
+		for bit := 0; bit < 8*len(valid); bit++ {
+			flipped := append([]byte(nil), valid...)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			checkPublicationDecode(t, flipped, 4)
+		}
 	}
 
 	one := func(entries ...byte) []byte { // one task, the given domain entries
@@ -228,7 +356,8 @@ func TestPublicationDecodeDamage(t *testing.T) {
 		"float cut short":        one(cat([]byte{1, 1}, bits(1)[:7])...),
 		"ID past int":            append(binary.AppendUvarint(append([]byte(publicationMagic), 4, 1), 1<<63), 0, 0, 0, 0, 0),
 		"magic only":             []byte(publicationMagic),
-		"a later format":         append([]byte("DPB2"), data[4:]...),
+		"a later format":         append([]byte("DPB3"), data[4:]...),
+		"DPB1 body under DPB2":   append([]byte(packedMagic), data[4:]...),
 		"empty":                  nil,
 	} {
 		if tasks, err := decodePublication(wal.Record{Seq: 3, Blob: blob}, 4); err == nil {
@@ -239,14 +368,186 @@ func TestPublicationDecodeDamage(t *testing.T) {
 	}
 }
 
+// literalLZW is an LZW stream of body that no greedy packer writes: every
+// byte a literal code. Under 255 codes every code stays 9 bits wide.
+func literalLZW(t *testing.T, body []byte) []byte {
+	t.Helper()
+	if len(body) > 254 {
+		t.Fatalf("a %d-byte body widens the codes", len(body))
+	}
+	var out []byte
+	var acc uint32
+	var bits uint
+	put := func(code uint32) {
+		acc |= code << bits
+		for bits += 9; bits >= 8; bits -= 8 {
+			out = append(out, byte(acc))
+			acc >>= 8
+		}
+	}
+	put(256) // clear
+	for _, c := range body {
+		put(uint32(c))
+	}
+	put(257) // end
+	if bits > 0 {
+		out = append(out, byte(acc))
+	}
+	return out
+}
+
+// TestPackedPublicationRefusals: DPB2 is canonical the way DPB1 is — the
+// decoder accepts nothing packPublication would not write — and each rule
+// refuses its own row with its own error.
+func TestPackedPublicationRefusals(t *testing.T) {
+	body := mustEncodeBinaryPublication(t, sampleTasks(), 4)[len(publicationMagic):]
+	stream := lzwStream(t, body)
+	n := uint64(len(body))
+	valid := packedBlob(n, stream)
+	if !bytes.Equal(valid, mustEncodePublication(t, sampleTasks(), 4)) {
+		t.Fatal("the hand-assembled DPB2 blob is not the record Publish logs")
+	}
+	random := mustEncodeBinaryPublication(t, randomTextTasks(5), 4)
+	randomBody := random[len(publicationMagic):]
+	notShorter := packedBlob(uint64(len(randomBody)), lzwStream(t, randomBody))
+	if len(notShorter) < len(random) {
+		t.Fatalf("random text packs to %d bytes, shorter than its %d-byte DPB1 blob", len(notShorter), len(random))
+	}
+	for name, tc := range map[string]struct {
+		blob []byte
+		want string
+	}{
+		"stated body over what a publication holds": {packedBlob(uint64(maxPackedBody)+1, stream), "over the"},
+		"stated body one byte short":                {packedBlob(n-1, stream), "inflates past"},
+		"stated body one byte long":                 {packedBlob(n+1, stream), "inflates to"},
+		"a byte after the end code":                 {append(append([]byte(nil), valid...), 0), "follow the packed body's end code"},
+		"a stream that is not the packing":          {packedBlob(n, literalLZW(t, body)), errNotCanonical.Error()},
+		"no shorter than the DPB1 blob":             {notShorter, "no shorter than"},
+		"a stream cut before its end code":          {valid[:len(valid)-1], "unexpected EOF"},
+		"no body length":                            {[]byte(packedMagic), "bad varint"},
+	} {
+		_, err := decodePublication(wal.Record{Seq: 5, Blob: tc.blob}, 4)
+		if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming publish record 5 and containing %q", name, err, tc.want)
+		}
+	}
+	if _, err := decodePublication(wal.Record{Blob: valid}, 4); err != nil {
+		t.Fatalf("the valid blob does not decode: %v", err)
+	}
+}
+
+// TestPublicationCodecConcurrent: campaigns publish, wake and run snapshot
+// passes at once, and every packing and re-pack check draws on the one pool
+// of LZW writers. Goroutines encoding and decoding different task sets
+// must each get their own bytes back (run it under -race).
+func TestPublicationCodecConcurrent(t *testing.T) {
+	sets := [][]*model.Task{sampleTasks(), goldenPublication(), randomTextTasks(20)}
+	ms := []int{4, 26, 4}
+	want := make([][]byte, len(sets))
+	for i, tasks := range sets {
+		want[i] = mustEncodePublication(t, tasks, ms[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (g + round) % len(sets)
+				blob, err := encodePublication(sets[i], ms[i])
+				if err != nil || !bytes.Equal(blob, want[i]) {
+					t.Errorf("goroutine %d: set %d encoded to %d bytes (%v), want %d", g, i, len(blob), err, len(want[i]))
+					return
+				}
+				got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, ms[i])
+				if err != nil || len(got) != len(sets[i]) {
+					t.Errorf("goroutine %d: set %d decoded to %d tasks (%v)", g, i, len(got), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+var updatePublicationGolden = flag.Bool("update-publication-golden", false,
+	"rewrite testdata/publication_dpb2.golden from this toolchain's packer")
+
+// goldenPublication is a fixed 200-task set in the campaigns' shape: a few
+// sentence templates, two or three choices, one- and two-domain vectors. It
+// is built here rather than taken from a dataset after DVE, so only the
+// codec can move its bytes.
+func goldenPublication() []*model.Task {
+	things := []string{"the Amazon", "Mount Everest", "the Nile", "Lake Baikal", "the Sahara", "Kobe Bryant", "Shaquille O'Neal", "the Eiffel Tower"}
+	templates := []string{"Q%d. Is %s older than %s?", "Q%d. Which is larger, %s or %s?", "Q%d. Did %s appear in more headlines than %s last year?"}
+	tasks := make([]*model.Task, 200)
+	for i := range tasks {
+		a, b := things[i%len(things)], things[(i*3+1)%len(things)]
+		tk := &model.Task{ID: 3 * i, Text: fmt.Sprintf(templates[i%len(templates)], 1000+i*7, a, b),
+			Choices: []string{a, b}, Domain: make(model.DomainVector, 26), Truth: model.NoTruth, TrueDomain: i % 26}
+		if i%4 == 0 {
+			tk.Choices = append(tk.Choices, "neither")
+		}
+		if i%2 == 0 {
+			tk.Truth = i % len(tk.Choices)
+		}
+		tk.Domain[i%26] = 0.75
+		tk.Domain[(i*5+3)%26] += 0.25
+		tasks[i] = tk
+	}
+	return tasks
+}
+
+// TestPublicationPackerGolden pins the packer across toolchains:
+// testdata/publication_dpb2.golden is the DPB2 record of goldenPublication,
+// and this build must write it byte for byte and read it back to the set.
+// The decoder refuses a stream that is not its body's packing, so a
+// compress/lzw whose output moved would fail every boot of an older log;
+// it fails here instead.
+func TestPublicationPackerGolden(t *testing.T) {
+	path := filepath.Join("testdata", "publication_dpb2.golden")
+	tasks := goldenPublication()
+	blob := mustEncodePublication(t, tasks, 26)
+	if *updatePublicationGolden {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(want, []byte(packedMagic)) {
+		t.Fatalf("the golden record opens with %q, want %q", want[:4], packedMagic)
+	}
+	// A code is at most 12 bits and a table holds 3,838 before the writer
+	// clears it, so a stream this long crosses at least one clear.
+	if len(want) < 3839*12/8+8 {
+		t.Fatalf("the golden record is %d bytes, too short to cross a table clear", len(want))
+	}
+	if !bytes.Equal(blob, want) {
+		t.Fatalf("this toolchain packs the golden set to %d bytes that differ from the %d checked in", len(blob), len(want))
+	}
+	got, err := decodePublication(wal.Record{Seq: 1, Blob: want}, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTasks(t, got, tasks)
+	t.Logf("golden set: %d bytes as DPB2, %d as DPB1", len(want), len(mustEncodeBinaryPublication(t, tasks, 26)))
+}
+
 // FuzzPublicationDecode drives arbitrary bytes through the one reader of a
 // publish record, which every boot, wake and snapshot pass runs. Seed
 // corpus in testdata/fuzz/FuzzPublicationDecode (checked in): sampleTasks'
-// blob, the same cut at three points, with one byte flipped, with its task
-// count set to 2^63, and a legacy JSON publication.
+// DPB1 blob, the same cut at three points, with one byte flipped, with its
+// task count set to 2^63; its DPB2 record, the same cut in its stream,
+// with a byte after the end code, and with the stream every byte a
+// literal; and a legacy JSON publication.
 func FuzzPublicationDecode(f *testing.F) {
+	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
 	f.Add(mustEncodePublication(f, sampleTasks(), 4))
 	f.Add([]byte(publicationMagic))
+	f.Add([]byte(packedMagic))
 	f.Add([]byte(`[{"ID":1,"Choices":["a","b"],"Domain":[0,1,0,0],"Truth":-1,"TrueDomain":-1}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPublicationDecode(t, data, 4)
@@ -254,19 +555,17 @@ func FuzzPublicationDecode(f *testing.F) {
 }
 
 // TestPublicationBytesPerTask pins what a published task costs on disk:
-// the blob's size over the first 200 tasks of each of the four datasets,
-// after DVE. It is a count — the same on every machine — and the number
-// docs/architecture.md's cost model quotes; the JSON encoding it replaced
-// is logged beside it for the ratio.
+// the record's size over the first 200 tasks of each of the four datasets,
+// after DVE, and the DPB1 blob it packs. Both are counts — the same on
+// every machine — and the numbers docs/architecture.md's cost model
+// quotes; the JSON encoding DPB1 replaced is logged beside them.
 func TestPublicationBytesPerTask(t *testing.T) {
-	want := map[string]int{"Item": 21463, "4D": 21188, "QA": 21009, "SFV": 14606}
-	for _, ds := range dataset.All(1) {
-		s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1})
-		tasks := ds.Tasks[:200]
-		if err := s.Publish(tasks); err != nil {
-			t.Fatal(err)
-		}
-		blob := mustEncodePublication(t, tasks, s.m)
+	want := map[string][2]int{"Item": {21463, 8425}, "4D": {21188, 8794}, "QA": {21009, 8890}, "SFV": {14606, 6611}}
+	names, sets, m := datasetPublications(t)
+	for i, tasks := range sets {
+		name := names[i]
+		dpb1 := mustEncodeBinaryPublication(t, tasks, m)
+		blob := mustEncodePublication(t, tasks, m)
 		text, nnz := 0, 0
 		for _, tk := range tasks {
 			text += len(tk.Text)
@@ -283,12 +582,13 @@ func TestPublicationBytesPerTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%-4s %6d B = %5.1f B a task (text and choices %5.1f, %.2f non-zero domains); as JSON %6d B = %5.1f a task",
-			ds.Name, len(blob), float64(len(blob))/200, float64(text)/200, float64(nnz)/200, len(legacy), float64(len(legacy))/200)
-		if len(blob) != want[ds.Name] {
-			t.Errorf("%s: 200 tasks encode to %d bytes, pinned %d", ds.Name, len(blob), want[ds.Name])
+		t.Logf("%-4s %6d B = %5.1f B a task as %s, %6d B = %5.1f as DPB1 (text and choices %5.1f, %.2f non-zero domains); as JSON %6d B = %5.1f",
+			name, len(blob), float64(len(blob))/200, blob[:4], len(dpb1), float64(len(dpb1))/200,
+			float64(text)/200, float64(nnz)/200, len(legacy), float64(len(legacy))/200)
+		if got := [2]int{len(dpb1), len(blob)}; got != want[name] {
+			t.Errorf("%s: 200 tasks encode to %d bytes as DPB1 and are logged in %d, pinned %d and %d",
+				name, got[0], got[1], want[name][0], want[name][1])
 		}
-		s.Close()
 	}
 }
 
@@ -377,10 +677,12 @@ func TestLegacyPublicationBoots(t *testing.T) {
 	if len(recs) != len(legacyRecs) {
 		t.Fatalf("this build logged %d records, the fixture holds %d", len(recs), len(legacyRecs))
 	}
-	if !bytes.HasPrefix(recs[0].Blob, []byte(publicationMagic)) {
-		t.Fatalf("publish record opens with %q, want %q", recs[0].Blob[:4], publicationMagic)
+	logged, err := decodePublication(recs[0], live.m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("publish blob: %d bytes as JSON, %d in %s", len(legacyRecs[0].Blob), len(recs[0].Blob), publicationMagic)
+	sameTasks(t, logged, tasks)
+	t.Logf("publish blob: %d bytes as JSON, %d in %s", len(legacyRecs[0].Blob), len(recs[0].Blob), recs[0].Blob[:4])
 	for i := 1; i < len(recs); i++ {
 		if !bytes.Equal(recs[i].Encode(), legacyRecs[i].Encode()) {
 			t.Fatalf("record %d differs between the two logs", recs[i].Seq)
@@ -553,8 +855,9 @@ func TestPublishRejectsNegativeTaskID(t *testing.T) {
 // blob was over wal.MaxPayload (26 decimal floats a task; 20.7 MB even over
 // the two domains used here to keep the fingerprints small), which the
 // write side never checked — so the campaign published, took answers, and
-// was read back as corruption at the next boot. The binary blob fits, and
-// the reboot is the live state.
+// was read back as corruption at the next boot. The DPB1 blob fits
+// unpacked — the size check does not lean on packing — and the reboot is
+// the live state.
 func TestLargePublicationBoots(t *testing.T) {
 	cfg := Config{KB: kb.New(model.MustDomainSet([]string{"fauna", "flora"})),
 		GoldenCount: -1, RerunEvery: -1, SnapshotEvery: -1}
@@ -577,8 +880,8 @@ func TestLargePublicationBoots(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if blob := readStream(t, dir)[0].Blob; len(blob) < 12<<20 {
-		t.Fatalf("publish blob is %d bytes; the case needs one a JSON encoding pushes past %d", len(blob), wal.MaxPayload)
+	if dpb1 := mustEncodeBinaryPublication(t, tasks, s.m); len(dpb1) < 12<<20 {
+		t.Fatalf("the DPB1 blob is %d bytes; the case needs one a JSON encoding pushes past %d", len(dpb1), wal.MaxPayload)
 	}
 	again := newSystem(t, cfg)
 	defer again.Close()

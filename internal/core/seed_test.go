@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"docs/internal/model"
@@ -148,7 +149,8 @@ func storeUpdateCodec(t *testing.T) ([]byte, func([]byte) error) {
 }
 
 // TestOverlongVarintRejectedByEveryDecoder hands each of the six binary
-// decoders (the batch decoder under both of its magics) a valid input whose
+// decoders (the batch and publication decoders under both of their magics)
+// a valid input whose
 // first varint has been re-encoded one byte too long — same value, second
 // spelling — and expects as many rejections: they all read through the one
 // cursor, so none can forget the rule.
@@ -174,6 +176,12 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeBlob, decodeStore := storeUpdateCodec(t)
+	// A packed publication whose body is short enough for a one-byte length.
+	packed := mustEncodePublication(t, []*model.Task{{ID: 1, Text: strings.Repeat("ab", 30), Choices: []string{"a", "b"},
+		Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}, 4)
+	if !bytes.HasPrefix(packed, []byte(packedMagic)) {
+		t.Fatalf("the short publication logs %q, want a packed record", packed[:4])
+	}
 	const snapHeader = len("DOCSSNP3") + 8 // magic, then the frame's length and CRC
 	reframe := func(payload []byte) []byte { return wal.EncodeFrame([]byte("DOCSSNP3"), payload) }
 	for name, tc := range map[string]struct {
@@ -190,8 +198,10 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		"KindSeed blob": {encodeSeed(sampleSeed(), false), overlong(encodeSeed(sampleSeed(), false), 0), // m
 			func(b []byte) error { _, _, err := decodeSeed(b, 3); return err }},
 		"KindStore blob": {storeBlob, overlong(storeBlob, 0), decodeStore}, // m
-		"DPB1 publication": {mustEncodePublication(t, sampleTasks(), 4), overlong(mustEncodePublication(t, sampleTasks(), 4), len(publicationMagic)), // m
+		"DPB1 publication": {mustEncodeBinaryPublication(t, sampleTasks(), 4), overlong(mustEncodeBinaryPublication(t, sampleTasks(), 4), len(publicationMagic)), // m
 			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
+		"DPB2 publication": {packed, overlong(packed, len(packedMagic)), // the body's length
+			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
 		"DOCSSNP3 snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq
 			func(b []byte) error { _, err := snapshot.Decode(b); return err }},
 	} {

@@ -251,7 +251,8 @@ func TestServerValidation(t *testing.T) {
 }
 
 // TestRejectedPublishLeavesNoCampaign: a publication Publish would reject —
-// here two tasks sharing an ID — answers 400 before the campaign it names is
+// two tasks sharing an ID, a bad task, one too large for a log record —
+// answers 400 before the campaign it names is
 // created: nothing is listed, nothing is on disk, nothing counts toward the
 // resident cap (so no serving campaign is evicted for it), and the corrected
 // batch publishes to the same name.
@@ -277,8 +278,16 @@ func TestRejectedPublishLeavesNoCampaign(t *testing.T) {
 	truthOutOfRange["tasks"].([]map[string]any)[0]["golden_truth"] = 2
 	negativeID := publishBody()
 	negativeID["tasks"].([]map[string]any)[0]["id"] = -1
+	// Five 4 MiB texts: a 21 MB body /publish admits, a publication no log
+	// record holds.
+	tooLarge := map[string]any{"tasks": []map[string]any{}}
+	long := strings.Repeat("a very long task description ", (4<<20)/29)
+	for id := 0; id < 5; id++ {
+		tooLarge["tasks"] = append(tooLarge["tasks"].([]map[string]any),
+			map[string]any{"id": id, "text": long, "choices": []string{"yes", "no"}, "golden_truth": -1})
+	}
 	for name, body := range map[string]map[string]any{"duplicate": duplicate, "one choice": oneChoice,
-		"truth out of range": truthOutOfRange, "negative ID": negativeID} {
+		"truth out of range": truthOutOfRange, "negative ID": negativeID, "too large": tooLarge} {
 		resp, out := doJSON(t, "POST", ts.URL+"/c/bad/publish", body)
 		if resp.StatusCode != 400 {
 			t.Fatalf("%s publish = %d, want 400", name, resp.StatusCode)
