@@ -103,20 +103,25 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 		names := make([]string, n)
 		for i := 0; i < n; i++ {
 			names[i] = fmt.Sprintf("c%06d", i)
-			sys, err := reg.Create(names[i])
+			if err := reg.Create(names[i]); err != nil {
+				return nil, err
+			}
+			err := reg.Do(names[i], func(sys *core.System) error {
+				if err := sys.Publish(synthTasks(nTasks, sys.Domains().Size())); err != nil {
+					return err
+				}
+				for a := 0; a < answersPer; a++ {
+					w := fmt.Sprintf("w%d", a/nTasks)
+					if err := sys.Submit(w, a%nTasks, (a+i)%2); err != nil {
+						return err
+					}
+				}
+				fps[i] = fingerprintHash(sys)
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			if err := sys.Publish(synthTasks(nTasks, sys.Domains().Size())); err != nil {
-				return nil, err
-			}
-			for a := 0; a < answersPer; a++ {
-				w := fmt.Sprintf("w%d", a/nTasks)
-				if err := sys.Submit(w, a%nTasks, (a+i)%2); err != nil {
-					return nil, err
-				}
-			}
-			fps[i] = fingerprintHash(sys)
 		}
 		heapAllLive := heapInUse()
 		for _, name := range names {
@@ -165,18 +170,20 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 		for i := 0; i < sample; i++ {
 			idx := i * stride
 			t0 := time.Now()
-			sys, err := reg.Get(names[idx])
+			err := reg.Do(names[idx], func(sys *core.System) error {
+				wakeDur = append(wakeDur, time.Since(t0))
+				info := sys.Recovery()
+				if !info.SnapshotUsed || info.SnapshotRejected != "" {
+					return fmt.Errorf("density: campaign %s woke without its snapshot (rejected: %q)", names[idx], info.SnapshotRejected)
+				}
+				suffix += info.Records
+				if got := fingerprintHash(sys); got != fps[idx] {
+					return fmt.Errorf("density: campaign %s woke with a different fingerprint than it hibernated with", names[idx])
+				}
+				return nil
+			})
 			if err != nil {
 				return nil, err
-			}
-			wakeDur = append(wakeDur, time.Since(t0))
-			info := sys.Recovery()
-			if !info.SnapshotUsed || info.SnapshotRejected != "" {
-				return nil, fmt.Errorf("density: campaign %s woke without its snapshot (rejected: %q)", names[idx], info.SnapshotRejected)
-			}
-			suffix += info.Records
-			if got := fingerprintHash(sys); got != fps[idx] {
-				return nil, fmt.Errorf("density: campaign %s woke with a different fingerprint than it hibernated with", names[idx])
 			}
 			verified++
 			if gotLive, _, _ := reg.Counts(); gotLive > peak {

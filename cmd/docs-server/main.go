@@ -25,6 +25,15 @@ import (
 	"docs/internal/httpapi"
 )
 
+// Server timeouts, fixed rather than flags. readTimeout covers the whole
+// request body, so it is sized for the largest: a 64 MiB publication at
+// about 1 MiB/s.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storePath := flag.String("store", "", "shared worker-statistics store: a log directory, created if missing (empty = <wal-dir>/store when -wal-dir is set, else memory-only)")
@@ -37,7 +46,7 @@ func main() {
 	syncRerun := flag.Bool("sync-rerun", false, "run the periodic batch re-inference on the submitting request instead of the background worker")
 	leaseTTL := flag.Duration("lease-ttl", 0, "assignment lease TTL: tasks served to a worker are excluded from their re-requests and count against redundancy until answered or expired (0 = leases disabled)")
 	maxBatch := flag.Int("max-batch", 0, "max answers one POST /submit-batch materializes; items past the clamp are rejected per-item (0 = default 256)")
-	maxLive := flag.Int("max-live-campaigns", 0, "max campaigns resident in memory; past the cap the least-recently-used campaign hibernates (memory released; a final snapshot is written only if answers arrived since the last one, the WAL fsynced only if not already) and wakes on its next request; also makes boot lazy — campaign logs replay on first touch (requires -wal-dir, 0 = unlimited)")
+	maxLive := flag.Int("max-live-campaigns", 0, "max campaigns resident in memory; past the cap the least-recently-used campaign hibernates and wakes on its next request; a campaign with a request in flight is skipped, so the resident set may exceed the cap by those campaigns until the next request trims it; also makes boot lazy — campaign logs replay on first touch (requires -wal-dir, 0 = unlimited)")
 	hibernateAfter := flag.Duration("hibernate-after", 0, "hibernate campaigns idle this long (requires -wal-dir, 0 = never)")
 	flag.Parse()
 
@@ -69,7 +78,10 @@ func main() {
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		// No WriteTimeout: a cold wake plus GET /results can rightly run long.
 	}
 
 	// Graceful shutdown: stop accepting, drain in-flight requests, then

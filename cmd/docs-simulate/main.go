@@ -121,13 +121,20 @@ func main() {
 // (the same group-committed path POST /submit-batch uses) in chunks of
 // up to batch answers.
 func runCampaign(reg *registry.Registry, cname string, ds *dataset.Dataset, pop *crowd.Population, dsName string, hit, redundancy, batch int, verbose bool) {
-	sys, err := reg.Get(cname)
-	if errors.Is(err, registry.ErrNotFound) {
-		sys, err = reg.Create(cname)
+	if err := reg.Create(cname); err != nil && !errors.Is(err, registry.ErrExists) {
+		log.Fatalf("docs-simulate: %v", err)
 	}
+	err := reg.Do(cname, func(sys *core.System) error {
+		driveCampaign(sys, ds, pop, dsName, hit, redundancy, batch, verbose)
+		return nil
+	})
 	if err != nil {
 		log.Fatalf("docs-simulate: %v", err)
 	}
+}
+
+// driveCampaign is runCampaign's body, run on the campaign's core.
+func driveCampaign(sys *core.System, ds *dataset.Dataset, pop *crowd.Population, dsName string, hit, redundancy, batch int, verbose bool) {
 	if info := sys.Recovery(); info.Records > 0 {
 		fmt.Printf("recovered %d records in %s (torn tail: %v)\n",
 			info.Records, info.Duration.Round(time.Millisecond), info.TornTail)

@@ -119,6 +119,7 @@ import (
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
+	"docs/internal/registry"
 	"docs/internal/store"
 	"docs/internal/truth"
 	"docs/internal/wal"
@@ -127,9 +128,11 @@ import (
 // NoTruth marks an unknown ground truth.
 const NoTruth = -1
 
-// ErrDurability marks a failed durability promise: the mutation took
-// effect in memory but could not be logged to the WAL. Check with
-// errors.Is; servers should answer 5xx, not 4xx.
+// ErrDurability marks a failed durability promise: the mutation could not
+// be logged to the WAL, and the campaign stops serving the state it was
+// applied to — a registry drops the campaign's core and wakes it from its
+// log on the next call; a System of its own must be closed and reopened.
+// Check with errors.Is; servers should answer 5xx, not 4xx.
 var ErrDurability = core.ErrDurability
 
 // Task is a multiple-choice crowdsourcing task.
@@ -251,10 +254,41 @@ func (cfg Config) campaign() core.Config {
 	}
 }
 
-// System is a running DOCS campaign.
+// System is a running DOCS campaign: its own (New), or one a Registry
+// hosts (Registry.Create, Registry.Campaign). A hosted System holds no core:
+// each method leases the campaign from the registry for the length of the
+// call, so hibernation, eviction, Archive and Close wait for it and never
+// fail it. On a hosted System whose campaign is archived or whose registry
+// is closed, the methods without an error result return zero values.
 type System struct {
 	sys *core.System
 	st  *store.Store // non-nil when New opened a file-backed store
+
+	// reg and name are set on a hosted System.
+	reg  *registry.Registry
+	name string
+}
+
+// do runs fn on the campaign's core: the System's own, or the hosting
+// registry's, leased for the call.
+func (s *System) do(fn func(*core.System) error) error {
+	if s.reg == nil {
+		return fn(s.sys)
+	}
+	return s.reg.Do(s.name, fn)
+}
+
+// call runs f on the campaign's core (see do) and returns its results.
+func call[T any](s *System, f func(*core.System) (T, error)) (v T, err error) {
+	err = s.do(func(sys *core.System) (err error) { v, err = f(sys); return err })
+	return v, err
+}
+
+// read runs f on the campaign's core (see do) and returns its result: the
+// zero value when a hosted campaign cannot be leased.
+func read[T any](s *System, f func(*core.System) T) (v T) {
+	s.do(func(sys *core.System) error { v = f(sys); return nil })
+	return v
 }
 
 // New creates a System over the built-in knowledge base.
@@ -316,7 +350,7 @@ type Recovery struct {
 // Recovery returns what New replayed from the WAL (zero value when no WAL
 // is armed).
 func (s *System) Recovery() Recovery {
-	info := s.sys.Recovery()
+	info := read(s, (*core.System).Recovery)
 	return Recovery{
 		Enabled:          info.Enabled,
 		Records:          info.Records,
@@ -335,7 +369,7 @@ func (s *System) Publish(tasks []Task) error {
 	if err != nil {
 		return err
 	}
-	return s.sys.Publish(internal)
+	return s.do(func(sys *core.System) error { return sys.Publish(internal) })
 }
 
 // ValidateTasks reports the error Publish would return for a batch that is
@@ -359,7 +393,7 @@ func ValidateTasks(tasks []Task) error {
 // unknown workers, then the highest-benefit regular tasks. k <= 0 uses the
 // configured HITSize.
 func (s *System) Request(workerID string, k int) ([]Task, error) {
-	got, err := s.sys.Request(workerID, k)
+	got, err := call(s, func(sys *core.System) ([]*model.Task, error) { return sys.Request(workerID, k) })
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +406,7 @@ func (s *System) Request(workerID string, k int) ([]Task, error) {
 
 // Submit records one answer from a worker.
 func (s *System) Submit(workerID string, taskID, choice int) error {
-	return s.sys.Submit(workerID, taskID, choice)
+	return s.do(func(sys *core.System) error { return sys.Submit(workerID, taskID, choice) })
 }
 
 // BatchStatus is the per-item outcome of SubmitBatch.
@@ -388,14 +422,14 @@ type BatchStatus struct {
 // (one write, at most one fsync), instead of one per answer. The resulting
 // state is bit-identical to submitting the same answers one by one. The
 // returned slice has one status per item, in input order; the error is
-// batch-level (a durability failure — some items may be applied in memory
-// without the durability promise; treat as 5xx). See docs/protocol.md.
+// batch-level (a durability failure: treat as 5xx, and see ErrDurability
+// for what stops serving). See docs/protocol.md.
 func (s *System) SubmitBatch(answers []Answer) ([]BatchStatus, error) {
 	items := make([]core.BatchItem, len(answers))
 	for i, a := range answers {
 		items[i] = core.BatchItem{Worker: a.Worker, Task: a.TaskID, Choice: a.Choice}
 	}
-	got, err := s.sys.SubmitBatch(items)
+	got, err := call(s, func(sys *core.System) ([]core.BatchStatus, error) { return sys.SubmitBatch(items) })
 	if err != nil {
 		return nil, err
 	}
@@ -407,15 +441,17 @@ func (s *System) SubmitBatch(answers []Answer) ([]BatchStatus, error) {
 }
 
 // GoldenTaskIDs returns the IDs of the selected golden tasks.
-func (s *System) GoldenTaskIDs() []int { return s.sys.GoldenTasks() }
+func (s *System) GoldenTaskIDs() []int { return read(s, (*core.System).GoldenTasks) }
 
 // Published reports whether a campaign is in place — via Publish or via
 // WAL recovery on New.
-func (s *System) Published() bool { return s.sys.Published() }
+func (s *System) Published() bool { return read(s, (*core.System).Published) }
 
 // DomainNames returns the system's domain set (the 26 Yahoo! Answers
 // domains for the default knowledge base).
-func (s *System) DomainNames() []string { return s.sys.Domains().Names() }
+func (s *System) DomainNames() []string {
+	return read(s, func(sys *core.System) []string { return sys.Domains().Names() })
+}
 
 // DomainNames returns the built-in knowledge base's domain set without
 // constructing a System — the domain taxonomy is a property of the KB,
@@ -431,14 +467,15 @@ func DomainNames() ([]string, error) {
 // CurrentResult returns the present (incrementally maintained) inferred
 // truth for a task; Choice is -1 for golden or unknown tasks.
 func (s *System) CurrentResult(taskID int) Result {
-	choice, conf := s.sys.Result(taskID)
-	return Result{TaskID: taskID, Choice: choice, Confidence: conf}
+	res := Result{TaskID: taskID, Choice: NoTruth}
+	s.do(func(sys *core.System) error { res.Choice, res.Confidence = sys.Result(taskID); return nil })
+	return res
 }
 
 // WorkerQuality returns the current per-domain quality estimate for a
 // worker, aligned with DomainNames.
 func (s *System) WorkerQuality(workerID string) []float64 {
-	return s.sys.WorkerQuality(workerID)
+	return read(s, func(sys *core.System) []float64 { return sys.WorkerQuality(workerID) })
 }
 
 // Stats is a point-in-time view of the serving counters.
@@ -484,31 +521,33 @@ type Stats struct {
 // Stats returns the current serving counters. Safe to call concurrently
 // with serving.
 func (s *System) Stats() Stats {
-	done, failed := s.sys.Reruns()
-	snaps, snapErrs := s.sys.Snapshots()
-	batches, batchAnswers := s.sys.BatchCounts()
-	return Stats{
-		Answers:            s.sys.AnswerCount(),
-		SnapshotEpoch:      s.sys.Epoch(),
-		RerunsCompleted:    done,
-		RerunsFailed:       failed,
-		OpenTasks:          s.sys.OpenTasks(),
-		IndexEpoch:         s.sys.IndexEpoch(),
-		LeasesActive:       s.sys.ActiveLeases(),
-		BatchesTotal:       batches,
-		BatchAnswersTotal:  batchAnswers,
-		WALEnabled:         s.sys.Recovery().Enabled,
-		WALLastSeq:         s.sys.WALSeq(),
-		SnapshotsCompleted: snaps,
-		SnapshotsFailed:    snapErrs,
-		SnapshotLastSeq:    s.sys.LastSnapshotSeq(),
-	}
+	return read(s, func(sys *core.System) Stats {
+		st := Stats{
+			Answers:         sys.AnswerCount(),
+			SnapshotEpoch:   sys.Epoch(),
+			OpenTasks:       sys.OpenTasks(),
+			IndexEpoch:      sys.IndexEpoch(),
+			LeasesActive:    sys.ActiveLeases(),
+			WALEnabled:      sys.Recovery().Enabled,
+			WALLastSeq:      sys.WALSeq(),
+			SnapshotLastSeq: sys.LastSnapshotSeq(),
+		}
+		st.RerunsCompleted, st.RerunsFailed = sys.Reruns()
+		st.SnapshotsCompleted, st.SnapshotsFailed = sys.Snapshots()
+		st.BatchesTotal, st.BatchAnswersTotal = sys.BatchCounts()
+		return st
+	})
 }
 
 // Close stops the background re-inference and snapshot workers and
 // flushes, fsyncs and closes the WAL and the worker store, so a graceful
-// shutdown loses nothing. Do not serve after Close.
+// shutdown loses nothing. Do not serve after Close. A hosted System's
+// campaign belongs to its registry: Close refuses it and closes nothing —
+// end the campaign with Registry.Archive.
 func (s *System) Close() error {
+	if s.reg != nil {
+		return fmt.Errorf("docs: campaign %q belongs to its registry: end it with Registry.Archive, or close the registry", s.name)
+	}
 	err := s.sys.Close()
 	if s.st != nil {
 		if cerr := s.st.Close(); err == nil {
@@ -522,16 +561,18 @@ func (s *System) Close() error {
 // answers, merges worker statistics into the persistent store, and returns
 // one Result per published non-golden task.
 func (s *System) Results() ([]Result, error) {
-	res, err := s.sys.Results()
-	if err != nil {
-		return nil, err
-	}
-	tasks := s.sys.InferTasks()
-	out := make([]Result, len(tasks))
-	for i, t := range tasks {
-		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
-	}
-	return out, nil
+	return call(s, func(sys *core.System) ([]Result, error) {
+		res, err := sys.Results()
+		if err != nil {
+			return nil, err
+		}
+		tasks := sys.InferTasks()
+		out := make([]Result, len(tasks))
+		for i, t := range tasks {
+			out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
+		}
+		return out, nil
+	})
 }
 
 // InferTruth is the offline API: given tasks and a full set of collected

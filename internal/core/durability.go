@@ -21,7 +21,9 @@ import (
 
 // ErrDurability marks failures of the durability promise itself — the WAL
 // could not accept or flush a record — as opposed to validation errors.
-// The mutation that triggered it is already applied in memory; callers
+// It is fail-stop: the mutation is applied in memory but not in the log,
+// so the system must serve nothing more — close it and Recover its
+// directory, which is what the registry does before the next call. Callers
 // (the HTTP server) use the distinction to answer 5xx instead of 4xx.
 var ErrDurability = errors.New("durability failure")
 
@@ -254,7 +256,7 @@ func answerBearing(k wal.Kind) bool { return k == wal.KindAnswer || k == wal.Kin
 func (s *System) walCommit(p wal.Pending) error {
 	if err := p.Wait(); err != nil {
 		// The mutation is already applied in memory; what failed is the
-		// durability promise. Surface it so the platform can stop acking.
+		// durability promise. Surface it so the caller stops this system.
 		return fmt.Errorf("core: %w: %v", ErrDurability, err)
 	}
 	return nil

@@ -32,10 +32,9 @@ import "fmt"
 // wake to a longer replay, it never loses state. Requires an armed WAL:
 // a memory-only campaign released from memory would simply be gone.
 //
-// The caller is responsible for quiescence: no Publish/Submit/Request may
-// be in flight. A straggler racing the drain either commits before the
-// final WAL fsync (and is covered by the snapshot or replayed from the
-// suffix) or fails with ErrDurability and is never acknowledged.
+// No call may be in flight. The registry guarantees it: it hibernates a
+// campaign only under the campaign's write lock, which every call holds
+// for reading while it runs.
 func (s *System) Hibernate() error {
 	if s.wal == nil {
 		return fmt.Errorf("core: Hibernate needs an armed WAL")

@@ -240,9 +240,8 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// publication, so a racing pair of publishes cannot both succeed; the
 	// check above only provides the friendlier 409 for the common case.
 	// There is no server-side published flag to resync: every reader asks
-	// the serving core, so even a publish that fails after taking effect
-	// (a durability error on the WAL append) leaves /stats, /request and
-	// recovery agreeing on the core's actual state.
+	// the serving core, and a publish that fails its WAL append fails the
+	// campaign, whose next core is woken from the log.
 	if err := sys.Publish(tasks); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -480,10 +479,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusFor maps a serving error to an HTTP status: durability failures
-// are the server's fault (500), everything else is a rejected input (400).
+// are the server's fault (500), a campaign archived since the request
+// resolved it is gone (410), everything else is a rejected input (400).
 func statusFor(err error) int {
-	if errors.Is(err, docs.ErrDurability) {
+	switch {
+	case errors.Is(err, docs.ErrDurability):
 		return http.StatusInternalServerError
+	case errors.Is(err, docs.ErrCampaignArchived):
+		return http.StatusGone
 	}
 	return http.StatusBadRequest
 }

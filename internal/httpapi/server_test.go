@@ -668,6 +668,123 @@ func TestServerConcurrentTraffic(t *testing.T) {
 	}
 }
 
+// TestCapOneNoServerError serves two campaigns through the handlers under a
+// resident cap of one, so requests keep waking one campaign while the
+// other has calls in flight. Eviction fails no request: no response is a
+// 500, and after a restart each campaign holds exactly the answers it
+// acknowledged.
+func TestCapOneNoServerError(t *testing.T) {
+	for _, clients := range []int{2, 8} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			cfg := docs.Config{GoldenCount: -1, HITSize: 3, AnswersPerTask: 4, WALDir: t.TempDir(), MaxLiveCampaigns: 1}
+			srv, err := New(cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hts := httptest.NewServer(srv.Handler())
+			tasks := make([]map[string]any, 30)
+			for i := range tasks {
+				tasks[i] = map[string]any{"id": i, "text": fmt.Sprintf("is %d even or odd", i),
+					"choices": []string{"even", "odd"}, "golden_truth": -1}
+			}
+			campaigns := []string{"left", "right"}
+			for _, name := range campaigns {
+				if resp, out := doJSON(t, "POST", hts.URL+"/c/"+name+"/publish", map[string]any{"tasks": tasks}); resp.StatusCode != 200 {
+					t.Fatalf("publish %s = %d: %s", name, resp.StatusCode, out["error"])
+				}
+			}
+
+			var (
+				wg    sync.WaitGroup
+				mu    sync.Mutex
+				acked = map[string]int64{}
+			)
+			errs := make(chan error, clients)
+			for g := 0; g < clients; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					name := campaigns[g%2]
+					base := hts.URL + "/c/" + name
+					call := func(resp *http.Response, err error) (*http.Response, error) {
+						if err == nil && resp.StatusCode >= 500 {
+							resp.Body.Close()
+							err = fmt.Errorf("%s %s = %d", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode)
+						}
+						return resp, err
+					}
+					for i := 0; i < 6; i++ {
+						w := fmt.Sprintf("cw%d-%d", g, i)
+						resp, err := call(http.Get(base + "/request?worker=" + w + "&k=3"))
+						if err != nil {
+							errs <- err
+							return
+						}
+						var rout struct {
+							Tasks []struct {
+								ID int `json:"id"`
+							} `json:"tasks"`
+						}
+						err = json.NewDecoder(resp.Body).Decode(&rout)
+						resp.Body.Close()
+						if err != nil {
+							errs <- err
+							return
+						}
+						for _, tk := range rout.Tasks {
+							body := fmt.Sprintf(`{"worker":%q,"task":%d,"choice":%d}`, w, tk.ID, tk.ID%2)
+							resp, err := call(http.Post(base+"/submit", "application/json", strings.NewReader(body)))
+							if err != nil {
+								errs <- err
+								return
+							}
+							resp.Body.Close()
+							if resp.StatusCode == http.StatusOK {
+								mu.Lock()
+								acked[name]++
+								mu.Unlock()
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			hts.Close()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if t.Failed() {
+				return
+			}
+
+			srv2, err := New(cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv2.Close() })
+			ts2 := httptest.NewServer(srv2.Handler())
+			t.Cleanup(ts2.Close)
+			for _, name := range campaigns {
+				resp, out := doJSON(t, "GET", ts2.URL+"/c/"+name+"/stats", nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("stats %s = %d", name, resp.StatusCode)
+				}
+				var answers int64
+				if err := json.Unmarshal(out["answers"], &answers); err != nil {
+					t.Fatal(err)
+				}
+				if acked[name] == 0 || answers != acked[name] {
+					t.Errorf("%s: %d answers after restart, %d acknowledged", name, answers, acked[name])
+				}
+			}
+		})
+	}
+}
+
 // TestLeasedRequestsOverHTTP drives the -lease-ttl serving mode end to
 // end: a worker re-requesting before submitting gets disjoint tasks, the
 // pool drains to empty, and /stats exposes the candidate-index and lease

@@ -55,7 +55,7 @@ func driveInterleaved(t *testing.T, reg *Registry, names []string, nWorkers int,
 	r := mathx.NewRand(seed)
 	goldenSets := make(map[string]map[int]bool, len(names))
 	for _, name := range names {
-		sys, err := reg.Get(name)
+		sys, err := get(reg, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func driveInterleaved(t *testing.T, reg *Registry, names []string, nWorkers int,
 				continue
 			}
 			active = true
-			sys, err := reg.Get(name)
+			sys, err := get(reg, name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +326,7 @@ func TestMultiCampaignCrashRecoveryExact(t *testing.T) {
 	names := []string{"alpha", "beta", "gamma"}
 	var m int
 	for i, name := range names {
-		sys, err := reg.Create(name)
+		sys, err := create(reg, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +396,7 @@ func TestMultiCampaignCrashRecoveryExact(t *testing.T) {
 		}
 		for _, name := range names {
 			c := cuts[name]
-			sys, err := booted.Get(name)
+			sys, err := get(booted, name)
 			if err != nil {
 				t.Fatalf("kill %d: campaign %s: %v", kill, name, err)
 			}
@@ -454,7 +454,7 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := reg.Create("solo")
+	sys, err := create(reg, "solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 		t.Fatalf("boot over lost-merge image: %v", err)
 	}
 	defer booted.Close()
-	rec, err := booted.Get("solo")
+	rec, err := get(booted, "solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 	}
 	// A brand-new campaign sees the repaired record and skips the gauntlet
 	// — the crash cost nothing.
-	next, err := booted.Create("next")
+	next, err := create(booted, "next")
 	if err != nil {
 		t.Fatal(err)
 	}

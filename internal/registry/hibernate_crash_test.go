@@ -48,7 +48,7 @@ func buildHibernateCrashFixture(t *testing.T) *hibernateCrashFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := reg.Create("solo")
+	sys, err := create(reg, "solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func buildHibernateCrashFixture(t *testing.T) *hibernateCrashFixture {
 	// Wake and extend the campaign: run the rest of the workload to
 	// saturation, final hibernate. The stale snapshot now trails the log.
 	driveInterleaved(t, reg, []string{"solo"}, 5, 23)
-	sys, err = reg.Get("solo")
+	sys, err = get(reg, "solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func buildAnswerFreeFixture(t *testing.T, seeded bool) *hibernateCrashFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := reg.Create("solo")
+	sys, err := create(reg, "solo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func (f *hibernateCrashFixture) bootAndCheck(t *testing.T, label, crashRoot stri
 			t.Fatalf("%s: cold boot counts = %d live / %d hibernated, want 0/1", label, live, hib)
 		}
 	}
-	sys, err := booted.Get("solo")
+	sys, err := get(booted, "solo")
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -374,7 +374,7 @@ func TestHibernateCrashMidLogTear(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer booted.Close()
-	sys, err := booted.Get("solo")
+	sys, err := get(booted, "solo")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,15 +47,15 @@ func TestEvictionIOLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer reg.Close()
-			get := func(name string) func() error {
-				return func() error { _, err := reg.Get(name); return err }
+			touch := func(name string) func() error {
+				return func() error { _, err := get(reg, name); return err }
 			}
 			hibernate := func(name string) func() error {
 				return func() error { return reg.Hibernate(name) }
 			}
 			publish := func(name string) func() error {
 				return func() error {
-					sys, err := reg.Get(name)
+					sys, err := get(reg, name)
 					if err != nil {
 						return err
 					}
@@ -70,20 +70,20 @@ func TestEvictionIOLedger(t *testing.T) {
 				op        func() error
 			}{
 				// campaigns/ for the new name, campaigns/idle/ for its segment
-				{"create", 2, 0, func() error { _, err := reg.Create("idle"); return err }},
+				{"create", 2, 0, func() error { _, err := create(reg, "idle"); return err }},
 				{"first publish", policy.perRecord, 0, publish("idle")},
 				{"hibernate publish-only", policy.owed, 0, hibernate("idle")},
-				{"wake publish-only", 0, 0, get("idle")},
+				{"wake publish-only", 0, 0, touch("idle")},
 				// A reopened log cannot know what the life before it synced.
 				{"hibernate after a read-only wake", 1, 0, hibernate("idle")},
 
-				{"create a second campaign", 2, 0, func() error { _, err := reg.Create("busy"); return err }},
+				{"create a second campaign", 2, 0, func() error { _, err := create(reg, "busy"); return err }},
 				{"publish it", policy.perRecord, 0, publish("busy")},
 				// four campaign records, and the profiling merge's record in
 				// the store log, which fsyncs every record whatever the
 				// campaign's policy
 				{"profile a worker there", 4*policy.perRecord + 1, 0, func() error {
-					sys, err := reg.Get("busy")
+					sys, err := get(reg, "busy")
 					if err == nil {
 						profile(t, sys, "w0")
 					}
@@ -91,13 +91,13 @@ func TestEvictionIOLedger(t *testing.T) {
 				}},
 				// file + directory entry of the snapshot; the log is synced first
 				{"hibernate with answers past the snapshot", policy.owed + 2, 1, hibernate("busy")},
-				{"wake it", 0, 1, get("busy")},
+				{"wake it", 0, 1, touch("busy")},
 				{"hibernate after a read-only wake", 1, 1, hibernate("busy")},
 
 				// w0 is known to the store now, so her first request of the idle
 				// campaign logs a KindSeed — and nothing else.
 				{"request that logs only a seed", policy.perRecord, 1, func() error {
-					sys, err := reg.Get("idle")
+					sys, err := get(reg, "idle")
 					if err == nil {
 						_, err = sys.Request("w0", crashKnobs.hit)
 					}
@@ -120,7 +120,7 @@ func TestEvictionIOLedger(t *testing.T) {
 				}
 			}
 			// The seed-only life replays as publication + seed, no snapshot.
-			sys, err := reg.Get("idle")
+			sys, err := get(reg, "idle")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestEvictionIOLedger(t *testing.T) {
 		defer reg.Close()
 		before := wal.Fsyncs()
 		for i := 0; i < 80; i++ {
-			sys, err := reg.Create(fmt.Sprintf("c%03d", i))
+			sys, err := create(reg, fmt.Sprintf("c%03d", i))
 			if err != nil {
 				t.Fatal(err)
 			}

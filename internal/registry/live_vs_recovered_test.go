@@ -59,7 +59,7 @@ func TestRegistryLiveVsRecoveredExact(t *testing.T) {
 	goldenSets := make(map[string]map[int]bool, len(names))
 	systems := make(map[string]*core.System, len(names))
 	for i, name := range names {
-		sys, err := reg.Create(name)
+		sys, err := create(reg, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestRegistryLiveVsRecoveredExact(t *testing.T) {
 			t.Fatalf("capture %d: boot: %v", i, err)
 		}
 		for _, name := range names {
-			sys, err := booted.Get(name)
+			sys, err := get(booted, name)
 			if err != nil {
 				t.Fatalf("capture %d: %v", i, err)
 			}

@@ -34,36 +34,33 @@
 //
 // # Lifecycle
 //
-// A campaign is in one of three states:
+// Every use of a campaign's core runs through Do, which holds the
+// campaign's lease for the length of the call, and every change of its
+// lifecycle state runs through one transition under the campaign's write
+// lock, which waits out the calls in flight and keeps new ones out:
 //
-//	live ──(idle / LRU eviction / Hibernate)──▶ hibernated
-//	live ◀──(any request: Get wakes it)──────── hibernated
-//	live or hibernated ──(Archive)──▶ archived   (terminal)
+//	from              to          on                        what happens
+//	absent            live        Create, boot              core built, WAL armed and replayed
+//	absent            hibernated  boot under a cap          listed, not replayed
+//	absent            archived    boot finds the marker     listed, never replayed
+//	hibernated        live        any call (wake)           snapshot restore + WAL-suffix replay
+//	live              hibernated  Hibernate, cap, idle      drain; final snapshot if answered since the newest
+//	live (failed)     hibernated  ErrDurability, Close      core closed as it stands: no snapshot pass
+//	live, hibernated  archived    Archive                   core closed, archived marker written (terminal)
 //
-// Create registers a live campaign and arms its WAL; the returned
-// core.System serves Publish/Request/Submit/Results as usual. Hibernation
-// releases an idle campaign's memory: its core is drained, a final state
-// snapshot is written by one last snapshot pass if any answer lies past
-// the newest one (a campaign nobody answered writes nothing), the WAL is
-// closed — fsynced first unless already known synced — and the serving
-// core is dropped: the campaign's entire durable state stays on disk. A
-// request to a hibernated campaign wakes it first: Get rebuilds the core
-// via the ordinary recovery ladder (snapshot restore + WAL-suffix
-// replay), under a per-campaign single-flight guard so a stampede of cold
-// requests replays exactly once. Config.HibernateAfter hibernates
-// campaigns idle past the deadline; Config.MaxLiveCampaigns bounds the
-// resident set with least-recently-used eviction, and makes boot LAZY —
-// namespaces are listed, not replayed, so a million-campaign root boots
-// in O(readdir) and each campaign pays its replay on first touch.
-// Hibernate/wake cycles are invisible at the bit level: the woken state
-// is the serial-replay state, which the live-vs-recovered suite proves
-// equal to the live fingerprint at every acknowledged boundary.
-//
-// Archive ends a campaign for good: its system (if resident) is drained
-// and closed, an `archived` marker is written, and later boots list it
-// without replaying. Close shuts the whole registry down gracefully
-// (every resident campaign's WAL flushed and fsynced, then the shared
-// store released).
+// So no call ever runs on a closing core. Eviction — least recently used
+// first past Config.MaxLiveCampaigns, idle past Config.HibernateAfter —
+// never waits and never fails a call: it takes only campaigns whose write
+// lock it gets at once, so the resident set may exceed MaxLiveCampaigns by
+// the campaigns with a call in flight, and the next call to end trims it. A
+// call that fails its durability promise fails the campaign: its core is
+// dropped and the next call wakes it from its log, so a campaign only ever
+// serves state its log holds. A stampede of cold calls wakes the campaign
+// once. MaxLiveCampaigns also makes boot lazy: namespaces are listed, not
+// replayed, so a million-campaign root boots in O(readdir). Hibernate/wake
+// cycles are invisible at the bit level: the woken state is the
+// serial-replay state, which the live-vs-recovered suite proves equal to
+// the live fingerprint at every acknowledged boundary.
 package registry
 
 import (
@@ -133,7 +130,7 @@ type Config struct {
 	// pre-hibernation behavior.
 	MaxLiveCampaigns int
 	// HibernateAfter hibernates any live campaign that has not been
-	// touched (Get/Create) for this long. Requires WALDir. 0 disables
+	// touched (called or created) for this long. Requires WALDir. 0 disables
 	// idle hibernation.
 	HibernateAfter time.Duration
 	// Clock overrides time.Now for idle accounting and wake timing —
@@ -178,33 +175,38 @@ type Info struct {
 type campaignState int
 
 const (
-	stateLive campaignState = iota
+	// stateAbsent is an entry Create or boot has listed but not yet opened.
+	stateAbsent campaignState = iota
+	stateLive
 	stateHibernated
 	stateArchived
+	// stateFailed is a transition target only: close the core as it stands
+	// — a core that failed its durability promise, or a registry's at
+	// Close — and leave the campaign hibernated.
+	stateFailed
 )
 
 // campaign is one registry entry.
 type campaign struct {
-	// mu serializes this campaign's lifecycle transitions (wake,
-	// hibernate, archive, close): whoever holds it is the only goroutine
-	// that may install or remove the serving core. It doubles as the
-	// single-flight wake guard — a stampede of cold requests queues here
-	// and every waiter but the first finds the campaign live. Lock order:
-	// c.mu may be taken before r.mu; never the reverse. docs-lint enforces
-	// that order from the declaration below.
+	// mu is the campaign's lease. A call holds it for reading while it runs
+	// (Do); a transition holds it for writing, which waits out the calls in
+	// flight, keeps new ones out, and makes a stampede of cold calls wake
+	// the campaign once. Lock order: c.mu may be taken before r.mu; never
+	// the reverse. docs-lint enforces that order from the declaration below.
 	//
 	//docs:lockorder c.mu < r.mu
-	mu sync.Mutex
+	mu sync.RWMutex
 
-	// sys is the serving core, nil while hibernated or archived. Atomic
-	// so Get's fast path loads it with no lock at all.
+	// sys is the serving core, nil unless live. Atomic so eviction and
+	// Resident can look at it without the lease.
 	sys atomic.Pointer[core.System]
 
 	// lastTouch is the registry clock's UnixNano at the campaign's last
-	// Get/Create — the LRU recency stamp.
+	// call or wake — the LRU recency stamp.
 	lastTouch atomic.Int64
 
-	// The fields below are guarded by the registry's mu.
+	// The fields below are guarded by the registry's mu and written only by
+	// transition.
 	state campaignState
 	// Serving counters snapshotted when the campaign last left memory
 	// (hibernate or archive); zero for campaigns not resident this boot.
@@ -215,8 +217,7 @@ type campaign struct {
 }
 
 // Registry manages many named campaigns over one shared worker store.
-// All methods are safe for concurrent use; the *core.System handles it
-// returns are themselves concurrent-safe serving cores.
+// All methods are safe for concurrent use.
 type Registry struct {
 	cfg   Config
 	store *store.Store
@@ -365,59 +366,56 @@ func (r *Registry) recoverAll() error {
 	bootStamp := r.now().UnixNano()
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex
+		errMu    sync.Mutex
 		firstErr error
 	)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for _, name := range names {
-		dir := filepath.Join(root, name)
-		if _, err := os.Stat(filepath.Join(dir, archivedMarker)); err == nil {
-			mu.Lock()
-			r.campaigns[name] = &campaign{state: stateArchived}
-			mu.Unlock()
-			continue
-		} else if !errors.Is(err, os.ErrNotExist) {
+		to := stateLive
+		switch _, err := os.Stat(filepath.Join(root, name, archivedMarker)); {
+		case err == nil:
+			to = stateArchived
+		case !errors.Is(err, os.ErrNotExist):
 			wg.Wait()
 			return fmt.Errorf("registry: campaign %q: %w", name, err)
-		}
-		if r.cfg.MaxLiveCampaigns > 0 {
+		case r.cfg.MaxLiveCampaigns > 0:
 			// Lazy boot: the campaign's state stays on disk until its first
-			// request wakes it, which is what bounds boot time and RSS at
+			// call wakes it, which is what bounds boot time and RSS at
 			// million-campaign density.
-			c := &campaign{state: stateHibernated}
-			c.lastTouch.Store(bootStamp)
-			mu.Lock()
-			r.campaigns[name] = c
-			mu.Unlock()
+			to = stateHibernated
+		}
+		c := &campaign{}
+		c.lastTouch.Store(bootStamp)
+		r.mu.Lock()
+		r.campaigns[name] = c
+		r.mu.Unlock()
+		if to != stateLive {
+			c.mu.Lock()
+			r.transition(name, c, to) // lists it: cannot fail
+			c.mu.Unlock()
 			continue
 		}
 		wg.Add(1)
-		go func(name, dir string) {
+		go func(name string, c *campaign) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			sys, recovered, err := r.openCampaign(name, dir)
-			mu.Lock()
-			defer mu.Unlock()
+			c.mu.Lock()
+			err := r.transition(name, c, stateLive)
+			c.mu.Unlock()
 			if err != nil {
+				errMu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("registry: recover campaign %q: %w", name, err)
 				}
-				return
+				errMu.Unlock()
 			}
-			c := &campaign{state: stateLive, recovered: recovered}
-			c.sys.Store(sys)
-			c.lastTouch.Store(bootStamp)
-			r.liveCount.Add(1)
-			r.campaigns[name] = c
-		}(name, dir)
+		}(name, c)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		// The caller closes the registry, which shuts down whatever booted.
-		return firstErr
-	}
-	return nil
+	// On error the caller closes the registry, which shuts down whatever
+	// booted.
+	return firstErr
 }
 
 // openCampaign builds one campaign's core.System over the shared store and,
@@ -453,17 +451,21 @@ func (r *Registry) dir(name string) string {
 	return filepath.Join(r.cfg.WALDir, campaignsDir, name)
 }
 
-// Create registers a new campaign and returns its serving core. The name
-// must validate, and must not collide with any live, hibernated or
-// archived campaign.
-func (r *Registry) Create(name string) (*core.System, error) {
+// Create registers a new live campaign. The name must validate, and must
+// not collide with any live, hibernated or archived campaign.
+func (r *Registry) Create(name string) error {
 	if err := ValidateName(name); err != nil {
-		return nil, err
+		return err
 	}
+	// The entry is listed locked, so a call that finds it before it opens
+	// waits for the outcome.
+	c := &campaign{}
+	c.mu.Lock()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, ErrClosed
+		c.mu.Unlock()
+		return ErrClosed
 	}
 	// Uniqueness is enforced case-insensitively: names become directory
 	// names, and on a case-insensitive filesystem "Foo" and "foo" would
@@ -472,258 +474,303 @@ func (r *Registry) Create(name string) (*core.System, error) {
 	for existing := range r.campaigns {
 		if strings.EqualFold(existing, name) {
 			r.mu.Unlock()
-			return nil, fmt.Errorf("%w: %q (collides with %q)", ErrExists, name, existing)
+			c.mu.Unlock()
+			return fmt.Errorf("%w: %q (collides with %q)", ErrExists, name, existing)
 		}
 	}
-	// The campaign's directory is created, parent entry fsynced, by the
-	// WAL its Recover opens.
-	sys, recovered, err := r.openCampaign(name, r.dir(name))
-	if err != nil {
-		r.mu.Unlock()
-		return nil, err
-	}
-	c := &campaign{state: stateLive, recovered: recovered}
-	c.sys.Store(sys)
-	c.lastTouch.Store(r.now().UnixNano())
-	r.liveCount.Add(1)
 	r.campaigns[name] = c
 	r.mu.Unlock()
-	r.enforceCap()
-	return sys, nil
+	// The campaign's directory is created, parent entry fsynced, by the
+	// WAL its Recover opens.
+	err := r.transition(name, c, stateLive)
+	if err != nil {
+		r.mu.Lock()
+		delete(r.campaigns, name)
+		r.mu.Unlock()
+	}
+	c.mu.Unlock()
+	if err == nil {
+		r.enforceCap()
+	}
+	return err
 }
 
-// Get returns the named campaign's serving core, waking it first when it
-// is hibernated. The fast path — a resident campaign — is one map read
-// and one atomic load, with no per-campaign lock.
-func (r *Registry) Get(name string) (*core.System, error) {
-	r.mu.RLock()
-	closed := r.closed
-	c := r.campaigns[name]
-	r.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if c == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+// Do runs fn on the named campaign's serving core, waking the campaign
+// first when it is hibernated, and holds the campaign's lease until fn
+// returns: no hibernation, eviction, Archive or Close closes the core
+// under fn. fn must not keep the core past its return. When fn's error is
+// core.ErrDurability the campaign fails: its core is dropped and the next
+// call wakes it from its log. The fast path — a resident campaign — is one
+// map read and one uncontended read lock.
+func (r *Registry) Do(name string, fn func(*core.System) error) error {
+	c, err := r.lookup(name)
+	if err != nil {
+		return err
 	}
 	c.lastTouch.Store(r.now().UnixNano())
-	if sys := c.sys.Load(); sys != nil {
-		return sys, nil
-	}
-	sys, err := r.wake(name, c)
-	if err != nil {
-		return nil, err
-	}
-	// Admitting the woken campaign can push the resident set past the
-	// cap; evict outside the campaign's own transition lock (eviction
-	// locks OTHER campaigns' transition locks, and the fresh wake is the
-	// most recently touched entry, so it is never its own victim).
+	sys, err := r.leased(name, c, fn)
+	err = r.failStop(name, c, sys, err)
+	// A wake — this call's, or an earlier one whose eviction skipped
+	// campaigns with calls in flight — can leave the resident set over the
+	// cap: trim it holding no lease, so no call waits on another campaign's
+	// eviction.
 	r.enforceCap()
-	return sys, nil
+	return err
 }
 
-// wake reactivates a hibernated campaign through the ordinary recovery
-// ladder: snapshot restore plus WAL-suffix replay (a clean hibernate left
-// a snapshot covering the whole log, so the suffix is empty). The
-// campaign's transition lock is the single-flight guard: a stampede of
-// cold requests queues here, the first waiter replays, and every other
-// waiter finds the campaign live and returns the same core.
-func (r *Registry) wake(name string, c *campaign) (*core.System, error) {
+// leased runs fn under campaign c's lease and returns the core it ran on.
+// The lease is released by defer, so a panicking fn cannot leave the
+// campaign locked against every later transition.
+func (r *Registry) leased(name string, c *campaign, fn func(*core.System) error) (*core.System, error) {
+	c.mu.RLock()
+	if sys := c.sys.Load(); sys != nil {
+		defer c.mu.RUnlock()
+		return sys, fn(sys)
+	}
+	c.mu.RUnlock()
+	// Cold: wake under the write lock and run this call there too, so no
+	// eviction can come between the wake and the call it was for.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if sys := c.sys.Load(); sys != nil {
-		return sys, nil // another waiter already woke it
+	if err := r.transition(name, c, stateLive); err != nil {
+		return nil, err
 	}
-	r.mu.RLock()
-	closed, state := r.closed, c.state
-	r.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if state == stateArchived {
-		return nil, fmt.Errorf("%w: %q", ErrArchived, name)
-	}
-	dir := r.dir(name)
-	if dir == "" {
-		// Unreachable: hibernation requires WALDir (checked in Open), and
-		// memory-only campaigns are always resident. Guarded anyway — an
-		// empty-dir openCampaign would silently produce a blank campaign.
-		return nil, fmt.Errorf("registry: wake %q: no WAL namespace", name)
-	}
-	start := r.now()
-	sys, recovered, err := r.openCampaign(name, dir)
-	if err != nil {
-		return nil, fmt.Errorf("registry: wake %q: %w", name, err)
-	}
-	elapsed := r.now().Sub(start)
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		sys.Close()
-		return nil, ErrClosed
-	}
-	c.state = stateLive
-	c.recovered = recovered
-	c.wakes++
-	r.mu.Unlock()
-	c.sys.Store(sys)
-	c.lastTouch.Store(r.now().UnixNano())
-	r.liveCount.Add(1)
-	r.wakes.Add(1)
-	r.observeWake(elapsed)
-	return sys, nil
+	sys := c.sys.Load()
+	return sys, fn(sys)
 }
 
-// Hibernate releases the named campaign's memory: the serving core is
-// drained, a final state snapshot is written by one last snapshot pass if
-// an answer lies past the newest one, the WAL is closed (fsynced only if a
-// byte of it may be unsynced), and the core is dropped. A campaign with no
-// answer since its snapshot — or none at all — writes nothing. The
-// campaign stays listed and any later request wakes it. Hibernating an
-// already-hibernated campaign is a no-op. An error
-// after the drain means the final snapshot could not be written — the
-// campaign is hibernated regardless (its state is durable in the WAL) and
-// the next wake pays a longer replay; nothing is lost. Requests holding
-// the campaign's *core.System fail once it closes, exactly as with
-// Archive.
+// failStop passes a call's error through, first failing the campaign when
+// the call broke its durability promise: the core it ran on holds state
+// its log may not, so it is dropped — if it is still the installed one —
+// and the next call wakes the campaign from disk.
+func (r *Registry) failStop(name string, c *campaign, sys *core.System, err error) error {
+	// A memory-only campaign has no log to fail or to wake from.
+	if err == nil || !errors.Is(err, core.ErrDurability) || r.cfg.WALDir == "" {
+		return err
+	}
+	c.mu.Lock()
+	if c.sys.Load() == sys {
+		// The log is poisoned, so closing it fails too; the call's error is
+		// the one to report.
+		_ = r.transition(name, c, stateFailed)
+	}
+	c.mu.Unlock()
+	return err
+}
+
+// lookup resolves a listed campaign.
+func (r *Registry) lookup(name string) (*campaign, error) {
+	r.mu.RLock()
+	closed, c := r.closed, r.campaigns[name]
+	r.mu.RUnlock()
+	switch {
+	case closed:
+		return nil, ErrClosed
+	case c == nil:
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	return c, nil
+}
+
+// transition moves campaign c toward state to; see the package comment's
+// table. It is the only writer of c.state and c.sys, and its caller holds
+// c.mu for writing, so no call is in flight on a core it installs or
+// removes. A transition to where the campaign already is is a no-op.
+func (r *Registry) transition(name string, c *campaign, to campaignState) error {
+	sys := c.sys.Load()
+	r.mu.RLock()
+	closed, from, listed := r.closed, c.state, r.campaigns[name] == c
+	r.mu.RUnlock()
+	switch {
+	case to == stateFailed:
+		if sys == nil {
+			return nil
+		}
+	case !listed:
+		return fmt.Errorf("%w: %q", ErrNotFound, name) // a Create that failed
+	case closed:
+		return ErrClosed
+	case from == stateArchived:
+		return fmt.Errorf("%w: %q", ErrArchived, name)
+	case from == stateAbsent && to != stateLive:
+		// Boot lists a campaign it does not replay: archived, or cold under
+		// a cap.
+		r.mu.Lock()
+		c.state = to
+		r.mu.Unlock()
+		return nil
+	case to == stateHibernated && sys == nil, to == stateLive && sys != nil:
+		return nil
+	case to == stateLive:
+		// Create, boot or wake: the ordinary recovery ladder (snapshot
+		// restore plus WAL-suffix replay).
+		start := r.now()
+		sys, recovered, err := r.openCampaign(name, r.dir(name))
+		if err != nil {
+			if from == stateHibernated {
+				return fmt.Errorf("registry: wake %q: %w", name, err)
+			}
+			return err
+		}
+		elapsed := r.now().Sub(start)
+		r.mu.Lock()
+		if r.closed {
+			r.mu.Unlock()
+			sys.Close()
+			return ErrClosed
+		}
+		c.state, c.recovered = stateLive, recovered
+		if from == stateHibernated {
+			c.wakes++
+		}
+		r.mu.Unlock()
+		c.sys.Store(sys)
+		c.lastTouch.Store(r.now().UnixNano())
+		r.liveCount.Add(1)
+		if from == stateHibernated {
+			r.wakes.Add(1)
+			r.observeWake(elapsed)
+		}
+		return nil
+	}
+	// Leaving memory (or archiving a hibernated campaign): snapshot the
+	// serving counters for List and flip the state, then release the core
+	// outside every registry lock — only calls to THIS campaign wait.
+	r.mu.Lock()
+	if sys != nil {
+		c.published, c.answers = sys.Published(), sys.AnswerCount()
+	}
+	c.state = to
+	if to == stateFailed {
+		c.state = stateHibernated
+	}
+	r.mu.Unlock()
+	var err error
+	if sys != nil {
+		c.sys.Store(nil)
+		r.liveCount.Add(-1)
+		if to == stateHibernated {
+			err = sys.Hibernate()
+		} else {
+			err = sys.Close()
+		}
+	}
+	if dir := r.dir(name); err == nil && to == stateArchived && dir != "" {
+		err = wal.WriteFileAtomic(filepath.Join(dir, archivedMarker), []byte("archived\n"))
+	}
+	if err != nil {
+		// A failed final snapshot still leaves the campaign hibernated: its
+		// state is durable in the WAL and the next wake replays longer. A
+		// failed archive leaves no marker: the next boot revives the
+		// campaign live, the safe direction (the requester re-archives).
+		verb := map[campaignState]string{stateHibernated: "hibernate", stateArchived: "archive", stateFailed: "close"}[to]
+		return fmt.Errorf("registry: %s %q: %w", verb, name, err)
+	}
+	return nil
+}
+
+// Hibernate releases the named campaign's memory once the calls in flight
+// on it return: the core is drained, a final state snapshot is written by
+// one last snapshot pass if an answer lies past the newest one, the WAL is
+// closed (fsynced only if a byte of it may be unsynced), and the core is
+// dropped. A campaign with no answer since its snapshot — or none at all —
+// writes nothing. The campaign stays listed and any later call wakes it.
+// Hibernating an already-hibernated campaign is a no-op. An error means
+// the final snapshot could not be written — the campaign is hibernated
+// regardless (its state is durable in the WAL) and the next wake pays a
+// longer replay; nothing is lost.
 func (r *Registry) Hibernate(name string) error {
 	if r.cfg.WALDir == "" {
 		return fmt.Errorf("registry: hibernate %q: memory-only registries cannot hibernate", name)
 	}
-	r.mu.RLock()
-	closed := r.closed
-	c := r.campaigns[name]
-	r.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if c == nil {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	_, err := r.hibernate(name, c)
-	return err
+	return r.exclusive(name, stateHibernated)
 }
 
-// hibernate performs the live → hibernated transition under the
-// campaign's transition lock. Returns whether a resident core was
-// actually released. A Get racing the drain queues on the same lock and
-// wakes the campaign right back up once the hibernate completes — so a
-// request never observes a half-drained core, and an acknowledged answer
-// is always durable before the drain's final fsync (Submit acknowledges
-// only after its group-commit batch is down).
-func (r *Registry) hibernate(name string, c *campaign) (bool, error) {
+// Archive ends a campaign for good once the calls in flight on it return:
+// the serving core (when resident) is drained and closed (its WAL flushed
+// and fsynced), and — for durable registries — an archive marker is
+// written so later boots list the campaign without replaying it. A
+// hibernated campaign archives without waking: its state is already
+// durable, only the marker is written.
+func (r *Registry) Archive(name string) error { return r.exclusive(name, stateArchived) }
+
+// exclusive runs one transition of the named campaign under its write
+// lock, waiting out the calls in flight.
+func (r *Registry) exclusive(name string, to campaignState) error {
+	c, err := r.lookup(name)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sys := c.sys.Load()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return false, ErrClosed
-	}
-	if c.state == stateArchived {
-		r.mu.Unlock()
-		return false, fmt.Errorf("%w: %q", ErrArchived, name)
-	}
-	if sys == nil {
-		r.mu.Unlock()
-		return false, nil // already hibernated
-	}
-	// Snapshot the serving counters for List, flip the state, and pull
-	// the core so no new handle resolves while the drain runs.
-	c.published = sys.Published()
-	c.answers = sys.AnswerCount()
-	c.state = stateHibernated
-	r.mu.Unlock()
-	c.sys.Store(nil)
-	r.liveCount.Add(-1)
-
-	// Drain + final snapshot (if answered since the last one) + release,
-	// outside every registry lock: only requests to THIS campaign wait (on
-	// c.mu), every other campaign serves on.
-	if err := sys.Hibernate(); err != nil {
-		return true, fmt.Errorf("registry: hibernate %q: %w", name, err)
-	}
-	return true, nil
+	return r.transition(name, c, to)
 }
 
 // enforceCap hibernates least-recently-touched live campaigns until the
-// resident set fits Config.MaxLiveCampaigns again.
+// resident set fits Config.MaxLiveCampaigns again, or until every campaign
+// left over it has a call in flight.
 func (r *Registry) enforceCap() {
 	max := r.cfg.MaxLiveCampaigns
-	if max <= 0 {
+	if max <= 0 || int(r.liveCount.Load()) <= max {
 		return
 	}
-	for int(r.liveCount.Load()) > max {
-		name, c := r.coldestLive()
-		if c == nil {
-			return
-		}
-		if _, err := r.hibernate(name, c); errors.Is(err, ErrClosed) {
-			return
-		}
-		// A failed final snapshot still released the core (liveCount
-		// dropped), and a vacuous hibernate means a racing evictor got
-		// there first — either way the loop re-reads liveCount and makes
-		// progress.
-	}
-}
-
-// coldestLive returns the live campaign with the oldest touch stamp
-// (ties broken by name for determinism), or nil when none is live.
-func (r *Registry) coldestLive() (string, *campaign) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var (
-		bestName  string
-		best      *campaign
-		bestTouch int64
-	)
-	for name, c := range r.campaigns {
-		if c.sys.Load() == nil {
-			continue
-		}
-		t := c.lastTouch.Load()
-		if best == nil || t < bestTouch || (t == bestTouch && name < bestName) {
-			best, bestName, bestTouch = c, name, t
-		}
-	}
-	return bestName, best
+	r.evict(func(*campaign) bool { return true },
+		func() bool { return int(r.liveCount.Load()) <= max })
 }
 
 // SweepIdle hibernates every live campaign untouched for at least
-// Config.HibernateAfter and returns how many it released. The background
-// sweeper calls this periodically; tests with an injected Clock call it
-// directly for deterministic idle transitions.
+// Config.HibernateAfter and without a call in flight, and returns how many
+// it released. The background sweeper calls this periodically; tests with
+// an injected Clock call it directly for deterministic idle transitions.
 func (r *Registry) SweepIdle() int {
 	after := r.cfg.HibernateAfter
 	if after <= 0 {
 		return 0
 	}
 	cutoff := r.now().Add(-after).UnixNano()
+	return r.evict(func(c *campaign) bool { return c.lastTouch.Load() <= cutoff },
+		func() bool { return false })
+}
+
+// evict hibernates the live campaigns pick admits, least recently touched
+// first (ties broken by name), until done holds, and returns how many it
+// released. It never waits: a campaign whose write lock it cannot take at
+// once has a call in flight and is skipped.
+func (r *Registry) evict(pick func(*campaign) bool, done func() bool) int {
 	type cand struct {
-		name string
-		c    *campaign
+		name  string
+		c     *campaign
+		touch int64
 	}
 	var cands []cand
 	r.mu.RLock()
 	for name, c := range r.campaigns {
-		if c.sys.Load() != nil && c.lastTouch.Load() <= cutoff {
-			cands = append(cands, cand{name, c})
+		if c.sys.Load() != nil && pick(c) {
+			cands = append(cands, cand{name, c, c.lastTouch.Load()})
 		}
 	}
 	r.mu.RUnlock()
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		return a.touch < b.touch || (a.touch == b.touch && a.name < b.name)
+	})
 	released := 0
 	for _, cd := range cands {
-		if cd.c.lastTouch.Load() > cutoff {
-			continue // touched since the scan; a fresh deadline applies
-		}
-		ok, err := r.hibernate(cd.name, cd.c)
-		if errors.Is(err, ErrClosed) {
+		if done() {
 			break
 		}
-		if ok {
-			released++
+		if !cd.c.mu.TryLock() {
+			continue
 		}
+		// Re-checked under the lock: a call may have touched the campaign,
+		// or another evictor released it, since the scan.
+		if cd.c.sys.Load() != nil && pick(cd.c) {
+			r.transition(cd.name, cd.c, stateHibernated)
+			if cd.c.sys.Load() == nil {
+				released++ // a failed final snapshot still released the core
+			}
+		}
+		cd.c.mu.Unlock()
 	}
 	return released
 }
@@ -825,66 +872,6 @@ func (r *Registry) List() []Info {
 	return out
 }
 
-// Archive ends a campaign for good: the serving core (when resident) is
-// drained and closed (its WAL flushed and fsynced), and — for durable
-// registries — an archive marker is written so later boots list the
-// campaign without replaying it. A hibernated campaign archives without
-// waking: its state is already durable, only the marker is written.
-// Requests holding the campaign's *core.System fail once it closes.
-func (r *Registry) Archive(name string) error {
-	r.mu.RLock()
-	closed := r.closed
-	c := r.campaigns[name]
-	r.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if c == nil {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	// The transition lock orders Archive against a concurrent wake or
-	// hibernate of the same campaign; the close itself runs outside the
-	// registry lock so other campaigns never stall on the drain.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sys := c.sys.Load()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	if c.state == stateArchived {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrArchived, name)
-	}
-	// Snapshot the serving counters for List, then flip the entry so no
-	// new handle can be fetched while the drain runs.
-	if sys != nil {
-		c.published = sys.Published()
-		c.answers = sys.AnswerCount()
-	}
-	c.state = stateArchived
-	r.mu.Unlock()
-	if sys != nil {
-		c.sys.Store(nil)
-		r.liveCount.Add(-1)
-		if err := sys.Close(); err != nil {
-			// The campaign stays archived in memory but no marker is written:
-			// the next boot revives it live, which is the safe direction
-			// (nothing lost, the requester re-archives).
-			return fmt.Errorf("registry: archive %q: %w", name, err)
-		}
-	}
-	if dir := r.dir(name); dir != "" {
-		// Not durable means not archived: as above, the next boot may revive
-		// the campaign live and the requester re-archives.
-		if err := wal.WriteFileAtomic(filepath.Join(dir, archivedMarker), []byte("archived\n")); err != nil {
-			return fmt.Errorf("registry: archive %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
 // Counts returns the campaign census by lifecycle state.
 func (r *Registry) Counts() (live, hibernated, archived int) {
 	r.mu.RLock()
@@ -903,7 +890,7 @@ func (r *Registry) Counts() (live, hibernated, archived int) {
 }
 
 // Resident reports whether the named campaign is live in memory right
-// now — without waking it (unlike Get). False for hibernated, archived
+// now — without waking it (unlike Do). False for hibernated, archived
 // and unknown campaigns, and on a closed registry.
 func (r *Registry) Resident(name string) bool {
 	r.mu.RLock()
@@ -918,43 +905,35 @@ func (r *Registry) Resident(name string) bool {
 // Store exposes the shared worker store (for diagnostics and tests).
 func (r *Registry) Store() *store.Store { return r.store }
 
-// Close shuts every resident campaign down gracefully (background workers
-// drained, WALs flushed and fsynced) and releases the shared store.
-// Campaign handles must not be used after Close.
+// Close shuts every resident campaign down gracefully once the calls in
+// flight on it return (background workers drained, WALs flushed and
+// fsynced, no snapshot pass) and releases the shared store. Every call
+// after Close fails with ErrClosed.
 func (r *Registry) Close() error {
-	type entry struct {
-		name string
-		c    *campaign
-	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return nil
 	}
 	r.closed = true
-	entries := make([]entry, 0, len(r.campaigns))
+	entries := make(map[string]*campaign, len(r.campaigns))
+	names := make([]string, 0, len(r.campaigns))
 	for name, c := range r.campaigns {
-		entries = append(entries, entry{name, c})
+		entries[name] = c
+		names = append(names, name)
 	}
 	r.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	sort.Strings(names)
 	close(r.quit)
 	r.wg.Wait()
 	var err error
-	for _, e := range entries {
-		// The transition lock waits out any in-flight wake or hibernate;
-		// a wake that loses the race to closed never installs its core
-		// (it re-checks under the registry lock and closes it itself).
-		e.c.mu.Lock()
-		sys := e.c.sys.Swap(nil)
-		e.c.mu.Unlock()
-		if sys == nil {
-			continue
+	for _, name := range names {
+		c := entries[name]
+		c.mu.Lock()
+		if cerr := r.transition(name, c, stateFailed); cerr != nil && err == nil {
+			err = cerr
 		}
-		r.liveCount.Add(-1)
-		if cerr := sys.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("registry: close %q: %w", e.name, cerr)
-		}
+		c.mu.Unlock()
 	}
 	if cerr := r.store.Close(); cerr != nil && err == nil {
 		err = cerr

@@ -30,6 +30,24 @@ func synthTasks(m, n, offset int) []*model.Task {
 	return tasks
 }
 
+// get returns the named campaign's core, waking it first if need be. The
+// core outlives the lease Do held for it, so only a test that does not
+// hibernate, archive or close the campaign while it uses the core — or
+// that means to use a closed one — may hold it.
+func get(reg *Registry, name string) (*core.System, error) {
+	var sys *core.System
+	err := reg.Do(name, func(s *core.System) error { sys = s; return nil })
+	return sys, err
+}
+
+// create registers the campaign and returns its core as get does.
+func create(reg *Registry, name string) (*core.System, error) {
+	if err := reg.Create(name); err != nil {
+		return nil, err
+	}
+	return get(reg, name)
+}
+
 // profile pushes worker w through sys's golden gauntlet with perfect
 // answers and returns the golden answers in the order they were submitted.
 func profile(t *testing.T, sys *core.System, w string) []model.Answer {
@@ -113,34 +131,34 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := reg.Get("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(reg, "nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(unknown) = %v, want ErrNotFound", err)
 	}
-	if _, err := reg.Create("bad/name"); err == nil {
+	if _, err := create(reg, "bad/name"); err == nil {
 		t.Error("Create with illegal name succeeded")
 	}
 
-	a, err := reg.Create("alpha")
+	a, err := create(reg, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Create("alpha"); !errors.Is(err, ErrExists) {
+	if _, err := create(reg, "alpha"); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate Create = %v, want ErrExists", err)
 	}
 	// Names that differ only by case would share a directory on
 	// case-insensitive filesystems, so they collide everywhere.
-	if _, err := reg.Create("Alpha"); !errors.Is(err, ErrExists) {
+	if _, err := create(reg, "Alpha"); !errors.Is(err, ErrExists) {
 		t.Errorf("case-colliding Create = %v, want ErrExists", err)
 	}
 	m := a.Domains().Size()
 	if err := a.Publish(synthTasks(m, 8, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Create("beta"); err != nil {
+	if _, err := create(reg, "beta"); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := reg.Get("alpha")
+	got, err := get(reg, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +181,13 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err := reg.Archive("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Get("alpha"); !errors.Is(err, ErrArchived) {
+	if _, err := get(reg, "alpha"); !errors.Is(err, ErrArchived) {
 		t.Errorf("Get(archived) = %v, want ErrArchived", err)
 	}
 	if err := reg.Archive("alpha"); !errors.Is(err, ErrArchived) {
 		t.Errorf("double Archive = %v, want ErrArchived", err)
 	}
-	if _, err := reg.Create("alpha"); !errors.Is(err, ErrExists) {
+	if _, err := create(reg, "alpha"); !errors.Is(err, ErrExists) {
 		t.Errorf("Create over archived = %v, want ErrExists", err)
 	}
 	if infos := reg.List(); !infos[0].Archived || !infos[0].Published || infos[0].Answers != 1 {
@@ -185,7 +203,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Get("beta"); !errors.Is(err, ErrClosed) {
+	if _, err := get(reg, "beta"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get after Close = %v, want ErrClosed", err)
 	}
 
@@ -206,7 +224,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if infos[1].Archived {
 		t.Errorf("beta after reboot = %+v, want live", infos[1])
 	}
-	if _, err := reg2.Get("alpha"); !errors.Is(err, ErrArchived) {
+	if _, err := get(reg2, "alpha"); !errors.Is(err, ErrArchived) {
 		t.Errorf("Get(archived) after reboot = %v, want ErrArchived", err)
 	}
 }
@@ -224,7 +242,7 @@ func TestRegistryRebootRecoversAllCampaigns(t *testing.T) {
 	names := []string{"a1", "a2", "a3"}
 	answers := map[string]int64{}
 	for i, name := range names {
-		sys, err := reg.Create(name)
+		sys, err := create(reg, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +290,7 @@ func TestCrossCampaignWorkerCarryover(t *testing.T) {
 	}
 	defer reg.Close()
 
-	a, err := reg.Create("a")
+	a, err := create(reg, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +311,7 @@ func TestCrossCampaignWorkerCarryover(t *testing.T) {
 		t.Fatal("store stats differ from the single profiling estimate")
 	}
 
-	b, err := reg.Create("b")
+	b, err := create(reg, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +391,7 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 	var m int
 	for i := range names {
 		names[i] = fmt.Sprintf("c%d", i)
-		sys, err := reg.Create(names[i])
+		sys, err := create(reg, names[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +416,7 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 			defer wg.Done()
 			w := fmt.Sprintf("w%d", i)
 			home := names[i%nCampaigns]
-			sys, err := reg.Get(home)
+			sys, err := get(reg, home)
 			if err != nil {
 				errs <- err
 				return
@@ -431,7 +449,7 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 			// Then serve one batch in EVERY campaign, concurrently with the
 			// other workers' gauntlets and serving.
 			for _, name := range names {
-				other, err := reg.Get(name)
+				other, err := get(reg, name)
 				if err != nil {
 					errs <- err
 					return
@@ -458,7 +476,7 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 
 	for i := 0; i < nWorkers; i++ {
 		w := fmt.Sprintf("w%d", i)
-		sys, err := reg.Get(results[i].home)
+		sys, err := get(reg, results[i].home)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +499,7 @@ func TestMemoryOnlyRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := reg.Create("a")
+	a, err := create(reg, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +508,7 @@ func TestMemoryOnlyRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile(t, a, "w")
-	b, err := reg.Create("b")
+	b, err := create(reg, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +553,7 @@ func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 	answers := make(map[string]int64, nCampaigns)
 	for c := 0; c < nCampaigns; c++ {
 		name := fmt.Sprintf("c%d", c)
-		sys, err := reg.Create(name)
+		sys, err := create(reg, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -566,7 +584,7 @@ func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 	// would differ from the recovered state for store reasons, not
 	// recovery reasons.
 	for name := range answers {
-		sys, err := reg.Get(name)
+		sys, err := get(reg, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,7 +600,7 @@ func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 	}
 	defer re.Close()
 	for name, fp := range want {
-		sys, err := re.Get(name)
+		sys, err := get(re, name)
 		if err != nil {
 			t.Fatalf("campaign %s: %v", name, err)
 		}

@@ -49,7 +49,7 @@ func TestStoreAndCampaignLogsNotInterchangeable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := reg.Create("alpha")
+	sys, err := create(reg, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,23 +187,30 @@ func TestAllocsAnsweredTaskIndependentOfM(t *testing.T) {
 	type cost struct{ bytes, allocs uint64 }
 	measure := func(m int) (submit, infer cost) {
 		tasks, as := supportOneCampaign(t, m, 250)
-		inc := NewIncremental(m)
-		for _, tk := range tasks {
-			if err := inc.AddTask(tk); err != nil {
+		// The least of several first Submits, each on a fresh Incremental:
+		// one ReadMemStats pair also counts whatever the runtime allocated
+		// meanwhile, and only the minimum is free of it.
+		submit = cost{^uint64(0), ^uint64(0)}
+		for rep := 0; rep < 5; rep++ {
+			inc := NewIncremental(m)
+			for _, tk := range tasks {
+				if err := inc.AddTask(tk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := inc.SetWorker("w", NewStats(m)); err != nil { // a seen worker: her m-long stats exist already
 				t.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := inc.Submit(model.Answer{Worker: "w", Task: 7, Choice: 1})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit.bytes = min(submit.bytes, after.TotalAlloc-before.TotalAlloc)
+			submit.allocs = min(submit.allocs, after.Mallocs-before.Mallocs)
 		}
-		if err := inc.SetWorker("w", NewStats(m)); err != nil { // a seen worker: her m-long stats exist already
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := inc.Submit(model.Answer{Worker: "w", Task: 7, Choice: 1})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		submit = cost{after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs}
 
 		few := model.NewAnswerSet() // the same ten workers over the first 50 tasks
 		for _, a := range as.All() {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -51,13 +52,34 @@ func SyncDir(dir string) error {
 	return fsync(d)
 }
 
-var fsyncs atomic.Int64
+var (
+	fsyncs atomic.Int64
+	// failAt is the fsyncs count whose fsync FailFsyncAt armed to fail; 0
+	// when none is armed.
+	failAt atomic.Int64
+)
+
+// ErrInjectedFsync is what an fsync armed by FailFsyncAt returns.
+var ErrInjectedFsync = errors.New("injected fsync failure")
 
 // fsync is the one fsync in the package: every file and directory sync
 // comes through it and is counted.
 func fsync(f *os.File) error {
-	fsyncs.Add(1)
+	if fsyncs.Add(1) == failAt.Load() {
+		return ErrInjectedFsync
+	}
 	return f.Sync()
+}
+
+// FailFsyncAt makes the nth fsync from now (1 = the next) return
+// ErrInjectedFsync without syncing; n <= 0 disarms it. It is a test hook:
+// the count is process-wide, so a test arms it only while it alone syncs.
+func FailFsyncAt(n int64) {
+	if n <= 0 {
+		failAt.Store(0)
+		return
+	}
+	failAt.Store(fsyncs.Load() + n)
 }
 
 // Fsyncs returns how many fsyncs this process has issued through the

@@ -399,8 +399,10 @@ func (l *Log) flusher() {
 		upTo := l.pending
 		l.buf = nil
 		closed := l.closed
+		poisoned := l.err != nil
 		l.mu.Unlock()
-		if len(batch) > 0 {
+		// A poisoned log writes nothing more: its waiters fail on l.err.
+		if len(batch) > 0 && !poisoned {
 			err := l.writeBatch(batch, upTo)
 			l.mu.Lock()
 			if err != nil {
@@ -431,15 +433,17 @@ func (l *Log) writeBatch(batch []byte, upTo uint64) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	l.dirty = true
-	if _, err := l.f.Write(batch); err != nil {
+	_, err := l.f.Write(batch)
+	if err == nil && l.opts.Sync == SyncEveryBatch {
+		err = l.syncActive()
+	}
+	if err != nil {
+		// No record of the batch is acknowledged, so its bytes come back out
+		// (best effort): a later boot must not replay what was refused.
+		_ = l.f.Truncate(l.size)
 		return err
 	}
 	l.size += int64(len(batch))
-	if l.opts.Sync == SyncEveryBatch {
-		if err := l.syncActive(); err != nil {
-			return err
-		}
-	}
 	if l.size >= l.opts.SegmentBytes {
 		return l.rotate(upTo + 1)
 	}

@@ -424,6 +424,34 @@ func TestSyncEveryBatch(t *testing.T) {
 	}
 }
 
+// TestFailedFsyncRefusesItsBatch fails one batch's fsync: the append
+// reports it, the log refuses every later record, and the file holds only
+// what was acknowledged before — a refused record never replays.
+func TestFailedFsyncRefusesItsBatch(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncEveryBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(6)
+	appendAll(t, l, recs[:5])
+	FailFsyncAt(1)
+	defer FailFsyncAt(0)
+	if _, err := l.Append(recs[5]); !errors.Is(err, ErrInjectedFsync) {
+		t.Fatalf("append over a failed fsync = %v, want ErrInjectedFsync", err)
+	}
+	if _, err := l.Append(recs[5]); !errors.Is(err, ErrInjectedFsync) {
+		t.Fatalf("append on a poisoned log = %v, want the first failure", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrInjectedFsync) {
+		t.Fatalf("close of a poisoned log = %v, want the first failure", err)
+	}
+	got, st := replayAll(t, dir)
+	if len(got) != 5 || st.TornTail {
+		t.Fatalf("replayed %d records (torn %v), want the 5 acknowledged", len(got), st.TornTail)
+	}
+}
+
 // TestSyncSkipsCleanLog holds Sync and Close to the dirty bit: an fsync is
 // issued exactly when a byte of the active segment may be unsynced — after
 // a write the policy did not sync, or over a segment an earlier process

@@ -1,6 +1,9 @@
 package docs_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -27,7 +30,9 @@ import (
 // neither a reader nor a writer to name it. One codec compresses: LZW, in
 // the publication record, whose stream the decoder holds to a re-encode —
 // and nothing imports compress/flate, whose output is not pinned across
-// Go releases.
+// Go releases. Only tests fail an fsync on purpose (wal.FailFsyncAt), and
+// a registry campaign's lifecycle state has one writer: the registry's
+// transition function.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -39,6 +44,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		"DOCSSNP3":         nil,
 		`"compress/lzw"`:   {"internal/core/publication.go"},
 		`"compress/flate"`: nil,
+		"FailFsyncAt(":     {"internal/wal/atomic.go"},
 	}
 	// Imports no file under a directory may name.
 	forbidden := map[string][]string{
@@ -85,5 +91,55 @@ func TestOneReaderOneWriter(t *testing.T) {
 		if strings.Join(got[call], " ") != strings.Join(files, " ") {
 			t.Errorf("%s appears in %v, want only %v", call, got[call], files)
 		}
+	}
+
+	// A campaign's state field is set — assigned or given in a composite
+	// literal — only inside the registry's transition function.
+	paths, err := filepath.Glob("internal/registry/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	writers := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				var field ast.Node
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "state" {
+							field = sel
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok && id.Name == "state" {
+						field = id
+					}
+				}
+				if field == nil {
+					return true
+				}
+				if fn.Name.Name != "transition" {
+					t.Errorf("%s: %s sets a campaign's state outside transition", fset.Position(field.Pos()), fn.Name.Name)
+				}
+				writers++
+				return true
+			})
+		}
+	}
+	if writers == 0 {
+		t.Error("found no write of a campaign's state: the check no longer sees the field")
 	}
 }

@@ -3,6 +3,7 @@ package docs
 import (
 	"time"
 
+	"docs/internal/core"
 	"docs/internal/registry"
 )
 
@@ -54,22 +55,21 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 // Publish. The campaign's WAL namespace is armed immediately on durable
 // registries.
 func (r *Registry) Create(name string) (*System, error) {
-	sys, err := r.reg.Create(name)
-	if err != nil {
+	if err := r.reg.Create(name); err != nil {
 		return nil, err
 	}
-	return &System{sys: sys}, nil
+	return &System{reg: r.reg, name: name}, nil
 }
 
-// Campaign returns the named campaign's System. The handle serves
-// concurrently like any System; its lifetime is managed by the registry —
-// use Archive or the registry's Close rather than System.Close.
+// Campaign returns the named campaign's System, waking the campaign if it
+// is hibernated. The handle serves concurrently like any System and leases
+// the campaign per call (see System); its lifetime is managed by the
+// registry — use Archive or the registry's Close rather than System.Close.
 func (r *Registry) Campaign(name string) (*System, error) {
-	sys, err := r.reg.Get(name)
-	if err != nil {
+	if err := r.reg.Do(name, func(*core.System) error { return nil }); err != nil {
 		return nil, err
 	}
-	return &System{sys: sys}, nil
+	return &System{reg: r.reg, name: name}, nil
 }
 
 // Campaigns lists every hosted campaign (live and archived), sorted by
@@ -105,10 +105,10 @@ func (r *Registry) WakeStats() (total int64, p50, p99 time.Duration) {
 	return r.reg.WakeStats()
 }
 
-// Archive ends a campaign for good: its serving core is drained and
-// closed (WAL flushed and fsynced), and durable registries mark the
-// campaign so later boots list it without replaying. Handles to the
-// campaign fail after Archive.
+// Archive ends a campaign for good once the calls in flight on it return:
+// its serving core is drained and closed (WAL flushed and fsynced), and
+// durable registries mark the campaign so later boots list it without
+// replaying.
 func (r *Registry) Archive(name string) error { return r.reg.Archive(name) }
 
 // Close shuts every live campaign down gracefully and releases the shared
