@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -211,6 +212,9 @@ type System struct {
 	// passRerunFault (tests only) is installed as the rerunFault of every
 	// snapshot pass's scratch replica.
 	passRerunFault func() error
+	// publishFault, when set (tests only), is invoked before DVE runs over
+	// each chunk of a publication; a non-nil return fails that chunk.
+	publishFault func(chunk int) error
 	// scanAssign, when set (tests only, before any traffic), routes
 	// requests through assignScan — the oracle the indexed path is held
 	// bit-identical to.
@@ -380,7 +384,8 @@ func tasksByID(tasks []*model.Task, m int) (map[int]*model.Task, error) {
 // Publish runs DVE over the tasks, selects golden tasks among those with
 // ground truth, and opens the campaign. Tasks without a precomputed Domain
 // get one from the DVE pipeline (entity linking + Algorithm 1); tasks the
-// requester already annotated keep their vector.
+// requester already annotated keep their vector. DVE and the durable
+// record's packing run on every core (linkAndPack).
 func (s *System) Publish(tasks []*model.Task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -397,35 +402,12 @@ func (s *System) Publish(tasks []*model.Task) error {
 	if err != nil {
 		return err
 	}
-	for _, t := range tasks {
-		if t.Domain != nil {
-			continue
-		}
-		ents := dve.FromLinked(s.linker.Link(t.Text), s.m)
-		t.Domain = dve.Normalized(ents, s.m)
-		if err := t.Validate(s.m); err != nil {
-			return err
-		}
-	}
-	// The durable record is encoded here, while a rejection still leaves
-	// the campaign unpublished. It fits one WAL record: tasksByID held the
-	// batch to that with every vector at its largest. Packing it is the
-	// costliest step left in a publish and reads nothing the installation
-	// below writes, so it runs beside that and is waited for before the
-	// append — and on every return.
-	var blob []byte
-	var packing sync.WaitGroup
-	defer packing.Wait()
-	if s.wal != nil {
-		dpb1, err := encodeBinaryPublication(tasks, s.m)
-		if err != nil {
-			return err
-		}
-		packing.Add(1)
-		go func() {
-			defer packing.Done()
-			blob = packPublication(dpb1)
-		}()
+	// The durable record is encoded while a rejection still leaves the
+	// campaign unpublished. It fits one WAL record: tasksByID held the batch
+	// to that with every vector at its largest.
+	blob, err := s.linkAndPack(tasks, s.wal != nil)
+	if err != nil {
+		return err
 	}
 	// Golden tasks: choose among tasks with known ground truth so a new
 	// worker's answers can be scored (Section 5.2).
@@ -450,7 +432,6 @@ func (s *System) Publish(tasks []*model.Task) error {
 	// possibly different knowledge-base build. Campaign structure is
 	// settled at this point; a failure below only voids durability.
 	if s.wal != nil {
-		packing.Wait()
 		s.logMu.Lock()
 		p, err := s.walReserve(wal.Record{Kind: wal.KindPublish, Blob: blob})
 		s.logMu.Unlock()
@@ -474,23 +455,96 @@ func (s *System) Publish(tasks []*model.Task) error {
 // observe the campaign. Callers hold s.mu and have validated the tasks.
 func (s *System) installPublication(tasks []*model.Task, byID map[int]*model.Task, golden map[int]bool) error {
 	s.tasks, s.byID, s.golden = tasks, byID, golden
-	master := make([]candidate, 0, len(tasks))
+	open := make([]*model.Task, 0, len(tasks))
 	for _, t := range tasks {
 		if golden[t.ID] {
 			s.goldenList = append(s.goldenList, t)
-			continue
+		} else {
+			open = append(open, t)
 		}
-		if err := s.inc.AddTask(t); err != nil {
-			return err
+	}
+	if err := s.inc.AddTask(open...); err != nil {
+		return err
+	}
+	var leases []atomic.Int32 // one slab of lease counters
+	if s.leases != nil {
+		leases = make([]atomic.Int32, len(open))
+		s.leases.counts = make(map[int]*atomic.Int32, len(open))
+	}
+	master := make([]candidate, len(open))
+	for i, t := range open {
+		master[i] = candidate{id: t.ID, domain: t.Domain, h: s.inc.Handle(t.ID)}
+		if leases != nil {
+			master[i].leases, s.leases.counts[t.ID] = &leases[i], &leases[i]
 		}
-		c := candidate{id: t.ID, domain: t.Domain, h: s.inc.Handle(t.ID)}
-		if s.leases != nil {
-			s.leases.registerTask(t.ID)
-			c.leases = s.leases.counts[t.ID]
-		}
-		master = append(master, c)
 	}
 	s.index.Store(newCandidateIndex(master))
+	return nil
+}
+
+// publishChunk is how many tasks make one chunk of Publish's pipeline.
+const publishChunk = 64
+
+// linkAndPack runs DVE over chunks of the tasks on up to GOMAXPROCS
+// goroutines, this one among them (the knowledge base is finished and each
+// task is its own), and, when logged is set, packs the record behind them on
+// one more (packRecord). Its error is the one a serial loop would meet
+// first, and every goroutine it starts has stopped when it returns.
+func (s *System) linkAndPack(tasks []*model.Task, logged bool) ([]byte, error) {
+	chunks := (len(tasks) + publishChunk - 1) / publishChunk
+	errs, linked := make([]error, chunks), make([]chan struct{}, chunks)
+	for c := range linked {
+		linked[c] = make(chan struct{})
+	}
+	var next atomic.Int64
+	link := func() {
+		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+			errs[c] = s.linkChunk(c, tasks[c*publishChunk:min((c+1)*publishChunk, len(tasks))])
+			close(linked[c])
+		}
+	}
+	var wg sync.WaitGroup
+	spawn := func(f func()) {
+		wg.Add(1)
+		go func() { defer wg.Done(); f() }()
+	}
+	var blob []byte
+	var packErr error
+	if logged {
+		spawn(func() {
+			blob, packErr = packRecord(tasks, s.m, func(c int) error { <-linked[c]; return errs[c] })
+		})
+	}
+	for w := 1; w < min(runtime.GOMAXPROCS(0), chunks); w++ {
+		spawn(link)
+	}
+	link()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return blob, packErr
+}
+
+// linkChunk runs DVE over one chunk's tasks that have no domain vector.
+func (s *System) linkChunk(c int, tasks []*model.Task) error {
+	if s.publishFault != nil {
+		if err := s.publishFault(c); err != nil {
+			return err
+		}
+	}
+	for _, t := range tasks {
+		if t.Domain != nil {
+			continue
+		}
+		ents := dve.FromLinked(s.linker.Link(t.Text), s.m)
+		t.Domain = dve.Normalized(ents, s.m)
+		if err := t.Validate(s.m); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

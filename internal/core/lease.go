@@ -40,9 +40,9 @@ type leaseTable struct {
 	now func() time.Time
 
 	// counts maps every assignable (non-golden) task to its live lease
-	// count. The map itself is built once at Publish, before serving, and
-	// never grows: concurrent readers only perform map reads plus atomic
-	// loads on the values.
+	// count. installPublication builds it once, before serving, over one
+	// slab of counters, and it never grows: concurrent readers only perform
+	// map reads plus atomic loads on the values.
 	counts map[int]*atomic.Int32
 
 	active atomic.Int64 // total live leases, the /stats gauge
@@ -77,15 +77,8 @@ func newLeaseTable(ttl time.Duration, now func() time.Time) *leaseTable {
 	return &leaseTable{
 		ttl:      ttl,
 		now:      now,
-		counts:   make(map[int]*atomic.Int32),
 		byWorker: make(map[string]map[int]time.Time),
 	}
-}
-
-// registerTask allocates the task's lease counter. Called from Publish
-// (before serving) for every assignable task.
-func (lt *leaseTable) registerTask(id int) {
-	lt.counts[id] = new(atomic.Int32)
 }
 
 // taskLeases returns the task's live lease count without locking; 0 for

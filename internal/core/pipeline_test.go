@@ -1,0 +1,265 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"docs/internal/dataset"
+	"docs/internal/dve"
+	"docs/internal/kb"
+	"docs/internal/model"
+)
+
+// Publish is a pipeline: DVE fans out over chunks of the tasks, the packer
+// encodes each chunk behind it, and the tasks are installed in one pass.
+// Every test here holds it to the serial path it replaced.
+
+// datasetTasks is n fresh tasks cut from the four datasets' texts, choices
+// and truths, numbered 0..n-1, with no domain vector: DVE links them all.
+func datasetTasks(n int) []*model.Task {
+	var src []*model.Task
+	for _, ds := range dataset.All(1) {
+		src = append(src, ds.Tasks...)
+	}
+	tasks := make([]*model.Task, n)
+	for i := range tasks {
+		tk := *src[i%len(src)]
+		tk.ID, tk.Domain = i, nil
+		tasks[i] = &tk
+	}
+	return tasks
+}
+
+// serialRecord is what the serial path logs for tasks — DVE task after
+// task, then the one-pass encoder and packer — computed on copies, so the
+// tasks themselves are left for Publish.
+func serialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {
+	t.Helper()
+	copies := make([]*model.Task, len(tasks))
+	for i, tk := range tasks {
+		c := *tk
+		if c.Domain == nil {
+			c.Domain = dve.Normalized(dve.FromLinked(s.linker.Link(c.Text), s.m), s.m)
+		}
+		copies[i] = &c
+	}
+	return serialPublication(t, copies, s.m)
+}
+
+// publishLogged publishes tasks on a fresh logged campaign and returns the
+// campaign, still open, and the record its log holds.
+func publishLogged(t *testing.T, cfg Config, tasks []*model.Task) (*System, []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	s := newSystem(t, cfg)
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Publish(tasks); err != nil {
+		t.Fatal(err)
+	}
+	recs := readStream(t, dir)
+	if len(recs) != 1 {
+		t.Fatalf("the log holds %d records after a publish, want 1", len(recs))
+	}
+	return s, recs[0].Blob
+}
+
+// TestPublishRecordMatchesSerialOracle: the record Publish logs is, byte
+// for byte, the one the serial path — DVE task by task, then
+// encodeBinaryPublication and packPublication — logs for the same tasks:
+// over the four datasets; over batches of 1, a chunk less one, a chunk, a
+// chunk and one, and 6,000 tasks with a third of them pre-annotated; over
+// random-byte texts, which stay DPB1; and, through the pipeline Publish
+// runs after validation, over TestPropertyPublicationRoundTrip's 200
+// seeded sets.
+func TestPublishRecordMatchesSerialOracle(t *testing.T) {
+	cfg := Config{GoldenCount: -1, RerunEvery: -1, SnapshotEvery: -1}
+	check := func(name string, cfg Config, tasks []*model.Task, magic string) {
+		t.Helper()
+		s := newSystem(t, cfg)
+		want := serialRecord(t, s, tasks)
+		s.Close()
+		_, got := publishLogged(t, cfg, tasks)
+		if !bytes.HasPrefix(got, []byte(magic)) {
+			t.Errorf("%s: logged a record opening %q, want %q", name, got[:4], magic)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Publish logged %d bytes that differ from the serial path's %d", name, len(got), len(want))
+		}
+	}
+	for _, ds := range dataset.All(1) {
+		check(ds.Name, cfg, ds.Tasks, packedMagic)
+	}
+	for _, n := range []int{1, publishChunk - 1, publishChunk, publishChunk + 1, 6000} {
+		tasks := datasetTasks(n)
+		for i, tk := range tasks {
+			if i%3 == 1 {
+				tk.Domain = make(model.DomainVector, 26)
+				tk.Domain[i%26] = 0.5
+				tk.Domain[(i*7+1)%26] += 0.5
+			}
+		}
+		check(fmt.Sprintf("%d tasks", n), cfg, tasks, packedMagic)
+	}
+	fourDomains := cfg
+	fourDomains.KB = kb.New(model.MustDomainSet([]string{"a", "b", "c", "d"}))
+	check("random text", fourDomains, randomTextTasks(3*publishChunk+5), publicationMagic)
+
+	systems := map[int]*System{}
+	for _, m := range []int{1, 4, 26} {
+		names := make([]string, m)
+		for k := range names {
+			names[k] = fmt.Sprintf("d%d", k)
+		}
+		systems[m] = newSystem(t, Config{KB: kb.New(model.MustDomainSet(names))})
+		defer systems[m].Close()
+	}
+	for round, set := range seededPublications() {
+		got, err := systems[set.m].linkAndPack(set.tasks, true)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if want := serialPublication(t, set.tasks, set.m); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the pipeline packs %d bytes that differ from the serial path's %d", round, len(got), len(want))
+		}
+	}
+}
+
+// TestPublishIndependentOfGOMAXPROCS: how many cores DVE fans out over is
+// invisible. The same batch published at GOMAXPROCS 1 and at 8 leaves the
+// same fingerprint (every domain vector's bits), golden set, index epoch and
+// logged record, and view epochs 1..n in publication order. Run it under
+// -race.
+func TestPublishIndependentOfGOMAXPROCS(t *testing.T) {
+	cfg := Config{GoldenCount: 10, LeaseTTL: time.Minute, RerunEvery: -1, SnapshotEvery: -1}
+	var want string
+	for _, procs := range []int{1, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		s, rec := publishLogged(t, cfg, datasetTasks(20*publishChunk+7))
+		runtime.GOMAXPROCS(prev)
+		for i, tk := range s.InferTasks() {
+			if e := s.inc.View(tk.ID).Epoch; e != uint64(i+1) {
+				t.Fatalf("GOMAXPROCS %d: task %d of the publication has view epoch %d, want %d", procs, i, e, i+1)
+			}
+		}
+		got := fmt.Sprintf("%s|%v|%d|%x", s.Fingerprint(), s.GoldenTasks(), s.IndexEpoch(), rec)
+		if procs == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("GOMAXPROCS %d: the fingerprint, golden set, index epoch or record differs from GOMAXPROCS 1's", procs)
+		}
+	}
+}
+
+// TestPublishChunkFailure: a chunk whose DVE fails fails the publish with
+// the error a serial loop over the tasks would meet first, leaves the
+// campaign unpublished and its log empty, and leaves no goroutine behind,
+// so a retry with the same tasks races nothing (run it under -race) and
+// logs what the serial path logs.
+func TestPublishChunkFailure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	cfg := Config{GoldenCount: 5, LeaseTTL: time.Minute, RerunEvery: -1, SnapshotEvery: -1}
+	const chunks = 12
+	for name, failing := range map[string][]int{
+		"first":           {0},
+		"middle and last": {chunks / 2, chunks - 1},
+		"last":            {chunks - 1},
+	} {
+		tasks := datasetTasks(chunks*publishChunk - 3)
+		s := newSystem(t, cfg)
+		if _, err := s.Recover(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		injected := errors.New("injected DVE failure")
+		s.publishFault = func(c int) error {
+			for _, f := range failing {
+				if c == f {
+					return fmt.Errorf("chunk %d: %w", c, injected)
+				}
+			}
+			return nil
+		}
+		want := serialRecord(t, s, tasks)
+		before := runtime.NumGoroutine()
+		err := s.Publish(tasks)
+		if after := settledGoroutines(before); after > before {
+			t.Errorf("%s: %d goroutines before the publish, %d after it returned", name, before, after)
+		}
+		if !errors.Is(err, injected) || err.Error() != fmt.Sprintf("chunk %d: %v", failing[0], injected) {
+			t.Fatalf("%s: Publish returned %v, want chunk %d's failure", name, err, failing[0])
+		}
+		if s.Published() || s.WALSeq() != 0 || s.wal.ReservedSeq() != 0 {
+			t.Fatalf("%s: the failed publish left published=%v, WAL seq %d", name, s.Published(), s.WALSeq())
+		}
+		s.publishFault = nil
+		if err := s.Publish(tasks); err != nil {
+			t.Fatalf("%s: retry: %v", name, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := readStream(t, s.walDir)[0].Blob; !bytes.Equal(got, want) {
+			t.Errorf("%s: the retry logged a record that differs from the serial path's", name)
+		}
+	}
+}
+
+// settledGoroutines is the goroutine count, given a goroutine that has
+// signalled its end a moment to exit: it returns as soon as the count is
+// at most want, or after a second.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	return n
+}
+
+// TestAllocsInstallPublication: installing n tasks — the publish's last
+// stage and every snapshot wake's — allocates at most two objects a task
+// (its initial probabilistic truth and view) plus a constant the same at
+// 600 and at 6,000 tasks: the tasks' truth states, lease counters and
+// candidates each come in one allocation, and the maps are sized once.
+func TestAllocsInstallPublication(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const perTask, constant = 2, 128
+	install := func(n int) uint64 {
+		s := newSystem(t, Config{GoldenCount: -1, LeaseTTL: time.Minute})
+		defer s.Close()
+		tasks := indexTasks(n, s.m)
+		byID, err := tasksByID(tasks, s.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := map[int]bool{}
+		var before, after runtime.MemStats
+		s.mu.Lock()
+		runtime.ReadMemStats(&before)
+		err = s.installPublication(tasks, byID, golden)
+		runtime.ReadMemStats(&after)
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	install(10) // the first task of each shape builds the shared rest states
+	for _, n := range []int{600, 6000} {
+		least := ^uint64(0)
+		for rep := 0; rep < 5; rep++ {
+			least = min(least, install(n))
+		}
+		t.Logf("installing %d tasks: %d allocations, %.2f a task", n, least, float64(least)/float64(n))
+		if least > perTask*uint64(n)+constant {
+			t.Errorf("installing %d tasks allocates %d times, want at most %d a task plus %d", n, least, perTask, constant)
+		}
+	}
+}

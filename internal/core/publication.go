@@ -118,15 +118,16 @@ func uvarintLen(x uint64) int {
 
 func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-// encodeBinaryPublication renders a published task set — every task
-// carrying its m-long domain vector — as a DPB1 blob; what Publish logs is
-// packPublication of it. Replay compares the state it rebuilds from the
-// record bit for bit, so the encoding is a pure function of the tasks. It
-// fails only on a task the format cannot express: a negative ID, a truth
-// or true domain below NoTruth, or a domain vector that is not m long.
+// packRecord returns the record Publish logs for a task set: its DPB1 blob,
+// packed as DPB2 when that is the shorter. Chunk c, the publishChunk tasks
+// from c·publishChunk, is encoded once linked(c) returns, its vectors set,
+// and streamed through the LZW writer, so the record is a pure function of
+// the tasks, as replay needs. It fails on linked's first error or on a task
+// the format cannot express: a negative ID, a truth or true domain below
+// NoTruth, or a domain vector that is not m long.
 //
 //docs:deterministic
-func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
+func packRecord(tasks []*model.Task, m int, linked func(chunk int) error) ([]byte, error) {
 	size := len(publicationMagic) + 2*binary.MaxVarintLen64
 	for _, t := range tasks {
 		size += 32 + len(t.Text)
@@ -134,35 +135,56 @@ func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
 			size += 1 + len(c)
 		}
 	}
-	b := make([]byte, 0, size)
-	b = append(b, publicationMagic...)
-	b = binary.AppendUvarint(b, uint64(m))
-	b = binary.AppendUvarint(b, uint64(len(tasks)))
-	var domain wal.SparseFloats // reused task to task
-	for _, t := range tasks {
-		if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
-			return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
-				t.ID, t.Truth, t.TrueDomain)
+	dpb1 := make([]byte, 0, size)
+	dpb1 = append(dpb1, publicationMagic...)
+	dpb1 = binary.AppendUvarint(dpb1, uint64(m))
+	dpb1 = binary.AppendUvarint(dpb1, uint64(len(tasks)))
+	stream := make([]byte, 0, size/2)
+	err := lzwPack(func(c byte) error {
+		stream = append(stream, c)
+		return nil
+	}, func(w io.Writer) error {
+		_, err := w.Write(dpb1[len(publicationMagic):])
+		var domain wal.SparseFloats // reused task to task
+		for c := 0; err == nil && c*publishChunk < len(tasks); c++ {
+			if err = linked(c); err != nil {
+				return err
+			}
+			start := len(dpb1)
+			for _, t := range tasks[c*publishChunk : min((c+1)*publishChunk, len(tasks))] {
+				if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
+					return fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
+						t.ID, t.Truth, t.TrueDomain)
+				}
+				if len(t.Domain) != m {
+					return fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
+						t.ID, len(t.Domain), m)
+				}
+				dpb1 = binary.AppendUvarint(dpb1, uint64(t.ID))
+				dpb1 = appendStr(dpb1, t.Text)
+				dpb1 = binary.AppendUvarint(dpb1, uint64(len(t.Choices)))
+				for _, c := range t.Choices {
+					dpb1 = appendStr(dpb1, c)
+				}
+				dpb1 = binary.AppendUvarint(dpb1, uint64(t.Truth+1))
+				dpb1 = binary.AppendUvarint(dpb1, uint64(t.TrueDomain+1))
+				domain = wal.SparseOf(domain, t.Domain, 0)
+				if dpb1, err = wal.AppendSparseFloats(dpb1, domain, m, 0); err != nil {
+					return fmt.Errorf("core: publication: task %d: %w", t.ID, err)
+				}
+			}
+			_, err = w.Write(dpb1[start:])
 		}
-		if len(t.Domain) != m {
-			return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
-				t.ID, len(t.Domain), m)
-		}
-		b = binary.AppendUvarint(b, uint64(t.ID))
-		b = appendStr(b, t.Text)
-		b = binary.AppendUvarint(b, uint64(len(t.Choices)))
-		for _, c := range t.Choices {
-			b = appendStr(b, c)
-		}
-		b = binary.AppendUvarint(b, uint64(t.Truth+1))
-		b = binary.AppendUvarint(b, uint64(t.TrueDomain+1))
-		domain = wal.SparseOf(domain, t.Domain, 0)
-		var err error
-		if b, err = wal.AppendSparseFloats(b, domain, m, 0); err != nil {
-			return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
+	n := uint64(len(dpb1) - len(publicationMagic))
+	if len(packedMagic)+uvarintLen(n)+len(stream) >= len(dpb1) {
+		return dpb1, nil
+	}
+	return append(binary.AppendUvarint([]byte(packedMagic), n), stream...), nil
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -170,47 +192,21 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// packPublication returns the record Publish logs for a DPB1 blob: its
-// DPB2 packing when that is the shorter, the blob itself otherwise, so a
-// publication never costs more than its DPB1 form. The packer gives up as
-// soon as its output is as long as the blob.
-//
-//docs:deterministic
-func packPublication(dpb1 []byte) []byte {
-	body := dpb1[len(publicationMagic):]
-	out := make([]byte, 0, len(dpb1))
-	out = append(out, packedMagic...)
-	out = binary.AppendUvarint(out, uint64(len(body)))
-	err := lzwPack(body, func(c byte) error {
-		if len(out) >= len(dpb1)-1 {
-			return errNotShorter
-		}
-		out = append(out, c)
-		return nil
-	})
-	if err != nil {
-		return dpb1
-	}
-	return out
-}
+var errNotCanonical = errors.New("stream is not the packing of its body")
 
-var (
-	errNotShorter   = errors.New("packing is no shorter than the blob")
-	errNotCanonical = errors.New("stream is not the packing of its body")
-)
-
-// lzwWriters pools the LZW writers packPublication and unpackPublication's
+// lzwWriters pools the LZW writers packRecord and unpackPublication's
 // re-pack check run through: a writer is one 64 KiB table, which Reset
 // clears.
 var lzwWriters = sync.Pool{New: func() any { return new(lzw.Writer) }}
 
-// lzwPack runs body through a pooled LZW writer, least significant bits
-// first with 8-bit literals, handing each byte of the stream to emit. It
-// fails only when emit does.
-func lzwPack(body []byte, emit func(byte) error) error {
+// lzwPack runs what feed writes through a pooled LZW writer, least
+// significant bits first with 8-bit literals, handing each byte of the
+// stream to emit. The stream is a function of all the bytes feed writes,
+// however it splits them across writes. It fails when feed or emit does.
+func lzwPack(emit func(byte) error, feed func(io.Writer) error) error {
 	zw := lzwWriters.Get().(*lzw.Writer)
 	zw.Reset(byteSink(emit), lzw.LSB, 8)
-	_, err := zw.Write(body)
+	err := feed(zw)
 	if cerr := zw.Close(); err == nil {
 		err = cerr
 	}
@@ -238,7 +234,7 @@ func (f byteSink) Write(p []byte) (int, error) {
 func (byteSink) Flush() error { return nil }
 
 // unpackPublication inflates a DPB2 blob into the DPB1 blob it stands for,
-// refusing every blob packPublication would not have written. The buffer
+// refusing every blob packRecord would not have written. The buffer
 // grows only as bytes inflate, never to the stated length up front, so a
 // hostile length buys no memory.
 func unpackPublication(blob []byte) ([]byte, error) {
@@ -268,12 +264,15 @@ func unpackPublication(blob []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%d bytes follow the packed body's end code", src.Len())
 	}
 	rest := stream
-	err := lzwPack(body, func(c byte) error {
+	err := lzwPack(func(c byte) error {
 		if len(rest) == 0 || rest[0] != c {
 			return errNotCanonical
 		}
 		rest = rest[1:]
 		return nil
+	}, func(w io.Writer) error {
+		_, err := w.Write(body) // the whole body as one chunk
+		return err
 	})
 	if err == nil && len(rest) > 0 {
 		err = errNotCanonical

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -38,14 +39,90 @@ func sampleTasks() []*model.Task {
 	}
 }
 
-// encodePublication is the record Publish logs for a task set: its DPB1
-// blob, packed as DPB2 when that is shorter.
-func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
-	b, err := encodeBinaryPublication(tasks, m)
-	if err != nil {
-		return nil, err
+// encodeBinaryPublication is the serial encoder packRecord replaced, kept
+// as its oracle: it renders a published task set — every task carrying its
+// m-long domain vector — as a DPB1 blob in one pass.
+func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
+	size := len(publicationMagic) + 2*binary.MaxVarintLen64
+	for _, t := range tasks {
+		size += 32 + len(t.Text)
+		for _, c := range t.Choices {
+			size += 1 + len(c)
+		}
 	}
-	return packPublication(b), nil
+	b := make([]byte, 0, size)
+	b = append(b, publicationMagic...)
+	b = binary.AppendUvarint(b, uint64(m))
+	b = binary.AppendUvarint(b, uint64(len(tasks)))
+	var domain wal.SparseFloats // reused task to task
+	for _, t := range tasks {
+		if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
+			return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
+				t.ID, t.Truth, t.TrueDomain)
+		}
+		if len(t.Domain) != m {
+			return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
+				t.ID, len(t.Domain), m)
+		}
+		b = binary.AppendUvarint(b, uint64(t.ID))
+		b = appendStr(b, t.Text)
+		b = binary.AppendUvarint(b, uint64(len(t.Choices)))
+		for _, c := range t.Choices {
+			b = appendStr(b, c)
+		}
+		b = binary.AppendUvarint(b, uint64(t.Truth+1))
+		b = binary.AppendUvarint(b, uint64(t.TrueDomain+1))
+		domain = wal.SparseOf(domain, t.Domain, 0)
+		var err error
+		if b, err = wal.AppendSparseFloats(b, domain, m, 0); err != nil {
+			return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
+		}
+	}
+	return b, nil
+}
+
+var errNotShorter = errors.New("packing is no shorter than the blob")
+
+// packPublication is the serial packer packRecord replaced, kept as its
+// oracle: a DPB1 blob's DPB2 packing when that is the shorter, the blob
+// itself otherwise, giving up as soon as its output is as long as the blob.
+func packPublication(dpb1 []byte) []byte {
+	body := dpb1[len(publicationMagic):]
+	out := make([]byte, 0, len(dpb1))
+	out = append(out, packedMagic...)
+	out = binary.AppendUvarint(out, uint64(len(body)))
+	err := lzwPackBody(body, func(c byte) error {
+		if len(out) >= len(dpb1)-1 {
+			return errNotShorter
+		}
+		out = append(out, c)
+		return nil
+	})
+	if err != nil {
+		return dpb1
+	}
+	return out
+}
+
+// lzwPackBody runs body through lzwPack in one write.
+func lzwPackBody(body []byte, emit func(byte) error) error {
+	return lzwPack(emit, func(w io.Writer) error {
+		_, err := w.Write(body)
+		return err
+	})
+}
+
+// serialPublication is the record the serial path logs for a task set:
+// encodeBinaryPublication's DPB1 blob, packed by packPublication.
+func serialPublication(t testing.TB, tasks []*model.Task, m int) []byte {
+	t.Helper()
+	return packPublication(mustEncodeBinaryPublication(t, tasks, m))
+}
+
+// encodePublication is the record Publish logs for a task set whose domain
+// vectors are all set: its DPB1 blob, packed as DPB2 when that is shorter.
+func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
+	return packRecord(tasks, m, func(int) error { return nil })
 }
 
 // mustEncodePublication is the record Publish logs: DPB2 when packing is
@@ -73,7 +150,7 @@ func mustEncodeBinaryPublication(t testing.TB, tasks []*model.Task, m int) []byt
 func lzwStream(t testing.TB, body []byte) []byte {
 	t.Helper()
 	var out []byte
-	if err := lzwPack(body, func(c byte) error { out = append(out, c); return nil }); err != nil {
+	if err := lzwPackBody(body, func(c byte) error { out = append(out, c); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -197,11 +274,29 @@ func TestPropertyPublicationRoundTrip(t *testing.T) {
 		t.Errorf("random text logs %q, want the DPB1 blob", rec[:4])
 	}
 
+	forms := map[string]int{}
+	for round, set := range seededPublications() {
+		forms[string(roundTrip(t, fmt.Sprintf("round %d", round), set.tasks, set.m)[:4])]++
+	}
+	if forms[packedMagic] == 0 || forms[publicationMagic] == 0 {
+		t.Errorf("seeded rounds logged %v, want both forms", forms)
+	}
+}
+
+type seededSet struct {
+	tasks []*model.Task
+	m     int
+}
+
+// seededPublications is 200 seeded task sets — sparse mixes, single
+// spikes, the uniform vector, −0, denormals and NaN payloads, empty text,
+// NoTruth and set truths — over 1, 4 and 26 domains.
+func seededPublications() []seededSet {
 	r := mathx.NewRand(24)
 	odd := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.SmallestNonzeroFloat64,
 		math.NaN(), math.Inf(1), math.MaxFloat64, 1 - 1e-16}
-	forms := map[string]int{}
-	for round := 0; round < 200; round++ {
+	sets := make([]seededSet, 200)
+	for round := range sets {
 		m := []int{1, 4, 26}[r.Intn(3)]
 		tasks := make([]*model.Task, r.Intn(20))
 		for i := range tasks {
@@ -236,11 +331,9 @@ func TestPropertyPublicationRoundTrip(t *testing.T) {
 			}
 			tasks[i] = tk
 		}
-		forms[string(roundTrip(t, fmt.Sprintf("round %d", round), tasks, m)[:4])]++
+		sets[round] = seededSet{tasks, m}
 	}
-	if forms[packedMagic] == 0 || forms[publicationMagic] == 0 {
-		t.Errorf("seeded rounds logged %v, want both forms", forms)
-	}
+	return sets
 }
 
 func TestEncodePublicationRejectsInexpressible(t *testing.T) {

@@ -42,7 +42,9 @@ type Entity struct {
 	Candidates []Candidate
 }
 
-// Linker detects and disambiguates entities against a knowledge base.
+// Linker detects and disambiguates entities against a knowledge base. Link
+// only reads, so over a finished knowledge base one Linker serves any number
+// of concurrent Link calls (TestLinkConcurrent).
 type Linker struct {
 	kb *kb.KB
 	// TopC bounds the number of candidates kept per entity.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"docs/internal/dataset"
@@ -242,6 +243,40 @@ func TestPropertyLinkMatchesReference(t *testing.T) {
 	if linked < len(texts) {
 		t.Errorf("only %d entities linked over %d texts: the property is vacuous", linked, len(texts))
 	}
+}
+
+// TestLinkConcurrent: one Linker over a finished knowledge base serves
+// concurrent Link calls — Publish fans DVE out over every core on that
+// contract. Eight goroutines link the four datasets' texts and each must
+// get the serial run's mentions, starts, candidate order and probability
+// bits. Run it under -race.
+func TestLinkConcurrent(t *testing.T) {
+	var texts []string
+	for _, ds := range dataset.All(1) {
+		for _, task := range ds.Tasks {
+			texts = append(texts, task.Text)
+		}
+	}
+	l := New(kb.MustDefault())
+	want := make([][]Entity, len(texts))
+	for i, text := range texts {
+		want[i] = l.Link(text)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := range texts {
+				i := (n + g*len(texts)/8) % len(texts) // each goroutine starts elsewhere
+				if d := diffLinked(l.Link(texts[i]), want[i]); d != "" {
+					t.Errorf("goroutine %d, text %d: %s", g, i, d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func FuzzLinkMatchesReference(f *testing.F) {

@@ -71,13 +71,14 @@ func (c *Concept) Indicator(m int) []float64 {
 func (c *Concept) SharedIndicator() []float64 { return c.indicator }
 
 // KB is an in-memory knowledge base: a domain set, a concept catalogue and
-// an alias (surface form → candidate concepts) table.
+// an alias (surface form → candidate concepts) table. AddConcept and
+// AddAlias are its only writers: a finished KB, such as kb.Default returns,
+// serves any number of concurrent readers.
 type KB struct {
 	domains  *model.DomainSet
 	concepts map[string]*Concept
 	// aliases is the alias table compiled into a trie over normalized
-	// tokens. addAlias is its only writer, so it is never stale and a
-	// finished KB (kb.Default) is read by any number of linkers at once.
+	// tokens. addAlias is its only writer, so it is never stale.
 	aliases aliasNode
 	// maxAliasWords is the depth of the trie, at least 1.
 	maxAliasWords int

@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"docs/internal/core"
+	"docs/internal/dataset"
 	"docs/internal/model"
 	"docs/internal/truth"
 )
@@ -609,6 +611,77 @@ func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 		}
 		if got := sys.Fingerprint(); got != fp {
 			t.Fatalf("campaign %s: concurrent boot recovered a different state", name)
+		}
+	}
+}
+
+// TestConcurrentPublishesMatchSerial: four campaigns of one registry
+// publish at once — each publish fans its DVE out over every core — and
+// each ends exactly as it does when the four publish one after another:
+// fingerprint, golden set, index and engine epochs, and logged record. Run
+// it under -race.
+func TestConcurrentPublishesMatchSerial(t *testing.T) {
+	cfg := core.Config{GoldenCount: 5, HITSize: 4, AnswersPerTask: 3, RerunEvery: -1, LeaseTTL: time.Minute}
+	names := []string{"c0", "c1", "c2", "c3"}
+	batch := func(c int) []*model.Task {
+		src := dataset.All(1)[c].Tasks
+		tasks := make([]*model.Task, 250+40*c)
+		for i := range tasks {
+			tk := *src[i%len(src)]
+			tk.ID = i
+			tasks[i] = &tk
+		}
+		return tasks
+	}
+	run := func(concurrent bool) []string {
+		root := t.TempDir()
+		reg, err := Open(Config{WALDir: root, Campaign: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		errs := make([]error, len(names))
+		var wg sync.WaitGroup
+		for c, name := range names {
+			if err := reg.Create(name); err != nil {
+				t.Fatal(err)
+			}
+			tasks := batch(c)
+			publish := func() {
+				defer wg.Done()
+				errs[c] = reg.Do(name, func(s *core.System) error { return s.Publish(tasks) })
+			}
+			wg.Add(1)
+			if concurrent {
+				go publish()
+			} else {
+				publish()
+			}
+		}
+		wg.Wait()
+		out := make([]string, len(names))
+		for c, name := range names {
+			if errs[c] != nil {
+				t.Fatalf("%s: %v", name, errs[c])
+			}
+			sys, err := get(reg, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[c] = fmt.Sprintf("%s|%v|%d|%d", sys.Fingerprint(), sys.GoldenTasks(), sys.IndexEpoch(), sys.Epoch())
+		}
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for c, name := range names {
+			out[c] += fmt.Sprintf("|%x", readStream(t, filepath.Join(root, campaignsDir, name))[0].Blob)
+		}
+		return out
+	}
+	serial, concurrent := run(false), run(true)
+	for c, name := range names {
+		if concurrent[c] != serial[c] {
+			t.Errorf("%s: publishing beside three other campaigns differs from publishing alone", name)
 		}
 	}
 }

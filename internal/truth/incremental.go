@@ -135,30 +135,41 @@ func (inc *Incremental) withWorker(w string, f func(st *Stats)) {
 	sh.mu.Unlock()
 }
 
-// AddTask registers a task. The task must have a domain vector.
-func (inc *Incremental) AddTask(t *model.Task) error {
-	if t.Domain == nil {
-		return fmt.Errorf("truth: incremental task %d has no domain vector", t.ID)
+// AddTask registers tasks, each with a domain vector, whole or not at all:
+// in one pass under one lock, into one slab, with the first batch sizing the
+// task map. Initial views take their epochs in the order given.
+func (inc *Incremental) AddTask(tasks ...*model.Task) error {
+	for _, t := range tasks {
+		if t.Domain == nil {
+			return fmt.Errorf("truth: incremental task %d has no domain vector", t.ID)
+		}
+		if err := t.Validate(inc.m); err != nil {
+			return err
+		}
 	}
-	if err := t.Validate(inc.m); err != nil {
-		return err
-	}
-	prior := restStatesFor(t.Domain.Support(), t.NumChoices()).prior // uniform prior numerator: M̂ all ones
-	it := &incTask{task: t, mhat: prior.mhat, s: make([]float64, t.NumChoices())}
-	applyDomain(it.s, t.Domain, prior.norm)
-	// Publish the initial view before the task becomes visible in the map:
-	// a Submit racing this AddTask can only find the task after the insert,
-	// by which point the view exists and every later view carries a larger
-	// epoch.
-	it.publishView(inc.epoch.Add(1), prior.norm)
-
+	slab := make([]incTask, len(tasks))
 	inc.mu.Lock()
-	if _, dup := inc.tasks[t.ID]; dup {
-		inc.mu.Unlock()
-		return fmt.Errorf("truth: incremental task %d already registered", t.ID)
+	defer inc.mu.Unlock()
+	if len(inc.tasks) == 0 {
+		inc.tasks = make(map[int]*incTask, len(tasks))
 	}
-	inc.tasks[t.ID] = it
-	inc.mu.Unlock()
+	for i, t := range tasks {
+		if _, dup := inc.tasks[t.ID]; dup {
+			for _, added := range tasks[:i] {
+				delete(inc.tasks, added.ID)
+			}
+			return fmt.Errorf("truth: incremental task %d already registered", t.ID)
+		}
+		inc.tasks[t.ID] = &slab[i]
+	}
+	// Lookups wait for the lock, so no task is ever found without a view.
+	for i, t := range tasks {
+		prior := restStatesFor(t.Domain.Support(), t.NumChoices()).prior // uniform prior numerator: M̂ all ones
+		it := &slab[i]
+		it.task, it.mhat, it.s = t, prior.mhat, make([]float64, t.NumChoices())
+		applyDomain(it.s, t.Domain, prior.norm)
+		it.publishView(inc.epoch.Add(1), prior.norm)
+	}
 	return nil
 }
 

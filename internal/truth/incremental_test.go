@@ -45,6 +45,35 @@ func TestIncrementalSingleTaskMatchesBatchStep1(t *testing.T) {
 	}
 }
 
+// TestAddTaskBatch: a batch goes in whole, its initial views taking the
+// engine's next epochs in the order given, or — with a task already
+// registered, or one ID twice — not at all.
+func TestAddTaskBatch(t *testing.T) {
+	mk := func(id int) *model.Task {
+		return &model.Task{ID: id, Choices: []string{"a", "b"}, Domain: model.DomainVector{0.5, 0.5}, Truth: model.NoTruth, TrueDomain: model.NoTruth}
+	}
+	inc := NewIncremental(2)
+	if err := inc.AddTask(mk(7), mk(3), mk(5)); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []int{7, 3, 5} {
+		if e := inc.View(id).Epoch; e != uint64(i+1) {
+			t.Errorf("task %d, added %d'th, has view epoch %d", id, i+1, e)
+		}
+	}
+	for name, batch := range map[string][]*model.Task{
+		"registered": {mk(8), mk(3)},
+		"twice":      {mk(9), mk(10), mk(9)},
+	} {
+		if err := inc.AddTask(batch...); err == nil {
+			t.Errorf("%s: batch accepted", name)
+		}
+		if inc.Epoch() != 3 || inc.View(8) != nil || inc.View(9) != nil || inc.View(10) != nil || inc.View(3).Epoch != 2 {
+			t.Errorf("%s: a refused batch left epoch %d and some of its tasks", name, inc.Epoch())
+		}
+	}
+}
+
 func TestIncrementalErrors(t *testing.T) {
 	inc := NewIncremental(2)
 	noDomain := &model.Task{ID: 1, Choices: []string{"a", "b"}, Truth: model.NoTruth, TrueDomain: model.NoTruth}
