@@ -215,6 +215,9 @@ type System struct {
 	// publishFault, when set (tests only), is invoked before DVE runs over
 	// each chunk of a publication; a non-nil return fails that chunk.
 	publishFault func(chunk int) error
+	// packFault, when set (tests only), is invoked after the packer; a
+	// non-nil return fails the pack.
+	packFault func() error
 	// scanAssign, when set (tests only, before any traffic), routes
 	// requests through assignScan — the oracle the indexed path is held
 	// bit-identical to.
@@ -384,8 +387,10 @@ func tasksByID(tasks []*model.Task, m int) (map[int]*model.Task, error) {
 // Publish runs DVE over the tasks, selects golden tasks among those with
 // ground truth, and opens the campaign. Tasks without a precomputed Domain
 // get one from the DVE pipeline (entity linking + Algorithm 1); tasks the
-// requester already annotated keep their vector. DVE and the durable
-// record's packing run on every core (linkAndPack).
+// requester already annotated keep their vector. DVE runs on every core, the
+// durable record's packing streams behind it (linkAndPack), and golden
+// selection and the install run beside the rest of the pack; a pack failure
+// then is ErrDurability.
 func (s *System) Publish(tasks []*model.Task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -402,10 +407,10 @@ func (s *System) Publish(tasks []*model.Task) error {
 	if err != nil {
 		return err
 	}
-	// The durable record is encoded while a rejection still leaves the
-	// campaign unpublished. It fits one WAL record: tasksByID held the batch
-	// to that with every vector at its largest.
-	blob, err := s.linkAndPack(tasks, s.wal != nil)
+	// DVE ends while a rejection still leaves the campaign unpublished. The
+	// record fits one WAL record (tasksByID held the batch to that with every
+	// vector at its largest) and its tasks have passed Validate.
+	record, err := s.linkAndPack(tasks, s.wal != nil)
 	if err != nil {
 		return err
 	}
@@ -423,8 +428,13 @@ func (s *System) Publish(tasks []*model.Task) error {
 			golden[withTruth[idx].ID] = true
 		}
 	}
-	if err := s.installPublication(tasks, byID, golden); err != nil {
-		return err
+	installErr := s.installPublication(tasks, byID, golden)
+	blob, err := record()
+	if installErr != nil {
+		return installErr
+	}
+	if err != nil {
+		return fmt.Errorf("core: %w: publication record: %v", ErrDurability, err)
 	}
 
 	// Log the publication — tasks with their DVE-computed domain vectors —
@@ -487,49 +497,57 @@ const publishChunk = 64
 
 // linkAndPack runs DVE over chunks of the tasks on up to GOMAXPROCS
 // goroutines, this one among them (the knowledge base is finished and each
-// task is its own), and, when logged is set, packs the record behind them on
-// one more (packRecord). Its error is the one a serial loop would meet
-// first, and every goroutine it starts has stopped when it returns.
-func (s *System) linkAndPack(tasks []*model.Task, logged bool) ([]byte, error) {
+// task is its own), each reusing one workspace, and, when logged is set,
+// packs the record behind them on one more (packRecord). It returns when
+// every chunk is linked, with record to wait for the packer. Its error is
+// the one a serial loop would meet first, and then no goroutine it started
+// is left.
+func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([]byte, error), err error) {
 	chunks := (len(tasks) + publishChunk - 1) / publishChunk
 	errs, linked := make([]error, chunks), make([]chan struct{}, chunks)
 	for c := range linked {
 		linked[c] = make(chan struct{})
 	}
+	var blob []byte
+	var packErr error
+	var packer sync.WaitGroup
+	if logged {
+		packer.Add(1)
+		go func() {
+			defer packer.Done()
+			blob, packErr = packRecord(tasks, s.m, func(c int) error { <-linked[c]; return errs[c] })
+			if packErr == nil && s.packFault != nil {
+				packErr = s.packFault()
+			}
+		}()
+	}
+	record = func() ([]byte, error) { packer.Wait(); return blob, packErr }
 	var next atomic.Int64
 	link := func() {
+		var ws dve.Workspace
 		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-			errs[c] = s.linkChunk(c, tasks[c*publishChunk:min((c+1)*publishChunk, len(tasks))])
+			errs[c] = s.linkChunk(c, tasks[c*publishChunk:min((c+1)*publishChunk, len(tasks))], &ws)
 			close(linked[c])
 		}
 	}
-	var wg sync.WaitGroup
-	spawn := func(f func()) {
-		wg.Add(1)
-		go func() { defer wg.Done(); f() }()
-	}
-	var blob []byte
-	var packErr error
-	if logged {
-		spawn(func() {
-			blob, packErr = packRecord(tasks, s.m, func(c int) error { <-linked[c]; return errs[c] })
-		})
-	}
+	var linkers sync.WaitGroup
 	for w := 1; w < min(runtime.GOMAXPROCS(0), chunks); w++ {
-		spawn(link)
+		linkers.Add(1)
+		go func() { defer linkers.Done(); link() }()
 	}
 	link()
-	wg.Wait()
+	linkers.Wait()
 	for _, err := range errs {
 		if err != nil {
+			record() // the packer stops at the first failed chunk
 			return nil, err
 		}
 	}
-	return blob, packErr
+	return record, nil
 }
 
 // linkChunk runs DVE over one chunk's tasks that have no domain vector.
-func (s *System) linkChunk(c int, tasks []*model.Task) error {
+func (s *System) linkChunk(c int, tasks []*model.Task, ws *dve.Workspace) error {
 	if s.publishFault != nil {
 		if err := s.publishFault(c); err != nil {
 			return err
@@ -539,8 +557,7 @@ func (s *System) linkChunk(c int, tasks []*model.Task) error {
 		if t.Domain != nil {
 			continue
 		}
-		ents := dve.FromLinked(s.linker.Link(t.Text), s.m)
-		t.Domain = dve.Normalized(ents, s.m)
+		t.Domain = ws.Vector(s.linker, t.Text, s.m)
 		if err := t.Validate(s.m); err != nil {
 			return err
 		}

@@ -1,0 +1,22 @@
+package core
+
+import (
+	"testing"
+
+	"docs/internal/model"
+)
+
+// Seams and oracles for the tests of package core_test, which drive a
+// System through internal/registry, an importer of this package.
+
+// ArmPackFault sets s's packer seam: f runs when the packer has packed a
+// publication's record, and a non-nil return fails the pack.
+func ArmPackFault(s *System, f func() error) { s.packFault = f }
+
+// SerialRecord is serialRecord: what the serial path logs for tasks.
+func SerialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {
+	return serialRecord(t, s, tasks)
+}
+
+// SettledGoroutines is settledGoroutines.
+var SettledGoroutines = settledGoroutines

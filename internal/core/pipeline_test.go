@@ -121,7 +121,11 @@ func TestPublishRecordMatchesSerialOracle(t *testing.T) {
 		defer systems[m].Close()
 	}
 	for round, set := range seededPublications() {
-		got, err := systems[set.m].linkAndPack(set.tasks, true)
+		record, err := systems[set.m].linkAndPack(set.tasks, true)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		got, err := record()
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

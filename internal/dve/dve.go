@@ -12,6 +12,7 @@ package dve
 
 import (
 	"fmt"
+	"slices"
 
 	"docs/internal/entitylink"
 	"docs/internal/mathx"
@@ -27,18 +28,44 @@ type Entity struct {
 	H [][]float64
 }
 
+// Workspace is the memory DVE reuses from task to task: the linker's,
+// FromLinked's slices and Compute's integer block and table. Its zero value
+// is ready; one goroutine uses it at a time.
+type Workspace struct {
+	link  entitylink.Workspace
+	ents  []Entity
+	probs []float64
+	hs    [][]float64
+	ints  []int
+	table []float64
+}
+
+// Vector returns Normalized(FromLinked(l.Link(text), m), m), bit for bit,
+// building no mention string and allocating only the vector and the text's
+// normalized copy.
+func (w *Workspace) Vector(l *entitylink.Linker, text string, m int) []float64 {
+	ents := w.fromLinked(l.LinkInto(&w.link, text), m)
+	return mathx.Normalize(w.compute(ents, m))
+}
+
 // FromLinked converts linker output into DVE input for a domain set of
 // size m. Each H[j] is the knowledge base's own indicator vector for that
 // concept, shared by every task that mentions it and read-only; the whole
 // conversion is three allocations however many candidates there are.
 func FromLinked(ents []entitylink.Entity, m int) []Entity {
+	return new(Workspace).fromLinked(ents, m)
+}
+
+// fromLinked is FromLinked in w's memory.
+func (w *Workspace) fromLinked(ents []entitylink.Entity, m int) []Entity {
 	n := 0
 	for _, e := range ents {
 		n += len(e.Candidates)
 	}
-	out := make([]Entity, 0, len(ents))
-	probs := make([]float64, n)
-	hs := make([][]float64, n)
+	out := slices.Grow(w.ents[:0], len(ents))
+	w.probs = slices.Grow(w.probs[:0], n)[:n]
+	w.hs = slices.Grow(w.hs[:0], n)[:n]
+	probs, hs := w.probs, w.hs
 	for _, e := range ents {
 		c := len(e.Candidates)
 		de := Entity{Probs: probs[:c:c], H: hs[:c:c]}
@@ -53,6 +80,7 @@ func FromLinked(ents []entitylink.Entity, m int) []Entity {
 		}
 		out = append(out, de)
 	}
+	w.ents = out
 	return out
 }
 
@@ -98,8 +126,14 @@ func Validate(entities []Entity, m int) error {
 // other domain every state keeps nm = 0, so r^t_k is a sum of zeros: +0,
 // which is what the untouched element already holds. With |supp| such
 // domains the cost is O(c·|supp|·x_max·|E_t|³) against the paper's
-// O(c·m²·|E_t|³), in three allocations whatever m and |E_t| are.
+// O(c·m²·|E_t|³), in three allocations whatever m and |E_t| are (one in a
+// warm Workspace).
 func Compute(entities []Entity, m int) []float64 {
+	return new(Workspace).compute(entities, m)
+}
+
+// compute is Compute with the integer block and the table in w's memory.
+func (w *Workspace) compute(entities []Entity, m int) []float64 {
 	r := make([]float64, m)
 	if len(entities) == 0 {
 		return r
@@ -112,7 +146,10 @@ func Compute(entities []Entity, m int) []float64 {
 	// of them: x_{i,j} = Σ_k h_{i,j,k} (line 1 of Algorithm 1), each
 	// entity's largest x, and which domains have support. All of it, and
 	// the column h_{·,·,k} of the domain in hand, lives in one block.
-	ints := make([]int, 2*nCand+len(entities)+m)
+	size := 2*nCand + len(entities) + m
+	w.ints = slices.Grow(w.ints[:0], size)[:size]
+	ints := w.ints
+	clear(ints)
 	x, hk := ints[:nCand], ints[nCand:2*nCand]
 	entMaxX, supported := ints[2*nCand:2*nCand+len(entities)], ints[2*nCand+len(entities):]
 	maxX := 0
@@ -143,8 +180,9 @@ func Compute(entities []Entity, m int) []float64 {
 	// last ulp from run to run, breaking the system's reproducibility.
 	nmMax := len(entities) + 1
 	dmMax := maxX*len(entities) + 1
-	table := make([]float64, 2*nmMax*dmMax)
-	cur, next := table[:nmMax*dmMax], table[nmMax*dmMax:]
+	size = nmMax * dmMax // every cell is zeroed before it is read
+	w.table = slices.Grow(w.table[:0], 2*size)[:2*size]
+	cur, next := w.table[:size], w.table[size:]
 	for k := 0; k < m; k++ {
 		if supported[k] == 0 {
 			continue
@@ -251,13 +289,10 @@ func ComputeEnum(entities []Entity, m int) []float64 {
 // Normalized returns Compute's result normalized into a proper domain
 // vector. If the raw vector has zero mass (every linking is unrelated to
 // every domain, or there are no entities), the uniform distribution is
-// returned — the system-level convention for "domain unknown".
+// returned — the system-level convention for "domain unknown", and
+// mathx.Normalize's own answer to a zero sum.
 func Normalized(entities []Entity, m int) []float64 {
-	r := Compute(entities, m)
-	if mathx.Sum(r) == 0 {
-		return mathx.Uniform(m)
-	}
-	return mathx.Normalize(r)
+	return mathx.Normalize(Compute(entities, m))
 }
 
 // TruncateTopC keeps only the c most probable candidates of each entity,

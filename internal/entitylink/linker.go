@@ -44,7 +44,8 @@ type Entity struct {
 
 // Linker detects and disambiguates entities against a knowledge base. Link
 // only reads, so over a finished knowledge base one Linker serves any number
-// of concurrent Link calls (TestLinkConcurrent).
+// of concurrent calls (TestLinkConcurrent), each LinkInto with its own
+// Workspace.
 type Linker struct {
 	kb *kb.KB
 	// TopC bounds the number of candidates kept per entity.
@@ -59,6 +60,19 @@ func New(k *kb.KB) *Linker {
 	return &Linker{kb: k, TopC: DefaultTopC, ContextBoost: DefaultContextBoost}
 }
 
+// Workspace is the memory linking reuses from text to text. The context a
+// candidate is scored against is the text's tokens as a bitset over the
+// knowledge base's keyword ids. Its zero value is ready.
+type Workspace struct {
+	tokens []string
+	marks  []uint64 // bit id: keyword id is one of the text's tokens
+	marked []int32  // the ids marked, for clearing
+	scores []float64
+	order  []int
+	cands  []Candidate
+	ents   []Entity
+}
+
 // Link detects entity mentions in text and returns them with ranked,
 // normalized candidate distributions. Detection is greedy longest-match over
 // the KB alias table: at each token position the longest known alias wins
@@ -67,63 +81,96 @@ func New(k *kb.KB) *Linker {
 // one token at a time, so a text costs its tokens plus the steps its
 // matches take — nothing per window, nothing per alias in the KB.
 func (l *Linker) Link(text string) []Entity {
-	tokens := Tokenize(text)
-	var bag []string // built at the first match
+	return l.link(new(Workspace), text, true)
+}
 
-	var out []Entity
+// LinkInto is Link in ws's memory and without mention strings (Mention is
+// empty); the result is valid until ws links again.
+func (l *Linker) LinkInto(ws *Workspace, text string) []Entity {
+	return l.link(ws, text, false)
+}
+
+func (l *Linker) link(ws *Workspace, text string, mentions bool) []Entity {
+	ws.tokens = kb.AppendTokens(ws.tokens[:0], text)
+	ws.cands, ws.ents = ws.cands[:0], ws.ents[:0]
+	tokens := ws.tokens
 	for i := 0; i < len(tokens); {
 		n, concepts := l.kb.LongestAlias(tokens[i:])
 		if n == 0 {
 			i++
 			continue
 		}
-		if bag == nil {
-			bag = contextBag(tokens)
+		if len(ws.ents) == 0 {
+			ws.mark(l.kb, tokens)
 		}
-		out = append(out, l.disambiguate(strings.Join(tokens[i:i+n], " "), i, concepts, bag))
+		var mention string
+		if mentions {
+			mention = strings.Join(tokens[i:i+n], " ")
+		}
+		l.disambiguate(ws, mention, i, concepts)
 		i += n
 	}
-	return out
+	ws.unmark()
+	return ws.ents
+}
+
+// mark sets the bit of every token that is a context keyword.
+func (ws *Workspace) mark(k *kb.KB, tokens []string) {
+	if n := (k.NumKeywords() + 63) / 64; len(ws.marks) < n {
+		ws.marks = make([]uint64, n)
+	}
+	for _, tok := range tokens {
+		if id, ok := k.KeywordID(tok); ok {
+			ws.marks[id/64] |= 1 << (id % 64)
+			ws.marked = append(ws.marked, id)
+		}
+	}
+}
+
+// hits counts c's context keywords among the marked tokens.
+func (ws *Workspace) hits(c *kb.Concept) int {
+	n := 0
+	for _, id := range c.ContextIDs() {
+		n += int(ws.marks[id/64] >> (id % 64) & 1)
+	}
+	return n
+}
+
+// unmark clears what mark set.
+func (ws *Workspace) unmark() {
+	for _, id := range ws.marked {
+		ws.marks[id/64] = 0
+	}
+	ws.marked = ws.marked[:0]
 }
 
 // disambiguate ranks the mention's candidates (in kb.Candidates' order, not
-// modified) by prior × context fit and normalizes to a distribution,
-// truncated to TopC.
-func (l *Linker) disambiguate(mention string, start int, concepts []*kb.Concept, bag []string) Entity {
+// modified) by prior × context fit and appends them to ws as one entity,
+// normalized to a distribution and truncated to TopC.
+func (l *Linker) disambiguate(ws *Workspace, mention string, start int, concepts []*kb.Concept) {
 	topC := l.TopC
 	if topC <= 0 {
 		topC = DefaultTopC
 	}
-	scores := make([]float64, len(concepts))
-	for j, c := range concepts {
-		hits := 0
-		for _, kw := range c.Context {
-			if _, ok := slices.BinarySearch(bag, kw); ok {
-				hits++
-			}
-		}
-		scores[j] = c.Prior * (1 + l.ContextBoost*float64(hits))
+	scores := ws.scores[:0]
+	for _, c := range concepts {
+		scores = append(scores, c.Prior*(1+l.ContextBoost*float64(ws.hits(c))))
 	}
-	order := mathx.TopK(scores, topC)
-	cands := make([]Candidate, 0, len(order))
+	ws.scores = scores
+	ws.order = slices.Grow(ws.order[:0], len(scores))[:len(scores)]
+	order := mathx.TopKInto(ws.order, scores, topC)
 	var total float64
 	for _, j := range order {
 		total += scores[j]
 	}
+	lo := len(ws.cands)
 	for _, j := range order {
-		cands = append(cands, Candidate{Concept: concepts[j], Prob: scores[j] / total})
+		ws.cands = append(ws.cands, Candidate{Concept: concepts[j], Prob: scores[j] / total})
 	}
-	return Entity{Mention: mention, Start: start, Candidates: cands}
+	hi := len(ws.cands) // capped: the slab may grow into a new array behind it
+	ws.ents = append(ws.ents, Entity{Mention: mention, Start: start, Candidates: ws.cands[lo:hi:hi]})
 }
 
 // Tokenize splits text into normalized tokens using the same normalization
 // as the KB alias table, so token runs compare directly against aliases.
 func Tokenize(text string) []string { return kb.Tokenize(text) }
-
-// contextBag builds the set of tokens available as disambiguation context:
-// the tokens, sorted.
-func contextBag(tokens []string) []string {
-	bag := slices.Clone(tokens)
-	slices.Sort(bag)
-	return bag
-}

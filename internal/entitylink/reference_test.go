@@ -3,6 +3,7 @@ package entitylink
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -90,6 +91,65 @@ func contextBagReference(tokens []string) map[string]bool {
 		bag[t] = true
 	}
 	return bag
+}
+
+// contextBag is the disambiguation context as Link held it before the
+// keyword bitset: the text's tokens cloned and sorted, each context keyword
+// binary-searched in it.
+func contextBag(tokens []string) []string {
+	bag := slices.Clone(tokens)
+	slices.Sort(bag)
+	return bag
+}
+
+func bagHits(c *kb.Concept, bag []string) int {
+	hits := 0
+	for _, kw := range c.Context {
+		if _, ok := slices.BinarySearch(bag, kw); ok {
+			hits++
+		}
+	}
+	return hits
+}
+
+// TestPropertyKeywordBitsetMatchesBag: for every concept any window of a
+// text could link to, the bitset counts the hits the sorted bag counts,
+// through one workspace that is all zeros again after every text.
+func TestPropertyKeywordBitsetMatchesBag(t *testing.T) {
+	var texts []string
+	for _, ds := range dataset.All(1) {
+		for _, task := range ds.Tasks {
+			texts = append(texts, task.Text)
+		}
+	}
+	texts = append(texts, adversarialTexts...)
+	var ws Workspace
+	checked := 0
+	for _, k := range []*kb.KB{kb.MustDefault(), adversarialKB(t)} {
+		for _, text := range texts {
+			tokens := Tokenize(text)
+			bag := contextBag(tokens)
+			ws.mark(k, tokens)
+			for i := range tokens {
+				_, concepts := k.LongestAlias(tokens[i:])
+				for _, c := range concepts {
+					if got, want := ws.hits(c), bagHits(c, bag); got != want {
+						t.Fatalf("%q: %s has %d hits in the bitset, %d in the bag", text, c.ID, got, want)
+					}
+					checked += bagHits(c, bag)
+				}
+			}
+			ws.unmark()
+			for i, w := range ws.marks {
+				if w != 0 {
+					t.Fatalf("after %q the bitset's word %d is %x, want 0", text, i, w)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no context keyword hit anywhere: the property is vacuous")
+	}
 }
 
 // tokenizeReference is Tokenize over kb.NormalizeMention as both stood
@@ -277,16 +337,4 @@ func TestLinkConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func FuzzLinkMatchesReference(f *testing.F) {
-	for _, text := range adversarialTexts {
-		f.Add(text)
-	}
-	linkers := []*Linker{New(kb.MustDefault()), New(adversarialKB(f))}
-	f.Fuzz(func(t *testing.T, text string) {
-		for _, l := range linkers {
-			checkLinkMatchesReference(t, l, text)
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -48,10 +47,8 @@ type batchResponse struct {
 // rejected per-item, mirroring the ?k= clamp on the request path: client
 // numbers never size server allocations.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*maxBatchItemBytes+4096)
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, int64(s.maxBatch)*maxBatchItemBytes+4096, &req) {
 		return
 	}
 	if len(req.Answers) == 0 {

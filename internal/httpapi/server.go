@@ -151,9 +151,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxSmallBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, maxSmallBodyBytes, &req) {
 		return
 	}
 	if _, err := s.reg.Create(req.Name); err != nil {
@@ -185,9 +183,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	var req publishRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxPublishBody)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, s.maxPublishBody, &req) {
 		return
 	}
 	if len(req.Tasks) == 0 {
@@ -296,9 +292,7 @@ type submitRequest struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxSmallBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeBody(w, r, maxSmallBodyBytes, &req) {
 		return
 	}
 	sys, _, ok := s.campaign(w, r)
@@ -502,4 +496,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// decodeBody decodes r's JSON body, capped at limit bytes, into v. On
+// failure it answers the request itself — 413 for a body over the cap, 400
+// for any other — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
+		writeErr(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	}
+	return false
 }

@@ -199,8 +199,8 @@ func TestServerValidation(t *testing.T) {
 	srv.maxPublishBody = 8 << 10
 	padded := publishBody()
 	padded["pad"] = strings.Repeat("x", 16<<10)
-	if resp, _ := doJSON(t, "POST", base+"/publish", padded); resp.StatusCode < 400 || resp.StatusCode > 499 {
-		t.Errorf("oversized publish = %d, want 4xx", resp.StatusCode)
+	if resp, _ := doJSON(t, "POST", base+"/publish", padded); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized publish = %d, want 413", resp.StatusCode)
 	}
 	var unpublished statsJSON
 	mustGetJSON(t, base+"/stats", &unpublished)
@@ -218,8 +218,19 @@ func TestServerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode < 400 || resp.StatusCode > 499 {
-		t.Errorf("oversized submit = %d, want 4xx", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit = %d, want 413", resp.StatusCode)
+	}
+	// So is an oversized /submit-batch body: one answer padded past the
+	// body budget of a full batch.
+	hugeBatch := `{"pad":"` + strings.Repeat("x", srv.maxBatch*maxBatchItemBytes+8192) + `","answers":[{"worker":"w","task":0,"choice":0}]}`
+	resp, err = http.Post(base+"/submit-batch", "application/json", strings.NewReader(hugeBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit-batch = %d, want 413", resp.StatusCode)
 	}
 	var st statsJSON
 	mustGetJSON(t, base+"/stats", &st)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"docs/internal/model"
 )
@@ -30,9 +31,9 @@ var YahooDomains = []string{
 
 // Concept is a knowledge-base concept (a Freebase topic / Wikipedia page in
 // the paper). Its Domains set induces the indicator vector h used by DVE.
-// A concept must not change once AddConcept has accepted it: the alias
-// index keeps it in (Prior, ID) order and the knowledge base keeps its
-// indicator vector.
+// A concept must not change once AddConcept has accepted it, nor join a
+// second KB: the alias index keeps it in (Prior, ID) order and the
+// knowledge base keeps its indicator vector and keyword ids.
 type Concept struct {
 	// ID is the unique concept identifier (e.g. "person/michael_jordan").
 	ID string
@@ -49,7 +50,8 @@ type Concept struct {
 
 	// indicator is Indicator over the owning KB's domain set, computed once
 	// by AddConcept; nil for a concept no KB holds.
-	indicator []float64
+	indicator  []float64
+	contextIDs []int32 // Context, as the owning KB's keyword ids
 }
 
 // Indicator returns the concept's indicator vector h of size m: h_k = 1 iff
@@ -70,6 +72,10 @@ func (c *Concept) Indicator(m int) []float64 {
 // concept that was never added to a KB.
 func (c *Concept) SharedIndicator() []float64 { return c.indicator }
 
+// ContextIDs returns Context as the owning KB's keyword ids (KeywordID).
+// Every caller gets the same slice and must not write to it.
+func (c *Concept) ContextIDs() []int32 { return c.contextIDs }
+
 // KB is an in-memory knowledge base: a domain set, a concept catalogue and
 // an alias (surface form → candidate concepts) table. AddConcept and
 // AddAlias are its only writers: a finished KB, such as kb.Default returns,
@@ -77,6 +83,7 @@ func (c *Concept) SharedIndicator() []float64 { return c.indicator }
 type KB struct {
 	domains  *model.DomainSet
 	concepts map[string]*Concept
+	keywords map[string]int32 // every context keyword, interned to 0, 1, …
 	// aliases is the alias table compiled into a trie over normalized
 	// tokens. addAlias is its only writer, so it is never stale.
 	aliases aliasNode
@@ -101,6 +108,7 @@ func New(domains *model.DomainSet) *KB {
 	return &KB{
 		domains:       domains,
 		concepts:      make(map[string]*Concept),
+		keywords:      make(map[string]int32),
 		maxAliasWords: 1,
 	}
 }
@@ -111,6 +119,15 @@ func (k *KB) Domains() *model.DomainSet { return k.domains }
 // NumConcepts returns the number of concepts in the catalogue.
 func (k *KB) NumConcepts() int { return len(k.concepts) }
 
+// NumKeywords returns the number of distinct context keywords.
+func (k *KB) NumKeywords() int { return len(k.keywords) }
+
+// KeywordID returns a context keyword's id, below NumKeywords.
+func (k *KB) KeywordID(word string) (int32, bool) {
+	id, ok := k.keywords[word]
+	return id, ok
+}
+
 // AddConcept inserts a concept and registers its name as an alias. The
 // concept's domain indices must be valid and IDs must be unique.
 func (k *KB) AddConcept(c *Concept) error {
@@ -119,6 +136,9 @@ func (k *KB) AddConcept(c *Concept) error {
 	}
 	if _, dup := k.concepts[c.ID]; dup {
 		return fmt.Errorf("kb: duplicate concept %q", c.ID)
+	}
+	if c.indicator != nil {
+		return fmt.Errorf("kb: concept %q already belongs to a knowledge base", c.ID)
 	}
 	if len(c.Domains) == 0 {
 		return fmt.Errorf("kb: concept %q has no domains", c.ID)
@@ -133,6 +153,12 @@ func (k *KB) AddConcept(c *Concept) error {
 		return fmt.Errorf("kb: concept %q has non-positive prior %g", c.ID, c.Prior)
 	}
 	c.indicator = c.Indicator(m)
+	for _, kw := range c.Context {
+		if _, ok := k.keywords[kw]; !ok {
+			k.keywords[kw] = int32(len(k.keywords))
+		}
+		c.contextIDs = append(c.contextIDs, k.keywords[kw])
+	}
 	k.concepts[c.ID] = c
 	k.addAlias(c.Name, c)
 	return nil
@@ -245,8 +271,15 @@ func NormalizeMention(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	gap := false // a separator since the last kept rune
-	for _, r := range s {
-		r = unicode.ToLower(r)
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1 // an ASCII byte is its rune, lowered here
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+			r = unicode.ToLower(r) // may be ASCII: 'İ' lowers to 'i'
+		} else if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+		i += size
 		switch {
 		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '\'', r == '-',
 			r > 127 && !unicode.IsSpace(r): // keep non-ASCII letters (e.g. "Beyoncé", "Pelé")
@@ -254,7 +287,11 @@ func NormalizeMention(s string) string {
 				b.WriteByte(' ')
 			}
 			gap = false
-			b.WriteRune(r)
+			if r < utf8.RuneSelf {
+				b.WriteByte(byte(r))
+			} else {
+				b.WriteRune(r)
+			}
 		default:
 			gap = true
 		}
@@ -264,10 +301,17 @@ func NormalizeMention(s string) string {
 
 // Tokenize splits a text into the words of its normalized form. The tokens
 // share NormalizeMention's one copy of the text.
-func Tokenize(s string) []string {
+func Tokenize(s string) []string { return AppendTokens(nil, s) }
+
+// AppendTokens appends Tokenize(s)'s tokens to dst.
+func AppendTokens(dst []string, s string) []string {
 	norm := NormalizeMention(s)
-	if norm == "" {
-		return nil
+	for norm != "" {
+		i := strings.IndexByte(norm, ' ')
+		if i < 0 {
+			return append(dst, norm)
+		}
+		dst, norm = append(dst, norm[:i]), norm[i+1:]
 	}
-	return strings.Split(norm, " ")
+	return dst
 }

@@ -7,11 +7,19 @@ package mathx
 // survivors are sorted. vals is not modified. If k >= len(vals), all indices
 // are returned sorted by value.
 func TopK(vals []float64, k int) []int {
+	if k <= 0 || len(vals) == 0 {
+		return nil
+	}
+	return TopKInto(make([]int, len(vals)), vals, k)
+}
+
+// TopKInto is TopK working in idx, which must be len(vals) long: the result
+// is a prefix of idx, and nothing is allocated.
+func TopKInto(idx []int, vals []float64, k int) []int {
 	n := len(vals)
 	if k <= 0 || n == 0 {
 		return nil
 	}
-	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
