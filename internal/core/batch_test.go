@@ -1,12 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -366,160 +361,5 @@ func TestBatchIsOneWALRecord(t *testing.T) {
 	}
 	if got := s.WALSeq() - before; got != n {
 		t.Fatalf("%d Submit calls advanced the WAL by %d records, want %d", n, got, n)
-	}
-}
-
-var updateLegacyBatch = flag.Bool("update-legacy-batch", false,
-	"rewrite testdata/legacy_batch_wal from the test-only DBB1 encoder")
-
-// encodeLegacyBatch is the batch blob as builds before the columnar DBB2
-// wrote it — a magic, then one length+CRC frame per answer, each a
-// KindAnswer record whose Seq is its 1-based position. Production no
-// longer writes it; this copy builds testdata/legacy_batch_wal.
-func encodeLegacyBatch(c wal.Columns) []byte {
-	blob := []byte("DBB1")
-	for i, wi := range c.W {
-		item := wal.Record{Kind: wal.KindAnswer, Seq: uint64(i + 1), Worker: c.Workers[wi], Task: c.T[i], Choice: c.C[i]}
-		blob = wal.EncodeFrame(blob, item.Encode())
-	}
-	return blob
-}
-
-// TestLegacyBatchBoots: testdata/legacy_batch_wal is the log of
-// runLoggedBatchedCampaign (legacyBatchConfig, 60 tasks) with every group
-// record in the per-answer-framed DBB1 encoding logs older than DBB2 hold —
-// byte for byte what the commit before DBB2 (9f25439) writes for that
-// campaign, whose publish record is DPB1. Segments are never deleted, so
-// this build must boot it — by full replay and by snapshot plus suffix — to
-// the state and the batch counters of the same campaign logged today, and
-// the two logs must differ in their KindBatch records, each pair decoding
-// to the same columns, and their publish records, decoding to the same
-// task set, alone.
-func TestLegacyBatchBoots(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20, SnapshotEvery: -1}
-	dir := t.TempDir()
-	recs := runLoggedBatchedCampaign(t, cfg, dir, 60)
-	probe := newSystem(t, cfg)
-	m := probe.m
-	probe.Close()
-
-	fixture := filepath.Join("testdata", "legacy_batch_wal")
-	if *updateLegacyBatch {
-		if err := os.RemoveAll(fixture); err != nil {
-			t.Fatal(err)
-		}
-		log, err := wal.Open(fixture, wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			switch rec.Kind {
-			case wal.KindBatch:
-				cols, err := wal.DecodeBatch(rec.Blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec.Blob = encodeLegacyBatch(cols)
-			case wal.KindPublish:
-				tasks, err := decodePublication(rec, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec.Blob = mustEncodeBinaryPublication(t, tasks, m)
-			}
-			if _, err := log.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacyDir := t.TempDir()
-	copyDir(t, fixture, legacyDir)
-	legacyRecs := readStream(t, legacyDir)
-	if len(legacyRecs) != len(recs) {
-		t.Fatalf("the fixture holds %d records, this build logged %d", len(legacyRecs), len(recs))
-	}
-	groups, answers, oldBytes, newBytes := int64(0), int64(0), 0, 0
-	for i, rec := range recs {
-		old := legacyRecs[i]
-		if rec.Kind == wal.KindPublish && old.Kind == wal.KindPublish && rec.Seq == old.Seq {
-			oldTasks, err := decodePublication(old, m)
-			if err != nil {
-				t.Fatalf("fixture record %d: %v", old.Seq, err)
-			}
-			newTasks, err := decodePublication(rec, m)
-			if err != nil {
-				t.Fatalf("record %d: %v", rec.Seq, err)
-			}
-			sameTasks(t, newTasks, oldTasks)
-			continue
-		}
-		if rec.Kind != wal.KindBatch {
-			if !bytes.Equal(rec.Encode(), old.Encode()) {
-				t.Fatalf("record %d differs between the two logs and is no batch", rec.Seq)
-			}
-			continue
-		}
-		if old.Kind != wal.KindBatch || !bytes.HasPrefix(old.Blob, []byte("DBB1")) || !bytes.HasPrefix(rec.Blob, []byte("DBB2")) {
-			t.Fatalf("record %d: want a DBB1 group in the fixture and a DBB2 group in today's log", rec.Seq)
-		}
-		oldCols, err := wal.DecodeBatch(old.Blob)
-		if err != nil {
-			t.Fatalf("fixture record %d: %v", old.Seq, err)
-		}
-		newCols, err := wal.DecodeBatch(rec.Blob)
-		if err != nil {
-			t.Fatalf("record %d: %v", rec.Seq, err)
-		}
-		if !reflect.DeepEqual(oldCols, newCols) {
-			t.Fatalf("record %d: the two encodings decode to different groups", rec.Seq)
-		}
-		groups++
-		answers += int64(newCols.Len())
-		oldBytes += len(old.Blob)
-		newBytes += len(rec.Blob)
-	}
-	if groups == 0 {
-		t.Fatal("the campaign logged no KindBatch record")
-	}
-	t.Logf("%d groups, %d answers: %d blob bytes as DBB1, %d as DBB2", groups, answers, oldBytes, newBytes)
-
-	current := newSystem(t, cfg)
-	if _, err := current.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	want := current.Fingerprint()
-	if current.reruns.Load() < 1 {
-		t.Fatal("the campaign crosses no rerun boundary")
-	}
-	if err := current.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Snapshot at a prefix that leaves groups in the replayed suffix.
-	covered := len(legacyRecs) * 2 / 3
-	for _, rung := range []string{"full replay", "snapshot plus suffix"} {
-		if rung != "full replay" {
-			writeStateAt(t, cfg, legacyDir, legacyRecs, covered)
-		}
-		legacy := newSystem(t, cfg)
-		info, err := legacy.Recover(legacyDir)
-		if err != nil {
-			t.Fatalf("%s of the legacy log: %v", rung, err)
-		}
-		if info.SnapshotUsed != (rung != "full replay") {
-			t.Fatalf("%s: %+v", rung, info)
-		}
-		if got := legacy.Fingerprint(); got != want {
-			t.Fatalf("%s of the legacy log differs from today's:\n%s", rung, reportDiff(t, "legacy-batch", got, want))
-		}
-		if b, a := legacy.BatchCounts(); !info.SnapshotUsed && (b != groups || a != answers) {
-			t.Fatalf("%s counted %d batches / %d answers, the log holds %d / %d", rung, b, a, groups, answers)
-		}
-		if err := legacy.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

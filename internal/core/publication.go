@@ -17,17 +17,12 @@
 //	str:   len uvarint | bytes
 //
 // An integer is a minimal uvarint; truth and trueDomain are stored plus
-// one, so NoTruth is 0. A domain vector is a wal.SparseFloats against +0:
-// only the entries whose Float64bits is non-zero — DVE gives a task weight
-// in one or two of the 26 domains — as raw IEEE-754 bits, indexes strictly
-// ascending and below m, so −0, denormals and the uniform "domain unknown"
-// vector all round-trip bit for bit through the one layout. (Presence is by
-// bits; membership of the task's support is r_k > 0, model.DomainVector.Has:
-// a −0 entry is stored and is still outside the support.) One task set has one byte
-// string: the decoder accepts nothing the encoder would not write
-// (overlong varints, a zero-bits entry, an index out of order and trailing
-// bytes are all corruption) and checks every count against the bytes that
-// remain before it allocates for it.
+// one, so NoTruth is 0. A domain vector is a wal.SparseFloats against +0, so
+// −0, denormals and the uniform "domain unknown" vector round-trip bit for
+// bit (presence is by bits; the task's support is r_k > 0,
+// model.DomainVector.Has, so a stored −0 is outside it). One task set has
+// one byte string: the decoder accepts nothing the encoder would not write
+// and checks every count against the bytes that remain before it allocates.
 //
 // A publication is mostly its template — a campaign is a batch of questions
 // cut from a few sentence patterns — so the record Publish logs is that
@@ -36,31 +31,19 @@
 //	magic "DPB2" | body length uvarint | LZW(body)
 //
 // where body is the DPB1 blob after its magic and LZW is compress/lzw,
-// least significant bits first, 8-bit literals. LZW has no matching
-// heuristics — greedy longest match, fixed code-width and reset rules — so
-// the stream is a function of the body, and DPB2 is canonical the way DPB1
-// is: the decoder inflates the stream, hands the body to the DPB1 decoder,
-// and refuses a stated length over what a publication may hold, a stream
-// that inflates to more or fewer bytes than stated or has bytes after its
-// end code, a stream that is not the packing of its own body, and a DPB2
-// blob no shorter than the DPB1 it stands for. (testdata/
-// publication_dpb2.golden pins the packer's bytes, so a toolchain whose LZW
-// writer moved fails a test instead of every boot of an older log.) A
-// DPB1 record stays readable whatever its size: every log before DPB2
-// holds one, and so does a publication packing does not shorten.
-//
-// The magic's first byte cannot open a JSON document. Until DPB1 the blob
-// was json.Marshal of the tasks; segments are never deleted, so those
-// records stay readable (decodeLegacyPublication) — and a binary that only
-// knows JSON refuses a DPB1 or DPB2 record at its first byte instead of
-// misparsing it. Nothing writes JSON any more and nothing selects it.
+// least significant bits first, 8-bit literals, whose stream is a function
+// of the body. So DPB2 is canonical too: the decoder refuses a stated length
+// over what a publication may hold, a stream that inflates to another length
+// or has bytes after its end code, one that is not the packing of its body,
+// and a DPB2 blob no shorter than its DPB1 (testdata/publication_dpb2.golden
+// pins the packer's bytes across toolchains). A DPB1 record is read whatever
+// its size; a publish record under any other magic is refused.
 package core
 
 import (
 	"bytes"
 	"compress/lzw"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -290,22 +273,15 @@ func unpackPublication(blob []byte) ([]byte, error) {
 // reader of the record — replay (applyRecord) and the snapshot restore
 // (readPublication) both come through it — and it returns only tasks that
 // carry an m-long domain vector, so neither re-runs entity linking on a
-// replayed task. It dispatches on the blob's opening bytes: DPB2, which
-// unpacks to DPB1 and then reads as one; DPB1; or the JSON array earlier
-// builds wrote.
+// replayed task. A DPB2 blob unpacks to DPB1 and then reads as one.
 func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
-	blob, decode := rec.Blob, decodeLegacyPublication
-	var err error
-	switch {
-	case bytes.HasPrefix(blob, []byte(packedMagic)):
+	blob, err := rec.Blob, error(nil)
+	if bytes.HasPrefix(blob, []byte(packedMagic)) {
 		blob, err = unpackPublication(blob)
-		decode = decodeBinaryPublication
-	case bytes.HasPrefix(blob, []byte(publicationMagic)):
-		decode = decodeBinaryPublication
 	}
 	var tasks []*model.Task
 	if err == nil {
-		tasks, err = decode(blob, m)
+		tasks, err = decodeBinaryPublication(blob, m)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("publish record %d: %w", rec.Seq, err)
@@ -313,33 +289,16 @@ func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 	return tasks, nil
 }
 
-// decodeLegacyPublication reads the JSON array that was the publish blob
-// before the binary format. It exists only because logs written then are
-// still on disk.
-func decodeLegacyPublication(blob []byte, m int) ([]*model.Task, error) {
-	var tasks []*model.Task
-	if err := json.Unmarshal(blob, &tasks); err != nil {
-		return nil, err
-	}
-	for i, t := range tasks {
-		if t == nil {
-			return nil, fmt.Errorf("task %d of the publication is null", i)
-		}
-		if len(t.Domain) != m {
-			return nil, fmt.Errorf("task %d has a domain vector of size %d, want %d", t.ID, len(t.Domain), m)
-		}
-	}
-	return tasks, nil
-}
-
-// decodeBinaryPublication parses a blob that opens with publicationMagic
-// and is stamped with m domains. Whatever follows the magic, it never
-// panics. The n tasks, their n×m domain-vector
+// decodeBinaryPublication parses a DPB1 blob stamped with m domains.
+// Whatever it is given, it never panics. The n tasks, their n×m domain-vector
 // floats and every string come from four allocations (the strings are
 // substrings of one copy of the blob) plus one choice slice a task; n is
 // checked against the bytes remaining first, so a hostile count buys no
 // memory the blob's own length does not bound.
 func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
+	if !bytes.HasPrefix(blob, []byte(publicationMagic)) {
+		return nil, fmt.Errorf("blob lacks magic %q", publicationMagic)
+	}
 	body := blob[len(publicationMagic):]
 	d := pubDecoder{wal.NewCursor(body), string(body)}
 	if stamped := d.Uvarint(); d.Err() == nil && stamped != uint64(m) {

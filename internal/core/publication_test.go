@@ -377,14 +377,11 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 		}
 	}
 	dpb1, encode := data, encodeBinaryPublication
-	switch {
-	case bytes.HasPrefix(data, []byte(packedMagic)):
+	if bytes.HasPrefix(data, []byte(packedMagic)) {
 		if dpb1, err = unpackPublication(data); err != nil {
 			t.Fatalf("a decoded DPB2 blob does not unpack: %v", err)
 		}
 		encode = encodePublication
-	case !bytes.HasPrefix(data, []byte(publicationMagic)):
-		return // legacy JSON: nothing canonical about it
 	}
 	if len(tasks)*minTaskBytes > len(dpb1) || strs > len(dpb1) {
 		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(dpb1))
@@ -635,7 +632,7 @@ func TestPublicationPackerGolden(t *testing.T) {
 // DPB1 blob, the same cut at three points, with one byte flipped, with its
 // task count set to 2^63; its DPB2 record, the same cut in its stream,
 // with a byte after the end code, and with the stream every byte a
-// literal; and a legacy JSON publication.
+// literal; and a JSON publication, the format v0 blob nothing reads.
 func FuzzPublicationDecode(f *testing.F) {
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
 	f.Add(mustEncodePublication(f, sampleTasks(), 4))
@@ -687,159 +684,14 @@ func TestPublicationBytesPerTask(t *testing.T) {
 
 // --- logs on disk ---
 
-// fixtureConfig is the configuration testdata/legacy_wal was written under.
-var fixtureConfig = Config{GoldenCount: 3, HITSize: 3, AnswersPerTask: 2, RerunEvery: 10, SnapshotEvery: -1}
-
-// driveFixtureCampaign is the serial campaign testdata/legacy_wal holds:
-// five workers take turns until one is offered nothing, answering
-// correctly four times in five.
-func driveFixtureCampaign(t *testing.T, s *System) {
-	t.Helper()
-	r := mathx.NewRand(7)
-	for i := 0; ; i++ {
-		w := fmt.Sprintf("w%d", i%5)
-		got, err := s.Request(w, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			return
-		}
-		for _, tk := range got {
-			c := r.Intn(tk.NumChoices())
-			if tk.Truth != model.NoTruth && r.Float64() < 0.8 {
-				c = tk.Truth
-			}
-			if err := s.Submit(w, tk.ID, c); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestLegacyPublicationBoots: testdata/legacy_wal is a WAL directory
-// written by the commit before the binary publication (f0b84da):
-// fixtureConfig, fifteen tasks — three from each dataset linked by DVE, one
-// uniform vector, two one-hot — published as a JSON blob, then
-// driveFixtureCampaign (24 answers past the golden gauntlet, two rerun
-// boundaries). Segments are never deleted, so this build must boot it —
-// by full replay and by snapshot plus suffix — to the state of the same
-// campaign logged in the current format, and the two logs must differ in
-// the publish record alone.
-func TestLegacyPublicationBoots(t *testing.T) {
-	legacyDir := t.TempDir()
-	copyDir(t, filepath.Join("testdata", "legacy_wal"), legacyDir)
-	legacyRecs := readStream(t, legacyDir)
-	if len(legacyRecs) == 0 || legacyRecs[0].Kind != wal.KindPublish || legacyRecs[0].Blob[0] != '[' {
-		t.Fatal("fixture does not open with a JSON publish record")
-	}
-
-	legacy := newSystem(t, fixtureConfig)
-	if _, err := legacy.Recover(legacyDir); err != nil {
-		t.Fatalf("booting the legacy log: %v", err)
-	}
-	want := legacy.Fingerprint()
-	if legacy.reruns.Load() < 1 {
-		t.Fatal("fixture crosses no rerun boundary")
-	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The same campaign, logged by this build.
-	tasks, err := decodePublication(legacyRecs[0], legacy.m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	live := newSystem(t, fixtureConfig)
-	if _, err := live.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Publish(tasks); err != nil {
-		t.Fatal(err)
-	}
-	driveFixtureCampaign(t, live)
-	if got := live.Fingerprint(); got != want {
-		t.Fatalf("legacy boot differs from the live campaign:\n%s", reportDiff(t, "legacy-vs-live", want, got))
-	}
-	if err := live.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs := readStream(t, dir)
-	if len(recs) != len(legacyRecs) {
-		t.Fatalf("this build logged %d records, the fixture holds %d", len(recs), len(legacyRecs))
-	}
-	logged, err := decodePublication(recs[0], live.m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTasks(t, logged, tasks)
-	t.Logf("publish blob: %d bytes as JSON, %d in %s", len(legacyRecs[0].Blob), len(recs[0].Blob), recs[0].Blob[:4])
-	for i := 1; i < len(recs); i++ {
-		if !bytes.Equal(recs[i].Encode(), legacyRecs[i].Encode()) {
-			t.Fatalf("record %d differs between the two logs", recs[i].Seq)
-		}
-	}
-
-	// Both logs, both recovery rungs. The snapshot covers a prefix ending
-	// between the two rerun boundaries, so the restore reads the publish
-	// record through readPublication and the suffix replays a rerun.
-	covered := len(recs) - 8
-	for name, d := range map[string]string{"legacy": legacyDir, "current": dir} {
-		stream := legacyRecs
-		if d == dir {
-			stream = recs
-		}
-		full := newSystem(t, fixtureConfig)
-		if info, err := full.Recover(d); err != nil || info.SnapshotUsed {
-			t.Fatalf("%s full replay: %+v, %v", name, info, err)
-		}
-		if got := full.Fingerprint(); got != want {
-			t.Fatalf("%s full replay differs:\n%s", name, reportDiff(t, name+"-full", want, got))
-		}
-		if err := full.Close(); err != nil {
-			t.Fatal(err)
-		}
-		writeStateAt(t, fixtureConfig, d, stream, covered)
-		snap := newSystem(t, fixtureConfig)
-		info, err := snap.Recover(d)
-		if err != nil || !info.SnapshotUsed || info.Records != len(stream)-covered {
-			t.Fatalf("%s snapshot boot: %+v, %v", name, info, err)
-		}
-		if got := snap.Fingerprint(); got != want {
-			t.Fatalf("%s snapshot boot differs:\n%s", name, reportDiff(t, name+"-snapshot", want, got))
-		}
-		if err := snap.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestLegacyReaderRefusesBinaryPublication: a build from before this
-// format reads a publish blob with the JSON branch alone. Fed a binary
-// blob it fails at the first byte — the boot stops with an error naming
-// the publish record — and cannot misparse it into some other task set.
-func TestLegacyReaderRefusesBinaryPublication(t *testing.T) {
-	blob := mustEncodePublication(t, sampleTasks(), 4)
-	tasks, err := decodeLegacyPublication(blob, 4)
-	if err == nil || tasks != nil {
-		t.Fatalf("the JSON reader took a binary blob: %d tasks, error %v", len(tasks), err)
-	}
-	var syn *json.SyntaxError
-	if !errors.As(err, &syn) || syn.Offset != 1 {
-		t.Fatalf("want a JSON syntax error at the first byte, got %v", err)
-	}
-}
-
-// writeLegacyLog writes a log whose publish record is the given JSON.
-func writeLegacyLog(t *testing.T, dir, publication string) {
+// writePublishLog writes a log whose one record publishes blob.
+func writePublishLog(t *testing.T, dir string, blob []byte) {
 	t.Helper()
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := log.Append(wal.Record{Kind: wal.KindPublish, Blob: []byte(publication)}); err != nil {
+	if _, err := log.Append(wal.Record{Kind: wal.KindPublish, Blob: blob}); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -848,32 +700,36 @@ func writeLegacyLog(t *testing.T, dir, publication string) {
 }
 
 // TestReplayedPublicationCarriesDomainVectors: a publish record exists so
-// that no boot re-links text. A replayed task without its m-long vector is
-// therefore a damaged record to both of the record's readers — replay used
-// to re-run DVE on it silently while the snapshot restore rejected it.
+// that no boot re-links text, and every task in it carries a vector over
+// the m domains its blob is stamped with. A blob stamped with another m —
+// packed or not — is therefore a damaged record to both of the record's
+// readers: replay refuses it, and so does the snapshot restore, whose
+// fallback to a full replay then fails the same way.
 func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
-	good := `{"ID":0,"Text":"NBA","Choices":["a","b"],"Domain":[1` + strings.Repeat(",0", 25) + `],"Truth":-1,"TrueDomain":-1}`
-	for name, bad := range map[string]string{
-		"null vector":  `{"ID":1,"Text":"NBA","Choices":["a","b"],"Domain":null,"Truth":-1,"TrueDomain":-1}`,
-		"short vector": `{"ID":1,"Text":"NBA","Choices":["a","b"],"Domain":[1,0],"Truth":-1,"TrueDomain":-1}`,
-		"null task":    `null`,
+	tasks := []*model.Task{{ID: 1, Text: strings.Repeat("ab", 30), Choices: []string{"a", "b"},
+		Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}
+	packed := mustEncodePublication(t, tasks, 4)
+	if !bytes.HasPrefix(packed, []byte(packedMagic)) {
+		t.Fatalf("the publication logs %q, want a packed record", packed[:4])
+	}
+	for name, blob := range map[string][]byte{
+		"DPB1 over 4 domains": mustEncodeBinaryPublication(t, tasks, 4),
+		"DPB2 over 4 domains": packed,
 	} {
 		dir := t.TempDir()
-		writeLegacyLog(t, dir, "["+good+","+bad+"]")
+		writePublishLog(t, dir, blob)
 
 		s := newSystem(t, cfg)
 		_, err := s.Recover(dir)
-		if err == nil || !strings.Contains(err.Error(), "publish record 1") {
-			t.Fatalf("%s: replay: %v, want an error naming publish record 1", name, err)
+		if err == nil || !strings.Contains(err.Error(), "publish record 1") || !strings.Contains(err.Error(), "4 domains") {
+			t.Fatalf("%s: replay: %v, want an error naming publish record 1 and its 4 domains", name, err)
 		}
 		if s.Published() {
 			t.Fatalf("%s: a refused publication left the campaign published", name)
 		}
 		s.Close()
 
-		// The same record named by a snapshot: rejected loudly, and the
-		// full replay the boot falls back to fails the same way.
 		if err := snapshot.Write(dir, &snapshot.State{Seq: 1, PublishSeq: 1, M: 26}); err != nil {
 			t.Fatal(err)
 		}
@@ -886,11 +742,13 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	writeLegacyLog(t, dir, "["+good+"]")
+	tasks[0].Domain = make(model.DomainVector, 26)
+	tasks[0].Domain[1] = 1
+	writePublishLog(t, dir, mustEncodePublication(t, tasks, 26))
 	s := newSystem(t, cfg)
 	defer s.Close()
 	if _, err := s.Recover(dir); err != nil || !s.Published() {
-		t.Fatalf("a well-formed legacy publication: published %v, error %v", s.Published(), err)
+		t.Fatalf("the same publication over 26 domains: published %v, error %v", s.Published(), err)
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,6 +25,15 @@ func sampleSeed() *truth.Stats {
 	}
 }
 
+func mustEncodeSeed(t testing.TB, st *truth.Stats, profiled bool) []byte {
+	t.Helper()
+	blob, err := encodeSeed(st, profiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
 // checkSeedDecode holds decodeSeed to the canonical-format contract on
 // arbitrary bytes: it never panics, and whatever it accepts re-encodes to
 // exactly the bytes it was given.
@@ -35,7 +46,7 @@ func checkSeedDecode(t *testing.T, data []byte, m int) {
 		}
 		return
 	}
-	if again := encodeSeed(st, profiled); !bytes.Equal(again, data) {
+	if again := mustEncodeSeed(t, st, profiled); !bytes.Equal(again, data) {
 		t.Fatalf("accepted a seed that re-encodes differently:\n in  %x\n out %x", data, again)
 	}
 }
@@ -49,7 +60,7 @@ func TestSeedBlobIsCanonical(t *testing.T) {
 	for k := range st.Q {
 		st.Q[k], st.U[k] = 0.5+float64(k)/100, float64(k)
 	}
-	blob := encodeSeed(st, true)
+	blob := mustEncodeSeed(t, st, true)
 	if blob[0] != m {
 		t.Fatalf("blob opens with %#x, want the one-byte count %#x", blob[0], m)
 	}
@@ -68,7 +79,7 @@ func TestSeedBlobIsCanonical(t *testing.T) {
 // errors or decodes to something that re-encodes to those exact bytes.
 func TestSeedDecodeDamage(t *testing.T) {
 	for _, profiled := range []bool{false, true} {
-		data := encodeSeed(sampleSeed(), profiled)
+		data := mustEncodeSeed(t, sampleSeed(), profiled)
 		checkSeedDecode(t, data, 3)
 		for cut := 0; cut < len(data); cut++ {
 			if st, _, err := decodeSeed(data[:cut], 3); err == nil || st != nil {
@@ -83,8 +94,9 @@ func TestSeedDecodeDamage(t *testing.T) {
 		for name, blob := range map[string][]byte{
 			"trailing byte":        append(append([]byte(nil), data...), 0),
 			"another domain count": append([]byte{4}, data[1:]...),
-			"profiled flag of 2":   append(append([]byte(nil), data[:len(data)-1]...), 2),
-			"negative weight":      encodeSeed(&truth.Stats{Q: sampleSeed().Q, U: []float64{1, -1, 1}}, profiled),
+			"profiled flag of 2":   append([]byte{data[0], 2}, data[2:]...),
+			"default q listed":     append(binary.LittleEndian.AppendUint64([]byte{3, 0, 1, 0}, math.Float64bits(truth.DefaultQuality)), 0),
+			"negative weight":      mustEncodeSeed(t, &truth.Stats{Q: sampleSeed().Q, U: []float64{1, -1, 1}}, profiled),
 			"empty":                nil,
 		} {
 			if _, _, err := decodeSeed(blob, 3); err == nil {
@@ -94,14 +106,34 @@ func TestSeedDecodeDamage(t *testing.T) {
 	}
 }
 
+// TestSeedBytes pins what a seed costs in the log: a worker with history in
+// three of m = 26 domains is 58 bytes — the count, the flag, and q and u
+// each a count plus three (index, bits) entries — where the dense layout
+// the seed had before format v1 took 16·m + 2 = 418.
+func TestSeedBytes(t *testing.T) {
+	st := truth.NewStats(26)
+	for _, k := range []int{2, 7, 19} {
+		st.Q[k], st.U[k] = 0.9, 3
+	}
+	blob := mustEncodeSeed(t, st, true)
+	if len(blob) != 58 {
+		t.Errorf("a seed touching 3 of 26 domains is %d bytes, pinned at 58", len(blob))
+	}
+	if got := len(mustEncodeSeed(t, truth.NewStats(26), false)); got != 4 {
+		t.Errorf("a seed at the prior is %d bytes, pinned at 4", got)
+	}
+	checkSeedDecode(t, blob, 26)
+}
+
 // FuzzSeedDecode drives arbitrary bytes through the KindSeed blob reader,
 // which every boot, wake and snapshot pass runs once per seeded worker.
 // Seed corpus in testdata/fuzz/FuzzSeedDecode (checked in): sampleSeed's
-// blob profiled and not, the same cut at two points, with an overlong
-// count, with a byte flipped, with a profiled flag of 2.
+// sparse blob profiled and not, the same cut at two points, with an
+// overlong count, with a byte flipped, with a profiled flag of 2.
 func FuzzSeedDecode(f *testing.F) {
-	f.Add(encodeSeed(sampleSeed(), true))
+	f.Add(mustEncodeSeed(f, sampleSeed(), true))
 	f.Add([]byte{3})
+	f.Add(mustEncodeSeed(f, truth.NewStats(3), false))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSeedDecode(t, data, 3)
 	})
@@ -148,12 +180,45 @@ func storeUpdateCodec(t *testing.T) ([]byte, func([]byte) error) {
 	}
 }
 
-// TestOverlongVarintRejectedByEveryDecoder hands each of the six binary
-// decoders (the batch and publication decoders under both of their magics)
-// a valid input whose
-// first varint has been re-encoded one byte too long — same value, second
-// spelling — and expects as many rejections: they all read through the one
-// cursor, so none can forget the rule.
+// segmentCodec returns the header a log segment opens with, and a reader of
+// segment bytes reached the way every boot reaches them: the bytes are a
+// segment file, and wal.ScanSegment reads it.
+func segmentCodec(t *testing.T) ([]byte, func([]byte) error) {
+	t.Helper()
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(wal.Record{Kind: wal.KindAnswer, Worker: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "0000000000000001.wal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first int64 // where the first record's frame starts: the header's length
+	if err := wal.ScanSegment(path, func(_ wal.Record, start, _ int64) error { first = start; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return data[:first], func(b []byte) error {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return wal.ScanSegment(path, func(wal.Record, int64, int64) error { return nil })
+	}
+}
+
+// TestOverlongVarintRejectedByEveryDecoder hands every binary decoder — the
+// segment header, the record, the batch, seed and store blobs, the
+// publication under both of its magics and the snapshot — a valid input
+// whose first varint has been re-encoded one byte too long — same value,
+// second spelling — and expects as many rejections: they all read through
+// the one cursor, so none can forget the rule.
 func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 	// overlong rewrites the one-byte varint at b[at] as two bytes.
 	overlong := func(b []byte, at int) []byte {
@@ -165,8 +230,8 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		return append(out, b[at+1:]...)
 	}
 	answer := wal.Record{Kind: wal.KindAnswer, Seq: 5, Worker: "w", Task: 3, Choice: 1}
-	item := answer
-	item.Seq = 1 // a batch item's sequence is its position
+	header, scanSegment := segmentCodec(t)
+	const frameHeader = 8 // a frame's length and CRC
 	batch, err := wal.EncodeBatch(nil, &wal.Columns{Workers: []string{"w"}, W: []int{0}, T: []int{3}, C: []int{1}})
 	if err != nil {
 		t.Fatal(err)
@@ -190,12 +255,11 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 	}{
 		"WAL record": {answer.Encode(), overlong(answer.Encode(), 1), // after the kind byte: seq
 			func(b []byte) error { _, err := wal.Decode(b); return err }},
-		"DBB1 batch": {wal.EncodeFrame([]byte("DBB1"), item.Encode()), // one framed item: its position tag
-			wal.EncodeFrame([]byte("DBB1"), overlong(item.Encode(), 1)),
-			func(b []byte) error { _, err := wal.DecodeBatch(b); return err }},
+		"segment header": {header, wal.EncodeFrame(nil, overlong(header[frameHeader:], len(header)-frameHeader-1)), // the version
+			scanSegment},
 		"DBB2 batch": {batch, overlong(batch, len("DBB2")), // the dictionary's count
 			func(b []byte) error { _, err := wal.DecodeBatch(b); return err }},
-		"KindSeed blob": {encodeSeed(sampleSeed(), false), overlong(encodeSeed(sampleSeed(), false), 0), // m
+		"KindSeed blob": {mustEncodeSeed(t, sampleSeed(), false), overlong(mustEncodeSeed(t, sampleSeed(), false), 0), // m
 			func(b []byte) error { _, _, err := decodeSeed(b, 3); return err }},
 		"KindStore blob": {storeBlob, overlong(storeBlob, 0), decodeStore}, // m
 		"DPB1 publication": {mustEncodeBinaryPublication(t, sampleTasks(), 4), overlong(mustEncodeBinaryPublication(t, sampleTasks(), 4), len(publicationMagic)), // m

@@ -1,10 +1,14 @@
 package registry
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"docs/internal/core"
 )
 
 // TestLegacyStoreRefused: the worker store is a log directory, and nothing
@@ -78,4 +82,74 @@ func TestStoreAndCampaignLogsNotInterchangeable(t *testing.T) {
 		}
 		t.Errorf("a campaign directory holding a store log: Open error %v, want a refusal at record 1", err)
 	}
+}
+
+// TestFormatV0LogRefused: testdata/v0_wal holds a campaign log as builds
+// before format v1 wrote it — a segment with no header, whose publish record
+// is JSON. Nothing reads it any more: core.Recover, a registry wake and a
+// store opened over it all refuse it with an error naming format v0 and the
+// last commit that reads it, and leave every byte of it as it was.
+func TestFormatV0LogRefused(t *testing.T) {
+	fixture := filepath.Join("testdata", "v0_wal")
+	want := readTree(t, fixture)
+	check := func(what, dir string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "format v0") || !strings.Contains(err.Error(), "af9f454") {
+			t.Errorf("%s: error %v, want a refusal naming format v0 and af9f454", what, err)
+		}
+		if got := readTree(t, dir); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the log directory changed", what)
+		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "wal")
+	copyTree(t, fixture, dir)
+	sys, err := core.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.Recover(dir)
+	sys.Close()
+	check("core.Recover", dir, err)
+
+	root := t.TempDir()
+	dir = filepath.Join(root, campaignsDir, "legacy")
+	copyTree(t, fixture, dir)
+	cfg := crashConfig(root)
+	cfg.MaxLiveCampaigns = 1
+	reg, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = reg.Do("legacy", func(*core.System) error { return nil })
+	if cerr := reg.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	check("a registry wake", dir, err)
+
+	cfg = crashConfig(t.TempDir())
+	cfg.StorePath = filepath.Join(t.TempDir(), "store")
+	copyTree(t, fixture, cfg.StorePath)
+	if reg, err = Open(cfg); err == nil {
+		reg.Close()
+	}
+	check("store.Open", cfg.StorePath, err)
+}
+
+// readTree maps every file under dir to its bytes.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, dir)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

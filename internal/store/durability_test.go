@@ -106,7 +106,12 @@ func TestTornDeltaTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append half of a duplicate record — a torn write.
-	if err := os.WriteFile(seg, append(data, data[:len(data)/2]...), 0o644); err != nil {
+	var start int64
+	if err := wal.ScanSegment(seg, func(_ wal.Record, s, _ int64) error { start = s; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	rec := data[start:]
+	if err := os.WriteFile(seg, append(data, rec[:len(rec)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(path, 2)

@@ -28,20 +28,39 @@ type update struct {
 //
 //	m uvarint | op byte | pid (uvarint length | bytes; opProfile only) | q sparse | u sparse
 //
-// q and u are the update's statistics as wal.SparseFloats against
-// truth.DefaultQuality and +0 — the pair a DOCSSNP4 snapshot writes for every
-// statistic — so the float bits travel raw and a default entry costs
-// nothing.
+// with the statistics as AppendStats writes them.
 func encodeUpdate(u update, m int) ([]byte, error) {
 	b := append(binary.AppendUvarint(nil, uint64(m)), u.op)
 	if u.op == opProfile {
 		b = append(binary.AppendUvarint(b, uint64(len(u.pid))), u.pid...)
 	}
-	b, err := wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, u.st.Q, truth.DefaultQuality), m, truth.DefaultQuality)
+	return AppendStats(b, u.st, m)
+}
+
+// AppendStats appends statistics over m domains as the pair a store update
+// and a KindSeed blob end with: q as a wal.SparseFloats against
+// truth.DefaultQuality, then u against +0 — raw bits, defaults cost nothing.
+func AppendStats(b []byte, st *truth.Stats, m int) ([]byte, error) {
+	b, err := wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, st.Q, truth.DefaultQuality), m, truth.DefaultQuality)
 	if err != nil {
 		return nil, err
 	}
-	return wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, u.st.U, 0), m, 0)
+	return wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, st.U, 0), m, 0)
+}
+
+// PopStats pops what AppendStats appends and ends the cursor, refusing
+// statistics Validate refuses and whatever the cursor refuses.
+func PopStats(c *wal.Cursor, m int) (*truth.Stats, error) {
+	q := c.SparseFloats(wal.SparseFloats{}, m, truth.DefaultQuality)
+	u := c.SparseFloats(wal.SparseFloats{}, m, 0)
+	if err := c.End(); err != nil {
+		return nil, err
+	}
+	st := truth.NewStats(m)
+	if err := errors.Join(q.Scatter(st.Q), u.Scatter(st.U), st.Validate(m)); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // decodeUpdate parses a store-log record over m domains. It never panics,
@@ -67,13 +86,8 @@ func decodeUpdate(rec wal.Record, m int) (update, error) {
 	default:
 		c.Failf("unknown update op %d", u.op)
 	}
-	q := c.SparseFloats(wal.SparseFloats{}, m, truth.DefaultQuality)
-	w := c.SparseFloats(wal.SparseFloats{}, m, 0)
-	if err := c.End(); err != nil {
-		return update{}, err
-	}
-	u.st = truth.NewStats(m)
-	if err := errors.Join(q.Scatter(u.st.Q), w.Scatter(u.st.U), u.st.Validate(m)); err != nil {
+	var err error
+	if u.st, err = PopStats(&c, m); err != nil {
 		return update{}, err
 	}
 	return u, nil

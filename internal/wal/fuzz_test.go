@@ -5,11 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzWALDecode drives arbitrary bytes through the record decoder. The
-// decoder sits on the recovery path, where it reads whatever a crash left
-// on disk, so it must never panic and must hold the encode/decode
-// roundtrip invariant on every payload it accepts. Seed corpus lives in
-// testdata/fuzz/FuzzWALDecode (checked in).
+// FuzzWALDecode drives arbitrary bytes through the record decoder and the
+// segment header reader, which see every frame payload a boot reads. They
+// sit on the recovery path, where they read whatever a crash left on disk,
+// so they must never panic; an accepted record must re-encode to the exact
+// input, the one accepted header is the one the writer writes, and no
+// payload is both. Seed corpus lives in testdata/fuzz/FuzzWALDecode
+// (checked in).
 func FuzzWALDecode(f *testing.F) {
 	for _, rec := range goldenRecords() {
 		f.Add(rec.Encode())
@@ -19,8 +21,18 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{0x03, 0x01})                                                                   // unknown kind
 	f.Add([]byte{byte(KindAnswer), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // overlong varint
 	f.Add([]byte{byte(KindPublish), 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})                        // blob length > input
+	f.Add(segmentHeader[frameHeaderLen:])
+	f.Add(append([]byte(segmentMagic), 0x02)) // a format version this build does not read
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := Decode(payload)
+		if readHeader(payload) == nil {
+			if err == nil {
+				t.Fatalf("%x decodes as a header and as a record", payload)
+			}
+			if !bytes.Equal(payload, segmentHeader[frameHeaderLen:]) {
+				t.Fatalf("accepted a second header spelling %x", payload)
+			}
+		}
 		if err != nil {
 			return // rejected input: fine, as long as we did not panic
 		}

@@ -22,6 +22,12 @@
 //	| length (u32le) | CRC32-C (u32le)|  payload bytes  |
 //	+----------------+----------------+=================+
 //
+// The first frame is the header: the magic "DWAL" and the format version (1)
+// as a uvarint. It is written with the segment's first batch, so an unwritten
+// segment is a zero-byte file, and it is no record. A segment opening with
+// anything else is format v0, refused (errFormatV0) before anything in the
+// directory is truncated or appended.
+//
 // The CRC covers the payload only. A frame whose bytes end before the
 // length it declares (writes deliver prefixes, so this is what a crashed
 // append leaves behind) is a torn write: at the tail of the last segment
@@ -54,12 +60,14 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,7 +109,16 @@ const (
 	// caller that must refuse an over-size write before it mutates
 	// anything checks against this; Reserve checks the record itself.
 	MaxBlob = MaxPayload - 1 - 2*binary.MaxVarintLen64
+	// segmentMagic and formatVersion are the header frame's payload.
+	segmentMagic  = "DWAL"
+	formatVersion = 1
 )
+
+// segmentHeader is the frame every segment opens with.
+var segmentHeader = EncodeFrame(nil, binary.AppendUvarint([]byte(segmentMagic), formatVersion))
+
+// errFormatV0 refuses a segment written before the header existed.
+var errFormatV0 = errors.New("wal: format v0 segment (no header): this build reads format v1 only; af9f454 is the last commit that reads v0")
 
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
@@ -188,6 +205,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		})
 		if serr != nil && !errors.Is(serr, errTornTail) {
 			return nil, serr
+		}
+		// An empty last segment says nothing of the format; the one before does.
+		if end == 0 && len(segs) > 1 {
+			if serr := ScanSegment(filepath.Join(dir, segs[len(segs)-2].name), nop); errors.Is(serr, errFormatV0) {
+				return nil, serr
+			}
 		}
 		f, err := os.OpenFile(filepath.Join(dir, last.name), os.O_RDWR, 0o644)
 		if err != nil {
@@ -432,6 +455,10 @@ func (l *Log) flusher() {
 func (l *Log) writeBatch(batch []byte, upTo uint64) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	if l.size == 0 {
+		// The header lands with the segment's first records, in one write.
+		batch = append(slices.Clip(segmentHeader), batch...)
+	}
 	l.dirty = true
 	_, err := l.f.Write(batch)
 	if err == nil && l.opts.Sync == SyncEveryBatch {
@@ -540,6 +567,9 @@ func segments(dir string) ([]segmentInfo, error) {
 // errTornTail is ScanSegment's signal that the segment ends mid-frame.
 var errTornTail = errors.New("wal: torn tail")
 
+// nop is a ScanSegment callback that wants no record.
+func nop(Record, int64, int64) error { return nil }
+
 // ScanSegment decodes one segment file, calling fn for every valid record
 // with the byte offsets [start, end) of its frame.
 //
@@ -550,16 +580,27 @@ var errTornTail = errors.New("wal: torn tail")
 // that are all present but wrong — a CRC mismatch, an absurd length field,
 // an undecodable payload — cannot come from a torn append; they are rot or
 // tampering and are reported as ErrCorrupt so acknowledged records after
-// them are never silently truncated away. Exported for diagnostic tooling
-// and the crash-injection harness.
+// them are never silently truncated away. A cut header is a torn tail too; a
+// segment opening with anything else is format v0 (errFormatV0). Exported
+// for diagnostic tooling and the crash-injection harness.
 func ScanSegment(path string, fn func(rec Record, start, end int64) error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	if len(data) < len(segmentHeader) && bytes.HasPrefix(segmentHeader, data) {
+		if len(data) == 0 {
+			return nil
+		}
+		return fmt.Errorf("%s: truncated header: %w", path, errTornTail)
+	}
 	var fnErr error
 	off := int64(0)
 	intact, err := DecodeFrames(data, func(payload []byte) error {
+		if off == 0 {
+			off = frameHeaderLen + int64(len(payload))
+			return readHeader(payload)
+		}
 		rec, err := Decode(payload)
 		if err != nil {
 			return fmt.Errorf("%w: offset %d: %v", ErrCorrupt, off, err)
@@ -571,6 +612,9 @@ func ScanSegment(path string, fn func(rec Record, start, end int64) error) error
 		off = end
 		return nil
 	})
+	if err == nil && intact == 0 {
+		err = errFormatV0 // the first frame is cut short and no header
+	}
 	switch {
 	case fnErr != nil:
 		return fnErr // the caller's own error, as it returned it
@@ -578,6 +622,22 @@ func ScanSegment(path string, fn func(rec Record, start, end int64) error) error
 		return fmt.Errorf("%s: %w", path, err)
 	case intact < len(data):
 		return fmt.Errorf("%s: truncated frame at %d: %w", path, intact, errTornTail)
+	}
+	return nil
+}
+
+// readHeader checks the payload of a segment's first frame.
+func readHeader(payload []byte) error {
+	if !bytes.HasPrefix(payload, []byte(segmentMagic)) {
+		return errFormatV0
+	}
+	c := NewCursor(payload[len(segmentMagic):])
+	v := c.Uvarint()
+	if err := c.End(); err != nil {
+		return fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)
+	}
+	if v != formatVersion {
+		return fmt.Errorf("wal: format v%d segment: this build reads format v%d only", v, formatVersion)
 	}
 	return nil
 }
@@ -693,7 +753,7 @@ func TailSeq(dir string) (uint64, error) {
 	// which case the tail lives in the previous one.
 	for i := len(segs) - 1; i >= 0; i-- {
 		next := segs[i].firstSeq
-		serr := scanInOrder(dir, segs[i], &next, func(Record, int64, int64) error { return nil })
+		serr := scanInOrder(dir, segs[i], &next, nop)
 		if serr != nil && !errors.Is(serr, errTornTail) {
 			return 0, serr
 		}

@@ -197,7 +197,7 @@ func TestRotInFinalSegmentFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[frameHeaderLen+1] ^= 0x01 // flip a payload bit of the FIRST frame
+	data[len(segmentHeader)+frameHeaderLen+1] ^= 0x01 // flip a payload bit of the first record
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +301,117 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 	} {
 		if err := enter(); err == nil || !strings.Contains(err.Error(), `"checkpoint"`) {
 			t.Errorf("%s: err = %v, want a refusal naming the checkpoint file", name, err)
+		}
+	}
+}
+
+// TestHeaderCrashWindows cuts a segment — its header, then its first
+// frame — at every byte. As the last segment, the cut is a torn tail: the
+// log replays empty, Open truncates it to the zero-byte file a fresh
+// segment is, and the next append lands behind a new header. Only the
+// header whole and nothing after it is a clean empty segment. As any other
+// segment, the same cut is ErrCorrupt.
+func TestHeaderCrashWindows(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, fmt.Sprintf("%016x%s", 1, segmentSuffix))
+	if info, err := os.Stat(seg); err != nil || info.Size() != 0 {
+		t.Fatalf("a segment nothing was written to: %v, %v; want a zero-byte file", info, err)
+	}
+	appendAll(t, l, testRecords(1))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, segmentHeader) || len(data) <= len(segmentHeader)+frameHeaderLen {
+		t.Fatalf("segment %x does not open with the header and a frame", data)
+	}
+	// A whole second segment, for the cut to sit in front of.
+	next := Record{Seq: 2, Kind: KindAnswer, Worker: "w"}.appendFrame(append([]byte(nil), segmentHeader...))
+	for cut := 0; cut < len(data); cut++ {
+		final := t.TempDir()
+		if err := os.WriteFile(filepath.Join(final, filepath.Base(seg)), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, st := replayAll(t, final)
+		if torn := cut > 0 && cut != len(segmentHeader); len(got) != 0 || st.TornTail != torn {
+			t.Fatalf("cut %d: replayed %d records (torn %v), want none (torn %v)", cut, len(got), st.TornTail, torn)
+		}
+		l, err := Open(final, Options{})
+		if err != nil {
+			t.Fatalf("cut %d: Open: %v", cut, err)
+		}
+		if seq, err := l.Append(answerRec("late", 1, 0)); err != nil || seq != 1 {
+			t.Fatalf("cut %d: append: seq %d, %v", cut, seq, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, st := replayAll(t, final); len(got) != 1 || st.TornTail {
+			t.Fatalf("cut %d: after Open and append, replayed %d records (torn %v), want 1", cut, len(got), st.TornTail)
+		}
+
+		inner := t.TempDir()
+		if err := os.WriteFile(filepath.Join(inner, filepath.Base(seg)), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(inner, fmt.Sprintf("%016x%s", 2, segmentSuffix)), next, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay(inner, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut %d in a segment that is not the last: err = %v, want ErrCorrupt", cut, err)
+		}
+	}
+}
+
+// TestFormatV0Refused: a segment that does not open with the header was
+// written before format v1. Every way into the log refuses it with an error
+// naming the format and the last commit that reads it, and leaves every
+// byte of the directory as it was — including when the last segment is
+// empty, which says nothing of the format by itself.
+func TestFormatV0Refused(t *testing.T) {
+	var v0 []byte
+	for i, rec := range testRecords(5) {
+		rec.Seq = uint64(i + 1)
+		v0 = rec.appendFrame(v0)
+	}
+	for name, files := range map[string]map[string][]byte{
+		"one segment":               {fmt.Sprintf("%016x%s", 1, segmentSuffix): v0},
+		"an empty segment after it": {fmt.Sprintf("%016x%s", 1, segmentSuffix): v0, fmt.Sprintf("%016x%s", 6, segmentSuffix): nil},
+	} {
+		dir := t.TempDir()
+		for f, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for entry, enter := range map[string]func() error{
+			"Open":       func() error { _, err := Open(dir, Options{}); return err },
+			"Replay":     func() error { _, err := Replay(dir, func(Record) error { return nil }); return err },
+			"ReplayFrom": func() error { _, err := ReplayFrom(dir, 2, func(Record) error { return nil }); return err },
+			"TailSeq":    func() error { _, err := TailSeq(dir); return err },
+		} {
+			err := enter()
+			if err == nil || !strings.Contains(err.Error(), "format v0") || !strings.Contains(err.Error(), "af9f454") {
+				t.Errorf("%s, %s: err = %v, want a refusal naming format v0 and af9f454", name, entry, err)
+			}
+			for f, b := range files {
+				if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || !bytes.Equal(got, b) {
+					t.Fatalf("%s, %s: %s changed (%v)", name, entry, f, err)
+				}
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+				t.Fatalf("%s, %s: the directory holds %d files, want %d", name, entry, len(entries), len(files))
+			}
 		}
 	}
 }

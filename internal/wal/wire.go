@@ -16,12 +16,6 @@
 // three column counts equal, every index inside the dictionary, and the
 // dictionary holding no duplicate and no unused entry, in the order w
 // first uses them.
-//
-// Segments are never deleted, so logs written before DBB2 still hold
-// "DBB1" blobs (magic, then one length+CRC frame per answer, each a
-// KindAnswer record whose Seq is its 1-based position). DecodeBatch reads
-// them exactly as strictly as it always did, solely for logs already on
-// disk; nothing outside the tests writes one.
 package wal
 
 import (
@@ -29,12 +23,8 @@ import (
 	"fmt"
 )
 
-// batchMagic opens every batch blob written today; legacyBatchMagic opens
-// the per-answer-framed blobs older logs hold.
-var (
-	batchMagic       = []byte("DBB2")
-	legacyBatchMagic = []byte("DBB1")
-)
+// batchMagic opens every batch blob.
+var batchMagic = []byte("DBB2")
 
 // EncodeBatch appends the blob encoding of a batch of answers to dst. It
 // fails only on a negative task ID or choice, which no reader would accept
@@ -49,26 +39,23 @@ func EncodeBatch(dst []byte, c *Columns) ([]byte, error) {
 	return blob, nil
 }
 
-// DecodeBatch parses a batch blob of either magic into columns. A torn,
-// corrupt, or non-canonical blob is rejected whole: the enclosing record's
-// CRC already held, so a bad byte inside it has no crash excuse.
+// DecodeBatch parses a batch blob into columns. A torn, corrupt, or
+// non-canonical blob is rejected whole: the enclosing record's CRC already
+// held, so a bad byte inside it has no crash excuse.
 func DecodeBatch(data []byte) (Columns, error) {
-	switch {
-	case bytes.HasPrefix(data, batchMagic):
-		c := NewCursor(data[len(batchMagic):])
-		cols := c.Columns()
-		err := c.End()
-		if err == nil {
-			err = checkBatch(&cols)
-		}
-		if err != nil {
-			return Columns{}, fmt.Errorf("wal: batch blob: %w", err)
-		}
-		return cols, nil
-	case bytes.HasPrefix(data, legacyBatchMagic):
-		return decodeLegacyBatch(data[len(legacyBatchMagic):])
+	if !bytes.HasPrefix(data, batchMagic) {
+		return Columns{}, fmt.Errorf("wal: batch blob lacks magic %q", batchMagic)
 	}
-	return Columns{}, fmt.Errorf("wal: batch blob lacks magic %q", batchMagic)
+	c := NewCursor(data[len(batchMagic):])
+	cols := c.Columns()
+	err := c.End()
+	if err == nil {
+		err = checkBatch(&cols)
+	}
+	if err != nil {
+		return Columns{}, fmt.Errorf("wal: batch blob: %w", err)
+	}
+	return cols, nil
 }
 
 // checkBatch holds popped columns to the batch blob's canonical rules.
@@ -102,32 +89,4 @@ func checkBatch(c *Columns) error {
 		seen[w] = struct{}{}
 	}
 	return nil
-}
-
-// decodeLegacyBatch reads the frames of a "DBB1" blob.
-func decodeLegacyBatch(frames []byte) (Columns, error) {
-	var b ColumnBuilder
-	pos := 0
-	intact, err := DecodeFrames(frames, func(payload []byte) error {
-		pos++
-		rec, err := Decode(payload)
-		if err != nil {
-			return fmt.Errorf("batch item %d: %w", pos, err)
-		}
-		if rec.Kind != KindAnswer {
-			return fmt.Errorf("batch item %d: kind %d, want answer", pos, rec.Kind)
-		}
-		if rec.Seq != uint64(pos) {
-			return fmt.Errorf("batch item %d: position tag %d (non-canonical)", pos, rec.Seq)
-		}
-		b.Add(rec.Worker, rec.Task, rec.Choice)
-		return nil
-	})
-	if err != nil {
-		return Columns{}, err
-	}
-	if intact < len(frames) {
-		return Columns{}, fmt.Errorf("wal: batch blob ends in a torn frame")
-	}
-	return b.Columns, nil
 }

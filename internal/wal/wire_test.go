@@ -50,48 +50,21 @@ func rawBatch(workers []string, w, t, c []int) []byte {
 	return mustEncodeBatch(&Columns{Workers: workers, W: w, T: t, C: c})
 }
 
-// encodeLegacyBatch is the "DBB1" writer production used until the
-// columnar blob replaced it: a magic, then one length+CRC frame per item,
-// each a KindAnswer record whose Seq is its 1-based position. It lives on
-// here only — as the builder of the fixtures older logs are stood in by
-// (testdata/format.golden's record 302, the fuzz corpus) and as the oracle
-// the new encoding is held against: the same items through both encoders
-// must decode to the same columns.
-func encodeLegacyBatch(dst []byte, items []Record) []byte {
-	dst = append(dst, legacyBatchMagic...)
-	var payload []byte
-	for i, it := range items {
-		it.Kind = KindAnswer
-		it.Seq = uint64(i + 1)
-		it.Blob = nil
-		payload = it.encode(payload[:0])
-		dst = EncodeFrame(dst, payload)
-	}
-	return dst
-}
-
 func TestBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 64, 300} {
 		items := sampleBatch(n)
 		want := columnsOf(items)
 		body := mustEncodeBatch(want)
-		legacy := encodeLegacyBatch(nil, items)
-		for name, blob := range map[string][]byte{"DBB2": body, "DBB1": legacy} {
-			got, err := DecodeBatch(blob)
-			if err != nil {
-				t.Fatalf("n=%d %s: decode: %v", n, name, err)
-			}
-			if !reflect.DeepEqual(&got, want) {
-				t.Fatalf("n=%d %s: decoded %+v, want %+v", n, name, got, want)
-			}
+		got, err := DecodeBatch(body)
+		if err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("n=%d: decoded %+v, want %+v", n, got, want)
 		}
 		// Canonical: re-encoding the decoded columns reproduces the body.
-		got, _ := DecodeBatch(body)
 		if !bytes.Equal(mustEncodeBatch(&got), body) {
 			t.Fatalf("n=%d: encode/decode not canonical", n)
-		}
-		if got, _ := DecodeBatch(legacy); !bytes.Equal(encodeLegacyBatch(nil, itemsOf(&got)), legacy) {
-			t.Fatalf("n=%d: legacy encode/decode not canonical", n)
 		}
 	}
 	if _, err := EncodeBatch(nil, &Columns{Workers: []string{"w"}, W: []int{0}, T: []int{-1}, C: []int{0}}); err == nil {
@@ -100,23 +73,16 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchDecodeRejects(t *testing.T) {
-	good := encodeLegacyBatch(nil, sampleBatch(3))
 	ab := []string{"a", "b"}
 	one := rawBatch([]string{"a"}, []int{0}, []int{5}, []int{1})
 	cases := map[string][]byte{
-		"empty":       nil,
-		"bad magic":   append([]byte("XXX1"), good[4:]...),
-		"torn frame":  good[:len(good)-2],
-		"flipped bit": flip(good, len(good)-1),
-		// A publish record smuggled in as a batch item.
-		"wrong kind": EncodeFrame(append([]byte(nil), legacyBatchMagic...),
-			Record{Seq: 1, Kind: KindPublish, Blob: []byte("x")}.Encode()),
-		// Position tag 2 on the first item: a reordered or spliced body.
-		"bad position": EncodeFrame(append([]byte(nil), legacyBatchMagic...),
-			Record{Seq: 2, Kind: KindAnswer, Worker: "w"}.Encode()),
+		"empty":     nil,
+		"bad magic": append([]byte("XXX1"), one[4:]...),
+		// The per-answer-framed magic of format v0 logs has no reader.
+		"retired magic": append([]byte("DBB1"), one[4:]...),
 
-		// The columnar blob: everything below parses as columns and is
-		// refused for having a second spelling or none.
+		// Everything below parses as columns and is refused for having a
+		// second spelling or none.
 		"DBB2 magic only":         []byte("DBB2"),
 		"DBB2 n = 0":              rawBatch(nil, nil, nil, nil),
 		"DBB2 n = 0, one worker":  rawBatch([]string{"a"}, nil, nil, nil),
@@ -144,12 +110,6 @@ func TestBatchDecodeRejects(t *testing.T) {
 	}
 }
 
-func flip(b []byte, i int) []byte {
-	c := append([]byte(nil), b...)
-	c[i] ^= 0x40
-	return c
-}
-
 // costBatch is one ingest-batch call as docs-perf drives it: 128 answers
 // by one worker over distinct task IDs below 600.
 func costBatch() []Record {
@@ -164,21 +124,14 @@ func costBatch() []Record {
 // replay — the numbers docs/architecture.md § "What a batched answer costs"
 // quotes. The blob is 499 bytes for 128 answers (3.90 B each: one index
 // byte, one or two task bytes, one choice byte, and 16 bytes of magic,
-// dictionary and counts shared by all of them) where the per-answer frames
-// of DBB1 took 2,280 (17.81 B each); and decoding it allocates for the
-// dictionary and the three columns, not per answer.
+// dictionary and counts shared by all of them); and decoding it allocates
+// for the dictionary and the three columns, not per answer.
 func TestBatchBytesPerAnswer(t *testing.T) {
 	items := costBatch()
 	blob := mustEncodeBatch(columnsOf(items))
-	legacy := encodeLegacyBatch(nil, items)
-	n := float64(len(items))
-	t.Logf("128 answers: %d B as DBB2 (%.2f B/answer), %d B as DBB1 (%.2f B/answer), ratio %.2f",
-		len(blob), float64(len(blob))/n, len(legacy), float64(len(legacy))/n, float64(len(legacy))/float64(len(blob)))
+	t.Logf("128 answers: %d B as DBB2 (%.2f B/answer)", len(blob), float64(len(blob))/float64(len(items)))
 	if len(blob) != 499 {
 		t.Errorf("DBB2 blob is %d bytes, pinned at 499", len(blob))
-	}
-	if len(legacy) != 2280 {
-		t.Errorf("DBB1 blob is %d bytes, pinned at 2280", len(legacy))
 	}
 
 	allocs := func(blob []byte) float64 {
@@ -226,9 +179,7 @@ func randomBatch(r *rand.Rand) []Record {
 }
 
 // TestPropertyBatchRoundTrip: over seeded random batches, decode∘encode is
-// the identity on columns, encode∘decode the identity on bytes, and the
-// retired per-answer encoding of the same items decodes to the same
-// columns — the oracle that the new format says what the old one said.
+// the identity on columns and encode∘decode the identity on bytes.
 func TestPropertyBatchRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(20160412))
 	for round := 0; round < 300; round++ {
@@ -247,13 +198,6 @@ func TestPropertyBatchRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(itemsOf(&got), items) {
 			t.Fatalf("round %d: the decoded items are not the encoded ones", round)
-		}
-		old, err := DecodeBatch(encodeLegacyBatch(nil, items))
-		if err != nil {
-			t.Fatalf("round %d: legacy: %v", round, err)
-		}
-		if !reflect.DeepEqual(old, got) {
-			t.Fatalf("round %d: DBB1 and DBB2 of the same items decode apart", round)
 		}
 	}
 }
@@ -299,20 +243,20 @@ func TestBatchDecodeDamage(t *testing.T) {
 }
 
 // FuzzBatchDecode drives arbitrary bytes through the batch blob decoder —
-// the bytes a KindBatch WAL record hands to replay after a crash — under
-// both magics. It must never panic; a rejection returns no columns; an
-// accepted blob re-encodes (by the writer of its own magic) to the exact
-// input bytes, so one batch has one encoding; and it decodes to no more
-// elements than it has bytes. Seed corpus lives in
-// testdata/fuzz/FuzzBatchDecode (checked in).
+// the bytes a KindBatch WAL record hands to replay after a crash. It must
+// never panic; a rejection returns no columns; an accepted blob re-encodes
+// to the exact input bytes, so one batch has one encoding; and it decodes
+// to no more elements than it has bytes. Seed corpus lives in
+// testdata/fuzz/FuzzBatchDecode (checked in); its DBB1 files are blobs of
+// the retired per-answer layout, refused at the magic.
 func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DBB1"))
 	f.Add([]byte("DBB0"))
-	f.Add(encodeLegacyBatch(nil, sampleBatch(1)))
-	f.Add(encodeLegacyBatch(nil, sampleBatch(5)))
-	f.Add(encodeLegacyBatch(nil, []Record{{Worker: "wörker", Task: 1 << 20, Choice: 3}}))
-	torn := encodeLegacyBatch(nil, sampleBatch(2))
+	f.Add(mustEncodeBatch(columnsOf(sampleBatch(64))))
+	f.Add(mustEncodeBatch(columnsOf(costBatch())))
+	f.Add(rawBatch([]string{"a", "b", "c"}, []int{0, 2, 1}, []int{5, 6, 7}, []int{1, 1, 1}))
+	torn := mustEncodeBatch(columnsOf(sampleBatch(2)))
 	f.Add(torn[:len(torn)-3])
 	f.Add([]byte("DBB2"))
 	f.Add(mustEncodeBatch(columnsOf(sampleBatch(1))))
@@ -329,13 +273,7 @@ func FuzzBatchDecode(f *testing.F) {
 		if n := len(cols.Workers) + len(cols.W) + len(cols.T) + len(cols.C); n > len(body) {
 			t.Fatalf("decoded %d elements from %d bytes", n, len(body))
 		}
-		var got []byte
-		if bytes.HasPrefix(body, legacyBatchMagic) {
-			got = encodeLegacyBatch(nil, itemsOf(&cols))
-		} else {
-			got = mustEncodeBatch(&cols)
-		}
-		if !bytes.Equal(got, body) {
+		if got := mustEncodeBatch(&cols); !bytes.Equal(got, body) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", body, got)
 		}
 	})

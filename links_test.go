@@ -1,6 +1,7 @@
 package docs_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,9 +9,17 @@ import (
 	"testing"
 )
 
-// mdLink matches the target of an inline markdown link or image:
-// [text](target) / ![alt](target).
-var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+var (
+	// mdLink matches the target of an inline markdown link or image:
+	// [text](target) / ![alt](target).
+	mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	// codeSpan matches an inline code span, and testName and repoPath the
+	// references inside one that TestDocReferencesResolve checks.
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	repoPath = regexp.MustCompile(`(?:\./)?internal/[\w./-]*`)
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
 
 // TestMarkdownLinks fails on dead relative links in the user-facing
 // markdown: README.md, everything under docs/, and the per-command
@@ -76,4 +85,77 @@ func TestMarkdownLinks(t *testing.T) {
 		t.Fatalf("link check matched no relative links — regexp broken?")
 	}
 	t.Logf("checked %d relative links across %d files", checked, len(files))
+}
+
+// TestDocReferencesResolve fails on a stale name in the design documents:
+// docs/*.md and the two READMEs (the repository's and docs-server's). Every
+// test, fuzz target or benchmark named in a code span must be a func in
+// some _test.go — by its full name, or as the prefix a -run pattern selects
+// — and every internal/... path in one must exist. A test renamed or
+// deleted, or a file moved, without the prose that cites it fails here.
+func TestDocReferencesResolve(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(name string) bool {
+		for _, f := range funcs {
+			if strings.HasPrefix(f, name) {
+				return true
+			}
+		}
+		return false
+	}
+	files, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests, paths := 0, 0
+	for _, f := range append(files, "README.md", filepath.Join("cmd", "docs-server", "README.md")) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				for _, name := range testName.FindAllString(span[1], -1) {
+					if tests++; !names(name) {
+						t.Errorf("%s:%d: %s names no test function", f, i+1, name)
+					}
+				}
+				for _, p := range repoPath.FindAllString(span[1], -1) {
+					paths++
+					if _, err := os.Stat(strings.TrimRight(strings.TrimPrefix(p, "./"), "./")); err != nil {
+						t.Errorf("%s:%d: %s does not exist", f, i+1, p)
+					}
+				}
+			}
+		}
+	}
+	if tests == 0 || paths == 0 {
+		t.Fatalf("matched %d test names and %d paths: regexp broken?", tests, paths)
+	}
 }

@@ -15,7 +15,13 @@
 #
 # Prints every run's end-to-end metrics (the ones BENCHMARK.json bounds; all
 # are lower-is-better) as it goes, then per workload and metric the median
-# [q1-q3] of each side and in how many pairs the tree came out lower.
+# [q1-q3] of each side, the relative change of the medians against the
+# metric's bound, the no-regression verdict, and in how many pairs the tree
+# came out lower with the two-sided sign-test p-value of that count (a tie
+# counts for neither side). The verdict is "over bound" when the tree's
+# median is worse than the ref's by more than the bound, "unresolved" when
+# the ref's own q1-q3 spread is wider than the bound and not every tree run
+# beats every ref run, and "within bound" otherwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:?usage: bench_pairs.sh <ref> [workload] [pairs] [seed]}
@@ -30,8 +36,10 @@ if [ ! -d "$ref_tree" ]; then
     mkdir -p "$ref_tree"
     git archive "$sha" | tar -x -C "$ref_tree"
 fi
-metrics=$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
-    on && /"name"/ { gsub(/[",]/, "", $2); print $2 }' BENCHMARK.json)
+bounds=$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+    on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json)
+metrics=$(echo "$bounds" | awk '{ print $1 }')
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
@@ -53,25 +61,48 @@ for i in $(seq 1 "$pairs"); do
     fi
 done
 
-sort -k3,3 -k4,4 -k2,2 -k5,5g "$runs" | awk -v pairs="$pairs" '
+sort -k3,3 -k4,4 -k2,2 -k5,5g "$runs" | awk -v pairs="$pairs" -v bounds="$bounds" '
     function quantile(v, n, p,    h, lo) { # v[1..n] ascending, linear interpolation
         h = (n - 1) * p + 1; lo = int(h)
         return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
     }
-    function flush(    side, i, n, v, line) {
+    function signp(k, n,    i, c, tail) { # two-sided sign test: P(X <= k) doubled, X ~ B(n, 1/2)
+        if (n == 0) return 1
+        c = 1; tail = 0
+        for (i = 0; i <= k; i++) { tail += c; c = c * (n - i) / (i + 1) }
+        tail = 2 * tail / 2 ^ n
+        return tail > 1 ? 1 : tail
+    }
+    function flush(    side, i, n, v, line, med, q1, q3, lo, hi, wins, losses, change, spread, verdict) {
         if (key == "") return
         line = sprintf("%-13s %-22s", wl, metric)
         for (side = 1; side <= 2; side++) {
             n = 0
             for (i = 1; i <= cnt[sides[side]]; i++) v[++n] = sorted[sides[side], i]
-            line = line sprintf("  %s %.6g [%.6g-%.6g]", sides[side], quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+            med[side] = quantile(v, n, 0.5); q1[side] = quantile(v, n, 0.25); q3[side] = quantile(v, n, 0.75)
+            lo[side] = v[1]; hi[side] = v[n]
+            line = line sprintf("  %s %.6g [%.6g-%.6g]", sides[side], med[side], q1[side], q3[side])
         }
-        wins = 0
-        for (i = 1; i <= pairs; i++) if (byPair["tree", i] < byPair["ref", i]) wins++
-        print line sprintf("  tree lower in %d/%d", wins, pairs)
+        wins = losses = 0
+        for (i = 1; i <= pairs; i++) {
+            if (!(("tree", i) in byPair) || !(("ref", i) in byPair)) continue
+            if (byPair["tree", i] < byPair["ref", i]) wins++
+            if (byPair["tree", i] > byPair["ref", i]) losses++
+        }
+        change = med[1] == 0 ? (med[2] == 0 ? 0 : 1) : (med[2] - med[1]) / med[1]
+        spread = med[1] == 0 ? 0 : (q3[1] - q1[1]) / med[1]
+        if (spread > bound[metric] && hi[2] >= lo[1]) verdict = "unresolved"
+        else if (change > bound[metric]) verdict = "over bound"
+        else verdict = "within bound"
+        print line sprintf("  change %+.2f%% (bound %g%%) %s  tree lower in %d/%d, p=%.3g",
+            100 * change, 100 * bound[metric], verdict, wins, pairs, signp(wins < losses ? wins : losses, wins + losses))
         delete cnt; delete sorted; delete byPair
     }
-    BEGIN { sides[1] = "ref"; sides[2] = "tree" }
+    BEGIN {
+        sides[1] = "ref"; sides[2] = "tree"
+        n = split(bounds, b, "\n")
+        for (i = 1; i <= n; i++) { split(b[i], f, " "); bound[f[1]] = f[2] }
+    }
     {
         if ($3 SUBSEP $4 != key) { flush(); key = $3 SUBSEP $4; wl = $3; metric = $4 }
         sorted[$2, ++cnt[$2]] = $5 + 0
