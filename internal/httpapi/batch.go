@@ -48,7 +48,7 @@ type batchResponse struct {
 // numbers never size server allocations.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeBody(w, r, int64(s.maxBatch)*maxBatchItemBytes+4096, &req) {
+	if !decodeBody(w, r, int64(s.maxBatch)*maxBatchItemBytes+4096, jsonInto(&req)) {
 		return
 	}
 	if len(req.Answers) == 0 {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,6 +140,8 @@ type taskJSON struct {
 	GoldenTruth int      `json:"golden_truth"`
 }
 
+// publishRequest is a /publish body as encoding/json decodes it: for a body
+// the scanner defers, and as its test oracle.
 type publishRequest struct {
 	Tasks []taskJSON `json:"tasks"`
 }
@@ -151,7 +154,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
 	}
-	if !decodeBody(w, r, maxSmallBodyBytes, &req) {
+	if !decodeBody(w, r, maxSmallBodyBytes, jsonInto(&req)) {
 		return
 	}
 	if _, err := s.reg.Create(req.Name); err != nil {
@@ -182,17 +185,13 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	var req publishRequest
-	if !decodeBody(w, r, s.maxPublishBody, &req) {
+	var tasks publication
+	if !decodeBody(w, r, s.maxPublishBody, tasks.decode) {
 		return
 	}
-	if len(req.Tasks) == 0 {
+	if len(tasks) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("no tasks"))
 		return
-	}
-	tasks := make([]docs.Task, 0, len(req.Tasks))
-	for _, t := range req.Tasks {
-		tasks = append(tasks, docs.Task{ID: t.ID, Text: t.Text, Choices: t.Choices, GoldenTruth: t.GoldenTruth})
 	}
 	name := r.PathValue("campaign")
 	sys, err := s.reg.Campaign(name)
@@ -292,7 +291,7 @@ type submitRequest struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if !decodeBody(w, r, maxSmallBodyBytes, &req) {
+	if !decodeBody(w, r, maxSmallBodyBytes, jsonInto(&req)) {
 		return
 	}
 	sys, _, ok := s.campaign(w, r)
@@ -498,12 +497,17 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// decodeBody decodes r's JSON body, capped at limit bytes, into v. On
+// decodeBody reads r's body — one JSON value, capped at limit bytes — and
+// hands it to decode. The buffer grows only as the body arrives: a client
+// that declares a large Content-Length and sends little costs little. On
 // failure it answers the request itself — 413 for a body over the cap, 400
 // for any other — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	err := json.NewDecoder(r.Body).Decode(v)
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(body []byte) error) bool {
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = decode(buf.Bytes())
+	}
 	if err == nil {
 		return true
 	}
@@ -513,4 +517,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
 	}
 	return false
+}
+
+// jsonInto decodes a body into v with json.Unmarshal.
+func jsonInto(v any) func(body []byte) error {
+	return func(body []byte) error { return json.Unmarshal(body, v) }
 }

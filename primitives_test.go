@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -34,7 +35,10 @@ import (
 // and nothing imports compress/flate, whose output is not pinned across
 // Go releases. Only tests fail an fsync on purpose (wal.FailFsyncAt), and
 // a registry campaign's lifecycle state has one writer: the registry's
-// transition function.
+// transition function. A request body has one reader, decodeBody, and
+// nothing under internal/httpapi streams a body through json.NewDecoder,
+// which stops at the first value; the /publish scanner is called from
+// publication.decode alone, the decoder handlePublish hands decodeBody.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -50,11 +54,12 @@ func TestOneReaderOneWriter(t *testing.T) {
 		`"compress/flate"`: nil,
 		"FailFsyncAt(":     {"internal/wal/atomic.go"},
 	}
-	// Imports no file under a directory may name.
+	// Imports and calls no file under a directory may name.
 	forbidden := map[string][]string{
-		"internal/store/": {`"os"`, `"encoding/json"`},
-		"internal/core/":  {`"encoding/json"`},
-		"internal/wal/":   {`"encoding/json"`},
+		"internal/store/":   {`"os"`, `"encoding/json"`},
+		"internal/core/":    {`"encoding/json"`},
+		"internal/wal/":     {`"encoding/json"`},
+		"internal/httpapi/": {"json.NewDecoder("},
 	}
 	got := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -77,7 +82,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		for dir, imports := range forbidden {
 			for _, imp := range imports {
 				if strings.HasPrefix(filepath.ToSlash(path), dir) && strings.Contains(string(src), imp) {
-					t.Errorf("%s imports %s, which nothing under %s may", path, imp, dir)
+					t.Errorf("%s names %s, which nothing under %s may", path, imp, dir)
 				}
 			}
 		}
@@ -147,5 +152,44 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 	if writers == 0 {
 		t.Error("found no write of a campaign's state: the check no longer sees the field")
+	}
+
+	// A request body is read in decodeBody alone, and the body scanner is
+	// called from publication.decode and nowhere else.
+	if paths, err = filepath.Glob("internal/httpapi/*.go"); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Body" && fn.Name.Name != "decodeBody" {
+					t.Errorf("%s: %s reads a request body; only decodeBody may", fset.Position(sel.Pos()), fn.Name.Name)
+				}
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "scanPublish" {
+						if fn.Name.Name != "decode" || fn.Recv == nil || types.ExprString(fn.Recv.List[0].Type) != "*publication" {
+							t.Errorf("%s: %s calls scanPublish; only publication.decode may", fset.Position(id.Pos()), fn.Name.Name)
+						}
+						calls++
+					}
+				}
+				return true
+			})
+		}
+	}
+	if calls != 1 {
+		t.Errorf("found %d calls of scanPublish, want 1 (in publication.decode)", calls)
 	}
 }
