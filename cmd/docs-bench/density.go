@@ -91,7 +91,7 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 		// itself, and wake cost is the snapshot restore.
 		cfg := registry.Config{
 			WALDir:   root,
-			Campaign: core.Config{GoldenCount: -1, RerunEvery: -1, SnapshotEvery: -1},
+			Campaign: core.Config{GoldenCount: -1, RerunEvery: -1},
 		}
 
 		// Phase 1 — build and hibernate N campaigns.

@@ -39,7 +39,6 @@ func main() {
 	storePath := flag.String("store", "", "shared worker-statistics store: a log directory, created if missing (empty = <wal-dir>/store when -wal-dir is set, else memory-only)")
 	walDir := flag.String("wal-dir", "", "registry root directory: each campaign logs under <dir>/campaigns/<name> and is replayed on boot (empty = memory-only)")
 	walFsync := flag.Bool("wal-fsync", false, "fsync each campaign's WAL once per group-commit batch (survive power loss, not just process crashes)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "answers between full state snapshots per campaign; snapshots make restart cost proportional to the un-snapshotted WAL suffix (0 = default 5000, negative = never)")
 	golden := flag.Int("golden", 0, "golden task count per campaign (0 = default 20, negative = disabled)")
 	hitSize := flag.Int("hit", 0, "tasks per assignment (0 = default 20)")
 	perTask := flag.Int("redundancy", 0, "max answers per task (0 = unlimited)")
@@ -54,7 +53,6 @@ func main() {
 		StorePath:         *storePath,
 		WALDir:            *walDir,
 		WALSyncEveryBatch: *walFsync,
-		SnapshotEvery:     *snapshotEvery,
 		GoldenCount:       *golden,
 		HITSize:           *hitSize,
 		AnswersPerTask:    *perTask,

@@ -81,14 +81,13 @@
 // Durability levels: by default an acknowledged Submit has reached the OS
 // (survives process crashes); Config.WALSyncEveryBatch adds one fsync per
 // group-commit batch (survives power loss). The segments are the only
-// copy of the record stream and are never deleted. State snapshots every
-// Config.SnapshotEvery answers bound the RECOVERY TIME: a background pass
-// boots a scratch serial replica from the durable log, serializes it
-// (floats as raw bits) to an atomically-replaced snapshot file and drops
-// it, and boot restores the file and replays only the WAL suffix past it — bit-identical to a full replay,
-// falling back to one loudly if the snapshot is torn, corrupt, or ahead
-// of the durable log. See docs/persistence.md for the full contract and
-// the fallback ladder (snapshot → segments).
+// copy of the record stream and are never deleted. A replay runs only the
+// last periodic re-inference its log reaches, so it costs one incremental
+// pass over the records plus one full inference. A hibernating registry
+// campaign also writes a state snapshot, and its wake restores that and
+// replays only the suffix past it — bit-identical to a full replay, which
+// it falls back to loudly if the snapshot is torn, corrupt, or ahead of
+// the durable log. See docs/persistence.md.
 //
 // # Multiple campaigns
 //
@@ -192,16 +191,6 @@ type Config struct {
 	// the campaign memory-only. See the Persistence section of the package
 	// comment.
 	WALDir string
-	// SnapshotEvery writes a full state snapshot every so many accepted
-	// answers when WALDir is set (0 = default 5000, negative = never).
-	// A snapshot makes restart time proportional to the un-snapshotted
-	// WAL suffix instead of the whole campaign history, while keeping the
-	// bit-exact recovery contract: it is built from a scratch serial
-	// replay of the durable log, so snapshot-assisted boot and full
-	// replay reconstruct identical state. A torn or corrupt snapshot is
-	// rejected loudly and boot falls back to full replay. See
-	// docs/persistence.md.
-	SnapshotEvery int
 	// WALSyncEveryBatch fsyncs the WAL once per group-commit batch,
 	// surviving power loss at the cost of one fsync amortized over each
 	// batch; the default flushes batches to the OS only (survives process
@@ -248,7 +237,6 @@ func (cfg Config) campaign() core.Config {
 		AnswersPerTask: cfg.AnswersPerTask,
 		RerunEvery:     cfg.RerunEvery,
 		AsyncRerun:     cfg.AsyncRerun,
-		SnapshotEvery:  cfg.SnapshotEvery,
 		WALSync:        walSync,
 		LeaseTTL:       cfg.LeaseTTL,
 	}
@@ -509,13 +497,9 @@ type Stats struct {
 	// WAL.
 	WALEnabled bool
 	WALLastSeq uint64
-	// Snapshots* count background state-snapshot passes; SnapshotLastSeq
-	// is the WAL sequence the newest snapshot covers (what a restart would
-	// restore instead of replaying). All zero without a WAL or with
-	// Config.SnapshotEvery negative.
-	SnapshotsCompleted int64
-	SnapshotsFailed    int64
-	SnapshotLastSeq    uint64
+	// SnapshotLastSeq is the WAL sequence the newest state snapshot covers
+	// (what a restart would restore instead of replaying); zero without one.
+	SnapshotLastSeq uint64
 }
 
 // Stats returns the current serving counters. Safe to call concurrently
@@ -533,15 +517,14 @@ func (s *System) Stats() Stats {
 			SnapshotLastSeq: sys.LastSnapshotSeq(),
 		}
 		st.RerunsCompleted, st.RerunsFailed = sys.Reruns()
-		st.SnapshotsCompleted, st.SnapshotsFailed = sys.Snapshots()
 		st.BatchesTotal, st.BatchAnswersTotal = sys.BatchCounts()
 		return st
 	})
 }
 
-// Close stops the background re-inference and snapshot workers and
-// flushes, fsyncs and closes the WAL and the worker store, so a graceful
-// shutdown loses nothing. Do not serve after Close. A hosted System's
+// Close stops the background re-inference worker and flushes, fsyncs and
+// closes the WAL and the worker store, so a graceful shutdown loses
+// nothing. Do not serve after Close. A hosted System's
 // campaign belongs to its registry: Close refuses it and closes nothing —
 // end the campaign with Registry.Archive.
 func (s *System) Close() error {

@@ -232,7 +232,7 @@ func TestResultsConfidenceIsCallersCopy(t *testing.T) {
 func fullConfig(dir string) Config {
 	return Config{
 		GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2, AsyncRerun: true,
-		SnapshotEvery: 1, WALSyncEveryBatch: true, LeaseTTL: time.Minute,
+		WALSyncEveryBatch: true, LeaseTTL: time.Minute,
 		WALDir: dir, StorePath: filepath.Join(dir, "workers"),
 		MaxLiveCampaigns: 4, HibernateAfter: time.Hour,
 	}
@@ -263,7 +263,7 @@ func TestConfigMapping(t *testing.T) {
 		t.Errorf("placement list names %s, which Config does not have", name)
 	}
 	want := core.Config{GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2, AsyncRerun: true,
-		SnapshotEvery: 1, WALSync: wal.SyncEveryBatch, LeaseTTL: time.Minute}
+		WALSync: wal.SyncEveryBatch, LeaseTTL: time.Minute}
 	if got := fullConfig("dir").campaign(); !reflect.DeepEqual(got, want) {
 		t.Errorf("campaign() = %+v, want %+v", got, want)
 	}
@@ -282,10 +282,10 @@ func TestNewAndRegistryShareTuning(t *testing.T) {
 		}
 	}
 	type tuning struct {
-		golden, hit     int
-		leases          int64
-		openAfterTwo    int
-		rerun, snapshot bool
+		golden, hit  int
+		leases       int64
+		openAfterTwo int
+		rerun        bool
 	}
 	observe := func(sys *System) tuning {
 		t.Helper()
@@ -316,12 +316,11 @@ func TestNewAndRegistryShareTuning(t *testing.T) {
 			}
 		}
 		got.openAfterTwo = sys.Stats().OpenTasks
-		// The rerun and the snapshot pass run on background workers.
+		// The rerun runs on the background worker.
 		deadline := time.Now().Add(10 * time.Second)
-		for !(got.rerun && got.snapshot) && time.Now().Before(deadline) {
+		for !got.rerun && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
-			st := sys.Stats()
-			got.rerun, got.snapshot = st.RerunsCompleted > 0, st.SnapshotsCompleted > 0
+			got.rerun = sys.Stats().RerunsCompleted > 0
 		}
 		return got
 	}
@@ -340,7 +339,7 @@ func TestNewAndRegistryShareTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tuning{golden: 2, hit: 3, leases: 3, openAfterTwo: 4, rerun: true, snapshot: true}
+	want := tuning{golden: 2, hit: 3, leases: 3, openAfterTwo: 4, rerun: true}
 	if got := observe(alone); got != want {
 		t.Errorf("New: tuning = %+v, want %+v", got, want)
 	}

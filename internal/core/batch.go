@@ -5,8 +5,8 @@
 // The contract has three parts, and the tests hold all of them at once:
 //
 //   - Equivalence: every item runs the exact per-answer sequence Submit
-//     runs (validation, ingest, chronological log append, rerun and
-//     snapshot cadence), so the resulting state is bit-identical to the
+//     runs (validation, ingest, chronological log append, rerun
+//     cadence), so the resulting state is bit-identical to the
 //     same stream submitted individually (TestBatchSubmitEquivalence).
 //   - Isolation: items are validated independently; a rejected item gets
 //     its own status and never poisons its neighbors. Only accepted

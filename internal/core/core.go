@@ -75,14 +75,6 @@ type Config struct {
 	// after the snapshot. The default (false) reruns synchronously inside
 	// Submit, which serial callers rely on for exact reproducibility.
 	AsyncRerun bool
-	// SnapshotEvery writes a full state snapshot every so many accepted
-	// answers when a WAL is armed (default 5000, negative = never). A
-	// snapshot makes restart cost proportional to the un-snapshotted WAL
-	// suffix instead of the whole log; each pass boots a scratch serial
-	// replica from the log and serializes that, so the snapshotted state is
-	// exactly the serial-replay state recovery must reconstruct — see
-	// snapshot.go for the design and what a pass costs.
-	SnapshotEvery int
 	// WALSegmentBytes overrides the WAL segment rotation size (0 = the wal
 	// package default).
 	WALSegmentBytes int64
@@ -188,8 +180,6 @@ type System struct {
 	batchAnswers atomic.Int64
 	reruns       atomic.Int64
 	rerunErrs    atomic.Int64
-	snaps        atomic.Int64
-	snapErrs     atomic.Int64
 
 	// snapSeq is the WAL sequence covered by the newest state snapshot this
 	// process wrote or booted from.
@@ -202,7 +192,11 @@ type System struct {
 	// publication (0 until one is logged or replayed): a state snapshot
 	// names that record instead of repeating its contents.
 	publishSeq atomic.Uint64
-	snapCh     chan struct{}
+	// rerunFrom is, during replay, the last rerun boundary the replayed log
+	// reaches (replay sets it, 0 otherwise): a rerun is a pure function of
+	// its answer prefix and the pinned anchors, so it overwrites every rerun
+	// before it, and replay skips the boundaries below this one.
+	rerunFrom int64
 
 	rerunMu sync.Mutex // serializes batch re-inference runs
 	// rerunFault, when set (tests only), is invoked at the top of every
@@ -259,9 +253,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.RerunEvery == 0 {
 		cfg.RerunEvery = 100
 	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 5000
-	}
 	m := k.Domains().Size()
 	s := &System{
 		kb:        k,
@@ -272,7 +263,6 @@ func New(cfg Config) (*System, error) {
 		cfg:       cfg,
 		inc:       truth.NewIncremental(m),
 		rerunCh:   make(chan struct{}, 1),
-		snapCh:    make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 	}
 	for i := range s.shards {
@@ -293,9 +283,9 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Close stops the background rerun and snapshot workers (pending
-// requests are drained first) and then flushes, fsyncs and closes the WAL,
-// so a graceful shutdown loses nothing regardless of sync policy. A store
+// Close stops the background rerun worker (a pending request is drained
+// first) and then flushes, fsyncs and closes the WAL, so a graceful
+// shutdown loses nothing regardless of sync policy. A store
 // this System created (rather than received via Config.Store) is released
 // too; a caller-provided store stays open — the caller may share it.
 // Serving methods must not be called after Close.
@@ -314,11 +304,9 @@ func (s *System) Close() error {
 	return err
 }
 
-// worker is the loop of both background workers (batch reruns, snapshot
-// passes): run pass once per nudge until the system quits. A nudge that
-// raced the shutdown is drained first, so Close's "pending requests run
-// first" contract holds and a graceful Close leaves the freshest possible
-// boot artifact.
+// worker is the background rerun loop: run pass once per nudge until the
+// system quits. A nudge that raced the shutdown is drained first, so
+// Close's "pending requests run first" contract holds.
 func (s *System) worker(nudge <-chan struct{}, pass func()) {
 	defer s.wg.Done()
 	for {
@@ -747,7 +735,7 @@ func (s *System) Submit(workerID string, taskID, choice int) error {
 // golden record in the durable order) and then commits individually, so the
 // answer-durable-before-profiling-merge invariant documented below holds
 // unchanged under batching. Everything else — validation, ingest, the
-// chronological log append under logMu, the rerun/snapshot cadence — is
+// chronological log append under logMu, the rerun cadence — is
 // identical in both modes, which is what makes a batched stream's state
 // bit-identical to the same answers submitted one by one
 // (TestBatchSubmitEquivalence).
@@ -869,7 +857,7 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	}
 
 	n := s.submissions.Add(1)
-	if z := s.cfg.RerunEvery; z > 0 && n%int64(z) == 0 {
+	if z := s.cfg.RerunEvery; z > 0 && n%int64(z) == 0 && n >= s.rerunFrom {
 		// During recovery the rerun must be synchronous regardless of
 		// AsyncRerun: replay determinism is the whole point of the WAL.
 		if s.cfg.AsyncRerun && !s.recovering {
@@ -881,7 +869,6 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 			return err
 		}
 	}
-	s.maybeSnapshot(n)
 	return s.walCommit(p)
 }
 
@@ -1301,25 +1288,22 @@ func (s *System) rerunLocked() error {
 	return nil
 }
 
-// initQuality gathers the initial quality per answering worker. A worker's
-// pinned anchor is preferred: it is the long-run store value adopted when
-// she was profiled or first seeded — anchored by golden tasks and past
-// sessions (Theorem 1) — whereas the incremental engine's estimates drift
-// between batch reruns and, used as initialization, can place the EM in a
-// label-flipped basin. The anchor is read instead of the LIVE store on
-// purpose: the store evolves under concurrent campaigns, and a
+// initQuality gathers the initial quality of every answering worker with a
+// pinned anchor: the long-run store value adopted when she was profiled or
+// first seeded — anchored by golden tasks and past sessions (Theorem 1). A
+// worker without one starts at truth.DefaultQuality, as Infer starts any
+// worker InitQuality omits. Neither reads the incremental engine, whose
+// estimates carry every earlier rerun forward, so a rerun is a pure
+// function of its answer prefix and the anchors — which is what lets
+// replay run the last rerun alone. The anchor is read instead of the LIVE
+// store on purpose: the store evolves under concurrent campaigns, and a
 // time-of-rerun store read is an unlogged float input that recovery could
-// not reproduce (the root cause of the old ~1e-7 live-vs-recovered
-// divergence — see docs/persistence.md).
+// not reproduce (see docs/persistence.md).
 func (s *System) initQuality(answers *model.AnswerSet) map[string]model.QualityVector {
 	init := make(map[string]model.QualityVector)
 	for _, w := range answers.Workers() {
 		if a := s.anchorStats(w); a != nil {
 			init[w] = a.Q
-			continue
-		}
-		if st := s.inc.Worker(w); st != nil {
-			init[w] = st.Q // already a private copy
 		}
 	}
 	return init

@@ -7,8 +7,9 @@
 // order equals the order the serial-replay equivalence proofs are anchored
 // to. Submit acknowledges only after the record's group-commit batch is
 // down. Recovery replays the log's segments through the ordinary
-// Publish/Submit path with periodic reruns forced synchronous, which
-// reconstructs the exact deterministic serial state.
+// Publish/Submit path with the last periodic rerun forced synchronous (each
+// rerun overwrites the ones before it), which reconstructs the exact
+// deterministic serial state.
 package core
 
 import (
@@ -59,8 +60,8 @@ type RecoveryInfo struct {
 // Recover arms the write-ahead log at dir, first replaying any state a
 // previous process left there: the newest usable state snapshot, then
 // every intact WAL record past it, through the ordinary Publish/Submit
-// path. The periodic batch rerun runs synchronously during replay even
-// when Config.AsyncRerun is set, so the recovered state is the
+// path. The last periodic batch rerun runs synchronously during replay
+// even when Config.AsyncRerun is set, so the recovered state is the
 // deterministic serial state of the logged stream — bit-identical to an
 // uninterrupted serial run, which the crash-injection tests assert record
 // by record.
@@ -99,10 +100,6 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	//docs:allow clock recovery duration is diagnostic metadata, never replayed or fingerprinted
 	info.Duration = time.Since(start)
 	s.recovery = info
-	if s.cfg.SnapshotEvery > 0 {
-		s.wg.Add(1)
-		go s.worker(s.snapCh, s.runSnapshotPass)
-	}
 	return info, nil
 }
 
@@ -115,11 +112,13 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 // wholly below it are not even read. A torn, corrupt, invalid, or
 // log-overreaching snapshot is rejected LOUDLY
 // (RecoveryInfo.SnapshotRejected) and the replay degrades to the whole log
-// — it then costs time, never state.
+// — it then costs time, never state. Of the periodic reruns the log
+// crosses only the last runs (rerunFrom), counted once the golden set is in
+// place: restored, or at the publish record.
 func (s *System) replay(dir string) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	s.recovering = true
-	defer func() { s.recovering = false }()
+	defer func() { s.recovering, s.rerunFrom = false, 0 }()
 
 	snap, reject := loadUsableSnapshot(dir)
 	info.SnapshotRejected = reject
@@ -135,16 +134,61 @@ func (s *System) replay(dir string) (RecoveryInfo, error) {
 		}
 	}
 
+	plan := func() (err error) {
+		s.rerunFrom, err = s.lastRerun(dir, info.LastSeq)
+		return err
+	}
+	if s.Published() {
+		if err := plan(); err != nil {
+			return info, err
+		}
+	}
 	st, err := wal.ReplayFrom(dir, info.SnapshotSeq, func(rec wal.Record) error {
 		if err := s.applyRecord(rec); err != nil {
 			return err
 		}
 		info.Records++
 		info.LastSeq = rec.Seq
+		if rec.Kind == wal.KindPublish {
+			return plan()
+		}
 		return nil
 	})
 	info.TornTail = st.TornTail
 	return info, err
+}
+
+// lastRerun returns the last rerun boundary the campaign reaches once the
+// records past seq are applied. The golden set says which single answers
+// are regular. A count can only come out long if an answer fails to apply,
+// and that fails the replay.
+func (s *System) lastRerun(dir string, seq uint64) (int64, error) {
+	z := int64(s.cfg.RerunEvery)
+	if z <= 0 {
+		return 0, nil
+	}
+	s.mu.RLock()
+	golden := s.golden
+	s.mu.RUnlock()
+	n := s.submissions.Load()
+	_, err := wal.ReplayFrom(dir, seq, func(rec wal.Record) error {
+		switch rec.Kind {
+		case wal.KindAnswer:
+			if !golden[rec.Task] {
+				n++
+			}
+		case wal.KindBatch:
+			cols, err := wal.DecodeBatch(rec.Blob)
+			if err != nil {
+				return fmt.Errorf("batch record %d: bad body: %w", rec.Seq, err)
+			}
+			n += int64(cols.Len())
+		case wal.KindPublish, wal.KindSeed, wal.KindStore:
+			// No answer here; the apply scan refuses a store record.
+		}
+		return nil
+	})
+	return n / z * z, err
 }
 
 // Recovery returns what the last Recover call replayed (zero value when no
@@ -193,7 +237,7 @@ func (s *System) applyRecord(rec wal.Record) error {
 		// the ordinary Submit path. Items were each accepted when logged
 		// (rejected items never enter the record), so a rejection here means
 		// the log is corrupt and must fail loudly. Per-item Submit keeps the
-		// rerun/snapshot cadence identical to the live batched run.
+		// rerun cadence identical to the live batched run.
 		cols, err := wal.DecodeBatch(rec.Blob)
 		if err != nil {
 			return fmt.Errorf("batch record %d: bad body: %w", rec.Seq, err)
@@ -260,17 +304,4 @@ func (s *System) walCommit(p wal.Pending) error {
 		return fmt.Errorf("core: %w: %v", ErrDurability, err)
 	}
 	return nil
-}
-
-// maybeSnapshot nudges the snapshot worker every SnapshotEvery accepted
-// answers.
-func (s *System) maybeSnapshot(n int64) {
-	z := s.cfg.SnapshotEvery
-	if s.wal == nil || z <= 0 || n%int64(z) != 0 {
-		return
-	}
-	select {
-	case s.snapCh <- struct{}{}:
-	default: // one is already pending; it will cover this batch too
-	}
 }

@@ -13,6 +13,10 @@ import (
 // publication's record, and a non-nil return fails the pack.
 func ArmPackFault(s *System, f func() error) { s.packFault = f }
 
+// CountPassReruns makes *n count the reruns that the scratch replica of
+// every later snapshot pass of s runs.
+func CountPassReruns(s *System, n *int) { s.passRerunFault = func() error { *n++; return nil } }
+
 // SerialRecord is serialRecord: what the serial path logs for tasks.
 func SerialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {
 	return serialRecord(t, s, tasks)

@@ -12,7 +12,8 @@ import (
 // Fingerprint renders every piece of campaign state the durability contract
 // covers, with float64s written as raw bits so "close" never passes for
 // "equal": published tasks and golden selection, per-task truth state
-// (truth, answer count, S and M), the chronological answer log, the golden
+// (truth, answer count, S and M), the candidate index's open-task set in
+// publication order, the chronological answer log, the golden
 // answers and profiling flags per worker, per-worker incremental stats,
 // per-worker profile anchors and answered sets, and the long-run store
 // (worker records AND recorded profiling merges). Two Systems with equal
@@ -72,6 +73,17 @@ func (s *System) Fingerprint() string {
 			}
 		}
 		b.WriteString(";")
+	}
+
+	b.WriteString(";open:")
+	if ci := s.index.Load(); ci != nil {
+		ci.mu.Lock()
+		for i, c := range ci.master {
+			if ci.open[i] {
+				fmt.Fprintf(&b, "%d,", c.id)
+			}
+		}
+		ci.mu.Unlock()
 	}
 
 	b.WriteString(";golden:")

@@ -3,9 +3,9 @@
 //
 // Hibernate is Close plus one promise: when the memory is released, no
 // answer lies past the newest state snapshot. If one does, a final snapshot
-// is written through the same scratch-boot pass the background snapshot
-// worker runs (the live concurrent system is never serialized — its state
-// is not the canonical serial-replay state). If none does — the campaign
+// is written through a scratch-boot pass (the live concurrent system is
+// never serialized — its state is not the canonical serial-replay state);
+// this is the only place a snapshot is written. If none does — the campaign
 // was only published, or only handed out tasks since it last woke — nothing
 // is written: the suffix is the publication and worker seeds, which replay
 // without running inference. A later Recover then restores the snapshot (if
@@ -39,8 +39,8 @@ func (s *System) Hibernate() error {
 	if s.wal == nil {
 		return fmt.Errorf("core: Hibernate needs an armed WAL")
 	}
-	// Stop the background rerun and snapshot workers; pending nudges
-	// drain first, exactly as in Close.
+	// Stop the background rerun worker; a pending nudge drains first,
+	// exactly as in Close.
 	s.closed.Do(func() { close(s.quit) })
 	s.wg.Wait()
 
@@ -49,8 +49,6 @@ func (s *System) Hibernate() error {
 	// stream, and the snapshot may only ever cover durable records.
 	snapErr := s.wal.Sync()
 	if snapErr == nil {
-		// The snapshot worker has exited, so running the pass on this
-		// goroutine is race-free.
 		snapErr = s.snapshotPass()
 	}
 	if snapErr == nil && s.unsnapshottedAnswers() {

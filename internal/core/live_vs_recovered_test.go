@@ -207,8 +207,7 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 
 	baseCfg := func(scope string) Config {
 		return Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-			SnapshotEvery: -1, WALSegmentBytes: 1 << 10,
-			ProfileScope: scope}
+			WALSegmentBytes: 1 << 10, ProfileScope: scope}
 	}
 
 	var captures []liveCapture
@@ -368,8 +367,7 @@ func TestLostStoreDeltaRepairedExact(t *testing.T) {
 	}
 	defer st.Close()
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		SnapshotEvery: -1, WALSegmentBytes: 1 << 10,
-		ProfileScope: "camp", Store: st}
+		WALSegmentBytes: 1 << 10, ProfileScope: "camp", Store: st}
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(walDir); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func TestPublishPackFailureFailsStop(t *testing.T) {
 	root := t.TempDir()
 	reg, err := registry.Open(registry.Config{
 		WALDir:   root,
-		Campaign: core.Config{GoldenCount: 5, LeaseTTL: time.Minute, RerunEvery: -1, SnapshotEvery: -1},
+		Campaign: core.Config{GoldenCount: 5, LeaseTTL: time.Minute, RerunEvery: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func publishLogged(t *testing.T, cfg Config, tasks []*model.Task) (*System, []by
 // runs after validation, over TestPropertyPublicationRoundTrip's 200
 // seeded sets.
 func TestPublishRecordMatchesSerialOracle(t *testing.T) {
-	cfg := Config{GoldenCount: -1, RerunEvery: -1, SnapshotEvery: -1}
+	cfg := Config{GoldenCount: -1, RerunEvery: -1}
 	check := func(name string, cfg Config, tasks []*model.Task, magic string) {
 		t.Helper()
 		s := newSystem(t, cfg)
@@ -141,7 +141,7 @@ func TestPublishRecordMatchesSerialOracle(t *testing.T) {
 // logged record, and view epochs 1..n in publication order. Run it under
 // -race.
 func TestPublishIndependentOfGOMAXPROCS(t *testing.T) {
-	cfg := Config{GoldenCount: 10, LeaseTTL: time.Minute, RerunEvery: -1, SnapshotEvery: -1}
+	cfg := Config{GoldenCount: 10, LeaseTTL: time.Minute, RerunEvery: -1}
 	var want string
 	for _, procs := range []int{1, 8} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -168,7 +168,7 @@ func TestPublishIndependentOfGOMAXPROCS(t *testing.T) {
 // logs what the serial path logs.
 func TestPublishChunkFailure(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	cfg := Config{GoldenCount: 5, LeaseTTL: time.Minute, RerunEvery: -1, SnapshotEvery: -1}
+	cfg := Config{GoldenCount: 5, LeaseTTL: time.Minute, RerunEvery: -1}
 	const chunks = 12
 	for name, failing := range map[string][]int{
 		"first":           {0},

@@ -811,7 +811,7 @@ func TestPublishRejectsNegativeTaskID(t *testing.T) {
 // the live state.
 func TestLargePublicationBoots(t *testing.T) {
 	cfg := Config{KB: kb.New(model.MustDomainSet([]string{"fauna", "flora"})),
-		GoldenCount: -1, RerunEvery: -1, SnapshotEvery: -1}
+		GoldenCount: -1, RerunEvery: -1}
 	dir := t.TempDir()
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(dir); err != nil {

@@ -17,11 +17,9 @@
 // crash-injection suite asserts that equality at every kill point, both
 // ways.
 //
-// A pass costs one boot: a snapshot restore plus the serial replay of the
-// records since (periodic batch reruns included), on the background
-// worker, holding a second copy of the campaign's state only while it
-// runs. Between passes nothing is resident, and a campaign that never
-// reaches the snapshot cadence pays nothing.
+// Hibernate is the only caller of a pass. It costs one boot — a snapshot
+// restore plus the serial replay of the records since, with one rerun —
+// and holds a second copy of the campaign's state only while it runs.
 package core
 
 import (
@@ -34,12 +32,6 @@ import (
 	"docs/internal/truth"
 	"docs/internal/wal"
 )
-
-// Snapshots returns how many background snapshot passes have completed
-// and failed.
-func (s *System) Snapshots() (completed, failed int64) {
-	return s.snaps.Load(), s.snapErrs.Load()
-}
 
 // LastSnapshotSeq returns the WAL sequence covered by the newest snapshot
 // this process wrote or booted from (0 when none).
@@ -445,17 +437,7 @@ func loadUsableSnapshot(dir string) (*snapshot.State, string) {
 	return snap, ""
 }
 
-// --- the snapshot pass (runs on the snapshot worker, or in Hibernate) ---
-
-// runSnapshotPass runs one snapshot pass and counts its outcome; a pass
-// that found nothing new to cover counts as completed.
-func (s *System) runSnapshotPass() {
-	if err := s.snapshotPass(); err != nil {
-		s.snapErrs.Add(1)
-		return
-	}
-	s.snaps.Add(1)
-}
+// --- the snapshot pass (Hibernate runs it) ---
 
 // unsnapshottedAnswers reports whether an answer-bearing record lies past
 // the newest snapshot — the one test for "a pass has something to do". A
@@ -492,9 +474,6 @@ func (s *System) snapshotPass() error {
 	}
 	defer r.Close()
 	r.rerunFault = s.passRerunFault
-	// A concurrent append can leave a torn final frame in the read; that is
-	// fine — those records are not durable yet and the next pass picks them
-	// up once they are whole.
 	info, err := r.replay(s.walDir)
 	if err != nil {
 		return err

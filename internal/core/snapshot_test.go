@@ -430,7 +430,7 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 	}
 }
 
-// TestSnapshotCheckpointInterleaving pins the background pass after a
+// TestSnapshotCheckpointInterleaving pins a snapshot pass after a
 // snapshot-assisted boot: the scratch replica boots from the mid-stream
 // snapshot on disk, replays the segment suffix, and the snapshot it
 // writes covers the whole log and boots bit-identically to a full replay.
@@ -463,9 +463,8 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 	if got := s.Fingerprint(); got != want {
 		t.Fatalf("recovered state differs from full replay\n%s", DiffFingerprints(got, want, 4))
 	}
-	s.runSnapshotPass()
-	if done, failed := s.Snapshots(); done != 1 || failed != 0 {
-		t.Fatalf("snapshot pass done=%d failed=%d", done, failed)
+	if err := s.snapshotPass(); err != nil {
+		t.Fatalf("snapshot pass: %v", err)
 	}
 	if got := s.LastSnapshotSeq(); got != tail {
 		t.Fatalf("pass covered seq %d, want log tail %d", got, tail)
@@ -486,63 +485,6 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 		t.Fatal("boot from pass-written snapshot differs")
 	}
 	if err := final.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotWorkerIntegration runs a campaign with the background
-// snapshot worker live (small SnapshotEvery forces several passes, async
-// rerun stresses the scratch replica's serial independence) and asserts the
-// snapshot it leaves behind boots to exactly the state a full replay of
-// the surviving log produces — and that both equal the serial reference.
-func TestSnapshotWorkerIntegration(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		AsyncRerun: true, SnapshotEvery: 25, WALSegmentBytes: 1 << 10}
-	dir := t.TempDir()
-	recs := runLoggedCampaign(t, cfg, dir, 40)
-
-	if _, err := os.Stat(filepath.Join(dir, snapshot.FileName)); err != nil {
-		t.Fatalf("no snapshot written despite SnapshotEvery=25: %v", err)
-	}
-
-	// Serial reference over the surviving records.
-	serialCfg := cfg
-	serialCfg.AsyncRerun = false
-	ref := newSystem(t, serialCfg)
-	defer ref.Close()
-	applyPrefix(t, ref, recs)
-
-	snapped := newSystem(t, cfg)
-	infoS, err := snapped.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !infoS.SnapshotUsed {
-		t.Fatalf("snapshot present but not used (rejected: %q)", infoS.SnapshotRejected)
-	}
-
-	plain := t.TempDir()
-	copyDir(t, dir, plain)
-	if err := os.Remove(filepath.Join(plain, snapshot.FileName)); err != nil {
-		t.Fatal(err)
-	}
-	full := newSystem(t, cfg)
-	if _, err := full.Recover(plain); err != nil {
-		t.Fatal(err)
-	}
-
-	fpSnap, fpFull, fpRef := snapped.Fingerprint(), full.Fingerprint(), ref.Fingerprint()
-	if fpSnap != fpFull {
-		t.Fatalf("snapshot boot differs from full-replay boot\n%s",
-			DiffFingerprints(fpSnap, fpFull, 4))
-	}
-	if fpSnap != fpRef {
-		t.Fatal("recovered state differs from serial reference")
-	}
-	if err := snapped.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -616,11 +558,10 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 // TestSnapshotPassRetriesAfterApplyFailure: a record that fails to apply
 // inside a pass's replica can be HALF-applied (Submit ingests the answer
 // before a due synchronous rerun fails). The replica is scratch, so the
-// failed pass is counted, moves nothing, and leaves nothing behind: the
-// next pass boots afresh from the last good snapshot and covers the tail.
+// failed pass fails, moves nothing, and leaves nothing behind: the next
+// pass boots afresh from the last good snapshot and covers the tail.
 func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
-	cfg := Config{GoldenCount: -1, HITSize: 4, RerunEvery: 10,
-		SnapshotEvery: -1, WALSegmentBytes: 1 << 10}
+	cfg := Config{GoldenCount: -1, HITSize: 4, RerunEvery: 10, WALSegmentBytes: 1 << 10}
 	dir := t.TempDir()
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(dir); err != nil {
@@ -634,9 +575,8 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.runSnapshotPass()
-	if done, failed := s.Snapshots(); done != 1 || failed != 0 {
-		t.Fatalf("first pass: done=%d failed=%d", done, failed)
+	if err := s.snapshotPass(); err != nil {
+		t.Fatalf("first pass: %v", err)
 	}
 	goodSeq := s.LastSnapshotSeq()
 
@@ -649,9 +589,8 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.runSnapshotPass()
-	if done, failed := s.Snapshots(); done != 1 || failed != 1 {
-		t.Fatalf("faulted pass: done=%d failed=%d", done, failed)
+	if err := s.snapshotPass(); err == nil {
+		t.Fatal("faulted pass succeeded")
 	}
 	if got := s.LastSnapshotSeq(); got != goodSeq {
 		t.Fatalf("failed pass moved the snapshot seq to %d", got)
@@ -660,9 +599,8 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 	// With the fault gone, the next pass boots a fresh replica from the
 	// last good snapshot and succeeds.
 	s.passRerunFault = nil
-	s.runSnapshotPass()
-	if done, failed := s.Snapshots(); done != 2 || failed != 1 {
-		t.Fatalf("recovery pass: done=%d failed=%d", done, failed)
+	if err := s.snapshotPass(); err != nil {
+		t.Fatalf("recovery pass: %v", err)
 	}
 	if got, want := s.LastSnapshotSeq(), s.wal.ReservedSeq(); got != want {
 		t.Fatalf("recovered pass covered seq %d, want log tail %d", got, want)
@@ -703,7 +641,7 @@ func heapAfterGC() uint64 {
 func TestSnapshotPassLeavesNothingResident(t *testing.T) {
 	const n = 3000
 	base := heapAfterGC()
-	s := newSystem(t, Config{GoldenCount: -1, HITSize: 4, RerunEvery: 1000, SnapshotEvery: -1})
+	s := newSystem(t, Config{GoldenCount: -1, HITSize: 4, RerunEvery: 1000})
 	if _, err := s.Recover(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -717,11 +655,10 @@ func TestSnapshotPassLeavesNothingResident(t *testing.T) {
 	}
 	before := heapAfterGC()
 	campaign := before - base
-	s.runSnapshotPass()
-	after := heapAfterGC()
-	if done, failed := s.Snapshots(); done != 1 || failed != 0 {
-		t.Fatalf("snapshot pass done=%d failed=%d", done, failed)
+	if err := s.snapshotPass(); err != nil {
+		t.Fatalf("snapshot pass: %v", err)
 	}
+	after := heapAfterGC()
 	if got, want := s.LastSnapshotSeq(), s.wal.ReservedSeq(); got != want {
 		t.Fatalf("pass covered seq %d, want log tail %d", got, want)
 	}

@@ -400,10 +400,12 @@ type statsJSON struct {
 	BatchAnswersMean  float64 `json:"batch_answers_mean"`
 
 	// Durability counters, all zero when the server runs without -wal-dir.
-	WALEnabled            bool   `json:"wal_enabled"`
-	WALLastSeq            uint64 `json:"wal_last_seq"`
+	WALEnabled bool   `json:"wal_enabled"`
+	WALLastSeq uint64 `json:"wal_last_seq"`
+	// SnapshotsCompleted is always 0: Hibernate, the only snapshot writer,
+	// runs as the campaign's core is released, so no serving core has
+	// completed a pass. The field stays for the clients that read it.
 	SnapshotsCompleted    int64  `json:"snapshots_completed"`
-	SnapshotsFailed       int64  `json:"snapshots_failed"`
 	SnapshotLastSeq       uint64 `json:"snapshot_last_seq"`
 	RecoveredRecords      int    `json:"recovered_records"`
 	RecoveredTornTail     bool   `json:"recovered_torn_tail"`
@@ -452,8 +454,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BatchAnswersTotal:        st.BatchAnswersTotal,
 		WALEnabled:               st.WALEnabled,
 		WALLastSeq:               st.WALLastSeq,
-		SnapshotsCompleted:       st.SnapshotsCompleted,
-		SnapshotsFailed:          st.SnapshotsFailed,
 		SnapshotLastSeq:          st.SnapshotLastSeq,
 		RecoveredRecords:         rec.Records,
 		RecoveredTornTail:        rec.TornTail,

@@ -224,7 +224,11 @@ type Registry struct {
 
 	mu        sync.RWMutex
 	campaigns map[string]*campaign
-	closed    bool
+	// folded maps each listed name, lower-cased, to the name: Create's
+	// case-insensitive collision check is one lookup. ValidateName admits
+	// ASCII alone, where strings.ToLower agrees with strings.EqualFold.
+	folded map[string]string
+	closed bool
 
 	// liveCount tracks resident campaigns (sys != nil) so the LRU cap
 	// check is O(1) on the hot path.
@@ -298,7 +302,7 @@ func Open(cfg Config) (*Registry, error) {
 		return nil, err
 	}
 	r := &Registry{cfg: cfg, store: st,
-		campaigns: make(map[string]*campaign), quit: make(chan struct{})}
+		campaigns: make(map[string]*campaign), folded: make(map[string]string), quit: make(chan struct{})}
 	if cfg.WALDir != "" {
 		if err := r.recoverAll(); err != nil {
 			r.Close()
@@ -387,7 +391,7 @@ func (r *Registry) recoverAll() error {
 		c := &campaign{}
 		c.lastTouch.Store(bootStamp)
 		r.mu.Lock()
-		r.campaigns[name] = c
+		r.campaigns[name], r.folded[strings.ToLower(name)] = c, name
 		r.mu.Unlock()
 		if to != stateLive {
 			c.mu.Lock()
@@ -471,14 +475,13 @@ func (r *Registry) Create(name string) error {
 	// names, and on a case-insensitive filesystem "Foo" and "foo" would
 	// silently share one WAL namespace — two campaigns interleaving one
 	// log. Rejecting the collision here keeps the layout portable.
-	for existing := range r.campaigns {
-		if strings.EqualFold(existing, name) {
-			r.mu.Unlock()
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %q (collides with %q)", ErrExists, name, existing)
-		}
+	folded := strings.ToLower(name)
+	if existing, ok := r.folded[folded]; ok {
+		r.mu.Unlock()
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %q (collides with %q)", ErrExists, name, existing)
 	}
-	r.campaigns[name] = c
+	r.campaigns[name], r.folded[folded] = c, name
 	r.mu.Unlock()
 	// The campaign's directory is created, parent entry fsynced, by the
 	// WAL its Recover opens.
@@ -486,6 +489,7 @@ func (r *Registry) Create(name string) error {
 	if err != nil {
 		r.mu.Lock()
 		delete(r.campaigns, name)
+		delete(r.folded, folded)
 		r.mu.Unlock()
 	}
 	c.mu.Unlock()

@@ -229,6 +229,26 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, err := get(reg2, "alpha"); !errors.Is(err, ErrArchived) {
 		t.Errorf("Get(archived) after reboot = %v, want ErrArchived", err)
 	}
+	if err := reg2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Under a cap, boot lists beta cold: its name still collides.
+	capped := cfg
+	capped.MaxLiveCampaigns = 1
+	reg3, err := Open(capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg3.Close()
+	if infos := reg3.List(); !infos[1].Hibernated {
+		t.Fatalf("beta after a capped boot = %+v, want listed cold", infos[1])
+	}
+	for _, name := range []string{"BETA", "Alpha"} {
+		if _, err := create(reg3, name); !errors.Is(err, ErrExists) {
+			t.Errorf("Create(%q) beside a campaign listed at boot = %v, want ErrExists", name, err)
+		}
+	}
 }
 
 // TestRegistryRebootRecoversAllCampaigns publishes and serves several

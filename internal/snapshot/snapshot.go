@@ -11,7 +11,7 @@
 // correct if it is bit-for-bit that serial state. The
 // core therefore never snapshots its live concurrently-mutated state; each
 // snapshot pass boots a scratch serial replica from the durable log and
-// serializes that (see docs/internal/core's snapshot worker). This package
+// serializes that (see docs/internal/core's Hibernate). This package
 // is just the codec and the atomic file protocol.
 //
 // A snapshot holds only what the log and the publication do not already

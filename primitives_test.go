@@ -38,7 +38,9 @@ import (
 // transition function. A request body has one reader, decodeBody, and
 // nothing under internal/httpapi streams a body through json.NewDecoder,
 // which stops at the first value; the /publish scanner is called from
-// publication.decode alone, the decoder handlePublish hands decodeBody.
+// publication.decode alone, the decoder handlePublish hands decodeBody. A
+// state snapshot has one writer: core's snapshotPass, called from
+// Hibernate alone.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -106,60 +108,79 @@ func TestOneReaderOneWriter(t *testing.T) {
 
 	// A campaign's state field is set — assigned or given in a composite
 	// literal — only inside the registry's transition function.
-	paths, err := filepath.Glob("internal/registry/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
 	writers := 0
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+	funcNodes(t, fset, "internal/registry/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		var field ast.Node
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "state" {
+					field = sel
+				}
 			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				var field ast.Node
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "state" {
-							field = sel
-						}
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok && id.Name == "state" {
-						field = id
-					}
-				}
-				if field == nil {
-					return true
-				}
-				if fn.Name.Name != "transition" {
-					t.Errorf("%s: %s sets a campaign's state outside transition", fset.Position(field.Pos()), fn.Name.Name)
-				}
-				writers++
-				return true
-			})
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok && id.Name == "state" {
+				field = id
+			}
 		}
-	}
+		if field == nil {
+			return
+		}
+		if fn.Name.Name != "transition" {
+			t.Errorf("%s: %s sets a campaign's state outside transition", fset.Position(field.Pos()), fn.Name.Name)
+		}
+		writers++
+	})
 	if writers == 0 {
 		t.Error("found no write of a campaign's state: the check no longer sees the field")
 	}
 
 	// A request body is read in decodeBody alone, and the body scanner is
 	// called from publication.decode and nowhere else.
-	if paths, err = filepath.Glob("internal/httpapi/*.go"); err != nil {
+	calls := 0
+	funcNodes(t, fset, "internal/httpapi/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Body" && fn.Name.Name != "decodeBody" {
+			t.Errorf("%s: %s reads a request body; only decodeBody may", fset.Position(sel.Pos()), fn.Name.Name)
+		}
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "scanPublish" {
+				if fn.Name.Name != "decode" || fn.Recv == nil || types.ExprString(fn.Recv.List[0].Type) != "*publication" {
+					t.Errorf("%s: %s calls scanPublish; only publication.decode may", fset.Position(id.Pos()), fn.Name.Name)
+				}
+				calls++
+			}
+		}
+	})
+	if calls != 1 {
+		t.Errorf("found %d calls of scanPublish, want 1 (in publication.decode)", calls)
+	}
+
+	// The snapshot pass runs in Hibernate and nowhere else.
+	calls = 0
+	funcNodes(t, fset, "internal/core/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "snapshotPass" {
+				if fn.Name.Name != "Hibernate" {
+					t.Errorf("%s: %s runs a snapshot pass; only Hibernate may", fset.Position(sel.Pos()), fn.Name.Name)
+				}
+				calls++
+			}
+		}
+	})
+	if calls != 1 {
+		t.Errorf("found %d calls of snapshotPass, want 1 (in Hibernate)", calls)
+	}
+}
+
+// funcNodes calls visit with every node of every function declared in the
+// non-test files glob matches.
+func funcNodes(t *testing.T, fset *token.FileSet, glob string, visit func(fn *ast.FuncDecl, n ast.Node)) {
+	t.Helper()
+	paths, err := filepath.Glob(glob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -169,27 +190,9 @@ func TestOneReaderOneWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				ast.Inspect(fn, func(n ast.Node) bool { visit(fn, n); return true })
 			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Body" && fn.Name.Name != "decodeBody" {
-					t.Errorf("%s: %s reads a request body; only decodeBody may", fset.Position(sel.Pos()), fn.Name.Name)
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "scanPublish" {
-						if fn.Name.Name != "decode" || fn.Recv == nil || types.ExprString(fn.Recv.List[0].Type) != "*publication" {
-							t.Errorf("%s: %s calls scanPublish; only publication.decode may", fset.Position(id.Pos()), fn.Name.Name)
-						}
-						calls++
-					}
-				}
-				return true
-			})
 		}
-	}
-	if calls != 1 {
-		t.Errorf("found %d calls of scanPublish, want 1 (in publication.decode)", calls)
 	}
 }

@@ -8,10 +8,12 @@
 # at float64-bit granularity; it exists so a regression that somehow slips
 # past the fingerprint suites still fails loudly at the API surface.
 #
-# The whole thing runs twice, once per rung of the recovery ladder: with
-# snapshots off the reboot is a full replay of the segments, and with a
-# small -snapshot-every a snapshot lands before the kill so the reboot is
-# snapshot restore + suffix replay.
+# The whole thing runs twice, once per rung of the recovery ladder. On the
+# first the reboot is a full replay of the segments. The second runs under
+# -max-live-campaigns 1: midway through, publishing a second campaign
+# evicts the first, whose hibernation writes its snapshot, and the rest of
+# the answers form a suffix past it — so the reboot is snapshot restore +
+# suffix replay.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,10 +27,10 @@ go build -o "$workdir/docs-server" ./cmd/docs-server
 addr=127.0.0.1:18080
 base="http://$addr"
 campaign="$base/c/e2e"
-# start_server <data dir> <snapshot-every>
+# start_server <data dir> <max live campaigns>
 start_server() {
     "$workdir/docs-server" -addr "$addr" -wal-dir "$1" -wal-fsync \
-        -sync-rerun -golden 3 -hit 3 -redundancy 3 -snapshot-every "$2" &
+        -sync-rerun -golden 3 -hit 3 -redundancy 3 -max-live-campaigns "$2" &
     server_pid=$!
     for _ in $(seq 1 100); do
         if curl -sf "$base/healthz" >/dev/null 2>&1; then
@@ -47,7 +49,8 @@ stats_field() { # stats_field <field>: one scalar out of the campaign's /stats
 cat > "$workdir/drive.py" <<'PYEOF'
 import json, sys, urllib.request
 
-base = sys.argv[1]
+# drive.py <campaign url> <publish|answer> <first round> <last round>
+base, mode, first, last = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 
 def call(method, path, body=None):
     data = json.dumps(body).encode() if body is not None else None
@@ -75,37 +78,42 @@ tasks = []
 for i, text in enumerate(sports):
     golden = 0 if i < 4 else -1  # first four carry ground truth -> gauntlet pool
     tasks.append({"id": i, "text": text, "choices": ["yes", "no"], "golden_truth": golden})
-out = call("POST", "/publish", {"tasks": tasks})
-print("published:", out["published"], "golden:", out["golden"])
+if mode == "publish":
+    out = call("POST", "/publish", {"tasks": tasks})
+    print("published:", out["published"], "golden:", out["golden"])
 
 # Deterministic contested answering: worker w{i} answers by a fixed hash of
 # (worker, task) so reruns of this script reproduce the same campaign.
-for round_ in range(40):
+answered = 0
+for round_ in range(first, last):
     w = f"w{round_ % 5}"
     got = call("GET", f"/request?worker={w}&k=3")["tasks"]
-    if not got:
-        continue
     for t in got:
-        choice = (hash_ := (len(w) * 31 + t["id"] * 7 + round_ // 5)) % 2
+        choice = (len(w) * 31 + t["id"] * 7 + round_ // 5) % 2
         call("POST", "/submit", {"worker": w, "task": t["id"], "choice": choice})
-print("campaign driven")
+        answered += 1
+if first < last and answered == 0:
+    sys.exit(f"rounds {first}-{last} answered nothing")
+print(f"rounds {first}-{last}: {answered} answers")
 PYEOF
 
-# run_pass <name> <snapshot-every> <expected recovered_from_snapshot>
+# run_pass <name> <max live campaigns> <expected recovered_from_snapshot>
 run_pass() {
-    local name=$1 every=$2 want_snapshot=$3 out="$workdir/$1"
+    local name=$1 live=$2 want_snapshot=$3 out="$workdir/$1"
     mkdir "$out"
-    start_server "$out/data" "$every"
+    start_server "$out/data" "$live"
     echo "crash_e2e[$name]: driving contested campaign (pid $server_pid)"
-    python3 "$workdir/drive.py" "$campaign"
+    python3 "$workdir/drive.py" "$campaign" publish 0 8
     if [ "$want_snapshot" = True ]; then
-        # The snapshot worker runs behind the submits; the kill must find
-        # a snapshot on disk or the reboot would not use this rung.
-        for _ in $(seq 1 100); do
-            [ "$(stats_field snapshot_last_seq)" -gt 0 ] && break
-            sleep 0.1
-        done
+        # Under a cap of one, publishing a second campaign hibernates e2e,
+        # which writes its snapshot.
+        python3 "$workdir/drive.py" "$base/c/other" publish 0 0
+        if [ ! -f "$out/data/campaigns/e2e/snapshot" ]; then
+            echo "crash_e2e[$name]: FAIL — evicting e2e wrote no snapshot" >&2
+            exit 1
+        fi
     fi
+    python3 "$workdir/drive.py" "$campaign" answer 8 40
 
     echo "crash_e2e[$name]: capturing live responses"
     curl -sf "$campaign/results" > "$out/live_results.json"
@@ -117,7 +125,7 @@ run_pass() {
     kill -9 "$server_pid"
     wait "$server_pid" 2>/dev/null || true
 
-    start_server "$out/data" "$every"
+    start_server "$out/data" "$live"
     echo "crash_e2e[$name]: comparing recovered responses (pid $server_pid)"
     local got_snapshot
     got_snapshot=$(stats_field recovered_from_snapshot)
@@ -153,5 +161,5 @@ run_pass() {
     echo "crash_e2e[$name]: OK — live and recovered /result bytes identical"
 }
 
-run_pass full-replay -1 False
-run_pass snapshot-suffix 5 True
+run_pass full-replay 0 False
+run_pass snapshot-suffix 1 True
