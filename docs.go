@@ -67,7 +67,9 @@
 // per-worker statistics (the paper stores these in the system database so
 // returning workers keep their profile across requesters); it names a log
 // directory of the same write-ahead log a campaign uses, one fsynced record
-// per merged session, so no crash window loses one. Config.WALDir keeps the
+// per profiling merge or changed session. A limit: a durable System outside
+// a registry mints a new session scope each time it opens, so each restart
+// leaves its last session beside the next one. Config.WALDir keeps the
 // campaign itself: every accepted publication and answer is appended to a
 // segmented, CRC-checked write-ahead log (package docs/internal/wal) with
 // group-commit batching, and New replays the log — the intact segment
@@ -541,8 +543,8 @@ func (s *System) Close() error {
 }
 
 // Results runs the final iterative truth inference over all collected
-// answers, merges worker statistics into the persistent store, and returns
-// one Result per published non-golden task.
+// answers, replaces this campaign's worker sessions in the worker store,
+// and returns one Result per published non-golden task.
 func (s *System) Results() ([]Result, error) {
 	return call(s, func(sys *core.System) ([]Result, error) {
 		res, err := sys.Results()

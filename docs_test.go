@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"docs/internal/core"
+	"docs/internal/store"
 	"docs/internal/wal"
 )
 
@@ -345,5 +346,74 @@ func TestNewAndRegistryShareTuning(t *testing.T) {
 	}
 	if got := observe(hosted); got != want {
 		t.Errorf("OpenRegistry+Create: tuning = %+v, want %+v", got, want)
+	}
+}
+
+// TestUnnamedSystemsKeepSeparateSessions: two standalone Systems over one
+// StorePath — each gets a scope the store mints — both leave their session
+// in the store, and a repeat call after more answers replaces only the
+// caller's own. Both campaigns run the same traffic, so the held weight is
+// exactly twice what one campaign leaves in a store of its own.
+func TestUnnamedSystemsKeepSeparateSessions(t *testing.T) {
+	campaign := func(storePath string) {
+		t.Helper()
+		sys, err := New(Config{GoldenCount: -1, StorePath: storePath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if err := sys.Publish(exampleTasks()); err != nil {
+			t.Fatal(err)
+		}
+		for _, round := range [][]Answer{
+			{{Worker: "alice", TaskID: 0, Choice: 0}, {Worker: "alice", TaskID: 1, Choice: 1}},
+			{{Worker: "alice", TaskID: 2, Choice: 0}, {Worker: "bob", TaskID: 0, Choice: 1}, {Worker: "bob", TaskID: 2, Choice: 0}},
+		} {
+			for _, a := range round {
+				if err := sys.Submit(a.Worker, a.TaskID, a.Choice); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sys.Results(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	weights := func(storePath string) map[string][]float64 {
+		t.Helper()
+		st, err := store.Open(storePath, 26)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		out := map[string][]float64{}
+		for _, w := range st.Workers() {
+			stats, _ := st.Worker(w)
+			out[w] = stats.U
+		}
+		return out
+	}
+	alone := filepath.Join(t.TempDir(), "alone")
+	campaign(alone)
+	one := weights(alone)
+
+	shared := filepath.Join(t.TempDir(), "shared")
+	campaign(shared)
+	campaign(shared)
+	two := weights(shared)
+	if len(one) != 2 || len(two) != 2 {
+		t.Fatalf("stores hold workers %v and %v, want alice and bob", one, two)
+	}
+	total := 0.0
+	for w, u := range one {
+		for k := range u {
+			if two[w][k] != 2*u[k] {
+				t.Fatalf("%s: weight[%d] = %g in the shared store, want twice %g", w, k, two[w][k], u[k])
+			}
+			total += u[k]
+		}
+	}
+	if total == 0 {
+		t.Fatal("the campaign left no weight in the store")
 	}
 }

@@ -2,12 +2,16 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
+	"docs/internal/store"
 )
 
 // concTasks builds nTasks two-choice tasks with precomputed one-hot domain
@@ -271,5 +275,91 @@ func TestConcurrentGoldenProfiling(t *testing.T) {
 	}
 	if _, err := s.Results(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentResultsLandInSnapshotOrder: Results calls racing each other
+// and the submits they infer over — the first ones racing to mint the
+// unnamed campaign's scope — hold one lock from the answer snapshot to the
+// last store write, so sessions land in snapshot order under one scope, and
+// after one last call the store holds exactly what a single call at the
+// final prefix leaves in a serial replay's store. Run with -race and -count.
+func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
+	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 4, RerunEvery: 40}
+	st, err := store.Open(filepath.Join(t.TempDir(), "store"), kb.MustDefault().Domains().Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	live := cfg
+	live.Store = st
+	s := newSystem(t, live)
+	if err := s.Publish(concTasks(s.m, 60)); err != nil {
+		t.Fatal(err)
+	}
+	goldenSet := map[int]bool{}
+	for _, id := range s.GoldenTasks() {
+		goldenSet[id] = true
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	calls := make([]int, 3)
+	for g := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := s.Results(); err != nil {
+					t.Error(err)
+					return
+				}
+				calls[g]++
+			}
+		}()
+	}
+	hammer(t, s, 4, 0.8, goldenSet)
+	close(done)
+	wg.Wait()
+	if _, err := s.Results(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("Results calls during the submits: %v", calls)
+
+	replay := newSystem(t, cfg)
+	if err := replay.Publish(concTasks(replay.m, 60)); err != nil {
+		t.Fatal(err)
+	}
+	golden := s.goldenAnswersByWorker()
+	workers := make([]string, 0, len(golden))
+	for w := range golden {
+		workers = append(workers, w)
+	}
+	sort.Strings(workers)
+	for _, w := range workers {
+		for _, a := range golden[w] {
+			if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, a := range s.Answers().All() {
+		if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := replay.Results(); err != nil {
+		t.Fatal(err)
+	}
+	section := func(s *System) string {
+		fp := s.Fingerprint()
+		return fp[strings.Index(fp, ";store:"):]
+	}
+	if got, want := section(s), section(replay); got != want {
+		t.Errorf("store after racing Results calls differs from one call at the final prefix:\n%s", DiffFingerprints(got, want, 8))
 	}
 }

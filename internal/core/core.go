@@ -7,8 +7,8 @@
 // visit) or the k highest-benefit tasks (OTA); submitted answers flow
 // through incremental truth inference, with the full iterative solver
 // re-run every RerunEvery submissions; and finally the inferred truths are
-// returned and worker statistics are merged into the long-run store per
-// Theorem 1.
+// returned and each worker's session statistics are held in the long-run
+// store per Theorem 1.
 //
 // # Concurrency model
 //
@@ -198,7 +198,9 @@ type System struct {
 	// before it, and replay skips the boundaries below this one.
 	rerunFrom int64
 
-	rerunMu sync.Mutex // serializes batch re-inference runs
+	rerunMu   sync.Mutex // serializes batch re-inference runs
+	resultsMu sync.Mutex // serializes Results; guards scope
+	scope     string     // Results' store scope: ProfileScope, or minted
 	// rerunFault, when set (tests only), is invoked at the top of every
 	// rerun attempt; a non-nil return fails the rerun — the seam the
 	// failed-rerun regression test injects through.
@@ -261,6 +263,7 @@ func New(cfg Config) (*System, error) {
 		store:     st,
 		ownsStore: ownsStore,
 		cfg:       cfg,
+		scope:     cfg.ProfileScope,
 		inc:       truth.NewIncremental(m),
 		rerunCh:   make(chan struct{}, 1),
 		quit:      make(chan struct{}),
@@ -883,41 +886,46 @@ func (s *System) Result(taskID int) (choice int, confidence []float64) {
 	return v.Truth, mathx.Clone(v.S)
 }
 
-// Results runs the full iterative truth inference over everything received
-// and returns the final result (slices aligned with InferTasks). Golden
-// tasks and the workers' golden answers participate as pinned evidence so
-// the quality scale stays anchored. It also merges each worker's session
-// statistics into the long-run store (Theorem 1), one durable record each.
-// Inference runs over a snapshot of the answer log, so submits continue
-// concurrently (answers arriving after the snapshot appear in the next
-// call).
+// Results runs the rerun's inference and returns the final result (slices
+// aligned with InferTasks). Each answering worker's session statistics
+// over the regular answers (Theorem 1) replace her previous session under
+// the campaign's scope in the long-run store, so an unchanged prefix writes
+// nothing. Calls run one at a time from the answer snapshot to the last
+// store write; submits continue concurrently.
 func (s *System) Results() (*truth.Result, error) {
-	as := s.answersSnapshot()
-	s.mu.RLock()
-	inferTasks := s.inferTasksRLocked()
-	s.mu.RUnlock()
-	combined, answers, pinned, err := s.combined(inferTasks, as)
+	s.resultsMu.Lock()
+	defer s.resultsMu.Unlock()
+	res, tasks, n, as, err := s.infer()
 	if err != nil {
 		return nil, err
 	}
-	res, err := truth.Infer(combined, answers, s.m, truth.Options{
-		InitQuality: s.initQuality(as),
-		Pinned:      pinned,
-	})
-	if err != nil {
-		return nil, err
+	if s.scope == "" {
+		s.scope = s.store.MintScope()
 	}
-	for w, st := range truth.SessionStats(combined, answers, res, s.m) {
-		if err := s.store.Merge(w, st); err != nil {
+	sessions := truth.SessionStats(tasks[:n], as, res, s.m)
+	for _, w := range as.Workers() {
+		if err := s.store.Session(s.scope, w, sessions[w]); err != nil {
 			return nil, err
 		}
 	}
-	// Trim the golden entries so the result aligns with InferTasks.
-	n := len(inferTasks)
-	res.S = res.S[:n]
-	res.M = res.M[:n]
-	res.Truth = res.Truth[:n]
+	res.S, res.M, res.Truth = res.S[:n], res.M[:n], res.Truth[:n]
 	return res, nil
+}
+
+// infer runs the full iterative TI, golden evidence pinned, over a snapshot
+// of the answer log: a pure function of the answer prefix and the anchors.
+// tasks are the n non-golden tasks, then the golden ones.
+func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, as *model.AnswerSet, err error) {
+	as = s.answersSnapshot()
+	s.mu.RLock()
+	inferTasks := s.inferTasksRLocked()
+	s.mu.RUnlock()
+	tasks, answers, pinned, err := s.combined(inferTasks, as)
+	if err != nil {
+		return nil, nil, 0, nil, err
+	}
+	res, err = truth.Infer(tasks, answers, s.m, truth.Options{InitQuality: s.initQuality(as), Pinned: pinned})
+	return res, tasks, len(inferTasks), as, err
 }
 
 // answersSnapshot rebuilds an AnswerSet from a point-in-time copy of the
@@ -942,9 +950,9 @@ func (s *System) answersSnapshot() *model.AnswerSet {
 // combined appends the golden tasks (with pinned truths) and the golden
 // answers to the campaign's tasks and the given answer snapshot, anchoring
 // inference. The input answer set is cloned, not mutated: callers keep
-// using it as the regular-answers-only view (Reseed and initQuality must
-// not see golden evidence — it is already anchored into worker stats via
-// golden profiling, and folding it in again would double-count).
+// using it as the regular-answers-only view (Reseed, initQuality and a
+// session must not see golden evidence — it is already anchored into worker
+// stats via golden profiling; folding it in again would double-count).
 func (s *System) combined(inferTasks []*model.Task, answers *model.AnswerSet) ([]*model.Task, *model.AnswerSet, map[int]int, error) {
 	s.mu.RLock()
 	goldenList := s.goldenList
@@ -1256,27 +1264,16 @@ func (s *System) runRerun() error {
 
 // rerunLocked is runRerun's body; callers hold rerunMu.
 func (s *System) rerunLocked() error {
-	as := s.answersSnapshot()
-	s.mu.RLock()
-	inferTasks := s.inferTasksRLocked()
-	s.mu.RUnlock()
 	if s.rerunFault != nil {
 		if err := s.rerunFault(); err != nil {
 			return err
 		}
 	}
-	combined, answers, pinned, err := s.combined(inferTasks, as)
+	res, tasks, _, as, err := s.infer()
 	if err != nil {
 		return err
 	}
-	res, err := truth.Infer(combined, answers, s.m, truth.Options{
-		InitQuality: s.initQuality(as),
-		Pinned:      pinned,
-	})
-	if err != nil {
-		return err
-	}
-	s.inc.Reseed(combined, res, as)
+	s.inc.Reseed(tasks, res, as)
 	// The rerun swap is the only mutation that can change answer counts
 	// non-monotonically, so re-derive the open-task set from the reseeded
 	// snapshots (reopening any task the swap put back under its redundancy

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -62,10 +63,10 @@ func TestDeltaDurabilityWithoutSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w1", mkStats(3, 2)); err != nil {
+	if err := s.Session("c1", "w1", mkStats(3, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w1", mkStats(3, 1)); err != nil {
+	if err := s.Session("c2", "w1", mkStats(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("w2", mkStats(3, 4)); err != nil {
@@ -93,7 +94,7 @@ func TestTornDeltaTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w1", mkStats(2, 2)); err != nil {
+	if err := s.Session("c3", "w1", mkStats(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := s.Worker("w1")
@@ -136,7 +137,7 @@ func TestTornDeltaTailThenAppendBoots(t *testing.T) {
 	merge := func(s *Store, ids ...string) {
 		t.Helper()
 		for i, id := range ids {
-			if err := s.Merge(id, mkStats(2, float64(i+1))); err != nil {
+			if err := s.Session("c4", id, mkStats(2, float64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -200,7 +201,7 @@ func TestCrashMidSaveKeepsOldCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w1", mkStats(2, 3)); err != nil {
+	if err := s.Session("c5", "w1", mkStats(2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -251,11 +252,11 @@ func TestFailedSaveLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w1", mkStats(2, 3)); err != nil {
+	if err := s.Session("c6", "w1", mkStats(2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	huge := strings.Repeat("w", wal.MaxPayload)
-	if err := s.Merge(huge, mkStats(2, 5)); err == nil {
+	if err := s.Session("c7", huge, mkStats(2, 5)); err == nil {
 		t.Fatal("a record past MaxPayload reported success")
 	}
 	if _, _, err := s.MergeProfile("camp/"+huge, huge, mkStats(2, 5)); err == nil {
@@ -264,7 +265,7 @@ func TestFailedSaveLosesNothing(t *testing.T) {
 	if _, ok := s.Worker(huge); ok || len(s.ProfileIDs()) != 0 {
 		t.Fatal("a refused update changed the store in memory")
 	}
-	if err := s.Merge("w2", mkStats(2, 5)); err != nil {
+	if err := s.Session("c8", "w2", mkStats(2, 5)); err != nil {
 		t.Fatal(err)
 	}
 	want1, _ := s.Worker("w1")
@@ -281,17 +282,17 @@ func TestFailedSaveLosesNothing(t *testing.T) {
 	}
 }
 
-// TestStaleDeltasNotReappliedAfterSave: a Merge is not idempotent, so each
-// record must apply exactly once however often the log is reopened — two
-// reopens in a row land on the same bits, and a merge made after them
-// applies once more and no more.
+// TestStaleDeltasNotReappliedAfterSave: each record applies exactly once
+// however often the log is reopened — two reopens in a row land on the same
+// bits, and a session in another scope made after them applies once more
+// and no more.
 func TestStaleDeltasNotReappliedAfterSave(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w1", mkStats(2, 2)); err != nil {
+	if err := s.Session("c9", "w1", mkStats(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := s.Worker("w1")
@@ -314,7 +315,7 @@ func TestStaleDeltasNotReappliedAfterSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s3.Merge("w1", mkStats(2, 1)); err != nil {
+	if err := s3.Session("c10", "w1", mkStats(2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	want2, _ := s3.Worker("w1")
@@ -339,10 +340,10 @@ func TestDeltaMidFileCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w1", mkStats(2, 2)); err != nil {
+	if err := s.Session("c11", "w1", mkStats(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Merge("w2", mkStats(2, 3)); err != nil {
+	if err := s.Session("c12", "w2", mkStats(2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -367,8 +368,9 @@ func TestDeltaMidFileCorruptionRejected(t *testing.T) {
 }
 
 // TestSaveResetsDeltaLog: the log holds one record per update and nothing
-// else — no checkpoint to reset, no record for a read or for a profiling
-// merge replayed under an ID the store already holds.
+// else — no checkpoint to reset, no record for a read, for a profiling
+// merge replayed under an ID the store already holds, or for a session
+// bit-equal to the one its scope holds.
 func TestSaveResetsDeltaLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 2)
@@ -377,7 +379,7 @@ func TestSaveResetsDeltaLog(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 5; i++ {
-		if err := s.Merge("w", mkStats(2, float64(i))); err != nil {
+		if err := s.Session(fmt.Sprintf("c%d", i), "w", mkStats(2, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,10 +387,13 @@ func TestSaveResetsDeltaLog(t *testing.T) {
 		if _, _, err := s.MergeProfile("camp/w", "w", mkStats(2, 1)); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Session("c4", "w", mkStats(2, 4)); err != nil {
+			t.Fatal(err)
+		}
 		s.Worker("w")
 		s.ProfileAnchor("camp/w")
 	}
 	if got := records(t, path); got != 6 {
-		t.Fatalf("the log holds %d records, want 6 (five merges, one profile)", got)
+		t.Fatalf("the log holds %d records, want 6 (five sessions, one profile)", got)
 	}
 }

@@ -57,9 +57,10 @@ func randomStats(r *mathx.Rand, m int) *truth.Stats {
 	return st
 }
 
-// TestPropertyStoreReopenBitExact: seeded Put / Merge / MergeProfile
-// streams from several goroutines — workers and profile IDs shared between
-// them, so the log's order is the only record of how they interleaved —
+// TestPropertyStoreReopenBitExact: seeded Put / Session / MergeProfile
+// streams from several goroutines — workers, scopes and profile IDs shared
+// between them, so the log's order is the only record of how they
+// interleaved —
 // leave a log whose reopen rebuilds every worker record and every profile
 // anchor bit for bit, with the live store still open (a crash image) and
 // after it is closed.
@@ -83,7 +84,7 @@ func TestPropertyStoreReopenBitExact(t *testing.T) {
 					case x < 0.2:
 						err = live.Put(w, st)
 					case x < 0.6:
-						err = live.Merge(w, st)
+						err = live.Session(fmt.Sprintf("c%d", r.Intn(3)), w, st)
 					default:
 						_, _, err = live.MergeProfile(fmt.Sprintf("c%d/%s", r.Intn(3), w), w, st)
 					}
@@ -174,10 +175,11 @@ func TestStoreMergesGroupCommit(t *testing.T) {
 }
 
 // TestReadsWaitForTheirRecord: a value a read returns is already in the
-// log. One goroutine merges weight 1 into a worker over and over while the
-// test reads the worker back and counts the records the log holds: the
-// weight it read never exceeds that count. A read that did not wait for the
-// newest reservation sees merges the flusher has not written yet.
+// log. One goroutine adds weight-1 sessions to a worker, each in a scope of
+// its own, while the test reads the worker back and counts the records the
+// log holds: the weight it read never exceeds that count. A read that did
+// not wait for the newest reservation sees sessions the flusher has not
+// written yet.
 func TestReadsWaitForTheirRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, 1)
@@ -189,7 +191,7 @@ func TestReadsWaitForTheirRecord(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			if err := s.Merge("w", &truth.Stats{Q: []float64{0.5}, U: []float64{1}}); err != nil {
+			if err := s.Session(fmt.Sprintf("c%d", i), "w", &truth.Stats{Q: []float64{0.5}, U: []float64{1}}); err != nil {
 				t.Error(err)
 				return
 			}

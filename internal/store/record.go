@@ -11,28 +11,30 @@ import (
 
 // The update ops a record can carry.
 const (
-	opPut     byte = 1 // overwrite the worker's record
-	opMerge   byte = 2 // fold a session in (Theorem 1)
-	opProfile byte = 3 // opMerge, and record the result under a profile ID
+	opPut     byte = 1 // overwrite the worker's base
+	opMerge   byte = 2 // fold a session into the base (Theorem 1); older logs only
+	opProfile byte = 3 // opMerge, and record the folded result under a profile ID
+	opSession byte = 4 // hold a scope's latest session, replacing its previous one
 )
 
-// update is one Put, Merge or MergeProfile: what a KindStore record holds.
+// update is one Put, Session or MergeProfile (or a replayed merge): what a
+// KindStore record holds.
 type update struct {
 	op      byte
-	id, pid string // worker; profile ID (opProfile only)
+	id, key string // worker; profile ID (opProfile) or scope (opSession)
 	st      *truth.Stats
 }
 
 // encodeUpdate renders the record's blob (the worker is the record's
 // Worker field):
 //
-//	m uvarint | op byte | pid (uvarint length | bytes; opProfile only) | q sparse | u sparse
+//	m uvarint | op byte | key (uvarint length | bytes; opProfile and opSession only) | q sparse | u sparse
 //
 // with the statistics as AppendStats writes them.
 func encodeUpdate(u update, m int) ([]byte, error) {
 	b := append(binary.AppendUvarint(nil, uint64(m)), u.op)
-	if u.op == opProfile {
-		b = append(binary.AppendUvarint(b, uint64(len(u.pid))), u.pid...)
+	if u.op == opProfile || u.op == opSession {
+		b = append(binary.AppendUvarint(b, uint64(len(u.key))), u.key...)
 	}
 	return AppendStats(b, u.st, m)
 }
@@ -65,9 +67,9 @@ func PopStats(c *wal.Cursor, m int) (*truth.Stats, error) {
 
 // decodeUpdate parses a store-log record over m domains. It never panics,
 // and what it accepts is exactly what encodeUpdate writes: another record
-// kind or domain count, an unknown op, an empty profile ID, a listed default
-// entry, an index out of order or not below m, statistics Validate refuses
-// or a trailing byte is an error.
+// kind or domain count, an unknown op, an empty profile ID or scope, a
+// listed default entry, an index out of order or not below m, statistics
+// Validate refuses or a trailing byte is an error.
 func decodeUpdate(rec wal.Record, m int) (update, error) {
 	if rec.Kind != wal.KindStore {
 		return update{}, fmt.Errorf("a kind %d record is not a worker-store update", rec.Kind)
@@ -79,9 +81,9 @@ func decodeUpdate(rec wal.Record, m int) (update, error) {
 	u := update{op: c.Byte(), id: rec.Worker}
 	switch u.op {
 	case opPut, opMerge:
-	case opProfile:
-		if u.pid = string(c.Bytes()); u.pid == "" {
-			c.Failf("profile update has an empty profile ID")
+	case opProfile, opSession:
+		if u.key = string(c.Bytes()); u.key == "" {
+			c.Failf("op %d update has an empty key", u.op)
 		}
 	default:
 		c.Failf("unknown update op %d", u.op)

@@ -21,8 +21,9 @@ func sampleUpdates() []update {
 	return []update{
 		{op: opPut, id: "w", st: odd},
 		{op: opMerge, id: "wörker", st: truth.NewStats(3)},
-		{op: opProfile, id: "w", pid: "camp/w", st: odd},
-		{op: opProfile, id: "", pid: "/", st: &truth.Stats{Q: model.QualityVector{0.7, 0.7, 0.7}, U: []float64{0, 0, math.Copysign(0, -1)}}},
+		{op: opProfile, id: "w", key: "camp/w", st: odd},
+		{op: opProfile, id: "", key: "/", st: &truth.Stats{Q: model.QualityVector{0.7, 0.7, 0.7}, U: []float64{0, 0, math.Copysign(0, -1)}}},
+		{op: opSession, id: "w", key: "#1", st: odd},
 	}
 }
 
@@ -53,7 +54,7 @@ func checkUpdateDecode(t *testing.T, blob []byte) {
 }
 
 // TestUpdateRoundTrip: every op survives encode → decode with its worker,
-// profile ID and float bits, and a default entry costs no byte.
+// profile ID or scope and float bits, and a default entry costs no byte.
 func TestUpdateRoundTrip(t *testing.T) {
 	for i, u := range sampleUpdates() {
 		blob := mustEncode(t, u)
@@ -61,7 +62,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
-		if got.op != u.op || got.id != u.id || got.pid != u.pid || !statsEqual(got.st, u.st) {
+		if got.op != u.op || got.id != u.id || got.key != u.key || !statsEqual(got.st, u.st) {
 			t.Errorf("update %d round trip = %+v, want %+v", i, got, u)
 		}
 	}
@@ -75,23 +76,26 @@ func TestUpdateRoundTrip(t *testing.T) {
 func TestUpdateIsCanonical(t *testing.T) {
 	put := mustEncode(t, sampleUpdates()[0])     // 03 01 | q | u
 	profile := mustEncode(t, sampleUpdates()[2]) // 03 03 06 "camp/w" | q | u
+	session := mustEncode(t, sampleUpdates()[4]) // 03 04 02 "#1" | q | u
 	withPID := append([]byte{3, byte(opPut), 1, 'w'}, put[2:]...)
 	for name, blob := range map[string][]byte{
-		"another domain count":       append([]byte{4}, put[1:]...),
-		"overlong domain count":      append([]byte{0x83, 0x00}, put[1:]...),
-		"unknown op":                 append([]byte{3, 9}, put[2:]...),
-		"op zero":                    append([]byte{3, 0}, put[2:]...),
-		"a pid on a non-profile op":  withPID,
-		"profile with an empty pid":  append([]byte{3, byte(opProfile), 0}, put[2:]...),
-		"listed default quality":     append([]byte{3, byte(opMerge), 1, 0, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0xe6, 0x3f}, 0),
-		"listed +0 weight":           {3, byte(opMerge), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"index not below m":          {3, byte(opMerge), 0, 1, 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
-		"indexes out of order":       {3, byte(opMerge), 0, 2, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
-		"negative weight":            {3, byte(opMerge), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0xbf},
-		"quality above one":          {3, byte(opMerge), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0},
-		"trailing byte":              append(append([]byte(nil), profile...), 0),
-		"empty":                      nil,
-		"profile cut before its pid": profile[:2],
+		"another domain count":         append([]byte{4}, put[1:]...),
+		"overlong domain count":        append([]byte{0x83, 0x00}, put[1:]...),
+		"unknown op":                   append([]byte{3, 9}, put[2:]...),
+		"op zero":                      append([]byte{3, 0}, put[2:]...),
+		"a pid on a non-profile op":    withPID,
+		"profile with an empty pid":    append([]byte{3, byte(opProfile), 0}, put[2:]...),
+		"listed default quality":       append([]byte{3, byte(opMerge), 1, 0, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0xe6, 0x3f}, 0),
+		"listed +0 weight":             {3, byte(opMerge), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"index not below m":            {3, byte(opMerge), 0, 1, 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+		"indexes out of order":         {3, byte(opMerge), 0, 2, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+		"negative weight":              {3, byte(opMerge), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0xbf},
+		"quality above one":            {3, byte(opMerge), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0},
+		"trailing byte":                append(append([]byte(nil), profile...), 0),
+		"empty":                        nil,
+		"profile cut before its pid":   profile[:2],
+		"session with an empty scope":  append([]byte{3, byte(opSession), 0}, put[2:]...),
+		"session cut inside its scope": session[:4],
 	} {
 		if _, err := decodeUpdate(wal.Record{Kind: wal.KindStore, Blob: blob}, 3); err == nil {
 			t.Errorf("%s: decoded", name)
@@ -134,7 +138,8 @@ func TestUpdateDecodeDamage(t *testing.T) {
 // reader, which every store Open runs once per logged update. Seed corpus
 // in testdata/fuzz/FuzzStoreRecordDecode (checked in): a put with −0 and a
 // denormal, an all-default merge, a profile, the profile cut short, with
-// an overlong domain count, with an unknown op.
+// an overlong domain count, with an unknown op, a session, a session with an
+// empty scope, a session cut inside its scope.
 func FuzzStoreRecordDecode(f *testing.F) {
 	for _, u := range sampleUpdates() {
 		f.Add(mustEncode(f, u))

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"docs/internal/truth"
+	"docs/internal/wal"
 )
 
 func TestOpenMemoryOnly(t *testing.T) {
@@ -76,14 +79,16 @@ func TestPutValidates(t *testing.T) {
 	}
 }
 
+// TestMergeTheorem1: sessions in two scopes fold into the worker's value
+// per Theorem 1.
 func TestMergeTheorem1(t *testing.T) {
 	s, _ := Open("", 1)
 	first := &truth.Stats{Q: []float64{0.8}, U: []float64{4}}
-	if err := s.Merge("w", first); err != nil {
+	if err := s.Session("a", "w", first); err != nil {
 		t.Fatal(err)
 	}
 	second := &truth.Stats{Q: []float64{0.5}, U: []float64{1}}
-	if err := s.Merge("w", second); err != nil {
+	if err := s.Session("b", "w", second); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := s.Worker("w")
@@ -93,6 +98,211 @@ func TestMergeTheorem1(t *testing.T) {
 	}
 	if got.U[0] != 5 {
 		t.Errorf("merged U = %g, want 5", got.U[0])
+	}
+}
+
+// fold is what Worker must return: base (or the prior) with the sessions
+// merged in the order given.
+func fold(base *truth.Stats, m int, sessions ...*truth.Stats) *truth.Stats {
+	v := truth.NewStats(m)
+	if base != nil {
+		v = base.Clone()
+	}
+	for _, st := range sessions {
+		v.Merge(st)
+	}
+	return v
+}
+
+// TestSessionReplacesItsScope: a session replaces the one its scope held and
+// no other; the worker's value is her base — the profiling merge — with the
+// sessions merged in scope order, whatever order they arrived in; a
+// profile's anchor is the value right after its merge; and all of it
+// reopens bit for bit.
+func TestSessionReplacesItsScope(t *testing.T) {
+	const m = 2
+	path := filepath.Join(t.TempDir(), "store")
+	s, err := Open(path, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, a2, b := mkStats(m, 1), mkStats(m, 2), mkStats(m, 3)
+	for _, step := range []struct {
+		scope string
+		st    *truth.Stats
+		want  *truth.Stats
+	}{
+		{"b", b, fold(nil, m, b)},
+		{"a", a1, fold(nil, m, a1, b)},
+		{"a", a2, fold(nil, m, a2, b)},
+	} {
+		if err := s.Session(step.scope, "w", step.st); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := s.Worker("w"); !statsEqual(got, step.want) {
+			t.Fatalf("after a session in %q: %+v, want %+v", step.scope, got, step.want)
+		}
+	}
+	profile := mkStats(m, 4)
+	anchor, _, err := s.MergeProfile("camp/w", "w", profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fold(fold(nil, m, profile), m, a2, b)
+	if got, _ := s.Worker("w"); !statsEqual(got, want) || !statsEqual(anchor, want) {
+		t.Fatalf("after profiling: worker %+v, anchor %+v, want both %+v", got, anchor, want)
+	}
+	if err := s.Session("", "w", b); err == nil {
+		t.Error("a session with an empty scope accepted")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(path, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got, _ := again.Worker("w"); !statsEqual(got, want) {
+		t.Errorf("reopened worker %+v, want %+v", got, want)
+	}
+	if got, _ := again.ProfileAnchor("camp/w"); !statsEqual(got, want) {
+		t.Errorf("reopened anchor %+v, want %+v", got, want)
+	}
+}
+
+// TestSessionRepeatWritesNothing: a session bit-equal to the one its scope
+// holds appends no record, before and after a reopen, while one that differs
+// by a single bit — a −0 weight — appends one.
+func TestSessionRepeatWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store")
+	s, err := Open(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mkStats(2, 2)
+	for i := 0; i < 3; i++ {
+		if err := s.Session("camp", "w", st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Session("camp", "w", st); err != nil {
+		t.Fatal(err)
+	}
+	if got := records(t, path); got != 1 {
+		t.Fatalf("four bit-equal sessions left %d records, want 1", got)
+	}
+	negZero := truth.NewStats(2)
+	negZero.U[0] = math.Copysign(0, -1)
+	for _, st := range []*truth.Stats{truth.NewStats(2), negZero} {
+		if err := s.Session("camp", "w", st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := records(t, path); got != 3 {
+		t.Fatalf("two differing sessions left %d records, want 3", got)
+	}
+}
+
+// TestMintScopeSkipsHeldScopes: a minted scope is "#n", past every "#n" the
+// log holds and every scope minted before, so a standalone campaign never
+// takes over another's session — and a name scope that is not a mint's
+// moves nothing.
+func TestMintScopeSkipsHeldScopes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store")
+	s, err := Open(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := s.MintScope(), s.MintScope(); a != "#1" || b != "#2" {
+		t.Fatalf("a fresh store minted %q, %q, want #1, #2", a, b)
+	}
+	for _, scope := range []string{"#7", "#x", "camp9"} {
+		if err := s.Session(scope, "w", truth.NewStats(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.MintScope(); got != "#8" {
+		t.Errorf("minted %q after a session under #7, want #8", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.MintScope(); got != "#8" {
+		t.Errorf("a reopened store minted %q, want #8 (#7 is the highest its log holds)", got)
+	}
+}
+
+// TestMergeLogKeepsParentBits: a log holding plain merges (op 2, which
+// nothing writes any more) beside puts, profiles and sessions opens to the
+// bits the merges always folded to — the base is the log-order fold — and
+// opens so again, so no merge is applied twice.
+func TestMergeLogKeepsParentBits(t *testing.T) {
+	const m = 2
+	path := filepath.Join(t.TempDir(), "store")
+	lg, err := wal.Open(path, wal.Options{Sync: wal.SyncEveryBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, x, y, p, sess := mkStats(m, 1), mkStats(m, 2), mkStats(m, 3), mkStats(m, 4), mkStats(m, 5)
+	for _, u := range []update{
+		{op: opMerge, id: "w1", st: x},
+		{op: opMerge, id: "w1", st: y},
+		{op: opPut, id: "w2", st: put},
+		{op: opMerge, id: "w2", st: x},
+		{op: opProfile, id: "w2", key: "camp/w2", st: p},
+		{op: opSession, id: "w2", key: "camp", st: sess},
+		{op: opMerge, id: "w2", st: y},
+	} {
+		blob, err := encodeUpdate(u, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending, err := lg.Reserve(wal.Record{Kind: wal.KindStore, Worker: u.id, Blob: blob})
+		if err == nil {
+			err = pending.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w1 := fold(nil, m, x, y)
+	base := fold(put, m, x, p)
+	anchor := fold(base, m)
+	base.Merge(y)
+	w2 := fold(base, m, sess)
+	for reopen := 1; reopen <= 2; reopen++ {
+		s, err := Open(path, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, want := range map[string]*truth.Stats{"w1": w1, "w2": w2} {
+			if got, _ := s.Worker(id); !statsEqual(got, want) {
+				t.Errorf("reopen %d: %s = %+v, want %+v", reopen, id, got, want)
+			}
+		}
+		if got, _ := s.ProfileAnchor("camp/w2"); !statsEqual(got, anchor) {
+			t.Errorf("reopen %d: anchor %+v, want %+v", reopen, got, anchor)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -157,7 +367,7 @@ func TestConcurrentAccess(t *testing.T) {
 			id := string(rune('a' + g))
 			for i := 0; i < 100; i++ {
 				session := &truth.Stats{Q: []float64{0.5, 0.5}, U: []float64{1, 1}}
-				if err := s.Merge(id, session); err != nil {
+				if err := s.Session(fmt.Sprintf("c%d", i), id, session); err != nil {
 					t.Error(err)
 					return
 				}

@@ -171,6 +171,36 @@ func TestOneReaderOneWriter(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("found %d calls of snapshotPass, want 1 (in Hibernate)", calls)
 	}
+
+	// The campaign's inference runs in infer and nowhere else: Results and
+	// the periodic rerun share it.
+	calls = 0
+	funcNodes(t, fset, "internal/core/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		if sel, ok := n.(*ast.SelectorExpr); ok && types.ExprString(sel) == "truth.Infer" {
+			if fn.Name.Name != "infer" {
+				t.Errorf("%s: %s calls truth.Infer; only infer may", fset.Position(sel.Pos()), fn.Name.Name)
+			}
+			calls++
+		}
+	})
+	if calls != 1 {
+		t.Errorf("found %d calls of truth.Infer in internal/core, want 1 (in infer)", calls)
+	}
+
+	// A plain merge (store op 2) is read from older logs and written by
+	// nothing: only the decoder names the op.
+	calls = 0
+	funcNodes(t, fset, "internal/store/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "opMerge" {
+			if fn.Name.Name != "decodeUpdate" {
+				t.Errorf("%s: %s names opMerge; only decodeUpdate may", fset.Position(id.Pos()), fn.Name.Name)
+			}
+			calls++
+		}
+	})
+	if calls != 1 {
+		t.Errorf("found opMerge %d times in internal/store's functions, want 1 (in decodeUpdate)", calls)
+	}
 }
 
 // funcNodes calls visit with every node of every function declared in the
