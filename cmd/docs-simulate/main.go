@@ -248,7 +248,7 @@ func printWorkerCalibration(sys *core.System, pop *crowd.Population, ds *dataset
 		answered int
 		dev      float64
 	}
-	trueQ := pop.TrueQualities()
+	trueQ, answers := pop.TrueQualities(), sys.Answers()
 	var rows []row
 	for w, eq := range res.Quality {
 		tq, ok := trueQ[w]
@@ -264,9 +264,11 @@ func printWorkerCalibration(sys *core.System, pop *crowd.Population, ds *dataset
 			dev += d
 		}
 		dev /= float64(len(ds.YahooIndex))
-		rows = append(rows, row{w, len(sys.Answers().ForWorker(w)), dev})
+		rows = append(rows, row{w, len(answers.ForWorker(w)), dev})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].answered > rows[j].answered })
+	sort.Slice(rows, func(i, j int) bool { // by answers, ties by ID: rows come in map order
+		return rows[i].answered > rows[j].answered || rows[i].answered == rows[j].answered && rows[i].id < rows[j].id
+	})
 	fmt.Println("top workers (answers, |trueQ-estQ| over dataset domains):")
 	for i, rw := range rows {
 		if i >= 5 {

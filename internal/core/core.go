@@ -895,16 +895,16 @@ func (s *System) Result(taskID int) (choice int, confidence []float64) {
 func (s *System) Results() (*truth.Result, error) {
 	s.resultsMu.Lock()
 	defer s.resultsMu.Unlock()
-	res, tasks, n, as, err := s.infer()
+	res, tasks, n, idx, err := s.infer()
 	if err != nil {
 		return nil, err
 	}
 	if s.scope == "" {
 		s.scope = s.store.MintScope()
 	}
-	sessions := truth.SessionStats(tasks[:n], as, res, s.m)
-	for _, w := range as.Workers() {
-		if err := s.store.Session(s.scope, w, sessions[w]); err != nil {
+	sessions := truth.SessionStats(tasks[:n], idx, res, s.m)
+	for wi, w := range idx.Workers() {
+		if err := s.store.Session(s.scope, w, &sessions[wi]); err != nil {
 			return nil, err
 		}
 	}
@@ -912,79 +912,73 @@ func (s *System) Results() (*truth.Result, error) {
 	return res, nil
 }
 
-// infer runs the full iterative TI, golden evidence pinned, over a snapshot
-// of the answer log: a pure function of the answer prefix and the anchors.
-// tasks are the n non-golden tasks, then the golden ones.
-func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, as *model.AnswerSet, err error) {
-	as = s.answersSnapshot()
+// infer runs the full iterative TI, golden evidence pinned, over the
+// answer log's prefix: a pure function of the prefix and the anchors.
+// tasks are the n non-golden tasks, then the golden ones; idx indexes the
+// regular answers alone.
+func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *model.LogIndex, err error) {
+	prefix := s.logPrefix()
+	idx, err = model.IndexLog(prefix)
+	if err != nil { // the log holds only answers the truth engine accepted
+		panic(fmt.Sprintf("core: corrupt answer log: %v", err))
+	}
 	s.mu.RLock()
 	inferTasks := s.inferTasksRLocked()
 	s.mu.RUnlock()
-	tasks, answers, pinned, err := s.combined(inferTasks, as)
+	tasks, all, pinned, err := s.combined(inferTasks, prefix, idx)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
-	res, err = truth.Infer(tasks, answers, s.m, truth.Options{InitQuality: s.initQuality(as), Pinned: pinned})
-	return res, tasks, len(inferTasks), as, err
+	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(idx), Pinned: pinned})
+	return res, tasks, len(inferTasks), idx, err
 }
 
-// answersSnapshot rebuilds an AnswerSet from a point-in-time copy of the
-// chronological answer log. Keeping the original submission order matters:
-// several consumers accumulate floating-point sums over the per-task and
-// per-worker slices, and a reordering would perturb results in the last ulp.
-func (s *System) answersSnapshot() *model.AnswerSet {
+// logPrefix returns the answer log as it stands, without copying it. The
+// log is append-only (submitOne appends, restoreSnapshot assigns it before
+// serving, nothing writes into it), so a slice capped at its length is a
+// snapshot: a later append lands past the cap or in a new backing array.
+func (s *System) logPrefix() []model.Answer {
 	s.logMu.Lock()
-	logCopy := append([]model.Answer(nil), s.log...)
-	s.logMu.Unlock()
-	as := model.NewAnswerSet()
-	for _, a := range logCopy {
-		// The log only ever holds answers the truth engine accepted, so
-		// duplicates cannot occur here.
-		if err := as.Add(a); err != nil {
-			panic(fmt.Sprintf("core: corrupt answer log: %v", err))
-		}
-	}
-	return as
+	defer s.logMu.Unlock()
+	return s.log[:len(s.log):len(s.log)]
 }
 
-// combined appends the golden tasks (with pinned truths) and the golden
-// answers to the campaign's tasks and the given answer snapshot, anchoring
-// inference. The input answer set is cloned, not mutated: callers keep
-// using it as the regular-answers-only view (Reseed, initQuality and a
-// session must not see golden evidence — it is already anchored into worker
-// stats via golden profiling; folding it in again would double-count).
-func (s *System) combined(inferTasks []*model.Task, answers *model.AnswerSet) ([]*model.Task, *model.AnswerSet, map[int]int, error) {
+// combined appends the golden tasks (pinned) and answers to the campaign's
+// tasks and the answer prefix, anchoring inference, and indexes the result.
+// Reseed, initQuality and a session read the prefix's own index: golden
+// evidence is already in worker stats via profiling, and would count twice.
+func (s *System) combined(inferTasks []*model.Task, prefix []model.Answer, idx *model.LogIndex) ([]*model.Task, *model.LogIndex, map[int]int, error) {
 	s.mu.RLock()
 	goldenList := s.goldenList
 	s.mu.RUnlock()
-	combined := inferTasks
-	pinned := make(map[int]int)
-	if len(goldenList) > 0 {
-		combined = make([]*model.Task, len(inferTasks), len(inferTasks)+len(goldenList))
-		copy(combined, inferTasks)
-		for _, t := range goldenList {
-			combined = append(combined, t)
-			pinned[t.ID] = t.Truth
-		}
-		answers = answers.Clone()
-		// Sorted worker order: golden answers must enter the answer set in
-		// a fixed order, or per-task likelihood sums reorder between runs
-		// and ulp-level differences flip assignment ties.
-		golden := s.goldenAnswersByWorker()
-		workers := make([]string, 0, len(golden))
-		for w := range golden {
-			workers = append(workers, w)
-		}
-		sort.Strings(workers)
-		for _, w := range workers {
-			for _, a := range golden[w] {
-				if err := answers.Add(a); err != nil {
-					return nil, nil, nil, err
-				}
-			}
-		}
+	if len(goldenList) == 0 {
+		return inferTasks, idx, nil, nil
 	}
-	return combined, answers, pinned, nil
+	combined := make([]*model.Task, len(inferTasks), len(inferTasks)+len(goldenList))
+	copy(combined, inferTasks)
+	pinned := make(map[int]int, len(goldenList))
+	for _, t := range goldenList {
+		combined = append(combined, t)
+		pinned[t.ID] = t.Truth
+	}
+	// Sorted worker order: golden answers must enter the log in a fixed
+	// order, or per-task likelihood sums reorder between runs and
+	// ulp-level differences flip assignment ties.
+	golden := s.goldenAnswersByWorker()
+	workers := make([]string, 0, len(golden))
+	count := 0
+	for w, as := range golden {
+		workers = append(workers, w)
+		count += len(as)
+	}
+	sort.Strings(workers)
+	log := make([]model.Answer, len(prefix), len(prefix)+count)
+	copy(log, prefix)
+	for _, w := range workers {
+		log = append(log, golden[w]...)
+	}
+	all, err := model.IndexLog(log)
+	return combined, all, pinned, err
 }
 
 // goldenAnswersByWorker gathers every worker's golden answers across the
@@ -1029,7 +1023,13 @@ func (s *System) WorkerQuality(workerID string) model.QualityVector {
 
 // Answers returns a snapshot of the collected non-golden answers.
 func (s *System) Answers() *model.AnswerSet {
-	return s.answersSnapshot()
+	as := model.NewAnswerSet()
+	for _, a := range s.logPrefix() {
+		if err := as.Add(a); err != nil {
+			panic(fmt.Sprintf("core: corrupt answer log: %v", err))
+		}
+	}
+	return as
 }
 
 // AnswerCount returns the number of accepted non-golden answers so far.
@@ -1269,11 +1269,11 @@ func (s *System) rerunLocked() error {
 			return err
 		}
 	}
-	res, tasks, _, as, err := s.infer()
+	res, tasks, _, idx, err := s.infer()
 	if err != nil {
 		return err
 	}
-	s.inc.Reseed(tasks, res, as)
+	s.inc.Reseed(tasks, res, idx)
 	// The rerun swap is the only mutation that can change answer counts
 	// non-monotonically, so re-derive the open-task set from the reseeded
 	// snapshots (reopening any task the swap put back under its redundancy
@@ -1296,7 +1296,7 @@ func (s *System) rerunLocked() error {
 // store on purpose: the store evolves under concurrent campaigns, and a
 // time-of-rerun store read is an unlogged float input that recovery could
 // not reproduce (see docs/persistence.md).
-func (s *System) initQuality(answers *model.AnswerSet) map[string]model.QualityVector {
+func (s *System) initQuality(answers *model.LogIndex) map[string]model.QualityVector {
 	init := make(map[string]model.QualityVector)
 	for _, w := range answers.Workers() {
 		if a := s.anchorStats(w); a != nil {

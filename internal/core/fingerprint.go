@@ -49,11 +49,9 @@ func (s *System) Fingerprint() string {
 	s.mu.RUnlock()
 
 	fmt.Fprintf(&b, ";answers:%d;", s.submissions.Load())
-	s.logMu.Lock()
-	for _, a := range s.log {
+	for _, a := range s.logPrefix() {
 		fmt.Fprintf(&b, "%s/%d/%d,", a.Worker, a.Task, a.Choice)
 	}
-	s.logMu.Unlock()
 
 	b.WriteString(";views:")
 	for _, t := range tasks {

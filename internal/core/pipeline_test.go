@@ -267,3 +267,49 @@ func TestAllocsInstallPublication(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsRerunPerAnswer: a rerun reads the answer log where it lies. Over
+// 600 tasks of support 1 and 600 workers, the heap one rerun allocates
+// grows by at most 128 B per answer of the prefix (its index, the kernel's
+// per-answer arrays and Step-2 weights) — a copy of the log and a rebuilt
+// AnswerSet cost over 400.
+func TestAllocsRerunPerAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const tasks, workers, perAnswer = 600, 600, 128
+	s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1})
+	defer s.Close()
+	if err := s.Publish(indexTasks(tasks, s.m)); err != nil {
+		t.Fatal(err)
+	}
+	submitted := 0
+	rerunBytes := func(answers int) uint64 {
+		for ; submitted < answers; submitted++ {
+			w := submitted % workers // worker w's j'th answer is task j+7w: no repeats
+			if err := s.Submit(fmt.Sprintf("w%d", w), (submitted/workers+7*w)%tasks, submitted%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.rerunMu.Lock()
+		defer s.rerunMu.Unlock()
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for rep := 0; rep < 3; rep++ {
+			runtime.ReadMemStats(&before)
+			err := s.rerunLocked()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := rerunBytes(2400), rerunBytes(9600)
+	got := float64(large-small) / (9600 - 2400)
+	t.Logf("a rerun allocates %d B at 2,400 answers and %d B at 9,600: %.1f B per answer", small, large, got)
+	if got > perAnswer {
+		t.Errorf("a rerun allocates %.1f B per answer of the prefix, want at most %d", got, perAnswer)
+	}
+}

@@ -90,11 +90,8 @@ func (s *System) exportState(seq uint64) *snapshot.State {
 	sort.Slice(st.Serving, func(i, j int) bool { return st.Serving[i].ID < st.Serving[j].ID })
 
 	// The chronological answer log, column-packed with a worker dictionary.
-	s.logMu.Lock()
-	logCopy := append([]model.Answer(nil), s.log...)
-	s.logMu.Unlock()
 	var lg wal.ColumnBuilder
-	for _, a := range logCopy {
+	for _, a := range s.logPrefix() {
 		lg.Add(a.Worker, a.Task, a.Choice)
 	}
 	st.Log = lg.Columns

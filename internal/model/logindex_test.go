@@ -1,0 +1,122 @@
+package model
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"docs/internal/mathx"
+)
+
+// randomLog draws n answers with distinct (worker, task) pairs over the
+// given workers and task IDs, in random order.
+func randomLog(r *mathx.Rand, workers int, ids []int, n int) []Answer {
+	seen := map[[2]int]bool{}
+	log := make([]Answer, 0, n)
+	for len(log) < n {
+		w, t := r.Intn(workers), r.Intn(len(ids))
+		if seen[[2]int{w, t}] {
+			continue
+		}
+		seen[[2]int{w, t}] = true
+		log = append(log, Answer{Worker: fmt.Sprintf("w%d", w), Task: ids[t], Choice: r.Intn(4)})
+	}
+	return log
+}
+
+// answersAt resolves index positions to the answers they name.
+func answersAt(x *LogIndex, ps []int32) []Answer {
+	out := make([]Answer, len(ps))
+	for i, p := range ps {
+		out[i] = x.At(p)
+	}
+	return out
+}
+
+// TestPropertyLogIndexMatchesAnswerSet: over seeded random logs, the index
+// groups every task's and every worker's answers in the order an AnswerSet
+// built from the same log keeps, lists the same sorted workers and tasks,
+// and refuses a log with repeats with the error Add returns on it — the
+// earliest repeat in log order.
+func TestPropertyLogIndexMatchesAnswerSet(t *testing.T) {
+	r := mathx.NewRand(39)
+	ascending := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	scattered := r.Perm(80) // out of order, half of them negative
+	for i := range scattered {
+		scattered[i] -= 40
+	}
+	shapes := []struct {
+		name       string
+		workers, n int
+		ids        []int
+	}{
+		{"empty", 1, 0, ascending(5)},
+		{"one worker", 1, 40, ascending(60)},
+		{"negative task IDs out of order", 9, 200, scattered},
+		{"many workers per task", 80, 220, ascending(4)},
+	}
+	for _, sh := range shapes {
+		for trial := 0; trial < 25; trial++ {
+			log := randomLog(r, sh.workers, sh.ids, sh.n)
+			as := NewAnswerSet()
+			for _, a := range log {
+				if err := as.Add(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			x, err := IndexLog(log)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			if x.Len() != as.Len() || !slices.Equal(x.Workers(), as.Workers()) || !slices.Equal(x.Tasks(), as.Tasks()) {
+				t.Fatalf("%s: index has %d answers, workers %v, tasks %v; the set %d, %v, %v",
+					sh.name, x.Len(), x.Workers(), x.Tasks(), as.Len(), as.Workers(), as.Tasks())
+			}
+			for _, id := range sh.ids {
+				if got, want := answersAt(x, x.ForTask(id)), as.ForTask(id); !slices.Equal(got, want) {
+					t.Fatalf("%s: task %d: index %v, set %v", sh.name, id, got, want)
+				}
+			}
+			for w, name := range x.Workers() {
+				ps := x.ForWorker(w)
+				if got, want := answersAt(x, ps), as.ForWorker(name); !slices.Equal(got, want) {
+					t.Fatalf("%s: worker %s: index %v, set %v", sh.name, name, got, want)
+				}
+				for _, p := range ps {
+					if x.WorkerOf(p) != int32(w) {
+						t.Fatalf("%s: answer %d is worker %d's, WorkerOf says %d", sh.name, p, w, x.WorkerOf(p))
+					}
+				}
+			}
+
+			if len(log) == 0 {
+				continue
+			}
+			// Repeat 1–4 earlier answers (new choices), each at a random later
+			// place; the set refuses the first repeat in log order.
+			dup := slices.Clone(log)
+			for k := 1 + r.Intn(4); k > 0; k-- {
+				p := r.Intn(len(dup))
+				a := dup[p]
+				a.Choice = r.Intn(4)
+				dup = slices.Insert(dup, p+1+r.Intn(len(dup)-p), a)
+			}
+			var want error
+			set := NewAnswerSet()
+			for _, a := range dup {
+				if want = set.Add(a); want != nil {
+					break
+				}
+			}
+			if _, err := IndexLog(dup); err == nil || err.Error() != want.Error() {
+				t.Fatalf("%s: a log with repeats: IndexLog says %v, Add says %v", sh.name, err, want)
+			}
+		}
+	}
+}

@@ -232,7 +232,7 @@ func NewAnswerSet() *AnswerSet {
 func (s *AnswerSet) Add(a Answer) error {
 	for _, prev := range s.byWorker[a.Worker] {
 		if prev.Task == a.Task {
-			return fmt.Errorf("model: worker %q already answered task %d", a.Worker, a.Task)
+			return errAnswered(a)
 		}
 	}
 	s.byTask[a.Task] = append(s.byTask[a.Task], a)
@@ -289,17 +289,122 @@ func (s *AnswerSet) Has(w string, i int) bool {
 	return false
 }
 
-// Clone returns a deep copy of the answer set. Insertion order is
-// preserved exactly: several consumers accumulate floating-point sums over
-// ForTask/ForWorker slices, and a clone that reordered them (e.g. by
-// iterating the internal maps) would perturb results in the last ulp and
-// break run-to-run reproducibility.
-func (s *AnswerSet) Clone() *AnswerSet {
-	c := NewAnswerSet()
-	for _, a := range s.all {
-		c.byTask[a.Task] = append(c.byTask[a.Task], a)
-		c.byWorker[a.Worker] = append(c.byWorker[a.Worker], a)
+func errAnswered(a Answer) error {
+	return fmt.Errorf("model: worker %q already answered task %d", a.Worker, a.Task)
+}
+
+// LogIndex groups an answer log by task and by worker where it lies, as
+// int32 positions into it: 16 B an answer while built, 12 B after. Each
+// group keeps log order, the order an AnswerSet built from the same log
+// keeps, so a sum over a group runs in the same order. The log must not
+// change while the index is read.
+type LogIndex struct {
+	log                []Answer
+	workers            []string      // the distinct workers, sorted
+	tasks              []int         // the distinct tasks, sorted
+	slot               map[int]int32 // task ID -> its place in tasks
+	worker             []int32       // worker[p]: log[p]'s worker's place in workers
+	byTask, byWorker   []int32       // positions grouped by task / by worker
+	taskOff, workerOff []int32       // group g is by...[off[g]:off[g+1]]
+}
+
+// IndexLog indexes log, which holds fewer than 2^31 answers. A worker
+// answering one task twice is refused with the error AnswerSet.Add returns
+// for the same log: the earliest repeat in log order.
+func IndexLog(log []Answer) (*LogIndex, error) {
+	x := &LogIndex{log: log, slot: make(map[int]int32), worker: make([]int32, len(log))}
+	place := make(map[string]int32) // worker -> place in workers
+	for _, a := range log {
+		if _, ok := place[a.Worker]; !ok {
+			place[a.Worker] = 0
+			x.workers = append(x.workers, a.Worker)
+		}
+		if _, ok := x.slot[a.Task]; !ok {
+			x.slot[a.Task] = 0
+			x.tasks = append(x.tasks, a.Task)
+		}
 	}
-	c.all = append([]Answer(nil), s.all...)
-	return c
+	sort.Strings(x.workers)
+	sort.Ints(x.tasks)
+	for w, id := range x.workers {
+		place[id] = int32(w)
+	}
+	for t, id := range x.tasks {
+		x.slot[id] = int32(t)
+	}
+	task := make([]int32, len(log))
+	for p, a := range log {
+		x.worker[p], task[p] = place[a.Worker], x.slot[a.Task]
+	}
+	x.byTask, x.taskOff = group(task, len(x.tasks))
+	x.byWorker, x.workerOff = group(x.worker, len(x.workers))
+
+	// A repeat is a task stamped twice in one worker's group; the first
+	// there is the worker's earliest, and the log's is the least of those.
+	stamp, first := make([]int32, len(x.tasks)), len(log)
+	for w := range x.workers {
+		for _, p := range x.ForWorker(w) {
+			if stamp[task[p]] == int32(w)+1 {
+				first = min(first, int(p))
+				break
+			}
+			stamp[task[p]] = int32(w) + 1
+		}
+	}
+	if first < len(log) {
+		return nil, errAnswered(log[first])
+	}
+	return x, nil
+}
+
+// group counting-sorts the positions of key by key, each group ascending:
+// group g is pos[off[g]:off[g+1]].
+func group(key []int32, groups int) (pos, off []int32) {
+	off = make([]int32, groups+1)
+	for _, g := range key {
+		off[g+1]++
+	}
+	for g := range groups {
+		off[g+1] += off[g]
+	}
+	next := append([]int32(nil), off[:groups]...)
+	pos = make([]int32, len(key))
+	for p, g := range key {
+		pos[next[g]] = int32(p)
+		next[g]++
+	}
+	return pos, off
+}
+
+// Len returns the number of answers indexed.
+func (x *LogIndex) Len() int { return len(x.log) }
+
+// At returns the answer at log position p.
+func (x *LogIndex) At(p int32) Answer { return x.log[p] }
+
+// Workers returns the distinct workers, sorted; w below is a place in it.
+// The returned slice must not be modified.
+func (x *LogIndex) Workers() []string { return x.workers }
+
+// Tasks returns the distinct answered tasks, sorted. The returned slice
+// must not be modified.
+func (x *LogIndex) Tasks() []int { return x.tasks }
+
+// WorkerOf returns the place in Workers of the worker who gave answer p.
+func (x *LogIndex) WorkerOf(p int32) int32 { return x.worker[p] }
+
+// ForTask returns the positions of task id's answers in log order. The
+// returned slice must not be modified.
+func (x *LogIndex) ForTask(id int) []int32 {
+	t, ok := x.slot[id]
+	if !ok {
+		return nil
+	}
+	return x.byTask[x.taskOff[t]:x.taskOff[t+1]]
+}
+
+// ForWorker returns the positions of the answers of Workers()[w] in log
+// order. The returned slice must not be modified.
+func (x *LogIndex) ForWorker(w int) []int32 {
+	return x.byWorker[x.workerOff[w]:x.workerOff[w+1]]
 }

@@ -179,17 +179,3 @@ func TestAnswerSet(t *testing.T) {
 		t.Errorf("Tasks = %d, want 2", got)
 	}
 }
-
-func TestAnswerSetClone(t *testing.T) {
-	s := NewAnswerSet()
-	if err := s.Add(Answer{Worker: "w", Task: 0, Choice: 0}); err != nil {
-		t.Fatal(err)
-	}
-	c := s.Clone()
-	if err := c.Add(Answer{Worker: "w", Task: 1, Choice: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 1 || c.Len() != 2 {
-		t.Errorf("clone not independent: orig %d, clone %d", s.Len(), c.Len())
-	}
-}

@@ -42,6 +42,16 @@ func allocBytes(f func()) uint64 {
 	return least
 }
 
+// indexed indexes an AnswerSet's answers, as a rerun indexes its log.
+func indexed(t testing.TB, as *model.AnswerSet) *model.LogIndex {
+	t.Helper()
+	idx, err := model.IndexLog(as.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
 // allocCampaign is nAnswered tasks with three answers each followed by
 // nUnanswered tasks with none.
 func allocCampaign(t *testing.T, nAnswered, nUnanswered int) ([]*model.Task, *model.AnswerSet) {
@@ -139,8 +149,9 @@ func TestAllocsRepeatReseed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc.Reseed(tasks, res, as)
-		return allocBytes(func() { inc.Reseed(tasks, res, as) })
+		idx := indexed(t, as)
+		inc.Reseed(tasks, res, idx)
+		return allocBytes(func() { inc.Reseed(tasks, res, idx) })
 	}
 	base := reseedBytes(0)
 	perTask := float64(reseedBytes(nUnanswered)-base) / nUnanswered

@@ -152,7 +152,7 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Reseed(tasks, res, as)
+	inc.Reseed(tasks, res, indexed(t, as))
 
 	reseeded := restStatesFor(cowM, cowEll).reseeded
 	for id := 0; id < cowN; id++ {
@@ -181,7 +181,7 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	// A second rerun over the same answers puts 600 — answered in the engine
 	// but not in the rerun's snapshot — aside and re-aliases nothing it should
 	// not.
-	inc.Reseed(tasks, res, as)
+	inc.Reseed(tasks, res, indexed(t, as))
 	if it := inc.lookup(600); it.qbuf == nil || len(it.answers) != 1 {
 		t.Error("a rerun that predates task 600's answer overwrote it")
 	}
@@ -207,7 +207,7 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Reseed(half, res, as)
+	inc.Reseed(half, res, indexed(t, as))
 	late := model.Answer{Worker: "w2", Task: 700, Choice: 0}
 	if err := inc.Submit(late); err != nil {
 		t.Fatal(err)

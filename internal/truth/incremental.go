@@ -438,11 +438,11 @@ func (inc *Incremental) Answers(id int) int {
 // batch inference result; the core orchestrator calls this after the
 // periodic full iterative run (every z submissions). The swap is atomic per
 // task: readers see either the pre-rerun view or the reseeded one, never a
-// mix. A task that has received more answers than the result's answer set
-// covers (possible when the rerun ran asynchronously off a snapshot) is
+// mix. A task that has received more answers than the indexed answers
+// cover (possible when the rerun ran asynchronously off a snapshot) is
 // left untouched — its extra incremental evidence would otherwise be lost;
 // the next rerun picks it up.
-func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.AnswerSet) {
+func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.LogIndex) {
 	type taskEntry struct {
 		i  int // index into tasks (and res)
 		it *incTask
@@ -483,19 +483,17 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 			it.s = mathx.Clone(res.S[i])
 			M = normalizeRows(it.mhat)
 		}
-		it.answers = append(it.answers[:0], snap...)
+		it.answers = it.answers[:0]
+		for _, p := range snap {
+			it.answers = append(it.answers, answers.At(p))
+		}
 		it.touched = true
 		it.publishView(inc.epoch.Add(1), M)
 		it.mu.Unlock()
 	}
 	session := SessionStats(tasks, answers, res, inc.m)
-	sessionWorkers := make([]string, 0, len(session))
-	for w := range session {
-		sessionWorkers = append(sessionWorkers, w)
-	}
-	sort.Strings(sessionWorkers)
-	for _, w := range sessionWorkers {
-		st := session[w]
+	for wi, w := range answers.Workers() {
+		st := &session[wi]
 		inc.withWorker(w, func(cur *Stats) {
 			for k := 0; k < inc.m; k++ {
 				if st.U[k] > 0 {

@@ -66,15 +66,21 @@ func (s *Stats) Clone() *Stats {
 
 // SessionStats derives per-worker (q, u) statistics from a finished
 // inference Result over the given tasks, ready to be merged into stored
-// stats via Theorem 1. For each worker, u_k = Σ_{t∈T(w)} r_k and
-// q_k = Σ r_k·s_{i,v^w_i} / u_k (Equation 5 restricted to this session).
-func SessionStats(tasks []*model.Task, answers *model.AnswerSet, res *Result, m int) map[string]*Stats {
+// stats via Theorem 1: one per worker of answers.Workers(), in its order,
+// all carved from one allocation. For each worker, u_k = Σ_{t∈T(w)} r_k
+// and q_k = Σ r_k·s_{i,v^w_i} / u_k (Equation 5 restricted to this session).
+func SessionStats(tasks []*model.Task, answers *model.LogIndex, res *Result, m int) []Stats {
 	pos := res.answeredIndex(tasks)
-	out := make(map[string]*Stats)
-	for _, w := range answers.Workers() {
-		st := &Stats{Q: make(model.QualityVector, m), U: make([]float64, m)}
-		num := make([]float64, m)
-		for _, a := range answers.ForWorker(w) {
+	out := make([]Stats, len(answers.Workers()))
+	slab := make([]float64, 2*len(out)*m)
+	num := make([]float64, m)
+	for wi := range out {
+		st := &out[wi]
+		st.Q, st.U = slab[:m:m], slab[m:2*m:2*m]
+		slab = slab[2*m:]
+		clear(num)
+		for _, p := range answers.ForWorker(wi) {
+			a := answers.At(p)
 			i, ok := pos[a.Task]
 			if !ok {
 				continue
@@ -95,7 +101,6 @@ func SessionStats(tasks []*model.Task, answers *model.AnswerSet, res *Result, m 
 				st.Q[k] = DefaultQuality
 			}
 		}
-		out[w] = st
 	}
 	return out
 }

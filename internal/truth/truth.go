@@ -120,6 +120,12 @@ func (r *Result) answeredIndex(tasks []*model.Task) map[int]int {
 // reference_test.go, so S, Truth, Quality, Iterations, Deltas and every
 // support row of M are the same bits.
 func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*Result, error) {
+	idx, _ := model.IndexLog(answers.All()) // an AnswerSet holds no repeat
+	return InferIndex(tasks, idx, m, opt)
+}
+
+// InferIndex is Infer over an answer log read where it lies.
+func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = DefaultMaxIter
 	}
@@ -176,8 +182,8 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 			return nil, fmt.Errorf("truth: answers reference unknown task %d", id)
 		}
 		ell := tasks[i].NumChoices()
-		for _, a := range answers.ForTask(id) {
-			if a.Choice < 0 || a.Choice >= ell {
+		for _, p := range answers.ForTask(id) {
+			if a := answers.At(p); a.Choice < 0 || a.Choice >= ell {
 				return nil, fmt.Errorf("truth: worker %q chose %d on task %d with %d choices", a.Worker, a.Choice, id, ell)
 			}
 		}
@@ -207,10 +213,8 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 	// metric and make runs differ in the last ulp — enough to flip an early
 	// stop and change downstream assignment decisions.
 	workers := answers.Workers()
-	wIdx := make(map[string]int32, len(workers))
 	q := make([]float64, len(workers)*m)
 	for wi, w := range workers {
-		wIdx[w] = int32(wi)
 		qw := q[wi*m : (wi+1)*m]
 		if init, ok := opt.InitQuality[w]; ok {
 			copy(qw, init)
@@ -304,9 +308,9 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 			continue
 		}
 		from = len(taskAns)
-		for _, a := range v {
-			w := wIdx[a.Worker]
-			taskAns = append(taskAns, taskAnswer{w: w, choice: int32(a.Choice)})
+		for _, p := range v {
+			w := answers.WorkerOf(p)
+			taskAns = append(taskAns, taskAnswer{w: w, choice: int32(answers.At(p).Choice)})
 			answersEll[d*len(workers)+int(w)] = true
 		}
 		active = append(active, activeTask{i: i, d: d, supp: ks, answers: taskAns[from:len(taskAns):len(taskAns)]})
@@ -320,9 +324,10 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 	workerEnd := make([]int, len(workers))
 	wK, wR := make([]int32, 0, wLen), make([]float64, 0, wLen)
 	den := make([]float64, len(q))
-	for wi, w := range workers {
+	for wi := range workers {
 		dw := den[wi*m : (wi+1)*m]
-		for _, a := range answers.ForWorker(w) {
+		for _, p := range answers.ForWorker(wi) {
+			a := answers.At(p)
 			i := pos[a.Task]
 			from := len(wK)
 			r := tasks[i].Domain

@@ -108,14 +108,14 @@ func TestStep2WorkedExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &Result{S: [][]float64{{0.95, 0.05}, {0.3, 0.7}}}
-	stats := SessionStats(tasks, as, res, 2)
-	got := stats["w1"].Q[1]
+	stats := SessionStats(tasks, indexed(t, as), res, 2) // w1 alone: stats[0]
+	got := stats[0].Q[1]
 	want := (0.9*0.95 + 0.05*0.3) / (0.9 + 0.05)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("q_2 = %.4f, want %.4f (≈0.92)", got, want)
 	}
-	if math.Abs(stats["w1"].U[1]-0.95) > 1e-9 {
-		t.Errorf("u_2 = %g, want 0.95", stats["w1"].U[1])
+	if math.Abs(stats[0].U[1]-0.95) > 1e-9 {
+		t.Errorf("u_2 = %g, want 0.95", stats[0].U[1])
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"docs/internal/lint"
 )
 
 // TestOneReaderOneWriter keeps the durable-bytes primitives single: outside
@@ -40,7 +42,9 @@ import (
 // which stops at the first value; the /publish scanner is called from
 // publication.decode alone, the decoder handlePublish hands decodeBody. A
 // state snapshot has one writer: core's snapshotPass, called from
-// Hibernate alone.
+// Hibernate alone. A rerun reads the answer log where it lies: core calls
+// truth.InferIndex from infer alone, builds an AnswerSet only in Answers,
+// and reads the log only through logPrefix.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -172,19 +176,85 @@ func TestOneReaderOneWriter(t *testing.T) {
 		t.Errorf("found %d calls of snapshotPass, want 1 (in Hibernate)", calls)
 	}
 
-	// The campaign's inference runs in infer and nowhere else: Results and
-	// the periodic rerun share it.
+	// The campaign's inference runs in infer and nowhere else — Results and
+	// the periodic rerun share it — and reads the answer log in place:
+	// outside Answers, nothing in internal/core builds, clones or infers
+	// over an AnswerSet. The log itself is read only through logPrefix,
+	// appended only in submitOne and assigned only in restoreSnapshot,
+	// which is what makes a capped prefix of it a snapshot.
+	prog, err := lint.LoadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	calls = 0
-	funcNodes(t, fset, "internal/core/*.go", func(fn *ast.FuncDecl, n ast.Node) {
-		if sel, ok := n.(*ast.SelectorExpr); ok && types.ExprString(sel) == "truth.Infer" {
-			if fn.Name.Name != "infer" {
-				t.Errorf("%s: %s calls truth.Infer; only infer may", fset.Position(sel.Pos()), fn.Name.Name)
-			}
-			calls++
+	logUses := map[string][]string{}
+	logUse := func(use, fn string) {
+		if fns := logUses[use]; len(fns) == 0 || fns[len(fns)-1] != fn {
+			logUses[use] = append(fns, fn)
 		}
-	})
+	}
+	for _, pkg := range prog.Packages {
+		if pkg.Path != "docs/internal/core" {
+			continue
+		}
+		isLog := func(e ast.Expr) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			v, ok := pkg.Info.Selections[sel]
+			return ok && v.Obj().Name() == "log" && types.TypeString(v.Recv(), nil) == "*docs/internal/core.System"
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				counted := map[ast.Expr]bool{}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && isLog(as.Lhs[0]) {
+						counted[as.Lhs[0]] = true
+						use := "assign"
+						if call, ok := as.Rhs[0].(*ast.CallExpr); ok && types.ExprString(call.Fun) == "append" && isLog(call.Args[0]) {
+							use, counted[call.Args[0]] = "append", true
+						}
+						logUse(use, fn.Name.Name)
+					}
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if isLog(sel) && !counted[sel] {
+						logUse("read", fn.Name.Name)
+					}
+					f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+					if !ok {
+						return true
+					}
+					switch name := f.FullName(); name {
+					case "docs/internal/truth.InferIndex":
+						if fn.Name.Name != "infer" {
+							t.Errorf("%s: %s calls truth.InferIndex; only infer may", prog.Fset.Position(sel.Pos()), fn.Name.Name)
+						}
+						calls++
+					case "docs/internal/truth.Infer", "docs/internal/model.NewAnswerSet", "(*docs/internal/model.AnswerSet).Clone":
+						if fn.Name.Name != "Answers" {
+							t.Errorf("%s: %s names %s; only Answers may", prog.Fset.Position(sel.Pos()), fn.Name.Name, name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
 	if calls != 1 {
-		t.Errorf("found %d calls of truth.Infer in internal/core, want 1 (in infer)", calls)
+		t.Errorf("found %d calls of truth.InferIndex in internal/core, want 1 (in infer)", calls)
+	}
+	for use, fns := range map[string]string{"read": "logPrefix", "append": "submitOne", "assign": "restoreSnapshot"} {
+		if strings.Join(logUses[use], " ") != fns {
+			t.Errorf("s.log: %s in %v, want only in %s", use, logUses[use], fns)
+		}
 	}
 
 	// A plain merge (store op 2) is read from older logs and written by
