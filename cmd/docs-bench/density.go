@@ -88,7 +88,7 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 		defer os.RemoveAll(root)
 		// Tiny synthetic campaigns: no golden gauntlet, no reruns, no
 		// background cadence — the footprint measured is the serving state
-		// itself, and wake cost is the snapshot restore.
+		// itself, and wake cost is a replay that runs no answer's math.
 		cfg := registry.Config{
 			WALDir:   root,
 			Campaign: core.Config{GoldenCount: -1, RerunEvery: -1},

@@ -86,10 +86,11 @@
 // copy of the record stream and are never deleted. A replay runs only the
 // last periodic re-inference its log reaches, so it costs one incremental
 // pass over the records plus one full inference. A hibernating registry
-// campaign also writes a state snapshot, and its wake restores that and
-// replays only the suffix past it — bit-identical to a full replay, which
-// it falls back to loudly if the snapshot is torn, corrupt, or ahead of
-// the durable log. See docs/persistence.md.
+// campaign also writes a state snapshot of the truth engine's numbers; its
+// wake is the same replay, skipping the math the snapshot covers and
+// installing its numbers instead — bit-identical to a full replay, which it
+// falls back to loudly if the snapshot is torn, corrupt, or ahead of the
+// durable log. See docs/persistence.md.
 //
 // # Multiple campaigns
 //
@@ -317,21 +318,23 @@ func New(cfg Config) (*System, error) {
 type Recovery struct {
 	// Enabled is true when a WAL is armed.
 	Enabled bool
-	// Records is how many durable records (publication + answers) were
-	// replayed on boot.
+	// Records is how many durable records (publication, answers, seeds)
+	// the boot replayed in full: with a snapshot, the ones past it.
 	Records int
 	// TornTail is true when the log ended in a torn, dropped record (the
 	// previous process crashed mid-append; the record was never
 	// acknowledged).
 	TornTail bool
-	// SnapshotUsed is true when the boot restored a state snapshot and
-	// Records counts only the WAL suffix past SnapshotSeq.
+	// SnapshotUsed is true when the boot installed a state snapshot's
+	// numbers at SnapshotSeq instead of running the math of the answers up
+	// to it.
 	SnapshotUsed bool
-	// SnapshotSeq is the WAL sequence the restored snapshot covered.
+	// SnapshotSeq is the WAL sequence the installed snapshot covered.
 	SnapshotSeq uint64
 	// SnapshotRejected carries the reason a present snapshot was not used
-	// (torn, corrupt, or ahead of the durable log); the boot fell back to
-	// a full replay. Empty when no snapshot existed or it was used.
+	// (torn, corrupt, at odds with the publication, or ahead of the durable
+	// log); the boot ran the full replay. Empty when no snapshot existed or
+	// it was used.
 	SnapshotRejected string
 	// Seconds is the wall-clock recovery lag the boot paid.
 	Seconds float64
@@ -500,7 +503,7 @@ type Stats struct {
 	WALEnabled bool
 	WALLastSeq uint64
 	// SnapshotLastSeq is the WAL sequence the newest state snapshot covers
-	// (what a restart would restore instead of replaying); zero without one.
+	// (up to which a restart skips the answers' math); zero without one.
 	SnapshotLastSeq uint64
 }
 

@@ -188,15 +188,14 @@ type System struct {
 	// (KindAnswer, KindBatch) this process logged or replayed: a snapshot
 	// pass has work to do only while it lies past snapSeq.
 	answerSeq atomic.Uint64
-	// publishSeq is the WAL sequence of the record that carries the
-	// publication (0 until one is logged or replayed): a state snapshot
-	// names that record instead of repeating its contents.
-	publishSeq atomic.Uint64
 	// rerunFrom is, during replay, the last rerun boundary the replayed log
 	// reaches (replay sets it, 0 otherwise): a rerun is a pure function of
 	// its answer prefix and the pinned anchors, so it overwrites every rerun
-	// before it, and replay skips the boundaries below this one.
+	// before it and the engine math of every answer up to it, and replay
+	// skips both. covered is set while replay applies a record the
+	// snapshot it will install covers: the install overwrites the same.
 	rerunFrom int64
+	covered   bool
 
 	rerunMu   sync.Mutex // serializes batch re-inference runs
 	resultsMu sync.Mutex // serializes Results; guards scope
@@ -439,21 +438,19 @@ func (s *System) Publish(tasks []*model.Task) error {
 		if err != nil {
 			return err
 		}
-		s.publishSeq.Store(p.Seq())
 		return s.walCommit(p)
 	}
 	return nil
 }
 
 // installPublication makes tasks the campaign's task set with the given
-// golden subset — the one place a task set becomes serving state, for a
-// live Publish and for a snapshot restore alike. Golden tasks go to the
-// golden list; every other task enters the incremental truth-inference
-// engine and the live candidate index, in publication order (the order the
-// assignment tie-break is defined over). Each candidate carries a
-// lock-free view handle so a request never touches the task maps; with
-// leases armed, each task gets its lease counter here, before serving can
-// observe the campaign. Callers hold s.mu and have validated the tasks.
+// golden subset — the one place a task set becomes serving state. Golden
+// tasks go to the golden list; every other task enters the incremental
+// truth-inference engine and the live candidate index, in publication order
+// (the order the assignment tie-break is defined over). Each candidate
+// carries a lock-free view handle so a request never touches the task maps;
+// with leases armed, each task gets its lease counter here, before serving
+// can observe the campaign. Callers hold s.mu and have validated the tasks.
 func (s *System) installPublication(tasks []*model.Task, byID map[int]*model.Task, golden map[int]bool) error {
 	s.tasks, s.byID, s.golden = tasks, byID, golden
 	open := make([]*model.Task, 0, len(tasks))
@@ -811,33 +808,14 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 		return nil
 	}
 
-	// Seed the worker's quality from the long-run store before her first
-	// answer enters the incremental engine (logged, so replay re-seeds the
-	// same bits rather than re-reading the store).
-	if err := s.ensureWorker(workerID); err != nil {
-		return err
-	}
-	// The truth engine's per-task lock is the authority on duplicate
-	// answers; ingest updates only that task's state plus the touched
-	// workers' shards, so submits to different tasks run in parallel.
-	if err := s.inc.Submit(a); err != nil {
-		return err
-	}
-	sh := s.shard(workerID)
-	sh.mu.Lock()
-	sh.state(workerID).answered[taskID] = true
-	sh.mu.Unlock()
-	// The accepted answer retires the worker's lease on the task and, once
-	// redundancy is met, drops the task out of the candidate index.
-	if s.leases != nil {
-		s.leases.release(workerID, taskID)
-	}
-	if r := s.cfg.AnswersPerTask; r > 0 {
-		if ci := s.index.Load(); ci != nil {
-			if v := s.inc.View(taskID); v != nil {
-				ci.noteAnswer(taskID, v.NumAnswers, r)
-			}
+	if s.recovering && (s.covered || s.submissions.Load() < s.rerunFrom) {
+		// A later overwrite in this replay — the snapshot's install or the
+		// last rerun's Reseed — replaces this answer's engine math.
+		if err := s.skipIngest(workerID, taskID); err != nil {
+			return err
 		}
+	} else if err := s.ingest(a); err != nil {
+		return err
 	}
 	var p wal.Pending
 	var walErr error
@@ -860,7 +838,7 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	}
 
 	n := s.submissions.Add(1)
-	if z := s.cfg.RerunEvery; z > 0 && n%int64(z) == 0 && n >= s.rerunFrom {
+	if z := s.cfg.RerunEvery; z > 0 && n%int64(z) == 0 && n >= s.rerunFrom && !s.covered {
 		// During recovery the rerun must be synchronous regardless of
 		// AsyncRerun: replay determinism is the whole point of the WAL.
 		if s.cfg.AsyncRerun && !s.recovering {
@@ -873,6 +851,60 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 		}
 	}
 	return s.walCommit(p)
+}
+
+// ingest runs a regular answer through the truth engine and the serving
+// state that follows it.
+func (s *System) ingest(a model.Answer) error {
+	// Seed the worker's quality from the long-run store before her first
+	// answer enters the incremental engine (logged, so replay re-seeds the
+	// same bits rather than re-reading the store).
+	if err := s.ensureWorker(a.Worker); err != nil {
+		return err
+	}
+	// The truth engine's per-task lock is the authority on duplicate
+	// answers; ingest updates only that task's state plus the touched
+	// workers' shards, so submits to different tasks run in parallel.
+	if err := s.inc.Submit(a); err != nil {
+		return err
+	}
+	sh := s.shard(a.Worker)
+	sh.mu.Lock()
+	sh.state(a.Worker).answered[a.Task] = true
+	sh.mu.Unlock()
+	// The accepted answer retires the worker's lease on the task and, once
+	// redundancy is met, drops the task out of the candidate index.
+	if s.leases != nil {
+		s.leases.release(a.Worker, a.Task)
+	}
+	if r := s.cfg.AnswersPerTask; r > 0 {
+		if ci := s.index.Load(); ci != nil {
+			if v := s.inc.View(a.Task); v != nil {
+				ci.noteAnswer(a.Task, v.NumAnswers, r)
+			}
+		}
+	}
+	return nil
+}
+
+// skipIngest is ingest for a replayed answer whose engine math a later
+// overwrite replaces: the answered set holds it and is the duplicate check,
+// and the engine knows the worker at the prior, as Submit would have left
+// her before that math — so a seed later in the log loses to her as it did
+// live. The overwrite resyncs the index.
+func (s *System) skipIngest(workerID string, taskID int) error {
+	if !s.inc.HasWorker(workerID) {
+		_, _ = s.inc.SeedWorker(workerID, truth.NewStats(s.m))
+	}
+	sh := s.shard(workerID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ws := sh.state(workerID)
+	if ws.answered[taskID] {
+		return fmt.Errorf("core: worker %q already answered task %d", workerID, taskID)
+	}
+	ws.answered[taskID] = true
+	return nil
 }
 
 // Result returns the current inferred truth and probabilistic truth of a
@@ -934,9 +966,9 @@ func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *mo
 }
 
 // logPrefix returns the answer log as it stands, without copying it. The
-// log is append-only (submitOne appends, restoreSnapshot assigns it before
-// serving, nothing writes into it), so a slice capped at its length is a
-// snapshot: a later append lands past the cap or in a new backing array.
+// log is append-only (submitOne appends, nothing else writes it), so a
+// slice capped at its length is a snapshot: a later append lands past the
+// cap or in a new backing array.
 func (s *System) logPrefix() []model.Answer {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()

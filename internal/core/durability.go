@@ -32,23 +32,24 @@ var ErrDurability = errors.New("durability failure")
 type RecoveryInfo struct {
 	// Enabled is true once a WAL is armed.
 	Enabled bool
-	// Records is the total records replayed. With a snapshot-assisted boot
-	// this counts only the suffix past the snapshot — the records the boot
-	// actually paid to re-apply.
+	// Records is the records the boot replayed in full. With a snapshot
+	// this counts only the records past it: those up to it ran no
+	// answer's math.
 	Records int
 	// TornTail is true when the final segment ended in a torn record that
 	// was dropped (the crash interrupted an unacknowledged append).
 	TornTail bool
 	// LastSeq is the sequence number serving resumed from.
 	LastSeq uint64
-	// SnapshotUsed is true when the boot restored a state snapshot and
-	// replayed only the WAL records past SnapshotSeq.
+	// SnapshotUsed is true when the boot installed a state snapshot's
+	// numbers at SnapshotSeq instead of running the math of the answers up
+	// to it.
 	SnapshotUsed bool
-	// SnapshotSeq is the WAL sequence the restored snapshot covered.
+	// SnapshotSeq is the WAL sequence the installed snapshot covered.
 	SnapshotSeq uint64
 	// SnapshotRejected carries the reason a present snapshot was NOT used —
-	// torn, corrupt, structurally invalid, or claiming sequences past the
-	// durable log — in which case the boot fell back to a full replay
+	// torn, corrupt, at odds with the publication, or claiming sequences
+	// past the durable log — in which case the boot ran the full replay
 	// (losing time, never state). Empty when no snapshot existed or it was
 	// used.
 	SnapshotRejected string
@@ -58,13 +59,12 @@ type RecoveryInfo struct {
 }
 
 // Recover arms the write-ahead log at dir, first replaying any state a
-// previous process left there: the newest usable state snapshot, then
-// every intact WAL record past it, through the ordinary Publish/Submit
-// path. The last periodic batch rerun runs synchronously during replay
-// even when Config.AsyncRerun is set, so the recovered state is the
-// deterministic serial state of the logged stream — bit-identical to an
-// uninterrupted serial run, which the crash-injection tests assert record
-// by record.
+// previous process left there: every intact WAL record, through the
+// ordinary Publish/Submit path (replay). The last periodic batch rerun
+// runs synchronously during replay even when Config.AsyncRerun is set, so
+// the recovered state is the deterministic serial state of the logged
+// stream — bit-identical to an uninterrupted serial run, which the
+// crash-injection tests assert record by record.
 //
 // Recover must be called once, before any Publish or Submit (it refuses
 // otherwise). After it returns, every subsequent accepted mutation is
@@ -104,65 +104,64 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 }
 
 // replay rebuilds the serial state a virgin system's directory holds, in
-// replay mode (no re-logging, no store seeds, reruns synchronous). It is
-// the one spelling of the fallback ladder — state snapshot → segments —
-// and both a boot (Recover) and a snapshot pass's scratch replica run it.
-// The newest usable snapshot restores the serial state through its covered
-// sequence bit-exactly; only the suffix past it is replayed, and segments
-// wholly below it are not even read. A torn, corrupt, invalid, or
-// log-overreaching snapshot is rejected LOUDLY
-// (RecoveryInfo.SnapshotRejected) and the replay degrades to the whole log
-// — it then costs time, never state. Of the periodic reruns the log
-// crosses only the last runs (rerunFrom), counted once the golden set is in
-// place: restored, or at the publish record.
+// replay mode (no re-logging, no store seeds, reruns synchronous). It is the
+// one way a campaign comes back into memory — a boot (Recover) and a
+// snapshot pass's scratch replica both run it — and it applies every record
+// from sequence 1 through the ordinary serving path. A regular answer skips
+// the engine math (submitOne) that a later overwrite in the same replay
+// replaces: the last periodic rerun the log reaches (rerunFrom), which
+// overwrites every rerun and every answer's math before it, and the newest
+// usable snapshot, whose numbers are installed when the replay reaches the
+// record it covers; the reruns at boundaries the snapshot covers do not run.
+// The snapshot is checked against the publication as soon as its record
+// applies; a torn, corrupt, invalid or log-overreaching snapshot is
+// rejected LOUDLY (RecoveryInfo.SnapshotRejected) and the replay runs in
+// full — it then costs time, never state.
 func (s *System) replay(dir string) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	s.recovering = true
-	defer func() { s.recovering, s.rerunFrom = false, 0 }()
+	defer func() { s.recovering, s.rerunFrom, s.covered = false, 0, false }()
 
 	snap, reject := loadUsableSnapshot(dir)
 	info.SnapshotRejected = reject
-	if snap != nil && reject == "" {
-		if rerr := s.restoreSnapshot(dir, snap); rerr != nil {
-			// restoreSnapshot validates before mutating, so the system is
-			// still virgin and the full replay below recovers everything.
-			info.SnapshotRejected = rerr.Error()
-		} else {
-			info.SnapshotUsed, info.SnapshotSeq = true, snap.Seq
-			info.LastSeq = snap.Seq
-			s.snapSeq.Store(snap.Seq)
-		}
-	}
-
-	plan := func() (err error) {
-		s.rerunFrom, err = s.lastRerun(dir, info.LastSeq)
-		return err
-	}
-	if s.Published() {
-		if err := plan(); err != nil {
-			return info, err
-		}
-	}
-	st, err := wal.ReplayFrom(dir, info.SnapshotSeq, func(rec wal.Record) error {
+	var install func() // set once snap is checked
+	st, err := wal.Replay(dir, func(rec wal.Record) error {
+		s.covered = install != nil && rec.Seq <= snap.Seq
 		if err := s.applyRecord(rec); err != nil {
 			return err
 		}
-		info.Records++
-		info.LastSeq = rec.Seq
 		if rec.Kind == wal.KindPublish {
-			return plan()
+			var err error
+			if s.rerunFrom, err = s.lastRerun(dir); err != nil {
+				return err
+			}
+			if snap != nil {
+				if install, err = s.checkSnapshot(snap, rec.Seq); err != nil {
+					info.SnapshotRejected, snap = err.Error(), nil
+				}
+			}
+		}
+		if install != nil && rec.Seq == snap.Seq {
+			install()
+			info.SnapshotUsed, info.SnapshotSeq = true, snap.Seq
+			s.snapSeq.Store(snap.Seq)
 		}
 		return nil
 	})
-	info.TornTail = st.TornTail
+	if err == nil && snap != nil && !info.SnapshotUsed {
+		info.SnapshotRejected = fmt.Sprintf("snapshot covers seq %d, which no publish record precedes", snap.Seq)
+	}
+	// The log is gapless from sequence 1: the records past the snapshot are
+	// the ones the boot paid to replay in full.
+	info.Records, info.LastSeq, info.TornTail = st.Records-int(info.SnapshotSeq), st.LastSeq, st.TornTail
 	return info, err
 }
 
-// lastRerun returns the last rerun boundary the campaign reaches once the
-// records past seq are applied. The golden set says which single answers
+// lastRerun returns the last rerun boundary the campaign's log reaches. The
+// golden set, in place once the publication is, says which single answers
 // are regular. A count can only come out long if an answer fails to apply,
 // and that fails the replay.
-func (s *System) lastRerun(dir string, seq uint64) (int64, error) {
+func (s *System) lastRerun(dir string) (int64, error) {
 	z := int64(s.cfg.RerunEvery)
 	if z <= 0 {
 		return 0, nil
@@ -170,8 +169,8 @@ func (s *System) lastRerun(dir string, seq uint64) (int64, error) {
 	s.mu.RLock()
 	golden := s.golden
 	s.mu.RUnlock()
-	n := s.submissions.Load()
-	_, err := wal.ReplayFrom(dir, seq, func(rec wal.Record) error {
+	var n int64
+	_, err := wal.Replay(dir, func(rec wal.Record) error {
 		switch rec.Kind {
 		case wal.KindAnswer:
 			if !golden[rec.Task] {
@@ -227,7 +226,6 @@ func (s *System) applyRecord(rec wal.Record) error {
 		if err := s.Publish(tasks); err != nil {
 			return fmt.Errorf("publish record %d: %w", rec.Seq, err)
 		}
-		s.publishSeq.Store(rec.Seq)
 	case wal.KindAnswer:
 		if err := s.Submit(rec.Worker, rec.Task, rec.Choice); err != nil {
 			return fmt.Errorf("answer record %d: %w", rec.Seq, err)

@@ -7,16 +7,17 @@
 // never serialized — its state is not the canonical serial-replay state);
 // this is the only place a snapshot is written. If none does — the campaign
 // was only published, or only handed out tasks since it last woke — nothing
-// is written: the suffix is the publication and worker seeds, which replay
-// without running inference. A later Recover then restores the snapshot (if
-// any) and re-installs that suffix, so waking a hibernated campaign costs
-// O(restore + tasks and seeds installed), not O(campaign history).
+// is written: the answers past the newest snapshot are none, and the
+// publication and worker seeds replay without running inference. A later
+// Recover then replays the log without any answer's math and installs the
+// snapshot's numbers (if any), so waking a hibernated campaign costs one
+// pass over its records, not the campaign's inference history.
 //
 // The failure direction is chosen deliberately: every step after the WAL
 // fsync only affects WAKE TIME, never state. A crash or error between the
 // fsync and the snapshot write leaves the previous snapshot (or none) and
-// the full log — the next boot replays a longer suffix and recovers the
-// identical state. The hibernate-path crash suite in internal/registry
+// the full log — the next boot runs the math of more answers and recovers
+// the identical state. The hibernate-path crash suite in internal/registry
 // asserts that bit-exactly at each step.
 package core
 
@@ -25,8 +26,8 @@ import "fmt"
 // Hibernate drains the system and closes it like Close, but first makes
 // the WAL power-loss durable (a no-op when it already is) and, if an answer
 // lies past the newest state snapshot, writes a final snapshot covering the
-// log, so the next Recover replays no answer; an answer-free suffix writes
-// nothing. It returns an error when the final snapshot could not be written
+// log, so the next Recover runs no answer's math; an answer-free suffix
+// writes nothing. It returns an error when the final snapshot could not be written
 // or an answer still lies past it; the system is closed and its state is
 // durable in the WAL either way — a failed Hibernate degrades the next
 // wake to a longer replay, it never loses state. Requires an armed WAL:

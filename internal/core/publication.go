@@ -270,10 +270,9 @@ func unpackPublication(blob []byte) ([]byte, error) {
 }
 
 // decodePublication parses a publish record's task set. It is the one
-// reader of the record — replay (applyRecord) and the snapshot restore
-// (readPublication) both come through it — and it returns only tasks that
-// carry an m-long domain vector, so neither re-runs entity linking on a
-// replayed task. A DPB2 blob unpacks to DPB1 and then reads as one.
+// reader of the record (replay's applyRecord), and it returns only tasks
+// that carry an m-long domain vector, so replay never re-runs entity
+// linking. A DPB2 blob unpacks to DPB1 and then reads as one.
 func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 	blob, err := rec.Blob, error(nil)
 	if bytes.HasPrefix(blob, []byte(packedMagic)) {

@@ -247,8 +247,8 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 	if !bytes.HasPrefix(packed, []byte(packedMagic)) {
 		t.Fatalf("the short publication logs %q, want a packed record", packed[:4])
 	}
-	const snapHeader = len("DOCSSNP3") + 8 // magic, then the frame's length and CRC
-	reframe := func(payload []byte) []byte { return wal.EncodeFrame([]byte("DOCSSNP3"), payload) }
+	const snapHeader = 8 + 8 // magic, then the frame's length and CRC
+	reframe := func(payload []byte) []byte { return wal.EncodeFrame(append([]byte(nil), snap[:8]...), payload) }
 	for name, tc := range map[string]struct {
 		valid, damaged []byte
 		decode         func([]byte) error
@@ -266,7 +266,7 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
 		"DPB2 publication": {packed, overlong(packed, len(packedMagic)), // the body's length
 			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
-		"DOCSSNP3 snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq
+		"snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq
 			func(b []byte) error { _, err := snapshot.Decode(b); return err }},
 	} {
 		if err := tc.decode(tc.valid); err != nil {

@@ -270,20 +270,11 @@ func TestSnapshotFallbackLoud(t *testing.T) {
 			return out
 		}
 	}
-	corrupt("log names a task without a state", edited(func(st *snapshot.State) {
-		for i, ts := range st.TaskStates {
-			if ts.ID == st.Log.T[0] {
-				st.TaskStates = append(st.TaskStates[:i:i], st.TaskStates[i+1:]...)
-				return
-			}
-		}
-		t.Fatal("no state for the first logged task")
+	corrupt("state for a task the publication lacks", edited(func(st *snapshot.State) {
+		st.TaskStates[len(st.TaskStates)-1].ID += 1 << 20
 	}))
-	corrupt("publish record is not where the snapshot says", edited(func(st *snapshot.State) {
-		st.PublishSeq++
-	}))
-	corrupt("publish record past the snapshot", edited(func(st *snapshot.State) {
-		st.PublishSeq = st.Seq + 1
+	corrupt("snapshot before the publish record", edited(func(st *snapshot.State) {
+		st.Seq = 0
 	}))
 
 	// A snapshot claiming sequences past the durable log (what a power loss

@@ -158,14 +158,23 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := s.reg.Create(req.Name); err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, docs.ErrCampaignExists) {
-			code = http.StatusConflict
-		}
-		writeErr(w, code, err)
+		writeErr(w, createStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"created": req.Name})
+}
+
+// createStatus is the status a failed Create answers: 400 for an illegal
+// name, 409 for a taken one, and 500 for anything else — the server could
+// not make the campaign's namespace durable.
+func createStatus(err error) int {
+	switch {
+	case errors.Is(err, docs.ErrCampaignName):
+		return http.StatusBadRequest
+	case errors.Is(err, docs.ErrCampaignExists):
+		return http.StatusConflict
+	}
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
@@ -217,6 +226,9 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusConflict, collision)
 				return
 			}
+		} else if err != nil {
+			writeErr(w, createStatus(err), err)
+			return
 		}
 	}
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"docs"
+	"docs/internal/wal"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *Server) {
@@ -327,6 +328,47 @@ func TestRejectedPublishLeavesNoCampaign(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "campaigns", "bad")); err != nil {
 		t.Errorf("the corrected publish left no campaign directory: %v", err)
+	}
+}
+
+// TestCreateFailureIsServerError: a campaign whose namespace cannot be made
+// durable is the server's failure, not the request's — POST /campaigns and
+// a first publish both answer 500 — and it leaves no campaign behind,
+// listed or on disk.
+func TestCreateFailureIsServerError(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, WALDir: dir}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for name, call := range map[string]func() *http.Response{
+		"create": func() *http.Response {
+			resp, _ := doJSON(t, "POST", ts.URL+"/campaigns", map[string]string{"name": "ghost"})
+			return resp
+		},
+		"publish": func() *http.Response {
+			resp, _ := doJSON(t, "POST", ts.URL+"/c/ghost/publish", publishBody())
+			return resp
+		},
+	} {
+		wal.FailFsyncAt(1)
+		resp := call()
+		wal.FailFsyncAt(0)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("%s over a failed fsync = %d, want 500", name, resp.StatusCode)
+		}
+		if list := srv.Registry().Campaigns(); len(list) != 0 {
+			t.Fatalf("%s: a failed create listed %+v", name, list)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "campaigns", "ghost")); !os.IsNotExist(err) {
+			t.Fatalf("%s: a failed create left its directory (stat: %v)", name, err)
+		}
+	}
+	if resp, out := doJSON(t, "POST", ts.URL+"/c/ghost/publish", publishBody()); resp.StatusCode != 200 {
+		t.Fatalf("publish once the disk recovers = %d: %s", resp.StatusCode, out["error"])
 	}
 }
 

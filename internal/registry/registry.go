@@ -43,7 +43,7 @@
 //	absent            live        Create, boot              core built, WAL armed and replayed
 //	absent            hibernated  boot under a cap          listed, not replayed
 //	absent            archived    boot finds the marker     listed, never replayed
-//	hibernated        live        any call (wake)           snapshot restore + WAL-suffix replay
+//	hibernated        live        any call (wake)           a boot: replay, skipping the math the snapshot covers
 //	live              hibernated  Hibernate, cap, idle      drain; final snapshot if answered since the newest
 //	live (failed)     hibernated  ErrDurability, Close      core closed as it stands: no snapshot pass
 //	live, hibernated  archived    Archive                   core closed, archived marker written (terminal)
@@ -86,6 +86,7 @@ var (
 	ErrNotFound = errors.New("registry: no such campaign")
 	ErrArchived = errors.New("registry: campaign is archived")
 	ErrExists   = errors.New("registry: campaign already exists")
+	ErrBadName  = errors.New("registry: illegal campaign name")
 	ErrClosed   = errors.New("registry: closed")
 )
 
@@ -251,10 +252,10 @@ type Registry struct {
 // or "..") and as URL path segments without escaping.
 func ValidateName(name string) error {
 	if name == "" {
-		return fmt.Errorf("registry: empty campaign name")
+		return fmt.Errorf("%w: empty", ErrBadName)
 	}
 	if len(name) > MaxNameLen {
-		return fmt.Errorf("registry: campaign name longer than %d bytes", MaxNameLen)
+		return fmt.Errorf("%w: longer than %d bytes", ErrBadName, MaxNameLen)
 	}
 	for i := 0; i < len(name); i++ {
 		c := name[i]
@@ -262,7 +263,7 @@ func ValidateName(name string) error {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
 		case (c == '-' || c == '_') && i > 0:
 		default:
-			return fmt.Errorf("registry: campaign name %q: byte %d must be [A-Za-z0-9_-] (no leading - or _)", name, i)
+			return fmt.Errorf("%w %q: byte %d must be [A-Za-z0-9_-] (no leading - or _)", ErrBadName, name, i)
 		}
 	}
 	return nil
@@ -487,6 +488,13 @@ func (r *Registry) Create(name string) error {
 	// WAL its Recover opens.
 	err := r.transition(name, c, stateLive)
 	if err != nil {
+		// A failed Create leaves no namespace to list at the next boot. The
+		// directory is this call's own — a listed or case-folded name was
+		// refused above, before anything touched the disk — and it goes
+		// before the name is unlisted, so a retry cannot lose its own.
+		if dir := r.dir(name); dir != "" {
+			_ = os.RemoveAll(dir)
+		}
 		r.mu.Lock()
 		delete(r.campaigns, name)
 		delete(r.folded, folded)
@@ -606,8 +614,7 @@ func (r *Registry) transition(name string, c *campaign, to campaignState) error 
 	case to == stateHibernated && sys == nil, to == stateLive && sys != nil:
 		return nil
 	case to == stateLive:
-		// Create, boot or wake: the ordinary recovery ladder (snapshot
-		// restore plus WAL-suffix replay).
+		// Create, boot or wake: one replay of the campaign's log.
 		start := r.now()
 		sys, recovered, err := r.openCampaign(name, r.dir(name))
 		if err != nil {

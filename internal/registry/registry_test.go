@@ -14,6 +14,7 @@ import (
 	"docs/internal/dataset"
 	"docs/internal/model"
 	"docs/internal/truth"
+	"docs/internal/wal"
 )
 
 // synthTasks builds n two-choice tasks with precomputed one-hot domain
@@ -119,9 +120,47 @@ func TestValidateName(t *testing.T) {
 		long[i] = 'a'
 	}
 	for _, bad := range []string{"", ".", "..", "a/b", "a\\b", "-x", "_x", "a b", "é", "a.b", string(long), "a\x00b"} {
-		if err := ValidateName(bad); err == nil {
-			t.Errorf("ValidateName(%q) = nil, want error", bad)
+		if err := ValidateName(bad); !errors.Is(err, ErrBadName) {
+			t.Errorf("ValidateName(%q) = %v, want ErrBadName", bad, err)
 		}
+	}
+}
+
+// TestFailedCreateLeavesNoCampaign: a Create whose namespace cannot be made
+// durable fails, and leaves nothing behind — not in Names, and not on disk,
+// where the next boot would list it as a live, unpublished campaign.
+func TestFailedCreateLeavesNoCampaign(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{WALDir: root, Campaign: core.Config{GoldenCount: -1}}
+	reg, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.FailFsyncAt(1)
+	err = reg.Create("ghost")
+	wal.FailFsyncAt(0)
+	if !errors.Is(err, wal.ErrInjectedFsync) {
+		t.Fatalf("Create over a failed fsync = %v, want the injected failure", err)
+	}
+	if names := reg.Names(); len(names) != 0 {
+		t.Fatalf("a failed Create listed %v", names)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, campaignsDir, "ghost")); !os.IsNotExist(err) {
+		t.Fatalf("a failed Create left its namespace on disk: %v", err)
+	}
+	reg, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if list := reg.List(); len(list) != 0 {
+		t.Fatalf("the reboot lists %+v after a failed Create", list)
+	}
+	if err := reg.Create("ghost"); err != nil {
+		t.Fatalf("the name is not free after the failed Create: %v", err)
 	}
 }
 

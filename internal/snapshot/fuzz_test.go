@@ -18,24 +18,12 @@ func elements(st *State) int {
 		}
 		return n
 	}
-	stats := func(ws []WorkerStats) int {
-		n := len(ws)
-		for _, w := range ws {
-			n += len(w.ID) + sparse(w.Q, w.U)
-		}
-		return n
-	}
-	n := len(st.GoldenIDs) + len(st.TaskStates) + stats(st.Workers) + len(st.Serving) +
-		stats(st.Store) + stats(st.StoreProfiles) +
-		len(st.Log.Workers) + len(st.Log.W) + len(st.Log.T) + len(st.Log.C)
+	n := len(st.TaskStates) + len(st.Workers)
 	for _, ts := range st.TaskStates {
 		n += len(ts.MHat) + len(ts.MHat)*len(ts.S) + len(ts.S)
 	}
-	for _, ws := range st.Serving {
-		n += len(ws.ID) + len(ws.GoldenTasks) + len(ws.GoldenChoices) + sparse(ws.AnchorQ, ws.AnchorU)
-	}
-	for _, w := range st.Log.Workers {
-		n += len(w)
+	for _, w := range st.Workers {
+		n += len(w.ID) + sparse(w.Q, w.U)
 	}
 	return n
 }

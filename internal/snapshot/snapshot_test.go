@@ -24,26 +24,18 @@ func sparse(base float64, dense ...float64) wal.SparseFloats {
 
 func sampleState() *State {
 	return &State{
-		Seq:        41,
-		PublishSeq: 1,
-		Answers:    3,
-		M:          3,
-		BaseQ:      sampleBaseQ,
-		GoldenIDs:  []int{7},
+		Seq:   41,
+		M:     3,
+		BaseQ: sampleBaseQ,
 		TaskStates: []TaskState{{
 			ID:   0,
 			MHat: [][]float64{{1, 0.5}, {0.25, 1}},
 			S:    []float64{0.25, 0.75},
 		}},
-		Workers: []WorkerStats{{ID: "w", Q: sparse(sampleBaseQ, 0.9, 0.7, 0.5), U: sparse(0, 2, 0, 1)}},
-		Serving: []WorkerServing{
-			{ID: "v", Anchored: true}, // an anchor still at the defaults is not "no anchor"
-			{ID: "w", Profiled: true, GoldenTasks: []int{7}, GoldenChoices: []int{1},
-				Anchored: true, AnchorQ: sparse(sampleBaseQ, 0.7, 0.8, 0.7), AnchorU: sparse(0, 0, 1, 0)},
+		Workers: []WorkerStats{
+			{ID: "v"}, // a worker still at the defaults lists nothing
+			{ID: "w", Q: sparse(sampleBaseQ, 0.9, 0.7, 0.5), U: sparse(0, 2, 0, 1)},
 		},
-		Store:         []WorkerStats{{ID: "w", Q: sparse(sampleBaseQ, 0.7, 0.7, 0.75), U: sparse(0, 0, 0, 3)}},
-		StoreProfiles: []WorkerStats{{ID: "c/w", Q: sparse(sampleBaseQ, 0.6, 0.7, 0.7), U: sparse(0, 4, 0, 0)}},
-		Log:           Log{Workers: []string{"w"}, W: []int{0, 0, 0}, T: []int{0, 1, 2}, C: []int{1, 0, 1}},
 	}
 }
 
@@ -140,18 +132,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // hold instead of writing bytes Decode would read back differently.
 func TestEncodeRejectsInexpressible(t *testing.T) {
 	cases := map[string]func(*State){
-		"negative answers":     func(st *State) { st.Answers = -1 },
-		"negative task id":     func(st *State) { st.GoldenIDs = []int{-7} },
+		"negative task id":     func(st *State) { st.TaskStates[0].ID = -7 },
 		"negative m":           func(st *State) { st.M = -1 },
 		"ragged mhat":          func(st *State) { st.TaskStates[0].MHat[1] = []float64{1} },
 		"no choices":           func(st *State) { st.TaskStates[0] = TaskState{ID: 0} },
 		"no rows":              func(st *State) { st.TaskStates[0].MHat = nil },
-		"default entry listed": func(st *State) { st.Workers[0].Q.V[0] = sampleBaseQ },
-		"zero weight listed":   func(st *State) { st.Workers[0].U.V[1] = 0 },
-		"index at m":           func(st *State) { st.Workers[0].Q.K[1] = 3 },
-		"index out of order":   func(st *State) { st.Workers[0].U.K[0] = 2 },
-		"ragged vector":        func(st *State) { st.Store[0].Q.K = append(st.Store[0].Q.K, 0) },
-		"entries of no anchor": func(st *State) { st.Serving[1].Anchored = false },
+		"default entry listed": func(st *State) { st.Workers[1].Q.V[0] = sampleBaseQ },
+		"zero weight listed":   func(st *State) { st.Workers[1].U.V[1] = 0 },
+		"index at m":           func(st *State) { st.Workers[1].Q.K[1] = 3 },
+		"index out of order":   func(st *State) { st.Workers[1].U.K[0] = 2 },
+		"ragged vector":        func(st *State) { st.Workers[0].Q.K = append(st.Workers[0].Q.K, 0) },
 	}
 	for name, mutate := range cases {
 		st := sampleState()
@@ -190,14 +180,13 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		"trailing garbage": append(append([]byte(nil), data...), make([]byte, 64)...),
 		"second frame":     append(append([]byte(nil), data...), data[len(magic):]...),
 		"empty":            nil,
-		"old magic":        append([]byte("DOCSSNP2"), data[len(magic):]...),
-		"previous magic":   append([]byte("DOCSSNP3"), data[len(magic):]...),
+		"old magic":        append([]byte("DOCSSNP3"), data[len(magic):]...),
+		"previous magic":   append([]byte("DOCSSNP4"), data[len(magic):]...),
 		// CRC-valid frames around payloads Encode would never produce.
 		"payload cut short":     reframe(payload[:len(payload)-1]),
 		"payload trailing byte": reframe(append(append([]byte(nil), payload...), 0)),
 		"overlong varint":       reframe(append([]byte{0x80 | 41, 0x00}, payload[1:]...)),
-		"count of 2^63":         reframe(append(append([]byte(nil), payload[:12]...), binary.AppendUvarint(nil, 1<<63)...)), // the golden-ID count, after seq | publishSeq | answers | m | baseQ
-		"serving flags above 3": reframe(bytes.Replace(payload, []byte{1, 'w', 3, 1, 7}, []byte{1, 'w', 4, 1, 7}, 1)),
+		"count of 2^63":         reframe(append(append([]byte(nil), payload[:10]...), binary.AppendUvarint(nil, 1<<63)...)), // the task-state count, after seq | m | baseQ
 	}
 	// CRC-valid payloads holding a statistics vector Encode refuses to
 	// write, or a task state of no rows: each must be refused on the way in

@@ -224,24 +224,6 @@ func (s *Store) MergeProfile(pid, id string, session *truth.Stats) (anchor *trut
 	return s.write(update{op: opProfile, id: id, key: pid, st: session})
 }
 
-// SetProfile installs a recorded anchor under a profile ID without merging
-// anything — the snapshot-restore path for memory-only stores, whose
-// profile ledger (like their worker records) is derived state the snapshot
-// must carry. It logs nothing; persistent stores restore their ledger from
-// their own log and must never take this path.
-func (s *Store) SetProfile(pid string, anchor *truth.Stats) error {
-	if pid == "" {
-		return fmt.Errorf("store: empty profile ID")
-	}
-	if err := anchor.Validate(s.m); err != nil {
-		return fmt.Errorf("store: profile %q: %w", pid, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.profiles[pid] = anchor.Clone()
-	return nil
-}
-
 // ProfileIDs returns the recorded profile IDs in sorted order.
 func (s *Store) ProfileIDs() []string { return s.keys(s.profiles) }
 

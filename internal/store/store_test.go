@@ -471,22 +471,3 @@ func TestProfileDeltaReplay(t *testing.T) {
 		}
 	}
 }
-
-func TestSetProfileRestore(t *testing.T) {
-	s, _ := Open("", 2)
-	anchor := &truth.Stats{Q: []float64{0.7, 0.6}, U: []float64{3, 3}}
-	if err := s.SetProfile("camp/bob", anchor); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.ProfileAnchor("camp/bob")
-	if !ok || got.Q[0] != 0.7 {
-		t.Fatalf("SetProfile round trip = %+v, %v", got, ok)
-	}
-	// Installed anchors block later MergeProfile under the same ID.
-	if _, applied, _ := s.MergeProfile("camp/bob", "bob", anchor); applied {
-		t.Error("MergeProfile applied over a restored profile")
-	}
-	if err := s.SetProfile("", anchor); err == nil {
-		t.Error("empty profile ID accepted")
-	}
-}

@@ -16,7 +16,7 @@ import (
 //
 //	count uvarint | count × (index uvarint | 8 raw LE bytes)
 //
-// the layout a DPB1 publication gives a task's domain vector and a DOCSSNP4
+// the layout a DPB1 publication gives a task's domain vector and a DOCSSNP5
 // snapshot gives every (q, u) statistic.
 type SparseFloats struct {
 	K []int

@@ -674,20 +674,10 @@ type ReplayStats struct {
 // Replay streams every valid record in the log directory, in sequence
 // order, to fn. A torn frame at the tail of the last segment is tolerated
 // and reported via ReplayStats.TornTail; torn or corrupt data anywhere
-// else, or a hole in the sequence numbers (a missing segment), fails with
-// ErrCorrupt. A missing directory replays zero records.
+// else, or a hole in the sequence numbers (a missing segment, or a first
+// segment that does not start at sequence 1), fails with ErrCorrupt. A
+// missing directory replays zero records.
 func Replay(dir string, fn func(rec Record) error) (ReplayStats, error) {
-	return ReplayFrom(dir, 0, fn)
-}
-
-// ReplayFrom is Replay restricted to records with Seq > afterSeq. Segments
-// that lie wholly at or below the cut are skipped without being read or
-// CRC-checked — this is what makes a snapshot-assisted boot proportional
-// to the un-snapshotted suffix rather than the whole log. The final
-// segment is always scanned (torn-tail detection must see it), and records
-// at or below the cut inside a scanned segment are decoded but not
-// delivered.
-func ReplayFrom(dir string, afterSeq uint64, fn func(rec Record) error) (ReplayStats, error) {
 	var st ReplayStats
 	segs, err := segments(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -696,24 +686,9 @@ func ReplayFrom(dir string, afterSeq uint64, fn func(rec Record) error) (ReplayS
 	if err != nil {
 		return st, err
 	}
-	// Segment i spans [segs[i].firstSeq, segs[i+1].firstSeq): it holds
-	// nothing past the cut when the next segment starts at or below
-	// afterSeq+1.
-	for len(segs) > 1 && segs[1].firstSeq <= afterSeq+1 {
-		segs = segs[1:]
-	}
-	if len(segs) == 0 {
-		return st, nil
-	}
-	next := segs[0].firstSeq
-	if next > afterSeq+1 {
-		return st, fmt.Errorf("%w: first segment %s starts past seq %d: a segment is missing", ErrCorrupt, segs[0].name, afterSeq+1)
-	}
+	next := uint64(1)
 	for i, seg := range segs {
 		serr := scanInOrder(dir, seg, &next, func(rec Record, _, _ int64) error {
-			if rec.Seq <= afterSeq {
-				return nil
-			}
 			st.Records++
 			st.LastSeq = rec.Seq
 			return fn(rec)

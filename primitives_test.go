@@ -42,9 +42,12 @@ import (
 // which stops at the first value; the /publish scanner is called from
 // publication.decode alone, the decoder handlePublish hands decodeBody. A
 // state snapshot has one writer: core's snapshotPass, called from
-// Hibernate alone. A rerun reads the answer log where it lies: core calls
-// truth.InferIndex from infer alone, builds an AnswerSet only in Answers,
-// and reads the log only through logPrefix.
+// Hibernate alone; a wake is a boot, so there is no restore installer
+// (restoreSnapshot, readPublication) and only the snapshot's install,
+// installSnapshot, calls (*truth.Incremental).RestoreTask. A rerun reads
+// the answer log where it lies: core calls truth.InferIndex from infer
+// alone, builds an AnswerSet only in Answers, and reads the log only
+// through logPrefix; submitOne appends it and nothing assigns it.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -56,6 +59,9 @@ func TestOneReaderOneWriter(t *testing.T) {
 		`"DWAL"`:           {"internal/wal/wal.go"},
 		"decodeLegacy":     nil,
 		"DOCSSNP3":         nil,
+		"DOCSSNP4":         nil,
+		"restoreSnapshot":  nil,
+		"readPublication":  nil,
 		`"compress/lzw"`:   {"internal/core/publication.go"},
 		`"compress/flate"`: nil,
 		"FailFsyncAt(":     {"internal/wal/atomic.go"},
@@ -180,8 +186,8 @@ func TestOneReaderOneWriter(t *testing.T) {
 	// the periodic rerun share it — and reads the answer log in place:
 	// outside Answers, nothing in internal/core builds, clones or infers
 	// over an AnswerSet. The log itself is read only through logPrefix,
-	// appended only in submitOne and assigned only in restoreSnapshot,
-	// which is what makes a capped prefix of it a snapshot.
+	// appended only in submitOne and assigned nowhere, which is what makes
+	// a capped prefix of it a snapshot.
 	prog, err := lint.LoadModule(".")
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +257,26 @@ func TestOneReaderOneWriter(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("found %d calls of truth.InferIndex in internal/core, want 1 (in infer)", calls)
 	}
-	for use, fns := range map[string]string{"read": "logPrefix", "append": "submitOne", "assign": "restoreSnapshot"} {
+	for use, fns := range map[string]string{"read": "logPrefix", "append": "submitOne", "assign": ""} {
 		if strings.Join(logUses[use], " ") != fns {
-			t.Errorf("s.log: %s in %v, want only in %s", use, logUses[use], fns)
+			t.Errorf("s.log: %s in %v, want [%s]", use, logUses[use], fns)
 		}
+	}
+
+	// The engine's numbers are restored in the snapshot's install alone.
+	calls = 0
+	for _, glob := range []string{"*.go", "cmd/*/*.go", "internal/*/*.go"} {
+		funcNodes(t, fset, glob, func(fn *ast.FuncDecl, n ast.Node) {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "RestoreTask" {
+				if fn.Name.Name != "installSnapshot" {
+					t.Errorf("%s: %s calls RestoreTask; only installSnapshot may", fset.Position(sel.Pos()), fn.Name.Name)
+				}
+				calls++
+			}
+		})
+	}
+	if calls != 1 {
+		t.Errorf("found %d calls of RestoreTask, want 1 (in installSnapshot)", calls)
 	}
 
 	// A plain merge (store op 2) is read from older logs and written by

@@ -13,6 +13,7 @@ var (
 	ErrCampaignNotFound = registry.ErrNotFound
 	ErrCampaignArchived = registry.ErrArchived
 	ErrCampaignExists   = registry.ErrExists
+	ErrCampaignName     = registry.ErrBadName
 )
 
 // Registry hosts many named campaigns in one process over one shared
@@ -90,7 +91,7 @@ func (r *Registry) CampaignResident(name string) bool { return r.reg.Resident(na
 // Hibernate releases the named campaign's memory, first writing a final
 // state snapshot if an answer lies past the newest one (a campaign nobody
 // answered since writes nothing); the next request to the campaign wakes
-// it (snapshot restore + replay of a suffix that holds no answer). A no-op
+// it (a replay of its log that runs no answer's math). A no-op
 // on an already-hibernated campaign. Errors only on
 // memory-only registries, unknown or archived campaigns, or when the
 // final snapshot could not be written — in which case the campaign is

@@ -8,12 +8,11 @@
 # at float64-bit granularity; it exists so a regression that somehow slips
 # past the fingerprint suites still fails loudly at the API surface.
 #
-# The whole thing runs twice, once per rung of the recovery ladder. On the
-# first the reboot is a full replay of the segments. The second runs under
-# -max-live-campaigns 1: midway through, publishing a second campaign
-# evicts the first, whose hibernation writes its snapshot, and the rest of
-# the answers form a suffix past it — so the reboot is snapshot restore +
-# suffix replay.
+# The whole thing runs twice. On the first the reboot is a full replay of
+# the segments. The second runs under -max-live-campaigns 1: midway
+# through, publishing a second campaign evicts the first, whose hibernation
+# writes its snapshot, and the rest of the answers form a suffix past it —
+# so the reboot installs the snapshot and runs the math of the suffix only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
