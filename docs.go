@@ -63,22 +63,30 @@
 //
 // # Persistence
 //
+// A System is a campaign, and every campaign is a registry's: New opens a
+// registry of one over its Config and hosts one campaign named "default"
+// in it, so New and OpenRegistry share one layout, one boot and one store.
 // Two artifacts survive a restart. Config.StorePath keeps the long-run
 // per-worker statistics (the paper stores these in the system database so
 // returning workers keep their profile across requesters); it names a log
 // directory of the same write-ahead log a campaign uses, one fsynced record
-// per profiling merge or changed session. A limit: a durable System outside
-// a registry mints a new session scope each time it opens, so each restart
-// leaves its last session beside the next one. Config.WALDir keeps the
-// campaign itself: every accepted publication and answer is appended to a
-// segmented, CRC-checked write-ahead log (package docs/internal/wal) with
-// group-commit batching, and New replays the log — the intact segment
-// records, dropping a torn final record — through the ordinary serial
-// submit path before serving. Because
+// per profiling merge or changed session, and defaults to <WALDir>/store.
+// A campaign's sessions live under its name there, so a reopened System
+// replaces its own, and two Systems over one StorePath are one campaign
+// "default": campaigns that must keep their sessions apart are a
+// registry's, named apart. Config.WALDir keeps the campaign itself, under
+// <WALDir>/campaigns/default: every accepted publication and answer is
+// appended to a segmented, CRC-checked write-ahead log (package
+// docs/internal/wal) with group-commit batching, and New replays the log —
+// the intact segment records, dropping a torn final record — through the
+// ordinary serial submit path before serving. Because
 // concurrent serving is provably equivalent to a serial replay of the
 // chronological answer log, the recovered state is bit-identical to an
 // uninterrupted serial run of the logged stream; the crash-injection suite
 // in docs/internal/core asserts exactly that over randomized kill points.
+// New refuses a WALDir holding any other campaign (open that root with
+// OpenRegistry) and one holding WAL segments at its top level: the layout
+// older versions of New wrote, which this one does not open.
 //
 // Durability levels: by default an acknowledged Submit has reached the OS
 // (survives process crashes); Config.WALSyncEveryBatch adds one fsync per
@@ -107,10 +115,10 @@
 //	b, _ := reg.Campaign("product-labels") // same campaign, by name
 //
 // With Config.WALDir set, each campaign logs under its own namespace
-// (<dir>/campaigns/<name>) and the shared store logs under <dir>/store;
-// OpenRegistry recovers every campaign a previous
-// process left behind. Archive ends a campaign for good; Close shuts the
-// whole registry down gracefully. See docs/multi-campaign.md.
+// (<dir>/campaigns/<name>) and the shared store logs under <dir>/store, the
+// layout of New's registry of one; OpenRegistry recovers every campaign a
+// previous process left behind. Archive ends a campaign for good; Close
+// shuts the whole registry down gracefully. See docs/multi-campaign.md.
 package docs
 
 import (
@@ -122,7 +130,6 @@ import (
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/registry"
-	"docs/internal/store"
 	"docs/internal/truth"
 	"docs/internal/wal"
 )
@@ -132,8 +139,8 @@ const NoTruth = -1
 
 // ErrDurability marks a failed durability promise: the mutation could not
 // be logged to the WAL, and the campaign stops serving the state it was
-// applied to — a registry drops the campaign's core and wakes it from its
-// log on the next call; a System of its own must be closed and reopened.
+// applied to: its registry drops the campaign's core and wakes it from its
+// log on the next call.
 // Check with errors.Is; servers should answer 5xx, not 4xx.
 var ErrDurability = core.ErrDurability
 
@@ -185,14 +192,15 @@ type Config struct {
 	// staleness contract. Serving stays deterministic without it.
 	AsyncRerun bool
 	// StorePath is the log directory that persists worker statistics
-	// across campaigns (empty = memory-only; the registry defaults it to
-	// <WALDir>/store).
+	// across campaigns (empty = <WALDir>/store when WALDir is set, else
+	// memory-only).
 	StorePath string
-	// WALDir arms the write-ahead log: every accepted Publish/Submit is
-	// appended durably (group-commit batched), and New replays whatever a
-	// previous process left in the directory before serving. Empty keeps
-	// the campaign memory-only. See the Persistence section of the package
-	// comment.
+	// WALDir is the registry root and arms the write-ahead log: every
+	// accepted Publish/Submit is appended durably (group-commit batched)
+	// under <WALDir>/campaigns/<name>, and New and OpenRegistry replay
+	// whatever a previous process left there before serving. Empty keeps
+	// every campaign memory-only. See the Persistence section of the
+	// package comment.
 	WALDir string
 	// WALSyncEveryBatch fsyncs the WAL once per group-commit batch,
 	// surviving power loss at the cost of one fsync amortized over each
@@ -210,25 +218,24 @@ type Config struct {
 	// docs/assignment.md.
 	LeaseTTL time.Duration
 
-	// MaxLiveCampaigns (registry only) caps how many campaigns are
-	// resident in memory at once; past the cap the least-recently-used
-	// live campaign hibernates (memory released; a final snapshot only if
-	// answers arrived since the last) and wakes on its next request. Also
-	// makes boot lazy: campaign logs replay on first touch, not at open.
-	// Requires WALDir. Zero keeps every campaign live forever (the
-	// pre-hibernation behavior).
+	// MaxLiveCampaigns caps how many campaigns are resident in memory at
+	// once; past the cap the least-recently-used live campaign hibernates
+	// (memory released; a final snapshot only if answers arrived since the
+	// last) and wakes on its next request. Also makes boot lazy: campaign
+	// logs replay on first touch, not at open. Requires WALDir. Zero keeps
+	// every campaign live forever (the pre-hibernation behavior).
 	MaxLiveCampaigns int
-	// HibernateAfter (registry only) hibernates any campaign idle for
-	// this long. Requires WALDir. Zero disables idle hibernation. See
-	// docs/multi-campaign.md for the lifecycle and wake contract.
+	// HibernateAfter hibernates any campaign idle for this long. Requires
+	// WALDir. Zero disables idle hibernation. See docs/multi-campaign.md
+	// for the lifecycle and wake contract.
 	HibernateAfter time.Duration
 }
 
 // campaign maps the per-campaign tuning fields onto the serving core's
-// config: the one place the facade's names meet core's, used by New and
-// OpenRegistry alike. WALDir, StorePath, MaxLiveCampaigns and
-// HibernateAfter say where campaigns live and how many stay resident, and
-// are consumed by New and OpenRegistry themselves.
+// config: the one place the facade's names meet core's, used by every
+// registry New and OpenRegistry open. WALDir, StorePath, MaxLiveCampaigns
+// and HibernateAfter say where campaigns live and how many stay resident,
+// and are consumed by the registry itself.
 func (cfg Config) campaign() core.Config {
 	walSync := wal.SyncNever
 	if cfg.WALSyncEveryBatch {
@@ -245,29 +252,21 @@ func (cfg Config) campaign() core.Config {
 	}
 }
 
-// System is a running DOCS campaign: its own (New), or one a Registry
-// hosts (Registry.Create, Registry.Campaign). A hosted System holds no core:
-// each method leases the campaign from the registry for the length of the
-// call, so hibernation, eviction, Archive and Close wait for it and never
-// fail it. On a hosted System whose campaign is archived or whose registry
-// is closed, the methods without an error result return zero values.
+// System is a running DOCS campaign, hosted by a registry: the registry of
+// one New opens for it, or an OpenRegistry one (Registry.Create,
+// Registry.Campaign). A System holds no core: each method leases the
+// campaign from its registry for the length of the call, so hibernation,
+// eviction, Archive and Close wait for it and never fail it. On a System
+// whose campaign is archived or whose registry is closed, the methods
+// without an error result return zero values.
 type System struct {
-	sys *core.System
-	st  *store.Store // non-nil when New opened a file-backed store
-
-	// reg and name are set on a hosted System.
 	reg  *registry.Registry
 	name string
+	own  bool // New opened reg for this System, so Close closes it
 }
 
-// do runs fn on the campaign's core: the System's own, or the hosting
-// registry's, leased for the call.
-func (s *System) do(fn func(*core.System) error) error {
-	if s.reg == nil {
-		return fn(s.sys)
-	}
-	return s.reg.Do(s.name, fn)
-}
+// do runs fn on the campaign's core, leased from the registry for the call.
+func (s *System) do(fn func(*core.System) error) error { return s.reg.Do(s.name, fn) }
 
 // call runs f on the campaign's core (see do) and returns its results.
 func call[T any](s *System, f func(*core.System) (T, error)) (v T, err error) {
@@ -282,78 +281,38 @@ func read[T any](s *System, f func(*core.System) T) (v T) {
 	return v
 }
 
-// New creates a System over the built-in knowledge base.
+// defaultCampaign names the one campaign of New's registry.
+const defaultCampaign = "default"
+
+// New creates a System over the built-in knowledge base: a registry of one
+// over cfg, hosting one campaign named "default". The registry creates the
+// campaign on a fresh root and recovers it from a root that holds it; a
+// root holding any other campaign is refused.
 func New(cfg Config) (*System, error) {
-	k, err := kb.Default()
+	r, err := OpenRegistry(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var st *store.Store
-	if cfg.StorePath != "" {
-		st, err = store.Open(cfg.StorePath, k.Domains().Size())
-		if err != nil {
-			return nil, err
-		}
+	switch names := r.reg.Names(); {
+	case len(names) == 0:
+		err = r.reg.Create(defaultCampaign)
+	case len(names) > 1 || names[0] != defaultCampaign:
+		err = fmt.Errorf("docs: %s hosts the campaigns %q, not a System's one %q: open it with OpenRegistry", cfg.WALDir, names, defaultCampaign)
 	}
-	cc := cfg.campaign()
-	cc.KB = k
-	cc.Store = st
-	sys, err := core.New(cc)
 	if err != nil {
+		r.Close()
 		return nil, err
 	}
-	if cfg.WALDir != "" {
-		if _, err := sys.Recover(cfg.WALDir); err != nil {
-			sys.Close()
-			if st != nil {
-				st.Close()
-			}
-			return nil, err
-		}
-	}
-	return &System{sys: sys, st: st}, nil
+	return &System{reg: r.reg, name: defaultCampaign, own: true}, nil
 }
 
-// Recovery describes what New replayed from Config.WALDir.
-type Recovery struct {
-	// Enabled is true when a WAL is armed.
-	Enabled bool
-	// Records is how many durable records (publication, answers, seeds)
-	// the boot replayed in full: with a snapshot, the ones past it.
-	Records int
-	// TornTail is true when the log ended in a torn, dropped record (the
-	// previous process crashed mid-append; the record was never
-	// acknowledged).
-	TornTail bool
-	// SnapshotUsed is true when the boot installed a state snapshot's
-	// numbers at SnapshotSeq instead of running the math of the answers up
-	// to it.
-	SnapshotUsed bool
-	// SnapshotSeq is the WAL sequence the installed snapshot covered.
-	SnapshotSeq uint64
-	// SnapshotRejected carries the reason a present snapshot was not used
-	// (torn, corrupt, at odds with the publication, or ahead of the durable
-	// log); the boot ran the full replay. Empty when no snapshot existed or
-	// it was used.
-	SnapshotRejected string
-	// Seconds is the wall-clock recovery lag the boot paid.
-	Seconds float64
-}
+// Recovery describes what a campaign's most recent boot or wake replayed
+// from its log; Duration is the recovery lag it paid.
+type Recovery = core.RecoveryInfo
 
-// Recovery returns what New replayed from the WAL (zero value when no WAL
-// is armed).
-func (s *System) Recovery() Recovery {
-	info := read(s, (*core.System).Recovery)
-	return Recovery{
-		Enabled:          info.Enabled,
-		Records:          info.Records,
-		TornTail:         info.TornTail,
-		SnapshotUsed:     info.SnapshotUsed,
-		SnapshotSeq:      info.SnapshotSeq,
-		SnapshotRejected: info.SnapshotRejected,
-		Seconds:          info.Duration.Seconds(),
-	}
-}
+// Recovery returns what the campaign's most recent boot or wake replayed
+// from its WAL (zero value when no WAL is armed).
+func (s *System) Recovery() Recovery { return read(s, (*core.System).Recovery) }
 
 // Publish registers the campaign's tasks and runs Domain Vector Estimation
 // over their text. Must be called exactly once, before Request/Submit.
@@ -527,22 +486,16 @@ func (s *System) Stats() Stats {
 	})
 }
 
-// Close stops the background re-inference worker and flushes, fsyncs and
-// closes the WAL and the worker store, so a graceful shutdown loses
-// nothing. Do not serve after Close. A hosted System's
-// campaign belongs to its registry: Close refuses it and closes nothing —
-// end the campaign with Registry.Archive.
+// Close closes the registry New opened for the System: it stops the
+// background re-inference worker and flushes, fsyncs and closes the WAL and
+// the worker store, so a graceful shutdown loses nothing. Do not serve
+// after Close. A campaign a Registry hosts belongs to it: Close refuses its
+// System and closes nothing — end the campaign with Registry.Archive.
 func (s *System) Close() error {
-	if s.reg != nil {
+	if !s.own {
 		return fmt.Errorf("docs: campaign %q belongs to its registry: end it with Registry.Archive, or close the registry", s.name)
 	}
-	err := s.sys.Close()
-	if s.st != nil {
-		if cerr := s.st.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return s.reg.Close()
 }
 
 // Results runs the final iterative truth inference over all collected
@@ -554,13 +507,17 @@ func (s *System) Results() ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tasks := sys.InferTasks()
-		out := make([]Result, len(tasks))
-		for i, t := range tasks {
-			out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
-		}
-		return out, nil
+		return results(sys.InferTasks(), res), nil
 	})
+}
+
+// results pairs each task with its inferred truth, aligned by index.
+func results(tasks []*model.Task, res *truth.Result) []Result {
+	out := make([]Result, len(tasks))
+	for i, t := range tasks {
+		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
+	}
+	return out
 }
 
 // InferTruth is the offline API: given tasks and a full set of collected
@@ -572,29 +529,27 @@ func InferTruth(tasks []Task, answers []Answer) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
 	internal, err := toInternalTasks(tasks)
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.sys.Publish(internal); err != nil {
-		return nil, err
-	}
-	as := model.NewAnswerSet()
-	for _, a := range answers {
-		if err := as.Add(model.Answer{Worker: a.Worker, Task: a.TaskID, Choice: a.Choice}); err != nil {
+	return call(sys, func(c *core.System) ([]Result, error) {
+		if err := c.Publish(internal); err != nil {
 			return nil, err
 		}
-	}
-	m := sys.sys.Domains().Size()
-	res, err := truth.Infer(internal, as, m, truth.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(internal))
-	for i, t := range internal {
-		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
-	}
-	return out, nil
+		as := model.NewAnswerSet()
+		for _, a := range answers {
+			if err := as.Add(model.Answer{Worker: a.Worker, Task: a.TaskID, Choice: a.Choice}); err != nil {
+				return nil, err
+			}
+		}
+		res, err := truth.Infer(internal, as, c.Domains().Size(), truth.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return results(internal, res), nil
+	})
 }
 
 func toInternalTasks(tasks []Task) ([]*model.Task, error) {

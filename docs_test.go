@@ -1,8 +1,11 @@
 package docs
 
 import (
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,66 +352,53 @@ func TestNewAndRegistryShareTuning(t *testing.T) {
 	}
 }
 
-// TestUnnamedSystemsKeepSeparateSessions: two standalone Systems over one
-// StorePath — each gets a scope the store mints — both leave their session
-// in the store, and a repeat call after more answers replaces only the
-// caller's own. Both campaigns run the same traffic, so the held weight is
-// exactly twice what one campaign leaves in a store of its own.
-func TestUnnamedSystemsKeepSeparateSessions(t *testing.T) {
-	campaign := func(storePath string) {
-		t.Helper()
-		sys, err := New(Config{GoldenCount: -1, StorePath: storePath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		if err := sys.Publish(exampleTasks()); err != nil {
-			t.Fatal(err)
-		}
-		for _, round := range [][]Answer{
-			{{Worker: "alice", TaskID: 0, Choice: 0}, {Worker: "alice", TaskID: 1, Choice: 1}},
-			{{Worker: "alice", TaskID: 2, Choice: 0}, {Worker: "bob", TaskID: 0, Choice: 1}, {Worker: "bob", TaskID: 2, Choice: 0}},
-		} {
-			for _, a := range round {
-				if err := sys.Submit(a.Worker, a.TaskID, a.Choice); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := sys.Results(); err != nil {
+// sessionRounds answers two rounds of exampleTasks on sys, each closed by a
+// Results call.
+func sessionRounds(t *testing.T, sys *System) {
+	t.Helper()
+	for _, round := range [][]Answer{
+		{{Worker: "alice", TaskID: 0, Choice: 0}, {Worker: "alice", TaskID: 1, Choice: 1}},
+		{{Worker: "alice", TaskID: 2, Choice: 0}, {Worker: "bob", TaskID: 0, Choice: 1}, {Worker: "bob", TaskID: 2, Choice: 0}},
+	} {
+		for _, a := range round {
+			if err := sys.Submit(a.Worker, a.TaskID, a.Choice); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	weights := func(storePath string) map[string][]float64 {
-		t.Helper()
-		st, err := store.Open(storePath, 26)
-		if err != nil {
+		if _, err := sys.Results(); err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
-		out := map[string][]float64{}
-		for _, w := range st.Workers() {
-			stats, _ := st.Worker(w)
-			out[w] = stats.U
-		}
-		return out
 	}
-	alone := filepath.Join(t.TempDir(), "alone")
-	campaign(alone)
-	one := weights(alone)
+}
 
-	shared := filepath.Join(t.TempDir(), "shared")
-	campaign(shared)
-	campaign(shared)
-	two := weights(shared)
-	if len(one) != 2 || len(two) != 2 {
-		t.Fatalf("stores hold workers %v and %v, want alice and bob", one, two)
+// storeWeights reads every worker's held weight from the store log at path.
+func storeWeights(t *testing.T, path string) map[string][]float64 {
+	t.Helper()
+	st, err := store.Open(path, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	out := map[string][]float64{}
+	for _, w := range st.Workers() {
+		stats, _ := st.Worker(w)
+		out[w] = stats.U
+	}
+	return out
+}
+
+// sameWeights fails unless got holds alice and bob at factor times want's
+// weights, and want holds some weight at all.
+func sameWeights(t *testing.T, what string, got, want map[string][]float64, factor float64) {
+	t.Helper()
+	if len(want) != 2 || len(got) != 2 {
+		t.Fatalf("stores hold workers %v and %v, want alice and bob", want, got)
 	}
 	total := 0.0
-	for w, u := range one {
+	for w, u := range want {
 		for k := range u {
-			if two[w][k] != 2*u[k] {
-				t.Fatalf("%s: weight[%d] = %g in the shared store, want twice %g", w, k, two[w][k], u[k])
+			if got[w][k] != factor*u[k] {
+				t.Fatalf("%s: %s weight[%d] = %g, want %g times %g", what, w, k, got[w][k], factor, u[k])
 			}
 			total += u[k]
 		}
@@ -416,4 +406,151 @@ func TestUnnamedSystemsKeepSeparateSessions(t *testing.T) {
 	if total == 0 {
 		t.Fatal("the campaign left no weight in the store")
 	}
+}
+
+// TestCampaignsNamedApartKeepSeparateSessions: two campaigns named apart
+// over one StorePath — a campaign's name is its session scope — both leave
+// their session in the store, and a repeat call after more answers replaces
+// only the caller's own. Both campaigns run the same traffic, so the held
+// weight is exactly twice what one campaign leaves in a store of its own.
+func TestCampaignsNamedApartKeepSeparateSessions(t *testing.T) {
+	campaign := func(storePath, name string) {
+		t.Helper()
+		reg, err := OpenRegistry(Config{GoldenCount: -1, StorePath: storePath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		sys, err := reg.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Publish(exampleTasks()); err != nil {
+			t.Fatal(err)
+		}
+		sessionRounds(t, sys)
+	}
+	alone := filepath.Join(t.TempDir(), "alone")
+	campaign(alone, "a")
+	shared := filepath.Join(t.TempDir(), "shared")
+	campaign(shared, "a")
+	campaign(shared, "b")
+	sameWeights(t, "the shared store", storeWeights(t, shared), storeWeights(t, alone), 2)
+}
+
+// TestRestartReplacesItsOwnSession: a durable System is one campaign under
+// one name, across restarts. Reopened over the same WALDir, its Results
+// replaces the session it left before the restart, so the store holds each
+// worker's weight once, not once per process.
+func TestRestartReplacesItsOwnSession(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{GoldenCount: -1, WALDir: dir, StorePath: filepath.Join(dir, "workers")}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(exampleTasks()); err != nil {
+		t.Fatal(err)
+	}
+	sessionRounds(t, sys)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	once := storeWeights(t, cfg.StorePath)
+
+	sys, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.Published() || sys.Recovery().Records == 0 {
+		t.Fatalf("the reopened System recovered %+v, want its campaign", sys.Recovery())
+	}
+	if _, err := sys.Results(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameWeights(t, "after a restart", storeWeights(t, cfg.StorePath), once, 1)
+}
+
+// TestNewOpensItsCampaignOnly: New's WALDir is a registry root holding one
+// campaign, "default". New refuses a root holding any other campaign,
+// pointing at OpenRegistry, and the layout older versions of New wrote — a
+// campaign's segments directly in WALDir — with an error naming a segment.
+// Neither refusal changes a byte on disk.
+func TestNewOpensItsCampaignOnly(t *testing.T) {
+	tree := func(dir string) map[string]string {
+		t.Helper()
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			files[path] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	refused := func(what, dir, want string) {
+		t.Helper()
+		before := tree(dir)
+		sys, err := New(Config{WALDir: dir})
+		if err == nil {
+			sys.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: New error %v, want one naming %s", what, err, want)
+		}
+		if !reflect.DeepEqual(tree(dir), before) {
+			t.Errorf("%s: the refused root changed", what)
+		}
+	}
+
+	root := t.TempDir()
+	reg, err := OpenRegistry(Config{WALDir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("other"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused("a registry root", root, "OpenRegistry")
+
+	dir := t.TempDir()
+	sys, err := New(Config{GoldenCount: -1, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(exampleTasks()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Submit("alice", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := t.TempDir()
+	segments, err := os.ReadDir(filepath.Join(dir, "campaigns", defaultCampaign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range segments {
+		data, err := os.ReadFile(filepath.Join(dir, "campaigns", defaultCampaign, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(old, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused("the older layout", old, ".wal")
 }

@@ -1,8 +1,8 @@
 // Campaign: a larger end-to-end run that exercises every public API —
 // persistent worker statistics included.
 //
-// The example runs TWO sequential campaigns sharing one worker-statistics
-// store (a temp JSON file). In campaign 1 the workers are profiled on
+// The example runs TWO sequential campaigns, named apart, sharing one
+// worker-statistics store (a temp log directory). In campaign 1 the workers are profiled on
 // golden tasks; in campaign 2 the same workers return, skip golden
 // profiling entirely (their qualities were persisted per the paper's
 // Theorem 1 maintenance rule), and go straight to high-benefit tasks.
@@ -84,7 +84,9 @@ func makeTasks(campaign int) ([]docs.Task, map[int]int) {
 
 func runCampaign(n int, storePath string, workers []simWorker) {
 	tasks, truths := makeTasks(n)
-	sys, err := docs.New(docs.Config{
+	// A campaign's name scopes the sessions its Results leaves in the
+	// store, so each requester's campaign gets its own.
+	reg, err := docs.OpenRegistry(docs.Config{
 		GoldenCount:    4,
 		HITSize:        3,
 		AnswersPerTask: 3,
@@ -93,7 +95,11 @@ func runCampaign(n int, storePath string, workers []simWorker) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close() // releases the store's log for the next campaign
+	defer reg.Close() // releases the store's log for the next campaign
+	sys, err := reg.Create(fmt.Sprintf("campaign-%d", n))
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := sys.Publish(tasks); err != nil {
 		log.Fatal(err)
 	}

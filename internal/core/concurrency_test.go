@@ -279,10 +279,9 @@ func TestConcurrentGoldenProfiling(t *testing.T) {
 }
 
 // TestConcurrentResultsLandInSnapshotOrder: Results calls racing each other
-// and the submits they infer over — the first ones racing to mint the
-// unnamed campaign's scope — hold one lock from the answer snapshot to the
-// last store write, so sessions land in snapshot order under one scope, and
-// after one last call the store holds exactly what a single call at the
+// and the submits they infer over hold one lock from the answer snapshot to
+// the last store write, so sessions land in snapshot order under one scope,
+// and after one last call the store holds exactly what a single call at the
 // final prefix leaves in a serial replay's store. Run with -race and -count.
 func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 4, RerunEvery: 40}

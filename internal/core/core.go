@@ -31,6 +31,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -54,8 +55,8 @@ import (
 type Config struct {
 	// KB is the knowledge base; nil selects the curated default.
 	KB *kb.KB
-	// Store persists worker statistics across campaigns; nil keeps a
-	// memory-only store.
+	// Store persists worker statistics across campaigns; one opened over
+	// an empty path keeps them in memory. Required.
 	Store *store.Store
 	// GoldenCount is the number of golden tasks selected from the published
 	// tasks that carry ground truth (default assign.DefaultGoldenCount).
@@ -92,14 +93,14 @@ type Config struct {
 	// Clock supplies the lease clock (nil = time.Now). Tests inject a fake
 	// clock to drive TTL expiry deterministically, with no sleeps.
 	Clock func() time.Time
-	// ProfileScope namespaces this campaign's golden-profiling merges in
-	// the shared long-run store: each worker's profiling merge is recorded
-	// under ProfileScope+"/"+worker and applied exactly once no matter how
-	// often the campaign's log replays (crash recovery, snapshot passes).
-	// The registry passes the campaign name; a standalone System may leave
-	// it empty (the bare "/" namespace). Campaigns sharing one persistent
-	// store MUST use distinct scopes, or one campaign's replay would treat
-	// another campaign's profiling of the same worker as its own.
+	// ProfileScope is the campaign's name in the shared long-run store.
+	// Required. Each worker's profiling merge is recorded under
+	// ProfileScope+"/"+worker and applied exactly once no matter how often
+	// the campaign's log replays (crash recovery, snapshot passes), and
+	// Results replaces the workers' sessions under it. The registry passes
+	// the campaign name. Campaigns sharing one persistent store MUST use
+	// distinct scopes, or one campaign's replay would treat another
+	// campaign's profiling of the same worker as its own.
 	ProfileScope string
 }
 
@@ -132,12 +133,11 @@ type System struct {
 	// every serving path takes the read side.
 	mu sync.RWMutex
 
-	kb        *kb.KB
-	linker    *entitylink.Linker
-	m         int
-	store     *store.Store
-	ownsStore bool // New created the store, so Close releases it
-	cfg       Config
+	kb     *kb.KB
+	linker *entitylink.Linker
+	m      int
+	store  *store.Store
+	cfg    Config
 
 	tasks      []*model.Task // published, with domain vectors
 	byID       map[int]*model.Task
@@ -198,8 +198,7 @@ type System struct {
 	covered   bool
 
 	rerunMu   sync.Mutex // serializes batch re-inference runs
-	resultsMu sync.Mutex // serializes Results; guards scope
-	scope     string     // Results' store scope: ProfileScope, or minted
+	resultsMu sync.Mutex // serializes Results
 	// rerunFault, when set (tests only), is invoked at the top of every
 	// rerun attempt; a non-nil return fails the rerun — the seam the
 	// failed-rerun regression test injects through.
@@ -235,15 +234,8 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	st := cfg.Store
-	ownsStore := false
-	if st == nil {
-		var err error
-		st, err = store.Open("", k.Domains().Size())
-		if err != nil {
-			return nil, err
-		}
-		ownsStore = true
+	if cfg.Store == nil || cfg.ProfileScope == "" {
+		return nil, errors.New("core: a campaign needs a Store and a ProfileScope")
 	}
 	if cfg.GoldenCount == 0 {
 		cfg.GoldenCount = assign.DefaultGoldenCount
@@ -256,16 +248,14 @@ func New(cfg Config) (*System, error) {
 	}
 	m := k.Domains().Size()
 	s := &System{
-		kb:        k,
-		linker:    entitylink.New(k),
-		m:         m,
-		store:     st,
-		ownsStore: ownsStore,
-		cfg:       cfg,
-		scope:     cfg.ProfileScope,
-		inc:       truth.NewIncremental(m),
-		rerunCh:   make(chan struct{}, 1),
-		quit:      make(chan struct{}),
+		kb:      k,
+		linker:  entitylink.New(k),
+		m:       m,
+		store:   cfg.Store,
+		cfg:     cfg,
+		inc:     truth.NewIncremental(m),
+		rerunCh: make(chan struct{}, 1),
+		quit:    make(chan struct{}),
 	}
 	for i := range s.shards {
 		s.shards[i].workers = make(map[string]*workerState)
@@ -287,23 +277,15 @@ func New(cfg Config) (*System, error) {
 
 // Close stops the background rerun worker (a pending request is drained
 // first) and then flushes, fsyncs and closes the WAL, so a graceful
-// shutdown loses nothing regardless of sync policy. A store
-// this System created (rather than received via Config.Store) is released
-// too; a caller-provided store stays open — the caller may share it.
-// Serving methods must not be called after Close.
+// shutdown loses nothing regardless of sync policy. The store stays open:
+// its owner may share it. Serving methods must not be called after Close.
 func (s *System) Close() error {
 	s.closed.Do(func() { close(s.quit) })
 	s.wg.Wait()
-	var err error
-	if s.wal != nil {
-		err = s.wal.Close()
+	if s.wal == nil {
+		return nil
 	}
-	if s.ownsStore {
-		if cerr := s.store.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return s.wal.Close()
 }
 
 // worker is the background rerun loop: run pass once per nudge until the
@@ -931,12 +913,9 @@ func (s *System) Results() (*truth.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.scope == "" {
-		s.scope = s.store.MintScope()
-	}
 	sessions := truth.SessionStats(tasks[:n], idx, res, s.m)
 	for wi, w := range idx.Workers() {
-		if err := s.store.Session(s.scope, w, &sessions[wi]); err != nil {
+		if err := s.store.Session(s.cfg.ProfileScope, w, &sessions[wi]); err != nil {
 			return nil, err
 		}
 	}

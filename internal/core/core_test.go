@@ -12,8 +12,24 @@ import (
 	"docs/internal/truth"
 )
 
+// newSystem builds a campaign from cfg: named "test" and over a memory-only
+// store of its own unless cfg names a scope or brings a store.
 func newSystem(t *testing.T, cfg Config) *System {
 	t.Helper()
+	if cfg.ProfileScope == "" {
+		cfg.ProfileScope = "test"
+	}
+	if cfg.Store == nil {
+		k := cfg.KB
+		if k == nil {
+			k = kb.MustDefault()
+		}
+		st, err := store.Open("", k.Domains().Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = st
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,10 @@ import (
 
 	"docs/internal/core"
 	"docs/internal/dataset"
+	"docs/internal/kb"
 	"docs/internal/model"
 	"docs/internal/registry"
+	"docs/internal/store"
 )
 
 // TestRecoveryRunsOneRerun: a replay runs the last periodic rerun its log
@@ -87,6 +89,10 @@ func TestRecoveryRunsOneRerun(t *testing.T) {
 				t.Fatalf("the live campaign ran %d reruns over %d answers, want %d", live, tc.answers, tc.answers/z)
 			}
 
+			cfg.ProfileScope = name
+			if cfg.Store, err = store.Open("", kb.MustDefault().Domains().Size()); err != nil {
+				t.Fatal(err)
+			}
 			boot, err := core.New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -59,8 +59,7 @@ func decodeSeed(blob []byte, m int) (*truth.Stats, bool, error) {
 // profileID is the durable identity of this campaign's profiling merge for
 // a worker: one merge per (campaign, worker), applied exactly once no
 // matter how often the campaign log replays. The scope charset (campaign
-// names: [A-Za-z0-9_-]) cannot contain "/", so the join is unambiguous;
-// an unscoped single-campaign system uses the bare "/worker" namespace.
+// names: [A-Za-z0-9_-]) cannot contain "/", so the join is unambiguous.
 func (s *System) profileID(workerID string) string {
 	return s.cfg.ProfileScope + "/" + workerID
 }

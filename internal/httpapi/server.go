@@ -472,7 +472,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RecoveredFromSnapshot:    rec.SnapshotUsed,
 		RecoverySnapshotSeq:      rec.SnapshotSeq,
 		RecoverySnapshotRejected: rec.SnapshotRejected,
-		RecoverySeconds:          rec.Seconds,
+		RecoverySeconds:          rec.Duration.Seconds(),
 	}
 	if uptime > 0 {
 		out.AnswersPerSec = float64(st.Answers) / uptime

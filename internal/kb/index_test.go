@@ -10,6 +10,7 @@ import (
 	"docs/internal/entitylink"
 	"docs/internal/kb"
 	"docs/internal/model"
+	"docs/internal/store"
 )
 
 func mentions(ents []entitylink.Entity) []string {
@@ -96,7 +97,12 @@ func TestConcurrentPublishSharesDefaultKB(t *testing.T) {
 		for _, task := range tasks {
 			task.Domain = nil
 		}
-		s, err := core.New(core.Config{GoldenCount: -1})
+		st, err := store.Open("", kb.MustDefault().Domains().Size())
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		s, err := core.New(core.Config{GoldenCount: -1, Store: st, ProfileScope: "publish"})
 		if err != nil {
 			t.Error(err)
 			return nil

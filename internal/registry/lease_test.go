@@ -224,6 +224,7 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 	}
 	cc := cfg.Campaign
 	cc.ProfileScope = "brittle"
+	cc.Store = memStore(t)
 	fresh, err := core.New(cc)
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,12 @@
 //	<root>/campaigns/<name>/  one WAL namespace per campaign
 //	<root>/campaigns/<name>/archived   marker: campaign closed for good
 //
-// A root still holding a store.json or store.json.delta — the JSON store
-// older versions kept — is refused at Open: nothing reads that format.
+// Open refuses a root that is not a registry root, rather than boot an
+// empty registry beside data it would silently miss. One holding a
+// store.json or store.json.delta — the JSON store older versions kept — has
+// no reader. One holding WAL segments at its top level is a campaign's log:
+// a campaign namespace passed as a root, or the layout older versions of
+// docs.New wrote, with a System's segments directly in its WALDir.
 //
 // Open enumerates <root>/campaigns and recovers every non-archived
 // campaign through core.Recover before serving. Replay order across
@@ -286,9 +290,18 @@ func Open(cfg Config) (*Registry, error) {
 	}
 	path := cfg.StorePath
 	if cfg.WALDir != "" {
-		for _, name := range []string{"store.json", "store.json.delta"} { // the retired JSON store
-			if _, err := os.Lstat(filepath.Join(cfg.WALDir, name)); err == nil {
+		// One read of the root refuses a directory that is not a registry
+		// root (see the package comment).
+		entries, err := os.ReadDir(cfg.WALDir)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("registry: %w", err)
+		}
+		for _, e := range entries {
+			switch name := e.Name(); {
+			case name == "store.json", name == "store.json.delta":
 				return nil, fmt.Errorf("registry: %s holds %s, a worker store in the retired JSON format, which this version cannot read", cfg.WALDir, name)
+			case strings.HasSuffix(name, ".wal"):
+				return nil, fmt.Errorf("registry: %s is not a registry root: it holds the WAL segment %s at its top level, where a registry keeps none (a campaign logs under <root>/%s/<name>)", cfg.WALDir, name, campaignsDir)
 			}
 		}
 		if path == "" {

@@ -12,7 +12,9 @@ import (
 
 	"docs/internal/core"
 	"docs/internal/dataset"
+	"docs/internal/kb"
 	"docs/internal/model"
+	"docs/internal/store"
 	"docs/internal/truth"
 	"docs/internal/wal"
 )
@@ -37,6 +39,17 @@ func synthTasks(m, n, offset int) []*model.Task {
 // core outlives the lease Do held for it, so only a test that does not
 // hibernate, archive or close the campaign while it uses the core — or
 // that means to use a closed one — may hold it.
+// memStore opens a memory-only worker store over the default KB's domains,
+// for a core built outside a registry.
+func memStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open("", kb.MustDefault().Domains().Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func get(reg *Registry, name string) (*core.System, error) {
 	var sys *core.System
 	err := reg.Do(name, func(s *core.System) error { sys = s; return nil })

@@ -43,6 +43,42 @@ func TestLegacyStoreRefused(t *testing.T) {
 	}
 }
 
+// TestSegmentsAtTheRootRefused: a directory holding WAL segments at its top
+// level is one campaign's log — here a campaign namespace passed as a root,
+// the same layout as the directory a System of its own logged to before it
+// was a registry's campaign. Open refuses it with an error naming a segment
+// and leaves every byte as it was, instead of booting an empty registry
+// beside the data.
+func TestSegmentsAtTheRootRefused(t *testing.T) {
+	root := t.TempDir()
+	reg, err := Open(crashConfig(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := create(reg, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 0)); err != nil {
+		t.Fatal(err)
+	}
+	profile(t, sys, "w")
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, campaignsDir, "alpha")
+	want := readTree(t, dir)
+	if reg, err := Open(crashConfig(dir)); err == nil || !strings.Contains(err.Error(), ".wal") {
+		if err == nil {
+			reg.Close()
+		}
+		t.Errorf("a campaign's log as the root: Open error %v, want one naming a segment", err)
+	}
+	if got := readTree(t, dir); !reflect.DeepEqual(got, want) {
+		t.Error("the refused root changed")
+	}
+}
+
 // TestStoreAndCampaignLogsNotInterchangeable: a store log and a campaign log
 // are both wal directories, and each refuses the other at its first record
 // — a store opened over a campaign's log, and a campaign directory holding a
@@ -104,7 +140,7 @@ func TestFormatV0LogRefused(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "wal")
 	copyTree(t, fixture, dir)
-	sys, err := core.New(core.Config{})
+	sys, err := core.New(core.Config{Store: memStore(t), ProfileScope: "legacy"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"docs/internal/truth"
@@ -42,7 +40,6 @@ type Store struct {
 	// profiles maps each profile ID ever merged to the worker's value right
 	// after the merge: the merge-once ledger MergeProfile consults.
 	profiles map[string]*truth.Stats
-	minted   int         // the highest n of a "#n" scope held or minted
 	log      *wal.Log    // nil for memory-only stores
 	last     wal.Pending // newest reservation, zero before the first
 }
@@ -138,10 +135,6 @@ func (s *Store) apply(u update) {
 	default: // opMerge, opProfile
 		held[""].Merge(u.st)
 	}
-	if rest, ok := strings.CutPrefix(u.key, "#"); ok && u.op == opSession {
-		n, _ := strconv.Atoi(rest) // 0 for a scope no mint wrote
-		s.minted = max(s.minted, n)
-	}
 	v := held[""].Clone()
 	for _, scope := range sortedKeys(held)[1:] { // the base's "" sorts first
 		v.Merge(held[scope])
@@ -200,15 +193,6 @@ func (s *Store) Put(id string, st *truth.Stats) error {
 func (s *Store) Session(scope, id string, session *truth.Stats) error {
 	_, _, err := s.write(update{op: opSession, id: id, key: scope, st: session})
 	return err
-}
-
-// MintScope returns a new session scope "#n" for a campaign without a name:
-// past every one held or minted, outside the campaign-name alphabet.
-func (s *Store) MintScope() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.minted++
-	return "#" + strconv.Itoa(s.minted)
 }
 
 // MergeProfile applies a golden-profiling merge exactly once per profile

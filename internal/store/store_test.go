@@ -212,37 +212,39 @@ func TestSessionRepeatWritesNothing(t *testing.T) {
 	}
 }
 
-// TestMintScopeSkipsHeldScopes: a minted scope is "#n", past every "#n" the
-// log holds and every scope minted before, so a standalone campaign never
-// takes over another's session — and a name scope that is not a mint's
-// moves nothing.
-func TestMintScopeSkipsHeldScopes(t *testing.T) {
+// TestOlderMintedSessionStillFolds: builds before every campaign had a name
+// wrote a standalone System's session under a scope "#n" the store minted.
+// Nothing mints one any more, but such a log still opens: its "#n" session is
+// an ordinary held scope, folded into the worker's value beside a named
+// campaign's session, exactly as before the reopen.
+func TestOlderMintedSessionStillFolds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store")
-	s, err := Open(path, 1)
+	s, err := Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := s.MintScope(), s.MintScope(); a != "#1" || b != "#2" {
-		t.Fatalf("a fresh store minted %q, %q, want #1, #2", a, b)
-	}
-	for _, scope := range []string{"#7", "#x", "camp9"} {
-		if err := s.Session(scope, "w", truth.NewStats(1)); err != nil {
+	for scope, st := range map[string]*truth.Stats{"#2": mkStats(2, 3), "camp": mkStats(2, 1)} {
+		if err := s.Session(scope, "w", st); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.MintScope(); got != "#8" {
-		t.Errorf("minted %q after a session under #7, want #8", got)
-	}
+	want, _ := s.Worker("w")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Open(path, 1)
+	s, err = Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.MintScope(); got != "#8" {
-		t.Errorf("a reopened store minted %q, want #8 (#7 is the highest its log holds)", got)
+	got, ok := s.Worker("w")
+	if !ok || !sameBits(got, want) {
+		t.Fatalf("reopened worker = %+v, want %+v", got, want)
+	}
+	for k, u := range got.U {
+		if u != 3+1 {
+			t.Fatalf("weight[%d] = %g, want both sessions' 3 + 1", k, u)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -47,7 +48,10 @@ import (
 // installSnapshot, calls (*truth.Incremental).RestoreTask. A rerun reads
 // the answer log where it lies: core calls truth.InferIndex from infer
 // alone, builds an AnswerSet only in Answers, and reads the log only
-// through logPrefix; submitOne appends it and nothing assigns it.
+// through logPrefix; submitOne appends it and nothing assigns it. A
+// campaign is a registry's: core.New is called from the registry's
+// openCampaign and core's own snapshotPass replica alone, the root package
+// imports no store, and nothing mints a session scope (MintScope).
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -65,6 +69,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		`"compress/lzw"`:   {"internal/core/publication.go"},
 		`"compress/flate"`: nil,
 		"FailFsyncAt(":     {"internal/wal/atomic.go"},
+		"MintScope":        nil,
 	}
 	// Imports and calls no file under a directory may name.
 	forbidden := map[string][]string{
@@ -261,6 +266,38 @@ func TestOneReaderOneWriter(t *testing.T) {
 		if strings.Join(logUses[use], " ") != fns {
 			t.Errorf("s.log: %s in %v, want [%s]", use, logUses[use], fns)
 		}
+	}
+
+	// A campaign is a registry's: core.New builds one in the registry's
+	// openCampaign and in core's snapshotPass replica alone, and the root
+	// package reaches the worker store through a registry only.
+	var builders []string
+	for _, pkg := range prog.Packages {
+		for _, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				if pkg.Path == "docs" && imp.Path.Value == `"docs/internal/store"` {
+					t.Errorf("%s imports docs/internal/store; the root package reaches the store through a registry", prog.Fset.Position(imp.Pos()))
+				}
+			}
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if f, ok := pkg.Info.Uses[id].(*types.Func); ok && f.FullName() == "docs/internal/core.New" {
+							builders = append(builders, pkg.Path+"."+fn.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	sort.Strings(builders)
+	if got, want := strings.Join(builders, " "), "docs/internal/core.snapshotPass docs/internal/registry.openCampaign"; got != want {
+		t.Errorf("core.New is called from [%s], want only [%s]", got, want)
 	}
 
 	// The engine's numbers are restored in the snapshot's install alone.

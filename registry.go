@@ -36,7 +36,8 @@ type CampaignInfo = registry.Info
 // under <WALDir>/campaigns/<name>, replayed on open) and StorePath the
 // shared worker store's log directory (defaulting to <WALDir>/store when
 // WALDir is set, so durable registries get the persistent store recovery
-// exactness relies on).
+// exactness relies on). A WALDir that is not a registry root — one holding
+// WAL segments at its top level — is refused.
 func OpenRegistry(cfg Config) (*Registry, error) {
 	reg, err := registry.Open(registry.Config{
 		WALDir:           cfg.WALDir,
