@@ -467,11 +467,11 @@ const publishChunk = 64
 
 // linkAndPack runs DVE over chunks of the tasks on up to GOMAXPROCS
 // goroutines, this one among them (the knowledge base is finished and each
-// task is its own), each reusing one workspace, and, when logged is set,
-// packs the record behind them on one more (packRecord). It returns when
-// every chunk is linked, with record to wait for the packer. Its error is
-// the one a serial loop would meet first, and then no goroutine it started
-// is left.
+// task is its own), each reusing one workspace and all sharing one
+// domainTable, and, when logged is set, packs the record behind them on one
+// more (packRecord). It returns when every chunk is linked, with record to
+// wait for the packer. Its error is the one a serial loop would meet first,
+// and then no goroutine it started is left.
 func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([]byte, error), err error) {
 	chunks := (len(tasks) + publishChunk - 1) / publishChunk
 	errs, linked := make([]error, chunks), make([]chan struct{}, chunks)
@@ -493,10 +493,11 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 	}
 	record = func() ([]byte, error) { packer.Wait(); return blob, packErr }
 	var next atomic.Int64
+	domains := domainTable{vec: make(map[string]model.DomainVector)}
 	link := func() {
-		var ws dve.Workspace
+		var ws linkSpace
 		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-			errs[c] = s.linkChunk(c, tasks[c*publishChunk:min((c+1)*publishChunk, len(tasks))], &ws)
+			errs[c] = s.linkChunk(c, tasks[c*publishChunk:min((c+1)*publishChunk, len(tasks))], &ws, &domains)
 			close(linked[c])
 		}
 	}
@@ -516,20 +517,39 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 	return record, nil
 }
 
-// linkChunk runs DVE over one chunk's tasks that have no domain vector.
-func (s *System) linkChunk(c int, tasks []*model.Task, ws *dve.Workspace) error {
+// linkSpace is one DVE goroutine's memory: the workspace a vector is
+// computed in and the scratch its domainTable key is encoded in.
+type linkSpace struct {
+	dve    dve.Workspace
+	sparse wal.SparseFloats
+	key    []byte
+}
+
+// linkChunk runs DVE over one chunk's tasks that have no domain vector, and
+// gives every task with an m-long vector the publication's one copy of it
+// (a vector of another length is the packer's to refuse).
+func (s *System) linkChunk(c int, tasks []*model.Task, ws *linkSpace, domains *domainTable) error {
 	if s.publishFault != nil {
 		if err := s.publishFault(c); err != nil {
 			return err
 		}
 	}
 	for _, t := range tasks {
-		if t.Domain != nil {
-			continue
+		given := t.Domain != nil // the requester's, validated with its task
+		if !given {
+			t.Domain = ws.dve.Vector(s.linker, t.Text, s.m)
 		}
-		t.Domain = ws.Vector(s.linker, t.Text, s.m)
-		if err := t.Validate(s.m); err != nil {
-			return err
+		if len(t.Domain) == s.m {
+			var err error
+			if ws.key, err = appendVector(ws.key[:0], &ws.sparse, t.Domain, s.m); err != nil {
+				return err
+			}
+			t.Domain = domains.intern(ws.key, t.Domain, given)
+		}
+		if !given {
+			if err := t.Validate(s.m); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -52,9 +52,15 @@ type leaseTable struct {
 	exp      expiryHeap                   // possibly-stale (expiry, worker, task) entries
 }
 
-// leaseEntry is one scheduled expiry. Entries are never removed early: a
-// release or a re-grant leaves the old entry in the heap and it is
-// discarded when popped (byWorker is the authority).
+// staleSlack is how many heap entries beyond twice the live leases the
+// table tolerates before compactLocked rebuilds the heap.
+const staleSlack = 64
+
+// leaseEntry is one scheduled expiry; a live lease has exactly one whose
+// expiry is the lease's. A release or a re-grant leaves the old entry in
+// the heap, where it is discarded when popped (byWorker is the authority)
+// or dropped when stale entries come to outnumber live leases
+// (compactLocked).
 type leaseEntry struct {
 	at     time.Time
 	worker string
@@ -162,18 +168,45 @@ func (lt *leaseTable) grant(workerID string, taskIDs []int) {
 		lt.byWorker[workerID] = held
 	}
 	for _, id := range taskIDs {
-		if _, live := held[id]; !live {
+		at, live := held[id]
+		switch {
+		case !live:
 			lt.counts[id].Add(1)
 			lt.active.Add(1)
+		case at.Equal(expiry):
+			continue // its one heap entry stands
 		}
 		held[id] = expiry
 		heap.Push(&lt.exp, leaseEntry{at: expiry, worker: workerID, task: id})
 	}
+	lt.compactLocked()
+}
+
+// compactLocked drops the stale entries — released, or superseded by a
+// later grant — once the heap holds more than twice as many entries as
+// there are live leases (plus staleSlack), keeping the one entry each live
+// lease has. Without it the heap would hold every grant of the last TTL,
+// answered or not. Each task granted or released moves len(exp) − 2·live
+// by at most two, so a pass, which costs O(len(exp)), follows at least
+// (live+staleSlack)/2 of them since the last: O(1) amortised.
+func (lt *leaseTable) compactLocked() {
+	if len(lt.exp) <= 2*int(lt.active.Load())+staleSlack {
+		return
+	}
+	live := lt.exp[:0]
+	for _, e := range lt.exp {
+		if at, ok := lt.byWorker[e.worker][e.task]; ok && at.Equal(e.at) {
+			live = append(live, e)
+		}
+	}
+	clear(lt.exp[len(live):]) // no stale entry keeps its worker's name alive
+	lt.exp = live
+	heap.Init(&lt.exp)
 }
 
 // release drops the worker's lease on the task, if any — called when their
-// answer is accepted. The heap entry stays behind and is discarded when its
-// expiry comes due.
+// answer is accepted. The heap entry stays behind until its expiry comes
+// due or a rebuild drops it.
 func (lt *leaseTable) release(workerID string, taskID int) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
@@ -190,4 +223,5 @@ func (lt *leaseTable) release(workerID string, taskID int) {
 	}
 	lt.counts[taskID].Add(-1)
 	lt.active.Add(-1)
+	lt.compactLocked()
 }

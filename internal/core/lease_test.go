@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -207,5 +208,49 @@ func TestLeaseStatsLazyExpiry(t *testing.T) {
 	// And the expiry actually freed the slots, not just the counter.
 	if got := taskIDSet(t, s, "w", k); len(got) != k {
 		t.Fatalf("request after stats-driven expiry returned %d tasks, want %d", len(got), k)
+	}
+}
+
+// TestLeaseHeapTracksLiveLeases: the expiry heap grows with live leases,
+// not with grants. 10,000 request→submit cycles under a TTL that never
+// elapses leave every grant's entry stale, and the heap still holds at most
+// two entries per live lease plus a constant, after every step.
+func TestLeaseHeapTracksLiveLeases(t *testing.T) {
+	const n, workers, cycles = 100, 100, 10_000
+	const slack = 64 // the table's staleSlack
+	clk := newFakeClock()
+	s := newSystem(t, Config{
+		GoldenCount: -1, HITSize: 1, RerunEvery: -1, AnswersPerTask: workers,
+		LeaseTTL: time.Hour, Clock: clk.Now,
+	})
+	if err := s.Publish(indexTasks(n, s.Domains().Size())); err != nil {
+		t.Fatal(err)
+	}
+	bound := func(step string) {
+		t.Helper()
+		s.leases.mu.Lock()
+		heapLen, live := len(s.leases.exp), int(s.leases.active.Load())
+		s.leases.mu.Unlock()
+		if heapLen > 2*live+slack {
+			t.Fatalf("%s: the expiry heap holds %d entries for %d live leases, want at most %d", step, heapLen, live, 2*live+slack)
+		}
+	}
+	for c := 0; c < cycles; c++ {
+		w := fmt.Sprintf("w%d", c%workers)
+		got, err := s.Request(w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("cycle %d: %s got %d tasks, want 1", c, w, len(got))
+		}
+		bound(fmt.Sprintf("cycle %d request", c))
+		if err := s.Submit(w, got[0].ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		bound(fmt.Sprintf("cycle %d submit", c))
+	}
+	if got := s.ActiveLeases(); got != 0 {
+		t.Fatalf("ActiveLeases = %d after every lease was answered, want 0", got)
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"docs/internal/model"
@@ -151,8 +152,7 @@ func packRecord(tasks []*model.Task, m int, linked func(chunk int) error) ([]byt
 				}
 				dpb1 = binary.AppendUvarint(dpb1, uint64(t.Truth+1))
 				dpb1 = binary.AppendUvarint(dpb1, uint64(t.TrueDomain+1))
-				domain = wal.SparseOf(domain, t.Domain, 0)
-				if dpb1, err = wal.AppendSparseFloats(dpb1, domain, m, 0); err != nil {
+				if dpb1, err = appendVector(dpb1, &domain, t.Domain, m); err != nil {
 					return fmt.Errorf("core: publication: task %d: %w", t.ID, err)
 				}
 			}
@@ -168,6 +168,44 @@ func packRecord(tasks []*model.Task, m int, linked func(chunk int) error) ([]byt
 		return dpb1, nil
 	}
 	return append(binary.AppendUvarint([]byte(packedMagic), n), stream...), nil
+}
+
+// appendVector appends a domain vector's logged encoding, a
+// wal.SparseFloats against +0 built in sparse: the bytes a DPB1 record holds
+// for the vector, and the key a domainTable holds it under.
+func appendVector(b []byte, sparse *wal.SparseFloats, v []float64, m int) ([]byte, error) {
+	*sparse = wal.SparseOf(*sparse, v, 0)
+	return wal.AppendSparseFloats(b, *sparse, m, 0)
+}
+
+// domainTable holds one publication's distinct domain vectors, each once,
+// under its logged encoding (appendVector), so two tasks share a vector
+// exactly when the record holds the same bytes for both. The key is bits,
+// never ==: −0, a denormal and the uniform "domain unknown" vector each
+// keep their own. Publish's linkers share one table, and replay's decoder
+// keys a map of its own the same way before the replayed Publish interns
+// again; each is dropped once its tasks are built, so a campaign holds m
+// floats per distinct vector, not per task. Sharing is safe because nothing
+// writes an element of a task's Domain (TestOneReaderOneWriter).
+type domainTable struct {
+	mu  sync.Mutex
+	vec map[string]model.DomainVector
+}
+
+// intern returns the vector held under key, v's encoding. On a miss it
+// holds v itself when keep is set and a copy otherwise (v is a workspace's
+// scratch), so a hit allocates nothing.
+func (dt *domainTable) intern(key []byte, v model.DomainVector, keep bool) model.DomainVector {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	if held, ok := dt.vec[string(key)]; ok {
+		return held
+	}
+	if !keep {
+		v = slices.Clone(v)
+	}
+	dt.vec[string(key)] = v
+	return v
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -289,11 +327,13 @@ func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 }
 
 // decodeBinaryPublication parses a DPB1 blob stamped with m domains.
-// Whatever it is given, it never panics. The n tasks, their n×m domain-vector
-// floats and every string come from four allocations (the strings are
-// substrings of one copy of the blob) plus one choice slice a task; n is
-// checked against the bytes remaining first, so a hostile count buys no
-// memory the blob's own length does not bound.
+// Whatever it is given, it never panics. The n tasks and every string come
+// from three allocations (the strings are substrings of one copy of the
+// blob), plus one choice slice a task and one m-long vector per distinct
+// vector encoding: tasks whose logged vectors are byte-equal share one, found
+// in a table keyed by those bytes where the blob's copy holds them, which is
+// dropped on return. n is checked against the bytes remaining first, so a
+// hostile count buys no memory the blob's own length does not bound.
 func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 	if !bytes.HasPrefix(blob, []byte(publicationMagic)) {
 		return nil, fmt.Errorf("blob lacks magic %q", publicationMagic)
@@ -308,9 +348,9 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 		return nil, d.Err()
 	}
 	backing := make([]model.Task, n)
-	domains := make([]float64, n*m)
 	tasks := make([]*model.Task, n)
-	var domain wal.SparseFloats // reused task to task
+	vectors := make(map[string]model.DomainVector) // by encoding, in d.s
+	var domain wal.SparseFloats                    // reused task to task
 	for i := range backing {
 		t := &backing[i]
 		t.ID = d.Int()
@@ -323,14 +363,21 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 		}
 		t.Truth = d.Int() - 1
 		t.TrueDomain = d.Int() - 1
-		t.Domain = domains[i*m : (i+1)*m : (i+1)*m]
+		start := d.Off()
 		domain = d.SparseFloats(domain, m, 0)
 		if d.Err() != nil {
 			return nil, fmt.Errorf("task %d: %w", t.ID, d.Err())
 		}
-		if err := domain.Scatter(t.Domain); err != nil {
-			return nil, fmt.Errorf("task %d: %w", t.ID, err)
+		key := d.s[start:d.Off()]
+		v, ok := vectors[key]
+		if !ok {
+			v = make(model.DomainVector, m)
+			if err := domain.Scatter(v); err != nil {
+				return nil, fmt.Errorf("task %d: %w", t.ID, err)
+			}
+			vectors[key] = v
 		}
+		t.Domain = v
 		tasks[i] = t
 	}
 	if err := d.End(); err != nil {

@@ -39,6 +39,20 @@ func sampleTasks() []*model.Task {
 	}
 }
 
+// twinTasks repeat two vectors and give one of them twins that == would
+// not tell apart: a −0 where the others hold +0, in two places.
+func twinTasks() []*model.Task {
+	negZero := math.Copysign(0, -1)
+	vectors := []model.DomainVector{{0, 1, 0, 0}, {0.5, 0, 0.5, 0}, {0, 1, 0, 0}, {negZero, 1, 0, 0},
+		{0.5, 0, 0.5, 0}, {0, 1, negZero, 0}, {negZero, 1, 0, 0}}
+	tasks := make([]*model.Task, len(vectors))
+	for i, v := range vectors {
+		tasks[i] = &model.Task{ID: i, Text: "twin", Choices: []string{"a", "b"}, Domain: v,
+			Truth: model.NoTruth, TrueDomain: model.NoTruth}
+	}
+	return tasks
+}
+
 // encodeBinaryPublication is the serial encoder packRecord replaced, kept
 // as its oracle: it renders a published task set — every task carrying its
 // m-long domain vector — as a DPB1 blob in one pass.
@@ -376,6 +390,9 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 			strs += len(c)
 		}
 	}
+	if arrays, encodings := vectorSharing(t, tasks, m); arrays != encodings {
+		t.Fatalf("decoded %d vector arrays for %d distinct encodings", arrays, encodings)
+	}
 	dpb1, encode := data, encodeBinaryPublication
 	if bytes.HasPrefix(data, []byte(packedMagic)) {
 		if dpb1, err = unpackPublication(data); err != nil {
@@ -627,14 +644,17 @@ func TestPublicationPackerGolden(t *testing.T) {
 }
 
 // FuzzPublicationDecode drives arbitrary bytes through the one reader of a
-// publish record, which every boot, wake and snapshot pass runs. Seed
-// corpus in testdata/fuzz/FuzzPublicationDecode (checked in): sampleTasks'
-// DPB1 blob, the same cut at three points, with one byte flipped, with its
-// task count set to 2^63; its DPB2 record, the same cut in its stream,
-// with a byte after the end code, and with the stream every byte a
-// literal; and a JSON publication, the format v0 blob nothing reads.
+// publish record, which every boot, wake and snapshot pass runs; an
+// accepted blob's tasks share a vector exactly when their encodings are
+// equal. Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
+// sampleTasks' DPB1 blob, the same cut at three points, with one byte
+// flipped, with its task count set to 2^63; its DPB2 record, the same cut
+// in its stream, with a byte after the end code, and with the stream every
+// byte a literal; twinTasks' DPB1 blob, repeated vectors and their −0
+// twins; and a JSON publication, the format v0 blob nothing reads.
 func FuzzPublicationDecode(f *testing.F) {
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
+	f.Add(mustEncodeBinaryPublication(f, twinTasks(), 4))
 	f.Add(mustEncodePublication(f, sampleTasks(), 4))
 	f.Add([]byte(publicationMagic))
 	f.Add([]byte(packedMagic))

@@ -16,9 +16,10 @@ import (
 // or per domain.
 
 // allocsPublishPath is the most a warm Workspace's Vector may allocate for
-// allocText: the normalized copy of the text and the domain vector it
-// returns, with room to spare.
-const allocsPublishPath = 5
+// allocText: the normalized copy of the text. The domain vector it returns
+// is the workspace's own; Publish copies it only for a vector no earlier
+// task of the publication has.
+const allocsPublishPath = 1
 
 const allocText = "Does Michael Jordan win more NBA championships than Kobe or the others?"
 
@@ -101,12 +102,13 @@ func TestAllocsLinkAndCompute(t *testing.T) {
 
 // TestAllocsDVEPerTask: over every task text of the four datasets, a warm
 // Workspace — what each of Publish's DVE goroutines runs — allocates on
-// average at most five objects and 600 B a task.
+// average at most one object and 80 B a task: the text's normalized copy,
+// and no domain vector.
 func TestAllocsDVEPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const maxAllocs, maxBytes = 5, 600
+	const maxAllocs, maxBytes = 1, 80
 	k := kb.MustDefault()
 	m := k.Domains().Size()
 	l := entitylink.New(k)

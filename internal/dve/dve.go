@@ -29,8 +29,8 @@ type Entity struct {
 }
 
 // Workspace is the memory DVE reuses from task to task: the linker's,
-// FromLinked's slices and Compute's integer block and table. Its zero value
-// is ready; one goroutine uses it at a time.
+// FromLinked's slices and Compute's integer block, table and result. Its
+// zero value is ready; one goroutine uses it at a time.
 type Workspace struct {
 	link  entitylink.Workspace
 	ents  []Entity
@@ -38,11 +38,13 @@ type Workspace struct {
 	hs    [][]float64
 	ints  []int
 	table []float64
+	r     []float64
 }
 
 // Vector returns Normalized(FromLinked(l.Link(text), m), m), bit for bit,
-// building no mention string and allocating only the vector and the text's
-// normalized copy.
+// building no mention string. The vector is w's own memory, valid until w's
+// next call — a caller that keeps it copies it — so a warm workspace
+// allocates only the text's normalized copy.
 func (w *Workspace) Vector(l *entitylink.Linker, text string, m int) []float64 {
 	ents := w.fromLinked(l.LinkInto(&w.link, text), m)
 	return mathx.Normalize(w.compute(ents, m))
@@ -126,15 +128,18 @@ func Validate(entities []Entity, m int) error {
 // other domain every state keeps nm = 0, so r^t_k is a sum of zeros: +0,
 // which is what the untouched element already holds. With |supp| such
 // domains the cost is O(c·|supp|·x_max·|E_t|³) against the paper's
-// O(c·m²·|E_t|³), in three allocations whatever m and |E_t| are (one in a
+// O(c·m²·|E_t|³), in three allocations whatever m and |E_t| are (none in a
 // warm Workspace).
 func Compute(entities []Entity, m int) []float64 {
 	return new(Workspace).compute(entities, m)
 }
 
-// compute is Compute with the integer block and the table in w's memory.
+// compute is Compute with the integer block, the table and the result in
+// w's memory: the vector it returns is overwritten by w's next call.
 func (w *Workspace) compute(entities []Entity, m int) []float64 {
-	r := make([]float64, m)
+	w.r = slices.Grow(w.r[:0], m)[:m]
+	r := w.r
+	clear(r)
 	if len(entities) == 0 {
 		return r
 	}

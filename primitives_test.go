@@ -51,7 +51,10 @@ import (
 // through logPrefix; submitOne appends it and nothing assigns it. A
 // campaign is a registry's: core.New is called from the registry's
 // openCampaign and core's own snapshotPass replica alone, the root package
-// imports no store, and nothing mints a session scope (MintScope).
+// imports no store, and nothing mints a session scope (MintScope). A
+// task's domain vector is one its publication's tasks share, so nothing in
+// the root package or internal/{core,truth,assign,registry,httpapi}
+// writes an element of a .Domain.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -149,6 +152,57 @@ func TestOneReaderOneWriter(t *testing.T) {
 	})
 	if writers == 0 {
 		t.Error("found no write of a campaign's state: the check no longer sees the field")
+	}
+
+	// A task's domain vector is shared by every task of its publication with
+	// the same logged encoding (core's domainTable), so nothing that holds a
+	// published task writes an element of one: no assignment or ++/-- to a
+	// .Domain[k], and no .Domain handed to copy, clear or Scatter as the
+	// destination. Element reads are counted so the check cannot go blind.
+	isDomain := func(e ast.Expr) bool {
+		if sl, ok := e.(*ast.SliceExpr); ok {
+			e = sl.X
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Domain"
+	}
+	isElement := func(e ast.Expr) bool {
+		ix, ok := e.(*ast.IndexExpr)
+		return ok && isDomain(ix.X)
+	}
+	elements := 0
+	for _, glob := range []string{"*.go", "internal/core/*.go", "internal/truth/*.go", "internal/assign/*.go", "internal/registry/*.go", "internal/httpapi/*.go"} {
+		funcNodes(t, fset, glob, func(fn *ast.FuncDecl, n ast.Node) {
+			var written ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if isElement(lhs) {
+						written = lhs
+					}
+				}
+			case *ast.IncDecStmt:
+				if isElement(n.X) {
+					written = n.X
+				}
+			case *ast.CallExpr:
+				name := types.ExprString(n.Fun)
+				name = name[strings.LastIndex(name, ".")+1:]
+				if (name == "copy" || name == "clear" || name == "Scatter") && len(n.Args) > 0 && isDomain(n.Args[0]) {
+					written = n.Args[0]
+				}
+			case *ast.IndexExpr:
+				if isElement(n) {
+					elements++
+				}
+			}
+			if written != nil {
+				t.Errorf("%s: %s writes into a task's domain vector, which its publication shares", fset.Position(written.Pos()), fn.Name.Name)
+			}
+		})
+	}
+	if elements == 0 {
+		t.Error("found no element of a domain vector indexed: the check no longer sees the field")
 	}
 
 	// A request body is read in decodeBody alone, and the body scanner is
