@@ -139,9 +139,10 @@ func BenchmarkIncrementalSubmit(b *testing.B) {
 func BenchmarkAssignTopK(b *testing.B) {
 	r := mathx.NewRand(5)
 	const n, m = 10000, 20
-	states := make([]*assign.TaskState, n)
+	states := make([]assign.TaskState, n)
 	for i := range states {
-		ts := &assign.TaskState{ID: i, R: model.DomainVector(r.Dirichlet(m, 0.5)), M: make([][]float64, m)}
+		ts := &states[i]
+		*ts = assign.TaskState{ID: i, R: model.DomainVector(r.Dirichlet(m, 0.5)), M: make([][]float64, m)}
 		for k := 0; k < m; k++ {
 			ts.M[k] = r.Dirichlet(2, 1)
 		}
@@ -152,7 +153,6 @@ func BenchmarkAssignTopK(b *testing.B) {
 			}
 		}
 		ts.S = mathx.Normalize(s)
-		states[i] = ts
 	}
 	q := make(model.QualityVector, m)
 	for i := range q {
@@ -160,7 +160,7 @@ func BenchmarkAssignTopK(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		assign.Assign(states, q, 20, nil)
+		new(assign.Assigner).AssignStates(states, q, 20)
 	}
 }
 

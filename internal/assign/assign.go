@@ -39,36 +39,20 @@ type Assigner struct {
 	heap []scored
 }
 
-// Assign selects up to k tasks from candidates with the highest benefit for
-// the worker with quality q, per Theorem 4 (batch benefit is additive, so
-// top-k individual benefits are optimal). exclude, if non-nil, reports tasks
-// the worker must not receive (typically T(w), the tasks already answered).
-// The returned IDs are in descending benefit order. The candidates are
-// streamed through a size-k min-heap: O(n·m·ℓ²) benefit computation plus
-// O(n log k) selection, with no per-candidate allocation.
-func (as *Assigner) Assign(candidates []*TaskState, q model.QualityVector, k int, exclude func(taskID int) bool) []int {
-	return as.assign(len(candidates), func(i int) *TaskState { return candidates[i] }, q, k, exclude)
-}
-
-// AssignStates is Assign over a contiguous value slice — the serving hot
-// path builds its candidates in one backing array and avoids materializing
-// a pointer slice just to adapt the signature.
-func (as *Assigner) AssignStates(candidates []TaskState, q model.QualityVector, k int, exclude func(taskID int) bool) []int {
-	return as.assign(len(candidates), func(i int) *TaskState { return &candidates[i] }, q, k, exclude)
-}
-
-func (as *Assigner) assign(n int, at func(int) *TaskState, q model.QualityVector, k int, exclude func(taskID int) bool) []int {
-	return as.AssignFunc(n, func(i int, ts *TaskState) bool {
-		c := at(i)
-		if exclude != nil && exclude(c.ID) {
-			return false
-		}
-		*ts = *c
+// AssignStates selects up to k tasks from candidates with the highest
+// benefit for the worker with quality q, per Theorem 4 (batch benefit is
+// additive, so top-k individual benefits are optimal). The returned IDs are
+// in descending benefit order. The candidates are streamed through a
+// size-k min-heap: O(n·m·ℓ²) benefit computation plus O(n log k)
+// selection, with no per-candidate allocation.
+func (as *Assigner) AssignStates(candidates []TaskState, q model.QualityVector, k int) []int {
+	return as.AssignFunc(len(candidates), func(i int, ts *TaskState) bool {
+		*ts = candidates[i]
 		return true
 	}, q, k)
 }
 
-// AssignFunc is the streaming form of Assign: fetch is called once per
+// AssignFunc is the streaming form of AssignStates: fetch is called once per
 // candidate position in order and either fills ts with the candidate's
 // current state (returning true) or rejects the position (returning false —
 // an excluded, closed or stale candidate). Rejected positions do not
@@ -153,12 +137,6 @@ func siftDown(h []scored, i int) {
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
-}
-
-// Assign is the convenience form of Assigner.Assign with one-shot buffers.
-func Assign(candidates []*TaskState, q model.QualityVector, k int, exclude func(taskID int) bool) []int {
-	var as Assigner
-	return as.Assign(candidates, q, k, exclude)
 }
 
 // ValidateWorker checks the worker quality vector against m domains.

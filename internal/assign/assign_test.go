@@ -12,15 +12,15 @@ func TestAssignPicksHighestBenefit(t *testing.T) {
 	// ambiguous outside it, one already confident. The expert-domain
 	// ambiguous task must be ranked first, confident last.
 	// (M holds one row per domain with r_k > 0: one row each here.)
-	expertAmbiguous := &TaskState{
+	expertAmbiguous := TaskState{
 		ID: 1, R: model.DomainVector{1, 0},
 		M: [][]float64{{0.5, 0.5}}, S: []float64{0.5, 0.5},
 	}
-	otherAmbiguous := &TaskState{
+	otherAmbiguous := TaskState{
 		ID: 2, R: model.DomainVector{0, 1},
 		M: [][]float64{{0.5, 0.5}}, S: []float64{0.5, 0.5},
 	}
-	confident := &TaskState{
+	confident := TaskState{
 		ID: 3, R: model.DomainVector{1, 0},
 		M: [][]float64{{0.99, 0.01}}, S: []float64{0.99, 0.01},
 	}
@@ -28,7 +28,8 @@ func TestAssignPicksHighestBenefit(t *testing.T) {
 	// the domain-1 task carries exactly zero information benefit.
 	q := model.QualityVector{0.95, 0.5}
 
-	got := Assign([]*TaskState{confident, otherAmbiguous, expertAmbiguous}, q, 3, nil)
+	var as Assigner
+	got := as.AssignStates([]TaskState{confident, otherAmbiguous, expertAmbiguous}, q, 3)
 	if len(got) != 3 {
 		t.Fatalf("assigned %d tasks, want 3", len(got))
 	}
@@ -42,13 +43,17 @@ func TestAssignPicksHighestBenefit(t *testing.T) {
 
 func TestAssignExcludesAnswered(t *testing.T) {
 	r := mathx.NewRand(3)
-	states := make([]*TaskState, 10)
+	states := make([]TaskState, 10)
 	for i := range states {
-		states[i] = randomState(r, i, 2, 2)
+		states[i] = *randomState(r, i, 2, 2)
 	}
 	q := model.QualityVector{0.8, 0.8}
 	answered := map[int]bool{0: true, 1: true, 2: true}
-	got := Assign(states, q, 5, func(id int) bool { return answered[id] })
+	var as Assigner
+	got := as.AssignFunc(len(states), func(i int, ts *TaskState) bool {
+		*ts = states[i]
+		return !answered[ts.ID]
+	}, q, 5)
 	if len(got) != 5 {
 		t.Fatalf("assigned %d, want 5", len(got))
 	}
@@ -61,9 +66,10 @@ func TestAssignExcludesAnswered(t *testing.T) {
 
 func TestAssignFewerCandidatesThanK(t *testing.T) {
 	r := mathx.NewRand(4)
-	states := []*TaskState{randomState(r, 0, 2, 2), randomState(r, 1, 2, 2)}
+	states := []TaskState{*randomState(r, 0, 2, 2), *randomState(r, 1, 2, 2)}
 	q := model.QualityVector{0.8, 0.8}
-	got := Assign(states, q, 20, nil)
+	var as Assigner
+	got := as.AssignStates(states, q, 20)
 	if len(got) != 2 {
 		t.Errorf("assigned %d, want 2", len(got))
 	}
@@ -71,16 +77,17 @@ func TestAssignFewerCandidatesThanK(t *testing.T) {
 
 func TestAssignEdgeCases(t *testing.T) {
 	q := model.QualityVector{0.8}
-	if got := Assign(nil, q, 5, nil); got != nil {
+	var as Assigner
+	if got := as.AssignStates(nil, q, 5); got != nil {
 		t.Errorf("Assign(no candidates) = %v", got)
 	}
 	r := mathx.NewRand(5)
-	states := []*TaskState{randomState(r, 0, 1, 2)}
-	if got := Assign(states, q, 0, nil); got != nil {
+	states := []TaskState{*randomState(r, 0, 1, 2)}
+	if got := as.AssignStates(states, q, 0); got != nil {
 		t.Errorf("Assign(k=0) = %v", got)
 	}
-	all := func(int) bool { return true }
-	if got := Assign(states, q, 5, all); got != nil {
+	none := func(int, *TaskState) bool { return false }
+	if got := as.AssignFunc(len(states), none, q, 5); got != nil {
 		t.Errorf("Assign(all excluded) = %v", got)
 	}
 }
@@ -100,12 +107,12 @@ func TestAssignHugeKDoesNotAllocate(t *testing.T) {
 	// allocation count is the guard: without the clamp, sizing the heap
 	// from k would attempt a multi-gigabyte make.
 	r := mathx.NewRand(6)
-	states := []*TaskState{randomState(r, 0, 2, 2), randomState(r, 1, 2, 2)}
+	states := []TaskState{*randomState(r, 0, 2, 2), *randomState(r, 1, 2, 2)}
 	q := model.QualityVector{0.8, 0.8}
 	var as Assigner
 	var got []int
 	allocs := testing.AllocsPerRun(10, func() {
-		got = as.Assign(states, q, 1<<30, nil)
+		got = as.AssignStates(states, q, 1<<30)
 	})
 	if len(got) != 2 {
 		t.Errorf("assigned %d, want 2", len(got))

@@ -717,7 +717,7 @@ func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden map
 		}
 		backing = append(backing, assign.TaskState{ID: t.ID, R: t.Domain, M: v.M, S: v.S})
 	}
-	return as.AssignStates(backing, q, k, nil)
+	return as.AssignStates(backing, q, k)
 }
 
 // Submit records a worker's answer. Golden-task answers feed the worker's

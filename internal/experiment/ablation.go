@@ -2,13 +2,12 @@ package experiment
 
 import (
 	"docs/internal/baselines"
-	"docs/internal/model"
-	"docs/internal/truth"
 )
 
-// Ablation isolates the contribution of each DOCS design choice on one
-// end-to-end campaign (this experiment has no direct analogue in the
-// paper's figures; it substantiates the design arguments of Sections 4–5):
+// AblationStudy isolates the contribution of each DOCS design choice on
+// one end-to-end campaign per dataset under the Figure 8 protocol (this
+// experiment has no direct analogue in the paper's figures; it
+// substantiates the design arguments of Sections 4–5):
 //
 //	DOCS            — full system: domain-aware TI + benefit assignment +
 //	                  golden profiling
@@ -19,54 +18,8 @@ import (
 //	                  (QASCA): shows the value of the domain dimension
 //	−assignment     — random assignment with domain-aware TI: shows the
 //	                  value of OTA as a whole
-type ablationVariant struct {
-	name string
-	mk   func(p *Prepared) baselines.Assigner
-}
-
-// randomWithDOCSTI is the "−assignment" variant: random task selection but
-// DOCS truth inference.
-type randomWithDOCSTI struct {
-	inner *baselines.RandomAssigner
-	m     int
-	stats map[string]*truth.Stats
-	tasks []*model.Task
-	log   *model.AnswerSet
-}
-
-func (r *randomWithDOCSTI) Name() string { return "-assignment" }
-
-func (r *randomWithDOCSTI) Init(tasks []*model.Task) error {
-	r.tasks = tasks
-	r.log = model.NewAnswerSet()
-	return r.inner.Init(tasks)
-}
-
-func (r *randomWithDOCSTI) Assign(w string, candidates []int, k int) []int {
-	return r.inner.Assign(w, candidates, k)
-}
-
-func (r *randomWithDOCSTI) Observe(a model.Answer) error {
-	if err := r.log.Add(a); err != nil {
-		return err
-	}
-	return r.inner.Observe(a)
-}
-
-func (r *randomWithDOCSTI) Finalize() ([]int, error) {
-	init := make(map[string]model.QualityVector, len(r.stats))
-	for w, st := range r.stats {
-		init[w] = st.Q
-	}
-	res, err := truth.Infer(r.tasks, r.log, r.m, truth.Options{InitQuality: init})
-	if err != nil {
-		return nil, err
-	}
-	return res.Truth, nil
-}
-
-// AblationStudy runs the five variants over the given datasets and reports
-// end-to-end accuracy under the Figure 8 protocol.
+//
+// DOCS, −golden and −assignment run the served core (servedDOCS).
 func AblationStudy(seed uint64, quick bool) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: contribution of each DOCS design choice (end-to-end accuracy)",
@@ -82,36 +35,20 @@ func AblationStudy(seed uint64, quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tasks := p.Main
-		if quick && len(tasks) > 120 {
-			tasks = tasks[:120]
-		}
-		total := 7 * len(tasks)
+		tasks, total := fig8Tasks(p, quick)
 
-		variants := []ablationVariant{
-			{"DOCS", func(p *Prepared) baselines.Assigner {
-				return NewDOCSAssigner(p.M, p.InitStats)
-			}},
-			{"-golden", func(p *Prepared) baselines.Assigner {
-				return NewDOCSAssigner(p.M, nil)
-			}},
-			{"-benefit", func(p *Prepared) baselines.Assigner {
-				return baselines.NewDMaxAssigner(p.M, p.InitStats)
-			}},
-			{"-domains", func(p *Prepared) baselines.Assigner {
-				return baselines.NewQASCAAssigner(ScalarInit(p.InitQuality))
-			}},
-			{"-assignment", func(p *Prepared) baselines.Assigner {
-				return &randomWithDOCSTI{
-					inner: baselines.NewRandomAssigner(seed),
-					m:     p.M,
-					stats: p.InitStats,
-				}
-			}},
+		random := newServedDOCS(p.M, fig8K, fig8Cap, p.InitStats)
+		random.pick = baselines.NewRandomAssigner(seed)
+		variants := []baselines.Assigner{
+			newServedDOCS(p.M, fig8K, fig8Cap, p.InitStats),
+			newServedDOCS(p.M, fig8K, fig8Cap, nil),
+			baselines.NewDMaxAssigner(p.M, p.InitStats),
+			baselines.NewQASCAAssigner(ScalarInit(p.InitQuality)),
+			random,
 		}
 		row := []string{name}
 		for _, v := range variants {
-			res, err := RunCampaign(v.mk(p), tasks, p.Pop, total, 3, 10, seed)
+			res, err := RunCampaign(v, tasks, p.Pop, total, fig8K, fig8Cap, seed)
 			if err != nil {
 				return nil, err
 			}

@@ -221,7 +221,9 @@ func accuracyCampaigns(seed uint64, sz accSizes, adv crowd.Adversarial) ([]accCe
 	}{
 		{"Baseline", func(map[string]*truth.Stats) baselines.Assigner { return baselines.NewRandomAssigner(seed) }},
 		{"D-Max", func(st map[string]*truth.Stats) baselines.Assigner { return baselines.NewDMaxAssigner(sz.m, st) }},
-		{"DOCS", func(st map[string]*truth.Stats) baselines.Assigner { return NewDOCSAssigner(sz.m, st) }},
+		{"DOCS", func(st map[string]*truth.Stats) baselines.Assigner {
+			return newServedDOCS(sz.m, fig8K, sz.redundancy, st)
+		}},
 	}
 	var out []accCell
 	for _, mth := range methods {
@@ -230,7 +232,7 @@ func accuracyCampaigns(seed uint64, sz accSizes, adv crowd.Adversarial) ([]accCe
 			return nil, err
 		}
 		_, stats := goldenProfile(pop, golden, sz.m)
-		res, err := RunCampaign(mth.mk(stats), main, pop, sz.budgetPerTask*len(main), 3, sz.redundancy, seed)
+		res, err := RunCampaign(mth.mk(stats), main, pop, sz.budgetPerTask*len(main), fig8K, sz.redundancy, seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", mth.name, err)
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"docs/internal/baselines"
+	"docs/internal/crowd"
+	"docs/internal/model"
 	"docs/internal/truth"
 )
 
@@ -286,14 +288,14 @@ func TestFig4eRuns(t *testing.T) {
 }
 
 // TestRunCampaignProtocol checks the shared campaign loop enforces the
-// redundancy cap and no-repeat rule for the DOCS assigner.
+// redundancy cap and no-repeat rule for the served DOCS arm.
 func TestRunCampaignProtocol(t *testing.T) {
 	p, err := Prepare("Item", Options{Seed: testSeed, Workers: 15, SkipCollect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tasks := p.Main[:40]
-	a := NewDOCSAssigner(p.M, p.InitStats)
+	a := newServedDOCS(p.M, 3, 5, p.InitStats)
 	res, err := RunCampaign(a, tasks, p.Pop, 200, 3, 5, testSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +308,97 @@ func TestRunCampaignProtocol(t *testing.T) {
 	}
 }
 
-// TestDOCSAssignerInterfaceCompliance ensures the adapter satisfies the
+// shortTruth is an Assigner whose Finalize drops the last task's truth.
+type shortTruth struct{ *baselines.RandomAssigner }
+
+func (s shortTruth) Finalize() ([]int, error) {
+	truths, err := s.RandomAssigner.Finalize()
+	return truths[:len(truths)-1], err
+}
+
+// TestRunCampaignRejectsShortTruth: a method must infer one truth per
+// task; a short vector would score its missing tail as wrong answers.
+func TestRunCampaignRejectsShortTruth(t *testing.T) {
+	p, err := Prepare("Item", Options{Seed: testSeed, Workers: 15, SkipCollect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := shortTruth{baselines.NewRandomAssigner(testSeed)}
+	if _, err := RunCampaign(a, p.Main[:40], p.Pop, 200, 3, 5, testSeed); err == nil {
+		t.Error("a Finalize with 39 truths for 40 tasks was scored")
+	}
+}
+
+// TestDOCSAssignerInterfaceCompliance ensures the served arm satisfies the
 // baselines contract.
 func TestDOCSAssignerInterfaceCompliance(t *testing.T) {
-	var _ baselines.Assigner = NewDOCSAssigner(2, nil)
+	var _ baselines.Assigner = newServedDOCS(2, 3, 5, nil)
 	var _ baselines.Assigner = baselines.NewDMaxAssigner(2, map[string]*truth.Stats{})
+}
+
+// checkedArm wraps an Assigner and fails the test when a HIT holds an ID
+// outside the visit's candidates, or comes back short while at least k
+// candidates were open.
+type checkedArm struct {
+	baselines.Assigner
+	t      *testing.T
+	visits int
+}
+
+func (c *checkedArm) Assign(workerID string, candidates []int, k int) []int {
+	got := c.Assigner.Assign(workerID, candidates, k)
+	c.visits++
+	open := make(map[int]bool, len(candidates))
+	for _, id := range candidates {
+		open[id] = true
+	}
+	for _, id := range got {
+		if !open[id] {
+			c.t.Errorf("visit %d: %s served task %d, not a harness candidate", c.visits, workerID, id)
+		}
+	}
+	if len(candidates) >= k && len(got) < k {
+		c.t.Errorf("visit %d: %s got %d of k = %d tasks with %d candidates", c.visits, workerID, len(got), k, len(candidates))
+	}
+	return got
+}
+
+// TestServedDOCSServesHarnessCandidates: on every visit the served core
+// picks among exactly the harness's eligible tasks — under the cap and not
+// yet answered by the worker — so handing DOCS no candidate list departs
+// from the protocol nowhere. Covers the quick Figure 8 Item campaign, the
+// ablation's DOCS and -golden arms, and the grid's clean and spam-30% mixes.
+func TestServedDOCSServesHarnessCandidates(t *testing.T) {
+	run := func(name string, a *servedDOCS, tasks []*model.Task, pop *crowd.Population, total, k, cap int) {
+		c := &checkedArm{Assigner: a, t: t}
+		if _, err := RunCampaign(c, tasks, pop, total, k, cap, testSeed); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.visits == 0 {
+			t.Fatalf("%s: no visit reached the arm", name)
+		}
+	}
+	p, err := Prepare("Item", Options{Seed: testSeed, SkipCollect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, total := fig8Tasks(p, true)
+	run("fig8 Item (DOCS)", newServedDOCS(p.M, fig8K, fig8Cap, p.InitStats), tasks, p.Pop, total, fig8K, fig8Cap)
+	run("ablation -golden", newServedDOCS(p.M, fig8K, fig8Cap, nil), tasks, p.Pop, total, fig8K, fig8Cap)
+
+	sz := accuracySizesFor(true)
+	main, golden := accuracyTasks(testSeed, sz)
+	for _, mix := range accuracyMixes() {
+		if mix.Name != "clean" && mix.Name != "spam-30%" {
+			continue
+		}
+		pop, err := accuracyPop(testSeed, sz, mix.Adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats := goldenProfile(pop, golden, sz.m)
+		run("accuracy "+mix.Name, newServedDOCS(sz.m, fig8K, sz.redundancy, stats), main, pop, sz.budgetPerTask*len(main), fig8K, sz.redundancy)
+	}
 }
 
 // TestAblationShape: the full system must not lose to any ablated variant

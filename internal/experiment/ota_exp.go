@@ -1,104 +1,135 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"docs/internal/assign"
 	"docs/internal/baselines"
+	"docs/internal/core"
 	"docs/internal/crowd"
+	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
+	"docs/internal/registry"
 	"docs/internal/truth"
 )
 
-// DOCSAssigner adapts the DOCS OTA module (benefit-based assignment over
-// incremental truth inference) to the baselines.Assigner campaign
-// interface so Figure 8 compares all six methods under identical rules.
-type DOCSAssigner struct {
-	m       int
-	tasks   []*model.Task
-	pos     map[int]int
-	inc     *truth.Incremental
-	stats   map[string]*truth.Stats
-	answers *model.AnswerSet
-	// LastAssignTime records the duration of the most recent Assign call
-	// (Figure 8(b) reports the worst case).
-	LastAssignTime time.Duration
+// servedCampaign names the one campaign a servedDOCS arm hosts.
+const servedCampaign = "docs"
+
+// servedDOCS is the DOCS arm of every campaign experiment: a
+// baselines.Assigner that drives the serving core docs-server runs — a
+// memory-only registry hosting one campaign, with the core's periodic rerun
+// every z = 100 answers, its candidate index, pinned anchors and worker
+// store. Assign is Request, Observe is Submit and Finalize is Results, each
+// through Registry.Do.
+type servedDOCS struct {
+	m, k, cap int
+	// profiles are the golden-task statistics seeded into the worker store
+	// before publication — every worker arrives as a returning, profiled
+	// worker. Nil runs the arm without golden profiling.
+	profiles map[string]*truth.Stats
+	// pick, when set, chooses each HIT from the harness's candidates in
+	// place of Request; the answers still flow through the served core.
+	pick baselines.Assigner
+	reg  *registry.Registry
+	err  error // the first Request failure, reported by Finalize
 }
 
-// NewDOCSAssigner returns the DOCS assigner over m domains; initStats
-// optionally seeds worker statistics from golden tasks.
-func NewDOCSAssigner(m int, initStats map[string]*truth.Stats) *DOCSAssigner {
-	return &DOCSAssigner{m: m, stats: initStats}
+// newServedDOCS returns the served DOCS arm over m domains with HITs of k
+// tasks and at most cap answers a task.
+func newServedDOCS(m, k, cap int, profiles map[string]*truth.Stats) *servedDOCS {
+	return &servedDOCS{m: m, k: k, cap: cap, profiles: profiles}
 }
 
 // Name implements baselines.Assigner.
-func (d *DOCSAssigner) Name() string { return "DOCS" }
+func (d *servedDOCS) Name() string { return "DOCS" }
 
-// Init implements baselines.Assigner.
-func (d *DOCSAssigner) Init(tasks []*model.Task) error {
-	d.tasks = tasks
-	d.pos = make(map[int]int, len(tasks))
-	d.inc = truth.NewIncremental(d.m)
-	d.answers = model.NewAnswerSet()
+// Init implements baselines.Assigner: open the registry, seed the worker
+// store and publish copies of the tasks (Publish shares their domain
+// vectors in place). A failed Init closes the registry it opened.
+func (d *servedDOCS) Init(tasks []*model.Task) (err error) {
+	if d.pick != nil {
+		if err := d.pick.Init(tasks); err != nil {
+			return err
+		}
+	}
+	names := make([]string, d.m)
+	for i := range names {
+		names[i] = fmt.Sprintf("d%d", i)
+	}
+	reg, err := registry.Open(registry.Config{Campaign: core.Config{
+		KB:             kb.New(model.MustDomainSet(names)),
+		GoldenCount:    -1,
+		HITSize:        d.k,
+		AnswersPerTask: d.cap,
+	}})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, reg.Close())
+		}
+	}()
+	d.reg = reg
+	for w, st := range d.profiles {
+		if err := reg.Store().Put(w, st); err != nil {
+			return err
+		}
+	}
+	published := make([]*model.Task, len(tasks))
 	for i, t := range tasks {
-		d.pos[t.ID] = i
-		if err := d.inc.AddTask(t); err != nil {
-			return err
-		}
+		c := *t
+		published[i] = &c
 	}
-	for w, st := range d.stats {
-		if err := d.inc.SetWorker(w, st); err != nil {
-			return err
-		}
+	if err := reg.Create(servedCampaign); err != nil {
+		return err
 	}
-	return nil
+	return reg.Do(servedCampaign, func(s *core.System) error { return s.Publish(published) })
 }
 
-// Assign implements baselines.Assigner: top-k benefit (Theorems 2–4).
-func (d *DOCSAssigner) Assign(workerID string, candidates []int, k int) []int {
-	//docs:allow clock experiment wall-clock measurement; timings are report output, not state
-	start := time.Now()
-	//docs:allow clock experiment wall-clock measurement; timings are report output, not state
-	defer func() { d.LastAssignTime = time.Since(start) }()
-	if len(candidates) == 0 || k <= 0 {
-		return nil
+// Assign implements baselines.Assigner: the served core's top-k benefit
+// request (Theorems 2–4) over its own candidate index.
+func (d *servedDOCS) Assign(workerID string, candidates []int, k int) []int {
+	if d.pick != nil {
+		return d.pick.Assign(workerID, candidates, k)
 	}
-	var q model.QualityVector
-	if st := d.inc.Worker(workerID); st != nil {
-		q = st.Q
-	} else {
-		q = make(model.QualityVector, d.m)
-		for i := range q {
-			q[i] = truth.DefaultQuality
+	var ids []int
+	err := d.reg.Do(servedCampaign, func(s *core.System) error {
+		got, err := s.Request(workerID, k)
+		for _, t := range got {
+			ids = append(ids, t.ID)
 		}
+		return err
+	})
+	if err != nil && d.err == nil {
+		d.err = err
 	}
-	states := make([]*assign.TaskState, 0, len(candidates))
-	for _, id := range candidates {
-		t := d.tasks[d.pos[id]]
-		states = append(states, &assign.TaskState{
-			ID: id, R: t.Domain, M: d.inc.M(id), S: d.inc.S(id),
-		})
-	}
-	return assign.Assign(states, q, k, nil)
+	return ids
 }
 
 // Observe implements baselines.Assigner.
-func (d *DOCSAssigner) Observe(a model.Answer) error {
-	if err := d.answers.Add(a); err != nil {
-		return err
+func (d *servedDOCS) Observe(a model.Answer) error {
+	if d.pick != nil {
+		if err := d.pick.Observe(a); err != nil {
+			return err
+		}
 	}
-	return d.inc.Submit(a)
+	return d.reg.Do(servedCampaign, func(s *core.System) error { return s.Submit(a.Worker, a.Task, a.Choice) })
 }
 
-// Finalize implements baselines.Assigner: full iterative TI.
-func (d *DOCSAssigner) Finalize() ([]int, error) {
-	init := make(map[string]model.QualityVector, len(d.stats))
-	for w, st := range d.stats {
-		init[w] = st.Q
-	}
-	res, err := truth.Infer(d.tasks, d.answers, d.m, truth.Options{InitQuality: init})
+// Finalize implements baselines.Assigner: the served Results, one truth per
+// published task in publication order, then the registry closes.
+func (d *servedDOCS) Finalize() ([]int, error) {
+	var res *truth.Result
+	err := d.reg.Do(servedCampaign, func(s *core.System) (err error) {
+		res, err = s.Results()
+		return err
+	})
+	err = errors.Join(d.err, err, d.reg.Close())
 	if err != nil {
 		return nil, err
 	}
@@ -229,6 +260,9 @@ func RunCampaign(a baselines.Assigner, tasks []*model.Task, pop *crowd.Populatio
 	if err != nil {
 		return nil, err
 	}
+	if len(inferred) != len(tasks) {
+		return nil, fmt.Errorf("experiment: %s inferred %d truths for %d tasks", a.Name(), len(inferred), len(tasks))
+	}
 	acc, _ := truth.Accuracy(tasks, inferred)
 	return &CampaignResult{Method: a.Name(), Accuracy: acc, WorstAssign: worst}, nil
 }
@@ -244,6 +278,24 @@ func taskIndex(tasks []*model.Task, id int) int {
 		}
 	}
 	return -1
+}
+
+// fig8K and fig8Cap are the Figure 8 protocol's HIT size and per-task
+// answer cap.
+const fig8K, fig8Cap = 3, 10
+
+// fig8Tasks returns the tasks and answer budget of one Figure 8 campaign
+// on p. The budget sits below the saturation point (cap × n) so each
+// method's allocation strategy matters: smart assigners can give hard
+// tasks more answers by giving settled tasks fewer. At exact saturation
+// every method collects the identical multiset of (task, 10 answers) and
+// the comparison degenerates to final-inference noise.
+func fig8Tasks(p *Prepared, quick bool) (tasks []*model.Task, total int) {
+	tasks = p.Main
+	if quick && len(tasks) > 120 {
+		tasks = tasks[:120]
+	}
+	return tasks, 7 * len(tasks)
 }
 
 // Fig8Assignment reproduces Figure 8(a)(b): end-to-end accuracy and
@@ -262,16 +314,7 @@ func Fig8Assignment(seed uint64, quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tasks := p.Main
-		if quick && len(tasks) > 120 {
-			tasks = tasks[:120]
-		}
-		// Budget below the saturation point (cap × n) so each method's
-		// allocation strategy matters: smart assigners can give hard tasks
-		// more answers by giving settled tasks fewer. At exact saturation
-		// every method collects the identical multiset of (task, 10 answers)
-		// and the comparison degenerates to final-inference noise.
-		total := 7 * len(tasks)
+		tasks, total := fig8Tasks(p, quick)
 		scalarInit := ScalarInit(p.InitQuality)
 
 		// IC gets its latent domains from LDA (its own pipeline).
@@ -287,11 +330,11 @@ func Fig8Assignment(seed uint64, quick bool) (*Table, error) {
 			baselines.NewICAssigner(ic),
 			baselines.NewQASCAAssigner(scalarInit),
 			baselines.NewDMaxAssigner(p.M, p.InitStats),
-			NewDOCSAssigner(p.M, p.InitStats),
+			newServedDOCS(p.M, fig8K, fig8Cap, p.InitStats),
 		}
 		row := []string{name}
 		for _, a := range assigners {
-			res, err := RunCampaign(a, tasks, p.Pop, total, 3, 10, seed)
+			res, err := RunCampaign(a, tasks, p.Pop, total, fig8K, fig8Cap, seed)
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name(), name, err)
 			}
@@ -322,9 +365,10 @@ func Fig8cOTAScalability(seed uint64, quick bool) (*Table, error) {
 	r := mathx.NewRand(seed ^ 0x8c)
 	const m = 20
 	for _, n := range sizes {
-		states := make([]*assign.TaskState, n)
+		states := make([]assign.TaskState, n)
 		for i := range states {
-			ts := &assign.TaskState{ID: i, R: model.DomainVector(r.Dirichlet(m, 0.5))}
+			ts := &states[i]
+			*ts = assign.TaskState{ID: i, R: model.DomainVector(r.Dirichlet(m, 0.5))}
 			s := make([]float64, 2)
 			for kk, rk := range ts.R {
 				if !ts.R.Has(kk) {
@@ -337,7 +381,6 @@ func Fig8cOTAScalability(seed uint64, quick bool) (*Table, error) {
 				}
 			}
 			ts.S = mathx.Normalize(s)
-			states[i] = ts
 		}
 		q := make(model.QualityVector, m)
 		for i := range q {
@@ -345,7 +388,7 @@ func Fig8cOTAScalability(seed uint64, quick bool) (*Table, error) {
 		}
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, k := range ks {
-			d := timeIt(func() { assign.Assign(states, q, k, nil) })
+			d := timeIt(func() { new(assign.Assigner).AssignStates(states, q, k) })
 			row = append(row, d.String())
 		}
 		t.AddRow(row...)
