@@ -94,7 +94,7 @@ func TestPublishRecordMatchesSerialOracle(t *testing.T) {
 		}
 	}
 	for _, ds := range dataset.All(1) {
-		check(ds.Name, cfg, ds.Tasks, packedMagic)
+		check(ds.Name, cfg, ds.Tasks, deflateMagic)
 	}
 	for _, n := range []int{1, publishChunk - 1, publishChunk, publishChunk + 1, 6000} {
 		tasks := datasetTasks(n)
@@ -105,7 +105,7 @@ func TestPublishRecordMatchesSerialOracle(t *testing.T) {
 				tk.Domain[(i*7+1)%26] += 0.5
 			}
 		}
-		check(fmt.Sprintf("%d tasks", n), cfg, tasks, packedMagic)
+		check(fmt.Sprintf("%d tasks", n), cfg, tasks, deflateMagic)
 	}
 	fourDomains := cfg
 	fourDomains.KB = kb.New(model.MustDomainSet([]string{"a", "b", "c", "d"}))

@@ -28,20 +28,31 @@
 // cut from a few sentence patterns — so the record Publish logs is that
 // blob packed whenever packing makes it shorter:
 //
+//	magic "DPB3" | body length uvarint | DEFLATE(body)
+//
+// where body is the DPB1 blob after its magic and DEFLATE is the pinned
+// writer of deflate.go, whose stream is a function of the body fixed by its
+// rules, not by a toolchain; it is read with compress/flate's reader. So
+// DPB3 is canonical too: the decoder refuses a stated length over what a
+// publication may hold, a stream that inflates to another length or has
+// bytes after its final block, one that is not the writer's output for its
+// body, and a DPB3 blob no shorter than its DPB1
+// (testdata/publication_dpb3.golden pins the writer's bytes). Logs written
+// before DPB3 hold
+//
 //	magic "DPB2" | body length uvarint | LZW(body)
 //
-// where body is the DPB1 blob after its magic and LZW is compress/lzw,
-// least significant bits first, 8-bit literals, whose stream is a function
-// of the body. So DPB2 is canonical too: the decoder refuses a stated length
-// over what a publication may hold, a stream that inflates to another length
-// or has bytes after its end code, one that is not the packing of its body,
-// and a DPB2 blob no shorter than its DPB1 (testdata/publication_dpb2.golden
-// pins the packer's bytes across toolchains). A DPB1 record is read whatever
-// its size; a publish record under any other magic is refused.
+// with LZW stdlib compress/lzw, least significant bits first, 8-bit
+// literals. Nothing writes DPB2 any more; it is read under the same
+// refusals, its stream held to a compress/lzw re-pack
+// (testdata/publication_dpb2.golden pins that packer across toolchains). A
+// DPB1 record is read whatever its size; a publish record under any other
+// magic is refused.
 package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/lzw"
 	"encoding/binary"
 	"errors"
@@ -55,14 +66,15 @@ import (
 )
 
 const (
-	// publicationMagic opens every unpacked binary publication blob, and
-	// packedMagic every packed one. Versioned: a future layout bumps the
-	// trailing byte.
+	// publicationMagic opens every unpacked binary publication blob,
+	// deflateMagic every packed one Publish writes and lzwMagic every packed
+	// one it used to. Versioned: a future layout bumps the trailing byte.
 	publicationMagic = "DPB1"
-	packedMagic      = "DPB2"
-	// maxPackedBody is the longest body a DPB2 blob may state: the body of
-	// the largest DPB1 blob Publish accepts, which is the largest blob one
-	// log record holds.
+	lzwMagic         = "DPB2"
+	deflateMagic     = "DPB3"
+	// maxPackedBody is the longest body a packed blob may state: the body
+	// of the largest DPB1 blob Publish accepts, which is the largest blob
+	// one log record holds.
 	maxPackedBody = wal.MaxBlob - len(publicationMagic)
 )
 
@@ -103,12 +115,12 @@ func uvarintLen(x uint64) int {
 func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // packRecord returns the record Publish logs for a task set: its DPB1 blob,
-// packed as DPB2 when that is the shorter. Chunk c, the publishChunk tasks
+// packed as DPB3 when that is the shorter. Chunk c, the publishChunk tasks
 // from c·publishChunk, is encoded once linked(c) returns, its vectors set,
-// and streamed through the LZW writer, so the record is a pure function of
-// the tasks, as replay needs. It fails on linked's first error or on a task
-// the format cannot express: a negative ID, a truth or true domain below
-// NoTruth, or a domain vector that is not m long.
+// and the pinned writer advances over the body behind it, so the record is
+// a pure function of the tasks, as replay needs. It fails on linked's first
+// error or on a task the format cannot express: a negative ID, a truth or
+// true domain below NoTruth, or a domain vector that is not m long.
 //
 //docs:deterministic
 func packRecord(tasks []*model.Task, m int, linked func(chunk int) error) ([]byte, error) {
@@ -123,51 +135,44 @@ func packRecord(tasks []*model.Task, m int, linked func(chunk int) error) ([]byt
 	dpb1 = append(dpb1, publicationMagic...)
 	dpb1 = binary.AppendUvarint(dpb1, uint64(m))
 	dpb1 = binary.AppendUvarint(dpb1, uint64(len(tasks)))
-	stream := make([]byte, 0, size/2)
-	err := lzwPack(func(c byte) error {
-		stream = append(stream, c)
-		return nil
-	}, func(w io.Writer) error {
-		_, err := w.Write(dpb1[len(publicationMagic):])
-		var domain wal.SparseFloats // reused task to task
-		for c := 0; err == nil && c*publishChunk < len(tasks); c++ {
-			if err = linked(c); err != nil {
-				return err
-			}
-			start := len(dpb1)
-			for _, t := range tasks[c*publishChunk : min((c+1)*publishChunk, len(tasks))] {
-				if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
-					return fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
-						t.ID, t.Truth, t.TrueDomain)
-				}
-				if len(t.Domain) != m {
-					return fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
-						t.ID, len(t.Domain), m)
-				}
-				dpb1 = binary.AppendUvarint(dpb1, uint64(t.ID))
-				dpb1 = appendStr(dpb1, t.Text)
-				dpb1 = binary.AppendUvarint(dpb1, uint64(len(t.Choices)))
-				for _, c := range t.Choices {
-					dpb1 = appendStr(dpb1, c)
-				}
-				dpb1 = binary.AppendUvarint(dpb1, uint64(t.Truth+1))
-				dpb1 = binary.AppendUvarint(dpb1, uint64(t.TrueDomain+1))
-				if dpb1, err = appendVector(dpb1, &domain, t.Domain, m); err != nil {
-					return fmt.Errorf("core: publication: task %d: %w", t.ID, err)
-				}
-			}
-			_, err = w.Write(dpb1[start:])
+	d := deflaters.Get().(*deflater)
+	defer releaseDeflater(d)
+	d.reset(make([]byte, 0, size/4))
+	var domain wal.SparseFloats // reused task to task
+	for c := 0; c*publishChunk < len(tasks); c++ {
+		if err := linked(c); err != nil {
+			return nil, err
 		}
-		return err
-	})
-	if err != nil {
-		return nil, err
+		for _, t := range tasks[c*publishChunk : min((c+1)*publishChunk, len(tasks))] {
+			if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
+				return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
+					t.ID, t.Truth, t.TrueDomain)
+			}
+			if len(t.Domain) != m {
+				return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
+					t.ID, len(t.Domain), m)
+			}
+			dpb1 = binary.AppendUvarint(dpb1, uint64(t.ID))
+			dpb1 = appendStr(dpb1, t.Text)
+			dpb1 = binary.AppendUvarint(dpb1, uint64(len(t.Choices)))
+			for _, c := range t.Choices {
+				dpb1 = appendStr(dpb1, c)
+			}
+			dpb1 = binary.AppendUvarint(dpb1, uint64(t.Truth+1))
+			dpb1 = binary.AppendUvarint(dpb1, uint64(t.TrueDomain+1))
+			var err error
+			if dpb1, err = appendVector(dpb1, &domain, t.Domain, m); err != nil {
+				return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
+			}
+		}
+		d.write(dpb1[len(publicationMagic):], false)
 	}
-	n := uint64(len(dpb1) - len(publicationMagic))
-	if len(packedMagic)+uvarintLen(n)+len(stream) >= len(dpb1) {
+	body := dpb1[len(publicationMagic):]
+	d.write(body, true)
+	if len(deflateMagic)+uvarintLen(uint64(len(body)))+len(d.out) >= len(dpb1) {
 		return dpb1, nil
 	}
-	return append(binary.AppendUvarint([]byte(packedMagic), n), stream...), nil
+	return append(binary.AppendUvarint([]byte(deflateMagic), uint64(len(body))), d.out...), nil
 }
 
 // appendVector appends a domain vector's logged encoding, a
@@ -215,19 +220,17 @@ func appendStr(b []byte, s string) []byte {
 
 var errNotCanonical = errors.New("stream is not the packing of its body")
 
-// lzwWriters pools the LZW writers packRecord and unpackPublication's
-// re-pack check run through: a writer is one 64 KiB table, which Reset
-// clears.
+// lzwWriters pools the LZW writers a DPB2 blob's re-pack check runs
+// through: a writer is one 64 KiB table, which Reset clears.
 var lzwWriters = sync.Pool{New: func() any { return new(lzw.Writer) }}
 
-// lzwPack runs what feed writes through a pooled LZW writer, least
-// significant bits first with 8-bit literals, handing each byte of the
-// stream to emit. The stream is a function of all the bytes feed writes,
-// however it splits them across writes. It fails when feed or emit does.
-func lzwPack(emit func(byte) error, feed func(io.Writer) error) error {
+// lzwPack runs body through a pooled LZW writer, least significant bits
+// first with 8-bit literals, handing each byte of the stream to emit. It
+// fails when emit does.
+func lzwPack(body []byte, emit func(byte) error) error {
 	zw := lzwWriters.Get().(*lzw.Writer)
 	zw.Reset(byteSink(emit), lzw.LSB, 8)
-	err := feed(zw)
+	_, err := zw.Write(body)
 	if cerr := zw.Close(); err == nil {
 		err = cerr
 	}
@@ -254,12 +257,27 @@ func (f byteSink) Write(p []byte) (int, error) {
 
 func (byteSink) Flush() error { return nil }
 
-// unpackPublication inflates a DPB2 blob into the DPB1 blob it stands for,
-// refusing every blob packRecord would not have written. The buffer
-// grows only as bytes inflate, never to the stated length up front, so a
-// hostile length buys no memory.
+// inflater is a pooled reader of packed streams: compress/flate's for DPB3,
+// reset onto src, which a DPB2 blob's LZW reader reads from too.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser // a flate.Resetter
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.zr = flate.NewReader(&in.src)
+	return in
+}}
+
+// unpackPublication inflates a packed blob, DPB3 or DPB2, into the DPB1
+// blob it stands for, refusing every blob its writer would not have
+// written. Inflation stops one byte past the stated length, and the buffer
+// grows only as bytes inflate, never to that length up front, so a hostile
+// length buys no memory.
 func unpackPublication(blob []byte) ([]byte, error) {
-	c := wal.NewCursor(blob[len(packedMagic):])
+	magic := string(blob[:len(deflateMagic)])
+	c := wal.NewCursor(blob[len(deflateMagic):])
 	n := c.Uvarint()
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -268,10 +286,22 @@ func unpackPublication(blob []byte) ([]byte, error) {
 		return nil, fmt.Errorf("packed body of %d bytes is over the %d a publication holds", n, maxPackedBody)
 	}
 	stream := blob[len(blob)-c.Len():]
-	src := bytes.NewReader(stream)
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil) // the pool keeps no reference to the blob
+		inflaters.Put(in)
+	}()
+	in.src.Reset(stream)
+	var zr io.Reader = in.zr
+	end := "final block"
+	if magic == lzwMagic {
+		zr, end = lzw.NewReader(&in.src, lzw.LSB, 8), "end code"
+	} else if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, err
+	}
 	var out bytes.Buffer
 	out.WriteString(publicationMagic)
-	if _, err := out.ReadFrom(io.LimitReader(lzw.NewReader(src, lzw.LSB, 8), int64(n)+1)); err != nil {
+	if _, err := out.ReadFrom(io.LimitReader(zr, int64(n)+1)); err != nil {
 		return nil, fmt.Errorf("packed body: %w", err)
 	}
 	dpb1 := out.Bytes()
@@ -281,25 +311,11 @@ func unpackPublication(blob []byte) ([]byte, error) {
 		return nil, fmt.Errorf("packed body inflates past the %d bytes stated", n)
 	case uint64(len(body)) < n:
 		return nil, fmt.Errorf("packed body inflates to %d bytes, not the %d stated", len(body), n)
-	case src.Len() > 0:
-		return nil, fmt.Errorf("%d bytes follow the packed body's end code", src.Len())
+	case in.src.Len() > 0:
+		return nil, fmt.Errorf("%d bytes follow the packed body's %s", in.src.Len(), end)
 	}
-	rest := stream
-	err := lzwPack(func(c byte) error {
-		if len(rest) == 0 || rest[0] != c {
-			return errNotCanonical
-		}
-		rest = rest[1:]
-		return nil
-	}, func(w io.Writer) error {
-		_, err := w.Write(body) // the whole body as one chunk
-		return err
-	})
-	if err == nil && len(rest) > 0 {
-		err = errNotCanonical
-	}
-	if err != nil {
-		return nil, err
+	if !packsTo(magic, body, stream) {
+		return nil, errNotCanonical
 	}
 	if len(blob) >= len(dpb1) {
 		return nil, fmt.Errorf("packed publication of %d bytes is no shorter than the %d it packs", len(blob), len(dpb1))
@@ -307,13 +323,34 @@ func unpackPublication(blob []byte) ([]byte, error) {
 	return dpb1, nil
 }
 
+// packsTo reports whether stream is what the magic's writer makes of body:
+// the pinned DEFLATE writer's output, or compress/lzw's.
+func packsTo(magic string, body, stream []byte) bool {
+	if magic == deflateMagic {
+		d := deflaters.Get().(*deflater)
+		defer releaseDeflater(d)
+		d.reset(make([]byte, 0, len(stream)+8))
+		d.write(body, true)
+		return bytes.Equal(d.out, stream)
+	}
+	rest := stream
+	err := lzwPack(body, func(c byte) error {
+		if len(rest) == 0 || rest[0] != c {
+			return errNotCanonical
+		}
+		rest = rest[1:]
+		return nil
+	})
+	return err == nil && len(rest) == 0
+}
+
 // decodePublication parses a publish record's task set. It is the one
 // reader of the record (replay's applyRecord), and it returns only tasks
 // that carry an m-long domain vector, so replay never re-runs entity
-// linking. A DPB2 blob unpacks to DPB1 and then reads as one.
+// linking. A DPB3 or DPB2 blob unpacks to DPB1 and then reads as one.
 func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 	blob, err := rec.Blob, error(nil)
-	if bytes.HasPrefix(blob, []byte(packedMagic)) {
+	if bytes.HasPrefix(blob, []byte(deflateMagic)) || bytes.HasPrefix(blob, []byte(lzwMagic)) {
 		blob, err = unpackPublication(blob)
 	}
 	var tasks []*model.Task

@@ -7,13 +7,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"docs/internal/dataset"
 	"docs/internal/kb"
@@ -95,35 +97,27 @@ func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
 	return b, nil
 }
 
-var errNotShorter = errors.New("packing is no shorter than the blob")
-
 // packPublication is the serial packer packRecord replaced, kept as its
-// oracle: a DPB1 blob's DPB2 packing when that is the shorter, the blob
-// itself otherwise, giving up as soon as its output is as long as the blob.
+// oracle: a DPB1 blob's DPB3 packing, the pinned writer given the whole
+// body in one pass, when that is the shorter; the blob itself otherwise.
 func packPublication(dpb1 []byte) []byte {
 	body := dpb1[len(publicationMagic):]
-	out := make([]byte, 0, len(dpb1))
-	out = append(out, packedMagic...)
-	out = binary.AppendUvarint(out, uint64(len(body)))
-	err := lzwPackBody(body, func(c byte) error {
-		if len(out) >= len(dpb1)-1 {
-			return errNotShorter
-		}
-		out = append(out, c)
-		return nil
-	})
-	if err != nil {
-		return dpb1
+	if packed := packedBlob(deflateMagic, uint64(len(body)), deflateStream(body)); len(packed) < len(dpb1) {
+		return packed
 	}
-	return out
+	return dpb1
 }
 
-// lzwPackBody runs body through lzwPack in one write.
-func lzwPackBody(body []byte, emit func(byte) error) error {
-	return lzwPack(emit, func(w io.Writer) error {
-		_, err := w.Write(body)
-		return err
-	})
+// lzwPublication is the packer the DPB2 logs written before DPB3 hold: a
+// DPB1 blob's LZW packing when that is the shorter, the blob itself
+// otherwise.
+func lzwPublication(t testing.TB, dpb1 []byte) []byte {
+	t.Helper()
+	body := dpb1[len(publicationMagic):]
+	if packed := packedBlob(lzwMagic, uint64(len(body)), lzwStream(t, body)); len(packed) < len(dpb1) {
+		return packed
+	}
+	return dpb1
 }
 
 // serialPublication is the record the serial path logs for a task set:
@@ -134,12 +128,12 @@ func serialPublication(t testing.TB, tasks []*model.Task, m int) []byte {
 }
 
 // encodePublication is the record Publish logs for a task set whose domain
-// vectors are all set: its DPB1 blob, packed as DPB2 when that is shorter.
+// vectors are all set: its DPB1 blob, packed as DPB3 when that is shorter.
 func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
 	return packRecord(tasks, m, func(int) error { return nil })
 }
 
-// mustEncodePublication is the record Publish logs: DPB2 when packing is
+// mustEncodePublication is the record Publish logs: DPB3 when packing is
 // shorter, DPB1 otherwise.
 func mustEncodePublication(t testing.TB, tasks []*model.Task, m int) []byte {
 	t.Helper()
@@ -160,19 +154,19 @@ func mustEncodeBinaryPublication(t testing.TB, tasks []*model.Task, m int) []byt
 	return blob
 }
 
-// lzwStream is the packer's stream for body, whatever its length.
+// lzwStream is the LZW packer's stream for body, whatever its length.
 func lzwStream(t testing.TB, body []byte) []byte {
 	t.Helper()
 	var out []byte
-	if err := lzwPackBody(body, func(c byte) error { out = append(out, c); return nil }); err != nil {
+	if err := lzwPack(body, func(c byte) error { out = append(out, c); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// packedBlob assembles a DPB2 blob from its parts, consistent or not.
-func packedBlob(n uint64, stream []byte) []byte {
-	return append(binary.AppendUvarint([]byte(packedMagic), n), stream...)
+// packedBlob assembles a packed blob from its parts, consistent or not.
+func packedBlob(magic string, n uint64, stream []byte) []byte {
+	return append(binary.AppendUvarint([]byte(magic), n), stream...)
 }
 
 // datasetPublications is the first 200 tasks of each of the four datasets
@@ -192,13 +186,14 @@ func datasetPublications(t *testing.T) (names []string, sets [][]*model.Task, m 
 	return names, sets, m
 }
 
-// randomTextTasks is a task set whose texts are random bytes: nothing for
-// LZW to find, so its record must stay DPB1.
+// randomTextTasks is a task set whose texts are random bytes, hundreds to
+// a task: DEFLATE pays more for their 9-bit literals than it wins back on
+// the rest of the task, so its record must stay DPB1.
 func randomTextTasks(n int) []*model.Task {
 	r := mathx.NewRand(30)
 	tasks := make([]*model.Task, n)
 	for i := range tasks {
-		text := make([]byte, 40+r.Intn(60))
+		text := make([]byte, 400+r.Intn(600))
 		for j := range text {
 			text[j] = byte(r.Intn(256))
 		}
@@ -208,27 +203,37 @@ func randomTextTasks(n int) []*model.Task {
 	return tasks
 }
 
-// roundTrip holds one task set to the codec's contract in both of its
-// forms and returns the record Publish would log. The DPB1 blob and the
-// record each decode to the tasks field by field (floats as bits) and are
-// canonical: encoding what they decode to gives back the same bytes. The
-// record is DPB2 and shorter than the DPB1 blob, or is the DPB1 blob.
+// roundTrip holds one task set to the codec's contract in each of its
+// forms and returns the record Publish would log. The DPB1 blob, the record
+// and the DPB2 packing older logs hold each decode to the tasks field by
+// field (floats as bits) and are canonical: encoding what they decode to
+// gives back the same bytes. The record is DPB3 and shorter than the DPB1
+// blob, or is the DPB1 blob.
 func roundTrip(t *testing.T, name string, tasks []*model.Task, m int) []byte {
 	t.Helper()
 	dpb1 := mustEncodeBinaryPublication(t, tasks, m)
 	rec := mustEncodePublication(t, tasks, m)
-	if packed := bytes.HasPrefix(rec, []byte(packedMagic)); packed && len(rec) >= len(dpb1) || !packed && !bytes.Equal(rec, dpb1) {
+	if packed := bytes.HasPrefix(rec, []byte(deflateMagic)); packed && len(rec) >= len(dpb1) || !packed && !bytes.Equal(rec, dpb1) {
 		t.Fatalf("%s: logged %d bytes opening %q for a %d-byte DPB1 blob", name, len(rec), rec[:4], len(dpb1))
 	}
-	for form, blob := range map[string][]byte{"DPB1 blob": dpb1, "record": rec} {
+	forms := map[string][]byte{"DPB1 blob": dpb1, "record": rec}
+	if legacy := lzwPublication(t, dpb1); bytes.HasPrefix(legacy, []byte(lzwMagic)) {
+		forms["DPB2 record"] = legacy
+	}
+	for form, blob := range forms {
 		got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, m)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", name, form, err)
 		}
 		sameTasks(t, got, tasks)
-		again := mustEncodePublication(t, got, m)
-		if form == "DPB1 blob" {
+		var again []byte
+		switch form {
+		case "DPB1 blob":
 			again = mustEncodeBinaryPublication(t, got, m)
+		case "record":
+			again = mustEncodePublication(t, got, m)
+		default:
+			again = lzwPublication(t, mustEncodeBinaryPublication(t, got, m))
 		}
 		if !bytes.Equal(again, blob) {
 			t.Fatalf("%s: %s: re-encoding differs:\n in  %x\n out %x", name, form, blob, again)
@@ -271,17 +276,18 @@ func sameTasks(t *testing.T, got, want []*model.Task) {
 // text, NoTruth and set truths, over several domain counts — the first 200
 // tasks of the four datasets after DVE, and sampleTasks' −0 and denormal
 // vectors decode to the same tasks field by field (floats compared as
-// bits) from the DPB1 blob and from the record Publish logs, and both are
-// canonical: encode(decode(b)) == b. The datasets and sampleTasks log
-// DPB2, the seeded sets both forms, and random-byte text stays DPB1.
+// bits) from the DPB1 blob, from the record Publish logs and from the DPB2
+// packing older logs hold, and each is canonical: encode(decode(b)) == b.
+// The datasets and sampleTasks log DPB3, the seeded sets both forms, and
+// random-byte text stays DPB1.
 func TestPropertyPublicationRoundTrip(t *testing.T) {
 	names, sets, m := datasetPublications(t)
 	for i, tasks := range sets {
-		if rec := roundTrip(t, names[i], tasks, m); !bytes.HasPrefix(rec, []byte(packedMagic)) {
+		if rec := roundTrip(t, names[i], tasks, m); !bytes.HasPrefix(rec, []byte(deflateMagic)) {
 			t.Errorf("%s logs %q, want a packed record", names[i], rec[:4])
 		}
 	}
-	if rec := roundTrip(t, "sampleTasks", sampleTasks(), 4); !bytes.HasPrefix(rec, []byte(packedMagic)) {
+	if rec := roundTrip(t, "sampleTasks", sampleTasks(), 4); !bytes.HasPrefix(rec, []byte(deflateMagic)) {
 		t.Errorf("sampleTasks logs %q, want a packed record", rec[:4])
 	}
 	if rec := roundTrip(t, "random text", randomTextTasks(50), 4); !bytes.HasPrefix(rec, []byte(publicationMagic)) {
@@ -292,7 +298,7 @@ func TestPropertyPublicationRoundTrip(t *testing.T) {
 	for round, set := range seededPublications() {
 		forms[string(roundTrip(t, fmt.Sprintf("round %d", round), set.tasks, set.m)[:4])]++
 	}
-	if forms[packedMagic] == 0 || forms[publicationMagic] == 0 {
+	if forms[deflateMagic] == 0 || forms[publicationMagic] == 0 {
 		t.Errorf("seeded rounds logged %v, want both forms", forms)
 	}
 }
@@ -369,8 +375,8 @@ func TestEncodePublicationRejectsInexpressible(t *testing.T) {
 // checkPublicationDecode holds one decode of arbitrary bytes to the
 // codec's contract: an error, or tasks that all carry an m-long vector,
 // were not allocated beyond what the DPB1 blob's length bounds (the input,
-// or what a DPB2 input unpacks to), and — for a binary blob — re-encode to
-// exactly the input in its own form.
+// or what a packed input unpacks to), and re-encode to exactly the input in
+// its own form.
 func checkPublicationDecode(t *testing.T, data []byte, m int) {
 	t.Helper()
 	tasks, err := decodePublication(wal.Record{Seq: 9, Blob: data}, m)
@@ -394,11 +400,16 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 		t.Fatalf("decoded %d vector arrays for %d distinct encodings", arrays, encodings)
 	}
 	dpb1, encode := data, encodeBinaryPublication
-	if bytes.HasPrefix(data, []byte(packedMagic)) {
+	if magic := string(data[:4]); magic == deflateMagic || magic == lzwMagic {
 		if dpb1, err = unpackPublication(data); err != nil {
-			t.Fatalf("a decoded DPB2 blob does not unpack: %v", err)
+			t.Fatalf("a decoded %s blob does not unpack: %v", magic, err)
 		}
 		encode = encodePublication
+		if magic == lzwMagic {
+			encode = func(tasks []*model.Task, m int) ([]byte, error) {
+				return lzwPublication(t, mustEncodeBinaryPublication(t, tasks, m)), nil
+			}
+		}
 	}
 	if len(tasks)*minTaskBytes > len(dpb1) || strs > len(dpb1) {
 		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(dpb1))
@@ -413,7 +424,8 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 }
 
 // TestPublicationDecodeDamage is the DOCSSNP3 sweep for the publication
-// blob, over sampleTasks' DPB1 blob and its DPB2 record: every single-byte
+// blob, over sampleTasks' DPB1 blob, its DPB3 record and the DPB2 record an
+// older log holds for it: every single-byte
 // truncation and every single-bit flip of a valid blob either decodes to
 // something that re-encodes to those exact bytes or errors — it never
 // panics and never over-allocates — and hand-made blobs the encoder would
@@ -422,10 +434,11 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 func TestPublicationDecodeDamage(t *testing.T) {
 	data := mustEncodeBinaryPublication(t, sampleTasks(), 4)
 	packed := mustEncodePublication(t, sampleTasks(), 4)
-	if !bytes.HasPrefix(packed, []byte(packedMagic)) {
-		t.Fatalf("sampleTasks logs %q, want a packed record", packed[:4])
+	legacy := lzwPublication(t, data)
+	if !bytes.HasPrefix(packed, []byte(deflateMagic)) || !bytes.HasPrefix(legacy, []byte(lzwMagic)) {
+		t.Fatalf("sampleTasks packs to %q and %q, want %q and %q", packed[:4], legacy[:4], deflateMagic, lzwMagic)
 	}
-	for _, valid := range [][]byte{data, packed} {
+	for _, valid := range [][]byte{data, packed, legacy} {
 		for cut := 0; cut < len(valid); cut++ {
 			if tasks, err := decodePublication(wal.Record{Blob: valid[:cut]}, 4); err == nil || tasks != nil {
 				t.Fatalf("%q truncated at %d: decoded to %d tasks", valid[:4], cut, len(tasks))
@@ -463,8 +476,9 @@ func TestPublicationDecodeDamage(t *testing.T) {
 		"float cut short":        one(cat([]byte{1, 1}, bits(1)[:7])...),
 		"ID past int":            append(binary.AppendUvarint(append([]byte(publicationMagic), 4, 1), 1<<63), 0, 0, 0, 0, 0),
 		"magic only":             []byte(publicationMagic),
-		"a later format":         append([]byte("DPB3"), data[4:]...),
-		"DPB1 body under DPB2":   append([]byte(packedMagic), data[4:]...),
+		"a later format":         append([]byte("DPB4"), data[4:]...),
+		"DPB1 body under DPB2":   append([]byte(lzwMagic), data[4:]...),
+		"DPB1 body under DPB3":   append([]byte(deflateMagic), data[4:]...),
 		"empty":                  nil,
 	} {
 		if tasks, err := decodePublication(wal.Record{Seq: 3, Blob: blob}, 4); err == nil {
@@ -503,56 +517,95 @@ func literalLZW(t *testing.T, body []byte) []byte {
 	return out
 }
 
-// TestPackedPublicationRefusals: DPB2 is canonical the way DPB1 is — the
-// decoder accepts nothing packPublication would not write — and each rule
-// refuses its own row with its own error.
+// TestPackedPublicationRefusals: DPB3, and DPB2 before it, are canonical
+// the way DPB1 is — the decoder accepts nothing its writer would not write
+// — and each rule refuses its own row with its own error. A DPB3 stream
+// compress/flate reads back to the body is still refused when it is not
+// the pinned writer's: a stored block, a dynamic-Huffman block, two
+// blocks, a match cut short, ones in the padding bits. (The DPB3 rows pack
+// twinTasks, whose stream has padding bits; sampleTasks' ends on a byte.)
 func TestPackedPublicationRefusals(t *testing.T) {
-	body := mustEncodeBinaryPublication(t, sampleTasks(), 4)[len(publicationMagic):]
-	stream := lzwStream(t, body)
-	n := uint64(len(body))
-	valid := packedBlob(n, stream)
-	if !bytes.Equal(valid, mustEncodePublication(t, sampleTasks(), 4)) {
-		t.Fatal("the hand-assembled DPB2 blob is not the record Publish logs")
-	}
 	random := mustEncodeBinaryPublication(t, randomTextTasks(5), 4)
 	randomBody := random[len(publicationMagic):]
-	notShorter := packedBlob(uint64(len(randomBody)), lzwStream(t, randomBody))
-	if len(notShorter) < len(random) {
-		t.Fatalf("random text packs to %d bytes, shorter than its %d-byte DPB1 blob", len(notShorter), len(random))
-	}
-	for name, tc := range map[string]struct {
+	type row struct {
 		blob []byte
 		want string
-	}{
-		"stated body over what a publication holds": {packedBlob(uint64(maxPackedBody)+1, stream), "over the"},
-		"stated body one byte short":                {packedBlob(n-1, stream), "inflates past"},
-		"stated body one byte long":                 {packedBlob(n+1, stream), "inflates to"},
-		"a byte after the end code":                 {append(append([]byte(nil), valid...), 0), "follow the packed body's end code"},
-		"a stream that is not the packing":          {packedBlob(n, literalLZW(t, body)), errNotCanonical.Error()},
-		"no shorter than the DPB1 blob":             {notShorter, "no shorter than"},
-		"a stream cut before its end code":          {valid[:len(valid)-1], "unexpected EOF"},
-		"no body length":                            {[]byte(packedMagic), "bad varint"},
-	} {
-		_, err := decodePublication(wal.Record{Seq: 5, Blob: tc.blob}, 4)
-		if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want one naming publish record 5 and containing %q", name, err, tc.want)
-		}
 	}
-	if _, err := decodePublication(wal.Record{Blob: valid}, 4); err != nil {
-		t.Fatalf("the valid blob does not decode: %v", err)
+	for _, tc := range []struct {
+		magic  string
+		tasks  []*model.Task
+		stream func(body []byte) []byte
+		record func(dpb1 []byte) []byte // what the magic's writer logs
+		end    string
+		rows   func(body []byte, n uint64) map[string]row
+	}{
+		{lzwMagic, sampleTasks(), func(body []byte) []byte { return lzwStream(t, body) },
+			func(dpb1 []byte) []byte { return lzwPublication(t, dpb1) }, "end code",
+			func(body []byte, n uint64) map[string]row {
+				return map[string]row{
+					"a stream that is not the packing": {packedBlob(lzwMagic, n, literalLZW(t, body)), errNotCanonical.Error()},
+					"no shorter than the DPB1 blob": {packedBlob(lzwMagic, uint64(len(randomBody)), lzwStream(t, randomBody)),
+						"no shorter than"},
+				}
+			}},
+		{deflateMagic, twinTasks(), deflateStream, packPublication, "final block",
+			func(body []byte, n uint64) map[string]row {
+				return map[string]row{
+					"a stored block":           {packedBlob(deflateMagic, n, stored(body)), errNotCanonical.Error()},
+					"a dynamic-Huffman block":  {packedBlob(deflateMagic, n, dynamicLiterals(body)), errNotCanonical.Error()},
+					"two blocks":               {packedBlob(deflateMagic, n, twoBlocks(body)), errNotCanonical.Error()},
+					"a match cut short":        {packedBlob(deflateMagic, n, shorterMatch(t, body)), errNotCanonical.Error()},
+					"ones in the padding bits": {packedBlob(deflateMagic, n, paddedWithOnes(t, deflateStream(body), paddingBits(body))), errNotCanonical.Error()},
+					"no shorter than the DPB1 blob": {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)),
+						"no shorter than"},
+				}
+			}},
+	} {
+		dpb1 := mustEncodeBinaryPublication(t, tc.tasks, 4)
+		body := dpb1[len(publicationMagic):]
+		n := uint64(len(body))
+		stream := tc.stream(body)
+		valid := packedBlob(tc.magic, n, stream)
+		if !bytes.Equal(valid, tc.record(dpb1)) {
+			t.Fatalf("%s: the hand-assembled blob is not the record its writer logs", tc.magic)
+		}
+		if _, err := decodePublication(wal.Record{Blob: valid}, 4); err != nil {
+			t.Fatalf("%s: the valid blob does not decode: %v", tc.magic, err)
+		}
+		rows := tc.rows(body, n)
+		rows["stated body over what a publication holds"] = row{packedBlob(tc.magic, uint64(maxPackedBody)+1, stream), "over the"}
+		rows["stated body one byte short"] = row{packedBlob(tc.magic, n-1, stream), "inflates past"}
+		rows["stated body one byte long"] = row{packedBlob(tc.magic, n+1, stream), "inflates to"}
+		rows["a byte after the stream"] = row{append(append([]byte(nil), valid...), 0), "follow the packed body's " + tc.end}
+		rows["a stream cut before its end"] = row{valid[:len(valid)-1], "unexpected EOF"}
+		rows["no body length"] = row{[]byte(tc.magic), "bad varint"}
+		for name, r := range rows {
+			// A DPB3 stream refused as not the writer's is a valid
+			// DEFLATE stream of the body.
+			if tc.magic == deflateMagic && r.want == errNotCanonical.Error() &&
+				!bytes.Equal(inflate(t, r.blob[len(deflateMagic)+uvarintLen(n):]), body) {
+				t.Fatalf("%s: %s: compress/flate does not read the stream back to the body", tc.magic, name)
+			}
+			_, err := decodePublication(wal.Record{Seq: 5, Blob: r.blob}, 4)
+			if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), r.want) {
+				t.Errorf("%s: %s: error %v, want one naming publish record 5 and containing %q", tc.magic, name, err, r.want)
+			}
+		}
 	}
 }
 
 // TestPublicationCodecConcurrent: campaigns publish, wake and run snapshot
-// passes at once, and every packing and re-pack check draws on the one pool
-// of LZW writers. Goroutines encoding and decoding different task sets
-// must each get their own bytes back (run it under -race).
+// passes at once, and every packing and re-encode check draws on the one
+// pool of DEFLATE writers (and of flate readers, and a DPB2 log's re-pack
+// on the pool of LZW writers). Goroutines encoding and decoding different
+// task sets must each get their own bytes back (run it under -race).
 func TestPublicationCodecConcurrent(t *testing.T) {
-	sets := [][]*model.Task{sampleTasks(), goldenPublication(), randomTextTasks(20)}
+	sets := [][]*model.Task{sampleTasks(), goldenPublication(200), randomTextTasks(20)}
 	ms := []int{4, 26, 4}
-	want := make([][]byte, len(sets))
+	want, legacy := make([][]byte, len(sets)), make([][]byte, len(sets))
 	for i, tasks := range sets {
 		want[i] = mustEncodePublication(t, tasks, ms[i])
+		legacy[i] = lzwPublication(t, mustEncodeBinaryPublication(t, tasks, ms[i]))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -566,10 +619,12 @@ func TestPublicationCodecConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: set %d encoded to %d bytes (%v), want %d", g, i, len(blob), err, len(want[i]))
 					return
 				}
-				got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, ms[i])
-				if err != nil || len(got) != len(sets[i]) {
-					t.Errorf("goroutine %d: set %d decoded to %d tasks (%v)", g, i, len(got), err)
-					return
+				for _, blob := range [][]byte{blob, legacy[i]} {
+					got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, ms[i])
+					if err != nil || len(got) != len(sets[i]) {
+						t.Errorf("goroutine %d: set %d decoded from %q to %d tasks (%v)", g, i, blob[:4], len(got), err)
+						return
+					}
 				}
 			}
 		}(g)
@@ -578,16 +633,16 @@ func TestPublicationCodecConcurrent(t *testing.T) {
 }
 
 var updatePublicationGolden = flag.Bool("update-publication-golden", false,
-	"rewrite testdata/publication_dpb2.golden from this toolchain's packer")
+	"rewrite testdata/publication_dpb3.golden from this build's writer")
 
-// goldenPublication is a fixed 200-task set in the campaigns' shape: a few
-// sentence templates, two or three choices, one- and two-domain vectors. It
-// is built here rather than taken from a dataset after DVE, so only the
-// codec can move its bytes.
-func goldenPublication() []*model.Task {
+// goldenPublication is n tasks in the campaigns' shape: a few sentence
+// templates, two or three choices, one- and two-domain vectors. It is built
+// here rather than taken from a dataset after DVE, so only the codec can
+// move its bytes.
+func goldenPublication(n int) []*model.Task {
 	things := []string{"the Amazon", "Mount Everest", "the Nile", "Lake Baikal", "the Sahara", "Kobe Bryant", "Shaquille O'Neal", "the Eiffel Tower"}
 	templates := []string{"Q%d. Is %s older than %s?", "Q%d. Which is larger, %s or %s?", "Q%d. Did %s appear in more headlines than %s last year?"}
-	tasks := make([]*model.Task, 200)
+	tasks := make([]*model.Task, n)
 	for i := range tasks {
 		a, b := things[i%len(things)], things[(i*3+1)%len(things)]
 		tk := &model.Task{ID: 3 * i, Text: fmt.Sprintf(templates[i%len(templates)], 1000+i*7, a, b),
@@ -605,42 +660,64 @@ func goldenPublication() []*model.Task {
 	return tasks
 }
 
-// TestPublicationPackerGolden pins the packer across toolchains:
-// testdata/publication_dpb2.golden is the DPB2 record of goldenPublication,
-// and this build must write it byte for byte and read it back to the set.
-// The decoder refuses a stream that is not its body's packing, so a
-// compress/lzw whose output moved would fail every boot of an older log;
-// it fails here instead.
+// TestPublicationPackerGolden pins both packers. testdata/
+// publication_dpb3.golden is the DPB3 record of goldenPublication(600), a
+// body over the writer's 32 KiB window: this build must write it byte for
+// byte — the writer's rules, not a toolchain, fix it — and read it back to
+// the set. testdata/publication_dpb2.golden is the DPB2 record an older
+// build logged for goldenPublication(200): the LZW oracle must still write
+// it and this build read it, since the decoder refuses a stream that is not
+// its body's packing, so a compress/lzw whose output moved would fail every
+// boot of an older log; it fails here instead. The flag rewrites only the
+// DPB3 file: no build writes DPB2 any more.
 func TestPublicationPackerGolden(t *testing.T) {
-	path := filepath.Join("testdata", "publication_dpb2.golden")
-	tasks := goldenPublication()
-	blob := mustEncodePublication(t, tasks, 26)
-	if *updatePublicationGolden {
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+	for _, g := range []struct {
+		file, magic string
+		tasks       []*model.Task
+		pack        func([]byte) []byte
+	}{
+		{"publication_dpb2.golden", lzwMagic, goldenPublication(200), func(dpb1 []byte) []byte { return lzwPublication(t, dpb1) }},
+		{"publication_dpb3.golden", deflateMagic, goldenPublication(600), packPublication},
+	} {
+		path := filepath.Join("testdata", g.file)
+		dpb1 := mustEncodeBinaryPublication(t, g.tasks, 26)
+		blob := g.pack(dpb1)
+		if g.magic == deflateMagic {
+			// A body this long wraps the distance ring.
+			if len(dpb1)-len(publicationMagic) <= windowSize {
+				t.Fatalf("%s: the golden body is %d bytes, within one window", g.file, len(dpb1)-len(publicationMagic))
+			}
+			if rec := mustEncodePublication(t, g.tasks, 26); !bytes.Equal(rec, blob) {
+				t.Fatalf("%s: Publish logs %d bytes that differ from the one-pass packing's %d", g.file, len(rec), len(blob))
+			}
+			if *updatePublicationGolden {
+				if err := os.WriteFile(path, blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !bytes.HasPrefix(want, []byte(g.magic)) {
+			t.Fatalf("%s opens with %q, want %q", g.file, want[:4], g.magic)
+		}
+		// A code is at most 12 bits and a table holds 3,838 before the LZW
+		// writer clears it, so a stream this long crosses at least one clear.
+		if g.magic == lzwMagic && len(want) < 3839*12/8+8 {
+			t.Fatalf("%s is %d bytes, too short to cross a table clear", g.file, len(want))
+		}
+		if !bytes.Equal(blob, want) {
+			t.Fatalf("this build packs the golden set to %d bytes that differ from the %d in %s", len(blob), len(want), g.file)
+		}
+		got, err := decodePublication(wal.Record{Seq: 1, Blob: want}, 26)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTasks(t, got, g.tasks)
+		t.Logf("%s: %d bytes as %s, %d as DPB1", g.file, len(want), g.magic, len(dpb1))
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(want, []byte(packedMagic)) {
-		t.Fatalf("the golden record opens with %q, want %q", want[:4], packedMagic)
-	}
-	// A code is at most 12 bits and a table holds 3,838 before the writer
-	// clears it, so a stream this long crosses at least one clear.
-	if len(want) < 3839*12/8+8 {
-		t.Fatalf("the golden record is %d bytes, too short to cross a table clear", len(want))
-	}
-	if !bytes.Equal(blob, want) {
-		t.Fatalf("this toolchain packs the golden set to %d bytes that differ from the %d checked in", len(blob), len(want))
-	}
-	got, err := decodePublication(wal.Record{Seq: 1, Blob: want}, 26)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTasks(t, got, tasks)
-	t.Logf("golden set: %d bytes as DPB2, %d as DPB1", len(want), len(mustEncodeBinaryPublication(t, tasks, 26)))
 }
 
 // FuzzPublicationDecode drives arbitrary bytes through the one reader of a
@@ -648,17 +725,20 @@ func TestPublicationPackerGolden(t *testing.T) {
 // accepted blob's tasks share a vector exactly when their encodings are
 // equal. Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
 // sampleTasks' DPB1 blob, the same cut at three points, with one byte
-// flipped, with its task count set to 2^63; its DPB2 record, the same cut
-// in its stream, with a byte after the end code, and with the stream every
-// byte a literal; twinTasks' DPB1 blob, repeated vectors and their −0
-// twins; and a JSON publication, the format v0 blob nothing reads.
+// flipped, with its task count set to 2^63; its DPB3 record, the same cut
+// in its stream and with a byte after the final block; its DPB2 record, the
+// same cut in its stream, with a byte after the end code, and with the
+// stream every byte a literal; twinTasks' DPB1 blob, repeated vectors and
+// their −0 twins; and a JSON publication, the format v0 blob nothing reads.
 func FuzzPublicationDecode(f *testing.F) {
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
 	f.Add(mustEncodeBinaryPublication(f, twinTasks(), 4))
-	f.Add(mustEncodePublication(f, sampleTasks(), 4))
+	f.Add(lzwPublication(f, mustEncodeBinaryPublication(f, sampleTasks(), 4)))
 	f.Add([]byte(publicationMagic))
-	f.Add([]byte(packedMagic))
+	f.Add([]byte(lzwMagic))
 	f.Add([]byte(`[{"ID":1,"Choices":["a","b"],"Domain":[0,1,0,0],"Truth":-1,"TrueDomain":-1}]`))
+	f.Add(mustEncodePublication(f, sampleTasks(), 4))
+	f.Add([]byte(deflateMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPublicationDecode(t, data, 4)
 	})
@@ -670,7 +750,7 @@ func FuzzPublicationDecode(f *testing.F) {
 // every machine — and the numbers docs/architecture.md's cost model
 // quotes; the JSON encoding DPB1 replaced is logged beside them.
 func TestPublicationBytesPerTask(t *testing.T) {
-	want := map[string][2]int{"Item": {21463, 8425}, "4D": {21188, 8794}, "QA": {21009, 8890}, "SFV": {14606, 6611}}
+	want := map[string][2]int{"Item": {21463, 4211}, "4D": {21188, 4104}, "QA": {21009, 3368}, "SFV": {14606, 4707}}
 	names, sets, m := datasetPublications(t)
 	for i, tasks := range sets {
 		name := names[i]
@@ -702,6 +782,47 @@ func TestPublicationBytesPerTask(t *testing.T) {
 	}
 }
 
+// TestAllocsPublicationCodecPooled: the DEFLATE writer's tables (80 KiB)
+// and compress/flate's reader (its 32 KiB window and decoding tables) are
+// pooled, so once the pools are warm a pack and a decode of sampleTasks
+// allocate only what the publication itself needs: 2,528 B in 30
+// allocations, pinned at 4 KiB and 36 (room for another toolchain's
+// maps), where one writer's tables or one reader's window alone is eight
+// times the bytes.
+func TestAllocsPublicationCodecPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const maxBytes, maxAllocs = 4 << 10, 36
+	tasks := sampleTasks()
+	codec := func() {
+		blob, err := encodePublication(tasks, 4)
+		if err != nil || !bytes.HasPrefix(blob, []byte(deflateMagic)) {
+			t.Fatalf("sampleTasks packs to %q (%v), want a DPB3 record", blob, err)
+		}
+		if _, err := decodePublication(wal.Record{Blob: blob}, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	codec()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		codec()
+	}
+	runtime.ReadMemStats(&after)
+	perBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	perAllocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("a pack and a decode of sampleTasks: %d B, %d allocations (writer tables %d B)",
+		perBytes, perAllocs, unsafe.Sizeof(deflater{}))
+	if perBytes > maxBytes || perAllocs > maxAllocs {
+		t.Errorf("a warm pack and decode allocate %d B in %d allocations, want at most %d B and %d",
+			perBytes, perAllocs, maxBytes, maxAllocs)
+	}
+}
+
 // --- logs on disk ---
 
 // writePublishLog writes a log whose one record publishes blob.
@@ -719,6 +840,65 @@ func writePublishLog(t *testing.T, dir string, blob []byte) {
 	}
 }
 
+// TestLegacyPublicationLogsBoot: a log written before DPB3 holds its
+// publication as DPB1, or as the DPB2 an older build's LZW packer wrote, and
+// every such log must still boot. A log whose publish record is either,
+// followed by the same answers, reaches the Fingerprint of the DPB3 log
+// this build writes for the same tasks and answers.
+func TestLegacyPublicationLogsBoot(t *testing.T) {
+	cfg := Config{GoldenCount: -1, RerunEvery: -1}
+	dir := t.TempDir()
+	s := newSystem(t, cfg)
+	if _, err := s.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	tasks := datasetTasks(5 * publishChunk)
+	if err := s.Publish(tasks); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := s.Submit(fmt.Sprintf("w%d", i%7), i*13%len(tasks), i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, m := s.Fingerprint(), s.m
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := readStream(t, dir)
+	dpb1 := mustEncodeBinaryPublication(t, tasks, m) // the tasks carry their vectors now
+	logs := map[string][]byte{deflateMagic: recs[0].Blob, lzwMagic: lzwPublication(t, dpb1), publicationMagic: dpb1}
+	for magic, blob := range logs {
+		if !bytes.HasPrefix(blob, []byte(magic)) {
+			t.Fatalf("the %s log's publish record opens with %q", magic, blob[:4])
+		}
+		legacy := t.TempDir()
+		log, err := wal.Open(legacy, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			if i == 0 {
+				rec.Blob = blob
+			}
+			if _, err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again := newSystem(t, cfg)
+		if _, err := again.Recover(legacy); err != nil {
+			t.Fatalf("%s log: boot: %v", magic, err)
+		}
+		if again.Fingerprint() != want {
+			t.Errorf("%s log: the booted state differs from the DPB3 log's", magic)
+		}
+		again.Close()
+	}
+}
+
 // TestReplayedPublicationCarriesDomainVectors: a publish record exists so
 // that no boot re-links text, and every task in it carries a vector over
 // the m domains its blob is stamped with. A blob stamped with another m —
@@ -730,12 +910,14 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 	tasks := []*model.Task{{ID: 1, Text: strings.Repeat("ab", 30), Choices: []string{"a", "b"},
 		Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}
 	packed := mustEncodePublication(t, tasks, 4)
-	if !bytes.HasPrefix(packed, []byte(packedMagic)) {
-		t.Fatalf("the publication logs %q, want a packed record", packed[:4])
+	legacy := lzwPublication(t, mustEncodeBinaryPublication(t, tasks, 4))
+	if !bytes.HasPrefix(packed, []byte(deflateMagic)) || !bytes.HasPrefix(legacy, []byte(lzwMagic)) {
+		t.Fatalf("the publication packs to %q and %q, want packed records", packed[:4], legacy[:4])
 	}
 	for name, blob := range map[string][]byte{
 		"DPB1 over 4 domains": mustEncodeBinaryPublication(t, tasks, 4),
-		"DPB2 over 4 domains": packed,
+		"DPB2 over 4 domains": legacy,
+		"DPB3 over 4 domains": packed,
 	} {
 		dir := t.TempDir()
 		writePublishLog(t, dir, blob)

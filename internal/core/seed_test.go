@@ -241,11 +241,13 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeBlob, decodeStore := storeUpdateCodec(t)
-	// A packed publication whose body is short enough for a one-byte length.
-	packed := mustEncodePublication(t, []*model.Task{{ID: 1, Text: strings.Repeat("ab", 30), Choices: []string{"a", "b"},
-		Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}, 4)
-	if !bytes.HasPrefix(packed, []byte(packedMagic)) {
-		t.Fatalf("the short publication logs %q, want a packed record", packed[:4])
+	// Packed publications whose body is short enough for a one-byte length.
+	short := []*model.Task{{ID: 1, Text: strings.Repeat("ab", 30), Choices: []string{"a", "b"},
+		Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}
+	packed := mustEncodePublication(t, short, 4)
+	legacy := lzwPublication(t, mustEncodeBinaryPublication(t, short, 4))
+	if !bytes.HasPrefix(packed, []byte(deflateMagic)) || !bytes.HasPrefix(legacy, []byte(lzwMagic)) {
+		t.Fatalf("the short publication packs to %q and %q, want packed records", packed[:4], legacy[:4])
 	}
 	const snapHeader = 8 + 8 // magic, then the frame's length and CRC
 	reframe := func(payload []byte) []byte { return wal.EncodeFrame(append([]byte(nil), snap[:8]...), payload) }
@@ -264,7 +266,9 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		"KindStore blob": {storeBlob, overlong(storeBlob, 0), decodeStore}, // m
 		"DPB1 publication": {mustEncodeBinaryPublication(t, sampleTasks(), 4), overlong(mustEncodeBinaryPublication(t, sampleTasks(), 4), len(publicationMagic)), // m
 			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
-		"DPB2 publication": {packed, overlong(packed, len(packedMagic)), // the body's length
+		"DPB2 publication": {legacy, overlong(legacy, len(lzwMagic)), // the body's length
+			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
+		"DPB3 publication": {packed, overlong(packed, len(deflateMagic)), // the body's length
 			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
 		"snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq
 			func(b []byte) error { _, err := snapshot.Decode(b); return err }},

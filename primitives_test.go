@@ -33,11 +33,13 @@ import (
 // v0 has no reader: the retired batch magic and the previous snapshot
 // version are spelled nowhere, and no decodeLegacy function survives — an
 // older blob is refused at its magic, an older segment at its first
-// bytes. One codec compresses: LZW, in
-// the publication record, whose stream the decoder holds to a re-encode —
-// and nothing imports compress/flate, whose output is not pinned across
-// Go releases. Only tests fail an fsync on purpose (wal.FailFsyncAt), and
-// a registry campaign's lifecycle state has one writer: the registry's
+// bytes. The publication record is the one compressed blob, and its
+// decoder holds every stream to a re-encode, so only a writer whose output
+// is pinned may write one: publication.go alone imports compress/flate,
+// for its reader, and compress/lzw, to re-pack the DPB2 logs written before
+// DPB3; nothing calls flate.NewWriter, whose output is not pinned across Go
+// releases. Only tests fail an fsync on purpose (wal.FailFsyncAt), and a
+// registry campaign's lifecycle state has one writer: the registry's
 // transition function. A request body has one reader, decodeBody, and
 // nothing under internal/httpapi streams a body through json.NewDecoder,
 // which stops at the first value; the /publish scanner is called from
@@ -71,7 +73,8 @@ func TestOneReaderOneWriter(t *testing.T) {
 		"restoreSnapshot":  nil,
 		"readPublication":  nil,
 		`"compress/lzw"`:   {"internal/core/publication.go"},
-		`"compress/flate"`: nil,
+		`"compress/flate"`: {"internal/core/publication.go"},
+		"flate.NewWriter":  nil,
 		"FailFsyncAt(":     {"internal/wal/atomic.go"},
 		"MintScope":        nil,
 	}
