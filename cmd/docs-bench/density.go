@@ -141,7 +141,7 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 			return nil, err
 		}
 		allLiveBoot := time.Since(start)
-		if got, _, _ := baseline.Counts(); got != n {
+		if got := baseline.Stats().CampaignsLive; got != n {
 			return nil, fmt.Errorf("density: uncapped boot left %d/%d campaigns live", got, n)
 		}
 		heapBaseline := heapInUse()
@@ -161,8 +161,8 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 			return nil, err
 		}
 		cappedBoot := time.Since(start)
-		if gotLive, hib, _ := reg.Counts(); gotLive != 0 || hib != n {
-			return nil, fmt.Errorf("density: capped boot counts %d live / %d hibernated, want 0/%d", gotLive, hib, n)
+		if st := reg.Stats(); st.CampaignsLive != 0 || st.CampaignsHibernated != n {
+			return nil, fmt.Errorf("density: capped boot counts %d live / %d hibernated, want 0/%d", st.CampaignsLive, st.CampaignsHibernated, n)
 		}
 		wakeDur := make([]time.Duration, 0, sample)
 		verified, suffix, peak := 0, 0, 0
@@ -186,7 +186,7 @@ func densityRun(nCampaigns, maxLive *int, jsonOut *string) func(seed uint64, qui
 				return nil, err
 			}
 			verified++
-			if gotLive, _, _ := reg.Counts(); gotLive > peak {
+			if gotLive := reg.Stats().CampaignsLive; gotLive > peak {
 				peak = gotLive
 			}
 		}

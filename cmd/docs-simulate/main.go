@@ -141,7 +141,7 @@ func driveCampaign(sys *core.System, ds *dataset.Dataset, pop *crowd.Population,
 	}
 	if sys.Published() {
 		fmt.Printf("resuming recovered campaign: %d answers already collected, %d golden tasks\n",
-			sys.AnswerCount(), len(sys.GoldenTasks()))
+			sys.Stats().Answers, len(sys.GoldenTasks()))
 	} else {
 		if err := sys.Publish(ds.Tasks); err != nil {
 			log.Fatalf("docs-simulate: publish: %v", err)
@@ -155,7 +155,7 @@ func driveCampaign(sys *core.System, ds *dataset.Dataset, pop *crowd.Population,
 
 	r := pop.Rand()
 	target := redundancy * (len(ds.Tasks) - len(sys.GoldenTasks()))
-	collected := int(sys.AnswerCount()) // non-zero when resuming from a WAL
+	collected := int(sys.Stats().Answers) // non-zero when resuming from a WAL
 	hits := 0
 	idle := 0
 	goldenAnswers := 0

@@ -430,61 +430,14 @@ func (s *System) WorkerQuality(workerID string) []float64 {
 	return read(s, func(sys *core.System) []float64 { return sys.WorkerQuality(workerID) })
 }
 
-// Stats is a point-in-time view of the serving counters.
-type Stats struct {
-	// Answers is the number of accepted non-golden answers.
-	Answers int64
-	// SnapshotEpoch is the truth engine's mutation counter; it advances
-	// with every accepted answer and batch-rerun swap.
-	SnapshotEpoch uint64
-	// RerunsCompleted and RerunsFailed count periodic batch re-inference
-	// runs.
-	RerunsCompleted int64
-	RerunsFailed    int64
-	// OpenTasks is the size of the live candidate index: non-golden tasks
-	// still under their redundancy cap, maintained incrementally as
-	// answers arrive. IndexEpoch is the index's generation counter — it
-	// advances whenever a new immutable candidate array is published.
-	OpenTasks  int
-	IndexEpoch uint64
-	// LeasesActive is the number of live assignment leases (always zero
-	// without Config.LeaseTTL).
-	LeasesActive int64
-	// BatchesTotal counts the batch group records SubmitBatch logged (one
-	// per call of regular answers) and BatchAnswersTotal the answers inside
-	// them; single-submit traffic, golden answers included, leaves both
-	// zero.
-	BatchesTotal      int64
-	BatchAnswersTotal int64
-	// WALEnabled reports whether a write-ahead log is armed; WALLastSeq is
-	// the sequence number of the last durable record. Both zero without a
-	// WAL.
-	WALEnabled bool
-	WALLastSeq uint64
-	// SnapshotLastSeq is the WAL sequence the newest state snapshot covers
-	// (up to which a restart skips the answers' math); zero without one.
-	SnapshotLastSeq uint64
-}
+// Stats is a point-in-time view of a campaign's serving counters, with
+// the recovery its most recent boot or wake ran; the JSON tags are its
+// /stats keys.
+type Stats = core.Stats
 
-// Stats returns the current serving counters. Safe to call concurrently
-// with serving.
-func (s *System) Stats() Stats {
-	return read(s, func(sys *core.System) Stats {
-		st := Stats{
-			Answers:         sys.AnswerCount(),
-			SnapshotEpoch:   sys.Epoch(),
-			OpenTasks:       sys.OpenTasks(),
-			IndexEpoch:      sys.IndexEpoch(),
-			LeasesActive:    sys.ActiveLeases(),
-			WALEnabled:      sys.Recovery().Enabled,
-			WALLastSeq:      sys.WALSeq(),
-			SnapshotLastSeq: sys.LastSnapshotSeq(),
-		}
-		st.RerunsCompleted, st.RerunsFailed = sys.Reruns()
-		st.BatchesTotal, st.BatchAnswersTotal = sys.BatchCounts()
-		return st
-	})
-}
+// Stats returns the campaign's serving counters, read in one lease. Safe
+// to call concurrently with serving.
+func (s *System) Stats() Stats { return read(s, (*core.System).Stats) }
 
 // Close closes the registry New opened for the System: it stops the
 // background re-inference worker and flushes, fsyncs and closes the WAL and

@@ -93,8 +93,8 @@ func TestAdversarialIndexedAssignmentEquivalence(t *testing.T) {
 	if fa, fb := scanSys.Fingerprint(), leaseSys.Fingerprint(); fa != fb {
 		t.Fatal("fingerprints differ between scan and leased paths under adversarial traffic")
 	}
-	if leaseSys.ActiveLeases() != 0 {
-		t.Fatalf("serial adversarial campaign left %d leases outstanding", leaseSys.ActiveLeases())
+	if leaseSys.Stats().LeasesActive != 0 {
+		t.Fatalf("serial adversarial campaign left %d leases outstanding", leaseSys.Stats().LeasesActive)
 	}
 }
 
@@ -175,8 +175,8 @@ func TestAdversarialCliqueHammerLeaseBound(t *testing.T) {
 			}
 		}
 	}
-	if s.ActiveLeases() != 0 {
-		t.Fatalf("%d leases outstanding after every grant was answered", s.ActiveLeases())
+	if s.Stats().LeasesActive != 0 {
+		t.Fatalf("%d leases outstanding after every grant was answered", s.Stats().LeasesActive)
 	}
 }
 

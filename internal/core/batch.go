@@ -107,13 +107,3 @@ func (s *System) SubmitBatch(items []BatchItem) ([]BatchStatus, error) {
 	}
 	return statuses, nil
 }
-
-// BatchCounts returns how many batch group records the campaign has logged
-// and how many answers they hold (mean answers per batch =
-// answers/batches). Both count what the log holds, so a recovered campaign
-// reports what the live one did: a golden answer is a record of its own and
-// counts as a single submit does, and a call whose items were all rejected
-// logged nothing.
-func (s *System) BatchCounts() (batches, answers int64) {
-	return s.batches.Load(), s.batchAnswers.Load()
-}

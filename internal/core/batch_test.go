@@ -92,7 +92,8 @@ func TestBatchSubmitEquivalence(t *testing.T) {
 	// as a single submit does) and a call whose items were all rejected logs
 	// nothing, so the answer counter is the accepted REGULAR answers — and
 	// a recovery of the same log must count the same (below).
-	batches, batchAnswers := a.BatchCounts()
+	st := a.Stats()
+	batches, batchAnswers := st.BatchesTotal, st.BatchAnswersTotal
 	if batches == 0 {
 		t.Fatal("no batches counted")
 	}
@@ -148,9 +149,9 @@ func TestBatchSubmitEquivalence(t *testing.T) {
 		if name == "single" {
 			wantBatches, wantAnswers = 0, 0
 		}
-		if gotBatches, gotAnswers := rec.BatchCounts(); gotBatches != wantBatches || gotAnswers != wantAnswers {
+		if st := rec.Stats(); st.BatchesTotal != wantBatches || st.BatchAnswersTotal != wantAnswers {
 			t.Fatalf("%s log recovered batch counters %d/%d, live %d/%d",
-				name, gotBatches, gotAnswers, wantBatches, wantAnswers)
+				name, st.BatchesTotal, st.BatchAnswersTotal, wantBatches, wantAnswers)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
@@ -335,7 +336,7 @@ func TestBatchIsOneWALRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := s.WALSeq()
+	before := s.Stats().WALLastSeq
 	items := make([]BatchItem, n)
 	for i := range items {
 		items[i] = BatchItem{Worker: "batcher", Task: i, Choice: 0}
@@ -349,17 +350,17 @@ func TestBatchIsOneWALRecord(t *testing.T) {
 			t.Fatalf("item %d rejected: %s", i, st.Err)
 		}
 	}
-	if got := s.WALSeq() - before; got != 1 {
+	if got := s.Stats().WALLastSeq - before; got != 1 {
 		t.Fatalf("SubmitBatch of %d answers advanced the WAL by %d records, want 1", n, got)
 	}
 
-	before = s.WALSeq()
+	before = s.Stats().WALLastSeq
 	for i := 0; i < n; i++ {
 		if err := s.Submit("single", i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.WALSeq() - before; got != n {
+	if got := s.Stats().WALLastSeq - before; got != n {
 		t.Fatalf("%d Submit calls advanced the WAL by %d records, want %d", n, got, n)
 	}
 }

@@ -186,14 +186,15 @@ func TestConcurrentAsyncRerun(t *testing.T) {
 	if err := s.runRerun(); err != nil {
 		t.Fatal(err)
 	}
-	done, failed := s.Reruns()
+	st := s.Stats()
+	done, failed := st.RerunsCompleted, st.RerunsFailed
 	if done == 0 {
 		t.Error("no batch reruns completed")
 	}
 	if failed != 0 {
 		t.Errorf("%d batch reruns failed", failed)
 	}
-	if s.Epoch() == 0 {
+	if s.Stats().SnapshotEpoch == 0 {
 		t.Error("snapshot epoch never advanced")
 	}
 	for _, tk := range tasks {

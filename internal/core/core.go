@@ -168,6 +168,11 @@ type System struct {
 	walDir     string
 	recovering bool // replay is in flight: no re-logging, no store seeds, sync reruns
 	recovery   RecoveryInfo
+	// replayed counts the answers the boot replayed and since is when the
+	// core began serving (Stats' Served and Since); both are written
+	// before it serves.
+	replayed int64
+	since    time.Time
 
 	submissions atomic.Int64
 	// batches / batchAnswers count KindBatch group records and the answers
@@ -256,6 +261,8 @@ func New(cfg Config) (*System, error) {
 		inc:     truth.NewIncremental(m),
 		rerunCh: make(chan struct{}, 1),
 		quit:    make(chan struct{}),
+		//docs:allow clock serving-age anchor for the /stats rate; reporting only, never durable
+		since: time.Now(),
 	}
 	for i := range s.shards {
 		s.shards[i].workers = make(map[string]*workerState)
@@ -1063,50 +1070,85 @@ func (s *System) Answers() *model.AnswerSet {
 	return as
 }
 
-// AnswerCount returns the number of accepted non-golden answers so far.
-func (s *System) AnswerCount() int64 { return s.submissions.Load() }
-
-// Epoch returns the truth engine's snapshot epoch: it increases with every
-// accepted answer and every batch-rerun swap, so two equal reads bracket a
-// quiescent system.
-func (s *System) Epoch() uint64 { return s.inc.Epoch() }
-
-// Reruns returns how many periodic batch re-inference runs have completed
-// and how many failed.
-func (s *System) Reruns() (completed, failed int64) {
-	return s.reruns.Load(), s.rerunErrs.Load()
+// Stats is a point-in-time view of a campaign's serving counters. Each is
+// declared here once; the JSON tags are its GET /c/{campaign}/stats keys.
+type Stats struct {
+	// Published reports whether the campaign's tasks are published.
+	Published bool `json:"published"`
+	// Answers is the number of accepted non-golden answers, replayed ones
+	// included.
+	Answers int64 `json:"answers"`
+	// SnapshotEpoch is the truth engine's mutation counter; it advances
+	// with every accepted answer and batch-rerun swap, so two equal reads
+	// bracket a quiescent system.
+	SnapshotEpoch uint64 `json:"snapshot_epoch"`
+	// RerunsCompleted and RerunsFailed count periodic batch re-inference
+	// runs.
+	RerunsCompleted int64 `json:"reruns_completed"`
+	RerunsFailed    int64 `json:"reruns_failed"`
+	// OpenTasks is the size of the live candidate index: non-golden tasks
+	// still under their redundancy cap, maintained incrementally as
+	// answers arrive. IndexEpoch is the index's generation counter — it
+	// advances whenever a new immutable candidate array is published (the
+	// initial build, compactions, post-rerun resyncs). Both zero before
+	// Publish.
+	OpenTasks  int    `json:"open_tasks"`
+	IndexEpoch uint64 `json:"index_epoch"`
+	// LeasesActive is the number of live assignment leases (always zero
+	// without Config.LeaseTTL). The read itself processes due expiries,
+	// so an idle campaign reports zero once every TTL has elapsed.
+	LeasesActive int64 `json:"leases_active"`
+	// BatchesTotal counts the batch group records SubmitBatch logged (one
+	// per call of regular answers) and BatchAnswersTotal the answers inside
+	// them. Both count what the log holds, so a recovered campaign reports
+	// what the live one did; single-submit traffic, golden answers
+	// included, leaves both zero.
+	BatchesTotal      int64 `json:"batches_total"`
+	BatchAnswersTotal int64 `json:"batch_answers_total"`
+	// WALEnabled reports whether a write-ahead log is armed; WALLastSeq is
+	// the sequence number of the last durable record. Both zero without a
+	// WAL.
+	WALEnabled bool   `json:"wal_enabled"`
+	WALLastSeq uint64 `json:"wal_last_seq"`
+	// SnapshotLastSeq is the WAL sequence the newest state snapshot this
+	// process wrote or booted from covers; zero without one.
+	SnapshotLastSeq uint64 `json:"snapshot_last_seq"`
+	// RecoveryInfo is what the core's boot replayed.
+	RecoveryInfo
+	// Served is how many of Answers this core accepted itself, the replayed
+	// ones excluded, and Since is when it began serving: a rate is
+	// Served over the time since Since.
+	Served int64     `json:"-"`
+	Since  time.Time `json:"-"`
 }
 
-// OpenTasks returns the number of open (assignable) tasks in the candidate
-// index: non-golden tasks still under their redundancy cap. Zero before
-// Publish.
-func (s *System) OpenTasks() int {
-	if ci := s.index.Load(); ci != nil {
-		return int(ci.openCount.Load())
+// Stats returns the campaign's serving counters. Safe to call concurrently
+// with serving.
+func (s *System) Stats() Stats {
+	st := Stats{
+		Published:         s.Published(),
+		Answers:           s.submissions.Load(),
+		SnapshotEpoch:     s.inc.Epoch(),
+		RerunsCompleted:   s.reruns.Load(),
+		RerunsFailed:      s.rerunErrs.Load(),
+		BatchesTotal:      s.batches.Load(),
+		BatchAnswersTotal: s.batchAnswers.Load(),
+		WALEnabled:        s.recovery.Enabled,
+		SnapshotLastSeq:   s.snapSeq.Load(),
+		RecoveryInfo:      s.recovery,
+		Since:             s.since,
 	}
-	return 0
-}
-
-// IndexEpoch returns the candidate index's generation counter: it advances
-// every time a new immutable candidate array is published (the initial
-// build, compactions, and post-rerun resyncs). Zero before Publish.
-func (s *System) IndexEpoch() uint64 {
+	st.Served = st.Answers - s.replayed
 	if ci := s.index.Load(); ci != nil {
-		return ci.epoch.Load()
+		st.OpenTasks, st.IndexEpoch = int(ci.openCount.Load()), ci.epoch.Load()
 	}
-	return 0
-}
-
-// ActiveLeases returns the number of live assignment leases (always zero
-// when Config.LeaseTTL is unset). The read itself processes due expiries,
-// so an idle system — one receiving no requests, which are the other place
-// lazy expiry runs — still reports zero once every TTL has elapsed rather
-// than counting expired leases forever.
-func (s *System) ActiveLeases() int64 {
 	if s.leases != nil {
-		return s.leases.activeNow()
+		st.LeasesActive = s.leases.activeNow()
 	}
-	return 0
+	if s.wal != nil {
+		st.WALLastSeq = s.wal.LastSeq()
+	}
+	return st
 }
 
 // --- internal helpers ---

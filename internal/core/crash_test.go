@@ -360,7 +360,7 @@ func TestConcurrentServeWithWALRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := s.AnswerCount()
+	accepted := s.Stats().Answers
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestConcurrentServeWithWALRecovers(t *testing.T) {
 	if info.TornTail {
 		t.Error("graceful shutdown left a torn tail")
 	}
-	if got := r.AnswerCount(); got != accepted {
+	if got := r.Stats().Answers; got != accepted {
 		t.Fatalf("recovered %d answers, live system accepted %d", got, accepted)
 	}
 	res2, err := r.Results()
@@ -531,7 +531,7 @@ func TestRecoverRefusesLegacyCheckpoint(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `"checkpoint"`) {
 			t.Fatalf("%s: err = %v, want a refusal naming the checkpoint file", tc.name, err)
 		}
-		if n := s.AnswerCount(); n != 0 {
+		if n := s.Stats().Answers; n != 0 {
 			t.Fatalf("%s: refused boot still applied %d answers", tc.name, n)
 		}
 		s.Close()

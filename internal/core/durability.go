@@ -31,31 +31,31 @@ var ErrDurability = errors.New("durability failure")
 // RecoveryInfo describes what a Recover call replayed.
 type RecoveryInfo struct {
 	// Enabled is true once a WAL is armed.
-	Enabled bool
+	Enabled bool `json:"-"`
 	// Records is the records the boot replayed in full. With a snapshot
 	// this counts only the records past it: those up to it ran no
 	// answer's math.
-	Records int
+	Records int `json:"recovered_records"`
 	// TornTail is true when the final segment ended in a torn record that
 	// was dropped (the crash interrupted an unacknowledged append).
-	TornTail bool
+	TornTail bool `json:"recovered_torn_tail"`
 	// LastSeq is the sequence number serving resumed from.
-	LastSeq uint64
+	LastSeq uint64 `json:"-"`
 	// SnapshotUsed is true when the boot installed a state snapshot's
 	// numbers at SnapshotSeq instead of running the math of the answers up
 	// to it.
-	SnapshotUsed bool
+	SnapshotUsed bool `json:"recovered_from_snapshot"`
 	// SnapshotSeq is the WAL sequence the installed snapshot covered.
-	SnapshotSeq uint64
+	SnapshotSeq uint64 `json:"recovery_snapshot_seq"`
 	// SnapshotRejected carries the reason a present snapshot was NOT used —
 	// torn, corrupt, at odds with the publication, or claiming sequences
 	// past the durable log — in which case the boot ran the full replay
 	// (losing time, never state). Empty when no snapshot existed or it was
 	// used.
-	SnapshotRejected string
+	SnapshotRejected string `json:"recovery_snapshot_rejected,omitempty"`
 	// Duration is the wall-clock cost of the replay — the recovery lag a
 	// restarted server paid before it could serve again.
-	Duration time.Duration
+	Duration time.Duration `json:"-"`
 }
 
 // Recover arms the write-ahead log at dir, first replaying any state a
@@ -98,8 +98,9 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	s.walDir = dir
 	info.Enabled = true
 	//docs:allow clock recovery duration is diagnostic metadata, never replayed or fingerprinted
-	info.Duration = time.Since(start)
-	s.recovery = info
+	s.since = time.Now()
+	info.Duration = s.since.Sub(start)
+	s.recovery, s.replayed = info, s.submissions.Load()
 	return info, nil
 }
 
@@ -193,15 +194,6 @@ func (s *System) lastRerun(dir string) (int64, error) {
 // Recovery returns what the last Recover call replayed (zero value when no
 // WAL is armed).
 func (s *System) Recovery() RecoveryInfo { return s.recovery }
-
-// WALSeq returns the sequence number of the last durable record, 0 when no
-// WAL is armed.
-func (s *System) WALSeq() uint64 {
-	if s.wal == nil {
-		return 0
-	}
-	return s.wal.LastSeq()
-}
 
 // applyRecord replays one durable record through the ordinary serving path.
 // The WAL is nil during recovery, so the replay does not re-log.

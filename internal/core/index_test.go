@@ -99,7 +99,7 @@ func TestIndexedAssignmentEquivalence(t *testing.T) {
 	if fa, fb := scanSys.Fingerprint(), idxSys.Fingerprint(); fa != fb {
 		t.Fatalf("fingerprints differ between scan and indexed paths")
 	}
-	if idxSys.IndexEpoch() == 0 {
+	if idxSys.Stats().IndexEpoch == 0 {
 		t.Fatalf("indexed system never published a candidate array")
 	}
 }
@@ -118,8 +118,8 @@ func TestIndexedAssignmentEquivalenceWithLeases(t *testing.T) {
 	if fa, fb := scanSys.Fingerprint(), leaseSys.Fingerprint(); fa != fb {
 		t.Fatalf("fingerprints differ between scan and leased indexed paths")
 	}
-	if leaseSys.ActiveLeases() != 0 {
-		t.Fatalf("serial campaign left %d leases outstanding", leaseSys.ActiveLeases())
+	if leaseSys.Stats().LeasesActive != 0 {
+		t.Fatalf("serial campaign left %d leases outstanding", leaseSys.Stats().LeasesActive)
 	}
 }
 
@@ -149,10 +149,10 @@ func TestCandidateIndexMaintenance(t *testing.T) {
 	if err := s.Publish(indexTasks(n, m)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.OpenTasks(); got != n {
+	if got := s.Stats().OpenTasks; got != n {
 		t.Fatalf("OpenTasks after publish = %d, want %d", got, n)
 	}
-	epoch0 := s.IndexEpoch()
+	epoch0 := s.Stats().IndexEpoch
 	if epoch0 == 0 {
 		t.Fatalf("IndexEpoch = 0 after publish")
 	}
@@ -163,7 +163,7 @@ func TestCandidateIndexMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.OpenTasks(); got != n-1 {
+	if got := s.Stats().OpenTasks; got != n-1 {
 		t.Fatalf("OpenTasks after closing task 0 = %d, want %d", got, n-1)
 	}
 
@@ -176,10 +176,10 @@ func TestCandidateIndexMaintenance(t *testing.T) {
 			}
 		}
 	}
-	if got := s.OpenTasks(); got != 0 {
+	if got := s.Stats().OpenTasks; got != 0 {
 		t.Fatalf("OpenTasks after closing all = %d, want 0", got)
 	}
-	if s.IndexEpoch() == epoch0 {
+	if s.Stats().IndexEpoch == epoch0 {
 		t.Fatalf("IndexEpoch never advanced past %d despite %d closures", epoch0, n)
 	}
 	got, err := s.Request("fresh", 4)
@@ -205,7 +205,7 @@ func TestCandidateIndexResyncReopens(t *testing.T) {
 	if err := s.Submit("w1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.OpenTasks(); got != n-1 {
+	if got := s.Stats().OpenTasks; got != n-1 {
 		t.Fatalf("OpenTasks = %d, want %d", got, n-1)
 	}
 
@@ -220,11 +220,11 @@ func TestCandidateIndexResyncReopens(t *testing.T) {
 	ci.openCount.Add(-1)
 	ci.stale++
 	ci.mu.Unlock()
-	if got := s.OpenTasks(); got != n-2 {
+	if got := s.Stats().OpenTasks; got != n-2 {
 		t.Fatalf("OpenTasks after force-close = %d, want %d", got, n-2)
 	}
 	ci.resync(1)
-	if got := s.OpenTasks(); got != n-1 {
+	if got := s.Stats().OpenTasks; got != n-1 {
 		t.Fatalf("OpenTasks after resync = %d, want %d (task 3 reopened)", got, n-1)
 	}
 	arr := ci.load()
@@ -257,14 +257,14 @@ func TestPublishRejectionLeavesNoState(t *testing.T) {
 	if s.Published() {
 		t.Fatal("rejected publish left the campaign published")
 	}
-	if got := s.OpenTasks(); got != 0 {
+	if got := s.Stats().OpenTasks; got != 0 {
 		t.Fatalf("rejected publish left %d open tasks", got)
 	}
 	good := indexTasks(3, m)
 	if err := s.Publish(good); err != nil {
 		t.Fatalf("re-publish after rejection: %v", err)
 	}
-	if got := s.OpenTasks(); got != 3 {
+	if got := s.Stats().OpenTasks; got != 3 {
 		t.Fatalf("OpenTasks after re-publish = %d, want 3", got)
 	}
 	if tasks, err := s.Request("w", 3); err != nil || len(tasks) != 3 {

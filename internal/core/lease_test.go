@@ -69,7 +69,7 @@ func TestLeaseDoubleRequestDisjoint(t *testing.T) {
 			seen[id] = true
 		}
 	}
-	if got := s.ActiveLeases(); got != n {
+	if got := s.Stats().LeasesActive; got != n {
 		t.Fatalf("ActiveLeases = %d, want %d", got, n)
 	}
 	// Pool exhausted: everything is leased to this worker.
@@ -83,7 +83,7 @@ func TestLeaseDoubleRequestDisjoint(t *testing.T) {
 	if len(batch) != k {
 		t.Fatalf("request after TTL expiry returned %d tasks, want %d", len(batch), k)
 	}
-	if got := s.ActiveLeases(); got != k {
+	if got := s.Stats().LeasesActive; got != k {
 		t.Fatalf("ActiveLeases after expiry+regrant = %d, want %d", got, k)
 	}
 }
@@ -102,7 +102,7 @@ func TestLeaseReleasedOnSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := taskIDSet(t, s, "w", k)
-	if got := s.ActiveLeases(); got != k {
+	if got := s.Stats().LeasesActive; got != k {
 		t.Fatalf("ActiveLeases after request = %d, want %d", got, k)
 	}
 	for id := range first {
@@ -110,7 +110,7 @@ func TestLeaseReleasedOnSubmit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.ActiveLeases(); got != 0 {
+	if got := s.Stats().LeasesActive; got != 0 {
 		t.Fatalf("ActiveLeases after submitting all = %d, want 0", got)
 	}
 	// With redundancy 2 and one answer each, another worker can be served
@@ -196,13 +196,13 @@ func TestLeaseStatsLazyExpiry(t *testing.T) {
 	if got := taskIDSet(t, s, "w", k); len(got) != k {
 		t.Fatalf("request returned %d tasks, want %d", len(got), k)
 	}
-	if got := s.ActiveLeases(); got != k {
+	if got := s.Stats().LeasesActive; got != k {
 		t.Fatalf("ActiveLeases = %d, want %d", got, k)
 	}
 	// TTL elapses with NO further requests: the stats read alone must
 	// retire the leases.
 	clk.Advance(time.Minute + time.Second)
-	if got := s.ActiveLeases(); got != 0 {
+	if got := s.Stats().LeasesActive; got != 0 {
 		t.Fatalf("ActiveLeases on an idle system after TTL = %d, want 0", got)
 	}
 	// And the expiry actually freed the slots, not just the counter.
@@ -250,7 +250,7 @@ func TestLeaseHeapTracksLiveLeases(t *testing.T) {
 		}
 		bound(fmt.Sprintf("cycle %d submit", c))
 	}
-	if got := s.ActiveLeases(); got != 0 {
+	if got := s.Stats().LeasesActive; got != 0 {
 		t.Fatalf("ActiveLeases = %d after every lease was answered, want 0", got)
 	}
 }

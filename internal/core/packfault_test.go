@@ -66,8 +66,8 @@ func TestPublishPackFailureFailsStop(t *testing.T) {
 		t.Fatal("the campaign still serves the core whose publication its log does not hold")
 	}
 	err = reg.Do(name, func(sys *core.System) error {
-		if sys.Published() || sys.WALSeq() != 0 {
-			return fmt.Errorf("the woken campaign is published=%v at WAL seq %d, want unpublished at 0", sys.Published(), sys.WALSeq())
+		if sys.Published() || sys.Stats().WALLastSeq != 0 {
+			return fmt.Errorf("the woken campaign is published=%v at WAL seq %d, want unpublished at 0", sys.Published(), sys.Stats().WALLastSeq)
 		}
 		return sys.Publish(tasks)
 	})

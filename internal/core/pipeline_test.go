@@ -152,7 +152,7 @@ func TestPublishIndependentOfGOMAXPROCS(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: task %d of the publication has view epoch %d, want %d", procs, i, e, i+1)
 			}
 		}
-		got := fmt.Sprintf("%s|%v|%d|%x", s.Fingerprint(), s.GoldenTasks(), s.IndexEpoch(), rec)
+		got := fmt.Sprintf("%s|%v|%d|%x", s.Fingerprint(), s.GoldenTasks(), s.Stats().IndexEpoch, rec)
 		if procs == 1 {
 			want = got
 		} else if got != want {
@@ -198,8 +198,8 @@ func TestPublishChunkFailure(t *testing.T) {
 		if !errors.Is(err, injected) || err.Error() != fmt.Sprintf("chunk %d: %v", failing[0], injected) {
 			t.Fatalf("%s: Publish returned %v, want chunk %d's failure", name, err, failing[0])
 		}
-		if s.Published() || s.WALSeq() != 0 || s.wal.ReservedSeq() != 0 {
-			t.Fatalf("%s: the failed publish left published=%v, WAL seq %d", name, s.Published(), s.WALSeq())
+		if s.Published() || s.Stats().WALLastSeq != 0 || s.wal.ReservedSeq() != 0 {
+			t.Fatalf("%s: the failed publish left published=%v, WAL seq %d", name, s.Published(), s.Stats().WALLastSeq)
 		}
 		s.publishFault = nil
 		if err := s.Publish(tasks); err != nil {

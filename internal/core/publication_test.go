@@ -977,8 +977,8 @@ func TestPublishRejectsNegativeTaskID(t *testing.T) {
 	if err == nil || errors.Is(err, ErrDurability) {
 		t.Fatalf("Publish with task ID -1: %v, want a validation error", err)
 	}
-	if s.Published() || s.WALSeq() != 0 {
-		t.Fatalf("rejected publish left published=%v, WAL seq %d", s.Published(), s.WALSeq())
+	if s.Published() || s.Stats().WALLastSeq != 0 {
+		t.Fatalf("rejected publish left published=%v, WAL seq %d", s.Published(), s.Stats().WALLastSeq)
 	}
 	if err := s.Submit("w", -1, 0); err == nil {
 		t.Fatal("Submit to task -1 accepted")
@@ -1066,9 +1066,9 @@ func TestOversizePublicationRejected(t *testing.T) {
 	if err == nil || errors.Is(err, ErrDurability) {
 		t.Fatalf("Publish of a %d-byte publication: %v, want a validation error", 5*len(long), err)
 	}
-	if s.Published() || s.OpenTasks() != 0 || s.wal.ReservedSeq() != 0 {
+	if s.Published() || s.Stats().OpenTasks != 0 || s.wal.ReservedSeq() != 0 {
 		t.Fatalf("rejected publish left published=%v, %d open tasks, reserved seq %d",
-			s.Published(), s.OpenTasks(), s.wal.ReservedSeq())
+			s.Published(), s.Stats().OpenTasks, s.wal.ReservedSeq())
 	}
 	for _, tk := range tasks {
 		tk.Text = "short"

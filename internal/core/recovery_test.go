@@ -57,14 +57,14 @@ func TestRecoveryRunsOneRerun(t *testing.T) {
 				if err := sys.Publish(tasks()); err != nil {
 					return err
 				}
-				for i := 0; sys.AnswerCount() < int64(tc.answers); i++ {
+				for i := 0; sys.Stats().Answers < int64(tc.answers); i++ {
 					w := fmt.Sprintf("w%d", i%7)
 					got, err := sys.Request(w, 4)
 					if err != nil {
 						return err
 					}
 					for _, tk := range got {
-						if sys.AnswerCount() == int64(tc.answers) {
+						if sys.Stats().Answers == int64(tc.answers) {
 							break
 						}
 						if err := sys.Submit(w, tk.ID, max(tk.Truth, 0)); err != nil {
@@ -72,7 +72,7 @@ func TestRecoveryRunsOneRerun(t *testing.T) {
 						}
 					}
 				}
-				live, _ = sys.Reruns()
+				live = sys.Stats().RerunsCompleted
 				return nil
 			})
 			if err != nil {
@@ -100,7 +100,7 @@ func TestRecoveryRunsOneRerun(t *testing.T) {
 			if _, err := boot.Recover(filepath.Join(root, "campaigns", name)); err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := boot.Reruns(); got != want {
+			if got := boot.Stats().RerunsCompleted; got != want {
 				t.Errorf("a boot replayed %d reruns, want %d", got, want)
 			}
 			if err := boot.Close(); err != nil {
@@ -118,7 +118,7 @@ func TestRecoveryRunsOneRerun(t *testing.T) {
 			var woken int64
 			pass := 0
 			err = reg.Do(name, func(sys *core.System) error {
-				woken, _ = sys.Reruns()
+				woken = sys.Stats().RerunsCompleted
 				core.CountPassReruns(sys, &pass)
 				return nil
 			})

@@ -18,8 +18,8 @@ import (
 func ingests(t *testing.T, s *System, restored int) int64 {
 	t.Helper()
 	tasks := int64(len(s.InferTasks()))
-	reruns, _ := s.Reruns()
-	return int64(s.Epoch()) - tasks - int64(restored) - reruns*tasks
+	reruns := s.Stats().RerunsCompleted
+	return int64(s.Stats().SnapshotEpoch) - tasks - int64(restored) - reruns*tasks
 }
 
 // TestReplaySkipsOverwrittenMath pins the skip rule by counts: a regular
@@ -71,7 +71,7 @@ func TestReplaySkipsOverwrittenMath(t *testing.T) {
 	if !info.SnapshotUsed || info.Records != 0 {
 		t.Fatalf("wake of a hibernated campaign: %+v", info)
 	}
-	if reruns, _ := woken.Reruns(); reruns != 0 || ingests(t, woken, restored()) != 0 {
+	if reruns := woken.Stats().RerunsCompleted; reruns != 0 || ingests(t, woken, restored()) != 0 {
 		t.Fatalf("wake over a snapshot covering %d answers ran %d reruns and %d ingests, want none",
 			n, reruns, ingests(t, woken, restored()))
 	}
@@ -83,7 +83,7 @@ func TestReplaySkipsOverwrittenMath(t *testing.T) {
 		t.Fatal(err)
 	}
 	woken, info = boot()
-	if reruns, _ := woken.Reruns(); !info.SnapshotUsed || reruns != 0 || ingests(t, woken, restored()) != 7 {
+	if reruns := woken.Stats().RerunsCompleted; !info.SnapshotUsed || reruns != 0 || ingests(t, woken, restored()) != 7 {
 		t.Fatalf("wake with 7 answers past its snapshot: used %v, %d reruns, %d ingests; want 0 and 7",
 			info.SnapshotUsed, reruns, ingests(t, woken, restored()))
 	}
@@ -110,7 +110,7 @@ func TestReplaySkipsOverwrittenMath(t *testing.T) {
 		if info.SnapshotUsed || (data != nil) != (info.SnapshotRejected != "") {
 			t.Fatalf("%s: used %v, rejected %q", name, info.SnapshotUsed, info.SnapshotRejected)
 		}
-		if reruns, _ := s.Reruns(); reruns != 1 || ingests(t, s, 0) != 7 {
+		if reruns := s.Stats().RerunsCompleted; reruns != 1 || ingests(t, s, 0) != 7 {
 			t.Fatalf("%s: %d reruns and %d ingests, want the last rerun and the 7 answers past it", name, reruns, ingests(t, s, 0))
 		}
 		if got := s.Fingerprint(); got != want {
@@ -175,7 +175,7 @@ func TestSkippedAnswerStillMeetsItsWorker(t *testing.T) {
 	if _, err := boot.Recover(dir); err != nil {
 		t.Fatal(err)
 	}
-	if reruns, _ := boot.Reruns(); reruns != 1 {
+	if reruns := boot.Stats().RerunsCompleted; reruns != 1 {
 		t.Fatalf("the boot ran %d reruns, want 1", reruns)
 	}
 	if got := boot.Fingerprint(); got != want {

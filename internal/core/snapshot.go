@@ -28,10 +28,6 @@ import (
 	"docs/internal/wal"
 )
 
-// LastSnapshotSeq returns the WAL sequence covered by the newest snapshot
-// this process wrote or booted from (0 when none).
-func (s *System) LastSnapshotSeq() uint64 { return s.snapSeq.Load() }
-
 // exportState serializes the truth engine's numbers at the given WAL
 // sequence. The system must be quiescent (a pass's scratch replica, or a
 // freshly recovered system before serving).

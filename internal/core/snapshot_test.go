@@ -134,7 +134,7 @@ func assertReexportIdentical(t *testing.T, s *System, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.exportState(s.LastSnapshotSeq())
+	st := s.exportState(s.Stats().SnapshotLastSeq)
 	again, err := snapshot.Encode(st)
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +457,7 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 	if err := s.snapshotPass(); err != nil {
 		t.Fatalf("snapshot pass: %v", err)
 	}
-	if got := s.LastSnapshotSeq(); got != tail {
+	if got := s.Stats().SnapshotLastSeq; got != tail {
 		t.Fatalf("pass covered seq %d, want log tail %d", got, tail)
 	}
 	if err := s.Close(); err != nil {
@@ -520,7 +520,7 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 	// Two answers close two tasks (redundancy 1); the second trips the
 	// periodic rerun, which fails. The closed entries are below the
 	// compaction threshold (16/4 = 4), so only resync can republish.
-	epoch0 := s.IndexEpoch()
+	epoch0 := s.Stats().IndexEpoch
 	if err := s.Submit("w1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 	if err == nil {
 		t.Fatal("submit at the rerun boundary should surface the rerun failure")
 	}
-	if got := s.OpenTasks(); got != 14 {
+	if got := s.Stats().OpenTasks; got != 14 {
 		t.Fatalf("OpenTasks = %d, want 14", got)
 	}
 	ci := s.index.Load()
@@ -538,7 +538,7 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 	if got := len(ci.load().entries); got != 14 {
 		t.Fatalf("published candidate array holds %d entries, want 14 — failed rerun skipped resync", got)
 	}
-	if s.IndexEpoch() == epoch0 {
+	if s.Stats().IndexEpoch == epoch0 {
 		t.Fatal("index epoch unchanged: failed rerun did not republish")
 	}
 	if err := s.Close(); err != nil {
@@ -569,7 +569,7 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 	if err := s.snapshotPass(); err != nil {
 		t.Fatalf("first pass: %v", err)
 	}
-	goodSeq := s.LastSnapshotSeq()
+	goodSeq := s.Stats().SnapshotLastSeq
 
 	// Fault the next pass's replica and push the campaign across the next
 	// rerun boundary (the replica replays to 20 and its rerun fails AFTER
@@ -583,7 +583,7 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 	if err := s.snapshotPass(); err == nil {
 		t.Fatal("faulted pass succeeded")
 	}
-	if got := s.LastSnapshotSeq(); got != goodSeq {
+	if got := s.Stats().SnapshotLastSeq; got != goodSeq {
 		t.Fatalf("failed pass moved the snapshot seq to %d", got)
 	}
 
@@ -593,7 +593,7 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 	if err := s.snapshotPass(); err != nil {
 		t.Fatalf("recovery pass: %v", err)
 	}
-	if got, want := s.LastSnapshotSeq(), s.wal.ReservedSeq(); got != want {
+	if got, want := s.Stats().SnapshotLastSeq, s.wal.ReservedSeq(); got != want {
 		t.Fatalf("recovered pass covered seq %d, want log tail %d", got, want)
 	}
 	want := s.Fingerprint()
@@ -650,7 +650,7 @@ func TestSnapshotPassLeavesNothingResident(t *testing.T) {
 		t.Fatalf("snapshot pass: %v", err)
 	}
 	after := heapAfterGC()
-	if got, want := s.LastSnapshotSeq(), s.wal.ReservedSeq(); got != want {
+	if got, want := s.Stats().SnapshotLastSeq, s.wal.ReservedSeq(); got != want {
 		t.Fatalf("pass covered seq %d, want log tail %d", got, want)
 	}
 	if kept := int64(after) - int64(before); kept > int64(campaign/4) {

@@ -111,7 +111,7 @@ func TestServerWALRestart(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.WALEnabled || st.RecoveredRecords == 0 || st.WALLastSeq == 0 {
+	if !st.WALEnabled || st.Records == 0 || st.WALLastSeq == 0 {
 		t.Errorf("stats missing durability fields: %+v", st)
 	}
 	if !st.Published {

@@ -377,56 +377,29 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"domains": names})
 }
 
-// statsJSON is the per-campaign /stats payload: goroutine-safe counters
-// describing the serving state.
+// statsJSON is the per-campaign /stats payload: the campaign's counters
+// (docs.Stats) and the registry's (docs.RegistryStats), each declared once
+// on the struct of the layer that owns it, and the keys computed here at
+// read time.
 type statsJSON struct {
-	Campaign        string  `json:"campaign"`
-	Published       bool    `json:"published"`
-	Answers         int64   `json:"answers"`
-	OpenTasks       int     `json:"open_tasks"`
-	IndexEpoch      uint64  `json:"index_epoch"`
-	LeasesActive    int64   `json:"leases_active"`
-	SnapshotEpoch   uint64  `json:"snapshot_epoch"`
-	RerunsCompleted int64   `json:"reruns_completed"`
-	RerunsFailed    int64   `json:"reruns_failed"`
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	AnswersPerSec   float64 `json:"answers_per_sec"`
-	Goroutines      int     `json:"goroutines"`
-	// The campaign census by lifecycle state, and the wake fields
-	// describing hibernated-campaign reactivations (see
-	// docs/multi-campaign.md).
-	CampaignsLive       int     `json:"campaigns_live"`
-	CampaignsHibernated int     `json:"campaigns_hibernated"`
-	CampaignsArchived   int     `json:"campaigns_archived"`
-	WakesTotal          int64   `json:"wakes_total"`
-	WakeP50Ms           float64 `json:"wake_p50_ms"`
-	WakeP99Ms           float64 `json:"wake_p99_ms"`
-
-	// Batched-submit counters: batches_total is the batch group records
-	// POST /submit-batch calls logged (one per call of regular answers),
-	// batch_answers_total the answers inside them, batch_answers_mean their
-	// ratio (0 until the first batch). Single submits leave all three at
-	// zero.
-	BatchesTotal      int64   `json:"batches_total"`
-	BatchAnswersTotal int64   `json:"batch_answers_total"`
-	BatchAnswersMean  float64 `json:"batch_answers_mean"`
-
-	// Durability counters, all zero when the server runs without -wal-dir.
-	WALEnabled bool   `json:"wal_enabled"`
-	WALLastSeq uint64 `json:"wal_last_seq"`
+	Campaign string `json:"campaign"`
+	docs.Stats
+	docs.RegistryStats
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	// AnswersPerSec is the answers the campaign's current core accepted
+	// over that core's age: a replayed answer never counts.
+	AnswersPerSec float64 `json:"answers_per_sec"`
+	Goroutines    int     `json:"goroutines"`
+	// BatchAnswersMean is batch_answers_total over batches_total (0 until
+	// the first batch).
+	BatchAnswersMean float64 `json:"batch_answers_mean"`
+	WakeP50Ms        float64 `json:"wake_p50_ms"`
+	WakeP99Ms        float64 `json:"wake_p99_ms"`
+	RecoverySeconds  float64 `json:"recovery_seconds"`
 	// SnapshotsCompleted is always 0: Hibernate, the only snapshot writer,
 	// runs as the campaign's core is released, so no serving core has
 	// completed a pass. The field stays for the clients that read it.
-	SnapshotsCompleted    int64  `json:"snapshots_completed"`
-	SnapshotLastSeq       uint64 `json:"snapshot_last_seq"`
-	RecoveredRecords      int    `json:"recovered_records"`
-	RecoveredTornTail     bool   `json:"recovered_torn_tail"`
-	RecoveredFromSnapshot bool   `json:"recovered_from_snapshot"`
-	RecoverySnapshotSeq   uint64 `json:"recovery_snapshot_seq"`
-	// RecoverySnapshotRejected is the loud fallback signal: non-empty when
-	// boot found a snapshot it could not trust and replayed the full log.
-	RecoverySnapshotRejected string  `json:"recovery_snapshot_rejected,omitempty"`
-	RecoverySeconds          float64 `json:"recovery_seconds"`
+	SnapshotsCompleted int64 `json:"snapshots_completed"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -434,52 +407,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	liveC, hibC, archC := s.reg.CampaignCounts()
-	wakesTotal, wakeP50, wakeP99 := s.reg.WakeStats()
-	st := sys.Stats()
-	//docs:allow clock /stats uptime; reporting only, never durable
-	uptime := time.Since(s.start).Seconds()
-	rec := sys.Recovery()
-	out := statsJSON{
-		Campaign: name,
-		// Published is read from the serving core — the same source of
-		// truth Publish, Request and WAL recovery use — so a half-applied
-		// publish (applied in memory, durability error on the log append)
-		// can never make /stats disagree with serving behavior.
-		Published:                sys.Published(),
-		Answers:                  st.Answers,
-		OpenTasks:                st.OpenTasks,
-		IndexEpoch:               st.IndexEpoch,
-		LeasesActive:             st.LeasesActive,
-		SnapshotEpoch:            st.SnapshotEpoch,
-		RerunsCompleted:          st.RerunsCompleted,
-		RerunsFailed:             st.RerunsFailed,
-		UptimeSeconds:            uptime,
-		Goroutines:               runtime.NumGoroutine(),
-		CampaignsLive:            liveC,
-		CampaignsHibernated:      hibC,
-		CampaignsArchived:        archC,
-		WakesTotal:               wakesTotal,
-		WakeP50Ms:                float64(wakeP50) / float64(time.Millisecond),
-		WakeP99Ms:                float64(wakeP99) / float64(time.Millisecond),
-		BatchesTotal:             st.BatchesTotal,
-		BatchAnswersTotal:        st.BatchAnswersTotal,
-		WALEnabled:               st.WALEnabled,
-		WALLastSeq:               st.WALLastSeq,
-		SnapshotLastSeq:          st.SnapshotLastSeq,
-		RecoveredRecords:         rec.Records,
-		RecoveredTornTail:        rec.TornTail,
-		RecoveredFromSnapshot:    rec.SnapshotUsed,
-		RecoverySnapshotSeq:      rec.SnapshotSeq,
-		RecoverySnapshotRejected: rec.SnapshotRejected,
-		RecoverySeconds:          rec.Duration.Seconds(),
+	// One read of the campaign: every campaign key comes from the same
+	// core, even if the campaign is evicted and woken around this call.
+	out := statsJSON{Campaign: name, Stats: sys.Stats(), RegistryStats: s.reg.Stats(),
+		//docs:allow clock /stats uptime; reporting only, never durable
+		UptimeSeconds: time.Since(s.start).Seconds(), Goroutines: runtime.NumGoroutine()}
+	//docs:allow clock /stats rate; reporting only, never durable
+	if age := time.Since(out.Since).Seconds(); age > 0 {
+		out.AnswersPerSec = float64(out.Served) / age
 	}
-	if uptime > 0 {
-		out.AnswersPerSec = float64(st.Answers) / uptime
+	if out.BatchesTotal > 0 {
+		out.BatchAnswersMean = float64(out.BatchAnswersTotal) / float64(out.BatchesTotal)
 	}
-	if st.BatchesTotal > 0 {
-		out.BatchAnswersMean = float64(st.BatchAnswersTotal) / float64(st.BatchesTotal)
-	}
+	out.WakeP50Ms = float64(out.WakeP50) / float64(time.Millisecond)
+	out.WakeP99Ms = float64(out.WakeP99) / float64(time.Millisecond)
+	out.RecoverySeconds = out.Duration.Seconds()
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -280,7 +280,8 @@ func TestRejectedPublishLeavesNoCampaign(t *testing.T) {
 	if resp, out := doJSON(t, "POST", ts.URL+"/c/serving/publish", publishBody()); resp.StatusCode != 200 {
 		t.Fatalf("publish serving = %d: %s", resp.StatusCode, out["error"])
 	}
-	liveBefore, hibBefore, _ := srv.Registry().CampaignCounts()
+	before := srv.Registry().Stats()
+	liveBefore, hibBefore := before.CampaignsLive, before.CampaignsHibernated
 
 	duplicate := publishBody()
 	duplicate["tasks"].([]map[string]any)[1]["id"] = 0
@@ -315,8 +316,8 @@ func TestRejectedPublishLeavesNoCampaign(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "campaigns", "bad")); !os.IsNotExist(err) {
 			t.Fatalf("after the rejected %s publish the campaign directory exists (stat: %v)", name, err)
 		}
-		if live, hib, _ := srv.Registry().CampaignCounts(); live != liveBefore || hib != hibBefore {
-			t.Fatalf("after the rejected %s publish: %d resident, %d hibernated, want %d and %d", name, live, hib, liveBefore, hibBefore)
+		if st := srv.Registry().Stats(); st.CampaignsLive != liveBefore || st.CampaignsHibernated != hibBefore {
+			t.Fatalf("after the rejected %s publish: %d resident, %d hibernated, want %d and %d", name, st.CampaignsLive, st.CampaignsHibernated, liveBefore, hibBefore)
 		}
 		if !srv.Registry().CampaignResident("serving") {
 			t.Fatalf("the rejected %s publish evicted the serving campaign", name)
@@ -1002,7 +1003,7 @@ func TestNoPhantomCampaign(t *testing.T) {
 				t.Fatalf("%s: campaign %s is not resident: %+v", when, c.Name, c)
 			}
 		}
-		if wakes, _, _ := srv.Registry().WakeStats(); wakes != 0 {
+		if wakes := srv.Registry().Stats().WakesTotal; wakes != 0 {
 			t.Fatalf("%s: wakes_total = %d, want 0", when, wakes)
 		}
 	}

@@ -475,7 +475,7 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	answers := sys.AnswerCount()
+	answers := sys.Stats().Answers
 	liveStore := storePrint(reg.Store())
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
@@ -497,7 +497,7 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.AnswerCount(); got != answers {
+	if got := rec.Stats().Answers; got != answers {
 		t.Fatalf("recovered %d answers, want %d", got, answers)
 	}
 	if _, ok := booted.Store().Worker("w"); !ok {

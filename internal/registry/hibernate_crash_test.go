@@ -191,8 +191,8 @@ func (f *hibernateCrashFixture) bootAndCheck(t *testing.T, label, crashRoot stri
 	}
 	defer booted.Close()
 	if lazy {
-		if live, hib, _ := booted.Counts(); live != 0 || hib != 1 {
-			t.Fatalf("%s: cold boot counts = %d live / %d hibernated, want 0/1", label, live, hib)
+		if st := booted.Stats(); st.CampaignsLive != 0 || st.CampaignsHibernated != 1 {
+			t.Fatalf("%s: cold boot counts = %d live / %d hibernated, want 0/1", label, st.CampaignsLive, st.CampaignsHibernated)
 		}
 	}
 	sys, err := get(booted, "solo")
@@ -213,7 +213,7 @@ func (f *hibernateCrashFixture) bootAndCheck(t *testing.T, label, crashRoot stri
 		t.Fatalf("%s: replayed %d records, want %d", label, info.Records, wantRecords)
 	}
 	if lazy {
-		if total, _, _ := booted.WakeStats(); total != 1 {
+		if total := booted.Stats().WakesTotal; total != 1 {
 			t.Fatalf("%s: %d wakes, want 1", label, total)
 		}
 	}

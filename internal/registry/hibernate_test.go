@@ -265,15 +265,15 @@ func TestHibernateWakeFingerprintExact(t *testing.T) {
 	if hibernations < 10 {
 		t.Fatalf("workload only exercised %d hibernate/wake cycles", hibernations)
 	}
-	if total, _, p99 := reg.WakeStats(); total != int64(cleanWakes) || p99 < 0 {
-		t.Fatalf("WakeStats total = %d, want %d", total, cleanWakes)
+	if st := reg.Stats(); st.WakesTotal != int64(cleanWakes) || st.WakeP99 < 0 {
+		t.Fatalf("Stats wakes total = %d, want %d", st.WakesTotal, cleanWakes)
 	}
 	// Final census: everything is live again (each hibernate was followed
 	// by a wake) and the reference never hibernated at all.
-	if live, hib, arch := reg.Counts(); live != len(names) || hib != 0 || arch != 0 {
-		t.Fatalf("final counts = %d/%d/%d, want %d/0/0", live, hib, arch, len(names))
+	if st := reg.Stats(); st.CampaignsLive != len(names) || st.CampaignsHibernated != 0 || st.CampaignsArchived != 0 {
+		t.Fatalf("final counts = %d/%d/%d, want %d/0/0", st.CampaignsLive, st.CampaignsHibernated, st.CampaignsArchived, len(names))
 	}
-	if total, _, _ := ref.WakeStats(); total != 0 {
+	if total := ref.Stats().WakesTotal; total != 0 {
 		t.Fatalf("reference registry woke %d campaigns", total)
 	}
 }
@@ -334,11 +334,11 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 		}
 		_, _ = sys.Result(0)
 		if cycle == 1 {
-			seq := sys.WALSeq()
+			seq := sys.Stats().WALLastSeq
 			if _, err := sys.Request("stranger", crashKnobs.hit); err != nil {
 				t.Fatal(err)
 			}
-			if seeds = int(sys.WALSeq() - seq); seeds != 1 {
+			if seeds = int(sys.Stats().WALLastSeq - seq); seeds != 1 {
 				t.Fatalf("a store-known worker's first request logged %d records, want its seed alone", seeds)
 			}
 		}
@@ -444,7 +444,7 @@ func TestPropertyLifecycleInvisible(t *testing.T) {
 		t.Fatalf("wakes by shape: %d publish-only, %d seeds-only, %d seeds past a snapshot, %d fully covered — the seed must exercise all four",
 			publishOnly, seedsOnly, seedGap, covered)
 	}
-	if total, _, _ := ref.WakeStats(); total != 0 {
+	if total := ref.Stats().WakesTotal; total != 0 {
 		t.Fatalf("reference registry woke %d campaigns", total)
 	}
 }
@@ -471,7 +471,7 @@ func TestWakeStampedeSingleFlight(t *testing.T) {
 	}
 	driveInterleaved(t, reg, []string{"cold"}, 5, 11)
 	before := sys.Fingerprint()
-	answers := sys.AnswerCount()
+	answers := sys.Stats().Answers
 	if err := reg.Hibernate("cold"); err != nil {
 		t.Fatal(err)
 	}
@@ -501,11 +501,11 @@ func TestWakeStampedeSingleFlight(t *testing.T) {
 			t.Fatalf("stampede request %d got a different core than request 0 — wake ran more than once", i)
 		}
 	}
-	if total, _, _ := reg.WakeStats(); total != 1 {
+	if total := reg.Stats().WakesTotal; total != 1 {
 		t.Fatalf("stampede triggered %d reactivations, want exactly 1", total)
 	}
-	if got[0].AnswerCount() != answers {
-		t.Fatalf("woken campaign has %d answers, want %d", got[0].AnswerCount(), answers)
+	if got[0].Stats().Answers != answers {
+		t.Fatalf("woken campaign has %d answers, want %d", got[0].Stats().Answers, answers)
 	}
 	if after := got[0].Fingerprint(); after != before {
 		t.Fatalf("woken fingerprint differs from pre-hibernation state\n%s",
@@ -588,7 +588,7 @@ func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := final.AnswerCount(), acked.Load(); got != want {
+	if got, want := final.Stats().Answers, acked.Load(); got != want {
 		t.Fatalf("woken campaign has %d answers, %d were acknowledged", got, want)
 	}
 }
@@ -622,7 +622,7 @@ func TestLazyBootAndLRUCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		fps[name] = sys.Fingerprint()
-		counts[name] = sys.AnswerCount()
+		counts[name] = sys.Stats().Answers
 	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
@@ -636,8 +636,8 @@ func TestLazyBootAndLRUCap(t *testing.T) {
 	}
 	defer capped.Close()
 	// Lazy boot: everything is listed, nothing is resident, no replay ran.
-	if live, hib, arch := capped.Counts(); live != 0 || hib != len(names) || arch != 0 {
-		t.Fatalf("cold boot counts = %d/%d/%d, want 0/%d/0", live, hib, arch, len(names))
+	if st := capped.Stats(); st.CampaignsLive != 0 || st.CampaignsHibernated != len(names) || st.CampaignsArchived != 0 {
+		t.Fatalf("cold boot counts = %d/%d/%d, want 0/%d/0", st.CampaignsLive, st.CampaignsHibernated, st.CampaignsArchived, len(names))
 	}
 	for _, info := range capped.List() {
 		if !info.Hibernated || info.RecoveredRecords != 0 {
@@ -656,10 +656,10 @@ func TestLazyBootAndLRUCap(t *testing.T) {
 			t.Fatalf("campaign %s: woken fingerprint differs from pre-shutdown live state\n%s",
 				name, core.DiffFingerprints(got, fps[name], 8))
 		}
-		if got := sys.AnswerCount(); got != counts[name] {
+		if got := sys.Stats().Answers; got != counts[name] {
 			t.Fatalf("campaign %s: woke with %d answers, want %d", name, got, counts[name])
 		}
-		live, _, _ := capped.Counts()
+		live := capped.Stats().CampaignsLive
 		want := i + 1
 		if want > 2 {
 			want = 2
@@ -678,7 +678,7 @@ func TestLazyBootAndLRUCap(t *testing.T) {
 			}
 		}
 	}
-	if total, _, _ := capped.WakeStats(); total != int64(len(names)) {
+	if total := capped.Stats().WakesTotal; total != int64(len(names)) {
 		t.Fatalf("wakes = %d, want %d", total, len(names))
 	}
 }
@@ -733,7 +733,7 @@ func TestIdleSweepHibernates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.AnswerCount() == 0 {
+	if sys.Stats().Answers == 0 {
 		t.Fatal("woken campaign lost its answers")
 	}
 }
@@ -814,7 +814,7 @@ func TestHibernateLifecycleErrors(t *testing.T) {
 	if _, err := get(booted, "naps"); !errors.Is(err, ErrArchived) {
 		t.Fatalf("rebooted get archived = %v, want ErrArchived", err)
 	}
-	if live, hib, arch := booted.Counts(); arch != 1 || live+hib != 0 {
-		t.Fatalf("rebooted counts = %d/%d/%d, want 0/0/1", live, hib, arch)
+	if st := booted.Stats(); st.CampaignsArchived != 1 || st.CampaignsLive+st.CampaignsHibernated != 0 {
+		t.Fatalf("rebooted counts = %d/%d/%d, want 0/0/1", st.CampaignsLive, st.CampaignsHibernated, st.CampaignsArchived)
 	}
 }

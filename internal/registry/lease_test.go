@@ -109,7 +109,7 @@ func TestCapOneNeverFailsACall(t *testing.T) {
 			if failed > 0 {
 				t.Fatalf("%d calls failed", failed)
 			}
-			wakes, _, _ := reg.WakeStats()
+			wakes := reg.Stats().WakesTotal
 			if wakes == 0 {
 				t.Fatal("no campaign was ever woken: the cap was not exercised")
 			}
@@ -128,7 +128,7 @@ func TestCapOneNeverFailsACall(t *testing.T) {
 					t.Fatalf("%s: no regular answer was acknowledged", name)
 				}
 				err := booted.Do(name, func(sys *core.System) error {
-					if got, want := sys.AnswerCount(), int64(len(acked[name])); got != want {
+					if got, want := sys.Stats().Answers, int64(len(acked[name])); got != want {
 						return fmt.Errorf("%d answers after reboot, %d acknowledged", got, want)
 					}
 					for _, a := range acked[name] {
@@ -210,7 +210,7 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 		if hasAnswer(sys, model.Answer{Worker: "w0", Task: tasks[1].ID, Choice: 0}) {
 			return fmt.Errorf("the refused answer is served")
 		}
-		if got := sys.AnswerCount(); got != 1 {
+		if got := sys.Stats().Answers; got != 1 {
 			return fmt.Errorf("%d answers, want the 1 acknowledged", got)
 		}
 		fp = sys.Fingerprint()

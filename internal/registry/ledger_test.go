@@ -152,8 +152,8 @@ func TestEvictionIOLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if live, hib, _ := reg.Counts(); live != 16 || hib != 64 {
-			t.Fatalf("%d live / %d hibernated, want 16/64", live, hib)
+		if st := reg.Stats(); st.CampaignsLive != 16 || st.CampaignsHibernated != 64 {
+			t.Fatalf("%d live / %d hibernated, want 16/64", st.CampaignsLive, st.CampaignsHibernated)
 		}
 		if got := snapshotFiles(t, root); got != 0 {
 			t.Errorf("%d snapshot passes ran during set-up, want 0", got)

@@ -110,7 +110,7 @@ const archivedMarker = "archived"
 // root.
 const storeDir = "store"
 
-// wakeWindow bounds the ring of recent wake latencies behind WakeStats.
+// wakeWindow bounds the ring of recent wake latencies behind Stats.
 const wakeWindow = 512
 
 // Config configures a Registry: where it lives, how many campaigns stay
@@ -213,12 +213,10 @@ type campaign struct {
 	// The fields below are guarded by the registry's mu and written only by
 	// transition.
 	state campaignState
-	// Serving counters snapshotted when the campaign last left memory
+	// last is the campaign's serving counters when it last left memory
 	// (hibernate or archive); zero for campaigns not resident this boot.
-	published bool
-	answers   int64
-	recovered int
-	wakes     int
+	last  core.Stats
+	wakes int
 }
 
 // Registry manages many named campaigns over one shared worker store.
@@ -239,9 +237,8 @@ type Registry struct {
 	// check is O(1) on the hot path.
 	liveCount atomic.Int64
 
-	wakes atomic.Int64
-
-	// wakeMu guards the ring of recent wake latencies.
+	// wakeMu guards the ring of recent wake latencies; wakeNext counts
+	// every wake this process.
 	wakeMu   sync.Mutex
 	wakeDur  []time.Duration
 	wakeNext int
@@ -440,25 +437,21 @@ func (r *Registry) recoverAll() error {
 // when the registry is durable, arms (and replays) its WAL namespace. The
 // campaign name becomes its ProfileScope, so profiling merges from
 // different campaigns never alias in the shared store's merge-once ledger.
-// Returns the serving core and how many WAL records the replay applied.
-func (r *Registry) openCampaign(name, dir string) (*core.System, int, error) {
+func (r *Registry) openCampaign(name, dir string) (*core.System, error) {
 	cc := r.cfg.Campaign
 	cc.Store = r.store
 	cc.ProfileScope = name
 	sys, err := core.New(cc)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	recovered := 0
 	if dir != "" {
-		info, err := sys.Recover(dir)
-		if err != nil {
+		if _, err := sys.Recover(dir); err != nil {
 			sys.Close()
-			return nil, 0, err
+			return nil, err
 		}
-		recovered = info.Records
 	}
-	return sys, recovered, nil
+	return sys, nil
 }
 
 // dir returns the campaign's WAL namespace ("" for memory-only registries).
@@ -629,7 +622,7 @@ func (r *Registry) transition(name string, c *campaign, to campaignState) error 
 	case to == stateLive:
 		// Create, boot or wake: one replay of the campaign's log.
 		start := r.now()
-		sys, recovered, err := r.openCampaign(name, r.dir(name))
+		sys, err := r.openCampaign(name, r.dir(name))
 		if err != nil {
 			if from == stateHibernated {
 				return fmt.Errorf("registry: wake %q: %w", name, err)
@@ -643,7 +636,7 @@ func (r *Registry) transition(name string, c *campaign, to campaignState) error 
 			sys.Close()
 			return ErrClosed
 		}
-		c.state, c.recovered = stateLive, recovered
+		c.state = stateLive
 		if from == stateHibernated {
 			c.wakes++
 		}
@@ -652,19 +645,19 @@ func (r *Registry) transition(name string, c *campaign, to campaignState) error 
 		c.lastTouch.Store(r.now().UnixNano())
 		r.liveCount.Add(1)
 		if from == stateHibernated {
-			r.wakes.Add(1)
 			r.observeWake(elapsed)
 		}
 		return nil
 	}
-	// Leaving memory (or archiving a hibernated campaign): snapshot the
+	// Leaving memory (or archiving a hibernated campaign): keep the
 	// serving counters for List and flip the state, then release the core
 	// outside every registry lock — only calls to THIS campaign wait.
-	r.mu.Lock()
+	last := c.last
 	if sys != nil {
-		c.published, c.answers = sys.Published(), sys.AnswerCount()
+		last = sys.Stats()
 	}
-	c.state = to
+	r.mu.Lock()
+	c.state, c.last = to, last
 	if to == stateFailed {
 		c.state = stateHibernated
 	}
@@ -821,8 +814,8 @@ func (r *Registry) idleSweeper() {
 	}
 }
 
-// observeWake records one wake latency in the bounded ring behind
-// WakeStats.
+// observeWake counts one wake and records its latency in the bounded ring
+// behind Stats.
 func (r *Registry) observeWake(d time.Duration) {
 	r.wakeMu.Lock()
 	if len(r.wakeDur) < wakeWindow {
@@ -832,21 +825,6 @@ func (r *Registry) observeWake(d time.Duration) {
 	}
 	r.wakeNext++
 	r.wakeMu.Unlock()
-}
-
-// WakeStats returns how many hibernated-campaign reactivations have run
-// and the p50/p99 wake latency over the most recent wakeWindow of them
-// (zero durations when none have).
-func (r *Registry) WakeStats() (total int64, p50, p99 time.Duration) {
-	total = r.wakes.Load()
-	r.wakeMu.Lock()
-	durs := append([]time.Duration(nil), r.wakeDur...)
-	r.wakeMu.Unlock()
-	if len(durs) == 0 {
-		return total, 0, 0
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	return total, quantile(durs, 50), quantile(durs, 99)
 }
 
 // quantile picks the nearest-rank q-th percentile from a sorted slice.
@@ -883,34 +861,55 @@ func (r *Registry) List() []Info {
 	out := make([]Info, 0, len(names))
 	for _, name := range names {
 		c := r.campaigns[name]
-		info := Info{Name: name, Archived: c.state == stateArchived,
-			Hibernated: c.state == stateHibernated,
-			Published:  c.published, Answers: c.answers,
-			RecoveredRecords: c.recovered, Wakes: c.wakes}
+		st := c.last
 		if sys := c.sys.Load(); sys != nil {
-			info.Published = sys.Published()
-			info.Answers = sys.AnswerCount()
+			st = sys.Stats()
 		}
-		out = append(out, info)
+		out = append(out, Info{Name: name, Archived: c.state == stateArchived,
+			Hibernated: c.state == stateHibernated, Published: st.Published,
+			Answers: st.Answers, RecoveredRecords: st.Records, Wakes: c.wakes})
 	}
 	return out
 }
 
-// Counts returns the campaign census by lifecycle state.
-func (r *Registry) Counts() (live, hibernated, archived int) {
+// Stats is the process's campaign census by lifecycle state and its wake
+// record. The JSON tags are the registry-wide GET /c/{campaign}/stats keys.
+type Stats struct {
+	CampaignsLive       int `json:"campaigns_live"`
+	CampaignsHibernated int `json:"campaigns_hibernated"`
+	CampaignsArchived   int `json:"campaigns_archived"`
+	// WakesTotal counts the hibernated-campaign reactivations this process;
+	// WakeP50 and WakeP99 are the nearest-rank wake latencies over the most
+	// recent wakeWindow of them (zero before the first).
+	WakesTotal int64         `json:"wakes_total"`
+	WakeP50    time.Duration `json:"-"`
+	WakeP99    time.Duration `json:"-"`
+}
+
+// Stats returns the campaign census and the wake record.
+func (r *Registry) Stats() Stats {
+	var st Stats
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	for _, c := range r.campaigns {
 		switch c.state {
 		case stateLive:
-			live++
+			st.CampaignsLive++
 		case stateHibernated:
-			hibernated++
+			st.CampaignsHibernated++
 		case stateArchived:
-			archived++
+			st.CampaignsArchived++
 		}
 	}
-	return live, hibernated, archived
+	r.mu.RUnlock()
+	r.wakeMu.Lock()
+	st.WakesTotal = int64(r.wakeNext)
+	durs := append([]time.Duration(nil), r.wakeDur...)
+	r.wakeMu.Unlock()
+	if len(durs) > 0 {
+		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+		st.WakeP50, st.WakeP99 = quantile(durs, 50), quantile(durs, 99)
+	}
+	return st
 }
 
 // Resident reports whether the named campaign is live in memory right

@@ -650,7 +650,7 @@ func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 				}
 			}
 		}
-		answers[name] = sys.AnswerCount()
+		answers[name] = sys.Stats().Answers
 	}
 	// Fingerprints are captured only after EVERY campaign has been driven:
 	// the comparator includes the shared store, which keeps absorbing
@@ -678,7 +678,7 @@ func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("campaign %s: %v", name, err)
 		}
-		if got := sys.AnswerCount(); got != answers[name] {
+		if got := sys.Stats().Answers; got != answers[name] {
 			t.Fatalf("campaign %s: recovered %d answers, want %d", name, got, answers[name])
 		}
 		if got := sys.Fingerprint(); got != fp {
@@ -740,7 +740,7 @@ func TestConcurrentPublishesMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[c] = fmt.Sprintf("%s|%v|%d|%d", sys.Fingerprint(), sys.GoldenTasks(), sys.IndexEpoch(), sys.Epoch())
+			out[c] = fmt.Sprintf("%s|%v|%d|%d", sys.Fingerprint(), sys.GoldenTasks(), sys.Stats().IndexEpoch, sys.Stats().SnapshotEpoch)
 		}
 		if err := reg.Close(); err != nil {
 			t.Fatal(err)

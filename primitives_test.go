@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -57,7 +58,9 @@ import (
 // task's domain vector is one its publication's tasks share, so nothing in
 // the root package or internal/{core,truth,assign,registry,httpapi}
 // writes an element of a .Domain. The paper's experiments grade the served
-// DOCS: nothing under internal/experiment builds a truth.Incremental.
+// DOCS: nothing under internal/experiment builds a truth.Incremental. A
+// /stats counter is declared once: the response type embeds the campaign's
+// and the registry's Stats and declares none of the keys they carry.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -359,6 +362,52 @@ func TestOneReaderOneWriter(t *testing.T) {
 	sort.Strings(builders)
 	if got, want := strings.Join(builders, " "), "docs/internal/core.snapshotPass docs/internal/registry.openCampaign"; got != want {
 		t.Errorf("core.New is called from [%s], want only [%s]", got, want)
+	}
+
+	// Each /stats counter is declared once, on the struct of the layer that
+	// owns it: httpapi's statsJSON embeds the campaign's core.Stats and the
+	// registry's registry.Stats, and of its own fields declares none of the
+	// JSON keys a field of core.Stats, core.RecoveryInfo or registry.Stats
+	// carries — only the keys computed at read time.
+	typeOf := func(pkgPath, name string) *types.Named {
+		for _, pkg := range prog.Packages {
+			if pkg.Path == pkgPath {
+				if obj, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName); ok {
+					return types.Unalias(obj.Type()).(*types.Named)
+				}
+			}
+		}
+		t.Fatalf("%s.%s not found", pkgPath, name)
+		return nil
+	}
+	jsonKey := func(st *types.Struct, i int) string {
+		key, _, _ := strings.Cut(reflect.StructTag(st.Tag(i)).Get("json"), ",")
+		return key
+	}
+	owned := map[string]string{}
+	for _, named := range []*types.Named{typeOf("docs/internal/core", "Stats"), typeOf("docs/internal/core", "RecoveryInfo"), typeOf("docs/internal/registry", "Stats")} {
+		st := named.Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if key := jsonKey(st, i); key != "" && key != "-" {
+				owned[key] = named.String()
+			}
+		}
+	}
+	if len(owned) == 0 {
+		t.Error("found no JSON key on the counter structs: the check no longer sees their tags")
+	}
+	var embeds []string
+	resp := typeOf("docs/internal/httpapi", "statsJSON").Underlying().(*types.Struct)
+	for i := 0; i < resp.NumFields(); i++ {
+		f := resp.Field(i)
+		if f.Embedded() {
+			embeds = append(embeds, types.Unalias(f.Type()).String())
+		} else if owner, ok := owned[jsonKey(resp, i)]; ok {
+			t.Errorf("%s: statsJSON.%s declares the key %q, which %s owns: embed it instead", prog.Fset.Position(f.Pos()), f.Name(), jsonKey(resp, i), owner)
+		}
+	}
+	if got, want := strings.Join(embeds, " "), "docs/internal/core.Stats docs/internal/registry.Stats"; got != want {
+		t.Errorf("statsJSON embeds [%s], want [%s]", got, want)
 	}
 
 	// The engine's numbers are restored in the snapshot's install alone.

@@ -1,8 +1,6 @@
 package docs
 
 import (
-	"time"
-
 	"docs/internal/core"
 	"docs/internal/registry"
 )
@@ -78,11 +76,14 @@ func (r *Registry) Campaign(name string) (*System, error) {
 // name.
 func (r *Registry) Campaigns() []CampaignInfo { return r.reg.List() }
 
-// CampaignCounts returns the campaign census by lifecycle state: resident
-// in memory, hibernated on disk, and archived.
-func (r *Registry) CampaignCounts() (live, hibernated, archived int) {
-	return r.reg.Counts()
-}
+// RegistryStats is the process's campaign census by lifecycle state
+// (resident in memory, hibernated on disk, archived) and its wake record:
+// how many hibernated campaigns have been reactivated and the p50/p99 wake
+// latency over the recent window.
+type RegistryStats = registry.Stats
+
+// Stats returns the registry's campaign census and wake record.
+func (r *Registry) Stats() RegistryStats { return r.reg.Stats() }
 
 // CampaignResident reports whether the named campaign is resident in
 // memory right now, without waking it (unlike Campaign, which blocks on
@@ -100,12 +101,6 @@ func (r *Registry) CampaignResident(name string) bool { return r.reg.Resident(na
 // never lost. Usually hibernation is automatic (Config.HibernateAfter,
 // Config.MaxLiveCampaigns); this is the explicit handle.
 func (r *Registry) Hibernate(name string) error { return r.reg.Hibernate(name) }
-
-// WakeStats reports how many hibernated campaigns have been reactivated
-// this process and the p50/p99 wake latency over the recent window.
-func (r *Registry) WakeStats() (total int64, p50, p99 time.Duration) {
-	return r.reg.WakeStats()
-}
 
 // Archive ends a campaign for good once the calls in flight on it return:
 // its serving core is drained and closed (WAL flushed and fsynced), and
