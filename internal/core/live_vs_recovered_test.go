@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,22 +99,23 @@ func reportDiff(t *testing.T, label, got, want string) string {
 	return diff
 }
 
-// frameSpans walks a buffer of WAL frames (the pinned 8-byte
-// length+CRC header; see the wal golden-format test) and returns each
-// frame's [start, end) offsets. A torn tail is ignored.
-func frameSpans(data []byte) [][2]int {
-	var spans [][2]int
-	off := 0
-	for off+8 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		end := off + 8 + n
-		if end > len(data) {
-			break
+// frameEnd returns where the first frame at or after off ends in a
+// segment file — the segment header's end when off is 0 — by
+// wal.ScanSegment's frame offsets, or 0 when no frame follows off.
+func frameEnd(t *testing.T, path string, off int) int {
+	t.Helper()
+	end := int64(0)
+	if err := wal.ScanSegment(path, func(_ wal.Record, start, stop int64) error {
+		for _, b := range []int64{start, stop} {
+			if end == 0 && b > int64(off) {
+				end = b
+			}
 		}
-		spans = append(spans, [2]int{off, end})
-		off = end
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	return spans
+	return int(end)
 }
 
 // tornVariant synthesizes the crash image "previous boundary plus a torn
@@ -145,11 +145,11 @@ func tornVariant(t *testing.T, prev, next, dst string, cut float64) bool {
 			continue
 		}
 		growth := nextData[len(prevData):]
-		spans := frameSpans(growth)
-		if len(spans) == 0 {
+		end := frameEnd(t, filepath.Join(nextWAL, e.Name()), len(prevData))
+		if end == 0 {
 			continue
 		}
-		frameLen := spans[0][1] - spans[0][0]
+		frameLen := end - len(prevData)
 		k := int(cut * float64(frameLen))
 		if k < 1 {
 			k = 1

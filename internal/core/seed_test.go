@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -180,10 +181,11 @@ func storeUpdateCodec(t *testing.T) ([]byte, func([]byte) error) {
 	}
 }
 
-// segmentCodec returns the header a log segment opens with, and a reader of
-// segment bytes reached the way every boot reaches them: the bytes are a
-// segment file, and wal.ScanSegment reads it.
-func segmentCodec(t *testing.T) ([]byte, func([]byte) error) {
+// segmentCodec returns the header a log segment opens with, the payload of
+// the one record the segment then holds (an answer by "w" to task 0, choice
+// 0), and a reader of segment bytes reached the way every boot reaches
+// them: the bytes are a segment file, and wal.ScanSegment reads it.
+func segmentCodec(t *testing.T) ([]byte, []byte, func([]byte) error) {
 	t.Helper()
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{})
@@ -205,7 +207,8 @@ func segmentCodec(t *testing.T) ([]byte, func([]byte) error) {
 	if err := wal.ScanSegment(path, func(_ wal.Record, start, _ int64) error { first = start; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	return data[:first], func(b []byte) error {
+	// The frame: a one-byte length, the CRC, the payload.
+	return data[:first], data[first+1+4:], func(b []byte) error {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -229,9 +232,17 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		out = append(out, b[at]|0x80, 0x00)
 		return append(out, b[at+1:]...)
 	}
-	answer := wal.Record{Kind: wal.KindAnswer, Seq: 5, Worker: "w", Task: 3, Choice: 1}
-	header, scanSegment := segmentCodec(t)
-	const frameHeader = 8 // a frame's length and CRC
+	// A format v1 answer: kind, seq 5, worker "w", task 3, choice 1.
+	answer := []byte{byte(wal.KindAnswer), 5, 1, 'w', 3, 1}
+	header, record, scanSegment := segmentCodec(t)
+	// A format v2 record frame: length uvarint, CRC32-C, payload.
+	frame := func(payload []byte) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(payload)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		return append(b, payload...)
+	}
+	segment := func(payload []byte) []byte { return append(append([]byte(nil), header...), frame(payload)...) }
+	const frameHeader = 8 // the header frame's length and CRC
 	batch, err := wal.EncodeBatch(nil, &wal.Columns{Workers: []string{"w"}, W: []int{0}, T: []int{3}, C: []int{1}})
 	if err != nil {
 		t.Fatal(err)
@@ -255,9 +266,11 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		valid, damaged []byte
 		decode         func([]byte) error
 	}{
-		"WAL record": {answer.Encode(), overlong(answer.Encode(), 1), // after the kind byte: seq
+		"WAL v1 record": {answer, overlong(answer, 1), // after the kind byte: seq
 			func(b []byte) error { _, err := wal.Decode(b); return err }},
-		"segment header": {header, wal.EncodeFrame(nil, overlong(header[frameHeader:], len(header)-frameHeader-1)), // the version
+		"WAL record": {segment(record), segment(overlong(record, 4)), // after kind, ref and worker: the task
+			scanSegment},
+		"segment header": {header, wal.EncodeFrame(nil, overlong(header[frameHeader:], len("DWAL"))), // the version
 			scanSegment},
 		"DBB2 batch": {batch, overlong(batch, len("DBB2")), // the dictionary's count
 			func(b []byte) error { _, err := wal.DecodeBatch(b); return err }},

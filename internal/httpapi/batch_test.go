@@ -99,7 +99,8 @@ func TestBatchSubmitEmptyAndMalformed(t *testing.T) {
 		// The retired binary framing gets no branch of its own: its content
 		// type is decoded like any other body — as JSON.
 		{"retired binary framing", "application/x-docs-batch",
-			wal.EncodeFrame([]byte("DBB1"), wal.Record{Seq: 1, Kind: wal.KindAnswer, Worker: "w"}.Encode())},
+			// A format v1 answer record: kind, seq 1, worker "w", task 0, choice 0.
+			wal.EncodeFrame([]byte("DBB1"), []byte{byte(wal.KindAnswer), 1, 1, 'w', 0, 0})},
 	}
 	for _, tc := range cases {
 		resp, _ := postBatch(t, base, tc.contentType, tc.body)

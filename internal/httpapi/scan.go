@@ -23,6 +23,7 @@ type publication []docs.Task
 func (p *publication) decode(body []byte) error {
 	if tasks, ok := scanPublish(string(body)); ok {
 		*p = tasks
+		p.compact()
 		return nil
 	}
 	var req publishRequest
@@ -31,6 +32,38 @@ func (p *publication) decode(body []byte) error {
 		*p = append(*p, docs.Task(t))
 	}
 	return err
+}
+
+// compact copies every task's text and choices into one exactly sized
+// arena. The scanner cuts them out of the body, so without it a served
+// task would keep the whole body alive — keys, punctuation and whitespace
+// included — for as long as the campaign is.
+func (p publication) compact() {
+	n := 0
+	for _, t := range p {
+		n += len(t.Text)
+		for _, c := range t.Choices {
+			n += len(c)
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, t := range p {
+		b.WriteString(t.Text)
+		for _, c := range t.Choices {
+			b.WriteString(c)
+		}
+	}
+	arena := b.String()
+	take := func(s *string) {
+		*s, arena = arena[:len(*s)], arena[len(*s):]
+	}
+	for i := range p {
+		take(&p[i].Text)
+		for j := range p[i].Choices {
+			take(&p[i].Choices[j])
+		}
+	}
 }
 
 // scanPublish decodes a canonical /publish body,

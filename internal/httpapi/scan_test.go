@@ -275,3 +275,51 @@ func TestDeclaredLengthSizesNothing(t *testing.T) {
 		t.Fatalf("four short publishes declaring %d bytes each allocated %d bytes", maxPublishBodyBytes, got)
 	}
 }
+
+// TestPublishPinsNoBody: a served task keeps its own text and choices
+// alive, not the /publish body they were scanned from. The same 200 tasks
+// are published twice, once in the canonical body and once padded with
+// 8 MiB of whitespace between its tasks, which the scanner still takes;
+// after a GC the padded publish leaves the heap less than 1 MiB larger
+// than the plain one.
+func TestPublishPinsNoBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not comparable under the race detector")
+	}
+	body := mustMarshal(t, publishRequest{Tasks: datasetTasks(t, 200)})
+	pad := strings.Repeat(" ", 8<<20/199+1)
+	padded := []byte(strings.ReplaceAll(string(body), `},{`, "},"+pad+"{"))
+	if len(padded)-len(body) < 8<<20 {
+		t.Fatalf("padded by %d bytes, want at least 8 MiB", len(padded)-len(body))
+	}
+	if !checkPublishBody(t, padded) {
+		t.Fatal("the scanner deferred the padded body")
+	}
+	// retained publishes body to a fresh server and returns how much the
+	// live heap grew by.
+	retained := func(body []byte) int64 {
+		ts, srv := testServer(t)
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		before := int64(m.HeapAlloc)
+		resp, err := http.Post(ts.URL+"/c/pin/publish", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("publish = %d", resp.StatusCode)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		runtime.KeepAlive(srv)
+		runtime.KeepAlive(body) // the test's copy is alive on both sides
+		return int64(m.HeapAlloc) - before
+	}
+	plain, fat := retained(body), retained(padded)
+	t.Logf("the live heap grew by %d B after the plain publish, %d B after the padded one", plain, fat)
+	if fat-plain >= 1<<20 {
+		t.Errorf("the padded publish keeps %d B more alive than the plain one, want < 1 MiB", fat-plain)
+	}
+}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -58,63 +60,130 @@ func goldenRecords() []Record {
 	}
 }
 
-// TestGoldenFormat pins the on-disk encoding: a format v1 segment holding
-// a fixed record sequence — the header, then the records' frames — must
-// match the checked-in golden file byte for byte, and must read back as
-// those records. The WAL is a durability contract, so an intentional format
-// change is a new format version: it updates this file (go test
-// ./internal/wal -run Golden -update) and states in docs/persistence.md
-// what becomes of segments of the old version.
-func TestGoldenFormat(t *testing.T) {
-	got := append([]byte(nil), segmentHeader...)
-	for _, rec := range goldenRecords() {
-		got = rec.appendFrame(got)
+// goldenV2Records extends goldenRecords, numbered from 1 as format v2
+// numbers them, with what the worker dictionary must get right: a worker a
+// seed introduces and an answer then names, a repeated worker, and enough
+// workers (w000–w129) that refs take two bytes.
+func goldenV2Records() []Record {
+	recs := append(goldenRecords(),
+		Record{Kind: KindAnswer, Worker: "w-seeded", Task: 5, Choice: 1},
+		Record{Kind: KindAnswer, Worker: "w0", Task: 2, Choice: 1},
+	)
+	for i := 0; i < 130; i++ {
+		recs = append(recs, Record{Kind: KindAnswer, Worker: fmt.Sprintf("w%03d", i), Task: 3 * i, Choice: i % 2})
 	}
-	path := filepath.Join("testdata", "format.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+	recs = append(recs,
+		Record{Kind: KindAnswer, Worker: "w129", Task: 200, Choice: 0},
+		Record{Kind: KindSeed, Worker: "w128", Blob: []byte{0x02, 0x00, 0x00, 0x00}},
+		Record{Kind: KindAnswer, Worker: "w000", Task: 16384, Choice: 1},
+	)
+	for i := range recs {
+		recs[i].Seq = uint64(i + 1)
+	}
+	return recs
+}
+
+// TestGoldenFormat pins the on-disk encoding. A format v2 segment of a
+// fixed record sequence, written through a Log, must match
+// testdata/format_v2.golden byte for byte and read back as those records.
+// The format v1 segment older logs hold — the header, then the records'
+// frames — must still match testdata/format.golden as the v1 encoder
+// writes it and read back as its records. The WAL is a durability contract,
+// so an intentional format change is a new format version: it updates the
+// v2 file (go test ./internal/wal -run Golden -update) and states in
+// docs/persistence.md what becomes of segments of the old version.
+func TestGoldenFormat(t *testing.T) {
+	check := func(path string, got []byte, want []Record) {
+		t.Helper()
+		golden, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !bytes.Equal(got, golden) {
+			t.Fatalf("encoding drifted from %s:\n got %s\nwant %s", path,
+				hex.EncodeToString(got), hex.EncodeToString(golden))
+		}
+		var decoded []Record
+		if err := ScanSegment(path, func(rec Record, _, _ int64) error {
+			decoded = append(decoded, rec)
+			return nil
+		}); err != nil {
+			t.Fatalf("reading %s: %v", path, err)
+		}
+		if len(decoded) != len(want) {
+			t.Fatalf("%s: decoded %d records, want %d", path, len(decoded), len(want))
+		}
+		for i := range decoded {
+			if !sameRecord(decoded[i], want[i]) {
+				t.Errorf("%s: record %d = %+v, want %+v", path, i, decoded[i], want[i])
+			}
+		}
 	}
-	want, err := os.ReadFile(path)
+
+	v1 := append([]byte(nil), headerV1...)
+	for _, rec := range goldenRecords() {
+		v1 = rec.appendFrameV1(v1)
+	}
+	check(filepath.Join("testdata", "format.golden"), v1, goldenRecords())
+
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("encoding drifted from golden file:\n got %s\nwant %s",
-			hex.EncodeToString(got), hex.EncodeToString(want))
+	appendAll(t, l, goldenV2Records())
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-	var decoded []Record
-	if err := ScanSegment(path, func(rec Record, _, _ int64) error {
-		decoded = append(decoded, rec)
-		return nil
-	}); err != nil {
-		t.Fatalf("reading the golden segment: %v", err)
+	v2, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%016x%s", 1, segmentSuffix)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantRecs := goldenRecords()
-	if len(decoded) != len(wantRecs) {
-		t.Fatalf("decoded %d records, want %d", len(decoded), len(wantRecs))
-	}
-	for i := range decoded {
-		g, w := decoded[i], wantRecs[i]
-		if g.Seq != w.Seq || g.Kind != w.Kind || g.Worker != w.Worker ||
-			g.Task != w.Task || g.Choice != w.Choice || !bytes.Equal(g.Blob, w.Blob) {
-			t.Errorf("record %d = %+v, want %+v", i, g, w)
+	path := filepath.Join("testdata", "format_v2.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, v2, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	check(path, v2, goldenV2Records())
+}
+
+// sameRecord reports whether two records are equal, a nil and an empty
+// blob alike.
+func sameRecord(a, b Record) bool {
+	return a.Seq == b.Seq && a.Kind == b.Kind && a.Worker == b.Worker &&
+		a.Task == b.Task && a.Choice == b.Choice && bytes.Equal(a.Blob, b.Blob)
 }
 
 // TestEncodeDecodeRoundtrip is the property the fuzz target extends: any
-// record that can be encoded decodes back to itself.
+// record that can be encoded decodes back to itself — in format v1 alone,
+// and in format v2 in sequence, each record against the dictionary the
+// ones before it left.
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	for i, rec := range goldenRecords() {
-		got, err := Decode(rec.Encode())
+		got, err := Decode(rec.encodeV1(nil))
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if got.Seq != rec.Seq || got.Kind != rec.Kind || got.Worker != rec.Worker ||
-			got.Task != rec.Task || got.Choice != rec.Choice || !bytes.Equal(got.Blob, rec.Blob) {
+		if !sameRecord(got, rec) {
 			t.Errorf("record %d roundtrip = %+v, want %+v", i, got, rec)
 		}
+	}
+	var enc, dec dictionary
+	for i, rec := range goldenV2Records() {
+		payload, intro := rec.appendPayload(nil, &enc)
+		if intro {
+			enc.add(rec.Worker)
+		}
+		got, err := decode(payload, &dec)
+		if err != nil {
+			t.Fatalf("v2 record %d: %v", i, err)
+		}
+		if got.Seq = rec.Seq; !sameRecord(got, rec) {
+			t.Errorf("v2 record %d roundtrip = %+v, want %+v", i, got, rec)
+		}
+	}
+	if !reflect.DeepEqual(enc, dec) {
+		t.Error("the decoder's dictionary is not the encoder's")
 	}
 }

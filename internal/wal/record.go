@@ -64,72 +64,111 @@ type Record struct {
 	Blob []byte
 }
 
-// Encode returns the deterministic payload encoding of the record (no
-// frame header). The layout is:
+// The format v2 payload of a record is
 //
-//	kind (1 byte) | seq (uvarint) | kind-specific fields
+//	kind (1 byte) | kind-specific fields
 //
-// KindAnswer:  len(worker) uvarint | worker bytes | task uvarint | choice uvarint
+// KindAnswer:  worker | task uvarint | choice uvarint
 // KindPublish: len(blob) uvarint | blob bytes
 // KindBatch:   len(blob) uvarint | blob bytes (a wire batch body, see wire.go)
-// KindSeed:    len(worker) uvarint | worker bytes | len(blob) uvarint | blob bytes
+// KindSeed:    worker | len(blob) uvarint | blob bytes
 // KindStore:   as KindSeed
 //
-//docs:deterministic
-func (r Record) Encode() []byte {
-	return r.encode(nil)
-}
+// with no sequence number: a record's is its segment's first plus its
+// position. A worker is named against the segment's dictionary (see
+// dictionary). Format v1 put the sequence number after the kind byte and
+// spelled the worker out, len uvarint | bytes, in every record.
 
-func (r Record) encode(dst []byte) []byte {
+// appendPayload appends r's format v2 payload, its worker named against d,
+// and reports whether it introduces the worker, which the caller adds to d
+// once the record is accepted.
+//
+//docs:deterministic
+func (r Record) appendPayload(dst []byte, d *dictionary) ([]byte, bool) {
 	dst = append(dst, byte(r.Kind))
-	dst = binary.AppendUvarint(dst, r.Seq)
+	intro := false
 	switch r.Kind {
 	case KindAnswer:
-		dst = binary.AppendUvarint(dst, uint64(len(r.Worker)))
-		dst = append(dst, r.Worker...)
+		dst, intro = d.appendWorker(dst, r.Worker)
 		dst = binary.AppendUvarint(dst, uint64(r.Task))
 		dst = binary.AppendUvarint(dst, uint64(r.Choice))
 	case KindPublish, KindBatch:
 		dst = binary.AppendUvarint(dst, uint64(len(r.Blob)))
 		dst = append(dst, r.Blob...)
 	case KindSeed, KindStore:
-		dst = binary.AppendUvarint(dst, uint64(len(r.Worker)))
-		dst = append(dst, r.Worker...)
+		dst, intro = d.appendWorker(dst, r.Worker)
 		dst = binary.AppendUvarint(dst, uint64(len(r.Blob)))
 		dst = append(dst, r.Blob...)
 	}
-	return dst
+	return dst, intro
 }
 
-// appendFrame appends the framed (length + CRC + payload) encoding.
-func (r Record) appendFrame(dst []byte) []byte {
+// frameHeaderV2 is the most a format v2 frame spends before its payload: a
+// uvarint no larger than MaxPayload, which takes 4 bytes, and the CRC.
+const frameHeaderV2 = 4 + 4
+
+// appendFrame appends r as a format v2 frame — length uvarint | CRC32-C
+// u32le | payload — and reports whether it introduces its worker to d (see
+// appendPayload). A payload over MaxPayload is refused with ErrTooLarge and
+// dst comes back as it was.
+func (r Record) appendFrame(dst []byte, d *dictionary) ([]byte, bool, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
-	dst = r.encode(dst)
-	payload := dst[start+frameHeaderLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
-	return dst
+	dst, intro := r.appendPayload(dst, d)
+	payload := dst[start+frameHeaderV2:]
+	n := len(payload)
+	if n > MaxPayload {
+		return dst[:start], false, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	var hdr [frameHeaderV2]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(n))
+	h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(payload, castagnoli))
+	// The length's uvarint is shorter than the placeholder unless the
+	// payload is over 2 MiB: close the gap.
+	copy(dst[start+len(h):], payload)
+	copy(dst[start:], h)
+	return dst[:start+len(h)+n], intro, nil
 }
 
-// Decode parses a payload produced by Encode, through the Cursor: it never
-// panics on arbitrary input (the fuzz target FuzzWALDecode holds it to
-// that) and rejects payloads with trailing garbage, unknown kinds, overlong
-// varints, or fields whose declared lengths exceed the input.
+// Decode parses a format v1 record payload — kind | seq uvarint | fields,
+// each worker spelled out — through the Cursor: it never panics on
+// arbitrary input (the fuzz target FuzzWALDecode holds it to that) and
+// rejects payloads with trailing garbage, unknown kinds, overlong varints,
+// or fields whose declared lengths exceed the input. Format v1 is read and
+// never written.
 func Decode(payload []byte) (Record, error) {
+	return decode(payload, nil)
+}
+
+// decode parses a record payload: format v1's when d is nil, else format
+// v2's, whose worker fields are read against d and whose Seq is left for
+// the caller to assign. A worker the record introduces is added to d once
+// the whole record has decoded.
+func decode(payload []byte, d *dictionary) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("wal: empty record payload")
 	}
 	c := NewCursor(payload)
-	r := Record{Kind: Kind(c.Byte()), Seq: c.Uvarint()}
+	r := Record{Kind: Kind(c.Byte())}
+	if d == nil {
+		r.Seq = c.Uvarint()
+	}
+	intro := false
+	worker := func() {
+		if d == nil {
+			r.Worker = string(c.Bytes())
+		} else {
+			r.Worker, intro = d.pop(&c)
+		}
+	}
 	switch r.Kind {
 	case KindAnswer:
-		r.Worker = string(c.Bytes())
+		worker()
 		r.Task, r.Choice = c.Int(), c.Int()
 	case KindPublish, KindBatch:
 		r.Blob = c.Bytes()
 	case KindSeed, KindStore:
-		r.Worker = string(c.Bytes())
+		worker()
 		r.Blob = c.Bytes()
 	default:
 		return r, fmt.Errorf("wal: unknown record kind %d", r.Kind)
@@ -137,13 +176,68 @@ func Decode(payload []byte) (Record, error) {
 	if err := c.End(); err != nil {
 		return r, fmt.Errorf("wal: kind %d record: %w", r.Kind, err)
 	}
+	if intro {
+		d.add(r.Worker)
+	}
 	return r, nil
 }
 
-// EncodeFrame wraps an arbitrary payload in the WAL's frame format
-// (length + CRC32-C + payload), appending to dst. Together with
-// DecodeFrames it lets a sibling durable file (the state snapshot) share
-// the torn-write detection this package's fuzzing exercises.
+// dictionary names the workers of one format v2 segment. A worker field is
+// a ref uvarint: a ref below the dictionary's length names the worker it
+// was given to; a ref equal to it introduces a new worker, spelled out
+// after it (len uvarint | bytes), who takes that ref. Any other ref, and an
+// introduction of a name the dictionary holds, is corruption — so, as in a
+// batch blob, the dictionary holds each worker once, in first-use order,
+// and one record sequence has one encoding. Every segment starts an empty
+// one, so a segment decodes on its own.
+type dictionary struct {
+	names []string
+	refs  map[string]int
+}
+
+func (d *dictionary) add(w string) {
+	if d.refs == nil {
+		d.refs = make(map[string]int)
+	}
+	d.refs[w] = len(d.names)
+	d.names = append(d.names, w)
+}
+
+// appendWorker appends w's worker field and reports whether it introduces w.
+func (d *dictionary) appendWorker(dst []byte, w string) ([]byte, bool) {
+	if ref, ok := d.refs[w]; ok {
+		return binary.AppendUvarint(dst, uint64(ref)), false
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(d.names)))
+	dst = binary.AppendUvarint(dst, uint64(len(w)))
+	return append(dst, w...), true
+}
+
+// pop reads a worker field and reports whether it introduces the worker.
+func (d *dictionary) pop(c *Cursor) (string, bool) {
+	ref := c.Uvarint()
+	switch {
+	case c.Err() != nil:
+		return "", false
+	case ref < uint64(len(d.names)):
+		return d.names[ref], false
+	case ref > uint64(len(d.names)):
+		c.Failf("worker ref %d beyond the %d-entry dictionary", ref, len(d.names))
+		return "", false
+	}
+	w := string(c.Bytes())
+	if _, dup := d.refs[w]; dup && c.Err() == nil {
+		c.Failf("worker %q introduced again as ref %d", w, ref)
+		return "", false
+	}
+	return w, true
+}
+
+// EncodeFrame wraps an arbitrary payload in the 8-byte frame every
+// segment's header uses and format v1 used for every record (length u32le
+// + CRC32-C u32le + payload), appending to dst. Together with DecodeFrames
+// it lets a sibling durable file (the state snapshot) share the torn-write
+// detection this package's fuzzing exercises.
 func EncodeFrame(dst, payload []byte) []byte {
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -152,37 +246,90 @@ func EncodeFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// DecodeFrames walks a byte buffer of frames, calling fn on each intact
-// payload, and returns how many bytes the intact frames span. A frame cut
-// short by the end of the buffer (what a crashed append leaves: writes
-// deliver prefixes) stops the walk, so intact < len(data) means a torn
-// tail — and is where a writer that appends must first truncate to. A
+// DecodeFrames walks a byte buffer of 8-byte frames, calling fn on each
+// intact payload, and returns how many bytes the intact frames span. A
+// frame cut short by the end of the buffer (what a crashed append leaves:
+// writes deliver prefixes) stops the walk, so intact < len(data) means a
+// torn tail — and is where a writer that appends must first truncate to. A
 // frame whose bytes are all present but wrong (CRC mismatch, absurd
 // length) is rot, not a tear, and returns an error so callers fail loudly
 // instead of silently dropping everything after it.
 func DecodeFrames(data []byte, fn func(payload []byte) error) (intact int, err error) {
 	off := 0
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
+		payload, n, err := frameV1(data[off:])
+		if err != nil {
+			return off, fmt.Errorf("%w at offset %d", err, off)
+		}
+		if n == 0 {
 			return off, nil
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if n > MaxPayload {
-			return off, fmt.Errorf("%w: frame length %d at offset %d", ErrCorrupt, n, off)
-		}
-		if len(rest) < frameHeaderLen+int(n) {
-			return off, nil
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+int(n)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return off, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
 		}
 		if err := fn(payload); err != nil {
 			return off, err
 		}
-		off += frameHeaderLen + int(n)
+		off += n
 	}
 	return off, nil
+}
+
+// frameV1 reads the 8-byte frame data opens with: its payload and its
+// size, which is 0 when data ends inside it (a torn frame).
+func frameV1(data []byte) (payload []byte, size int, err error) {
+	if len(data) < frameHeaderLen {
+		return nil, 0, nil
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if n > MaxPayload {
+		return nil, 0, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
+	}
+	size = frameHeaderLen + int(n)
+	if len(data) < size {
+		return nil, 0, nil
+	}
+	return checked(data[frameHeaderLen:size], binary.LittleEndian.Uint32(data[4:]), size)
+}
+
+// frameV2 reads the format v2 frame data opens with, as frameV1 does. A
+// length uvarint cut by the end of data is a torn frame too; a non-minimal
+// one, or one over MaxPayload, is corruption.
+func frameV2(data []byte) (payload []byte, size int, err error) {
+	c := NewCursor(data)
+	n := c.Uvarint()
+	switch {
+	case c.Err() != nil && lengthCut(data):
+		return nil, 0, nil
+	case c.Err() != nil:
+		return nil, 0, fmt.Errorf("%w: frame length: %v", ErrCorrupt, c.Err())
+	case n > MaxPayload:
+		return nil, 0, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
+	}
+	body := c.Off() + 4
+	size = body + int(n)
+	if len(data) < size {
+		return nil, 0, nil
+	}
+	return checked(data[body:size], binary.LittleEndian.Uint32(data[body-4:]), size)
+}
+
+// lengthCut reports whether data is a prefix of a frame length the writer
+// could have written: every byte continues the uvarint, and there are
+// fewer than the 4 that a length of MaxPayload takes.
+func lengthCut(data []byte) bool {
+	if len(data) >= 4 {
+		return false
+	}
+	for _, b := range data {
+		if b < 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// checked returns a frame's payload if its CRC holds.
+func checked(payload []byte, crc uint32, size int) ([]byte, int, error) {
+	if crc32.Checksum(payload, castagnoli) != crc {
+		return nil, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	}
+	return payload, size, nil
 }

@@ -16,38 +16,46 @@
 // A log is a directory of segment files named <firstSeq:016x>.wal. They are
 // the only copy of the record stream and are never deleted, so sequence
 // numbers count up from 1 without a hole; replay reports a hole (a missing
-// segment) as corruption. Each segment is a sequence of frames:
+// segment) as corruption. Each segment (format v2) is a header frame and
+// then one frame per record:
 //
-//	+----------------+----------------+=================+
-//	| length (u32le) | CRC32-C (u32le)|  payload bytes  |
-//	+----------------+----------------+=================+
+//	header | length u32le   | CRC32-C u32le | "DWAL" | 2 uvarint | firstSeq uvarint |
+//	record | length uvarint | CRC32-C u32le | kind | fields (no sequence number)   |
 //
-// The first frame is the header: the magic "DWAL" and the format version (1)
-// as a uvarint. It is written with the segment's first batch, so an unwritten
-// segment is a zero-byte file, and it is no record. A segment opening with
-// anything else is format v0, refused (errFormatV0) before anything in the
-// directory is truncated or appended.
+// The header keeps the 8-byte frame every format has used, so any build can
+// read the version. It is written with the segment's first records, so an
+// unwritten segment is a zero-byte file, and it is no record. A segment
+// opening with anything else is format v0, refused (errFormatV0) before
+// anything in the directory is truncated or appended. A record's sequence
+// number is the header's firstSeq plus its position, and firstSeq must be
+// the one the file is named for. A record names its worker through the
+// segment's dictionary (see dictionary), so a worker is spelled out once a
+// segment. Format v1 segments — an 8-byte frame per record, the sequence
+// number and the worker spelled out in each — are read and never written:
+// a log whose last segment is v1 goes on in a new v2 segment.
 //
 // The CRC covers the payload only. A frame whose bytes end before the
-// length it declares (writes deliver prefixes, so this is what a crashed
-// append leaves behind) is a torn write: at the tail of the last segment
-// it is expected and silently dropped — the submit it carried was never
-// acknowledged durable — and anywhere else it is corruption. A frame whose
-// bytes are all present but wrong (CRC mismatch, absurd length,
-// undecodable payload) cannot come from a torn append and always fails
-// replay loudly, so rot never silently truncates acknowledged records.
+// length it declares, or inside the length itself (writes deliver
+// prefixes, so this is what a crashed append leaves behind), is a torn
+// write: at the tail of the last segment it is expected and silently
+// dropped — the submit it carried was never acknowledged durable — and
+// anywhere else it is corruption. A frame whose bytes are all present but
+// wrong (CRC mismatch, absurd or non-minimal length, undecodable payload)
+// cannot come from a torn append and always fails replay loudly, so rot
+// never silently truncates acknowledged records.
 //
-// Payloads are records (see Record): a kind byte followed by kind-specific
-// fields in uvarint/raw-byte encoding. The encoding is deterministic —
-// byte-for-byte reproducible from the record — which the golden-format
-// test pins down so the format cannot drift silently.
+// The encoding is deterministic — a segment's bytes are a function of the
+// record sequence, whatever the group commits that wrote it — which the
+// golden-format test pins down so the format cannot drift silently.
 //
 // # Group commit
 //
-// Append enqueues the encoded record under a short lock and then waits for
-// the background flusher to write its batch; concurrent appenders share
-// one write (and one fsync, when SyncEveryBatch is set) per batch, so the
-// sharded ingest path keeps its throughput. Durability levels:
+// Append encodes the record under a short lock and then waits for the
+// background flusher to write its batch; concurrent appenders share one
+// write (and one fsync, when SyncEveryBatch is set) per batch, so the
+// sharded ingest path keeps its throughput. Rotation is decided at the
+// same lock: a record that would start past SegmentBytes opens the next
+// segment, and the flusher rotates where the queue says. Durability levels:
 //
 //	SyncNever      frames reach the OS on every batch flush; fsync only on
 //	               segment rotation and Close. Survives process crashes,
@@ -67,7 +75,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,20 +112,31 @@ const (
 	MaxPayload = 16 << 20
 	// MaxBlob is the largest Blob a KindPublish or KindBatch record is sure
 	// to fit under MaxPayload with: the cap less the kind byte and two
-	// maximal uvarints (the sequence number and the blob's length). A
-	// caller that must refuse an over-size write before it mutates
-	// anything checks against this; Reserve checks the record itself.
+	// maximal uvarints (the blob's length, and the sequence number format
+	// v1 logged). A caller that must refuse an over-size write before it
+	// mutates anything checks against this; Reserve checks the record
+	// itself.
 	MaxBlob = MaxPayload - 1 - 2*binary.MaxVarintLen64
-	// segmentMagic and formatVersion are the header frame's payload.
+	// segmentMagic and formatVersion open the header frame's payload;
+	// formatV1 is the older version, read and never written.
 	segmentMagic  = "DWAL"
-	formatVersion = 1
+	formatVersion = 2
+	formatV1      = 1
 )
 
-// segmentHeader is the frame every segment opens with.
-var segmentHeader = EncodeFrame(nil, binary.AppendUvarint([]byte(segmentMagic), formatVersion))
+// appendHeader appends the header frame of a segment whose first record is
+// firstSeq: "DWAL" | 2 uvarint | firstSeq uvarint, in an 8-byte frame.
+func appendHeader(dst []byte, firstSeq uint64) []byte {
+	var b [len(segmentMagic) + 1 + binary.MaxVarintLen64]byte
+	payload := binary.AppendUvarint(append(b[:0], segmentMagic...), formatVersion)
+	return EncodeFrame(dst, binary.AppendUvarint(payload, firstSeq))
+}
+
+// headerV1 is the header frame of every format v1 segment.
+var headerV1 = EncodeFrame(nil, binary.AppendUvarint([]byte(segmentMagic), formatV1))
 
 // errFormatV0 refuses a segment written before the header existed.
-var errFormatV0 = errors.New("wal: format v0 segment (no header): this build reads format v1 only; af9f454 is the last commit that reads v0")
+var errFormatV0 = errors.New("wal: format v0 segment (no header): this build reads formats v1 and v2 only; af9f454 is the last commit that reads v0")
 
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
@@ -138,11 +156,17 @@ type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when flushed or err advances
 	buf     []byte     // encoded frames waiting for the flusher
+	cuts    []cut      // where buf moves on to a new segment, in order
 	seq     uint64     // last assigned sequence number
 	pending uint64     // last sequence number sitting in buf
 	flushed uint64     // last sequence number durable per policy
 	err     error      // sticky: first I/O failure poisons the log
 	closed  bool
+
+	// The segment Reserve encodes into: the last one, as far as queued.
+	dict     dictionary // the workers its records name
+	reserved int64      // its bytes, header included, written or queued
+	sealed   bool       // format v1: the next record opens a new segment
 
 	// ioMu guards the active-segment file handle across the flusher's
 	// writes/rotations and Sync/Close's fsyncs. Lock order: ioMu before mu,
@@ -194,12 +218,12 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, err
 		}
 	} else {
-		// Scan the last segment to find the end of valid data and the last
-		// sequence number; truncate a torn tail in place.
+		// Scan the last segment to find the end of valid data, the last
+		// sequence number and the dictionary; truncate a torn tail in place.
 		last := segs[len(segs)-1]
 		next := last.firstSeq
 		end := int64(0)
-		serr := scanInOrder(dir, last, &next, func(_ Record, _, off int64) error {
+		scan, serr := scanInOrder(dir, last, &next, func(_ Record, _, off int64) error {
 			end = off
 			return nil
 		})
@@ -225,7 +249,8 @@ func Open(dir string, opts Options) (*Log, error) {
 			f.Close()
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		l.f, l.size = f, end
+		l.f, l.size, l.reserved = f, end, end
+		l.dict, l.sealed = scan.dict, end > 0 && scan.version == formatV1
 		l.seq, l.pending, l.flushed = next-1, next-1, next-1
 	}
 	go l.flusher()
@@ -263,6 +288,12 @@ func (p Pending) Wait() error {
 	return err
 }
 
+// cut marks where the queued bytes move on to a new segment.
+type cut struct {
+	off      int    // offset in the queue of the new segment's header
+	firstSeq uint64 // the sequence number the new segment starts at
+}
+
 // Reserve encodes the record, assigns it the next sequence number and
 // queues it for the flusher without waiting. Callers that need an ordering
 // guarantee relative to their own state can Reserve under their own lock —
@@ -271,6 +302,12 @@ func (p Pending) Wait() error {
 // large to be read back (ErrTooLarge) is refused whole: it takes no
 // sequence number, nothing of it reaches the file, and the log stays
 // usable.
+//
+// Reserve also decides the segment a record lands in: one that would start
+// at or past SegmentBytes, or after a format v1 segment, opens the next
+// segment with an empty dictionary. So the record is encoded against the
+// dictionary it is read back with, and a segment's bytes depend on the
+// record sequence alone, not on how group commits batched it.
 func (l *Log) Reserve(rec Record) (Pending, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -283,14 +320,29 @@ func (l *Log) Reserve(rec Record) (Pending, error) {
 		return Pending{}, err
 	}
 	seq := l.seq + 1
-	rec.Seq = seq
-	queued := len(l.buf)
-	l.buf = rec.appendFrame(l.buf)
-	if n := len(l.buf) - queued - frameHeaderLen; n > MaxPayload {
-		l.buf = l.buf[:queued]
-		l.mu.Unlock()
-		return Pending{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	start := len(l.buf)
+	next := l.sealed || l.reserved >= l.opts.SegmentBytes
+	dict, reserved := &l.dict, l.reserved
+	if next {
+		dict, reserved = &dictionary{}, 0
 	}
+	if reserved == 0 {
+		l.buf = appendHeader(l.buf, seq)
+	}
+	buf, intro, err := rec.appendFrame(l.buf, dict)
+	if err != nil {
+		l.buf = l.buf[:start]
+		l.mu.Unlock()
+		return Pending{}, err
+	}
+	if next {
+		l.cuts = append(l.cuts, cut{off: start, firstSeq: seq})
+		l.dict, l.sealed = *dict, false
+	}
+	if intro {
+		l.dict.add(rec.Worker)
+	}
+	l.buf, l.reserved = buf, reserved+int64(len(buf)-start)
 	l.seq = seq
 	l.pending = seq
 	l.mu.Unlock()
@@ -408,8 +460,9 @@ func (l *Log) poison(err error) error {
 }
 
 // flusher is the group-commit loop: it grabs whatever frames accumulated
-// since its last pass, writes them in one syscall, fsyncs per policy,
-// rotates full segments, then wakes the appenders it covered.
+// since its last pass, writes them in one syscall per segment they span,
+// rotating where Reserve cut, fsyncs per policy, then wakes the appenders
+// it covered.
 func (l *Log) flusher() {
 	defer close(l.flusherDone)
 	for {
@@ -418,23 +471,20 @@ func (l *Log) flusher() {
 		case <-l.flusherC:
 		}
 		l.mu.Lock()
-		batch := l.buf
+		batch, cuts := l.buf, l.cuts
 		upTo := l.pending
-		l.buf = nil
+		l.buf, l.cuts = nil, nil
 		closed := l.closed
 		poisoned := l.err != nil
 		l.mu.Unlock()
 		// A poisoned log writes nothing more: its waiters fail on l.err.
 		if len(batch) > 0 && !poisoned {
-			err := l.writeBatch(batch, upTo)
+			landed, err := l.writeBatch(batch, cuts, upTo)
 			l.mu.Lock()
-			if err != nil {
-				if l.err == nil {
-					l.err = fmt.Errorf("wal: %w", err)
-				}
-			} else {
-				l.flushed = upTo
+			if err != nil && l.err == nil {
+				l.err = fmt.Errorf("wal: %w", err)
 			}
+			l.flushed = max(l.flushed, landed)
 			l.cond.Broadcast()
 			l.mu.Unlock()
 		}
@@ -451,29 +501,48 @@ func (l *Log) flusher() {
 	}
 }
 
-// writeBatch lands one group-commit batch ending at sequence upTo.
-func (l *Log) writeBatch(batch []byte, upTo uint64) error {
+// writeBatch lands one group-commit batch ending at sequence upTo, moving
+// on to a new segment at each cut, and returns the last sequence number
+// that reached the policy's durability: upTo, or on a failure the last one
+// a rotation sealed before it (0 when none did).
+func (l *Log) writeBatch(batch []byte, cuts []cut, upTo uint64) (uint64, error) {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
-	if l.size == 0 {
-		// The header lands with the segment's first records, in one write.
-		batch = append(slices.Clip(segmentHeader), batch...)
+	landed, from := uint64(0), 0
+	for _, c := range cuts {
+		if err := l.write(batch[from:c.off], false); err != nil {
+			return landed, err
+		}
+		// Rotation fsyncs what it seals, whatever the policy.
+		if err := l.rotate(c.firstSeq); err != nil {
+			return landed, err
+		}
+		landed, from = c.firstSeq-1, c.off
+	}
+	if err := l.write(batch[from:], l.opts.Sync == SyncEveryBatch); err != nil {
+		return landed, err
+	}
+	return upTo, nil
+}
+
+// write appends p to the active segment, fsyncing it after when sync is
+// set. Callers hold ioMu.
+func (l *Log) write(p []byte, sync bool) error {
+	if len(p) == 0 {
+		return nil
 	}
 	l.dirty = true
-	_, err := l.f.Write(batch)
-	if err == nil && l.opts.Sync == SyncEveryBatch {
+	_, err := l.f.Write(p)
+	if err == nil && sync {
 		err = l.syncActive()
 	}
 	if err != nil {
-		// No record of the batch is acknowledged, so its bytes come back out
+		// No record of these bytes is acknowledged, so they come back out
 		// (best effort): a later boot must not replay what was refused.
 		_ = l.f.Truncate(l.size)
 		return err
 	}
-	l.size += int64(len(batch))
-	if l.size >= l.opts.SegmentBytes {
-		return l.rotate(upTo + 1)
-	}
+	l.size += int64(len(p))
 	return nil
 }
 
@@ -554,8 +623,8 @@ func segments(dir string) ([]segmentInfo, error) {
 		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
 			continue
 		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, segmentSuffix), 16, 64)
-		if err != nil {
+		seq, ok := segmentSeq(name)
+		if !ok {
 			return nil, fmt.Errorf("wal: alien file %q in log directory", name)
 		}
 		segs = append(segs, segmentInfo{name: name, firstSeq: seq})
@@ -564,94 +633,138 @@ func segments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
+// segmentSeq returns the first sequence number a segment's file name
+// carries, <firstSeq:016x>.wal.
+func segmentSeq(name string) (uint64, bool) {
+	seq, err := strconv.ParseUint(strings.TrimSuffix(name, segmentSuffix), 16, 64)
+	return seq, err == nil && strings.HasSuffix(name, segmentSuffix)
+}
+
 // errTornTail is ScanSegment's signal that the segment ends mid-frame.
 var errTornTail = errors.New("wal: torn tail")
 
 // nop is a ScanSegment callback that wants no record.
 func nop(Record, int64, int64) error { return nil }
 
-// ScanSegment decodes one segment file, calling fn for every valid record
-// with the byte offsets [start, end) of its frame.
+// ScanSegment decodes one segment file, of either format, calling fn for
+// every valid record with the byte offsets [start, end) of its frame.
 //
 // It distinguishes two failure shapes. A crashed append leaves a PREFIX of
 // the intended bytes at end-of-file (writes deliver prefixes), so a frame
-// whose header or payload extends past EOF is a torn tail, reported as
-// errTornTail (wrapped) — callers tolerate it in the final segment. Bytes
-// that are all present but wrong — a CRC mismatch, an absurd length field,
-// an undecodable payload — cannot come from a torn append; they are rot or
-// tampering and are reported as ErrCorrupt so acknowledged records after
-// them are never silently truncated away. A cut header is a torn tail too; a
-// segment opening with anything else is format v0 (errFormatV0). Exported
-// for diagnostic tooling and the crash-injection harness.
+// whose length, header or payload extends past EOF is a torn tail,
+// reported as errTornTail (wrapped) — callers tolerate it in the final
+// segment. Bytes that are all present but wrong — a CRC mismatch, an
+// absurd length field, an undecodable payload, a header whose firstSeq is
+// not the one the file is named for — cannot come from a torn append; they
+// are rot or tampering and are reported as ErrCorrupt so acknowledged
+// records after them are never silently truncated away. A cut header is a
+// torn tail too; a segment opening with anything else is format v0
+// (errFormatV0). Exported for diagnostic tooling and the crash-injection
+// harness.
 func ScanSegment(path string, fn func(rec Record, start, end int64) error) error {
+	_, err := scanSegment(path, fn)
+	return err
+}
+
+// scanned is what a scan learns of a segment besides its records.
+type scanned struct {
+	version  uint64     // 0 for an empty segment
+	firstSeq uint64     // format v2's, from the header
+	dict     dictionary // format v2's, as its intact records left it
+}
+
+func scanSegment(path string, fn func(rec Record, start, end int64) error) (scanned, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return scanned{}, fmt.Errorf("wal: %w", err)
 	}
-	if len(data) < len(segmentHeader) && bytes.HasPrefix(segmentHeader, data) {
-		if len(data) == 0 {
-			return nil
-		}
-		return fmt.Errorf("%s: truncated header: %w", path, errTornTail)
-	}
-	var fnErr error
-	off := int64(0)
-	intact, err := DecodeFrames(data, func(payload []byte) error {
-		if off == 0 {
-			off = frameHeaderLen + int64(len(payload))
-			return readHeader(payload)
-		}
-		rec, err := Decode(payload)
-		if err != nil {
-			return fmt.Errorf("%w: offset %d: %v", ErrCorrupt, off, err)
-		}
-		end := off + frameHeaderLen + int64(len(payload))
-		if fnErr = fn(rec, off, end); fnErr != nil {
-			return fnErr
-		}
-		off = end
-		return nil
-	})
-	if err == nil && intact == 0 {
-		err = errFormatV0 // the first frame is cut short and no header
-	}
-	switch {
-	case fnErr != nil:
-		return fnErr // the caller's own error, as it returned it
-	case err != nil:
-		return fmt.Errorf("%s: %w", path, err)
-	case intact < len(data):
-		return fmt.Errorf("%s: truncated frame at %d: %w", path, intact, errTornTail)
-	}
-	return nil
+	first, _ := segmentSeq(filepath.Base(path))
+	return scanBytes(path, data, first, fn)
 }
 
-// readHeader checks the payload of a segment's first frame.
-func readHeader(payload []byte) error {
+// scanBytes is ScanSegment over a segment's bytes. named is the firstSeq
+// the segment's file is named for, 0 when the name says none; name
+// prefixes the errors.
+func scanBytes(name string, data []byte, named uint64, fn func(rec Record, start, end int64) error) (scanned, error) {
+	var st scanned
+	if len(data) == 0 {
+		return st, nil
+	}
+	payload, off, err := frameV1(data)
+	switch {
+	case err != nil:
+		return st, fmt.Errorf("%s: segment header: %w", name, err)
+	case off == 0 && (bytes.HasPrefix(headerV1, data) || named > 0 && bytes.HasPrefix(appendHeader(nil, named), data)):
+		return st, fmt.Errorf("%s: truncated header: %w", name, errTornTail)
+	case off == 0:
+		return st, fmt.Errorf("%s: %w", name, errFormatV0) // the first frame is cut short and no header
+	}
+	if st.version, st.firstSeq, err = readHeader(payload); err != nil {
+		return st, fmt.Errorf("%s: %w", name, err)
+	}
+	frame, d := frameV1, (*dictionary)(nil)
+	if st.version == formatVersion {
+		if named > 0 && st.firstSeq != named {
+			return st, fmt.Errorf("%w: %s: header says first sequence number %d", ErrCorrupt, name, st.firstSeq)
+		}
+		frame, d = frameV2, &st.dict
+	}
+	for seq := st.firstSeq; off < len(data); seq++ {
+		payload, n, err := frame(data[off:])
+		if err != nil {
+			return st, fmt.Errorf("%s: %w at offset %d", name, err, off)
+		}
+		if n == 0 {
+			return st, fmt.Errorf("%s: truncated frame at %d: %w", name, off, errTornTail)
+		}
+		rec, err := decode(payload, d)
+		if err != nil {
+			return st, fmt.Errorf("%s: %w: offset %d: %v", name, ErrCorrupt, off, err)
+		}
+		if d != nil {
+			rec.Seq = seq
+		}
+		if err := fn(rec, int64(off), int64(off+n)); err != nil {
+			return st, err // the caller's own error, as it returned it
+		}
+		off += n
+	}
+	return st, nil
+}
+
+// readHeader checks the payload of a segment's first frame and returns its
+// format version and, for format v2, its first sequence number.
+func readHeader(payload []byte) (version, firstSeq uint64, err error) {
 	if !bytes.HasPrefix(payload, []byte(segmentMagic)) {
-		return errFormatV0
+		return 0, 0, errFormatV0
 	}
 	c := NewCursor(payload[len(segmentMagic):])
-	v := c.Uvarint()
+	version = c.Uvarint()
+	switch {
+	case c.Err() != nil:
+	case version == formatVersion:
+		if firstSeq = c.Uvarint(); firstSeq == 0 && c.Err() == nil {
+			c.Failf("first sequence number 0")
+		}
+	case version != formatV1:
+		return 0, 0, fmt.Errorf("wal: format v%d segment: this build reads formats v1 and v%d only", version, formatVersion)
+	}
 	if err := c.End(); err != nil {
-		return fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)
+		return 0, 0, fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)
 	}
-	if v != formatVersion {
-		return fmt.Errorf("wal: format v%d segment: this build reads format v%d only", v, formatVersion)
-	}
-	return nil
+	return version, firstSeq, nil
 }
 
-// scanInOrder is ScanSegment under the gapless rule: segments are never
+// scanInOrder is scanSegment under the gapless rule: segments are never
 // deleted, so the log counts up from sequence 1 without holes. seg must
 // start at *next and each of its records must be the one after the last;
 // *next advances past every record delivered. Anything else means a segment
 // (or part of one) is missing and is reported as ErrCorrupt.
-func scanInOrder(dir string, seg segmentInfo, next *uint64, fn func(rec Record, start, end int64) error) error {
+func scanInOrder(dir string, seg segmentInfo, next *uint64, fn func(rec Record, start, end int64) error) (scanned, error) {
 	if seg.firstSeq != *next {
-		return fmt.Errorf("%w: segment %s where seq %d was expected: a segment is missing", ErrCorrupt, seg.name, *next)
+		return scanned{}, fmt.Errorf("%w: segment %s where seq %d was expected: a segment is missing", ErrCorrupt, seg.name, *next)
 	}
-	return ScanSegment(filepath.Join(dir, seg.name), func(rec Record, start, end int64) error {
+	return scanSegment(filepath.Join(dir, seg.name), func(rec Record, start, end int64) error {
 		if rec.Seq != *next {
 			return fmt.Errorf("%w: %s: record seq %d where %d was expected", ErrCorrupt, seg.name, rec.Seq, *next)
 		}
@@ -688,7 +801,7 @@ func Replay(dir string, fn func(rec Record) error) (ReplayStats, error) {
 	}
 	next := uint64(1)
 	for i, seg := range segs {
-		serr := scanInOrder(dir, seg, &next, func(rec Record, _, _ int64) error {
+		_, serr := scanInOrder(dir, seg, &next, func(rec Record, _, _ int64) error {
 			st.Records++
 			st.LastSeq = rec.Seq
 			return fn(rec)
@@ -728,7 +841,7 @@ func TailSeq(dir string) (uint64, error) {
 	// which case the tail lives in the previous one.
 	for i := len(segs) - 1; i >= 0; i-- {
 		next := segs[i].firstSeq
-		serr := scanInOrder(dir, segs[i], &next, nop)
+		_, serr := scanInOrder(dir, segs[i], &next, nop)
 		if serr != nil && !errors.Is(serr, errTornTail) {
 			return 0, serr
 		}

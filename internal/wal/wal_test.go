@@ -197,7 +197,16 @@ func TestRotInFinalSegmentFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(segmentHeader)+frameHeaderLen+1] ^= 0x01 // flip a payload bit of the first record
+	var end int64 // where the first record's frame, and so its payload, ends
+	if err := ScanSegment(path, func(_ Record, _, e int64) error {
+		if end == 0 {
+			end = e
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data[end-1] ^= 0x01 // flip a payload bit of the first record
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +228,7 @@ func TestReplayRejectsMissingSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		appendAll(t, l, testRecords(200))
+		appendAll(t, l, testRecords(500))
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -228,15 +237,15 @@ func TestReplayRejectsMissingSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(segs) < 4 {
-			t.Fatalf("want >= 4 segments after 200 records, got %d", len(segs))
+			t.Fatalf("want >= 4 segments after 500 records, got %d", len(segs))
 		}
 		return dir, segs
 	}
 
 	dir, _ := build(t)
 	got, _ := replayAll(t, dir)
-	if len(got) != 200 {
-		t.Fatalf("intact log replayed %d records, want 200", len(got))
+	if len(got) != 500 {
+		t.Fatalf("intact log replayed %d records, want 500", len(got))
 	}
 
 	for _, tc := range []struct {
@@ -310,18 +319,19 @@ func TestHeaderCrashWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, segmentHeader) || len(data) <= len(segmentHeader)+frameHeaderLen {
+	header := appendHeader(nil, 1)
+	if !bytes.HasPrefix(data, header) || len(data) <= len(header)+1 {
 		t.Fatalf("segment %x does not open with the header and a frame", data)
 	}
 	// A whole second segment, for the cut to sit in front of.
-	next := Record{Seq: 2, Kind: KindAnswer, Worker: "w"}.appendFrame(append([]byte(nil), segmentHeader...))
+	next := segmentV2(2, answerRec("w", 0, 0))
 	for cut := 0; cut < len(data); cut++ {
 		final := t.TempDir()
 		if err := os.WriteFile(filepath.Join(final, filepath.Base(seg)), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got, st := replayAll(t, final)
-		if torn := cut > 0 && cut != len(segmentHeader); len(got) != 0 || st.TornTail != torn {
+		if torn := cut > 0 && cut != len(header); len(got) != 0 || st.TornTail != torn {
 			t.Fatalf("cut %d: replayed %d records (torn %v), want none (torn %v)", cut, len(got), st.TornTail, torn)
 		}
 		l, err := Open(final, Options{})
@@ -360,7 +370,7 @@ func TestFormatV0Refused(t *testing.T) {
 	var v0 []byte
 	for i, rec := range testRecords(5) {
 		rec.Seq = uint64(i + 1)
-		v0 = rec.appendFrame(v0)
+		v0 = rec.appendFrameV1(v0)
 	}
 	for name, files := range map[string]map[string][]byte{
 		"one segment":               {fmt.Sprintf("%016x%s", 1, segmentSuffix): v0},
@@ -464,9 +474,8 @@ func TestReserveRefusesOversizeRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, l, testRecords(3))
-	// Record 4's payload is a kind byte, a one-byte sequence number, a
-	// four-byte length and the blob.
-	const fits = MaxPayload - 6
+	// Record 4's payload is a kind byte, a four-byte length and the blob.
+	const fits = MaxPayload - 5
 	for _, n := range []int{fits + 1, MaxPayload + 1<<20} {
 		_, err := l.Append(Record{Kind: KindPublish, Blob: make([]byte, n)})
 		if !errors.Is(err, ErrTooLarge) {

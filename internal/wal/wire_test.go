@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,6 +149,53 @@ func TestBatchBytesPerAnswer(t *testing.T) {
 	}
 	if small := allocs(mustEncodeBatch(columnsOf(items[:8]))); small != allocs(blob) {
 		t.Errorf("decoding 8 answers allocates %.0f times, 128 answers %.0f: not a constant", small, allocs(blob))
+	}
+}
+
+// TestAnswerRecordBytes pins what a single answer costs on disk — the
+// numbers docs/architecture.md § "What a batched answer costs" quotes
+// beside the batch's. 4,000 answers by 60 workers (w000–w059) over 600
+// tasks, shaped like the lifecycle workload's, make one segment of 39,458
+// bytes: its 14-byte header, each worker's first answer (which spells the
+// ID out: five bytes more) and then 9 bytes an answer to a task below 128
+// and 10 below 16,384 — a one-byte length, the CRC, the kind, a one-byte
+// ref, the task's uvarint and the choice.
+func TestAnswerRecordBytes(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		if _, err := l.Append(answerRec(fmt.Sprintf("w%03d", (i*7)%60), (11+37*i)%600, i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("%016x%s", 1, segmentSuffix))
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("4,000 answers: %d B (%.2f B/answer)", info.Size(), float64(info.Size())/4000)
+	if info.Size() != 39458 {
+		t.Errorf("segment is %d bytes, pinned at 39458", info.Size())
+	}
+	seen := map[string]bool{}
+	if err := ScanSegment(path, func(rec Record, start, end int64) error {
+		want := int64(9)
+		if rec.Task >= 128 {
+			want = 10
+		}
+		if seen[rec.Worker] && end-start != want {
+			t.Errorf("answer %d (task %d) by a known worker is %d bytes, want %d", rec.Seq, rec.Task, end-start, want)
+		}
+		seen[rec.Worker] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -28,9 +28,10 @@ import (
 // file under internal/store imports "os" or "encoding/json", so it can
 // neither open a file of its own nor write a JSON one, and nothing under
 // internal/core or internal/wal imports "encoding/json": no record is JSON.
-// A frame's checksum is computed only beside the one frame walker
-// (wal.DecodeFrames) and its two writers, and the segment header's magic
-// is spelled only in wal.go, beside its one writer and one reader. Format
+// A frame's checksum is computed only beside the frame readers (the
+// 8-byte frame's wal.DecodeFrames and format v2's record frame) and their
+// writers, and the segment header's magic is spelled only in wal.go,
+// beside its one writer and one reader. Format
 // v0 has no reader: the retired batch magic and the previous snapshot
 // version are spelled nowhere, and no decodeLegacy function survives — an
 // older blob is refused at its magic, an older segment at its first
