@@ -37,23 +37,15 @@
 // publication may hold, a stream that inflates to another length or has
 // bytes after its final block, one that is not the writer's output for its
 // body, and a DPB3 blob no shorter than its DPB1
-// (testdata/publication_dpb3.golden pins the writer's bytes). Logs written
-// before DPB3 hold
-//
-//	magic "DPB2" | body length uvarint | LZW(body)
-//
-// with LZW stdlib compress/lzw, least significant bits first, 8-bit
-// literals. Nothing writes DPB2 any more; it is read under the same
-// refusals, its stream held to a compress/lzw re-pack
-// (testdata/publication_dpb2.golden pins that packer across toolchains). A
-// DPB1 record is read whatever its size; a publish record under any other
-// magic is refused.
+// (testdata/publication_dpb3.golden pins the writer's bytes). A DPB1 record
+// is read whatever its size; a publish record under any other magic is
+// refused, the LZW-packed one logged before DPB3 with an error naming the
+// last commit that reads it (errFormatLZW).
 package core
 
 import (
 	"bytes"
 	"compress/flate"
-	"compress/lzw"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,11 +58,10 @@ import (
 )
 
 const (
-	// publicationMagic opens every unpacked binary publication blob,
-	// deflateMagic every packed one Publish writes and lzwMagic every packed
-	// one it used to. Versioned: a future layout bumps the trailing byte.
+	// publicationMagic opens every unpacked binary publication blob and
+	// deflateMagic every packed one. Versioned: a future layout bumps the
+	// trailing byte.
 	publicationMagic = "DPB1"
-	lzwMagic         = "DPB2"
 	deflateMagic     = "DPB3"
 	// maxPackedBody is the longest body a packed blob may state: the body
 	// of the largest DPB1 blob Publish accepts, which is the largest blob
@@ -220,45 +211,12 @@ func appendStr(b []byte, s string) []byte {
 
 var errNotCanonical = errors.New("stream is not the packing of its body")
 
-// lzwWriters pools the LZW writers a DPB2 blob's re-pack check runs
-// through: a writer is one 64 KiB table, which Reset clears.
-var lzwWriters = sync.Pool{New: func() any { return new(lzw.Writer) }}
+// errFormatLZW refuses a publication packed with LZW, which builds logged
+// before the pinned DEFLATE writer.
+var errFormatLZW = errors.New("DPB2 (LZW-packed) publication: this build reads DPB1 and DPB3 only; a3e04fd is the last commit that reads it")
 
-// lzwPack runs body through a pooled LZW writer, least significant bits
-// first with 8-bit literals, handing each byte of the stream to emit. It
-// fails when emit does.
-func lzwPack(body []byte, emit func(byte) error) error {
-	zw := lzwWriters.Get().(*lzw.Writer)
-	zw.Reset(byteSink(emit), lzw.LSB, 8)
-	_, err := zw.Write(body)
-	if cerr := zw.Close(); err == nil {
-		err = cerr
-	}
-	zw.Reset(nil, lzw.LSB, 8) // the pool keeps no reference to emit's output
-	lzwWriters.Put(zw)
-	return err
-}
-
-// byteSink is what an LZW writer writes into. Being an io.ByteWriter with a
-// Flush, it is written to directly: lzw wraps any other writer in a
-// bufio.Writer of its own on every Reset.
-type byteSink func(byte) error
-
-func (f byteSink) WriteByte(c byte) error { return f(c) }
-
-func (f byteSink) Write(p []byte) (int, error) {
-	for i, c := range p {
-		if err := f(c); err != nil {
-			return i, err
-		}
-	}
-	return len(p), nil
-}
-
-func (byteSink) Flush() error { return nil }
-
-// inflater is a pooled reader of packed streams: compress/flate's for DPB3,
-// reset onto src, which a DPB2 blob's LZW reader reads from too.
+// inflater is a pooled reader of DPB3 streams: compress/flate's, reset onto
+// src.
 type inflater struct {
 	src bytes.Reader
 	zr  io.ReadCloser // a flate.Resetter
@@ -270,13 +228,12 @@ var inflaters = sync.Pool{New: func() any {
 	return in
 }}
 
-// unpackPublication inflates a packed blob, DPB3 or DPB2, into the DPB1
-// blob it stands for, refusing every blob its writer would not have
-// written. Inflation stops one byte past the stated length, and the buffer
-// grows only as bytes inflate, never to that length up front, so a hostile
-// length buys no memory.
+// unpackPublication inflates a DPB3 blob into the DPB1 blob it stands for,
+// refusing every blob the pinned writer would not have written. Inflation
+// stops one byte past the stated length, and the buffer grows only as bytes
+// inflate, never to that length up front, so a hostile length buys no
+// memory.
 func unpackPublication(blob []byte) ([]byte, error) {
-	magic := string(blob[:len(deflateMagic)])
 	c := wal.NewCursor(blob[len(deflateMagic):])
 	n := c.Uvarint()
 	if err := c.Err(); err != nil {
@@ -292,16 +249,12 @@ func unpackPublication(blob []byte) ([]byte, error) {
 		inflaters.Put(in)
 	}()
 	in.src.Reset(stream)
-	var zr io.Reader = in.zr
-	end := "final block"
-	if magic == lzwMagic {
-		zr, end = lzw.NewReader(&in.src, lzw.LSB, 8), "end code"
-	} else if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+	if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
 		return nil, err
 	}
 	var out bytes.Buffer
 	out.WriteString(publicationMagic)
-	if _, err := out.ReadFrom(io.LimitReader(zr, int64(n)+1)); err != nil {
+	if _, err := out.ReadFrom(io.LimitReader(in.zr, int64(n)+1)); err != nil {
 		return nil, fmt.Errorf("packed body: %w", err)
 	}
 	dpb1 := out.Bytes()
@@ -312,9 +265,9 @@ func unpackPublication(blob []byte) ([]byte, error) {
 	case uint64(len(body)) < n:
 		return nil, fmt.Errorf("packed body inflates to %d bytes, not the %d stated", len(body), n)
 	case in.src.Len() > 0:
-		return nil, fmt.Errorf("%d bytes follow the packed body's %s", in.src.Len(), end)
+		return nil, fmt.Errorf("%d bytes follow the packed body's final block", in.src.Len())
 	}
-	if !packsTo(magic, body, stream) {
+	if !packsTo(body, stream) {
 		return nil, errNotCanonical
 	}
 	if len(blob) >= len(dpb1) {
@@ -323,35 +276,27 @@ func unpackPublication(blob []byte) ([]byte, error) {
 	return dpb1, nil
 }
 
-// packsTo reports whether stream is what the magic's writer makes of body:
-// the pinned DEFLATE writer's output, or compress/lzw's.
-func packsTo(magic string, body, stream []byte) bool {
-	if magic == deflateMagic {
-		d := deflaters.Get().(*deflater)
-		defer releaseDeflater(d)
-		d.reset(make([]byte, 0, len(stream)+8))
-		d.write(body, true)
-		return bytes.Equal(d.out, stream)
-	}
-	rest := stream
-	err := lzwPack(body, func(c byte) error {
-		if len(rest) == 0 || rest[0] != c {
-			return errNotCanonical
-		}
-		rest = rest[1:]
-		return nil
-	})
-	return err == nil && len(rest) == 0
+// packsTo reports whether stream is the pinned DEFLATE writer's output for
+// body.
+func packsTo(body, stream []byte) bool {
+	d := deflaters.Get().(*deflater)
+	defer releaseDeflater(d)
+	d.reset(make([]byte, 0, len(stream)+8))
+	d.write(body, true)
+	return bytes.Equal(d.out, stream)
 }
 
 // decodePublication parses a publish record's task set. It is the one
 // reader of the record (replay's applyRecord), and it returns only tasks
 // that carry an m-long domain vector, so replay never re-runs entity
-// linking. A DPB3 or DPB2 blob unpacks to DPB1 and then reads as one.
+// linking. A DPB3 blob unpacks to DPB1 and then reads as one.
 func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 	blob, err := rec.Blob, error(nil)
-	if bytes.HasPrefix(blob, []byte(deflateMagic)) || bytes.HasPrefix(blob, []byte(lzwMagic)) {
+	switch {
+	case bytes.HasPrefix(blob, []byte(deflateMagic)):
 		blob, err = unpackPublication(blob)
+	case bytes.HasPrefix(blob, []byte("DPB2")):
+		err = errFormatLZW
 	}
 	var tasks []*model.Task
 	if err == nil {

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -108,18 +109,6 @@ func packPublication(dpb1 []byte) []byte {
 	return dpb1
 }
 
-// lzwPublication is the packer the DPB2 logs written before DPB3 hold: a
-// DPB1 blob's LZW packing when that is the shorter, the blob itself
-// otherwise.
-func lzwPublication(t testing.TB, dpb1 []byte) []byte {
-	t.Helper()
-	body := dpb1[len(publicationMagic):]
-	if packed := packedBlob(lzwMagic, uint64(len(body)), lzwStream(t, body)); len(packed) < len(dpb1) {
-		return packed
-	}
-	return dpb1
-}
-
 // serialPublication is the record the serial path logs for a task set:
 // encodeBinaryPublication's DPB1 blob, packed by packPublication.
 func serialPublication(t testing.TB, tasks []*model.Task, m int) []byte {
@@ -152,16 +141,6 @@ func mustEncodeBinaryPublication(t testing.TB, tasks []*model.Task, m int) []byt
 		t.Fatal(err)
 	}
 	return blob
-}
-
-// lzwStream is the LZW packer's stream for body, whatever its length.
-func lzwStream(t testing.TB, body []byte) []byte {
-	t.Helper()
-	var out []byte
-	if err := lzwPack(body, func(c byte) error { out = append(out, c); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // packedBlob assembles a packed blob from its parts, consistent or not.
@@ -204,11 +183,10 @@ func randomTextTasks(n int) []*model.Task {
 }
 
 // roundTrip holds one task set to the codec's contract in each of its
-// forms and returns the record Publish would log. The DPB1 blob, the record
-// and the DPB2 packing older logs hold each decode to the tasks field by
-// field (floats as bits) and are canonical: encoding what they decode to
-// gives back the same bytes. The record is DPB3 and shorter than the DPB1
-// blob, or is the DPB1 blob.
+// forms and returns the record Publish would log. The DPB1 blob and the
+// record each decode to the tasks field by field (floats as bits) and are
+// canonical: encoding what they decode to gives back the same bytes. The
+// record is DPB3 and shorter than the DPB1 blob, or is the DPB1 blob.
 func roundTrip(t *testing.T, name string, tasks []*model.Task, m int) []byte {
 	t.Helper()
 	dpb1 := mustEncodeBinaryPublication(t, tasks, m)
@@ -216,26 +194,17 @@ func roundTrip(t *testing.T, name string, tasks []*model.Task, m int) []byte {
 	if packed := bytes.HasPrefix(rec, []byte(deflateMagic)); packed && len(rec) >= len(dpb1) || !packed && !bytes.Equal(rec, dpb1) {
 		t.Fatalf("%s: logged %d bytes opening %q for a %d-byte DPB1 blob", name, len(rec), rec[:4], len(dpb1))
 	}
-	forms := map[string][]byte{"DPB1 blob": dpb1, "record": rec}
-	if legacy := lzwPublication(t, dpb1); bytes.HasPrefix(legacy, []byte(lzwMagic)) {
-		forms["DPB2 record"] = legacy
-	}
-	for form, blob := range forms {
+	for form, encode := range map[string]func(t testing.TB, tasks []*model.Task, m int) []byte{
+		"DPB1 blob": mustEncodeBinaryPublication,
+		"record":    mustEncodePublication,
+	} {
+		blob := encode(t, tasks, m)
 		got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, m)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", name, form, err)
 		}
 		sameTasks(t, got, tasks)
-		var again []byte
-		switch form {
-		case "DPB1 blob":
-			again = mustEncodeBinaryPublication(t, got, m)
-		case "record":
-			again = mustEncodePublication(t, got, m)
-		default:
-			again = lzwPublication(t, mustEncodeBinaryPublication(t, got, m))
-		}
-		if !bytes.Equal(again, blob) {
+		if again := encode(t, got, m); !bytes.Equal(again, blob) {
 			t.Fatalf("%s: %s: re-encoding differs:\n in  %x\n out %x", name, form, blob, again)
 		}
 	}
@@ -276,8 +245,8 @@ func sameTasks(t *testing.T, got, want []*model.Task) {
 // text, NoTruth and set truths, over several domain counts — the first 200
 // tasks of the four datasets after DVE, and sampleTasks' −0 and denormal
 // vectors decode to the same tasks field by field (floats compared as
-// bits) from the DPB1 blob, from the record Publish logs and from the DPB2
-// packing older logs hold, and each is canonical: encode(decode(b)) == b.
+// bits) from the DPB1 blob and from the record Publish logs, and each is
+// canonical: encode(decode(b)) == b.
 // The datasets and sampleTasks log DPB3, the seeded sets both forms, and
 // random-byte text stays DPB1.
 func TestPropertyPublicationRoundTrip(t *testing.T) {
@@ -400,16 +369,11 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 		t.Fatalf("decoded %d vector arrays for %d distinct encodings", arrays, encodings)
 	}
 	dpb1, encode := data, encodeBinaryPublication
-	if magic := string(data[:4]); magic == deflateMagic || magic == lzwMagic {
+	if bytes.HasPrefix(data, []byte(deflateMagic)) {
 		if dpb1, err = unpackPublication(data); err != nil {
-			t.Fatalf("a decoded %s blob does not unpack: %v", magic, err)
+			t.Fatalf("a decoded DPB3 blob does not unpack: %v", err)
 		}
 		encode = encodePublication
-		if magic == lzwMagic {
-			encode = func(tasks []*model.Task, m int) ([]byte, error) {
-				return lzwPublication(t, mustEncodeBinaryPublication(t, tasks, m)), nil
-			}
-		}
 	}
 	if len(tasks)*minTaskBytes > len(dpb1) || strs > len(dpb1) {
 		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(dpb1))
@@ -424,8 +388,7 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 }
 
 // TestPublicationDecodeDamage is the DOCSSNP3 sweep for the publication
-// blob, over sampleTasks' DPB1 blob, its DPB3 record and the DPB2 record an
-// older log holds for it: every single-byte
+// blob, over sampleTasks' DPB1 blob and its DPB3 record: every single-byte
 // truncation and every single-bit flip of a valid blob either decodes to
 // something that re-encodes to those exact bytes or errors — it never
 // panics and never over-allocates — and hand-made blobs the encoder would
@@ -434,11 +397,10 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 func TestPublicationDecodeDamage(t *testing.T) {
 	data := mustEncodeBinaryPublication(t, sampleTasks(), 4)
 	packed := mustEncodePublication(t, sampleTasks(), 4)
-	legacy := lzwPublication(t, data)
-	if !bytes.HasPrefix(packed, []byte(deflateMagic)) || !bytes.HasPrefix(legacy, []byte(lzwMagic)) {
-		t.Fatalf("sampleTasks packs to %q and %q, want %q and %q", packed[:4], legacy[:4], deflateMagic, lzwMagic)
+	if !bytes.HasPrefix(packed, []byte(deflateMagic)) {
+		t.Fatalf("sampleTasks packs to %q, want %q", packed[:4], deflateMagic)
 	}
-	for _, valid := range [][]byte{data, packed, legacy} {
+	for _, valid := range [][]byte{data, packed} {
 		for cut := 0; cut < len(valid); cut++ {
 			if tasks, err := decodePublication(wal.Record{Blob: valid[:cut]}, 4); err == nil || tasks != nil {
 				t.Fatalf("%q truncated at %d: decoded to %d tasks", valid[:4], cut, len(tasks))
@@ -477,7 +439,7 @@ func TestPublicationDecodeDamage(t *testing.T) {
 		"ID past int":            append(binary.AppendUvarint(append([]byte(publicationMagic), 4, 1), 1<<63), 0, 0, 0, 0, 0),
 		"magic only":             []byte(publicationMagic),
 		"a later format":         append([]byte("DPB4"), data[4:]...),
-		"DPB1 body under DPB2":   append([]byte(lzwMagic), data[4:]...),
+		"DPB1 body under DPB2":   append([]byte("DPB2"), data[4:]...),
 		"DPB1 body under DPB3":   append([]byte(deflateMagic), data[4:]...),
 		"empty":                  nil,
 	} {
@@ -489,123 +451,67 @@ func TestPublicationDecodeDamage(t *testing.T) {
 	}
 }
 
-// literalLZW is an LZW stream of body that no greedy packer writes: every
-// byte a literal code. Under 255 codes every code stays 9 bits wide.
-func literalLZW(t *testing.T, body []byte) []byte {
-	t.Helper()
-	if len(body) > 254 {
-		t.Fatalf("a %d-byte body widens the codes", len(body))
-	}
-	var out []byte
-	var acc uint32
-	var bits uint
-	put := func(code uint32) {
-		acc |= code << bits
-		for bits += 9; bits >= 8; bits -= 8 {
-			out = append(out, byte(acc))
-			acc >>= 8
-		}
-	}
-	put(256) // clear
-	for _, c := range body {
-		put(uint32(c))
-	}
-	put(257) // end
-	if bits > 0 {
-		out = append(out, byte(acc))
-	}
-	return out
-}
-
-// TestPackedPublicationRefusals: DPB3, and DPB2 before it, are canonical
-// the way DPB1 is — the decoder accepts nothing its writer would not write
-// — and each rule refuses its own row with its own error. A DPB3 stream
-// compress/flate reads back to the body is still refused when it is not
-// the pinned writer's: a stored block, a dynamic-Huffman block, two
-// blocks, a match cut short, ones in the padding bits. (The DPB3 rows pack
-// twinTasks, whose stream has padding bits; sampleTasks' ends on a byte.)
+// TestPackedPublicationRefusals: DPB3 is canonical the way DPB1 is — the
+// decoder accepts nothing the pinned writer would not write — and each rule
+// refuses its own row with its own error. A stream compress/flate reads
+// back to the body is still refused when it is not the pinned writer's: a
+// stored block, a dynamic-Huffman block, two blocks, a match cut short,
+// ones in the padding bits. (The rows pack twinTasks, whose stream has
+// padding bits; sampleTasks' ends on a byte.)
 func TestPackedPublicationRefusals(t *testing.T) {
 	random := mustEncodeBinaryPublication(t, randomTextTasks(5), 4)
 	randomBody := random[len(publicationMagic):]
-	type row struct {
+	dpb1 := mustEncodeBinaryPublication(t, twinTasks(), 4)
+	body := dpb1[len(publicationMagic):]
+	n := uint64(len(body))
+	stream := deflateStream(body)
+	valid := packedBlob(deflateMagic, n, stream)
+	if !bytes.Equal(valid, packPublication(dpb1)) {
+		t.Fatal("the hand-assembled blob is not the record the writer logs")
+	}
+	if _, err := decodePublication(wal.Record{Blob: valid}, 4); err != nil {
+		t.Fatalf("the valid blob does not decode: %v", err)
+	}
+	for name, r := range map[string]struct {
 		blob []byte
 		want string
-	}
-	for _, tc := range []struct {
-		magic  string
-		tasks  []*model.Task
-		stream func(body []byte) []byte
-		record func(dpb1 []byte) []byte // what the magic's writer logs
-		end    string
-		rows   func(body []byte, n uint64) map[string]row
 	}{
-		{lzwMagic, sampleTasks(), func(body []byte) []byte { return lzwStream(t, body) },
-			func(dpb1 []byte) []byte { return lzwPublication(t, dpb1) }, "end code",
-			func(body []byte, n uint64) map[string]row {
-				return map[string]row{
-					"a stream that is not the packing": {packedBlob(lzwMagic, n, literalLZW(t, body)), errNotCanonical.Error()},
-					"no shorter than the DPB1 blob": {packedBlob(lzwMagic, uint64(len(randomBody)), lzwStream(t, randomBody)),
-						"no shorter than"},
-				}
-			}},
-		{deflateMagic, twinTasks(), deflateStream, packPublication, "final block",
-			func(body []byte, n uint64) map[string]row {
-				return map[string]row{
-					"a stored block":           {packedBlob(deflateMagic, n, stored(body)), errNotCanonical.Error()},
-					"a dynamic-Huffman block":  {packedBlob(deflateMagic, n, dynamicLiterals(body)), errNotCanonical.Error()},
-					"two blocks":               {packedBlob(deflateMagic, n, twoBlocks(body)), errNotCanonical.Error()},
-					"a match cut short":        {packedBlob(deflateMagic, n, shorterMatch(t, body)), errNotCanonical.Error()},
-					"ones in the padding bits": {packedBlob(deflateMagic, n, paddedWithOnes(t, deflateStream(body), paddingBits(body))), errNotCanonical.Error()},
-					"no shorter than the DPB1 blob": {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)),
-						"no shorter than"},
-				}
-			}},
+		"a stored block":                            {packedBlob(deflateMagic, n, stored(body)), errNotCanonical.Error()},
+		"a dynamic-Huffman block":                   {packedBlob(deflateMagic, n, dynamicLiterals(body)), errNotCanonical.Error()},
+		"two blocks":                                {packedBlob(deflateMagic, n, twoBlocks(body)), errNotCanonical.Error()},
+		"a match cut short":                         {packedBlob(deflateMagic, n, shorterMatch(t, body)), errNotCanonical.Error()},
+		"ones in the padding bits":                  {packedBlob(deflateMagic, n, paddedWithOnes(t, stream, paddingBits(body))), errNotCanonical.Error()},
+		"no shorter than the DPB1 blob":             {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)), "no shorter than"},
+		"stated body over what a publication holds": {packedBlob(deflateMagic, uint64(maxPackedBody)+1, stream), "over the"},
+		"stated body one byte short":                {packedBlob(deflateMagic, n-1, stream), "inflates past"},
+		"stated body one byte long":                 {packedBlob(deflateMagic, n+1, stream), "inflates to"},
+		"a byte after the stream":                   {append(append([]byte(nil), valid...), 0), "follow the packed body's final block"},
+		"a stream cut before its end":               {valid[:len(valid)-1], "unexpected EOF"},
+		"no body length":                            {[]byte(deflateMagic), "bad varint"},
 	} {
-		dpb1 := mustEncodeBinaryPublication(t, tc.tasks, 4)
-		body := dpb1[len(publicationMagic):]
-		n := uint64(len(body))
-		stream := tc.stream(body)
-		valid := packedBlob(tc.magic, n, stream)
-		if !bytes.Equal(valid, tc.record(dpb1)) {
-			t.Fatalf("%s: the hand-assembled blob is not the record its writer logs", tc.magic)
+		// A stream refused as not the writer's is a valid DEFLATE stream of
+		// the body.
+		if r.want == errNotCanonical.Error() && !bytes.Equal(inflate(t, r.blob[len(deflateMagic)+uvarintLen(n):]), body) {
+			t.Fatalf("%s: compress/flate does not read the stream back to the body", name)
 		}
-		if _, err := decodePublication(wal.Record{Blob: valid}, 4); err != nil {
-			t.Fatalf("%s: the valid blob does not decode: %v", tc.magic, err)
-		}
-		rows := tc.rows(body, n)
-		rows["stated body over what a publication holds"] = row{packedBlob(tc.magic, uint64(maxPackedBody)+1, stream), "over the"}
-		rows["stated body one byte short"] = row{packedBlob(tc.magic, n-1, stream), "inflates past"}
-		rows["stated body one byte long"] = row{packedBlob(tc.magic, n+1, stream), "inflates to"}
-		rows["a byte after the stream"] = row{append(append([]byte(nil), valid...), 0), "follow the packed body's " + tc.end}
-		rows["a stream cut before its end"] = row{valid[:len(valid)-1], "unexpected EOF"}
-		rows["no body length"] = row{[]byte(tc.magic), "bad varint"}
-		for name, r := range rows {
-			// A DPB3 stream refused as not the writer's is a valid
-			// DEFLATE stream of the body.
-			if tc.magic == deflateMagic && r.want == errNotCanonical.Error() &&
-				!bytes.Equal(inflate(t, r.blob[len(deflateMagic)+uvarintLen(n):]), body) {
-				t.Fatalf("%s: %s: compress/flate does not read the stream back to the body", tc.magic, name)
-			}
-			_, err := decodePublication(wal.Record{Seq: 5, Blob: r.blob}, 4)
-			if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), r.want) {
-				t.Errorf("%s: %s: error %v, want one naming publish record 5 and containing %q", tc.magic, name, err, r.want)
-			}
+		_, err := decodePublication(wal.Record{Seq: 5, Blob: r.blob}, 4)
+		if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("%s: error %v, want one naming publish record 5 and containing %q", name, err, r.want)
 		}
 	}
 }
 
 // TestPublicationCodecConcurrent: campaigns publish, wake and run snapshot
 // passes at once, and every packing and re-encode check draws on the one
-// pool of DEFLATE writers (and of flate readers, and a DPB2 log's re-pack
-// on the pool of LZW writers). Goroutines encoding and decoding different
-// task sets must each get their own bytes back (run it under -race).
+// pool of DEFLATE writers (and of flate readers). Goroutines encoding and
+// decoding different task sets must each get their own bytes back (run it
+// under -race).
 func TestPublicationCodecConcurrent(t *testing.T) {
 	sets := [][]*model.Task{sampleTasks(), goldenPublication(200), randomTextTasks(20)}
 	ms := []int{4, 26, 4}
-	want, legacy := make([][]byte, len(sets)), make([][]byte, len(sets))
+	want := make([][]byte, len(sets))
 	for i, tasks := range sets {
 		want[i] = mustEncodePublication(t, tasks, ms[i])
-		legacy[i] = lzwPublication(t, mustEncodeBinaryPublication(t, tasks, ms[i]))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -619,12 +525,10 @@ func TestPublicationCodecConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: set %d encoded to %d bytes (%v), want %d", g, i, len(blob), err, len(want[i]))
 					return
 				}
-				for _, blob := range [][]byte{blob, legacy[i]} {
-					got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, ms[i])
-					if err != nil || len(got) != len(sets[i]) {
-						t.Errorf("goroutine %d: set %d decoded from %q to %d tasks (%v)", g, i, blob[:4], len(got), err)
-						return
-					}
+				got, err := decodePublication(wal.Record{Seq: 1, Blob: blob}, ms[i])
+				if err != nil || len(got) != len(sets[i]) {
+					t.Errorf("goroutine %d: set %d decoded from %q to %d tasks (%v)", g, i, blob[:4], len(got), err)
+					return
 				}
 			}
 		}(g)
@@ -660,64 +564,66 @@ func goldenPublication(n int) []*model.Task {
 	return tasks
 }
 
-// TestPublicationPackerGolden pins both packers. testdata/
+// TestPublicationPackerGolden pins the packer. testdata/
 // publication_dpb3.golden is the DPB3 record of goldenPublication(600), a
 // body over the writer's 32 KiB window: this build must write it byte for
 // byte — the writer's rules, not a toolchain, fix it — and read it back to
-// the set. testdata/publication_dpb2.golden is the DPB2 record an older
-// build logged for goldenPublication(200): the LZW oracle must still write
-// it and this build read it, since the decoder refuses a stream that is not
-// its body's packing, so a compress/lzw whose output moved would fail every
-// boot of an older log; it fails here instead. The flag rewrites only the
-// DPB3 file: no build writes DPB2 any more.
+// the set. testdata/publication_dpb2.golden is the LZW-packed DPB2 record an
+// older build logged for goldenPublication(200), which this build refuses
+// with an error naming DPB2 and the last commit that reads it. The flag
+// rewrites only the DPB3 file.
 func TestPublicationPackerGolden(t *testing.T) {
-	for _, g := range []struct {
-		file, magic string
-		tasks       []*model.Task
-		pack        func([]byte) []byte
-	}{
-		{"publication_dpb2.golden", lzwMagic, goldenPublication(200), func(dpb1 []byte) []byte { return lzwPublication(t, dpb1) }},
-		{"publication_dpb3.golden", deflateMagic, goldenPublication(600), packPublication},
-	} {
-		path := filepath.Join("testdata", g.file)
-		dpb1 := mustEncodeBinaryPublication(t, g.tasks, 26)
-		blob := g.pack(dpb1)
-		if g.magic == deflateMagic {
-			// A body this long wraps the distance ring.
-			if len(dpb1)-len(publicationMagic) <= windowSize {
-				t.Fatalf("%s: the golden body is %d bytes, within one window", g.file, len(dpb1)-len(publicationMagic))
-			}
-			if rec := mustEncodePublication(t, g.tasks, 26); !bytes.Equal(rec, blob) {
-				t.Fatalf("%s: Publish logs %d bytes that differ from the one-pass packing's %d", g.file, len(rec), len(blob))
-			}
-			if *updatePublicationGolden {
-				if err := os.WriteFile(path, blob, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(want, []byte(g.magic)) {
-			t.Fatalf("%s opens with %q, want %q", g.file, want[:4], g.magic)
-		}
-		// A code is at most 12 bits and a table holds 3,838 before the LZW
-		// writer clears it, so a stream this long crosses at least one clear.
-		if g.magic == lzwMagic && len(want) < 3839*12/8+8 {
-			t.Fatalf("%s is %d bytes, too short to cross a table clear", g.file, len(want))
-		}
-		if !bytes.Equal(blob, want) {
-			t.Fatalf("this build packs the golden set to %d bytes that differ from the %d in %s", len(blob), len(want), g.file)
-		}
-		got, err := decodePublication(wal.Record{Seq: 1, Blob: want}, 26)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTasks(t, got, g.tasks)
-		t.Logf("%s: %d bytes as %s, %d as DPB1", g.file, len(want), g.magic, len(dpb1))
+	path := filepath.Join("testdata", "publication_dpb3.golden")
+	tasks := goldenPublication(600)
+	dpb1 := mustEncodeBinaryPublication(t, tasks, 26)
+	blob := packPublication(dpb1)
+	// A body this long wraps the distance ring.
+	if len(dpb1)-len(publicationMagic) <= windowSize {
+		t.Fatalf("the golden body is %d bytes, within one window", len(dpb1)-len(publicationMagic))
 	}
+	if rec := mustEncodePublication(t, tasks, 26); !bytes.Equal(rec, blob) {
+		t.Fatalf("Publish logs %d bytes that differ from the one-pass packing's %d", len(rec), len(blob))
+	}
+	if *updatePublicationGolden {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(want, []byte(deflateMagic)) {
+		t.Fatalf("%s opens with %q, want %q", path, want[:4], deflateMagic)
+	}
+	if !bytes.Equal(blob, want) {
+		t.Fatalf("this build packs the golden set to %d bytes that differ from the %d in %s", len(blob), len(want), path)
+	}
+	got, err := decodePublication(wal.Record{Seq: 1, Blob: want}, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTasks(t, got, tasks)
+	t.Logf("%s: %d bytes as DPB3, %d as DPB1", path, len(want), len(dpb1))
+
+	lzw := readDPB2Golden(t)
+	if got, err := decodePublication(wal.Record{Seq: 1, Blob: lzw}, 26); err == nil || !strings.Contains(err.Error(), "DPB2") || !strings.Contains(err.Error(), "a3e04fd") {
+		t.Fatalf("the DPB2 record decoded to %d tasks (%v), want a refusal naming DPB2 and a3e04fd", len(got), err)
+	}
+}
+
+// readDPB2Golden returns testdata/publication_dpb2.golden, a publication
+// as builds before the pinned writer logged it: LZW-packed under DPB2.
+func readDPB2Golden(t testing.TB) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "publication_dpb2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(blob, []byte("DPB2")) {
+		t.Fatalf("publication_dpb2.golden opens with %q", blob[:4])
+	}
+	return blob
 }
 
 // FuzzPublicationDecode drives arbitrary bytes through the one reader of a
@@ -726,21 +632,27 @@ func TestPublicationPackerGolden(t *testing.T) {
 // equal. Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
 // sampleTasks' DPB1 blob, the same cut at three points, with one byte
 // flipped, with its task count set to 2^63; its DPB3 record, the same cut
-// in its stream and with a byte after the final block; its DPB2 record, the
-// same cut in its stream, with a byte after the end code, and with the
-// stream every byte a literal; twinTasks' DPB1 blob, repeated vectors and
-// their −0 twins; and a JSON publication, the format v0 blob nothing reads.
+// in its stream and with a byte after the final block; sampleTasks' DPB2
+// record, the same cut in its stream, with a byte after the end code, and
+// with the stream every byte a literal, which must all be refused;
+// twinTasks' DPB1 blob, repeated vectors and their −0 twins; and a JSON
+// publication, the format v0 blob nothing reads.
 func FuzzPublicationDecode(f *testing.F) {
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
 	f.Add(mustEncodeBinaryPublication(f, twinTasks(), 4))
-	f.Add(lzwPublication(f, mustEncodeBinaryPublication(f, sampleTasks(), 4)))
+	f.Add(readDPB2Golden(f))
 	f.Add([]byte(publicationMagic))
-	f.Add([]byte(lzwMagic))
+	f.Add([]byte("DPB2"))
 	f.Add([]byte(`[{"ID":1,"Choices":["a","b"],"Domain":[0,1,0,0],"Truth":-1,"TrueDomain":-1}]`))
 	f.Add(mustEncodePublication(f, sampleTasks(), 4))
 	f.Add([]byte(deflateMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPublicationDecode(t, data, 4)
+		if bytes.HasPrefix(data, []byte("DPB2")) {
+			if _, err := decodePublication(wal.Record{Blob: data}, 4); !errors.Is(err, errFormatLZW) {
+				t.Fatalf("a DPB2 blob is refused with %v, want the DPB2 refusal", err)
+			}
+		}
 	})
 }
 
@@ -841,10 +753,12 @@ func writePublishLog(t *testing.T, dir string, blob []byte) {
 }
 
 // TestLegacyPublicationLogsBoot: a log written before DPB3 holds its
-// publication as DPB1, or as the DPB2 an older build's LZW packer wrote, and
-// every such log must still boot. A log whose publish record is either,
-// followed by the same answers, reaches the Fingerprint of the DPB3 log
-// this build writes for the same tasks and answers.
+// publication as DPB1, which this build still writes for a publication
+// packing does not shorten, or as the LZW-packed DPB2, which nothing reads
+// any more. A log whose publish record is DPB1, followed by the answers of
+// a DPB3 log, boots to that log's Fingerprint; one whose publish record is
+// DPB2 is refused with an error naming DPB2 and the last commit that reads
+// it, and left byte for byte as it was.
 func TestLegacyPublicationLogsBoot(t *testing.T) {
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
 	dir := t.TempDir()
@@ -867,7 +781,7 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 	}
 	recs := readStream(t, dir)
 	dpb1 := mustEncodeBinaryPublication(t, tasks, m) // the tasks carry their vectors now
-	logs := map[string][]byte{deflateMagic: recs[0].Blob, lzwMagic: lzwPublication(t, dpb1), publicationMagic: dpb1}
+	logs := map[string][]byte{deflateMagic: recs[0].Blob, "DPB2": readDPB2Golden(t), publicationMagic: dpb1}
 	for magic, blob := range logs {
 		if !bytes.HasPrefix(blob, []byte(magic)) {
 			t.Fatalf("the %s log's publish record opens with %q", magic, blob[:4])
@@ -888,15 +802,41 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 		if err := log.Close(); err != nil {
 			t.Fatal(err)
 		}
+		before := readLogDir(t, legacy)
 		again := newSystem(t, cfg)
-		if _, err := again.Recover(legacy); err != nil {
+		_, err = again.Recover(legacy)
+		switch {
+		case magic == "DPB2" && (err == nil || !strings.Contains(err.Error(), "DPB2") || !strings.Contains(err.Error(), "a3e04fd")):
+			t.Errorf("DPB2 log: boot: %v, want a refusal naming DPB2 and a3e04fd", err)
+		case magic == "DPB2":
+			if !reflect.DeepEqual(readLogDir(t, legacy), before) {
+				t.Error("DPB2 log: the refused boot changed the log")
+			}
+		case err != nil:
 			t.Fatalf("%s log: boot: %v", magic, err)
-		}
-		if again.Fingerprint() != want {
+		case again.Fingerprint() != want:
 			t.Errorf("%s log: the booted state differs from the DPB3 log's", magic)
 		}
 		again.Close()
 	}
+}
+
+// readLogDir maps every file in dir to its bytes.
+func readLogDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }
 
 // TestReplayedPublicationCarriesDomainVectors: a publish record exists so
@@ -910,13 +850,11 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 	tasks := []*model.Task{{ID: 1, Text: strings.Repeat("ab", 30), Choices: []string{"a", "b"},
 		Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}
 	packed := mustEncodePublication(t, tasks, 4)
-	legacy := lzwPublication(t, mustEncodeBinaryPublication(t, tasks, 4))
-	if !bytes.HasPrefix(packed, []byte(deflateMagic)) || !bytes.HasPrefix(legacy, []byte(lzwMagic)) {
-		t.Fatalf("the publication packs to %q and %q, want packed records", packed[:4], legacy[:4])
+	if !bytes.HasPrefix(packed, []byte(deflateMagic)) {
+		t.Fatalf("the publication packs to %q, want a packed record", packed[:4])
 	}
 	for name, blob := range map[string][]byte{
 		"DPB1 over 4 domains": mustEncodeBinaryPublication(t, tasks, 4),
-		"DPB2 over 4 domains": legacy,
 		"DPB3 over 4 domains": packed,
 	} {
 		dir := t.TempDir()
@@ -958,8 +896,8 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 
 // TestPublishRejectsNegativeTaskID: a negative ID used to be accepted,
 // logged as its two's complement and acknowledged — and the answer record
-// for it was then unreadable (wal.Decode: task out of int range), so the
-// campaign never booted again. It is a validation error now, the campaign
+// for it was then unreadable (the record decoder: task out of int range),
+// so the campaign never booted again. It is a validation error now, the campaign
 // stays re-publishable, and what is acknowledged replays.
 func TestPublishRejectsNegativeTaskID(t *testing.T) {
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}

@@ -232,8 +232,6 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		out = append(out, b[at]|0x80, 0x00)
 		return append(out, b[at+1:]...)
 	}
-	// A format v1 answer: kind, seq 5, worker "w", task 3, choice 1.
-	answer := []byte{byte(wal.KindAnswer), 5, 1, 'w', 3, 1}
 	header, record, scanSegment := segmentCodec(t)
 	// A format v2 record frame: length uvarint, CRC32-C, payload.
 	frame := func(payload []byte) []byte {
@@ -252,13 +250,12 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeBlob, decodeStore := storeUpdateCodec(t)
-	// Packed publications whose body is short enough for a one-byte length.
+	// A packed publication whose body is short enough for a one-byte length.
 	short := []*model.Task{{ID: 1, Text: strings.Repeat("ab", 30), Choices: []string{"a", "b"},
 		Domain: model.DomainVector{0, 1, 0, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}
 	packed := mustEncodePublication(t, short, 4)
-	legacy := lzwPublication(t, mustEncodeBinaryPublication(t, short, 4))
-	if !bytes.HasPrefix(packed, []byte(deflateMagic)) || !bytes.HasPrefix(legacy, []byte(lzwMagic)) {
-		t.Fatalf("the short publication packs to %q and %q, want packed records", packed[:4], legacy[:4])
+	if !bytes.HasPrefix(packed, []byte(deflateMagic)) {
+		t.Fatalf("the short publication packs to %q, want a packed record", packed[:4])
 	}
 	const snapHeader = 8 + 8 // magic, then the frame's length and CRC
 	reframe := func(payload []byte) []byte { return wal.EncodeFrame(append([]byte(nil), snap[:8]...), payload) }
@@ -266,8 +263,6 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		valid, damaged []byte
 		decode         func([]byte) error
 	}{
-		"WAL v1 record": {answer, overlong(answer, 1), // after the kind byte: seq
-			func(b []byte) error { _, err := wal.Decode(b); return err }},
 		"WAL record": {segment(record), segment(overlong(record, 4)), // after kind, ref and worker: the task
 			scanSegment},
 		"segment header": {header, wal.EncodeFrame(nil, overlong(header[frameHeader:], len("DWAL"))), // the version
@@ -279,8 +274,6 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		"KindStore blob": {storeBlob, overlong(storeBlob, 0), decodeStore}, // m
 		"DPB1 publication": {mustEncodeBinaryPublication(t, sampleTasks(), 4), overlong(mustEncodeBinaryPublication(t, sampleTasks(), 4), len(publicationMagic)), // m
 			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
-		"DPB2 publication": {legacy, overlong(legacy, len(lzwMagic)), // the body's length
-			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
 		"DPB3 publication": {packed, overlong(packed, len(deflateMagic)), // the body's length
 			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
 		"snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq

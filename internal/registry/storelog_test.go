@@ -120,56 +120,62 @@ func TestStoreAndCampaignLogsNotInterchangeable(t *testing.T) {
 	}
 }
 
-// TestFormatV0LogRefused: testdata/v0_wal holds a campaign log as builds
-// before format v1 wrote it — a segment with no header, whose publish record
-// is JSON. Nothing reads it any more: core.Recover, a registry wake and a
-// store opened over it all refuse it with an error naming format v0 and the
-// last commit that reads it, and leave every byte of it as it was.
+// TestFormatV0LogRefused: nothing reads a log of a format no build writes.
+// testdata/v0_wal holds a campaign log as builds before format v1 wrote it
+// — a segment with no header, whose publish record is JSON — and
+// internal/wal's testdata/v1_campaign one as a3e04fd's format v1 writer left
+// it, in several segments. core.Recover, a registry wake and a store opened
+// over either refuse it with an error naming its format and the last commit
+// that reads it, and leave every byte of it as it was.
 func TestFormatV0LogRefused(t *testing.T) {
-	fixture := filepath.Join("testdata", "v0_wal")
-	want := readTree(t, fixture)
-	check := func(what, dir string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "format v0") || !strings.Contains(err.Error(), "af9f454") {
-			t.Errorf("%s: error %v, want a refusal naming format v0 and af9f454", what, err)
+	for _, row := range []struct{ fixture, format, commit string }{
+		{filepath.Join("testdata", "v0_wal"), "format v0", "af9f454"},
+		{filepath.Join("..", "wal", "testdata", "v1_campaign"), "format v1", "a3e04fd"},
+	} {
+		want := readTree(t, row.fixture)
+		check := func(what, dir string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), row.format) || !strings.Contains(err.Error(), row.commit) {
+				t.Errorf("%s, %s: error %v, want a refusal naming %s and %s", row.format, what, err, row.format, row.commit)
+			}
+			if got := readTree(t, dir); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: the log directory changed", row.format, what)
+			}
 		}
-		if got := readTree(t, dir); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: the log directory changed", what)
+
+		dir := filepath.Join(t.TempDir(), "wal")
+		copyTree(t, row.fixture, dir)
+		sys, err := core.New(core.Config{Store: memStore(t), ProfileScope: "legacy"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		_, err = sys.Recover(dir)
+		sys.Close()
+		check("core.Recover", dir, err)
 
-	dir := filepath.Join(t.TempDir(), "wal")
-	copyTree(t, fixture, dir)
-	sys, err := core.New(core.Config{Store: memStore(t), ProfileScope: "legacy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.Recover(dir)
-	sys.Close()
-	check("core.Recover", dir, err)
+		root := t.TempDir()
+		dir = filepath.Join(root, campaignsDir, "legacy")
+		copyTree(t, row.fixture, dir)
+		cfg := crashConfig(root)
+		cfg.MaxLiveCampaigns = 1
+		reg, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = reg.Do("legacy", func(*core.System) error { return nil })
+		if cerr := reg.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		check("a registry wake", dir, err)
 
-	root := t.TempDir()
-	dir = filepath.Join(root, campaignsDir, "legacy")
-	copyTree(t, fixture, dir)
-	cfg := crashConfig(root)
-	cfg.MaxLiveCampaigns = 1
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
+		cfg = crashConfig(t.TempDir())
+		cfg.StorePath = filepath.Join(t.TempDir(), "store")
+		copyTree(t, row.fixture, cfg.StorePath)
+		if reg, err = Open(cfg); err == nil {
+			reg.Close()
+		}
+		check("store.Open", cfg.StorePath, err)
 	}
-	err = reg.Do("legacy", func(*core.System) error { return nil })
-	if cerr := reg.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	check("a registry wake", dir, err)
-
-	cfg = crashConfig(t.TempDir())
-	cfg.StorePath = filepath.Join(t.TempDir(), "store")
-	copyTree(t, fixture, cfg.StorePath)
-	if reg, err = Open(cfg); err == nil {
-		reg.Close()
-	}
-	check("store.Open", cfg.StorePath, err)
 }
 
 // readTree maps every file under dir to its bytes.

@@ -12,7 +12,8 @@ import (
 
 // sampleUpdates are updates over m = 3 domains with the floats a codec
 // could mangle — −0, a denormal, a value that is not a short decimal — and
-// one statistic left entirely at the defaults, one of each op.
+// one statistic left entirely at the defaults, under every op a build
+// writes.
 func sampleUpdates() []update {
 	odd := &truth.Stats{
 		Q: model.QualityVector{0.7, math.Copysign(0, -1), 1.0 / 3},
@@ -20,7 +21,7 @@ func sampleUpdates() []update {
 	}
 	return []update{
 		{op: opPut, id: "w", st: odd},
-		{op: opMerge, id: "wörker", st: truth.NewStats(3)},
+		{op: opPut, id: "wörker", st: truth.NewStats(3)},
 		{op: opProfile, id: "w", key: "camp/w", st: odd},
 		{op: opProfile, id: "", key: "/", st: &truth.Stats{Q: model.QualityVector{0.7, 0.7, 0.7}, U: []float64{0, 0, math.Copysign(0, -1)}}},
 		{op: opSession, id: "w", key: "#1", st: odd},
@@ -66,9 +67,9 @@ func TestUpdateRoundTrip(t *testing.T) {
 			t.Errorf("update %d round trip = %+v, want %+v", i, got, u)
 		}
 	}
-	// m, op and two empty sparse vectors: an all-default merge is 4 bytes.
+	// m, op and two empty sparse vectors: an all-default put is 4 bytes.
 	if blob := mustEncode(t, sampleUpdates()[1]); len(blob) != 4 {
-		t.Errorf("an all-default merge is %d bytes (%x), want 4", len(blob), blob)
+		t.Errorf("an all-default put is %d bytes (%x), want 4", len(blob), blob)
 	}
 }
 
@@ -85,12 +86,12 @@ func TestUpdateIsCanonical(t *testing.T) {
 		"op zero":                      append([]byte{3, 0}, put[2:]...),
 		"a pid on a non-profile op":    withPID,
 		"profile with an empty pid":    append([]byte{3, byte(opProfile), 0}, put[2:]...),
-		"listed default quality":       append([]byte{3, byte(opMerge), 1, 0, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0xe6, 0x3f}, 0),
-		"listed +0 weight":             {3, byte(opMerge), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"index not below m":            {3, byte(opMerge), 0, 1, 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
-		"indexes out of order":         {3, byte(opMerge), 0, 2, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
-		"negative weight":              {3, byte(opMerge), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0xbf},
-		"quality above one":            {3, byte(opMerge), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0},
+		"listed default quality":       append([]byte{3, byte(opPut), 1, 0, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0xe6, 0x3f}, 0),
+		"listed +0 weight":             {3, byte(opPut), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"index not below m":            {3, byte(opPut), 0, 1, 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+		"indexes out of order":         {3, byte(opPut), 0, 2, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+		"negative weight":              {3, byte(opPut), 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0xbf},
+		"quality above one":            {3, byte(opPut), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0},
 		"trailing byte":                append(append([]byte(nil), profile...), 0),
 		"empty":                        nil,
 		"profile cut before its pid":   profile[:2],
@@ -103,7 +104,7 @@ func TestUpdateIsCanonical(t *testing.T) {
 	}
 	// The listed-default row fails for its value alone: the same bytes with
 	// one exponent bit flipped decode.
-	if _, err := decodeUpdate(wal.Record{Kind: wal.KindStore, Blob: []byte{3, byte(opMerge), 1, 0, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0xe6, 0x3e, 0}}, 3); err != nil {
+	if _, err := decodeUpdate(wal.Record{Kind: wal.KindStore, Blob: []byte{3, byte(opPut), 1, 0, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0xe6, 0x3e, 0}}, 3); err != nil {
 		t.Fatalf("a listed non-default quality does not decode: %v", err)
 	}
 	// A record of any other kind is not a store update, whatever its blob.
@@ -137,9 +138,9 @@ func TestUpdateDecodeDamage(t *testing.T) {
 // FuzzStoreRecordDecode drives arbitrary bytes through the KindStore blob
 // reader, which every store Open runs once per logged update. Seed corpus
 // in testdata/fuzz/FuzzStoreRecordDecode (checked in): a put with −0 and a
-// denormal, an all-default merge, a profile, the profile cut short, with
-// an overlong domain count, with an unknown op, a session, a session with an
-// empty scope, a session cut inside its scope.
+// denormal, an all-default merge (op 2, which must be refused), a profile,
+// the profile cut short, with an overlong domain count, with an unknown op,
+// a session, a session with an empty scope, a session cut inside its scope.
 func FuzzStoreRecordDecode(f *testing.F) {
 	for _, u := range sampleUpdates() {
 		f.Add(mustEncode(f, u))

@@ -132,7 +132,7 @@ func (s *Store) apply(u update) {
 	switch u.op {
 	case opPut, opSession: // a put's key is "", the base's
 		held[u.key] = u.st.Clone()
-	default: // opMerge, opProfile
+	case opProfile:
 		held[""].Merge(u.st)
 	}
 	v := held[""].Clone()

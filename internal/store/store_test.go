@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -248,11 +249,11 @@ func TestOlderMintedSessionStillFolds(t *testing.T) {
 	}
 }
 
-// TestMergeLogKeepsParentBits: a log holding plain merges (op 2, which
-// nothing writes any more) beside puts, profiles and sessions opens to the
-// bits the merges always folded to — the base is the log-order fold — and
-// opens so again, so no merge is applied twice.
-func TestMergeLogKeepsParentBits(t *testing.T) {
+// TestMergeLogRefused: a log holding plain merges (op 2, which nothing
+// writes any more) beside puts, profiles and sessions does not open: Open
+// refuses it with an error naming op 2 and the last commit that reads it,
+// and leaves every byte of the log as it was.
+func TestMergeLogRefused(t *testing.T) {
 	const m = 2
 	path := filepath.Join(t.TempDir(), "store")
 	lg, err := wal.Open(path, wal.Options{Sync: wal.SyncEveryBatch})
@@ -284,27 +285,31 @@ func TestMergeLogKeepsParentBits(t *testing.T) {
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w1 := fold(nil, m, x, y)
-	base := fold(put, m, x, p)
-	anchor := fold(base, m)
-	base.Merge(y)
-	w2 := fold(base, m, sess)
-	for reopen := 1; reopen <= 2; reopen++ {
-		s, err := Open(path, m)
+	readLog := func() map[string]string {
+		entries, err := os.ReadDir(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, want := range map[string]*truth.Stats{"w1": w1, "w2": w2} {
-			if got, _ := s.Worker(id); !statsEqual(got, want) {
-				t.Errorf("reopen %d: %s = %+v, want %+v", reopen, id, got, want)
+		files := map[string]string{}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(path, e.Name()))
+			if err != nil {
+				t.Fatal(err)
 			}
+			files[e.Name()] = string(data)
 		}
-		if got, _ := s.ProfileAnchor("camp/w2"); !statsEqual(got, anchor) {
-			t.Errorf("reopen %d: anchor %+v, want %+v", reopen, got, anchor)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+		return files
+	}
+	want := readLog()
+	s, err := Open(path, m)
+	if err == nil {
+		s.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "op 2") || !strings.Contains(err.Error(), "a3e04fd") {
+		t.Errorf("Open: %v, want a refusal naming op 2 and a3e04fd", err)
+	}
+	if got := readLog(); !reflect.DeepEqual(got, want) {
+		t.Error("the refused log changed")
 	}
 }
 

@@ -56,20 +56,16 @@ func randomRecords(r *rand.Rand, n int) []Record {
 	return recs
 }
 
-// TestFormatV2MatchesV1Oracle is the differential test of the format
-// change: seeded random record sequences, written once by the format v1
-// encoder and once through a Log in format v2, both at the smallest
-// segment size so each rotates several times, replay to the same records —
-// sequence numbers included — and to the records written.
-func TestFormatV2MatchesV1Oracle(t *testing.T) {
+// TestFormatV2ReplaysWhatWasWritten: seeded random record sequences,
+// written through a Log at the smallest segment size so each rotates
+// several times, replay to the records written, each numbered by its
+// position — the sequence number no frame carries.
+func TestFormatV2ReplaysWhatWasWritten(t *testing.T) {
 	r := rand.New(rand.NewSource(20160412))
 	for round := 0; round < 20; round++ {
 		recs := randomRecords(r, 100+r.Intn(400))
-		v1, v2 := t.TempDir(), t.TempDir()
-		if err := WriteV1Log(v1, recs, minSegmentBytes); err != nil {
-			t.Fatal(err)
-		}
-		l, err := Open(v2, Options{SegmentBytes: minSegmentBytes})
+		dir := t.TempDir()
+		l, err := Open(dir, Options{SegmentBytes: minSegmentBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,53 +73,39 @@ func TestFormatV2MatchesV1Oracle(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if segs, err := segments(v2); err != nil || len(segs) < 3 {
+		if segs, err := segments(dir); err != nil || len(segs) < 3 {
 			t.Fatalf("round %d: %d segments (%v), want several rotations", round, len(segs), err)
 		}
-		old, _ := replayAll(t, v1)
-		got, st := replayAll(t, v2)
-		if len(old) != len(recs) || len(got) != len(recs) || st.TornTail {
-			t.Fatalf("round %d: v1 replayed %d records, v2 %d (torn %v), want %d", round, len(old), len(got), st.TornTail, len(recs))
+		got, st := replayAll(t, dir)
+		if len(got) != len(recs) || st.TornTail {
+			t.Fatalf("round %d: replayed %d records (torn %v), want %d", round, len(got), st.TornTail, len(recs))
 		}
 		for i := range recs {
 			want := recs[i]
 			want.Seq = uint64(i + 1)
-			if !sameRecord(old[i], want) || !sameRecord(got[i], old[i]) {
-				t.Fatalf("round %d, record %d: v1 replays %+v, v2 %+v, want %+v", round, i, old[i], got[i], want)
-			}
-		}
-
-		// A v1 log goes on in format v2, behind segments Open leaves as
-		// they were, from a segment of its own.
-		mixed, half := t.TempDir(), len(recs)/2
-		if err := WriteV1Log(mixed, recs[:half], minSegmentBytes); err != nil {
-			t.Fatal(err)
-		}
-		v1segs, err := segments(mixed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l, err = Open(mixed, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		appendAll(t, l, recs[half:])
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		all, err := segments(mixed)
-		if err != nil || len(all) != len(v1segs)+1 || all[len(v1segs)].firstSeq != uint64(half+1) {
-			t.Fatalf("round %d: a v1 log of %d segments went on in %d (%v), want one more from seq %d", round, len(v1segs), len(all), err, half+1)
-		}
-		if mixedRecs, _ := replayAll(t, mixed); len(mixedRecs) != len(recs) {
-			t.Fatalf("round %d: the mixed log replays %d records, want %d", round, len(mixedRecs), len(recs))
-		} else {
-			for i := range recs {
-				if !sameRecord(mixedRecs[i], old[i]) {
-					t.Fatalf("round %d, record %d: the mixed log replays %+v, want %+v", round, i, mixedRecs[i], old[i])
-				}
+			if !sameRecord(got[i], want) {
+				t.Fatalf("round %d, record %d: replayed %+v, want %+v", round, i, got[i], want)
 			}
 		}
 	}
+}
+
+// segmentV2 is what the format v2 writer puts in a segment that starts at
+// first and holds recs.
+func segmentV2(first uint64, recs ...Record) []byte {
+	seg := appendHeader(nil, first)
+	var d dictionary
+	for _, rec := range recs {
+		var intro bool
+		var err error
+		if seg, intro, err = rec.appendFrame(seg, &d); err != nil {
+			panic(err)
+		}
+		if intro {
+			d.add(rec.Worker)
+		}
+	}
+	return seg
 }
 
 // TestFormatV2Refusals: each row is a format v2 segment broken in one

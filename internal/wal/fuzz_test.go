@@ -7,25 +7,33 @@ import (
 	"testing"
 )
 
-// FuzzWALDecode drives arbitrary bytes through the format v1 record
-// decoder, the segment header reader and the segment scanner, which see
-// every byte a boot reads. They sit on the recovery path, where they read
-// whatever a crash left on disk, so they must never panic; an accepted v1
-// record must re-encode to the exact input, an accepted header is the one
-// the writer writes for its version and first sequence number, no payload
-// is both, and a format v2 segment that decodes — header, frames and
-// worker dictionary — is what the v2 writer writes for its records. Seed
-// corpus lives in testdata/fuzz/FuzzWALDecode (checked in).
+// FuzzWALDecode drives arbitrary bytes through the segment header reader,
+// the record decoder and the segment scanner, which see every byte a boot
+// reads. They sit on the recovery path, where they read whatever a crash
+// left on disk, so they must never panic; an accepted header is the one the
+// writer writes for its first sequence number, an accepted record is what
+// the writer writes for it, and a segment that decodes — header, frames and
+// worker dictionary — is what the writer writes for its records. The seeds
+// include format v1 record payloads and a v1 header, which must be refused.
+// Seed corpus lives in testdata/fuzz/FuzzWALDecode (checked in).
 func FuzzWALDecode(f *testing.F) {
+	v1Header := []byte{'D', 'W', 'A', 'L', 1}
 	for _, rec := range goldenRecords() {
-		f.Add(rec.encodeV1(nil))
+		p := rec.encodeV1(nil)
+		if _, err := decode(p, 1, &dictionary{}); err == nil {
+			f.Fatalf("the format v1 payload %x decodes as a record", p)
+		}
+		f.Add(p)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x03, 0x01})                                                                   // unknown kind
 	f.Add([]byte{byte(KindAnswer), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // overlong varint
 	f.Add([]byte{byte(KindPublish), 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})                        // blob length > input
-	f.Add(headerV1[frameHeaderLen:])
+	if _, err := readHeader(v1Header); err != errFormatV1 {
+		f.Fatalf("the format v1 header reads as %v", err)
+	}
+	f.Add(v1Header)
 	f.Add(append([]byte(segmentMagic), 0x03)) // a format version this build does not read
 	// Format v2 segments: the golden one, cut inside its last frame, and
 	// small ones whose dictionary the mutator can break.
@@ -39,24 +47,16 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(segmentV2(1, answerRec("w", 1, 0), answerRec("v", 130, 1), answerRec("w", 2, 1)))
 	f.Add(segmentV2(7, Record{Kind: KindSeed, Worker: "s", Blob: []byte{2, 0, 0, 0}}, answerRec("s", 3, 0)))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		rec, err := Decode(in)
-		if version, first, herr := readHeader(in); herr == nil {
-			if err == nil {
-				t.Fatalf("%x decodes as a header and as a record", in)
-			}
-			want := headerV1[frameHeaderLen:]
-			if version == formatVersion {
-				want = appendHeader(nil, first)[frameHeaderLen:]
-			}
-			if !bytes.Equal(in, want) {
-				t.Fatalf("accepted a second header spelling %x", in)
-			}
+		if first, err := readHeader(in); err == nil && !bytes.Equal(in, appendHeader(nil, first)[frameHeaderLen:]) {
+			t.Fatalf("accepted a second header spelling %x", in)
 		}
-		// Accepted payloads must re-encode to the exact input bytes —
+		// An accepted payload must re-encode to the exact input bytes —
 		// otherwise two different byte strings would claim the same record
 		// and a log could silently alias after rewrite.
-		if got := rec.encodeV1(nil); err == nil && !bytes.Equal(got, in) {
-			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", in, got)
+		if rec, err := decode(in, 1, &dictionary{}); err == nil {
+			if got, _ := rec.appendPayload(nil, &dictionary{}); !bytes.Equal(got, in) {
+				t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", in, got)
+			}
 		}
 
 		var recs []Record
@@ -64,8 +64,8 @@ func FuzzWALDecode(f *testing.F) {
 			recs = append(recs, rec)
 			return nil
 		})
-		if err != nil || st.version != formatVersion {
-			return // rejected, torn or format v1: fine, as long as we did not panic
+		if err != nil || len(in) == 0 {
+			return // rejected or torn: fine, as long as we did not panic
 		}
 		if got := segmentV2(st.firstSeq, recs...); !bytes.Equal(got, in) {
 			t.Fatalf("a v2 segment decodes but is not its records' encoding:\n in  %x\n out %x", in, got)

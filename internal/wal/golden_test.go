@@ -15,7 +15,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenRecords is a fixed sequence covering every record kind in the
 // blob forms written today, varint width boundaries (1-byte and 2-byte
-// uvarints), empty and non-ASCII strings, and an empty blob.
+// uvarints), empty and non-ASCII strings, and an empty blob. Their
+// sequence numbers cross a varint width too, for the format v1 payloads
+// FuzzWALDecode is seeded with; goldenV2Records numbers them from 1.
 func goldenRecords() []Record {
 	return []Record{
 		// A publication as the core's codec writes one too short to pack:
@@ -86,46 +88,11 @@ func goldenV2Records() []Record {
 // TestGoldenFormat pins the on-disk encoding. A format v2 segment of a
 // fixed record sequence, written through a Log, must match
 // testdata/format_v2.golden byte for byte and read back as those records.
-// The format v1 segment older logs hold — the header, then the records'
-// frames — must still match testdata/format.golden as the v1 encoder
-// writes it and read back as its records. The WAL is a durability contract,
-// so an intentional format change is a new format version: it updates the
-// v2 file (go test ./internal/wal -run Golden -update) and states in
-// docs/persistence.md what becomes of segments of the old version.
+// The WAL is a durability contract, so an intentional format change is a
+// new format version: it updates the file (go test ./internal/wal -run
+// Golden -update) and states in docs/persistence.md what becomes of
+// segments of the old version.
 func TestGoldenFormat(t *testing.T) {
-	check := func(path string, got []byte, want []Record) {
-		t.Helper()
-		golden, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, golden) {
-			t.Fatalf("encoding drifted from %s:\n got %s\nwant %s", path,
-				hex.EncodeToString(got), hex.EncodeToString(golden))
-		}
-		var decoded []Record
-		if err := ScanSegment(path, func(rec Record, _, _ int64) error {
-			decoded = append(decoded, rec)
-			return nil
-		}); err != nil {
-			t.Fatalf("reading %s: %v", path, err)
-		}
-		if len(decoded) != len(want) {
-			t.Fatalf("%s: decoded %d records, want %d", path, len(decoded), len(want))
-		}
-		for i := range decoded {
-			if !sameRecord(decoded[i], want[i]) {
-				t.Errorf("%s: record %d = %+v, want %+v", path, i, decoded[i], want[i])
-			}
-		}
-	}
-
-	v1 := append([]byte(nil), headerV1...)
-	for _, rec := range goldenRecords() {
-		v1 = rec.appendFrameV1(v1)
-	}
-	check(filepath.Join("testdata", "format.golden"), v1, goldenRecords())
-
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
 	if err != nil {
@@ -145,7 +112,30 @@ func TestGoldenFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check(path, v2, goldenV2Records())
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v2, golden) {
+		t.Fatalf("encoding drifted from %s:\n got %s\nwant %s", path,
+			hex.EncodeToString(v2), hex.EncodeToString(golden))
+	}
+	var decoded []Record
+	if err := ScanSegment(path, func(rec Record, _, _ int64) error {
+		decoded = append(decoded, rec)
+		return nil
+	}); err != nil {
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	want := goldenV2Records()
+	if len(decoded) != len(want) {
+		t.Fatalf("%s: decoded %d records, want %d", path, len(decoded), len(want))
+	}
+	for i := range decoded {
+		if !sameRecord(decoded[i], want[i]) {
+			t.Errorf("%s: record %d = %+v, want %+v", path, i, decoded[i], want[i])
+		}
+	}
 }
 
 // sameRecord reports whether two records are equal, a nil and an empty
@@ -156,31 +146,21 @@ func sameRecord(a, b Record) bool {
 }
 
 // TestEncodeDecodeRoundtrip is the property the fuzz target extends: any
-// record that can be encoded decodes back to itself — in format v1 alone,
-// and in format v2 in sequence, each record against the dictionary the
-// ones before it left.
+// record that can be encoded decodes back to itself, in sequence, each
+// record against the dictionary the ones before it left.
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	for i, rec := range goldenRecords() {
-		got, err := Decode(rec.encodeV1(nil))
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !sameRecord(got, rec) {
-			t.Errorf("record %d roundtrip = %+v, want %+v", i, got, rec)
-		}
-	}
 	var enc, dec dictionary
 	for i, rec := range goldenV2Records() {
 		payload, intro := rec.appendPayload(nil, &enc)
 		if intro {
 			enc.add(rec.Worker)
 		}
-		got, err := decode(payload, &dec)
+		got, err := decode(payload, rec.Seq, &dec)
 		if err != nil {
-			t.Fatalf("v2 record %d: %v", i, err)
+			t.Fatalf("record %d: %v", i, err)
 		}
-		if got.Seq = rec.Seq; !sameRecord(got, rec) {
-			t.Errorf("v2 record %d roundtrip = %+v, want %+v", i, got, rec)
+		if !sameRecord(got, rec) {
+			t.Errorf("record %d roundtrip = %+v, want %+v", i, got, rec)
 		}
 	}
 	if !reflect.DeepEqual(enc, dec) {

@@ -76,8 +76,7 @@ type Record struct {
 //
 // with no sequence number: a record's is its segment's first plus its
 // position. A worker is named against the segment's dictionary (see
-// dictionary). Format v1 put the sequence number after the kind byte and
-// spelled the worker out, len uvarint | bytes, in every record.
+// dictionary).
 
 // appendPayload appends r's format v2 payload, its worker named against d,
 // and reports whether it introduces the worker, which the caller adds to d
@@ -130,45 +129,27 @@ func (r Record) appendFrame(dst []byte, d *dictionary) ([]byte, bool, error) {
 	return dst[:start+len(h)+n], intro, nil
 }
 
-// Decode parses a format v1 record payload — kind | seq uvarint | fields,
-// each worker spelled out — through the Cursor: it never panics on
-// arbitrary input (the fuzz target FuzzWALDecode holds it to that) and
-// rejects payloads with trailing garbage, unknown kinds, overlong varints,
-// or fields whose declared lengths exceed the input. Format v1 is read and
-// never written.
-func Decode(payload []byte) (Record, error) {
-	return decode(payload, nil)
-}
-
-// decode parses a record payload: format v1's when d is nil, else format
-// v2's, whose worker fields are read against d and whose Seq is left for
-// the caller to assign. A worker the record introduces is added to d once
-// the whole record has decoded.
-func decode(payload []byte, d *dictionary) (Record, error) {
+// decode parses the payload of record seq through the Cursor, its worker
+// fields read against d: it never panics on arbitrary input (the fuzz
+// target FuzzWALDecode holds it to that) and rejects payloads with trailing
+// garbage, unknown kinds, overlong varints, worker refs the dictionary
+// refuses, or fields whose declared lengths exceed the input. A worker the
+// record introduces is added to d once the whole record has decoded.
+func decode(payload []byte, seq uint64, d *dictionary) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("wal: empty record payload")
 	}
 	c := NewCursor(payload)
-	r := Record{Kind: Kind(c.Byte())}
-	if d == nil {
-		r.Seq = c.Uvarint()
-	}
+	r := Record{Seq: seq, Kind: Kind(c.Byte())}
 	intro := false
-	worker := func() {
-		if d == nil {
-			r.Worker = string(c.Bytes())
-		} else {
-			r.Worker, intro = d.pop(&c)
-		}
-	}
 	switch r.Kind {
 	case KindAnswer:
-		worker()
+		r.Worker, intro = d.pop(&c)
 		r.Task, r.Choice = c.Int(), c.Int()
 	case KindPublish, KindBatch:
 		r.Blob = c.Bytes()
 	case KindSeed, KindStore:
-		worker()
+		r.Worker, intro = d.pop(&c)
 		r.Blob = c.Bytes()
 	default:
 		return r, fmt.Errorf("wal: unknown record kind %d", r.Kind)
@@ -234,8 +215,8 @@ func (d *dictionary) pop(c *Cursor) (string, bool) {
 }
 
 // EncodeFrame wraps an arbitrary payload in the 8-byte frame every
-// segment's header uses and format v1 used for every record (length u32le
-// + CRC32-C u32le + payload), appending to dst. Together with DecodeFrames
+// segment's header uses (length u32le + CRC32-C u32le + payload), appending
+// to dst. Together with DecodeFrames
 // it lets a sibling durable file (the state snapshot) share the torn-write
 // detection this package's fuzzing exercises.
 func EncodeFrame(dst, payload []byte) []byte {
@@ -257,7 +238,7 @@ func EncodeFrame(dst, payload []byte) []byte {
 func DecodeFrames(data []byte, fn func(payload []byte) error) (intact int, err error) {
 	off := 0
 	for off < len(data) {
-		payload, n, err := frameV1(data[off:])
+		payload, n, err := frame8(data[off:])
 		if err != nil {
 			return off, fmt.Errorf("%w at offset %d", err, off)
 		}
@@ -272,9 +253,9 @@ func DecodeFrames(data []byte, fn func(payload []byte) error) (intact int, err e
 	return off, nil
 }
 
-// frameV1 reads the 8-byte frame data opens with: its payload and its
-// size, which is 0 when data ends inside it (a torn frame).
-func frameV1(data []byte) (payload []byte, size int, err error) {
+// frame8 reads the 8-byte frame data opens with: its payload and its size,
+// which is 0 when data ends inside it (a torn frame).
+func frame8(data []byte) (payload []byte, size int, err error) {
 	if len(data) < frameHeaderLen {
 		return nil, 0, nil
 	}
@@ -289,7 +270,7 @@ func frameV1(data []byte) (payload []byte, size int, err error) {
 	return checked(data[frameHeaderLen:size], binary.LittleEndian.Uint32(data[4:]), size)
 }
 
-// frameV2 reads the format v2 frame data opens with, as frameV1 does. A
+// frameV2 reads the format v2 record frame data opens with, as frame8 does. A
 // length uvarint cut by the end of data is a torn frame too; a non-minimal
 // one, or one over MaxPayload, is corruption.
 func frameV2(data []byte) (payload []byte, size int, err error) {

@@ -24,15 +24,17 @@
 //
 // The header keeps the 8-byte frame every format has used, so any build can
 // read the version. It is written with the segment's first records, so an
-// unwritten segment is a zero-byte file, and it is no record. A segment
-// opening with anything else is format v0, refused (errFormatV0) before
-// anything in the directory is truncated or appended. A record's sequence
-// number is the header's firstSeq plus its position, and firstSeq must be
-// the one the file is named for. A record names its worker through the
-// segment's dictionary (see dictionary), so a worker is spelled out once a
-// segment. Format v1 segments — an 8-byte frame per record, the sequence
-// number and the worker spelled out in each — are read and never written:
-// a log whose last segment is v1 goes on in a new v2 segment.
+// unwritten segment is a zero-byte file, and it is no record. A record's
+// sequence number is the header's firstSeq plus its position, and firstSeq
+// must be the one the file is named for. A record names its worker through
+// the segment's dictionary (see dictionary), so a worker is spelled out
+// once a segment.
+//
+// No other format has a reader. A segment opening with anything but a
+// header is format v0 (errFormatV0), one whose header says version 1 is
+// format v1 (errFormatV1), and a log holding either is refused whole, by
+// every entry point, before anything in the directory is truncated or
+// appended. Each refusal names the last commit that reads the format.
 //
 // The CRC covers the payload only. A frame whose bytes end before the
 // length it declares, or inside the length itself (writes deliver
@@ -112,16 +114,15 @@ const (
 	MaxPayload = 16 << 20
 	// MaxBlob is the largest Blob a KindPublish or KindBatch record is sure
 	// to fit under MaxPayload with: the cap less the kind byte and two
-	// maximal uvarints (the blob's length, and the sequence number format
-	// v1 logged). A caller that must refuse an over-size write before it
-	// mutates anything checks against this; Reserve checks the record
+	// maximal uvarints (the blob's length, and a margin that keeps the
+	// largest publication accepted what it was when records logged their
+	// sequence number). A caller that must refuse an over-size write before
+	// it mutates anything checks against this; Reserve checks the record
 	// itself.
 	MaxBlob = MaxPayload - 1 - 2*binary.MaxVarintLen64
-	// segmentMagic and formatVersion open the header frame's payload;
-	// formatV1 is the older version, read and never written.
+	// segmentMagic and formatVersion open the header frame's payload.
 	segmentMagic  = "DWAL"
 	formatVersion = 2
-	formatV1      = 1
 )
 
 // appendHeader appends the header frame of a segment whose first record is
@@ -132,11 +133,13 @@ func appendHeader(dst []byte, firstSeq uint64) []byte {
 	return EncodeFrame(dst, binary.AppendUvarint(payload, firstSeq))
 }
 
-// headerV1 is the header frame of every format v1 segment.
-var headerV1 = EncodeFrame(nil, binary.AppendUvarint([]byte(segmentMagic), formatV1))
-
-// errFormatV0 refuses a segment written before the header existed.
-var errFormatV0 = errors.New("wal: format v0 segment (no header): this build reads formats v1 and v2 only; af9f454 is the last commit that reads v0")
+// The refusals of the formats this build does not read: a segment written
+// before the header existed, and one whose records each carried an 8-byte
+// frame, their sequence number and their worker spelled out.
+var (
+	errFormatV0 = errors.New("wal: format v0 segment (no header): this build reads format v2 only; af9f454 is the last commit that reads v0")
+	errFormatV1 = errors.New("wal: format v1 segment: this build reads format v2 only; a3e04fd is the last commit that reads v1")
+)
 
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
@@ -166,7 +169,6 @@ type Log struct {
 	// The segment Reserve encodes into: the last one, as far as queued.
 	dict     dictionary // the workers its records name
 	reserved int64      // its bytes, header included, written or queued
-	sealed   bool       // format v1: the next record opens a new segment
 
 	// ioMu guards the active-segment file handle across the flusher's
 	// writes/rotations and Sync/Close's fsyncs. Lock order: ioMu before mu,
@@ -230,12 +232,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		if serr != nil && !errors.Is(serr, errTornTail) {
 			return nil, serr
 		}
-		// An empty last segment says nothing of the format; the one before does.
-		if end == 0 && len(segs) > 1 {
-			if serr := ScanSegment(filepath.Join(dir, segs[len(segs)-2].name), nop); errors.Is(serr, errFormatV0) {
-				return nil, serr
-			}
-		}
 		f, err := os.OpenFile(filepath.Join(dir, last.name), os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
@@ -249,8 +245,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			f.Close()
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		l.f, l.size, l.reserved = f, end, end
-		l.dict, l.sealed = scan.dict, end > 0 && scan.version == formatV1
+		l.f, l.size, l.reserved, l.dict = f, end, end, scan.dict
 		l.seq, l.pending, l.flushed = next-1, next-1, next-1
 	}
 	go l.flusher()
@@ -304,10 +299,10 @@ type cut struct {
 // usable.
 //
 // Reserve also decides the segment a record lands in: one that would start
-// at or past SegmentBytes, or after a format v1 segment, opens the next
-// segment with an empty dictionary. So the record is encoded against the
-// dictionary it is read back with, and a segment's bytes depend on the
-// record sequence alone, not on how group commits batched it.
+// at or past SegmentBytes opens the next segment with an empty dictionary.
+// So the record is encoded against the dictionary it is read back with, and
+// a segment's bytes depend on the record sequence alone, not on how group
+// commits batched it.
 func (l *Log) Reserve(rec Record) (Pending, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -321,7 +316,7 @@ func (l *Log) Reserve(rec Record) (Pending, error) {
 	}
 	seq := l.seq + 1
 	start := len(l.buf)
-	next := l.sealed || l.reserved >= l.opts.SegmentBytes
+	next := l.reserved >= l.opts.SegmentBytes
 	dict, reserved := &l.dict, l.reserved
 	if next {
 		dict, reserved = &dictionary{}, 0
@@ -337,7 +332,7 @@ func (l *Log) Reserve(rec Record) (Pending, error) {
 	}
 	if next {
 		l.cuts = append(l.cuts, cut{off: start, firstSeq: seq})
-		l.dict, l.sealed = *dict, false
+		l.dict = *dict
 	}
 	if intro {
 		l.dict.add(rec.Worker)
@@ -630,7 +625,35 @@ func segments(dir string) ([]segmentInfo, error) {
 		segs = append(segs, segmentInfo{name: name, firstSeq: seq})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
+	// A log in a format this build does not read shows it in its first
+	// segment: format v2 follows v1 and v1 follows v0, never the reverse.
+	// Open and TailSeq scan only the last segments, so the first one's head
+	// is checked here (a lone segment, every caller scans whole).
+	if len(segs) > 1 {
+		if err := refuseFormat(filepath.Join(dir, segs[0].name), segs[0].firstSeq); err != nil {
+			return nil, err
+		}
+	}
 	return segs, nil
+}
+
+// refuseFormat returns the refusal of a segment in format v0 or v1, read
+// from its head — enough bytes for any header and no more.
+func refuseFormat(path string, named uint64) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	head := make([]byte, frameHeaderLen+len(segmentMagic)+2*binary.MaxVarintLen64)
+	n, err := io.ReadFull(f, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if _, err := scanBytes(path, head[:n], named, nop); errors.Is(err, errFormatV0) || errors.Is(err, errFormatV1) {
+		return err
+	}
+	return nil
 }
 
 // segmentSeq returns the first sequence number a segment's file name
@@ -646,8 +669,8 @@ var errTornTail = errors.New("wal: torn tail")
 // nop is a ScanSegment callback that wants no record.
 func nop(Record, int64, int64) error { return nil }
 
-// ScanSegment decodes one segment file, of either format, calling fn for
-// every valid record with the byte offsets [start, end) of its frame.
+// ScanSegment decodes one segment file, calling fn for every valid record
+// with the byte offsets [start, end) of its frame.
 //
 // It distinguishes two failure shapes. A crashed append leaves a PREFIX of
 // the intended bytes at end-of-file (writes deliver prefixes), so a frame
@@ -659,7 +682,8 @@ func nop(Record, int64, int64) error { return nil }
 // are rot or tampering and are reported as ErrCorrupt so acknowledged
 // records after them are never silently truncated away. A cut header is a
 // torn tail too; a segment opening with anything else is format v0
-// (errFormatV0). Exported for diagnostic tooling and the crash-injection
+// (errFormatV0), and one whose header says version 1 is format v1
+// (errFormatV1). Exported for diagnostic tooling and the crash-injection
 // harness.
 func ScanSegment(path string, fn func(rec Record, start, end int64) error) error {
 	_, err := scanSegment(path, fn)
@@ -668,9 +692,8 @@ func ScanSegment(path string, fn func(rec Record, start, end int64) error) error
 
 // scanned is what a scan learns of a segment besides its records.
 type scanned struct {
-	version  uint64     // 0 for an empty segment
-	firstSeq uint64     // format v2's, from the header
-	dict     dictionary // format v2's, as its intact records left it
+	firstSeq uint64     // from the header; 0 for an empty segment
+	dict     dictionary // as the segment's intact records left it
 }
 
 func scanSegment(path string, fn func(rec Record, start, end int64) error) (scanned, error) {
@@ -690,39 +713,32 @@ func scanBytes(name string, data []byte, named uint64, fn func(rec Record, start
 	if len(data) == 0 {
 		return st, nil
 	}
-	payload, off, err := frameV1(data)
+	payload, off, err := frame8(data)
 	switch {
 	case err != nil:
 		return st, fmt.Errorf("%s: segment header: %w", name, err)
-	case off == 0 && (bytes.HasPrefix(headerV1, data) || named > 0 && bytes.HasPrefix(appendHeader(nil, named), data)):
+	case off == 0 && named > 0 && bytes.HasPrefix(appendHeader(nil, named), data):
 		return st, fmt.Errorf("%s: truncated header: %w", name, errTornTail)
 	case off == 0:
 		return st, fmt.Errorf("%s: %w", name, errFormatV0) // the first frame is cut short and no header
 	}
-	if st.version, st.firstSeq, err = readHeader(payload); err != nil {
+	if st.firstSeq, err = readHeader(payload); err != nil {
 		return st, fmt.Errorf("%s: %w", name, err)
 	}
-	frame, d := frameV1, (*dictionary)(nil)
-	if st.version == formatVersion {
-		if named > 0 && st.firstSeq != named {
-			return st, fmt.Errorf("%w: %s: header says first sequence number %d", ErrCorrupt, name, st.firstSeq)
-		}
-		frame, d = frameV2, &st.dict
+	if named > 0 && st.firstSeq != named {
+		return st, fmt.Errorf("%w: %s: header says first sequence number %d", ErrCorrupt, name, st.firstSeq)
 	}
 	for seq := st.firstSeq; off < len(data); seq++ {
-		payload, n, err := frame(data[off:])
+		payload, n, err := frameV2(data[off:])
 		if err != nil {
 			return st, fmt.Errorf("%s: %w at offset %d", name, err, off)
 		}
 		if n == 0 {
 			return st, fmt.Errorf("%s: truncated frame at %d: %w", name, off, errTornTail)
 		}
-		rec, err := decode(payload, d)
+		rec, err := decode(payload, seq, &st.dict)
 		if err != nil {
 			return st, fmt.Errorf("%s: %w: offset %d: %v", name, ErrCorrupt, off, err)
-		}
-		if d != nil {
-			rec.Seq = seq
 		}
 		if err := fn(rec, int64(off), int64(off+n)); err != nil {
 			return st, err // the caller's own error, as it returned it
@@ -732,27 +748,28 @@ func scanBytes(name string, data []byte, named uint64, fn func(rec Record, start
 	return st, nil
 }
 
-// readHeader checks the payload of a segment's first frame and returns its
-// format version and, for format v2, its first sequence number.
-func readHeader(payload []byte) (version, firstSeq uint64, err error) {
+// readHeader checks the payload of a segment's first frame, which must be a
+// format v2 header, and returns its first sequence number.
+func readHeader(payload []byte) (firstSeq uint64, err error) {
 	if !bytes.HasPrefix(payload, []byte(segmentMagic)) {
-		return 0, 0, errFormatV0
+		return 0, errFormatV0
 	}
 	c := NewCursor(payload[len(segmentMagic):])
-	version = c.Uvarint()
-	switch {
+	switch version := c.Uvarint(); {
 	case c.Err() != nil:
-	case version == formatVersion:
+	case version == 1:
+		return 0, errFormatV1
+	case version != formatVersion:
+		return 0, fmt.Errorf("wal: format v%d segment: this build reads format v%d only", version, formatVersion)
+	default:
 		if firstSeq = c.Uvarint(); firstSeq == 0 && c.Err() == nil {
 			c.Failf("first sequence number 0")
 		}
-	case version != formatV1:
-		return 0, 0, fmt.Errorf("wal: format v%d segment: this build reads formats v1 and v%d only", version, formatVersion)
 	}
 	if err := c.End(); err != nil {
-		return 0, 0, fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)
 	}
-	return version, firstSeq, nil
+	return firstSeq, nil
 }
 
 // scanInOrder is scanSegment under the gapless rule: segments are never

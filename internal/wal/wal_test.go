@@ -361,23 +361,66 @@ func TestHeaderCrashWindows(t *testing.T) {
 	}
 }
 
-// TestFormatV0Refused: a segment that does not open with the header was
-// written before format v1. Every way into the log refuses it with an error
-// naming the format and the last commit that reads it, and leaves every
-// byte of the directory as it was — including when the last segment is
-// empty, which says nothing of the format by itself.
+// TestFormatV0Refused: formats v0 and v1 have no reader. A segment that
+// does not open with the header was written before format v1; a log of
+// format v1 segments is testdata/v1_campaign, a campaign log as a3e04fd's
+// v1 writer left it in segments of 1 KiB. Every way into the log refuses
+// either with an error naming the format and the last commit that reads it,
+// and leaves every byte of the directory as it was — also when the last
+// segment is empty, which says nothing of the format by itself, and when
+// a3e04fd went on in a format v2 segment behind the v1 ones, which any
+// single segment of the log but the first would pass for a v2 log.
 func TestFormatV0Refused(t *testing.T) {
+	name := func(seq uint64) string { return fmt.Sprintf("%016x%s", seq, segmentSuffix) }
 	var v0 []byte
 	for i, rec := range testRecords(5) {
 		rec.Seq = uint64(i + 1)
-		v0 = rec.appendFrameV1(v0)
+		v0 = EncodeFrame(v0, rec.encodeV1(nil))
 	}
-	for name, files := range map[string]map[string][]byte{
-		"one segment":               {fmt.Sprintf("%016x%s", 1, segmentSuffix): v0},
-		"an empty segment after it": {fmt.Sprintf("%016x%s", 1, segmentSuffix): v0, fmt.Sprintf("%016x%s", 6, segmentSuffix): nil},
+	v1 := map[string][]byte{}
+	entries, err := os.ReadDir(filepath.Join("testdata", "v1_campaign"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(0) // the sequence number after the fixture's last record
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1_campaign", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data[frameHeaderLen:], []byte{'D', 'W', 'A', 'L', 1}) {
+			t.Fatalf("%s is not a format v1 segment", e.Name())
+		}
+		v1[e.Name()] = data
+		records := -1 // the header is the first frame
+		if n, err := DecodeFrames(data, func([]byte) error { records++; return nil }); err != nil || n != len(data) {
+			t.Fatalf("%s: %d of %d bytes are whole frames (%v)", e.Name(), n, len(data), err)
+		}
+		first, _ := segmentSeq(e.Name())
+		next = max(next, first+uint64(records))
+	}
+	if len(v1) < 3 {
+		t.Fatalf("the v1 fixture holds %d segments; want several", len(v1))
+	}
+	with := func(files map[string][]byte, seq uint64, data []byte) map[string][]byte {
+		out := map[string][]byte{name(seq): data}
+		for f, b := range files {
+			out[f] = b
+		}
+		return out
+	}
+	for _, row := range []struct {
+		name, format, commit string
+		files                map[string][]byte
+	}{
+		{"one v0 segment", "format v0", "af9f454", map[string][]byte{name(1): v0}},
+		{"a v0 segment and an empty one after it", "format v0", "af9f454", with(map[string][]byte{name(1): v0}, 6, nil)},
+		{"the v1 campaign log", "format v1", "a3e04fd", v1},
+		{"the v1 log gone on in a v2 segment", "format v1", "a3e04fd", with(v1, next, segmentV2(next, answerRec("late", 0, 0)))},
+		{"the v1 log and an empty segment after it", "format v1", "a3e04fd", with(v1, next, nil)},
 	} {
 		dir := t.TempDir()
-		for f, b := range files {
+		for f, b := range row.files {
 			if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -388,16 +431,16 @@ func TestFormatV0Refused(t *testing.T) {
 			"TailSeq": func() error { _, err := TailSeq(dir); return err },
 		} {
 			err := enter()
-			if err == nil || !strings.Contains(err.Error(), "format v0") || !strings.Contains(err.Error(), "af9f454") {
-				t.Errorf("%s, %s: err = %v, want a refusal naming format v0 and af9f454", name, entry, err)
+			if err == nil || !strings.Contains(err.Error(), row.format) || !strings.Contains(err.Error(), row.commit) {
+				t.Errorf("%s, %s: err = %v, want a refusal naming %s and %s", row.name, entry, err, row.format, row.commit)
 			}
-			for f, b := range files {
+			for f, b := range row.files {
 				if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || !bytes.Equal(got, b) {
-					t.Fatalf("%s, %s: %s changed (%v)", name, entry, f, err)
+					t.Fatalf("%s, %s: %s changed (%v)", row.name, entry, f, err)
 				}
 			}
-			if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
-				t.Fatalf("%s, %s: the directory holds %d files, want %d", name, entry, len(entries), len(files))
+			if entries, _ := os.ReadDir(dir); len(entries) != len(row.files) {
+				t.Fatalf("%s, %s: the directory holds %d files, want %d", row.name, entry, len(entries), len(row.files))
 			}
 		}
 	}

@@ -31,16 +31,20 @@ import (
 // A frame's checksum is computed only beside the frame readers (the
 // 8-byte frame's wal.DecodeFrames and format v2's record frame) and their
 // writers, and the segment header's magic is spelled only in wal.go,
-// beside its one writer and one reader. Format
-// v0 has no reader: the retired batch magic and the previous snapshot
+// beside its one writer and one reader. A format nothing writes has no
+// reader. For format v0, the retired batch magic and the previous snapshot
 // version are spelled nowhere, and no decodeLegacy function survives — an
 // older blob is refused at its magic, an older segment at its first
-// bytes. The publication record is the one compressed blob, and its
-// decoder holds every stream to a re-encode, so only a writer whose output
-// is pinned may write one: publication.go alone imports compress/flate,
-// for its reader, and compress/lzw, to re-pack the DPB2 logs written before
-// DPB3; nothing calls flate.NewWriter, whose output is not pinned across Go
-// releases. Only tests fail an fsync on purpose (wal.FailFsyncAt), and a
+// bytes. For format v1, internal/wal declares no Decode, headerV1 or
+// formatV1, no Log.sealed and no scanned.version, and its 8-byte frame
+// reader is called by DecodeFrames and, once, for the segment header. The
+// LZW-packed publication is spelled only by its refusal, in publication.go,
+// and no file imports compress/lzw; store op 2 is named only by
+// decodeUpdate's case that refuses it. The publication record is the one
+// compressed blob, and its decoder holds every stream to a re-encode, so
+// only a writer whose output is pinned may write one: publication.go alone
+// imports compress/flate, for its reader; nothing calls flate.NewWriter,
+// whose output is not pinned across Go releases. Only tests fail an fsync on purpose (wal.FailFsyncAt), and a
 // registry campaign's lifecycle state has one writer: the registry's
 // transition function. A request body has one reader, decodeBody, and
 // nothing under internal/httpapi streams a body through json.NewDecoder,
@@ -76,7 +80,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		"DOCSSNP4":         nil,
 		"restoreSnapshot":  nil,
 		"readPublication":  nil,
-		`"compress/lzw"`:   {"internal/core/publication.go"},
+		`"compress/lzw"`:   nil,
 		`"compress/flate"`: {"internal/core/publication.go"},
 		"flate.NewWriter":  nil,
 		"FailFsyncAt(":     {"internal/wal/atomic.go"},
@@ -93,6 +97,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		"internal/experiment/": {"truth.NewIncremental"},
 	}
 	got := map[string][]string{}
+	dpb2 := map[string]int{} // file → how often it spells the LZW publication's magic
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -117,6 +122,9 @@ func TestOneReaderOneWriter(t *testing.T) {
 				}
 			}
 		}
+		if n := strings.Count(string(src), "DPB2"); n > 0 {
+			dpb2[filepath.ToSlash(path)] = n
+		}
 		// (*wal.Log).Sync is not an fsync site: it ends in wal's helper.
 		text := strings.ReplaceAll(string(src), ".wal.Sync()", "")
 		for call := range want {
@@ -133,6 +141,10 @@ func TestOneReaderOneWriter(t *testing.T) {
 		if strings.Join(got[call], " ") != strings.Join(files, " ") {
 			t.Errorf("%s appears in %v, want only %v", call, got[call], files)
 		}
+	}
+	// The refusal's prefix test and its message.
+	if want := map[string]int{"internal/core/publication.go": 2}; !reflect.DeepEqual(dpb2, want) {
+		t.Errorf("DPB2 is spelled %v times, want only %v: by the refusal", dpb2, want)
 	}
 
 	// A campaign's state field is set — assigned or given in a composite
@@ -427,19 +439,65 @@ func TestOneReaderOneWriter(t *testing.T) {
 		t.Errorf("found %d calls of RestoreTask, want 1 (in installSnapshot)", calls)
 	}
 
-	// A plain merge (store op 2) is read from older logs and written by
-	// nothing: only the decoder names the op.
+	// A plain merge (store op 2) has no reader: decodeUpdate names opMerge
+	// in a case of its own whose one statement returns errOpMerge, and no
+	// function names it anywhere else.
 	calls = 0
+	refusal := map[*ast.Ident]bool{}
+	isIdent := func(e ast.Expr, name string) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == name
+	}
 	funcNodes(t, fset, "internal/store/*.go", func(fn *ast.FuncDecl, n ast.Node) {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "opMerge" {
-			if fn.Name.Name != "decodeUpdate" {
-				t.Errorf("%s: %s names opMerge; only decodeUpdate may", fset.Position(id.Pos()), fn.Name.Name)
+		switch n := n.(type) {
+		case *ast.CaseClause:
+			if fn.Name.Name != "decodeUpdate" || len(n.List) != 1 || !isIdent(n.List[0], "opMerge") || len(n.Body) != 1 {
+				return
 			}
-			calls++
+			if ret, ok := n.Body[0].(*ast.ReturnStmt); ok && len(ret.Results) > 0 && isIdent(ret.Results[len(ret.Results)-1], "errOpMerge") {
+				refusal[n.List[0].(*ast.Ident)] = true
+				calls++
+			}
+		case *ast.Ident:
+			if n.Name == "opMerge" && !refusal[n] {
+				t.Errorf("%s: %s names opMerge outside the refusal", fset.Position(n.Pos()), fn.Name.Name)
+			}
 		}
 	})
 	if calls != 1 {
-		t.Errorf("found opMerge %d times in internal/store's functions, want 1 (in decodeUpdate)", calls)
+		t.Errorf("found %d refusals of opMerge in internal/store, want 1 (in decodeUpdate)", calls)
+	}
+
+	// Format v1 has no reader: internal/wal declares none of its names, and
+	// the 8-byte frame reader reads the segment header and DecodeFrames'
+	// frames, not records.
+	for _, pkg := range prog.Packages {
+		if pkg.Path != "docs/internal/wal" {
+			continue
+		}
+		for _, name := range []string{"Decode", "headerV1", "formatV1"} {
+			if obj := pkg.Types.Scope().Lookup(name); obj != nil {
+				t.Errorf("%s: internal/wal declares %s, a format v1 reader's", prog.Fset.Position(obj.Pos()), name)
+			}
+		}
+		for typ, field := range map[string]string{"Log": "sealed", "scanned": "version"} {
+			st := pkg.Types.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Name() == field {
+					t.Errorf("%s: %s.%s is back, a format v1 reader's", prog.Fset.Position(st.Field(i).Pos()), typ, field)
+				}
+			}
+		}
+	}
+	var frameReaders []string
+	funcNodes(t, fset, "internal/wal/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok && isIdent(call.Fun, "frame8") {
+			frameReaders = append(frameReaders, fn.Name.Name)
+		}
+	})
+	sort.Strings(frameReaders)
+	if got, want := strings.Join(frameReaders, " "), "DecodeFrames scanBytes"; got != want {
+		t.Errorf("frame8 is called from [%s], want [%s]: one call each", got, want)
 	}
 }
 
