@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"docs/internal/crashtest"
 	"docs/internal/crowd"
 	"docs/internal/dataset"
 	"docs/internal/kb"
@@ -227,7 +227,7 @@ func runLoggedAdversarialCampaign(t *testing.T, cfg Config, dir string, nTasks i
 		t.Fatal(err)
 	}
 
-	return readStream(t, dir)
+	return crashtest.ReadStream(t, dir)
 }
 
 // TestAdversarialCrashInjectionRecoveryExact reuses the Fingerprint
@@ -239,55 +239,11 @@ func TestAdversarialCrashInjectionRecoveryExact(t *testing.T) {
 	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 4, RerunEvery: 25,
 		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
-	recs := runLoggedAdversarialCampaign(t, cfg, srcDir, 60)
-	if len(recs) < 50 {
-		t.Fatalf("adversarial campaign produced only %d records", len(recs))
+	runLoggedAdversarialCampaign(t, cfg, srcDir, 60)
+	log := crashtest.ReadLog(t, srcDir)
+	n := len(log.Records)
+	if n < 50 {
+		t.Fatalf("adversarial campaign produced only %d records", n)
 	}
-	spans := segmentSpans(t, srcDir, 0)
-
-	r := mathx.NewRand(13)
-	type kill struct {
-		surviving int
-		torn      int64
-	}
-	kills := make([]kill, 0, 25)
-	for i := 0; i < 24; i++ {
-		k := kill{surviving: int(r.Float64() * float64(len(recs)+1))}
-		if k.surviving > len(recs) {
-			k.surviving = len(recs)
-		}
-		if k.surviving < len(recs) && r.Float64() < 0.35 {
-			k.torn = 1 + int64(r.Float64()*16)
-		}
-		kills = append(kills, k)
-	}
-	kills = append(kills, kill{surviving: len(recs) - 1, torn: 5})
-	sort.Slice(kills, func(i, j int) bool { return kills[i].surviving < kills[j].surviving })
-
-	ref := newSystem(t, cfg)
-	applied := 0
-	refPrint := fingerprint(ref)
-	for i, k := range kills {
-		if k.surviving > applied {
-			applyPrefix(t, ref, recs[applied:k.surviving])
-			applied = k.surviving
-			refPrint = fingerprint(ref)
-		}
-		crashDir := buildCrashDir(t, srcDir, recs, spans, k.surviving, k.torn)
-		rec := newSystem(t, cfg)
-		info, err := rec.Recover(crashDir)
-		if err != nil {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recover: %v", i, k.surviving, k.torn, err)
-		}
-		if info.Records != k.surviving {
-			t.Fatalf("kill %d: recovered %d records, want %d (torn=%d)", i, info.Records, k.surviving, k.torn)
-		}
-		if got := fingerprint(rec); got != refPrint {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recovered adversarial state differs from serial reference",
-				i, k.surviving, k.torn)
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sweepKills(t, cfg, log, crashtest.Kills(mathx.NewRand(13), 24, n, 0, crashtest.Kill{Surviving: n - 1, Torn: 5}), nil)
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
+	"docs/internal/crashtest"
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/wal"
@@ -231,18 +231,7 @@ func runLoggedBatchedCampaign(t *testing.T, cfg Config, dir string, nTasks int) 
 		t.Fatal(err)
 	}
 
-	var recs []wal.Record
-	st, err := wal.Replay(dir, func(rec wal.Record) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TornTail {
-		t.Fatal("uninterrupted batched run left a torn tail")
-	}
-	return recs
+	return crashtest.ReadStream(t, dir)
 }
 
 // TestCrashInjectionBatchedRecoveryExact reruns the crash-injection
@@ -256,70 +245,24 @@ func TestCrashInjectionBatchedRecoveryExact(t *testing.T) {
 	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
 		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
-	recs := runLoggedBatchedCampaign(t, cfg, srcDir, 60)
-	if len(recs) < 20 {
-		t.Fatalf("campaign produced only %d records", len(recs))
-	}
-	batchIdx := []int{}
-	for i, rec := range recs {
-		if rec.Kind == wal.KindBatch {
-			batchIdx = append(batchIdx, i)
-		}
-	}
-	if len(batchIdx) == 0 {
-		t.Fatal("batched campaign logged no KindBatch records")
-	}
-	spans := segmentSpans(t, srcDir, 0)
-
-	type kill struct {
-		surviving int
-		torn      int64
-	}
-	r := mathx.NewRand(17)
-	kills := make([]kill, 0, 40+len(batchIdx))
-	for i := 0; i < 40; i++ {
-		k := kill{surviving: int(r.Float64() * float64(len(recs)+1))}
-		if k.surviving > len(recs) {
-			k.surviving = len(recs)
-		}
-		if k.surviving < len(recs) && r.Float64() < 0.35 {
-			k.torn = 1 + int64(r.Float64()*16)
-		}
-		kills = append(kills, k)
+	runLoggedBatchedCampaign(t, cfg, srcDir, 60)
+	log := crashtest.ReadLog(t, srcDir)
+	n := len(log.Records)
+	if n < 20 {
+		t.Fatalf("campaign produced only %d records", n)
 	}
 	// Tear into every batch frame: the cut lands mid-group and the whole
 	// group must vanish.
-	for _, bi := range batchIdx {
-		kills = append(kills, kill{surviving: bi, torn: 5})
-	}
-	sort.Slice(kills, func(i, j int) bool { return kills[i].surviving < kills[j].surviving })
-
-	ref := newSystem(t, cfg)
-	applied := 0
-	refPrint := fingerprint(ref)
-	for i, k := range kills {
-		if k.surviving > applied {
-			applyPrefix(t, ref, recs[applied:k.surviving])
-			applied = k.surviving
-			refPrint = fingerprint(ref)
-		}
-		crashDir := buildCrashDir(t, srcDir, recs, spans, k.surviving, k.torn)
-		rec := newSystem(t, cfg)
-		info, err := rec.Recover(crashDir)
-		if err != nil {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recover: %v", i, k.surviving, k.torn, err)
-		}
-		if info.Records != k.surviving {
-			t.Fatalf("kill %d: recovered %d records, want %d (torn=%d)", i, info.Records, k.surviving, k.torn)
-		}
-		if got := fingerprint(rec); got != refPrint {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recovered state differs from serial reference",
-				i, k.surviving, k.torn)
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
+	var batches []crashtest.Kill
+	for i, rec := range log.Records {
+		if rec.Kind == wal.KindBatch {
+			batches = append(batches, crashtest.Kill{Surviving: i, Torn: 5})
 		}
 	}
+	if len(batches) == 0 {
+		t.Fatal("batched campaign logged no KindBatch records")
+	}
+	sweepKills(t, cfg, log, crashtest.Kills(mathx.NewRand(17), 40, n, 0, batches...), nil)
 }
 
 // TestBatchIsOneWALRecord pins the count the batched protocol exists for:

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
+	"docs/internal/crashtest"
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
@@ -79,116 +78,7 @@ func runLoggedTasks(t *testing.T, cfg Config, dir string, tasks []*model.Task) [
 		t.Fatal(err)
 	}
 
-	return readStream(t, dir)
-}
-
-// readStream reads back the durable record stream a cleanly closed
-// campaign left in dir.
-func readStream(t *testing.T, dir string) []wal.Record {
-	t.Helper()
-	var recs []wal.Record
-	st, err := wal.Replay(dir, func(rec wal.Record) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TornTail {
-		t.Fatal("uninterrupted run left a torn tail")
-	}
-	return recs
-}
-
-// frameSpan locates each record's frame: which segment file it lives in
-// and its [start, end) byte offsets there.
-type frameSpan struct {
-	file       string
-	start, end int64
-}
-
-func segmentSpans(t *testing.T, dir string, afterSeq uint64) map[uint64]frameSpan {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := make(map[uint64]frameSpan)
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".wal") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		err := wal.ScanSegment(path, func(rec wal.Record, start, end int64) error {
-			if rec.Seq > afterSeq {
-				spans[rec.Seq] = frameSpan{file: e.Name(), start: start, end: end}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return spans
-}
-
-// buildCrashDir reconstructs what disk looks like when the process dies
-// with `surviving` whole records down plus (optionally) tornBytes of the
-// next frame: segments are copied, the one holding the cut is truncated,
-// later ones vanish (they were never created).
-func buildCrashDir(t *testing.T, srcDir string, recs []wal.Record, spans map[uint64]frameSpan, surviving int, tornBytes int64) string {
-	t.Helper()
-	dst := t.TempDir()
-	// The byte cut: end of the last surviving record, plus torn bytes into
-	// the next frame (capped to stay strictly inside it).
-	cutFile, cutOff := "", int64(0)
-	if surviving > 0 {
-		sp := spans[recs[surviving-1].Seq]
-		cutFile, cutOff = sp.file, sp.end
-	}
-	if tornBytes > 0 && surviving < len(recs) {
-		if next, ok := spans[recs[surviving].Seq]; ok {
-			if next.file != cutFile {
-				cutFile, cutOff = next.file, next.start
-			}
-			frameLen := next.end - next.start
-			if tornBytes >= frameLen {
-				tornBytes = frameLen - 1
-			}
-			cutOff += tornBytes
-		}
-	}
-	if cutFile == "" {
-		// The cut precedes every segment byte: the crash dir is empty.
-		return dst
-	}
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".wal") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // zero-padded hex: lexicographic == sequence order
-	for _, name := range names {
-		if name > cutFile {
-			break // these segments did not exist yet at crash time
-		}
-		data, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == cutFile {
-			data = data[:cutOff]
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
+	return crashtest.ReadStream(t, dir)
 }
 
 // applyPrefix replays records through a WAL-less reference system — the
@@ -202,79 +92,68 @@ func applyPrefix(t *testing.T, s *System, recs []wal.Record) {
 	}
 }
 
-const crashKillPoints = 100
-
-// TestCrashInjectionRecoveryExact is the acceptance test: 100 randomized
-// kill points over a logged campaign (clean boundaries and torn final
-// records), each recovered and compared bit-identical against the serial
-// reference. The reference advances incrementally so the whole sweep costs
-// one extra serial pass plus the recoveries themselves.
-func TestCrashInjectionRecoveryExact(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		WALSegmentBytes: 1 << 10}
-	srcDir := t.TempDir()
-	recs := runLoggedCampaign(t, cfg, srcDir, 60)
-	if len(recs) < 50 {
-		t.Fatalf("campaign produced only %d records", len(recs))
-	}
-	spans := segmentSpans(t, srcDir, 0)
-	for _, rec := range recs {
-		if _, ok := spans[rec.Seq]; !ok {
-			t.Fatalf("record %d not found in any segment", rec.Seq)
-		}
-	}
-
-	// Randomized kill points, sorted so the reference system can advance
-	// incrementally. Roughly a third tear the next record mid-frame; the
-	// final kill point is always "everything but a torn last record".
-	r := mathx.NewRand(7)
-	type kill struct {
-		surviving int
-		torn      int64
-	}
-	kills := make([]kill, 0, crashKillPoints)
-	for i := 0; i < crashKillPoints-1; i++ {
-		k := kill{surviving: int(r.Float64() * float64(len(recs)+1))}
-		if k.surviving > len(recs) {
-			k.surviving = len(recs)
-		}
-		if k.surviving < len(recs) && r.Float64() < 0.35 {
-			k.torn = 1 + int64(r.Float64()*16)
-		}
-		kills = append(kills, k)
-	}
-	kills = append(kills, kill{surviving: len(recs) - 1, torn: 5}) // torn FINAL record
-	sort.Slice(kills, func(i, j int) bool { return kills[i].surviving < kills[j].surviving })
-
+// sweepKills boots the crash image of log at every kill point, sorted by
+// Surviving, and holds each boot bit-identical to a WAL-less reference that
+// applied exactly the surviving records. The reference advances
+// incrementally, so a sweep costs one extra serial pass plus the boots.
+// then, when non-nil, runs after each boot is checked and closed, with the
+// image and the reference's fingerprint.
+func sweepKills(t *testing.T, cfg Config, log *crashtest.Log, kills []crashtest.Kill, then func(i int, k crashtest.Kill, img, want string)) {
+	t.Helper()
 	ref := newSystem(t, cfg)
+	defer ref.Close()
 	applied := 0
 	refPrint := fingerprint(ref)
 	for i, k := range kills {
-		if k.surviving > applied {
-			applyPrefix(t, ref, recs[applied:k.surviving])
-			applied = k.surviving
+		if k.Surviving > applied {
+			applyPrefix(t, ref, log.Records[applied:k.Surviving])
+			applied = k.Surviving
 			refPrint = fingerprint(ref)
 		}
-		crashDir := buildCrashDir(t, srcDir, recs, spans, k.surviving, k.torn)
+		img := t.TempDir()
+		log.Cut(t, img, k)
 		rec := newSystem(t, cfg)
-		info, err := rec.Recover(crashDir)
+		info, err := rec.Recover(img)
 		if err != nil {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recover: %v", i, k.surviving, k.torn, err)
+			t.Fatalf("kill %d (surviving=%d torn=%d): recover: %v", i, k.Surviving, k.Torn, err)
 		}
-		if info.Records != k.surviving {
-			t.Fatalf("kill %d: recovered %d records, want %d (torn=%d)", i, info.Records, k.surviving, k.torn)
+		if info.Records != k.Surviving {
+			t.Fatalf("kill %d: recovered %d records, want %d (torn=%d)", i, info.Records, k.Surviving, k.Torn)
 		}
-		if k.torn > 0 && !info.TornTail {
+		if info.SnapshotUsed {
+			t.Fatalf("kill %d: a cut image holds no snapshot, yet the boot used one", i)
+		}
+		if k.Torn > 0 && !info.TornTail {
 			t.Errorf("kill %d: torn cut not reported as torn tail", i)
 		}
 		if got := fingerprint(rec); got != refPrint {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recovered state differs from serial reference\nrecovered: %.300s\nreference: %.300s",
-				i, k.surviving, k.torn, got, refPrint)
+			t.Fatalf("kill %d (surviving=%d torn=%d): recovered state differs from serial reference\n%s", i, k.Surviving, k.Torn,
+				crashtest.Report(t, fmt.Sprintf("kill-%03d", i), DiffFingerprints(got, refPrint, 8)))
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if then != nil {
+			then(i, k, img, refPrint)
+		}
 	}
+}
+
+// TestCrashInjectionRecoveryExact is the acceptance test: 100 randomized
+// kill points over a logged campaign (clean boundaries and torn final
+// records; the last always "everything but a torn last record"), each
+// recovered and compared bit-identical against the serial reference.
+func TestCrashInjectionRecoveryExact(t *testing.T) {
+	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
+		WALSegmentBytes: 1 << 10}
+	srcDir := t.TempDir()
+	runLoggedCampaign(t, cfg, srcDir, 60)
+	log := crashtest.ReadLog(t, srcDir)
+	n := len(log.Records)
+	if n < 50 {
+		t.Fatalf("campaign produced only %d records", n)
+	}
+	sweepKills(t, cfg, log, crashtest.Kills(mathx.NewRand(7), 99, n, 0, crashtest.Kill{Surviving: n - 1, Torn: 5}), nil)
 }
 
 // TestCrashRecoveryThenContinueServing recovers from a mid-campaign crash
@@ -287,30 +166,27 @@ func TestCrashRecoveryThenContinueServing(t *testing.T) {
 		WALSegmentBytes: 1 << 10}
 	srcDir := t.TempDir()
 	recs := runLoggedCampaign(t, cfg, srcDir, 40)
-	spans := segmentSpans(t, srcDir, 0)
+	log := crashtest.ReadLog(t, srcDir)
 
 	full := newSystem(t, cfg)
 	applyPrefix(t, full, recs)
 	want := fingerprint(full)
 
 	for _, cut := range []int{1, len(recs) / 3, len(recs) / 2, len(recs) - 1} {
-		crashDir := buildCrashDir(t, srcDir, recs, spans, cut, 0)
+		crashDir := t.TempDir()
+		log.Cut(t, crashDir, crashtest.Kill{Surviving: cut})
 		s := newSystem(t, cfg)
 		if _, err := s.Recover(crashDir); err != nil {
 			t.Fatal(err)
 		}
+		// Every cut keeps the publish record (seq 1), so the lost tail is
+		// answers alone; resubmitting them is the traffic that resumes.
 		for _, rec := range recs[cut:] {
-			switch rec.Kind {
-			case wal.KindPublish:
-				var tasks []*model.Task
-				mustUnmarshal(t, rec.Blob, &tasks)
-				if err := s.Publish(tasks); err != nil {
-					t.Fatal(err)
-				}
-			case wal.KindAnswer:
-				if err := s.Submit(rec.Worker, rec.Task, rec.Choice); err != nil {
-					t.Fatal(err)
-				}
+			if rec.Kind != wal.KindAnswer {
+				t.Fatalf("cut=%d: the lost tail holds a kind-%d record; only answers can be resubmitted", cut, rec.Kind)
+			}
+			if err := s.Submit(rec.Worker, rec.Task, rec.Choice); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if got := fingerprint(s); got != want {
@@ -535,12 +411,5 @@ func TestRecoverRefusesLegacyCheckpoint(t *testing.T) {
 			t.Fatalf("%s: refused boot still applied %d answers", tc.name, n)
 		}
 		s.Close()
-	}
-}
-
-func mustUnmarshal(t *testing.T, data []byte, v any) {
-	t.Helper()
-	if err := json.Unmarshal(data, v); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"docs/internal/crashtest"
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/store"
@@ -38,25 +38,11 @@ type liveCapture struct {
 }
 
 // captureImage copies the campaign's durable files — its WAL segments and
-// the shared store's log — into a fresh image directory. The campaign is
-// serial, so between acknowledged operations the files are quiescent and a
-// plain file copy IS the crash image a kill -9 would leave at a clean
-// boundary.
+// the shared store's log — into a fresh image directory.
 func captureImage(t *testing.T, walDir, storeDir, dst string) {
 	t.Helper()
-	copyDir(t, walDir, filepath.Join(dst, "wal"))
-	copyDir(t, storeDir, filepath.Join(dst, "store"))
-}
-
-func copyFile(t *testing.T, src, dst string) {
-	t.Helper()
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	crashtest.CopyTree(t, walDir, filepath.Join(dst, "wal"))
+	crashtest.CopyTree(t, storeDir, filepath.Join(dst, "store"))
 }
 
 // recoverImage recovers a captured image with the same configuration the
@@ -82,104 +68,6 @@ func recoverImage(t *testing.T, img string, cfg Config, m int) string {
 		t.Fatal(err)
 	}
 	return fp
-}
-
-// reportDiff writes the bit-level fingerprint diff where LIVE_DIFF_REPORT
-// points (a directory; one file per failure) so CI can upload it, and
-// returns the diff for the test failure message.
-func reportDiff(t *testing.T, label, got, want string) string {
-	t.Helper()
-	diff := DiffFingerprints(got, want, 8)
-	if dir := os.Getenv("LIVE_DIFF_REPORT"); dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err == nil {
-			name := filepath.Join(dir, fmt.Sprintf("%s-%s.diff", t.Name(), label))
-			_ = os.WriteFile(name, []byte(diff), 0o644)
-		}
-	}
-	return diff
-}
-
-// frameEnd returns where the first frame at or after off ends in a
-// segment file — the segment header's end when off is 0 — by
-// wal.ScanSegment's frame offsets, or 0 when no frame follows off.
-func frameEnd(t *testing.T, path string, off int) int {
-	t.Helper()
-	end := int64(0)
-	if err := wal.ScanSegment(path, func(_ wal.Record, start, stop int64) error {
-		for _, b := range []int64{start, stop} {
-			if end == 0 && b > int64(off) {
-				end = b
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return int(end)
-}
-
-// tornVariant synthesizes the crash image "previous boundary plus a torn
-// final frame": it starts from the earlier capture's files and appends a
-// strict prefix of the bytes the NEXT operation added to the WAL. Replay
-// must discard the torn frame and land exactly on the earlier capture's
-// state. Returns false when the WAL did not grow between the captures.
-func tornVariant(t *testing.T, prev, next, dst string, cut float64) bool {
-	t.Helper()
-	prevWAL, nextWAL := filepath.Join(prev, "wal"), filepath.Join(next, "wal")
-	entries, err := os.ReadDir(nextWAL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Segments are append-only and sorted by name = first seq, so the first
-	// segment that grew (or appeared) holds the next op's first new frame.
-	for _, e := range entries {
-		nextData, err := os.ReadFile(filepath.Join(nextWAL, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prevData, err := os.ReadFile(filepath.Join(prevWAL, e.Name()))
-		if err != nil && !os.IsNotExist(err) {
-			t.Fatal(err)
-		}
-		if len(nextData) <= len(prevData) {
-			continue
-		}
-		growth := nextData[len(prevData):]
-		end := frameEnd(t, filepath.Join(nextWAL, e.Name()), len(prevData))
-		if end == 0 {
-			continue
-		}
-		frameLen := end - len(prevData)
-		k := int(cut * float64(frameLen))
-		if k < 1 {
-			k = 1
-		}
-		if k >= frameLen {
-			k = frameLen - 1
-		}
-		// Image = previous capture + the partial frame. The store log comes
-		// from the PREVIOUS capture: the serving path acknowledges the WAL
-		// append before any store write, so "store ahead of a torn answer"
-		// cannot occur and "store behind" is the physical window.
-		captureless := filepath.Join(dst, "wal")
-		if err := os.MkdirAll(captureless, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		prevEntries, err := os.ReadDir(prevWAL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pe := range prevEntries {
-			copyFile(t, filepath.Join(prevWAL, pe.Name()), filepath.Join(captureless, pe.Name()))
-		}
-		torn := append(append([]byte(nil), prevData...), growth[:k]...)
-		if err := os.WriteFile(filepath.Join(captureless, e.Name()), torn, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		copyDir(t, filepath.Join(prev, "store"), filepath.Join(dst, "store"))
-		return true
-	}
-	return false
 }
 
 // TestLiveVsRecoveredExact is the tentpole acceptance test: every
@@ -292,7 +180,7 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 		for i := run.first; i < run.last; i++ {
 			if got := recoverImage(t, captures[i].dir, run.cfg, m); got != captures[i].fp {
 				t.Fatalf("capture %d: recovered != live\n%s",
-					i, reportDiff(t, fmt.Sprintf("clean-%03d", i), got, captures[i].fp))
+					i, crashtest.Report(t, fmt.Sprintf("clean-%03d", i), DiffFingerprints(got, captures[i].fp, 8)))
 			}
 		}
 	}
@@ -303,44 +191,25 @@ func TestLiveVsRecoveredExact(t *testing.T) {
 	torn := 0
 	for _, run := range runs {
 		for i := run.first; i+1 < run.last; i++ {
+			// The image: this capture's log plus a torn prefix of the next
+			// op's first new frame. The store log is this capture's: the
+			// serving path acknowledges the WAL append before any store
+			// write, so "store behind" is the physical window.
+			prev, next := captures[i].dir, captures[i+1].dir
 			dst := filepath.Join(root, "torn", fmt.Sprintf("%03d", i))
-			if !tornVariant(t, captures[i].dir, captures[i+1].dir, dst, r.Float64()) {
-				continue
+			if !crashtest.Grow(t, filepath.Join(prev, "wal"), filepath.Join(next, "wal"), filepath.Join(dst, "wal"), r.Float64()) {
+				continue // the op logged nothing
 			}
+			crashtest.CopyTree(t, filepath.Join(prev, "store"), filepath.Join(dst, "store"))
 			torn++
 			if got := recoverImage(t, dst, run.cfg, m); got != captures[i].fp {
 				t.Fatalf("torn variant after capture %d: recovered != live\n%s",
-					i, reportDiff(t, fmt.Sprintf("torn-%03d", i), got, captures[i].fp))
+					i, crashtest.Report(t, fmt.Sprintf("torn-%03d", i), DiffFingerprints(got, captures[i].fp, 8)))
 			}
 		}
 	}
 	if torn < 10 {
 		t.Fatalf("only %d torn variants synthesized", torn)
-	}
-}
-
-// dropLastRecord cuts a log's final record off its last segment, located
-// by wal.ScanSegment's frame offsets: the image of a crash that took the
-// record's write but nothing before it.
-func dropLastRecord(t *testing.T, dir string) {
-	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments in %s (%v)", dir, err)
-	}
-	last := segs[len(segs)-1] // zero-padded hex: lexicographic == sequence order
-	cut := int64(-1)
-	if err := wal.ScanSegment(last, func(_ wal.Record, start, _ int64) error {
-		cut = start
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if cut < 0 {
-		t.Fatalf("%s holds no record to drop", last)
-	}
-	if err := os.Truncate(last, cut); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -432,18 +301,18 @@ func TestLostStoreDeltaRepairedExact(t *testing.T) {
 
 	for i, mp := range merges {
 		// Drop the store log's final record — the merge that just landed.
-		dropLastRecord(t, filepath.Join(mp.dir, "store"))
+		crashtest.DropLast(t, filepath.Join(mp.dir, "store"))
 
 		if got := recoverImage(t, mp.dir, cfg, m); got != mp.fp {
 			t.Fatalf("merge %d: repaired recovery != live\n%s",
-				i, reportDiff(t, fmt.Sprintf("lostdelta-%02d", i), got, mp.fp))
+				i, crashtest.Report(t, fmt.Sprintf("lostdelta-%02d", i), DiffFingerprints(got, mp.fp, 8)))
 		}
 
 		// Recovery determinism: the first boot repaired the image on disk;
 		// a second boot must land on the identical bits.
 		if got2 := recoverImage(t, mp.dir, cfg, m); got2 != mp.fp {
 			t.Fatalf("merge %d: second recovery != first\n%s",
-				i, reportDiff(t, fmt.Sprintf("redo-%02d", i), got2, mp.fp))
+				i, crashtest.Report(t, fmt.Sprintf("redo-%02d", i), DiffFingerprints(got2, mp.fp, 8)))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"docs/internal/crashtest"
 	"docs/internal/dataset"
 	"docs/internal/dve"
 	"docs/internal/kb"
@@ -63,7 +64,7 @@ func publishLogged(t *testing.T, cfg Config, tasks []*model.Task) (*System, []by
 	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
-	recs := readStream(t, dir)
+	recs := crashtest.ReadStream(t, dir)
 	if len(recs) != 1 {
 		t.Fatalf("the log holds %d records after a publish, want 1", len(recs))
 	}
@@ -208,7 +209,7 @@ func TestPublishChunkFailure(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := readStream(t, s.walDir)[0].Blob; !bytes.Equal(got, want) {
+		if got := crashtest.ReadStream(t, s.walDir)[0].Blob; !bytes.Equal(got, want) {
 			t.Errorf("%s: the retry logged a record that differs from the serial path's", name)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"docs/internal/crashtest"
 	"docs/internal/dataset"
 	"docs/internal/kb"
 	"docs/internal/mathx"
@@ -779,7 +780,7 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs := readStream(t, dir)
+	recs := crashtest.ReadStream(t, dir)
 	dpb1 := mustEncodeBinaryPublication(t, tasks, m) // the tasks carry their vectors now
 	logs := map[string][]byte{deflateMagic: recs[0].Blob, "DPB2": readDPB2Golden(t), publicationMagic: dpb1}
 	for magic, blob := range logs {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"docs/internal/crashtest"
 	"docs/internal/model"
 	"docs/internal/snapshot"
 	"docs/internal/store"
@@ -184,7 +185,7 @@ func storeUpdateCodec(t *testing.T) ([]byte, func([]byte) error) {
 // segmentCodec returns the header a log segment opens with, the payload of
 // the one record the segment then holds (an answer by "w" to task 0, choice
 // 0), and a reader of segment bytes reached the way every boot reaches
-// them: the bytes are a segment file, and wal.ScanSegment reads it.
+// them: the bytes are a segment file, and the log's segment scanner reads it.
 func segmentCodec(t *testing.T) ([]byte, []byte, func([]byte) error) {
 	t.Helper()
 	dir := t.TempDir()
@@ -203,16 +204,18 @@ func segmentCodec(t *testing.T) ([]byte, []byte, func([]byte) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first int64 // where the first record's frame starts: the header's length
-	if err := wal.ScanSegment(path, func(_ wal.Record, start, _ int64) error { first = start; return nil }); err != nil {
+	frames, err := crashtest.SegmentFrames(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	first := frames[0].Start // where the first record's frame starts: the header's length
 	// The frame: a one-byte length, the CRC, the payload.
 	return data[:first], data[first+1+4:], func(b []byte) error {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return wal.ScanSegment(path, func(wal.Record, int64, int64) error { return nil })
+		_, err := crashtest.SegmentFrames(path)
+		return err
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"docs/internal/crashtest"
 	"docs/internal/mathx"
 	"docs/internal/snapshot"
 	"docs/internal/wal"
@@ -280,9 +281,9 @@ func TestSnapshotFallbackLoud(t *testing.T) {
 	// A snapshot claiming sequences past the durable log (what a power loss
 	// under SyncNever leaves behind): crash the log at a prefix but keep
 	// the full-coverage snapshot.
-	spans := segmentSpans(t, dir, 0)
 	cut := len(recs) / 2
-	crashDir := buildCrashDir(t, dir, recs, spans, cut, 0)
+	crashDir := t.TempDir()
+	crashtest.ReadLog(t, dir).Cut(t, crashDir, crashtest.Kill{Surviving: cut})
 	if err := os.WriteFile(filepath.Join(crashDir, snapshot.FileName), pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,6 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 	if len(recs) < 40 {
 		t.Fatalf("campaign produced only %d records", len(recs))
 	}
-	spans := segmentSpans(t, srcDir, 0)
 
 	// Snapshot states at fixed prefixes, fabricated exactly as a pass's
 	// scratch replica would have written them.
@@ -336,89 +336,44 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 		}
 	}
 
-	r := mathx.NewRand(31)
-	type kill struct {
-		surviving int
-		torn      int64
-	}
-	const killPoints = 28
-	kills := make([]kill, 0, killPoints)
-	for i := 0; i < killPoints-1; i++ {
-		k := kill{surviving: 1 + int(r.Float64()*float64(len(recs)))}
-		if k.surviving > len(recs) {
-			k.surviving = len(recs)
-		}
-		if k.surviving < len(recs) && r.Float64() < 0.35 {
-			k.torn = 1 + int64(r.Float64()*16)
-		}
-		kills = append(kills, k)
-	}
-	kills = append(kills, kill{surviving: len(recs) - 1, torn: 5})
-	sort.Slice(kills, func(i, j int) bool { return kills[i].surviving < kills[j].surviving })
-
-	ref := newSystem(t, cfg)
-	defer ref.Close()
-	applied := 0
-	refPrint := ref.Fingerprint()
-	for i, k := range kills {
-		if k.surviving > applied {
-			applyPrefix(t, ref, recs[applied:k.surviving])
-			applied = k.surviving
-			refPrint = ref.Fingerprint()
-		}
+	// Every kill keeps the publication (Surviving ≥ 1). The sweep checks
+	// the full replay against the serial reference; the snapshot boot
+	// must then land on the same bits.
+	kills := crashtest.Kills(mathx.NewRand(31), 27, len(recs), 1, crashtest.Kill{Surviving: len(recs) - 1, Torn: 5})
+	sweepKills(t, cfg, crashtest.ReadLog(t, srcDir), kills, func(i int, k crashtest.Kill, img, fpFull string) {
 		// The largest fabricated snapshot that the surviving log covers.
 		best := 0
 		for _, j := range snapAt {
-			if j <= k.surviving && j > best {
+			if j <= k.Surviving && j > best {
 				best = j
 			}
 		}
-
-		crashDir := buildCrashDir(t, srcDir, recs, spans, k.surviving, k.torn)
-		full := newSystem(t, cfg)
-		infoF, err := full.Recover(crashDir)
-		if err != nil {
-			t.Fatalf("kill %d (surviving=%d torn=%d): full replay: %v", i, k.surviving, k.torn, err)
+		if best == 0 {
+			return
 		}
-		if infoF.SnapshotUsed {
-			t.Fatalf("kill %d: replay boot found a snapshot in a fresh crash dir", i)
-		}
-		fpFull := full.Fingerprint()
-		if fpFull != refPrint {
-			t.Fatalf("kill %d (surviving=%d torn=%d): full replay differs from serial reference", i, k.surviving, k.torn)
-		}
-		// Write the full-coverage snapshot from the recovered system while
-		// it is quiescent — a later boot (below, and the k%4==0 branch)
-		// restores it.
-		if err := full.Close(); err != nil {
+		if err := snapshot.Write(img, states[best]); err != nil {
 			t.Fatal(err)
 		}
-
-		if best > 0 {
-			if err := snapshot.Write(crashDir, states[best]); err != nil {
-				t.Fatal(err)
-			}
-			snapped := newSystem(t, cfg)
-			info, err := snapped.Recover(crashDir)
-			if err != nil {
-				t.Fatalf("kill %d: snapshot boot: %v", i, err)
-			}
-			if !info.SnapshotUsed || info.SnapshotRejected != "" {
-				t.Fatalf("kill %d: snapshot at %d rejected: %q", i, best, info.SnapshotRejected)
-			}
-			if info.Records != k.surviving-best {
-				t.Fatalf("kill %d: snapshot boot replayed %d records, want suffix %d",
-					i, info.Records, k.surviving-best)
-			}
-			if got := snapped.Fingerprint(); got != fpFull {
-				t.Fatalf("kill %d (surviving=%d torn=%d snapshot=%d): snapshot boot differs from full replay\n%s",
-					i, k.surviving, k.torn, best, DiffFingerprints(got, fpFull, 4))
-			}
-			if err := snapped.Close(); err != nil {
-				t.Fatal(err)
-			}
+		snapped := newSystem(t, cfg)
+		info, err := snapped.Recover(img)
+		if err != nil {
+			t.Fatalf("kill %d: snapshot boot: %v", i, err)
 		}
-	}
+		if !info.SnapshotUsed || info.SnapshotRejected != "" {
+			t.Fatalf("kill %d: snapshot at %d rejected: %q", i, best, info.SnapshotRejected)
+		}
+		if info.Records != k.Surviving-best {
+			t.Fatalf("kill %d: snapshot boot replayed %d records, want suffix %d",
+				i, info.Records, k.Surviving-best)
+		}
+		if got := snapped.Fingerprint(); got != fpFull {
+			t.Fatalf("kill %d (surviving=%d torn=%d snapshot=%d): snapshot boot differs from full replay\n%s",
+				i, k.Surviving, k.Torn, best, crashtest.Report(t, fmt.Sprintf("snapshot-%03d", i), DiffFingerprints(got, fpFull, 4)))
+		}
+		if err := snapped.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSnapshotCheckpointInterleaving pins a snapshot pass after a
@@ -477,31 +432,6 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 	}
 	if err := final.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// copyDir copies every regular file in src into dst, creating it (flat —
-// WAL dirs hold no subdirectories).
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

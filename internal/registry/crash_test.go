@@ -3,13 +3,12 @@ package registry
 import (
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"docs/internal/core"
+	"docs/internal/crashtest"
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/store"
@@ -105,135 +104,6 @@ func driveInterleaved(t *testing.T, reg *Registry, names []string, nWorkers int,
 	}
 }
 
-// readStream reads back a campaign's durable record stream.
-func readStream(t *testing.T, dir string) []wal.Record {
-	t.Helper()
-	var recs []wal.Record
-	st, err := wal.Replay(dir, func(rec wal.Record) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TornTail {
-		t.Fatal("graceful close left a torn tail")
-	}
-	return recs
-}
-
-// frameSpan locates a record's frame inside a segment file.
-type frameSpan struct {
-	file       string
-	start, end int64
-}
-
-func segmentSpans(t *testing.T, dir string) map[uint64]frameSpan {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := make(map[uint64]frameSpan)
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".wal") {
-			continue
-		}
-		err := wal.ScanSegment(filepath.Join(dir, e.Name()), func(rec wal.Record, start, end int64) error {
-			spans[rec.Seq] = frameSpan{file: e.Name(), start: start, end: end}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return spans
-}
-
-// dropLastRecord cuts a log's final record off its last segment, located
-// by wal.ScanSegment's frame offsets: the image of a crash that took the
-// record's write but nothing before it.
-func dropLastRecord(t *testing.T, dir string) {
-	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments in %s (%v)", dir, err)
-	}
-	last := segs[len(segs)-1] // zero-padded hex: lexicographic == sequence order
-	cut := int64(-1)
-	if err := wal.ScanSegment(last, func(_ wal.Record, start, _ int64) error {
-		cut = start
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if cut < 0 {
-		t.Fatalf("%s holds no record to drop", last)
-	}
-	if err := os.Truncate(last, cut); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// buildCrashCampaign writes the crash image of one campaign's WAL
-// namespace into dst: segments up to the cut survive (the one holding the
-// cut truncated, optionally tornBytes into the next frame), later segments
-// never existed.
-func buildCrashCampaign(t *testing.T, srcDir, dst string, recs []wal.Record, spans map[uint64]frameSpan, surviving int, tornBytes int64) {
-	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	cutFile, cutOff := "", int64(0)
-	if surviving > 0 {
-		sp, ok := spans[recs[surviving-1].Seq]
-		if !ok {
-			t.Fatalf("record %d not found in segments", recs[surviving-1].Seq)
-		}
-		cutFile, cutOff = sp.file, sp.end
-	}
-	if tornBytes > 0 && surviving < len(recs) {
-		if next, ok := spans[recs[surviving].Seq]; ok {
-			if next.file != cutFile {
-				cutFile, cutOff = next.file, next.start
-			}
-			if frameLen := next.end - next.start; tornBytes >= frameLen {
-				tornBytes = frameLen - 1
-			}
-			cutOff += tornBytes
-		}
-	}
-	if cutFile == "" {
-		return // crash preceded every durable byte: an empty namespace
-	}
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".wal") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // zero-padded hex: lexicographic == sequence order
-	for _, name := range names {
-		if name > cutFile {
-			break
-		}
-		data, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == cutFile {
-			data = data[:cutOff]
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // storePrint fingerprints a store's full contents — worker records and the
 // merge-once profile ledger — with float64 bits.
 func storePrint(st *store.Store) string {
@@ -275,7 +145,7 @@ func referenceSystem(t *testing.T, scope string, recs []wal.Record, storeSrc str
 	t.Helper()
 	refRoot := t.TempDir()
 	storePath := filepath.Join(refRoot, storeDir)
-	copyTree(t, storeSrc, storePath)
+	crashtest.CopyTree(t, storeSrc, storePath)
 	st, err := store.Open(storePath, m)
 	if err != nil {
 		t.Fatal(err)
@@ -344,50 +214,31 @@ func TestMultiCampaignCrashRecoveryExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := make(map[string][]wal.Record, len(names))
-	spans := make(map[string]map[uint64]frameSpan, len(names))
+	logs := make(map[string]*crashtest.Log, len(names))
 	for _, name := range names {
-		dir := filepath.Join(root, campaignsDir, name)
-		recs[name] = readStream(t, dir)
-		if len(recs[name]) < 20 {
-			t.Fatalf("campaign %s produced only %d records", name, len(recs[name]))
+		logs[name] = crashtest.ReadLog(t, filepath.Join(root, campaignsDir, name))
+		if n := len(logs[name].Records); n < 20 {
+			t.Fatalf("campaign %s produced only %d records", name, n)
 		}
-		spans[name] = segmentSpans(t, dir)
 	}
 	storeSrc := filepath.Join(root, storeDir)
 
 	r := mathx.NewRand(7)
-	type cut struct {
-		surviving int
-		torn      int64
-	}
-	randCut := func(n int) cut {
-		c := cut{surviving: int(r.Float64() * float64(n+1))}
-		if c.surviving > n {
-			c.surviving = n
-		}
-		if c.surviving < n && r.Float64() < 0.35 {
-			c.torn = 1 + int64(r.Float64()*16)
-		}
-		return c
-	}
 	const killPoints = 12
 	for kill := 0; kill < killPoints; kill++ {
-		cuts := make(map[string]cut, len(names))
+		cuts := make(map[string]crashtest.Kill, len(names))
 		for _, name := range names {
-			if kill == killPoints-1 {
+			if n := len(logs[name].Records); kill == killPoints-1 {
 				// The last kill is the graceful image: everything survives.
-				cuts[name] = cut{surviving: len(recs[name])}
+				cuts[name] = crashtest.Kill{Surviving: n}
 			} else {
-				cuts[name] = randCut(len(recs[name]))
+				cuts[name] = crashtest.Draw(r, n, 0)
 			}
 		}
 		crashRoot := t.TempDir()
-		copyTree(t, storeSrc, filepath.Join(crashRoot, storeDir))
+		crashtest.CopyTree(t, storeSrc, filepath.Join(crashRoot, storeDir))
 		for _, name := range names {
-			buildCrashCampaign(t, filepath.Join(root, campaignsDir, name),
-				filepath.Join(crashRoot, campaignsDir, name),
-				recs[name], spans[name], cuts[name].surviving, cuts[name].torn)
+			logs[name].Cut(t, filepath.Join(crashRoot, campaignsDir, name), cuts[name])
 		}
 
 		booted, err := Open(crashConfig(crashRoot))
@@ -401,17 +252,17 @@ func TestMultiCampaignCrashRecoveryExact(t *testing.T) {
 				t.Fatalf("kill %d: campaign %s: %v", kill, name, err)
 			}
 			info := sys.Recovery()
-			if info.Records != c.surviving {
+			if info.Records != c.Surviving {
 				t.Fatalf("kill %d: campaign %s recovered %d records, want %d (torn=%d)",
-					kill, name, info.Records, c.surviving, c.torn)
+					kill, name, info.Records, c.Surviving, c.Torn)
 			}
-			if c.torn > 0 && !info.TornTail {
+			if c.Torn > 0 && !info.TornTail {
 				t.Errorf("kill %d: campaign %s: torn cut not reported as torn tail", kill, name)
 			}
-			ref, refStore := referenceSystem(t, name, recs[name][:c.surviving], storeSrc, m)
+			ref, refStore := referenceSystem(t, name, logs[name].Records[:c.Surviving], storeSrc, m)
 			if got, want := sys.Fingerprint(), ref.Fingerprint(); got != want {
-				t.Fatalf("kill %d: campaign %s (surviving=%d torn=%d): recovered state differs from serial reference\nrecovered: %.300s\nreference: %.300s",
-					kill, name, c.surviving, c.torn, got, want)
+				t.Fatalf("kill %d: campaign %s (surviving=%d torn=%d): recovered state differs from serial reference\n%s",
+					kill, name, c.Surviving, c.Torn, crashtest.Report(t, fmt.Sprintf("kill-%02d-%s", kill, name), core.DiffFingerprints(got, want, 8)))
 			}
 			if err := ref.Close(); err != nil {
 				t.Fatal(err)
@@ -484,9 +335,9 @@ func TestCrashRecoversUnmergedProfiling(t *testing.T) {
 	// Crash image: the full campaign WAL, but the store's log loses its
 	// final record — the worker's profiling merge.
 	crashRoot := t.TempDir()
-	copyTree(t, filepath.Join(root, campaignsDir, "solo"), filepath.Join(crashRoot, campaignsDir, "solo"))
-	copyTree(t, filepath.Join(root, storeDir), filepath.Join(crashRoot, storeDir))
-	dropLastRecord(t, filepath.Join(crashRoot, storeDir))
+	crashtest.CopyTree(t, filepath.Join(root, campaignsDir, "solo"), filepath.Join(crashRoot, campaignsDir, "solo"))
+	crashtest.CopyTree(t, filepath.Join(root, storeDir), filepath.Join(crashRoot, storeDir))
+	crashtest.DropLast(t, filepath.Join(crashRoot, storeDir))
 
 	booted, err := Open(crashConfig(crashRoot))
 	if err != nil {

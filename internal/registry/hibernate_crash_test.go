@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"docs/internal/core"
+	"docs/internal/crashtest"
 	"docs/internal/model"
 	"docs/internal/snapshot"
 	"docs/internal/truth"
@@ -86,7 +87,7 @@ func buildHibernateCrashFixture(t *testing.T) *hibernateCrashFixture {
 	if err != nil {
 		t.Fatalf("first hibernate left no snapshot: %v", err)
 	}
-	staleSeq := len(readStream(t, dir))
+	staleSeq := len(crashtest.ReadStream(t, dir))
 
 	// Wake and extend the campaign: run the rest of the workload to
 	// saturation, final hibernate. The stale snapshot now trails the log.
@@ -102,7 +103,7 @@ func buildHibernateCrashFixture(t *testing.T) *hibernateCrashFixture {
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs := readStream(t, dir)
+	recs := crashtest.ReadStream(t, dir)
 	if len(recs) <= staleSeq {
 		t.Fatalf("second wave added no records (%d then %d)", staleSeq, len(recs))
 	}
@@ -150,7 +151,7 @@ func buildAnswerFreeFixture(t *testing.T, seeded bool) *hibernateCrashFixture {
 	if _, err := os.Stat(filepath.Join(dir, snapshot.FileName)); !os.IsNotExist(err) {
 		t.Fatalf("answer-free hibernate left a snapshot file (stat: %v)", err)
 	}
-	recs := readStream(t, dir)
+	recs := crashtest.ReadStream(t, dir)
 	want := 1 // the publication
 	if seeded {
 		want = 2 // and w0's seed
@@ -166,7 +167,7 @@ func buildAnswerFreeFixture(t *testing.T, seeded bool) *hibernateCrashFixture {
 func (f *hibernateCrashFixture) buildImage(t *testing.T, mutate func(snapPath string)) string {
 	t.Helper()
 	crashRoot := t.TempDir()
-	copyTree(t, f.root, crashRoot)
+	crashtest.CopyTree(t, f.root, crashRoot)
 	mutate(filepath.Join(crashRoot, campaignsDir, "solo", snapshot.FileName))
 	return crashRoot
 }
@@ -222,14 +223,14 @@ func (f *hibernateCrashFixture) bootAndCheck(t *testing.T, label, crashRoot stri
 	defer ref.Close()
 	if got, want := sys.Fingerprint(), ref.Fingerprint(); got != want {
 		t.Fatalf("%s: recovered state differs from serial reference\n%s",
-			label, core.DiffFingerprints(got, want, 8))
+			label, crashtest.Report(t, "reference-"+label, core.DiffFingerprints(got, want, 8)))
 	}
 	// The serial reference replays the identical stream the live campaign
 	// served, so it must also equal the live pre-hibernate fingerprint —
 	// tying this sweep back to the live-vs-recovered contract.
 	if got := sys.Fingerprint(); got != f.fpLive {
 		t.Fatalf("%s: recovered state differs from live pre-hibernate state\n%s",
-			label, core.DiffFingerprints(got, f.fpLive, 8))
+			label, crashtest.Report(t, "live-"+label, core.DiffFingerprints(got, f.fpLive, 8)))
 	}
 }
 
@@ -355,13 +356,12 @@ func TestHibernateCrashPointsExact(t *testing.T) {
 // acknowledged as covered.
 func TestHibernateCrashMidLogTear(t *testing.T) {
 	f := buildHibernateCrashFixture(t)
-	spans := segmentSpans(t, f.dir)
 	surviving := len(f.recs) - 2
 
 	crashRoot := t.TempDir()
-	copyTree(t, filepath.Join(f.root, storeDir), filepath.Join(crashRoot, storeDir))
+	crashtest.CopyTree(t, filepath.Join(f.root, storeDir), filepath.Join(crashRoot, storeDir))
 	dst := filepath.Join(crashRoot, campaignsDir, "solo")
-	buildCrashCampaign(t, f.dir, dst, f.recs, spans, surviving, 5)
+	crashtest.ReadLog(t, f.dir).Cut(t, dst, crashtest.Kill{Surviving: surviving, Torn: 5})
 	// Stale snapshot from the first hibernate: it covers a prefix of the
 	// surviving records, so it is USABLE — restore + suffix replay up to
 	// the tear.
@@ -393,6 +393,6 @@ func TestHibernateCrashMidLogTear(t *testing.T) {
 	defer ref.Close()
 	if got, want := sys.Fingerprint(), ref.Fingerprint(); got != want {
 		t.Fatalf("double-fault recovery differs from serial reference of the surviving prefix\n%s",
-			core.DiffFingerprints(got, want, 8))
+			crashtest.Report(t, "double-fault", core.DiffFingerprints(got, want, 8)))
 	}
 }

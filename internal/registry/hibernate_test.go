@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"docs/internal/core"
+	"docs/internal/crashtest"
 	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/snapshot"
@@ -126,7 +127,7 @@ func (l *lockstep) wakeShape(t *testing.T, root string) (snapshotUsed bool, repl
 	if info.SnapshotRejected != "" {
 		t.Fatalf("campaign %s: wake rejected its snapshot: %s", l.name, info.SnapshotRejected)
 	}
-	suffix := readStream(t, filepath.Join(root, campaignsDir, l.name))[info.SnapshotSeq:]
+	suffix := crashtest.ReadStream(t, filepath.Join(root, campaignsDir, l.name))[info.SnapshotSeq:]
 	if len(suffix) < info.Records {
 		t.Fatalf("campaign %s: wake replayed %d records, the log holds %d past seq %d", l.name, info.Records, len(suffix), info.SnapshotSeq)
 	}

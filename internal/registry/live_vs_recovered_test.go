@@ -2,43 +2,14 @@ package registry
 
 import (
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"docs/internal/core"
+	"docs/internal/crashtest"
 	"docs/internal/mathx"
 	"docs/internal/model"
 )
-
-// copyTree copies a directory tree with plain file reads — the serial
-// workload is quiescent between acknowledged operations, so the copy is
-// exactly the image a kill -9 would leave at that boundary.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestRegistryLiveVsRecoveredExact is the multi-campaign face of the
 // live-vs-recovered contract: two campaigns interleave over the shared
@@ -82,7 +53,7 @@ func TestRegistryLiveVsRecoveredExact(t *testing.T) {
 	var caps []capturePoint
 	capture := func() {
 		dir := filepath.Join(root, "..", fmt.Sprintf("img-%03d", len(caps)))
-		copyTree(t, root, dir)
+		crashtest.CopyTree(t, root, dir)
 		fps := make(map[string]string, len(names))
 		for _, name := range names {
 			fps[name] = systems[name].Fingerprint()
@@ -150,7 +121,7 @@ func TestRegistryLiveVsRecoveredExact(t *testing.T) {
 			}
 			if got := sys.Fingerprint(); got != cp.fps[name] {
 				t.Fatalf("capture %d: campaign %s recovered != live\n%s",
-					i, name, core.DiffFingerprints(got, cp.fps[name], 8))
+					i, name, crashtest.Report(t, fmt.Sprintf("capture-%03d-%s", i, name), core.DiffFingerprints(got, cp.fps[name], 8)))
 			}
 		}
 		if err := booted.Close(); err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"docs/internal/core"
+	"docs/internal/crashtest"
 	"docs/internal/dataset"
 	"docs/internal/kb"
 	"docs/internal/model"
@@ -746,7 +747,7 @@ func TestConcurrentPublishesMatchSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c, name := range names {
-			out[c] += fmt.Sprintf("|%x", readStream(t, filepath.Join(root, campaignsDir, name))[0].Blob)
+			out[c] += fmt.Sprintf("|%x", crashtest.ReadStream(t, filepath.Join(root, campaignsDir, name))[0].Blob)
 		}
 		return out
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"docs/internal/core"
+	"docs/internal/crashtest"
 )
 
 // TestLegacyStoreRefused: the worker store is a log directory, and nothing
@@ -111,7 +112,7 @@ func TestStoreAndCampaignLogsNotInterchangeable(t *testing.T) {
 	}
 
 	mixed := t.TempDir()
-	copyTree(t, filepath.Join(root, storeDir), filepath.Join(mixed, campaignsDir, "beta"))
+	crashtest.CopyTree(t, filepath.Join(root, storeDir), filepath.Join(mixed, campaignsDir, "beta"))
 	if reg, err := Open(crashConfig(mixed)); err == nil || !strings.Contains(err.Error(), "record 1 is a worker-store update") {
 		if err == nil {
 			reg.Close()
@@ -144,7 +145,7 @@ func TestFormatV0LogRefused(t *testing.T) {
 		}
 
 		dir := filepath.Join(t.TempDir(), "wal")
-		copyTree(t, row.fixture, dir)
+		crashtest.CopyTree(t, row.fixture, dir)
 		sys, err := core.New(core.Config{Store: memStore(t), ProfileScope: "legacy"})
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +156,7 @@ func TestFormatV0LogRefused(t *testing.T) {
 
 		root := t.TempDir()
 		dir = filepath.Join(root, campaignsDir, "legacy")
-		copyTree(t, row.fixture, dir)
+		crashtest.CopyTree(t, row.fixture, dir)
 		cfg := crashConfig(root)
 		cfg.MaxLiveCampaigns = 1
 		reg, err := Open(cfg)
@@ -170,7 +171,7 @@ func TestFormatV0LogRefused(t *testing.T) {
 
 		cfg = crashConfig(t.TempDir())
 		cfg.StorePath = filepath.Join(t.TempDir(), "store")
-		copyTree(t, row.fixture, cfg.StorePath)
+		crashtest.CopyTree(t, row.fixture, cfg.StorePath)
 		if reg, err = Open(cfg); err == nil {
 			reg.Close()
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"docs/internal/crashtest"
 	"docs/internal/truth"
 	"docs/internal/wal"
 )
@@ -107,11 +108,11 @@ func TestTornDeltaTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append half of a duplicate record — a torn write.
-	var start int64
-	if err := wal.ScanSegment(seg, func(_ wal.Record, s, _ int64) error { start = s; return nil }); err != nil {
+	frames, err := crashtest.SegmentFrames(seg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := data[start:]
+	rec := data[frames[len(frames)-1].Start:]
 	if err := os.WriteFile(seg, append(data, rec[:len(rec)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}

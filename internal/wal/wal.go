@@ -683,8 +683,8 @@ func nop(Record, int64, int64) error { return nil }
 // records after them are never silently truncated away. A cut header is a
 // torn tail too; a segment opening with anything else is format v0
 // (errFormatV0), and one whose header says version 1 is format v1
-// (errFormatV1). Exported for diagnostic tooling and the crash-injection
-// harness.
+// (errFormatV1). It is exported for one caller outside this package: the
+// test kit internal/crashtest, which cuts crash images at its frame offsets.
 func ScanSegment(path string, fn func(rec Record, start, end int64) error) error {
 	_, err := scanSegment(path, fn)
 	return err

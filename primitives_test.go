@@ -65,7 +65,9 @@ import (
 // writes an element of a .Domain. The paper's experiments grade the served
 // DOCS: nothing under internal/experiment builds a truth.Incremental. A
 // /stats counter is declared once: the response type embeds the campaign's
-// and the registry's Stats and declares none of the keys they carry.
+// and the registry's Stats and declares none of the keys they carry. A
+// crash image is built by internal/crashtest alone, which only tests
+// import: it is the one caller of wal.ScanSegment outside internal/wal.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -498,6 +500,67 @@ func TestOneReaderOneWriter(t *testing.T) {
 	sort.Strings(frameReaders)
 	if got, want := strings.Join(frameReaders, " "), "DecodeFrames scanBytes"; got != want {
 		t.Errorf("frame8 is called from [%s], want [%s]: one call each", got, want)
+	}
+
+	// Crash images come from internal/crashtest alone: no non-test file
+	// imports it, no file outside it and internal/wal calls
+	// wal.ScanSegment, and no test file declares a helper of its own under
+	// the names the kit replaced.
+	replaced := map[string]bool{}
+	for _, name := range []string{"readStream", "segmentSpans", "buildCrashDir", "buildCrashCampaign", "copyTree",
+		"copyDir", "copyFile", "dropLastRecord", "frameEnd", "tornVariant"} {
+		replaced[name] = true
+	}
+	kitImports, kitScans := 0, 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir, test := filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go")
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"docs/internal/crashtest"` {
+				if !test {
+					t.Errorf("%s imports docs/internal/crashtest, which only tests may", fset.Position(imp.Pos()))
+				}
+				kitImports++
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "ScanSegment" && isIdent(n.X, "wal") {
+					if dir != "internal/crashtest" && dir != "internal/wal" {
+						t.Errorf("%s calls wal.ScanSegment; outside internal/wal only internal/crashtest may", fset.Position(n.Pos()))
+					}
+					kitScans++
+				}
+			case *ast.FuncDecl:
+				if test && replaced[n.Name.Name] {
+					t.Errorf("%s declares %s, which internal/crashtest replaced", fset.Position(n.Pos()), n.Name.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kitImports == 0 || kitScans == 0 {
+		t.Errorf("found %d imports of internal/crashtest and %d calls of wal.ScanSegment: the check no longer sees them", kitImports, kitScans)
 	}
 }
 
