@@ -475,15 +475,21 @@ const publishChunk = 64
 // linkAndPack runs DVE over chunks of the tasks on up to GOMAXPROCS
 // goroutines, this one among them (the knowledge base is finished and each
 // task is its own), each reusing one workspace and all sharing one
-// domainTable, and, when logged is set, packs the record behind them on one
-// more (packRecord). It returns when every chunk is linked, with record to
-// wait for the packer. Its error is the one a serial loop would meet first,
-// and then no goroutine it started is left.
+// domainTable, and, when logged is set, packs the record beside them on one
+// more (packRecord, which waits for the linkers only before the vectors).
+// It returns when every chunk is linked, with record to wait for the
+// packer. Its error is the one a serial loop would meet first, and then no
+// goroutine it started is left.
 func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([]byte, error), err error) {
 	chunks := (len(tasks) + publishChunk - 1) / publishChunk
-	errs, linked := make([]error, chunks), make([]chan struct{}, chunks)
-	for c := range linked {
-		linked[c] = make(chan struct{})
+	errs, linked := make([]error, chunks), make(chan struct{})
+	firstErr := func() error {
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	var blob []byte
 	var packErr error
@@ -492,7 +498,7 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 		packer.Add(1)
 		go func() {
 			defer packer.Done()
-			blob, packErr = packRecord(tasks, s.m, func(c int) error { <-linked[c]; return errs[c] })
+			blob, packErr = packRecord(tasks, s.m, func() error { <-linked; return firstErr() })
 			if packErr == nil && s.packFault != nil {
 				packErr = s.packFault()
 			}
@@ -505,7 +511,6 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 		var ws linkSpace
 		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
 			errs[c] = s.linkChunk(c, tasks[c*publishChunk:min((c+1)*publishChunk, len(tasks))], &ws, &domains)
-			close(linked[c])
 		}
 	}
 	var linkers sync.WaitGroup
@@ -515,11 +520,10 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 	}
 	link()
 	linkers.Wait()
-	for _, err := range errs {
-		if err != nil {
-			record() // the packer stops at the first failed chunk
-			return nil, err
-		}
+	close(linked)
+	if err := firstErr(); err != nil {
+		record() // the packer stops at the linkers' error
+		return nil, err
 	}
 	return record, nil
 }

@@ -1,6 +1,6 @@
-// The pinned DEFLATE writer behind the DPB3 publication record.
+// The pinned DEFLATE writer behind the DPC3 publication record.
 //
-// A DPB3 decoder holds its stream to a re-encode of the body, so the
+// A DPC3 decoder holds its stream to a re-encode of the body, so the
 // record's bytes must be a function of the body that no toolchain moves —
 // which compress/flate's writer, retuned across Go releases, is not. This
 // writer's output is fixed by its rules alone. It writes an RFC 1951
@@ -49,7 +49,7 @@ type deflater struct {
 	out  []byte               // the stream so far
 }
 
-// deflaters pools the writers packRecord and the DPB3 re-encode check run.
+// deflaters pools the writers packRecord and the DPC3 re-encode check run.
 var deflaters = sync.Pool{New: func() any { return new(deflater) }}
 
 // releaseDeflater returns d to the pool, which keeps no reference to the

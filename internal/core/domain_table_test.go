@@ -119,7 +119,7 @@ func TestPublishHoldsEachVectorOnce(t *testing.T) {
 	check("recovered", r.tasks)
 }
 
-// TestAllocsReplayVectors: decoding the DPB1 blob of datasetTasks(6000)
+// TestAllocsReplayVectors: decoding the DPC1 blob of datasetTasks(6000)
 // allocates one m-long vector per distinct logged encoding, not an n×m
 // block: what it allocates past the tasks, their strings and choices is
 // the distinct vectors and their transient table.

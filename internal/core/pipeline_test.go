@@ -16,7 +16,8 @@ import (
 )
 
 // Publish is a pipeline: DVE fans out over chunks of the tasks, the packer
-// encodes each chunk behind it, and the tasks are installed in one pass.
+// encodes and packs the columns DVE does not touch beside it and the
+// vectors after it, and the tasks are installed in one pass.
 // Every test here holds it to the serial path it replaced.
 
 // datasetTasks is n fresh tasks cut from the four datasets' texts, choices
@@ -76,7 +77,7 @@ func publishLogged(t *testing.T, cfg Config, tasks []*model.Task) (*System, []by
 // encodeBinaryPublication and packPublication — logs for the same tasks:
 // over the four datasets; over batches of 1, a chunk less one, a chunk, a
 // chunk and one, and 6,000 tasks with a third of them pre-annotated; over
-// random-byte texts, which stay DPB1; and, through the pipeline Publish
+// random-byte texts, which stay DPC1; and, through the pipeline Publish
 // runs after validation, over TestPropertyPublicationRoundTrip's 200
 // seeded sets.
 func TestPublishRecordMatchesSerialOracle(t *testing.T) {

@@ -7,40 +7,50 @@
 // this record again, so its size is most of a young campaign's disk bill
 // and its decode most of a wake.
 //
-// The task set is encoded canonical and binary, in the style of the state
-// snapshot and the KindSeed blob:
+// The task set is encoded canonical and binary, column by column, so that
+// like values lie together — texts next to texts, where the packing below
+// finds the template they share — and each distinct domain vector once:
 //
-//	magic "DPB1" | m uvarint | n uvarint | n × task
-//	task:  id uvarint | text str | ℓ uvarint | ℓ × choice str
-//	       | truth+1 uvarint | trueDomain+1 uvarint
-//	       | nnz uvarint | nnz × (domain index uvarint | 8 raw LE bytes)
-//	str:   len uvarint | bytes
+//	magic "DPC1" | m uvarint | n uvarint
+//	  | n × zigzag(id − previous id − 1) uvarint     previous starts at −1
+//	  | n × text tstr
+//	  | n × (ℓ uvarint | ℓ × choice tstr)
+//	  | n × truth+1 uvarint | n × trueDomain+1 uvarint
+//	  | n × vector ref uvarint
+//	  | d × vector
+//	tstr:  the bytes, with 0x00 → 01 01 and 0x01 → 01 02, then 0x00
 //
 // An integer is a minimal uvarint; truth and trueDomain are stored plus
-// one, so NoTruth is 0. A domain vector is a wal.SparseFloats against +0, so
-// −0, denormals and the uniform "domain unknown" vector round-trip bit for
-// bit (presence is by bits; the task's support is r_k > 0,
-// model.DomainVector.Has, so a stored −0 is outside it). One task set has
-// one byte string: the decoder accepts nothing the encoder would not write
-// and checks every count against the bytes that remain before it allocates.
+// one, so NoTruth is 0. A string ends in a terminator rather than starting
+// with its length, so the bytes between two texts cut from one template
+// repeat too. Refs number the distinct vectors in order of first
+// appearance: a ref below the count d so far names that entry, a ref equal
+// to it adds entry d, and the table lists the d entries in that order. A
+// vector is a wal.SparseFloats against +0, so −0, denormals and the uniform
+// "domain unknown" vector round-trip bit for bit (presence is by bits; the
+// task's support is r_k > 0, model.DomainVector.Has, so a stored −0 is
+// outside it), and two entries are never byte-equal. One task set has one
+// byte string: the decoder accepts nothing the encoder would not write and
+// checks every count against the bytes that remain before it allocates.
 //
 // A publication is mostly its template — a campaign is a batch of questions
 // cut from a few sentence patterns — so the record Publish logs is that
 // blob packed whenever packing makes it shorter:
 //
-//	magic "DPB3" | body length uvarint | DEFLATE(body)
+//	magic "DPC3" | body length uvarint | DEFLATE(body)
 //
-// where body is the DPB1 blob after its magic and DEFLATE is the pinned
+// where body is the DPC1 blob after its magic and DEFLATE is the pinned
 // writer of deflate.go, whose stream is a function of the body fixed by its
 // rules, not by a toolchain; it is read with compress/flate's reader. So
-// DPB3 is canonical too: the decoder refuses a stated length over what a
+// DPC3 is canonical too: the decoder refuses a stated length over what a
 // publication may hold, a stream that inflates to another length or has
 // bytes after its final block, one that is not the writer's output for its
-// body, and a DPB3 blob no shorter than its DPB1
-// (testdata/publication_dpb3.golden pins the writer's bytes). A DPB1 record
+// body, and a DPC3 blob no shorter than its DPC1
+// (testdata/publication_dpc3.golden pins the writer's bytes). A DPC1 record
 // is read whatever its size; a publish record under any other magic is
-// refused, the LZW-packed one logged before DPB3 with an error naming the
-// last commit that reads it (errFormatLZW).
+// refused, the row-major and LZW-packed ones earlier builds logged with an
+// error naming the last commit that reads them (errFormatRows,
+// errFormatLZW).
 package core
 
 import (
@@ -51,6 +61,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 
 	"docs/internal/model"
@@ -61,35 +72,40 @@ const (
 	// publicationMagic opens every unpacked binary publication blob and
 	// deflateMagic every packed one. Versioned: a future layout bumps the
 	// trailing byte.
-	publicationMagic = "DPB1"
-	deflateMagic     = "DPB3"
+	publicationMagic = "DPC1"
+	deflateMagic     = "DPC3"
 	// maxPackedBody is the longest body a packed blob may state: the body
-	// of the largest DPB1 blob Publish accepts, which is the largest blob
+	// of the largest DPC1 blob Publish accepts, which is the largest blob
 	// one log record holds.
 	maxPackedBody = wal.MaxBlob - len(publicationMagic)
 )
 
-// minTaskBytes is the least a task occupies in a blob: six one-byte
-// uvarints around an empty text, no choices and an all-zero vector.
+// minTaskBytes is the least a task occupies in a blob: one byte in each of
+// its six columns (an ID, an empty text's terminator, ℓ, truth, true domain
+// and ref).
 const minTaskBytes = 6
 
-// checkPublicationSize refuses a task set whose DPB1 blob could be too
-// large for one log record. It bounds the blob with every domain vector
-// listing all m entries — exact for the header, the texts, the choices
-// and every varint, an upper bound for the vectors — so it needs no domain
-// vector and holds a batch to the record size before DVE runs.
+// checkPublicationSize refuses a task set whose DPC1 blob could be too
+// large for one log record. It bounds the blob as if every task added a
+// vector listing all m entries — exact for the header, the texts, the
+// choices, the IDs and the truths, an upper bound for the refs and the
+// table — so it needs no domain vector and holds a batch to the record
+// size before DVE runs.
 func checkPublicationSize(tasks []*model.Task, m int) error {
 	vector := uvarintLen(uint64(m))
 	for k := 0; k < m; k++ {
 		vector += uvarintLen(uint64(k)) + 8
 	}
-	size := len(publicationMagic) + uvarintLen(uint64(m)) + uvarintLen(uint64(len(tasks)))
+	ref := uvarintLen(uint64(len(tasks)))
+	size := len(publicationMagic) + uvarintLen(uint64(m)) + ref
+	prev := -1
 	for _, t := range tasks {
-		size += uvarintLen(uint64(t.ID)) + strLen(t.Text) + uvarintLen(uint64(len(t.Choices)))
+		size += uvarintLen(zigzag(t.ID-prev-1)) + tstrLen(t.Text) + uvarintLen(uint64(len(t.Choices)))
+		prev = t.ID
 		for _, c := range t.Choices {
-			size += strLen(c)
+			size += tstrLen(c)
 		}
-		size += uvarintLen(uint64(t.Truth+1)) + uvarintLen(uint64(t.TrueDomain+1)) + vector
+		size += uvarintLen(uint64(t.Truth+1)) + uvarintLen(uint64(t.TrueDomain+1)) + ref + vector
 	}
 	if size > wal.MaxBlob {
 		return fmt.Errorf("core: publication may encode to %d bytes, over the %d a log record holds; publish fewer or shorter tasks",
@@ -103,18 +119,34 @@ func uvarintLen(x uint64) int {
 	return binary.PutUvarint(b[:], x)
 }
 
-func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+// zigzag maps a signed step to an unsigned one, small either way.
+func zigzag(x int) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
-// packRecord returns the record Publish logs for a task set: its DPB1 blob,
-// packed as DPB3 when that is the shorter. Chunk c, the publishChunk tasks
-// from c·publishChunk, is encoded once linked(c) returns, its vectors set,
-// and the pinned writer advances over the body behind it, so the record is
-// a pure function of the tasks, as replay needs. It fails on linked's first
-// error or on a task the format cannot express: a negative ID, a truth or
-// true domain below NoTruth, or a domain vector that is not m long.
+// escape and unescape map a string's bytes to a terminated string's and
+// back.
+var (
+	escape   = strings.NewReplacer("\x00", "\x01\x01", "\x01", "\x01\x02")
+	unescape = strings.NewReplacer("\x01\x01", "\x00", "\x01\x02", "\x01")
+)
+
+// appendTstr appends s as a terminated string.
+func appendTstr(b []byte, s string) []byte { return append(append(b, escape.Replace(s)...), 0) }
+
+func tstrLen(s string) int {
+	return len(s) + strings.Count(s, "\x00") + strings.Count(s, "\x01") + 1
+}
+
+// packRecord returns the record Publish logs for a task set: its DPC1 blob,
+// packed as DPC3 when that is the shorter. The columns DVE does not touch —
+// IDs, texts, choices, truths — are encoded first and the pinned writer
+// advances over them while the linkers run; linked waits for the linkers,
+// and only the ref and table columns follow it. So the record is a pure
+// function of the tasks, as replay needs. It fails on linked's error or on
+// a task the format cannot express: a negative ID, a truth or true domain
+// below NoTruth, or a domain vector that is not m long.
 //
 //docs:deterministic
-func packRecord(tasks []*model.Task, m int, linked func(chunk int) error) ([]byte, error) {
+func packRecord(tasks []*model.Task, m int, linked func() error) ([]byte, error) {
 	size := len(publicationMagic) + 2*binary.MaxVarintLen64
 	for _, t := range tasks {
 		size += 32 + len(t.Text)
@@ -122,53 +154,86 @@ func packRecord(tasks []*model.Task, m int, linked func(chunk int) error) ([]byt
 			size += 1 + len(c)
 		}
 	}
-	dpb1 := make([]byte, 0, size)
-	dpb1 = append(dpb1, publicationMagic...)
-	dpb1 = binary.AppendUvarint(dpb1, uint64(m))
-	dpb1 = binary.AppendUvarint(dpb1, uint64(len(tasks)))
+	blob := make([]byte, 0, size)
+	blob = append(blob, publicationMagic...)
+	blob = binary.AppendUvarint(blob, uint64(m))
+	blob = binary.AppendUvarint(blob, uint64(len(tasks)))
 	d := deflaters.Get().(*deflater)
 	defer releaseDeflater(d)
 	d.reset(make([]byte, 0, size/4))
-	var domain wal.SparseFloats // reused task to task
-	for c := 0; c*publishChunk < len(tasks); c++ {
-		if err := linked(c); err != nil {
-			return nil, err
+	prev := -1
+	for _, t := range tasks {
+		if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
+			return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
+				t.ID, t.Truth, t.TrueDomain)
 		}
-		for _, t := range tasks[c*publishChunk : min((c+1)*publishChunk, len(tasks))] {
-			if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
-				return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
-					t.ID, t.Truth, t.TrueDomain)
-			}
-			if len(t.Domain) != m {
-				return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
-					t.ID, len(t.Domain), m)
-			}
-			dpb1 = binary.AppendUvarint(dpb1, uint64(t.ID))
-			dpb1 = appendStr(dpb1, t.Text)
-			dpb1 = binary.AppendUvarint(dpb1, uint64(len(t.Choices)))
-			for _, c := range t.Choices {
-				dpb1 = appendStr(dpb1, c)
-			}
-			dpb1 = binary.AppendUvarint(dpb1, uint64(t.Truth+1))
-			dpb1 = binary.AppendUvarint(dpb1, uint64(t.TrueDomain+1))
-			var err error
-			if dpb1, err = appendVector(dpb1, &domain, t.Domain, m); err != nil {
-				return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
-			}
-		}
-		d.write(dpb1[len(publicationMagic):], false)
+		blob = binary.AppendUvarint(blob, zigzag(t.ID-prev-1))
+		prev = t.ID
 	}
-	body := dpb1[len(publicationMagic):]
+	for _, t := range tasks {
+		blob = appendTstr(blob, t.Text)
+	}
+	d.write(blob[len(publicationMagic):], false)
+	for _, t := range tasks {
+		blob = binary.AppendUvarint(blob, uint64(len(t.Choices)))
+		for _, c := range t.Choices {
+			blob = appendTstr(blob, c)
+		}
+	}
+	for _, t := range tasks {
+		blob = binary.AppendUvarint(blob, uint64(t.Truth+1))
+	}
+	for _, t := range tasks {
+		blob = binary.AppendUvarint(blob, uint64(t.TrueDomain+1))
+	}
+	d.write(blob[len(publicationMagic):], false)
+	if err := linked(); err != nil {
+		return nil, err
+	}
+	blob, err := appendVectors(blob, tasks, m)
+	if err != nil {
+		return nil, err
+	}
+	body := blob[len(publicationMagic):]
 	d.write(body, true)
-	if len(deflateMagic)+uvarintLen(uint64(len(body)))+len(d.out) >= len(dpb1) {
-		return dpb1, nil
+	if len(deflateMagic)+uvarintLen(uint64(len(body)))+len(d.out) >= len(blob) {
+		return blob, nil
 	}
 	return append(binary.AppendUvarint([]byte(deflateMagic), uint64(len(body))), d.out...), nil
 }
 
+// appendVectors appends a task set's last two columns: each task's vector
+// ref, then the table of distinct vectors in order of first appearance,
+// each under its logged encoding (appendVector).
+func appendVectors(blob []byte, tasks []*model.Task, m int) ([]byte, error) {
+	refs := make(map[string]int)  // by encoding
+	table := make([]byte, 0, 256) // room for most publications' distinct vectors
+	domain := wal.SparseFloats{K: make([]int, 0, m), V: make([]float64, 0, m)}
+	for _, t := range tasks {
+		if len(t.Domain) != m {
+			return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
+				t.ID, len(t.Domain), m)
+		}
+		start := len(table)
+		var err error
+		if table, err = appendVector(table, &domain, t.Domain, m); err != nil {
+			return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
+		}
+		ref, seen := refs[string(table[start:])]
+		if seen {
+			table = table[:start]
+		} else {
+			ref = len(refs)
+			refs[string(table[start:])] = ref
+		}
+		blob = binary.AppendUvarint(blob, uint64(ref))
+	}
+	return append(blob, table...), nil
+}
+
 // appendVector appends a domain vector's logged encoding, a
-// wal.SparseFloats against +0 built in sparse: the bytes a DPB1 record holds
-// for the vector, and the key a domainTable holds it under.
+// wal.SparseFloats against +0 built in sparse: the bytes a DPC1 table entry
+// holds for the vector, and the key a domainTable holds it under.
 func appendVector(b []byte, sparse *wal.SparseFloats, v []float64, m int) ([]byte, error) {
 	*sparse = wal.SparseOf(*sparse, v, 0)
 	return wal.AppendSparseFloats(b, *sparse, m, 0)
@@ -178,11 +243,12 @@ func appendVector(b []byte, sparse *wal.SparseFloats, v []float64, m int) ([]byt
 // under its logged encoding (appendVector), so two tasks share a vector
 // exactly when the record holds the same bytes for both. The key is bits,
 // never ==: −0, a denormal and the uniform "domain unknown" vector each
-// keep their own. Publish's linkers share one table, and replay's decoder
-// keys a map of its own the same way before the replayed Publish interns
-// again; each is dropped once its tasks are built, so a campaign holds m
-// floats per distinct vector, not per task. Sharing is safe because nothing
-// writes an element of a task's Domain (TestOneReaderOneWriter).
+// keep their own. Publish's linkers share one table; replay's decoder
+// needs none, since the record's tasks share its table's entries, and the
+// replayed Publish interns those. It is dropped once its tasks are built,
+// so a campaign holds m floats per distinct vector, not per task. Sharing
+// is safe because nothing writes an element of a task's Domain
+// (TestOneReaderOneWriter).
 type domainTable struct {
 	mu  sync.Mutex
 	vec map[string]model.DomainVector
@@ -204,18 +270,17 @@ func (dt *domainTable) intern(key []byte, v model.DomainVector, keep bool) model
 	return v
 }
 
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 var errNotCanonical = errors.New("stream is not the packing of its body")
 
 // errFormatLZW refuses a publication packed with LZW, which builds logged
 // before the pinned DEFLATE writer.
-var errFormatLZW = errors.New("DPB2 (LZW-packed) publication: this build reads DPB1 and DPB3 only; a3e04fd is the last commit that reads it")
+var errFormatLZW = errors.New("DPB2 (LZW-packed) publication: this build reads DPC1 and DPC3 only; a3e04fd is the last commit that reads it")
 
-// inflater is a pooled reader of DPB3 streams: compress/flate's, reset onto
+// errFormatRows refuses a publication laid out task by task, which builds
+// logged before the column layout, unpacked or packed.
+var errFormatRows = errors.New("DPB1/DPB3 (row-major) publication: this build reads DPC1 and DPC3 only; 7137417 is the last commit that reads it")
+
+// inflater is a pooled reader of DPC3 streams: compress/flate's, reset onto
 // src.
 type inflater struct {
 	src bytes.Reader
@@ -228,7 +293,7 @@ var inflaters = sync.Pool{New: func() any {
 	return in
 }}
 
-// unpackPublication inflates a DPB3 blob into the DPB1 blob it stands for,
+// unpackPublication inflates a DPC3 blob into the DPC1 blob it stands for,
 // refusing every blob the pinned writer would not have written. Inflation
 // stops one byte past the stated length, and the buffer grows only as bytes
 // inflate, never to that length up front, so a hostile length buys no
@@ -257,8 +322,8 @@ func unpackPublication(blob []byte) ([]byte, error) {
 	if _, err := out.ReadFrom(io.LimitReader(in.zr, int64(n)+1)); err != nil {
 		return nil, fmt.Errorf("packed body: %w", err)
 	}
-	dpb1 := out.Bytes()
-	body := dpb1[len(publicationMagic):]
+	dpc1 := out.Bytes()
+	body := dpc1[len(publicationMagic):]
 	switch {
 	case uint64(len(body)) > n:
 		return nil, fmt.Errorf("packed body inflates past the %d bytes stated", n)
@@ -270,10 +335,10 @@ func unpackPublication(blob []byte) ([]byte, error) {
 	if !packsTo(body, stream) {
 		return nil, errNotCanonical
 	}
-	if len(blob) >= len(dpb1) {
-		return nil, fmt.Errorf("packed publication of %d bytes is no shorter than the %d it packs", len(blob), len(dpb1))
+	if len(blob) >= len(dpc1) {
+		return nil, fmt.Errorf("packed publication of %d bytes is no shorter than the %d it packs", len(blob), len(dpc1))
 	}
-	return dpb1, nil
+	return dpc1, nil
 }
 
 // packsTo reports whether stream is the pinned DEFLATE writer's output for
@@ -289,7 +354,7 @@ func packsTo(body, stream []byte) bool {
 // decodePublication parses a publish record's task set. It is the one
 // reader of the record (replay's applyRecord), and it returns only tasks
 // that carry an m-long domain vector, so replay never re-runs entity
-// linking. A DPB3 blob unpacks to DPB1 and then reads as one.
+// linking. A DPC3 blob unpacks to DPC1 and then reads as one.
 func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 	blob, err := rec.Blob, error(nil)
 	switch {
@@ -297,6 +362,8 @@ func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 		blob, err = unpackPublication(blob)
 	case bytes.HasPrefix(blob, []byte("DPB2")):
 		err = errFormatLZW
+	case bytes.HasPrefix(blob, []byte("DPB1")), bytes.HasPrefix(blob, []byte("DPB3")):
+		err = errFormatRows
 	}
 	var tasks []*model.Task
 	if err == nil {
@@ -308,14 +375,15 @@ func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 	return tasks, nil
 }
 
-// decodeBinaryPublication parses a DPB1 blob stamped with m domains.
+// decodeBinaryPublication parses a DPC1 blob stamped with m domains.
 // Whatever it is given, it never panics. The n tasks and every string come
-// from three allocations (the strings are substrings of one copy of the
-// blob), plus one choice slice a task and one m-long vector per distinct
-// vector encoding: tasks whose logged vectors are byte-equal share one, found
-// in a table keyed by those bytes where the blob's copy holds them, which is
-// dropped on return. n is checked against the bytes remaining first, so a
-// hostile count buys no memory the blob's own length does not bound.
+// from three allocations (a string is a substring of one copy of the blob,
+// unless it held an escape), plus one choice slice a task and one m-long
+// vector per table entry, which every task naming it shares. The ref
+// column is read twice — checked and counted, then, once the table is
+// built, resolved — so it needs no slice of its own. n and d are checked
+// against the bytes remaining first, so a hostile count buys no memory the
+// blob's own length does not bound.
 func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 	if !bytes.HasPrefix(blob, []byte(publicationMagic)) {
 		return nil, fmt.Errorf("blob lacks magic %q", publicationMagic)
@@ -331,52 +399,100 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 	}
 	backing := make([]model.Task, n)
 	tasks := make([]*model.Task, n)
-	vectors := make(map[string]model.DomainVector) // by encoding, in d.s
-	var domain wal.SparseFloats                    // reused task to task
+	prev := -1
 	for i := range backing {
 		t := &backing[i]
-		t.ID = d.Int()
-		t.Text = d.str()
+		tasks[i] = t
+		step := d.Uvarint()
+		// Wrapping arithmetic: an ID past int comes out negative.
+		if t.ID = prev + 1 + (int(step>>1) ^ -int(step&1)); t.ID < 0 && d.Err() == nil {
+			d.Failf("task %d: ID out of range", i)
+		}
+		prev = t.ID
+	}
+	for _, t := range tasks {
+		t.Text = d.tstr()
+	}
+	for _, t := range tasks {
 		if l := d.Count(1); l > 0 {
 			t.Choices = make([]string, l)
 			for c := range t.Choices {
-				t.Choices[c] = d.str()
+				t.Choices[c] = d.tstr()
 			}
 		}
+	}
+	for _, t := range tasks {
 		t.Truth = d.Int() - 1
+	}
+	for _, t := range tasks {
 		t.TrueDomain = d.Int() - 1
+	}
+	refs, entries := d.Off(), uint64(0)
+	for i := range tasks {
+		if ref := d.Uvarint(); ref > entries {
+			d.Failf("task %d names vector %d of %d", i, ref, entries)
+		} else if ref == entries {
+			entries++
+		}
+	}
+	if entries > uint64(d.Len()) {
+		d.Failf("table of %d vectors exceeds the %d bytes remaining", entries, d.Len())
+	}
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	refCol := wal.NewCursor(body[refs:d.Off()])
+	vectors := make([]model.DomainVector, entries)
+	seen := make(map[string]struct{}, entries) // by encoding, in d.s
+	domain := wal.SparseFloats{K: make([]int, 0, m), V: make([]float64, 0, m)}
+	for e := range vectors {
 		start := d.Off()
 		domain = d.SparseFloats(domain, m, 0)
 		if d.Err() != nil {
-			return nil, fmt.Errorf("task %d: %w", t.ID, d.Err())
+			return nil, fmt.Errorf("vector %d: %w", e, d.Err())
 		}
 		key := d.s[start:d.Off()]
-		v, ok := vectors[key]
-		if !ok {
-			v = make(model.DomainVector, m)
-			if err := domain.Scatter(v); err != nil {
-				return nil, fmt.Errorf("task %d: %w", t.ID, err)
-			}
-			vectors[key] = v
+		if _, dup := seen[key]; dup {
+			return nil, fmt.Errorf("vector %d repeats an earlier one", e)
 		}
-		t.Domain = v
-		tasks[i] = t
+		seen[key] = struct{}{}
+		vectors[e] = make(model.DomainVector, m)
+		if err := domain.Scatter(vectors[e]); err != nil {
+			return nil, fmt.Errorf("vector %d: %w", e, err)
+		}
 	}
 	if err := d.End(); err != nil {
 		return nil, err
+	}
+	for _, t := range tasks {
+		t.Domain = vectors[refCol.Uvarint()]
 	}
 	return tasks, nil
 }
 
 // pubDecoder is the shared cursor plus the one pop the publication keeps
-// to itself: a string that is a substring of s, one copy of the bytes the
-// cursor walks, instead of a copy of its own.
+// to itself: a terminated string that is a substring of s, one copy of the
+// bytes the cursor walks, unless it held an escape.
 type pubDecoder struct {
 	wal.Cursor
 	s string
 }
 
-func (d *pubDecoder) str() string {
-	n := len(d.Bytes())
-	return d.s[d.Off()-n : d.Off()]
+// tstr pops a terminated string. An escape byte that does not open 01 01
+// or 01 02 survives unescape and so re-escapes to a longer string.
+func (d *pubDecoder) tstr() string {
+	raw := d.Terminated()
+	if d.Err() != nil {
+		return ""
+	}
+	end := d.Off() - 1 // the terminator's
+	s := d.s[end-len(raw) : end]
+	if bytes.IndexByte(raw, 1) < 0 {
+		return s
+	}
+	if s = unescape.Replace(s); tstrLen(s) != len(raw)+1 {
+		d.Failf("bad escape in the string ending at byte %d", end)
+		return ""
+	}
+	return s
 }

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,29 +60,61 @@ func twinTasks() []*model.Task {
 
 // encodeBinaryPublication is the serial encoder packRecord replaced, kept
 // as its oracle: it renders a published task set — every task carrying its
-// m-long domain vector — as a DPB1 blob in one pass.
+// m-long domain vector — as a DPC1 blob in one pass, column by column, the
+// table found by a linear search.
 func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
-	size := len(publicationMagic) + 2*binary.MaxVarintLen64
-	for _, t := range tasks {
-		size += 32 + len(t.Text)
-		for _, c := range t.Choices {
-			size += 1 + len(c)
-		}
-	}
-	b := make([]byte, 0, size)
-	b = append(b, publicationMagic...)
-	b = binary.AppendUvarint(b, uint64(m))
+	b := binary.AppendUvarint([]byte(publicationMagic), uint64(m))
 	b = binary.AppendUvarint(b, uint64(len(tasks)))
-	var domain wal.SparseFloats // reused task to task
+	prev := -1
 	for _, t := range tasks {
 		if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
 			return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
 				t.ID, t.Truth, t.TrueDomain)
 		}
+		b = binary.AppendUvarint(b, zigzag(t.ID-prev-1))
+		prev = t.ID
+	}
+	for _, t := range tasks {
+		b = appendTstr(b, t.Text)
+	}
+	for _, t := range tasks {
+		b = binary.AppendUvarint(b, uint64(len(t.Choices)))
+		for _, c := range t.Choices {
+			b = appendTstr(b, c)
+		}
+	}
+	for _, t := range tasks {
+		b = binary.AppendUvarint(b, uint64(t.Truth+1))
+	}
+	for _, t := range tasks {
+		b = binary.AppendUvarint(b, uint64(t.TrueDomain+1))
+	}
+	var table [][]byte
+	for _, t := range tasks {
 		if len(t.Domain) != m {
 			return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
 				t.ID, len(t.Domain), m)
 		}
+		vector, err := wal.AppendSparseFloats(nil, wal.SparseOf(wal.SparseFloats{}, t.Domain, 0), m, 0)
+		if err != nil {
+			return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
+		}
+		ref := slices.IndexFunc(table, func(e []byte) bool { return bytes.Equal(e, vector) })
+		if ref < 0 {
+			ref, table = len(table), append(table, vector)
+		}
+		b = binary.AppendUvarint(b, uint64(ref))
+	}
+	return append(b, bytes.Join(table, nil)...), nil
+}
+
+// encodeRowPublication is the row-major encoder builds up to 7137417
+// logged with, kept to write the fixtures of its refusal: a DPB1 blob,
+// task after task, each with its own copy of its vector.
+func encodeRowPublication(tasks []*model.Task, m int) []byte {
+	b := binary.AppendUvarint([]byte("DPB1"), uint64(m))
+	b = binary.AppendUvarint(b, uint64(len(tasks)))
+	for _, t := range tasks {
 		b = binary.AppendUvarint(b, uint64(t.ID))
 		b = appendStr(b, t.Text)
 		b = binary.AppendUvarint(b, uint64(len(t.Choices)))
@@ -90,41 +123,42 @@ func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
 		}
 		b = binary.AppendUvarint(b, uint64(t.Truth+1))
 		b = binary.AppendUvarint(b, uint64(t.TrueDomain+1))
-		domain = wal.SparseOf(domain, t.Domain, 0)
-		var err error
-		if b, err = wal.AppendSparseFloats(b, domain, m, 0); err != nil {
-			return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
-		}
+		b, _ = wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, t.Domain, 0), m, 0)
 	}
-	return b, nil
+	return b
+}
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // packPublication is the serial packer packRecord replaced, kept as its
-// oracle: a DPB1 blob's DPB3 packing, the pinned writer given the whole
+// oracle: a DPC1 blob's DPC3 packing, the pinned writer given the whole
 // body in one pass, when that is the shorter; the blob itself otherwise.
-func packPublication(dpb1 []byte) []byte {
-	body := dpb1[len(publicationMagic):]
-	if packed := packedBlob(deflateMagic, uint64(len(body)), deflateStream(body)); len(packed) < len(dpb1) {
+func packPublication(dpc1 []byte) []byte {
+	body := dpc1[len(publicationMagic):]
+	if packed := packedBlob(deflateMagic, uint64(len(body)), deflateStream(body)); len(packed) < len(dpc1) {
 		return packed
 	}
-	return dpb1
+	return dpc1
 }
 
 // serialPublication is the record the serial path logs for a task set:
-// encodeBinaryPublication's DPB1 blob, packed by packPublication.
+// encodeBinaryPublication's DPC1 blob, packed by packPublication.
 func serialPublication(t testing.TB, tasks []*model.Task, m int) []byte {
 	t.Helper()
 	return packPublication(mustEncodeBinaryPublication(t, tasks, m))
 }
 
 // encodePublication is the record Publish logs for a task set whose domain
-// vectors are all set: its DPB1 blob, packed as DPB3 when that is shorter.
+// vectors are all set: its DPC1 blob, packed as DPC3 when that is shorter.
 func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
-	return packRecord(tasks, m, func(int) error { return nil })
+	return packRecord(tasks, m, func() error { return nil })
 }
 
-// mustEncodePublication is the record Publish logs: DPB3 when packing is
-// shorter, DPB1 otherwise.
+// mustEncodePublication is the record Publish logs: DPC3 when packing is
+// shorter, DPC1 otherwise.
 func mustEncodePublication(t testing.TB, tasks []*model.Task, m int) []byte {
 	t.Helper()
 	blob, err := encodePublication(tasks, m)
@@ -134,7 +168,7 @@ func mustEncodePublication(t testing.TB, tasks []*model.Task, m int) []byte {
 	return blob
 }
 
-// mustEncodeBinaryPublication is the DPB1 blob, packed or not.
+// mustEncodeBinaryPublication is the DPC1 blob, packed or not.
 func mustEncodeBinaryPublication(t testing.TB, tasks []*model.Task, m int) []byte {
 	t.Helper()
 	blob, err := encodeBinaryPublication(tasks, m)
@@ -168,7 +202,7 @@ func datasetPublications(t *testing.T) (names []string, sets [][]*model.Task, m 
 
 // randomTextTasks is a task set whose texts are random bytes, hundreds to
 // a task: DEFLATE pays more for their 9-bit literals than it wins back on
-// the rest of the task, so its record must stay DPB1.
+// the rest of the task, so its record must stay DPC1.
 func randomTextTasks(n int) []*model.Task {
 	r := mathx.NewRand(30)
 	tasks := make([]*model.Task, n)
@@ -184,19 +218,19 @@ func randomTextTasks(n int) []*model.Task {
 }
 
 // roundTrip holds one task set to the codec's contract in each of its
-// forms and returns the record Publish would log. The DPB1 blob and the
+// forms and returns the record Publish would log. The DPC1 blob and the
 // record each decode to the tasks field by field (floats as bits) and are
 // canonical: encoding what they decode to gives back the same bytes. The
-// record is DPB3 and shorter than the DPB1 blob, or is the DPB1 blob.
+// record is DPC3 and shorter than the DPC1 blob, or is the DPC1 blob.
 func roundTrip(t *testing.T, name string, tasks []*model.Task, m int) []byte {
 	t.Helper()
-	dpb1 := mustEncodeBinaryPublication(t, tasks, m)
+	dpc1 := mustEncodeBinaryPublication(t, tasks, m)
 	rec := mustEncodePublication(t, tasks, m)
-	if packed := bytes.HasPrefix(rec, []byte(deflateMagic)); packed && len(rec) >= len(dpb1) || !packed && !bytes.Equal(rec, dpb1) {
-		t.Fatalf("%s: logged %d bytes opening %q for a %d-byte DPB1 blob", name, len(rec), rec[:4], len(dpb1))
+	if packed := bytes.HasPrefix(rec, []byte(deflateMagic)); packed && len(rec) >= len(dpc1) || !packed && !bytes.Equal(rec, dpc1) {
+		t.Fatalf("%s: logged %d bytes opening %q for a %d-byte DPC1 blob", name, len(rec), rec[:4], len(dpc1))
 	}
 	for form, encode := range map[string]func(t testing.TB, tasks []*model.Task, m int) []byte{
-		"DPB1 blob": mustEncodeBinaryPublication,
+		"DPC1 blob": mustEncodeBinaryPublication,
 		"record":    mustEncodePublication,
 	} {
 		blob := encode(t, tasks, m)
@@ -243,13 +277,13 @@ func sameTasks(t *testing.T, got, want []*model.Task) {
 
 // TestPropertyPublicationRoundTrip: seeded task sets — sparse mixes,
 // single spikes, the uniform vector, −0, denormals and NaN payloads, empty
-// text, NoTruth and set truths, over several domain counts — the first 200
-// tasks of the four datasets after DVE, and sampleTasks' −0 and denormal
-// vectors decode to the same tasks field by field (floats compared as
-// bits) from the DPB1 blob and from the record Publish logs, and each is
-// canonical: encode(decode(b)) == b.
-// The datasets and sampleTasks log DPB3, the seeded sets both forms, and
-// random-byte text stays DPB1.
+// texts and choices and ones holding 0x00 and 0x01 bytes, NoTruth and set
+// truths, over several domain counts — the first 200 tasks of the four
+// datasets after DVE, and sampleTasks' −0 and denormal vectors decode to
+// the same tasks field by field (floats compared as bits) from the DPC1
+// blob and from the record Publish logs, and each is canonical:
+// encode(decode(b)) == b. The datasets and sampleTasks log DPC3, the
+// seeded sets both forms, and random-byte text stays DPC1.
 func TestPropertyPublicationRoundTrip(t *testing.T) {
 	names, sets, m := datasetPublications(t)
 	for i, tasks := range sets {
@@ -261,16 +295,39 @@ func TestPropertyPublicationRoundTrip(t *testing.T) {
 		t.Errorf("sampleTasks logs %q, want a packed record", rec[:4])
 	}
 	if rec := roundTrip(t, "random text", randomTextTasks(50), 4); !bytes.HasPrefix(rec, []byte(publicationMagic)) {
-		t.Errorf("random text logs %q, want the DPB1 blob", rec[:4])
+		t.Errorf("random text logs %q, want the DPC1 blob", rec[:4])
 	}
 
-	forms := map[string]int{}
+	forms, escaped, empty := map[string]int{}, 0, 0
 	for round, set := range seededPublications() {
 		forms[string(roundTrip(t, fmt.Sprintf("round %d", round), set.tasks, set.m)[:4])]++
+		for _, tk := range set.tasks {
+			for _, str := range append([]string{tk.Text}, tk.Choices...) {
+				if strings.ContainsAny(str, "\x00\x01") {
+					escaped++
+				}
+				if str == "" {
+					empty++
+				}
+			}
+		}
 	}
 	if forms[deflateMagic] == 0 || forms[publicationMagic] == 0 {
 		t.Errorf("seeded rounds logged %v, want both forms", forms)
 	}
+	if escaped == 0 || empty == 0 {
+		t.Errorf("seeded rounds drew %d strings holding 0x00 or 0x01 and %d empty ones, want some of each", escaped, empty)
+	}
+}
+
+// draw joins zero to three pieces drawn from pieces: the empty string a
+// quarter of the time.
+func draw(r *mathx.Rand, pieces []string) string {
+	var b strings.Builder
+	for n := r.Intn(4); n > 0; n-- {
+		b.WriteString(pieces[r.Intn(len(pieces))])
+	}
+	return b.String()
 }
 
 type seededSet struct {
@@ -279,8 +336,9 @@ type seededSet struct {
 }
 
 // seededPublications is 200 seeded task sets — sparse mixes, single
-// spikes, the uniform vector, −0, denormals and NaN payloads, empty text,
-// NoTruth and set truths — over 1, 4 and 26 domains.
+// spikes, the uniform vector, −0, denormals and NaN payloads, empty texts
+// and choices and ones holding the 0x00 and 0x01 bytes a terminated string
+// escapes, NoTruth and set truths — over 1, 4 and 26 domains.
 func seededPublications() []seededSet {
 	r := mathx.NewRand(24)
 	odd := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.SmallestNonzeroFloat64,
@@ -291,10 +349,10 @@ func seededPublications() []seededSet {
 		tasks := make([]*model.Task, r.Intn(20))
 		for i := range tasks {
 			tk := &model.Task{ID: r.Intn(1 << uint(1+r.Intn(40))), Truth: model.NoTruth, TrueDomain: model.NoTruth}
-			tk.Text = strings.Repeat("tëxt ", r.Intn(4))
+			tk.Text = draw(r, []string{"tëxt ", "\x00", "\x01", "a\x01\x02b "})
 			tk.Choices = make([]string, r.Intn(5))
 			for c := range tk.Choices {
-				tk.Choices[c] = strings.Repeat("c", r.Intn(3))
+				tk.Choices[c] = draw(r, []string{"c", "\x00", "\x01c\x00"})
 			}
 			if len(tk.Choices) > 0 && r.Intn(2) == 0 {
 				tk.Truth = r.Intn(len(tk.Choices))
@@ -344,7 +402,7 @@ func TestEncodePublicationRejectsInexpressible(t *testing.T) {
 
 // checkPublicationDecode holds one decode of arbitrary bytes to the
 // codec's contract: an error, or tasks that all carry an m-long vector,
-// were not allocated beyond what the DPB1 blob's length bounds (the input,
+// were not allocated beyond what the DPC1 blob's length bounds (the input,
 // or what a packed input unpacks to), and re-encode to exactly the input in
 // its own form.
 func checkPublicationDecode(t *testing.T, data []byte, m int) {
@@ -369,15 +427,15 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 	if arrays, encodings := vectorSharing(t, tasks, m); arrays != encodings {
 		t.Fatalf("decoded %d vector arrays for %d distinct encodings", arrays, encodings)
 	}
-	dpb1, encode := data, encodeBinaryPublication
+	dpc1, encode := data, encodeBinaryPublication
 	if bytes.HasPrefix(data, []byte(deflateMagic)) {
-		if dpb1, err = unpackPublication(data); err != nil {
-			t.Fatalf("a decoded DPB3 blob does not unpack: %v", err)
+		if dpc1, err = unpackPublication(data); err != nil {
+			t.Fatalf("a decoded DPC3 blob does not unpack: %v", err)
 		}
 		encode = encodePublication
 	}
-	if len(tasks)*minTaskBytes > len(dpb1) || strs > len(dpb1) {
-		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(dpb1))
+	if len(tasks)*minTaskBytes > len(dpc1) || strs > len(dpc1) {
+		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(dpc1))
 	}
 	again, err := encode(tasks, m)
 	if err != nil {
@@ -388,20 +446,32 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 	}
 }
 
+// escapedTasks are twinTasks with 0x00 and 0x01 bytes in a text and a
+// choice, and an empty choice.
+func escapedTasks() []*model.Task {
+	tasks := twinTasks()
+	tasks[0].Text = "t\x00w\x01in"
+	tasks[1].Choices = []string{"\x01\x00", ""}
+	return tasks
+}
+
+// cat joins byte strings.
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
 // TestPublicationDecodeDamage is the DOCSSNP3 sweep for the publication
-// blob, over sampleTasks' DPB1 blob and its DPB3 record: every single-byte
-// truncation and every single-bit flip of a valid blob either decodes to
-// something that re-encodes to those exact bytes or errors — it never
-// panics and never over-allocates — and hand-made blobs the encoder would
-// not write are all rejected. (Unlike a snapshot the blob has no CRC of its
-// own; the WAL frame around it does.)
+// blob, over sampleTasks' DPC1 blob and its DPC3 record and escapedTasks'
+// DPC1 blob: every single-byte truncation and every single-bit flip of a
+// valid blob either decodes to something that re-encodes to those exact
+// bytes or errors — it never panics and never over-allocates — and
+// hand-made blobs the encoder would not write are all rejected. (Unlike a
+// snapshot the blob has no CRC of its own; the WAL frame around it does.)
 func TestPublicationDecodeDamage(t *testing.T) {
 	data := mustEncodeBinaryPublication(t, sampleTasks(), 4)
 	packed := mustEncodePublication(t, sampleTasks(), 4)
 	if !bytes.HasPrefix(packed, []byte(deflateMagic)) {
 		t.Fatalf("sampleTasks packs to %q, want %q", packed[:4], deflateMagic)
 	}
-	for _, valid := range [][]byte{data, packed} {
+	for _, valid := range [][]byte{data, packed, mustEncodeBinaryPublication(t, escapedTasks(), 4)} {
 		for cut := 0; cut < len(valid); cut++ {
 			if tasks, err := decodePublication(wal.Record{Blob: valid[:cut]}, 4); err == nil || tasks != nil {
 				t.Fatalf("%q truncated at %d: decoded to %d tasks", valid[:4], cut, len(tasks))
@@ -414,14 +484,13 @@ func TestPublicationDecodeDamage(t *testing.T) {
 		}
 	}
 
-	one := func(entries ...byte) []byte { // one task, the given domain entries
-		b := append([]byte(publicationMagic), 4, 1)
-		b = append(b, 7, 0, 0, 0, 0) // id 7, no text, no choices, no truth, no true domain
-		return append(b, entries...)
+	// one is a task with ID 7, an empty text, no choices, no truth and no
+	// true domain, adding the table's one entry.
+	one := func(entry ...byte) []byte {
+		return cat([]byte(publicationMagic), []byte{4, 1, 14, 0, 0, 0, 0, 0}, entry)
 	}
 	bits := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
 	entry := func(k byte, x float64) []byte { return append([]byte{k}, bits(x)...) }
-	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	if _, err := decodePublication(wal.Record{Blob: one(cat([]byte{2}, entry(1, 0.5), entry(3, 0.5))...)}, 4); err != nil {
 		t.Fatalf("the hand-made baseline does not decode: %v", err)
 	}
@@ -437,12 +506,15 @@ func TestPublicationDecodeDamage(t *testing.T) {
 		"index past m":           one(cat([]byte{1}, entry(4, 1))...),
 		"entry count over bytes": one(cat([]byte{5}, entry(0, 1), entry(1, 1), entry(2, 1), entry(3, 1))...),
 		"float cut short":        one(cat([]byte{1, 1}, bits(1)[:7])...),
-		"ID past int":            append(binary.AppendUvarint(append([]byte(publicationMagic), 4, 1), 1<<63), 0, 0, 0, 0, 0),
-		"magic only":             []byte(publicationMagic),
-		"a later format":         append([]byte("DPB4"), data[4:]...),
-		"DPB1 body under DPB2":   append([]byte("DPB2"), data[4:]...),
-		"DPB1 body under DPB3":   append([]byte(deflateMagic), data[4:]...),
-		"empty":                  nil,
+		"no table":               one(),
+		"ID below zero":          cat([]byte(publicationMagic), []byte{4, 1, 1, 0, 0, 0, 0, 0, 0}),
+		"ID past int": cat([]byte(publicationMagic), []byte{4, 2}, binary.AppendUvarint(nil, zigzag(math.MaxInt)),
+			[]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}),
+		"magic only":           []byte(publicationMagic),
+		"a later format":       append([]byte("DPC4"), data[4:]...),
+		"DPC1 body under DPB2": append([]byte("DPB2"), data[4:]...),
+		"DPC1 body under DPC3": append([]byte(deflateMagic), data[4:]...),
+		"empty":                nil,
 	} {
 		if tasks, err := decodePublication(wal.Record{Seq: 3, Blob: blob}, 4); err == nil {
 			t.Errorf("%s: decoded to %d tasks", name, len(tasks))
@@ -452,52 +524,94 @@ func TestPublicationDecodeDamage(t *testing.T) {
 	}
 }
 
-// TestPackedPublicationRefusals: DPB3 is canonical the way DPB1 is — the
-// decoder accepts nothing the pinned writer would not write — and each rule
-// refuses its own row with its own error. A stream compress/flate reads
-// back to the body is still refused when it is not the pinned writer's: a
-// stored block, a dynamic-Huffman block, two blocks, a match cut short,
-// ones in the padding bits. (The rows pack twinTasks, whose stream has
-// padding bits; sampleTasks' ends on a byte.)
+// TestPackedPublicationRefusals: DPC1 and DPC3 are canonical — the decoder
+// accepts nothing the encoder and the pinned writer would not write — and
+// each rule refuses its own row with its own error. The body rows damage
+// twinTasks' DPC1 blob, whose columns lie at known offsets (one-byte IDs
+// and refs, four table entries), and each is refused as such unpacked and,
+// packed, by the same rule. A stream compress/flate reads back to the body
+// is still refused when it is not the pinned writer's: a stored block, a
+// dynamic-Huffman block, two blocks, a match cut short, ones in the
+// padding bits. (The stream rows pack twinTasks, whose stream has padding
+// bits; sampleTasks' ends on a byte.) A row-major blob, unpacked or
+// packed, is refused naming the last commit that reads it.
 func TestPackedPublicationRefusals(t *testing.T) {
 	random := mustEncodeBinaryPublication(t, randomTextTasks(5), 4)
 	randomBody := random[len(publicationMagic):]
-	dpb1 := mustEncodeBinaryPublication(t, twinTasks(), 4)
-	body := dpb1[len(publicationMagic):]
+	twins := twinTasks()
+	dpc1 := mustEncodeBinaryPublication(t, twins, 4)
+	body := dpc1[len(publicationMagic):]
 	n := uint64(len(body))
 	stream := deflateStream(body)
 	valid := packedBlob(deflateMagic, n, stream)
-	if !bytes.Equal(valid, packPublication(dpb1)) {
+	if !bytes.Equal(valid, packPublication(dpc1)) {
 		t.Fatal("the hand-assembled blob is not the record the writer logs")
 	}
 	if _, err := decodePublication(wal.Record{Blob: valid}, 4); err != nil {
 		t.Fatalf("the valid blob does not decode: %v", err)
 	}
+	// twinTasks' distinct vectors in order of first appearance, and their refs.
+	var table [][]byte
+	for _, i := range []int{0, 1, 3, 5} {
+		e, err := appendVector(nil, new(wal.SparseFloats), twins[i].Domain, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table = append(table, e)
+	}
+	tableAt := len(dpc1) - len(cat(table...))
+	refsAt := tableAt - len(twins)
+	textsAt := len(publicationMagic) + 2 + len(twins)
+	if !bytes.Equal(dpc1[refsAt:tableAt], []byte{0, 1, 0, 2, 1, 3, 2}) || string(dpc1[textsAt:textsAt+5]) != "twin\x00" {
+		t.Fatalf("twinTasks' columns are not where the rows expect them: %x", dpc1)
+	}
+	withRefs := func(refs ...byte) []byte { return cat(dpc1[:refsAt], refs, dpc1[tableAt:]) }
+	withText := func(text string) []byte { return cat(dpc1[:textsAt], []byte(text), dpc1[textsAt+5:]) }
+	row := encodeRowPublication(twins, 4)
 	for name, r := range map[string]struct {
 		blob []byte
 		want string
 	}{
-		"a stored block":                            {packedBlob(deflateMagic, n, stored(body)), errNotCanonical.Error()},
-		"a dynamic-Huffman block":                   {packedBlob(deflateMagic, n, dynamicLiterals(body)), errNotCanonical.Error()},
-		"two blocks":                                {packedBlob(deflateMagic, n, twoBlocks(body)), errNotCanonical.Error()},
-		"a match cut short":                         {packedBlob(deflateMagic, n, shorterMatch(t, body)), errNotCanonical.Error()},
-		"ones in the padding bits":                  {packedBlob(deflateMagic, n, paddedWithOnes(t, stream, paddingBits(body))), errNotCanonical.Error()},
-		"no shorter than the DPB1 blob":             {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)), "no shorter than"},
-		"stated body over what a publication holds": {packedBlob(deflateMagic, uint64(maxPackedBody)+1, stream), "over the"},
-		"stated body one byte short":                {packedBlob(deflateMagic, n-1, stream), "inflates past"},
-		"stated body one byte long":                 {packedBlob(deflateMagic, n+1, stream), "inflates to"},
-		"a byte after the stream":                   {append(append([]byte(nil), valid...), 0), "follow the packed body's final block"},
-		"a stream cut before its end":               {valid[:len(valid)-1], "unexpected EOF"},
-		"no body length":                            {[]byte(deflateMagic), "bad varint"},
+		"a bad escape":                    {withText("t\x01\x03n\x00"), "bad escape"},
+		"an escape cut by its terminator": {withText("twi\x01\x00"), "bad escape"},
+		"a string with no terminator":     {cat(dpc1[:textsAt], []byte(strings.Repeat("twin", 30))), "no terminator"},
+		"a ref above the table so far":    {withRefs(0, 1, 0, 3, 1, 3, 2), "names vector 3 of 2"},
+		"two byte-equal table entries":    {cat(dpc1[:tableAt], table[0], table[1], table[0], table[3]), "vector 2 repeats an earlier one"},
+		"another domain count":            {cat(dpc1[:4], []byte{5}, dpc1[5:]), "publication has 5 domains, want 4"},
+		"a byte after the last column":    {cat(dpc1, []byte{0}), "1 trailing bytes"},
+		"a row-major blob":                {row, "7137417"},
+		"a row-major blob, packed":        {packedBlob("DPB3", uint64(len(row)-4), deflateStream(row[4:])), "7137417"},
+		"a stored block":                  {packedBlob(deflateMagic, n, stored(body)), errNotCanonical.Error()},
+		"a dynamic-Huffman block":         {packedBlob(deflateMagic, n, dynamicLiterals(body)), errNotCanonical.Error()},
+		"two blocks":                      {packedBlob(deflateMagic, n, twoBlocks(body)), errNotCanonical.Error()},
+		"a match cut short":               {packedBlob(deflateMagic, n, shorterMatch(t, body)), errNotCanonical.Error()},
+		"ones in the padding bits":        {packedBlob(deflateMagic, n, paddedWithOnes(t, stream, paddingBits(body))), errNotCanonical.Error()},
+		"no shorter than the DPC1 blob":   {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)), "no shorter than"},
+		"stated body over what one holds": {packedBlob(deflateMagic, uint64(maxPackedBody)+1, stream), "over the"},
+		"stated body one byte short":      {packedBlob(deflateMagic, n-1, stream), "inflates past"},
+		"stated body one byte long":       {packedBlob(deflateMagic, n+1, stream), "inflates to"},
+		"a byte after the stream":         {append(append([]byte(nil), valid...), 0), "follow the packed body's final block"},
+		"a stream cut before its end":     {valid[:len(valid)-1], "unexpected EOF"},
+		"no body length":                  {[]byte(deflateMagic), "bad varint"},
 	} {
 		// A stream refused as not the writer's is a valid DEFLATE stream of
 		// the body.
 		if r.want == errNotCanonical.Error() && !bytes.Equal(inflate(t, r.blob[len(deflateMagic)+uvarintLen(n):]), body) {
 			t.Fatalf("%s: compress/flate does not read the stream back to the body", name)
 		}
-		_, err := decodePublication(wal.Record{Seq: 5, Blob: r.blob}, 4)
-		if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), r.want) {
-			t.Errorf("%s: error %v, want one naming publish record 5 and containing %q", name, err, r.want)
+		forms := [][]byte{r.blob}
+		if bytes.HasPrefix(r.blob, []byte(publicationMagic)) {
+			packed := packPublication(r.blob)
+			if !bytes.HasPrefix(packed, []byte(deflateMagic)) {
+				t.Fatalf("%s: the damaged body does not pack shorter", name)
+			}
+			forms = append(forms, packed)
+		}
+		for _, blob := range forms {
+			_, err := decodePublication(wal.Record{Seq: 5, Blob: blob}, 4)
+			if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), r.want) {
+				t.Errorf("%s as %q: error %v, want one naming publish record 5 and containing %q", name, blob[:4], err, r.want)
+			}
 		}
 	}
 }
@@ -538,7 +652,7 @@ func TestPublicationCodecConcurrent(t *testing.T) {
 }
 
 var updatePublicationGolden = flag.Bool("update-publication-golden", false,
-	"rewrite testdata/publication_dpb3.golden from this build's writer")
+	"rewrite testdata/publication_dpc3.golden from this build's writer")
 
 // goldenPublication is n tasks in the campaigns' shape: a few sentence
 // templates, two or three choices, one- and two-domain vectors. It is built
@@ -566,21 +680,22 @@ func goldenPublication(n int) []*model.Task {
 }
 
 // TestPublicationPackerGolden pins the packer. testdata/
-// publication_dpb3.golden is the DPB3 record of goldenPublication(600), a
+// publication_dpc3.golden is the DPC3 record of goldenPublication(600), a
 // body over the writer's 32 KiB window: this build must write it byte for
 // byte — the writer's rules, not a toolchain, fix it — and read it back to
-// the set. testdata/publication_dpb2.golden is the LZW-packed DPB2 record an
-// older build logged for goldenPublication(200), which this build refuses
-// with an error naming DPB2 and the last commit that reads it. The flag
-// rewrites only the DPB3 file.
+// the set. The records older builds logged are refused with an error naming
+// their magic and the last commit that reads them: testdata/
+// publication_dpb3.golden, the row-major DPB3 record of the same set, and
+// testdata/publication_dpb2.golden, the LZW-packed DPB2 record of
+// goldenPublication(200). The flag rewrites only the DPC3 file.
 func TestPublicationPackerGolden(t *testing.T) {
-	path := filepath.Join("testdata", "publication_dpb3.golden")
+	path := filepath.Join("testdata", "publication_dpc3.golden")
 	tasks := goldenPublication(600)
-	dpb1 := mustEncodeBinaryPublication(t, tasks, 26)
-	blob := packPublication(dpb1)
+	dpc1 := mustEncodeBinaryPublication(t, tasks, 26)
+	blob := packPublication(dpc1)
 	// A body this long wraps the distance ring.
-	if len(dpb1)-len(publicationMagic) <= windowSize {
-		t.Fatalf("the golden body is %d bytes, within one window", len(dpb1)-len(publicationMagic))
+	if len(dpc1)-len(publicationMagic) <= windowSize {
+		t.Fatalf("the golden body is %d bytes, within one window", len(dpc1)-len(publicationMagic))
 	}
 	if rec := mustEncodePublication(t, tasks, 26); !bytes.Equal(rec, blob) {
 		t.Fatalf("Publish logs %d bytes that differ from the one-pass packing's %d", len(rec), len(blob))
@@ -605,24 +720,27 @@ func TestPublicationPackerGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTasks(t, got, tasks)
-	t.Logf("%s: %d bytes as DPB3, %d as DPB1", path, len(want), len(dpb1))
+	t.Logf("%s: %d bytes as DPC3, %d as DPC1", path, len(want), len(dpc1))
 
-	lzw := readDPB2Golden(t)
-	if got, err := decodePublication(wal.Record{Seq: 1, Blob: lzw}, 26); err == nil || !strings.Contains(err.Error(), "DPB2") || !strings.Contains(err.Error(), "a3e04fd") {
-		t.Fatalf("the DPB2 record decoded to %d tasks (%v), want a refusal naming DPB2 and a3e04fd", len(got), err)
+	for magic, commit := range map[string]string{"DPB3": "7137417", "DPB2": "a3e04fd"} {
+		old := readLegacyGolden(t, magic)
+		if got, err := decodePublication(wal.Record{Seq: 1, Blob: old}, 26); err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), commit) {
+			t.Fatalf("the %s record decoded to %d tasks (%v), want a refusal naming %s and %s", magic, len(got), err, magic, commit)
+		}
 	}
 }
 
-// readDPB2Golden returns testdata/publication_dpb2.golden, a publication
-// as builds before the pinned writer logged it: LZW-packed under DPB2.
-func readDPB2Golden(t testing.TB) []byte {
+// readLegacyGolden returns testdata/publication_<magic>.golden, a
+// publication as an older build logged it under magic: row-major and
+// DEFLATE-packed under DPB3, or LZW-packed under DPB2.
+func readLegacyGolden(t testing.TB, magic string) []byte {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join("testdata", "publication_dpb2.golden"))
+	blob, err := os.ReadFile(filepath.Join("testdata", "publication_"+strings.ToLower(magic)+".golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(blob, []byte("DPB2")) {
-		t.Fatalf("publication_dpb2.golden opens with %q", blob[:4])
+	if !bytes.HasPrefix(blob, []byte(magic)) {
+		t.Fatalf("publication_%s.golden opens with %q", strings.ToLower(magic), blob[:4])
 	}
 	return blob
 }
@@ -631,27 +749,37 @@ func readDPB2Golden(t testing.TB) []byte {
 // publish record, which every boot, wake and snapshot pass runs; an
 // accepted blob's tasks share a vector exactly when their encodings are
 // equal. Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
-// sampleTasks' DPB1 blob, the same cut at three points, with one byte
-// flipped, with its task count set to 2^63; its DPB3 record, the same cut
-// in its stream and with a byte after the final block; sampleTasks' DPB2
-// record, the same cut in its stream, with a byte after the end code, and
-// with the stream every byte a literal, which must all be refused;
-// twinTasks' DPB1 blob, repeated vectors and their −0 twins; and a JSON
-// publication, the format v0 blob nothing reads.
+// sampleTasks' DPC1 blob, the same cut in its middle, escapedTasks' DPC1
+// blob, twinTasks' with a ref above the table so far and with a repeated
+// table entry; sampleTasks' DPC3 record, the same cut in its stream and
+// with a byte after the final block. The older builds' records there must
+// all be refused: sampleTasks' row-major DPB1 blob, the same cut at three
+// points, with one byte flipped, with its task count set to 2^63; its DPB3
+// record, the same cut in its stream and with a byte after the final
+// block; its LZW-packed DPB2 record, the same cut in its stream, with a
+// byte after the end code, and with the stream every byte a literal;
+// twinTasks' DPB1 blob; and a JSON publication, the format v0 blob nothing
+// reads.
 func FuzzPublicationDecode(f *testing.F) {
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
 	f.Add(mustEncodeBinaryPublication(f, twinTasks(), 4))
-	f.Add(readDPB2Golden(f))
+	f.Add(readLegacyGolden(f, "DPB2"))
 	f.Add([]byte(publicationMagic))
 	f.Add([]byte("DPB2"))
 	f.Add([]byte(`[{"ID":1,"Choices":["a","b"],"Domain":[0,1,0,0],"Truth":-1,"TrueDomain":-1}]`))
 	f.Add(mustEncodePublication(f, sampleTasks(), 4))
 	f.Add([]byte(deflateMagic))
+	f.Add(mustEncodeBinaryPublication(f, escapedTasks(), 4))
+	f.Add(encodeRowPublication(sampleTasks(), 4))
+	f.Add([]byte("DPB3"))
+	refusals := map[string]error{"DPB1": errFormatRows, "DPB2": errFormatLZW, "DPB3": errFormatRows}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPublicationDecode(t, data, 4)
-		if bytes.HasPrefix(data, []byte("DPB2")) {
-			if _, err := decodePublication(wal.Record{Blob: data}, 4); !errors.Is(err, errFormatLZW) {
-				t.Fatalf("a DPB2 blob is refused with %v, want the DPB2 refusal", err)
+		for magic, refusal := range refusals {
+			if bytes.HasPrefix(data, []byte(magic)) {
+				if _, err := decodePublication(wal.Record{Blob: data}, 4); !errors.Is(err, refusal) {
+					t.Fatalf("a %s blob is refused with %v, want %v", magic, err, refusal)
+				}
 			}
 		}
 	})
@@ -659,15 +787,16 @@ func FuzzPublicationDecode(f *testing.F) {
 
 // TestPublicationBytesPerTask pins what a published task costs on disk:
 // the record's size over the first 200 tasks of each of the four datasets,
-// after DVE, and the DPB1 blob it packs. Both are counts — the same on
+// after DVE, and the DPC1 blob it packs. Both are counts — the same on
 // every machine — and the numbers docs/architecture.md's cost model
-// quotes; the JSON encoding DPB1 replaced is logged beside them.
+// quotes; the row-major DPB1 blob and the JSON encoding before it are
+// logged beside them.
 func TestPublicationBytesPerTask(t *testing.T) {
-	want := map[string][2]int{"Item": {21463, 4211}, "4D": {21188, 4104}, "QA": {21009, 3368}, "SFV": {14606, 4707}}
+	want := map[string][2]int{"Item": {17831, 3339}, "4D": {19216, 3275}, "QA": {18838, 2848}, "SFV": {12413, 3919}}
 	names, sets, m := datasetPublications(t)
 	for i, tasks := range sets {
 		name := names[i]
-		dpb1 := mustEncodeBinaryPublication(t, tasks, m)
+		dpc1 := mustEncodeBinaryPublication(t, tasks, m)
 		blob := mustEncodePublication(t, tasks, m)
 		text, nnz := 0, 0
 		for _, tk := range tasks {
@@ -685,11 +814,12 @@ func TestPublicationBytesPerTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%-4s %6d B = %5.1f B a task as %s, %6d B = %5.1f as DPB1 (text and choices %5.1f, %.2f non-zero domains); as JSON %6d B = %5.1f",
-			name, len(blob), float64(len(blob))/200, blob[:4], len(dpb1), float64(len(dpb1))/200,
-			float64(text)/200, float64(nnz)/200, len(legacy), float64(len(legacy))/200)
-		if got := [2]int{len(dpb1), len(blob)}; got != want[name] {
-			t.Errorf("%s: 200 tasks encode to %d bytes as DPB1 and are logged in %d, pinned %d and %d",
+		rows := encodeRowPublication(tasks, m)
+		t.Logf("%-4s %6d B = %5.1f B a task as %s, %6d B = %5.1f as DPC1 (text and choices %5.1f, %.2f non-zero domains); as DPB1 %6d B = %5.1f, as JSON %6d B = %5.1f",
+			name, len(blob), float64(len(blob))/200, blob[:4], len(dpc1), float64(len(dpc1))/200,
+			float64(text)/200, float64(nnz)/200, len(rows), float64(len(rows))/200, len(legacy), float64(len(legacy))/200)
+		if got := [2]int{len(dpc1), len(blob)}; got != want[name] {
+			t.Errorf("%s: 200 tasks encode to %d bytes as DPC1 and are logged in %d, pinned %d and %d",
 				name, got[0], got[1], want[name][0], want[name][1])
 		}
 	}
@@ -698,20 +828,20 @@ func TestPublicationBytesPerTask(t *testing.T) {
 // TestAllocsPublicationCodecPooled: the DEFLATE writer's tables (80 KiB)
 // and compress/flate's reader (its 32 KiB window and decoding tables) are
 // pooled, so once the pools are warm a pack and a decode of sampleTasks
-// allocate only what the publication itself needs: 2,528 B in 30
-// allocations, pinned at 4 KiB and 36 (room for another toolchain's
+// allocate only what the publication itself needs: 2,632 B in 28
+// allocations, pinned at 4 KiB and 34 (room for another toolchain's
 // maps), where one writer's tables or one reader's window alone is eight
 // times the bytes.
 func TestAllocsPublicationCodecPooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const maxBytes, maxAllocs = 4 << 10, 36
+	const maxBytes, maxAllocs = 4 << 10, 34
 	tasks := sampleTasks()
 	codec := func() {
 		blob, err := encodePublication(tasks, 4)
 		if err != nil || !bytes.HasPrefix(blob, []byte(deflateMagic)) {
-			t.Fatalf("sampleTasks packs to %q (%v), want a DPB3 record", blob, err)
+			t.Fatalf("sampleTasks packs to %q (%v), want a DPC3 record", blob, err)
 		}
 		if _, err := decodePublication(wal.Record{Blob: blob}, 4); err != nil {
 			t.Fatal(err)
@@ -753,13 +883,15 @@ func writePublishLog(t *testing.T, dir string, blob []byte) {
 	}
 }
 
-// TestLegacyPublicationLogsBoot: a log written before DPB3 holds its
-// publication as DPB1, which this build still writes for a publication
-// packing does not shorten, or as the LZW-packed DPB2, which nothing reads
-// any more. A log whose publish record is DPB1, followed by the answers of
-// a DPB3 log, boots to that log's Fingerprint; one whose publish record is
-// DPB2 is refused with an error naming DPB2 and the last commit that reads
-// it, and left byte for byte as it was.
+// TestLegacyPublicationLogsBoot: builds up to 7137417 logged a
+// publication row-major, as DPB1 or DEFLATE-packed as DPB3, and builds
+// before the pinned writer LZW-packed it as DPB2; this build reads none of
+// them. A log whose publish record is the DPC1 blob, followed by the
+// answers of a DPC3 log, boots to that log's Fingerprint. A log whose
+// publish record is DPB1 (the row encoder's) or DPB3
+// (publication_dpb3.golden) is refused with an error naming its magic and
+// 7137417, one whose record is DPB2 naming a3e04fd, and each is left byte
+// for byte as it was.
 func TestLegacyPublicationLogsBoot(t *testing.T) {
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
 	dir := t.TempDir()
@@ -781,11 +913,19 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := crashtest.ReadStream(t, dir)
-	dpb1 := mustEncodeBinaryPublication(t, tasks, m) // the tasks carry their vectors now
-	logs := map[string][]byte{deflateMagic: recs[0].Blob, "DPB2": readDPB2Golden(t), publicationMagic: dpb1}
-	for magic, blob := range logs {
-		if !bytes.HasPrefix(blob, []byte(magic)) {
-			t.Fatalf("the %s log's publish record opens with %q", magic, blob[:4])
+	logs := map[string]struct {
+		blob    []byte
+		refusal string // the last commit that reads the record; "" boots
+	}{
+		deflateMagic:     {recs[0].Blob, ""},
+		publicationMagic: {mustEncodeBinaryPublication(t, tasks, m), ""}, // the tasks carry their vectors now
+		"DPB1":           {encodeRowPublication(tasks, m), "7137417"},
+		"DPB3":           {readLegacyGolden(t, "DPB3"), "7137417"},
+		"DPB2":           {readLegacyGolden(t, "DPB2"), "a3e04fd"},
+	}
+	for magic, l := range logs {
+		if !bytes.HasPrefix(l.blob, []byte(magic)) {
+			t.Fatalf("the %s log's publish record opens with %q", magic, l.blob[:4])
 		}
 		legacy := t.TempDir()
 		log, err := wal.Open(legacy, wal.Options{})
@@ -794,7 +934,7 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 		}
 		for i, rec := range recs {
 			if i == 0 {
-				rec.Blob = blob
+				rec.Blob = l.blob
 			}
 			if _, err := log.Append(rec); err != nil {
 				t.Fatal(err)
@@ -807,16 +947,16 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 		again := newSystem(t, cfg)
 		_, err = again.Recover(legacy)
 		switch {
-		case magic == "DPB2" && (err == nil || !strings.Contains(err.Error(), "DPB2") || !strings.Contains(err.Error(), "a3e04fd")):
-			t.Errorf("DPB2 log: boot: %v, want a refusal naming DPB2 and a3e04fd", err)
-		case magic == "DPB2":
+		case l.refusal != "" && (err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), l.refusal)):
+			t.Errorf("%s log: boot: %v, want a refusal naming %s and %s", magic, err, magic, l.refusal)
+		case l.refusal != "":
 			if !reflect.DeepEqual(readLogDir(t, legacy), before) {
-				t.Error("DPB2 log: the refused boot changed the log")
+				t.Errorf("%s log: the refused boot changed the log", magic)
 			}
 		case err != nil:
 			t.Fatalf("%s log: boot: %v", magic, err)
 		case again.Fingerprint() != want:
-			t.Errorf("%s log: the booted state differs from the DPB3 log's", magic)
+			t.Errorf("%s log: the booted state differs from the DPC3 log's", magic)
 		}
 		again.Close()
 	}
@@ -855,8 +995,8 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 		t.Fatalf("the publication packs to %q, want a packed record", packed[:4])
 	}
 	for name, blob := range map[string][]byte{
-		"DPB1 over 4 domains": mustEncodeBinaryPublication(t, tasks, 4),
-		"DPB3 over 4 domains": packed,
+		"DPC1 over 4 domains": mustEncodeBinaryPublication(t, tasks, 4),
+		"DPC3 over 4 domains": packed,
 	} {
 		dir := t.TempDir()
 		writePublishLog(t, dir, blob)
@@ -947,7 +1087,7 @@ func TestPublishRejectsNegativeTaskID(t *testing.T) {
 // blob was over wal.MaxPayload (26 decimal floats a task; 20.7 MB even over
 // the two domains used here to keep the fingerprints small), which the
 // write side never checked — so the campaign published, took answers, and
-// was read back as corruption at the next boot. The DPB1 blob fits
+// was read back as corruption at the next boot. The DPC1 blob fits
 // unpacked — the size check does not lean on packing — and the reboot is
 // the live state.
 func TestLargePublicationBoots(t *testing.T) {
@@ -972,8 +1112,8 @@ func TestLargePublicationBoots(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if dpb1 := mustEncodeBinaryPublication(t, tasks, s.m); len(dpb1) < 12<<20 {
-		t.Fatalf("the DPB1 blob is %d bytes; the case needs one a JSON encoding pushes past %d", len(dpb1), wal.MaxPayload)
+	if dpc1 := mustEncodeBinaryPublication(t, tasks, s.m); len(dpc1) < 12<<20 {
+		t.Fatalf("the DPC1 blob is %d bytes; the case needs one a JSON encoding pushes past %d", len(dpc1), wal.MaxPayload)
 	}
 	again := newSystem(t, cfg)
 	defer again.Close()

@@ -275,9 +275,9 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		"KindSeed blob": {mustEncodeSeed(t, sampleSeed(), false), overlong(mustEncodeSeed(t, sampleSeed(), false), 0), // m
 			func(b []byte) error { _, _, err := decodeSeed(b, 3); return err }},
 		"KindStore blob": {storeBlob, overlong(storeBlob, 0), decodeStore}, // m
-		"DPB1 publication": {mustEncodeBinaryPublication(t, sampleTasks(), 4), overlong(mustEncodeBinaryPublication(t, sampleTasks(), 4), len(publicationMagic)), // m
+		"DPC1 publication": {mustEncodeBinaryPublication(t, sampleTasks(), 4), overlong(mustEncodeBinaryPublication(t, sampleTasks(), 4), len(publicationMagic)), // m
 			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
-		"DPB3 publication": {packed, overlong(packed, len(deflateMagic)), // the body's length
+		"DPC3 publication": {packed, overlong(packed, len(deflateMagic)), // the body's length
 			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
 		"snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq
 			func(b []byte) error { _, err := snapshot.Decode(b); return err }},

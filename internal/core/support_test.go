@@ -67,7 +67,7 @@ func TestPublishRefusesNegativeDomainEntry(t *testing.T) {
 
 // TestSupportIsNotPresence pins the two predicates against each other,
 // entry by entry. The log stores an entry when its bits are not +0's
-// (DPB1's presence); the task relates to the domain when r_k > 0
+// (DPC1's presence); the task relates to the domain when r_k > 0
 // (DomainVector.Has). They differ at −0 only: stored, round-tripped bit for
 // bit, and still not a row of the truth matrix.
 func TestSupportIsNotPresence(t *testing.T) {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -87,6 +88,19 @@ func (c *Cursor) Bytes() []byte {
 	n := c.Count(1)
 	field := c.b[c.off : c.off+n : c.off+n]
 	c.off += n
+	return field
+}
+
+// Terminated pops the bytes before the next 0x00, then the 0x00: a
+// sub-slice of the input, not a copy.
+func (c *Cursor) Terminated() []byte {
+	n := bytes.IndexByte(c.b[c.off:], 0)
+	if n < 0 {
+		c.Failf("no terminator after byte %d", c.off)
+		return nil
+	}
+	field := c.b[c.off : c.off+n : c.off+n]
+	c.off += n + 1
 	return field
 }
 

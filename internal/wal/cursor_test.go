@@ -15,6 +15,7 @@ func TestCursorPops(t *testing.T) {
 	b = binary.AppendUvarint(b, 5)                 // Int
 	b = append(b, 2, 'h', 'i')                     // Bytes
 	b = binary.LittleEndian.AppendUint64(b, 1<<63) // U64
+	b = append(b, 'o', 'k', 0, 0)                  // Terminated, twice
 	b = append(b, 3, 1, 2, 3)                      // Count(1) and its elements
 	c := NewCursor(b)
 	if got := c.Byte(); got != 7 {
@@ -31,6 +32,12 @@ func TestCursorPops(t *testing.T) {
 	}
 	if got := c.U64(); got != 1<<63 {
 		t.Fatalf("U64 = %#x", got)
+	}
+	if got := c.Terminated(); string(got) != "ok" || cap(got) != 2 || c.Off() != 18 {
+		t.Fatalf("Terminated = %q (cap %d), Off = %d", got, cap(got), c.Off())
+	}
+	if got := c.Terminated(); got == nil || len(got) != 0 {
+		t.Fatalf("Terminated at a terminator = %q, want an empty field", got)
 	}
 	if n := c.Count(1); n != 3 || c.Len() != 3 {
 		t.Fatalf("Count = %d with %d bytes left", n, c.Len())
@@ -64,6 +71,7 @@ func TestCursorDamage(t *testing.T) {
 		"integer over MaxInt":    {binary.AppendUvarint(nil, 1<<63), func(c *Cursor) { c.Int() }},
 		"short u64":              {make([]byte, 7), func(c *Cursor) { c.U64() }},
 		"missing byte":           {nil, func(c *Cursor) { c.Byte() }},
+		"no terminator":          {[]byte{'a', 'b'}, func(c *Cursor) { c.Terminated() }},
 		"trailing byte":          {[]byte{1, 0}, func(c *Cursor) { c.Uvarint(); c.End() }},
 		"format failure":         {[]byte{1, 2, 3}, func(c *Cursor) { c.Failf("field %d breaks a rule", c.Byte()) }},
 	} {
@@ -78,7 +86,7 @@ func TestCursorDamage(t *testing.T) {
 			t.Errorf("%s: %d bytes left at offset %d after the failure", name, c.Len(), c.Off())
 		}
 		c.Failf("a later failure")
-		if u, i, n, b, by, u64 := c.Uvarint(), c.Int(), c.Count(1), c.Bytes(), c.Byte(), c.U64(); u != 0 || i != 0 || n != 0 || len(b) != 0 || by != 0 || u64 != 0 {
+		if u, i, n, b, by, u64, term := c.Uvarint(), c.Int(), c.Count(1), c.Bytes(), c.Byte(), c.U64(), c.Terminated(); u != 0 || i != 0 || n != 0 || len(b) != 0 || by != 0 || u64 != 0 || len(term) != 0 {
 			t.Errorf("%s: a pop after the failure returned a value", name)
 		}
 		if err := c.End(); err != first {

@@ -16,8 +16,8 @@ import (
 //
 //	count uvarint | count × (index uvarint | 8 raw LE bytes)
 //
-// the layout a DPB1 publication gives a task's domain vector and a DOCSSNP5
-// snapshot gives every (q, u) statistic.
+// the layout a DPC1 publication gives each distinct domain vector and a
+// DOCSSNP5 snapshot gives every (q, u) statistic.
 type SparseFloats struct {
 	K []int
 	V []float64

@@ -38,9 +38,13 @@ import (
 // bytes. For format v1, internal/wal declares no Decode, headerV1 or
 // formatV1, no Log.sealed and no scanned.version, and its 8-byte frame
 // reader is called by DecodeFrames and, once, for the segment header. The
-// LZW-packed publication is spelled only by its refusal, in publication.go,
-// and no file imports compress/lzw; store op 2 is named only by
-// decodeUpdate's case that refuses it. The publication record is the one
+// publications older builds logged — row-major DPB1 and DPB3, LZW-packed
+// DPB2 — are spelled only by their refusals, in publication.go, the row
+// encoder is declared in a test file alone, and no file imports
+// compress/lzw; store op 2 is named only by decodeUpdate's case that
+// refuses it. A publish record has one reader: applyRecord alone calls
+// decodePublication, and only that unpacks or decodes a publication blob.
+// The publication record is the one
 // compressed blob, and its decoder holds every stream to a re-encode, so
 // only a writer whose output is pinned may write one: publication.go alone
 // imports compress/flate, for its reader; nothing calls flate.NewWriter,
@@ -99,7 +103,8 @@ func TestOneReaderOneWriter(t *testing.T) {
 		"internal/experiment/": {"truth.NewIncremental"},
 	}
 	got := map[string][]string{}
-	dpb2 := map[string]int{} // file → how often it spells the LZW publication's magic
+	// magic → file → how often it spells a publication magic nothing writes
+	retired := map[string]map[string]int{"DPB1": {}, "DPB2": {}, "DPB3": {}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -124,8 +129,10 @@ func TestOneReaderOneWriter(t *testing.T) {
 				}
 			}
 		}
-		if n := strings.Count(string(src), "DPB2"); n > 0 {
-			dpb2[filepath.ToSlash(path)] = n
+		for magic, files := range retired {
+			if n := strings.Count(string(src), magic); n > 0 {
+				files[filepath.ToSlash(path)] = n
+			}
 		}
 		// (*wal.Log).Sync is not an fsync site: it ends in wal's helper.
 		text := strings.ReplaceAll(string(src), ".wal.Sync()", "")
@@ -144,14 +151,55 @@ func TestOneReaderOneWriter(t *testing.T) {
 			t.Errorf("%s appears in %v, want only %v", call, got[call], files)
 		}
 	}
-	// The refusal's prefix test and its message.
-	if want := map[string]int{"internal/core/publication.go": 2}; !reflect.DeepEqual(dpb2, want) {
-		t.Errorf("DPB2 is spelled %v times, want only %v: by the refusal", dpb2, want)
+	// Each refusal's prefix test and its message.
+	for magic, files := range retired {
+		if want := map[string]int{"internal/core/publication.go": 2}; !reflect.DeepEqual(files, want) {
+			t.Errorf("%s is spelled %v times, want only %v: by the refusal", magic, files, want)
+		}
+	}
+
+	// The row encoder writes only the fixtures of its refusal: it is
+	// declared in a test file and nowhere else.
+	var rowEncoders []string
+	sources, err := filepath.Glob("internal/core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range sources {
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "encodeRowPublication" {
+				rowEncoders = append(rowEncoders, filepath.ToSlash(path))
+			}
+		}
+	}
+	if want := "internal/core/publication_test.go"; strings.Join(rowEncoders, " ") != want {
+		t.Errorf("encodeRowPublication is declared in %v, want only in %s", rowEncoders, want)
+	}
+
+	// A publish record has one reader: applyRecord calls decodePublication,
+	// which alone unpacks and decodes a blob.
+	readers := map[string][]string{}
+	funcNodes(t, fset, "internal/core/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok {
+				readers[id.Name] = append(readers[id.Name], fn.Name.Name)
+			}
+		}
+	})
+	for callee, caller := range map[string]string{"decodePublication": "applyRecord",
+		"unpackPublication": "decodePublication", "decodeBinaryPublication": "decodePublication"} {
+		if got := strings.Join(readers[callee], " "); got != caller {
+			t.Errorf("%s is called from [%s], want only from %s", callee, got, caller)
+		}
 	}
 
 	// A campaign's state field is set — assigned or given in a composite
 	// literal — only inside the registry's transition function.
-	fset := token.NewFileSet()
 	writers := 0
 	funcNodes(t, fset, "internal/registry/*.go", func(fn *ast.FuncDecl, n ast.Node) {
 		var field ast.Node
