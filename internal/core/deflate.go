@@ -1,11 +1,10 @@
-// The pinned DEFLATE writer behind the DPC3 publication record.
+// The pinned DEFLATE writer behind the DPC4 publication record.
 //
-// A DPC3 decoder holds its stream to a re-encode of the body, so the
+// A DPC4 decoder holds its stream to a re-encode of the body, so the
 // record's bytes must be a function of the body that no toolchain moves —
 // which compress/flate's writer, retuned across Go releases, is not. This
-// writer's output is fixed by its rules alone. It writes an RFC 1951
-// stream of one final block with the fixed Huffman codes (BTYPE 01), and
-// chooses its matches greedily:
+// writer's output is fixed by its rules alone. It chooses its matches
+// greedily:
 //
 //   - at each position it takes the longest match of 3 to 258 bytes among
 //     the 32 most recent earlier positions with the same hash inside the
@@ -14,17 +13,30 @@
 //   - every position with three bytes left enters its hash's chain, the
 //     positions inside a match too;
 //   - the hash of the bytes b0 b1 b2 at a position is
-//     ((b0 | b1<<8 | b2<<16) * 2654435761) >> 20 in uint32, 12 bits.
+//     ((b0 | b1<<8 | b2<<16) * 2654435761) >> 20 in uint32, 12 bits;
 //
-// Its tables, a 4,096-entry head and a 32,768-entry distance ring (80 KiB),
-// are pooled. It can be advanced as the body grows: a position is encoded
-// once the body holds its lookahead, and the stream equals the one a single
-// pass over the whole body writes.
+// and writes them in RFC 1951 dynamic-Huffman blocks (BTYPE 10) of 16,384
+// tokens, the final one holding the rest. A block's literal/length (its end
+// of block counted once) and distance codes come from its counts by
+// package-merge limited to 15 bits: the used symbols by count, then symbol,
+// merged at each level with the level below's pairs, a symbol ahead of an
+// equal pair; a length is how often the top level's first 2n−2 items hold
+// the symbol. A lone symbol has length 1; no match, one distance length 0.
+// HLIT and HDIST end at the last non-zero length (at least 257 and 1), and
+// the lengths are coded from the left: r zeros as 18s of up to 138 while
+// r ≥ 11, a 17 if r ≥ 3, then 0s; r of v > 0 as v, 16s of up to 6 while 3
+// or more are left, then v. The code-length code is package-merge's limited
+// to 7 bits; HCLEN ends at its last non-zero length in RFC order (min 4).
+//
+// It can be advanced as the body grows: a position is encoded once the body
+// holds its lookahead, a block is written once the next token exists, and
+// the stream equals the one a single pass over the whole body writes.
 package core
 
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -36,8 +48,12 @@ const (
 	maxMatch   = 258
 	// lookahead is how many bytes from a position its encoding reads: a
 	// match's 258, and the three its last position hashes.
-	lookahead = maxMatch + minMatch - 1
+	lookahead              = maxMatch + minMatch - 1
+	numLit, numDist, numCL = 286, 30, 19 // the alphabets' sizes
 )
+
+// clOrder is the order HCLEN lists the code-length code's lengths in.
+var clOrder = [numCL]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
 
 // deflater is one stream's state. reset starts a stream, write advances it.
 type deflater struct {
@@ -47,9 +63,14 @@ type deflater struct {
 	acc  uint64               // bits not yet in out, the first in the lowest
 	nacc uint                 // how many
 	out  []byte               // the stream so far
+	toks [1 << 14]uint32      // the block: a literal's byte, or a match's pairToken
+	ntok int
+	lens [numLit + numDist]uint8 // the block's codes, the distance code's from HLIT
+	code [numLit + numDist]uint16
 }
 
-// deflaters pools the writers packRecord and the DPC3 re-encode check run.
+// deflaters pools the writers (145 KiB of tables and tokens) packRecord and
+// the DPC4 re-encode check run.
 var deflaters = sync.Pool{New: func() any { return new(deflater) }}
 
 // releaseDeflater returns d to the pool, which keeps no reference to the
@@ -64,23 +85,25 @@ func releaseDeflater(d *deflater) {
 // stream entered.
 func (d *deflater) reset(out []byte) {
 	clear(d.head[:])
-	d.pos, d.out = 0, out
-	d.acc, d.nacc = 0b011, 3 // BFINAL 1, BTYPE 01
+	d.pos, d.out, d.acc, d.nacc, d.ntok = 0, out, 0, 0, 0
 }
 
 // write encodes b's positions from the first not yet encoded: those whose
 // lookahead b holds, or, when final, all that are left, followed by the
-// end of block and zero bits up to a byte. b must extend what the stream's
+// final block and zero bits up to a byte. b must extend what the stream's
 // earlier calls were given.
 func (d *deflater) write(b []byte, final bool) {
 	for d.pos+lookahead <= len(b) || final && d.pos < len(b) {
+		if d.ntok == len(d.toks) {
+			d.block(0)
+		}
 		length, dist := d.match(b, d.pos)
+		d.toks[d.ntok], d.ntok = uint32(b[d.pos]), d.ntok+1
 		if length < minMatch {
-			d.literal(b[d.pos])
 			d.pos++
 			continue
 		}
-		d.pair(length, dist)
+		d.toks[d.ntok-1] = pairToken(length, dist)
 		end := d.pos + length
 		for d.pos++; d.pos < end; d.pos++ {
 			if d.pos+minMatch <= len(b) {
@@ -89,7 +112,7 @@ func (d *deflater) write(b []byte, final bool) {
 		}
 	}
 	if final {
-		d.put(0, 7) // end of block, fixed code 256
+		d.block(1)
 		for ; d.nacc > 0; d.nacc -= min(d.nacc, 8) {
 			d.out = append(d.out, byte(d.acc))
 			d.acc >>= 8
@@ -154,7 +177,120 @@ func matchLen(a, b []byte) int {
 	return n
 }
 
-// put appends the low n bits of v to the stream, first bit lowest.
+// pairToken is a match's length symbol, its extra bits, its distance symbol
+// and their extra bits, from bits 0, 9, 14 and 19.
+func pairToken(length, dist int) uint32 {
+	sym, extra := uint32(285), uint32(0)
+	if x := uint32(length - minMatch); x < 8 {
+		sym = 257 + x
+	} else if length < maxMatch {
+		n := uint32(bits.Len32(x)) - 3
+		sym, extra = 261+4*n+(x>>n)&3, x&(1<<n-1)
+	}
+	dsym, dextra := uint32(dist-1), uint32(0)
+	if x := dsym; x >= 4 {
+		n := uint32(bits.Len32(x)) - 2
+		dsym, dextra = 2*n+(x>>n)&1+2, x&(1<<n-1)
+	}
+	return sym | extra<<9 | dsym<<14 | dextra<<19
+}
+
+// block writes out the tokens held as one block, the final one if final is 1.
+func (d *deflater) block(final uint64) {
+	count := [numLit + numDist]uint32{256: 1} // the end of block, once
+	for _, t := range d.toks[:d.ntok] {
+		count[t&511]++
+		count[numLit+t>>14&31] += t >> 8 & 1 // a match's distance
+	}
+	hlit := max(257, huffman(count[:numLit], d.lens[:numLit], d.code[:numLit], 15))
+	hdist := max(1, huffman(count[numLit:], d.lens[hlit:hlit+numDist], d.code[hlit:hlit+numDist], 15))
+	lens, hclen := d.lens[:hlit+hdist], numCL
+	runs, clCount := make([]uint16, 0, numLit+numDist), [numCL]uint32{} // a run: its symbol, its extra bits from bit 5
+	for i := 0; i < len(lens); {
+		v, r := lens[i], 1 // r: how many of v from i on
+		for i+r < len(lens) && lens[i+r] == v {
+			r++
+		}
+		k, run := 1, uint16(v)
+		switch {
+		case v == 0 && r >= 11:
+			k, run = min(r, 138), 18|uint16(min(r, 138)-11)<<5
+		case v == 0 && r >= 3:
+			k, run = r, 17|uint16(r-3)<<5
+		case v != 0 && r >= 3 && i > 0 && lens[i-1] == v:
+			k, run = min(r, 6), 16|uint16(min(r, 6)-3)<<5
+		}
+		runs, i = append(runs, run), i+k
+		clCount[run&31]++
+	}
+	clLens, clCode := [numCL]uint8{}, [numCL]uint16{}
+	huffman(clCount[:], clLens[:], clCode[:], 7)
+	for hclen > 4 && clLens[clOrder[hclen-1]] == 0 {
+		hclen--
+	}
+	d.put(final|2<<1|uint64(hlit-257)<<3|uint64(hdist-1)<<8|uint64(hclen-4)<<13, 17)
+	for _, sym := range clOrder[:hclen] {
+		d.put(uint64(clLens[sym]), 3)
+	}
+	for _, run := range runs {
+		sym := run & 31
+		d.put(uint64(clCode[sym])|uint64(run>>5)<<clLens[sym], uint(clLens[sym]+[numCL]uint8{16: 2, 17: 3, 18: 7}[sym]))
+	}
+	for _, t := range d.toks[:d.ntok] {
+		sym, dsym := t&511, uint32(hlit)+t>>14&31
+		d.put(uint64(d.code[sym])|uint64(t>>9&31)<<d.lens[sym], uint(d.lens[sym])+uint(max(0, int(sym)-261)/4%6))
+		if sym > 256 {
+			d.put(uint64(d.code[dsym])|uint64(t>>19)<<d.lens[dsym], uint(d.lens[dsym])+uint(max(0, int(t>>14&31)/2-1)))
+		}
+	}
+	d.put(uint64(d.code[256]), uint(d.lens[256]))
+	d.ntok = 0
+}
+
+// huffman sets lens to the package-merge lengths of counts, limited to
+// limit bits, and code to their canonical codes (RFC 1951 section 3.2.2),
+// bit-reversed; it returns 1 + the last used symbol.
+func huffman(counts []uint32, lens []uint8, code []uint16, limit int) (end int) {
+	var lists [2][2 * numLit]uint32
+	var taken [15][2*numLit + 1]uint16  // by level: of the first i items, how many are symbols
+	sorted := make([]uint32, 0, numLit) // count<<9 | symbol
+	for sym, c := range counts {
+		if c > 0 {
+			sorted, end = append(sorted, c<<9|uint32(sym)), sym+1
+		}
+	}
+	slices.Sort(sorted)
+	n, prev := len(sorted), lists[0][:0]
+	for j := 0; j < limit; j++ {
+		cur := lists[j&1][:0]
+		for l, p := 0, 0; l < n || p+1 < len(prev); taken[j][len(cur)] = uint16(l) {
+			if p+1 >= len(prev) || l < n && sorted[l]>>9 <= prev[p]+prev[p+1] {
+				cur, l = append(cur, sorted[l]>>9), l+1
+			} else {
+				cur, p = append(cur, prev[p]+prev[p+1]), p+2
+			}
+		}
+		prev = cur
+	}
+	clear(lens)
+	for j, x := limit-1, max(2*n-2, n); x > 0; j-- {
+		for _, o := range sorted[:taken[j][x]] {
+			lens[o&511]++
+		}
+		x = 2 * (x - int(taken[j][x]))
+	}
+	for l, next := uint8(1), uint16(0); l <= 15; l, next = l+1, next<<1 {
+		for sym := range lens {
+			if lens[sym] == l {
+				code[sym], next = bits.Reverse16(next)>>(16-l), next+1
+			}
+		}
+	}
+	return end
+}
+
+// put appends the low n bits of v to the stream, first bit lowest; n is at
+// most 32.
 func (d *deflater) put(v uint64, n uint) {
 	d.acc |= v << d.nacc
 	if d.nacc += n; d.nacc >= 32 {
@@ -162,54 +298,4 @@ func (d *deflater) put(v uint64, n uint) {
 		d.acc >>= 32
 		d.nacc -= 32
 	}
-}
-
-// literal writes byte c's fixed code: 8 bits from 00110000 below 144, 9
-// bits from 110010000 above.
-func (d *deflater) literal(c byte) {
-	if c < 144 {
-		d.put(reversed(0x30+uint(c), 8), 8)
-	} else {
-		d.put(reversed(0x190+uint(c)-144, 9), 9)
-	}
-}
-
-// pair writes a match, a length/distance pair: its length's symbol and
-// extra bits, then its distance's, in one put (at most 8+5+5+13 bits).
-func (d *deflater) pair(length, dist int) {
-	var sym, extra, nextra uint
-	switch x := uint(length - minMatch); {
-	case length == maxMatch:
-		sym = 28
-	case x < 8:
-		sym = x
-	default:
-		nextra = uint(bits.Len(x)) - 3
-		sym, extra = 4*nextra+4+(x>>nextra)&3, x&(1<<nextra-1)
-	}
-	var code uint64 // symbols 257-279 are 7 bits from 0, 280-287 8 bits from 11000000
-	n := uint(7)
-	if sym += 257; sym < 280 {
-		code = reversed(sym-256, 7)
-	} else {
-		code, n = reversed(0xc0+sym-280, 8), 8
-	}
-	code |= uint64(extra) << n
-	n += nextra
-
-	var dsym, dextra, ndextra uint
-	if x := uint(dist - 1); x < 4 {
-		dsym = x
-	} else {
-		ndextra = uint(bits.Len(x)) - 2
-		dsym, dextra = 2*ndextra+(x>>ndextra)&1+2, x&(1<<ndextra-1)
-	}
-	code |= (reversed(dsym, 5) | uint64(dextra)<<5) << n
-	d.put(code, n+5+ndextra)
-}
-
-// reversed is a Huffman code's n bits in the order the stream holds them:
-// DEFLATE packs a code from its most significant bit.
-func reversed(code, n uint) uint64 {
-	return uint64(bits.Reverse16(uint16(code)) >> (16 - n))
 }

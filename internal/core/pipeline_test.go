@@ -77,7 +77,8 @@ func publishLogged(t *testing.T, cfg Config, tasks []*model.Task) (*System, []by
 // encodeBinaryPublication and packPublication — logs for the same tasks:
 // over the four datasets; over batches of 1, a chunk less one, a chunk, a
 // chunk and one, and 6,000 tasks with a third of them pre-annotated; over
-// random-byte texts, which stay DPC1; and, through the pipeline Publish
+// random-byte texts, which pack, and three of them, which stay DPC1; and,
+// through the pipeline Publish
 // runs after validation, over TestPropertyPublicationRoundTrip's 200
 // seeded sets.
 func TestPublishRecordMatchesSerialOracle(t *testing.T) {
@@ -111,7 +112,8 @@ func TestPublishRecordMatchesSerialOracle(t *testing.T) {
 	}
 	fourDomains := cfg
 	fourDomains.KB = kb.New(model.MustDomainSet([]string{"a", "b", "c", "d"}))
-	check("random text", fourDomains, randomTextTasks(3*publishChunk+5), publicationMagic)
+	check("random text", fourDomains, randomTextTasks(3*publishChunk+5), deflateMagic)
+	check("three random texts", fourDomains, randomTextTasks(3), publicationMagic)
 
 	systems := map[int]*System{}
 	for _, m := range []int{1, 4, 26} {

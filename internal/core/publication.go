@@ -37,20 +37,20 @@
 // cut from a few sentence patterns — so the record Publish logs is that
 // blob packed whenever packing makes it shorter:
 //
-//	magic "DPC3" | body length uvarint | DEFLATE(body)
+//	magic "DPC4" | body length uvarint | DEFLATE(body)
 //
 // where body is the DPC1 blob after its magic and DEFLATE is the pinned
-// writer of deflate.go, whose stream is a function of the body fixed by its
-// rules, not by a toolchain; it is read with compress/flate's reader. So
-// DPC3 is canonical too: the decoder refuses a stated length over what a
-// publication may hold, a stream that inflates to another length or has
-// bytes after its final block, one that is not the writer's output for its
-// body, and a DPC3 blob no shorter than its DPC1
-// (testdata/publication_dpc3.golden pins the writer's bytes). A DPC1 record
-// is read whatever its size; a publish record under any other magic is
-// refused, the row-major and LZW-packed ones earlier builds logged with an
-// error naming the last commit that reads them (errFormatRows,
-// errFormatLZW).
+// writer of deflate.go, whose stream — its matches, blocks, code lengths and
+// their header — is a function of the body fixed by its rules, not by a
+// toolchain; it is read with compress/flate's reader. So DPC4 is canonical
+// too: the decoder refuses a stated length over what a publication may
+// hold, a stream that inflates to another length or has bytes after its
+// final block, one that is not the writer's output for its body, and a DPC4
+// blob no shorter than its DPC1 (testdata/publication_dpc4.golden pins the
+// writer's bytes). A DPC1 record is read whatever its size; a publish
+// record under any other magic is refused, the row-major, LZW-packed and
+// fixed-code ones earlier builds logged with an error naming the last
+// commit that reads them (errFormatRows, errFormatLZW, errFormatFixed).
 package core
 
 import (
@@ -73,7 +73,7 @@ const (
 	// deflateMagic every packed one. Versioned: a future layout bumps the
 	// trailing byte.
 	publicationMagic = "DPC1"
-	deflateMagic     = "DPC3"
+	deflateMagic     = "DPC4"
 	// maxPackedBody is the longest body a packed blob may state: the body
 	// of the largest DPC1 blob Publish accepts, which is the largest blob
 	// one log record holds.
@@ -137,7 +137,7 @@ func tstrLen(s string) int {
 }
 
 // packRecord returns the record Publish logs for a task set: its DPC1 blob,
-// packed as DPC3 when that is the shorter. The columns DVE does not touch —
+// packed as DPC4 when that is the shorter. The columns DVE does not touch —
 // IDs, texts, choices, truths — are encoded first and the pinned writer
 // advances over them while the linkers run; linked waits for the linkers,
 // and only the ref and table columns follow it. So the record is a pure
@@ -272,15 +272,16 @@ func (dt *domainTable) intern(key []byte, v model.DomainVector, keep bool) model
 
 var errNotCanonical = errors.New("stream is not the packing of its body")
 
-// errFormatLZW refuses a publication packed with LZW, which builds logged
-// before the pinned DEFLATE writer.
-var errFormatLZW = errors.New("DPB2 (LZW-packed) publication: this build reads DPC1 and DPC3 only; a3e04fd is the last commit that reads it")
+// The refusals of the publications earlier builds logged, each naming the
+// last commit that reads it: LZW-packed before the pinned DEFLATE writer,
+// task by task before the column layout, in fixed codes before DPC4.
+var (
+	errFormatLZW   = errors.New("DPB2 (LZW-packed) publication: this build reads DPC1 and DPC4 only; a3e04fd is the last commit that reads it")
+	errFormatRows  = errors.New("DPB1/DPB3 (row-major) publication: this build reads DPC1 and DPC4 only; 7137417 is the last commit that reads it")
+	errFormatFixed = errors.New("DPC3 (fixed-Huffman) publication: this build reads DPC1 and DPC4 only; 0b7dcec is the last commit that reads it")
+)
 
-// errFormatRows refuses a publication laid out task by task, which builds
-// logged before the column layout, unpacked or packed.
-var errFormatRows = errors.New("DPB1/DPB3 (row-major) publication: this build reads DPC1 and DPC3 only; 7137417 is the last commit that reads it")
-
-// inflater is a pooled reader of DPC3 streams: compress/flate's, reset onto
+// inflater is a pooled reader of DPC4 streams: compress/flate's, reset onto
 // src.
 type inflater struct {
 	src bytes.Reader
@@ -293,7 +294,7 @@ var inflaters = sync.Pool{New: func() any {
 	return in
 }}
 
-// unpackPublication inflates a DPC3 blob into the DPC1 blob it stands for,
+// unpackPublication inflates a DPC4 blob into the DPC1 blob it stands for,
 // refusing every blob the pinned writer would not have written. Inflation
 // stops one byte past the stated length, and the buffer grows only as bytes
 // inflate, never to that length up front, so a hostile length buys no
@@ -354,12 +355,14 @@ func packsTo(body, stream []byte) bool {
 // decodePublication parses a publish record's task set. It is the one
 // reader of the record (replay's applyRecord), and it returns only tasks
 // that carry an m-long domain vector, so replay never re-runs entity
-// linking. A DPC3 blob unpacks to DPC1 and then reads as one.
+// linking. A DPC4 blob unpacks to DPC1 and then reads as one.
 func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 	blob, err := rec.Blob, error(nil)
 	switch {
 	case bytes.HasPrefix(blob, []byte(deflateMagic)):
 		blob, err = unpackPublication(blob)
+	case bytes.HasPrefix(blob, []byte("DPC3")):
+		err = errFormatFixed
 	case bytes.HasPrefix(blob, []byte("DPB2")):
 		err = errFormatLZW
 	case bytes.HasPrefix(blob, []byte("DPB1")), bytes.HasPrefix(blob, []byte("DPB3")):

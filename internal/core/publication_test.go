@@ -134,7 +134,7 @@ func appendStr(b []byte, s string) []byte {
 }
 
 // packPublication is the serial packer packRecord replaced, kept as its
-// oracle: a DPC1 blob's DPC3 packing, the pinned writer given the whole
+// oracle: a DPC1 blob's DPC4 packing, the pinned writer given the whole
 // body in one pass, when that is the shorter; the blob itself otherwise.
 func packPublication(dpc1 []byte) []byte {
 	body := dpc1[len(publicationMagic):]
@@ -152,12 +152,12 @@ func serialPublication(t testing.TB, tasks []*model.Task, m int) []byte {
 }
 
 // encodePublication is the record Publish logs for a task set whose domain
-// vectors are all set: its DPC1 blob, packed as DPC3 when that is shorter.
+// vectors are all set: its DPC1 blob, packed as DPC4 when that is shorter.
 func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
 	return packRecord(tasks, m, func() error { return nil })
 }
 
-// mustEncodePublication is the record Publish logs: DPC3 when packing is
+// mustEncodePublication is the record Publish logs: DPC4 when packing is
 // shorter, DPC1 otherwise.
 func mustEncodePublication(t testing.TB, tasks []*model.Task, m int) []byte {
 	t.Helper()
@@ -201,8 +201,9 @@ func datasetPublications(t *testing.T) (names []string, sets [][]*model.Task, m 
 }
 
 // randomTextTasks is a task set whose texts are random bytes, hundreds to
-// a task: DEFLATE pays more for their 9-bit literals than it wins back on
-// the rest of the task, so its record must stay DPC1.
+// a task. Their literals cost DEFLATE about 8 bits, so up to five tasks the
+// stream's code header costs more than the rest of each task wins back and
+// the record stays DPC1; more tasks pack.
 func randomTextTasks(n int) []*model.Task {
 	r := mathx.NewRand(30)
 	tasks := make([]*model.Task, n)
@@ -221,7 +222,7 @@ func randomTextTasks(n int) []*model.Task {
 // forms and returns the record Publish would log. The DPC1 blob and the
 // record each decode to the tasks field by field (floats as bits) and are
 // canonical: encoding what they decode to gives back the same bytes. The
-// record is DPC3 and shorter than the DPC1 blob, or is the DPC1 blob.
+// record is DPC4 and shorter than the DPC1 blob, or is the DPC1 blob.
 func roundTrip(t *testing.T, name string, tasks []*model.Task, m int) []byte {
 	t.Helper()
 	dpc1 := mustEncodeBinaryPublication(t, tasks, m)
@@ -282,8 +283,8 @@ func sameTasks(t *testing.T, got, want []*model.Task) {
 // datasets after DVE, and sampleTasks' −0 and denormal vectors decode to
 // the same tasks field by field (floats compared as bits) from the DPC1
 // blob and from the record Publish logs, and each is canonical:
-// encode(decode(b)) == b. The datasets and sampleTasks log DPC3, the
-// seeded sets both forms, and random-byte text stays DPC1.
+// encode(decode(b)) == b. The datasets and sampleTasks log DPC4, the
+// seeded sets both forms, and three tasks of random-byte text stay DPC1.
 func TestPropertyPublicationRoundTrip(t *testing.T) {
 	names, sets, m := datasetPublications(t)
 	for i, tasks := range sets {
@@ -294,7 +295,7 @@ func TestPropertyPublicationRoundTrip(t *testing.T) {
 	if rec := roundTrip(t, "sampleTasks", sampleTasks(), 4); !bytes.HasPrefix(rec, []byte(deflateMagic)) {
 		t.Errorf("sampleTasks logs %q, want a packed record", rec[:4])
 	}
-	if rec := roundTrip(t, "random text", randomTextTasks(50), 4); !bytes.HasPrefix(rec, []byte(publicationMagic)) {
+	if rec := roundTrip(t, "random text", randomTextTasks(3), 4); !bytes.HasPrefix(rec, []byte(publicationMagic)) {
 		t.Errorf("random text logs %q, want the DPC1 blob", rec[:4])
 	}
 
@@ -430,7 +431,7 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 	dpc1, encode := data, encodeBinaryPublication
 	if bytes.HasPrefix(data, []byte(deflateMagic)) {
 		if dpc1, err = unpackPublication(data); err != nil {
-			t.Fatalf("a decoded DPC3 blob does not unpack: %v", err)
+			t.Fatalf("a decoded DPC4 blob does not unpack: %v", err)
 		}
 		encode = encodePublication
 	}
@@ -459,7 +460,7 @@ func escapedTasks() []*model.Task {
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // TestPublicationDecodeDamage is the DOCSSNP3 sweep for the publication
-// blob, over sampleTasks' DPC1 blob and its DPC3 record and escapedTasks'
+// blob, over sampleTasks' DPC1 blob and its DPC4 record and escapedTasks'
 // DPC1 blob: every single-byte truncation and every single-bit flip of a
 // valid blob either decodes to something that re-encodes to those exact
 // bytes or errors — it never panics and never over-allocates — and
@@ -511,9 +512,10 @@ func TestPublicationDecodeDamage(t *testing.T) {
 		"ID past int": cat([]byte(publicationMagic), []byte{4, 2}, binary.AppendUvarint(nil, zigzag(math.MaxInt)),
 			[]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}),
 		"magic only":           []byte(publicationMagic),
-		"a later format":       append([]byte("DPC4"), data[4:]...),
+		"a later format":       append([]byte("DPC5"), data[4:]...),
 		"DPC1 body under DPB2": append([]byte("DPB2"), data[4:]...),
-		"DPC1 body under DPC3": append([]byte(deflateMagic), data[4:]...),
+		"DPC1 body under DPC3": append([]byte("DPC3"), data[4:]...),
+		"DPC1 body under DPC4": append([]byte(deflateMagic), data[4:]...),
 		"empty":                nil,
 	} {
 		if tasks, err := decodePublication(wal.Record{Seq: 3, Blob: blob}, 4); err == nil {
@@ -524,17 +526,19 @@ func TestPublicationDecodeDamage(t *testing.T) {
 	}
 }
 
-// TestPackedPublicationRefusals: DPC1 and DPC3 are canonical — the decoder
+// TestPackedPublicationRefusals: DPC1 and DPC4 are canonical — the decoder
 // accepts nothing the encoder and the pinned writer would not write — and
 // each rule refuses its own row with its own error. The body rows damage
 // twinTasks' DPC1 blob, whose columns lie at known offsets (one-byte IDs
 // and refs, four table entries), and each is refused as such unpacked and,
 // packed, by the same rule. A stream compress/flate reads back to the body
-// is still refused when it is not the pinned writer's: a stored block, a
-// dynamic-Huffman block, two blocks, a match cut short, ones in the
-// padding bits. (The stream rows pack twinTasks, whose stream has padding
-// bits; sampleTasks' ends on a byte.) A row-major blob, unpacked or
-// packed, is refused naming the last commit that reads it.
+// is still refused when it is not the pinned writer's: the writer's tokens
+// in the fixed codes (DPC3's stream) under DPC4, a complete but different
+// tree, an untrimmed HLIT, lengths spelled without 16, 17 and 18, a block
+// split after a token other than the 16,384th, a stored block, a match cut
+// short, ones in the padding bits. (The stream rows pack twinTasks, whose
+// stream has padding bits.) A row-major blob, unpacked or packed, and a
+// DPC3 one are refused naming the last commit that reads them.
 func TestPackedPublicationRefusals(t *testing.T) {
 	random := mustEncodeBinaryPublication(t, randomTextTasks(5), 4)
 	randomBody := random[len(publicationMagic):]
@@ -581,9 +585,14 @@ func TestPackedPublicationRefusals(t *testing.T) {
 		"a byte after the last column":    {cat(dpc1, []byte{0}), "1 trailing bytes"},
 		"a row-major blob":                {row, "7137417"},
 		"a row-major blob, packed":        {packedBlob("DPB3", uint64(len(row)-4), deflateStream(row[4:])), "7137417"},
+		"a DPC3 record":                   {packedBlob("DPC3", n, fixedCodes(body)), "0b7dcec"},
+		"the fixed codes":                 {packedBlob(deflateMagic, n, fixedCodes(body)), errNotCanonical.Error()},
+		"a complete but different tree":   {packedBlob(deflateMagic, n, respelled(body, 16384, spelling{swap: true})), errNotCanonical.Error()},
+		"an untrimmed HLIT":               {packedBlob(deflateMagic, n, respelled(body, 16384, spelling{fullHLIT: true})), errNotCanonical.Error()},
+		"lengths without 16, 17 and 18":   {packedBlob(deflateMagic, n, respelled(body, 16384, spelling{noRuns: true})), errNotCanonical.Error()},
+		"a block after the first token":   {packedBlob(deflateMagic, n, respelled(body, 1, spelling{})), errNotCanonical.Error()},
+		"two blocks split in the middle":  {packedBlob(deflateMagic, n, respelled(body, len(referenceTokens(body))/2, spelling{})), errNotCanonical.Error()},
 		"a stored block":                  {packedBlob(deflateMagic, n, stored(body)), errNotCanonical.Error()},
-		"a dynamic-Huffman block":         {packedBlob(deflateMagic, n, dynamicLiterals(body)), errNotCanonical.Error()},
-		"two blocks":                      {packedBlob(deflateMagic, n, twoBlocks(body)), errNotCanonical.Error()},
 		"a match cut short":               {packedBlob(deflateMagic, n, shorterMatch(t, body)), errNotCanonical.Error()},
 		"ones in the padding bits":        {packedBlob(deflateMagic, n, paddedWithOnes(t, stream, paddingBits(body))), errNotCanonical.Error()},
 		"no shorter than the DPC1 blob":   {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)), "no shorter than"},
@@ -612,6 +621,17 @@ func TestPackedPublicationRefusals(t *testing.T) {
 			if err == nil || !strings.HasPrefix(err.Error(), "publish record 5: ") || !strings.Contains(err.Error(), r.want) {
 				t.Errorf("%s as %q: error %v, want one naming publish record 5 and containing %q", name, blob[:4], err, r.want)
 			}
+		}
+	}
+	// A body of over 16,384 tokens in blocks a token shorter or longer.
+	big := mustEncodeBinaryPublication(t, randomTextTasks(40), 4)[len(publicationMagic):]
+	for _, every := range []int{16383, 16385} {
+		stream := respelled(big, every, spelling{})
+		if !bytes.Equal(inflate(t, stream), big) {
+			t.Fatalf("blocks of %d: compress/flate does not read the stream back to the body", every)
+		}
+		if _, err := decodePublication(wal.Record{Seq: 5, Blob: packedBlob(deflateMagic, uint64(len(big)), stream)}, 4); !errors.Is(err, errNotCanonical) {
+			t.Errorf("blocks of %d tokens: error %v, want %v", every, err, errNotCanonical)
 		}
 	}
 }
@@ -652,7 +672,7 @@ func TestPublicationCodecConcurrent(t *testing.T) {
 }
 
 var updatePublicationGolden = flag.Bool("update-publication-golden", false,
-	"rewrite testdata/publication_dpc3.golden from this build's writer")
+	"rewrite testdata/publication_dpc4.golden from this build's writer")
 
 // goldenPublication is n tasks in the campaigns' shape: a few sentence
 // templates, two or three choices, one- and two-domain vectors. It is built
@@ -680,16 +700,17 @@ func goldenPublication(n int) []*model.Task {
 }
 
 // TestPublicationPackerGolden pins the packer. testdata/
-// publication_dpc3.golden is the DPC3 record of goldenPublication(600), a
+// publication_dpc4.golden is the DPC4 record of goldenPublication(600), a
 // body over the writer's 32 KiB window: this build must write it byte for
 // byte — the writer's rules, not a toolchain, fix it — and read it back to
 // the set. The records older builds logged are refused with an error naming
 // their magic and the last commit that reads them: testdata/
-// publication_dpb3.golden, the row-major DPB3 record of the same set, and
+// publication_dpc3.golden, the fixed-code DPC3 record of the same set,
+// testdata/publication_dpb3.golden, its row-major DPB3 record, and
 // testdata/publication_dpb2.golden, the LZW-packed DPB2 record of
-// goldenPublication(200). The flag rewrites only the DPC3 file.
+// goldenPublication(200). The flag rewrites only the DPC4 file.
 func TestPublicationPackerGolden(t *testing.T) {
-	path := filepath.Join("testdata", "publication_dpc3.golden")
+	path := filepath.Join("testdata", "publication_dpc4.golden")
 	tasks := goldenPublication(600)
 	dpc1 := mustEncodeBinaryPublication(t, tasks, 26)
 	blob := packPublication(dpc1)
@@ -720,9 +741,9 @@ func TestPublicationPackerGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTasks(t, got, tasks)
-	t.Logf("%s: %d bytes as DPC3, %d as DPC1", path, len(want), len(dpc1))
+	t.Logf("%s: %d bytes as DPC4, %d as DPC1", path, len(want), len(dpc1))
 
-	for magic, commit := range map[string]string{"DPB3": "7137417", "DPB2": "a3e04fd"} {
+	for magic, commit := range map[string]string{"DPC3": "0b7dcec", "DPB3": "7137417", "DPB2": "a3e04fd"} {
 		old := readLegacyGolden(t, magic)
 		if got, err := decodePublication(wal.Record{Seq: 1, Blob: old}, 26); err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), commit) {
 			t.Fatalf("the %s record decoded to %d tasks (%v), want a refusal naming %s and %s", magic, len(got), err, magic, commit)
@@ -731,8 +752,9 @@ func TestPublicationPackerGolden(t *testing.T) {
 }
 
 // readLegacyGolden returns testdata/publication_<magic>.golden, a
-// publication as an older build logged it under magic: row-major and
-// DEFLATE-packed under DPB3, or LZW-packed under DPB2.
+// publication as an older build logged it under magic: DEFLATE-packed in
+// the fixed codes under DPC3, row-major and so packed under DPB3, or
+// LZW-packed under DPB2.
 func readLegacyGolden(t testing.TB, magic string) []byte {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("testdata", "publication_"+strings.ToLower(magic)+".golden"))
@@ -751,15 +773,16 @@ func readLegacyGolden(t testing.TB, magic string) []byte {
 // equal. Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
 // sampleTasks' DPC1 blob, the same cut in its middle, escapedTasks' DPC1
 // blob, twinTasks' with a ref above the table so far and with a repeated
-// table entry; sampleTasks' DPC3 record, the same cut in its stream and
+// table entry; sampleTasks' DPC4 record, the same cut in its stream and
 // with a byte after the final block. The older builds' records there must
-// all be refused: sampleTasks' row-major DPB1 blob, the same cut at three
-// points, with one byte flipped, with its task count set to 2^63; its DPB3
-// record, the same cut in its stream and with a byte after the final
-// block; its LZW-packed DPB2 record, the same cut in its stream, with a
-// byte after the end code, and with the stream every byte a literal;
-// twinTasks' DPB1 blob; and a JSON publication, the format v0 blob nothing
-// reads.
+// all be refused: sampleTasks' fixed-code DPC3 record, the same cut in its
+// stream and with a byte after the final block; its row-major DPB1 blob,
+// the same cut at three points, with one byte flipped, with its task count
+// set to 2^63; its DPB3 record, the same cut in its stream and with a byte
+// after the final block; its LZW-packed DPB2 record, the same cut in its
+// stream, with a byte after the end code, and with the stream every byte a
+// literal; twinTasks' DPB1 blob; and a JSON publication, the format v0 blob
+// nothing reads.
 func FuzzPublicationDecode(f *testing.F) {
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
 	f.Add(mustEncodeBinaryPublication(f, twinTasks(), 4))
@@ -772,7 +795,8 @@ func FuzzPublicationDecode(f *testing.F) {
 	f.Add(mustEncodeBinaryPublication(f, escapedTasks(), 4))
 	f.Add(encodeRowPublication(sampleTasks(), 4))
 	f.Add([]byte("DPB3"))
-	refusals := map[string]error{"DPB1": errFormatRows, "DPB2": errFormatLZW, "DPB3": errFormatRows}
+	f.Add(readLegacyGolden(f, "DPC3"))
+	refusals := map[string]error{"DPB1": errFormatRows, "DPB2": errFormatLZW, "DPB3": errFormatRows, "DPC3": errFormatFixed}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPublicationDecode(t, data, 4)
 		for magic, refusal := range refusals {
@@ -792,7 +816,7 @@ func FuzzPublicationDecode(f *testing.F) {
 // quotes; the row-major DPB1 blob and the JSON encoding before it are
 // logged beside them.
 func TestPublicationBytesPerTask(t *testing.T) {
-	want := map[string][2]int{"Item": {17831, 3339}, "4D": {19216, 3275}, "QA": {18838, 2848}, "SFV": {12413, 3919}}
+	want := map[string][2]int{"Item": {17831, 2990}, "4D": {19216, 2949}, "QA": {18838, 2565}, "SFV": {12413, 3376}}
 	names, sets, m := datasetPublications(t)
 	for i, tasks := range sets {
 		name := names[i]
@@ -825,13 +849,13 @@ func TestPublicationBytesPerTask(t *testing.T) {
 	}
 }
 
-// TestAllocsPublicationCodecPooled: the DEFLATE writer's tables (80 KiB)
-// and compress/flate's reader (its 32 KiB window and decoding tables) are
-// pooled, so once the pools are warm a pack and a decode of sampleTasks
-// allocate only what the publication itself needs: 2,632 B in 28
-// allocations, pinned at 4 KiB and 34 (room for another toolchain's
-// maps), where one writer's tables or one reader's window alone is eight
-// times the bytes.
+// TestAllocsPublicationCodecPooled: the DEFLATE writer's tables and token
+// block (145 KiB) and compress/flate's reader (its 32 KiB window and
+// decoding tables) are pooled, so once the pools are warm a pack and a
+// decode of sampleTasks allocate only what the publication itself needs:
+// 2,632 B in 28 allocations, pinned at 4 KiB and 34 (room for another
+// toolchain's maps), where one writer's tables or one reader's window alone
+// is eight times the bytes.
 func TestAllocsPublicationCodecPooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -841,13 +865,17 @@ func TestAllocsPublicationCodecPooled(t *testing.T) {
 	codec := func() {
 		blob, err := encodePublication(tasks, 4)
 		if err != nil || !bytes.HasPrefix(blob, []byte(deflateMagic)) {
-			t.Fatalf("sampleTasks packs to %q (%v), want a DPC3 record", blob, err)
+			t.Fatalf("sampleTasks packs to %q (%v), want a DPC4 record", blob, err)
 		}
 		if _, err := decodePublication(wal.Record{Blob: blob}, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	// A pool keeps what one P put for that P: a goroutine moved to another
+	// P between a put and the next get misses it, and one miss of a 145 KiB
+	// writer costs more over the runs than the bound allows.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	codec()
 	const runs = 100
 	var before, after runtime.MemStats
@@ -883,13 +911,15 @@ func writePublishLog(t *testing.T, dir string, blob []byte) {
 	}
 }
 
-// TestLegacyPublicationLogsBoot: builds up to 7137417 logged a
-// publication row-major, as DPB1 or DEFLATE-packed as DPB3, and builds
-// before the pinned writer LZW-packed it as DPB2; this build reads none of
-// them. A log whose publish record is the DPC1 blob, followed by the
-// answers of a DPC3 log, boots to that log's Fingerprint. A log whose
-// publish record is DPB1 (the row encoder's) or DPB3
-// (publication_dpb3.golden) is refused with an error naming its magic and
+// TestLegacyPublicationLogsBoot: builds up to 0b7dcec packed a publication
+// in one fixed-code block as DPC3, builds up to 7137417 logged it
+// row-major, as DPB1 or DEFLATE-packed as DPB3, and builds before the
+// pinned writer LZW-packed it as DPB2; this build reads none of them. A log
+// whose publish record is the DPC1 blob, followed by the answers of a DPC4
+// log, boots to that log's Fingerprint. A log whose publish record is DPC3
+// (the same tokens in the fixed codes, as 0b7dcec wrote them) is refused
+// with an error naming DPC3 and 0b7dcec, one whose record is DPB1 (the row
+// encoder's) or DPB3 (publication_dpb3.golden) naming its magic and
 // 7137417, one whose record is DPB2 naming a3e04fd, and each is left byte
 // for byte as it was.
 func TestLegacyPublicationLogsBoot(t *testing.T) {
@@ -913,12 +943,14 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := crashtest.ReadStream(t, dir)
+	body := mustEncodeBinaryPublication(t, tasks, m)[len(publicationMagic):]
 	logs := map[string]struct {
 		blob    []byte
 		refusal string // the last commit that reads the record; "" boots
 	}{
 		deflateMagic:     {recs[0].Blob, ""},
 		publicationMagic: {mustEncodeBinaryPublication(t, tasks, m), ""}, // the tasks carry their vectors now
+		"DPC3":           {packedBlob("DPC3", uint64(len(body)), fixedCodes(body)), "0b7dcec"},
 		"DPB1":           {encodeRowPublication(tasks, m), "7137417"},
 		"DPB3":           {readLegacyGolden(t, "DPB3"), "7137417"},
 		"DPB2":           {readLegacyGolden(t, "DPB2"), "a3e04fd"},
@@ -956,7 +988,7 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 		case err != nil:
 			t.Fatalf("%s log: boot: %v", magic, err)
 		case again.Fingerprint() != want:
-			t.Errorf("%s log: the booted state differs from the DPC3 log's", magic)
+			t.Errorf("%s log: the booted state differs from the DPC4 log's", magic)
 		}
 		again.Close()
 	}
@@ -996,7 +1028,7 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 	}
 	for name, blob := range map[string][]byte{
 		"DPC1 over 4 domains": mustEncodeBinaryPublication(t, tasks, 4),
-		"DPC3 over 4 domains": packed,
+		"DPC4 over 4 domains": packed,
 	} {
 		dir := t.TempDir()
 		writePublishLog(t, dir, blob)

@@ -277,7 +277,7 @@ func TestOverlongVarintRejectedByEveryDecoder(t *testing.T) {
 		"KindStore blob": {storeBlob, overlong(storeBlob, 0), decodeStore}, // m
 		"DPC1 publication": {mustEncodeBinaryPublication(t, sampleTasks(), 4), overlong(mustEncodeBinaryPublication(t, sampleTasks(), 4), len(publicationMagic)), // m
 			func(b []byte) error { _, err := decodeBinaryPublication(b, 4); return err }},
-		"DPC3 publication": {packed, overlong(packed, len(deflateMagic)), // the body's length
+		"DPC4 publication": {packed, overlong(packed, len(deflateMagic)), // the body's length
 			func(b []byte) error { _, err := decodePublication(wal.Record{Blob: b}, 4); return err }},
 		"snapshot": {snap, reframe(overlong(snap[snapHeader:], 0)), // seq
 			func(b []byte) error { _, err := snapshot.Decode(b); return err }},

@@ -39,9 +39,9 @@ import (
 // formatV1, no Log.sealed and no scanned.version, and its 8-byte frame
 // reader is called by DecodeFrames and, once, for the segment header. The
 // publications older builds logged — row-major DPB1 and DPB3, LZW-packed
-// DPB2 — are spelled only by their refusals, in publication.go, the row
-// encoder is declared in a test file alone, and no file imports
-// compress/lzw; store op 2 is named only by decodeUpdate's case that
+// DPB2, fixed-code DPC3 — are spelled only by their refusals, in
+// publication.go, the row encoder is declared in a test file alone, and no
+// file imports compress/lzw; store op 2 is named only by decodeUpdate's case that
 // refuses it. A publish record has one reader: applyRecord alone calls
 // decodePublication, and only that unpacks or decodes a publication blob.
 // The publication record is the one
@@ -104,7 +104,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 	got := map[string][]string{}
 	// magic → file → how often it spells a publication magic nothing writes
-	retired := map[string]map[string]int{"DPB1": {}, "DPB2": {}, "DPB3": {}}
+	retired := map[string]map[string]int{"DPB1": {}, "DPB2": {}, "DPB3": {}, "DPC3": {}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
