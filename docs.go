@@ -324,21 +324,43 @@ func (s *System) Publish(tasks []Task) error {
 	return s.do(func(sys *core.System) error { return sys.Publish(internal) })
 }
 
-// ValidateTasks reports the error Publish would return for a batch that is
-// structurally unpublishable — a task with fewer than two choices, a golden
-// truth out of range, a task ID used twice — without a System and without
-// estimating any domain vector. Check a publication with it before creating
-// the campaign it is for, so a rejected batch leaves no empty campaign behind.
-func ValidateTasks(tasks []Task) error {
+// Publication is a batch of tasks converted and checked once, by
+// CheckPublication, for PublishChecked to publish. It is published once.
+type Publication struct{ batch *core.Batch }
+
+// CheckPublication reports the error Publish would return for a batch that
+// is structurally unpublishable — a task with fewer than two choices, a
+// golden truth out of range, a task ID used twice — without a System and
+// without estimating any domain vector, and otherwise returns the batch
+// converted and checked. Check a publication with it before creating the
+// campaign it is for, so a rejected batch leaves no empty campaign behind,
+// then publish it with PublishChecked, which does neither again.
+func CheckPublication(tasks []Task) (*Publication, error) {
 	k, err := kb.Default()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	internal, err := toInternalTasks(tasks)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return core.ValidateTasks(internal, k.Domains().Size())
+	batch, err := core.CheckTasks(internal, k.Domains().Size())
+	if err != nil {
+		return nil, err
+	}
+	return &Publication{batch: batch}, nil
+}
+
+// ValidateTasks is CheckPublication's verdict alone.
+func ValidateTasks(tasks []Task) error {
+	_, err := CheckPublication(tasks)
+	return err
+}
+
+// PublishChecked is Publish for a batch CheckPublication has converted and
+// checked.
+func (s *System) PublishChecked(p *Publication) error {
+	return s.do(func(sys *core.System) error { return sys.PublishBatch(p.batch) })
 }
 
 // Request serves the arriving worker up to k tasks: golden tasks first for

@@ -221,10 +221,15 @@ type System struct {
 	// requests through assignScan — the oracle the indexed path is held
 	// bit-identical to.
 	scanAssign bool
-	rerunCh    chan struct{}
-	quit       chan struct{}
-	wg         sync.WaitGroup
-	closed     sync.Once
+	// eagerInstall, when set (tests only, before Publish or Recover),
+	// materialises every regular task at publish, in this system and its
+	// snapshot passes' replicas — the oracle latent tasks are held
+	// bit-identical to.
+	eagerInstall bool
+	rerunCh      chan struct{}
+	quit         chan struct{}
+	wg           sync.WaitGroup
+	closed       sync.Once
 
 	assigners sync.Pool
 }
@@ -333,16 +338,30 @@ func (sh *workerShard) state(workerID string) *workerState {
 // Domains returns the system's domain set.
 func (s *System) Domains() *model.DomainSet { return s.kb.Domains() }
 
-// ValidateTasks is the structural half of Publish's validation, the half
-// that needs neither a campaign nor DVE: no task ID twice, every task's
-// own invariants (at least two choices, truth in range, a requester-supplied
+// Batch is a publication that has passed the structural half of Publish's
+// validation over m domains, indexed by task ID: CheckTasks makes one and
+// PublishBatch publishes it without checking it again. A Batch is published
+// once — the publish writes the domain vectors DVE gives its tasks into
+// them.
+type Batch struct {
+	tasks []*model.Task
+	byID  map[int]*model.Task
+	m     int
+}
+
+// CheckTasks is the structural half of Publish's validation, the half that
+// needs neither a campaign nor DVE: no task ID twice, every task's own
+// invariants (at least two choices, truth in range, a requester-supplied
 // domain vector well-formed) over a domain set of size m, and a batch one
-// log record can hold whatever vectors DVE gives it. A server calls it
+// log record can hold whatever vectors DVE gives it. A server runs it
 // before it creates a campaign for a publication, so a batch Publish would
-// reject leaves no empty campaign behind.
-func ValidateTasks(tasks []*model.Task, m int) error {
-	_, err := tasksByID(tasks, m)
-	return err
+// reject leaves no empty campaign behind, and then publishes the Batch.
+func CheckTasks(tasks []*model.Task, m int) (*Batch, error) {
+	byID, err := tasksByID(tasks, m)
+	if err != nil {
+		return nil, err
+	}
+	return &Batch{tasks: tasks, byID: byID, m: m}, nil
 }
 
 // tasksByID validates the batch and returns it indexed by task ID.
@@ -370,7 +389,14 @@ func tasksByID(tasks []*model.Task, m int) (map[int]*model.Task, error) {
 // durable record's packing streams behind it (linkAndPack), and golden
 // selection and the install run beside the rest of the pack; a pack failure
 // then is ErrDurability.
-func (s *System) Publish(tasks []*model.Task) error {
+func (s *System) Publish(tasks []*model.Task) error { return s.publish(tasks, nil) }
+
+// PublishBatch is Publish for a batch CheckTasks has checked: it runs no
+// structural check again unless the batch was checked over another domain
+// count.
+func (s *System) PublishBatch(b *Batch) error { return s.publish(b.tasks, b) }
+
+func (s *System) publish(tasks []*model.Task, b *Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.tasks) > 0 {
@@ -382,10 +408,13 @@ func (s *System) Publish(tasks []*model.Task) error {
 	// insert would make the retry fail on its own leftovers). The
 	// structural pass comes first and whole, so a batch it rejects has cost
 	// no domain vector.
-	byID, err := tasksByID(tasks, s.m)
-	if err != nil {
-		return err
+	if b == nil || b.m != s.m {
+		var err error
+		if b, err = CheckTasks(tasks, s.m); err != nil {
+			return err
+		}
 	}
+	byID := b.byID
 	// DVE ends while a rejection still leaves the campaign unpublished. The
 	// record fits one WAL record (tasksByID held the batch to that with every
 	// vector at its largest) and its tasks have passed Validate.
@@ -407,11 +436,8 @@ func (s *System) Publish(tasks []*model.Task) error {
 			golden[withTruth[idx].ID] = true
 		}
 	}
-	installErr := s.installPublication(tasks, byID, golden)
+	s.installPublication(tasks, byID, golden)
 	blob, err := record()
-	if installErr != nil {
-		return installErr
-	}
 	if err != nil {
 		return fmt.Errorf("core: %w: publication record: %v", ErrDurability, err)
 	}
@@ -434,39 +460,40 @@ func (s *System) Publish(tasks []*model.Task) error {
 
 // installPublication makes tasks the campaign's task set with the given
 // golden subset — the one place a task set becomes serving state. Golden
-// tasks go to the golden list; every other task enters the incremental
-// truth-inference engine and the live candidate index, in publication order
-// (the order the assignment tie-break is defined over). Each candidate
-// carries a lock-free view handle so a request never touches the task maps;
-// with leases armed, each task gets its lease counter here, before serving
-// can observe the campaign. Callers hold s.mu and have validated the tasks.
-func (s *System) installPublication(tasks []*model.Task, byID map[int]*model.Task, golden map[int]bool) error {
+// tasks go to the golden list; every other task enters the live candidate
+// index, in publication order (the order the assignment tie-break is
+// defined over), and with leases armed gets its lease counter there, before
+// serving can observe the campaign. A task enters the truth engine latent:
+// it holds nothing there until its first answer materialises it
+// (materialise), and reads the rest state its candidate carries. Callers
+// hold s.mu and have validated the tasks.
+func (s *System) installPublication(tasks []*model.Task, byID map[int]*model.Task, golden map[int]bool) {
 	s.tasks, s.byID, s.golden = tasks, byID, golden
-	open := make([]*model.Task, 0, len(tasks))
+	master := make([]candidate, 0, len(tasks)-len(golden))
 	for _, t := range tasks {
 		if golden[t.ID] {
 			s.goldenList = append(s.goldenList, t)
-		} else {
-			open = append(open, t)
+			continue
 		}
+		master = append(master, candidate{id: t.ID, pos: len(master), rest: s.inc.Rest(t.Domain, t.NumChoices())})
 	}
-	if err := s.inc.AddTask(open...); err != nil {
-		return err
-	}
-	var leases []atomic.Int32 // one slab of lease counters
+	ci := newCandidateIndex(master)
 	if s.leases != nil {
-		leases = make([]atomic.Int32, len(open))
-		s.leases.counts = make(map[int]*atomic.Int32, len(open))
+		s.leases.install(ci.pos, len(master))
 	}
-	master := make([]candidate, len(open))
-	for i, t := range open {
-		master[i] = candidate{id: t.ID, domain: t.Domain, h: s.inc.Handle(t.ID)}
-		if leases != nil {
-			master[i].leases, s.leases.counts[t.ID] = &leases[i], &leases[i]
+	s.index.Store(ci)
+	if s.eagerInstall {
+		for _, c := range master {
+			s.inc.Materialise(byID[c.id], &ci.slots[c.pos])
 		}
 	}
-	s.index.Store(newCandidateIndex(master))
-	return nil
+}
+
+// materialise gives a regular task its own state in the truth engine, at
+// the rest state it read, before an answer lands in it: ingested, replayed
+// without its math (skipIngest) or installed from a snapshot.
+func (s *System) materialise(t *model.Task) {
+	s.inc.Materialise(t, s.index.Load().slot(t.ID))
 }
 
 // publishChunk is how many tasks make one chunk of Publish's pipeline.
@@ -682,14 +709,11 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 		if excluded[c.id] || leased[c.id] {
 			return false
 		}
-		v := c.h.View()
-		if v == nil {
-			return false
-		}
+		v := ci.view(c)
 		if redundancy > 0 {
 			open := redundancy - v.NumAnswers
-			if c.leases != nil {
-				open -= int(c.leases.Load())
+			if s.leases != nil {
+				open -= int(s.leases.slots[c.pos].Load())
 			}
 			if open <= 0 {
 				return false
@@ -697,7 +721,7 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 		}
 		// The view's M and S are immutable snapshots: OTA reads them
 		// without copying or locking.
-		ts.ID, ts.R, ts.M, ts.S = c.id, c.domain, v.M, v.S
+		ts.ID, ts.R, ts.M, ts.S = c.id, c.rest.R, v.M, v.S
 		return true
 	}, q, k)
 }
@@ -713,10 +737,7 @@ func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden map
 		if golden[t.ID] || excluded[t.ID] || leased[t.ID] {
 			continue
 		}
-		v := s.inc.View(t.ID)
-		if v == nil {
-			continue
-		}
+		v := s.inc.ViewOf(t)
 		if redundancy > 0 {
 			open := redundancy - v.NumAnswers
 			if s.leases != nil {
@@ -824,10 +845,10 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	if s.recovering && (s.covered || s.submissions.Load() < s.rerunFrom) {
 		// A later overwrite in this replay — the snapshot's install or the
 		// last rerun's Reseed — replaces this answer's engine math.
-		if err := s.skipIngest(workerID, taskID); err != nil {
+		if err := s.skipIngest(workerID, t); err != nil {
 			return err
 		}
-	} else if err := s.ingest(a); err != nil {
+	} else if err := s.ingest(t, a); err != nil {
 		return err
 	}
 	var p wal.Pending
@@ -866,9 +887,9 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	return s.walCommit(p)
 }
 
-// ingest runs a regular answer through the truth engine and the serving
-// state that follows it.
-func (s *System) ingest(a model.Answer) error {
+// ingest runs a regular answer to task t through the truth engine and the
+// serving state that follows it.
+func (s *System) ingest(t *model.Task, a model.Answer) error {
 	// Seed the worker's quality from the long-run store before her first
 	// answer enters the incremental engine (logged, so replay re-seeds the
 	// same bits rather than re-reading the store).
@@ -878,6 +899,7 @@ func (s *System) ingest(a model.Answer) error {
 	// The truth engine's per-task lock is the authority on duplicate
 	// answers; ingest updates only that task's state plus the touched
 	// workers' shards, so submits to different tasks run in parallel.
+	s.materialise(t)
 	if err := s.inc.Submit(a); err != nil {
 		return err
 	}
@@ -902,21 +924,24 @@ func (s *System) ingest(a model.Answer) error {
 
 // skipIngest is ingest for a replayed answer whose engine math a later
 // overwrite replaces: the answered set holds it and is the duplicate check,
-// and the engine knows the worker at the prior, as Submit would have left
-// her before that math — so a seed later in the log loses to her as it did
-// live. The overwrite resyncs the index.
-func (s *System) skipIngest(workerID string, taskID int) error {
+// the engine knows the worker at the prior, as Submit would have left her
+// before that math — so a seed later in the log loses to her as it did
+// live — and the task is materialised, as the answer left it, for the
+// overwrite to land in. The overwrite resyncs the index.
+func (s *System) skipIngest(workerID string, t *model.Task) error {
 	if !s.inc.HasWorker(workerID) {
 		_, _ = s.inc.SeedWorker(workerID, truth.NewStats(s.m))
 	}
 	sh := s.shard(workerID)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	ws := sh.state(workerID)
-	if ws.answered[taskID] {
-		return fmt.Errorf("core: worker %q already answered task %d", workerID, taskID)
+	if ws.answered[t.ID] {
+		sh.mu.Unlock()
+		return fmt.Errorf("core: worker %q already answered task %d", workerID, t.ID)
 	}
-	ws.answered[taskID] = true
+	ws.answered[t.ID] = true
+	sh.mu.Unlock()
+	s.materialise(t)
 	return nil
 }
 
@@ -924,10 +949,14 @@ func (s *System) skipIngest(workerID string, taskID int) error {
 // task (choice −1 for golden/unknown tasks, which are not inferred). It
 // reads the latest immutable snapshot and never blocks submits.
 func (s *System) Result(taskID int) (choice int, confidence []float64) {
-	v := s.inc.View(taskID)
-	if v == nil {
+	s.mu.RLock()
+	t, ok := s.byID[taskID]
+	golden := s.golden[taskID]
+	s.mu.RUnlock()
+	if !ok || golden {
 		return model.NoTruth, nil
 	}
+	v := s.inc.ViewOf(t)
 	return v.Truth, mathx.Clone(v.S)
 }
 
@@ -1083,8 +1112,9 @@ type Stats struct {
 	// included.
 	Answers int64 `json:"answers"`
 	// SnapshotEpoch is the truth engine's mutation counter; it advances
-	// with every accepted answer and batch-rerun swap, so two equal reads
-	// bracket a quiescent system.
+	// with every task an answer materialises, every accepted answer and
+	// every batch-rerun swap (publishing a task does not move it), so two
+	// equal reads bracket a quiescent system.
 	SnapshotEpoch uint64 `json:"snapshot_epoch"`
 	// RerunsCompleted and RerunsFailed count periodic batch re-inference
 	// runs.

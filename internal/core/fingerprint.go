@@ -45,7 +45,7 @@ func (s *System) Fingerprint() string {
 			bits(r)
 		}
 	}
-	tasks := s.tasks
+	tasks, golden := s.tasks, s.golden
 	s.mu.RUnlock()
 
 	fmt.Fprintf(&b, ";answers:%d;", s.submissions.Load())
@@ -55,11 +55,11 @@ func (s *System) Fingerprint() string {
 
 	b.WriteString(";views:")
 	for _, t := range tasks {
-		v := s.inc.View(t.ID)
-		if v == nil {
+		if golden[t.ID] {
 			fmt.Fprintf(&b, "t%d:nil;", t.ID)
 			continue
 		}
+		v := s.inc.ViewOf(t)
 		fmt.Fprintf(&b, "t%d:c%d:n%d:S", t.ID, v.Truth, v.NumAnswers)
 		for _, x := range v.S {
 			bits(x)
@@ -85,9 +85,9 @@ func (s *System) Fingerprint() string {
 	}
 
 	b.WriteString(";golden:")
-	golden := s.goldenAnswersByWorker()
-	workers := make([]string, 0, len(golden))
-	for w := range golden {
+	goldenAnswers := s.goldenAnswersByWorker()
+	workers := make([]string, 0, len(goldenAnswers))
+	for w := range goldenAnswers {
 		workers = append(workers, w)
 	}
 	for i := range s.shards {
@@ -103,7 +103,7 @@ func (s *System) Fingerprint() string {
 	sort.Strings(workers)
 	for _, w := range workers {
 		fmt.Fprintf(&b, "%s(", w)
-		for _, a := range golden[strings.TrimSuffix(w, "+profiled")] {
+		for _, a := range goldenAnswers[strings.TrimSuffix(w, "+profiled")] {
 			fmt.Fprintf(&b, "%d/%d,", a.Task, a.Choice)
 		}
 		b.WriteString(")")

@@ -4,19 +4,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"docs/internal/model"
 	"docs/internal/truth"
 )
 
 // candidate is one assignable task in the candidate index: everything the
 // OTA hot path needs to evaluate it without touching the campaign maps —
-// its ID, its (immutable) domain vector, a lock-free accessor for its
-// latest truth snapshot, and its lease counter.
+// its ID, its publication position (where the index keeps its truth slot
+// and the lease table its counter) and its rest state, which carries its
+// (immutable, shared) domain vector and is what it reads until an answer
+// materialises it.
 type candidate struct {
-	id     int
-	domain model.DomainVector
-	h      truth.Handle
-	leases *atomic.Int32 // nil when leases are disabled
+	id   int
+	pos  int
+	rest *truth.Rest
 }
 
 // candidateArr is one published, immutable generation of the candidate
@@ -55,9 +55,10 @@ type candidateArr struct {
 type candidateIndex struct {
 	mu     sync.Mutex
 	master []candidate
-	pos    map[int]int // task ID -> master position
-	open   []bool      // parallel to master
-	stale  int         // closed entries still present in the published array
+	pos    map[int]int  // task ID -> master position
+	slots  []truth.Slot // parallel to master: filled when a task materialises
+	open   []bool       // parallel to master
+	stale  int          // closed entries still present in the published array
 
 	openCount atomic.Int64
 	epoch     atomic.Uint64
@@ -88,6 +89,7 @@ func newCandidateIndex(master []candidate) *candidateIndex {
 	ci := &candidateIndex{
 		master: master,
 		pos:    make(map[int]int, len(master)),
+		slots:  make([]truth.Slot, len(master)),
 		open:   make([]bool, len(master)),
 	}
 	for i, c := range master {
@@ -114,6 +116,24 @@ func (ci *candidateIndex) publishLocked() {
 
 // load returns the current published generation (nil before Publish).
 func (ci *candidateIndex) load() *candidateArr { return ci.arr.Load() }
+
+// view returns the candidate's latest truth snapshot: its own once an
+// answer materialised the task, else its rest state's.
+func (ci *candidateIndex) view(c *candidate) *truth.TaskView {
+	if v := ci.slots[c.pos].View(); v != nil {
+		return v
+	}
+	return c.rest.View()
+}
+
+// slot returns where the task's materialised state is published, nil for a
+// task the index does not hold (a golden one).
+func (ci *candidateIndex) slot(id int) *truth.Slot {
+	if p, ok := ci.pos[id]; ok {
+		return &ci.slots[p]
+	}
+	return nil
+}
 
 // noteAnswer records that the task reached numAnswers accepted answers,
 // closing it when the redundancy cap is met. O(1) except when the stale
@@ -145,13 +165,8 @@ func (ci *candidateIndex) resync(redundancy int) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
 	changed := false
-	for i, c := range ci.master {
-		open := true
-		if redundancy > 0 {
-			if v := c.h.View(); v != nil && v.NumAnswers >= redundancy {
-				open = false
-			}
-		}
+	for i := range ci.master {
+		open := redundancy <= 0 || ci.view(&ci.master[i]).NumAnswers < redundancy
 		if ci.open[i] != open {
 			ci.open[i] = open
 			if open {

@@ -39,11 +39,13 @@ type leaseTable struct {
 	ttl time.Duration
 	now func() time.Time
 
-	// counts maps every assignable (non-golden) task to its live lease
-	// count. installPublication builds it once, before serving, over one
-	// slab of counters, and it never grows: concurrent readers only perform
-	// map reads plus atomic loads on the values.
-	counts map[int]*atomic.Int32
+	// slots holds every assignable (non-golden) task's live lease count at
+	// its publication position in the candidate index, and pos is that
+	// index's task ID -> position map. installPublication sets both once,
+	// before serving, and neither grows: concurrent readers only perform
+	// map reads plus atomic loads on the counters.
+	slots []atomic.Int32
+	pos   map[int]int
 
 	active atomic.Int64 // total live leases, the /stats gauge
 
@@ -87,11 +89,21 @@ func newLeaseTable(ttl time.Duration, now func() time.Time) *leaseTable {
 	}
 }
 
+// install gives each of the candidate index's n tasks a lease counter at
+// its position; pos is the index's task ID -> position map.
+func (lt *leaseTable) install(pos map[int]int, n int) {
+	lt.slots, lt.pos = make([]atomic.Int32, n), pos
+}
+
+// counter returns the task's lease counter. Only assignable tasks are ever
+// leased.
+func (lt *leaseTable) counter(id int) *atomic.Int32 { return &lt.slots[lt.pos[id]] }
+
 // taskLeases returns the task's live lease count without locking; 0 for
 // tasks the table does not track (golden tasks).
 func (lt *leaseTable) taskLeases(id int) int {
-	if c, ok := lt.counts[id]; ok {
-		return int(c.Load())
+	if p, ok := lt.pos[id]; ok {
+		return int(lt.slots[p].Load())
 	}
 	return 0
 }
@@ -146,7 +158,7 @@ func (lt *leaseTable) expireLocked(now time.Time) {
 		if len(held) == 0 {
 			delete(lt.byWorker, e.worker)
 		}
-		lt.counts[e.task].Add(-1)
+		lt.counter(e.task).Add(-1)
 		lt.active.Add(-1)
 	}
 }
@@ -171,7 +183,7 @@ func (lt *leaseTable) grant(workerID string, taskIDs []int) {
 		at, live := held[id]
 		switch {
 		case !live:
-			lt.counts[id].Add(1)
+			lt.counter(id).Add(1)
 			lt.active.Add(1)
 		case at.Equal(expiry):
 			continue // its one heap entry stands
@@ -221,7 +233,7 @@ func (lt *leaseTable) release(workerID string, taskID int) {
 	if len(held) == 0 {
 		delete(lt.byWorker, workerID)
 	}
-	lt.counts[taskID].Add(-1)
+	lt.counter(taskID).Add(-1)
 	lt.active.Add(-1)
 	lt.compactLocked()
 }

@@ -1081,8 +1081,8 @@ func TestPublishRejectsNegativeTaskID(t *testing.T) {
 	}
 	tasks := indexTasks(2, s.m)
 	tasks[0].ID, tasks[1].ID = -1, 2
-	if err := ValidateTasks(tasks, s.m); err == nil {
-		t.Error("ValidateTasks accepted task ID -1")
+	if _, err := CheckTasks(tasks, s.m); err == nil {
+		t.Error("CheckTasks accepted task ID -1")
 	}
 	err := s.Publish(tasks)
 	if err == nil || errors.Is(err, ErrDurability) {

@@ -12,14 +12,17 @@ import (
 )
 
 // ingests is how many answers a freshly booted system ran through the
-// truth engine, read off its epoch: AddTask bumps it once per registered
-// task, RestoreTask once per installed state, a rerun's Reseed once per
-// task, and every ingested answer once.
+// truth engine, read off its epoch: a task's materialisation bumps it once,
+// RestoreTask once per installed state, a rerun's Reseed once, the install
+// of a snapshot covering a rerun once more (its ReseedLatent; every snapshot
+// here covers one), and every ingested answer once.
 func ingests(t *testing.T, s *System, restored int) int64 {
 	t.Helper()
-	tasks := int64(len(s.InferTasks()))
-	reruns := s.Stats().RerunsCompleted
-	return int64(s.Stats().SnapshotEpoch) - tasks - int64(restored) - reruns*tasks
+	swaps := s.Stats().RerunsCompleted
+	if restored > 0 {
+		swaps++
+	}
+	return int64(s.Stats().SnapshotEpoch) - int64(s.inc.Materialised()) - int64(restored) - swaps
 }
 
 // TestReplaySkipsOverwrittenMath pins the skip rule by counts: a regular

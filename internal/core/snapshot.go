@@ -38,8 +38,8 @@ import (
 //docs:deterministic
 func (s *System) exportState(seq uint64) *snapshot.State {
 	st := &snapshot.State{Seq: seq, M: s.m, BaseQ: truth.DefaultQuality}
-	// Only the tasks touched since publication: the rest are at the prior
-	// AddTask gave them.
+	// Only the materialised tasks: every other one is latent, at the rest
+	// state the log says (installSnapshot).
 	for _, ts := range s.inc.ExportTasks() {
 		st.TaskStates = append(st.TaskStates, snapshot.TaskState(ts))
 	}
@@ -105,10 +105,14 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 }
 
 // installSnapshot overwrites the engine with a checked snapshot's numbers:
-// each task state with the task's answers from the log the replay has
-// rebuilt, then each worker's statistics, then the index's openness. The
-// answers up to snap.Seq skipped the engine (submitOne), so this is where
-// their effect lands.
+// the rest state, then each task state with the task's answers from the log
+// the replay has rebuilt, then each worker's statistics, then the index's
+// openness. The answers up to snap.Seq skipped the engine (submitOne), so
+// this is where their effect lands. The snapshot lists materialised tasks
+// only; every other one rests where the log says — at the reseeded rest once
+// the covered answers reach a rerun boundary. A snapshot written before
+// tasks were latent also lists the tasks a rerun left unanswered, at that
+// rest state: they stay latent (RestoreTask).
 //
 //docs:deterministic
 func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth.Stats) {
@@ -116,13 +120,20 @@ func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth
 	if err != nil { // the log holds only answers the duplicate check let through
 		panic(fmt.Sprintf("core: corrupt answer log: %v", err))
 	}
+	if z := int64(s.cfg.RerunEvery); z > 0 && s.submissions.Load() >= z {
+		s.inc.ReseedLatent()
+	}
+	s.mu.RLock()
+	byID := s.byID
+	s.mu.RUnlock()
+	ci := s.index.Load()
 	for _, ts := range snap.TaskStates {
 		pos := idx.ForTask(ts.ID)
 		answers := make([]model.Answer, len(pos))
 		for i, p := range pos {
 			answers[i] = idx.At(p)
 		}
-		if err := s.inc.RestoreTask(truth.TaskState(ts), answers); err != nil {
+		if err := s.inc.RestoreTask(byID[ts.ID], ci.slot(ts.ID), truth.TaskState(ts), answers); err != nil {
 			panic(fmt.Sprintf("core: snapshot install: %v", err)) // dimensions checked
 		}
 	}
@@ -206,7 +217,7 @@ func (s *System) snapshotPass() error {
 		return err
 	}
 	defer r.Close()
-	r.rerunFault = s.passRerunFault
+	r.rerunFault, r.eagerInstall = s.passRerunFault, s.eagerInstall
 	info, err := r.replay(s.walDir)
 	if err != nil {
 		return err

@@ -20,14 +20,14 @@ type publication []docs.Task
 // one pass, without reflection. json.Unmarshal decodes every other body and
 // so decides every error; where the scanner decodes a body, json.Unmarshal
 // decodes it to the same tasks (FuzzPublishBodyMatchesJSON).
-func (p *publication) decode(body []byte) error {
-	if tasks, ok := scanPublish(string(body)); ok {
+func (p *publication) decode(body string) error {
+	if tasks, ok := scanPublish(body); ok {
 		*p = tasks
 		p.compact()
 		return nil
 	}
 	var req publishRequest
-	err := json.Unmarshal(body, &req)
+	err := json.Unmarshal([]byte(body), &req)
 	for _, t := range req.Tasks {
 		*p = append(*p, docs.Task(t))
 	}

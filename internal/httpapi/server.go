@@ -1,14 +1,15 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"docs"
@@ -203,14 +204,15 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("campaign")
+	var checked *docs.Publication // converted and checked once, on a fresh name
 	sys, err := s.reg.Campaign(name)
 	if errors.Is(err, docs.ErrCampaignNotFound) {
 		// Publishing to a fresh name creates the campaign — the one-call
 		// path a requester actually wants. Everything Publish can reject
 		// the batch for is checked first, so a bad request never leaves an
 		// empty campaign (a directory, a WAL, a slot under the resident
-		// cap) behind.
-		if err := docs.ValidateTasks(tasks); err != nil {
+		// cap) behind; the checked batch is what gets published.
+		if checked, err = docs.CheckPublication(tasks); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -249,7 +251,12 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// There is no server-side published flag to resync: every reader asks
 	// the serving core, and a publish that fails its WAL append fails the
 	// campaign, whose next core is woken from the log.
-	if err := sys.Publish(tasks); err != nil {
+	if checked != nil {
+		err = sys.PublishChecked(checked)
+	} else {
+		err = sys.Publish(tasks)
+	}
+	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
@@ -451,16 +458,14 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// decodeBody reads r's body — one JSON value, capped at limit bytes — and
-// hands it to decode. The buffer grows only as the body arrives: a client
-// that declares a large Content-Length and sends little costs little. On
-// failure it answers the request itself — 413 for a body over the cap, 400
-// for any other — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(body []byte) error) bool {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+// decodeBody reads r's body — one JSON value, capped at limit bytes — into
+// one string (readBody) and hands it to decode. On failure it answers the
+// request itself — 413 for a body over the cap, 400 for any other — and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(body string) error) bool {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), min(r.ContentLength, limit))
 	if err == nil {
-		err = decode(buf.Bytes())
+		err = decode(body)
 	}
 	if err == nil {
 		return true
@@ -473,7 +478,46 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func
 	return false
 }
 
+// firstBodyRead is the most a body's buffer holds before any of it has
+// arrived, whatever length its request declares; undeclaredBodyRead is what
+// it holds then when the request declares none.
+const firstBodyRead, undeclaredBodyRead = 64 << 10, 512
+
+// readBody reads src to its end into one string. The length the request
+// declared for it (negative when none) sizes the buffer only as far as the
+// body bears it out: the buffer starts at the declared length, up to
+// firstBodyRead, and when full grows to the declared length if that is at
+// most 32 times what has arrived, else doubles. An honest body is read into
+// about its own size, with no copy but the one out of the read chunk; a
+// client that declares much and sends little costs little.
+func readBody(src io.Reader, declared int64) (string, error) {
+	size := int64(undeclaredBodyRead)
+	if declared >= 0 {
+		size = min(declared, firstBodyRead)
+	}
+	var b strings.Builder
+	b.Grow(int(size))
+	chunk := make([]byte, min(size+1, 32<<10))
+	for {
+		n, err := src.Read(chunk)
+		if n > b.Cap()-b.Len() {
+			more := n
+			if have := int64(b.Len()); declared > have && declared <= 32*have {
+				more = max(n, int(declared-have))
+			}
+			b.Grow(more)
+		}
+		b.Write(chunk[:n])
+		if err == io.EOF {
+			return b.String(), nil
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+}
+
 // jsonInto decodes a body into v with json.Unmarshal.
-func jsonInto(v any) func(body []byte) error {
-	return func(body []byte) error { return json.Unmarshal(body, v) }
+func jsonInto(v any) func(body string) error {
+	return func(body string) error { return json.Unmarshal([]byte(body), v) }
 }

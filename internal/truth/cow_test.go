@@ -102,7 +102,7 @@ func cowSnapshot(t *testing.T, inc *Incremental) func(step string, shared [][]fl
 }
 
 func TestCopyOnWriteSubmitAndRestoreIsolation(t *testing.T) {
-	inc, _ := cowEngine(t)
+	inc, tasks := cowEngine(t)
 	prior := restStatesFor(cowM, cowEll).prior
 	for id := 0; id < cowN; id++ {
 		if !sameMatrix(inc.lookup(id).mhat, prior.mhat) {
@@ -123,7 +123,7 @@ func TestCopyOnWriteSubmitAndRestoreIsolation(t *testing.T) {
 	for k := range ts.MHat {
 		copy(ts.MHat[k], []float64{0.25, 1, 0.5})
 	}
-	if err := inc.RestoreTask(ts, nil); err != nil {
+	if err := inc.RestoreTask(tasks[7], nil, ts, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("RestoreTask", prior.norm, 500, 7)
@@ -228,7 +228,7 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 		if ts.ID == late.Task {
 			answers = []model.Answer{late}
 		}
-		if err := fresh.RestoreTask(ts, answers); err != nil {
+		if err := fresh.RestoreTask(tasks[ts.ID], nil, ts, answers); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,13 +253,9 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 }
 
 // TestCopyOnWriteConcurrentSubmits: submits privatizing distinct tasks of one
-// ℓ while readers walk every task's Handle — meaningful under -race.
+// ℓ while readers walk every task's view — meaningful under -race.
 func TestCopyOnWriteConcurrentSubmits(t *testing.T) {
 	inc, _ := cowEngine(t)
-	handles := make([]Handle, cowN)
-	for id := range handles {
-		handles[id] = inc.Handle(id)
-	}
 	prior := restFloats()
 	stop := make(chan struct{})
 	var readers, writers sync.WaitGroup
@@ -273,14 +269,14 @@ func TestCopyOnWriteConcurrentSubmits(t *testing.T) {
 					return
 				default:
 				}
-				for _, h := range handles {
-					v := h.View()
+				for id := 0; id < cowN; id++ {
+					v := inc.View(id)
 					var sum float64
 					for _, row := range v.M {
 						sum += mathx.Sum(row)
 					}
 					if sum += mathx.Sum(v.S); math.Abs(sum-(cowM+1)) > 1e-9 {
-						t.Errorf("task %d: view rows sum to %g", v.Task.ID, sum)
+						t.Errorf("task %d: view rows sum to %g", id, sum)
 						return
 					}
 				}

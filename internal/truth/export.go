@@ -23,15 +23,16 @@ type TaskState struct {
 	S    []float64
 }
 
-// ExportTasks returns the internal inference state of every task touched
-// since AddTask registered it — answered, reseeded by a rerun, or restored
-// — sorted by task ID. An untouched task is left out: its state is the
-// prior AddTask derives from the task alone, which a restore re-derives by
-// registering it. RestoreTask marks a task touched, so the exported set is
-// the same before and after a restore. All slices are private copies. The
-// export is a consistent cut only on a quiescent engine — the serving core
-// calls it on a snapshot pass's scratch replica, which nothing mutates
-// concurrently.
+// ExportTasks returns the internal inference state of every materialised
+// task touched since it was materialised — answered, reseeded by a rerun,
+// or restored — sorted by task ID. A latent task, and a materialised one
+// still at the rest state it was materialised at, is left out: its state is
+// the rest state the engine derives from the task and whether a rerun has
+// landed, which a restore re-derives (ReseedLatent). RestoreTask marks a task
+// touched, so the exported set is the same before and after a restore. All
+// slices are private copies. The export is a consistent cut only on a
+// quiescent engine — the serving core calls it on a snapshot pass's scratch
+// replica, which nothing mutates concurrently.
 func (inc *Incremental) ExportTasks() []TaskState {
 	inc.mu.RLock()
 	ids := make([]int, 0, len(inc.tasks))
@@ -55,19 +56,21 @@ func (inc *Incremental) ExportTasks() []TaskState {
 	return out
 }
 
-// RestoreTask overwrites a registered task's internal inference state with
-// an exported one — raw numerators, probabilistic truth, and the task's
-// accepted answers in chronological order — and republishes the task's
-// immutable view. The dimensions must match the registered task exactly;
-// answer validity (choice range, known workers) is the caller's to check
-// before mutating anything.
-func (inc *Incremental) RestoreTask(ts TaskState, answers []model.Answer) error {
-	it := inc.lookup(ts.ID)
-	if it == nil {
-		return fmt.Errorf("truth: restore of unknown task %d", ts.ID)
+// RestoreTask overwrites task t's internal inference state with an exported
+// one — raw numerators, probabilistic truth, and the task's accepted answers
+// in chronological order — and republishes the task's immutable view,
+// materialising a latent t first (filling slot, if any). A latent t that
+// holds no answers and whose exported state is, bit for bit, the rest state
+// it reads stays latent: a snapshot written before tasks were latent lists
+// every task a rerun left unanswered, at that state. The dimensions must
+// match the task exactly; answer validity (choice range, known workers) is
+// the caller's to check before mutating anything.
+func (inc *Incremental) RestoreTask(t *model.Task, slot *Slot, ts TaskState, answers []model.Answer) error {
+	ell := t.NumChoices()
+	if ts.ID != t.ID {
+		return fmt.Errorf("truth: state of task %d restored into task %d", ts.ID, t.ID)
 	}
-	ell := it.task.NumChoices()
-	if rows := it.task.Domain.Support(); len(ts.MHat) != rows {
+	if rows := t.Domain.Support(); len(ts.MHat) != rows {
 		return fmt.Errorf("truth: task %d restore has %d domain rows, want the %d of its support", ts.ID, len(ts.MHat), rows)
 	}
 	for k, row := range ts.MHat {
@@ -77,6 +80,14 @@ func (inc *Incremental) RestoreTask(ts TaskState, answers []model.Answer) error 
 	}
 	if len(ts.S) != ell {
 		return fmt.Errorf("truth: task %d restore s has %d choices, want %d", ts.ID, len(ts.S), ell)
+	}
+	it := inc.lookup(t.ID)
+	if it == nil {
+		if len(answers) == 0 && inc.atRest(t, ts) {
+			return nil
+		}
+		inc.Materialise(t, slot)
+		it = inc.lookup(t.ID)
 	}
 	it.mu.Lock()
 	it.own()
@@ -89,4 +100,22 @@ func (inc *Incremental) RestoreTask(ts TaskState, answers []model.Answer) error 
 	it.publishView(inc.epoch.Add(1), normalizeRows(it.mhat))
 	it.mu.Unlock()
 	return nil
+}
+
+// atRest reports whether ts is, bit for bit, the state a latent t reads now.
+func (inc *Incremental) atRest(t *model.Task, ts TaskState) bool {
+	rest := inc.Rest(t.Domain, t.NumChoices())
+	mhat, s := rest.states.prior.mhat, rest.prior.S
+	if rest.reseeded.Load() != nil {
+		mhat, s = rest.states.reseeded.mhat, rest.states.uniform
+	}
+	if !sameBits(ts.S, s) {
+		return false
+	}
+	for x := range mhat {
+		if !sameBits(ts.MHat[x], mhat[x]) {
+			return false
+		}
+	}
+	return true
 }

@@ -43,12 +43,28 @@ const workerShardCount = shard.Count
 // interleave differently than a serial replay — the same kind of drift the
 // periodic batch rerun already corrects — but every published view is an
 // internally consistent (task, M, s) snapshot.
+//
+// A task the serving core publishes is latent until its first answer: the
+// engine holds nothing of it, and a reader takes the state every latent
+// task of its domain vector and ℓ shares (Rest) — the AddTask prior until
+// the engine's first rerun lands, the reseeded rest after it. Materialise
+// gives it a state of its own, at that rest state, when an answer, a
+// replayed one or a snapshot's numbers are about to land in it; AddTask
+// materialises eagerly.
 type Incremental struct {
 	m     int
 	epoch atomic.Uint64 // bumped on every state mutation
 
 	mu    sync.RWMutex // guards the tasks map itself (not per-task state)
 	tasks map[int]*incTask
+
+	// restMu guards rests and reseededAt (taken after mu when both are).
+	// rests holds, per domain vector and ℓ, what the engine's latent tasks
+	// of that shape read; reseededAt is the epoch of the first rerun that
+	// landed, 0 before it.
+	restMu     sync.RWMutex
+	rests      map[restKey]*Rest
+	reseededAt uint64
 
 	workers [workerShardCount]workerShard
 }
@@ -76,9 +92,9 @@ type incTask struct {
 	// support (one entry per row), carved from the private M̂'s allocation:
 	// nil exactly while mhat is shared.
 	qbuf []float64
-	// touched is set by every mutation after AddTask (Submit, Reseed,
-	// RestoreTask). An untouched task is at the prior AddTask computes from
-	// the task alone, so ExportTasks leaves it out.
+	// touched is set by every mutation after the task's materialisation
+	// (Submit, Reseed, RestoreTask). An untouched task is at the rest state
+	// it was materialised at, so ExportTasks leaves it out.
 	touched bool
 
 	view atomic.Pointer[TaskView]
@@ -89,12 +105,11 @@ type incTask struct {
 // result endpoints) may hold a view across concurrent submits but must not
 // modify it: no later mutation writes through its slices, and the M of a
 // task holding no answers aliases a process-wide read-only matrix shared by
-// every such task of the same (rows, ℓ).
+// every such task of the same (rows, ℓ). A latent task's view is its Rest's,
+// shared by every latent task of its shape.
 type TaskView struct {
-	// Task is the underlying task (immutable after publication).
-	Task *model.Task
 	// M is the row-normalized truth matrix M^(i) at snapshot time: one row
-	// per domain of Task.Domain's support (r_k > 0), in ascending domain
+	// per domain of the task's support (r_k > 0), in ascending domain
 	// order, and nothing else.
 	M [][]float64
 	// S is the probabilistic truth s_i at snapshot time.
@@ -110,7 +125,7 @@ type TaskView struct {
 
 // NewIncremental returns an empty incremental engine over m domains.
 func NewIncremental(m int) *Incremental {
-	inc := &Incremental{m: m, tasks: make(map[int]*incTask)}
+	inc := &Incremental{m: m, tasks: make(map[int]*incTask), rests: make(map[restKey]*Rest)}
 	for i := range inc.workers {
 		inc.workers[i].m = make(map[string]*Stats)
 	}
@@ -135,9 +150,10 @@ func (inc *Incremental) withWorker(w string, f func(st *Stats)) {
 	sh.mu.Unlock()
 }
 
-// AddTask registers tasks, each with a domain vector, whole or not at all:
-// in one pass under one lock, into one slab, with the first batch sizing the
-// task map. Initial views take their epochs in the order given.
+// AddTask registers tasks, each with a domain vector, whole or not at all,
+// each materialised at the AddTask prior (M̂ all ones) computed from the task
+// alone: in one pass under one lock, into one slab. Initial views take their
+// epochs in the order given.
 func (inc *Incremental) AddTask(tasks ...*model.Task) error {
 	for _, t := range tasks {
 		if t.Domain == nil {
@@ -147,6 +163,28 @@ func (inc *Incremental) AddTask(tasks ...*model.Task) error {
 			return err
 		}
 	}
+	return inc.materialise(tasks, true, nil)
+}
+
+// Materialise gives a latent task a state of its own, at the rest state it
+// reads, and fills slot (if any) with it for the lock-free readers. The
+// serving core calls it before an answer, a replayed answer or a snapshot's
+// numbers land in the task; one already materialised is left as it is. The
+// caller has validated the task.
+func (inc *Incremental) Materialise(t *model.Task, slot *Slot) {
+	if inc.lookup(t.ID) == nil {
+		_ = inc.materialise([]*model.Task{t}, false, slot)
+	}
+}
+
+// materialise is the one path an incTask is built on. It registers tasks
+// whole or not at all — under one lock, into one slab, with the first batch
+// sizing the task map — each at its rest state with its first view, in the
+// order given. eager (AddTask) starts a task at the AddTask prior computed
+// from it and refuses one already registered; otherwise a task starts at
+// what its Rest gives the latent tasks of its shape, and one already
+// registered is left as it is. slot, if any, receives the single task.
+func (inc *Incremental) materialise(tasks []*model.Task, eager bool, slot *Slot) error {
 	slab := make([]incTask, len(tasks))
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -155,6 +193,9 @@ func (inc *Incremental) AddTask(tasks ...*model.Task) error {
 	}
 	for i, t := range tasks {
 		if _, dup := inc.tasks[t.ID]; dup {
+			if !eager {
+				return nil
+			}
 			for _, added := range tasks[:i] {
 				delete(inc.tasks, added.ID)
 			}
@@ -164,21 +205,36 @@ func (inc *Incremental) AddTask(tasks ...*model.Task) error {
 	}
 	// Lookups wait for the lock, so no task is ever found without a view.
 	for i, t := range tasks {
-		prior := restStatesFor(t.Domain.Support(), t.NumChoices()).prior // uniform prior numerator: M̂ all ones
 		it := &slab[i]
-		it.task, it.mhat, it.s = t, prior.mhat, make([]float64, t.NumChoices())
-		applyDomain(it.s, t.Domain, prior.norm)
-		it.publishView(inc.epoch.Add(1), prior.norm)
+		it.task = t
+		var M [][]float64
+		if eager {
+			prior := restStatesFor(t.Domain.Support(), t.NumChoices()).prior
+			it.mhat, it.s, M = prior.mhat, make([]float64, t.NumChoices()), prior.norm
+			applyDomain(it.s, t.Domain, prior.norm)
+		} else {
+			// A rerun flips the rest state under mu, so this is the state the
+			// task read until now.
+			rest := inc.Rest(t.Domain, t.NumChoices())
+			v := rest.View()
+			it.mhat, it.s, M = rest.states.prior.mhat, v.S, v.M
+			if v != rest.prior {
+				it.mhat = rest.states.reseeded.mhat
+			}
+		}
+		it.publishView(inc.epoch.Add(1), M)
+	}
+	if slot != nil {
+		slot.it.Store(&slab[0])
 	}
 	return nil
 }
 
 // publishView snapshots the task's current state into an immutable view;
 // M is normalizeRows(it.mhat), which the caller has computed or shares.
-// Callers hold it.mu (or have exclusive access, as in AddTask).
+// Callers hold it.mu (or have exclusive access, as in materialise).
 func (it *incTask) publishView(epoch uint64, M [][]float64) {
 	v := &TaskView{
-		Task:       it.task,
 		M:          M,
 		S:          it.s,
 		Truth:      mathx.ArgMax(it.s),
@@ -371,28 +427,41 @@ func (inc *Incremental) View(id int) *TaskView {
 	return it.view.Load()
 }
 
-// Handle is a stable, lock-free accessor for one task's published views.
-// Looking a task up by ID costs an RLock'd map read (View); a Handle pays
-// that once and then loads the latest snapshot with a single atomic read —
-// the accessor the serving core's candidate index holds per open task so a
-// request never touches the task map at all.
-type Handle struct{ it *incTask }
+// Slot is where a lock-free reader finds one task's state: empty while the
+// task is latent — the reader then takes the task's Rest — and filled by
+// Materialise. Looking a task up by ID costs an RLock'd map read (View); the
+// serving core's candidate index holds a slot per task so a request never
+// touches the task map at all.
+type Slot struct{ it atomic.Pointer[incTask] }
 
-// Handle returns the task's view accessor (the zero Handle for unknown
-// tasks). Handles stay valid for the life of the engine.
-func (inc *Incremental) Handle(id int) Handle { return Handle{it: inc.lookup(id)} }
-
-// View returns the latest published immutable snapshot (nil for the zero
-// Handle). Same contract as Incremental.View, minus the map lookup.
-func (h Handle) View() *TaskView {
-	if h.it == nil {
-		return nil
+// View returns the task's latest published snapshot, nil while the task is
+// latent. Same contract as Incremental.View, minus the map lookup.
+func (s *Slot) View() *TaskView {
+	if it := s.it.Load(); it != nil {
+		return it.view.Load()
 	}
-	return h.it.view.Load()
+	return nil
 }
 
-// Epoch returns the engine-wide mutation counter: it increases on every
-// AddTask, Submit, and Reseed. Two reads returning the same epoch bracket a
+// ViewOf is View for a task the caller holds: its own view once it is
+// materialised, else the one its Rest gives every latent task of its shape.
+func (inc *Incremental) ViewOf(t *model.Task) *TaskView {
+	if v := inc.View(t.ID); v != nil {
+		return v
+	}
+	return inc.Rest(t.Domain, t.NumChoices()).View()
+}
+
+// Materialised returns how many tasks hold a state of their own.
+func (inc *Incremental) Materialised() int {
+	inc.mu.RLock()
+	defer inc.mu.RUnlock()
+	return len(inc.tasks)
+}
+
+// Epoch returns the engine-wide mutation counter: it increases once per
+// materialised task (AddTask, Materialise), Submit and RestoreTask, and once
+// per Reseed or ReseedLatent. Two reads returning the same epoch bracket a
 // quiescent engine.
 func (inc *Incremental) Epoch() uint64 { return inc.epoch.Load() }
 
@@ -436,30 +505,48 @@ func (inc *Incremental) Answers(id int) int {
 
 // Reseed overwrites the engine's task states and worker qualities from a
 // batch inference result; the core orchestrator calls this after the
-// periodic full iterative run (every z submissions). The swap is atomic per
+// periodic full iterative run (every z submissions). It walks the
+// materialised tasks alone and flips the latent ones, which hold nothing, to
+// the reseeded rest (ReseedLatent): tasks lists every task the engine holds
+// state for, res and answers are aligned with it, and a latent task is one
+// nobody answered. One epoch covers the whole swap. The swap is atomic per
 // task: readers see either the pre-rerun view or the reseeded one, never a
-// mix. A task that has received more answers than the indexed answers
-// cover (possible when the rerun ran asynchronously off a snapshot) is
-// left untouched — its extra incremental evidence would otherwise be lost;
-// the next rerun picks it up.
+// mix. A task that has received more answers than the indexed answers cover
+// (possible when the rerun ran asynchronously off a snapshot) is left
+// untouched — its extra incremental evidence would otherwise be lost; the
+// next rerun picks it up. A materialised task tasks does not list is left
+// untouched too.
 func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.LogIndex) {
-	type taskEntry struct {
-		i  int // index into tasks (and res)
-		it *incTask
+	// A task materialised after this starts at the reseeded rest; one
+	// before it is among those walked.
+	inc.mu.Lock()
+	epoch := inc.epoch.Add(1)
+	inc.reseedLatentLocked(epoch)
+	ids := make([]int, 0, len(inc.tasks))
+	for id := range inc.tasks {
+		ids = append(ids, id)
 	}
-	inc.mu.RLock()
-	entries := make([]taskEntry, 0, len(tasks))
-	for i, t := range tasks {
-		if it := inc.tasks[t.ID]; it != nil {
-			entries = append(entries, taskEntry{i, it})
+	sort.Ints(ids)
+	its := make([]*incTask, len(ids))
+	for x, id := range ids {
+		its[x] = inc.tasks[id]
+	}
+	inc.mu.Unlock()
+	pos := res.answeredIndex(tasks)
+	var listed map[int]int // every task of tasks, for a materialised task no answer covers
+	for _, it := range its {
+		i, ok := pos[it.task.ID]
+		if !ok {
+			if listed == nil {
+				listed = make(map[int]int, len(tasks))
+				for x, t := range tasks {
+					listed[t.ID] = x
+				}
+			}
+			if i, ok = listed[it.task.ID]; !ok {
+				continue
+			}
 		}
-	}
-	inc.mu.RUnlock()
-	// Sorted so the per-view epochs assigned below are a deterministic
-	// function of the task set, not of the order the caller listed it in.
-	sort.Slice(entries, func(a, b int) bool { return entries[a].it.task.ID < entries[b].it.task.ID })
-	for _, e := range entries {
-		it, i := e.it, e.i
 		snap := answers.ForTask(it.task.ID)
 		it.mu.Lock()
 		if len(it.answers) > len(snap) {
@@ -468,27 +555,23 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 		}
 		// Infer hands every unanswered task the shared uniform matrix (and
 		// s = Uniform(ℓ)): such a task aliases the reseeded rest state whole,
-		// dropping any private matrix it held. Note M̂ is 1/ℓ here, not the
-		// AddTask prior's 1 — the bits exports and snapshots have always
-		// carried for a reseeded task.
-		rest := restStatesFor(len(it.mhat), it.task.NumChoices())
-		M := rest.reseeded.norm
-		if sameMatrix(res.M[i], rest.reseeded.mhat) {
-			it.mhat, it.qbuf, it.s = rest.reseeded.mhat, nil, rest.uniform
-		} else {
-			it.own()
-			for k := range it.mhat {
-				copy(it.mhat[k], res.M[i][k])
-			}
-			it.s = mathx.Clone(res.S[i])
-			M = normalizeRows(it.mhat)
+		// dropping any private matrix it held.
+		if sameMatrix(res.M[i], restStatesFor(len(it.mhat), it.task.NumChoices()).reseeded.mhat) {
+			it.toRest(epoch)
+			it.mu.Unlock()
+			continue
 		}
+		it.own()
+		for k := range it.mhat {
+			copy(it.mhat[k], res.M[i][k])
+		}
+		it.s = mathx.Clone(res.S[i])
 		it.answers = it.answers[:0]
 		for _, p := range snap {
 			it.answers = append(it.answers, answers.At(p))
 		}
 		it.touched = true
-		it.publishView(inc.epoch.Add(1), M)
+		it.publishView(epoch, normalizeRows(it.mhat))
 		it.mu.Unlock()
 	}
 	session := SessionStats(tasks, answers, res, inc.m)
@@ -505,6 +588,97 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 	}
 }
 
+// ReseedLatent flips the latent tasks to the reseeded rest, as a rerun
+// does; one epoch covers it. A boot installing a snapshot that covers a
+// rerun calls it, since the snapshot lists materialised tasks only.
+func (inc *Incremental) ReseedLatent() {
+	inc.mu.Lock()
+	inc.reseedLatentLocked(inc.epoch.Add(1))
+	inc.mu.Unlock()
+}
+
+// reseedLatentLocked flips the latent tasks to the reseeded rest at epoch,
+// the first time it runs. Callers hold mu, under which a task materialises
+// at the rest state it read.
+func (inc *Incremental) reseedLatentLocked(epoch uint64) {
+	inc.restMu.Lock()
+	defer inc.restMu.Unlock()
+	if inc.reseededAt != 0 {
+		return
+	}
+	inc.reseededAt = epoch
+	//docs:allow determinism each Rest receives a view of its own; no iteration sees another's
+	for _, rest := range inc.rests {
+		rest.reseeded.Store(rest.states.reseededView(epoch))
+	}
+}
+
+// toRest makes the task alias the reseeded rest state whole, dropping any
+// private matrix it held. Note M̂ is 1/ℓ here, not the AddTask prior's 1 —
+// the bits exports and snapshots have always carried for a reseeded task.
+// Callers hold it.mu.
+func (it *incTask) toRest(epoch uint64) {
+	rest := restStatesFor(len(it.mhat), it.task.NumChoices())
+	it.mhat, it.qbuf, it.s = rest.reseeded.mhat, nil, rest.uniform
+	it.answers = it.answers[:0]
+	it.touched = true
+	it.publishView(epoch, rest.reseeded.norm)
+}
+
+// Rest is what every latent task of one domain vector and choice count
+// reads: the AddTask prior (M̂ all ones, s = r × M) until the engine's first
+// rerun lands, the reseeded rest (M̂ rows uniform, s = Uniform(ℓ)) after it.
+// Nothing writes it but that one flip.
+type Rest struct {
+	// R is the domain vector: the publication's one copy, which keys the
+	// engine's table with ℓ.
+	R        model.DomainVector
+	states   *restStates
+	prior    *TaskView
+	reseeded atomic.Pointer[TaskView]
+}
+
+// View returns the view the rest state publishes now.
+func (r *Rest) View() *TaskView {
+	if v := r.reseeded.Load(); v != nil {
+		return v
+	}
+	return r.prior
+}
+
+// restKey names a Rest: a domain vector's backing array — tasks share one
+// exactly when their publication logged the same encoding — and ℓ.
+type restKey struct {
+	r   *float64
+	ell int
+}
+
+// Rest returns the engine's rest state for a domain vector (of m entries)
+// and ℓ choices, made on first use.
+func (inc *Incremental) Rest(r model.DomainVector, ell int) *Rest {
+	key := restKey{&r[0], ell}
+	inc.restMu.RLock()
+	rest := inc.rests[key]
+	inc.restMu.RUnlock()
+	if rest != nil {
+		return rest
+	}
+	inc.restMu.Lock()
+	defer inc.restMu.Unlock()
+	if rest = inc.rests[key]; rest != nil {
+		return rest
+	}
+	st := restStatesFor(r.Support(), ell)
+	s := make([]float64, ell)
+	applyDomain(s, r, st.prior.norm)
+	rest = &Rest{R: r, states: st, prior: &TaskView{M: st.prior.norm, S: s, Truth: mathx.ArgMax(s)}}
+	if inc.reseededAt != 0 {
+		rest.reseeded.Store(st.reseededView(inc.reseededAt))
+	}
+	inc.rests[key] = rest
+	return rest
+}
+
 // restStates holds, for one (rows, ℓ) — rows being the size of a task's
 // support — the two states a task holding no answers can be in — they depend
 // on nothing else — each with the row-normalized matrix its view publishes.
@@ -517,6 +691,11 @@ type restStates struct {
 }
 
 type restState struct{ mhat, norm [][]float64 }
+
+// reseededView is the view of the reseeded rest state, taken at epoch.
+func (st *restStates) reseededView(epoch uint64) *TaskView {
+	return &TaskView{M: st.reseeded.norm, S: st.uniform, Truth: mathx.ArgMax(st.uniform), Epoch: epoch}
+}
 
 var (
 	restMu    sync.RWMutex
@@ -565,6 +744,19 @@ func (it *incTask) own() {
 		copy(private[x], row)
 	}
 	it.mhat, it.qbuf = private, buf[rows*ell:]
+}
+
+// sameBits reports whether a and b hold the same floats, bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameMatrix reports whether a and b are the same matrix (not equal ones).

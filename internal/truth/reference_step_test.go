@@ -117,6 +117,7 @@ func (e *denseEngine) reseed(tasks []*model.Task, res *Result, answers *model.An
 		}
 	}
 	sort.Slice(order, func(a, b int) bool { return tasks[order[a]].ID < tasks[order[b]].ID })
+	e.epoch++ // one epoch covers the whole swap
 	for _, i := range order {
 		it := e.tasks[tasks[i].ID]
 		snap := answers.ForTask(it.task.ID)
@@ -128,7 +129,6 @@ func (e *denseEngine) reseed(tasks []*model.Task, res *Result, answers *model.An
 		}
 		it.s = mathx.Clone(res.S[i])
 		it.answers = append(it.answers[:0], snap...)
-		e.epoch++
 		it.epoch = e.epoch
 	}
 	for _, w := range answers.Workers() {

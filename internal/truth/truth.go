@@ -71,7 +71,8 @@ type Result struct {
 	// in ascending domain order and nothing else: a row with r_k = 0 is
 	// multiplied by zero wherever it is read, so it is neither computed nor
 	// held. The matrices of unanswered tasks alias one process-wide
-	// read-only uniform matrix per (rows, ℓ): read them, never write them.
+	// read-only uniform matrix per (rows, ℓ), and their S one read-only
+	// Uniform(ℓ): read them, never write them.
 	M [][][]float64
 	// Truth[i] is argmax_j S[i][j], the inferred truth v*_i.
 	Truth []int
@@ -105,13 +106,14 @@ func (r *Result) answeredIndex(tasks []*model.Task) map[int]int {
 
 // Infer runs the iterative truth-inference algorithm over the given tasks
 // and answers. Every task must carry a domain vector of size m. Tasks with
-// no answers receive a uniform probabilistic truth.
+// no answers receive a uniform probabilistic truth: the rest state a rerun
+// leaves them at, shared, not a copy each.
 //
 // The cost is a function of the answered tasks and of the domains they
 // relate to. A pinned task is one-hot and an unanswered one uniform for the
 // whole run, so both are settled before the loop and only the active
-// (answered, unpinned) tasks are iterated; an unanswered task costs its ℓ
-// floats of S and its slots in the result slices. An active task costs
+// (answered, unpinned) tasks are iterated; an unanswered task costs its
+// slots in the result slices. An active task costs
 // |supp r|·ℓ per iteration, not m·ℓ: Step 1 computes the rows of its support
 // and Step 2 adds its r_k-weighted evidence at those domains only — every
 // term left out is a multiplication by zero. Everything the loop touches is
@@ -137,10 +139,10 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 	// reached by position.
 	answered := answers.Tasks()
 	pos := make(map[int]int, len(answered)+len(opt.Pinned))
-	// sLen is Σ ℓ over all tasks. Over the tasks that get a matrix of their
-	// own (answered or pinned): mRows is Σ |supp r|, mLen the floats those
-	// rows hold, maxRows the largest support and wLen Σ |supp r|·|V(i)|, the
-	// weights Step 2 reads.
+	// Over the tasks that get a state of their own (answered or pinned):
+	// sLen is Σ ℓ, mRows Σ |supp r|, mLen the floats those rows hold,
+	// maxRows the largest support and wLen Σ |supp r|·|V(i)|, the weights
+	// Step 2 reads.
 	sLen, mRows, mLen, maxRows, wLen := 0, 0, 0, 0, 0
 	ascending := true
 	for idx, t := range tasks {
@@ -161,8 +163,8 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 			mLen += n * t.NumChoices()
 			maxRows = max(maxRows, n)
 			wLen += n * len(v)
+			sLen += t.NumChoices()
 		}
-		sLen += t.NumChoices()
 	}
 	if !ascending { // strictly ascending IDs cannot repeat
 		ids := make([]int, len(tasks))
@@ -254,9 +256,6 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 	)
 	for i, t := range tasks {
 		ell := t.NumChoices()
-		s := sBuf[:ell:ell]
-		sBuf = sBuf[ell:]
-		res.S[i] = s
 		d, seen := ellIdx[ell]
 		if !seen {
 			d = len(rest)
@@ -269,11 +268,6 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		}
 		pv, pinned := opt.Pinned[t.ID]
 		v := answers.ForTask(t.ID)
-		if !pinned {
-			for j := range s {
-				s[j] = invEll[d]
-			}
-		}
 		if !pinned && len(v) == 0 {
 			n := t.Domain.Support()
 			for len(rest[d]) <= n {
@@ -282,8 +276,16 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 			if rest[d][n] == nil {
 				rest[d][n] = restStatesFor(n, ell)
 			}
-			res.M[i] = rest[d][n].reseeded.mhat
+			res.M[i], res.S[i] = rest[d][n].reseeded.mhat, rest[d][n].uniform
 			continue
+		}
+		s := sBuf[:ell:ell]
+		sBuf = sBuf[ell:]
+		res.S[i] = s
+		if !pinned {
+			for j := range s {
+				s[j] = invEll[d]
+			}
 		}
 		// The task's support, ascending: row x of M is domain ks[x].
 		from := len(supp)

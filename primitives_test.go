@@ -71,7 +71,10 @@ import (
 // /stats counter is declared once: the response type embeds the campaign's
 // and the registry's Stats and declares none of the keys they carry. A
 // crash image is built by internal/crashtest alone, which only tests
-// import: it is the one caller of wal.ScanSegment outside internal/wal.
+// import: it is the one caller of wal.ScanSegment outside internal/wal. A
+// task's truth state has one builder: only the engine's materialise makes
+// or registers an incTask, so a latent task holds nothing, and the lease
+// table has no per-task map (leaseTable.counts).
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -609,6 +612,55 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 	if kitImports == 0 || kitScans == 0 {
 		t.Errorf("found %d imports of internal/crashtest and %d calls of wal.ScanSegment: the check no longer sees them", kitImports, kitScans)
+	}
+
+	// A task's truth state is built on one path: only the engine's
+	// materialise makes an incTask — a literal, new(incTask) or a slab of
+	// them — or enters one in the task map. A latent task holds nothing,
+	// and the lease table keeps its counters by publication position, not
+	// in a map of its own (leaseTable.counts).
+	builds := 0
+	funcNodes(t, fset, "internal/truth/*.go", func(fn *ast.FuncDecl, n ast.Node) {
+		var site ast.Node
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if isIdent(n.Type, "incTask") {
+				site = n
+			}
+		case *ast.CallExpr:
+			if isIdent(n.Fun, "new") || isIdent(n.Fun, "make") {
+				if typ := types.ExprString(n.Args[0]); typ == "incTask" || typ == "[]incTask" {
+					site = n
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if ix, ok := lhs.(*ast.IndexExpr); ok && types.ExprString(ix.X) == "inc.tasks" {
+					site = n
+				}
+			}
+		}
+		if site == nil {
+			return
+		}
+		if fn.Name.Name != "materialise" {
+			t.Errorf("%s: %s builds or registers an incTask; only materialise may", fset.Position(site.Pos()), fn.Name.Name)
+		}
+		builds++
+	})
+	if builds == 0 {
+		t.Error("found no incTask built: the check no longer sees materialise")
+	}
+	for _, pkg := range prog.Packages {
+		if pkg.Path != "docs/internal/core" {
+			continue
+		}
+		st := pkg.Types.Scope().Lookup("leaseTable").Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Name() == "counts" {
+				t.Errorf("%s: leaseTable.counts is back: a task's lease counter lives at its publication position", prog.Fset.Position(f.Pos()))
+			}
+		}
 	}
 }
 
