@@ -317,11 +317,11 @@ func (s *System) Recovery() Recovery { return read(s, (*core.System).Recovery) }
 // Publish registers the campaign's tasks and runs Domain Vector Estimation
 // over their text. Must be called exactly once, before Request/Submit.
 func (s *System) Publish(tasks []Task) error {
-	internal, err := toInternalTasks(tasks)
+	p, err := CheckPublication(tasks)
 	if err != nil {
 		return err
 	}
-	return s.do(func(sys *core.System) error { return sys.Publish(internal) })
+	return s.PublishChecked(p)
 }
 
 // Publication is a batch of tasks converted and checked once, by
@@ -349,12 +349,6 @@ func CheckPublication(tasks []Task) (*Publication, error) {
 		return nil, err
 	}
 	return &Publication{batch: batch}, nil
-}
-
-// ValidateTasks is CheckPublication's verdict alone.
-func ValidateTasks(tasks []Task) error {
-	_, err := CheckPublication(tasks)
-	return err
 }
 
 // PublishChecked is Publish for a batch CheckPublication has converted and

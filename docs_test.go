@@ -77,24 +77,28 @@ func TestPublishValidation(t *testing.T) {
 	if err := sys.Publish([]Task{{ID: 0, Text: "x", Choices: []string{"a", "b"}, GoldenTruth: 7}}); err == nil {
 		t.Error("out-of-range golden truth accepted")
 	}
-	// ValidateTasks is the same verdict without a System.
+	// CheckPublication is the same verdict without a System.
 	valid := Task{ID: 0, Text: "x", Choices: []string{"a", "b"}, GoldenTruth: 1}
 	for name, batch := range map[string][]Task{
 		"single choice":      {{ID: 0, Text: "x", Choices: []string{"only"}, GoldenTruth: NoTruth}},
 		"truth out of range": {{ID: 0, Text: "x", Choices: []string{"a", "b"}, GoldenTruth: 7}},
 		"duplicate ID":       {valid, valid},
 	} {
-		verr := ValidateTasks(batch)
+		_, verr := CheckPublication(batch)
 		perr := sys.Publish(batch)
 		if verr == nil || perr == nil || verr.Error() != perr.Error() {
-			t.Errorf("%s: ValidateTasks says %v, Publish says %v", name, verr, perr)
+			t.Errorf("%s: CheckPublication says %v, Publish says %v", name, verr, perr)
 		}
 	}
-	if err := ValidateTasks([]Task{valid}); err != nil {
-		t.Errorf("ValidateTasks rejected a valid batch: %v", err)
+	checked, err := CheckPublication([]Task{valid})
+	if err != nil {
+		t.Fatalf("CheckPublication rejected a valid batch: %v", err)
 	}
 	if sys.Published() {
 		t.Error("a rejected batch published")
+	}
+	if err := sys.PublishChecked(checked); err != nil || !sys.Published() {
+		t.Errorf("PublishChecked of a checked batch: %v, published %v", err, sys.Published())
 	}
 }
 

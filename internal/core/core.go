@@ -389,26 +389,31 @@ func tasksByID(tasks []*model.Task, m int) (map[int]*model.Task, error) {
 // durable record's packing streams behind it (linkAndPack), and golden
 // selection and the install run beside the rest of the pack; a pack failure
 // then is ErrDurability.
-func (s *System) Publish(tasks []*model.Task) error { return s.publish(tasks, nil) }
+func (s *System) Publish(tasks []*model.Task) error {
+	b, err := CheckTasks(tasks, s.m)
+	if err != nil {
+		return err
+	}
+	return s.PublishBatch(b)
+}
 
 // PublishBatch is Publish for a batch CheckTasks has checked: it runs no
 // structural check again unless the batch was checked over another domain
 // count.
-func (s *System) PublishBatch(b *Batch) error { return s.publish(b.tasks, b) }
-
-func (s *System) publish(tasks []*model.Task, b *Batch) error {
+func (s *System) PublishBatch(b *Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.tasks) > 0 {
 		return fmt.Errorf("core: tasks already published")
 	}
-	// Validate the whole batch into a local map before mutating any
-	// campaign state: a rejected task must leave the system exactly as it
-	// was, so the requester can fix the batch and re-publish (a partial
-	// insert would make the retry fail on its own leftovers). The
+	// The whole batch is validated into a local map (CheckTasks) before any
+	// campaign state changes: a rejected task must leave the system exactly
+	// as it was, so the requester can fix the batch and re-publish (a
+	// partial insert would make the retry fail on its own leftovers). The
 	// structural pass comes first and whole, so a batch it rejects has cost
 	// no domain vector.
-	if b == nil || b.m != s.m {
+	tasks := b.tasks
+	if b.m != s.m {
 		var err error
 		if b, err = CheckTasks(tasks, s.m); err != nil {
 			return err

@@ -204,14 +204,14 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("campaign")
-	var checked *docs.Publication // converted and checked once, on a fresh name
+	var checked *docs.Publication // the batch converted and checked, once
 	sys, err := s.reg.Campaign(name)
 	if errors.Is(err, docs.ErrCampaignNotFound) {
 		// Publishing to a fresh name creates the campaign — the one-call
 		// path a requester actually wants. Everything Publish can reject
 		// the batch for is checked first, so a bad request never leaves an
 		// empty campaign (a directory, a WAL, a slot under the resident
-		// cap) behind; the checked batch is what gets published.
+		// cap) behind.
 		if checked, err = docs.CheckPublication(tasks); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -245,18 +245,19 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, fmt.Errorf("tasks already published"))
 		return
 	}
-	// docs.System.Publish is itself exclusive and rejects a second
+	if checked == nil {
+		if checked, err = docs.CheckPublication(tasks); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+	}
+	// docs.System.PublishChecked is itself exclusive and rejects a second
 	// publication, so a racing pair of publishes cannot both succeed; the
 	// check above only provides the friendlier 409 for the common case.
 	// There is no server-side published flag to resync: every reader asks
 	// the serving core, and a publish that fails its WAL append fails the
 	// campaign, whose next core is woken from the log.
-	if checked != nil {
-		err = sys.PublishChecked(checked)
-	} else {
-		err = sys.Publish(tasks)
-	}
-	if err != nil {
+	if err := sys.PublishChecked(checked); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
@@ -486,26 +487,31 @@ const firstBodyRead, undeclaredBodyRead = 64 << 10, 512
 // readBody reads src to its end into one string. The length the request
 // declared for it (negative when none) sizes the buffer only as far as the
 // body bears it out: the buffer starts at the declared length, up to
-// firstBodyRead, and when full grows to the declared length if that is at
-// most 32 times what has arrived, else doubles. An honest body is read into
-// about its own size, with no copy but the one out of the read chunk; a
-// client that declares much and sends little costs little.
+// firstBodyRead, and when full doubles, to no more than the declared length
+// while the body keeps within it. An honest body ends in a buffer of its
+// own size, with no copy out of it; a client that declares much and sends
+// little holds about twice what it sent.
 func readBody(src io.Reader, declared int64) (string, error) {
 	size := int64(undeclaredBodyRead)
 	if declared >= 0 {
 		size = min(declared, firstBodyRead)
 	}
-	var b strings.Builder
+	b := new(strings.Builder)
 	b.Grow(int(size))
 	chunk := make([]byte, min(size+1, 32<<10))
 	for {
 		n, err := src.Read(chunk)
-		if n > b.Cap()-b.Len() {
-			more := n
-			if have := int64(b.Len()); declared > have && declared <= 32*have {
-				more = max(n, int(declared-have))
+		if have := b.Len(); n > b.Cap()-have {
+			next := max(2*b.Cap(), have+n)
+			if int64(have+n) <= declared {
+				next = min(next, int(declared))
 			}
-			b.Grow(more)
+			// A fresh builder, so the buffer is next bytes exactly:
+			// strings.Builder.Grow would make it 2·cap + what it asks.
+			grown := new(strings.Builder)
+			grown.Grow(next)
+			grown.WriteString(b.String())
+			b = grown
 		}
 		b.Write(chunk[:n])
 		if err == io.EOF {

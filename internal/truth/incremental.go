@@ -533,19 +533,15 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 	}
 	inc.mu.Unlock()
 	pos := res.answeredIndex(tasks)
-	var listed map[int]int // every task of tasks, for a materialised task no answer covers
+	var idle map[int]*incTask // walked, with no answer in the prefix and not pinned
 	for _, it := range its {
 		i, ok := pos[it.task.ID]
 		if !ok {
-			if listed == nil {
-				listed = make(map[int]int, len(tasks))
-				for x, t := range tasks {
-					listed[t.ID] = x
-				}
+			if idle == nil {
+				idle = make(map[int]*incTask)
 			}
-			if i, ok = listed[it.task.ID]; !ok {
-				continue
-			}
+			idle[it.task.ID] = it
+			continue
 		}
 		snap := answers.ForTask(it.task.ID)
 		it.mu.Lock()
@@ -572,6 +568,20 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 		}
 		it.touched = true
 		it.publishView(epoch, normalizeRows(it.mhat))
+		it.mu.Unlock()
+	}
+	// Infer left an idle task tasks lists at the shared uniform matrix, the
+	// reseeded rest; one answered since keeps its incremental evidence.
+	for x := 0; x < len(tasks) && len(idle) > 0; x++ {
+		it, ok := idle[tasks[x].ID]
+		if !ok {
+			continue
+		}
+		delete(idle, tasks[x].ID)
+		it.mu.Lock()
+		if len(it.answers) == 0 {
+			it.toRest(epoch)
+		}
 		it.mu.Unlock()
 	}
 	session := SessionStats(tasks, answers, res, inc.m)
