@@ -521,36 +521,37 @@ func InferTruth(tasks []Task, answers []Answer) ([]Result, error) {
 	})
 }
 
+// toInternalTasks lays a publication out as a wake decodes one: the tasks in
+// one array, their choices copied into one slab as capped subslices.
 func toInternalTasks(tasks []Task) ([]*model.Task, error) {
-	internal := make([]*model.Task, 0, len(tasks))
+	choices := 0
 	for _, t := range tasks {
-		it, err := toInternal(t)
-		if err != nil {
-			return nil, err
+		choices += len(t.Choices)
+	}
+	backing, slab := make([]model.Task, len(tasks)), make([]string, choices)
+	internal := make([]*model.Task, len(tasks))
+	for i, t := range tasks {
+		if len(t.Choices) < 2 {
+			return nil, fmt.Errorf("docs: task %d needs at least 2 choices", t.ID)
 		}
-		internal = append(internal, it)
+		truthIdx := model.NoTruth
+		if t.GoldenTruth != NoTruth {
+			if t.GoldenTruth < 0 || t.GoldenTruth >= len(t.Choices) {
+				return nil, fmt.Errorf("docs: task %d golden truth %d out of range", t.ID, t.GoldenTruth)
+			}
+			truthIdx = t.GoldenTruth
+		}
+		n := copy(slab, t.Choices)
+		backing[i] = model.Task{
+			ID:         t.ID,
+			Text:       t.Text,
+			Choices:    slab[:n:n],
+			Truth:      truthIdx,
+			TrueDomain: model.NoTruth,
+		}
+		slab, internal[i] = slab[n:], &backing[i]
 	}
 	return internal, nil
-}
-
-func toInternal(t Task) (*model.Task, error) {
-	if len(t.Choices) < 2 {
-		return nil, fmt.Errorf("docs: task %d needs at least 2 choices", t.ID)
-	}
-	truthIdx := model.NoTruth
-	if t.GoldenTruth != NoTruth {
-		if t.GoldenTruth < 0 || t.GoldenTruth >= len(t.Choices) {
-			return nil, fmt.Errorf("docs: task %d golden truth %d out of range", t.ID, t.GoldenTruth)
-		}
-		truthIdx = t.GoldenTruth
-	}
-	return &model.Task{
-		ID:         t.ID,
-		Text:       t.Text,
-		Choices:    append([]string(nil), t.Choices...),
-		Truth:      truthIdx,
-		TrueDomain: model.NoTruth,
-	}, nil
 }
 
 func fromInternal(it *model.Task) Task {

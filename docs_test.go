@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +100,44 @@ func TestPublishValidation(t *testing.T) {
 	}
 	if err := sys.PublishChecked(checked); err != nil || !sys.Published() {
 		t.Errorf("PublishChecked of a checked batch: %v, published %v", err, sys.Published())
+	}
+}
+
+// TestPublicationLaidOutAsAWake: a publish converts its tasks into one
+// backing array and one choices slab, as a wake decodes them — the same
+// three allocations at 600 tasks and at 6,000 — and each task's choices
+// are a capped subslice of the slab: the caller's slices are not aliased,
+// and an append to one task's choices cannot write into the next task's.
+func TestPublicationLaidOutAsAWake(t *testing.T) {
+	batch := func(n int) []Task {
+		tasks := make([]Task, n)
+		for i := range tasks {
+			tasks[i] = Task{ID: i, Text: "t", Choices: []string{"a", "b", "c"}, GoldenTruth: NoTruth}
+		}
+		return tasks
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own allocations would count
+	for _, n := range []int{600, 6000} {
+		tasks := batch(n)
+		if got := testing.AllocsPerRun(5, func() { _, _ = toInternalTasks(tasks) }); got != 3 {
+			t.Errorf("converting %d tasks allocates %.0f times, want 3", n, got)
+		}
+	}
+	tasks := batch(2)
+	internal, err := toInternalTasks(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks[0].Choices[0] = "changed"
+	if internal[0].Choices[0] != "a" {
+		t.Error("the converted task aliases the caller's choices")
+	}
+	if cap(internal[0].Choices) != 3 {
+		t.Errorf("a converted task's choices have capacity %d, want 3", cap(internal[0].Choices))
+	}
+	_ = append(internal[0].Choices, "d")
+	if internal[1].Choices[0] != "a" {
+		t.Error("an append to one task's choices wrote into the next task's")
 	}
 }
 

@@ -31,9 +31,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,9 +141,11 @@ type System struct {
 	store  *store.Store
 	cfg    Config
 
-	tasks      []*model.Task // published, with domain vectors
-	byID       map[int]*model.Task
-	golden     map[int]bool  // task IDs serving as golden tasks
+	// A published task is known by its publication position, which
+	// taskOrder finds from its ID: tasks and golden are indexed by it.
+	tasks []*model.Task // published, with domain vectors
+	taskOrder
+	golden     []bool        // by position: the task serves as a golden task
 	goldenList []*model.Task // golden tasks in publication order
 
 	inc *truth.Incremental
@@ -222,8 +226,9 @@ type System struct {
 	// bit-identical to.
 	scanAssign bool
 	// eagerInstall, when set (tests only, before Publish or Recover),
-	// materialises every regular task at publish, in this system and its
-	// snapshot passes' replicas — the oracle latent tasks are held
+	// materialises every regular task at publish and lists every one at
+	// every rerun, in this system and its snapshot passes' replicas — the
+	// oracle latent tasks and reruns sized by the answered tasks are held
 	// bit-identical to.
 	eagerInstall bool
 	rerunCh      chan struct{}
@@ -339,14 +344,31 @@ func (sh *workerShard) state(workerID string) *workerState {
 func (s *System) Domains() *model.DomainSet { return s.kb.Domains() }
 
 // Batch is a publication that has passed the structural half of Publish's
-// validation over m domains, indexed by task ID: CheckTasks makes one and
-// PublishBatch publishes it without checking it again. A Batch is published
-// once — the publish writes the domain vectors DVE gives its tasks into
-// them.
+// validation over m domains, with its ID lookup built: CheckTasks makes one
+// and PublishBatch publishes it without checking it again. A Batch is
+// published once — the publish writes the domain vectors DVE gives its
+// tasks into them.
 type Batch struct {
 	tasks []*model.Task
-	byID  map[int]*model.Task
-	m     int
+	taskOrder
+	m int
+}
+
+// taskOrder is a publication's one task ID → position lookup: the IDs in
+// publication order, and the positions sorted by ID, which a binary search
+// reads through the ID column (no *model.Task is touched).
+type taskOrder struct {
+	ids  []int   // task ID at each publication position
+	byID []int32 // positions, ascending by task ID
+}
+
+// position returns the publication position of the task with this ID.
+func (o *taskOrder) position(id int) (int, bool) {
+	i, ok := slices.BinarySearchFunc(o.byID, id, func(p int32, id int) int { return cmp.Compare(o.ids[p], id) })
+	if !ok {
+		return 0, false
+	}
+	return int(o.byID[i]), true
 }
 
 // CheckTasks is the structural half of Publish's validation, the half that
@@ -356,30 +378,34 @@ type Batch struct {
 // log record can hold whatever vectors DVE gives it. A server runs it
 // before it creates a campaign for a publication, so a batch Publish would
 // reject leaves no empty campaign behind, and then publishes the Batch.
+// The first fault in publication order is the one reported: a task repeating
+// an earlier ID before any invalid task.
 func CheckTasks(tasks []*model.Task, m int) (*Batch, error) {
-	byID, err := tasksByID(tasks, m)
-	if err != nil {
-		return nil, err
+	o := taskOrder{ids: make([]int, len(tasks)), byID: make([]int32, len(tasks))}
+	for p, t := range tasks {
+		o.ids[p], o.byID[p] = t.ID, int32(p)
 	}
-	return &Batch{tasks: tasks, byID: byID, m: m}, nil
-}
-
-// tasksByID validates the batch and returns it indexed by task ID.
-func tasksByID(tasks []*model.Task, m int) (map[int]*model.Task, error) {
-	byID := make(map[int]*model.Task, len(tasks))
-	for _, t := range tasks {
-		if _, dup := byID[t.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate task ID %d", t.ID)
+	// Equal IDs sort adjacent, in publication order: the first repeat is
+	// the least position that follows an equal ID.
+	slices.SortFunc(o.byID, func(a, b int32) int { return cmp.Or(cmp.Compare(o.ids[a], o.ids[b]), cmp.Compare(a, b)) })
+	repeat := len(tasks)
+	for x := 1; x < len(o.byID); x++ {
+		if o.ids[o.byID[x]] == o.ids[o.byID[x-1]] {
+			repeat = min(repeat, int(o.byID[x]))
 		}
+	}
+	for _, t := range tasks[:repeat] {
 		if err := t.Validate(m); err != nil {
 			return nil, err
 		}
-		byID[t.ID] = t
+	}
+	if repeat < len(tasks) {
+		return nil, fmt.Errorf("core: duplicate task ID %d", tasks[repeat].ID)
 	}
 	if err := checkPublicationSize(tasks, m); err != nil {
 		return nil, err
 	}
-	return byID, nil
+	return &Batch{tasks: tasks, taskOrder: o, m: m}, nil
 }
 
 // Publish runs DVE over the tasks, selects golden tasks among those with
@@ -406,12 +432,12 @@ func (s *System) PublishBatch(b *Batch) error {
 	if len(s.tasks) > 0 {
 		return fmt.Errorf("core: tasks already published")
 	}
-	// The whole batch is validated into a local map (CheckTasks) before any
-	// campaign state changes: a rejected task must leave the system exactly
-	// as it was, so the requester can fix the batch and re-publish (a
-	// partial insert would make the retry fail on its own leftovers). The
-	// structural pass comes first and whole, so a batch it rejects has cost
-	// no domain vector.
+	// The whole batch is validated (CheckTasks) before any campaign state
+	// changes: a rejected task must leave the system exactly as it was, so
+	// the requester can fix the batch and re-publish (a partial insert
+	// would make the retry fail on its own leftovers). The structural pass
+	// comes first and whole, so a batch it rejects has cost no domain
+	// vector.
 	tasks := b.tasks
 	if b.m != s.m {
 		var err error
@@ -419,10 +445,9 @@ func (s *System) PublishBatch(b *Batch) error {
 			return err
 		}
 	}
-	byID := b.byID
 	// DVE ends while a rejection still leaves the campaign unpublished. The
-	// record fits one WAL record (tasksByID held the batch to that with every
-	// vector at its largest) and its tasks have passed Validate.
+	// record fits one WAL record (CheckTasks held the batch to that with
+	// every vector at its largest) and its tasks have passed Validate.
 	record, err := s.linkAndPack(tasks, s.wal != nil)
 	if err != nil {
 		return err
@@ -430,18 +455,19 @@ func (s *System) PublishBatch(b *Batch) error {
 	// Golden tasks: choose among tasks with known ground truth so a new
 	// worker's answers can be scored (Section 5.2).
 	var withTruth []*model.Task
-	for _, t := range tasks {
+	var truthPos []int
+	for p, t := range tasks {
 		if t.Truth != model.NoTruth {
-			withTruth = append(withTruth, t)
+			withTruth, truthPos = append(withTruth, t), append(truthPos, p)
 		}
 	}
-	golden := make(map[int]bool)
+	golden := make([]bool, len(tasks))
 	if n := s.cfg.GoldenCount; n > 0 && len(withTruth) > 0 {
 		for _, idx := range assign.SelectGolden(withTruth, n, s.m) {
-			golden[withTruth[idx].ID] = true
+			golden[truthPos[idx]] = true
 		}
 	}
-	s.installPublication(tasks, byID, golden)
+	s.installPublication(b, golden)
 	blob, err := record()
 	if err != nil {
 		return fmt.Errorf("core: %w: publication record: %v", ErrDurability, err)
@@ -463,42 +489,45 @@ func (s *System) PublishBatch(b *Batch) error {
 	return nil
 }
 
-// installPublication makes tasks the campaign's task set with the given
-// golden subset — the one place a task set becomes serving state. Golden
-// tasks go to the golden list; every other task enters the live candidate
-// index, in publication order (the order the assignment tie-break is
-// defined over), and with leases armed gets its lease counter there, before
-// serving can observe the campaign. A task enters the truth engine latent:
-// it holds nothing there until its first answer materialises it
-// (materialise), and reads the rest state its candidate carries. Callers
-// hold s.mu and have validated the tasks.
-func (s *System) installPublication(tasks []*model.Task, byID map[int]*model.Task, golden map[int]bool) {
-	s.tasks, s.byID, s.golden = tasks, byID, golden
-	master := make([]candidate, 0, len(tasks)-len(golden))
-	for _, t := range tasks {
-		if golden[t.ID] {
+// installPublication makes the batch's tasks the campaign's task set with
+// the given golden flags (by position) — the one place a task set becomes
+// serving state. Golden tasks go to the golden list; every other task
+// enters the live candidate index at its publication position (the order
+// the assignment tie-break is defined over) with its rest state, and with
+// leases armed gets its lease counter there, before serving can observe
+// the campaign. A task enters the truth engine latent: it holds nothing
+// there until its first answer materialises it (materialise), and reads
+// its rest state. Callers hold s.mu and have validated the tasks.
+func (s *System) installPublication(b *Batch, golden []bool) {
+	s.tasks, s.taskOrder, s.golden = b.tasks, b.taskOrder, golden
+	rests := make([]*truth.Rest, len(b.tasks))
+	for p, t := range b.tasks {
+		if golden[p] {
 			s.goldenList = append(s.goldenList, t)
 			continue
 		}
-		master = append(master, candidate{id: t.ID, pos: len(master), rest: s.inc.Rest(t.Domain, t.NumChoices())})
+		rests[p] = s.inc.Rest(t.Domain, t.NumChoices())
 	}
-	ci := newCandidateIndex(master)
+	ci := newCandidateIndex(b.ids, rests)
 	if s.leases != nil {
-		s.leases.install(ci.pos, len(master))
+		s.leases.install(len(b.tasks))
 	}
 	s.index.Store(ci)
 	if s.eagerInstall {
-		for _, c := range master {
-			s.inc.Materialise(byID[c.id], &ci.slots[c.pos])
+		for p, t := range b.tasks {
+			if !golden[p] {
+				s.inc.Materialise(t, &ci.slots[p])
+			}
 		}
 	}
 }
 
-// materialise gives a regular task its own state in the truth engine, at
-// the rest state it read, before an answer lands in it: ingested, replayed
-// without its math (skipIngest) or installed from a snapshot.
-func (s *System) materialise(t *model.Task) {
-	s.inc.Materialise(t, s.index.Load().slot(t.ID))
+// materialise gives the regular task at position p its own state in the
+// truth engine, at the rest state it read, before an answer lands in it:
+// ingested, replayed without its math (skipIngest) or installed from a
+// snapshot.
+func (s *System) materialise(t *model.Task, p int) {
+	s.inc.Materialise(t, &s.index.Load().slots[p])
 }
 
 // publishChunk is how many tasks make one chunk of Publish's pipeline.
@@ -673,32 +702,31 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 	}
 	redundancy := s.cfg.AnswersPerTask
 	as := s.assigners.Get().(*assign.Assigner)
-	var ids []int
+	var ps []int
 	if s.scanAssign {
-		ids = s.assignScan(as, tasks, golden, excluded, leased, q, k, redundancy)
+		ps = s.assignScan(as, tasks, golden, excluded, leased, q, k, redundancy)
 	} else {
-		ids = s.assignIndexed(as, excluded, leased, q, k, redundancy)
+		ps = s.assignIndexed(as, excluded, leased, q, k, redundancy)
 	}
 	s.assigners.Put(as)
 	if s.leases != nil {
-		s.leases.grant(workerID, ids)
+		s.leases.grant(workerID, ps)
 	}
-	out := make([]*model.Task, 0, len(ids))
-	s.mu.RLock()
-	for _, id := range ids {
-		out = append(out, s.byID[id])
+	out := make([]*model.Task, len(ps))
+	for i, p := range ps {
+		out[i] = tasks[p]
 	}
-	s.mu.RUnlock()
 	return out, nil
 }
 
 // assignIndexed is the indexed OTA hot path: one atomic load of the shared
 // immutable candidate array, then a streamed size-k heap over it. The only
-// per-request allocations are the exclusion snapshots and the returned IDs
-// — nothing proportional to campaign size. The per-candidate filter
-// re-checks redundancy (and live leases) against the latest truth
+// per-request allocations are the exclusion snapshots and the returned
+// positions — nothing proportional to campaign size. The per-candidate
+// filter re-checks redundancy (and live leases) against the latest truth
 // snapshot, so entries that closed since the last index compaction are
-// skipped exactly as the full scan would skip them.
+// skipped exactly as the full scan would skip them. leased and the result
+// hold positions.
 func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
 	ci := s.index.Load()
 	if ci == nil {
@@ -710,15 +738,15 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 	}
 	entries := arr.entries
 	return as.AssignFunc(len(entries), func(i int, ts *assign.TaskState) bool {
-		c := &entries[i]
-		if excluded[c.id] || leased[c.id] {
+		p := entries[i]
+		if excluded[ci.ids[p]] || leased[int(p)] {
 			return false
 		}
-		v := ci.view(c)
+		v := ci.view(p)
 		if redundancy > 0 {
 			open := redundancy - v.NumAnswers
 			if s.leases != nil {
-				open -= int(s.leases.slots[c.pos].Load())
+				open -= int(s.leases.slots[p].Load())
 			}
 			if open <= 0 {
 				return false
@@ -726,7 +754,7 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 		}
 		// The view's M and S are immutable snapshots: OTA reads them
 		// without copying or locking.
-		ts.ID, ts.R, ts.M, ts.S = c.id, c.rest.R, v.M, v.S
+		ts.ID, ts.R, ts.M, ts.S = int(p), ci.rests[p].R, v.M, v.S
 		return true
 	}, q, k)
 }
@@ -736,23 +764,23 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 // campaign size. It survives behind the test-only scanAssign field as the
 // equivalence oracle (TestIndexedAssignmentEquivalence): the indexed path
 // must stay bit-identical to it on serial campaigns.
-func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden map[int]bool, excluded, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
+func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden []bool, excluded, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
 	backing := make([]assign.TaskState, 0, len(tasks))
-	for _, t := range tasks {
-		if golden[t.ID] || excluded[t.ID] || leased[t.ID] {
+	for p, t := range tasks {
+		if golden[p] || excluded[t.ID] || leased[p] {
 			continue
 		}
 		v := s.inc.ViewOf(t)
 		if redundancy > 0 {
 			open := redundancy - v.NumAnswers
 			if s.leases != nil {
-				open -= s.leases.taskLeases(t.ID)
+				open -= int(s.leases.slots[p].Load())
 			}
 			if open <= 0 {
 				continue
 			}
 		}
-		backing = append(backing, assign.TaskState{ID: t.ID, R: t.Domain, M: v.M, S: v.S})
+		backing = append(backing, assign.TaskState{ID: p, R: t.Domain, M: v.M, S: v.S})
 	}
 	return as.AssignStates(backing, q, k)
 }
@@ -783,13 +811,13 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 		return fmt.Errorf("core: empty worker ID")
 	}
 	s.mu.RLock()
-	t, ok := s.byID[taskID]
-	isGolden := s.golden[taskID]
-	goldenList := s.goldenList
+	at, ok := s.position(taskID)
+	tasks, golden, goldenList := s.tasks, s.golden, s.goldenList
 	s.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("core: unknown task %d", taskID)
 	}
+	t, isGolden := tasks[at], golden[at]
 	if choice < 0 || choice >= t.NumChoices() {
 		return fmt.Errorf("core: choice %d out of range for task %d", choice, taskID)
 	}
@@ -850,10 +878,10 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	if s.recovering && (s.covered || s.submissions.Load() < s.rerunFrom) {
 		// A later overwrite in this replay — the snapshot's install or the
 		// last rerun's Reseed — replaces this answer's engine math.
-		if err := s.skipIngest(workerID, t); err != nil {
+		if err := s.skipIngest(workerID, t, at); err != nil {
 			return err
 		}
-	} else if err := s.ingest(t, a); err != nil {
+	} else if err := s.ingest(t, at, a); err != nil {
 		return err
 	}
 	var p wal.Pending
@@ -892,9 +920,9 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	return s.walCommit(p)
 }
 
-// ingest runs a regular answer to task t through the truth engine and the
-// serving state that follows it.
-func (s *System) ingest(t *model.Task, a model.Answer) error {
+// ingest runs a regular answer to task t, at position p, through the truth
+// engine and the serving state that follows it.
+func (s *System) ingest(t *model.Task, p int, a model.Answer) error {
 	// Seed the worker's quality from the long-run store before her first
 	// answer enters the incremental engine (logged, so replay re-seeds the
 	// same bits rather than re-reading the store).
@@ -904,7 +932,7 @@ func (s *System) ingest(t *model.Task, a model.Answer) error {
 	// The truth engine's per-task lock is the authority on duplicate
 	// answers; ingest updates only that task's state plus the touched
 	// workers' shards, so submits to different tasks run in parallel.
-	s.materialise(t)
+	s.materialise(t, p)
 	if err := s.inc.Submit(a); err != nil {
 		return err
 	}
@@ -915,14 +943,11 @@ func (s *System) ingest(t *model.Task, a model.Answer) error {
 	// The accepted answer retires the worker's lease on the task and, once
 	// redundancy is met, drops the task out of the candidate index.
 	if s.leases != nil {
-		s.leases.release(a.Worker, a.Task)
+		s.leases.release(a.Worker, p)
 	}
 	if r := s.cfg.AnswersPerTask; r > 0 {
-		if ci := s.index.Load(); ci != nil {
-			if v := s.inc.View(a.Task); v != nil {
-				ci.noteAnswer(a.Task, v.NumAnswers, r)
-			}
-		}
+		ci := s.index.Load()
+		ci.noteAnswer(p, ci.view(int32(p)).NumAnswers, r)
 	}
 	return nil
 }
@@ -933,7 +958,7 @@ func (s *System) ingest(t *model.Task, a model.Answer) error {
 // before that math — so a seed later in the log loses to her as it did
 // live — and the task is materialised, as the answer left it, for the
 // overwrite to land in. The overwrite resyncs the index.
-func (s *System) skipIngest(workerID string, t *model.Task) error {
+func (s *System) skipIngest(workerID string, t *model.Task, p int) error {
 	if !s.inc.HasWorker(workerID) {
 		_, _ = s.inc.SeedWorker(workerID, truth.NewStats(s.m))
 	}
@@ -946,7 +971,7 @@ func (s *System) skipIngest(workerID string, t *model.Task) error {
 	}
 	ws.answered[t.ID] = true
 	sh.mu.Unlock()
-	s.materialise(t)
+	s.materialise(t, p)
 	return nil
 }
 
@@ -955,13 +980,13 @@ func (s *System) skipIngest(workerID string, t *model.Task) error {
 // reads the latest immutable snapshot and never blocks submits.
 func (s *System) Result(taskID int) (choice int, confidence []float64) {
 	s.mu.RLock()
-	t, ok := s.byID[taskID]
-	golden := s.golden[taskID]
+	p, ok := s.position(taskID)
+	regular := ok && !s.golden[p]
 	s.mu.RUnlock()
-	if !ok || golden {
+	if !regular {
 		return model.NoTruth, nil
 	}
-	v := s.inc.ViewOf(t)
+	v := s.index.Load().view(int32(p))
 	return v.Truth, mathx.Clone(v.S)
 }
 
@@ -984,14 +1009,15 @@ func (s *System) Results() (*truth.Result, error) {
 			return nil, err
 		}
 	}
-	res.S, res.M, res.Truth = res.S[:n], res.M[:n], res.Truth[:n]
-	return res, nil
+	return res.Over(s.InferTasks()), nil
 }
 
 // infer runs the full iterative TI, golden evidence pinned, over the
-// answer log's prefix: a pure function of the prefix and the anchors.
-// tasks are the n non-golden tasks, then the golden ones; idx indexes the
-// regular answers alone.
+// answer log's prefix: a pure function of the prefix and the anchors. It
+// lists the tasks the prefix answers and the golden ones, and counts the
+// other regular tasks unlisted, so its cost follows the answered tasks.
+// tasks are the n listed regular tasks in publication order, then the
+// golden ones; idx indexes the regular answers alone.
 func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *model.LogIndex, err error) {
 	prefix := s.logPrefix()
 	idx, err = model.IndexLog(prefix)
@@ -999,14 +1025,18 @@ func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *mo
 		panic(fmt.Sprintf("core: corrupt answer log: %v", err))
 	}
 	s.mu.RLock()
-	inferTasks := s.inferTasksRLocked()
+	listed := s.answeredTasksRLocked(idx)
+	if s.eagerInstall { // the oracle lists every regular task
+		listed = s.inferTasksRLocked()
+	}
+	unlisted := len(s.tasks) - len(s.goldenList) - len(listed)
 	s.mu.RUnlock()
-	tasks, all, pinned, err := s.combined(inferTasks, prefix, idx)
+	tasks, all, pinned, err := s.combined(listed, prefix, idx)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
-	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(idx), Pinned: pinned})
-	return res, tasks, len(inferTasks), idx, err
+	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(idx), Pinned: pinned, Unlisted: unlisted})
+	return res, tasks, len(listed), idx, err
 }
 
 // logPrefix returns the answer log as it stands, without copying it. The
@@ -1019,7 +1049,7 @@ func (s *System) logPrefix() []model.Answer {
 	return s.log[:len(s.log):len(s.log)]
 }
 
-// combined appends the golden tasks (pinned) and answers to the campaign's
+// combined appends the golden tasks (pinned) and answers to the listed
 // tasks and the answer prefix, anchoring inference, and indexes the result.
 // Reseed, initQuality and a session read the prefix's own index: golden
 // evidence is already in worker stats via profiling, and would count twice.
@@ -1195,11 +1225,27 @@ func (s *System) Stats() Stats {
 // inferTasksRLocked returns the non-golden tasks; callers hold s.mu (read
 // side suffices — the slice is append-only after Publish).
 func (s *System) inferTasksRLocked() []*model.Task {
-	out := make([]*model.Task, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		if !s.golden[t.ID] {
+	out := make([]*model.Task, 0, len(s.tasks)-len(s.goldenList))
+	for p, t := range s.tasks {
+		if !s.golden[p] {
 			out = append(out, t)
 		}
+	}
+	return out
+}
+
+// answeredTasksRLocked returns the tasks idx holds answers for, in
+// publication order; callers hold s.mu's read side. The log holds answers
+// to published regular tasks alone.
+func (s *System) answeredTasksRLocked(idx *model.LogIndex) []*model.Task {
+	ps := make([]int, len(idx.Tasks()))
+	for i, id := range idx.Tasks() {
+		ps[i], _ = s.position(id)
+	}
+	slices.Sort(ps)
+	out := make([]*model.Task, len(ps))
+	for i, p := range ps {
+		out[i] = s.tasks[p]
 	}
 	return out
 }

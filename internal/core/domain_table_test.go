@@ -122,7 +122,9 @@ func TestPublishHoldsEachVectorOnce(t *testing.T) {
 // TestAllocsReplayVectors: decoding the DPC1 blob of datasetTasks(6000)
 // allocates one m-long vector per distinct logged encoding, not an n×m
 // block: what it allocates past the tasks, their strings and choices is
-// the distinct vectors and their transient table.
+// the distinct vectors and their transient table. The tasks, their
+// pointers, the string copy and the choices slab are four allocations, so
+// the count is the vectors plus a constant.
 func TestAllocsReplayVectors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -136,7 +138,7 @@ func TestAllocsReplayVectors(t *testing.T) {
 	_, distinct := vectorSharing(t, tasks, s.m)
 	blob := mustEncodeBinaryPublication(t, tasks, s.m)
 	// Everything but the vectors: the tasks and their pointers, the blob's
-	// one string copy and each task's choice slice, at their sizes.
+	// one string copy and the choices slab, at their sizes.
 	rest := uint64(len(tasks))*uint64(unsafe.Sizeof(model.Task{})+8) + uint64(len(blob))
 	for _, tk := range tasks {
 		rest += uint64(len(tk.Choices)) * uint64(unsafe.Sizeof(""))
@@ -157,6 +159,9 @@ func TestAllocsReplayVectors(t *testing.T) {
 		len(got), bytes, after.Mallocs-before.Mallocs, arrays, encodings, vectors, len(got)*s.m*8)
 	if arrays != distinct || encodings != distinct {
 		t.Errorf("decoded %d vector arrays for %d encodings, published %d", arrays, encodings, distinct)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > uint64(distinct)+16 {
+		t.Errorf("decoding %d tasks allocates %d times, want at most %d: one per distinct vector plus 16", len(got), allocs, distinct+16)
 	}
 	// Size classes round the rest up by at most an eighth.
 	if limit := rest + rest/8 + vectors + tableBytes; bytes > limit {

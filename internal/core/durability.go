@@ -168,13 +168,13 @@ func (s *System) lastRerun(dir string) (int64, error) {
 		return 0, nil
 	}
 	s.mu.RLock()
-	golden := s.golden
+	order, golden := s.taskOrder, s.golden
 	s.mu.RUnlock()
 	var n int64
 	_, err := wal.Replay(dir, func(rec wal.Record) error {
 		switch rec.Kind {
 		case wal.KindAnswer:
-			if !golden[rec.Task] {
+			if p, ok := order.position(rec.Task); !ok || !golden[p] {
 				n++
 			}
 		case wal.KindBatch:

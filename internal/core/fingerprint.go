@@ -39,8 +39,8 @@ func (s *System) Fingerprint() string {
 
 	s.mu.RLock()
 	fmt.Fprintf(&b, "tasks:%d;", len(s.tasks))
-	for _, t := range s.tasks {
-		fmt.Fprintf(&b, "t%d:g%v:", t.ID, s.golden[t.ID])
+	for p, t := range s.tasks {
+		fmt.Fprintf(&b, "t%d:g%v:", t.ID, s.golden[p])
 		for _, r := range t.Domain {
 			bits(r)
 		}
@@ -54,12 +54,13 @@ func (s *System) Fingerprint() string {
 	}
 
 	b.WriteString(";views:")
-	for _, t := range tasks {
-		if golden[t.ID] {
+	ci := s.index.Load()
+	for p, t := range tasks {
+		if golden[p] {
 			fmt.Fprintf(&b, "t%d:nil;", t.ID)
 			continue
 		}
-		v := s.inc.ViewOf(t)
+		v := ci.view(int32(p))
 		fmt.Fprintf(&b, "t%d:c%d:n%d:S", t.ID, v.Truth, v.NumAnswers)
 		for _, x := range v.S {
 			bits(x)
@@ -74,11 +75,11 @@ func (s *System) Fingerprint() string {
 	}
 
 	b.WriteString(";open:")
-	if ci := s.index.Load(); ci != nil {
+	if ci != nil {
 		ci.mu.Lock()
-		for i, c := range ci.master {
-			if ci.open[i] {
-				fmt.Fprintf(&b, "%d,", c.id)
+		for p, open := range ci.open {
+			if open {
+				fmt.Fprintf(&b, "%d,", ci.ids[p])
 			}
 		}
 		ci.mu.Unlock()

@@ -7,24 +7,12 @@ import (
 	"docs/internal/truth"
 )
 
-// candidate is one assignable task in the candidate index: everything the
-// OTA hot path needs to evaluate it without touching the campaign maps —
-// its ID, its publication position (where the index keeps its truth slot
-// and the lease table its counter) and its rest state, which carries its
-// (immutable, shared) domain vector and is what it reads until an answer
-// materialises it.
-type candidate struct {
-	id   int
-	pos  int
-	rest *truth.Rest
-}
-
 // candidateArr is one published, immutable generation of the candidate
-// index. Concurrent requests share the backing slice; nothing is ever
-// written to it after publication.
+// index: the open tasks' positions, ascending. Concurrent requests share
+// the backing slice; nothing is ever written to it after publication.
 type candidateArr struct {
 	epoch   uint64
-	entries []candidate
+	entries []int32
 }
 
 // candidateIndex maintains the open-task set incrementally so Request
@@ -32,33 +20,35 @@ type candidateArr struct {
 // still receive assignments: non-golden and, with a redundancy cap, fewer
 // accepted answers than AnswersPerTask.
 //
-// The master slice holds every assignable task in publication order and is
-// immutable after Publish; openness is tracked per entry. The serving side
-// reads an immutable candidateArr via an atomic pointer — the compacted
-// open subset, in the same publication order. Membership maintenance:
+// A candidate is a publication position: the index keeps, by position, the
+// rest state a latent task reads (which carries its immutable, shared
+// domain vector; nil for a golden task, which is no candidate), the truth
+// slot its first answer fills and its openness, all set once at Publish.
+// The serving side reads an immutable candidateArr via an atomic pointer —
+// the open positions, ascending. Membership maintenance:
 //
 //   - noteAnswer marks a task closed the moment its redundancy is met (an
 //     O(1) event on the Submit path, amortizing the occasional compaction);
 //   - resync recomputes openness for every task from the latest truth
-//     snapshots (an O(master) pass after each batch rerun, which is the
+//     snapshots (an O(tasks) pass after each batch rerun, which is the
 //     only event that can reopen a task);
 //   - closed tasks linger in the published array until enough of them
 //     accumulate to justify a compaction, so closure is O(1) amortized.
 //     Lingering is harmless: the per-request filter re-checks redundancy
 //     against the live snapshot, which it must do anyway for correctness.
 //
-// Because master order is publication order and both compaction and the
-// per-request filter preserve it, the stream of candidates a request sees
-// is identical to the full scan's stream — same benefit values, same
+// Because positions ascend in publication order and both compaction and
+// the per-request filter preserve it, the stream of candidates a request
+// sees is identical to the full scan's stream — same benefit values, same
 // tie-break indices, bit-identical assignments (asserted by
 // TestIndexedAssignmentEquivalence).
 type candidateIndex struct {
-	mu     sync.Mutex
-	master []candidate
-	pos    map[int]int  // task ID -> master position
-	slots  []truth.Slot // parallel to master: filled when a task materialises
-	open   []bool       // parallel to master
-	stale  int          // closed entries still present in the published array
+	mu    sync.Mutex
+	ids   []int         // the publication's task IDs, by position (shared, read-only)
+	rests []*truth.Rest // by position; nil for a golden task
+	slots []truth.Slot  // by position: filled when a task materialises
+	open  []bool        // by position
+	stale int           // closed entries still present in the published array
 
 	openCount atomic.Int64
 	epoch     atomic.Uint64
@@ -81,33 +71,28 @@ func staleThreshold(arrLen int) int {
 	return t
 }
 
-// newCandidateIndex builds the index over the assignable tasks in
-// publication order and publishes the first generation. Called from
-// Publish with the campaign write lock held, before any request can see
-// the tasks.
-func newCandidateIndex(master []candidate) *candidateIndex {
-	ci := &candidateIndex{
-		master: master,
-		pos:    make(map[int]int, len(master)),
-		slots:  make([]truth.Slot, len(master)),
-		open:   make([]bool, len(master)),
+// newCandidateIndex builds the index over a publication — its task IDs and
+// each regular task's rest state, by position — and publishes the first
+// generation. Called from Publish with the campaign write lock held, before
+// any request can see the tasks.
+func newCandidateIndex(ids []int, rests []*truth.Rest) *candidateIndex {
+	ci := &candidateIndex{ids: ids, rests: rests, slots: make([]truth.Slot, len(rests)), open: make([]bool, len(rests))}
+	for p, rest := range rests {
+		if ci.open[p] = rest != nil; ci.open[p] {
+			ci.openCount.Add(1)
+		}
 	}
-	for i, c := range master {
-		ci.pos[c.id] = i
-		ci.open[i] = true
-	}
-	ci.openCount.Store(int64(len(master)))
 	ci.publishLocked()
 	return ci
 }
 
-// publishLocked compacts the open subset of master (publication order
-// preserved) into a fresh immutable array and publishes it.
+// publishLocked compacts the open positions (ascending) into a fresh
+// immutable array and publishes it.
 func (ci *candidateIndex) publishLocked() {
-	entries := make([]candidate, 0, ci.openCount.Load())
-	for i, c := range ci.master {
-		if ci.open[i] {
-			entries = append(entries, c)
+	entries := make([]int32, 0, ci.openCount.Load())
+	for p, open := range ci.open {
+		if open {
+			entries = append(entries, int32(p))
 		}
 	}
 	ci.stale = 0
@@ -117,35 +102,25 @@ func (ci *candidateIndex) publishLocked() {
 // load returns the current published generation (nil before Publish).
 func (ci *candidateIndex) load() *candidateArr { return ci.arr.Load() }
 
-// view returns the candidate's latest truth snapshot: its own once an
-// answer materialised the task, else its rest state's.
-func (ci *candidateIndex) view(c *candidate) *truth.TaskView {
-	if v := ci.slots[c.pos].View(); v != nil {
+// view returns the latest truth snapshot of the candidate at position p:
+// its own once an answer materialised the task, else its rest state's.
+func (ci *candidateIndex) view(p int32) *truth.TaskView {
+	if v := ci.slots[p].View(); v != nil {
 		return v
 	}
-	return c.rest.View()
+	return ci.rests[p].View()
 }
 
-// slot returns where the task's materialised state is published, nil for a
-// task the index does not hold (a golden one).
-func (ci *candidateIndex) slot(id int) *truth.Slot {
-	if p, ok := ci.pos[id]; ok {
-		return &ci.slots[p]
-	}
-	return nil
-}
-
-// noteAnswer records that the task reached numAnswers accepted answers,
-// closing it when the redundancy cap is met. O(1) except when the stale
-// count crosses the compaction threshold.
-func (ci *candidateIndex) noteAnswer(id, numAnswers, redundancy int) {
+// noteAnswer records that the task at position p reached numAnswers
+// accepted answers, closing it when the redundancy cap is met. O(1) except
+// when the stale count crosses the compaction threshold.
+func (ci *candidateIndex) noteAnswer(p, numAnswers, redundancy int) {
 	if redundancy <= 0 || numAnswers < redundancy {
 		return
 	}
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	p, ok := ci.pos[id]
-	if !ok || !ci.open[p] {
+	if !ci.open[p] {
 		return
 	}
 	ci.open[p] = false
@@ -165,10 +140,13 @@ func (ci *candidateIndex) resync(redundancy int) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
 	changed := false
-	for i := range ci.master {
-		open := redundancy <= 0 || ci.view(&ci.master[i]).NumAnswers < redundancy
-		if ci.open[i] != open {
-			ci.open[i] = open
+	for p, rest := range ci.rests {
+		if rest == nil {
+			continue
+		}
+		open := redundancy <= 0 || ci.view(int32(p)).NumAnswers < redundancy
+		if ci.open[p] != open {
+			ci.open[p] = open
 			if open {
 				ci.openCount.Add(1)
 			} else {

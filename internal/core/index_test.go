@@ -215,7 +215,7 @@ func TestCandidateIndexResyncReopens(t *testing.T) {
 	// out.
 	ci := s.index.Load()
 	ci.mu.Lock()
-	p := ci.pos[3]
+	p, _ := s.position(3)
 	ci.open[p] = false
 	ci.openCount.Add(-1)
 	ci.stale++
@@ -229,11 +229,11 @@ func TestCandidateIndexResyncReopens(t *testing.T) {
 	}
 	arr := ci.load()
 	found := false
-	for _, c := range arr.entries {
-		if c.id == 0 {
+	for _, p := range arr.entries {
+		if ci.ids[p] == 0 {
 			t.Fatalf("resync republished closed task 0")
 		}
-		if c.id == 3 {
+		if ci.ids[p] == 3 {
 			found = true
 		}
 	}
@@ -330,8 +330,8 @@ func TestBenefitCompactMatchesDenseOnTraces(t *testing.T) {
 	_, s := traceCampaign(t, newSystem(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}))
 	var sc assign.Scratch
 	answered, rows := 0, 0
-	for _, tk := range s.tasks {
-		if s.golden[tk.ID] { // pinned, never assigned by benefit
+	for p, tk := range s.tasks {
+		if s.golden[p] { // pinned, never assigned by benefit
 			continue
 		}
 		v := s.inc.ViewOf(tk)

@@ -39,19 +39,17 @@ type leaseTable struct {
 	ttl time.Duration
 	now func() time.Time
 
-	// slots holds every assignable (non-golden) task's live lease count at
-	// its publication position in the candidate index, and pos is that
-	// index's task ID -> position map. installPublication sets both once,
-	// before serving, and neither grows: concurrent readers only perform
-	// map reads plus atomic loads on the counters.
+	// slots holds every task's live lease count at its publication
+	// position. installPublication sizes it once, before serving, and it
+	// never grows: concurrent readers only perform atomic loads on the
+	// counters. A golden task is never leased; its counter stays 0.
 	slots []atomic.Int32
-	pos   map[int]int
 
 	active atomic.Int64 // total live leases, the /stats gauge
 
 	mu       sync.Mutex
-	byWorker map[string]map[int]time.Time // worker -> task -> expiry
-	exp      expiryHeap                   // possibly-stale (expiry, worker, task) entries
+	byWorker map[string]map[int]time.Time // worker -> task position -> expiry
+	exp      expiryHeap                   // possibly-stale (expiry, worker, position) entries
 }
 
 // staleSlack is how many heap entries beyond twice the live leases the
@@ -66,7 +64,7 @@ const staleSlack = 64
 type leaseEntry struct {
 	at     time.Time
 	worker string
-	task   int
+	pos    int
 }
 
 type expiryHeap []leaseEntry
@@ -89,27 +87,12 @@ func newLeaseTable(ttl time.Duration, now func() time.Time) *leaseTable {
 	}
 }
 
-// install gives each of the candidate index's n tasks a lease counter at
-// its position; pos is the index's task ID -> position map.
-func (lt *leaseTable) install(pos map[int]int, n int) {
-	lt.slots, lt.pos = make([]atomic.Int32, n), pos
-}
+// install gives each of a publication's n tasks a lease counter at its
+// position.
+func (lt *leaseTable) install(n int) { lt.slots = make([]atomic.Int32, n) }
 
-// counter returns the task's lease counter. Only assignable tasks are ever
-// leased.
-func (lt *leaseTable) counter(id int) *atomic.Int32 { return &lt.slots[lt.pos[id]] }
-
-// taskLeases returns the task's live lease count without locking; 0 for
-// tasks the table does not track (golden tasks).
-func (lt *leaseTable) taskLeases(id int) int {
-	if p, ok := lt.pos[id]; ok {
-		return int(lt.slots[p].Load())
-	}
-	return 0
-}
-
-// beginRequest processes due expiries and returns the set of tasks the
-// worker currently holds leases on (nil when none) — the per-worker
+// beginRequest processes due expiries and returns the positions of the
+// tasks the worker currently holds leases on (nil when none) — the per-worker
 // exclusion for this request. One locked pass per request; the cost is
 // O(expired·log + held).
 func (lt *leaseTable) beginRequest(workerID string) map[int]bool {
@@ -122,8 +105,8 @@ func (lt *leaseTable) beginRequest(workerID string) map[int]bool {
 		return nil
 	}
 	out := make(map[int]bool, len(held))
-	for id := range held {
-		out[id] = true
+	for p := range held {
+		out[p] = true
 	}
 	return out
 }
@@ -150,24 +133,24 @@ func (lt *leaseTable) expireLocked(now time.Time) {
 		if !ok {
 			continue
 		}
-		expiry, live := held[e.task]
+		expiry, live := held[e.pos]
 		if !live || expiry.After(now) {
 			continue // released, or re-granted with a later expiry
 		}
-		delete(held, e.task)
+		delete(held, e.pos)
 		if len(held) == 0 {
 			delete(lt.byWorker, e.worker)
 		}
-		lt.counter(e.task).Add(-1)
+		lt.slots[e.pos].Add(-1)
 		lt.active.Add(-1)
 	}
 }
 
-// grant records leases for the tasks just assigned to the worker. A task
-// the worker already holds (two racing requests selecting it before either
-// grant landed) only has its expiry extended.
-func (lt *leaseTable) grant(workerID string, taskIDs []int) {
-	if len(taskIDs) == 0 {
+// grant records leases for the tasks just assigned to the worker, given by
+// position. A task the worker already holds (two racing requests selecting
+// it before either grant landed) only has its expiry extended.
+func (lt *leaseTable) grant(workerID string, positions []int) {
+	if len(positions) == 0 {
 		return
 	}
 	now := lt.now()
@@ -176,20 +159,20 @@ func (lt *leaseTable) grant(workerID string, taskIDs []int) {
 	defer lt.mu.Unlock()
 	held, ok := lt.byWorker[workerID]
 	if !ok {
-		held = make(map[int]time.Time, len(taskIDs))
+		held = make(map[int]time.Time, len(positions))
 		lt.byWorker[workerID] = held
 	}
-	for _, id := range taskIDs {
-		at, live := held[id]
+	for _, p := range positions {
+		at, live := held[p]
 		switch {
 		case !live:
-			lt.counter(id).Add(1)
+			lt.slots[p].Add(1)
 			lt.active.Add(1)
 		case at.Equal(expiry):
 			continue // its one heap entry stands
 		}
-		held[id] = expiry
-		heap.Push(&lt.exp, leaseEntry{at: expiry, worker: workerID, task: id})
+		held[p] = expiry
+		heap.Push(&lt.exp, leaseEntry{at: expiry, worker: workerID, pos: p})
 	}
 	lt.compactLocked()
 }
@@ -207,7 +190,7 @@ func (lt *leaseTable) compactLocked() {
 	}
 	live := lt.exp[:0]
 	for _, e := range lt.exp {
-		if at, ok := lt.byWorker[e.worker][e.task]; ok && at.Equal(e.at) {
+		if at, ok := lt.byWorker[e.worker][e.pos]; ok && at.Equal(e.at) {
 			live = append(live, e)
 		}
 	}
@@ -216,24 +199,24 @@ func (lt *leaseTable) compactLocked() {
 	heap.Init(&lt.exp)
 }
 
-// release drops the worker's lease on the task, if any — called when their
-// answer is accepted. The heap entry stays behind until its expiry comes
-// due or a rebuild drops it.
-func (lt *leaseTable) release(workerID string, taskID int) {
+// release drops the worker's lease on the task at position p, if any —
+// called when their answer is accepted. The heap entry stays behind until
+// its expiry comes due or a rebuild drops it.
+func (lt *leaseTable) release(workerID string, p int) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	held, ok := lt.byWorker[workerID]
 	if !ok {
 		return
 	}
-	if _, live := held[taskID]; !live {
+	if _, live := held[p]; !live {
 		return
 	}
-	delete(held, taskID)
+	delete(held, p)
 	if len(held) == 0 {
 		delete(lt.byWorker, workerID)
 	}
-	lt.counter(taskID).Add(-1)
+	lt.slots[p].Add(-1)
 	lt.active.Add(-1)
 	lt.compactLocked()
 }

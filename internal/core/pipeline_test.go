@@ -244,15 +244,15 @@ func TestAllocsInstallPublication(t *testing.T) {
 		for i, tk := range tasks { // one vector per distinct encoding, as a publication shares them
 			tk.Domain = tasks[i%s.m].Domain
 		}
-		byID, err := tasksByID(tasks, s.m)
+		b, err := CheckTasks(tasks, s.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := map[int]bool{}
+		golden := make([]bool, n)
 		var before, after runtime.MemStats
 		s.mu.Lock()
 		runtime.ReadMemStats(&before)
-		s.installPublication(tasks, byID, golden)
+		s.installPublication(b, golden)
 		runtime.ReadMemStats(&after)
 		s.mu.Unlock()
 		return after.Mallocs - before.Mallocs
@@ -267,6 +267,99 @@ func TestAllocsInstallPublication(t *testing.T) {
 		if least > perTask*uint64(n)+constant {
 			t.Errorf("installing %d tasks allocates %d times, want at most %d a task plus %d", n, least, perTask, constant)
 		}
+	}
+}
+
+// TestInstallBytesPerTask: a published task costs its position. Checking
+// and installing 6,000 tasks — shared vectors, leases armed, nothing
+// answered — grows the live heap by at most 48 B a task: the ID column
+// and its sorted permutation, the golden flag, and the candidate index's
+// rest pointer, truth slot, open flag, lease counter and place in the
+// first published generation: 38 B. One ID-keyed map over the tasks more
+// than uses up the slack.
+func TestInstallBytesPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	const n, perTask = 6000, 48
+	s := newSystem(t, Config{GoldenCount: -1, LeaseTTL: time.Minute})
+	defer s.Close()
+	tasks := indexTasks(n, s.m)
+	for i, tk := range tasks { // one vector per distinct encoding, as a publication shares them
+		tk.Domain = tasks[i%s.m].Domain
+	}
+	for _, tk := range tasks[:s.m] { // the first task of each shape builds the shared rest states
+		s.inc.Rest(tk.Domain, tk.NumChoices())
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b, err := CheckTasks(tasks, s.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.installPublication(b, make([]bool, n))
+	s.mu.Unlock()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("checking and installing %d tasks grows the live heap by %.1f B a task", n, got)
+	if got > perTask {
+		t.Errorf("a published task holds %.1f B of live heap, want at most %d", got, perTask)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestAllocsRerunIndependentOfUnanswered: a rerun lists the tasks its
+// prefix answers and counts the others, so what it allocates follows the
+// answered tasks. With 800 answers on distinct tasks, m = 26 and no golden
+// task, one rerun over 6,000 published tasks allocates at most 8 B more
+// for each of the 5,000 extra unanswered tasks than over 1,000 (≈65 while
+// the rerun handed inference every published task).
+func TestAllocsRerunIndependentOfUnanswered(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const answers, perTask = 800, 8
+	rerunBytes := func(n int) uint64 {
+		s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1})
+		defer s.Close()
+		tasks := indexTasks(n, s.m)
+		for i, tk := range tasks {
+			tk.Domain = tasks[i%s.m].Domain
+		}
+		if err := s.Publish(tasks); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < answers; i++ {
+			if err := s.Submit(fmt.Sprintf("w%d", i%40), i, i%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.rerunMu.Lock()
+		defer s.rerunMu.Unlock()
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for rep := 0; rep < 3; rep++ {
+			runtime.ReadMemStats(&before)
+			err := s.rerunLocked()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if m := newSystem(t, Config{GoldenCount: -1}).m; m != 26 {
+		t.Fatalf("the default knowledge base has %d domains, want 26", m)
+	}
+	small, large := rerunBytes(1000), rerunBytes(6000)
+	got := (float64(large) - float64(small)) / 5000
+	t.Logf("a rerun of %d answers allocates %d B over 1,000 tasks and %d B over 6,000: %.2f B an unanswered task", answers, small, large, got)
+	if got > perTask {
+		t.Errorf("a rerun allocates %.2f B for each unanswered task, want at most %d", got, perTask)
 	}
 }
 

@@ -379,10 +379,10 @@ func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 }
 
 // decodeBinaryPublication parses a DPC1 blob stamped with m domains.
-// Whatever it is given, it never panics. The n tasks and every string come
-// from three allocations (a string is a substring of one copy of the blob,
-// unless it held an escape), plus one choice slice a task and one m-long
-// vector per table entry, which every task naming it shares. The ref
+// Whatever it is given, it never panics. The n tasks, their choice slices
+// and every string come from four allocations (a string is a substring of
+// one copy of the blob, unless it held an escape), plus one m-long vector
+// per table entry, which every task naming it shares. The ref
 // column is read twice — checked and counted, then, once the table is
 // built, resolved — so it needs no slice of its own. n and d are checked
 // against the bytes remaining first, so a hostile count buys no memory the
@@ -416,9 +416,20 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 	for _, t := range tasks {
 		t.Text = d.tstr()
 	}
+	// The choices column is counted on a copy of the cursor, then read into
+	// one slab: a read that fails does so where the count stopped, or sooner.
+	probe, choices := d.Cursor, 0
+	for range tasks {
+		l := probe.Count(1)
+		for c := 0; c < l; c++ {
+			probe.Terminated()
+		}
+		choices += l
+	}
+	slab := make([]string, choices)
 	for _, t := range tasks {
 		if l := d.Count(1); l > 0 {
-			t.Choices = make([]string, l)
+			t.Choices, slab = slab[:l:l], slab[l:]
 			for c := range t.Choices {
 				t.Choices[c] = d.tstr()
 			}

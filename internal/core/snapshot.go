@@ -73,15 +73,16 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 		return nil, fmt.Errorf("core: snapshot covers seq %d, before publish record %d", snap.Seq, publishSeq)
 	}
 	s.mu.RLock()
-	byID, golden := s.byID, s.golden
+	tasks, order, golden := s.tasks, s.taskOrder, s.golden
 	s.mu.RUnlock()
 	seen := make(map[int]bool, len(snap.TaskStates))
 	for _, ts := range snap.TaskStates {
-		t, ok := byID[ts.ID]
-		if !ok || golden[ts.ID] || seen[ts.ID] {
+		p, ok := order.position(ts.ID)
+		if !ok || golden[p] || seen[ts.ID] {
 			return nil, fmt.Errorf("core: snapshot state for unknown, golden or repeated task %d", ts.ID)
 		}
 		seen[ts.ID] = true
+		t := tasks[p]
 		// The codec guarantees every M̂ row is len(S) long. Which domains
 		// the rows stand for is the publication's to say: a row count that
 		// is not the support's would index the matrix wrongly.
@@ -124,16 +125,17 @@ func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth
 		s.inc.ReseedLatent()
 	}
 	s.mu.RLock()
-	byID := s.byID
+	tasks, order := s.tasks, s.taskOrder
 	s.mu.RUnlock()
 	ci := s.index.Load()
 	for _, ts := range snap.TaskStates {
-		pos := idx.ForTask(ts.ID)
-		answers := make([]model.Answer, len(pos))
-		for i, p := range pos {
+		at := idx.ForTask(ts.ID)
+		answers := make([]model.Answer, len(at))
+		for i, p := range at {
 			answers[i] = idx.At(p)
 		}
-		if err := s.inc.RestoreTask(byID[ts.ID], ci.slot(ts.ID), truth.TaskState(ts), answers); err != nil {
+		p, _ := order.position(ts.ID)
+		if err := s.inc.RestoreTask(tasks[p], &ci.slots[p], truth.TaskState(ts), answers); err != nil {
 			panic(fmt.Sprintf("core: snapshot install: %v", err)) // dimensions checked
 		}
 	}

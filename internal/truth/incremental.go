@@ -507,15 +507,17 @@ func (inc *Incremental) Answers(id int) int {
 // batch inference result; the core orchestrator calls this after the
 // periodic full iterative run (every z submissions). It walks the
 // materialised tasks alone and flips the latent ones, which hold nothing, to
-// the reseeded rest (ReseedLatent): tasks lists every task the engine holds
-// state for, res and answers are aligned with it, and a latent task is one
+// the reseeded rest (ReseedLatent): res and answers are aligned with tasks,
+// which lists the answered tasks and may list others; a latent task is one
 // nobody answered. One epoch covers the whole swap. The swap is atomic per
 // task: readers see either the pre-rerun view or the reseeded one, never a
 // mix. A task that has received more answers than the indexed answers cover
 // (possible when the rerun ran asynchronously off a snapshot) is left
 // untouched — its extra incremental evidence would otherwise be lost; the
-// next rerun picks it up. A materialised task tasks does not list is left
-// untouched too.
+// next rerun picks it up. A materialised task with no answer in the prefix
+// goes to the reseeded rest, as Infer leaves it, when the run covered it:
+// when tasks lists it, or for every such task when the run covered tasks it
+// did not list (Options.Unlisted). Otherwise it is left untouched.
 func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.LogIndex) {
 	// A task materialised after this starts at the reseeded rest; one
 	// before it is among those walked.
@@ -537,6 +539,10 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 	for _, it := range its {
 		i, ok := pos[it.task.ID]
 		if !ok {
+			if res.unlisted > 0 {
+				it.restIfIdle(epoch)
+				continue
+			}
 			if idle == nil {
 				idle = make(map[int]*incTask)
 			}
@@ -571,18 +577,12 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 		it.mu.Unlock()
 	}
 	// Infer left an idle task tasks lists at the shared uniform matrix, the
-	// reseeded rest; one answered since keeps its incremental evidence.
+	// reseeded rest.
 	for x := 0; x < len(tasks) && len(idle) > 0; x++ {
-		it, ok := idle[tasks[x].ID]
-		if !ok {
-			continue
+		if it, ok := idle[tasks[x].ID]; ok {
+			delete(idle, tasks[x].ID)
+			it.restIfIdle(epoch)
 		}
-		delete(idle, tasks[x].ID)
-		it.mu.Lock()
-		if len(it.answers) == 0 {
-			it.toRest(epoch)
-		}
-		it.mu.Unlock()
 	}
 	session := SessionStats(tasks, answers, res, inc.m)
 	for wi, w := range answers.Workers() {
@@ -621,6 +621,17 @@ func (inc *Incremental) reseedLatentLocked(epoch uint64) {
 	for _, rest := range inc.rests {
 		rest.reseeded.Store(rest.states.reseededView(epoch))
 	}
+}
+
+// restIfIdle sends a task the rerun covered without an answer to the
+// reseeded rest, unless an answer reached it since: that one keeps its
+// incremental evidence.
+func (it *incTask) restIfIdle(epoch uint64) {
+	it.mu.Lock()
+	if len(it.answers) == 0 {
+		it.toRest(epoch)
+	}
+	it.mu.Unlock()
 }
 
 // toRest makes the task alias the reseeded rest state whole, dropping any

@@ -103,3 +103,79 @@ func TestLatentMatchesAddTask(t *testing.T) {
 		}
 	}
 }
+
+// TestUnlistedMatchesListed: a run that lists only the answered and pinned
+// tasks and counts the rest unlisted is the run over every task, bit for
+// bit — Quality, Iterations and every Δ, and, spread back over every task
+// by Over, each task's S, M and Truth — and reseeding an engine that holds
+// every task from it leaves every view, and its epoch, where the full run's
+// reseed does: an unlisted task with no answer goes to the reseeded rest.
+func TestUnlistedMatchesListed(t *testing.T) {
+	r := mathx.NewRand(7781)
+	for trial := 0; trial < 60; trial++ {
+		c := genCampaign(r)
+		for extra := 3 * len(c.tasks); extra > 0; extra-- { // unanswered tasks, in among the answered
+			id := len(c.tasks)
+			dom := make(model.DomainVector, c.m)
+			dom[r.Intn(c.m)] = 1
+			c.tasks = append(c.tasks, &model.Task{ID: id, Text: "t", Choices: make([]string, 2+r.Intn(3)),
+				Domain: dom, Truth: model.NoTruth, TrueDomain: model.NoTruth})
+		}
+		r.Shuffle(len(c.tasks), func(i, j int) { c.tasks[i], c.tasks[j] = c.tasks[j], c.tasks[i] })
+		as := buildSet(t, c.answers)
+		pinned := map[int]int{}
+		for _, tk := range c.tasks {
+			if len(as.ForTask(tk.ID)) == 0 && r.Intn(8) == 0 {
+				pinned[tk.ID] = r.Intn(tk.NumChoices())
+			}
+		}
+		var listed []*model.Task
+		for _, tk := range c.tasks {
+			if _, pin := pinned[tk.ID]; pin || len(as.ForTask(tk.ID)) > 0 {
+				listed = append(listed, tk)
+			}
+		}
+		opt := Options{Pinned: pinned, RecordDeltas: true}
+		full, err := InferIndex(c.tasks, indexed(t, as), c.m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Unlisted = len(c.tasks) - len(listed)
+		part, err := InferIndex(listed, indexed(t, as), c.m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part.Iterations != full.Iterations || !bitsEqual(part.Deltas, full.Deltas) {
+			t.Fatalf("trial %d: %d iterations, Δ %v; over every task %d, Δ %v", trial, part.Iterations, part.Deltas, full.Iterations, full.Deltas)
+		}
+		for w, q := range full.Quality {
+			if !bitsEqual(part.Quality[w], q) {
+				t.Fatalf("trial %d: worker %s's quality differs", trial, w)
+			}
+		}
+		over := part.Over(c.tasks)
+		for i, tk := range c.tasks {
+			if !bitsEqual(over.S[i], full.S[i]) || !bitsEqual(flatten(nil, over.M[i]...), flatten(nil, full.M[i]...)) || over.Truth[i] != full.Truth[i] {
+				t.Fatalf("trial %d: task %d's state differs from the run over every task", trial, tk.ID)
+			}
+		}
+		engines := [2]*Incremental{NewIncremental(c.m), NewIncremental(c.m)}
+		for _, inc := range engines {
+			if err := inc.AddTask(c.tasks...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		engines[0].Reseed(c.tasks, full, indexed(t, as))
+		engines[1].Reseed(listed, part, indexed(t, as))
+		for _, tk := range c.tasks {
+			want, got := engines[0].View(tk.ID), engines[1].View(tk.ID)
+			if !bitsEqual(got.S, want.S) || !bitsEqual(flatten(nil, got.M...), flatten(nil, want.M...)) ||
+				got.NumAnswers != want.NumAnswers || got.Epoch != want.Epoch {
+				t.Fatalf("trial %d: task %d reseeds to another view than the run over every task gives it", trial, tk.ID)
+			}
+		}
+		if got, want := len(engines[1].ExportTasks()), len(engines[0].ExportTasks()); got != want {
+			t.Fatalf("trial %d: the reseed touched %d tasks, the run over every task's %d", trial, got, want)
+		}
+	}
+}

@@ -59,6 +59,11 @@ type Options struct {
 	// mirrored fixed point per domain in which truths flip and good
 	// workers' qualities collapse toward zero.
 	Pinned map[int]int
+	// Unlisted counts the tasks with no answer and no pin the run covers
+	// without listing them: they move nothing, but Δ's mean counts them, so
+	// the run is the bits of one listing them. For Incremental.Reseed, a
+	// Result with Unlisted > 0 covers every task the slice leaves out.
+	Unlisted int
 }
 
 // Result holds the output of Infer.
@@ -85,8 +90,9 @@ type Result struct {
 
 	// pos maps the ID of every answered or pinned task to its index in the
 	// slice Infer was given, kept so that SessionStats over the same slice
-	// need not rebuild it.
-	pos map[int]int
+	// need not rebuild it; unlisted is Options.Unlisted.
+	pos      map[int]int
+	unlisted int
 }
 
 // answeredIndex returns a task ID -> slice index map covering at least the
@@ -102,6 +108,24 @@ func (r *Result) answeredIndex(tasks []*model.Task) map[int]int {
 		pos[t.ID] = idx
 	}
 	return pos
+}
+
+// Over returns the result over all, which holds every task r lists as
+// answered or pinned: those take r's state, every other task the state
+// Infer gives an unanswered one — the shared uniform matrix of its support
+// and Uniform(ℓ), read-only. Quality, Iterations and Deltas are r's.
+func (r *Result) Over(all []*model.Task) *Result {
+	out := &Result{S: make([][]float64, len(all)), M: make([][][]float64, len(all)), Truth: make([]int, len(all)),
+		Quality: r.Quality, Iterations: r.Iterations, Deltas: r.Deltas}
+	for i, t := range all {
+		if j, ok := r.pos[t.ID]; ok {
+			out.S[i], out.M[i], out.Truth[i] = r.S[j], r.M[j], r.Truth[j]
+			continue
+		}
+		rest := restStatesFor(t.Domain.Support(), t.NumChoices())
+		out.S[i], out.M[i], out.Truth[i] = rest.uniform, rest.reseeded.mhat, mathx.ArgMax(rest.uniform)
+	}
+	return out
 }
 
 // Infer runs the iterative truth-inference algorithm over the given tasks
@@ -229,10 +253,11 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 
 	// Settle the pinned and unanswered tasks and lay out the active ones.
 	res := &Result{
-		S:     make([][]float64, len(tasks)),
-		M:     make([][][]float64, len(tasks)),
-		Truth: make([]int, len(tasks)),
-		pos:   pos,
+		S:        make([][]float64, len(tasks)),
+		M:        make([][][]float64, len(tasks)),
+		Truth:    make([]int, len(tasks)),
+		pos:      pos,
+		unlisted: opt.Unlisted,
 	}
 	sBuf := make([]float64, sLen)
 	mBuf := make([]float64, mLen)
@@ -411,7 +436,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		}
 
 		res.Iterations = iter + 1
-		delta := paramDelta(res.S, prevS, active, len(tasks), q, prevQ, m)
+		delta := paramDelta(res.S, prevS, active, len(tasks)+opt.Unlisted, q, prevQ, m)
 		if opt.RecordDeltas {
 			res.Deltas = append(res.Deltas, delta)
 		}

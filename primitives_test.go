@@ -74,7 +74,10 @@ import (
 // import: it is the one caller of wal.ScanSegment outside internal/wal. A
 // task's truth state has one builder: only the engine's materialise makes
 // or registers an incTask, so a latent task holds nothing, and the lease
-// table has no per-task map (leaseTable.counts).
+// table has no per-task map (leaseTable.counts). A published task is known
+// by its publication position: no field of core's System, Batch,
+// taskOrder, candidateIndex or leaseTable is a map keyed by an int, so the
+// permutation CheckTasks sorts stays the one task ID → position lookup.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -659,6 +662,16 @@ func TestOneReaderOneWriter(t *testing.T) {
 		for i := 0; i < st.NumFields(); i++ {
 			if f := st.Field(i); f.Name() == "counts" {
 				t.Errorf("%s: leaseTable.counts is back: a task's lease counter lives at its publication position", prog.Fset.Position(f.Pos()))
+			}
+		}
+		for _, name := range []string{"System", "Batch", "taskOrder", "candidateIndex", "leaseTable"} {
+			st := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if m, ok := f.Type().Underlying().(*types.Map); ok && types.Identical(m.Key(), types.Typ[types.Int]) {
+					t.Errorf("%s: %s.%s is a %s: a published task is found by the one ID → position lookup (taskOrder)",
+						prog.Fset.Position(f.Pos()), name, f.Name(), f.Type())
+				}
 			}
 		}
 	}
