@@ -32,7 +32,7 @@
 // snapshots of the truth-inference state: a snapshot is published
 // atomically after every accepted answer, so a concurrent Request sees a
 // consistent (possibly one-answer-stale) view and never blocks ingest.
-// Answer ingest itself takes only per-task and per-worker-shard locks, so
+// Answer ingest itself takes only per-task and per-worker locks, so
 // answers to different tasks are processed in parallel.
 //
 // The periodic full re-inference (Config.RerunEvery) runs synchronously on

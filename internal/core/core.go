@@ -15,7 +15,7 @@
 // The system serves Request, Submit and Result concurrently. The campaign
 // structure (tasks, golden set) is guarded by an RWMutex that is only
 // write-locked during Publish; per-worker serving state (golden answers,
-// profiling, answered sets) lives in sharded maps so workers do not contend
+// profiling, anchors) lives in sharded maps so workers do not contend
 // with each other; answer ingest goes through the truth engine's per-task
 // locks; and reads (Request, Result, WorkerQuality) are served from the
 // truth engine's immutable snapshots without blocking writers. Assignment
@@ -109,20 +109,23 @@ type Config struct {
 // workerShardCount shards per-worker serving state.
 const workerShardCount = shard.Count
 
-// workerState is everything the orchestrator tracks per worker: her golden
-// answers and profiling status, the set of regular tasks she answered
-// (T(w), used to exclude tasks from her next assignment), and her anchor —
-// the long-run statistics pinned when she was profiled or first seeded
-// from the store. Rerun initialization reads the anchor instead of the
-// live store (initQuality): the store keeps evolving under concurrent
+// workerState is everything the orchestrator tracks per worker besides
+// her regular answers: her golden answers and profiling status, and her
+// anchor — the long-run statistics pinned when she was profiled or first
+// seeded from the store. Rerun initialization reads the anchor instead of
+// the live store (initQuality): the store keeps evolving under concurrent
 // campaigns, and a time-of-rerun store read is exactly the kind of
 // unlogged float input that made recovered state drift from live state.
+// The regular tasks she answered, T(w), are no set of hers: the answer log
+// holds them, and Request reads them off each task's V(i).
 type workerState struct {
-	goldenAnswers []model.Answer
-	profiled      bool
-	answered      map[int]bool
-	anchor        *truth.Stats
+	golden   []goldenAnswer // in the order she gave them
+	profiled bool
+	anchor   *truth.Stats
 }
+
+// goldenAnswer is one golden answer as its worker's state holds it.
+type goldenAnswer struct{ task, choice int }
 
 type workerShard struct {
 	mu      sync.Mutex
@@ -161,11 +164,13 @@ type System struct {
 
 	shards [workerShardCount]workerShard
 
-	// logMu guards the chronological answer log — the only globally ordered
-	// write structure left on the Submit path (a single slice append) — and,
-	// when a WAL is armed, the WAL reservation that must share its order.
+	// logMu guards the chronological log of regular answers — the only
+	// globally ordered write structure left on the Submit path — and, when a
+	// WAL is armed, the WAL reservation that must share its order. The log
+	// is the one holder of a regular answer, as columns: the worker's handle
+	// in the truth engine, the task's publication position, the choice.
 	logMu sync.Mutex
-	log   []model.Answer
+	log   model.Columns
 
 	// wal fields are written once by Recover, before serving starts.
 	wal        *wal.Log
@@ -334,7 +339,7 @@ func (s *System) shard(workerID string) *workerShard {
 func (sh *workerShard) state(workerID string) *workerState {
 	ws, ok := sh.workers[workerID]
 	if !ok {
-		ws = &workerState{answered: make(map[int]bool)}
+		ws = &workerState{}
 		sh.workers[workerID] = ws
 	}
 	return ws
@@ -693,7 +698,12 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 	}
 
 	q := s.WorkerQuality(workerID)
-	excluded := s.answeredSnapshot(workerID)
+	// T(w) is read off each candidate's V(i) by the worker's handle; a
+	// worker without one has answered nothing.
+	w, ok := s.inc.Handle(workerID)
+	if !ok {
+		w = -1
+	}
 	// Leases: expire what is due, then exclude the tasks this worker
 	// already holds, so a re-request before submitting gets disjoint tasks.
 	var leased map[int]bool
@@ -704,9 +714,9 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 	as := s.assigners.Get().(*assign.Assigner)
 	var ps []int
 	if s.scanAssign {
-		ps = s.assignScan(as, tasks, golden, excluded, leased, q, k, redundancy)
+		ps = s.assignScan(as, tasks, golden, w, leased, q, k, redundancy)
 	} else {
-		ps = s.assignIndexed(as, excluded, leased, q, k, redundancy)
+		ps = s.assignIndexed(as, w, leased, q, k, redundancy)
 	}
 	s.assigners.Put(as)
 	if s.leases != nil {
@@ -721,13 +731,14 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 
 // assignIndexed is the indexed OTA hot path: one atomic load of the shared
 // immutable candidate array, then a streamed size-k heap over it. The only
-// per-request allocations are the exclusion snapshots and the returned
-// positions — nothing proportional to campaign size. The per-candidate
-// filter re-checks redundancy (and live leases) against the latest truth
-// snapshot, so entries that closed since the last index compaction are
-// skipped exactly as the full scan would skip them. leased and the result
-// hold positions.
-func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
+// per-request allocations are the lease exclusion snapshot and the returned
+// positions — nothing proportional to campaign size or to what the worker
+// answered. The per-candidate filter re-checks the worker's answer (the
+// task's V(i) holds handle w), redundancy and live leases against the
+// latest truth snapshot, so entries that closed since the last index
+// compaction are skipped exactly as the full scan would skip them. leased
+// and the result hold positions.
+func (s *System) assignIndexed(as *assign.Assigner, w int32, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
 	ci := s.index.Load()
 	if ci == nil {
 		return nil
@@ -739,10 +750,13 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 	entries := arr.entries
 	return as.AssignFunc(len(entries), func(i int, ts *assign.TaskState) bool {
 		p := entries[i]
-		if excluded[ci.ids[p]] || leased[int(p)] {
+		if leased[int(p)] {
 			return false
 		}
 		v := ci.view(p)
+		if v.Answered(w) {
+			return false
+		}
 		if redundancy > 0 {
 			open := redundancy - v.NumAnswers
 			if s.leases != nil {
@@ -764,13 +778,16 @@ func (s *System) assignIndexed(as *assign.Assigner, excluded, leased map[int]boo
 // campaign size. It survives behind the test-only scanAssign field as the
 // equivalence oracle (TestIndexedAssignmentEquivalence): the indexed path
 // must stay bit-identical to it on serial campaigns.
-func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden []bool, excluded, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
+func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden []bool, w int32, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
 	backing := make([]assign.TaskState, 0, len(tasks))
 	for p, t := range tasks {
-		if golden[p] || excluded[t.ID] || leased[p] {
+		if golden[p] || leased[p] {
 			continue
 		}
 		v := s.inc.ViewOf(t)
+		if v.Answered(w) {
+			continue
+		}
 		if redundancy > 0 {
 			open := redundancy - v.NumAnswers
 			if s.leases != nil {
@@ -821,7 +838,6 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	if choice < 0 || choice >= t.NumChoices() {
 		return fmt.Errorf("core: choice %d out of range for task %d", choice, taskID)
 	}
-	a := model.Answer{Worker: workerID, Task: taskID, Choice: choice}
 
 	if isGolden {
 		// The group must be durable before (or with) anything that follows
@@ -835,14 +851,14 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 		sh := s.shard(workerID)
 		sh.mu.Lock()
 		ws := sh.state(workerID)
-		for _, prev := range ws.goldenAnswers {
-			if prev.Task == taskID {
+		for _, prev := range ws.golden {
+			if prev.task == taskID {
 				sh.mu.Unlock()
 				return fmt.Errorf("core: worker %q already answered golden task %d", workerID, taskID)
 			}
 		}
-		ws.goldenAnswers = append(ws.goldenAnswers, a)
-		completesGauntlet := len(ws.goldenAnswers) == len(goldenList)
+		ws.golden = append(ws.golden, goldenAnswer{taskID, choice})
+		completesGauntlet := len(ws.golden) == len(goldenList)
 		// Reserve the WAL slot before releasing the shard lock: a worker's
 		// golden answers must replay in the order profiling consumed them.
 		s.logMu.Lock()
@@ -875,19 +891,20 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 		return nil
 	}
 
+	w := s.inc.Intern(workerID)
 	if s.recovering && (s.covered || s.submissions.Load() < s.rerunFrom) {
 		// A later overwrite in this replay — the snapshot's install or the
 		// last rerun's Reseed — replaces this answer's engine math.
-		if err := s.skipIngest(workerID, t, at); err != nil {
+		if err := s.skipIngest(workerID, w, t, at, choice); err != nil {
 			return err
 		}
-	} else if err := s.ingest(t, at, a); err != nil {
+	} else if err := s.ingest(workerID, w, t, at, choice); err != nil {
 		return err
 	}
 	var p wal.Pending
 	var walErr error
 	s.logMu.Lock()
-	s.log = append(s.log, a)
+	s.log = s.log.Append(w, int32(at), int32(choice))
 	// The WAL reservation shares logMu, so durable replay order is exactly
 	// the chronological answer-log order the serial-replay equivalence is
 	// proven against. The wait for the group-commit batch happens below,
@@ -920,30 +937,28 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	return s.walCommit(p)
 }
 
-// ingest runs a regular answer to task t, at position p, through the truth
-// engine and the serving state that follows it.
-func (s *System) ingest(t *model.Task, p int, a model.Answer) error {
+// ingest runs a regular answer of the worker with handle w to task t, at
+// position p, through the truth engine and the serving state that follows
+// it.
+func (s *System) ingest(workerID string, w int32, t *model.Task, p, choice int) error {
 	// Seed the worker's quality from the long-run store before her first
 	// answer enters the incremental engine (logged, so replay re-seeds the
 	// same bits rather than re-reading the store).
-	if err := s.ensureWorker(a.Worker); err != nil {
+	if err := s.ensureWorker(workerID); err != nil {
 		return err
 	}
 	// The truth engine's per-task lock is the authority on duplicate
-	// answers; ingest updates only that task's state plus the touched
-	// workers' shards, so submits to different tasks run in parallel.
+	// answers (the task's V(i)); ingest updates only that task's state plus
+	// the touched workers' statistics, so submits to different tasks run in
+	// parallel.
 	s.materialise(t, p)
-	if err := s.inc.Submit(a); err != nil {
+	if err := s.inc.SubmitBy(w, t.ID, choice); err != nil {
 		return err
 	}
-	sh := s.shard(a.Worker)
-	sh.mu.Lock()
-	sh.state(a.Worker).answered[a.Task] = true
-	sh.mu.Unlock()
 	// The accepted answer retires the worker's lease on the task and, once
 	// redundancy is met, drops the task out of the candidate index.
 	if s.leases != nil {
-		s.leases.release(a.Worker, p)
+		s.leases.release(workerID, p)
 	}
 	if r := s.cfg.AnswersPerTask; r > 0 {
 		ci := s.index.Load()
@@ -953,26 +968,17 @@ func (s *System) ingest(t *model.Task, p int, a model.Answer) error {
 }
 
 // skipIngest is ingest for a replayed answer whose engine math a later
-// overwrite replaces: the answered set holds it and is the duplicate check,
-// the engine knows the worker at the prior, as Submit would have left her
-// before that math — so a seed later in the log loses to her as it did
-// live — and the task is materialised, as the answer left it, for the
-// overwrite to land in. The overwrite resyncs the index.
-func (s *System) skipIngest(workerID string, t *model.Task, p int) error {
+// overwrite replaces: the engine knows the worker at the prior, as Submit
+// would have left her before that math — so a seed later in the log loses
+// to her as it did live — and the task is materialised, as the answer left
+// it, for the overwrite to land in, with the answer in its V(i), which is
+// the duplicate check (Record). The overwrite resyncs the index.
+func (s *System) skipIngest(workerID string, w int32, t *model.Task, p, choice int) error {
 	if !s.inc.HasWorker(workerID) {
 		_, _ = s.inc.SeedWorker(workerID, truth.NewStats(s.m))
 	}
-	sh := s.shard(workerID)
-	sh.mu.Lock()
-	ws := sh.state(workerID)
-	if ws.answered[t.ID] {
-		sh.mu.Unlock()
-		return fmt.Errorf("core: worker %q already answered task %d", workerID, t.ID)
-	}
-	ws.answered[t.ID] = true
-	sh.mu.Unlock()
 	s.materialise(t, p)
-	return nil
+	return s.inc.Record(w, t.ID, choice)
 }
 
 // Result returns the current inferred truth and probabilistic truth of a
@@ -1020,10 +1026,18 @@ func (s *System) Results() (*truth.Result, error) {
 // golden ones; idx indexes the regular answers alone.
 func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *model.LogIndex, err error) {
 	prefix := s.logPrefix()
-	idx, err = model.IndexLog(prefix)
+	s.mu.RLock()
+	goldenList, ids := s.goldenList, s.ids
+	s.mu.RUnlock()
+	tail, pinned := s.goldenTail(goldenList)
+	// Reseed, initQuality and a session read the prefix's own index (Head):
+	// golden evidence is already in worker stats via profiling, and would
+	// count twice. Names is read after every handle the columns hold.
+	all, err := model.IndexColumns(s.inc.Names(), ids, prefix, tail)
 	if err != nil { // the log holds only answers the truth engine accepted
 		panic(fmt.Sprintf("core: corrupt answer log: %v", err))
 	}
+	idx = all.Head()
 	s.mu.RLock()
 	listed := s.answeredTasksRLocked(idx)
 	if s.eagerInstall { // the oracle lists every regular task
@@ -1031,60 +1045,51 @@ func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *mo
 	}
 	unlisted := len(s.tasks) - len(s.goldenList) - len(listed)
 	s.mu.RUnlock()
-	tasks, all, pinned, err := s.combined(listed, prefix, idx)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
+	tasks = append(listed[:len(listed):len(listed)], goldenList...)
 	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(idx), Pinned: pinned, Unlisted: unlisted})
 	return res, tasks, len(listed), idx, err
 }
 
 // logPrefix returns the answer log as it stands, without copying it. The
-// log is append-only (submitOne appends, nothing else writes it), so a
-// slice capped at its length is a snapshot: a later append lands past the
-// cap or in a new backing array.
-func (s *System) logPrefix() []model.Answer {
+// log is append-only (submitOne appends, nothing else writes it), so
+// columns capped at its length are a snapshot: a later append lands past
+// the cap or in new backing arrays.
+func (s *System) logPrefix() model.Columns {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	return s.log[:len(s.log):len(s.log)]
+	return s.log.Capped()
 }
 
-// combined appends the golden tasks (pinned) and answers to the listed
-// tasks and the answer prefix, anchoring inference, and indexes the result.
-// Reseed, initQuality and a session read the prefix's own index: golden
-// evidence is already in worker stats via profiling, and would count twice.
-func (s *System) combined(inferTasks []*model.Task, prefix []model.Answer, idx *model.LogIndex) ([]*model.Task, *model.LogIndex, map[int]int, error) {
-	s.mu.RLock()
-	goldenList := s.goldenList
-	s.mu.RUnlock()
+// goldenTail lays the golden answers out as the columns that follow the
+// answer log in a rerun's index, and pins the golden tasks' truths. The
+// answers go in sorted worker order, each worker's in the order she gave
+// them: a fixed order, or per-task likelihood sums reorder between runs
+// and ulp-level differences flip assignment ties.
+func (s *System) goldenTail(goldenList []*model.Task) (model.Columns, map[int]int) {
 	if len(goldenList) == 0 {
-		return inferTasks, idx, nil, nil
+		return model.Columns{}, nil
 	}
-	combined := make([]*model.Task, len(inferTasks), len(inferTasks)+len(goldenList))
-	copy(combined, inferTasks)
 	pinned := make(map[int]int, len(goldenList))
 	for _, t := range goldenList {
-		combined = append(combined, t)
 		pinned[t.ID] = t.Truth
 	}
-	// Sorted worker order: golden answers must enter the log in a fixed
-	// order, or per-task likelihood sums reorder between runs and
-	// ulp-level differences flip assignment ties.
 	golden := s.goldenAnswersByWorker()
 	workers := make([]string, 0, len(golden))
-	count := 0
-	for w, as := range golden {
+	for w := range golden {
 		workers = append(workers, w)
-		count += len(as)
 	}
 	sort.Strings(workers)
-	log := make([]model.Answer, len(prefix), len(prefix)+count)
-	copy(log, prefix)
+	var tail model.Columns
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for _, w := range workers {
-		log = append(log, golden[w]...)
+		h := s.inc.Intern(w)
+		for _, a := range golden[w] {
+			p, _ := s.position(a.Task)
+			tail = tail.Append(h, int32(p), int32(a.Choice))
+		}
 	}
-	all, err := model.IndexLog(log)
-	return combined, all, pinned, err
+	return tail, pinned
 }
 
 // goldenAnswersByWorker gathers every worker's golden answers across the
@@ -1095,11 +1100,21 @@ func (s *System) goldenAnswersByWorker() map[string][]model.Answer {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for w, ws := range sh.workers {
-			if len(ws.goldenAnswers) > 0 {
-				out[w] = append([]model.Answer(nil), ws.goldenAnswers...)
+			if len(ws.golden) > 0 {
+				out[w] = ws.goldenAnswers(w)
 			}
 		}
 		sh.mu.Unlock()
+	}
+	return out
+}
+
+// goldenAnswers returns a copy of the worker's golden answers. Callers hold
+// her shard lock.
+func (ws *workerState) goldenAnswers(workerID string) []model.Answer {
+	out := make([]model.Answer, len(ws.golden))
+	for i, a := range ws.golden {
+		out[i] = model.Answer{Worker: workerID, Task: a.task, Choice: a.choice}
 	}
 	return out
 }
@@ -1130,7 +1145,7 @@ func (s *System) WorkerQuality(workerID string) model.QualityVector {
 // Answers returns a snapshot of the collected non-golden answers.
 func (s *System) Answers() *model.AnswerSet {
 	as := model.NewAnswerSet()
-	for _, a := range s.logPrefix() {
+	for _, a := range s.logAnswers() {
 		if err := as.Add(a); err != nil {
 			panic(fmt.Sprintf("core: corrupt answer log: %v", err))
 		}
@@ -1250,35 +1265,31 @@ func (s *System) answeredTasksRLocked(idx *model.LogIndex) []*model.Task {
 	return out
 }
 
+// logAnswers returns the answer log as it stands, as answers.
+func (s *System) logAnswers() []model.Answer {
+	log := s.logPrefix()
+	s.mu.RLock()
+	ids := s.ids
+	s.mu.RUnlock()
+	names := s.inc.Names() // read after every handle the log holds
+	out := make([]model.Answer, log.Len())
+	for p := range out {
+		out[p] = model.Answer{Worker: names[log.Worker[p]], Task: ids[log.Task[p]], Choice: int(log.Choice[p])}
+	}
+	return out
+}
+
 // goldenAnswered returns the set of golden tasks the worker has answered.
 func (s *System) goldenAnswered(workerID string) map[int]bool {
 	out := make(map[int]bool)
 	sh := s.shard(workerID)
 	sh.mu.Lock()
 	if ws, ok := sh.workers[workerID]; ok {
-		for _, a := range ws.goldenAnswers {
-			out[a.Task] = true
+		for _, a := range ws.golden {
+			out[a.task] = true
 		}
 	}
 	sh.mu.Unlock()
-	return out
-}
-
-// answeredSnapshot returns a private copy of the worker's answered-task set
-// (T(w)); the copy lets the assignment scan run without holding her shard
-// lock.
-func (s *System) answeredSnapshot(workerID string) map[int]bool {
-	sh := s.shard(workerID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ws, ok := sh.workers[workerID]
-	if !ok || len(ws.answered) == 0 {
-		return nil
-	}
-	out := make(map[int]bool, len(ws.answered))
-	for id := range ws.answered {
-		out[id] = true
-	}
 	return out
 }
 
@@ -1341,7 +1352,7 @@ func (s *System) workerReady(workerID string, goldenList []*model.Task) (bool, e
 // golden answers, so no part of the profile depends on boot-time store
 // contents.
 func (s *System) profileWorker(workerID string, ws *workerState, goldenList []*model.Task) error {
-	st := truth.EstimateFromGolden(goldenList, ws.goldenAnswers, s.m)
+	st := truth.EstimateFromGolden(goldenList, ws.goldenAnswers(workerID), s.m)
 	anchor, _, err := s.store.MergeProfile(s.profileID(workerID), workerID, st)
 	if err != nil {
 		// The durable merge failed; abort profiling (the caller unwinds the

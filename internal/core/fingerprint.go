@@ -15,7 +15,8 @@ import (
 // (truth, answer count, S and M), the candidate index's open-task set in
 // publication order, the chronological answer log, the golden
 // answers and profiling flags per worker, per-worker incremental stats,
-// per-worker profile anchors and answered sets, and the long-run store
+// per-worker profile anchors and answered sets (the log's, by worker), and
+// the long-run store
 // (worker records AND recorded profiling merges). Two Systems with equal
 // fingerprints are in the same serving state down to the last ulp —
 // /result responses are a pure function of the per-task views included
@@ -49,7 +50,8 @@ func (s *System) Fingerprint() string {
 	s.mu.RUnlock()
 
 	fmt.Fprintf(&b, ";answers:%d;", s.submissions.Load())
-	for _, a := range s.logPrefix() {
+	log := s.logAnswers()
+	for _, a := range log {
 		fmt.Fprintf(&b, "%s/%d/%d,", a.Worker, a.Task, a.Choice)
 	}
 
@@ -126,7 +128,8 @@ func (s *System) Fingerprint() string {
 
 	// Worker-store-visible serving state: the pinned profile anchors (the
 	// exact store bits each worker's rerun initialization uses) and the
-	// answered sets. Included so EVERY crash suite — not just the dedicated
+	// answered sets, for every worker with serving state or an answer.
+	// Included so EVERY crash suite — not just the dedicated
 	// live-vs-recovered one — fails loudly on a future profile divergence.
 	b.WriteString(";anchors:")
 	type servingFP struct {
@@ -142,13 +145,17 @@ func (s *System) Fingerprint() string {
 			if ws.anchor != nil {
 				fp.anchor = ws.anchor.Clone()
 			}
-			for id := range ws.answered {
-				fp.answered = append(fp.answered, id)
-			}
-			sort.Ints(fp.answered)
 			serving[w] = fp
 		}
 		sh.mu.Unlock()
+	}
+	for _, a := range log {
+		fp := serving[a.Worker]
+		if fp == nil {
+			fp = &servingFP{}
+			serving[a.Worker] = fp
+		}
+		fp.answered = append(fp.answered, a.Task)
 	}
 	names := make([]string, 0, len(serving))
 	for w := range serving {
@@ -171,6 +178,7 @@ func (s *System) Fingerprint() string {
 	b.WriteString(";answered:")
 	for _, w := range names {
 		fmt.Fprintf(&b, "%s(", w)
+		sort.Ints(serving[w].answered)
 		for _, id := range serving[w].answered {
 			fmt.Fprintf(&b, "%d,", id)
 		}

@@ -136,9 +136,9 @@ func driveTrace(t *testing.T, seed uint64, steps int, cfg Config, now *time.Time
 
 // answeredTasks counts the distinct tasks the system's answer log names.
 func answeredTasks(s *System) int {
-	seen := map[int]bool{}
-	for _, a := range s.logPrefix() {
-		seen[a.Task] = true
+	seen := map[int32]bool{}
+	for _, p := range s.logPrefix().Task {
+		seen[p] = true
 	}
 	return len(seen)
 }

@@ -408,3 +408,162 @@ func TestAllocsRerunPerAnswer(t *testing.T) {
 		t.Errorf("a rerun allocates %.1f B per answer of the prefix, want at most %d", got, perAnswer)
 	}
 }
+
+// TestAllocsGoldenRerunPerAnswer is TestAllocsRerunPerAnswer on a campaign
+// with golden tasks: the golden answers follow the answer log in the
+// rerun's one index as a tail over the same columns, so a golden rerun
+// allocates per regular answer what a plain one does, ≈45 B, pinned at 64:
+// no copy of the log with the golden answers appended, no second index
+// over it (≈96 with both). 60 of the 600 workers pass a 10-task gauntlet
+// first.
+func TestAllocsGoldenRerunPerAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const golden, tasks, workers, perAnswer = 10, 600, 600, 64
+	s := newSystem(t, Config{GoldenCount: golden, RerunEvery: -1})
+	defer s.Close()
+	all := indexTasks(golden+tasks, s.m)
+	for _, tk := range all[:golden] {
+		tk.Truth = 0
+	}
+	if err := s.Publish(all); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers/10; w++ {
+		for g := 0; g < golden; g++ {
+			if err := s.Submit(fmt.Sprintf("w%d", w), g, w%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submitted := 0
+	rerunBytes := func(answers int) uint64 {
+		for ; submitted < answers; submitted++ {
+			w := submitted % workers // worker w's j'th answer is task j+7w: no repeats
+			if err := s.Submit(fmt.Sprintf("w%d", w), golden+(submitted/workers+7*w)%tasks, submitted%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.rerunMu.Lock()
+		defer s.rerunMu.Unlock()
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for rep := 0; rep < 3; rep++ {
+			runtime.ReadMemStats(&before)
+			err := s.rerunLocked()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := rerunBytes(2400), rerunBytes(9600)
+	got := float64(large-small) / (9600 - 2400)
+	t.Logf("a golden rerun allocates %d B at 2,400 answers and %d B at 9,600: %.1f B per answer", small, large, got)
+	if got > perAnswer {
+		t.Errorf("a golden rerun allocates %.1f B per answer of the prefix, want at most %d", got, perAnswer)
+	}
+}
+
+// TestLiveBytesPerAnswer: a regular answer is held once, as 12 B of answer
+// log columns and an 8-B entry in its task's V(i). Over 600 tasks and 600
+// workers, answers arriving in batches of 128 — each naming its worker by a
+// fresh string, as a decoded request body does — grow the live heap by
+// ≈26 B an answer between 600 and 12,600 answers, growth slack included,
+// pinned at 40: a per-worker answered set (≈20 B an answer) more than uses
+// up the slack. ≈124 while the log, V(i) and that set each held the
+// answer, the first two as a model.Answer and its string.
+func TestLiveBytesPerAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	const tasks, workers, batch, perAnswer = 600, 600, 128, 40
+	s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1})
+	defer s.Close()
+	if err := s.Publish(indexTasks(tasks, s.m)); err != nil {
+		t.Fatal(err)
+	}
+	submitted := 0
+	liveAt := func(answers int) uint64 {
+		for submitted < answers {
+			items := make([]BatchItem, 0, batch)
+			for ; submitted < answers && len(items) < batch; submitted++ {
+				w := submitted % workers // worker w's j'th answer is task j+7w: no repeats
+				items = append(items, BatchItem{Worker: fmt.Sprintf("w%d", w), Task: (submitted/workers + 7*w) % tasks, Choice: submitted % 2})
+			}
+			statuses, err := s.SubmitBatch(items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range statuses {
+				if !st.OK {
+					t.Fatalf("item %d: %s", i, st.Err)
+				}
+			}
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	small := liveAt(600)
+	large := liveAt(12600)
+	got := (float64(large) - float64(small)) / (12600 - 600)
+	t.Logf("the live heap grows by %.1f B an answer between 600 and 12,600 answers", got)
+	if got > perAnswer {
+		t.Errorf("an answer holds %.1f B of live heap, want at most %d", got, perAnswer)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestAllocsRequestIndependentOfAnswered: a request reads T(w) off each
+// candidate's V(i) and copies nothing of it, so what a Request allocates
+// does not follow what the worker answered: a worker with 500 answers costs
+// the same allocations and bytes per Request as one with 5 (a copy of her
+// answered set cost one map sized by it).
+func TestAllocsRequestIndependentOfAnswered(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const tasks = 600
+	s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1, HITSize: 5})
+	defer s.Close()
+	if err := s.Publish(indexTasks(tasks, s.m)); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		id string
+		n  int
+	}{{"few", 5}, {"many", 500}} {
+		for i := 0; i < w.n; i++ {
+			if err := s.Submit(w.id, (i*7)%tasks, i%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perRequest := func(worker string) (allocs, bytes uint64) { // the least of three runs
+		const runs = 50
+		allocs, bytes = ^uint64(0), ^uint64(0)
+		var before, after runtime.MemStats
+		for rep := 0; rep < 3; rep++ {
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if out, err := s.Request(worker, 0); err != nil || len(out) != 5 {
+					t.Fatalf("Request(%s): %d tasks, %v", worker, len(out), err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			allocs, bytes = min(allocs, (after.Mallocs-before.Mallocs)/runs), min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return allocs, bytes
+	}
+	fewAllocs, fewBytes := perRequest("few")
+	manyAllocs, manyBytes := perRequest("many")
+	t.Logf("a Request allocates %d times, %d B, for a worker with 5 answers and %d times, %d B, with 500", fewAllocs, fewBytes, manyAllocs, manyBytes)
+	if fewAllocs != manyAllocs || fewBytes != manyBytes {
+		t.Errorf("a Request allocates %d times, %d B, for a worker with 500 answers, want the %d, %d B of one with 5", manyAllocs, manyBytes, fewAllocs, fewBytes)
+	}
+}

@@ -1206,3 +1206,33 @@ func TestOversizePublicationRejected(t *testing.T) {
 		t.Fatal("rebooted state differs")
 	}
 }
+
+// TestReplayRefusesAVectorNoDistribution: the rerun trusts every task's
+// domain vector to be a distribution over m domains (truth.InferIndex
+// checks none), so nothing reaches the engine from a log without that
+// check. A publish record whose table holds a vector summing to 0.5 is
+// refused at boot, naming the record and the task that shares it.
+func TestReplayRefusesAVectorNoDistribution(t *testing.T) {
+	cfg := Config{GoldenCount: -1, RerunEvery: -1}
+	m := newSystem(t, cfg).m
+	tasks := indexTasks(8, m)
+	tasks[3].Domain = make(model.DomainVector, m)
+	tasks[3].Domain[1] = 0.5
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(wal.Record{Kind: wal.KindPublish, Blob: mustEncodePublication(t, tasks, m)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newSystem(t, cfg)
+	defer s.Close()
+	_, err = s.Recover(dir)
+	if err == nil || !strings.Contains(err.Error(), "publish record 1") || !strings.Contains(err.Error(), "task 3") || !strings.Contains(err.Error(), "sum to 0.5") {
+		t.Fatalf("boot over a vector summing to 0.5: %v, want a refusal naming publish record 1 and task 3", err)
+	}
+}

@@ -106,9 +106,9 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 }
 
 // installSnapshot overwrites the engine with a checked snapshot's numbers:
-// the rest state, then each task state with the task's answers from the log
-// the replay has rebuilt, then each worker's statistics, then the index's
-// openness. The answers up to snap.Seq skipped the engine (submitOne), so
+// the rest state, then each task state over the answers the replay has put
+// in its V(i), then each worker's statistics, then the index's openness.
+// The answers up to snap.Seq skipped the engine's math (skipIngest), so
 // this is where their effect lands. The snapshot lists materialised tasks
 // only; every other one rests where the log says — at the reseeded rest once
 // the covered answers reach a rerun boundary. A snapshot written before
@@ -117,10 +117,6 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 //
 //docs:deterministic
 func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth.Stats) {
-	idx, err := model.IndexLog(s.logPrefix())
-	if err != nil { // the log holds only answers the duplicate check let through
-		panic(fmt.Sprintf("core: corrupt answer log: %v", err))
-	}
 	if z := int64(s.cfg.RerunEvery); z > 0 && s.submissions.Load() >= z {
 		s.inc.ReseedLatent()
 	}
@@ -129,13 +125,8 @@ func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth
 	s.mu.RUnlock()
 	ci := s.index.Load()
 	for _, ts := range snap.TaskStates {
-		at := idx.ForTask(ts.ID)
-		answers := make([]model.Answer, len(at))
-		for i, p := range at {
-			answers[i] = idx.At(p)
-		}
 		p, _ := order.position(ts.ID)
-		if err := s.inc.RestoreTask(tasks[p], &ci.slots[p], truth.TaskState(ts), answers); err != nil {
+		if err := s.inc.RestoreTask(tasks[p], &ci.slots[p], truth.TaskState(ts)); err != nil {
 			panic(fmt.Sprintf("core: snapshot install: %v", err)) // dimensions checked
 		}
 	}

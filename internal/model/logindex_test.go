@@ -120,3 +120,87 @@ func TestPropertyLogIndexMatchesAnswerSet(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyTailIndexMatchesConcatenation: indexing a log and a tail as
+// columns over shared worker and task tables, in place, is IndexLog over
+// the two answer logs laid end to end, and its Head is IndexLog over the
+// log alone — same workers, tasks, groups and worker places — whether the
+// tail's tasks and workers are the log's or others.
+func TestPropertyTailIndexMatchesConcatenation(t *testing.T) {
+	r := mathx.NewRand(53)
+	for trial := 0; trial < 60; trial++ {
+		ids := r.Perm(40)
+		workers := 1 + r.Intn(30)
+		all := randomLog(r, workers, ids, r.Intn(min(300, workers*len(ids))))
+		cut := r.Intn(len(all) + 1)
+		if trial%2 == 0 { // the tail's tasks are its own, as golden tasks are
+			slices.SortStableFunc(all, func(a, b Answer) int { return cmpBool(a.Task >= 20, b.Task >= 20) })
+			cut = 0
+			for cut < len(all) && all[cut].Task < 20 {
+				cut++
+			}
+		}
+		var names []string
+		handle, position := map[string]int32{}, map[int]int32{}
+		for _, id := range ids {
+			position[id] = int32(len(position))
+		}
+		columns := func(log []Answer) Columns {
+			var c Columns
+			for _, a := range log {
+				h, ok := handle[a.Worker]
+				if !ok {
+					h = int32(len(names))
+					handle[a.Worker], names = h, append(names, a.Worker)
+				}
+				c = c.Append(h, position[a.Task], int32(a.Choice))
+			}
+			return c
+		}
+		head, tail := columns(all[:cut]), columns(all[cut:])
+		x, err := IndexColumns(names, ids, head, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			got  *LogIndex
+			log  []Answer
+		}{{"log and tail", x, all}, {"Head", x.Head(), all[:cut]}} {
+			want, err := IndexLog(c.log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := c.got
+			if got.Len() != want.Len() || !slices.Equal(got.Workers(), want.Workers()) || !slices.Equal(got.Tasks(), want.Tasks()) {
+				t.Fatalf("trial %d, %s: %d answers, workers %v, tasks %v; want %d, %v, %v",
+					trial, c.name, got.Len(), got.Workers(), got.Tasks(), want.Len(), want.Workers(), want.Tasks())
+			}
+			for _, id := range ids {
+				if g, w := answersAt(got, got.ForTask(id)), answersAt(want, want.ForTask(id)); !slices.Equal(g, w) {
+					t.Fatalf("trial %d, %s: task %d: %v, want %v", trial, c.name, id, g, w)
+				}
+			}
+			for w := range want.Workers() {
+				if g, wa := answersAt(got, got.ForWorker(w)), answersAt(want, want.ForWorker(w)); !slices.Equal(g, wa) {
+					t.Fatalf("trial %d, %s: worker %d: %v, want %v", trial, c.name, w, g, wa)
+				}
+				for _, p := range got.ForWorker(w) {
+					if got.WorkerOf(p) != int32(w) {
+						t.Fatalf("trial %d, %s: answer %d is worker %d's, WorkerOf says %d", trial, c.name, p, w, got.WorkerOf(p))
+					}
+				}
+			}
+		}
+	}
+}
+
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	}
+	return -1
+}

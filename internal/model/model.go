@@ -11,7 +11,9 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"docs/internal/mathx"
 )
@@ -293,94 +295,205 @@ func errAnswered(a Answer) error {
 	return fmt.Errorf("model: worker %q already answered task %d", a.Worker, a.Task)
 }
 
+// Columns is an answer log laid out by column: answer p is the choice
+// Choice[p] of the worker with handle Worker[p] on the task at position
+// Task[p]. A LogIndex names the handles and positions (IndexColumns).
+type Columns struct {
+	Worker, Task, Choice []int32
+}
+
+// Len returns the number of answers.
+func (c Columns) Len() int { return len(c.Worker) }
+
+// Append returns c with one more answer at its end.
+func (c Columns) Append(worker, task, choice int32) Columns {
+	return Columns{append(c.Worker, worker), append(c.Task, task), append(c.Choice, choice)}
+}
+
+// Capped returns c capped at its length: a later Append to c writes past
+// the cap or into new backing arrays, never into what Capped returned.
+func (c Columns) Capped() Columns {
+	n := c.Len()
+	return Columns{c.Worker[:n:n], c.Task[:n:n], c.Choice[:n:n]}
+}
+
 // LogIndex groups an answer log by task and by worker where it lies, as
-// int32 positions into it: 16 B an answer while built, 12 B after. Each
-// group keeps log order, the order an AnswerSet built from the same log
-// keeps, so a sum over a group runs in the same order. The log must not
-// change while the index is read.
+// int32 positions into its columns: 8 B an answer, and 4 more while it is
+// built. Each group keeps log order, the order an AnswerSet built from the
+// same log keeps, so a sum over a group runs in the same order. The log
+// must not change while the index is read.
 type LogIndex struct {
-	log                []Answer
-	workers            []string      // the distinct workers, sorted
-	tasks              []int         // the distinct tasks, sorted
-	slot               map[int]int32 // task ID -> its place in tasks
-	worker             []int32       // worker[p]: log[p]'s worker's place in workers
-	byTask, byWorker   []int32       // positions grouped by task / by worker
-	taskOff, workerOff []int32       // group g is by...[off[g]:off[g+1]]
+	names []string   // a worker's ID by handle
+	ids   []int      // a task's ID by position
+	cols  [2]Columns // the log, then its tail
+	n     int        // the answers indexed: the log's, or the log's and the tail's
+
+	workers []string      // the distinct workers, sorted
+	handles []int32       // their handles, in the same order
+	place   []int32       // by handle: the worker's place in workers
+	tasks   []int         // the distinct tasks, sorted
+	slot    map[int]int32 // task ID -> its group
+	// Group g of tasks is byTask[taskFrom[g]:taskTo[g]], the worker at place
+	// w's group byWorker[workerFrom[w]:workerTo[w]].
+	byTask, taskFrom, taskTo       []int32
+	byWorker, workerFrom, workerTo []int32
 }
 
 // IndexLog indexes log, which holds fewer than 2^31 answers. A worker
 // answering one task twice is refused with the error AnswerSet.Add returns
 // for the same log: the earliest repeat in log order.
 func IndexLog(log []Answer) (*LogIndex, error) {
-	x := &LogIndex{log: log, slot: make(map[int]int32), worker: make([]int32, len(log))}
-	place := make(map[string]int32) // worker -> place in workers
+	var names []string
+	var ids []int
+	handle, position := make(map[string]int32), make(map[int]int32)
+	var cols Columns
 	for _, a := range log {
-		if _, ok := place[a.Worker]; !ok {
-			place[a.Worker] = 0
-			x.workers = append(x.workers, a.Worker)
+		cols = cols.Append(intern(handle, &names, a.Worker), intern(position, &ids, a.Task), int32(a.Choice))
+	}
+	return IndexColumns(names, ids, cols, Columns{})
+}
+
+// intern returns k's place in list, appending k on first sight.
+func intern[K comparable](place map[K]int32, list *[]K, k K) int32 {
+	p, ok := place[k]
+	if !ok {
+		p = int32(len(*list))
+		place[k], *list = p, append(*list, k)
+	}
+	return p
+}
+
+// IndexColumns indexes log followed by tail as one log of fewer than 2^31
+// answers — position p < log.Len() is log's p'th answer, the tail's follow —
+// without copying either: names gives a worker's ID by handle and ids a
+// task's by position. A worker answering one task twice is refused as
+// IndexLog refuses it. Head is the index of log alone.
+func IndexColumns(names []string, ids []int, log, tail Columns) (*LogIndex, error) {
+	n := log.Len() + tail.Len()
+	x := &LogIndex{names: names, ids: ids, cols: [2]Columns{log, tail}, n: n, place: make([]int32, len(names)), slot: make(map[int]int32)}
+	seen := make([]bool, len(names))
+	group := make([]int32, n) // each answer's task group, in first-seen order
+	for p := range n {
+		if h := x.worker(int32(p)); !seen[h] {
+			seen[h] = true
+			x.handles = append(x.handles, h)
 		}
-		if _, ok := x.slot[a.Task]; !ok {
-			x.slot[a.Task] = 0
-			x.tasks = append(x.tasks, a.Task)
-		}
+		group[p] = intern(x.slot, &x.tasks, x.Task(int32(p)))
 	}
-	sort.Strings(x.workers)
-	sort.Ints(x.tasks)
-	for w, id := range x.workers {
-		place[id] = int32(w)
+	slices.SortFunc(x.handles, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	x.workers = make([]string, len(x.handles))
+	for w, h := range x.handles {
+		x.workers[w], x.place[h] = names[h], int32(w)
 	}
-	for t, id := range x.tasks {
-		x.slot[id] = int32(t)
-	}
-	task := make([]int32, len(log))
-	for p, a := range log {
-		x.worker[p], task[p] = place[a.Worker], x.slot[a.Task]
-	}
-	x.byTask, x.taskOff = group(task, len(x.tasks))
-	x.byWorker, x.workerOff = group(x.worker, len(x.workers))
+	sort.Ints(x.tasks) // the groups keep their first-seen numbers: slot holds them
+	x.byTask, x.taskFrom, x.taskTo = groupBy(n, len(x.slot), func(p int) int32 { return group[p] })
+	x.byWorker, x.workerFrom, x.workerTo = groupBy(n, len(x.workers), func(p int) int32 { return x.WorkerOf(int32(p)) })
 
 	// A repeat is a task stamped twice in one worker's group; the first
 	// there is the worker's earliest, and the log's is the least of those.
-	stamp, first := make([]int32, len(x.tasks)), len(log)
+	stamp, first := make([]int32, len(x.slot)), n
 	for w := range x.workers {
 		for _, p := range x.ForWorker(w) {
-			if stamp[task[p]] == int32(w)+1 {
+			if stamp[group[p]] == int32(w)+1 {
 				first = min(first, int(p))
 				break
 			}
-			stamp[task[p]] = int32(w) + 1
+			stamp[group[p]] = int32(w) + 1
 		}
 	}
-	if first < len(log) {
-		return nil, errAnswered(log[first])
+	if first < n {
+		return nil, errAnswered(x.At(int32(first)))
 	}
 	return x, nil
 }
 
-// group counting-sorts the positions of key by key, each group ascending:
-// group g is pos[off[g]:off[g+1]].
-func group(key []int32, groups int) (pos, off []int32) {
-	off = make([]int32, groups+1)
-	for _, g := range key {
-		off[g+1]++
+// groupBy counting-sorts the positions 0..n-1 by key, each group ascending:
+// group g is pos[from[g]:to[g]].
+func groupBy(n, groups int, key func(p int) int32) (pos, from, to []int32) {
+	off := make([]int32, groups+1)
+	for p := range n {
+		off[key(p)+1]++
 	}
 	for g := range groups {
 		off[g+1] += off[g]
 	}
-	next := append([]int32(nil), off[:groups]...)
-	pos = make([]int32, len(key))
-	for p, g := range key {
+	next := slices.Clone(off[:groups])
+	pos = make([]int32, n)
+	for p := range n {
+		g := key(p)
 		pos[next[g]] = int32(p)
 		next[g]++
 	}
-	return pos, off
+	return pos, off[:groups], off[1:]
+}
+
+// Head returns the index of the log without its tail: the same groups, each
+// cut where the tail begins, over the tasks and workers the log holds.
+func (x *LogIndex) Head() *LogIndex {
+	n := x.cols[0].Len()
+	if n == x.n {
+		return x
+	}
+	h := *x
+	h.n, h.tasks, h.workers, h.handles = n, nil, nil, nil
+	cut := func(group []int32) int32 {
+		c, _ := slices.BinarySearch(group, int32(n))
+		return int32(c)
+	}
+	h.taskTo = make([]int32, len(x.taskTo))
+	for g, from := range x.taskFrom {
+		h.taskTo[g] = from + cut(x.byTask[from:x.taskTo[g]])
+	}
+	for _, id := range x.tasks {
+		if g := x.slot[id]; h.taskTo[g] > x.taskFrom[g] {
+			h.tasks = append(h.tasks, id)
+		}
+	}
+	h.place, h.workerFrom, h.workerTo = make([]int32, len(x.place)), nil, nil
+	for w, handle := range x.handles {
+		from := x.workerFrom[w]
+		if c := cut(x.byWorker[from:x.workerTo[w]]); c > 0 {
+			h.place[handle] = int32(len(h.workers))
+			h.workers, h.handles = append(h.workers, x.workers[w]), append(h.handles, handle)
+			h.workerFrom, h.workerTo = append(h.workerFrom, from), append(h.workerTo, from+c)
+		}
+	}
+	return &h
+}
+
+// column returns the columns holding position p and p's place in them.
+func (x *LogIndex) column(p int32) (*Columns, int32) {
+	if head := int32(x.cols[0].Len()); p >= head {
+		return &x.cols[1], p - head
+	}
+	return &x.cols[0], p
+}
+
+// worker returns the handle of the worker who gave answer p.
+func (x *LogIndex) worker(p int32) int32 {
+	c, i := x.column(p)
+	return c.Worker[i]
 }
 
 // Len returns the number of answers indexed.
-func (x *LogIndex) Len() int { return len(x.log) }
+func (x *LogIndex) Len() int { return x.n }
 
 // At returns the answer at log position p.
-func (x *LogIndex) At(p int32) Answer { return x.log[p] }
+func (x *LogIndex) At(p int32) Answer {
+	return Answer{Worker: x.names[x.worker(p)], Task: x.Task(p), Choice: x.Choice(p)}
+}
+
+// Task returns the ID of the task answer p answers.
+func (x *LogIndex) Task(p int32) int {
+	c, i := x.column(p)
+	return x.ids[c.Task[i]]
+}
+
+// Choice returns the choice answer p makes.
+func (x *LogIndex) Choice(p int32) int {
+	c, i := x.column(p)
+	return int(c.Choice[i])
+}
 
 // Workers returns the distinct workers, sorted; w below is a place in it.
 // The returned slice must not be modified.
@@ -391,20 +504,20 @@ func (x *LogIndex) Workers() []string { return x.workers }
 func (x *LogIndex) Tasks() []int { return x.tasks }
 
 // WorkerOf returns the place in Workers of the worker who gave answer p.
-func (x *LogIndex) WorkerOf(p int32) int32 { return x.worker[p] }
+func (x *LogIndex) WorkerOf(p int32) int32 { return x.place[x.worker(p)] }
 
 // ForTask returns the positions of task id's answers in log order. The
 // returned slice must not be modified.
 func (x *LogIndex) ForTask(id int) []int32 {
-	t, ok := x.slot[id]
+	g, ok := x.slot[id]
 	if !ok {
 		return nil
 	}
-	return x.byTask[x.taskOff[t]:x.taskOff[t+1]]
+	return x.byTask[x.taskFrom[g]:x.taskTo[g]]
 }
 
 // ForWorker returns the positions of the answers of Workers()[w] in log
 // order. The returned slice must not be modified.
 func (x *LogIndex) ForWorker(w int) []int32 {
-	return x.byWorker[x.workerOff[w]:x.workerOff[w+1]]
+	return x.byWorker[x.workerFrom[w]:x.workerTo[w]]
 }

@@ -123,7 +123,7 @@ func TestCopyOnWriteSubmitAndRestoreIsolation(t *testing.T) {
 	for k := range ts.MHat {
 		copy(ts.MHat[k], []float64{0.25, 1, 0.5})
 	}
-	if err := inc.RestoreTask(tasks[7], nil, ts, nil); err != nil {
+	if err := inc.RestoreTask(tasks[7], nil, ts); err != nil {
 		t.Fatal(err)
 	}
 	check("RestoreTask", prior.norm, 500, 7)
@@ -228,7 +228,8 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 		if ts.ID == late.Task {
 			answers = []model.Answer{late}
 		}
-		if err := fresh.RestoreTask(tasks[ts.ID], nil, ts, answers); err != nil {
+		recordAnswers(t, fresh, tasks[ts.ID], answers)
+		if err := fresh.RestoreTask(tasks[ts.ID], nil, ts); err != nil {
 			t.Fatal(err)
 		}
 	}

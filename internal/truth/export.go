@@ -14,9 +14,8 @@ import (
 // support, ascending, like every truth matrix — and the probabilistic truth
 // s. The
 // normalized M and the argmax truth are derived and are not exported; the
-// task's accepted answers are restored from the orchestrator's
-// chronological answer log, of which they are exactly the per-task
-// subsequence.
+// task's accepted answers, V(i), are the engine's before a restore (Record
+// puts a replayed one there).
 type TaskState struct {
 	ID   int
 	MHat [][]float64
@@ -57,15 +56,13 @@ func (inc *Incremental) ExportTasks() []TaskState {
 }
 
 // RestoreTask overwrites task t's internal inference state with an exported
-// one — raw numerators, probabilistic truth, and the task's accepted answers
-// in chronological order — and republishes the task's immutable view,
-// materialising a latent t first (filling slot, if any). A latent t that
-// holds no answers and whose exported state is, bit for bit, the rest state
-// it reads stays latent: a snapshot written before tasks were latent lists
-// every task a rerun left unanswered, at that state. The dimensions must
-// match the task exactly; answer validity (choice range, known workers) is
-// the caller's to check before mutating anything.
-func (inc *Incremental) RestoreTask(t *model.Task, slot *Slot, ts TaskState, answers []model.Answer) error {
+// one — raw numerators and probabilistic truth — and republishes the task's
+// immutable view over the answers it holds, materialising a latent t first
+// (filling slot, if any). A latent t — which holds no answers — whose
+// exported state is, bit for bit, the rest state it reads stays latent: a
+// snapshot written before tasks were latent lists every task a rerun left
+// unanswered, at that state. The dimensions must match the task exactly.
+func (inc *Incremental) RestoreTask(t *model.Task, slot *Slot, ts TaskState) error {
 	ell := t.NumChoices()
 	if ts.ID != t.ID {
 		return fmt.Errorf("truth: state of task %d restored into task %d", ts.ID, t.ID)
@@ -83,7 +80,7 @@ func (inc *Incremental) RestoreTask(t *model.Task, slot *Slot, ts TaskState, ans
 	}
 	it := inc.lookup(t.ID)
 	if it == nil {
-		if len(answers) == 0 && inc.atRest(t, ts) {
+		if inc.atRest(t, ts) {
 			return nil
 		}
 		inc.Materialise(t, slot)
@@ -95,7 +92,6 @@ func (inc *Incremental) RestoreTask(t *model.Task, slot *Slot, ts TaskState, ans
 		copy(it.mhat[k], ts.MHat[k])
 	}
 	it.s = mathx.Clone(ts.S)
-	it.answers = append(it.answers[:0], answers...)
 	it.touched = true
 	it.publishView(inc.epoch.Add(1), normalizeRows(it.mhat))
 	it.mu.Unlock()

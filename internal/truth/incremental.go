@@ -9,12 +9,7 @@ import (
 
 	"docs/internal/mathx"
 	"docs/internal/model"
-	"docs/internal/shard"
 )
-
-// workerShardCount shards the per-worker statistics so concurrent submits
-// touching different workers do not contend on one lock.
-const workerShardCount = shard.Count
 
 // Incremental is the online truth-inference engine of Section 4.2. Instead
 // of re-running the full iterative algorithm on every submission, it stores
@@ -35,7 +30,7 @@ const workerShardCount = shard.Count
 // iterative solver every z submissions (see the core orchestrator).
 //
 // The engine is safe for concurrent use. Mutations take a per-task lock
-// (serializing answers to the same task) plus sharded per-worker locks, so
+// (serializing answers to the same task) plus per-worker locks, so
 // submits to different tasks proceed in parallel. Readers never touch live
 // state: every mutation publishes an immutable TaskView via an atomic
 // pointer, and View/S/M/Truth/Answers read the latest published snapshot
@@ -66,13 +61,31 @@ type Incremental struct {
 	rests      map[restKey]*Rest
 	reseededAt uint64
 
-	workers [workerShardCount]workerShard
+	workers workerTable
 }
 
-type workerShard struct {
-	mu sync.Mutex
-	m  map[string]*Stats
+// workerTable is the engine's one table of workers: each worker ID is
+// interned once, at a handle — what V(i) and the serving core's answer log
+// name her by — and her statistics live at that handle once the engine
+// knows her. Handles only grow, and an entry never moves: a copy of names
+// or stats taken under mu stays valid.
+type workerTable struct {
+	mu     sync.RWMutex
+	handle map[string]int32
+	names  []string       // by handle
+	stats  []*workerStats // by handle
 }
+
+// workerStats is one worker's statistics, nil until the engine knows her,
+// mutated only under its lock.
+type workerStats struct {
+	mu sync.Mutex
+	st *Stats
+}
+
+// Vote is one answer as its task holds it: the answering worker's handle
+// and her choice. 8 B, where a model.Answer takes 32 and a string.
+type Vote struct{ Worker, Choice int32 }
 
 type incTask struct {
 	mu   sync.Mutex
@@ -85,9 +98,11 @@ type incTask struct {
 	// restStates matrices until own() gives it a private one. s is never
 	// written in place — every mutation installs a fresh slice — so the
 	// published views alias it.
-	mhat    [][]float64
-	s       []float64
-	answers []model.Answer
+	mhat [][]float64
+	s    []float64
+	// answers is V(i) in the order the task took them. It only grows, so a
+	// view holds a prefix of it without a copy.
+	answers []Vote
 	// qbuf is the scratch copy of the submitting worker's quality on the
 	// support (one entry per row), carved from the private M̂'s allocation:
 	// nil exactly while mhat is shared.
@@ -121,33 +136,85 @@ type TaskView struct {
 	// Epoch is the engine-wide mutation counter when the view was taken;
 	// later views of any task carry larger epochs.
 	Epoch uint64
+
+	votes []Vote // V(i) at snapshot time
+}
+
+// Answered reports whether the worker with handle w had answered the task
+// at snapshot time: T(w) is V(i) read from the task's side.
+func (v *TaskView) Answered(w int32) bool {
+	for _, a := range v.votes {
+		if a.Worker == w {
+			return true
+		}
+	}
+	return false
 }
 
 // NewIncremental returns an empty incremental engine over m domains.
 func NewIncremental(m int) *Incremental {
-	inc := &Incremental{m: m, tasks: make(map[int]*incTask), rests: make(map[restKey]*Rest)}
-	for i := range inc.workers {
-		inc.workers[i].m = make(map[string]*Stats)
+	return &Incremental{m: m, tasks: make(map[int]*incTask), rests: make(map[restKey]*Rest),
+		workers: workerTable{handle: make(map[string]int32)}}
+}
+
+// Intern returns the worker's handle, giving her one on first sight. An
+// interned worker is not yet known to the engine (HasWorker): she has no
+// statistics until an answer or a seed gives her some.
+func (inc *Incremental) Intern(w string) int32 {
+	if h, ok := inc.Handle(w); ok {
+		return h
 	}
-	return inc
-}
-
-func (inc *Incremental) shard(w string) *workerShard {
-	return &inc.workers[shard.Index(w, workerShardCount)]
-}
-
-// withWorker runs f with the worker's live stats under the shard lock,
-// creating default stats first if the worker is unseen.
-func (inc *Incremental) withWorker(w string, f func(st *Stats)) {
-	sh := inc.shard(w)
-	sh.mu.Lock()
-	st, ok := sh.m[w]
+	t := &inc.workers
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h, ok := t.handle[w]
 	if !ok {
-		st = NewStats(inc.m)
-		sh.m[w] = st
+		h = int32(len(t.names))
+		t.handle[w], t.names, t.stats = h, append(t.names, w), append(t.stats, &workerStats{})
 	}
-	f(st)
-	sh.mu.Unlock()
+	return h
+}
+
+// Handle returns the worker's handle, if she has one.
+func (inc *Incremental) Handle(w string) (int32, bool) {
+	inc.workers.mu.RLock()
+	defer inc.workers.mu.RUnlock()
+	h, ok := inc.workers.handle[w]
+	return h, ok
+}
+
+// Names returns every interned worker's ID, by handle. The slice is shared:
+// read it, never write it.
+func (inc *Incremental) Names() []string { names, _ := inc.table(); return names }
+
+// table returns the worker IDs and statistics by handle, as they stand.
+func (inc *Incremental) table() ([]string, []*workerStats) {
+	t := &inc.workers
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.names[:len(t.names):len(t.names)], t.stats[:len(t.stats):len(t.stats)]
+}
+
+// stats returns the statistics slot of the worker at handle h.
+func (inc *Incremental) stats(h int32) *workerStats { _, st := inc.table(); return st[h] }
+
+// with runs f with the worker's live stats under her lock, creating default
+// stats first if the engine does not know her yet.
+func (ws *workerStats) with(m int, f func(st *Stats)) {
+	ws.mu.Lock()
+	if ws.st == nil {
+		ws.st = NewStats(m)
+	}
+	f(ws.st)
+	ws.mu.Unlock()
+}
+
+// known returns the worker's statistics slot, nil unless she has a handle.
+func (inc *Incremental) known(w string) *workerStats {
+	if h, ok := inc.Handle(w); ok {
+		return inc.stats(h)
+	}
+	return nil
 }
 
 // AddTask registers tasks, each with a domain vector, whole or not at all,
@@ -240,6 +307,7 @@ func (it *incTask) publishView(epoch uint64, M [][]float64) {
 		Truth:      mathx.ArgMax(it.s),
 		NumAnswers: len(it.answers),
 		Epoch:      epoch,
+		votes:      it.answers[:len(it.answers):len(it.answers)],
 	}
 	it.view.Store(v)
 }
@@ -258,40 +326,42 @@ func (inc *Incremental) SetWorker(w string, st *Stats) error {
 	if err := st.Validate(inc.m); err != nil {
 		return fmt.Errorf("truth: worker %q: %w", w, err)
 	}
-	sh := inc.shard(w)
-	sh.mu.Lock()
-	sh.m[w] = st.Clone()
-	sh.mu.Unlock()
+	ws := inc.stats(inc.Intern(w))
+	ws.mu.Lock()
+	ws.st = st.Clone()
+	ws.mu.Unlock()
 	return nil
 }
 
 // Worker returns a copy of the current statistics for a worker (nil if
 // unseen). The copy is private to the caller: live stats are only ever
-// mutated under the engine's shard locks.
+// mutated under the worker's lock.
 func (inc *Incremental) Worker(w string) *Stats {
-	sh := inc.shard(w)
-	sh.mu.Lock()
-	st := sh.m[w]
-	if st != nil {
-		st = st.Clone()
+	ws := inc.known(w)
+	if ws == nil {
+		return nil
 	}
-	sh.mu.Unlock()
-	return st
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.st == nil {
+		return nil
+	}
+	return ws.st.Clone()
 }
 
 // Workers returns the IDs of every worker the engine has statistics for,
 // in sorted order. Used by state fingerprinting (recovery equivalence
-// checks) and diagnostics; it takes each shard lock briefly, so it is safe
-// but not free to call while serving.
+// checks) and diagnostics; it takes each worker's lock briefly, so it is
+// safe but not free to call while serving.
 func (inc *Incremental) Workers() []string {
 	var ids []string
-	for i := range inc.workers {
-		sh := &inc.workers[i]
-		sh.mu.Lock()
-		for w := range sh.m {
-			ids = append(ids, w)
+	names, stats := inc.table()
+	for h, ws := range stats {
+		ws.mu.Lock()
+		if ws.st != nil {
+			ids = append(ids, names[h])
 		}
-		sh.mu.Unlock()
+		ws.mu.Unlock()
 	}
 	sort.Strings(ids)
 	return ids
@@ -300,11 +370,13 @@ func (inc *Incremental) Workers() []string {
 // HasWorker reports whether the engine has statistics for the worker,
 // without copying them.
 func (inc *Incremental) HasWorker(w string) bool {
-	sh := inc.shard(w)
-	sh.mu.Lock()
-	_, ok := sh.m[w]
-	sh.mu.Unlock()
-	return ok
+	ws := inc.known(w)
+	if ws == nil {
+		return false
+	}
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return ws.st != nil
 }
 
 // SeedWorker installs the statistics only if the worker is still unseen —
@@ -315,13 +387,13 @@ func (inc *Incremental) SeedWorker(w string, st *Stats) (bool, error) {
 	if err := st.Validate(inc.m); err != nil {
 		return false, fmt.Errorf("truth: worker %q: %w", w, err)
 	}
-	sh := inc.shard(w)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[w]; ok {
+	ws := inc.stats(inc.Intern(w))
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.st != nil {
 		return false, nil
 	}
-	sh.m[w] = st.Clone()
+	ws.st = st.Clone()
 	return true, nil
 }
 
@@ -329,28 +401,51 @@ func (inc *Incremental) SeedWorker(w string, st *Stats) (bool, error) {
 // submits to distinct tasks run in parallel; submits to the same task are
 // serialized by the per-task lock.
 func (inc *Incremental) Submit(a model.Answer) error {
-	it := inc.lookup(a.Task)
+	return inc.SubmitBy(inc.Intern(a.Worker), a.Task, a.Choice)
+}
+
+// SubmitBy is Submit for the worker at handle w.
+func (inc *Incremental) SubmitBy(w int32, task, choice int) error {
+	return inc.take(w, task, choice, true)
+}
+
+// Record adds the answer of the worker at handle w to a materialised task's
+// V(i) without its math — a replayed answer whose effect a later overwrite
+// (a rerun's Reseed, a snapshot's RestoreTask) lands — refusing what Submit
+// refuses. The task's view is the overwrite's to publish.
+func (inc *Incremental) Record(w int32, task, choice int) error {
+	return inc.take(w, task, choice, false)
+}
+
+// take lands an answer in its task: in V(i), which is the duplicate check,
+// and, with steps set, through the two incremental steps.
+func (inc *Incremental) take(w int32, task, choice int, steps bool) error {
+	it := inc.lookup(task)
 	if it == nil {
-		return fmt.Errorf("truth: answer for unknown task %d", a.Task)
+		return fmt.Errorf("truth: answer for unknown task %d", task)
 	}
 	ell := it.task.NumChoices()
-	if a.Choice < 0 || a.Choice >= ell {
-		return fmt.Errorf("truth: choice %d out of range for task %d (ℓ=%d)", a.Choice, a.Task, ell)
+	if choice < 0 || choice >= ell {
+		return fmt.Errorf("truth: choice %d out of range for task %d (ℓ=%d)", choice, task, ell)
 	}
-
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	for _, prev := range it.answers {
-		if prev.Worker == a.Worker {
-			return fmt.Errorf("truth: worker %q already answered task %d", a.Worker, a.Task)
+		if prev.Worker == w {
+			return fmt.Errorf("truth: worker %q already answered task %d", inc.Names()[w], task)
 		}
 	}
+	if !steps {
+		it.answers = append(it.answers, Vote{w, int32(choice)})
+		return nil
+	}
 	it.own()
+	_, stats := inc.table()
 	// Snapshot the submitting worker's quality: Step 1 folds it into M̂ and
 	// must see one consistent vector even if other tasks' submits are
 	// adjusting this worker concurrently.
 	r := it.task.Domain
-	inc.withWorker(a.Worker, func(st *Stats) {
+	stats[w].with(inc.m, func(st *Stats) {
 		x := 0
 		for k, qk := range st.Q {
 			if r.Has(k) {
@@ -367,7 +462,7 @@ func (inc *Incremental) Submit(a model.Answer) error {
 		wrong := (1 - qk) / float64(ell-1)
 		var max float64
 		for j := range row {
-			if j == a.Choice {
+			if j == choice {
 				row[j] *= qk
 			} else {
 				row[j] *= wrong
@@ -387,10 +482,10 @@ func (inc *Incremental) Submit(a model.Answer) error {
 	applyDomain(it.s, r, M)
 
 	// Step 2a: the submitting worker absorbs the new evidence.
-	inc.withWorker(a.Worker, func(st *Stats) {
+	stats[w].with(inc.m, func(st *Stats) {
 		for k, rk := range r {
 			if r.Has(k) {
-				st.Q[k] = clamp01((st.Q[k]*st.U[k] + it.s[a.Choice]*rk) / (st.U[k] + rk))
+				st.Q[k] = clamp01((st.Q[k]*st.U[k] + it.s[choice]*rk) / (st.U[k] + rk))
 				st.U[k] += rk
 			}
 		}
@@ -399,8 +494,7 @@ func (inc *Incremental) Submit(a model.Answer) error {
 	// Step 2b: workers who answered this task before are corrected for the
 	// truth shift s̃ → s on their own chosen option.
 	for _, prev := range it.answers {
-		prev := prev
-		inc.withWorker(prev.Worker, func(ps *Stats) {
+		stats[prev.Worker].with(inc.m, func(ps *Stats) {
 			for k, rk := range r {
 				if !r.Has(k) || ps.U[k] == 0 {
 					continue
@@ -410,7 +504,7 @@ func (inc *Incremental) Submit(a model.Answer) error {
 		})
 	}
 
-	it.answers = append(it.answers, a)
+	it.answers = append(it.answers, Vote{w, int32(choice)})
 	it.touched = true
 	it.publishView(inc.epoch.Add(1), M)
 	return nil
@@ -517,7 +611,10 @@ func (inc *Incremental) Answers(id int) int {
 // next rerun picks it up. A materialised task with no answer in the prefix
 // goes to the reseeded rest, as Infer leaves it, when the run covered it:
 // when tasks lists it, or for every such task when the run covered tasks it
-// did not list (Options.Unlisted). Otherwise it is left untouched.
+// did not list (Options.Unlisted). Otherwise it is left untouched. A
+// reseeded task's V(i) is the index's answers: what it holds already when
+// every answer came through Submit or Record, which put each answer a task
+// takes in it, and a fresh copy of the index's otherwise.
 func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.LogIndex) {
 	// A task materialised after this starts at the reseeded rest; one
 	// before it is among those walked.
@@ -568,9 +665,11 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 			copy(it.mhat[k], res.M[i][k])
 		}
 		it.s = mathx.Clone(res.S[i])
-		it.answers = it.answers[:0]
-		for _, p := range snap {
-			it.answers = append(it.answers, answers.At(p))
+		if len(it.answers) < len(snap) { // answers the engine never took: V(i) becomes the index's
+			it.answers = make([]Vote, len(snap))
+			for x, p := range snap {
+				it.answers[x] = Vote{inc.Intern(answers.At(p).Worker), int32(answers.Choice(p))}
+			}
 		}
 		it.touched = true
 		it.publishView(epoch, normalizeRows(it.mhat))
@@ -587,7 +686,7 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 	session := SessionStats(tasks, answers, res, inc.m)
 	for wi, w := range answers.Workers() {
 		st := &session[wi]
-		inc.withWorker(w, func(cur *Stats) {
+		inc.stats(inc.Intern(w)).with(inc.m, func(cur *Stats) {
 			for k := 0; k < inc.m; k++ {
 				if st.U[k] > 0 {
 					cur.Q[k] = st.Q[k]
@@ -637,11 +736,10 @@ func (it *incTask) restIfIdle(epoch uint64) {
 // toRest makes the task alias the reseeded rest state whole, dropping any
 // private matrix it held. Note M̂ is 1/ℓ here, not the AddTask prior's 1 —
 // the bits exports and snapshots have always carried for a reseeded task.
-// Callers hold it.mu.
+// Callers hold it.mu, and the task holds no answer.
 func (it *incTask) toRest(epoch uint64) {
 	rest := restStatesFor(len(it.mhat), it.task.NumChoices())
 	it.mhat, it.qbuf, it.s = rest.reseeded.mhat, nil, rest.uniform
-	it.answers = it.answers[:0]
 	it.touched = true
 	it.publishView(epoch, rest.reseeded.norm)
 }

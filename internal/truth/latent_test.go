@@ -89,7 +89,8 @@ func TestLatentMatchesAddTask(t *testing.T) {
 	restored := NewIncremental(m)
 	restored.ReseedLatent()
 	for _, ts := range exported {
-		if err := restored.RestoreTask(tasks[ts.ID], nil, ts, as.ForTask(ts.ID)); err != nil {
+		recordAnswers(t, restored, tasks[ts.ID], as.ForTask(ts.ID))
+		if err := restored.RestoreTask(tasks[ts.ID], nil, ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,6 +177,18 @@ func TestUnlistedMatchesListed(t *testing.T) {
 		}
 		if got, want := len(engines[1].ExportTasks()), len(engines[0].ExportTasks()); got != want {
 			t.Fatalf("trial %d: the reseed touched %d tasks, the run over every task's %d", trial, got, want)
+		}
+	}
+}
+
+// recordAnswers puts a task's answers in its V(i) without their math, as a
+// replay does before a snapshot's RestoreTask lands their effect.
+func recordAnswers(t testing.TB, inc *Incremental, tk *model.Task, answers []model.Answer) {
+	t.Helper()
+	for _, a := range answers {
+		inc.Materialise(tk, nil)
+		if err := inc.Record(inc.Intern(a.Worker), a.Task, a.Choice); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -80,16 +80,15 @@ func SessionStats(tasks []*model.Task, answers *model.LogIndex, res *Result, m i
 		slab = slab[2*m:]
 		clear(num)
 		for _, p := range answers.ForWorker(wi) {
-			a := answers.At(p)
-			i, ok := pos[a.Task]
+			i, ok := pos[answers.Task(p)]
 			if !ok {
 				continue
 			}
 			r := tasks[i].Domain
-			si := res.S[i]
+			sa := res.S[i][answers.Choice(p)]
 			for k, rk := range r {
 				if r.Has(k) {
-					num[k] += rk * si[a.Choice]
+					num[k] += rk * sa
 					st.U[k] += rk
 				}
 			}

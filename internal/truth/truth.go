@@ -146,11 +146,21 @@ func (r *Result) Over(all []*model.Task) *Result {
 // reference_test.go, so S, Truth, Quality, Iterations, Deltas and every
 // support row of M are the same bits.
 func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*Result, error) {
+	for _, t := range tasks {
+		if t.Domain == nil {
+			return nil, fmt.Errorf("truth: task %d has no domain vector (run DVE first)", t.ID)
+		}
+		if err := t.Validate(m); err != nil {
+			return nil, err
+		}
+	}
 	idx, _ := model.IndexLog(answers.All()) // an AnswerSet holds no repeat
 	return InferIndex(tasks, idx, m, opt)
 }
 
-// InferIndex is Infer over an answer log read where it lies.
+// InferIndex is Infer over an answer log read where it lies, for tasks the
+// caller has validated over m domains, each with its domain vector: a
+// serving campaign's, which its publish checked once.
 func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = DefaultMaxIter
@@ -170,12 +180,6 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 	sLen, mRows, mLen, maxRows, wLen := 0, 0, 0, 0, 0
 	ascending := true
 	for idx, t := range tasks {
-		if t.Domain == nil {
-			return nil, fmt.Errorf("truth: task %d has no domain vector (run DVE first)", t.ID)
-		}
-		if err := t.Validate(m); err != nil {
-			return nil, err
-		}
 		if idx > 0 && t.ID <= tasks[idx-1].ID {
 			ascending = false
 		}
@@ -209,8 +213,8 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		}
 		ell := tasks[i].NumChoices()
 		for _, p := range answers.ForTask(id) {
-			if a := answers.At(p); a.Choice < 0 || a.Choice >= ell {
-				return nil, fmt.Errorf("truth: worker %q chose %d on task %d with %d choices", a.Worker, a.Choice, id, ell)
+			if c := answers.Choice(p); c < 0 || c >= ell {
+				return nil, fmt.Errorf("truth: worker %q chose %d on task %d with %d choices", answers.At(p).Worker, c, id, ell)
 			}
 		}
 	}
@@ -337,7 +341,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		from = len(taskAns)
 		for _, p := range v {
 			w := answers.WorkerOf(p)
-			taskAns = append(taskAns, taskAnswer{w: w, choice: int32(answers.At(p).Choice)})
+			taskAns = append(taskAns, taskAnswer{w: w, choice: int32(answers.Choice(p))})
 			answersEll[d*len(workers)+int(w)] = true
 		}
 		active = append(active, activeTask{i: i, d: d, supp: ks, answers: taskAns[from:len(taskAns):len(taskAns)]})
@@ -354,8 +358,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 	for wi := range workers {
 		dw := den[wi*m : (wi+1)*m]
 		for _, p := range answers.ForWorker(wi) {
-			a := answers.At(p)
-			i := pos[a.Task]
+			i := pos[answers.Task(p)]
 			from := len(wK)
 			r := tasks[i].Domain
 			for k, rk := range r {
@@ -364,7 +367,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 					dw[k] += rk
 				}
 			}
-			workerAns = append(workerAns, workerAnswer{i: int32(i), choice: int32(a.Choice), rows: int32(len(wK) - from)})
+			workerAns = append(workerAns, workerAnswer{i: int32(i), choice: int32(answers.Choice(p)), rows: int32(len(wK) - from)})
 		}
 		workerEnd[wi] = len(workerAns)
 	}

@@ -125,6 +125,11 @@ func TestInferValidation(t *testing.T) {
 		t.Error("task without domain vector accepted")
 	}
 
+	skewed := &model.Task{ID: 1, Choices: []string{"a", "b"}, Domain: model.DomainVector{0.5, 0.2, 0}, Truth: model.NoTruth, TrueDomain: model.NoTruth}
+	if _, err := Infer([]*model.Task{skewed}, model.NewAnswerSet(), 3, Options{}); err == nil {
+		t.Error("domain vector that is no distribution accepted")
+	}
+
 	tk := paperTask()
 	dup := paperTask()
 	if _, err := Infer([]*model.Task{tk, dup}, model.NewAnswerSet(), 3, Options{}); err == nil {

@@ -60,7 +60,10 @@ import (
 // installSnapshot, calls (*truth.Incremental).RestoreTask. A rerun reads
 // the answer log where it lies: core calls truth.InferIndex from infer
 // alone, builds an AnswerSet only in Answers, and reads the log only
-// through logPrefix; submitOne appends it and nothing assigns it. A
+// through logPrefix; submitOne appends it and nothing else assigns it. A
+// regular answer is held once, in that log's columns: no field of core's
+// System or workerState, or of the truth engine's incTask, is a
+// []model.Answer or a map keyed by a task. A
 // campaign is a registry's: core.New is called from the registry's
 // openCampaign and core's own snapshotPass replica alone, the root package
 // imports no store, and nothing mints a session scope (MintScope). A
@@ -324,8 +327,8 @@ func TestOneReaderOneWriter(t *testing.T) {
 	// the periodic rerun share it — and reads the answer log in place:
 	// outside Answers, nothing in internal/core builds, clones or infers
 	// over an AnswerSet. The log itself is read only through logPrefix,
-	// appended only in submitOne and assigned nowhere, which is what makes
-	// a capped prefix of it a snapshot.
+	// appended (s.log = s.log.Append(…)) only in submitOne and assigned
+	// nowhere else, which is what makes a capped prefix of it a snapshot.
 	prog, err := lint.LoadModule(".")
 	if err != nil {
 		t.Fatal(err)
@@ -360,8 +363,10 @@ func TestOneReaderOneWriter(t *testing.T) {
 					if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && isLog(as.Lhs[0]) {
 						counted[as.Lhs[0]] = true
 						use := "assign"
-						if call, ok := as.Rhs[0].(*ast.CallExpr); ok && types.ExprString(call.Fun) == "append" && isLog(call.Args[0]) {
-							use, counted[call.Args[0]] = "append", true
+						if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
+							if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Append" && isLog(sel.X) {
+								use, counted[sel.X] = "append", true
+							}
 						}
 						logUse(use, fn.Name.Name)
 					}
@@ -674,6 +679,40 @@ func TestOneReaderOneWriter(t *testing.T) {
 				}
 			}
 		}
+	}
+	// A regular answer is held once, in core's columnar answer log: no field
+	// of core's System or workerState, or of the truth engine's incTask,
+	// holds answers as []model.Answer or keeps a map keyed by a task (an
+	// integer), such as the per-worker answered set T(w) was.
+	held := 0
+	for _, pkg := range prog.Packages {
+		var names []string
+		switch pkg.Path {
+		case "docs/internal/core":
+			names = []string{"System", "workerState"}
+		case "docs/internal/truth":
+			names = []string{"incTask"}
+		}
+		for _, name := range names {
+			held++
+			st := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				answers := types.TypeString(f.Type(), nil) == "[]docs/internal/model.Answer"
+				var taskKeyed bool
+				if m, ok := f.Type().Underlying().(*types.Map); ok {
+					key, ok := m.Key().Underlying().(*types.Basic)
+					taskKeyed = ok && key.Info()&types.IsInteger != 0
+				}
+				if answers || taskKeyed {
+					t.Errorf("%s: %s.%s is a %s: the answer log's columns are the one holder of a regular answer",
+						prog.Fset.Position(f.Pos()), name, f.Name(), f.Type())
+				}
+			}
+		}
+	}
+	if held != 3 {
+		t.Errorf("checked %d structs for held answers, want 3: the check no longer sees them", held)
 	}
 }
 
