@@ -186,7 +186,7 @@ func driveCampaign(sys *core.System, ds *dataset.Dataset, pop *crowd.Population,
 		if batch > 1 {
 			items := make([]core.BatchItem, len(assigned))
 			for i, tk := range assigned {
-				items[i] = core.BatchItem{Worker: w.ID, Task: tk.ID, Choice: w.Answer(tk, r)}
+				items[i] = core.BatchItem{Worker: w.ID, Task: tk.ID, Choice: w.Answer(&tk, r)}
 			}
 			for start := 0; start < len(items); start += batch {
 				end := min(start+batch, len(items))
@@ -202,7 +202,7 @@ func driveCampaign(sys *core.System, ds *dataset.Dataset, pop *crowd.Population,
 			}
 		} else {
 			for _, tk := range assigned {
-				if err := sys.Submit(w.ID, tk.ID, w.Answer(tk, r)); err != nil {
+				if err := sys.Submit(w.ID, tk.ID, w.Answer(&tk, r)); err != nil {
 					log.Fatalf("docs-simulate: submit: %v", err)
 				}
 			}

@@ -324,50 +324,57 @@ func (s *System) Publish(tasks []Task) error {
 	return s.PublishChecked(p)
 }
 
-// Publication is a batch of tasks converted and checked once, by
-// CheckPublication, for PublishChecked to publish. It is published once.
-type Publication struct{ batch *core.Batch }
+// Publication is a batch of tasks checked once, by CheckPublication, for
+// PublishChecked to publish. It is published once, and reads the tasks it
+// was checked over until then: leave them as they are meanwhile.
+type Publication core.Batch
 
 // CheckPublication reports the error Publish would return for a batch that
 // is structurally unpublishable — a task with fewer than two choices, a
 // golden truth out of range, a task ID used twice — without a System and
 // without estimating any domain vector, and otherwise returns the batch
-// converted and checked. Check a publication with it before creating the
-// campaign it is for, so a rejected batch leaves no empty campaign behind,
-// then publish it with PublishChecked, which does neither again.
+// checked. Check a publication with it before creating the campaign it is
+// for, so a rejected batch leaves no empty campaign behind, then publish it
+// with PublishChecked, which does neither again. Nothing is converted: the
+// publish encodes the tasks straight into the publication record, whose
+// bytes the campaign then holds.
 func CheckPublication(tasks []Task) (*Publication, error) {
 	k, err := kb.Default()
 	if err != nil {
 		return nil, err
 	}
-	internal, err := toInternalTasks(tasks)
-	if err != nil {
-		return nil, err
+	for _, t := range tasks {
+		if len(t.Choices) < 2 {
+			return nil, fmt.Errorf("docs: task %d needs at least 2 choices", t.ID)
+		}
+		if t.GoldenTruth != NoTruth && (t.GoldenTruth < 0 || t.GoldenTruth >= len(t.Choices)) {
+			return nil, fmt.Errorf("docs: task %d golden truth %d out of range", t.ID, t.GoldenTruth)
+		}
 	}
-	batch, err := core.CheckTasks(internal, k.Domains().Size())
-	if err != nil {
-		return nil, err
-	}
-	return &Publication{batch: batch}, nil
+	batch, err := core.CheckEach(len(tasks), k.Domains().Size(), func(i int) model.Task {
+		t := &tasks[i]
+		return model.Task{ID: t.ID, Text: t.Text, Choices: t.Choices, Truth: t.GoldenTruth, TrueDomain: model.NoTruth}
+	})
+	return (*Publication)(batch), err
 }
 
-// PublishChecked is Publish for a batch CheckPublication has converted and
-// checked.
+// PublishChecked is Publish for a batch CheckPublication has checked.
 func (s *System) PublishChecked(p *Publication) error {
-	return s.do(func(sys *core.System) error { return sys.PublishBatch(p.batch) })
+	return s.do(func(sys *core.System) error { return sys.PublishBatch((*core.Batch)(p)) })
 }
 
 // Request serves the arriving worker up to k tasks: golden tasks first for
 // unknown workers, then the highest-benefit regular tasks. k <= 0 uses the
 // configured HITSize.
 func (s *System) Request(workerID string, k int) ([]Task, error) {
-	got, err := call(s, func(sys *core.System) ([]*model.Task, error) { return sys.Request(workerID, k) })
+	got, err := call(s, func(sys *core.System) ([]model.Task, error) { return sys.Request(workerID, k) })
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Task, 0, len(got))
-	for _, it := range got {
-		out = append(out, fromInternal(it))
+	out := make([]Task, len(got))
+	for i, t := range got {
+		// A served task's choices are a slice of its own.
+		out[i] = Task{ID: t.ID, Text: t.Text, Choices: t.Choices, GoldenTruth: t.Truth}
 	}
 	return out, nil
 }
@@ -476,15 +483,15 @@ func (s *System) Results() ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return results(sys.InferTasks(), res), nil
+		return results(sys.InferIDs(), res), nil
 	})
 }
 
 // results pairs each task with its inferred truth, aligned by index.
-func results(tasks []*model.Task, res *truth.Result) []Result {
-	out := make([]Result, len(tasks))
-	for i, t := range tasks {
-		out[i] = Result{TaskID: t.ID, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
+func results(ids []int, res *truth.Result) []Result {
+	out := make([]Result, len(ids))
+	for i, id := range ids {
+		out[i] = Result{TaskID: id, Choice: res.Truth[i], Confidence: mathx.Clone(res.S[i])}
 	}
 	return out
 }
@@ -499,12 +506,12 @@ func InferTruth(tasks []Task, answers []Answer) ([]Result, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	internal, err := toInternalTasks(tasks)
+	p, err := CheckPublication(tasks)
 	if err != nil {
 		return nil, err
 	}
 	return call(sys, func(c *core.System) ([]Result, error) {
-		if err := c.Publish(internal); err != nil {
+		if err := c.PublishBatch((*core.Batch)(p)); err != nil {
 			return nil, err
 		}
 		as := model.NewAnswerSet()
@@ -513,56 +520,11 @@ func InferTruth(tasks []Task, answers []Answer) ([]Result, error) {
 				return nil, err
 			}
 		}
-		res, err := truth.Infer(internal, as, c.Domains().Size(), truth.Options{})
+		// No task is golden, so every task is inferred, in input order.
+		res, err := truth.Infer(c.InferTasks(), as, c.Domains().Size(), truth.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return results(internal, res), nil
+		return results(c.InferIDs(), res), nil
 	})
-}
-
-// toInternalTasks lays a publication out as a wake decodes one: the tasks in
-// one array, their choices copied into one slab as capped subslices.
-func toInternalTasks(tasks []Task) ([]*model.Task, error) {
-	choices := 0
-	for _, t := range tasks {
-		choices += len(t.Choices)
-	}
-	backing, slab := make([]model.Task, len(tasks)), make([]string, choices)
-	internal := make([]*model.Task, len(tasks))
-	for i, t := range tasks {
-		if len(t.Choices) < 2 {
-			return nil, fmt.Errorf("docs: task %d needs at least 2 choices", t.ID)
-		}
-		truthIdx := model.NoTruth
-		if t.GoldenTruth != NoTruth {
-			if t.GoldenTruth < 0 || t.GoldenTruth >= len(t.Choices) {
-				return nil, fmt.Errorf("docs: task %d golden truth %d out of range", t.ID, t.GoldenTruth)
-			}
-			truthIdx = t.GoldenTruth
-		}
-		n := copy(slab, t.Choices)
-		backing[i] = model.Task{
-			ID:         t.ID,
-			Text:       t.Text,
-			Choices:    slab[:n:n],
-			Truth:      truthIdx,
-			TrueDomain: model.NoTruth,
-		}
-		slab, internal[i] = slab[n:], &backing[i]
-	}
-	return internal, nil
-}
-
-func fromInternal(it *model.Task) Task {
-	truthIdx := NoTruth
-	if it.Truth != model.NoTruth {
-		truthIdx = it.Truth
-	}
-	return Task{
-		ID:          it.ID,
-		Text:        it.Text,
-		Choices:     append([]string(nil), it.Choices...),
-		GoldenTruth: truthIdx,
-	}
 }

@@ -103,11 +103,46 @@ func TestPublishValidation(t *testing.T) {
 	}
 }
 
-// TestPublicationLaidOutAsAWake: a publish converts its tasks into one
-// backing array and one choices slab, as a wake decodes them — the same
-// three allocations at 600 tasks and at 6,000 — and each task's choices
-// are a capped subslice of the slab: the caller's slices are not aliased,
-// and an append to one task's choices cannot write into the next task's.
+// TestPublishRechecksTheTasksItLogs: a Publication reads the caller's tasks
+// until it is published, so a task changed after CheckPublication — cut to
+// one choice, or given an earlier task's ID — is refused by PublishChecked
+// as a wake would refuse its record, and the campaign stays unpublished.
+func TestPublishRechecksTheTasksItLogs(t *testing.T) {
+	for name, spoil := range map[string]func(tasks []Task){
+		"one choice":   func(tasks []Task) { tasks[1].Choices = tasks[1].Choices[:1] },
+		"repeated ID":  func(tasks []Task) { tasks[2].ID = tasks[0].ID },
+		"truth past ℓ": func(tasks []Task) { tasks[1].GoldenTruth = 5 },
+	} {
+		sys, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := []Task{
+			{ID: 0, Text: "a", Choices: []string{"x", "y"}, GoldenTruth: NoTruth},
+			{ID: 1, Text: "b", Choices: []string{"x", "y"}, GoldenTruth: 0},
+			{ID: 2, Text: "c", Choices: []string{"x", "y"}, GoldenTruth: NoTruth},
+		}
+		checked, err := CheckPublication(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spoil(tasks)
+		if err := sys.PublishChecked(checked); err == nil || sys.Published() {
+			t.Errorf("%s after the check: PublishChecked says %v, published %v", name, err, sys.Published())
+		}
+		sys.Close()
+	}
+}
+
+// TestPublicationLaidOutAsAWake: a publish lays its tasks out as a wake
+// does — as the task table the publication record's own bytes make, built
+// by the one decoder both run — so a published campaign and the same
+// campaign woken from its log serve every task byte for byte alike and
+// fingerprint alike, at 600 tasks and at 6,000. Nothing is converted on
+// the way: checking a publication of ascending IDs allocates at most 3
+// times at either size (the IDs its duplicate check reads, the batch and
+// the reader of the caller's tasks), and the campaign aliases none of the
+// caller's strings.
 func TestPublicationLaidOutAsAWake(t *testing.T) {
 	batch := func(n int) []Task {
 		tasks := make([]Task, n)
@@ -116,28 +151,55 @@ func TestPublicationLaidOutAsAWake(t *testing.T) {
 		}
 		return tasks
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own allocations would count
 	for _, n := range []int{600, 6000} {
 		tasks := batch(n)
-		if got := testing.AllocsPerRun(5, func() { _, _ = toInternalTasks(tasks) }); got != 3 {
-			t.Errorf("converting %d tasks allocates %.0f times, want 3", n, got)
+		func() {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own allocations would count
+			if got := testing.AllocsPerRun(5, func() { _, _ = CheckPublication(tasks) }); got > 3 {
+				t.Errorf("checking %d tasks allocates %.0f times, want at most 3", n, got)
+			}
+		}()
+		reg, err := OpenRegistry(Config{GoldenCount: -1, WALDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	tasks := batch(2)
-	internal, err := toInternalTasks(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks[0].Choices[0] = "changed"
-	if internal[0].Choices[0] != "a" {
-		t.Error("the converted task aliases the caller's choices")
-	}
-	if cap(internal[0].Choices) != 3 {
-		t.Errorf("a converted task's choices have capacity %d, want 3", cap(internal[0].Choices))
-	}
-	_ = append(internal[0].Choices, "d")
-	if internal[1].Choices[0] != "a" {
-		t.Error("an append to one task's choices wrote into the next task's")
+		sys, err := reg.Create("laid-out")
+		if err == nil {
+			err = sys.Publish(tasks)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks[0].Text, tasks[1].Choices[0] = "changed", "changed"
+		// Every task, as the campaign serves it, and its fingerprint.
+		state := func() (served []Task, fp string) {
+			err := sys.do(func(c *core.System) (err error) {
+				fp = c.Fingerprint()
+				return nil
+			})
+			if err == nil {
+				served, err = sys.Request("w", n)
+			}
+			if err != nil || len(served) != n {
+				t.Fatalf("%d tasks: served %d (%v)", n, len(served), err)
+			}
+			return served, fp
+		}
+		published, publishedFP := state()
+		for _, tk := range published {
+			if tk.Text != "t" || !reflect.DeepEqual(tk.Choices, []string{"a", "b", "c"}) {
+				t.Fatalf("%d tasks: served task %d as %q %q, want it as published", n, tk.ID, tk.Text, tk.Choices)
+			}
+		}
+		if err := reg.Hibernate("laid-out"); err != nil {
+			t.Fatal(err)
+		}
+		if woken, wokenFP := state(); !reflect.DeepEqual(woken, published) || wokenFP != publishedFP {
+			t.Errorf("%d tasks: the woken campaign serves or fingerprints otherwise than the published one", n)
+		}
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func traceAdversarialCampaign(t *testing.T, s *System) (string, *System) {
 			break
 		}
 		for _, tk := range got {
-			c := w.Answer(tk, r)
+			c := w.Answer(&tk, r)
 			trace += fmt.Sprintf("%s:%d:%d;", w.ID, tk.ID, c)
 			if err := s.Submit(w.ID, tk.ID, c); err != nil {
 				t.Fatal(err)
@@ -144,7 +144,7 @@ func TestAdversarialCliqueHammerLeaseBound(t *testing.T) {
 				}
 				empty = 0
 				for _, tk := range got {
-					if err := s.Submit(w, tk.ID, crowd.CliqueChoice(cliqueSeed, tk)); err != nil {
+					if err := s.Submit(w, tk.ID, crowd.CliqueChoice(cliqueSeed, &tk)); err != nil {
 						errs <- err
 						return
 					}
@@ -218,7 +218,7 @@ func runLoggedAdversarialCampaign(t *testing.T, cfg Config, dir string, nTasks i
 		}
 		idle = 0
 		for _, tk := range got {
-			if err := s.Submit(w.ID, tk.ID, w.Answer(tk, r)); err != nil {
+			if err := s.Submit(w.ID, tk.ID, w.Answer(&tk, r)); err != nil {
 				t.Fatal(err)
 			}
 		}

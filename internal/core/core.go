@@ -127,6 +127,10 @@ type workerState struct {
 // goldenAnswer is one golden answer as its worker's state holds it.
 type goldenAnswer struct{ task, choice int }
 
+// goldenTask is a golden task as the campaign holds it: its position, its
+// ID and the truth its requester gave.
+type goldenTask struct{ p, id, truth int }
+
 type workerShard struct {
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -145,11 +149,12 @@ type System struct {
 	cfg    Config
 
 	// A published task is known by its publication position, which
-	// taskOrder finds from its ID: tasks and golden are indexed by it.
-	tasks []*model.Task // published, with domain vectors
+	// taskOrder finds from its ID: the task table, golden and the candidate
+	// index are indexed by it. Its vector and ℓ are its rest state's.
+	taskTable
 	taskOrder
-	golden     []bool        // by position: the task serves as a golden task
-	goldenList []*model.Task // golden tasks in publication order
+	golden     []bool       // by position: the task serves as a golden task
+	goldenList []goldenTask // golden tasks in publication order
 
 	inc *truth.Incremental
 
@@ -349,26 +354,62 @@ func (sh *workerShard) state(workerID string) *workerState {
 func (s *System) Domains() *model.DomainSet { return s.kb.Domains() }
 
 // Batch is a publication that has passed the structural half of Publish's
-// validation over m domains, with its ID lookup built: CheckTasks makes one
-// and PublishBatch publishes it without checking it again. A Batch is
-// published once — the publish writes the domain vectors DVE gives its
-// tasks into them.
+// validation over m domains: CheckEach (or CheckTasks) makes one and
+// PublishBatch publishes it without checking it again. It reads its n
+// tasks through task, which lends task i as a value whenever the packer
+// encodes a column of it, so nothing of them is converted or kept but their
+// vectors: a Batch is published once — the publish writes the domain
+// vectors DVE gives its tasks into domains.
 type Batch struct {
-	tasks []*model.Task
-	taskOrder
-	m int
+	n, m    int
+	task    func(i int) model.Task
+	head    int                  // the bytes of its DPC1 blob before the ref column (headSize)
+	domains []model.DomainVector // by position: the requester's vector, or DVE's; nil until one is
 }
 
 // taskOrder is a publication's one task ID → position lookup: the IDs in
 // publication order, and the positions sorted by ID, which a binary search
-// reads through the ID column (no *model.Task is touched).
+// reads through the ID column.
 type taskOrder struct {
 	ids  []int   // task ID at each publication position
-	byID []int32 // positions, ascending by task ID
+	byID []int32 // positions, ascending by task ID; nil when the IDs ascend
+}
+
+// orderOf is the ID lookup over ids, in publication order: the positions
+// sorted by ID, equal IDs in publication order — none when the IDs ascend,
+// as most publications' do: they are their own order then.
+func orderOf(ids []int) taskOrder {
+	o := taskOrder{ids: ids}
+	for p := 1; p < len(ids); p++ {
+		if ids[p] <= ids[p-1] {
+			o.byID = make([]int32, len(ids))
+			for p := range o.byID {
+				o.byID[p] = int32(p)
+			}
+			slices.SortFunc(o.byID, func(a, b int32) int { return cmp.Or(cmp.Compare(ids[a], ids[b]), cmp.Compare(a, b)) })
+			break
+		}
+	}
+	return o
+}
+
+// firstRepeat returns the least position that repeats an earlier ID, or
+// len(o.ids) if none: equal IDs sort adjacent, in publication order.
+func (o *taskOrder) firstRepeat() int {
+	repeat := len(o.ids)
+	for x := 1; x < len(o.byID); x++ {
+		if o.ids[o.byID[x]] == o.ids[o.byID[x-1]] {
+			repeat = min(repeat, int(o.byID[x]))
+		}
+	}
+	return repeat
 }
 
 // position returns the publication position of the task with this ID.
 func (o *taskOrder) position(id int) (int, bool) {
+	if o.byID == nil {
+		return slices.BinarySearch(o.ids, id)
+	}
 	i, ok := slices.BinarySearchFunc(o.byID, id, func(p int32, id int) int { return cmp.Compare(o.ids[p], id) })
 	if !ok {
 		return 0, false
@@ -376,41 +417,53 @@ func (o *taskOrder) position(id int) (int, bool) {
 	return int(o.byID[i]), true
 }
 
-// CheckTasks is the structural half of Publish's validation, the half that
-// needs neither a campaign nor DVE: no task ID twice, every task's own
-// invariants (at least two choices, truth in range, a requester-supplied
-// domain vector well-formed) over a domain set of size m, and a batch one
-// log record can hold whatever vectors DVE gives it. A server runs it
-// before it creates a campaign for a publication, so a batch Publish would
-// reject leaves no empty campaign behind, and then publishes the Batch.
-// The first fault in publication order is the one reported: a task repeating
-// an earlier ID before any invalid task.
+// CheckTasks is CheckEach over tasks, which the Batch reads until it is
+// published. A requester's domain vector is the task's own: nothing writes
+// into it.
 func CheckTasks(tasks []*model.Task, m int) (*Batch, error) {
-	o := taskOrder{ids: make([]int, len(tasks)), byID: make([]int32, len(tasks))}
-	for p, t := range tasks {
-		o.ids[p], o.byID[p] = t.ID, int32(p)
+	return CheckEach(len(tasks), m, func(i int) model.Task { return *tasks[i] })
+}
+
+// CheckEach is the structural half of Publish's validation, the half that
+// needs neither a campaign nor DVE, over the n tasks task lends: no task ID
+// twice, every task's own invariants (at least two choices, truth in range,
+// a requester-supplied domain vector well-formed) over a domain set of size
+// m, and a batch one log record can hold whatever vectors DVE gives it. A
+// server runs it before it creates a campaign for a publication, so a batch
+// Publish would reject leaves no empty campaign behind, and then publishes
+// the Batch. The first fault in publication order is the one reported: a
+// task repeating an earlier ID before any invalid task. task must lend the
+// same tasks until the Batch is published. Nothing is converted: a check
+// allocates the IDs its duplicate check reads, and sorts positions only
+// when the IDs do not ascend.
+func CheckEach(n, m int, task func(i int) model.Task) (*Batch, error) {
+	ids := make([]int, n)
+	for p := range ids {
+		ids[p] = task(p).ID
 	}
-	// Equal IDs sort adjacent, in publication order: the first repeat is
-	// the least position that follows an equal ID.
-	slices.SortFunc(o.byID, func(a, b int32) int { return cmp.Or(cmp.Compare(o.ids[a], o.ids[b]), cmp.Compare(a, b)) })
-	repeat := len(tasks)
-	for x := 1; x < len(o.byID); x++ {
-		if o.ids[o.byID[x]] == o.ids[o.byID[x-1]] {
-			repeat = min(repeat, int(o.byID[x]))
-		}
-	}
-	for _, t := range tasks[:repeat] {
+	order := orderOf(ids)
+	repeat := order.firstRepeat()
+	b := &Batch{n: n, m: m, task: task}
+	for p := 0; p < repeat; p++ {
+		t := task(p)
 		if err := t.Validate(m); err != nil {
 			return nil, err
 		}
+		if t.Domain != nil {
+			if b.domains == nil {
+				b.domains = make([]model.DomainVector, n)
+			}
+			b.domains[p] = t.Domain
+		}
 	}
-	if repeat < len(tasks) {
-		return nil, fmt.Errorf("core: duplicate task ID %d", tasks[repeat].ID)
+	if repeat < n {
+		return nil, fmt.Errorf("core: duplicate task ID %d", ids[repeat])
 	}
-	if err := checkPublicationSize(tasks, m); err != nil {
+	var err error
+	if b.head, err = headSize(b); err != nil {
 		return nil, err
 	}
-	return &Batch{tasks: tasks, taskOrder: o, m: m}, nil
+	return b, nil
 }
 
 // Publish runs DVE over the tasks, selects golden tasks among those with
@@ -428,51 +481,45 @@ func (s *System) Publish(tasks []*model.Task) error {
 	return s.PublishBatch(b)
 }
 
-// PublishBatch is Publish for a batch CheckTasks has checked: it runs no
-// structural check again unless the batch was checked over another domain
-// count.
+// PublishBatch is Publish for a batch CheckEach has checked over the
+// campaign's domain count. The campaign's task table is built from the
+// record's DPC1 blob by the decoder a wake runs, and checked as a wake
+// checks it, so a published campaign and a woken one hold the same bytes and
+// accept the same records.
 func (s *System) PublishBatch(b *Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tasks) > 0 {
+	if len(s.ids) > 0 {
 		return fmt.Errorf("core: tasks already published")
 	}
-	// The whole batch is validated (CheckTasks) before any campaign state
+	// The whole batch is validated (CheckEach) before any campaign state
 	// changes: a rejected task must leave the system exactly as it was, so
 	// the requester can fix the batch and re-publish (a partial insert
 	// would make the retry fail on its own leftovers). The structural pass
 	// comes first and whole, so a batch it rejects has cost no domain
 	// vector.
-	tasks := b.tasks
 	if b.m != s.m {
-		var err error
-		if b, err = CheckTasks(tasks, s.m); err != nil {
-			return err
-		}
+		return fmt.Errorf("core: batch checked over %d domains, the campaign has %d", b.m, s.m)
+	}
+	if b.domains == nil {
+		b.domains = make([]model.DomainVector, b.n)
 	}
 	// DVE ends while a rejection still leaves the campaign unpublished. The
-	// record fits one WAL record (CheckTasks held the batch to that with
-	// every vector at its largest) and its tasks have passed Validate.
-	record, err := s.linkAndPack(tasks, s.wal != nil)
+	// record fits one WAL record (CheckEach held the batch to that with
+	// every vector at its largest).
+	dpc1, record, err := s.linkAndPack(b, s.wal != nil)
 	if err != nil {
 		return err
 	}
-	// Golden tasks: choose among tasks with known ground truth so a new
-	// worker's answers can be scored (Section 5.2).
-	var withTruth []*model.Task
-	var truthPos []int
-	for p, t := range tasks {
-		if t.Truth != model.NoTruth {
-			withTruth, truthPos = append(withTruth, t), append(truthPos, p)
-		}
+	pub, err := decodeBinaryPublication(dpc1, s.m)
+	if err == nil {
+		err = pub.check(s.m)
 	}
-	golden := make([]bool, len(tasks))
-	if n := s.cfg.GoldenCount; n > 0 && len(withTruth) > 0 {
-		for _, idx := range assign.SelectGolden(withTruth, n, s.m) {
-			golden[truthPos[idx]] = true
-		}
+	if err != nil {
+		record() // a publication that fails to install is never logged
+		return err
 	}
-	s.installPublication(b, golden)
+	s.installPublication(pub)
 	blob, err := record()
 	if err != nil {
 		return fmt.Errorf("core: %w: publication record: %v", ErrDurability, err)
@@ -494,34 +541,71 @@ func (s *System) PublishBatch(b *Batch) error {
 	return nil
 }
 
-// installPublication makes the batch's tasks the campaign's task set with
-// the given golden flags (by position) — the one place a task set becomes
-// serving state. Golden tasks go to the golden list; every other task
-// enters the live candidate index at its publication position (the order
-// the assignment tie-break is defined over) with its rest state, and with
-// leases armed gets its lease counter there, before serving can observe
-// the campaign. A task enters the truth engine latent: it holds nothing
-// there until its first answer materialises it (materialise), and reads
-// its rest state. Callers hold s.mu and have validated the tasks.
-func (s *System) installPublication(b *Batch, golden []bool) {
-	s.tasks, s.taskOrder, s.golden = b.tasks, b.taskOrder, golden
-	rests := make([]*truth.Rest, len(b.tasks))
-	for p, t := range b.tasks {
-		if golden[p] {
-			s.goldenList = append(s.goldenList, t)
-			continue
-		}
-		rests[p] = s.inc.Rest(t.Domain, t.NumChoices())
+// publishDecoded makes a replayed publication the campaign's task set,
+// once it holds every task to what a publish held its batch to.
+func (s *System) publishDecoded(pub *publication) error {
+	if err := pub.check(s.m); err != nil {
+		return err
 	}
-	ci := newCandidateIndex(b.ids, rests)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.ids) > 0 {
+		return fmt.Errorf("core: tasks already published")
+	}
+	s.installPublication(pub)
+	return nil
+}
+
+// installPublication makes a decoded publication the campaign's task set —
+// the one place a task set becomes serving state, for a publish and a wake
+// alike. Golden tasks are chosen among the tasks with ground truth, so a
+// new worker's answers can be scored (Section 5.2), and go to the golden
+// list; every other task enters the live candidate index at its
+// publication position (the order the assignment tie-break is defined over)
+// and, with leases armed, gets its lease counter there, before serving can
+// observe the campaign. Every task's rest state holds its vector and ℓ. A
+// task enters the truth engine latent: it holds nothing there until its
+// first answer materialises it (materialise), and reads its rest state.
+// Callers hold s.mu.
+func (s *System) installPublication(pub *publication) {
+	n := len(pub.ids)
+	rests := make([]*truth.Rest, n)
+	var withTruth []model.Task
+	var truthPos []int
+	truths, refs := wal.NewCursor(pub.body[pub.truths:]), wal.NewCursor(pub.body[pub.refs:])
+	for p := range rests {
+		r, truthP := pub.vectors[refs.Uvarint()], truths.Int()-1
+		rests[p] = s.inc.Rest(r, pub.ell(p))
+		if truthP != model.NoTruth {
+			withTruth = append(withTruth, model.Task{ID: pub.ids[p], Domain: r, Truth: truthP})
+			truthPos = append(truthPos, p)
+		}
+	}
+	golden := make([]bool, n)
+	if k := s.cfg.GoldenCount; k > 0 && len(withTruth) > 0 {
+		cands := make([]*model.Task, len(withTruth))
+		for i := range withTruth {
+			cands[i] = &withTruth[i]
+		}
+		for _, i := range assign.SelectGolden(cands, k, s.m) {
+			golden[truthPos[i]] = true
+		}
+		for i, p := range truthPos {
+			if golden[p] {
+				s.goldenList = append(s.goldenList, goldenTask{p, pub.ids[p], withTruth[i].Truth})
+			}
+		}
+	}
+	s.taskTable, s.taskOrder, s.golden = pub.taskTable, pub.taskOrder, golden
+	ci := newCandidateIndex(pub.ids, rests, golden)
 	if s.leases != nil {
-		s.leases.install(len(b.tasks))
+		s.leases.install(n)
 	}
 	s.index.Store(ci)
 	if s.eagerInstall {
-		for p, t := range b.tasks {
+		for p := range rests {
 			if !golden[p] {
-				s.inc.Materialise(t, &ci.slots[p])
+				s.inc.Materialise(ci.row(p), &ci.slots[p])
 			}
 		}
 	}
@@ -531,23 +615,24 @@ func (s *System) installPublication(b *Batch, golden []bool) {
 // truth engine, at the rest state it read, before an answer lands in it:
 // ingested, replayed without its math (skipIngest) or installed from a
 // snapshot.
-func (s *System) materialise(t *model.Task, p int) {
-	s.inc.Materialise(t, &s.index.Load().slots[p])
+func (s *System) materialise(p int) {
+	ci := s.index.Load()
+	s.inc.Materialise(ci.row(p), &ci.slots[p])
 }
 
 // publishChunk is how many tasks make one chunk of Publish's pipeline.
 const publishChunk = 64
 
-// linkAndPack runs DVE over chunks of the tasks on up to GOMAXPROCS
+// linkAndPack runs DVE over chunks of the batch on up to GOMAXPROCS
 // goroutines, this one among them (the knowledge base is finished and each
 // task is its own), each reusing one workspace and all sharing one
-// domainTable, and, when logged is set, packs the record beside them on one
-// more (packRecord, which waits for the linkers only before the vectors).
-// It returns when every chunk is linked, with record to wait for the
-// packer. Its error is the one a serial loop would meet first, and then no
-// goroutine it started is left.
-func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([]byte, error), err error) {
-	chunks := (len(tasks) + publishChunk - 1) / publishChunk
+// domainTable, and encodes the record's DPC1 blob: when logged is set, on
+// one more goroutine that packs it beside them (packRecord, which waits
+// for the linkers only before the vectors). It returns the blob once it is
+// whole, with record to wait for the packer. Its error is the one a serial
+// loop would meet first, and then no goroutine it started is left.
+func (s *System) linkAndPack(b *Batch, logged bool) (dpc1 []byte, record func() ([]byte, error), err error) {
+	chunks := (b.n + publishChunk - 1) / publishChunk
 	errs, linked := make([]error, chunks), make(chan struct{})
 	firstErr := func() error {
 		for _, err := range errs {
@@ -560,11 +645,15 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 	var blob []byte
 	var packErr error
 	var packer sync.WaitGroup
+	built := make(chan []byte, 1)
 	if logged {
 		packer.Add(1)
 		go func() {
 			defer packer.Done()
-			blob, packErr = packRecord(tasks, s.m, func() error { <-linked; return firstErr() })
+			defer close(built)
+			d := deflaters.Get().(*deflater)
+			defer releaseDeflater(d)
+			blob, packErr = packRecord(b, d, func() error { <-linked; return firstErr() }, func(dpc1 []byte) { built <- dpc1 })
 			if packErr == nil && s.packFault != nil {
 				packErr = s.packFault()
 			}
@@ -576,7 +665,7 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 	link := func() {
 		var ws linkSpace
 		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-			errs[c] = s.linkChunk(c, tasks[c*publishChunk:min((c+1)*publishChunk, len(tasks))], &ws, &domains)
+			errs[c] = s.linkChunk(c, b, c*publishChunk, min((c+1)*publishChunk, b.n), &ws, &domains)
 		}
 	}
 	var linkers sync.WaitGroup
@@ -589,9 +678,17 @@ func (s *System) linkAndPack(tasks []*model.Task, logged bool) (record func() ([
 	close(linked)
 	if err := firstErr(); err != nil {
 		record() // the packer stops at the linkers' error
-		return nil, err
+		return nil, nil, err
 	}
-	return record, nil
+	if !logged {
+		_, err := packRecord(b, nil, firstErr, func(whole []byte) { dpc1 = whole })
+		return dpc1, record, err
+	}
+	if dpc1, ok := <-built; ok {
+		return dpc1, record, nil
+	}
+	_, err = record() // the packer failed before the blob was whole
+	return nil, nil, err
 }
 
 // linkSpace is one DVE goroutine's memory: the workspace a vector is
@@ -602,32 +699,26 @@ type linkSpace struct {
 	key    []byte
 }
 
-// linkChunk runs DVE over one chunk's tasks that have no domain vector, and
-// gives every task with an m-long vector the publication's one copy of it
-// (a vector of another length is the packer's to refuse).
-func (s *System) linkChunk(c int, tasks []*model.Task, ws *linkSpace, domains *domainTable) error {
+// linkChunk runs DVE over chunk c, the batch's tasks at positions lo to hi,
+// for those that have no domain vector, and gives every task the
+// publication's one copy of its vector. The vectors are validated once
+// each, by the check of the table the publish installs.
+func (s *System) linkChunk(c int, b *Batch, lo, hi int, ws *linkSpace, domains *domainTable) error {
 	if s.publishFault != nil {
 		if err := s.publishFault(c); err != nil {
 			return err
 		}
 	}
-	for _, t := range tasks {
-		given := t.Domain != nil // the requester's, validated with its task
+	for p := lo; p < hi; p++ {
+		v, given := b.domains[p], b.domains[p] != nil // the requester's, validated with its task
 		if !given {
-			t.Domain = ws.dve.Vector(s.linker, t.Text, s.m)
+			v = ws.dve.Vector(s.linker, b.task(p).Text, s.m)
 		}
-		if len(t.Domain) == s.m {
-			var err error
-			if ws.key, err = appendVector(ws.key[:0], &ws.sparse, t.Domain, s.m); err != nil {
-				return err
-			}
-			t.Domain = domains.intern(ws.key, t.Domain, given)
+		var err error
+		if ws.key, err = appendVector(ws.key[:0], &ws.sparse, v, s.m); err != nil {
+			return fmt.Errorf("model: task %d: %w", b.task(p).ID, err)
 		}
-		if !given {
-			if err := t.Validate(s.m); err != nil {
-				return err
-			}
-		}
+		b.domains[p] = domains.intern(ws.key, v, given)
 	}
 	return nil
 }
@@ -637,7 +728,7 @@ func (s *System) linkChunk(c int, tasks []*model.Task, ws *linkSpace, domains *d
 func (s *System) Published() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.tasks) > 0
+	return len(s.ids) > 0
 }
 
 // GoldenTasks returns the golden task IDs in publication order.
@@ -645,8 +736,8 @@ func (s *System) GoldenTasks() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]int, 0, len(s.goldenList))
-	for _, t := range s.goldenList {
-		out = append(out, t.ID)
+	for _, g := range s.goldenList {
+		out = append(out, g.id)
 	}
 	return out
 }
@@ -660,13 +751,15 @@ func (s *System) GoldenTasks() []int {
 // immutable snapshots, so a request never blocks answer ingest (and may be
 // up to one submit stale, which OTA tolerates by design). With leases
 // armed (Config.LeaseTTL) the served tasks are leased to the worker until
-// answered or expired.
-func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
+// answered or expired. A task is served as the campaign holds it: its ID,
+// text, choices and truth from the task table and its rest state's domain
+// vector.
+func (s *System) Request(workerID string, k int) ([]model.Task, error) {
 	if workerID == "" {
 		return nil, fmt.Errorf("core: empty worker ID")
 	}
 	s.mu.RLock()
-	tasks, golden, goldenList := s.tasks, s.golden, s.goldenList
+	table, ids, golden, goldenList := s.taskTable, s.ids, s.golden, s.goldenList
 	s.mu.RUnlock()
 	if k <= 0 {
 		k = s.cfg.HITSize
@@ -682,12 +775,14 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 	if !ready {
 		// Serve unanswered golden tasks first.
 		answered := s.goldenAnswered(workerID)
-		var out []*model.Task
-		for _, t := range goldenList {
+		var out []model.Task
+		for _, g := range goldenList {
 			if len(out) >= k {
 				break
 			}
-			if !answered[t.ID] {
+			if !answered[g.id] {
+				t := table.task(g.p, g.id)
+				t.Domain = s.index.Load().rests[g.p].R
 				out = append(out, t)
 			}
 		}
@@ -714,7 +809,7 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 	as := s.assigners.Get().(*assign.Assigner)
 	var ps []int
 	if s.scanAssign {
-		ps = s.assignScan(as, tasks, golden, w, leased, q, k, redundancy)
+		ps = s.assignScan(as, golden, w, leased, q, k, redundancy)
 	} else {
 		ps = s.assignIndexed(as, w, leased, q, k, redundancy)
 	}
@@ -722,9 +817,11 @@ func (s *System) Request(workerID string, k int) ([]*model.Task, error) {
 	if s.leases != nil {
 		s.leases.grant(workerID, ps)
 	}
-	out := make([]*model.Task, len(ps))
+	ci := s.index.Load()
+	out := make([]model.Task, len(ps))
 	for i, p := range ps {
-		out[i] = tasks[p]
+		out[i] = table.task(p, ids[p])
+		out[i].Domain = ci.rests[p].R
 	}
 	return out, nil
 }
@@ -778,12 +875,14 @@ func (s *System) assignIndexed(as *assign.Assigner, w int32, leased map[int]bool
 // campaign size. It survives behind the test-only scanAssign field as the
 // equivalence oracle (TestIndexedAssignmentEquivalence): the indexed path
 // must stay bit-identical to it on serial campaigns.
-func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden []bool, w int32, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
-	backing := make([]assign.TaskState, 0, len(tasks))
-	for p, t := range tasks {
+func (s *System) assignScan(as *assign.Assigner, golden []bool, w int32, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
+	ci := s.index.Load()
+	backing := make([]assign.TaskState, 0, len(golden))
+	for p := range golden {
 		if golden[p] || leased[p] {
 			continue
 		}
+		t := ci.row(p)
 		v := s.inc.ViewOf(t)
 		if v.Answered(w) {
 			continue
@@ -797,7 +896,7 @@ func (s *System) assignScan(as *assign.Assigner, tasks []*model.Task, golden []b
 				continue
 			}
 		}
-		backing = append(backing, assign.TaskState{ID: p, R: t.Domain, M: v.M, S: v.S})
+		backing = append(backing, assign.TaskState{ID: p, R: t.R, M: v.M, S: v.S})
 	}
 	return as.AssignStates(backing, q, k)
 }
@@ -829,13 +928,13 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	}
 	s.mu.RLock()
 	at, ok := s.position(taskID)
-	tasks, golden, goldenList := s.tasks, s.golden, s.goldenList
+	table, golden, goldenList := s.taskTable, s.golden, s.goldenList
 	s.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("core: unknown task %d", taskID)
 	}
-	t, isGolden := tasks[at], golden[at]
-	if choice < 0 || choice >= t.NumChoices() {
+	isGolden := golden[at]
+	if choice < 0 || choice >= table.ell(at) {
 		return fmt.Errorf("core: choice %d out of range for task %d", choice, taskID)
 	}
 
@@ -895,10 +994,10 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	if s.recovering && (s.covered || s.submissions.Load() < s.rerunFrom) {
 		// A later overwrite in this replay — the snapshot's install or the
 		// last rerun's Reseed — replaces this answer's engine math.
-		if err := s.skipIngest(workerID, w, t, at, choice); err != nil {
+		if err := s.skipIngest(workerID, w, taskID, at, choice); err != nil {
 			return err
 		}
-	} else if err := s.ingest(workerID, w, t, at, choice); err != nil {
+	} else if err := s.ingest(workerID, w, taskID, at, choice); err != nil {
 		return err
 	}
 	var p wal.Pending
@@ -937,10 +1036,10 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	return s.walCommit(p)
 }
 
-// ingest runs a regular answer of the worker with handle w to task t, at
-// position p, through the truth engine and the serving state that follows
-// it.
-func (s *System) ingest(workerID string, w int32, t *model.Task, p, choice int) error {
+// ingest runs a regular answer of the worker with handle w to the task with
+// this ID, at position p, through the truth engine and the serving state
+// that follows it.
+func (s *System) ingest(workerID string, w int32, id, p, choice int) error {
 	// Seed the worker's quality from the long-run store before her first
 	// answer enters the incremental engine (logged, so replay re-seeds the
 	// same bits rather than re-reading the store).
@@ -951,8 +1050,8 @@ func (s *System) ingest(workerID string, w int32, t *model.Task, p, choice int) 
 	// answers (the task's V(i)); ingest updates only that task's state plus
 	// the touched workers' statistics, so submits to different tasks run in
 	// parallel.
-	s.materialise(t, p)
-	if err := s.inc.SubmitBy(w, t.ID, choice); err != nil {
+	s.materialise(p)
+	if err := s.inc.SubmitBy(w, id, choice); err != nil {
 		return err
 	}
 	// The accepted answer retires the worker's lease on the task and, once
@@ -973,12 +1072,12 @@ func (s *System) ingest(workerID string, w int32, t *model.Task, p, choice int) 
 // to her as it did live — and the task is materialised, as the answer left
 // it, for the overwrite to land in, with the answer in its V(i), which is
 // the duplicate check (Record). The overwrite resyncs the index.
-func (s *System) skipIngest(workerID string, w int32, t *model.Task, p, choice int) error {
+func (s *System) skipIngest(workerID string, w int32, id, p, choice int) error {
 	if !s.inc.HasWorker(workerID) {
 		_, _ = s.inc.SeedWorker(workerID, truth.NewStats(s.m))
 	}
-	s.materialise(t, p)
-	return s.inc.Record(w, t.ID, choice)
+	s.materialise(p)
+	return s.inc.Record(w, id, choice)
 }
 
 // Result returns the current inferred truth and probabilistic truth of a
@@ -1015,7 +1114,9 @@ func (s *System) Results() (*truth.Result, error) {
 			return nil, err
 		}
 	}
-	return res.Over(s.InferTasks()), nil
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return res.Over(s.regularRowsRLocked()), nil
 }
 
 // infer runs the full iterative TI, golden evidence pinned, over the
@@ -1024,7 +1125,7 @@ func (s *System) Results() (*truth.Result, error) {
 // other regular tasks unlisted, so its cost follows the answered tasks.
 // tasks are the n listed regular tasks in publication order, then the
 // golden ones; idx indexes the regular answers alone.
-func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *model.LogIndex, err error) {
+func (s *System) infer() (res *truth.Result, tasks []truth.Row, n int, idx *model.LogIndex, err error) {
 	prefix := s.logPrefix()
 	s.mu.RLock()
 	goldenList, ids := s.goldenList, s.ids
@@ -1039,13 +1140,17 @@ func (s *System) infer() (res *truth.Result, tasks []*model.Task, n int, idx *mo
 	}
 	idx = all.Head()
 	s.mu.RLock()
-	listed := s.answeredTasksRLocked(idx)
+	listed := s.answeredRowsRLocked(idx)
 	if s.eagerInstall { // the oracle lists every regular task
-		listed = s.inferTasksRLocked()
+		listed = s.regularRowsRLocked()
 	}
-	unlisted := len(s.tasks) - len(s.goldenList) - len(listed)
+	unlisted := len(s.ids) - len(s.goldenList) - len(listed)
 	s.mu.RUnlock()
-	tasks = append(listed[:len(listed):len(listed)], goldenList...)
+	ci := s.index.Load()
+	tasks = slices.Grow(listed, len(goldenList))
+	for _, g := range goldenList {
+		tasks = append(tasks, ci.row(g.p))
+	}
 	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(idx), Pinned: pinned, Unlisted: unlisted})
 	return res, tasks, len(listed), idx, err
 }
@@ -1065,13 +1170,13 @@ func (s *System) logPrefix() model.Columns {
 // answers go in sorted worker order, each worker's in the order she gave
 // them: a fixed order, or per-task likelihood sums reorder between runs
 // and ulp-level differences flip assignment ties.
-func (s *System) goldenTail(goldenList []*model.Task) (model.Columns, map[int]int) {
+func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, map[int]int) {
 	if len(goldenList) == 0 {
 		return model.Columns{}, nil
 	}
 	pinned := make(map[int]int, len(goldenList))
-	for _, t := range goldenList {
-		pinned[t.ID] = t.Truth
+	for _, g := range goldenList {
+		pinned[g.id] = g.truth
 	}
 	golden := s.goldenAnswersByWorker()
 	workers := make([]string, 0, len(golden))
@@ -1120,11 +1225,35 @@ func (ws *workerState) goldenAnswers(workerID string) []model.Answer {
 }
 
 // InferTasks returns the non-golden tasks in publication order (the tasks
-// Results infers over, in the same order as the result slices).
+// Results infers over, in the same order as the result slices), each
+// minted from the task table with its domain vector, for the offline paths
+// that read them whole.
 func (s *System) InferTasks() []*model.Task {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.inferTasksRLocked()
+	ci := s.index.Load()
+	out := make([]*model.Task, 0, len(s.ids)-len(s.goldenList))
+	for p, id := range s.ids {
+		if !s.golden[p] {
+			t := s.task(p, id)
+			t.Domain = ci.rests[p].R
+			out = append(out, &t)
+		}
+	}
+	return out
+}
+
+// InferIDs returns the IDs of InferTasks' tasks, in its order.
+func (s *System) InferIDs() []int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]int, 0, len(s.ids)-len(s.goldenList))
+	for p, id := range s.ids {
+		if !s.golden[p] {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // WorkerQuality returns the system's current quality estimate for a worker.
@@ -1237,30 +1366,32 @@ func (s *System) Stats() Stats {
 
 // --- internal helpers ---
 
-// inferTasksRLocked returns the non-golden tasks; callers hold s.mu (read
-// side suffices — the slice is append-only after Publish).
-func (s *System) inferTasksRLocked() []*model.Task {
-	out := make([]*model.Task, 0, len(s.tasks)-len(s.goldenList))
-	for p, t := range s.tasks {
+// regularRowsRLocked returns the rows of the non-golden tasks; callers
+// hold s.mu (read side suffices).
+func (s *System) regularRowsRLocked() []truth.Row {
+	ci := s.index.Load()
+	out := make([]truth.Row, 0, len(s.ids)-len(s.goldenList))
+	for p := range s.ids {
 		if !s.golden[p] {
-			out = append(out, t)
+			out = append(out, ci.row(p))
 		}
 	}
 	return out
 }
 
-// answeredTasksRLocked returns the tasks idx holds answers for, in
-// publication order; callers hold s.mu's read side. The log holds answers
-// to published regular tasks alone.
-func (s *System) answeredTasksRLocked(idx *model.LogIndex) []*model.Task {
+// answeredRowsRLocked returns the rows of the tasks idx holds answers for,
+// in publication order; callers hold s.mu's read side. The log holds
+// answers to published regular tasks alone.
+func (s *System) answeredRowsRLocked(idx *model.LogIndex) []truth.Row {
 	ps := make([]int, len(idx.Tasks()))
 	for i, id := range idx.Tasks() {
 		ps[i], _ = s.position(id)
 	}
 	slices.Sort(ps)
-	out := make([]*model.Task, len(ps))
+	ci := s.index.Load()
+	out := make([]truth.Row, len(ps))
 	for i, p := range ps {
-		out[i] = s.tasks[p]
+		out[i] = ci.row(p)
 	}
 	return out
 }
@@ -1299,7 +1430,7 @@ func (s *System) goldenAnswered(workerID string) map[int]bool {
 // statistics read (and the profiled-flag flip) are logged as a KindSeed
 // record under logMu, so replay restores the same bits at the same point
 // in the answer order instead of re-reading a store that may have moved on.
-func (s *System) workerReady(workerID string, goldenList []*model.Task) (bool, error) {
+func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, error) {
 	if len(goldenList) == 0 {
 		return true, nil
 	}
@@ -1351,8 +1482,8 @@ func (s *System) workerReady(workerID string, goldenList []*model.Task) (bool, e
 // the same bits). EstimateFromGolden is a pure function of the replayed
 // golden answers, so no part of the profile depends on boot-time store
 // contents.
-func (s *System) profileWorker(workerID string, ws *workerState, goldenList []*model.Task) error {
-	st := truth.EstimateFromGolden(goldenList, ws.goldenAnswers(workerID), s.m)
+func (s *System) profileWorker(workerID string, ws *workerState, goldenList []goldenTask) error {
+	st := truth.EstimateFromGolden(s.goldenTasks(goldenList), ws.goldenAnswers(workerID), s.m)
 	anchor, _, err := s.store.MergeProfile(s.profileID(workerID), workerID, st)
 	if err != nil {
 		// The durable merge failed; abort profiling (the caller unwinds the
@@ -1366,6 +1497,17 @@ func (s *System) profileWorker(workerID string, ws *workerState, goldenList []*m
 	// alike — all replicas receive the same recorded bits.
 	ws.anchor = anchor
 	return nil
+}
+
+// goldenTasks mints the golden tasks as EstimateFromGolden reads them: ID,
+// domain vector and truth.
+func (s *System) goldenTasks(goldenList []goldenTask) []*model.Task {
+	ci := s.index.Load()
+	out := make([]*model.Task, len(goldenList))
+	for i, g := range goldenList {
+		out[i] = &model.Task{ID: g.id, Domain: ci.rests[g.p].R, Truth: g.truth}
+	}
+	return out
 }
 
 // ensureWorker makes sure the incremental engine knows the worker, seeding

@@ -48,6 +48,7 @@ func TestPublishRunsDVE(t *testing.T) {
 	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
+	tasks = publishedTasks(s)
 	sports, _ := s.Domains().Index("Sports")
 	food, _ := s.Domains().Index("Food")
 	if tasks[0].Domain.Top() != sports {
@@ -190,7 +191,7 @@ func TestEndToEndCampaign(t *testing.T) {
 			break // campaign saturated
 		}
 		for _, tk := range got {
-			if err := s.Submit(w.ID, tk.ID, w.Answer(tk, r)); err != nil {
+			if err := s.Submit(w.ID, tk.ID, w.Answer(&tk, r)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -622,7 +622,7 @@ func TestDeflateMatchesReference(t *testing.T) {
 		if got := inflate(t, want); !bytes.Equal(got, body) {
 			t.Errorf("%s: compress/flate reads the stream back to %d bytes that differ from the %d-byte body", name, len(got), len(body))
 		}
-		if !packsTo(body, want) {
+		if !new(inflater).packsTo(body, want) {
 			t.Errorf("%s: the re-encode check refuses the writer's stream", name)
 		}
 		for i, b := range blocks {

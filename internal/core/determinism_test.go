@@ -34,7 +34,7 @@ func campaignTrace(t *testing.T) string {
 			break
 		}
 		for _, tk := range got {
-			c := w.Answer(tk, r)
+			c := w.Answer(&tk, r)
 			trace += fmt.Sprintf("%s:%d:%d;", w.ID, tk.ID, c)
 			if err := s.Submit(w.ID, tk.ID, c); err != nil {
 				t.Fatal(err)

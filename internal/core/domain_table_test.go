@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -108,7 +109,7 @@ func TestPublishHoldsEachVectorOnce(t *testing.T) {
 			t.Errorf("%s: %d distinct encodings among %d tasks", name, encodings, len(got))
 		}
 	}
-	check("published", s.tasks)
+	check("published", publishedTasks(s))
 	s.Close()
 
 	r := newSystem(t, cfg)
@@ -116,15 +117,16 @@ func TestPublishHoldsEachVectorOnce(t *testing.T) {
 	if _, err := r.Recover(dir); err != nil {
 		t.Fatal(err)
 	}
-	check("recovered", r.tasks)
+	check("recovered", publishedTasks(r))
 }
 
 // TestAllocsReplayVectors: decoding the DPC1 blob of datasetTasks(6000)
 // allocates one m-long vector per distinct logged encoding, not an n×m
-// block: what it allocates past the tasks, their strings and choices is
-// the distinct vectors and their transient table. The tasks, their
-// pointers, the string copy and the choices slab are four allocations, so
-// the count is the vectors plus a constant.
+// block: what it allocates past the task table's columns and the ID order
+// is the distinct vectors and their transient table. The table holds the
+// blob itself, so its strings cost nothing; its two offset columns, the ID
+// column and its sorted permutation are four allocations, so the count is
+// the vectors plus a constant.
 func TestAllocsReplayVectors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -135,14 +137,12 @@ func TestAllocsReplayVectors(t *testing.T) {
 	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
+	tasks = publishedTasks(s)
 	_, distinct := vectorSharing(t, tasks, s.m)
 	blob := mustEncodeBinaryPublication(t, tasks, s.m)
-	// Everything but the vectors: the tasks and their pointers, the blob's
-	// one string copy and the choices slab, at their sizes.
-	rest := uint64(len(tasks))*uint64(unsafe.Sizeof(model.Task{})+8) + uint64(len(blob))
-	for _, tk := range tasks {
-		rest += uint64(len(tk.Choices)) * uint64(unsafe.Sizeof(""))
-	}
+	// Everything but the vectors: the text and choices offsets, the IDs and
+	// their permutation, at their sizes.
+	rest := uint64(len(tasks)) * (4 + 4 + 8 + 4)
 	const tableBytes = 16 << 10 // the table of under 128 vectors and the sparse scratch
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -152,20 +152,54 @@ func TestAllocsReplayVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrays, encodings := vectorSharing(t, got, s.m)
 	bytes := after.TotalAlloc - before.TotalAlloc
 	vectors := uint64(distinct * s.m * 8)
-	t.Logf("decoding %d tasks: %d B, %d allocations; %d vector arrays for %d encodings (%d B of vectors; an n×m block is %d B)",
-		len(got), bytes, after.Mallocs-before.Mallocs, arrays, encodings, vectors, len(got)*s.m*8)
-	if arrays != distinct || encodings != distinct {
-		t.Errorf("decoded %d vector arrays for %d encodings, published %d", arrays, encodings, distinct)
+	t.Logf("decoding %d tasks: %d B, %d allocations; %d vectors for %d encodings (%d B of vectors; an n×m block is %d B)",
+		len(got.ids), bytes, after.Mallocs-before.Mallocs, len(got.vectors), distinct, vectors, len(got.ids)*s.m*8)
+	if len(got.vectors) != distinct {
+		t.Errorf("decoded %d vectors, published %d", len(got.vectors), distinct)
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs > uint64(distinct)+16 {
-		t.Errorf("decoding %d tasks allocates %d times, want at most %d: one per distinct vector plus 16", len(got), allocs, distinct+16)
+		t.Errorf("decoding %d tasks allocates %d times, want at most %d: one per distinct vector plus 16", len(got.ids), allocs, distinct+16)
 	}
 	// Size classes round the rest up by at most an eighth.
 	if limit := rest + rest/8 + vectors + tableBytes; bytes > limit {
 		t.Errorf("decoding %d tasks allocates %d B, want at most %d (rest %d, vectors %d, table %d)",
-			len(got), bytes, limit, rest, vectors, tableBytes)
+			len(got.ids), bytes, limit, rest, vectors, tableBytes)
+	}
+}
+
+// TestValidatesEachVectorOnce: a publication's domain vectors are checked
+// once each, not once a task. Publishing datasetTasks(6000) and waking it
+// both check the decoded table, validating each table entry as the first
+// task naming it is checked: as many validations as distinct vectors, both
+// times (a wake ran 6,000 while replay re-ran the publish's per-task check).
+func TestValidatesEachVectorOnce(t *testing.T) {
+	var validations atomic.Int64
+	defer func(v func(model.DomainVector, int) error) { validateVector = v }(validateVector)
+	validateVector = func(v model.DomainVector, m int) error { validations.Add(1); return v.Validate(m) }
+	dir := t.TempDir()
+	cfg := Config{GoldenCount: -1, RerunEvery: -1}
+	s := newSystem(t, cfg)
+	if _, err := s.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Publish(datasetTasks(6000)); err != nil {
+		t.Fatal(err)
+	}
+	_, distinct := vectorSharing(t, publishedTasks(s), s.m)
+	if got := validations.Swap(0); got != int64(distinct) {
+		t.Errorf("publishing 6,000 tasks of %d distinct vectors validated %d vectors", distinct, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := newSystem(t, cfg)
+	defer r.Close()
+	if _, err := r.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := validations.Load(); got != int64(distinct) {
+		t.Errorf("waking 6,000 tasks of %d distinct vectors validated %d vectors", distinct, got)
 	}
 }

@@ -74,7 +74,7 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 		return RecoveryInfo{}, fmt.Errorf("core: empty WAL directory")
 	}
 	s.mu.RLock()
-	published := len(s.tasks) > 0
+	published := len(s.ids) > 0
 	s.mu.RUnlock()
 	if published || s.submissions.Load() != 0 || s.wal != nil {
 		return RecoveryInfo{}, fmt.Errorf("core: Recover must run once, before serving")
@@ -209,13 +209,13 @@ func (s *System) applyRecord(rec wal.Record) error {
 	}
 	switch rec.Kind {
 	case wal.KindPublish:
-		// The record's tasks all carry their domain vector (decodePublication
-		// returns no other kind), so this Publish links no text.
-		tasks, err := decodePublication(rec, s.m)
+		// The record's tasks all carry their domain vector, so the replay
+		// links no text; publishDecoded checks them as a publish does.
+		pub, err := decodePublication(rec, s.m)
 		if err != nil {
 			return err
 		}
-		if err := s.Publish(tasks); err != nil {
+		if err := s.publishDecoded(pub); err != nil {
 			return fmt.Errorf("publish record %d: %w", rec.Seq, err)
 		}
 	case wal.KindAnswer:

@@ -39,15 +39,16 @@ func (s *System) Fingerprint() string {
 	bits := func(f float64) { fmt.Fprintf(&b, "%016x,", math.Float64bits(f)) }
 
 	s.mu.RLock()
-	fmt.Fprintf(&b, "tasks:%d;", len(s.tasks))
-	for p, t := range s.tasks {
-		fmt.Fprintf(&b, "t%d:g%v:", t.ID, s.golden[p])
-		for _, r := range t.Domain {
+	ids, golden := s.ids, s.golden
+	s.mu.RUnlock()
+	ci := s.index.Load()
+	fmt.Fprintf(&b, "tasks:%d;", len(ids))
+	for p, id := range ids {
+		fmt.Fprintf(&b, "t%d:g%v:", id, golden[p])
+		for _, r := range ci.rests[p].R {
 			bits(r)
 		}
 	}
-	tasks, golden := s.tasks, s.golden
-	s.mu.RUnlock()
 
 	fmt.Fprintf(&b, ";answers:%d;", s.submissions.Load())
 	log := s.logAnswers()
@@ -56,14 +57,13 @@ func (s *System) Fingerprint() string {
 	}
 
 	b.WriteString(";views:")
-	ci := s.index.Load()
-	for p, t := range tasks {
+	for p, id := range ids {
 		if golden[p] {
-			fmt.Fprintf(&b, "t%d:nil;", t.ID)
+			fmt.Fprintf(&b, "t%d:nil;", id)
 			continue
 		}
 		v := ci.view(int32(p))
-		fmt.Fprintf(&b, "t%d:c%d:n%d:S", t.ID, v.Truth, v.NumAnswers)
+		fmt.Fprintf(&b, "t%d:c%d:n%d:S", id, v.Truth, v.NumAnswers)
 		for _, x := range v.S {
 			bits(x)
 		}

@@ -21,8 +21,9 @@ type candidateArr struct {
 // accepted answers than AnswersPerTask.
 //
 // A candidate is a publication position: the index keeps, by position, the
-// rest state a latent task reads (which carries its immutable, shared
-// domain vector; nil for a golden task, which is no candidate), the truth
+// task's ID and the rest state a latent task reads (which carries its
+// immutable, shared domain vector and its ℓ: what inference reads of it,
+// its row), whether it is golden (a golden task is no candidate), the truth
 // slot its first answer fills and its openness, all set once at Publish.
 // The serving side reads an immutable candidateArr via an atomic pointer —
 // the open positions, ascending. Membership maintenance:
@@ -43,12 +44,13 @@ type candidateArr struct {
 // tie-break indices, bit-identical assignments (asserted by
 // TestIndexedAssignmentEquivalence).
 type candidateIndex struct {
-	mu    sync.Mutex
-	ids   []int         // the publication's task IDs, by position (shared, read-only)
-	rests []*truth.Rest // by position; nil for a golden task
-	slots []truth.Slot  // by position: filled when a task materialises
-	open  []bool        // by position
-	stale int           // closed entries still present in the published array
+	mu     sync.Mutex
+	ids    []int         // the publication's task IDs, by position (shared, read-only)
+	rests  []*truth.Rest // by position
+	golden []bool        // by position (shared, read-only)
+	slots  []truth.Slot  // by position: filled when a task materialises
+	open   []bool        // by position
+	stale  int           // closed entries still present in the published array
 
 	openCount atomic.Int64
 	epoch     atomic.Uint64
@@ -71,14 +73,14 @@ func staleThreshold(arrLen int) int {
 	return t
 }
 
-// newCandidateIndex builds the index over a publication — its task IDs and
-// each regular task's rest state, by position — and publishes the first
-// generation. Called from Publish with the campaign write lock held, before
-// any request can see the tasks.
-func newCandidateIndex(ids []int, rests []*truth.Rest) *candidateIndex {
-	ci := &candidateIndex{ids: ids, rests: rests, slots: make([]truth.Slot, len(rests)), open: make([]bool, len(rests))}
-	for p, rest := range rests {
-		if ci.open[p] = rest != nil; ci.open[p] {
+// newCandidateIndex builds the index over a publication — its task IDs,
+// each task's rest state and golden flag, by position — and publishes the
+// first generation. Called from Publish with the campaign write lock held,
+// before any request can see the tasks.
+func newCandidateIndex(ids []int, rests []*truth.Rest, golden []bool) *candidateIndex {
+	ci := &candidateIndex{ids: ids, rests: rests, golden: golden, slots: make([]truth.Slot, len(rests)), open: make([]bool, len(rests))}
+	for p := range rests {
+		if ci.open[p] = !golden[p]; ci.open[p] {
 			ci.openCount.Add(1)
 		}
 	}
@@ -101,6 +103,11 @@ func (ci *candidateIndex) publishLocked() {
 
 // load returns the current published generation (nil before Publish).
 func (ci *candidateIndex) load() *candidateArr { return ci.arr.Load() }
+
+// row returns what inference reads of the task at position p.
+func (ci *candidateIndex) row(p int) truth.Row {
+	return truth.Row{ID: ci.ids[p], R: ci.rests[p].R, Ell: ci.rests[p].Ell}
+}
 
 // view returns the latest truth snapshot of the candidate at position p:
 // its own once an answer materialised the task, else its rest state's.
@@ -140,8 +147,8 @@ func (ci *candidateIndex) resync(redundancy int) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
 	changed := false
-	for p, rest := range ci.rests {
-		if rest == nil {
+	for p, golden := range ci.golden {
+		if golden {
 			continue
 		}
 		open := redundancy <= 0 || ci.view(int32(p)).NumAnswers < redundancy

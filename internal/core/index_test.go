@@ -12,6 +12,7 @@ import (
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
+	"docs/internal/truth"
 )
 
 // traceCampaign drives a full serial campaign (the determinism-test
@@ -42,7 +43,7 @@ func traceCampaign(t *testing.T, s *System) (string, *System) {
 			break
 		}
 		for _, tk := range got {
-			c := w.Answer(tk, r)
+			c := w.Answer(&tk, r)
 			trace += fmt.Sprintf("%s:%d:%d;", w.ID, tk.ID, c)
 			if err := s.Submit(w.ID, tk.ID, c); err != nil {
 				t.Fatal(err)
@@ -330,11 +331,11 @@ func TestBenefitCompactMatchesDenseOnTraces(t *testing.T) {
 	_, s := traceCampaign(t, newSystem(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}))
 	var sc assign.Scratch
 	answered, rows := 0, 0
-	for p, tk := range s.tasks {
+	for p, tk := range publishedTasks(s) {
 		if s.golden[p] { // pinned, never assigned by benefit
 			continue
 		}
-		v := s.inc.ViewOf(tk)
+		v := s.inc.ViewOf(truth.RowOf(tk))
 		if len(v.M) != tk.Domain.Support() {
 			t.Fatalf("task %d: view holds %d rows for a support of %d", tk.ID, len(v.M), tk.Domain.Support())
 		}

@@ -13,6 +13,7 @@ import (
 	"docs/internal/dve"
 	"docs/internal/kb"
 	"docs/internal/model"
+	"docs/internal/truth"
 )
 
 // Publish is a pipeline: DVE fans out over chunks of the tasks, the packer
@@ -125,7 +126,7 @@ func TestPublishRecordMatchesSerialOracle(t *testing.T) {
 		defer systems[m].Close()
 	}
 	for round, set := range seededPublications() {
-		record, err := systems[set.m].linkAndPack(set.tasks, true)
+		_, record, err := systems[set.m].linkAndPack(batchOf(set.tasks, set.m), true)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -227,11 +228,11 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// TestAllocsInstallPublication: installing n tasks — the publish's last
-// stage and every wake's — allocates a constant the same at 600 and at
-// 6,000 tasks: a task enters the truth engine latent, holding nothing of its
-// own there, its candidate, truth slot and lease counter each come in one
-// allocation for all, and the maps are sized once.
+// TestAllocsInstallPublication: installing n decoded tasks — the last stage
+// of a publish and of every wake — allocates a constant the same at 600 and
+// at 6,000 tasks: a task enters the truth engine latent, holding nothing of
+// its own there, its rest pointer, candidate, truth slot and lease counter
+// each come in one allocation for all, and the maps are sized once.
 func TestAllocsInstallPublication(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -244,15 +245,14 @@ func TestAllocsInstallPublication(t *testing.T) {
 		for i, tk := range tasks { // one vector per distinct encoding, as a publication shares them
 			tk.Domain = tasks[i%s.m].Domain
 		}
-		b, err := CheckTasks(tasks, s.m)
+		pub, err := decodeBinaryPublication(mustEncodeBinaryPublication(t, tasks, s.m), s.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := make([]bool, n)
 		var before, after runtime.MemStats
 		s.mu.Lock()
 		runtime.ReadMemStats(&before)
-		s.installPublication(b, golden)
+		s.installPublication(pub)
 		runtime.ReadMemStats(&after)
 		s.mu.Unlock()
 		return after.Mallocs - before.Mallocs
@@ -270,13 +270,14 @@ func TestAllocsInstallPublication(t *testing.T) {
 	}
 }
 
-// TestInstallBytesPerTask: a published task costs its position. Checking
+// TestInstallBytesPerTask: a published task costs its position. Decoding
 // and installing 6,000 tasks — shared vectors, leases armed, nothing
-// answered — grows the live heap by at most 48 B a task: the ID column
-// and its sorted permutation, the golden flag, and the candidate index's
-// rest pointer, truth slot, open flag, lease counter and place in the
-// first published generation: 38 B. One ID-keyed map over the tasks more
-// than uses up the slack.
+// answered — grows the live heap, past the record's own bytes, by at most
+// 48 B a task: the ID column and its sorted permutation, the task table's
+// text and choices offsets, the golden flag, and the candidate index's rest
+// pointer, truth slot, open flag, lease counter and place in the first
+// published generation: 46 B. One ID-keyed map over the tasks more than
+// uses up the slack.
 func TestInstallBytesPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are meaningless under the race detector")
@@ -288,27 +289,112 @@ func TestInstallBytesPerTask(t *testing.T) {
 	for i, tk := range tasks { // one vector per distinct encoding, as a publication shares them
 		tk.Domain = tasks[i%s.m].Domain
 	}
-	for _, tk := range tasks[:s.m] { // the first task of each shape builds the shared rest states
-		s.inc.Rest(tk.Domain, tk.NumChoices())
-	}
+	blob := mustEncodeBinaryPublication(t, tasks, s.m)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	b, err := CheckTasks(tasks, s.m)
+	pub, err := decodeBinaryPublication(blob, s.m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.installPublication(b, make([]bool, n))
+	s.installPublication(pub)
 	s.mu.Unlock()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
-	t.Logf("checking and installing %d tasks grows the live heap by %.1f B a task", n, got)
+	t.Logf("decoding and installing %d tasks grows the live heap by %.1f B a task", n, got)
 	if got > perTask {
 		t.Errorf("a published task holds %.1f B of live heap, want at most %d", got, perTask)
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestLiveBytesPerPublishedTask: a published task is its row of the task
+// table. Following 600 and then 6,000 dataset tasks from the check through
+// the install, each further latent task holds at most 64 B of live heap
+// beyond its text and choice bytes, which the table's slab holds: its
+// share of the slab's other columns, its two offsets, and the 38 B
+// TestInstallBytesPerTask counts (≈196 while the core kept a model.Task,
+// its choices' headers and a pointer for each). Answering every task once
+// then adds, beyond what the truth engine holds for the same rows and
+// answers, the answer log's columns: each further answered task holds at
+// most 128 B. Per further task, as TestLiveBytesPerAnswer counts: what a
+// campaign holds once — its distinct vectors and their rest states, a few
+// dozen here — is no task's.
+func TestLiveBytesPerPublishedTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	const small, large, latentMax, answeredMax = 600, 6000, 64, 128
+	live := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // and what the pools' victim caches held
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	// held publishes n tasks and answers each once, and returns the live
+	// heap the campaign holds beyond the tasks' text and choice bytes, then
+	// that and what answering added beyond a bare truth engine's state for
+	// the same rows and answers.
+	held := func(n int) (latent, answered float64) {
+		tasks, workers := datasetTasks(n), make([]string, n)
+		text := 0
+		for i, tk := range tasks {
+			text += len(tk.Text)
+			for _, c := range tk.Choices {
+				text += len(c)
+			}
+			workers[i] = fmt.Sprintf("w%d", i%60)
+		}
+		s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1})
+		defer s.Close()
+		before := live()
+		b, err := CheckTasks(tasks, s.m)
+		if err == nil {
+			err = s.PublishBatch(b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = nil
+		latent = live() - before - float64(text)
+
+		ci := s.index.Load()
+		rows := make([]truth.Row, n)
+		for p := range rows {
+			rows[p] = ci.row(p)
+		}
+		engine := truth.NewIncremental(s.m)
+		before = live()
+		for p, row := range rows {
+			engine.Materialise(row, nil)
+			if err := engine.SubmitBy(engine.Intern(workers[p]), row.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		engineHeld := live() - before
+		before = live()
+		for p, tk := range tasks {
+			if err := s.Submit(workers[p], tk.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		answered = latent + live() - before - engineHeld
+		runtime.KeepAlive(tasks)
+		runtime.KeepAlive(rows)
+		runtime.KeepAlive(engine)
+		return latent, answered
+	}
+	latentSmall, answeredSmall := held(small)
+	latentLarge, answeredLarge := held(large)
+	latent, answered := (latentLarge-latentSmall)/(large-small), (answeredLarge-answeredSmall)/(large-small)
+	t.Logf("campaigns of %d and %d tasks hold %.0f B and %.0f B beyond the text and choices, %.0f B and %.0f B answered: %.1f B a further latent task, %.1f B a further answered one",
+		small, large, latentSmall, latentLarge, answeredSmall, answeredLarge, latent, answered)
+	if latent > latentMax || answered > answeredMax {
+		t.Errorf("a further latent task holds %.1f B and an answered one %.1f B, want at most %d and %d", latent, answered, latentMax, answeredMax)
+	}
 }
 
 // TestAllocsRerunIndependentOfUnanswered: a rerun lists the tasks its

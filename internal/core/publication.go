@@ -85,33 +85,40 @@ const (
 // and ref).
 const minTaskBytes = 6
 
-// checkPublicationSize refuses a task set whose DPC1 blob could be too
-// large for one log record. It bounds the blob as if every task added a
-// vector listing all m entries — exact for the header, the texts, the
-// choices, the IDs and the truths, an upper bound for the refs and the
-// table — so it needs no domain vector and holds a batch to the record
+// headSize returns how many bytes a batch's DPC1 blob takes before its ref
+// column — exact — and checks that the whole blob fits one log record. It
+// bounds the refs and the table as if every task added a vector listing all
+// m entries, so it needs no domain vector and holds a batch to the record
 // size before DVE runs.
-func checkPublicationSize(tasks []*model.Task, m int) error {
-	vector := uvarintLen(uint64(m))
-	for k := 0; k < m; k++ {
-		vector += uvarintLen(uint64(k)) + 8
-	}
-	ref := uvarintLen(uint64(len(tasks)))
-	size := len(publicationMagic) + uvarintLen(uint64(m)) + ref
+func headSize(b *Batch) (int, error) {
+	vector := maxVectorLen(b.m)
+	ref := uvarintLen(uint64(b.n))
+	head := len(publicationMagic) + uvarintLen(uint64(b.m)) + uvarintLen(uint64(b.n))
 	prev := -1
-	for _, t := range tasks {
-		size += uvarintLen(zigzag(t.ID-prev-1)) + tstrLen(t.Text) + uvarintLen(uint64(len(t.Choices)))
+	for p := 0; p < b.n; p++ {
+		t := b.task(p)
+		head += uvarintLen(zigzag(t.ID-prev-1)) + tstrLen(t.Text) + uvarintLen(uint64(len(t.Choices)))
 		prev = t.ID
 		for _, c := range t.Choices {
-			size += tstrLen(c)
+			head += tstrLen(c)
 		}
-		size += uvarintLen(uint64(t.Truth+1)) + uvarintLen(uint64(t.TrueDomain+1)) + ref + vector
+		head += uvarintLen(uint64(t.Truth+1)) + uvarintLen(uint64(t.TrueDomain+1))
 	}
-	if size > wal.MaxBlob {
-		return fmt.Errorf("core: publication may encode to %d bytes, over the %d a log record holds; publish fewer or shorter tasks",
+	if size := head + b.n*(ref+vector); size > wal.MaxBlob {
+		return 0, fmt.Errorf("core: publication may encode to %d bytes, over the %d a log record holds; publish fewer or shorter tasks",
 			size, wal.MaxBlob)
 	}
-	return nil
+	return head, nil
+}
+
+// maxVectorLen is the longest encoding of a vector over m domains: one
+// listing all m entries.
+func maxVectorLen(m int) int {
+	n := uvarintLen(uint64(m))
+	for k := 0; k < m; k++ {
+		n += uvarintLen(uint64(k)) + 8
+	}
+	return n
 }
 
 func uvarintLen(x uint64) int {
@@ -136,33 +143,29 @@ func tstrLen(s string) int {
 	return len(s) + strings.Count(s, "\x00") + strings.Count(s, "\x01") + 1
 }
 
-// packRecord returns the record Publish logs for a task set: its DPC1 blob,
-// packed as DPC4 when that is the shorter. The columns DVE does not touch —
-// IDs, texts, choices, truths — are encoded first and the pinned writer
-// advances over them while the linkers run; linked waits for the linkers,
-// and only the ref and table columns follow it. So the record is a pure
+// packRecord encodes a batch's DPC1 blob and, given a writer d, packs it:
+// it returns the record Publish logs, the blob packed as DPC4 when that is
+// the shorter (nil without d). The columns DVE does not touch — IDs, texts,
+// choices, truths — are encoded first, in a buffer of exactly their size
+// (b.head), and d advances over them while the linkers run; linked waits
+// for the linkers, and only the ref and table columns follow it. built receives
+// the finished blob before d packs its last bytes. So the record is a pure
 // function of the tasks, as replay needs. It fails on linked's error or on
 // a task the format cannot express: a negative ID, a truth or true domain
 // below NoTruth, or a domain vector that is not m long.
 //
 //docs:deterministic
-func packRecord(tasks []*model.Task, m int, linked func() error) ([]byte, error) {
-	size := len(publicationMagic) + 2*binary.MaxVarintLen64
-	for _, t := range tasks {
-		size += 32 + len(t.Text)
-		for _, c := range t.Choices {
-			size += 1 + len(c)
-		}
-	}
-	blob := make([]byte, 0, size)
+func packRecord(b *Batch, d *deflater, linked func() error, built func(dpc1 []byte)) ([]byte, error) {
+	blob := make([]byte, 0, b.head)
 	blob = append(blob, publicationMagic...)
-	blob = binary.AppendUvarint(blob, uint64(m))
-	blob = binary.AppendUvarint(blob, uint64(len(tasks)))
-	d := deflaters.Get().(*deflater)
-	defer releaseDeflater(d)
-	d.reset(make([]byte, 0, size/4))
+	blob = binary.AppendUvarint(blob, uint64(b.m))
+	blob = binary.AppendUvarint(blob, uint64(b.n))
+	if d != nil {
+		d.reset(make([]byte, 0, b.head/4))
+	}
 	prev := -1
-	for _, t := range tasks {
+	for p := 0; p < b.n; p++ {
+		t := b.task(p)
 		if t.ID < 0 || t.Truth < model.NoTruth || t.TrueDomain < model.NoTruth {
 			return nil, fmt.Errorf("core: publication: task %d (truth %d, true domain %d) has a negative field",
 				t.ID, t.Truth, t.TrueDomain)
@@ -170,29 +173,38 @@ func packRecord(tasks []*model.Task, m int, linked func() error) ([]byte, error)
 		blob = binary.AppendUvarint(blob, zigzag(t.ID-prev-1))
 		prev = t.ID
 	}
-	for _, t := range tasks {
-		blob = appendTstr(blob, t.Text)
+	for p := 0; p < b.n; p++ {
+		blob = appendTstr(blob, b.task(p).Text)
 	}
-	d.write(blob[len(publicationMagic):], false)
-	for _, t := range tasks {
-		blob = binary.AppendUvarint(blob, uint64(len(t.Choices)))
-		for _, c := range t.Choices {
+	if d != nil {
+		d.write(blob[len(publicationMagic):], false)
+	}
+	for p := 0; p < b.n; p++ {
+		choices := b.task(p).Choices
+		blob = binary.AppendUvarint(blob, uint64(len(choices)))
+		for _, c := range choices {
 			blob = appendTstr(blob, c)
 		}
 	}
-	for _, t := range tasks {
-		blob = binary.AppendUvarint(blob, uint64(t.Truth+1))
+	for p := 0; p < b.n; p++ {
+		blob = binary.AppendUvarint(blob, uint64(b.task(p).Truth+1))
 	}
-	for _, t := range tasks {
-		blob = binary.AppendUvarint(blob, uint64(t.TrueDomain+1))
+	for p := 0; p < b.n; p++ {
+		blob = binary.AppendUvarint(blob, uint64(b.task(p).TrueDomain+1))
 	}
-	d.write(blob[len(publicationMagic):], false)
+	if d != nil {
+		d.write(blob[len(publicationMagic):], false)
+	}
 	if err := linked(); err != nil {
 		return nil, err
 	}
-	blob, err := appendVectors(blob, tasks, m)
+	blob, err := appendVectors(blob, b)
 	if err != nil {
 		return nil, err
+	}
+	built(blob)
+	if d == nil {
+		return nil, nil
 	}
 	body := blob[len(publicationMagic):]
 	d.write(body, true)
@@ -202,33 +214,46 @@ func packRecord(tasks []*model.Task, m int, linked func() error) ([]byte, error)
 	return append(binary.AppendUvarint([]byte(deflateMagic), uint64(len(body))), d.out...), nil
 }
 
-// appendVectors appends a task set's last two columns: each task's vector
-// ref, then the table of distinct vectors in order of first appearance,
-// each under its logged encoding (appendVector).
-func appendVectors(blob []byte, tasks []*model.Task, m int) ([]byte, error) {
-	refs := make(map[string]int)  // by encoding
-	table := make([]byte, 0, 256) // room for most publications' distinct vectors
-	domain := wal.SparseFloats{K: make([]int, 0, m), V: make([]float64, 0, m)}
-	for _, t := range tasks {
-		if len(t.Domain) != m {
+// appendVectors appends a batch's last two columns: each task's vector ref,
+// then the table of distinct vectors in order of first appearance, each
+// under its logged encoding (appendVector). A first pass numbers the
+// distinct encodings and sums the two columns' lengths; the second writes
+// them into a copy of the blob of exactly its length, which is the task
+// table's slab.
+func appendVectors(blob []byte, b *Batch) ([]byte, error) {
+	refs := make(map[string]int) // by encoding
+	domain := wal.SparseFloats{K: make([]int, 0, b.m), V: make([]float64, 0, b.m)}
+	key := make([]byte, 0, maxVectorLen(b.m))
+	column, table := 0, 0 // their lengths
+	for p, v := range b.domains {
+		if len(v) != b.m {
 			return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
-				t.ID, len(t.Domain), m)
+				b.task(p).ID, len(v), b.m)
 		}
-		start := len(table)
 		var err error
-		if table, err = appendVector(table, &domain, t.Domain, m); err != nil {
-			return nil, fmt.Errorf("core: publication: task %d: %w", t.ID, err)
+		if key, err = appendVector(key[:0], &domain, v, b.m); err != nil {
+			return nil, fmt.Errorf("core: publication: task %d: %w", b.task(p).ID, err)
 		}
-		ref, seen := refs[string(table[start:])]
-		if seen {
-			table = table[:start]
-		} else {
+		ref, seen := refs[string(key)]
+		if !seen {
 			ref = len(refs)
-			refs[string(table[start:])] = ref
+			refs[string(key)] = ref
+			table += len(key)
 		}
-		blob = binary.AppendUvarint(blob, uint64(ref))
+		column += uvarintLen(uint64(ref))
 	}
-	return append(blob, table...), nil
+	whole := make([]byte, len(blob)+column+table)
+	at, entry, entries := copy(whole, blob), len(blob)+column, 0
+	for _, v := range b.domains {
+		key, _ = appendVector(key[:0], &domain, v, b.m) // encoded without error above
+		ref := refs[string(key)]
+		at += binary.PutUvarint(whole[at:], uint64(ref))
+		if ref == entries {
+			entry += copy(whole[entry:], key)
+			entries++
+		}
+	}
+	return whole, nil
 }
 
 // appendVector appends a domain vector's logged encoding, a
@@ -243,27 +268,31 @@ func appendVector(b []byte, sparse *wal.SparseFloats, v []float64, m int) ([]byt
 // under its logged encoding (appendVector), so two tasks share a vector
 // exactly when the record holds the same bytes for both. The key is bits,
 // never ==: −0, a denormal and the uniform "domain unknown" vector each
-// keep their own. Publish's linkers share one table; replay's decoder
-// needs none, since the record's tasks share its table's entries, and the
-// replayed Publish interns those. It is dropped once its tasks are built,
-// so a campaign holds m floats per distinct vector, not per task. Sharing
-// is safe because nothing writes an element of a task's Domain
-// (TestOneReaderOneWriter).
+// keep their own. Publish's linkers share one table. It is dropped once the
+// record is packed; the campaign's tasks share the
+// decoded record's table entries, so it holds m floats per distinct
+// vector, not per task. Sharing is safe because nothing writes an element
+// of a task's Domain (TestOneReaderOneWriter).
 type domainTable struct {
 	mu  sync.Mutex
 	vec map[string]model.DomainVector
 }
 
+// validateVector is the check every distinct vector of a publication
+// passes once, at the decoded table's check, on a publish and on a wake
+// alike. A variable so a test can count the checks.
+var validateVector = model.DomainVector.Validate
+
 // intern returns the vector held under key, v's encoding. On a miss it
-// holds v itself when keep is set and a copy otherwise (v is a workspace's
-// scratch), so a hit allocates nothing.
-func (dt *domainTable) intern(key []byte, v model.DomainVector, keep bool) model.DomainVector {
+// holds v itself when given is set — the requester's — and otherwise a copy
+// (v is a workspace's scratch), so a hit allocates nothing.
+func (dt *domainTable) intern(key []byte, v model.DomainVector, given bool) model.DomainVector {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	if held, ok := dt.vec[string(key)]; ok {
 		return held
 	}
-	if !keep {
+	if !given {
 		v = slices.Clone(v)
 	}
 	dt.vec[string(key)] = v
@@ -282,10 +311,11 @@ var (
 )
 
 // inflater is a pooled reader of DPC4 streams: compress/flate's, reset onto
-// src.
+// src, and the buffer its re-encode check writes into.
 type inflater struct {
-	src bytes.Reader
-	zr  io.ReadCloser // a flate.Resetter
+	src   bytes.Reader
+	zr    io.ReadCloser // a flate.Resetter
+	check []byte
 }
 
 var inflaters = sync.Pool{New: func() any {
@@ -294,11 +324,16 @@ var inflaters = sync.Pool{New: func() any {
 	return in
 }}
 
+// maxInflation bounds what one byte of a DEFLATE stream inflates to: a
+// 258-byte match takes at least two bits.
+const maxInflation = 1032
+
 // unpackPublication inflates a DPC4 blob into the DPC1 blob it stands for,
-// refusing every blob the pinned writer would not have written. Inflation
-// stops one byte past the stated length, and the buffer grows only as bytes
-// inflate, never to that length up front, so a hostile length buys no
-// memory.
+// refusing every blob the pinned writer would not have written. The blob is
+// inflated once, into a buffer sized from the stated length — no larger
+// than the stream can inflate to, so a hostile length buys no memory the
+// record's own bytes do not bound — which the task table then holds as its
+// slab.
 func unpackPublication(blob []byte) ([]byte, error) {
 	c := wal.NewCursor(blob[len(deflateMagic):])
 	n := c.Uvarint()
@@ -318,22 +353,32 @@ func unpackPublication(blob []byte) ([]byte, error) {
 	if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
 		return nil, err
 	}
-	var out bytes.Buffer
-	out.WriteString(publicationMagic)
-	if _, err := out.ReadFrom(io.LimitReader(in.zr, int64(n)+1)); err != nil {
+	dpc1 := make([]byte, len(publicationMagic), len(publicationMagic)+int(min(n, uint64(len(stream))*maxInflation)))
+	copy(dpc1, publicationMagic)
+	got, err := io.ReadFull(in.zr, dpc1[len(dpc1):cap(dpc1)])
+	dpc1 = dpc1[:len(dpc1)+got]
+	switch err {
+	case nil: // the buffer is full: the stream must end here
+		var past [1]byte
+		for k := 0; k == 0 && err == nil; {
+			if k, err = in.zr.Read(past[:]); k > 0 {
+				return nil, fmt.Errorf("packed body inflates past the %d bytes stated", n)
+			}
+		}
+	case io.ErrUnexpectedEOF: // short of the stated length, which the switch below names
+		err = io.EOF
+	}
+	if err != io.EOF {
 		return nil, fmt.Errorf("packed body: %w", err)
 	}
-	dpc1 := out.Bytes()
 	body := dpc1[len(publicationMagic):]
 	switch {
-	case uint64(len(body)) > n:
-		return nil, fmt.Errorf("packed body inflates past the %d bytes stated", n)
 	case uint64(len(body)) < n:
 		return nil, fmt.Errorf("packed body inflates to %d bytes, not the %d stated", len(body), n)
 	case in.src.Len() > 0:
 		return nil, fmt.Errorf("%d bytes follow the packed body's final block", in.src.Len())
 	}
-	if !packsTo(body, stream) {
+	if !in.packsTo(body, stream) {
 		return nil, errNotCanonical
 	}
 	if len(blob) >= len(dpc1) {
@@ -343,20 +388,21 @@ func unpackPublication(blob []byte) ([]byte, error) {
 }
 
 // packsTo reports whether stream is the pinned DEFLATE writer's output for
-// body.
-func packsTo(body, stream []byte) bool {
+// body, writing it into the inflater's own buffer.
+func (in *inflater) packsTo(body, stream []byte) bool {
 	d := deflaters.Get().(*deflater)
 	defer releaseDeflater(d)
-	d.reset(make([]byte, 0, len(stream)+8))
+	d.reset(in.check[:0])
 	d.write(body, true)
+	in.check = d.out
 	return bytes.Equal(d.out, stream)
 }
 
-// decodePublication parses a publish record's task set. It is the one
-// reader of the record (replay's applyRecord), and it returns only tasks
-// that carry an m-long domain vector, so replay never re-runs entity
-// linking. A DPC4 blob unpacks to DPC1 and then reads as one.
-func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
+// decodePublication parses a publish record into the campaign's task
+// table. It is the one reader of the record (replay's applyRecord); a DPC4
+// blob unpacks to DPC1 and then reads as one, and a DPC1 blob is copied out
+// of the segment it was read from.
+func decodePublication(rec wal.Record, m int) (*publication, error) {
 	blob, err := rec.Blob, error(nil)
 	switch {
 	case bytes.HasPrefix(blob, []byte(deflateMagic)):
@@ -367,32 +413,47 @@ func decodePublication(rec wal.Record, m int) ([]*model.Task, error) {
 		err = errFormatLZW
 	case bytes.HasPrefix(blob, []byte("DPB1")), bytes.HasPrefix(blob, []byte("DPB3")):
 		err = errFormatRows
+	default:
+		// The record's blob lies in the log segment it was read from: the
+		// slab owns a copy, or it would keep the whole segment alive.
+		blob = append(make([]byte, 0, len(blob)), blob...)
 	}
-	var tasks []*model.Task
+	var pub *publication
 	if err == nil {
-		tasks, err = decodeBinaryPublication(blob, m)
+		pub, err = decodeBinaryPublication(blob, m)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("publish record %d: %w", rec.Seq, err)
 	}
-	return tasks, nil
+	return pub, nil
 }
 
-// decodeBinaryPublication parses a DPC1 blob stamped with m domains.
-// Whatever it is given, it never panics. The n tasks, their choice slices
-// and every string come from four allocations (a string is a substring of
-// one copy of the blob, unless it held an escape), plus one m-long vector
-// per table entry, which every task naming it shares. The ref
-// column is read twice — checked and counted, then, once the table is
-// built, resolved — so it needs no slice of its own. n and d are checked
-// against the bytes remaining first, so a hostile count buys no memory the
-// blob's own length does not bound.
-func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
+// publication is a decoded DPC1 blob: the task table over its body, the
+// task IDs in their order, the distinct domain vectors, and where the ref
+// column lies in the body, which the install reads once.
+type publication struct {
+	taskTable
+	taskOrder
+	refs    int
+	vectors []model.DomainVector
+}
+
+// decodeBinaryPublication builds the task table of a DPC1 blob stamped
+// with m domains — the one function that does, for a publish and for a
+// wake; both then check its tasks (check). Whatever it is given, it never
+// panics. The table holds the blob's body itself: the caller never writes
+// blob again. The table and the ID order are four allocations, five when
+// the IDs do not ascend and six when a truth takes more than a byte, plus
+// one m-long vector per table entry, which
+// every task naming it shares. n and d are checked against the bytes
+// remaining first, so a hostile count buys no memory the blob's own length
+// does not bound.
+func decodeBinaryPublication(blob []byte, m int) (*publication, error) {
 	if !bytes.HasPrefix(blob, []byte(publicationMagic)) {
 		return nil, fmt.Errorf("blob lacks magic %q", publicationMagic)
 	}
 	body := blob[len(publicationMagic):]
-	d := pubDecoder{wal.NewCursor(body), string(body)}
+	d := wal.NewCursor(body)
 	if stamped := d.Uvarint(); d.Err() == nil && stamped != uint64(m) {
 		return nil, fmt.Errorf("publication has %d domains, want %d", stamped, m)
 	}
@@ -400,49 +461,44 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	backing := make([]model.Task, n)
-	tasks := make([]*model.Task, n)
+	pub := &publication{taskTable: taskTable{body: body, text: make([]int32, n), choices: make([]int32, n)}}
+	ids := make([]int, n)
 	prev := -1
-	for i := range backing {
-		t := &backing[i]
-		tasks[i] = t
+	for i := range ids {
 		step := d.Uvarint()
 		// Wrapping arithmetic: an ID past int comes out negative.
-		if t.ID = prev + 1 + (int(step>>1) ^ -int(step&1)); t.ID < 0 && d.Err() == nil {
+		if ids[i] = prev + 1 + (int(step>>1) ^ -int(step&1)); ids[i] < 0 && d.Err() == nil {
 			d.Failf("task %d: ID out of range", i)
 		}
-		prev = t.ID
+		prev = ids[i]
 	}
-	for _, t := range tasks {
-		t.Text = d.tstr()
+	for i := range pub.text {
+		pub.text[i] = int32(d.Off())
+		checkTstr(&d)
 	}
-	// The choices column is counted on a copy of the cursor, then read into
-	// one slab: a read that fails does so where the count stopped, or sooner.
-	probe, choices := d.Cursor, 0
-	for range tasks {
-		l := probe.Count(1)
-		for c := 0; c < l; c++ {
-			probe.Terminated()
-		}
-		choices += l
-	}
-	slab := make([]string, choices)
-	for _, t := range tasks {
-		if l := d.Count(1); l > 0 {
-			t.Choices, slab = slab[:l:l], slab[l:]
-			for c := range t.Choices {
-				t.Choices[c] = d.tstr()
-			}
+	for i := range pub.choices {
+		pub.choices[i] = int32(d.Off())
+		for l := d.Count(1); l > 0; l-- {
+			checkTstr(&d)
 		}
 	}
-	for _, t := range tasks {
-		t.Truth = d.Int() - 1
+	pub.truths = d.Off()
+	for range n {
+		d.Int()
 	}
-	for _, t := range tasks {
-		t.TrueDomain = d.Int() - 1
+	if d.Off()-pub.truths != n && d.Err() == nil {
+		pub.wide = make([]int32, n)
+		c := wal.NewCursor(body[pub.truths:])
+		for p := range pub.wide {
+			pub.wide[p] = int32(c.Int() - 1) // check refuses a truth past ℓ
+		}
 	}
-	refs, entries := d.Off(), uint64(0)
-	for i := range tasks {
+	for range n {
+		d.Int()
+	}
+	pub.refs = d.Off()
+	entries := uint64(0)
+	for i := 0; i < n; i++ {
 		if ref := d.Uvarint(); ref > entries {
 			d.Failf("task %d names vector %d of %d", i, ref, entries)
 		} else if ref == entries {
@@ -455,58 +511,80 @@ func decodeBinaryPublication(blob []byte, m int) ([]*model.Task, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	refCol := wal.NewCursor(body[refs:d.Off()])
-	vectors := make([]model.DomainVector, entries)
-	seen := make(map[string]struct{}, entries) // by encoding, in d.s
+	pub.vectors = make([]model.DomainVector, entries)
+	seen := make(map[string]struct{}, entries) // by encoding, in body
 	domain := wal.SparseFloats{K: make([]int, 0, m), V: make([]float64, 0, m)}
-	for e := range vectors {
+	for e := range pub.vectors {
 		start := d.Off()
 		domain = d.SparseFloats(domain, m, 0)
 		if d.Err() != nil {
 			return nil, fmt.Errorf("vector %d: %w", e, d.Err())
 		}
-		key := d.s[start:d.Off()]
+		key := sealed(body[start:d.Off()])
 		if _, dup := seen[key]; dup {
 			return nil, fmt.Errorf("vector %d repeats an earlier one", e)
 		}
 		seen[key] = struct{}{}
-		vectors[e] = make(model.DomainVector, m)
-		if err := domain.Scatter(vectors[e]); err != nil {
+		pub.vectors[e] = make(model.DomainVector, m)
+		if err := domain.Scatter(pub.vectors[e]); err != nil {
 			return nil, fmt.Errorf("vector %d: %w", e, err)
 		}
 	}
 	if err := d.End(); err != nil {
 		return nil, err
 	}
-	for _, t := range tasks {
-		t.Domain = vectors[refCol.Uvarint()]
+	pub.taskOrder = orderOf(ids)
+	return pub, nil
+}
+
+// check holds a decoded publication to what CheckEach holds a batch to,
+// over m domains: the first fault in publication order is the one
+// reported, a task repeating an earlier ID before any invalid task. Each
+// distinct vector is validated once, when the first task naming it is
+// checked: a DVE vector is validated here, and nowhere before. A publish
+// runs it as a replay does, on the table it is about to install, so the two
+// accept the same records whatever a caller does to its tasks between
+// CheckEach and the publish.
+func (pub *publication) check(m int) error {
+	repeat := pub.firstRepeat()
+	truths, domains := wal.NewCursor(pub.body[pub.truths:]), wal.NewCursor(pub.body[pub.truths:])
+	for range pub.ids { // the true-domain column follows the truths
+		domains.Uvarint()
 	}
-	return tasks, nil
+	refs := wal.NewCursor(pub.body[pub.refs:])
+	checked := 0 // the table entries the tasks so far named
+	for p := 0; p < repeat; p++ {
+		id, ell, truth, trueDomain, ref := pub.ids[p], pub.ell(p), truths.Int()-1, domains.Int()-1, int(refs.Uvarint())
+		switch {
+		case ell < 2:
+			return fmt.Errorf("model: task %d has %d choices, want >= 2", id, ell)
+		case truth != model.NoTruth && truth >= ell:
+			return fmt.Errorf("model: task %d truth %d out of range [0,%d)", id, truth, ell)
+		case trueDomain != model.NoTruth && trueDomain >= m:
+			return fmt.Errorf("model: task %d true domain %d out of range [0,%d)", id, trueDomain, m)
+		}
+		if ref == checked {
+			if err := validateVector(pub.vectors[ref], m); err != nil {
+				return fmt.Errorf("model: task %d: %w", id, err)
+			}
+			checked++
+		}
+	}
+	if repeat < len(pub.ids) {
+		return fmt.Errorf("core: duplicate task ID %d", pub.ids[repeat])
+	}
+	return nil
 }
 
-// pubDecoder is the shared cursor plus the one pop the publication keeps
-// to itself: a terminated string that is a substring of s, one copy of the
-// bytes the cursor walks, unless it held an escape.
-type pubDecoder struct {
-	wal.Cursor
-	s string
-}
-
-// tstr pops a terminated string. An escape byte that does not open 01 01
-// or 01 02 survives unescape and so re-escapes to a longer string.
-func (d *pubDecoder) tstr() string {
+// checkTstr pops a terminated string and checks its escapes: an escape
+// byte that does not open 01 01 or 01 02 survives unescape and so
+// re-escapes to a longer string.
+func checkTstr(d *wal.Cursor) {
 	raw := d.Terminated()
-	if d.Err() != nil {
-		return ""
+	if d.Err() != nil || bytes.IndexByte(raw, 1) < 0 {
+		return
 	}
-	end := d.Off() - 1 // the terminator's
-	s := d.s[end-len(raw) : end]
-	if bytes.IndexByte(raw, 1) < 0 {
-		return s
+	if tstrLen(unescape.Replace(string(raw))) != len(raw)+1 {
+		d.Failf("bad escape in the string ending at byte %d", d.Off()-1)
 	}
-	if s = unescape.Replace(s); tstrLen(s) != len(raw)+1 {
-		d.Failf("bad escape in the string ending at byte %d", end)
-		return ""
-	}
-	return s
 }

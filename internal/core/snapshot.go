@@ -73,8 +73,9 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 		return nil, fmt.Errorf("core: snapshot covers seq %d, before publish record %d", snap.Seq, publishSeq)
 	}
 	s.mu.RLock()
-	tasks, order, golden := s.tasks, s.taskOrder, s.golden
+	order, golden := s.taskOrder, s.golden
 	s.mu.RUnlock()
+	ci := s.index.Load()
 	seen := make(map[int]bool, len(snap.TaskStates))
 	for _, ts := range snap.TaskStates {
 		p, ok := order.position(ts.ID)
@@ -82,13 +83,13 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 			return nil, fmt.Errorf("core: snapshot state for unknown, golden or repeated task %d", ts.ID)
 		}
 		seen[ts.ID] = true
-		t := tasks[p]
+		t := ci.row(p)
 		// The codec guarantees every M̂ row is len(S) long. Which domains
 		// the rows stand for is the publication's to say: a row count that
 		// is not the support's would index the matrix wrongly.
-		if rows := t.Domain.Support(); len(ts.MHat) != rows || len(ts.S) != t.NumChoices() {
+		if rows := t.R.Support(); len(ts.MHat) != rows || len(ts.S) != t.Ell {
 			return nil, fmt.Errorf("core: snapshot task %d state is %d×%d, want the %d rows of its support × %d choices",
-				ts.ID, len(ts.MHat), len(ts.S), rows, t.NumChoices())
+				ts.ID, len(ts.MHat), len(ts.S), rows, t.Ell)
 		}
 	}
 	workers := make(map[string]*truth.Stats, len(snap.Workers))
@@ -121,12 +122,12 @@ func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth
 		s.inc.ReseedLatent()
 	}
 	s.mu.RLock()
-	tasks, order := s.tasks, s.taskOrder
+	order := s.taskOrder
 	s.mu.RUnlock()
 	ci := s.index.Load()
 	for _, ts := range snap.TaskStates {
 		p, _ := order.position(ts.ID)
-		if err := s.inc.RestoreTask(tasks[p], &ci.slots[p], truth.TaskState(ts)); err != nil {
+		if err := s.inc.RestoreTask(ci.row(p), &ci.slots[p], truth.TaskState(ts)); err != nil {
 			panic(fmt.Sprintf("core: snapshot install: %v", err)) // dimensions checked
 		}
 	}

@@ -108,7 +108,7 @@ func TestSupportIsNotPresence(t *testing.T) {
 	if listed := wal.SparseOf(wal.SparseFloats{}, dom, 0); len(listed.K) != stored {
 		t.Fatalf("the log lists %d entries, want %d", len(listed.K), stored)
 	}
-	back, err := decodePublication(wal.Record{Seq: 1, Kind: wal.KindPublish, Blob: blob}, s.m)
+	back, err := decodeTasks(wal.Record{Seq: 1, Kind: wal.KindPublish, Blob: blob}, s.m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,12 @@ type publication []docs.Task
 // paired \u surrogates; whitespace anywhere; nothing after the value — in
 // one pass, without reflection. json.Unmarshal decodes every other body and
 // so decides every error; where the scanner decodes a body, json.Unmarshal
-// decodes it to the same tasks (FuzzPublishBodyMatchesJSON).
+// decodes it to the same tasks (FuzzPublishBodyMatchesJSON). The scanner's
+// strings are cut from the body, which the publish hands over as it is: a
+// campaign keeps none of them, only the publication record it encodes.
 func (p *publication) decode(body string) error {
 	if tasks, ok := scanPublish(body); ok {
 		*p = tasks
-		p.compact()
 		return nil
 	}
 	var req publishRequest
@@ -32,38 +33,6 @@ func (p *publication) decode(body string) error {
 		*p = append(*p, docs.Task(t))
 	}
 	return err
-}
-
-// compact copies every task's text and choices into one exactly sized
-// arena. The scanner cuts them out of the body, so without it a served
-// task would keep the whole body alive — keys, punctuation and whitespace
-// included — for as long as the campaign is.
-func (p publication) compact() {
-	n := 0
-	for _, t := range p {
-		n += len(t.Text)
-		for _, c := range t.Choices {
-			n += len(c)
-		}
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, t := range p {
-		b.WriteString(t.Text)
-		for _, c := range t.Choices {
-			b.WriteString(c)
-		}
-	}
-	arena := b.String()
-	take := func(s *string) {
-		*s, arena = arena[:len(*s)], arena[len(*s):]
-	}
-	for i := range p {
-		take(&p[i].Text)
-		for j := range p[i].Choices {
-			take(&p[i].Choices[j])
-		}
-	}
 }
 
 // scanPublish decodes a canonical /publish body,

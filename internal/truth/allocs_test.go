@@ -150,8 +150,9 @@ func TestAllocsRepeatReseed(t *testing.T) {
 			t.Fatal(err)
 		}
 		idx := indexed(t, as)
-		inc.Reseed(tasks, res, idx)
-		return allocBytes(func() { inc.Reseed(tasks, res, idx) })
+		rows := RowsOf(tasks)
+		inc.Reseed(rows, res, idx)
+		return allocBytes(func() { inc.Reseed(rows, res, idx) })
 	}
 	base := reseedBytes(0)
 	perTask := float64(reseedBytes(nUnanswered)-base) / nUnanswered

@@ -123,7 +123,7 @@ func TestCopyOnWriteSubmitAndRestoreIsolation(t *testing.T) {
 	for k := range ts.MHat {
 		copy(ts.MHat[k], []float64{0.25, 1, 0.5})
 	}
-	if err := inc.RestoreTask(tasks[7], nil, ts); err != nil {
+	if err := inc.RestoreTask(RowOf(tasks[7]), nil, ts); err != nil {
 		t.Fatal(err)
 	}
 	check("RestoreTask", prior.norm, 500, 7)
@@ -152,7 +152,7 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Reseed(tasks, res, indexed(t, as))
+	inc.Reseed(RowsOf(tasks), res, indexed(t, as))
 
 	reseeded := restStatesFor(cowM, cowEll).reseeded
 	for id := 0; id < cowN; id++ {
@@ -181,7 +181,7 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	// A second rerun over the same answers puts 600 — answered in the engine
 	// but not in the rerun's snapshot — aside and re-aliases nothing it should
 	// not.
-	inc.Reseed(tasks, res, indexed(t, as))
+	inc.Reseed(RowsOf(tasks), res, indexed(t, as))
 	if it := inc.lookup(600); it.qbuf == nil || len(it.answers) != 1 {
 		t.Error("a rerun that predates task 600's answer overwrote it")
 	}
@@ -207,7 +207,7 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Reseed(half, res, indexed(t, as))
+	inc.Reseed(RowsOf(half), res, indexed(t, as))
 	late := model.Answer{Worker: "w2", Task: 700, Choice: 0}
 	if err := inc.Submit(late); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 			answers = []model.Answer{late}
 		}
 		recordAnswers(t, fresh, tasks[ts.ID], answers)
-		if err := fresh.RestoreTask(tasks[ts.ID], nil, ts); err != nil {
+		if err := fresh.RestoreTask(RowOf(tasks[ts.ID]), nil, ts); err != nil {
 			t.Fatal(err)
 		}
 	}

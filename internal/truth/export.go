@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"docs/internal/mathx"
-	"docs/internal/model"
 )
 
 // TaskState is one task's complete recoverable inference state, exported
@@ -62,12 +61,12 @@ func (inc *Incremental) ExportTasks() []TaskState {
 // exported state is, bit for bit, the rest state it reads stays latent: a
 // snapshot written before tasks were latent lists every task a rerun left
 // unanswered, at that state. The dimensions must match the task exactly.
-func (inc *Incremental) RestoreTask(t *model.Task, slot *Slot, ts TaskState) error {
-	ell := t.NumChoices()
+func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) error {
+	ell := t.Ell
 	if ts.ID != t.ID {
 		return fmt.Errorf("truth: state of task %d restored into task %d", ts.ID, t.ID)
 	}
-	if rows := t.Domain.Support(); len(ts.MHat) != rows {
+	if rows := t.R.Support(); len(ts.MHat) != rows {
 		return fmt.Errorf("truth: task %d restore has %d domain rows, want the %d of its support", ts.ID, len(ts.MHat), rows)
 	}
 	for k, row := range ts.MHat {
@@ -99,8 +98,8 @@ func (inc *Incremental) RestoreTask(t *model.Task, slot *Slot, ts TaskState) err
 }
 
 // atRest reports whether ts is, bit for bit, the state a latent t reads now.
-func (inc *Incremental) atRest(t *model.Task, ts TaskState) bool {
-	rest := inc.Rest(t.Domain, t.NumChoices())
+func (inc *Incremental) atRest(t Row, ts TaskState) bool {
+	rest := inc.Rest(t.R, t.Ell)
 	mhat, s := rest.states.prior.mhat, rest.prior.S
 	if rest.reseeded.Load() != nil {
 		mhat, s = rest.states.reseeded.mhat, rest.states.uniform

@@ -87,9 +87,11 @@ type workerStats struct {
 // and her choice. 8 B, where a model.Answer takes 32 and a string.
 type Vote struct{ Worker, Choice int32 }
 
+// incTask is a materialised task: its state, and its shape — the Rest of
+// its domain vector and choice count ℓ, all its math reads of the task.
 type incTask struct {
 	mu   sync.Mutex
-	task *model.Task
+	rest *Rest
 	// mhat[x][j] is the running numerator of Equation 3 for the x'th domain
 	// of the task's support (r_k > 0, ascending) and choice j, rescaled per
 	// row to avoid underflow (only ratios matter). A domain outside the
@@ -230,59 +232,67 @@ func (inc *Incremental) AddTask(tasks ...*model.Task) error {
 			return err
 		}
 	}
-	return inc.materialise(tasks, true, nil)
+	shapes := make([]Rest, len(tasks))
+	return inc.materialise(len(tasks), func(i int) (int, *Rest) {
+		shapes[i] = Rest{R: tasks[i].Domain, Ell: tasks[i].NumChoices()}
+		return tasks[i].ID, &shapes[i]
+	}, true, nil)
 }
 
-// Materialise gives a latent task a state of its own, at the rest state it
-// reads, and fills slot (if any) with it for the lock-free readers. The
-// serving core calls it before an answer, a replayed answer or a snapshot's
-// numbers land in the task; one already materialised is left as it is. The
-// caller has validated the task.
-func (inc *Incremental) Materialise(t *model.Task, slot *Slot) {
+// Materialise gives a latent task, its row, a state of its own, at the rest
+// state it reads, and fills slot (if any) with it for the lock-free
+// readers. The serving core calls it before an answer, a replayed answer or
+// a snapshot's numbers land in the task; one already materialised is left
+// as it is. The caller has validated the row.
+func (inc *Incremental) Materialise(t Row, slot *Slot) {
 	if inc.lookup(t.ID) == nil {
-		_ = inc.materialise([]*model.Task{t}, false, slot)
+		_ = inc.materialise(1, func(int) (int, *Rest) { return t.ID, inc.Rest(t.R, t.Ell) }, false, slot)
 	}
 }
 
-// materialise is the one path an incTask is built on. It registers tasks
+// materialise is the one path an incTask is built on. It registers n tasks
 // whole or not at all — under one lock, into one slab, with the first batch
 // sizing the task map — each at its rest state with its first view, in the
-// order given. eager (AddTask) starts a task at the AddTask prior computed
-// from it and refuses one already registered; otherwise a task starts at
-// what its Rest gives the latent tasks of its shape, and one already
-// registered is left as it is. slot, if any, receives the single task.
-func (inc *Incremental) materialise(tasks []*model.Task, eager bool, slot *Slot) error {
-	slab := make([]incTask, len(tasks))
+// order given; task(i) gives the i'th task's ID and shape. eager (AddTask)
+// starts a task at the AddTask prior computed from its shape, a Rest of its
+// own, and refuses one already registered; otherwise a task starts at what
+// its shape, the Rest its latent state was, gives the latent tasks of its
+// shape, and one already registered is left as it is. slot, if any,
+// receives the single task.
+func (inc *Incremental) materialise(n int, task func(i int) (int, *Rest), eager bool, slot *Slot) error {
+	slab := make([]incTask, n)
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	if len(inc.tasks) == 0 {
-		inc.tasks = make(map[int]*incTask, len(tasks))
+		inc.tasks = make(map[int]*incTask, n)
 	}
-	for i, t := range tasks {
-		if _, dup := inc.tasks[t.ID]; dup {
+	for i := range slab {
+		id, rest := task(i)
+		if _, dup := inc.tasks[id]; dup {
 			if !eager {
 				return nil
 			}
-			for _, added := range tasks[:i] {
-				delete(inc.tasks, added.ID)
+			for j := range i {
+				added, _ := task(j)
+				delete(inc.tasks, added)
 			}
-			return fmt.Errorf("truth: incremental task %d already registered", t.ID)
+			return fmt.Errorf("truth: incremental task %d already registered", id)
 		}
-		inc.tasks[t.ID] = &slab[i]
+		slab[i].rest = rest
+		inc.tasks[id] = &slab[i]
 	}
 	// Lookups wait for the lock, so no task is ever found without a view.
-	for i, t := range tasks {
+	for i := range slab {
 		it := &slab[i]
-		it.task = t
 		var M [][]float64
 		if eager {
-			prior := restStatesFor(t.Domain.Support(), t.NumChoices()).prior
-			it.mhat, it.s, M = prior.mhat, make([]float64, t.NumChoices()), prior.norm
-			applyDomain(it.s, t.Domain, prior.norm)
+			prior := restStatesFor(it.rest.R.Support(), it.rest.Ell).prior
+			it.mhat, it.s, M = prior.mhat, make([]float64, it.rest.Ell), prior.norm
+			applyDomain(it.s, it.rest.R, prior.norm)
 		} else {
 			// A rerun flips the rest state under mu, so this is the state the
 			// task read until now.
-			rest := inc.Rest(t.Domain, t.NumChoices())
+			rest := it.rest
 			v := rest.View()
 			it.mhat, it.s, M = rest.states.prior.mhat, v.S, v.M
 			if v != rest.prior {
@@ -424,7 +434,7 @@ func (inc *Incremental) take(w int32, task, choice int, steps bool) error {
 	if it == nil {
 		return fmt.Errorf("truth: answer for unknown task %d", task)
 	}
-	ell := it.task.NumChoices()
+	ell := it.rest.Ell
 	if choice < 0 || choice >= ell {
 		return fmt.Errorf("truth: choice %d out of range for task %d (ℓ=%d)", choice, task, ell)
 	}
@@ -444,7 +454,7 @@ func (inc *Incremental) take(w int32, task, choice int, steps bool) error {
 	// Snapshot the submitting worker's quality: Step 1 folds it into M̂ and
 	// must see one consistent vector even if other tasks' submits are
 	// adjusting this worker concurrently.
-	r := it.task.Domain
+	r := it.rest.R
 	stats[w].with(inc.m, func(st *Stats) {
 		x := 0
 		for k, qk := range st.Q {
@@ -537,13 +547,14 @@ func (s *Slot) View() *TaskView {
 	return nil
 }
 
-// ViewOf is View for a task the caller holds: its own view once it is
-// materialised, else the one its Rest gives every latent task of its shape.
-func (inc *Incremental) ViewOf(t *model.Task) *TaskView {
+// ViewOf is View for a task the caller holds the row of: its own view once
+// it is materialised, else the one its Rest gives every latent task of its
+// shape.
+func (inc *Incremental) ViewOf(t Row) *TaskView {
 	if v := inc.View(t.ID); v != nil {
 		return v
 	}
-	return inc.Rest(t.Domain, t.NumChoices()).View()
+	return inc.Rest(t.R, t.Ell).View()
 }
 
 // Materialised returns how many tasks hold a state of their own.
@@ -615,7 +626,7 @@ func (inc *Incremental) Answers(id int) int {
 // reseeded task's V(i) is the index's answers: what it holds already when
 // every answer came through Submit or Record, which put each answer a task
 // takes in it, and a fresh copy of the index's otherwise.
-func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.LogIndex) {
+func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex) {
 	// A task materialised after this starts at the reseeded rest; one
 	// before it is among those walked.
 	inc.mu.Lock()
@@ -633,8 +644,8 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 	inc.mu.Unlock()
 	pos := res.answeredIndex(tasks)
 	var idle map[int]*incTask // walked, with no answer in the prefix and not pinned
-	for _, it := range its {
-		i, ok := pos[it.task.ID]
+	for x, it := range its {
+		i, ok := pos[ids[x]]
 		if !ok {
 			if res.unlisted > 0 {
 				it.restIfIdle(epoch)
@@ -643,10 +654,10 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 			if idle == nil {
 				idle = make(map[int]*incTask)
 			}
-			idle[it.task.ID] = it
+			idle[ids[x]] = it
 			continue
 		}
-		snap := answers.ForTask(it.task.ID)
+		snap := answers.ForTask(ids[x])
 		it.mu.Lock()
 		if len(it.answers) > len(snap) {
 			it.mu.Unlock()
@@ -655,7 +666,7 @@ func (inc *Incremental) Reseed(tasks []*model.Task, res *Result, answers *model.
 		// Infer hands every unanswered task the shared uniform matrix (and
 		// s = Uniform(ℓ)): such a task aliases the reseeded rest state whole,
 		// dropping any private matrix it held.
-		if sameMatrix(res.M[i], restStatesFor(len(it.mhat), it.task.NumChoices()).reseeded.mhat) {
+		if sameMatrix(res.M[i], restStatesFor(len(it.mhat), it.rest.Ell).reseeded.mhat) {
 			it.toRest(epoch)
 			it.mu.Unlock()
 			continue
@@ -738,7 +749,7 @@ func (it *incTask) restIfIdle(epoch uint64) {
 // the bits exports and snapshots have always carried for a reseeded task.
 // Callers hold it.mu, and the task holds no answer.
 func (it *incTask) toRest(epoch uint64) {
-	rest := restStatesFor(len(it.mhat), it.task.NumChoices())
+	rest := restStatesFor(len(it.mhat), it.rest.Ell)
 	it.mhat, it.qbuf, it.s = rest.reseeded.mhat, nil, rest.uniform
 	it.touched = true
 	it.publishView(epoch, rest.reseeded.norm)
@@ -747,11 +758,14 @@ func (it *incTask) toRest(epoch uint64) {
 // Rest is what every latent task of one domain vector and choice count
 // reads: the AddTask prior (M̂ all ones, s = r × M) until the engine's first
 // rerun lands, the reseeded rest (M̂ rows uniform, s = Uniform(ℓ)) after it.
-// Nothing writes it but that one flip.
+// Nothing writes it but that one flip. A materialised task keeps the Rest it
+// read as its shape; a task AddTask registers has one of its own, which
+// holds R and Ell alone.
 type Rest struct {
 	// R is the domain vector: the publication's one copy, which keys the
-	// engine's table with ℓ.
+	// engine's table with ℓ, the choice count Ell.
 	R        model.DomainVector
+	Ell      int
 	states   *restStates
 	prior    *TaskView
 	reseeded atomic.Pointer[TaskView]
@@ -790,7 +804,7 @@ func (inc *Incremental) Rest(r model.DomainVector, ell int) *Rest {
 	st := restStatesFor(r.Support(), ell)
 	s := make([]float64, ell)
 	applyDomain(s, r, st.prior.norm)
-	rest = &Rest{R: r, states: st, prior: &TaskView{M: st.prior.norm, S: s, Truth: mathx.ArgMax(s)}}
+	rest = &Rest{R: r, Ell: ell, states: st, prior: &TaskView{M: st.prior.norm, S: s, Truth: mathx.ArgMax(s)}}
 	if inc.reseededAt != 0 {
 		rest.reseeded.Store(st.reseededView(inc.reseededAt))
 	}
@@ -856,7 +870,7 @@ func (it *incTask) own() {
 	if it.qbuf != nil {
 		return
 	}
-	rows, ell := len(it.mhat), it.task.NumChoices()
+	rows, ell := len(it.mhat), it.rest.Ell
 	buf := make([]float64, rows*ell+rows)
 	private := matrixOver(buf[:rows*ell], rows, ell)
 	for x, row := range it.mhat {

@@ -200,7 +200,7 @@ func TestIncrementalReseedFromBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inc.Reseed(tasks, res, indexed(t, as))
+	inc.Reseed(RowsOf(tasks), res, indexed(t, as))
 	for i, tk := range tasks {
 		s := inc.S(tk.ID)
 		if mathx.L1Distance(s, res.S[i]) > 1e-9 {

@@ -36,7 +36,7 @@ func TestLatentMatchesAddTask(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for i, tk := range tasks {
-			want, got := eager.View(tk.ID), latent.ViewOf(tk)
+			want, got := eager.View(tk.ID), latent.ViewOf(RowOf(tk))
 			if v := slots[i].View(); v != nil && v != got {
 				t.Fatalf("%s: task %d's slot holds another view than the engine's", step, tk.ID)
 			}
@@ -54,7 +54,7 @@ func TestLatentMatchesAddTask(t *testing.T) {
 			if err := eager.Submit(a); err != nil {
 				t.Fatal(err)
 			}
-			latent.Materialise(tasks[a.Task], &slots[a.Task])
+			latent.Materialise(RowOf(tasks[a.Task]), &slots[a.Task])
 			if err := latent.Submit(a); err != nil {
 				t.Fatal(err)
 			}
@@ -73,8 +73,8 @@ func TestLatentMatchesAddTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager.Reseed(tasks, res, indexed(t, as))
-	latent.Reseed(tasks, res, indexed(t, as))
+	eager.Reseed(RowsOf(tasks), res, indexed(t, as))
+	latent.Reseed(RowsOf(tasks), res, indexed(t, as))
 	check("Reseed")
 	submit(60, 90)
 	check("submits after Reseed")
@@ -90,7 +90,7 @@ func TestLatentMatchesAddTask(t *testing.T) {
 	restored.ReseedLatent()
 	for _, ts := range exported {
 		recordAnswers(t, restored, tasks[ts.ID], as.ForTask(ts.ID))
-		if err := restored.RestoreTask(tasks[ts.ID], nil, ts); err != nil {
+		if err := restored.RestoreTask(RowOf(tasks[ts.ID]), nil, ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestLatentMatchesAddTask(t *testing.T) {
 		t.Fatalf("restoring the eager export materialised %d tasks, %d answered", got, len(as.Tasks()))
 	}
 	for _, tk := range tasks {
-		want, got := eager.View(tk.ID), restored.ViewOf(tk)
+		want, got := eager.View(tk.ID), restored.ViewOf(RowOf(tk))
 		if !bitsEqual(got.S, want.S) || !bitsEqual(flatten(nil, got.M...), flatten(nil, want.M...)) || got.NumAnswers != want.NumAnswers {
 			t.Fatalf("task %d: restored over ReseedLatent, it reads another view than the eager engine's", tk.ID)
 		}
@@ -137,12 +137,12 @@ func TestUnlistedMatchesListed(t *testing.T) {
 			}
 		}
 		opt := Options{Pinned: pinned, RecordDeltas: true}
-		full, err := InferIndex(c.tasks, indexed(t, as), c.m, opt)
+		full, err := InferIndex(RowsOf(c.tasks), indexed(t, as), c.m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt.Unlisted = len(c.tasks) - len(listed)
-		part, err := InferIndex(listed, indexed(t, as), c.m, opt)
+		part, err := InferIndex(RowsOf(listed), indexed(t, as), c.m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestUnlistedMatchesListed(t *testing.T) {
 				t.Fatalf("trial %d: worker %s's quality differs", trial, w)
 			}
 		}
-		over := part.Over(c.tasks)
+		over := part.Over(RowsOf(c.tasks))
 		for i, tk := range c.tasks {
 			if !bitsEqual(over.S[i], full.S[i]) || !bitsEqual(flatten(nil, over.M[i]...), flatten(nil, full.M[i]...)) || over.Truth[i] != full.Truth[i] {
 				t.Fatalf("trial %d: task %d's state differs from the run over every task", trial, tk.ID)
@@ -166,8 +166,8 @@ func TestUnlistedMatchesListed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		engines[0].Reseed(c.tasks, full, indexed(t, as))
-		engines[1].Reseed(listed, part, indexed(t, as))
+		engines[0].Reseed(RowsOf(c.tasks), full, indexed(t, as))
+		engines[1].Reseed(RowsOf(listed), part, indexed(t, as))
 		for _, tk := range c.tasks {
 			want, got := engines[0].View(tk.ID), engines[1].View(tk.ID)
 			if !bitsEqual(got.S, want.S) || !bitsEqual(flatten(nil, got.M...), flatten(nil, want.M...)) ||
@@ -186,7 +186,7 @@ func TestUnlistedMatchesListed(t *testing.T) {
 func recordAnswers(t testing.TB, inc *Incremental, tk *model.Task, answers []model.Answer) {
 	t.Helper()
 	for _, a := range answers {
-		inc.Materialise(tk, nil)
+		inc.Materialise(RowOf(tk), nil)
 		if err := inc.Record(inc.Intern(a.Worker), a.Task, a.Choice); err != nil {
 			t.Fatal(err)
 		}

@@ -247,7 +247,7 @@ func TestPropertySubmitMatchesDenseStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc.Reseed(c.tasks, res, indexed(t, prefix))
+			inc.Reseed(RowsOf(c.tasks), res, indexed(t, prefix))
 			dense.reseed(c.tasks, ref, prefix)
 			check("Reseed")
 		}

@@ -69,7 +69,7 @@ func (s *Stats) Clone() *Stats {
 // stats via Theorem 1: one per worker of answers.Workers(), in its order,
 // all carved from one allocation. For each worker, u_k = Σ_{t∈T(w)} r_k
 // and q_k = Σ r_k·s_{i,v^w_i} / u_k (Equation 5 restricted to this session).
-func SessionStats(tasks []*model.Task, answers *model.LogIndex, res *Result, m int) []Stats {
+func SessionStats(tasks []Row, answers *model.LogIndex, res *Result, m int) []Stats {
 	pos := res.answeredIndex(tasks)
 	out := make([]Stats, len(answers.Workers()))
 	slab := make([]float64, 2*len(out)*m)
@@ -84,7 +84,7 @@ func SessionStats(tasks []*model.Task, answers *model.LogIndex, res *Result, m i
 			if !ok {
 				continue
 			}
-			r := tasks[i].Domain
+			r := tasks[i].R
 			sa := res.S[i][answers.Choice(p)]
 			for k, rk := range r {
 				if r.Has(k) {

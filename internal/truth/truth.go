@@ -39,6 +39,27 @@ const (
 	qualityCeil  = 0.99
 )
 
+// Row is what inference reads of a task: its ID, its domain vector r over
+// the m domains and its choice count ℓ. A serving campaign holds its tasks
+// as table positions, not model.Tasks, and hands inference these.
+type Row struct {
+	ID  int
+	R   model.DomainVector
+	Ell int
+}
+
+// RowOf returns what inference reads of t.
+func RowOf(t *model.Task) Row { return Row{ID: t.ID, R: t.Domain, Ell: t.NumChoices()} }
+
+// RowsOf returns what inference reads of each task, in order.
+func RowsOf(tasks []*model.Task) []Row {
+	rows := make([]Row, len(tasks))
+	for i, t := range tasks {
+		rows[i] = RowOf(t)
+	}
+	return rows
+}
+
 // Options configures Infer.
 type Options struct {
 	// MaxIter bounds the number of iterations (default DefaultMaxIter).
@@ -99,7 +120,7 @@ type Result struct {
 // answered tasks among tasks: the one Infer built when the result came from
 // Infer over the same slice, a fresh one over every task for a
 // hand-assembled Result.
-func (r *Result) answeredIndex(tasks []*model.Task) map[int]int {
+func (r *Result) answeredIndex(tasks []Row) map[int]int {
 	if r.pos != nil {
 		return r.pos
 	}
@@ -114,7 +135,7 @@ func (r *Result) answeredIndex(tasks []*model.Task) map[int]int {
 // answered or pinned: those take r's state, every other task the state
 // Infer gives an unanswered one — the shared uniform matrix of its support
 // and Uniform(ℓ), read-only. Quality, Iterations and Deltas are r's.
-func (r *Result) Over(all []*model.Task) *Result {
+func (r *Result) Over(all []Row) *Result {
 	out := &Result{S: make([][]float64, len(all)), M: make([][][]float64, len(all)), Truth: make([]int, len(all)),
 		Quality: r.Quality, Iterations: r.Iterations, Deltas: r.Deltas}
 	for i, t := range all {
@@ -122,7 +143,7 @@ func (r *Result) Over(all []*model.Task) *Result {
 			out.S[i], out.M[i], out.Truth[i] = r.S[j], r.M[j], r.Truth[j]
 			continue
 		}
-		rest := restStatesFor(t.Domain.Support(), t.NumChoices())
+		rest := restStatesFor(t.R.Support(), t.Ell)
 		out.S[i], out.M[i], out.Truth[i] = rest.uniform, rest.reseeded.mhat, mathx.ArgMax(rest.uniform)
 	}
 	return out
@@ -155,13 +176,13 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 		}
 	}
 	idx, _ := model.IndexLog(answers.All()) // an AnswerSet holds no repeat
-	return InferIndex(tasks, idx, m, opt)
+	return InferIndex(RowsOf(tasks), idx, m, opt)
 }
 
-// InferIndex is Infer over an answer log read where it lies, for tasks the
-// caller has validated over m domains, each with its domain vector: a
-// serving campaign's, which its publish checked once.
-func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options) (*Result, error) {
+// InferIndex is Infer over an answer log read where it lies, for task rows
+// the caller has validated over m domains: a serving campaign's, which its
+// publication's decode checked once.
+func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = DefaultMaxIter
 	}
@@ -186,12 +207,12 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		_, pinned := opt.Pinned[t.ID]
 		if v := answers.ForTask(t.ID); pinned || len(v) > 0 {
 			pos[t.ID] = idx
-			n := t.Domain.Support()
+			n := t.R.Support()
 			mRows += n
-			mLen += n * t.NumChoices()
+			mLen += n * t.Ell
 			maxRows = max(maxRows, n)
 			wLen += n * len(v)
-			sLen += t.NumChoices()
+			sLen += t.Ell
 		}
 	}
 	if !ascending { // strictly ascending IDs cannot repeat
@@ -211,7 +232,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		if !ok {
 			return nil, fmt.Errorf("truth: answers reference unknown task %d", id)
 		}
-		ell := tasks[i].NumChoices()
+		ell := tasks[i].Ell
 		for _, p := range answers.ForTask(id) {
 			if c := answers.Choice(p); c < 0 || c >= ell {
 				return nil, fmt.Errorf("truth: worker %q chose %d on task %d with %d choices", answers.At(p).Worker, c, id, ell)
@@ -232,7 +253,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		if !ok {
 			return nil, fmt.Errorf("truth: pinned truth for unknown task %d", id)
 		}
-		if truth < 0 || truth >= tasks[i].NumChoices() {
+		if truth < 0 || truth >= tasks[i].Ell {
 			return nil, fmt.Errorf("truth: pinned truth %d out of range for task %d", truth, id)
 		}
 	}
@@ -284,7 +305,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		maxEll     int
 	)
 	for i, t := range tasks {
-		ell := t.NumChoices()
+		ell := t.Ell
 		d, seen := ellIdx[ell]
 		if !seen {
 			d = len(rest)
@@ -298,7 +319,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		pv, pinned := opt.Pinned[t.ID]
 		v := answers.ForTask(t.ID)
 		if !pinned && len(v) == 0 {
-			n := t.Domain.Support()
+			n := t.R.Support()
 			for len(rest[d]) <= n {
 				rest[d] = append(rest[d], nil)
 			}
@@ -318,8 +339,8 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		}
 		// The task's support, ascending: row x of M is domain ks[x].
 		from := len(supp)
-		for k := range t.Domain {
-			if t.Domain.Has(k) {
+		for k := range t.R {
+			if t.R.Has(k) {
 				supp = append(supp, int32(k))
 			}
 		}
@@ -360,7 +381,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		for _, p := range answers.ForWorker(wi) {
 			i := pos[answers.Task(p)]
 			from := len(wK)
-			r := tasks[i].Domain
+			r := tasks[i].R
 			for k, rk := range r {
 				if r.Has(k) {
 					wK, wR = append(wK, int32(k)), append(wR, rk)
@@ -413,7 +434,7 @@ func InferIndex(tasks []*model.Task, answers *model.LogIndex, m int, opt Options
 		for _, at := range active {
 			s, M := res.S[at.i], res.M[at.i]
 			truthMatrix(M, at.supp, m, at.answers, logCorrect, logWrong[at.d*len(q):], logRows[:len(M)*len(s)])
-			applyDomain(s, tasks[at.i].Domain, M)
+			applyDomain(s, tasks[at.i].R, M)
 		}
 
 		// Step 2: s_i → q^w.

@@ -108,7 +108,7 @@ func TestStep2WorkedExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &Result{S: [][]float64{{0.95, 0.05}, {0.3, 0.7}}}
-	stats := SessionStats(tasks, indexed(t, as), res, 2) // w1 alone: stats[0]
+	stats := SessionStats(RowsOf(tasks), indexed(t, as), res, 2) // w1 alone: stats[0]
 	got := stats[0].Q[1]
 	want := (0.9*0.95 + 0.05*0.3) / (0.9 + 0.05)
 	if math.Abs(got-want) > 1e-9 {

@@ -80,7 +80,10 @@ import (
 // table has no per-task map (leaseTable.counts). A published task is known
 // by its publication position: no field of core's System, Batch,
 // taskOrder, candidateIndex or leaseTable is a map keyed by an int, so the
-// permutation CheckTasks sorts stays the one task ID → position lookup.
+// ID order the publication's decode builds stays the one task ID →
+// position lookup, and none is a []*model.Task or []model.Task: a
+// published task is a row of the task table, which one function builds
+// for a publish and a wake alike.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":  {"internal/wal/cursor.go"},
@@ -191,7 +194,9 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 
 	// A publish record has one reader: applyRecord calls decodePublication,
-	// which alone unpacks and decodes a blob.
+	// which alone unpacks a blob. A task table has one builder,
+	// decodeBinaryPublication: a publish runs it on the blob it packed,
+	// decodePublication on the blob a record holds.
 	readers := map[string][]string{}
 	funcNodes(t, fset, "internal/core/*.go", func(fn *ast.FuncDecl, n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok {
@@ -201,7 +206,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		}
 	})
 	for callee, caller := range map[string]string{"decodePublication": "applyRecord",
-		"unpackPublication": "decodePublication", "decodeBinaryPublication": "decodePublication"} {
+		"unpackPublication": "decodePublication", "decodeBinaryPublication": "PublishBatch decodePublication"} {
 		if got := strings.Join(readers[callee], " "); got != caller {
 			t.Errorf("%s is called from [%s], want only from %s", callee, got, caller)
 		}
@@ -675,6 +680,10 @@ func TestOneReaderOneWriter(t *testing.T) {
 				f := st.Field(i)
 				if m, ok := f.Type().Underlying().(*types.Map); ok && types.Identical(m.Key(), types.Typ[types.Int]) {
 					t.Errorf("%s: %s.%s is a %s: a published task is found by the one ID → position lookup (taskOrder)",
+						prog.Fset.Position(f.Pos()), name, f.Name(), f.Type())
+				}
+				if typ := types.TypeString(f.Type(), nil); typ == "[]*docs/internal/model.Task" || typ == "[]docs/internal/model.Task" {
+					t.Errorf("%s: %s.%s is a %s: a published task is a row of the task table, not a struct of its own",
 						prog.Fset.Position(f.Pos()), name, f.Name(), f.Type())
 				}
 			}
