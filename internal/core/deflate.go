@@ -1,10 +1,11 @@
 // The pinned DEFLATE writer behind the DPC4 publication record.
 //
-// A DPC4 decoder holds its stream to a re-encode of the body, so the
-// record's bytes must be a function of the body that no toolchain moves —
-// which compress/flate's writer, retuned across Go releases, is not. This
-// writer's output is fixed by its rules alone. It chooses its matches
-// greedily:
+// A DPC4 decoder accepts any stream that inflates to a valid body, so this
+// writer is kept for its footprint, not its spelling: its pooled tables and
+// token block are 145 KiB, where one compress/flate writer at level 6
+// allocates ≈807 KB (≈1.2 MB at BestSpeed), which every process would pay
+// on its first publish. Its output is fixed by its rules alone. It chooses
+// its matches greedily:
 //
 //   - at each position it takes the longest match of 3 to 258 bytes among
 //     the 32 most recent earlier positions with the same hash inside the
@@ -69,8 +70,8 @@ type deflater struct {
 	code [numLit + numDist]uint16
 }
 
-// deflaters pools the writers (145 KiB of tables and tokens) packRecord and
-// the DPC4 re-encode check run.
+// deflaters pools the writers (145 KiB of tables and tokens) packRecord
+// runs.
 var deflaters = sync.Pool{New: func() any { return new(deflater) }}
 
 // releaseDeflater returns d to the pool, which keeps no reference to the

@@ -39,15 +39,14 @@
 //
 //	magic "DPC4" | body length uvarint | DEFLATE(body)
 //
-// where body is the DPC1 blob after its magic and DEFLATE is the pinned
-// writer of deflate.go, whose stream — its matches, blocks, code lengths and
-// their header — is a function of the body fixed by its rules, not by a
-// toolchain; it is read with compress/flate's reader. So DPC4 is canonical
-// too: the decoder refuses a stated length over what a publication may
-// hold, a stream that inflates to another length or has bytes after its
-// final block, one that is not the writer's output for its body, and a DPC4
-// blob no shorter than its DPC1 (testdata/publication_dpc4.golden pins the
-// writer's bytes). A DPC1 record is read whatever its size; a publish
+// where body is the DPC1 blob after its magic and DEFLATE is written by
+// deflate.go's writer and read with compress/flate's reader. A DPC4 record
+// is accepted by its body, not by its stream's spelling: compress/flate
+// must inflate it to the stated length — no more than a publication may
+// hold — with no bytes after the final block, the result must be a valid
+// DPC1 body, and the record must be shorter than that body's DPC1 blob. So
+// what the decoder accepts decodes to one state, whichever writer spelled
+// the stream. A DPC1 record is read whatever its size; a publish
 // record under any other magic is refused, the row-major, LZW-packed and
 // fixed-code ones earlier builds logged with an error naming the last
 // commit that reads them (errFormatRows, errFormatLZW, errFormatFixed).
@@ -299,8 +298,6 @@ func (dt *domainTable) intern(key []byte, v model.DomainVector, given bool) mode
 	return v
 }
 
-var errNotCanonical = errors.New("stream is not the packing of its body")
-
 // The refusals of the publications earlier builds logged, each naming the
 // last commit that reads it: LZW-packed before the pinned DEFLATE writer,
 // task by task before the column layout, in fixed codes before DPC4.
@@ -311,11 +308,10 @@ var (
 )
 
 // inflater is a pooled reader of DPC4 streams: compress/flate's, reset onto
-// src, and the buffer its re-encode check writes into.
+// src.
 type inflater struct {
-	src   bytes.Reader
-	zr    io.ReadCloser // a flate.Resetter
-	check []byte
+	src bytes.Reader
+	zr  io.ReadCloser // a flate.Resetter
 }
 
 var inflaters = sync.Pool{New: func() any {
@@ -329,7 +325,7 @@ var inflaters = sync.Pool{New: func() any {
 const maxInflation = 1032
 
 // unpackPublication inflates a DPC4 blob into the DPC1 blob it stands for,
-// refusing every blob the pinned writer would not have written. The blob is
+// refusing a stream that is not exactly the stated body. The blob is
 // inflated once, into a buffer sized from the stated length — no larger
 // than the stream can inflate to, so a hostile length buys no memory the
 // record's own bytes do not bound — which the task table then holds as its
@@ -371,31 +367,15 @@ func unpackPublication(blob []byte) ([]byte, error) {
 	if err != io.EOF {
 		return nil, fmt.Errorf("packed body: %w", err)
 	}
-	body := dpc1[len(publicationMagic):]
-	switch {
-	case uint64(len(body)) < n:
-		return nil, fmt.Errorf("packed body inflates to %d bytes, not the %d stated", len(body), n)
+	switch body := len(dpc1) - len(publicationMagic); {
+	case uint64(body) < n:
+		return nil, fmt.Errorf("packed body inflates to %d bytes, not the %d stated", body, n)
 	case in.src.Len() > 0:
 		return nil, fmt.Errorf("%d bytes follow the packed body's final block", in.src.Len())
-	}
-	if !in.packsTo(body, stream) {
-		return nil, errNotCanonical
-	}
-	if len(blob) >= len(dpc1) {
+	case len(blob) >= len(dpc1):
 		return nil, fmt.Errorf("packed publication of %d bytes is no shorter than the %d it packs", len(blob), len(dpc1))
 	}
 	return dpc1, nil
-}
-
-// packsTo reports whether stream is the pinned DEFLATE writer's output for
-// body, writing it into the inflater's own buffer.
-func (in *inflater) packsTo(body, stream []byte) bool {
-	d := deflaters.Get().(*deflater)
-	defer releaseDeflater(d)
-	d.reset(in.check[:0])
-	d.write(body, true)
-	in.check = d.out
-	return bytes.Equal(d.out, stream)
 }
 
 // decodePublication parses a publish record into the campaign's task

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -405,20 +406,23 @@ func TestEncodePublicationRejectsInexpressible(t *testing.T) {
 }
 
 // checkPublicationDecode holds one decode of arbitrary bytes to the
-// codec's contract: an error, or tasks that all carry an m-long vector,
+// codec's contract: an error, or tasks that all carry an m-long vector and
 // were not allocated beyond what the DPC1 blob's length bounds (the input,
-// or what a packed input unpacks to), and re-encode to exactly the input in
-// its own form.
+// or what a packed input unpacks to). An accepted DPC1 blob re-encodes to
+// exactly the input. An accepted DPC4 blob decodes to one state, however
+// its stream is spelled: it unpacks to a DPC1 blob that re-encodes to
+// itself, and the record Publish logs for its tasks decodes to the same
+// task table.
 func checkPublicationDecode(t *testing.T, data []byte, m int) {
 	t.Helper()
-	tasks, err := decodeTasks(wal.Record{Seq: 9, Blob: data}, m)
+	pub, err := decodePublication(wal.Record{Seq: 9, Blob: data}, m)
 	if err != nil {
-		if tasks != nil || !strings.HasPrefix(err.Error(), "publish record 9: ") {
-			t.Fatalf("rejection returned %d tasks, error %v", len(tasks), err)
+		if pub != nil || !strings.HasPrefix(err.Error(), "publish record 9: ") {
+			t.Fatalf("rejection returned a publication, error %v", err)
 		}
 		return
 	}
-	strs := 0
+	tasks, strs := pub.tasks(), 0
 	for _, tk := range tasks {
 		if len(tk.Domain) != m {
 			t.Fatalf("task %d decoded with a %d-long domain vector, want %d", tk.ID, len(tk.Domain), m)
@@ -431,22 +435,28 @@ func checkPublicationDecode(t *testing.T, data []byte, m int) {
 	if arrays, encodings := vectorSharing(t, tasks, m); arrays != encodings {
 		t.Fatalf("decoded %d vector arrays for %d distinct encodings", arrays, encodings)
 	}
-	dpc1, encode := data, encodeBinaryPublication
-	if bytes.HasPrefix(data, []byte(deflateMagic)) {
+	packed, dpc1 := bytes.HasPrefix(data, []byte(deflateMagic)), data
+	if packed {
 		if dpc1, err = unpackPublication(data); err != nil {
 			t.Fatalf("a decoded DPC4 blob does not unpack: %v", err)
 		}
-		encode = encodePublication
 	}
 	if len(tasks)*minTaskBytes > len(dpc1) || strs > len(dpc1) {
 		t.Fatalf("decoded %d tasks and %d string bytes out of %d bytes", len(tasks), strs, len(dpc1))
 	}
-	again, err := encode(tasks, m)
+	again, err := encodeBinaryPublication(tasks, m)
 	if err != nil {
 		t.Fatalf("accepted publication does not re-encode: %v", err)
 	}
-	if !bytes.Equal(again, data) {
-		t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, again)
+	if !bytes.Equal(again, dpc1) {
+		t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", dpc1, again)
+	}
+	if !packed {
+		return
+	}
+	repacked, err := decodePublication(wal.Record{Blob: mustEncodePublication(t, tasks, m)}, m)
+	if err != nil || !sameTable(repacked, pub) {
+		t.Fatalf("the tasks of an accepted DPC4 blob, packed again, decode to another table (%v)", err)
 	}
 }
 
@@ -464,9 +474,9 @@ func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // TestPublicationDecodeDamage is the DOCSSNP3 sweep for the publication
 // blob, over sampleTasks' DPC1 blob and its DPC4 record and escapedTasks'
-// DPC1 blob: every single-byte truncation and every single-bit flip of a
-// valid blob either decodes to something that re-encodes to those exact
-// bytes or errors — it never panics and never over-allocates — and
+// DPC1 blob: every single-byte truncation of a valid blob errors, and
+// every single-bit flip either errors or decodes to one state
+// (checkPublicationDecode) — it never panics and never over-allocates — and
 // hand-made blobs the encoder would not write are all rejected. (Unlike a
 // snapshot the blob has no CRC of its own; the WAL frame around it does.)
 func TestPublicationDecodeDamage(t *testing.T) {
@@ -529,19 +539,23 @@ func TestPublicationDecodeDamage(t *testing.T) {
 	}
 }
 
-// TestPackedPublicationRefusals: DPC1 and DPC4 are canonical — the decoder
-// accepts nothing the encoder and the pinned writer would not write — and
-// each rule refuses its own row with its own error. The body rows damage
-// twinTasks' DPC1 blob, whose columns lie at known offsets (one-byte IDs
-// and refs, four table entries), and each is refused as such unpacked and,
-// packed, by the same rule. A stream compress/flate reads back to the body
-// is still refused when it is not the pinned writer's: the writer's tokens
-// in the fixed codes (DPC3's stream) under DPC4, a complete but different
-// tree, an untrimmed HLIT, lengths spelled without 16, 17 and 18, a block
-// split after a token other than the 16,384th, a stored block, a match cut
-// short, ones in the padding bits. (The stream rows pack twinTasks, whose
-// stream has padding bits.) A row-major blob, unpacked or packed, and a
-// DPC3 one are refused naming the last commit that reads them.
+// TestPackedPublicationRefusals: each DPC1 and DPC4 rule refuses its own
+// row with its own error, and a DPC4 record is accepted by its body, not by
+// its stream's spelling. The body rows damage twinTasks' DPC1 blob, whose
+// columns lie at known offsets (one-byte IDs and refs, four table
+// entries), and each is refused as such unpacked and, packed, by the same
+// rule. A row-major blob, unpacked or packed, and a DPC3 one are refused
+// naming the last commit that reads them. Every other stream
+// compress/flate reads back to the body is accepted when the record is
+// shorter than the DPC1 blob, and decodes to the DPC1 blob's task table
+// byte for byte: the writer's tokens in the fixed codes (DPC3's stream)
+// under DPC4, a complete but different tree, an untrimmed HLIT, lengths
+// spelled without 16, 17 and 18, two blocks split in the middle, a match
+// cut short, ones in the padding bits (twinTasks' stream has some), and
+// compress/flate's own writer at four levels; a block after the first
+// token and a stored block are longer than the DPC1 blob and refused as
+// such. A body of over 16,384 tokens in blocks a token shorter or longer
+// is accepted too.
 func TestPackedPublicationRefusals(t *testing.T) {
 	random := mustEncodeBinaryPublication(t, randomTextTasks(5), 4)
 	randomBody := random[len(publicationMagic):]
@@ -589,15 +603,8 @@ func TestPackedPublicationRefusals(t *testing.T) {
 		"a row-major blob":                {row, "7137417"},
 		"a row-major blob, packed":        {packedBlob("DPB3", uint64(len(row)-4), deflateStream(row[4:])), "7137417"},
 		"a DPC3 record":                   {packedBlob("DPC3", n, fixedCodes(body)), "0b7dcec"},
-		"the fixed codes":                 {packedBlob(deflateMagic, n, fixedCodes(body)), errNotCanonical.Error()},
-		"a complete but different tree":   {packedBlob(deflateMagic, n, respelled(body, 16384, spelling{swap: true})), errNotCanonical.Error()},
-		"an untrimmed HLIT":               {packedBlob(deflateMagic, n, respelled(body, 16384, spelling{fullHLIT: true})), errNotCanonical.Error()},
-		"lengths without 16, 17 and 18":   {packedBlob(deflateMagic, n, respelled(body, 16384, spelling{noRuns: true})), errNotCanonical.Error()},
-		"a block after the first token":   {packedBlob(deflateMagic, n, respelled(body, 1, spelling{})), errNotCanonical.Error()},
-		"two blocks split in the middle":  {packedBlob(deflateMagic, n, respelled(body, len(referenceTokens(body))/2, spelling{})), errNotCanonical.Error()},
-		"a stored block":                  {packedBlob(deflateMagic, n, stored(body)), errNotCanonical.Error()},
-		"a match cut short":               {packedBlob(deflateMagic, n, shorterMatch(t, body)), errNotCanonical.Error()},
-		"ones in the padding bits":        {packedBlob(deflateMagic, n, paddedWithOnes(t, stream, paddingBits(body))), errNotCanonical.Error()},
+		"a block after the first token":   {packedBlob(deflateMagic, n, respelled(body, 1, spelling{})), "no shorter than"},
+		"a stored block":                  {packedBlob(deflateMagic, n, stored(body)), "no shorter than"},
 		"no shorter than the DPC1 blob":   {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)), "no shorter than"},
 		"stated body over what one holds": {packedBlob(deflateMagic, uint64(maxPackedBody)+1, stream), "over the"},
 		"stated body one byte short":      {packedBlob(deflateMagic, n-1, stream), "inflates past"},
@@ -606,11 +613,6 @@ func TestPackedPublicationRefusals(t *testing.T) {
 		"a stream cut before its end":     {valid[:len(valid)-1], "unexpected EOF"},
 		"no body length":                  {[]byte(deflateMagic), "bad varint"},
 	} {
-		// A stream refused as not the writer's is a valid DEFLATE stream of
-		// the body.
-		if r.want == errNotCanonical.Error() && !bytes.Equal(inflate(t, r.blob[len(deflateMagic)+uvarintLen(n):]), body) {
-			t.Fatalf("%s: compress/flate does not read the stream back to the body", name)
-		}
 		forms := [][]byte{r.blob}
 		if bytes.HasPrefix(r.blob, []byte(publicationMagic)) {
 			packed := packPublication(r.blob)
@@ -626,22 +628,82 @@ func TestPackedPublicationRefusals(t *testing.T) {
 			}
 		}
 	}
+
+	spellings := map[string][]byte{
+		"the fixed codes":                fixedCodes(body),
+		"a complete but different tree":  respelled(body, 16384, spelling{swap: true}),
+		"an untrimmed HLIT":              respelled(body, 16384, spelling{fullHLIT: true}),
+		"lengths without 16, 17 and 18":  respelled(body, 16384, spelling{noRuns: true}),
+		"two blocks split in the middle": respelled(body, len(referenceTokens(body))/2, spelling{}),
+		"a match cut short":              shorterMatch(t, body),
+		"ones in the padding bits":       paddedWithOnes(t, stream, paddingBits(body)),
+	}
+	for _, level := range []int{flate.HuffmanOnly, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression} {
+		spellings[fmt.Sprintf("compress/flate at level %d", level)] = flateStream(t, body, level)
+	}
+	want, err := decodePublication(wal.Record{Blob: dpc1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stream := range spellings {
+		acceptedAs(t, name, packedBlob(deflateMagic, n, stream), body, want)
+	}
 	// A body of over 16,384 tokens in blocks a token shorter or longer.
-	big := mustEncodeBinaryPublication(t, randomTextTasks(40), 4)[len(publicationMagic):]
+	big := mustEncodeBinaryPublication(t, randomTextTasks(40), 4)
+	if want, err = decodePublication(wal.Record{Blob: big}, 4); err != nil {
+		t.Fatal(err)
+	}
+	bigBody := big[len(publicationMagic):]
 	for _, every := range []int{16383, 16385} {
-		stream := respelled(big, every, spelling{})
-		if !bytes.Equal(inflate(t, stream), big) {
-			t.Fatalf("blocks of %d: compress/flate does not read the stream back to the body", every)
-		}
-		if _, err := decodePublication(wal.Record{Seq: 5, Blob: packedBlob(deflateMagic, uint64(len(big)), stream)}, 4); !errors.Is(err, errNotCanonical) {
-			t.Errorf("blocks of %d tokens: error %v, want %v", every, err, errNotCanonical)
-		}
+		blob := packedBlob(deflateMagic, uint64(len(bigBody)), respelled(bigBody, every, spelling{}))
+		acceptedAs(t, fmt.Sprintf("blocks of %d tokens", every), blob, bigBody, want)
 	}
 }
 
+// acceptedAs holds a DPC4 record that spells body otherwise than the pinned
+// writer to the acceptance rule: compress/flate reads its stream back to
+// body, it is shorter than the DPC1 blob, and it decodes to want's task
+// table byte for byte.
+func acceptedAs(t *testing.T, name string, blob, body []byte, want *publication) {
+	t.Helper()
+	stream := blob[len(deflateMagic)+uvarintLen(uint64(len(body))):]
+	if bytes.Equal(stream, deflateStream(body)) {
+		t.Fatalf("%s: the stream is the pinned writer's", name)
+	}
+	if !bytes.Equal(inflate(t, stream), body) {
+		t.Fatalf("%s: compress/flate does not read the stream back to the body", name)
+	}
+	if len(blob) >= len(publicationMagic)+len(body) {
+		t.Fatalf("%s: the record is %d bytes, no shorter than the %d-byte DPC1 blob", name, len(blob), len(publicationMagic)+len(body))
+	}
+	got, err := decodePublication(wal.Record{Seq: 5, Blob: blob}, 4)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !sameTable(got, want) {
+		t.Errorf("%s: decodes to a task table other than the DPC1 blob's", name)
+	}
+}
+
+// sameTable reports whether two decoded publications hold one task table
+// byte for byte: the slab, its offset and truth columns, the ID order, the
+// ref column's place and the vectors, compared as bits.
+func sameTable(got, want *publication) bool {
+	if !reflect.DeepEqual(got.taskTable, want.taskTable) || !reflect.DeepEqual(got.taskOrder, want.taskOrder) ||
+		got.refs != want.refs || len(got.vectors) != len(want.vectors) {
+		return false
+	}
+	for e, v := range want.vectors {
+		if !slices.EqualFunc(got.vectors[e], v, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPublicationCodecConcurrent: campaigns publish, wake and run snapshot
-// passes at once, and every packing and re-encode check draws on the one
-// pool of DEFLATE writers (and of flate readers). Goroutines encoding and
+// passes at once, and every packing draws on the one pool of DEFLATE
+// writers and every unpacking on the one pool of flate readers. Goroutines encoding and
 // decoding different task sets must each get their own bytes back (run it
 // under -race).
 func TestPublicationCodecConcurrent(t *testing.T) {
@@ -777,7 +839,8 @@ func readLegacyGolden(t testing.TB, magic string) []byte {
 // sampleTasks' DPC1 blob, the same cut in its middle, escapedTasks' DPC1
 // blob, twinTasks' with a ref above the table so far and with a repeated
 // table entry; sampleTasks' DPC4 record, the same cut in its stream and
-// with a byte after the final block. The older builds' records there must
+// with a byte after the final block, and the same record as compress/flate's
+// writer spells it (dpc4-stdlib). The older builds' records there must
 // all be refused: sampleTasks' fixed-code DPC3 record, the same cut in its
 // stream and with a byte after the final block; its row-major DPB1 blob,
 // the same cut at three points, with one byte flipped, with its task count
@@ -918,8 +981,10 @@ func writePublishLog(t *testing.T, dir string, blob []byte) {
 // in one fixed-code block as DPC3, builds up to 7137417 logged it
 // row-major, as DPB1 or DEFLATE-packed as DPB3, and builds before the
 // pinned writer LZW-packed it as DPB2; this build reads none of them. A log
-// whose publish record is the DPC1 blob, followed by the answers of a DPC4
-// log, boots to that log's Fingerprint. A log whose publish record is DPC3
+// whose publish record is the DPC1 blob, or its DPC4 packing as
+// compress/flate's writer spells it, followed by the answers of a log the
+// pinned writer packed, boots to that log's Fingerprint. A log whose
+// publish record is DPC3
 // (the same tokens in the fixed codes, as 0b7dcec wrote them) is refused
 // with an error naming DPC3 and 0b7dcec, one whose record is DPB1 (the row
 // encoder's) or DPB3 (publication_dpb3.golden) naming its magic and
@@ -948,20 +1013,25 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 	}
 	recs := crashtest.ReadStream(t, dir)
 	body := mustEncodeBinaryPublication(t, tasks, m)[len(publicationMagic):]
-	logs := map[string]struct {
+	logs := map[string]struct { // by the record's magic, then who wrote it
 		blob    []byte
 		refusal string // the last commit that reads the record; "" boots
 	}{
-		deflateMagic:     {recs[0].Blob, ""},
+		deflateMagic: {recs[0].Blob, ""},
+		deflateMagic + " by compress/flate": {packedBlob(deflateMagic, uint64(len(body)),
+			flateStream(t, body, flate.DefaultCompression)), ""},
 		publicationMagic: {mustEncodeBinaryPublication(t, tasks, m), ""},
 		"DPC3":           {packedBlob("DPC3", uint64(len(body)), fixedCodes(body)), "0b7dcec"},
 		"DPB1":           {encodeRowPublication(tasks, m), "7137417"},
 		"DPB3":           {readLegacyGolden(t, "DPB3"), "7137417"},
 		"DPB2":           {readLegacyGolden(t, "DPB2"), "a3e04fd"},
 	}
-	for magic, l := range logs {
-		if !bytes.HasPrefix(l.blob, []byte(magic)) {
-			t.Fatalf("the %s log's publish record opens with %q", magic, l.blob[:4])
+	if bytes.Equal(logs[deflateMagic+" by compress/flate"].blob, recs[0].Blob) {
+		t.Fatal("compress/flate spells the record as the pinned writer does")
+	}
+	for name, l := range logs {
+		if !bytes.HasPrefix(l.blob, []byte(name[:4])) {
+			t.Fatalf("the %s log's publish record opens with %q", name, l.blob[:4])
 		}
 		legacy := t.TempDir()
 		log, err := wal.Open(legacy, wal.Options{})
@@ -983,16 +1053,16 @@ func TestLegacyPublicationLogsBoot(t *testing.T) {
 		again := newSystem(t, cfg)
 		_, err = again.Recover(legacy)
 		switch {
-		case l.refusal != "" && (err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), l.refusal)):
-			t.Errorf("%s log: boot: %v, want a refusal naming %s and %s", magic, err, magic, l.refusal)
+		case l.refusal != "" && (err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), l.refusal)):
+			t.Errorf("%s log: boot: %v, want a refusal naming %s and %s", name, err, name, l.refusal)
 		case l.refusal != "":
 			if !reflect.DeepEqual(readLogDir(t, legacy), before) {
-				t.Errorf("%s log: the refused boot changed the log", magic)
+				t.Errorf("%s log: the refused boot changed the log", name)
 			}
 		case err != nil:
-			t.Fatalf("%s log: boot: %v", magic, err)
+			t.Fatalf("%s log: boot: %v", name, err)
 		case again.Fingerprint() != want:
-			t.Errorf("%s log: the booted state differs from the DPC4 log's", magic)
+			t.Errorf("%s log: the booted state differs from the pinned writer's DPC4 log's", name)
 		}
 		again.Close()
 	}

@@ -45,10 +45,12 @@ import (
 // refuses it. A publish record has one reader: applyRecord alone calls
 // decodePublication, and only that unpacks or decodes a publication blob.
 // The publication record is the one
-// compressed blob, and its decoder holds every stream to a re-encode, so
-// only a writer whose output is pinned may write one: publication.go alone
-// imports compress/flate, for its reader; nothing calls flate.NewWriter,
-// whose output is not pinned across Go releases. Only tests fail an fsync on purpose (wal.FailFsyncAt), and a
+// compressed blob: publication.go alone imports compress/flate, for its
+// reader, and the decode runs no writer: only core.go, where a publish
+// runs the packer, takes one from the pool (deflaters.Get). Nothing calls
+// flate.NewWriter: one compress/flate writer allocates ≈807 KB at level 6
+// (≈1.2 MB at BestSpeed), which every process would pay on its first
+// publish, against the pooled writer's 145 KiB. Only tests fail an fsync on purpose (wal.FailFsyncAt), and a
 // registry campaign's lifecycle state has one writer: the registry's
 // transition function. A request body has one reader, decodeBody, and
 // nothing under internal/httpapi streams a body through json.NewDecoder,
@@ -101,6 +103,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		`"compress/lzw"`:   nil,
 		`"compress/flate"`: {"internal/core/publication.go"},
 		"flate.NewWriter":  nil,
+		"deflaters.Get(":   {"internal/core/core.go"},
 		"FailFsyncAt(":     {"internal/wal/atomic.go"},
 		"MintScope":        nil,
 	}
