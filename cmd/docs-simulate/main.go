@@ -163,10 +163,11 @@ func driveCampaign(sys *core.System, ds *dataset.Dataset, pop *crowd.Population,
 	seen := map[string]bool{}
 	for collected < target && idle < 5000 {
 		w := pop.Arrival()
-		assigned, err := sys.Request(w.ID, hit)
+		served, err := sys.Request(w.ID, hit)
 		if err != nil {
 			log.Fatalf("docs-simulate: request: %v", err)
 		}
+		assigned := sys.Tasks(served)
 		if len(assigned) == 0 {
 			idle++
 			continue

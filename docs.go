@@ -367,16 +367,18 @@ func (s *System) PublishChecked(p *Publication) error {
 // unknown workers, then the highest-benefit regular tasks. k <= 0 uses the
 // configured HITSize.
 func (s *System) Request(workerID string, k int) ([]Task, error) {
-	got, err := call(s, func(sys *core.System) ([]model.Task, error) { return sys.Request(workerID, k) })
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Task, len(got))
-	for i, t := range got {
-		// A served task's choices are a slice of its own.
-		out[i] = Task{ID: t.ID, Text: t.Text, Choices: t.Choices, GoldenTruth: t.Truth}
-	}
-	return out, nil
+	return call(s, func(sys *core.System) ([]Task, error) {
+		served, err := sys.Request(workerID, k)
+		if err != nil {
+			return nil, err
+		}
+		// Each task is built once, from the campaign's task table.
+		out := make([]Task, len(served))
+		sys.Serve(served, func(i int, text string, choices []string) {
+			out[i] = Task{ID: served[i].ID, Text: text, Choices: choices, GoldenTruth: served[i].Truth}
+		})
+		return out, nil
+	})
 }
 
 // Submit records one answer from a worker.

@@ -61,7 +61,7 @@ func traceAdversarialCampaign(t *testing.T, s *System) (string, *System) {
 		if len(got) == 0 {
 			break
 		}
-		for _, tk := range got {
+		for _, tk := range s.Tasks(got) {
 			c := w.Answer(&tk, r)
 			trace += fmt.Sprintf("%s:%d:%d;", w.ID, tk.ID, c)
 			if err := s.Submit(w.ID, tk.ID, c); err != nil {
@@ -143,7 +143,7 @@ func TestAdversarialCliqueHammerLeaseBound(t *testing.T) {
 					continue
 				}
 				empty = 0
-				for _, tk := range got {
+				for _, tk := range s.Tasks(got) {
 					if err := s.Submit(w, tk.ID, crowd.CliqueChoice(cliqueSeed, &tk)); err != nil {
 						errs <- err
 						return
@@ -217,7 +217,7 @@ func runLoggedAdversarialCampaign(t *testing.T, cfg Config, dir string, nTasks i
 			continue
 		}
 		idle = 0
-		for _, tk := range got {
+		for _, tk := range s.Tasks(got) {
 			if err := s.Submit(w.ID, tk.ID, w.Answer(&tk, r)); err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -123,17 +122,9 @@ func TestConcurrentServeMatchesSerialReplay(t *testing.T) {
 	if err := replay.Publish(concTasks(replay.m, 150)); err != nil {
 		t.Fatal(err)
 	}
-	golden := s.goldenAnswersByWorker()
-	workers := make([]string, 0, len(golden))
-	for w := range golden {
-		workers = append(workers, w)
-	}
-	sort.Strings(workers)
-	for _, w := range workers {
-		for _, a := range golden[w] {
-			if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
-				t.Fatal(err)
-			}
+	for _, a := range goldenAnswers(s) {
+		if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, a := range stream {
@@ -334,17 +325,9 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 	if err := replay.Publish(concTasks(replay.m, 60)); err != nil {
 		t.Fatal(err)
 	}
-	golden := s.goldenAnswersByWorker()
-	workers := make([]string, 0, len(golden))
-	for w := range golden {
-		workers = append(workers, w)
-	}
-	sort.Strings(workers)
-	for _, w := range workers {
-		for _, a := range golden[w] {
-			if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
-				t.Fatal(err)
-			}
+	for _, a := range goldenAnswers(s) {
+		if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, a := range s.Answers().All() {
@@ -362,4 +345,16 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 	if got, want := section(s), section(replay); got != want {
 		t.Errorf("store after racing Results calls differs from one call at the final prefix:\n%s", DiffFingerprints(got, want, 8))
 	}
+}
+
+// goldenAnswers returns every worker's golden answers as a rerun reads
+// them: in worker-name order, each worker's in the order they gave them.
+func goldenAnswers(s *System) []model.Answer {
+	tail, _ := s.goldenTail(s.goldenList)
+	names := s.inc.Names()
+	out := make([]model.Answer, tail.Len())
+	for i := range out {
+		out[i] = model.Answer{Worker: names[tail.Worker[i]], Task: s.ids[tail.Task[i]], Choice: int(tail.Choice[i])}
+	}
+	return out
 }

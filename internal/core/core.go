@@ -15,7 +15,8 @@
 // The system serves Request, Submit and Result concurrently. The campaign
 // structure (tasks, golden set) is guarded by an RWMutex that is only
 // write-locked during Publish; per-worker serving state (golden answers,
-// profiling, anchors) lives in sharded maps so workers do not contend
+// profiling, anchors) lives in a slab indexed by the worker's truth-engine
+// handle, each entry under a lock of its own, so workers do not contend
 // with each other; answer ingest goes through the truth engine's per-task
 // locks; and reads (Request, Result, WorkerQuality) are served from the
 // truth engine's immutable snapshots without blocking writers. Assignment
@@ -36,7 +37,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +48,6 @@ import (
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
-	"docs/internal/shard"
 	"docs/internal/store"
 	"docs/internal/truth"
 	"docs/internal/wal"
@@ -106,9 +106,6 @@ type Config struct {
 	ProfileScope string
 }
 
-// workerShardCount shards per-worker serving state.
-const workerShardCount = shard.Count
-
 // workerState is everything the orchestrator tracks per worker besides
 // her regular answers: her golden answers and profiling status, and her
 // anchor — the long-run statistics pinned when she was profiled or first
@@ -117,24 +114,22 @@ const workerShardCount = shard.Count
 // campaigns, and a time-of-rerun store read is exactly the kind of
 // unlogged float input that made recovered state drift from live state.
 // The regular tasks she answered, T(w), are no set of hers: the answer log
-// holds them, and Request reads them off each task's V(i).
+// holds them, and Request reads them off each task's V(i). Their golden
+// answers and their profiling serialize on mu.
 type workerState struct {
+	mu       sync.Mutex
 	golden   []goldenAnswer // in the order she gave them
 	profiled bool
 	anchor   *truth.Stats
 }
 
-// goldenAnswer is one golden answer as its worker's state holds it.
-type goldenAnswer struct{ task, choice int }
+// goldenAnswer is one golden answer as its worker's state holds it: the
+// task's publication position and the choice.
+type goldenAnswer struct{ p, choice int32 }
 
 // goldenTask is a golden task as the campaign holds it: its position, its
 // ID and the truth its requester gave.
 type goldenTask struct{ p, id, truth int }
-
-type workerShard struct {
-	mu      sync.Mutex
-	workers map[string]*workerState
-}
 
 // System is a running DOCS campaign.
 type System struct {
@@ -167,7 +162,11 @@ type System struct {
 	// (nil otherwise). Created in New, before serving.
 	leases *leaseTable
 
-	shards [workerShardCount]workerShard
+	// workers holds each worker's serving state at their truth-engine handle.
+	// Only what the log records of a worker gives them an entry (stateFor);
+	// the slab grows copy-on-write and an entry never moves, so readers load
+	// it without a lock. Set in New, never nil.
+	workers atomic.Pointer[[]*workerState]
 
 	// logMu guards the chronological log of regular answers — the only
 	// globally ordered write structure left on the Submit path — and, when a
@@ -246,7 +245,7 @@ type System struct {
 	wg           sync.WaitGroup
 	closed       sync.Once
 
-	assigners sync.Pool
+	spaces sync.Pool // of *requestSpace
 }
 
 // New creates a System from the config.
@@ -284,13 +283,11 @@ func New(cfg Config) (*System, error) {
 		//docs:allow clock serving-age anchor for the /stats rate; reporting only, never durable
 		since: time.Now(),
 	}
-	for i := range s.shards {
-		s.shards[i].workers = make(map[string]*workerState)
-	}
+	s.workers.Store(new([]*workerState))
 	if cfg.LeaseTTL > 0 {
 		s.leases = newLeaseTable(cfg.LeaseTTL, cfg.Clock)
 	}
-	s.assigners.New = func() any { return new(assign.Assigner) }
+	s.spaces.New = func() any { return new(requestSpace) }
 	if cfg.AsyncRerun && cfg.RerunEvery > 0 {
 		s.wg.Add(1)
 		go s.worker(s.rerunCh, func() {
@@ -335,19 +332,49 @@ func (s *System) worker(nudge <-chan struct{}, pass func()) {
 	}
 }
 
-func (s *System) shard(workerID string) *workerShard {
-	return &s.shards[shard.Index(workerID, workerShardCount)]
+// stateOf returns the worker's serving state, nil if they have no handle or
+// the slab does not reach it. It gives them neither.
+func (s *System) stateOf(workerID string) *workerState {
+	h, ok := s.inc.Handle(workerID)
+	if slab := *s.workers.Load(); ok && int(h) < len(slab) {
+		return slab[h]
+	}
+	return nil
 }
 
-// state returns the worker's serving state, creating it if absent. Callers
-// hold the shard lock.
-func (sh *workerShard) state(workerID string) *workerState {
-	ws, ok := sh.workers[workerID]
-	if !ok {
-		ws = &workerState{}
-		sh.workers[workerID] = ws
+// stateFor returns the worker's serving state, interning them and growing
+// the slab to their handle if need be. Only a path the log records calls it
+// — a golden answer, a seed, a profile — so replay mints the handles the
+// live run did, and a request grows nothing. The slab at least doubles,
+// into a fresh array, so a reader's copy is never written.
+func (s *System) stateFor(workerID string) *workerState {
+	h := s.inc.Intern(workerID)
+	for {
+		old := s.workers.Load()
+		slab := *old
+		if int(h) < len(slab) {
+			return slab[h]
+		}
+		grown := make([]*workerState, max(int(h)+1, 2*len(slab)))
+		copy(grown, slab)
+		for i := len(slab); i < len(grown); i++ {
+			grown[i] = new(workerState)
+		}
+		if s.workers.CompareAndSwap(old, &grown) {
+			return grown[h]
+		}
 	}
-	return ws
+}
+
+// byName returns the handles of names in worker-name order, the order
+// golden answers enter a rerun and the fingerprint.
+func byName(names []string) []int32 {
+	hs := make([]int32, len(names))
+	for h := range hs {
+		hs[h] = int32(h)
+	}
+	slices.SortFunc(hs, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	return hs
 }
 
 // Domains returns the system's domain set.
@@ -742,6 +769,11 @@ func (s *System) GoldenTasks() []int {
 	return out
 }
 
+// Served is one task a Request serves: its publication position, its ID
+// and the truth its requester gave (NoTruth without one). Serve lays out
+// its text and choices.
+type Served struct{ P, ID, Truth int }
+
 // Request serves an arriving worker: a returning (or profiled) worker gets
 // the k highest-benefit open tasks; a new worker is first served the
 // golden tasks she has not answered yet. The returned tasks are in
@@ -751,10 +783,9 @@ func (s *System) GoldenTasks() []int {
 // immutable snapshots, so a request never blocks answer ingest (and may be
 // up to one submit stale, which OTA tolerates by design). With leases
 // armed (Config.LeaseTTL) the served tasks are leased to the worker until
-// answered or expired. A task is served as the campaign holds it: its ID,
-// text, choices and truth from the task table and its rest state's domain
-// vector.
-func (s *System) Request(workerID string, k int) ([]model.Task, error) {
+// answered or expired. A request only looks the worker's handle up: it
+// builds no map and mints no handle.
+func (s *System) Request(workerID string, k int) ([]Served, error) {
 	if workerID == "" {
 		return nil, fmt.Errorf("core: empty worker ID")
 	}
@@ -773,17 +804,19 @@ func (s *System) Request(workerID string, k int) ([]model.Task, error) {
 		return nil, err
 	}
 	if !ready {
-		// Serve unanswered golden tasks first.
-		answered := s.goldenAnswered(workerID)
-		var out []model.Task
+		// Serve the golden tasks they have not answered first: their few
+		// golden answers are scanned. They are only appended to, so the
+		// prefix read under their lock stays as it is.
+		var answered []goldenAnswer
+		if ws := s.stateOf(workerID); ws != nil {
+			ws.mu.Lock()
+			answered = ws.golden
+			ws.mu.Unlock()
+		}
+		var out []Served
 		for _, g := range goldenList {
-			if len(out) >= k {
-				break
-			}
-			if !answered[g.id] {
-				t := table.task(g.p, g.id)
-				t.Domain = s.index.Load().rests[g.p].R
-				out = append(out, t)
+			if len(out) < k && !slices.ContainsFunc(answered, func(a goldenAnswer) bool { return int(a.p) == g.p }) {
+				out = append(out, Served{g.p, g.id, g.truth})
 			}
 		}
 		if len(out) > 0 {
@@ -799,43 +832,79 @@ func (s *System) Request(workerID string, k int) ([]model.Task, error) {
 	if !ok {
 		w = -1
 	}
+	sp := s.spaces.Get().(*requestSpace)
 	// Leases: expire what is due, then exclude the tasks this worker
 	// already holds, so a re-request before submitting gets disjoint tasks.
-	var leased map[int]bool
+	sp.held = sp.held[:0]
 	if s.leases != nil {
-		leased = s.leases.beginRequest(workerID)
+		sp.held = s.leases.beginRequest(workerID, sp.held)
 	}
 	redundancy := s.cfg.AnswersPerTask
-	as := s.assigners.Get().(*assign.Assigner)
 	var ps []int
 	if s.scanAssign {
-		ps = s.assignScan(as, golden, w, leased, q, k, redundancy)
+		ps = s.assignScan(&sp.as, golden, w, sp.held, q, k, redundancy)
 	} else {
-		ps = s.assignIndexed(as, w, leased, q, k, redundancy)
+		ps = s.assignIndexed(&sp.as, w, sp.held, q, k, redundancy)
 	}
-	s.assigners.Put(as)
+	s.spaces.Put(sp)
 	if s.leases != nil {
 		s.leases.grant(workerID, ps)
 	}
-	ci := s.index.Load()
-	out := make([]model.Task, len(ps))
+	out := make([]Served, len(ps))
 	for i, p := range ps {
-		out[i] = table.task(p, ids[p])
-		out[i].Domain = ci.rests[p].R
+		out[i] = Served{p, ids[p], table.truth(p)}
 	}
 	return out, nil
 }
 
+// requestSpace is the memory a request reuses: the assigner's heap and the
+// positions of the tasks the worker holds leases on, ascending.
+type requestSpace struct {
+	as   assign.Assigner
+	held []int
+}
+
+// Serve lays out the served tasks straight from the task table: put
+// receives the i'th one's text and choices. The choices of all of them are
+// one fresh slice, each task's capped, which put may keep.
+func (s *System) Serve(served []Served, put func(i int, text string, choices []string)) {
+	s.mu.RLock()
+	table := s.taskTable
+	s.mu.RUnlock()
+	n := 0
+	for _, t := range served {
+		n += table.ell(t.P)
+	}
+	all := make([]string, 0, n)
+	for i, t := range served {
+		from := len(all)
+		all = table.appendChoices(all, t.P)
+		put(i, table.textAt(t.P), all[from:len(all):len(all)])
+	}
+}
+
+// Tasks mints the served tasks whole, with their domain vectors, for the
+// callers that read a served task as a model.Task: the simulated crowd's
+// answer model reads its vector and truth.
+func (s *System) Tasks(served []Served) []model.Task {
+	ci, out := s.index.Load(), make([]model.Task, len(served))
+	s.Serve(served, func(i int, text string, choices []string) {
+		t := served[i]
+		out[i] = model.Task{ID: t.ID, Text: text, Choices: choices, Truth: t.Truth, Domain: ci.rests[t.P].R, TrueDomain: model.NoTruth}
+	})
+	return out
+}
+
 // assignIndexed is the indexed OTA hot path: one atomic load of the shared
 // immutable candidate array, then a streamed size-k heap over it. The only
-// per-request allocations are the lease exclusion snapshot and the returned
-// positions — nothing proportional to campaign size or to what the worker
-// answered. The per-candidate filter re-checks the worker's answer (the
-// task's V(i) holds handle w), redundancy and live leases against the
-// latest truth snapshot, so entries that closed since the last index
-// compaction are skipped exactly as the full scan would skip them. leased
-// and the result hold positions.
-func (s *System) assignIndexed(as *assign.Assigner, w int32, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
+// per-request allocation is the returned positions — nothing proportional
+// to campaign size, to what the worker answered or to the leases they hold.
+// The per-candidate filter re-checks the worker's answer (the task's V(i)
+// holds handle w), redundancy and live leases against the latest truth
+// snapshot, so entries that closed since the last index compaction are
+// skipped exactly as the full scan would skip them. held (ascending) and
+// the result hold positions.
+func (s *System) assignIndexed(as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
 	ci := s.index.Load()
 	if ci == nil {
 		return nil
@@ -847,7 +916,7 @@ func (s *System) assignIndexed(as *assign.Assigner, w int32, leased map[int]bool
 	entries := arr.entries
 	return as.AssignFunc(len(entries), func(i int, ts *assign.TaskState) bool {
 		p := entries[i]
-		if leased[int(p)] {
+		if _, leased := slices.BinarySearch(held, int(p)); leased {
 			return false
 		}
 		v := ci.view(p)
@@ -875,11 +944,11 @@ func (s *System) assignIndexed(as *assign.Assigner, w int32, leased map[int]bool
 // campaign size. It survives behind the test-only scanAssign field as the
 // equivalence oracle (TestIndexedAssignmentEquivalence): the indexed path
 // must stay bit-identical to it on serial campaigns.
-func (s *System) assignScan(as *assign.Assigner, golden []bool, w int32, leased map[int]bool, q model.QualityVector, k, redundancy int) []int {
+func (s *System) assignScan(as *assign.Assigner, golden []bool, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
 	ci := s.index.Load()
 	backing := make([]assign.TaskState, 0, len(golden))
 	for p := range golden {
-		if golden[p] || leased[p] {
+		if _, leased := slices.BinarySearch(held, p); golden[p] || leased {
 			continue
 		}
 		t := ci.row(p)
@@ -928,7 +997,7 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	}
 	s.mu.RLock()
 	at, ok := s.position(taskID)
-	table, golden, goldenList := s.taskTable, s.golden, s.goldenList
+	table, ids, golden, goldenList := s.taskTable, s.ids, s.golden, s.goldenList
 	s.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("core: unknown task %d", taskID)
@@ -941,29 +1010,28 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	if isGolden {
 		// The group must be durable before (or with) anything that follows
 		// it: flush it now so the golden record's reservation lands after
-		// the group's, and the fsync wait happens before the shard lock.
+		// the group's, and the fsync wait happens before the worker's lock.
 		if g != nil {
 			if err := g.flush(s); err != nil {
 				return err
 			}
 		}
-		sh := s.shard(workerID)
-		sh.mu.Lock()
-		ws := sh.state(workerID)
+		ws := s.stateFor(workerID)
+		ws.mu.Lock()
 		for _, prev := range ws.golden {
-			if prev.task == taskID {
-				sh.mu.Unlock()
+			if int(prev.p) == at {
+				ws.mu.Unlock()
 				return fmt.Errorf("core: worker %q already answered golden task %d", workerID, taskID)
 			}
 		}
-		ws.golden = append(ws.golden, goldenAnswer{taskID, choice})
+		ws.golden = append(ws.golden, goldenAnswer{int32(at), int32(choice)})
 		completesGauntlet := len(ws.golden) == len(goldenList)
-		// Reserve the WAL slot before releasing the shard lock: a worker's
+		// Reserve the WAL slot before releasing the worker's lock: their
 		// golden answers must replay in the order profiling consumed them.
 		s.logMu.Lock()
 		p, err := s.walReserve(wal.Record{Kind: wal.KindAnswer, Worker: workerID, Task: taskID, Choice: choice})
 		s.logMu.Unlock()
-		sh.mu.Unlock()
+		ws.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -979,12 +1047,12 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 			return err
 		}
 		if completesGauntlet {
-			sh.mu.Lock()
+			ws.mu.Lock()
 			// Exactly one submit observes the gauntlet completing (the
 			// duplicate check above serializes a worker's golden answers),
 			// so profiling runs once.
-			err = s.profileWorker(workerID, ws, goldenList)
-			sh.mu.Unlock()
+			err = s.profileWorker(workerID, ws, ids, goldenList)
+			ws.mu.Unlock()
 			return err
 		}
 		return nil
@@ -1167,7 +1235,7 @@ func (s *System) logPrefix() model.Columns {
 
 // goldenTail lays the golden answers out as the columns that follow the
 // answer log in a rerun's index, and pins the golden tasks' truths. The
-// answers go in sorted worker order, each worker's in the order she gave
+// answers go in worker-name order, each worker's in the order they gave
 // them: a fixed order, or per-task likelihood sums reorder between runs
 // and ulp-level differences flip assignment ties.
 func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, map[int]int) {
@@ -1178,67 +1246,35 @@ func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, map[int]int
 	for _, g := range goldenList {
 		pinned[g.id] = g.truth
 	}
-	golden := s.goldenAnswersByWorker()
-	workers := make([]string, 0, len(golden))
-	for w := range golden {
-		workers = append(workers, w)
-	}
-	sort.Strings(workers)
 	var tail model.Columns
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, w := range workers {
-		h := s.inc.Intern(w)
-		for _, a := range golden[w] {
-			p, _ := s.position(a.Task)
-			tail = tail.Append(h, int32(p), int32(a.Choice))
+	names, slab := s.inc.Names(), *s.workers.Load()
+	for _, h := range byName(names[:min(len(names), len(slab))]) {
+		ws := slab[h]
+		ws.mu.Lock()
+		for _, a := range ws.golden {
+			tail = tail.Append(h, a.p, a.choice)
 		}
+		ws.mu.Unlock()
 	}
 	return tail, pinned
 }
 
-// goldenAnswersByWorker gathers every worker's golden answers across the
-// shards.
-func (s *System) goldenAnswersByWorker() map[string][]model.Answer {
-	out := make(map[string][]model.Answer)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for w, ws := range sh.workers {
-			if len(ws.golden) > 0 {
-				out[w] = ws.goldenAnswers(w)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// goldenAnswers returns a copy of the worker's golden answers. Callers hold
-// her shard lock.
-func (ws *workerState) goldenAnswers(workerID string) []model.Answer {
-	out := make([]model.Answer, len(ws.golden))
-	for i, a := range ws.golden {
-		out[i] = model.Answer{Worker: workerID, Task: a.task, Choice: a.choice}
-	}
-	return out
-}
-
 // InferTasks returns the non-golden tasks in publication order (the tasks
 // Results infers over, in the same order as the result slices), each
-// minted from the task table with its domain vector, for the offline paths
-// that read them whole.
+// minted whole (Tasks), for the offline paths that read them whole.
 func (s *System) InferTasks() []*model.Task {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ci := s.index.Load()
-	out := make([]*model.Task, 0, len(s.ids)-len(s.goldenList))
+	regular := make([]Served, 0, len(s.ids)-len(s.goldenList))
 	for p, id := range s.ids {
 		if !s.golden[p] {
-			t := s.task(p, id)
-			t.Domain = ci.rests[p].R
-			out = append(out, &t)
+			regular = append(regular, Served{p, id, s.truth(p)})
 		}
+	}
+	s.mu.RUnlock()
+	tasks := s.Tasks(regular)
+	out := make([]*model.Task, len(tasks))
+	for i := range tasks {
+		out[i] = &tasks[i]
 	}
 	return out
 }
@@ -1273,9 +1309,14 @@ func (s *System) WorkerQuality(workerID string) model.QualityVector {
 
 // Answers returns a snapshot of the collected non-golden answers.
 func (s *System) Answers() *model.AnswerSet {
+	log := s.logPrefix()
+	s.mu.RLock()
+	ids := s.ids
+	s.mu.RUnlock()
+	names := s.inc.Names() // read after every handle the log holds
 	as := model.NewAnswerSet()
-	for _, a := range s.logAnswers() {
-		if err := as.Add(a); err != nil {
+	for p := range log.Len() {
+		if err := as.Add(model.Answer{Worker: names[log.Worker[p]], Task: ids[log.Task[p]], Choice: int(log.Choice[p])}); err != nil {
 			panic(fmt.Sprintf("core: corrupt answer log: %v", err))
 		}
 	}
@@ -1396,34 +1437,6 @@ func (s *System) answeredRowsRLocked(idx *model.LogIndex) []truth.Row {
 	return out
 }
 
-// logAnswers returns the answer log as it stands, as answers.
-func (s *System) logAnswers() []model.Answer {
-	log := s.logPrefix()
-	s.mu.RLock()
-	ids := s.ids
-	s.mu.RUnlock()
-	names := s.inc.Names() // read after every handle the log holds
-	out := make([]model.Answer, log.Len())
-	for p := range out {
-		out[p] = model.Answer{Worker: names[log.Worker[p]], Task: ids[log.Task[p]], Choice: int(log.Choice[p])}
-	}
-	return out
-}
-
-// goldenAnswered returns the set of golden tasks the worker has answered.
-func (s *System) goldenAnswered(workerID string) map[int]bool {
-	out := make(map[int]bool)
-	sh := s.shard(workerID)
-	sh.mu.Lock()
-	if ws, ok := sh.workers[workerID]; ok {
-		for _, a := range ws.golden {
-			out[a.task] = true
-		}
-	}
-	sh.mu.Unlock()
-	return out
-}
-
 // workerReady reports whether the worker can receive regular tasks: either
 // profiled this session, known to the store, or there are no golden tasks
 // to profile with. Adopting a store profile is a durable event: the exact
@@ -1434,19 +1447,27 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 	if len(goldenList) == 0 {
 		return true, nil
 	}
-	sh := s.shard(workerID)
-	sh.mu.Lock()
-	// Lookup without creating: bare Request traffic (including unknown or
-	// scanning worker IDs) must not grow the shard maps — per-worker state
-	// is materialized only when there is something to record.
-	if ws, ok := sh.workers[workerID]; ok && ws.profiled {
-		sh.mu.Unlock()
-		return true, nil
+	// Look up without minting: bare Request traffic (including unknown or
+	// scanning worker IDs) must not grow the slab — a worker gets serving
+	// state only when there is something to record.
+	if ws := s.stateOf(workerID); ws != nil {
+		ws.mu.Lock()
+		profiled := ws.profiled
+		ws.mu.Unlock()
+		if profiled {
+			return true, nil
+		}
 	}
 	st, ok := s.store.Worker(workerID)
 	if !ok {
-		sh.mu.Unlock()
 		return false, nil
+	}
+	// The seed is logged, so the worker's state may be minted.
+	ws := s.stateFor(workerID)
+	ws.mu.Lock()
+	if ws.profiled { // a racing request adopted the profile first
+		ws.mu.Unlock()
+		return true, nil
 	}
 	// The seed record is forced even when the incremental engine already
 	// knew the worker (her regular answers preceded this request): the
@@ -1455,12 +1476,11 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 	s.logMu.Lock()
 	_, p, err := s.logSeed(workerID, st, true, true)
 	s.logMu.Unlock()
-	ws := sh.state(workerID)
 	ws.profiled = true
 	if ws.anchor == nil {
 		ws.anchor = st.Clone()
 	}
-	sh.mu.Unlock()
+	ws.mu.Unlock()
 	if err != nil {
 		return true, err
 	}
@@ -1469,7 +1489,7 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 
 // profileWorker initializes the worker's quality from her golden-task
 // answers and registers it with the incremental engine and the store.
-// Callers hold the worker's shard lock.
+// Callers hold ws.mu.
 //
 // The store merge is idempotent by profile ID (store.MergeProfile): the
 // live system applies it and waits for its store record; every replay of
@@ -1482,8 +1502,12 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 // the same bits). EstimateFromGolden is a pure function of the replayed
 // golden answers, so no part of the profile depends on boot-time store
 // contents.
-func (s *System) profileWorker(workerID string, ws *workerState, goldenList []goldenTask) error {
-	st := truth.EstimateFromGolden(s.goldenTasks(goldenList), ws.goldenAnswers(workerID), s.m)
+func (s *System) profileWorker(workerID string, ws *workerState, ids []int, goldenList []goldenTask) error {
+	answers := make([]model.Answer, len(ws.golden))
+	for i, a := range ws.golden {
+		answers[i] = model.Answer{Worker: workerID, Task: ids[a.p], Choice: int(a.choice)}
+	}
+	st := truth.EstimateFromGolden(s.goldenTasks(goldenList), answers, s.m)
 	anchor, _, err := s.store.MergeProfile(s.profileID(workerID), workerID, st)
 	if err != nil {
 		// The durable merge failed; abort profiling (the caller unwinds the
@@ -1535,13 +1559,7 @@ func (s *System) ensureWorker(workerID string) error {
 		return err
 	}
 	if installed {
-		sh := s.shard(workerID)
-		sh.mu.Lock()
-		ws := sh.state(workerID)
-		if ws.anchor == nil {
-			ws.anchor = st.Clone()
-		}
-		sh.mu.Unlock()
+		s.applySeed(workerID, st, false)
 	}
 	return s.walCommit(p)
 }
@@ -1610,8 +1628,12 @@ func (s *System) rerunLocked() error {
 func (s *System) initQuality(answers *model.LogIndex) map[string]model.QualityVector {
 	init := make(map[string]model.QualityVector)
 	for _, w := range answers.Workers() {
-		if a := s.anchorStats(w); a != nil {
-			init[w] = a.Q
+		if ws := s.stateOf(w); ws != nil {
+			ws.mu.Lock()
+			if ws.anchor != nil {
+				init[w] = slices.Clone(ws.anchor.Q)
+			}
+			ws.mu.Unlock()
 		}
 	}
 	return init

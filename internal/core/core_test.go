@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -134,6 +135,41 @@ func TestGoldenFirstForNewWorkers(t *testing.T) {
 	}
 }
 
+// TestRequestsMintNoHandle: a worker's handle, and their entry in the
+// serving-state slab, are minted only where the log records them. 1,000
+// requests from 1,000 IDs that never answer — served the golden gauntlet,
+// or regular tasks when there is none — leave the truth engine's names and
+// the slab as they found them.
+func TestRequestsMintNoHandle(t *testing.T) {
+	ds := dataset.Item(1)
+	for _, golden := range []int{8, -1} {
+		s := newSystem(t, Config{GoldenCount: golden, HITSize: 5})
+		if err := s.Publish(ds.Tasks[:100]); err != nil {
+			t.Fatal(err)
+		}
+		// One worker the log records: the engine holds their name, and
+		// with a gauntlet the slab their state.
+		served, err := s.Request("answerer", 5)
+		if err != nil || len(served) == 0 {
+			t.Fatalf("golden %d: served %d tasks, %v", golden, len(served), err)
+		}
+		if err := s.Submit("answerer", served[0].ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		names, slab := len(s.inc.Names()), len(*s.workers.Load())
+		for i := range 1000 {
+			if got, err := s.Request(fmt.Sprintf("stranger-%d", i), 5); err != nil || len(got) == 0 {
+				t.Fatalf("golden %d: stranger %d served %d tasks, %v", golden, i, len(got), err)
+			}
+		}
+		if got, gotSlab := len(s.inc.Names()), len(*s.workers.Load()); got != names || gotSlab != slab {
+			t.Errorf("golden %d: 1,000 requests that answered nothing took the engine from %d to %d names and the slab from %d to %d entries",
+				golden, names, got, slab, gotSlab)
+		}
+		s.Close()
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s := newSystem(t, Config{GoldenCount: -1})
 	tasks := []*model.Task{{ID: 0, Text: "Kobe Bryant", Choices: []string{"x", "y"}, Truth: model.NoTruth, TrueDomain: model.NoTruth}}
@@ -190,7 +226,7 @@ func TestEndToEndCampaign(t *testing.T) {
 		if len(got) == 0 {
 			break // campaign saturated
 		}
-		for _, tk := range got {
+		for _, tk := range s.Tasks(got) {
 			if err := s.Submit(w.ID, tk.ID, w.Answer(&tk, r)); err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,9 +52,10 @@ func (s *System) Fingerprint() string {
 	}
 
 	fmt.Fprintf(&b, ";answers:%d;", s.submissions.Load())
-	log := s.logAnswers()
-	for _, a := range log {
-		fmt.Fprintf(&b, "%s/%d/%d,", a.Worker, a.Task, a.Choice)
+	log := s.logPrefix()
+	names := s.inc.Names() // read after every handle the log holds
+	for i := range log.Len() {
+		fmt.Fprintf(&b, "%s/%d/%d,", names[log.Worker[i]], ids[log.Task[i]], log.Choice[i])
 	}
 
 	b.WriteString(";views:")
@@ -87,27 +89,53 @@ func (s *System) Fingerprint() string {
 		ci.mu.Unlock()
 	}
 
-	b.WriteString(";golden:")
-	goldenAnswers := s.goldenAnswersByWorker()
-	workers := make([]string, 0, len(goldenAnswers))
-	for w := range goldenAnswers {
-		workers = append(workers, w)
+	// Every worker's serving state, copied under their lock, and the tasks
+	// the log says they answered: a worker with either is listed.
+	type servingFP struct {
+		golden   []goldenAnswer
+		profiled bool
+		anchor   *truth.Stats
+		answered []int
+		listed   bool
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for w, ws := range sh.workers {
-			if ws.profiled {
-				workers = append(workers, w+"+profiled")
+	serving, slab := make([]servingFP, len(names)), *s.workers.Load()
+	for h, ws := range slab[:min(len(names), len(slab))] {
+		ws.mu.Lock()
+		if len(ws.golden) > 0 || ws.profiled || ws.anchor != nil {
+			serving[h] = servingFP{golden: slices.Clone(ws.golden), profiled: ws.profiled, listed: true}
+			if ws.anchor != nil {
+				serving[h].anchor = ws.anchor.Clone()
 			}
 		}
-		sh.mu.Unlock()
+		ws.mu.Unlock()
 	}
-	sort.Strings(workers)
-	for _, w := range workers {
-		fmt.Fprintf(&b, "%s(", w)
-		for _, a := range goldenAnswers[strings.TrimSuffix(w, "+profiled")] {
-			fmt.Fprintf(&b, "%d/%d,", a.Task, a.Choice)
+	for i := range log.Len() {
+		fp := &serving[log.Worker[i]]
+		fp.answered, fp.listed = append(fp.answered, ids[log.Task[i]]), true
+	}
+	order := byName(names)
+
+	// The golden answers of each worker with any, keyed by their name, and
+	// again under name+"+profiled" once they are profiled.
+	b.WriteString(";golden:")
+	type goldenKey struct {
+		key string
+		h   int32
+	}
+	var keys []goldenKey
+	for _, h := range order {
+		if len(serving[h].golden) > 0 {
+			keys = append(keys, goldenKey{names[h], h})
+		}
+		if serving[h].profiled {
+			keys = append(keys, goldenKey{names[h] + "+profiled", h})
+		}
+	}
+	slices.SortStableFunc(keys, func(a, b goldenKey) int { return strings.Compare(a.key, b.key) })
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s(", k.key)
+		for _, a := range serving[k.h].golden {
+			fmt.Fprintf(&b, "%d/%d,", ids[a.p], a.choice)
 		}
 		b.WriteString(")")
 	}
@@ -132,39 +160,9 @@ func (s *System) Fingerprint() string {
 	// Included so EVERY crash suite — not just the dedicated
 	// live-vs-recovered one — fails loudly on a future profile divergence.
 	b.WriteString(";anchors:")
-	type servingFP struct {
-		anchor   *truth.Stats
-		answered []int
-	}
-	serving := make(map[string]*servingFP)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for w, ws := range sh.workers {
-			fp := &servingFP{}
-			if ws.anchor != nil {
-				fp.anchor = ws.anchor.Clone()
-			}
-			serving[w] = fp
-		}
-		sh.mu.Unlock()
-	}
-	for _, a := range log {
-		fp := serving[a.Worker]
-		if fp == nil {
-			fp = &servingFP{}
-			serving[a.Worker] = fp
-		}
-		fp.answered = append(fp.answered, a.Task)
-	}
-	names := make([]string, 0, len(serving))
-	for w := range serving {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-	for _, w := range names {
-		if a := serving[w].anchor; a != nil {
-			fmt.Fprintf(&b, "%s:q", w)
+	for _, h := range order {
+		if a := serving[h].anchor; a != nil {
+			fmt.Fprintf(&b, "%s:q", names[h])
 			for _, q := range a.Q {
 				bits(q)
 			}
@@ -176,10 +174,13 @@ func (s *System) Fingerprint() string {
 		}
 	}
 	b.WriteString(";answered:")
-	for _, w := range names {
-		fmt.Fprintf(&b, "%s(", w)
-		sort.Ints(serving[w].answered)
-		for _, id := range serving[w].answered {
+	for _, h := range order {
+		if !serving[h].listed {
+			continue
+		}
+		fmt.Fprintf(&b, "%s(", names[h])
+		sort.Ints(serving[h].answered)
+		for _, id := range serving[h].answered {
 			fmt.Fprintf(&b, "%d,", id)
 		}
 		b.WriteString(")")

@@ -42,7 +42,7 @@ func traceCampaign(t *testing.T, s *System) (string, *System) {
 		if len(got) == 0 {
 			break
 		}
-		for _, tk := range got {
+		for _, tk := range s.Tasks(got) {
 			c := w.Answer(&tk, r)
 			trace += fmt.Sprintf("%s:%d:%d;", w.ID, tk.ID, c)
 			if err := s.Submit(w.ID, tk.ID, c); err != nil {

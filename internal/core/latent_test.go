@@ -98,7 +98,7 @@ func driveTrace(t *testing.T, seed uint64, steps int, cfg Config, now *time.Time
 				got, err := sd.s.Request(w, k)
 				var b strings.Builder
 				fmt.Fprintf(&b, "%v|", err)
-				for j, tk := range got {
+				for j, tk := range sd.s.Tasks(got) {
 					fmt.Fprintf(&b, "%d:", tk.ID)
 					if !skip[j] {
 						fmt.Fprintf(&b, "%v,", sd.s.Submit(w, tk.ID, choice[j]%tk.NumChoices()))

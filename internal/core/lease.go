@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,24 +92,20 @@ func newLeaseTable(ttl time.Duration, now func() time.Time) *leaseTable {
 // position.
 func (lt *leaseTable) install(n int) { lt.slots = make([]atomic.Int32, n) }
 
-// beginRequest processes due expiries and returns the positions of the
-// tasks the worker currently holds leases on (nil when none) — the per-worker
-// exclusion for this request. One locked pass per request; the cost is
-// O(expired·log + held).
-func (lt *leaseTable) beginRequest(workerID string) map[int]bool {
+// beginRequest processes due expiries and appends to held, ascending, the
+// positions of the tasks the worker currently holds leases on — the
+// per-worker exclusion for this request. One locked pass per request; the
+// cost is O(expired·log + held·log held).
+func (lt *leaseTable) beginRequest(workerID string, held []int) []int {
 	now := lt.now()
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	lt.expireLocked(now)
-	held := lt.byWorker[workerID]
-	if len(held) == 0 {
-		return nil
+	for p := range lt.byWorker[workerID] {
+		held = append(held, p)
 	}
-	out := make(map[int]bool, len(held))
-	for p := range held {
-		out[p] = true
-	}
-	return out
+	slices.Sort(held)
+	return held
 }
 
 // activeNow processes due expiries and returns the live lease count. This

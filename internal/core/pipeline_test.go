@@ -609,35 +609,27 @@ func TestLiveBytesPerAnswer(t *testing.T) {
 // candidate's V(i) and copies nothing of it, so what a Request allocates
 // does not follow what the worker answered: a worker with 500 answers costs
 // the same allocations and bytes per Request as one with 5 (a copy of her
-// answered set cost one map sized by it).
+// answered set cost one map sized by it), and no more than requestAllocs
+// and requestBytes, the reading since a Request returns positions (11 and
+// 1,200 B while it minted a model.Task a served task and built its maps).
+// Nor does it follow the leases they hold: the lease exclusion reads their
+// held positions into the request's reused space, where a map was built
+// (one more allocation). There both requests serve nothing — every task is
+// answered by them or leased to them — so the grant, which books each new
+// lease, is no part of the comparison.
 func TestAllocsRequestIndependentOfAnswered(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const tasks = 600
-	s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1, HITSize: 5})
-	defer s.Close()
-	if err := s.Publish(indexTasks(tasks, s.m)); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []struct {
-		id string
-		n  int
-	}{{"few", 5}, {"many", 500}} {
-		for i := 0; i < w.n; i++ {
-			if err := s.Submit(w.id, (i*7)%tasks, i%2); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	perRequest := func(worker string) (allocs, bytes uint64) { // the least of three runs
+	const tasks, requestAllocs, requestBytes = 600, 6, 720
+	perRequest := func(s *System, worker string, want int) (allocs, bytes uint64) { // the least of three runs
 		const runs = 50
 		allocs, bytes = ^uint64(0), ^uint64(0)
 		var before, after runtime.MemStats
 		for rep := 0; rep < 3; rep++ {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				if out, err := s.Request(worker, 0); err != nil || len(out) != 5 {
+				if out, err := s.Request(worker, 0); err != nil || len(out) != want {
 					t.Fatalf("Request(%s): %d tasks, %v", worker, len(out), err)
 				}
 			}
@@ -646,10 +638,56 @@ func TestAllocsRequestIndependentOfAnswered(t *testing.T) {
 		}
 		return allocs, bytes
 	}
-	fewAllocs, fewBytes := perRequest("few")
-	manyAllocs, manyBytes := perRequest("many")
+	submit := func(s *System, worker string, ps ...int) {
+		for _, p := range ps {
+			if err := s.Submit(worker, p, p%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first := func(n int) []int { // the first n task IDs, spread as (i*7)%tasks
+		ps := make([]int, n)
+		for i := range ps {
+			ps[i] = (i * 7) % tasks
+		}
+		return ps
+	}
+
+	s := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1, HITSize: 5})
+	defer s.Close()
+	if err := s.Publish(indexTasks(tasks, s.m)); err != nil {
+		t.Fatal(err)
+	}
+	submit(s, "few", first(5)...)
+	submit(s, "many", first(500)...)
+	fewAllocs, fewBytes := perRequest(s, "few", 5)
+	manyAllocs, manyBytes := perRequest(s, "many", 5)
 	t.Logf("a Request allocates %d times, %d B, for a worker with 5 answers and %d times, %d B, with 500", fewAllocs, fewBytes, manyAllocs, manyBytes)
 	if fewAllocs != manyAllocs || fewBytes != manyBytes {
 		t.Errorf("a Request allocates %d times, %d B, for a worker with 500 answers, want the %d, %d B of one with 5", manyAllocs, manyBytes, fewAllocs, fewBytes)
+	}
+	if fewAllocs > requestAllocs || fewBytes > requestBytes {
+		t.Errorf("a Request allocates %d times, %d B, want at most %d, %d B", fewAllocs, fewBytes, requestAllocs, requestBytes)
+	}
+
+	leased := newSystem(t, Config{GoldenCount: -1, RerunEvery: -1, HITSize: 5, LeaseTTL: time.Hour, Clock: newFakeClock().Now})
+	defer leased.Close()
+	if err := leased.Publish(indexTasks(tasks, leased.m)); err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, tasks)
+	for p := range all {
+		all[p] = p
+	}
+	submit(leased, "none", all...)
+	submit(leased, "holder", all[:tasks-5]...)
+	if out, err := leased.Request("holder", 0); err != nil || len(out) != 5 {
+		t.Fatalf("the holder's first Request served %d tasks, %v; want their last 5", len(out), err)
+	}
+	noneAllocs, noneBytes := perRequest(leased, "none", 0)
+	heldAllocs, heldBytes := perRequest(leased, "holder", 0)
+	t.Logf("a Request allocates %d times, %d B, for a worker holding no lease and %d times, %d B, holding 5", noneAllocs, noneBytes, heldAllocs, heldBytes)
+	if heldAllocs != noneAllocs || heldBytes != noneBytes {
+		t.Errorf("a Request allocates %d times, %d B, for a worker holding 5 leases, want the %d, %d B of one holding none", heldAllocs, heldBytes, noneAllocs, noneBytes)
 	}
 }

@@ -81,33 +81,18 @@ func (s *System) logSeed(workerID string, st *truth.Stats, profiled, force bool)
 	return installed, p, err
 }
 
-// applySeed replays one KindSeed record as the live path applied it: the
+// applySeed applies one seed, live or replayed from its KindSeed record: the
 // bits installed set-if-absent, the profiled flag when the seed carried it,
 // and the anchor if none is pinned yet (the first seed wins).
 func (s *System) applySeed(workerID string, st *truth.Stats, profiled bool) {
 	_, _ = s.inc.SeedWorker(workerID, st)
-	sh := s.shard(workerID)
-	sh.mu.Lock()
-	ws := sh.state(workerID)
+	ws := s.stateFor(workerID)
+	ws.mu.Lock()
 	if profiled {
 		ws.profiled = true
 	}
 	if ws.anchor == nil {
 		ws.anchor = st.Clone()
 	}
-	sh.mu.Unlock()
-}
-
-// anchorStats returns a private copy of the worker's pinned anchor — the
-// post-merge (or seeded) long-run statistics adopted when the worker was
-// profiled or first seen — or nil when none is pinned.
-func (s *System) anchorStats(workerID string) *truth.Stats {
-	sh := s.shard(workerID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ws, ok := sh.workers[workerID]
-	if !ok || ws.anchor == nil {
-		return nil
-	}
-	return ws.anchor.Clone()
+	ws.mu.Unlock()
 }

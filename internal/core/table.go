@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"unsafe"
 
-	"docs/internal/model"
 	"docs/internal/wal"
 )
 
@@ -62,15 +61,16 @@ func (tt *taskTable) truth(p int) int {
 	return int(tt.body[tt.truths+p]) - 1
 }
 
-// task returns the task at position p as it is served: its ID, text,
-// choices and truth, with no domain vector. Its choices are one fresh slice
-// of substrings of the body.
-func (tt *taskTable) task(p, id int) model.Task {
+// textAt returns the text of the task at position p.
+func (tt *taskTable) textAt(p int) string { return tstrAt(tt.body, tt.text[p]) }
+
+// appendChoices appends the choices of the task at position p to dst:
+// substrings of the body.
+func (tt *taskTable) appendChoices(dst []string, p int) []string {
 	c := wal.NewCursor(tt.body[tt.choices[p]:])
-	choices := make([]string, c.Uvarint())
-	for i := range choices {
-		choices[i] = tstrAt(tt.body, tt.choices[p]+int32(c.Off()))
+	for n := c.Uvarint(); n > 0; n-- {
+		dst = append(dst, tstrAt(tt.body, tt.choices[p]+int32(c.Off())))
 		c.Terminated()
 	}
-	return model.Task{ID: id, Text: tstrAt(tt.body, tt.text[p]), Choices: choices, Truth: tt.truth(p), TrueDomain: model.NoTruth}
+	return dst
 }

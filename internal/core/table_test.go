@@ -34,6 +34,13 @@ func publishedTasks(s *System) []*model.Task {
 	return out
 }
 
+// task mints the task at position p whole — ID, text, choices and truth,
+// no domain vector — for the oracles above and below.
+func (tt *taskTable) task(p, id int) model.Task {
+	choices := tt.appendChoices(nil, p)
+	return model.Task{ID: id, Text: tt.textAt(p), Choices: choices, Truth: tt.truth(p), TrueDomain: model.NoTruth}
+}
+
 // batchOf is the Batch of tasks over m domains, unchecked: the packer's
 // input for the task sets the codec tests build.
 func batchOf(tasks []*model.Task, m int) *Batch {
@@ -119,7 +126,7 @@ func TestTaskTableSameAfterWake(t *testing.T) {
 		if err != nil || len(got) != len(tasks) {
 			t.Fatalf("served %d tasks (%v), want %d", len(got), err, len(tasks))
 		}
-		return got
+		return s.Tasks(got)
 	}
 	published, want := live.taskTable, serve(live)
 	for _, tk := range want {

@@ -57,7 +57,7 @@ func (l *lockstep) systems(t *testing.T) (*core.System, *core.System) {
 // assignments are identical and returns them. On its own it is a round that
 // logs no answer: at most the KindSeed of a store-known worker's first
 // visit.
-func (l *lockstep) request(t *testing.T, w string) (sysA, sysB *core.System, got []model.Task) {
+func (l *lockstep) request(t *testing.T, w string) (sysA, sysB *core.System, got []core.Served) {
 	t.Helper()
 	sysA, sysB = l.systems(t)
 	gotA, err := sysA.Request(w, crashKnobs.hit)
@@ -550,7 +550,7 @@ func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 		defer close(done)
 		for w, idle := 0, 0; idle < 4; w++ {
 			worker := fmt.Sprintf("w%d", w%4)
-			var got []model.Task
+			var got []core.Served
 			if err := reg.Do("racy", func(sys *core.System) (err error) {
 				got, err = sys.Request(worker, 3)
 				return err

@@ -74,7 +74,7 @@ func TestCapOneNeverFailsACall(t *testing.T) {
 					<-start
 					for j := 0; j < 4; {
 						worker := fmt.Sprintf("w%d-%d", c, j)
-						var got []model.Task
+						var got []core.Served
 						if err := reg.Do(name, func(sys *core.System) (err error) {
 							got, err = sys.Request(worker, crashKnobs.hit)
 							return err
@@ -173,7 +173,7 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 	if err := reg.Create("brittle"); err != nil {
 		t.Fatal(err)
 	}
-	var tasks []model.Task
+	var tasks []core.Served
 	err = reg.Do("brittle", func(sys *core.System) (err error) {
 		if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 0)); err != nil {
 			return err
@@ -188,7 +188,7 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 	if len(tasks) != 3 {
 		t.Fatalf("request served %d tasks, want 3", len(tasks))
 	}
-	submit := func(tk model.Task) error {
+	submit := func(tk core.Served) error {
 		return reg.Do("brittle", func(sys *core.System) error { return sys.Submit("w0", tk.ID, 0) })
 	}
 	if err := submit(tasks[0]); err != nil {

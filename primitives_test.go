@@ -85,27 +85,32 @@ import (
 // ID order the publication's decode builds stays the one task ID →
 // position lookup, and none is a []*model.Task or []model.Task: a
 // published task is a row of the task table, which one function builds
-// for a publish and a wake alike.
+// for a publish and a wake alike; the table alone imports "unsafe", for its
+// zero-copy strings. A worker's serving state lives at their truth-engine
+// handle: nothing imports internal/shard, and no field of core's System or
+// workerState holds a map keyed by a string.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
-		"binary.Uvarint(":  {"internal/wal/cursor.go"},
-		"os.Rename(":       {"internal/wal/atomic.go"},
-		"os.CreateTemp(":   nil,
-		".Sync()":          {"internal/wal/atomic.go"},
-		"crc32.Checksum(":  {"internal/wal/record.go"},
-		`"DBB1"`:           nil,
-		`"DWAL"`:           {"internal/wal/wal.go"},
-		"decodeLegacy":     nil,
-		"DOCSSNP3":         nil,
-		"DOCSSNP4":         nil,
-		"restoreSnapshot":  nil,
-		"readPublication":  nil,
-		`"compress/lzw"`:   nil,
-		`"compress/flate"`: {"internal/core/publication.go"},
-		"flate.NewWriter":  nil,
-		"deflaters.Get(":   {"internal/core/core.go"},
-		"FailFsyncAt(":     {"internal/wal/atomic.go"},
-		"MintScope":        nil,
+		"binary.Uvarint(":       {"internal/wal/cursor.go"},
+		"os.Rename(":            {"internal/wal/atomic.go"},
+		"os.CreateTemp(":        nil,
+		".Sync()":               {"internal/wal/atomic.go"},
+		"crc32.Checksum(":       {"internal/wal/record.go"},
+		`"DBB1"`:                nil,
+		`"DWAL"`:                {"internal/wal/wal.go"},
+		"decodeLegacy":          nil,
+		"DOCSSNP3":              nil,
+		"DOCSSNP4":              nil,
+		"restoreSnapshot":       nil,
+		"readPublication":       nil,
+		`"compress/lzw"`:        nil,
+		`"compress/flate"`:      {"internal/core/publication.go"},
+		"flate.NewWriter":       nil,
+		"deflaters.Get(":        {"internal/core/core.go"},
+		"FailFsyncAt(":          {"internal/wal/atomic.go"},
+		"MintScope":             nil,
+		`"unsafe"`:              {"internal/core/table.go"},
+		`"docs/internal/shard"`: nil,
 	}
 	// Imports and calls no file under a directory may name.
 	forbidden := map[string][]string{
@@ -725,6 +730,42 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 	if held != 3 {
 		t.Errorf("checked %d structs for held answers, want 3: the check no longer sees them", held)
+	}
+
+	// A worker's serving state has one address, their truth-engine handle:
+	// no field of core's System or workerState holds a map keyed by a
+	// string, directly or inside an array or struct it holds by value, such
+	// as the 32 name-keyed shard maps were.
+	var nameKeyed func(t types.Type) bool
+	nameKeyed = func(t types.Type) bool {
+		switch u := t.Underlying().(type) {
+		case *types.Map:
+			key, ok := u.Key().Underlying().(*types.Basic)
+			return ok && key.Info()&types.IsString != 0
+		case *types.Array:
+			return nameKeyed(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if nameKeyed(u.Field(i).Type()) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, pkg := range prog.Packages {
+		if pkg.Path != "docs/internal/core" {
+			continue
+		}
+		for _, name := range []string{"System", "workerState"} {
+			st := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); nameKeyed(f.Type()) {
+					t.Errorf("%s: %s.%s is a %s, which holds a map keyed by a string: a worker's serving state lives at their handle",
+						prog.Fset.Position(f.Pos()), name, f.Name(), f.Type())
+				}
+			}
+		}
 	}
 }
 
