@@ -230,10 +230,10 @@ type System struct {
 	// packFault, when set (tests only), is invoked after the packer; a
 	// non-nil return fails the pack.
 	packFault func() error
-	// scanAssign, when set (tests only, before any traffic), routes
-	// requests through assignScan — the oracle the indexed path is held
+	// assignOracle, when set (tests only, before any traffic), assigns
+	// in place of assignIndexed: the full scan the indexed path is held
 	// bit-identical to.
-	scanAssign bool
+	assignOracle func(as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int
 	// eagerInstall, when set (tests only, before Publish or Recover),
 	// materialises every regular task at publish and lists every one at
 	// every rerun, in this system and its snapshot passes' replicas — the
@@ -639,12 +639,13 @@ func (s *System) installPublication(pub *publication) {
 }
 
 // materialise gives the regular task at position p its own state in the
-// truth engine, at the rest state it read, before an answer lands in it:
-// ingested, replayed without its math (skipIngest) or installed from a
-// snapshot.
-func (s *System) materialise(p int) {
+// truth engine, at the rest state it read, before an answer lands in it —
+// ingested or replayed without its math (skipIngest) — and returns the slot
+// the engine finds that state through.
+func (s *System) materialise(p int) *truth.Slot {
 	ci := s.index.Load()
 	s.inc.Materialise(ci.row(p), &ci.slots[p])
+	return &ci.slots[p]
 }
 
 // publishChunk is how many tasks make one chunk of Publish's pipeline.
@@ -790,7 +791,7 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 		return nil, fmt.Errorf("core: empty worker ID")
 	}
 	s.mu.RLock()
-	table, ids, golden, goldenList := s.taskTable, s.ids, s.golden, s.goldenList
+	table, ids, goldenList := s.taskTable, s.ids, s.goldenList
 	s.mu.RUnlock()
 	if k <= 0 {
 		k = s.cfg.HITSize
@@ -825,14 +826,17 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 		// No golden tasks configured: fall through to OTA with defaults.
 	}
 
-	q := s.WorkerQuality(workerID)
+	sp := s.spaces.Get().(*requestSpace)
+	if len(sp.q) != s.m {
+		sp.q = make(model.QualityVector, s.m)
+	}
+	q := s.quality(workerID, sp.q)
 	// T(w) is read off each candidate's V(i) by the worker's handle; a
 	// worker without one has answered nothing.
 	w, ok := s.inc.Handle(workerID)
 	if !ok {
 		w = -1
 	}
-	sp := s.spaces.Get().(*requestSpace)
 	// Leases: expire what is due, then exclude the tasks this worker
 	// already holds, so a re-request before submitting gets disjoint tasks.
 	sp.held = sp.held[:0]
@@ -841,8 +845,8 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 	}
 	redundancy := s.cfg.AnswersPerTask
 	var ps []int
-	if s.scanAssign {
-		ps = s.assignScan(&sp.as, golden, w, sp.held, q, k, redundancy)
+	if s.assignOracle != nil {
+		ps = s.assignOracle(&sp.as, w, sp.held, q, k, redundancy)
 	} else {
 		ps = s.assignIndexed(&sp.as, w, sp.held, q, k, redundancy)
 	}
@@ -857,10 +861,12 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 	return out, nil
 }
 
-// requestSpace is the memory a request reuses: the assigner's heap and the
-// positions of the tasks the worker holds leases on, ascending.
+// requestSpace is the memory a request reuses: the assigner's heap, the
+// worker's quality vector and the positions of the tasks the worker holds
+// leases on, ascending.
 type requestSpace struct {
 	as   assign.Assigner
+	q    model.QualityVector
 	held []int
 }
 
@@ -937,37 +943,6 @@ func (s *System) assignIndexed(as *assign.Assigner, w int32, held []int, q model
 		ts.ID, ts.R, ts.M, ts.S = int(p), ci.rests[p].R, v.M, v.S
 		return true
 	}, q, k)
-}
-
-// assignScan is the seed's per-request full scan: rebuild the candidate
-// set from all tasks, materializing a TaskState slice proportional to
-// campaign size. It survives behind the test-only scanAssign field as the
-// equivalence oracle (TestIndexedAssignmentEquivalence): the indexed path
-// must stay bit-identical to it on serial campaigns.
-func (s *System) assignScan(as *assign.Assigner, golden []bool, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
-	ci := s.index.Load()
-	backing := make([]assign.TaskState, 0, len(golden))
-	for p := range golden {
-		if _, leased := slices.BinarySearch(held, p); golden[p] || leased {
-			continue
-		}
-		t := ci.row(p)
-		v := s.inc.ViewOf(t)
-		if v.Answered(w) {
-			continue
-		}
-		if redundancy > 0 {
-			open := redundancy - v.NumAnswers
-			if s.leases != nil {
-				open -= int(s.leases.slots[p].Load())
-			}
-			if open <= 0 {
-				continue
-			}
-		}
-		backing = append(backing, assign.TaskState{ID: p, R: t.R, M: v.M, S: v.S})
-	}
-	return as.AssignStates(backing, q, k)
 }
 
 // Submit records a worker's answer. Golden-task answers feed the worker's
@@ -1062,10 +1037,10 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	if s.recovering && (s.covered || s.submissions.Load() < s.rerunFrom) {
 		// A later overwrite in this replay — the snapshot's install or the
 		// last rerun's Reseed — replaces this answer's engine math.
-		if err := s.skipIngest(workerID, w, taskID, at, choice); err != nil {
+		if err := s.skipIngest(workerID, w, at, choice); err != nil {
 			return err
 		}
-	} else if err := s.ingest(workerID, w, taskID, at, choice); err != nil {
+	} else if err := s.ingest(workerID, w, at, choice); err != nil {
 		return err
 	}
 	var p wal.Pending
@@ -1104,10 +1079,10 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	return s.walCommit(p)
 }
 
-// ingest runs a regular answer of the worker with handle w to the task with
-// this ID, at position p, through the truth engine and the serving state
+// ingest runs a regular answer of the worker with handle w to the task at
+// position p through the truth engine and the serving state
 // that follows it.
-func (s *System) ingest(workerID string, w int32, id, p, choice int) error {
+func (s *System) ingest(workerID string, w int32, p, choice int) error {
 	// Seed the worker's quality from the long-run store before her first
 	// answer enters the incremental engine (logged, so replay re-seeds the
 	// same bits rather than re-reading the store).
@@ -1118,8 +1093,7 @@ func (s *System) ingest(workerID string, w int32, id, p, choice int) error {
 	// answers (the task's V(i)); ingest updates only that task's state plus
 	// the touched workers' statistics, so submits to different tasks run in
 	// parallel.
-	s.materialise(p)
-	if err := s.inc.SubmitBy(w, id, choice); err != nil {
+	if err := s.inc.SubmitBy(w, s.materialise(p), choice); err != nil {
 		return err
 	}
 	// The accepted answer retires the worker's lease on the task and, once
@@ -1140,12 +1114,11 @@ func (s *System) ingest(workerID string, w int32, id, p, choice int) error {
 // to her as it did live — and the task is materialised, as the answer left
 // it, for the overwrite to land in, with the answer in its V(i), which is
 // the duplicate check (Record). The overwrite resyncs the index.
-func (s *System) skipIngest(workerID string, w int32, id, p, choice int) error {
-	if !s.inc.HasWorker(workerID) {
+func (s *System) skipIngest(workerID string, w int32, p, choice int) error {
+	if !s.inc.Quality(workerID, nil) {
 		_, _ = s.inc.SeedWorker(workerID, truth.NewStats(s.m))
 	}
-	s.materialise(p)
-	return s.inc.Record(w, id, choice)
+	return s.inc.Record(w, s.materialise(p), choice)
 }
 
 // Result returns the current inferred truth and probabilistic truth of a
@@ -1202,25 +1175,27 @@ func (s *System) infer() (res *truth.Result, tasks []truth.Row, n int, idx *mode
 	// Reseed, initQuality and a session read the prefix's own index (Head):
 	// golden evidence is already in worker stats via profiling, and would
 	// count twice. Names is read after every handle the columns hold.
-	all, err := model.IndexColumns(s.inc.Names(), ids, prefix, tail)
+	all, err := model.IndexColumns(s.inc.Names(), func(p int32) int { return ids[p] }, prefix, tail)
 	if err != nil { // the log holds only answers the truth engine accepted
 		panic(fmt.Sprintf("core: corrupt answer log: %v", err))
 	}
 	idx = all.Head()
-	s.mu.RLock()
-	listed := s.answeredRowsRLocked(idx)
-	if s.eagerInstall { // the oracle lists every regular task
-		listed = s.regularRowsRLocked()
-	}
-	unlisted := len(s.ids) - len(s.goldenList) - len(listed)
-	s.mu.RUnlock()
 	ci := s.index.Load()
-	tasks = slices.Grow(listed, len(goldenList))
+	for _, p := range idx.Tasks() { // the answered tasks, in publication order
+		tasks = append(tasks, ci.row(int(p)))
+	}
+	if s.eagerInstall { // the oracle lists every regular task
+		s.mu.RLock()
+		tasks = s.regularRowsRLocked()
+		s.mu.RUnlock()
+	}
+	n = len(tasks)
 	for _, g := range goldenList {
 		tasks = append(tasks, ci.row(g.p))
 	}
+	unlisted := len(ids) - len(goldenList) - n
 	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(idx), Pinned: pinned, Unlisted: unlisted})
-	return res, tasks, len(listed), idx, err
+	return res, tasks, n, idx, err
 }
 
 // logPrefix returns the answer log as it stands, without copying it. The
@@ -1234,17 +1209,18 @@ func (s *System) logPrefix() model.Columns {
 }
 
 // goldenTail lays the golden answers out as the columns that follow the
-// answer log in a rerun's index, and pins the golden tasks' truths. The
-// answers go in worker-name order, each worker's in the order they gave
-// them: a fixed order, or per-task likelihood sums reorder between runs
-// and ulp-level differences flip assignment ties.
-func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, map[int]int) {
+// answer log in a rerun's index, and pins the golden tasks' truths at their
+// positions, ascending as goldenList lists them. The answers go in
+// worker-name order, each worker's in the order they gave them: a fixed
+// order, or per-task likelihood sums reorder between runs and ulp-level
+// differences flip assignment ties.
+func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, []truth.Pin) {
 	if len(goldenList) == 0 {
 		return model.Columns{}, nil
 	}
-	pinned := make(map[int]int, len(goldenList))
-	for _, g := range goldenList {
-		pinned[g.id] = g.truth
+	pinned := make([]truth.Pin, len(goldenList))
+	for i, g := range goldenList {
+		pinned[i] = truth.Pin{P: int32(g.p), Truth: int32(g.truth)}
 	}
 	var tail model.Columns
 	names, slab := s.inc.Names(), *s.workers.Load()
@@ -1294,13 +1270,20 @@ func (s *System) InferIDs() []int {
 
 // WorkerQuality returns the system's current quality estimate for a worker.
 func (s *System) WorkerQuality(workerID string) model.QualityVector {
-	if st := s.inc.Worker(workerID); st != nil {
-		return st.Q // Worker returns a private copy
+	return s.quality(workerID, make(model.QualityVector, s.m))
+}
+
+// quality writes the worker's current quality estimate into q, of m
+// entries, and returns it: the truth engine's, else the store's, else the
+// default.
+func (s *System) quality(workerID string, q model.QualityVector) model.QualityVector {
+	if s.inc.Quality(workerID, q) {
+		return q
 	}
 	if st, ok := s.store.Worker(workerID); ok {
-		return st.Q
+		copy(q, st.Q)
+		return q
 	}
-	q := make(model.QualityVector, s.m)
 	for k := range q {
 		q[k] = truth.DefaultQuality
 	}
@@ -1420,23 +1403,6 @@ func (s *System) regularRowsRLocked() []truth.Row {
 	return out
 }
 
-// answeredRowsRLocked returns the rows of the tasks idx holds answers for,
-// in publication order; callers hold s.mu's read side. The log holds
-// answers to published regular tasks alone.
-func (s *System) answeredRowsRLocked(idx *model.LogIndex) []truth.Row {
-	ps := make([]int, len(idx.Tasks()))
-	for i, id := range idx.Tasks() {
-		ps[i], _ = s.position(id)
-	}
-	slices.Sort(ps)
-	ci := s.index.Load()
-	out := make([]truth.Row, len(ps))
-	for i, p := range ps {
-		out[i] = ci.row(p)
-	}
-	return out
-}
-
 // workerReady reports whether the worker can receive regular tasks: either
 // profiled this session, known to the store, or there are no golden tasks
 // to profile with. Adopting a store profile is a durable event: the exact
@@ -1542,7 +1508,7 @@ func (s *System) goldenTasks(goldenList []goldenTask) []*model.Task {
 // seeded bits in the exact order; during recovery the store is never read
 // — seeds replay from their own records.
 func (s *System) ensureWorker(workerID string) error {
-	if s.inc.HasWorker(workerID) {
+	if s.inc.Quality(workerID, nil) {
 		return nil
 	}
 	if s.recovering {

@@ -25,6 +25,5 @@ func SerialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {
 // SettledGoroutines is settledGoroutines.
 var SettledGoroutines = settledGoroutines
 
-// Materialised is how many of s's tasks hold a state of their own in the
-// truth engine: the rest are latent.
-func Materialised(s *System) int { return s.inc.Materialised() }
+// Materialised is materialised.
+var Materialised = materialised

@@ -106,7 +106,7 @@ func (ci *candidateIndex) load() *candidateArr { return ci.arr.Load() }
 
 // row returns what inference reads of the task at position p.
 func (ci *candidateIndex) row(p int) truth.Row {
-	return truth.Row{ID: ci.ids[p], R: ci.rests[p].R, Ell: ci.rests[p].Ell}
+	return truth.Row{ID: ci.ids[p], R: ci.rests[p].R, Ell: int32(ci.rests[p].Ell), P: int32(p)}
 }
 
 // view returns the latest truth snapshot of the candidate at position p:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,7 +13,6 @@ import (
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
-	"docs/internal/truth"
 )
 
 // traceCampaign drives a full serial campaign (the determinism-test
@@ -83,8 +83,41 @@ func diffTraces(t *testing.T, label, a, b string) {
 func newScanSystem(t *testing.T, cfg Config) *System {
 	t.Helper()
 	s := newSystem(t, cfg)
-	s.scanAssign = true
+	s.assignOracle = s.assignScan
 	return s
+}
+
+// assignScan is the seed's per-request full scan: rebuild the candidate
+// set from all tasks, materializing a TaskState slice proportional to
+// campaign size. It survives as the equivalence oracle a test system
+// assigns through (System.assignOracle, TestIndexedAssignmentEquivalence):
+// the indexed path must stay bit-identical to it on serial campaigns.
+func (s *System) assignScan(as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
+	s.mu.RLock()
+	golden := s.golden
+	s.mu.RUnlock()
+	ci := s.index.Load()
+	backing := make([]assign.TaskState, 0, len(golden))
+	for p := range golden {
+		if _, leased := slices.BinarySearch(held, p); golden[p] || leased {
+			continue
+		}
+		v := ci.view(int32(p))
+		if v.Answered(w) {
+			continue
+		}
+		if redundancy > 0 {
+			open := redundancy - v.NumAnswers
+			if s.leases != nil {
+				open -= int(s.leases.slots[p].Load())
+			}
+			if open <= 0 {
+				continue
+			}
+		}
+		backing = append(backing, assign.TaskState{ID: p, R: ci.rests[p].R, M: v.M, S: v.S})
+	}
+	return as.AssignStates(backing, q, k)
 }
 
 // TestIndexedAssignmentEquivalence is the tentpole contract: a serial
@@ -335,7 +368,7 @@ func TestBenefitCompactMatchesDenseOnTraces(t *testing.T) {
 		if s.golden[p] { // pinned, never assigned by benefit
 			continue
 		}
-		v := s.inc.ViewOf(truth.RowOf(tk))
+		v := s.index.Load().view(int32(p))
 		if len(v.M) != tk.Domain.Support() {
 			t.Fatalf("task %d: view holds %d rows for a support of %d", tk.ID, len(v.M), tk.Domain.Support())
 		}

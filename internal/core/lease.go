@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 	"sync"
@@ -49,8 +50,20 @@ type leaseTable struct {
 	active atomic.Int64 // total live leases, the /stats gauge
 
 	mu       sync.Mutex
-	byWorker map[string]map[int]time.Time // worker -> task position -> expiry
-	exp      expiryHeap                   // possibly-stale (expiry, worker, position) entries
+	byWorker map[string][]heldLease // worker -> their leases, by ascending position
+	exp      expiryHeap             // possibly-stale (expiry, worker, position) entries
+}
+
+// heldLease is one live lease: the task's position and its expiry. A worker
+// holds a HIT's worth at most, a short slice searched by position.
+type heldLease struct {
+	pos int
+	at  time.Time
+}
+
+// find returns where position p falls in held, and whether it is there.
+func find(held []heldLease, p int) (int, bool) {
+	return slices.BinarySearchFunc(held, p, func(l heldLease, p int) int { return cmp.Compare(l.pos, p) })
 }
 
 // staleSlack is how many heap entries beyond twice the live leases the
@@ -84,7 +97,7 @@ func newLeaseTable(ttl time.Duration, now func() time.Time) *leaseTable {
 	return &leaseTable{
 		ttl:      ttl,
 		now:      now,
-		byWorker: make(map[string]map[int]time.Time),
+		byWorker: make(map[string][]heldLease),
 	}
 }
 
@@ -101,10 +114,9 @@ func (lt *leaseTable) beginRequest(workerID string, held []int) []int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	lt.expireLocked(now)
-	for p := range lt.byWorker[workerID] {
-		held = append(held, p)
+	for _, l := range lt.byWorker[workerID] {
+		held = append(held, l.pos)
 	}
-	slices.Sort(held)
 	return held
 }
 
@@ -126,20 +138,23 @@ func (lt *leaseTable) activeNow() int64 {
 func (lt *leaseTable) expireLocked(now time.Time) {
 	for len(lt.exp) > 0 && !lt.exp[0].at.After(now) {
 		e := heap.Pop(&lt.exp).(leaseEntry)
-		held, ok := lt.byWorker[e.worker]
-		if !ok {
-			continue
-		}
-		expiry, live := held[e.pos]
-		if !live || expiry.After(now) {
+		held := lt.byWorker[e.worker]
+		x, live := find(held, e.pos)
+		if !live || held[x].at.After(now) {
 			continue // released, or re-granted with a later expiry
 		}
-		delete(held, e.pos)
-		if len(held) == 0 {
-			delete(lt.byWorker, e.worker)
-		}
-		lt.slots[e.pos].Add(-1)
-		lt.active.Add(-1)
+		lt.dropLocked(e.worker, held, x)
+	}
+}
+
+// dropLocked ends the worker's x'th lease, held being all of them.
+func (lt *leaseTable) dropLocked(workerID string, held []heldLease, x int) {
+	lt.slots[held[x].pos].Add(-1)
+	lt.active.Add(-1)
+	if held = slices.Delete(held, x, x+1); len(held) == 0 {
+		delete(lt.byWorker, workerID)
+	} else {
+		lt.byWorker[workerID] = held
 	}
 }
 
@@ -154,23 +169,21 @@ func (lt *leaseTable) grant(workerID string, positions []int) {
 	expiry := now.Add(lt.ttl)
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	held, ok := lt.byWorker[workerID]
-	if !ok {
-		held = make(map[int]time.Time, len(positions))
-		lt.byWorker[workerID] = held
-	}
+	held := lt.byWorker[workerID]
 	for _, p := range positions {
-		at, live := held[p]
+		x, live := find(held, p)
 		switch {
 		case !live:
+			held = slices.Insert(held, x, heldLease{pos: p})
 			lt.slots[p].Add(1)
 			lt.active.Add(1)
-		case at.Equal(expiry):
+		case held[x].at.Equal(expiry):
 			continue // its one heap entry stands
 		}
-		held[p] = expiry
+		held[x].at = expiry
 		heap.Push(&lt.exp, leaseEntry{at: expiry, worker: workerID, pos: p})
 	}
+	lt.byWorker[workerID] = held
 	lt.compactLocked()
 }
 
@@ -187,7 +200,8 @@ func (lt *leaseTable) compactLocked() {
 	}
 	live := lt.exp[:0]
 	for _, e := range lt.exp {
-		if at, ok := lt.byWorker[e.worker][e.pos]; ok && at.Equal(e.at) {
+		held := lt.byWorker[e.worker]
+		if x, ok := find(held, e.pos); ok && held[x].at.Equal(e.at) {
 			live = append(live, e)
 		}
 	}
@@ -202,18 +216,11 @@ func (lt *leaseTable) compactLocked() {
 func (lt *leaseTable) release(workerID string, p int) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	held, ok := lt.byWorker[workerID]
-	if !ok {
+	held := lt.byWorker[workerID]
+	x, live := find(held, p)
+	if !live {
 		return
 	}
-	if _, live := held[p]; !live {
-		return
-	}
-	delete(held, p)
-	if len(held) == 0 {
-		delete(lt.byWorker, workerID)
-	}
-	lt.slots[p].Add(-1)
-	lt.active.Add(-1)
+	lt.dropLocked(workerID, held, x)
 	lt.compactLocked()
 }

@@ -160,7 +160,9 @@ func TestLeaseScanPathParity(t *testing.T) {
 			GoldenCount: -1, HITSize: k, RerunEvery: -1, AnswersPerTask: 1,
 			LeaseTTL: time.Minute, Clock: clk.Now,
 		})
-		s.scanAssign = scan
+		if scan {
+			s.assignOracle = s.assignScan
+		}
 		if err := s.Publish(indexTasks(n, s.Domains().Size())); err != nil {
 			t.Fatal(err)
 		}

@@ -366,11 +366,11 @@ func TestLiveBytesPerPublishedTask(t *testing.T) {
 		for p := range rows {
 			rows[p] = ci.row(p)
 		}
-		engine := truth.NewIncremental(s.m)
+		engine, slots := truth.NewIncremental(s.m), make([]truth.Slot, n)
 		before = live()
 		for p, row := range rows {
-			engine.Materialise(row, nil)
-			if err := engine.SubmitBy(engine.Intern(workers[p]), row.ID, 0); err != nil {
+			engine.Materialise(row, &slots[p])
+			if err := engine.SubmitBy(engine.Intern(workers[p]), &slots[p], 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -385,6 +385,7 @@ func TestLiveBytesPerPublishedTask(t *testing.T) {
 		runtime.KeepAlive(tasks)
 		runtime.KeepAlive(rows)
 		runtime.KeepAlive(engine)
+		runtime.KeepAlive(slots)
 		return latent, answered
 	}
 	latentSmall, answeredSmall := held(small)
@@ -610,8 +611,10 @@ func TestLiveBytesPerAnswer(t *testing.T) {
 // does not follow what the worker answered: a worker with 500 answers costs
 // the same allocations and bytes per Request as one with 5 (a copy of her
 // answered set cost one map sized by it), and no more than requestAllocs
-// and requestBytes, the reading since a Request returns positions (11 and
-// 1,200 B while it minted a model.Task a served task and built its maps).
+// and requestBytes, the reading since a Request reads the worker's quality
+// vector into its reused space (6 and 720 B while it cloned her whole
+// statistics, 11 and 1,200 B while it minted a model.Task a served task and
+// built its maps).
 // Nor does it follow the leases they hold: the lease exclusion reads their
 // held positions into the request's reused space, where a map was built
 // (one more allocation). There both requests serve nothing — every task is
@@ -621,7 +624,7 @@ func TestAllocsRequestIndependentOfAnswered(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const tasks, requestAllocs, requestBytes = 600, 6, 720
+	const tasks, requestAllocs, requestBytes = 600, 3, 256
 	perRequest := func(s *System, worker string, want int) (allocs, bytes uint64) { // the least of three runs
 		const runs = 50
 		allocs, bytes = ^uint64(0), ^uint64(0)

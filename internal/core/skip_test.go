@@ -22,7 +22,7 @@ func ingests(t *testing.T, s *System, restored int) int64 {
 	if restored > 0 {
 		swaps++
 	}
-	return int64(s.Stats().SnapshotEpoch) - int64(s.inc.Materialised()) - int64(restored) - swaps
+	return int64(s.Stats().SnapshotEpoch) - int64(materialised(s)) - int64(restored) - swaps
 }
 
 // TestReplaySkipsOverwrittenMath pins the skip rule by counts: a regular

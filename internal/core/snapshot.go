@@ -87,7 +87,7 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 		// The codec guarantees every M̂ row is len(S) long. Which domains
 		// the rows stand for is the publication's to say: a row count that
 		// is not the support's would index the matrix wrongly.
-		if rows := t.R.Support(); len(ts.MHat) != rows || len(ts.S) != t.Ell {
+		if rows := t.R.Support(); len(ts.MHat) != rows || len(ts.S) != int(t.Ell) {
 			return nil, fmt.Errorf("core: snapshot task %d state is %d×%d, want the %d rows of its support × %d choices",
 				ts.ID, len(ts.MHat), len(ts.S), rows, t.Ell)
 		}
@@ -127,9 +127,7 @@ func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth
 	ci := s.index.Load()
 	for _, ts := range snap.TaskStates {
 		p, _ := order.position(ts.ID)
-		if err := s.inc.RestoreTask(ci.row(p), &ci.slots[p], truth.TaskState(ts)); err != nil {
-			panic(fmt.Sprintf("core: snapshot install: %v", err)) // dimensions checked
-		}
+		s.inc.RestoreTask(ci.row(p), &ci.slots[p], truth.TaskState(ts))
 	}
 	for _, ws := range snap.Workers {
 		_ = s.inc.SetWorker(ws.ID, workers[ws.ID])

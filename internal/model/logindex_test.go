@@ -24,6 +24,39 @@ func randomLog(r *mathx.Rand, workers int, ids []int, n int) []Answer {
 	return log
 }
 
+// indexLog indexes a log naming its tasks by ID, each at its ID's place in
+// ids, and its workers at handles in first-seen order.
+func indexLog(ids []int, log []Answer) (*LogIndex, error) {
+	var names []string
+	handle, position := map[string]int32{}, map[int]int32{}
+	for p, id := range ids {
+		position[id] = int32(p)
+	}
+	var cols Columns
+	for _, a := range log {
+		h, ok := handle[a.Worker]
+		if !ok {
+			h = int32(len(names))
+			handle[a.Worker], names = h, append(names, a.Worker)
+		}
+		cols = cols.Append(h, position[a.Task], int32(a.Choice))
+	}
+	return IndexColumns(names, idOf(ids), cols, Columns{})
+}
+
+// idOf names a task's ID by its place in ids.
+func idOf(ids []int) func(int32) int { return func(p int32) int { return ids[p] } }
+
+// taskIDs returns the IDs of the tasks the index holds answers for, sorted.
+func taskIDs(x *LogIndex, ids []int) []int {
+	out := make([]int, len(x.Tasks()))
+	for i, t := range x.Tasks() {
+		out[i] = ids[t]
+	}
+	slices.Sort(out)
+	return out
+}
+
 // answersAt resolves index positions to the answers they name.
 func answersAt(x *LogIndex, ps []int32) []Answer {
 	out := make([]Answer, len(ps))
@@ -34,10 +67,11 @@ func answersAt(x *LogIndex, ps []int32) []Answer {
 }
 
 // TestPropertyLogIndexMatchesAnswerSet: over seeded random logs, the index
-// groups every task's and every worker's answers in the order an AnswerSet
-// built from the same log keeps, lists the same sorted workers and tasks,
-// and refuses a log with repeats with the error Add returns on it — the
-// earliest repeat in log order.
+// groups every task's answers, at the task's position, and every worker's in
+// the order an AnswerSet built from the same log keeps, lists the same
+// sorted workers and, by ascending position, the tasks the set lists, and
+// refuses a log with repeats with the error Add returns on it — the earliest
+// repeat in log order.
 func TestPropertyLogIndexMatchesAnswerSet(t *testing.T) {
 	r := mathx.NewRand(39)
 	ascending := func(n int) []int {
@@ -70,16 +104,17 @@ func TestPropertyLogIndexMatchesAnswerSet(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			x, err := IndexLog(log)
+			x, err := indexLog(sh.ids, log)
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
-			if x.Len() != as.Len() || !slices.Equal(x.Workers(), as.Workers()) || !slices.Equal(x.Tasks(), as.Tasks()) {
+			if x.Len() != as.Len() || !slices.Equal(x.Workers(), as.Workers()) || !slices.Equal(taskIDs(x, sh.ids), as.Tasks()) ||
+				!slices.IsSorted(x.Tasks()) {
 				t.Fatalf("%s: index has %d answers, workers %v, tasks %v; the set %d, %v, %v",
 					sh.name, x.Len(), x.Workers(), x.Tasks(), as.Len(), as.Workers(), as.Tasks())
 			}
-			for _, id := range sh.ids {
-				if got, want := answersAt(x, x.ForTask(id)), as.ForTask(id); !slices.Equal(got, want) {
+			for p, id := range sh.ids {
+				if got, want := answersAt(x, x.ForTask(int32(p))), as.ForTask(id); !slices.Equal(got, want) {
 					t.Fatalf("%s: task %d: index %v, set %v", sh.name, id, got, want)
 				}
 			}
@@ -114,18 +149,18 @@ func TestPropertyLogIndexMatchesAnswerSet(t *testing.T) {
 					break
 				}
 			}
-			if _, err := IndexLog(dup); err == nil || err.Error() != want.Error() {
-				t.Fatalf("%s: a log with repeats: IndexLog says %v, Add says %v", sh.name, err, want)
+			if _, err := indexLog(sh.ids, dup); err == nil || err.Error() != want.Error() {
+				t.Fatalf("%s: a log with repeats: the index says %v, Add says %v", sh.name, err, want)
 			}
 		}
 	}
 }
 
 // TestPropertyTailIndexMatchesConcatenation: indexing a log and a tail as
-// columns over shared worker and task tables, in place, is IndexLog over
-// the two answer logs laid end to end, and its Head is IndexLog over the
-// log alone — same workers, tasks, groups and worker places — whether the
-// tail's tasks and workers are the log's or others.
+// columns over shared worker and task tables, in place, is indexing the two
+// answer logs laid end to end, and its Head is indexing the log alone — same
+// workers, tasks, groups and worker places — whether the tail's tasks and
+// workers are the log's or others.
 func TestPropertyTailIndexMatchesConcatenation(t *testing.T) {
 	r := mathx.NewRand(53)
 	for trial := 0; trial < 60; trial++ {
@@ -158,7 +193,7 @@ func TestPropertyTailIndexMatchesConcatenation(t *testing.T) {
 			return c
 		}
 		head, tail := columns(all[:cut]), columns(all[cut:])
-		x, err := IndexColumns(names, ids, head, tail)
+		x, err := IndexColumns(names, idOf(ids), head, tail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +202,7 @@ func TestPropertyTailIndexMatchesConcatenation(t *testing.T) {
 			got  *LogIndex
 			log  []Answer
 		}{{"log and tail", x, all}, {"Head", x.Head(), all[:cut]}} {
-			want, err := IndexLog(c.log)
+			want, err := indexLog(ids, c.log)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,8 +211,8 @@ func TestPropertyTailIndexMatchesConcatenation(t *testing.T) {
 				t.Fatalf("trial %d, %s: %d answers, workers %v, tasks %v; want %d, %v, %v",
 					trial, c.name, got.Len(), got.Workers(), got.Tasks(), want.Len(), want.Workers(), want.Tasks())
 			}
-			for _, id := range ids {
-				if g, w := answersAt(got, got.ForTask(id)), answersAt(want, want.ForTask(id)); !slices.Equal(g, w) {
+			for p, id := range ids {
+				if g, w := answersAt(got, got.ForTask(int32(p))), answersAt(want, want.ForTask(int32(p))); !slices.Equal(g, w) {
 					t.Fatalf("trial %d, %s: task %d: %v, want %v", trial, c.name, id, g, w)
 				}
 			}

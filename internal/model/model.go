@@ -319,92 +319,104 @@ func (c Columns) Capped() Columns {
 
 // LogIndex groups an answer log by task and by worker where it lies, as
 // int32 positions into its columns: 8 B an answer, and 4 more while it is
-// built. Each group keeps log order, the order an AnswerSet built from the
-// same log keeps, so a sum over a group runs in the same order. The log
-// must not change while the index is read.
+// built. A task group is keyed by the task position the log's task column
+// holds, the only address it knows a task by. Each group keeps log order,
+// the order an AnswerSet built from the same log keeps, so a sum over a
+// group runs in the same order. The log must not change while the index is
+// read.
 type LogIndex struct {
-	names []string   // a worker's ID by handle
-	ids   []int      // a task's ID by position
-	cols  [2]Columns // the log, then its tail
-	n     int        // the answers indexed: the log's, or the log's and the tail's
+	names []string        // a worker's ID by handle
+	id    func(int32) int // a task's ID by position
+	cols  [2]Columns      // the log, then its tail
+	n     int             // the answers indexed: the log's, or the log's and the tail's
 
-	workers []string      // the distinct workers, sorted
-	handles []int32       // their handles, in the same order
-	place   []int32       // by handle: the worker's place in workers
-	tasks   []int         // the distinct tasks, sorted
-	slot    map[int]int32 // task ID -> its group
-	// Group g of tasks is byTask[taskFrom[g]:taskTo[g]], the worker at place
-	// w's group byWorker[workerFrom[w]:workerTo[w]].
+	workers []string // the distinct workers, sorted
+	handles []int32  // their handles, in the same order
+	place   []int32  // by handle: the worker's place in workers
+	tasks   []int32  // the distinct task positions, ascending
+	// The task at tasks[g] has the group byTask[taskFrom[g]:taskTo[g]], the
+	// worker at place w the group byWorker[workerFrom[w]:workerTo[w]].
 	byTask, taskFrom, taskTo       []int32
 	byWorker, workerFrom, workerTo []int32
 }
 
-// IndexLog indexes log, which holds fewer than 2^31 answers. A worker
-// answering one task twice is refused with the error AnswerSet.Add returns
-// for the same log: the earliest repeat in log order.
-func IndexLog(log []Answer) (*LogIndex, error) {
-	var names []string
-	var ids []int
-	handle, position := make(map[string]int32), make(map[int]int32)
-	var cols Columns
-	for _, a := range log {
-		cols = cols.Append(intern(handle, &names, a.Worker), intern(position, &ids, a.Task), int32(a.Choice))
-	}
-	return IndexColumns(names, ids, cols, Columns{})
-}
-
-// intern returns k's place in list, appending k on first sight.
-func intern[K comparable](place map[K]int32, list *[]K, k K) int32 {
-	p, ok := place[k]
-	if !ok {
-		p = int32(len(*list))
-		place[k], *list = p, append(*list, k)
-	}
-	return p
-}
-
 // IndexColumns indexes log followed by tail as one log of fewer than 2^31
 // answers — position p < log.Len() is log's p'th answer, the tail's follow —
-// without copying either: names gives a worker's ID by handle and ids a
-// task's by position. A worker answering one task twice is refused as
-// IndexLog refuses it. Head is the index of log alone.
-func IndexColumns(names []string, ids []int, log, tail Columns) (*LogIndex, error) {
+// without copying either: names gives a worker's ID by handle and id a
+// task's by position. A worker answering one task twice is refused with the
+// error AnswerSet.Add returns for the same log: the earliest repeat in log
+// order. Head is the index of log alone.
+func IndexColumns(names []string, id func(int32) int, log, tail Columns) (*LogIndex, error) {
 	n := log.Len() + tail.Len()
-	x := &LogIndex{names: names, ids: ids, cols: [2]Columns{log, tail}, n: n, place: make([]int32, len(names)), slot: make(map[int]int32)}
+	x := &LogIndex{names: names, id: id, cols: [2]Columns{log, tail}, n: n, place: make([]int32, len(names))}
 	seen := make([]bool, len(names))
-	group := make([]int32, n) // each answer's task group, in first-seen order
 	for p := range n {
 		if h := x.worker(int32(p)); !seen[h] {
 			seen[h] = true
 			x.handles = append(x.handles, h)
 		}
-		group[p] = intern(x.slot, &x.tasks, x.Task(int32(p)))
 	}
 	slices.SortFunc(x.handles, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
 	x.workers = make([]string, len(x.handles))
 	for w, h := range x.handles {
 		x.workers[w], x.place[h] = names[h], int32(w)
 	}
-	sort.Ints(x.tasks) // the groups keep their first-seen numbers: slot holds them
-	x.byTask, x.taskFrom, x.taskTo = groupBy(n, len(x.slot), func(p int) int32 { return group[p] })
+	x.byTask = sortByTask(n, x.Task)
+	var off []int32 // where each group begins, then n
+	for i, p := range x.byTask {
+		if t := x.Task(p); i == 0 || t != x.tasks[len(x.tasks)-1] {
+			x.tasks, off = append(x.tasks, t), append(off, int32(i))
+		}
+	}
+	off = append(off, int32(n))
+	x.taskFrom, x.taskTo = off[:len(off)-1], off[1:]
 	x.byWorker, x.workerFrom, x.workerTo = groupBy(n, len(x.workers), func(p int) int32 { return x.WorkerOf(int32(p)) })
 
-	// A repeat is a task stamped twice in one worker's group; the first
-	// there is the worker's earliest, and the log's is the least of those.
-	stamp, first := make([]int32, len(x.slot)), n
-	for w := range x.workers {
-		for _, p := range x.ForWorker(w) {
-			if stamp[group[p]] == int32(w)+1 {
+	// A repeat is a worker met twice in one task's group; the second meeting
+	// is the earliest repeat there, and the log's is the least of those.
+	stamp, first := make([]int32, len(names)), n
+	for g := range x.tasks {
+		for _, p := range x.byTask[x.taskFrom[g]:x.taskTo[g]] {
+			h := x.worker(p)
+			if stamp[h] == int32(g)+1 {
 				first = min(first, int(p))
 				break
 			}
-			stamp[group[p]] = int32(w) + 1
+			stamp[h] = int32(g) + 1
 		}
 	}
 	if first < n {
 		return nil, errAnswered(x.At(int32(first)))
 	}
 	return x, nil
+}
+
+// sortByTask returns the positions 0..n-1 stably sorted by their task
+// position, a byte of it a pass (LSD radix): each task's answers keep log
+// order, and the cost is linear in the answers, whatever the positions.
+func sortByTask(n int, task func(p int32) int32) []int32 {
+	order, spare := make([]int32, n), make([]int32, n)
+	var top int32
+	for p := range order {
+		order[p] = int32(p)
+		top = max(top, task(int32(p)))
+	}
+	for shift := 0; shift == 0 || top>>shift > 0; shift += 8 {
+		var at [257]int32
+		for _, p := range order {
+			at[task(p)>>shift&0xff+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, p := range order {
+			d := task(p) >> shift & 0xff
+			spare[at[d]] = p
+			at[d]++
+		}
+		order, spare = spare, order
+	}
+	return order
 }
 
 // groupBy counting-sorts the positions 0..n-1 by key, each group ascending:
@@ -435,18 +447,15 @@ func (x *LogIndex) Head() *LogIndex {
 		return x
 	}
 	h := *x
-	h.n, h.tasks, h.workers, h.handles = n, nil, nil, nil
+	h.n, h.tasks, h.taskFrom, h.taskTo, h.workers, h.handles = n, nil, nil, nil, nil, nil
 	cut := func(group []int32) int32 {
 		c, _ := slices.BinarySearch(group, int32(n))
 		return int32(c)
 	}
-	h.taskTo = make([]int32, len(x.taskTo))
-	for g, from := range x.taskFrom {
-		h.taskTo[g] = from + cut(x.byTask[from:x.taskTo[g]])
-	}
-	for _, id := range x.tasks {
-		if g := x.slot[id]; h.taskTo[g] > x.taskFrom[g] {
-			h.tasks = append(h.tasks, id)
+	for g, t := range x.tasks {
+		from := x.taskFrom[g]
+		if c := cut(x.byTask[from:x.taskTo[g]]); c > 0 {
+			h.tasks, h.taskFrom, h.taskTo = append(h.tasks, t), append(h.taskFrom, from), append(h.taskTo, from+c)
 		}
 	}
 	h.place, h.workerFrom, h.workerTo = make([]int32, len(x.place)), nil, nil
@@ -478,15 +487,15 @@ func (x *LogIndex) worker(p int32) int32 {
 // Len returns the number of answers indexed.
 func (x *LogIndex) Len() int { return x.n }
 
-// At returns the answer at log position p.
+// At returns the answer at log position p, naming its task by ID.
 func (x *LogIndex) At(p int32) Answer {
-	return Answer{Worker: x.names[x.worker(p)], Task: x.Task(p), Choice: x.Choice(p)}
+	return Answer{Worker: x.names[x.worker(p)], Task: x.id(x.Task(p)), Choice: x.Choice(p)}
 }
 
-// Task returns the ID of the task answer p answers.
-func (x *LogIndex) Task(p int32) int {
+// Task returns the position of the task answer p answers.
+func (x *LogIndex) Task(p int32) int32 {
 	c, i := x.column(p)
-	return x.ids[c.Task[i]]
+	return c.Task[i]
 }
 
 // Choice returns the choice answer p makes.
@@ -499,17 +508,18 @@ func (x *LogIndex) Choice(p int32) int {
 // The returned slice must not be modified.
 func (x *LogIndex) Workers() []string { return x.workers }
 
-// Tasks returns the distinct answered tasks, sorted. The returned slice
-// must not be modified.
-func (x *LogIndex) Tasks() []int { return x.tasks }
+// Tasks returns the positions of the distinct answered tasks, ascending.
+// The returned slice must not be modified.
+func (x *LogIndex) Tasks() []int32 { return x.tasks }
 
 // WorkerOf returns the place in Workers of the worker who gave answer p.
 func (x *LogIndex) WorkerOf(p int32) int32 { return x.place[x.worker(p)] }
 
-// ForTask returns the positions of task id's answers in log order. The
+// ForTask returns the positions of the answers to the task at position t
+// in log order, found by binary search over the answered tasks. The
 // returned slice must not be modified.
-func (x *LogIndex) ForTask(id int) []int32 {
-	g, ok := x.slot[id]
+func (x *LogIndex) ForTask(t int32) []int32 {
+	g, ok := slices.BinarySearch(x.tasks, t)
 	if !ok {
 		return nil
 	}

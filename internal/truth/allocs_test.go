@@ -42,10 +42,11 @@ func allocBytes(f func()) uint64 {
 	return least
 }
 
-// indexed indexes an AnswerSet's answers, as a rerun indexes its log.
-func indexed(t testing.TB, as *model.AnswerSet) *model.LogIndex {
+// indexed indexes an AnswerSet's answers at the positions of RowsOf(tasks),
+// as a rerun indexes its log.
+func indexed(t testing.TB, tasks []*model.Task, as *model.AnswerSet) *model.LogIndex {
 	t.Helper()
-	idx, err := model.IndexLog(as.All())
+	idx, err := IndexAnswers(tasks, as.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestAllocsRepeatReseed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := indexed(t, as)
+		idx := indexed(t, tasks, as)
 		rows := RowsOf(tasks)
 		inc.Reseed(rows, res, idx)
 		return allocBytes(func() { inc.Reseed(rows, res, idx) })

@@ -40,6 +40,14 @@ func cowEngine(t *testing.T) (*Incremental, []*model.Task) {
 	return inc, tasks
 }
 
+// slotOf is a slot holding the task AddTask registered with this ID, for
+// the entry points that find a task through its slot.
+func slotOf(inc *Incremental, id int) *Slot {
+	s := new(Slot)
+	s.it.Store(inc.registered(id))
+	return s
+}
+
 // flatten appends every float of M to out.
 func flatten(out []float64, M ...[]float64) []float64 {
 	for _, row := range M {
@@ -83,7 +91,7 @@ func cowSnapshot(t *testing.T, inc *Incremental) func(step string, shared [][]fl
 		skip := make(map[int]bool)
 		for _, id := range written {
 			skip[id] = true
-			if sameMatrix(inc.View(id).M, shared) || inc.lookup(id).qbuf == nil {
+			if sameMatrix(inc.View(id).M, shared) || inc.registered(id).qbuf == nil {
 				t.Errorf("%s: written task %d still aliases shared storage", step, id)
 			}
 		}
@@ -94,7 +102,7 @@ func cowSnapshot(t *testing.T, inc *Incremental) func(step string, shared [][]fl
 			if !bitsEqual(viewFloats(inc, id), views[id]) {
 				t.Fatalf("%s: sibling task %d's view changed", step, id)
 			}
-			if !sameMatrix(inc.View(id).M, shared) || inc.lookup(id).qbuf != nil {
+			if !sameMatrix(inc.View(id).M, shared) || inc.registered(id).qbuf != nil {
 				t.Fatalf("%s: sibling task %d was privatized", step, id)
 			}
 		}
@@ -105,7 +113,7 @@ func TestCopyOnWriteSubmitAndRestoreIsolation(t *testing.T) {
 	inc, tasks := cowEngine(t)
 	prior := restStatesFor(cowM, cowEll).prior
 	for id := 0; id < cowN; id++ {
-		if !sameMatrix(inc.lookup(id).mhat, prior.mhat) {
+		if !sameMatrix(inc.registered(id).mhat, prior.mhat) {
 			t.Fatalf("task %d does not alias the prior after AddTask", id)
 		}
 	}
@@ -123,9 +131,7 @@ func TestCopyOnWriteSubmitAndRestoreIsolation(t *testing.T) {
 	for k := range ts.MHat {
 		copy(ts.MHat[k], []float64{0.25, 1, 0.5})
 	}
-	if err := inc.RestoreTask(RowOf(tasks[7]), nil, ts); err != nil {
-		t.Fatal(err)
-	}
+	inc.RestoreTask(RowOf(7, tasks[7]), slotOf(inc, 7), ts)
 	check("RestoreTask", prior.norm, 500, 7)
 	ts.MHat[0][0], ts.S[0] = 99, 99
 	if v := inc.View(7); v.M[0][0] == 99 || v.S[0] == 99 {
@@ -152,11 +158,11 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Reseed(RowsOf(tasks), res, indexed(t, as))
+	inc.Reseed(RowsOf(tasks), res, indexed(t, tasks, as))
 
 	reseeded := restStatesFor(cowM, cowEll).reseeded
 	for id := 0; id < cowN; id++ {
-		it := inc.lookup(id)
+		it := inc.registered(id)
 		isAnswered := id == 3 || id == 400 || id == 999
 		if shared := sameMatrix(it.mhat, reseeded.mhat); shared == isAnswered {
 			t.Fatalf("task %d (answered=%v) aliases the reseeded state: %v", id, isAnswered, shared)
@@ -167,7 +173,7 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	}
 	// A reseeded-unanswered task's M̂ is 1/ℓ, not the prior's 1: the bits a
 	// snapshot has always carried for it.
-	if got := inc.lookup(0).mhat[0][0]; got != 1.0/cowEll {
+	if got := inc.registered(0).mhat[0][0]; got != 1.0/cowEll {
 		t.Fatalf("reseeded-unanswered M̂ = %g, want 1/ℓ", got)
 	}
 	check := cowSnapshot(t, inc)
@@ -181,8 +187,8 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	// A second rerun over the same answers puts 600 — answered in the engine
 	// but not in the rerun's snapshot — aside and re-aliases nothing it should
 	// not.
-	inc.Reseed(RowsOf(tasks), res, indexed(t, as))
-	if it := inc.lookup(600); it.qbuf == nil || len(it.answers) != 1 {
+	inc.Reseed(RowsOf(tasks), res, indexed(t, tasks, as))
+	if it := inc.registered(600); it.qbuf == nil || len(it.answers) != 1 {
 		t.Error("a rerun that predates task 600's answer overwrote it")
 	}
 }
@@ -207,7 +213,7 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Reseed(RowsOf(half), res, indexed(t, as))
+	inc.Reseed(RowsOf(half), res, indexed(t, half, as))
 	late := model.Answer{Worker: "w2", Task: 700, Choice: 0}
 	if err := inc.Submit(late); err != nil {
 		t.Fatal(err)
@@ -228,10 +234,9 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 		if ts.ID == late.Task {
 			answers = []model.Answer{late}
 		}
-		recordAnswers(t, fresh, tasks[ts.ID], answers)
-		if err := fresh.RestoreTask(RowOf(tasks[ts.ID]), nil, ts); err != nil {
-			t.Fatal(err)
-		}
+		row, slot := RowOf(ts.ID, tasks[ts.ID]), slotOf(fresh, ts.ID)
+		recordAnswers(t, fresh, row, slot, answers)
+		fresh.RestoreTask(row, slot, ts)
 	}
 	second := fresh.ExportTasks()
 	if len(second) != len(first) {
@@ -242,7 +247,7 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 		if a.ID != b.ID || !bitsEqual(flatten(nil, a.MHat...), flatten(nil, b.MHat...)) || !bitsEqual(a.S, b.S) {
 			t.Fatalf("task %d: state changed across export → restore → export", a.ID)
 		}
-		if sameMatrix(a.MHat, inc.lookup(a.ID).mhat) {
+		if sameMatrix(a.MHat, inc.registered(a.ID).mhat) {
 			t.Fatalf("task %d: ExportTasks handed out engine storage", a.ID)
 		}
 	}
@@ -305,8 +310,8 @@ func TestCopyOnWriteConcurrentSubmits(t *testing.T) {
 		t.Fatal("concurrent submits wrote the shared rest states")
 	}
 	for id := 0; id < cowN; id++ {
-		if inc.Answers(id) != 1 {
-			t.Fatalf("task %d holds %d answers, want 1", id, inc.Answers(id))
+		if n := inc.View(id).NumAnswers; n != 1 {
+			t.Fatalf("task %d holds %d answers, want 1", id, n)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package truth
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"docs/internal/mathx"
 )
@@ -32,58 +32,38 @@ type TaskState struct {
 // quiescent engine — the serving core calls it on a snapshot pass's scratch
 // replica, which nothing mutates concurrently.
 func (inc *Incremental) ExportTasks() []TaskState {
-	inc.mu.RLock()
-	ids := make([]int, 0, len(inc.tasks))
-	for id := range inc.tasks {
-		ids = append(ids, id)
-	}
-	inc.mu.RUnlock()
-	sort.Ints(ids)
+	inc.restMu.RLock()
+	its := slices.Clone(inc.made)
+	inc.restMu.RUnlock()
+	slices.SortFunc(its, func(a, b *incTask) int { return cmp.Compare(a.id, b.id) })
 	var out []TaskState
-	for _, id := range ids {
-		it := inc.lookup(id)
-		if it == nil {
-			continue
-		}
+	for _, it := range its {
 		it.mu.Lock()
 		if it.touched {
-			out = append(out, TaskState{ID: id, MHat: cloneMatrix(it.mhat), S: mathx.Clone(it.s)})
+			out = append(out, TaskState{ID: it.id, MHat: cloneMatrix(it.mhat), S: mathx.Clone(it.s)})
 		}
 		it.mu.Unlock()
 	}
 	return out
 }
 
-// RestoreTask overwrites task t's internal inference state with an exported
-// one — raw numerators and probabilistic truth — and republishes the task's
-// immutable view over the answers it holds, materialising a latent t first
-// (filling slot, if any). A latent t — which holds no answers — whose
-// exported state is, bit for bit, the rest state it reads stays latent: a
-// snapshot written before tasks were latent lists every task a rerun left
-// unanswered, at that state. The dimensions must match the task exactly.
-func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) error {
-	ell := t.Ell
-	if ts.ID != t.ID {
-		return fmt.Errorf("truth: state of task %d restored into task %d", ts.ID, t.ID)
-	}
-	if rows := t.R.Support(); len(ts.MHat) != rows {
-		return fmt.Errorf("truth: task %d restore has %d domain rows, want the %d of its support", ts.ID, len(ts.MHat), rows)
-	}
-	for k, row := range ts.MHat {
-		if len(row) != ell {
-			return fmt.Errorf("truth: task %d restore row %d has %d choices, want %d", ts.ID, k, len(row), ell)
-		}
-	}
-	if len(ts.S) != ell {
-		return fmt.Errorf("truth: task %d restore s has %d choices, want %d", ts.ID, len(ts.S), ell)
-	}
-	it := inc.lookup(t.ID)
+// RestoreTask overwrites the internal inference state of task t, found
+// through its slot, with an exported one — raw numerators and probabilistic
+// truth — and republishes the task's immutable view over the answers it
+// holds, materialising a latent t first. A latent t — which holds no
+// answers — whose exported state is, bit for bit, the rest state it reads
+// stays latent: a snapshot written before tasks were latent lists every
+// task a rerun left unanswered, at that state. The caller has checked the
+// state against t, as the snapshot's check does where it enters: one row
+// of ℓ numerators per domain of t's support, and ℓ floats of s.
+func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) {
+	it := slot.it.Load()
 	if it == nil {
 		if inc.atRest(t, ts) {
-			return nil
+			return
 		}
 		inc.Materialise(t, slot)
-		it = inc.lookup(t.ID)
+		it = slot.it.Load()
 	}
 	it.mu.Lock()
 	it.own()
@@ -94,12 +74,11 @@ func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) error {
 	it.touched = true
 	it.publishView(inc.epoch.Add(1), normalizeRows(it.mhat))
 	it.mu.Unlock()
-	return nil
 }
 
 // atRest reports whether ts is, bit for bit, the state a latent t reads now.
 func (inc *Incremental) atRest(t Row, ts TaskState) bool {
-	rest := inc.Rest(t.R, t.Ell)
+	rest := inc.Rest(t.R, int(t.Ell))
 	mhat, s := rest.states.prior.mhat, rest.prior.S
 	if rest.reseeded.Load() != nil {
 		mhat, s = rest.states.reseeded.mhat, rest.states.uniform

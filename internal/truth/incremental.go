@@ -1,8 +1,10 @@
 package truth
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,33 +35,38 @@ import (
 // (serializing answers to the same task) plus per-worker locks, so
 // submits to different tasks proceed in parallel. Readers never touch live
 // state: every mutation publishes an immutable TaskView via an atomic
-// pointer, and View/S/M/Truth/Answers read the latest published snapshot
-// without blocking writers. Under concurrency the incremental estimates can
+// pointer, and View/Slot.View read the latest published snapshot without
+// blocking writers. Under concurrency the incremental estimates can
 // interleave differently than a serial replay — the same kind of drift the
 // periodic batch rerun already corrects — but every published view is an
 // internally consistent (task, M, s) snapshot.
 //
-// A task the serving core publishes is latent until its first answer: the
-// engine holds nothing of it, and a reader takes the state every latent
-// task of its domain vector and ℓ shares (Rest) — the AddTask prior until
-// the engine's first rerun lands, the reseeded rest after it. Materialise
-// gives it a state of its own, at that rest state, when an answer, a
-// replayed one or a snapshot's numbers are about to land in it; AddTask
-// materialises eagerly.
+// A task the serving core publishes is addressed by its publication
+// position alone: the core holds there the Slot its state is found
+// through, and the engine keeps no index over tasks. It is latent until its
+// first answer: the engine holds nothing of it, and a reader takes the
+// state every latent task of its domain vector and ℓ shares (Rest) — the
+// AddTask prior until the engine's first rerun lands, the reseeded rest
+// after it. Materialise gives it a state of its own, at that rest state,
+// when an answer, a replayed one or a snapshot's numbers are about to land
+// in it. AddTask, the offline entry point, materialises eagerly, at the
+// engine's next positions, and names its tasks by ID through an ID-sorted
+// permutation (View, Submit).
 type Incremental struct {
 	m     int
 	epoch atomic.Uint64 // bumped on every state mutation
 
-	mu    sync.RWMutex // guards the tasks map itself (not per-task state)
-	tasks map[int]*incTask
-
-	// restMu guards rests and reseededAt (taken after mu when both are).
-	// rests holds, per domain vector and ℓ, what the engine's latent tasks
-	// of that shape read; reseededAt is the epoch of the first rerun that
-	// landed, 0 before it.
+	// restMu guards rests, reseededAt, made and byID. rests holds, per
+	// domain vector and ℓ, what the engine's latent tasks of that shape
+	// read; reseededAt is the epoch of the first rerun that landed, 0
+	// before it. A task materialises under restMu at the rest state it
+	// reads, so a rerun's flip, which takes it too, either comes first or
+	// finds the task in made.
 	restMu     sync.RWMutex
 	rests      map[restKey]*Rest
 	reseededAt uint64
+	made       []*incTask // every materialised task, in the order it materialised
+	byID       []int32    // the tasks AddTask registered, as indexes into made, by ascending ID
 
 	workers workerTable
 }
@@ -87,10 +94,13 @@ type workerStats struct {
 // and her choice. 8 B, where a model.Answer takes 32 and a string.
 type Vote struct{ Worker, Choice int32 }
 
-// incTask is a materialised task: its state, and its shape — the Rest of
-// its domain vector and choice count ℓ, all its math reads of the task.
+// incTask is a materialised task: its state, its ID and position, and its
+// shape — the Rest of its domain vector and choice count ℓ, all its math
+// reads of the task.
 type incTask struct {
 	mu   sync.Mutex
+	id   int
+	p    int32
 	rest *Rest
 	// mhat[x][j] is the running numerator of Equation 3 for the x'th domain
 	// of the task's support (r_k > 0, ascending) and choice j, rescaled per
@@ -155,12 +165,11 @@ func (v *TaskView) Answered(w int32) bool {
 
 // NewIncremental returns an empty incremental engine over m domains.
 func NewIncremental(m int) *Incremental {
-	return &Incremental{m: m, tasks: make(map[int]*incTask), rests: make(map[restKey]*Rest),
-		workers: workerTable{handle: make(map[string]int32)}}
+	return &Incremental{m: m, rests: make(map[restKey]*Rest), workers: workerTable{handle: make(map[string]int32)}}
 }
 
 // Intern returns the worker's handle, giving her one on first sight. An
-// interned worker is not yet known to the engine (HasWorker): she has no
+// interned worker is not yet known to the engine (Quality): she has no
 // statistics until an answer or a seed gives her some.
 func (inc *Incremental) Intern(w string) int32 {
 	if h, ok := inc.Handle(w); ok {
@@ -221,8 +230,10 @@ func (inc *Incremental) known(w string) *workerStats {
 
 // AddTask registers tasks, each with a domain vector, whole or not at all,
 // each materialised at the AddTask prior (M̂ all ones) computed from the task
-// alone: in one pass under one lock, into one slab. Initial views take their
-// epochs in the order given.
+// alone: in one pass under one lock, into one slab, at the engine's next
+// positions in the order given. Initial views take their epochs in that
+// order. A task ID registered before, or twice in the call, refuses the
+// call.
 func (inc *Incremental) AddTask(tasks ...*model.Task) error {
 	for _, t := range tasks {
 		if t.Domain == nil {
@@ -233,65 +244,67 @@ func (inc *Incremental) AddTask(tasks ...*model.Task) error {
 		}
 	}
 	shapes := make([]Rest, len(tasks))
-	return inc.materialise(len(tasks), func(i int) (int, *Rest) {
-		shapes[i] = Rest{R: tasks[i].Domain, Ell: tasks[i].NumChoices()}
-		return tasks[i].ID, &shapes[i]
-	}, true, nil)
+	for i, t := range tasks {
+		shapes[i] = Rest{R: t.Domain, Ell: t.NumChoices()}
+	}
+	return inc.materialise(len(tasks), func(i int) (int, int32, *Rest) { return tasks[i].ID, 0, &shapes[i] }, nil)
 }
 
 // Materialise gives a latent task, its row, a state of its own, at the rest
-// state it reads, and fills slot (if any) with it for the lock-free
-// readers. The serving core calls it before an answer, a replayed answer or
-// a snapshot's numbers land in the task; one already materialised is left
-// as it is. The caller has validated the row.
+// state it reads, and fills its slot with it for the readers. The serving
+// core calls it before an answer, a replayed answer or a snapshot's numbers
+// land in the task; one already materialised is left as it is. The caller
+// has validated the row.
 func (inc *Incremental) Materialise(t Row, slot *Slot) {
-	if inc.lookup(t.ID) == nil {
-		_ = inc.materialise(1, func(int) (int, *Rest) { return t.ID, inc.Rest(t.R, t.Ell) }, false, slot)
+	if slot.it.Load() == nil {
+		rest := inc.Rest(t.R, int(t.Ell))
+		_ = inc.materialise(1, func(int) (int, int32, *Rest) { return t.ID, t.P, rest }, &slot.it)
 	}
 }
 
-// materialise is the one path an incTask is built on. It registers n tasks
-// whole or not at all — under one lock, into one slab, with the first batch
-// sizing the task map — each at its rest state with its first view, in the
-// order given; task(i) gives the i'th task's ID and shape. eager (AddTask)
-// starts a task at the AddTask prior computed from its shape, a Rest of its
-// own, and refuses one already registered; otherwise a task starts at what
-// its shape, the Rest its latent state was, gives the latent tasks of its
-// shape, and one already registered is left as it is. slot, if any,
-// receives the single task.
-func (inc *Incremental) materialise(n int, task func(i int) (int, *Rest), eager bool, slot *Slot) error {
+// materialise is the one path an incTask is built on: n tasks under
+// restMu, into one slab, on the end of made, each with its first view, in
+// the order given; task(i) gives the i'th task's ID, position and shape.
+// Without a slot (AddTask) it takes them whole or not at all, at the
+// engine's next positions, enters them in byID and starts each at the
+// AddTask prior of its own Rest. With one (Materialise) the single task
+// starts at the rest state its shape gives latent tasks, and fills the
+// slot — unless another materialisation filled it first.
+func (inc *Incremental) materialise(n int, task func(i int) (id int, p int32, rest *Rest), slot *atomic.Pointer[incTask]) error {
 	slab := make([]incTask, n)
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	if len(inc.tasks) == 0 {
-		inc.tasks = make(map[int]*incTask, n)
+	inc.restMu.Lock()
+	defer inc.restMu.Unlock()
+	if slot != nil && slot.Load() != nil {
+		return nil
 	}
+	from := len(inc.made)
 	for i := range slab {
-		id, rest := task(i)
-		if _, dup := inc.tasks[id]; dup {
-			if !eager {
-				return nil
-			}
-			for j := range i {
-				added, _ := task(j)
-				delete(inc.tasks, added)
-			}
-			return fmt.Errorf("truth: incremental task %d already registered", id)
+		it := &slab[i]
+		it.id, it.p, it.rest = task(i)
+		inc.made = append(inc.made, it)
+		if slot != nil {
+			continue
 		}
-		slab[i].rest = rest
-		inc.tasks[id] = &slab[i]
+		it.p = int32(from + i)
+		at, dup := inc.find(it.id)
+		if dup {
+			clear(inc.made[from:])
+			inc.made = inc.made[:from]
+			inc.byID = slices.DeleteFunc(inc.byID, func(x int32) bool { return int(x) >= from })
+			return fmt.Errorf("truth: incremental task %d already registered", it.id)
+		}
+		inc.byID = slices.Insert(inc.byID, at, it.p)
 	}
-	// Lookups wait for the lock, so no task is ever found without a view.
 	for i := range slab {
 		it := &slab[i]
 		var M [][]float64
-		if eager {
+		if slot == nil {
 			prior := restStatesFor(it.rest.R.Support(), it.rest.Ell).prior
 			it.mhat, it.s, M = prior.mhat, make([]float64, it.rest.Ell), prior.norm
 			applyDomain(it.s, it.rest.R, prior.norm)
 		} else {
-			// A rerun flips the rest state under mu, so this is the state the
-			// task read until now.
+			// A rerun flips the rest state under restMu, so this is the state
+			// the task read until now.
 			rest := it.rest
 			v := rest.View()
 			it.mhat, it.s, M = rest.states.prior.mhat, v.S, v.M
@@ -302,7 +315,23 @@ func (inc *Incremental) materialise(n int, task func(i int) (int, *Rest), eager 
 		it.publishView(inc.epoch.Add(1), M)
 	}
 	if slot != nil {
-		slot.it.Store(&slab[0])
+		slot.Store(&slab[0])
+	}
+	return nil
+}
+
+// find returns where id falls in byID, and whether a task AddTask
+// registered has it. Callers hold restMu.
+func (inc *Incremental) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(inc.byID, id, func(x int32, id int) int { return cmp.Compare(inc.made[x].id, id) })
+}
+
+// registered returns the task AddTask registered with this ID, nil if none.
+func (inc *Incremental) registered(id int) *incTask {
+	inc.restMu.RLock()
+	defer inc.restMu.RUnlock()
+	if at, ok := inc.find(id); ok {
+		return inc.made[inc.byID[at]]
 	}
 	return nil
 }
@@ -322,13 +351,6 @@ func (it *incTask) publishView(epoch uint64, M [][]float64) {
 	it.view.Store(v)
 }
 
-func (inc *Incremental) lookup(id int) *incTask {
-	inc.mu.RLock()
-	it := inc.tasks[id]
-	inc.mu.RUnlock()
-	return it
-}
-
 // SetWorker installs stored statistics for a worker (e.g. loaded from the
 // parameter store or derived from golden tasks). Unknown workers submitting
 // answers are lazily created with NewStats defaults.
@@ -346,17 +368,31 @@ func (inc *Incremental) SetWorker(w string, st *Stats) error {
 // Worker returns a copy of the current statistics for a worker (nil if
 // unseen). The copy is private to the caller: live stats are only ever
 // mutated under the worker's lock.
-func (inc *Incremental) Worker(w string) *Stats {
+func (inc *Incremental) Worker(w string) (st *Stats) {
+	inc.read(w, func(live *Stats) { st = live.Clone() })
+	return st
+}
+
+// Quality copies the worker's current quality vector into q, of m entries
+// or nil, and reports whether the engine has statistics for her: Worker's Q
+// alone, with nothing allocated.
+func (inc *Incremental) Quality(w string, q model.QualityVector) bool {
+	return inc.read(w, func(live *Stats) { copy(q, live.Q) })
+}
+
+// read runs f on the worker's live statistics under her lock, if the
+// engine has any, and reports whether it did.
+func (inc *Incremental) read(w string, f func(live *Stats)) bool {
 	ws := inc.known(w)
 	if ws == nil {
-		return nil
+		return false
 	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if ws.st == nil {
-		return nil
+	if ws.st != nil {
+		f(ws.st)
 	}
-	return ws.st.Clone()
+	return ws.st != nil
 }
 
 // Workers returns the IDs of every worker the engine has statistics for,
@@ -377,18 +413,6 @@ func (inc *Incremental) Workers() []string {
 	return ids
 }
 
-// HasWorker reports whether the engine has statistics for the worker,
-// without copying them.
-func (inc *Incremental) HasWorker(w string) bool {
-	ws := inc.known(w)
-	if ws == nil {
-		return false
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.st != nil
-}
-
 // SeedWorker installs the statistics only if the worker is still unseen —
 // the atomic set-if-absent the orchestrator needs when two of a worker's
 // first answers race: the loser must not overwrite stats the winner's
@@ -407,42 +431,48 @@ func (inc *Incremental) SeedWorker(w string, st *Stats) (bool, error) {
 	return true, nil
 }
 
-// Submit processes one answer through the two incremental steps. Concurrent
-// submits to distinct tasks run in parallel; submits to the same task are
-// serialized by the per-task lock.
+// Submit processes one answer to a task AddTask registered through the two
+// incremental steps. Concurrent submits to distinct tasks run in parallel;
+// submits to the same task are serialized by the per-task lock.
 func (inc *Incremental) Submit(a model.Answer) error {
-	return inc.SubmitBy(inc.Intern(a.Worker), a.Task, a.Choice)
+	w := inc.Intern(a.Worker)
+	it := inc.registered(a.Task)
+	if it == nil {
+		return fmt.Errorf("truth: answer for unknown task %d", a.Task)
+	}
+	return inc.take(w, it, a.Choice, true)
 }
 
-// SubmitBy is Submit for the worker at handle w.
-func (inc *Incremental) SubmitBy(w int32, task, choice int) error {
-	return inc.take(w, task, choice, true)
+// SubmitBy is Submit for the worker at handle w and the materialised task
+// slot holds.
+func (inc *Incremental) SubmitBy(w int32, slot *Slot, choice int) error {
+	return inc.take(w, slot.it.Load(), choice, true)
 }
 
-// Record adds the answer of the worker at handle w to a materialised task's
-// V(i) without its math — a replayed answer whose effect a later overwrite
-// (a rerun's Reseed, a snapshot's RestoreTask) lands — refusing what Submit
-// refuses. The task's view is the overwrite's to publish.
-func (inc *Incremental) Record(w int32, task, choice int) error {
-	return inc.take(w, task, choice, false)
+// Record adds the answer of the worker at handle w to the V(i) of the
+// materialised task slot holds without its math — a replayed answer whose
+// effect a later overwrite (a rerun's Reseed, a snapshot's RestoreTask)
+// lands — refusing what Submit refuses. The task's view is the overwrite's
+// to publish.
+func (inc *Incremental) Record(w int32, slot *Slot, choice int) error {
+	return inc.take(w, slot.it.Load(), choice, false)
 }
 
 // take lands an answer in its task: in V(i), which is the duplicate check,
 // and, with steps set, through the two incremental steps.
-func (inc *Incremental) take(w int32, task, choice int, steps bool) error {
-	it := inc.lookup(task)
+func (inc *Incremental) take(w int32, it *incTask, choice int, steps bool) error {
 	if it == nil {
-		return fmt.Errorf("truth: answer for unknown task %d", task)
+		return fmt.Errorf("truth: answer for a latent task")
 	}
 	ell := it.rest.Ell
 	if choice < 0 || choice >= ell {
-		return fmt.Errorf("truth: choice %d out of range for task %d (ℓ=%d)", choice, task, ell)
+		return fmt.Errorf("truth: choice %d out of range for task %d (ℓ=%d)", choice, it.id, ell)
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	for _, prev := range it.answers {
 		if prev.Worker == w {
-			return fmt.Errorf("truth: worker %q already answered task %d", inc.Names()[w], task)
+			return fmt.Errorf("truth: worker %q already answered task %d", inc.Names()[w], it.id)
 		}
 	}
 	if !steps {
@@ -520,48 +550,30 @@ func (inc *Incremental) take(w int32, task, choice int, steps bool) error {
 	return nil
 }
 
-// View returns the latest published immutable snapshot for task id (nil if
-// the task is unknown). This is the lock-free read path: the returned view
-// is never mutated, so callers may use its M and S slices directly.
+// View returns the latest published immutable snapshot of the task AddTask
+// registered with this ID (nil if none). The returned view is never
+// mutated, so callers may use its M and S slices directly.
 func (inc *Incremental) View(id int) *TaskView {
-	it := inc.lookup(id)
-	if it == nil {
-		return nil
-	}
-	return it.view.Load()
-}
-
-// Slot is where a lock-free reader finds one task's state: empty while the
-// task is latent — the reader then takes the task's Rest — and filled by
-// Materialise. Looking a task up by ID costs an RLock'd map read (View); the
-// serving core's candidate index holds a slot per task so a request never
-// touches the task map at all.
-type Slot struct{ it atomic.Pointer[incTask] }
-
-// View returns the task's latest published snapshot, nil while the task is
-// latent. Same contract as Incremental.View, minus the map lookup.
-func (s *Slot) View() *TaskView {
-	if it := s.it.Load(); it != nil {
+	if it := inc.registered(id); it != nil {
 		return it.view.Load()
 	}
 	return nil
 }
 
-// ViewOf is View for a task the caller holds the row of: its own view once
-// it is materialised, else the one its Rest gives every latent task of its
-// shape.
-func (inc *Incremental) ViewOf(t Row) *TaskView {
-	if v := inc.View(t.ID); v != nil {
-		return v
-	}
-	return inc.Rest(t.R, t.Ell).View()
-}
+// Slot is where a task's state is found: empty while the task is latent —
+// a reader then takes the task's Rest — and filled by Materialise. The
+// serving core holds one per publication position, the one address a task
+// has below it, and hands the engine the slot of the task an answer, a
+// replayed answer or a snapshot's numbers land in.
+type Slot struct{ it atomic.Pointer[incTask] }
 
-// Materialised returns how many tasks hold a state of their own.
-func (inc *Incremental) Materialised() int {
-	inc.mu.RLock()
-	defer inc.mu.RUnlock()
-	return len(inc.tasks)
+// View returns the task's latest published snapshot, nil while the task is
+// latent. The lock-free read path: the returned view is never mutated.
+func (s *Slot) View() *TaskView {
+	if it := s.it.Load(); it != nil {
+		return it.view.Load()
+	}
+	return nil
 }
 
 // Epoch returns the engine-wide mutation counter: it increases once per
@@ -570,49 +582,12 @@ func (inc *Incremental) Materialised() int {
 // quiescent engine.
 func (inc *Incremental) Epoch() uint64 { return inc.epoch.Load() }
 
-// S returns task id's current probabilistic truth (nil if unknown task).
-// The returned slice is the caller's to keep.
-func (inc *Incremental) S(id int) []float64 {
-	v := inc.View(id)
-	if v == nil {
-		return nil
-	}
-	return mathx.Clone(v.S)
-}
-
-// M returns task id's current truth matrix M^(i) (row-normalized). The
-// returned matrix is the caller's to keep.
-func (inc *Incremental) M(id int) [][]float64 {
-	v := inc.View(id)
-	if v == nil {
-		return nil
-	}
-	return cloneMatrix(v.M)
-}
-
-// Truth returns the current inferred truth for task id (-1 if unknown).
-func (inc *Incremental) Truth(id int) int {
-	v := inc.View(id)
-	if v == nil {
-		return model.NoTruth
-	}
-	return v.Truth
-}
-
-// Answers returns the number of answers received for task id.
-func (inc *Incremental) Answers(id int) int {
-	v := inc.View(id)
-	if v == nil {
-		return 0
-	}
-	return v.NumAnswers
-}
-
 // Reseed overwrites the engine's task states and worker qualities from a
 // batch inference result; the core orchestrator calls this after the
 // periodic full iterative run (every z submissions). It walks the
-// materialised tasks alone and flips the latent ones, which hold nothing, to
-// the reseeded rest (ReseedLatent): res and answers are aligned with tasks,
+// materialised tasks alone, in position order, beside the rows of tasks in
+// position order, and flips the latent ones, which hold nothing, to the
+// reseeded rest (ReseedLatent): res and answers are aligned with tasks,
 // which lists the answered tasks and may list others; a latent task is one
 // nobody answered. One epoch covers the whole swap. The swap is atomic per
 // task: readers see either the pre-rerun view or the reseeded one, never a
@@ -629,35 +604,25 @@ func (inc *Incremental) Answers(id int) int {
 func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex) {
 	// A task materialised after this starts at the reseeded rest; one
 	// before it is among those walked.
-	inc.mu.Lock()
+	inc.restMu.Lock()
 	epoch := inc.epoch.Add(1)
 	inc.reseedLatentLocked(epoch)
-	ids := make([]int, 0, len(inc.tasks))
-	for id := range inc.tasks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	its := make([]*incTask, len(ids))
-	for x, id := range ids {
-		its[x] = inc.tasks[id]
-	}
-	inc.mu.Unlock()
-	pos := res.answeredIndex(tasks)
-	var idle map[int]*incTask // walked, with no answer in the prefix and not pinned
-	for x, it := range its {
-		i, ok := pos[ids[x]]
-		if !ok {
+	its := slices.Clone(inc.made)
+	inc.restMu.Unlock()
+	slices.SortFunc(its, func(a, b *incTask) int { return cmp.Compare(a.p, b.p) })
+	listed := byPosition(tasks)
+	for _, it := range its {
+		for len(listed) > 0 && tasks[listed[0]].P < it.p {
+			listed = listed[1:]
+		}
+		if len(listed) == 0 || tasks[listed[0]].P != it.p {
 			if res.unlisted > 0 {
 				it.restIfIdle(epoch)
-				continue
 			}
-			if idle == nil {
-				idle = make(map[int]*incTask)
-			}
-			idle[ids[x]] = it
 			continue
 		}
-		snap := answers.ForTask(ids[x])
+		i := listed[0]
+		snap := answers.ForTask(int32(it.p))
 		it.mu.Lock()
 		if len(it.answers) > len(snap) {
 			it.mu.Unlock()
@@ -686,14 +651,6 @@ func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex
 		it.publishView(epoch, normalizeRows(it.mhat))
 		it.mu.Unlock()
 	}
-	// Infer left an idle task tasks lists at the shared uniform matrix, the
-	// reseeded rest.
-	for x := 0; x < len(tasks) && len(idle) > 0; x++ {
-		if it, ok := idle[tasks[x].ID]; ok {
-			delete(idle, tasks[x].ID)
-			it.restIfIdle(epoch)
-		}
-	}
 	session := SessionStats(tasks, answers, res, inc.m)
 	for wi, w := range answers.Workers() {
 		st := &session[wi]
@@ -712,17 +669,15 @@ func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex
 // does; one epoch covers it. A boot installing a snapshot that covers a
 // rerun calls it, since the snapshot lists materialised tasks only.
 func (inc *Incremental) ReseedLatent() {
-	inc.mu.Lock()
+	inc.restMu.Lock()
 	inc.reseedLatentLocked(inc.epoch.Add(1))
-	inc.mu.Unlock()
+	inc.restMu.Unlock()
 }
 
 // reseedLatentLocked flips the latent tasks to the reseeded rest at epoch,
-// the first time it runs. Callers hold mu, under which a task materialises
-// at the rest state it read.
+// the first time it runs. Callers hold restMu, under which a task
+// materialises at the rest state it read.
 func (inc *Incremental) reseedLatentLocked(epoch uint64) {
-	inc.restMu.Lock()
-	defer inc.restMu.Unlock()
 	if inc.reseededAt != 0 {
 		return
 	}

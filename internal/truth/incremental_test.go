@@ -1,6 +1,7 @@
 package truth
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -32,14 +33,15 @@ func TestIncrementalSingleTaskMatchesBatchStep1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := inc.S(1)
+	v := inc.View(1)
+	s := v.S
 	if math.Abs(s[0]-0.79) > 0.005 || math.Abs(s[1]-0.21) > 0.005 {
 		t.Errorf("incremental s = [%.4f %.4f], want ≈[0.79 0.21]", s[0], s[1])
 	}
-	if inc.Truth(1) != 0 {
-		t.Errorf("incremental truth = %d, want 0", inc.Truth(1))
+	if v.Truth != 0 {
+		t.Errorf("incremental truth = %d, want 0", v.Truth)
 	}
-	M := inc.M(1) // rows: sports, films — politics has r = 0 and no row
+	M := v.M // rows: sports, films — politics has r = 0 and no row
 	if len(M) != 2 || math.Abs(M[0][0]-0.93) > 0.005 {
 		t.Errorf("M = %v, want 2 rows with M[sports][yes] ≈0.93", M)
 	}
@@ -47,7 +49,12 @@ func TestIncrementalSingleTaskMatchesBatchStep1(t *testing.T) {
 
 // TestAddTaskBatch: a batch goes in whole, its initial views taking the
 // engine's next epochs in the order given, or — with a task already
-// registered, or one ID twice — not at all.
+// registered, or one ID twice — not at all. The offline entry points find a
+// task by ID through the engine's ID-sorted permutation: over tasks added
+// out of ID order in several calls, View(id) is the state Submit built for
+// that ID — the view an engine holding that task alone reaches on the same
+// answers — an unknown or negative ID has no view, and a Submit to one
+// fails.
 func TestAddTaskBatch(t *testing.T) {
 	mk := func(id int) *model.Task {
 		return &model.Task{ID: id, Choices: []string{"a", "b"}, Domain: model.DomainVector{0.5, 0.5}, Truth: model.NoTruth, TrueDomain: model.NoTruth}
@@ -70,6 +77,49 @@ func TestAddTaskBatch(t *testing.T) {
 		}
 		if inc.Epoch() != 3 || inc.View(8) != nil || inc.View(9) != nil || inc.View(10) != nil || inc.View(3).Epoch != 2 {
 			t.Errorf("%s: a refused batch left epoch %d and some of its tasks", name, inc.Epoch())
+		}
+	}
+
+	for _, batch := range [][]int{{12, 0}, {4}, {1, 11}} {
+		for _, id := range batch {
+			if err := inc.AddTask(mk(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ids := []int{7, 3, 5, 12, 0, 4, 1, 11}
+	answer := func(id, n int) model.Answer { // the n'th answer to task id, by a worker of its own
+		return model.Answer{Worker: fmt.Sprintf("w%d-%d", id, n), Task: id, Choice: (id + n) % 3 % 2}
+	}
+	for x, id := range ids {
+		for n := 0; n <= x%3; n++ {
+			if err := inc.Submit(answer(id, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for x, id := range ids {
+		alone := NewIncremental(2)
+		if err := alone.AddTask(mk(id)); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= x%3; n++ {
+			if err := alone.Submit(answer(id, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := inc.View(id), alone.View(id)
+		if got == nil || got.NumAnswers != x%3+1 || got.NumAnswers != want.NumAnswers || !bitsEqual(got.S, want.S) ||
+			!bitsEqual(flatten(nil, got.M...), flatten(nil, want.M...)) {
+			t.Fatalf("task %d: View reads %+v, want the %d answers' state %+v", id, got, x%3+1, want)
+		}
+	}
+	for _, id := range []int{2, 6, 13, -1, -7} {
+		if v := inc.View(id); v != nil {
+			t.Errorf("unknown task %d has a view", id)
+		}
+		if err := inc.Submit(model.Answer{Worker: "w", Task: id, Choice: 0}); err == nil {
+			t.Errorf("an answer to unknown task %d was accepted", id)
 		}
 	}
 }
@@ -119,7 +169,7 @@ func TestIncrementalWorkerQualityMoves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := inc.S(1)
+	s := inc.View(1).S
 	if s[0] <= 0.9 {
 		t.Fatalf("after 3 agreements s = %v, want confident", s)
 	}
@@ -173,7 +223,7 @@ func TestIncrementalSIsAlwaysDistribution(t *testing.T) {
 				}
 			}
 		}
-		if err := mathx.CheckDistribution(inc.S(i), 1e-9); err != nil {
+		if err := mathx.CheckDistribution(inc.View(i).S, 1e-9); err != nil {
 			t.Fatalf("task %d: %v", i, err)
 		}
 	}
@@ -200,13 +250,13 @@ func TestIncrementalReseedFromBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inc.Reseed(RowsOf(tasks), res, indexed(t, as))
+	inc.Reseed(RowsOf(tasks), res, indexed(t, tasks, as))
 	for i, tk := range tasks {
-		s := inc.S(tk.ID)
-		if mathx.L1Distance(s, res.S[i]) > 1e-9 {
-			t.Fatalf("task %d: reseeded s %v != batch %v", tk.ID, s, res.S[i])
+		v := inc.View(tk.ID)
+		if mathx.L1Distance(v.S, res.S[i]) > 1e-9 {
+			t.Fatalf("task %d: reseeded s %v != batch %v", tk.ID, v.S, res.S[i])
 		}
-		if inc.Answers(tk.ID) != len(as.ForTask(tk.ID)) {
+		if v.NumAnswers != len(as.ForTask(tk.ID)) {
 			t.Fatalf("task %d: answer count not reseeded", tk.ID)
 		}
 	}
@@ -214,23 +264,18 @@ func TestIncrementalReseedFromBatch(t *testing.T) {
 	if err := inc.Submit(model.Answer{Worker: "fresh", Task: tasks[0].ID, Choice: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mathx.CheckDistribution(inc.S(tasks[0].ID), 1e-9); err != nil {
+	if err := mathx.CheckDistribution(inc.View(tasks[0].ID).S, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestIncrementalUnknownAccessors(t *testing.T) {
 	inc := NewIncremental(2)
-	if inc.S(5) != nil || inc.M(5) != nil {
-		t.Error("unknown task returned state")
+	if inc.View(5) != nil {
+		t.Error("unknown task returned a view")
 	}
-	if inc.Truth(5) != model.NoTruth {
-		t.Error("unknown task returned truth")
-	}
-	if inc.Answers(5) != 0 {
-		t.Error("unknown task returned answers")
-	}
-	if inc.Worker("nobody") != nil {
+	q := model.QualityVector{0.5, 0.5}
+	if inc.Worker("nobody") != nil || inc.Quality("nobody", q) || q[0] != 0.5 {
 		t.Error("unknown worker returned stats")
 	}
 }

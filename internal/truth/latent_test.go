@@ -36,7 +36,7 @@ func TestLatentMatchesAddTask(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for i, tk := range tasks {
-			want, got := eager.View(tk.ID), latent.ViewOf(RowOf(tk))
+			want, got := eager.View(tk.ID), viewOf(latent, RowOf(i, tk), &slots[i])
 			if v := slots[i].View(); v != nil && v != got {
 				t.Fatalf("%s: task %d's slot holds another view than the engine's", step, tk.ID)
 			}
@@ -54,8 +54,8 @@ func TestLatentMatchesAddTask(t *testing.T) {
 			if err := eager.Submit(a); err != nil {
 				t.Fatal(err)
 			}
-			latent.Materialise(RowOf(tasks[a.Task]), &slots[a.Task])
-			if err := latent.Submit(a); err != nil {
+			latent.Materialise(RowOf(a.Task, tasks[a.Task]), &slots[a.Task])
+			if err := latent.SubmitBy(latent.Intern(a.Worker), &slots[a.Task], a.Choice); err != nil {
 				t.Fatal(err)
 			}
 			if err := as.Add(a); err != nil {
@@ -64,8 +64,8 @@ func TestLatentMatchesAddTask(t *testing.T) {
 		}
 	}
 	check("registered")
-	if latent.Materialised() != 0 || latent.Epoch() != 0 {
-		t.Fatalf("a latent engine holds %d tasks at epoch %d before any answer", latent.Materialised(), latent.Epoch())
+	if len(latent.made) != 0 || latent.Epoch() != 0 {
+		t.Fatalf("a latent engine holds %d tasks at epoch %d before any answer", len(latent.made), latent.Epoch())
 	}
 	submit(0, 60)
 	check("submits")
@@ -73,12 +73,12 @@ func TestLatentMatchesAddTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager.Reseed(RowsOf(tasks), res, indexed(t, as))
-	latent.Reseed(RowsOf(tasks), res, indexed(t, as))
+	eager.Reseed(RowsOf(tasks), res, indexed(t, tasks, as))
+	latent.Reseed(RowsOf(tasks), res, indexed(t, tasks, as))
 	check("Reseed")
 	submit(60, 90)
 	check("submits after Reseed")
-	if got := latent.Materialised(); got != len(as.Tasks()) {
+	if got := len(latent.made); got != len(as.Tasks()) {
 		t.Fatalf("the latent engine holds %d tasks, %d answered", got, len(as.Tasks()))
 	}
 
@@ -86,19 +86,18 @@ func TestLatentMatchesAddTask(t *testing.T) {
 	if got := latent.ExportTasks(); len(got) != len(as.Tasks()) {
 		t.Fatalf("the latent engine exports %d tasks, %d answered", len(got), len(as.Tasks()))
 	}
-	restored := NewIncremental(m)
+	restored, restoredSlots := NewIncremental(m), make([]Slot, n)
 	restored.ReseedLatent()
 	for _, ts := range exported {
-		recordAnswers(t, restored, tasks[ts.ID], as.ForTask(ts.ID))
-		if err := restored.RestoreTask(RowOf(tasks[ts.ID]), nil, ts); err != nil {
-			t.Fatal(err)
-		}
+		row := RowOf(ts.ID, tasks[ts.ID])
+		recordAnswers(t, restored, row, &restoredSlots[ts.ID], as.ForTask(ts.ID))
+		restored.RestoreTask(row, &restoredSlots[ts.ID], ts)
 	}
-	if got := restored.Materialised(); got != len(as.Tasks()) {
+	if got := len(restored.made); got != len(as.Tasks()) {
 		t.Fatalf("restoring the eager export materialised %d tasks, %d answered", got, len(as.Tasks()))
 	}
-	for _, tk := range tasks {
-		want, got := eager.View(tk.ID), restored.ViewOf(RowOf(tk))
+	for i, tk := range tasks {
+		want, got := eager.View(tk.ID), viewOf(restored, RowOf(i, tk), &restoredSlots[i])
 		if !bitsEqual(got.S, want.S) || !bitsEqual(flatten(nil, got.M...), flatten(nil, want.M...)) || got.NumAnswers != want.NumAnswers {
 			t.Fatalf("task %d: restored over ReseedLatent, it reads another view than the eager engine's", tk.ID)
 		}
@@ -124,25 +123,25 @@ func TestUnlistedMatchesListed(t *testing.T) {
 		}
 		r.Shuffle(len(c.tasks), func(i, j int) { c.tasks[i], c.tasks[j] = c.tasks[j], c.tasks[i] })
 		as := buildSet(t, c.answers)
-		pinned := map[int]int{}
-		for _, tk := range c.tasks {
-			if len(as.ForTask(tk.ID)) == 0 && r.Intn(8) == 0 {
-				pinned[tk.ID] = r.Intn(tk.NumChoices())
+		rows, idx := RowsOf(c.tasks), indexed(t, c.tasks, as)
+		var pinned []Pin
+		var listed []Row
+		for p, tk := range c.tasks {
+			pin := len(as.ForTask(tk.ID)) == 0 && r.Intn(8) == 0
+			if pin {
+				pinned = append(pinned, Pin{P: int32(p), Truth: int32(r.Intn(tk.NumChoices()))})
 			}
-		}
-		var listed []*model.Task
-		for _, tk := range c.tasks {
-			if _, pin := pinned[tk.ID]; pin || len(as.ForTask(tk.ID)) > 0 {
-				listed = append(listed, tk)
+			if pin || len(as.ForTask(tk.ID)) > 0 {
+				listed = append(listed, rows[p])
 			}
 		}
 		opt := Options{Pinned: pinned, RecordDeltas: true}
-		full, err := InferIndex(RowsOf(c.tasks), indexed(t, as), c.m, opt)
+		full, err := InferIndex(rows, idx, c.m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt.Unlisted = len(c.tasks) - len(listed)
-		part, err := InferIndex(RowsOf(listed), indexed(t, as), c.m, opt)
+		part, err := InferIndex(listed, idx, c.m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +153,7 @@ func TestUnlistedMatchesListed(t *testing.T) {
 				t.Fatalf("trial %d: worker %s's quality differs", trial, w)
 			}
 		}
-		over := part.Over(RowsOf(c.tasks))
+		over := part.Over(rows)
 		for i, tk := range c.tasks {
 			if !bitsEqual(over.S[i], full.S[i]) || !bitsEqual(flatten(nil, over.M[i]...), flatten(nil, full.M[i]...)) || over.Truth[i] != full.Truth[i] {
 				t.Fatalf("trial %d: task %d's state differs from the run over every task", trial, tk.ID)
@@ -166,8 +165,8 @@ func TestUnlistedMatchesListed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		engines[0].Reseed(RowsOf(c.tasks), full, indexed(t, as))
-		engines[1].Reseed(RowsOf(listed), part, indexed(t, as))
+		engines[0].Reseed(rows, full, idx)
+		engines[1].Reseed(listed, part, idx)
 		for _, tk := range c.tasks {
 			want, got := engines[0].View(tk.ID), engines[1].View(tk.ID)
 			if !bitsEqual(got.S, want.S) || !bitsEqual(flatten(nil, got.M...), flatten(nil, want.M...)) ||
@@ -181,13 +180,23 @@ func TestUnlistedMatchesListed(t *testing.T) {
 	}
 }
 
-// recordAnswers puts a task's answers in its V(i) without their math, as a
-// replay does before a snapshot's RestoreTask lands their effect.
-func recordAnswers(t testing.TB, inc *Incremental, tk *model.Task, answers []model.Answer) {
+// viewOf is the view a reader of the task's row and slot takes: its own
+// once it is materialised, else its Rest's.
+func viewOf(inc *Incremental, t Row, slot *Slot) *TaskView {
+	if v := slot.View(); v != nil {
+		return v
+	}
+	return inc.Rest(t.R, int(t.Ell)).View()
+}
+
+// recordAnswers puts a task's answers in its V(i), through its slot,
+// without their math, as a replay does before a snapshot's RestoreTask lands
+// their effect.
+func recordAnswers(t testing.TB, inc *Incremental, row Row, slot *Slot, answers []model.Answer) {
 	t.Helper()
 	for _, a := range answers {
-		inc.Materialise(RowOf(tk), nil)
-		if err := inc.Record(inc.Intern(a.Worker), a.Task, a.Choice); err != nil {
+		inc.Materialise(row, slot)
+		if err := inc.Record(inc.Intern(a.Worker), slot, a.Choice); err != nil {
 			t.Fatal(err)
 		}
 	}

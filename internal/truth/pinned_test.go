@@ -22,7 +22,7 @@ func TestPinnedTaskKeepsOneHot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Infer(tasks, as, 1, Options{Pinned: map[int]int{0: 1}})
+	res, err := Infer(tasks, as, 1, Options{Pinned: []Pin{{P: 0, Truth: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestPinnedValidation(t *testing.T) {
 	tasks := []*model.Task{
 		{ID: 0, Choices: []string{"a", "b"}, Domain: model.DomainVector{1}, Truth: model.NoTruth, TrueDomain: model.NoTruth},
 	}
-	if _, err := Infer(tasks, model.NewAnswerSet(), 1, Options{Pinned: map[int]int{9: 0}}); err == nil {
+	if _, err := Infer(tasks, model.NewAnswerSet(), 1, Options{Pinned: []Pin{{P: 9, Truth: 0}}}); err == nil {
 		t.Error("pinned unknown task accepted")
 	}
-	if _, err := Infer(tasks, model.NewAnswerSet(), 1, Options{Pinned: map[int]int{0: 5}}); err == nil {
+	if _, err := Infer(tasks, model.NewAnswerSet(), 1, Options{Pinned: []Pin{{P: 0, Truth: 5}}}); err == nil {
 		t.Error("pinned out-of-range truth accepted")
 	}
 }
@@ -98,9 +98,9 @@ func TestPinnedAnchorPreventsInversion(t *testing.T) {
 		t.Fatalf("expected the unanchored run to invert (got accuracy %.2f); the scenario no longer demonstrates the basin", accU)
 	}
 
-	pinned := map[int]int{}
+	var pinned []Pin
 	for i := 0; i < 8; i++ {
-		pinned[i] = tasks[i].Truth
+		pinned = append(pinned, Pin{P: int32(i), Truth: int32(tasks[i].Truth)})
 	}
 	anchored, err := Infer(tasks, as, 1, Options{InitQuality: badInit, Pinned: pinned, MaxIter: 50})
 	if err != nil {
@@ -131,7 +131,7 @@ func TestPinnedTasksContributeToQuality(t *testing.T) {
 	if err := as.Add(model.Answer{Worker: "wrong", Task: 0, Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Infer(tasks, as, 1, Options{Pinned: map[int]int{0: 0}})
+	res, err := Infer(tasks, as, 1, Options{Pinned: []Pin{{P: 0, Truth: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,7 @@ func TestPropertyLabelRenamingEquivariance(t *testing.T) {
 		}
 		optsA := fixedIter
 		if cse%2 == 1 {
-			optsA.Pinned = map[int]int{0: c.planted[0]}
+			optsA.Pinned = []Pin{{P: 0, Truth: int32(c.planted[0])}}
 		}
 
 		// Per-task choice permutations: sigma[i][j] is the new index of
@@ -209,7 +209,7 @@ func TestPropertyLabelRenamingEquivariance(t *testing.T) {
 		}
 		optsB := fixedIter
 		if optsA.Pinned != nil {
-			optsB.Pinned = map[int]int{0: sigma[0][c.planted[0]]}
+			optsB.Pinned = []Pin{{P: 0, Truth: int32(sigma[0][c.planted[0]])}}
 		}
 
 		resA, err := Infer(c.tasks, buildSet(t, c.answers), c.m, optsA)

@@ -200,7 +200,7 @@ func TestPropertySubmitMatchesDenseStep(t *testing.T) {
 					t.Fatalf("case %d %s task %d: view (s %v, truth %d, %d answers, epoch %d), dense (s %v, %d answers, epoch %d)",
 						cse, step, tk.ID, v.S, v.Truth, v.NumAnswers, v.Epoch, d.s, len(d.answers), d.epoch)
 				}
-				supp, mhat, norm := supportOf(tk.Domain), inc.lookup(tk.ID).mhat, normalizeRows(d.mhat)
+				supp, mhat, norm := supportOf(tk.Domain), inc.registered(tk.ID).mhat, normalizeRows(d.mhat)
 				if len(v.M) != len(supp) || len(mhat) != len(supp) {
 					t.Fatalf("case %d %s task %d: %d view rows, %d numerator rows, support %d", cse, step, tk.ID, len(v.M), len(mhat), len(supp))
 				}
@@ -247,7 +247,7 @@ func TestPropertySubmitMatchesDenseStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc.Reseed(RowsOf(c.tasks), res, indexed(t, prefix))
+			inc.Reseed(RowsOf(c.tasks), res, indexed(t, c.tasks, prefix))
 			dense.reseed(c.tasks, ref, prefix)
 			check("Reseed")
 		}

@@ -70,22 +70,18 @@ func inferReference(tasks []*model.Task, answers *model.AnswerSet, m int, opt Op
 		}
 	}
 
-	// Validate pinned truths in sorted ID order so the first-reported error
-	// is deterministic (a map-order range here would pick an arbitrary one).
-	pinnedIDs := make([]int, 0, len(opt.Pinned))
-	for id := range opt.Pinned {
-		pinnedIDs = append(pinnedIDs, id)
-	}
-	sort.Ints(pinnedIDs)
-	for _, id := range pinnedIDs {
-		truth := opt.Pinned[id]
-		i, ok := pos[id]
-		if !ok {
-			return nil, fmt.Errorf("truth: pinned truth for unknown task %d", id)
+	// Validate pinned truths in the order given, by position: a task's index
+	// in tasks.
+	pinned := make(map[int]int, len(opt.Pinned)) // task index -> truth
+	for _, pin := range opt.Pinned {
+		i := int(pin.P)
+		if i < 0 || i >= len(tasks) {
+			return nil, fmt.Errorf("truth: pinned truth for unknown task position %d", pin.P)
 		}
-		if truth < 0 || truth >= tasks[i].NumChoices() {
-			return nil, fmt.Errorf("truth: pinned truth %d out of range for task %d", truth, id)
+		if pin.Truth < 0 || int(pin.Truth) >= tasks[i].NumChoices() {
+			return nil, fmt.Errorf("truth: pinned truth %d out of range for task %d", pin.Truth, tasks[i].ID)
 		}
+		pinned[i] = int(pin.Truth)
 	}
 
 	res := &Result{
@@ -95,7 +91,7 @@ func inferReference(tasks []*model.Task, answers *model.AnswerSet, m int, opt Op
 		Quality: quality,
 	}
 	for i, t := range tasks {
-		if pv, ok := opt.Pinned[t.ID]; ok {
+		if pv, ok := pinned[i]; ok {
 			res.S[i] = oneHot(t.NumChoices(), pv)
 			continue
 		}
@@ -111,7 +107,7 @@ func inferReference(tasks []*model.Task, answers *model.AnswerSet, m int, opt Op
 
 		// Step 1: q^w → s_i. Pinned (golden) tasks keep their one-hot truth.
 		for i, t := range tasks {
-			if pv, ok := opt.Pinned[t.ID]; ok {
+			if pv, ok := pinned[i]; ok {
 				res.M[i] = pinnedMatrix(m, t.NumChoices(), pv)
 				res.S[i] = oneHot(t.NumChoices(), pv)
 				continue
@@ -340,10 +336,10 @@ func genRefCase(t *testing.T, r *mathx.Rand, cse int) *refCase {
 		planted[i] = r.Intn(ell)
 	}
 
-	c.opt.Pinned = make(map[int]int)
-	for i, tk := range c.tasks {
+	c.opt.Pinned = nil
+	for i := range c.tasks {
 		if r.Float64() < 0.15 {
-			c.opt.Pinned[tk.ID] = planted[i]
+			c.opt.Pinned = append(c.opt.Pinned, Pin{P: int32(i), Truth: int32(planted[i])})
 		}
 	}
 
@@ -379,8 +375,8 @@ func genRefCase(t *testing.T, r *mathx.Rand, cse int) *refCase {
 				}
 			}
 		}
-		for i, tk := range c.tasks {
-			if _, pinned := c.opt.Pinned[tk.ID]; pinned && r.Float64() < 0.7 {
+		for i := range c.tasks {
+			if _, pinned := pinOf(c.opt.Pinned, int32(i)); pinned && r.Float64() < 0.7 {
 				add("always-right", i, planted[i])
 				add("always-wrong", i, wrong(i))
 			}
@@ -494,7 +490,7 @@ func TestPropertyInferMatchesReference(t *testing.T) {
 				}
 			}
 			if len(c.answers.ForTask(tk.ID)) > 0 {
-				if _, pinned := c.opt.Pinned[tk.ID]; pinned {
+				if _, pinned := pinOf(c.opt.Pinned, int32(i)); pinned {
 					shapes["pinned"]++
 				} else if len(supp) == 1 && c.m > 1 {
 					shapes["support 1"]++
@@ -559,8 +555,8 @@ func TestInferErrorsMatchReference(t *testing.T) {
 		{"duplicate id", []*model.Task{tk(1, 2), tk(1, 3)}, set(), Options{}},
 		{"unknown answered task", []*model.Task{tk(1, 2)}, set(model.Answer{Worker: "w", Task: 9}), Options{}},
 		{"choice out of range", []*model.Task{tk(1, 2)}, set(model.Answer{Worker: "w", Task: 1, Choice: 2}), Options{}},
-		{"unknown pinned task", []*model.Task{tk(1, 2)}, set(), Options{Pinned: map[int]int{4: 0, 3: 0}}},
-		{"pinned truth out of range", []*model.Task{tk(1, 2)}, set(), Options{Pinned: map[int]int{1: 2}}},
+		{"unknown pinned task", []*model.Task{tk(1, 2)}, set(), Options{Pinned: []Pin{{P: 3}, {P: 4}}}},
+		{"pinned truth out of range", []*model.Task{tk(1, 2)}, set(), Options{Pinned: []Pin{{P: 0, Truth: 2}}}},
 	}
 	for _, c := range cases {
 		_, want := inferReference(c.tasks, c.answers, 2, c.opt)

@@ -65,12 +65,14 @@ func (s *Stats) Clone() *Stats {
 }
 
 // SessionStats derives per-worker (q, u) statistics from a finished
-// inference Result over the given tasks, ready to be merged into stored
-// stats via Theorem 1: one per worker of answers.Workers(), in its order,
-// all carved from one allocation. For each worker, u_k = Σ_{t∈T(w)} r_k
+// inference Result over the given tasks — the tasks InferIndex inferred it
+// over, or a prefix of them, with the index it read or that index's Head — ready
+// to be merged into stored stats via Theorem 1: one per worker of
+// answers.Workers(), in its order, all carved from one allocation. An
+// answer to a task past the prefix counts for nothing. For each worker, u_k = Σ_{t∈T(w)} r_k
 // and q_k = Σ r_k·s_{i,v^w_i} / u_k (Equation 5 restricted to this session).
 func SessionStats(tasks []Row, answers *model.LogIndex, res *Result, m int) []Stats {
-	pos := res.answeredIndex(tasks)
+	row := res.row
 	out := make([]Stats, len(answers.Workers()))
 	slab := make([]float64, 2*len(out)*m)
 	num := make([]float64, m)
@@ -80,8 +82,8 @@ func SessionStats(tasks []Row, answers *model.LogIndex, res *Result, m int) []St
 		slab = slab[2*m:]
 		clear(num)
 		for _, p := range answers.ForWorker(wi) {
-			i, ok := pos[answers.Task(p)]
-			if !ok {
+			i := int(row[p])
+			if i < 0 || i >= len(tasks) {
 				continue
 			}
 			r := tasks[i].R

@@ -11,12 +11,17 @@
 //
 // The package also provides the incremental single-answer update of
 // Section 4.2 (see Incremental) and the long-run quality maintenance rule of
-// Theorem 1 (see Stats.Merge).
+// Theorem 1 (see Stats.Merge). A task has one address here, its position
+// (Row.P, Pin, model.LogIndex, Slot); the offline entry points — Infer,
+// AddTask, Submit, View — name tasks by ID and find them through an
+// ID-sorted permutation, not a map.
 package truth
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"docs/internal/mathx"
@@ -40,24 +45,38 @@ const (
 )
 
 // Row is what inference reads of a task: its ID, its domain vector r over
-// the m domains and its choice count ℓ. A serving campaign holds its tasks
-// as table positions, not model.Tasks, and hands inference these.
+// the m domains, its choice count ℓ and its position P — the address an
+// answer index (model.LogIndex) and the engine know it by. A serving
+// campaign holds its tasks as table positions, not model.Tasks, and hands
+// inference these, each at its publication position. ℓ and P take 4 B
+// each, so a row is 40 B.
 type Row struct {
-	ID  int
-	R   model.DomainVector
-	Ell int
+	ID     int
+	R      model.DomainVector
+	Ell, P int32
 }
 
-// RowOf returns what inference reads of t.
-func RowOf(t *model.Task) Row { return Row{ID: t.ID, R: t.Domain, Ell: t.NumChoices()} }
+// RowOf returns what inference reads of t, at position p.
+func RowOf(p int, t *model.Task) Row { return Row{t.ID, t.Domain, int32(t.NumChoices()), int32(p)} }
 
-// RowsOf returns what inference reads of each task, in order.
+// RowsOf returns what inference reads of each task, each at its index in
+// tasks.
 func RowsOf(tasks []*model.Task) []Row {
 	rows := make([]Row, len(tasks))
 	for i, t := range tasks {
-		rows[i] = RowOf(t)
+		rows[i] = RowOf(i, t)
 	}
 	return rows
+}
+
+// byPosition returns the indexes of tasks ordered by their rows' positions.
+func byPosition(tasks []Row) []int32 {
+	order := make([]int32, len(tasks))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(tasks[a].P, tasks[b].P) })
+	return order
 }
 
 // Options configures Infer.
@@ -74,18 +93,21 @@ type Options struct {
 	// RecordDeltas retains the per-iteration Δ sequence in Result.Deltas
 	// (Figure 4(a)).
 	RecordDeltas bool
-	// Pinned maps task IDs to known ground truths (golden tasks). Pinned
-	// tasks keep a one-hot probabilistic truth throughout the iteration, so
-	// they anchor the worker-quality scale: without an anchor the EM has a
-	// mirrored fixed point per domain in which truths flip and good
-	// workers' qualities collapse toward zero.
-	Pinned map[int]int
+	// Pinned lists known ground truths (golden tasks) by ascending task
+	// position. Pinned tasks keep a one-hot probabilistic truth throughout
+	// the iteration, so they anchor the worker-quality scale: without an
+	// anchor the EM has a mirrored fixed point per domain in which truths
+	// flip and good workers' qualities collapse toward zero.
+	Pinned []Pin
 	// Unlisted counts the tasks with no answer and no pin the run covers
 	// without listing them: they move nothing, but Δ's mean counts them, so
 	// the run is the bits of one listing them. For Incremental.Reseed, a
 	// Result with Unlisted > 0 covers every task the slice leaves out.
 	Unlisted int
 }
+
+// Pin is a known ground truth: the task at position P has truth Truth.
+type Pin struct{ P, Truth int32 }
 
 // Result holds the output of Infer.
 type Result struct {
@@ -109,41 +131,28 @@ type Result struct {
 	// Deltas is the per-iteration parameter change (if recorded).
 	Deltas []float64
 
-	// pos maps the ID of every answered or pinned task to its index in the
-	// slice Infer was given, kept so that SessionStats over the same slice
-	// need not rebuild it; unlisted is Options.Unlisted.
-	pos      map[int]int
+	// rows are the tasks the result is over, row each indexed answer's row
+	// (for SessionStats) and unlisted Options.Unlisted.
+	rows     []Row
+	row      []int32
 	unlisted int
 }
 
-// answeredIndex returns a task ID -> slice index map covering at least the
-// answered tasks among tasks: the one Infer built when the result came from
-// Infer over the same slice, a fresh one over every task for a
-// hand-assembled Result.
-func (r *Result) answeredIndex(tasks []Row) map[int]int {
-	if r.pos != nil {
-		return r.pos
-	}
-	pos := make(map[int]int, len(tasks))
-	for idx, t := range tasks {
-		pos[t.ID] = idx
-	}
-	return pos
-}
-
-// Over returns the result over all, which holds every task r lists as
-// answered or pinned: those take r's state, every other task the state
-// Infer gives an unanswered one — the shared uniform matrix of its support
-// and Uniform(ℓ), read-only. Quality, Iterations and Deltas are r's.
+// Over returns the result over all, which holds every task r lists, found
+// by position: those take r's state, every other task the state Infer gives
+// an unanswered one — the shared uniform matrix of its support and
+// Uniform(ℓ), read-only. Quality, Iterations and Deltas are r's.
 func (r *Result) Over(all []Row) *Result {
 	out := &Result{S: make([][]float64, len(all)), M: make([][][]float64, len(all)), Truth: make([]int, len(all)),
 		Quality: r.Quality, Iterations: r.Iterations, Deltas: r.Deltas}
+	listed := byPosition(r.rows)
 	for i, t := range all {
-		if j, ok := r.pos[t.ID]; ok {
+		if x, ok := slices.BinarySearchFunc(listed, t.P, func(j, p int32) int { return cmp.Compare(r.rows[j].P, p) }); ok {
+			j := listed[x]
 			out.S[i], out.M[i], out.Truth[i] = r.S[j], r.M[j], r.Truth[j]
 			continue
 		}
-		rest := restStatesFor(t.R.Support(), t.Ell)
+		rest := restStatesFor(t.R.Support(), int(t.Ell))
 		out.S[i], out.M[i], out.Truth[i] = rest.uniform, rest.reseeded.mhat, mathx.ArgMax(rest.uniform)
 	}
 	return out
@@ -152,7 +161,8 @@ func (r *Result) Over(all []Row) *Result {
 // Infer runs the iterative truth-inference algorithm over the given tasks
 // and answers. Every task must carry a domain vector of size m. Tasks with
 // no answers receive a uniform probabilistic truth: the rest state a rerun
-// leaves them at, shared, not a copy each.
+// leaves them at, shared, not a copy each. A task's position is its index
+// in tasks: Options.Pinned names it so.
 //
 // The cost is a function of the answered tasks and of the domains they
 // relate to. A pinned task is one-hot and an unanswered one uniform for the
@@ -175,13 +185,79 @@ func Infer(tasks []*model.Task, answers *model.AnswerSet, m int, opt Options) (*
 			return nil, err
 		}
 	}
-	idx, _ := model.IndexLog(answers.All()) // an AnswerSet holds no repeat
+	idx, err := IndexAnswers(tasks, answers.All())
+	if err != nil {
+		return nil, err
+	}
 	return InferIndex(RowsOf(tasks), idx, m, opt)
 }
 
+// IndexAnswers indexes answers that name their tasks by ID at the tasks'
+// positions, each task's index in tasks as RowsOf lays them out: the
+// offline form of the serving core's answer log, which names a task by
+// position already. An answer's task is found by binary search over the
+// tasks in ID order — tasks itself when the IDs ascend, else an ID-sorted
+// permutation of it. Tasks repeating an ID, an answer to an ID no task has
+// (the least such ID is named), then a choice out of range (on the least
+// such task, the first in log order) and a worker answering a task twice
+// are refused.
+func IndexAnswers(tasks []*model.Task, answers []model.Answer) (*model.LogIndex, error) {
+	id := func(p int32) int { return tasks[p].ID }
+	var byID []int32 // nil while the IDs ascend
+	if !slices.IsSortedFunc(tasks, func(a, b *model.Task) int { return cmp.Compare(a.ID, b.ID) }) {
+		byID = make([]int32, len(tasks))
+		for p := range byID {
+			byID[p] = int32(p)
+		}
+		slices.SortFunc(byID, func(a, b int32) int { return cmp.Compare(id(a), id(b)) })
+	}
+	at := func(x int) int32 { // the position x'th in ID order
+		if byID == nil {
+			return int32(x)
+		}
+		return byID[x]
+	}
+	for x := 1; x < len(tasks); x++ {
+		if id(at(x)) == id(at(x-1)) {
+			return nil, fmt.Errorf("truth: duplicate task ID %d", id(at(x)))
+		}
+	}
+	var names []string
+	var cols model.Columns
+	var bad *model.Answer // the first answer choosing out of range on the least such task
+	handle, unknown, missing, badEll := map[string]int32{}, 0, false, 0
+	for i, a := range answers {
+		x, ok := sort.Find(len(tasks), func(x int) int { return cmp.Compare(a.Task, id(at(x))) })
+		if !ok {
+			if !missing || a.Task < unknown {
+				unknown, missing = a.Task, true
+			}
+			continue
+		}
+		if ell := tasks[at(x)].NumChoices(); (a.Choice < 0 || a.Choice >= ell) && (bad == nil || a.Task < bad.Task) {
+			bad, badEll = &answers[i], ell
+		}
+		h, seen := handle[a.Worker]
+		if !seen {
+			h = int32(len(names))
+			handle[a.Worker], names = h, append(names, a.Worker)
+		}
+		cols = cols.Append(h, at(x), int32(a.Choice))
+	}
+	if missing {
+		return nil, fmt.Errorf("truth: answers reference unknown task %d", unknown)
+	}
+	if bad != nil {
+		return nil, fmt.Errorf("truth: worker %q chose %d on task %d with %d choices", bad.Worker, bad.Choice, bad.Task, badEll)
+	}
+	return model.IndexColumns(names, id, cols, model.Columns{})
+}
+
 // InferIndex is Infer over an answer log read where it lies, for task rows
-// the caller has validated over m domains: a serving campaign's, which its
-// publication's decode checked once.
+// at distinct positions that the caller has validated over m domains, and
+// answers to those rows with choices in range: a serving campaign's, whose
+// publication's decode checked the rows once and whose engine took each
+// answer, or IndexAnswers'.
 func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = DefaultMaxIter
@@ -189,72 +265,43 @@ func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Resu
 	if opt.Epsilon == 0 {
 		opt.Epsilon = DefaultEpsilon
 	}
-	// pos maps task ID -> slice index for the tasks something looks up by
-	// ID: the answered and the pinned. An unanswered task is only ever
-	// reached by position.
-	answered := answers.Tasks()
-	pos := make(map[int]int, len(answered)+len(opt.Pinned))
+	for x := 1; x < len(opt.Pinned); x++ {
+		if opt.Pinned[x].P <= opt.Pinned[x-1].P {
+			return nil, fmt.Errorf("truth: pinned positions %d and %d not ascending", opt.Pinned[x-1].P, opt.Pinned[x].P)
+		}
+	}
+	// Each answer's task's row, and each pin's (−1 while none is found).
+	row := rowsOfAnswers(tasks, answers)
+	pinRow := make([]int, len(opt.Pinned))
+	for x := range pinRow {
+		pinRow[x] = -1
+	}
 	// Over the tasks that get a state of their own (answered or pinned):
 	// sLen is Σ ℓ, mRows Σ |supp r|, mLen the floats those rows hold,
 	// maxRows the largest support and wLen Σ |supp r|·|V(i)|, the weights
 	// Step 2 reads.
 	sLen, mRows, mLen, maxRows, wLen := 0, 0, 0, 0, 0
-	ascending := true
-	for idx, t := range tasks {
-		if idx > 0 && t.ID <= tasks[idx-1].ID {
-			ascending = false
+	for i, t := range tasks {
+		x, pinned := pinOf(opt.Pinned, t.P)
+		if pinned {
+			pinRow[x] = i
 		}
-		_, pinned := opt.Pinned[t.ID]
-		if v := answers.ForTask(t.ID); pinned || len(v) > 0 {
-			pos[t.ID] = idx
-			n := t.R.Support()
+		if v := answers.ForTask(t.P); pinned || len(v) > 0 {
+			n, ell := t.R.Support(), int(t.Ell)
 			mRows += n
-			mLen += n * t.Ell
+			mLen += n * ell
 			maxRows = max(maxRows, n)
 			wLen += n * len(v)
-			sLen += t.Ell
+			sLen += ell
 		}
 	}
-	if !ascending { // strictly ascending IDs cannot repeat
-		ids := make([]int, len(tasks))
-		for idx, t := range tasks {
-			ids[idx] = t.ID
+	for x, pin := range opt.Pinned {
+		i := pinRow[x]
+		if i < 0 {
+			return nil, fmt.Errorf("truth: pinned truth for unknown task position %d", pin.P)
 		}
-		sort.Ints(ids)
-		for x := 1; x < len(ids); x++ {
-			if ids[x] == ids[x-1] {
-				return nil, fmt.Errorf("truth: duplicate task ID %d", ids[x])
-			}
-		}
-	}
-	for _, id := range answered {
-		i, ok := pos[id]
-		if !ok {
-			return nil, fmt.Errorf("truth: answers reference unknown task %d", id)
-		}
-		ell := tasks[i].Ell
-		for _, p := range answers.ForTask(id) {
-			if c := answers.Choice(p); c < 0 || c >= ell {
-				return nil, fmt.Errorf("truth: worker %q chose %d on task %d with %d choices", answers.At(p).Worker, c, id, ell)
-			}
-		}
-	}
-
-	// Validate pinned truths in sorted ID order so the first-reported error
-	// is deterministic (a map-order range here would pick an arbitrary one).
-	pinnedIDs := make([]int, 0, len(opt.Pinned))
-	for id := range opt.Pinned {
-		pinnedIDs = append(pinnedIDs, id)
-	}
-	sort.Ints(pinnedIDs)
-	for _, id := range pinnedIDs {
-		truth := opt.Pinned[id]
-		i, ok := pos[id]
-		if !ok {
-			return nil, fmt.Errorf("truth: pinned truth for unknown task %d", id)
-		}
-		if truth < 0 || truth >= tasks[i].Ell {
-			return nil, fmt.Errorf("truth: pinned truth %d out of range for task %d", truth, id)
+		if pin.Truth < 0 || pin.Truth >= tasks[i].Ell {
+			return nil, fmt.Errorf("truth: pinned truth %d out of range for task %d", pin.Truth, tasks[i].ID)
 		}
 	}
 
@@ -281,7 +328,8 @@ func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Resu
 		S:        make([][]float64, len(tasks)),
 		M:        make([][][]float64, len(tasks)),
 		Truth:    make([]int, len(tasks)),
-		pos:      pos,
+		rows:     tasks,
+		row:      row,
 		unlisted: opt.Unlisted,
 	}
 	sBuf := make([]float64, sLen)
@@ -289,15 +337,15 @@ func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Resu
 	rows := make([][]float64, mRows)
 	supp := make([]int32, 0, mRows)
 	var (
-		active  = make([]activeTask, 0, len(answered))
+		active  = make([]activeTask, 0, len(answers.Tasks()))
 		taskAns = make([]taskAnswer, 0, answers.Len())
 		prevLen int // Σ ℓ over active tasks
-		// The distinct ℓ, numbered in first-seen order: ℓ -> number, and per
-		// number 1/ℓ, the shared uniform matrices by row count (fetched when
+		// The distinct ℓ, numbered in first-seen order: by ℓ, 1 + its number
+		// (0 while unseen), and per number 1/ℓ, the shared uniform matrices by row count (fetched when
 		// an unanswered task of that support first asks), float64(ℓ−1), and
 		// answersEll[d*W+w] = worker w has answered an active task of the
 		// d'th ℓ.
-		ellIdx     = make(map[int]int)
+		ellIdx     []int
 		invEll     []float64
 		rest       [][]*restStates
 		wrongDiv   []float64
@@ -305,19 +353,22 @@ func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Resu
 		maxEll     int
 	)
 	for i, t := range tasks {
-		ell := t.Ell
-		d, seen := ellIdx[ell]
-		if !seen {
+		ell := int(t.Ell)
+		for len(ellIdx) <= ell {
+			ellIdx = append(ellIdx, 0)
+		}
+		d := ellIdx[ell] - 1
+		if d < 0 {
 			d = len(rest)
-			ellIdx[ell] = d
+			ellIdx[ell] = d + 1
 			invEll = append(invEll, 1.0/float64(ell))
 			rest = append(rest, nil)
 			wrongDiv = append(wrongDiv, float64(ell-1))
 			answersEll = append(answersEll, make([]bool, len(workers))...)
 			maxEll = max(maxEll, ell)
 		}
-		pv, pinned := opt.Pinned[t.ID]
-		v := answers.ForTask(t.ID)
+		x, pinned := pinOf(opt.Pinned, t.P)
+		v := answers.ForTask(t.P)
 		if !pinned && len(v) == 0 {
 			n := t.R.Support()
 			for len(rest[d]) <= n {
@@ -353,6 +404,7 @@ func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Resu
 		}
 		res.M[i] = M
 		if pinned {
+			pv := int(opt.Pinned[x].Truth)
 			s[pv] = 1
 			for x := range M {
 				M[x][pv] = 1
@@ -379,7 +431,7 @@ func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Resu
 	for wi := range workers {
 		dw := den[wi*m : (wi+1)*m]
 		for _, p := range answers.ForWorker(wi) {
-			i := pos[answers.Task(p)]
+			i := row[p]
 			from := len(wK)
 			r := tasks[i].R
 			for k, rk := range r {
@@ -477,6 +529,26 @@ func InferIndex(tasks []Row, answers *model.LogIndex, m int, opt Options) (*Resu
 		res.Quality[w] = q[wi*m : (wi+1)*m : (wi+1)*m]
 	}
 	return res, nil
+}
+
+// pinOf returns the index in pins of the pin at position p, if any.
+func pinOf(pins []Pin, p int32) (int, bool) {
+	return slices.BinarySearchFunc(pins, p, func(pin Pin, p int32) int { return cmp.Compare(pin.P, p) })
+}
+
+// rowsOfAnswers returns, for each answer the index holds, the index in
+// tasks of its task's row, −1 for an answer to a task tasks does not list.
+func rowsOfAnswers(tasks []Row, answers *model.LogIndex) []int32 {
+	row := make([]int32, answers.Len())
+	for p := range row {
+		row[p] = -1
+	}
+	for i, t := range tasks {
+		for _, p := range answers.ForTask(t.P) {
+			row[p] = int32(i)
+		}
+	}
+	return row
 }
 
 // activeTask is an answered, unpinned task: the only kind the loop visits.

@@ -107,8 +107,9 @@ func TestStep2WorkedExample(t *testing.T) {
 	if err := as.Add(model.Answer{Worker: "w1", Task: 2, Choice: 0}); err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{S: [][]float64{{0.95, 0.05}, {0.3, 0.7}}}
-	stats := SessionStats(RowsOf(tasks), indexed(t, as), res, 2) // w1 alone: stats[0]
+	rows, idx := RowsOf(tasks), indexed(t, tasks, as)
+	res := &Result{S: [][]float64{{0.95, 0.05}, {0.3, 0.7}}, row: rowsOfAnswers(rows, idx)}
+	stats := SessionStats(rows, idx, res, 2) // w1 alone: stats[0]
 	got := stats[0].Q[1]
 	want := (0.9*0.95 + 0.05*0.3) / (0.9 + 0.05)
 	if math.Abs(got-want) > 1e-9 {

@@ -79,7 +79,12 @@ import (
 // import: it is the one caller of wal.ScanSegment outside internal/wal. A
 // task's truth state has one builder: only the engine's materialise makes
 // or registers an incTask, so a latent task holds nothing, and the lease
-// table has no per-task map (leaseTable.counts). A published task is known
+// table has no per-task map (leaseTable.counts). A task has one address
+// below the core, its publication position: no field of the truth engine's
+// Incremental or incTask, of truth's Options or Result, of model's LogIndex
+// or of core's System, candidateIndex or leaseTable is a map keyed by an
+// integer, directly or inside a type it holds by value or as an element. A
+// published task is known
 // by its publication position: no field of core's System, Batch,
 // taskOrder, candidateIndex or leaseTable is a map keyed by an int, so the
 // ID order the publication's decode builds stays the one task ID →
@@ -637,9 +642,9 @@ func TestOneReaderOneWriter(t *testing.T) {
 
 	// A task's truth state is built on one path: only the engine's
 	// materialise makes an incTask — a literal, new(incTask) or a slab of
-	// them — or enters one in the task map. A latent task holds nothing,
-	// and the lease table keeps its counters by publication position, not
-	// in a map of its own (leaseTable.counts).
+	// them — or enters one in the engine's list of them (made). A latent
+	// task holds nothing, and the lease table keeps its counters by
+	// publication position, not in a map of its own (leaseTable.counts).
 	builds := 0
 	funcNodes(t, fset, "internal/truth/*.go", func(fn *ast.FuncDecl, n ast.Node) {
 		var site ast.Node
@@ -656,7 +661,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if ix, ok := lhs.(*ast.IndexExpr); ok && types.ExprString(ix.X) == "inc.tasks" {
+				if types.ExprString(lhs) == "inc.made" {
 					site = n
 				}
 			}
@@ -730,6 +735,56 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 	if held != 3 {
 		t.Errorf("checked %d structs for held answers, want 3: the check no longer sees them", held)
+	}
+
+	// A task has one address below the core, its publication position: no
+	// field of these types is a map keyed by an integer, directly or inside
+	// a type it holds by value or as an element (of a slice, an array or a
+	// map), such as the engine's task map, a rerun's ID -> index map and
+	// pinned truths, and the answer index's ID -> group map were.
+	var intKeyed func(t types.Type, seen map[types.Type]bool) bool
+	intKeyed = func(t types.Type, seen map[types.Type]bool) bool {
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Map:
+			key, ok := u.Key().Underlying().(*types.Basic)
+			return (ok && key.Info()&types.IsInteger != 0) || intKeyed(u.Elem(), seen)
+		case *types.Slice:
+			return intKeyed(u.Elem(), seen)
+		case *types.Array:
+			return intKeyed(u.Elem(), seen)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if intKeyed(u.Field(i).Type(), seen) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	addressed := 0
+	for _, pkg := range prog.Packages {
+		names := map[string][]string{
+			"docs/internal/truth": {"Incremental", "incTask", "Options", "Result"},
+			"docs/internal/model": {"LogIndex"},
+			"docs/internal/core":  {"System", "candidateIndex", "leaseTable"},
+		}[pkg.Path]
+		for _, name := range names {
+			addressed++
+			st := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); intKeyed(f.Type(), map[types.Type]bool{}) {
+					t.Errorf("%s: %s.%s is a %s, which holds a map keyed by an integer: a task below the core is found by its position",
+						prog.Fset.Position(f.Pos()), name, f.Name(), f.Type())
+				}
+			}
+		}
+	}
+	if addressed != 8 {
+		t.Errorf("checked %d structs for integer-keyed maps, want 8: the check no longer sees them", addressed)
 	}
 
 	// A worker's serving state has one address, their truth-engine handle:
