@@ -61,10 +61,11 @@ func codecStats(id string, st *truth.Stats) snapshot.WorkerStats {
 
 // checkSnapshot holds a snapshot against the publication the replay has
 // just installed and returns the install the replay runs when it reaches
-// snap.Seq: every task state for a known non-golden task, at most once, with
-// the rows of its support and one column per choice; every worker at most
-// once, with valid statistics. It changes nothing, so a refused snapshot
-// leaves a full replay to carry on.
+// snap.Seq: every task state for a known non-golden task, in ascending ID
+// order as ExportTasks writes them (so at most once), with the rows of its
+// support and one column per choice; every worker at most once, with valid
+// statistics. It changes nothing, so a refused snapshot leaves a full replay
+// to carry on.
 func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install func(), err error) {
 	if snap.M != s.m {
 		return nil, fmt.Errorf("core: snapshot holds statistics over %d domains, want %d", snap.M, s.m)
@@ -76,13 +77,13 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 	order, golden := s.taskOrder, s.golden
 	s.mu.RUnlock()
 	ci := s.index.Load()
-	seen := make(map[int]bool, len(snap.TaskStates))
+	prev := -1 // task IDs are non-negative
 	for _, ts := range snap.TaskStates {
 		p, ok := order.position(ts.ID)
-		if !ok || golden[p] || seen[ts.ID] {
-			return nil, fmt.Errorf("core: snapshot state for unknown, golden or repeated task %d", ts.ID)
+		if !ok || golden[p] || ts.ID <= prev {
+			return nil, fmt.Errorf("core: snapshot state for unknown, golden, repeated or out-of-order task %d", ts.ID)
 		}
-		seen[ts.ID] = true
+		prev = ts.ID
 		t := ci.row(p)
 		// The codec guarantees every M̂ row is len(S) long. Which domains
 		// the rows stand for is the publication's to say: a row count that

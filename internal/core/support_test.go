@@ -158,7 +158,8 @@ var supportConfig = Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunE
 // support's cannot be indexed. Both ways round — all 26 rows for a task of
 // support 1 (what the DOCSSNP3 layout held), one row for a task of support
 // 2 — the boot refuses the snapshot when the publish record applies, says
-// why and replays the whole log to the same state.
+// why and replays the whole log to the same state. So it does for task
+// states whose IDs do not ascend: one listed twice, or two swapped.
 func TestSnapshotRowsMustMatchSupport(t *testing.T) {
 	dir, image, want := supportCampaign(t, supportConfig)
 	reshape := func(support int, rows func(ts *snapshot.TaskState, m int)) []byte {
@@ -179,19 +180,44 @@ func TestSnapshotRowsMustMatchSupport(t *testing.T) {
 		t.Fatalf("no task state of support %d in the snapshot", support)
 		return nil
 	}
-	cases := map[string][]byte{
-		"26 rows for a support-1 task": reshape(1, func(ts *snapshot.TaskState, m int) {
+	reorder := func(states func([]snapshot.TaskState) []snapshot.TaskState) []byte {
+		st, err := snapshot.Decode(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.TaskStates) < 2 {
+			t.Fatalf("%d task states in the snapshot, want two at least", len(st.TaskStates))
+		}
+		st.TaskStates = states(st.TaskStates)
+		out, err := snapshot.Encode(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	cases := map[string]struct {
+		data []byte
+		why  string
+	}{
+		"26 rows for a support-1 task": {reshape(1, func(ts *snapshot.TaskState, m int) {
 			for len(ts.MHat) < m {
 				ts.MHat = append(ts.MHat, ts.MHat[0])
 			}
-		}),
-		"1 row for a support-2 task": reshape(2, func(ts *snapshot.TaskState, m int) { ts.MHat = ts.MHat[:1] }),
+		}), "support"},
+		"1 row for a support-2 task": {reshape(2, func(ts *snapshot.TaskState, m int) { ts.MHat = ts.MHat[:1] }), "support"},
+		"a task state listed twice": {reorder(func(ts []snapshot.TaskState) []snapshot.TaskState {
+			return append([]snapshot.TaskState{ts[0]}, ts...)
+		}), "repeated or out-of-order"},
+		"two task states swapped": {reorder(func(ts []snapshot.TaskState) []snapshot.TaskState {
+			ts[0], ts[1] = ts[1], ts[0]
+			return ts
+		}), "repeated or out-of-order"},
 	}
-	for name, data := range cases {
-		if err := os.WriteFile(filepath.Join(dir, snapshot.FileName), data, 0o644); err != nil {
+	for name, c := range cases {
+		if err := os.WriteFile(filepath.Join(dir, snapshot.FileName), c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := snapshot.Decode(data); err != nil {
+		if _, err := snapshot.Decode(c.data); err != nil {
 			t.Fatalf("%s: the codec refused it; the boot's check was not reached: %v", name, err)
 		}
 		s := newSystem(t, supportConfig)
@@ -199,7 +225,7 @@ func TestSnapshotRowsMustMatchSupport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if info.SnapshotUsed || !strings.Contains(info.SnapshotRejected, "support") {
+		if info.SnapshotUsed || !strings.Contains(info.SnapshotRejected, c.why) {
 			t.Fatalf("%s: used %v, rejected %q", name, info.SnapshotUsed, info.SnapshotRejected)
 		}
 		if got := s.Fingerprint(); got != want {

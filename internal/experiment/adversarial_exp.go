@@ -151,12 +151,11 @@ func accuracyPop(seed uint64, sz accSizes, adv crowd.Adversarial) (*crowd.Popula
 // archetype models).
 func goldenProfile(pop *crowd.Population, golden []*model.Task, m int) (map[string]model.QualityVector, map[string]*truth.Stats) {
 	ga := crowd.AnswerGolden(golden, pop)
-	initQ := truth.InitQualityFromGolden(golden, ga, m)
 	stats := make(map[string]*truth.Stats, len(ga))
 	for w, as := range ga {
 		stats[w] = truth.EstimateFromGolden(golden, as, m)
 	}
-	return initQ, stats
+	return qualityOf(stats), stats
 }
 
 type accCell struct {

@@ -13,6 +13,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -181,11 +182,11 @@ func Prepare(name string, opt Options) (*Prepared, error) {
 	p.Pop = pop
 
 	p.GoldenAnswers = crowd.AnswerGolden(p.Golden, pop)
-	p.InitQuality = truth.InitQualityFromGolden(p.Golden, p.GoldenAnswers, m)
 	p.InitStats = make(map[string]*truth.Stats, len(p.GoldenAnswers))
 	for w, as := range p.GoldenAnswers {
 		p.InitStats[w] = truth.EstimateFromGolden(p.Golden, as, m)
 	}
+	p.InitQuality = qualityOf(p.InitStats)
 
 	if !opt.SkipCollect {
 		p.Answers, err = crowd.Collect(p.Main, pop, opt.AnswersPerTask)
@@ -194,6 +195,16 @@ func Prepare(name string, opt Options) (*Prepared, error) {
 		}
 	}
 	return p, nil
+}
+
+// qualityOf is the Options.InitQuality map of golden estimates: each
+// worker's Q, copied so that nothing the two maps are handed to shares it.
+func qualityOf(stats map[string]*truth.Stats) map[string]model.QualityVector {
+	out := make(map[string]model.QualityVector, len(stats))
+	for w, st := range stats {
+		out[w] = slices.Clone(st.Q)
+	}
+	return out
 }
 
 // ScalarInit averages a quality vector into the scalar reliability the

@@ -16,7 +16,7 @@ var (
 	// codeSpan matches an inline code span, and testName and repoPath the
 	// references inside one that TestDocReferencesResolve checks.
 	codeSpan = regexp.MustCompile("`([^`]+)`")
-	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
 	repoPath = regexp.MustCompile(`(?:\./)?internal/[\w./-]*`)
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 )
@@ -88,11 +88,12 @@ func TestMarkdownLinks(t *testing.T) {
 }
 
 // TestDocReferencesResolve fails on a stale name in the design documents:
-// docs/*.md and the two READMEs (the repository's and docs-server's). Every
-// test, fuzz target or benchmark named in a code span must be a func in
-// some _test.go — by its full name, or as the prefix a -run pattern selects
-// — and every internal/... path in one must exist. A test renamed or
-// deleted, or a file moved, without the prose that cites it fails here.
+// docs/*.md, the two READMEs (the repository's and docs-server's) and the
+// verify skill. Every test, fuzz target or benchmark named in a code span
+// must be a func in some _test.go by its exact name — TestX* names every
+// func with the prefix TestX, at least one — and every internal/... path in
+// one must exist. A test renamed or deleted, or a file moved, without the
+// prose that cites it fails here.
 func TestDocReferencesResolve(t *testing.T) {
 	var funcs []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -115,8 +116,9 @@ func TestDocReferencesResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := func(name string) bool {
+		prefix, wild := strings.CutSuffix(name, "*")
 		for _, f := range funcs {
-			if strings.HasPrefix(f, name) {
+			if f == name || wild && strings.HasPrefix(f, prefix) {
 				return true
 			}
 		}
@@ -127,7 +129,8 @@ func TestDocReferencesResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	tests, paths := 0, 0
-	for _, f := range append(files, "README.md", filepath.Join("cmd", "docs-server", "README.md")) {
+	for _, f := range append(files, "README.md", filepath.Join("cmd", "docs-server", "README.md"),
+		filepath.Join(".claude", "skills", "verify", "SKILL.md")) {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
