@@ -32,11 +32,11 @@
 // snapshots of the truth-inference state: a snapshot is published
 // atomically after every accepted answer, so a concurrent Request sees a
 // consistent (possibly one-answer-stale) view and never blocks ingest.
-// Answer ingest itself takes only per-task and per-worker locks, so
-// answers to different tasks are processed in parallel.
+// Every mutation is applied by the campaign's one writer goroutine, in
+// arrival order, through the path a recovery replays the log with.
 //
 // The periodic full re-inference (Config.RerunEvery) runs synchronously on
-// the submitting goroutine by default — serial callers get exactly
+// the writer by default — serial callers get exactly
 // reproducible campaigns. Setting Config.AsyncRerun moves it to a
 // background worker that infers over a snapshot of the answer log and
 // swaps the result in atomically per task (skipping tasks that received

@@ -1,26 +1,27 @@
-// Batched answer submission: N answers applied one by one through the
-// ordinary Submit path but committed as ONE WAL record — one write and at
-// most one fsync per batch instead of per answer.
+// Batched answer submission: N answers checked one by one as Submit checks
+// them but committed as ONE WAL record — one write and at most one fsync
+// per batch instead of per answer.
 //
 // The contract has three parts, and the tests hold all of them at once:
 //
-//   - Equivalence: every item runs the exact per-answer sequence Submit
-//     runs (validation, ingest, chronological log append, rerun
-//     cadence), so the resulting state is bit-identical to the
-//     same stream submitted individually (TestBatchSubmitEquivalence).
-//   - Isolation: items are validated independently; a rejected item gets
-//     its own status and never poisons its neighbors. Only accepted
+//   - Equivalence: the writer applies the group record through the one
+//     answer-application path (submitOne), item by item, as its replay
+//     does, so the resulting state is bit-identical to the same stream
+//     submitted individually (TestBatchSubmitEquivalence).
+//   - Isolation: items are validated independently, each against the
+//     campaign and the items the group holds before it; a rejected item
+//     gets its own status and never poisons its neighbors. Only accepted
 //     regular answers enter the group record, so replay re-accepts every
 //     logged item.
 //   - Atomicity: the group is one frame. Under the WAL's torn-tail rule a
 //     crash either keeps the whole group or drops the whole group — never
 //     a prefix of it (the batched crash-injection variant asserts this).
 //
-// Golden answers split the group: their durability must still precede the
-// profiling merge (see Submit), so a golden item flushes the accumulated
+// Golden answers split the group: a golden item flushes the accumulated
 // group and then commits its own KindAnswer record, exactly as in
-// single-submit mode. Steady-state traffic from profiled workers is all
-// regular and pays one record per batch.
+// single-submit mode, so the group precedes it in the log as in memory.
+// Steady-state traffic from profiled workers is all regular and pays one
+// record per batch.
 package core
 
 import (
@@ -44,41 +45,54 @@ type BatchStatus struct {
 	Err string // rejection reason, empty when OK
 }
 
-// batchGroup accumulates the accepted regular answers that have been
-// applied in memory but not yet reserved in the log, already in the columns
-// their record will hold. It is local to one SubmitBatch call; appends
-// happen under logMu (see submitOne) so the group's internal order equals
-// the chronological log order.
+// batchGroup accumulates the checked regular answers of one SubmitBatch
+// call that are not yet logged, already in the columns their record will
+// hold, and the position of each in the call's items.
 type batchGroup struct {
-	cols wal.ColumnBuilder
+	cols  wal.ColumnBuilder
+	items []int
 }
 
-// flush reserves the accumulated answers as one KindBatch record and waits
-// for its group-commit batch. No-op when the group is empty; with no WAL
-// armed the record goes nowhere (walReserve returns a zero Pending and
-// walCommit ignores it). This is the one place a group record comes to be,
-// so it is where the batch counters count: one batch per record, and the
-// answers inside it — what a replay of the log counts again.
-func (g *batchGroup) flush(s *System) error {
-	n := g.cols.Len()
-	if n == 0 {
-		return nil
+// holds reports whether the group holds the worker's answer to the task.
+func (g *batchGroup) holds(workerID string, taskID int) bool {
+	for i, t := range g.cols.T {
+		if t == taskID && g.cols.Workers[g.cols.W[i]] == workerID {
+			return true
+		}
 	}
-	blob, err := wal.EncodeBatch(nil, &g.cols.Columns)
-	g.cols = wal.ColumnBuilder{}
-	if err != nil {
-		return fmt.Errorf("core: %w: %v", ErrDurability, err)
-	}
-	s.logMu.Lock()
-	p, err := s.walReserve(wal.Record{Kind: wal.KindBatch, Blob: blob})
-	s.logMu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.batches.Add(1)
-	s.batchAnswers.Add(int64(n))
-	return s.walCommit(p)
+	return false
 }
+
+// flush logs the group as one KindBatch record and applies it, on the
+// writer; an item whose apply fails (a synchronous rerun at its place)
+// gets the failure as its status. No-op when the group is empty.
+func (g *batchGroup) flush(s *System, statuses []BatchStatus) (wal.Pending, error) {
+	if g.cols.Len() == 0 {
+		return wal.Pending{}, nil
+	}
+	cols := g.cols.Columns
+	blob, err := wal.EncodeBatch(nil, &cols)
+	items := g.items
+	g.cols, g.items = wal.ColumnBuilder{}, nil
+	if err != nil {
+		return wal.Pending{}, fmt.Errorf("core: %w: %v", ErrDurability, err)
+	}
+	p, err := s.commit(&entry{Record: wal.Record{Kind: wal.KindBatch, Blob: blob}, cols: &cols})
+	if ie := (*itemError)(nil); errors.As(err, &ie) {
+		statuses[items[ie.item]] = BatchStatus{Err: ie.err.Error()}
+		err = nil
+	}
+	return p, err
+}
+
+// itemError is the first item of a batch record that failed to apply.
+type itemError struct {
+	item int
+	err  error
+}
+
+func (e *itemError) Error() string { return fmt.Sprintf("item %d: %v", e.item+1, e.err) }
+func (e *itemError) Unwrap() error { return e.err }
 
 // SubmitBatch records up to len(items) answers, validating each item
 // independently and committing all accepted regular answers as one WAL
@@ -91,19 +105,52 @@ func (s *System) SubmitBatch(items []BatchItem) ([]BatchStatus, error) {
 		return nil, nil
 	}
 	statuses := make([]BatchStatus, len(items))
+	var p wal.Pending
+	var err error
+	s.do(func() { p, err = s.submitBatch(items, statuses) })
+	if err == nil {
+		err = s.walCommit(p)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return statuses, nil
+}
+
+// submitBatch checks, logs and applies a batch's items on the writer and
+// returns the reservation of the last record it logged.
+func (s *System) submitBatch(items []BatchItem, statuses []BatchStatus) (last wal.Pending, err error) {
 	var g batchGroup
+	logged := func(p wal.Pending, err error) error {
+		if p.Seq() > last.Seq() {
+			last = p
+		}
+		return err
+	}
 	for i, it := range items {
-		if err := s.submitOne(it.Worker, it.Task, it.Choice, &g); err != nil {
-			if errors.Is(err, ErrDurability) {
-				return nil, err
+		_, golden, err := s.check(it.Worker, it.Task, it.Choice)
+		switch {
+		case err != nil:
+		case golden:
+			if err = logged(g.flush(s, statuses)); err == nil {
+				err = logged(s.commit(&entry{Record: wal.Record{Kind: wal.KindAnswer, Worker: it.Worker, Task: it.Task, Choice: it.Choice}}))
 			}
+		case g.holds(it.Worker, it.Task):
+			err = fmt.Errorf("truth: worker %q already answered task %d", it.Worker, it.Task)
+		default:
+			if err = logged(s.seedFromStore(it.Worker)); err == nil {
+				g.cols.Add(it.Worker, it.Task, it.Choice)
+				g.items = append(g.items, i)
+			}
+		}
+		if errors.Is(err, ErrDurability) {
+			return last, err
+		}
+		if err != nil {
 			statuses[i].Err = err.Error()
 			continue
 		}
 		statuses[i].OK = true
 	}
-	if err := g.flush(s); err != nil {
-		return nil, err
-	}
-	return statuses, nil
+	return last, logged(g.flush(s, statuses))
 }

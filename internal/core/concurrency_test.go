@@ -174,7 +174,7 @@ func TestConcurrentAsyncRerun(t *testing.T) {
 	}
 	hammer(t, s, 8, 0.9, nil)
 	// Drain the pending rerun (if any) deterministically, then check state.
-	if err := s.runRerun(); err != nil {
+	if err := s.rerun(s.do); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -350,11 +350,13 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 // goldenAnswers returns every worker's golden answers as a rerun reads
 // them: in worker-name order, each worker's in the order they gave them.
 func goldenAnswers(s *System) []model.Answer {
-	tail, _ := s.goldenTail(s.goldenList)
+	c := s.pub.Load()
+	var tail model.Columns
+	s.do(func() { tail, _ = s.goldenTail(c.goldenList) })
 	names := s.inc.Names()
 	out := make([]model.Answer, tail.Len())
 	for i := range out {
-		out[i] = model.Answer{Worker: names[tail.Worker[i]], Task: s.ids[tail.Task[i]], Choice: int(tail.Choice[i])}
+		out[i] = model.Answer{Worker: names[tail.Worker[i]], Task: c.ids[tail.Task[i]], Choice: int(tail.Choice[i])}
 	}
 	return out
 }

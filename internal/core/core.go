@@ -12,23 +12,18 @@
 //
 // # Concurrency model
 //
-// The system serves Request, Submit and Result concurrently. The campaign
-// structure (tasks, golden set) is guarded by an RWMutex that is only
-// write-locked during Publish; per-worker serving state (golden answers,
-// profiling, anchors) lives in a slab indexed by the worker's truth-engine
-// handle, each entry under a lock of its own, so workers do not contend
-// with each other; answer ingest goes through the truth engine's per-task
-// locks; and reads (Request, Result, WorkerQuality) are served from the
-// truth engine's immutable snapshots without blocking writers. Assignment
-// candidates come from a live index of the open-task set (maintained
-// incrementally as answers arrive, published as an epoch-versioned
-// immutable array — see index.go) rather than a per-request scan over all
-// tasks, and Config.LeaseTTL bounds outstanding assignments per task and
-// per worker (see lease.go). The periodic
-// batch re-inference runs synchronously on the Submit path by default
-// (preserving the seed's deterministic serial behavior) or, with
-// Config.AsyncRerun, on a background worker that infers over an answer-log
-// snapshot and swaps the result back in atomically per task.
+// The system serves Request, Submit and Result concurrently. Every mutation
+// is applied by the campaign's one writer goroutine, in arrival order and
+// through the function a boot replays the log with (see writer.go), so the
+// live state is the serial replay of the log. Reads (Request, Result,
+// WorkerQuality) load what the writer publishes — the campaign's task set,
+// the truth engine's immutable task views, an epoch-versioned array of the
+// open tasks (index.go) — without waiting for it. Config.LeaseTTL bounds
+// outstanding assignments per task and per worker (lease.go). The periodic
+// batch re-inference runs on the writer by default (the seed's
+// deterministic serial behavior) or, with Config.AsyncRerun, on a
+// background worker that infers over a prefix of the answer log and hands
+// the writer the swap.
 package core
 
 import (
@@ -114,13 +109,22 @@ type Config struct {
 // campaigns, and a time-of-rerun store read is exactly the kind of
 // unlogged float input that made recovered state drift from live state.
 // The regular tasks she answered, T(w), are no set of hers: the answer log
-// holds them, and Request reads them off each task's V(i). Their golden
-// answers and their profiling serialize on mu.
+// holds them, and Request reads them off each task's V(i). Only the writer
+// writes it; Request loads the golden answers and the profiled flag, and
+// the anchor is the writer's alone.
 type workerState struct {
-	mu       sync.Mutex
-	golden   []goldenAnswer // in the order she gave them
-	profiled bool
+	golden   atomic.Pointer[[]goldenAnswer] // in the order she gave them; never appended in place
+	profiled atomic.Bool
 	anchor   *truth.Stats
+}
+
+// goldenAnswers returns the worker's golden answers, in the order she gave
+// them.
+func (ws *workerState) goldenAnswers() []goldenAnswer {
+	if g := ws.golden.Load(); g != nil {
+		return *g
+	}
+	return nil
 }
 
 // goldenAnswer is one golden answer as its worker's state holds it: the
@@ -131,33 +135,35 @@ type goldenAnswer struct{ p, choice int32 }
 // ID and the truth its requester gave.
 type goldenTask struct{ p, id, truth int }
 
+// campaign is a published task set, immutable once installed. A published
+// task is known by its publication position, which taskOrder finds from its
+// ID: the task table, golden and the candidate index are indexed by it. Its
+// vector and ℓ are its rest state's.
+type campaign struct {
+	taskTable
+	taskOrder
+	golden     []bool       // by position: the task serves as a golden task
+	goldenList []goldenTask // golden tasks in publication order
+	// ci is the live candidate index: the open-task set in publication
+	// order, maintained incrementally as answers arrive and published as an
+	// epoch-versioned immutable array; nil before the publication.
+	ci *candidateIndex
+}
+
 // System is a running DOCS campaign.
 type System struct {
-	// mu guards the campaign structure: it is write-locked only by Publish;
-	// every serving path takes the read side.
-	mu sync.RWMutex
-
 	kb     *kb.KB
 	linker *entitylink.Linker
 	m      int
 	store  *store.Store
 	cfg    Config
 
-	// A published task is known by its publication position, which
-	// taskOrder finds from its ID: the task table, golden and the candidate
-	// index are indexed by it. Its vector and ℓ are its rest state's.
-	taskTable
-	taskOrder
-	golden     []bool       // by position: the task serves as a golden task
-	goldenList []goldenTask // golden tasks in publication order
+	// pub is the published task set: an empty one until the publication
+	// installs, never nil.
+	pub atomic.Pointer[campaign]
 
 	inc *truth.Incremental
 
-	// index is the live candidate index: the open-task set in publication
-	// order, maintained incrementally as answers arrive and published as an
-	// epoch-versioned immutable array (built once by Publish; atomic so
-	// stats and pre-publish requests race-freely observe "no index yet").
-	index atomic.Pointer[candidateIndex]
 	// leases tracks outstanding assignments when Config.LeaseTTL is set
 	// (nil otherwise). Created in New, before serving.
 	leases *leaseTable
@@ -168,13 +174,15 @@ type System struct {
 	// it without a lock. Set in New, never nil.
 	workers atomic.Pointer[[]*workerState]
 
-	// logMu guards the chronological log of regular answers — the only
-	// globally ordered write structure left on the Submit path — and, when a
-	// WAL is armed, the WAL reservation that must share its order. The log
-	// is the one holder of a regular answer, as columns: the worker's handle
+	// log is the chronological log of regular answers, the writer's alone:
+	// the one holder of a regular answer, as columns — the worker's handle
 	// in the truth engine, the task's publication position, the choice.
-	logMu sync.Mutex
-	log   model.Columns
+	log model.Columns
+
+	// ops carries calls to the writer goroutine (write), which runs until
+	// halt closes and then closes halted.
+	ops          chan *call
+	halt, halted chan struct{}
 
 	// wal fields are written once by Recover, before serving starts.
 	wal        *wal.Log
@@ -215,8 +223,10 @@ type System struct {
 	rerunFrom int64
 	covered   bool
 
-	rerunMu   sync.Mutex // serializes batch re-inference runs
-	resultsMu sync.Mutex // serializes Results
+	// resultsMu serializes Results from its prefix to its last store write,
+	// so an earlier prefix's sessions never land over a later one's. The
+	// store writes run off the writer, which they would stall.
+	resultsMu sync.Mutex
 	// rerunFault, when set (tests only), is invoked at the top of every
 	// rerun attempt; a non-nil return fails the rerun — the seam the
 	// failed-rerun regression test injects through.
@@ -283,7 +293,10 @@ func New(cfg Config) (*System, error) {
 		//docs:allow clock serving-age anchor for the /stats rate; reporting only, never durable
 		since: time.Now(),
 	}
+	s.pub.Store(new(campaign))
 	s.workers.Store(new([]*workerState))
+	s.ops, s.halt, s.halted = make(chan *call), make(chan struct{}), make(chan struct{})
+	go s.write()
 	if cfg.LeaseTTL > 0 {
 		s.leases = newLeaseTable(cfg.LeaseTTL, cfg.Clock)
 	}
@@ -291,7 +304,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.AsyncRerun && cfg.RerunEvery > 0 {
 		s.wg.Add(1)
 		go s.worker(s.rerunCh, func() {
-			if err := s.runRerun(); err != nil {
+			if err := s.rerun(s.do); err != nil {
 				s.rerunErrs.Add(1)
 			}
 		})
@@ -304,12 +317,22 @@ func New(cfg Config) (*System, error) {
 // shutdown loses nothing regardless of sync policy. The store stays open:
 // its owner may share it. Serving methods must not be called after Close.
 func (s *System) Close() error {
-	s.closed.Do(func() { close(s.quit) })
-	s.wg.Wait()
+	s.stop()
 	if s.wal == nil {
 		return nil
 	}
 	return s.wal.Close()
+}
+
+// stop ends the background rerun worker — a pending nudge runs first — and
+// then the writer, which that last pass may still call.
+func (s *System) stop() {
+	s.closed.Do(func() {
+		close(s.quit)
+		s.wg.Wait()
+		close(s.halt)
+		<-s.halted
+	})
 }
 
 // worker is the background rerun loop: run pass once per nudge until the
@@ -343,27 +366,23 @@ func (s *System) stateOf(workerID string) *workerState {
 }
 
 // stateFor returns the worker's serving state, interning them and growing
-// the slab to their handle if need be. Only a path the log records calls it
-// — a golden answer, a seed, a profile — so replay mints the handles the
-// live run did, and a request grows nothing. The slab at least doubles,
-// into a fresh array, so a reader's copy is never written.
+// the slab to their handle if need be. Only a record's apply calls it — a
+// golden answer, a seed, a profile — so replay mints the handles the live
+// run did, and a request grows nothing. The slab at least doubles, into a
+// fresh array, so a reader's copy is never written. On the writer.
 func (s *System) stateFor(workerID string) *workerState {
 	h := s.inc.Intern(workerID)
-	for {
-		old := s.workers.Load()
-		slab := *old
-		if int(h) < len(slab) {
-			return slab[h]
-		}
-		grown := make([]*workerState, max(int(h)+1, 2*len(slab)))
-		copy(grown, slab)
-		for i := len(slab); i < len(grown); i++ {
-			grown[i] = new(workerState)
-		}
-		if s.workers.CompareAndSwap(old, &grown) {
-			return grown[h]
-		}
+	slab := *s.workers.Load()
+	if int(h) < len(slab) {
+		return slab[h]
 	}
+	grown := make([]*workerState, max(int(h)+1, 2*len(slab)))
+	copy(grown, slab)
+	for i := len(slab); i < len(grown); i++ {
+		grown[i] = new(workerState)
+	}
+	s.workers.Store(&grown)
+	return grown[h]
 }
 
 // byName returns the handles of names in worker-name order, the order
@@ -496,10 +515,11 @@ func CheckEach(n, m int, task func(i int) model.Task) (*Batch, error) {
 // Publish runs DVE over the tasks, selects golden tasks among those with
 // ground truth, and opens the campaign. Tasks without a precomputed Domain
 // get one from the DVE pipeline (entity linking + Algorithm 1); tasks the
-// requester already annotated keep their vector. DVE runs on every core, the
-// durable record's packing streams behind it (linkAndPack), and golden
-// selection and the install run beside the rest of the pack; a pack failure
-// then is ErrDurability.
+// requester already annotated keep their vector. DVE runs on every core and
+// the durable record's packing streams behind it (linkAndPack); the
+// publication is checked beside the rest of the pack, and the writer logs
+// and installs it once the record is whole. A pack failure is
+// ErrDurability.
 func (s *System) Publish(tasks []*model.Task) error {
 	b, err := CheckTasks(tasks, s.m)
 	if err != nil {
@@ -514,9 +534,7 @@ func (s *System) Publish(tasks []*model.Task) error {
 // checks it, so a published campaign and a woken one hold the same bytes and
 // accept the same records.
 func (s *System) PublishBatch(b *Batch) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ids) > 0 {
+	if s.Published() {
 		return fmt.Errorf("core: tasks already published")
 	}
 	// The whole batch is validated (CheckEach) before any campaign state
@@ -542,45 +560,29 @@ func (s *System) PublishBatch(b *Batch) error {
 	if err == nil {
 		err = pub.check(s.m)
 	}
+	blob, packErr := record()
 	if err != nil {
-		record() // a publication that fails to install is never logged
-		return err
+		return err // a publication that fails its check is never logged
 	}
-	s.installPublication(pub)
-	blob, err := record()
-	if err != nil {
-		return fmt.Errorf("core: %w: publication record: %v", ErrDurability, err)
+	if packErr != nil {
+		return fmt.Errorf("core: %w: publication record: %v", ErrDurability, packErr)
 	}
 
 	// Log the publication — tasks with their DVE-computed domain vectors —
 	// so recovery does not depend on re-running entity linking against a
-	// possibly different knowledge-base build. Campaign structure is
-	// settled at this point; a failure below only voids durability.
-	if s.wal != nil {
-		s.logMu.Lock()
-		p, err := s.walReserve(wal.Record{Kind: wal.KindPublish, Blob: blob})
-		s.logMu.Unlock()
-		if err != nil {
-			return err
+	// possibly different knowledge-base build.
+	var p wal.Pending
+	s.do(func() {
+		if s.Published() {
+			err = fmt.Errorf("core: tasks already published")
+			return
 		}
-		return s.walCommit(p)
-	}
-	return nil
-}
-
-// publishDecoded makes a replayed publication the campaign's task set,
-// once it holds every task to what a publish held its batch to.
-func (s *System) publishDecoded(pub *publication) error {
-	if err := pub.check(s.m); err != nil {
+		p, err = s.commit(&entry{Record: wal.Record{Kind: wal.KindPublish, Blob: blob}, pub: pub})
+	})
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ids) > 0 {
-		return fmt.Errorf("core: tasks already published")
-	}
-	s.installPublication(pub)
-	return nil
+	return s.walCommit(p)
 }
 
 // installPublication makes a decoded publication the campaign's task set —
@@ -592,8 +594,8 @@ func (s *System) publishDecoded(pub *publication) error {
 // and, with leases armed, gets its lease counter there, before serving can
 // observe the campaign. Every task's rest state holds its vector and ℓ. A
 // task enters the truth engine latent: it holds nothing there until its
-// first answer materialises it (materialise), and reads its rest state.
-// Callers hold s.mu.
+// first answer materialises it (materialise), and reads its rest state. On
+// the writer.
 func (s *System) installPublication(pub *publication) {
 	n := len(pub.ids)
 	rests := make([]*truth.Rest, n)
@@ -608,7 +610,8 @@ func (s *System) installPublication(pub *publication) {
 			truthPos = append(truthPos, p)
 		}
 	}
-	golden := make([]bool, n)
+	c := &campaign{taskTable: pub.taskTable, taskOrder: pub.taskOrder, golden: make([]bool, n)}
+	golden := c.golden
 	if k := s.cfg.GoldenCount; k > 0 && len(withTruth) > 0 {
 		cands := make([]*model.Task, len(withTruth))
 		for i := range withTruth {
@@ -619,23 +622,22 @@ func (s *System) installPublication(pub *publication) {
 		}
 		for i, p := range truthPos {
 			if golden[p] {
-				s.goldenList = append(s.goldenList, goldenTask{p, pub.ids[p], withTruth[i].Truth})
+				c.goldenList = append(c.goldenList, goldenTask{p, pub.ids[p], withTruth[i].Truth})
 			}
 		}
 	}
-	s.taskTable, s.taskOrder, s.golden = pub.taskTable, pub.taskOrder, golden
-	ci := newCandidateIndex(pub.ids, rests, golden)
+	c.ci = newCandidateIndex(pub.ids, rests, golden)
 	if s.leases != nil {
 		s.leases.install(n)
 	}
-	s.index.Store(ci)
 	if s.eagerInstall {
 		for p := range rests {
 			if !golden[p] {
-				s.inc.Materialise(ci.row(p), &ci.slots[p])
+				s.inc.Materialise(c.ci.row(p), &c.ci.slots[p])
 			}
 		}
 	}
+	s.pub.Store(c)
 }
 
 // materialise gives the regular task at position p its own state in the
@@ -643,7 +645,7 @@ func (s *System) installPublication(pub *publication) {
 // ingested or replayed without its math (skipIngest) — and returns the slot
 // the engine finds that state through.
 func (s *System) materialise(p int) *truth.Slot {
-	ci := s.index.Load()
+	ci := s.pub.Load().ci
 	s.inc.Materialise(ci.row(p), &ci.slots[p])
 	return &ci.slots[p]
 }
@@ -658,7 +660,11 @@ const publishChunk = 64
 // one more goroutine that packs it beside them (packRecord, which waits
 // for the linkers only before the vectors). It returns the blob once it is
 // whole, with record to wait for the packer. Its error is the one a serial
-// loop would meet first, and then no goroutine it started is left.
+// loop would meet first, and then no goroutine it started is left. The
+// packer runs beside the linkers, not after them, because it encodes the
+// head columns while DVE runs: one that waited for the linkers made a
+// 6,000-task publish 34 % slower and a 200-task one 17 % slower, on 2
+// cores over 40 alternating pairs.
 func (s *System) linkAndPack(b *Batch, logged bool) (dpc1 []byte, record func() ([]byte, error), err error) {
 	chunks := (b.n + publishChunk - 1) / publishChunk
 	errs, linked := make([]error, chunks), make(chan struct{})
@@ -753,18 +759,13 @@ func (s *System) linkChunk(c int, b *Batch, lo, hi int, ws *linkSpace, domains *
 
 // Published reports whether the campaign's tasks are in place (directly or
 // via WAL recovery).
-func (s *System) Published() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ids) > 0
-}
+func (s *System) Published() bool { return len(s.pub.Load().ids) > 0 }
 
 // GoldenTasks returns the golden task IDs in publication order.
 func (s *System) GoldenTasks() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.goldenList))
-	for _, g := range s.goldenList {
+	goldenList := s.pub.Load().goldenList
+	out := make([]int, 0, len(goldenList))
+	for _, g := range goldenList {
 		out = append(out, g.id)
 	}
 	return out
@@ -781,23 +782,22 @@ type Served struct{ P, ID, Truth int }
 // assignment order. Requests run concurrently with each other and with
 // submits: the candidate set is one atomic load of the index's shared
 // immutable array and task states are read from the truth engine's latest
-// immutable snapshots, so a request never blocks answer ingest (and may be
+// immutable snapshots, so the scan never waits for the writer (and may be
 // up to one submit stale, which OTA tolerates by design). With leases
-// armed (Config.LeaseTTL) the served tasks are leased to the worker until
-// answered or expired. A request only looks the worker's handle up: it
-// builds no map and mints no handle.
+// armed (Config.LeaseTTL) the writer expires the due leases and lists the
+// worker's before the scan, and leases the served tasks to the worker after
+// it, until answered or expired. A request only looks the worker's handle
+// up: it builds no map and mints no handle.
 func (s *System) Request(workerID string, k int) ([]Served, error) {
 	if workerID == "" {
 		return nil, fmt.Errorf("core: empty worker ID")
 	}
-	s.mu.RLock()
-	table, ids, goldenList := s.taskTable, s.ids, s.goldenList
-	s.mu.RUnlock()
+	c := s.pub.Load()
 	if k <= 0 {
 		k = s.cfg.HITSize
 	}
 
-	ready, err := s.workerReady(workerID, goldenList)
+	ready, err := s.workerReady(workerID, c.goldenList)
 	if err != nil {
 		// The worker's store-seed could not be promised durable; surface it
 		// like any other durability failure instead of serving tasks whose
@@ -806,16 +806,13 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 	}
 	if !ready {
 		// Serve the golden tasks they have not answered first: their few
-		// golden answers are scanned. They are only appended to, so the
-		// prefix read under their lock stays as it is.
+		// golden answers are scanned.
 		var answered []goldenAnswer
 		if ws := s.stateOf(workerID); ws != nil {
-			ws.mu.Lock()
-			answered = ws.golden
-			ws.mu.Unlock()
+			answered = ws.goldenAnswers()
 		}
 		var out []Served
-		for _, g := range goldenList {
+		for _, g := range c.goldenList {
 			if len(out) < k && !slices.ContainsFunc(answered, func(a goldenAnswer) bool { return int(a.p) == g.p }) {
 				out = append(out, Served{g.p, g.id, g.truth})
 			}
@@ -841,22 +838,22 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 	// already holds, so a re-request before submitting gets disjoint tasks.
 	sp.held = sp.held[:0]
 	if s.leases != nil {
-		sp.held = s.leases.beginRequest(workerID, sp.held)
+		s.do(func() { sp.held = s.leases.beginRequest(workerID, sp.held) })
 	}
 	redundancy := s.cfg.AnswersPerTask
 	var ps []int
 	if s.assignOracle != nil {
 		ps = s.assignOracle(&sp.as, w, sp.held, q, k, redundancy)
 	} else {
-		ps = s.assignIndexed(&sp.as, w, sp.held, q, k, redundancy)
+		ps = s.assignIndexed(c.ci, &sp.as, w, sp.held, q, k, redundancy)
 	}
 	s.spaces.Put(sp)
-	if s.leases != nil {
-		s.leases.grant(workerID, ps)
+	if s.leases != nil && len(ps) > 0 {
+		s.do(func() { s.leases.grant(workerID, ps) })
 	}
 	out := make([]Served, len(ps))
 	for i, p := range ps {
-		out[i] = Served{p, ids[p], table.truth(p)}
+		out[i] = Served{p, c.ids[p], c.truth(p)}
 	}
 	return out, nil
 }
@@ -874,9 +871,7 @@ type requestSpace struct {
 // receives the i'th one's text and choices. The choices of all of them are
 // one fresh slice, each task's capped, which put may keep.
 func (s *System) Serve(served []Served, put func(i int, text string, choices []string)) {
-	s.mu.RLock()
-	table := s.taskTable
-	s.mu.RUnlock()
+	table := s.pub.Load().taskTable
 	n := 0
 	for _, t := range served {
 		n += table.ell(t.P)
@@ -893,7 +888,7 @@ func (s *System) Serve(served []Served, put func(i int, text string, choices []s
 // callers that read a served task as a model.Task: the simulated crowd's
 // answer model reads its vector and truth.
 func (s *System) Tasks(served []Served) []model.Task {
-	ci, out := s.index.Load(), make([]model.Task, len(served))
+	ci, out := s.pub.Load().ci, make([]model.Task, len(served))
 	s.Serve(served, func(i int, text string, choices []string) {
 		t := served[i]
 		out[i] = model.Task{ID: t.ID, Text: text, Choices: choices, Truth: t.Truth, Domain: ci.rests[t.P].R, TrueDomain: model.NoTruth}
@@ -910,8 +905,7 @@ func (s *System) Tasks(served []Served) []model.Task {
 // snapshot, so entries that closed since the last index compaction are
 // skipped exactly as the full scan would skip them. held (ascending) and
 // the result hold positions.
-func (s *System) assignIndexed(as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
-	ci := s.index.Load()
+func (s *System) assignIndexed(ci *candidateIndex, as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
 	if ci == nil {
 		return nil
 	}
@@ -948,93 +942,56 @@ func (s *System) assignIndexed(as *assign.Assigner, w int32, held []int, q model
 // Submit records a worker's answer. Golden-task answers feed the worker's
 // quality profile; regular answers flow through incremental truth
 // inference, with a periodic full iterative re-run every RerunEvery
-// submissions (inline, or on the background worker with AsyncRerun).
+// submissions (inline, or on the background worker with AsyncRerun). The
+// writer checks, logs and applies the answer; Submit waits for its group
+// commit after.
 func (s *System) Submit(workerID string, taskID, choice int) error {
-	return s.submitOne(workerID, taskID, choice, nil)
+	var p wal.Pending
+	var err error
+	s.do(func() { p, err = s.submit(workerID, taskID, choice) })
+	if err != nil {
+		return err
+	}
+	return s.walCommit(p)
 }
 
-// submitOne is the one answer-application path, shared by Submit and
-// SubmitBatch. With g nil the answer reserves and commits its own WAL
-// record (the single-submit behavior). With g non-nil, a regular answer
-// defers durability into the group — it joins g's columns instead of being
-// reserved, and the caller commits the whole group as ONE KindBatch frame —
-// while a golden answer first flushes the group (group record ahead of the
-// golden record in the durable order) and then commits individually, so the
-// answer-durable-before-profiling-merge invariant documented below holds
-// unchanged under batching. Everything else — validation, ingest, the
-// chronological log append under logMu, the rerun cadence — is
-// identical in both modes, which is what makes a batched stream's state
-// bit-identical to the same answers submitted one by one
-// (TestBatchSubmitEquivalence).
-func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) error {
-	if workerID == "" {
-		return fmt.Errorf("core: empty worker ID")
+// submitOne applies one answer, live or replayed, from its KindAnswer
+// record or as an item of a KindBatch one: the one place an answer changes
+// the campaign, on the writer. A golden answer goes to its worker's golden
+// answers and, completing the gauntlet, profiles them; a regular one runs
+// through the truth engine and the serving state that follows it, joins the
+// chronological answer log and keeps the rerun cadence. p is the record's
+// reservation, which profiling waits on first.
+func (s *System) submitOne(workerID string, taskID, choice int, p wal.Pending) error {
+	at, golden, err := s.check(workerID, taskID, choice)
+	if err != nil {
+		return err
 	}
-	s.mu.RLock()
-	at, ok := s.position(taskID)
-	table, ids, golden, goldenList := s.taskTable, s.ids, s.golden, s.goldenList
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("core: unknown task %d", taskID)
-	}
-	isGolden := golden[at]
-	if choice < 0 || choice >= table.ell(at) {
-		return fmt.Errorf("core: choice %d out of range for task %d", choice, taskID)
-	}
-
-	if isGolden {
-		// The group must be durable before (or with) anything that follows
-		// it: flush it now so the golden record's reservation lands after
-		// the group's, and the fsync wait happens before the worker's lock.
-		if g != nil {
-			if err := g.flush(s); err != nil {
-				return err
-			}
-		}
+	c := s.pub.Load()
+	if golden {
 		ws := s.stateFor(workerID)
-		ws.mu.Lock()
-		for _, prev := range ws.golden {
-			if int(prev.p) == at {
-				ws.mu.Unlock()
-				return fmt.Errorf("core: worker %q already answered golden task %d", workerID, taskID)
-			}
-		}
-		ws.golden = append(ws.golden, goldenAnswer{int32(at), int32(choice)})
-		completesGauntlet := len(ws.golden) == len(goldenList)
-		// Reserve the WAL slot before releasing the worker's lock: their
-		// golden answers must replay in the order profiling consumed them.
-		s.logMu.Lock()
-		p, err := s.walReserve(wal.Record{Kind: wal.KindAnswer, Worker: workerID, Task: taskID, Choice: choice})
-		s.logMu.Unlock()
-		ws.mu.Unlock()
-		if err != nil {
-			return err
+		answered := append(slices.Clip(ws.goldenAnswers()), goldenAnswer{int32(at), int32(choice)})
+		ws.golden.Store(&answered)
+		if len(answered) < len(c.goldenList) {
+			return nil
 		}
 		// The answer becomes durable BEFORE the profiling merge. The merge
 		// is recorded under a campaign-scoped profile ID (MergeProfile), so
 		// both crash orders are safe: a crash after the merge replays the
 		// completing answer and finds the recorded ID (no double-count), and
 		// a crash before the merge replays the completing answer into an
-		// ID-less store and re-applies the merge bit-exactly (no loss). The
-		// old "one bounded profiling merge can die with the process" window
-		// is closed — TestCrashRecoversUnmergedProfiling pins the repair.
+		// ID-less store and re-applies the merge bit-exactly (no loss) —
+		// TestCrashRecoversUnmergedProfiling pins the repair. The writer
+		// waits here, once per worker, so the profile lands at the answer's
+		// place in the record order, where its replay lands it.
 		if err := s.walCommit(p); err != nil {
 			return err
 		}
-		if completesGauntlet {
-			ws.mu.Lock()
-			// Exactly one submit observes the gauntlet completing (the
-			// duplicate check above serializes a worker's golden answers),
-			// so profiling runs once.
-			err = s.profileWorker(workerID, ws, ids, goldenList)
-			ws.mu.Unlock()
-			return err
-		}
-		return nil
+		return s.profileWorker(workerID, ws, c)
 	}
 
 	w := s.inc.Intern(workerID)
-	if s.recovering && (s.covered || s.submissions.Load() < s.rerunFrom) {
+	if s.covered || s.submissions.Load() < s.rerunFrom {
 		// A later overwrite in this replay — the snapshot's install or the
 		// last rerun's Reseed — replaces this answer's engine math.
 		if err := s.skipIngest(workerID, w, at, choice); err != nil {
@@ -1043,26 +1000,7 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 	} else if err := s.ingest(workerID, w, at, choice); err != nil {
 		return err
 	}
-	var p wal.Pending
-	var walErr error
-	s.logMu.Lock()
 	s.log = s.log.Append(w, int32(at), int32(choice))
-	// The WAL reservation shares logMu, so durable replay order is exactly
-	// the chronological answer-log order the serial-replay equivalence is
-	// proven against. The wait for the group-commit batch happens below,
-	// outside the lock, so concurrent submits still share one write. A
-	// batched answer defers even the reservation: it joins the group under
-	// the same lock, and the group is reserved as one record at flush.
-	if g != nil {
-		g.cols.Add(workerID, taskID, choice)
-	} else {
-		p, walErr = s.walReserve(wal.Record{Kind: wal.KindAnswer, Worker: workerID, Task: taskID, Choice: choice})
-	}
-	s.logMu.Unlock()
-	if walErr != nil {
-		return walErr
-	}
-
 	n := s.submissions.Add(1)
 	if z := s.cfg.RerunEvery; z > 0 && n%int64(z) == 0 && n >= s.rerunFrom && !s.covered {
 		// During recovery the rerun must be synchronous regardless of
@@ -1072,27 +1010,17 @@ func (s *System) submitOne(workerID string, taskID, choice int, g *batchGroup) e
 			case s.rerunCh <- struct{}{}:
 			default: // a rerun is already pending; it will cover this batch
 			}
-		} else if err := s.runRerun(); err != nil {
-			return err
+		} else {
+			return s.rerun(onWriter)
 		}
 	}
-	return s.walCommit(p)
+	return nil
 }
 
 // ingest runs a regular answer of the worker with handle w to the task at
 // position p through the truth engine and the serving state
 // that follows it.
 func (s *System) ingest(workerID string, w int32, p, choice int) error {
-	// Seed the worker's quality from the long-run store before her first
-	// answer enters the incremental engine (logged, so replay re-seeds the
-	// same bits rather than re-reading the store).
-	if err := s.ensureWorker(workerID); err != nil {
-		return err
-	}
-	// The truth engine's per-task lock is the authority on duplicate
-	// answers (the task's V(i)); ingest updates only that task's state plus
-	// the touched workers' statistics, so submits to different tasks run in
-	// parallel.
 	if err := s.inc.SubmitBy(w, s.materialise(p), choice); err != nil {
 		return err
 	}
@@ -1102,7 +1030,7 @@ func (s *System) ingest(workerID string, w int32, p, choice int) error {
 		s.leases.release(workerID, p)
 	}
 	if r := s.cfg.AnswersPerTask; r > 0 {
-		ci := s.index.Load()
+		ci := s.pub.Load().ci
 		ci.noteAnswer(p, ci.view(int32(p)).NumAnswers, r)
 	}
 	return nil
@@ -1123,16 +1051,14 @@ func (s *System) skipIngest(workerID string, w int32, p, choice int) error {
 
 // Result returns the current inferred truth and probabilistic truth of a
 // task (choice −1 for golden/unknown tasks, which are not inferred). It
-// reads the latest immutable snapshot and never blocks submits.
+// reads the latest immutable snapshot and never waits for the writer.
 func (s *System) Result(taskID int) (choice int, confidence []float64) {
-	s.mu.RLock()
-	p, ok := s.position(taskID)
-	regular := ok && !s.golden[p]
-	s.mu.RUnlock()
-	if !regular {
+	c := s.pub.Load()
+	p, ok := c.position(taskID)
+	if !ok || c.golden[p] {
 		return model.NoTruth, nil
 	}
-	v := s.index.Load().view(int32(p))
+	v := c.ci.view(int32(p))
 	return v.Truth, mathx.Clone(v.S)
 }
 
@@ -1140,12 +1066,14 @@ func (s *System) Result(taskID int) (choice int, confidence []float64) {
 // aligned with InferTasks). Each answering worker's session statistics
 // over the regular answers (Theorem 1) replace her previous session under
 // the campaign's scope in the long-run store, so an unchanged prefix writes
-// nothing. Calls run one at a time from the answer snapshot to the last
-// store write; submits continue concurrently.
+// nothing. Calls run one at a time from the answer prefix to the last
+// store write; the writer only takes the prefix, so submits continue.
 func (s *System) Results() (*truth.Result, error) {
 	s.resultsMu.Lock()
 	defer s.resultsMu.Unlock()
-	res, tasks, n, idx, err := s.infer()
+	var pr *prefix
+	s.do(func() { pr = s.capture() })
+	res, tasks, n, idx, err := s.infer(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -1155,9 +1083,33 @@ func (s *System) Results() (*truth.Result, error) {
 			return nil, err
 		}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return res.Over(s.regularRowsRLocked()), nil
+	return res.Over(regularRows(pr.c)), nil
+}
+
+// prefix is what a rerun reads of the campaign, taken on the writer in one
+// call (capture) so the inference can run anywhere: the published task set,
+// the answer log as it stands, the golden answers laid out after it with
+// the golden truths pinned, each worker's anchor by handle, and the worker
+// names, read after every handle those hold.
+type prefix struct {
+	c         *campaign
+	log, tail model.Columns
+	pinned    []truth.Pin
+	anchors   []*truth.Stats
+	names     []string
+}
+
+// capture takes the prefix a rerun infers over. On the writer.
+func (s *System) capture() *prefix {
+	pr := &prefix{c: s.pub.Load(), log: s.logPrefix()}
+	pr.tail, pr.pinned = s.goldenTail(pr.c.goldenList)
+	slab := *s.workers.Load()
+	pr.anchors = make([]*truth.Stats, len(slab))
+	for h, ws := range slab {
+		pr.anchors[h] = ws.anchor
+	}
+	pr.names = s.inc.Names()
+	return pr
 }
 
 // infer runs the full iterative TI, golden evidence pinned, over the
@@ -1166,46 +1118,29 @@ func (s *System) Results() (*truth.Result, error) {
 // other regular tasks unlisted, so its cost follows the answered tasks.
 // tasks are the n listed regular tasks in publication order, then the
 // golden ones; idx indexes the regular answers alone.
-func (s *System) infer() (res *truth.Result, tasks []truth.Row, n int, idx *model.LogIndex, err error) {
-	prefix := s.logPrefix()
-	s.mu.RLock()
-	goldenList, ids := s.goldenList, s.ids
-	s.mu.RUnlock()
-	tail, pinned := s.goldenTail(goldenList)
+func (s *System) infer(pr *prefix) (res *truth.Result, tasks []truth.Row, n int, idx *model.LogIndex, err error) {
+	c := pr.c
 	// Reseed, initQuality and a session read the prefix's own index (Head):
 	// golden evidence is already in worker stats via profiling, and would
-	// count twice. Names is read after every handle the columns hold.
-	all, err := model.IndexColumns(s.inc.Names(), func(p int32) int { return ids[p] }, prefix, tail)
+	// count twice.
+	all, err := model.IndexColumns(pr.names, func(p int32) int { return c.ids[p] }, pr.log, pr.tail)
 	if err != nil { // the log holds only answers the truth engine accepted
 		panic(fmt.Sprintf("core: corrupt answer log: %v", err))
 	}
 	idx = all.Head()
-	ci := s.index.Load()
 	for _, p := range idx.Tasks() { // the answered tasks, in publication order
-		tasks = append(tasks, ci.row(int(p)))
+		tasks = append(tasks, c.ci.row(int(p)))
 	}
 	if s.eagerInstall { // the oracle lists every regular task
-		s.mu.RLock()
-		tasks = s.regularRowsRLocked()
-		s.mu.RUnlock()
+		tasks = regularRows(c)
 	}
 	n = len(tasks)
-	for _, g := range goldenList {
-		tasks = append(tasks, ci.row(g.p))
+	for _, g := range c.goldenList {
+		tasks = append(tasks, c.ci.row(g.p))
 	}
-	unlisted := len(ids) - len(goldenList) - n
-	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(idx), Pinned: pinned, Unlisted: unlisted})
+	unlisted := len(c.ids) - len(c.goldenList) - n
+	res, err = truth.InferIndex(tasks, all, s.m, truth.Options{InitQuality: s.initQuality(pr, idx), Pinned: pr.pinned, Unlisted: unlisted})
 	return res, tasks, n, idx, err
-}
-
-// logPrefix returns the answer log as it stands, without copying it. The
-// log is append-only (submitOne appends, nothing else writes it), so
-// columns capped at its length are a snapshot: a later append lands past
-// the cap or in new backing arrays.
-func (s *System) logPrefix() model.Columns {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	return s.log.Capped()
 }
 
 // goldenTail lays the golden answers out as the columns that follow the
@@ -1213,7 +1148,7 @@ func (s *System) logPrefix() model.Columns {
 // positions, ascending as goldenList lists them. The answers go in
 // worker-name order, each worker's in the order they gave them: a fixed
 // order, or per-task likelihood sums reorder between runs and ulp-level
-// differences flip assignment ties.
+// differences flip assignment ties. On the writer.
 func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, []truth.Pin) {
 	if len(goldenList) == 0 {
 		return model.Columns{}, nil
@@ -1225,12 +1160,9 @@ func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, []truth.Pin
 	var tail model.Columns
 	names, slab := s.inc.Names(), *s.workers.Load()
 	for _, h := range byName(names[:min(len(names), len(slab))]) {
-		ws := slab[h]
-		ws.mu.Lock()
-		for _, a := range ws.golden {
+		for _, a := range slab[h].goldenAnswers() {
 			tail = tail.Append(h, a.p, a.choice)
 		}
-		ws.mu.Unlock()
 	}
 	return tail, pinned
 }
@@ -1239,14 +1171,13 @@ func (s *System) goldenTail(goldenList []goldenTask) (model.Columns, []truth.Pin
 // Results infers over, in the same order as the result slices), each
 // minted whole (Tasks), for the offline paths that read them whole.
 func (s *System) InferTasks() []*model.Task {
-	s.mu.RLock()
-	regular := make([]Served, 0, len(s.ids)-len(s.goldenList))
-	for p, id := range s.ids {
-		if !s.golden[p] {
-			regular = append(regular, Served{p, id, s.truth(p)})
+	c := s.pub.Load()
+	regular := make([]Served, 0, len(c.ids)-len(c.goldenList))
+	for p, id := range c.ids {
+		if !c.golden[p] {
+			regular = append(regular, Served{p, id, c.truth(p)})
 		}
 	}
-	s.mu.RUnlock()
 	tasks := s.Tasks(regular)
 	out := make([]*model.Task, len(tasks))
 	for i := range tasks {
@@ -1257,11 +1188,10 @@ func (s *System) InferTasks() []*model.Task {
 
 // InferIDs returns the IDs of InferTasks' tasks, in its order.
 func (s *System) InferIDs() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.ids)-len(s.goldenList))
-	for p, id := range s.ids {
-		if !s.golden[p] {
+	c := s.pub.Load()
+	out := make([]int, 0, len(c.ids)-len(c.goldenList))
+	for p, id := range c.ids {
+		if !c.golden[p] {
 			out = append(out, id)
 		}
 	}
@@ -1292,10 +1222,9 @@ func (s *System) quality(workerID string, q model.QualityVector) model.QualityVe
 
 // Answers returns a snapshot of the collected non-golden answers.
 func (s *System) Answers() *model.AnswerSet {
-	log := s.logPrefix()
-	s.mu.RLock()
-	ids := s.ids
-	s.mu.RUnlock()
+	var log model.Columns
+	s.do(func() { log = s.logPrefix() })
+	ids := s.pub.Load().ids
 	names := s.inc.Names() // read after every handle the log holds
 	as := model.NewAnswerSet()
 	for p := range log.Len() {
@@ -1360,7 +1289,7 @@ type Stats struct {
 }
 
 // Stats returns the campaign's serving counters. Safe to call concurrently
-// with serving.
+// with serving; with leases armed the writer expires the due ones first.
 func (s *System) Stats() Stats {
 	st := Stats{
 		Published:         s.Published(),
@@ -1376,11 +1305,11 @@ func (s *System) Stats() Stats {
 		Since:             s.since,
 	}
 	st.Served = st.Answers - s.replayed
-	if ci := s.index.Load(); ci != nil {
+	if ci := s.pub.Load().ci; ci != nil {
 		st.OpenTasks, st.IndexEpoch = int(ci.openCount.Load()), ci.epoch.Load()
 	}
 	if s.leases != nil {
-		st.LeasesActive = s.leases.activeNow()
+		s.do(func() { st.LeasesActive = s.leases.activeNow() })
 	}
 	if s.wal != nil {
 		st.WALLastSeq = s.wal.LastSeq()
@@ -1390,14 +1319,12 @@ func (s *System) Stats() Stats {
 
 // --- internal helpers ---
 
-// regularRowsRLocked returns the rows of the non-golden tasks; callers
-// hold s.mu (read side suffices).
-func (s *System) regularRowsRLocked() []truth.Row {
-	ci := s.index.Load()
-	out := make([]truth.Row, 0, len(s.ids)-len(s.goldenList))
-	for p := range s.ids {
-		if !s.golden[p] {
-			out = append(out, ci.row(p))
+// regularRows returns the rows of the campaign's non-golden tasks.
+func regularRows(c *campaign) []truth.Row {
+	out := make([]truth.Row, 0, len(c.ids)-len(c.goldenList))
+	for p := range c.ids {
+		if !c.golden[p] {
+			out = append(out, c.ci.row(p))
 		}
 	}
 	return out
@@ -1405,10 +1332,10 @@ func (s *System) regularRowsRLocked() []truth.Row {
 
 // workerReady reports whether the worker can receive regular tasks: either
 // profiled this session, known to the store, or there are no golden tasks
-// to profile with. Adopting a store profile is a durable event: the exact
-// statistics read (and the profiled-flag flip) are logged as a KindSeed
-// record under logMu, so replay restores the same bits at the same point
-// in the answer order instead of re-reading a store that may have moved on.
+// to profile with. Adopting a store profile is a durable event: the writer
+// logs the exact statistics read, with the profiled flag, as a KindSeed
+// record and applies it, so replay restores the same bits at the same point
+// in the record order instead of re-reading a store that may have moved on.
 func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, error) {
 	if len(goldenList) == 0 {
 		return true, nil
@@ -1416,37 +1343,21 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 	// Look up without minting: bare Request traffic (including unknown or
 	// scanning worker IDs) must not grow the slab — a worker gets serving
 	// state only when there is something to record.
-	if ws := s.stateOf(workerID); ws != nil {
-		ws.mu.Lock()
-		profiled := ws.profiled
-		ws.mu.Unlock()
-		if profiled {
-			return true, nil
-		}
+	profiled := func() bool { ws := s.stateOf(workerID); return ws != nil && ws.profiled.Load() }
+	if profiled() {
+		return true, nil
 	}
 	st, ok := s.store.Worker(workerID)
 	if !ok {
 		return false, nil
 	}
-	// The seed is logged, so the worker's state may be minted.
-	ws := s.stateFor(workerID)
-	ws.mu.Lock()
-	if ws.profiled { // a racing request adopted the profile first
-		ws.mu.Unlock()
-		return true, nil
-	}
-	// The seed record is forced even when the incremental engine already
-	// knew the worker (her regular answers preceded this request): the
-	// profiled-flag flip below must replay at this exact sequence, and the
-	// set-if-absent install loses identically on both sides.
-	s.logMu.Lock()
-	_, p, err := s.logSeed(workerID, st, true, true)
-	s.logMu.Unlock()
-	ws.profiled = true
-	if ws.anchor == nil {
-		ws.anchor = st.Clone()
-	}
-	ws.mu.Unlock()
+	var p wal.Pending
+	var err error
+	s.do(func() {
+		if !profiled() { // a racing request adopted the profile first
+			p, err = s.commitSeed(workerID, st, true)
+		}
+	})
 	if err != nil {
 		return true, err
 	}
@@ -1454,8 +1365,8 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 }
 
 // profileWorker initializes the worker's quality from her golden-task
-// answers and registers it with the incremental engine and the store.
-// Callers hold ws.mu.
+// answers and registers it with the incremental engine and the store. On
+// the writer, as her completing golden answer applies.
 //
 // The store merge is idempotent by profile ID (store.MergeProfile): the
 // live system applies it and waits for its store record; every replay of
@@ -1468,20 +1379,21 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 // the same bits). EstimateFromGolden is a pure function of the replayed
 // golden answers, so no part of the profile depends on boot-time store
 // contents.
-func (s *System) profileWorker(workerID string, ws *workerState, ids []int, goldenList []goldenTask) error {
-	answers := make([]model.Answer, len(ws.golden))
-	for i, a := range ws.golden {
-		answers[i] = model.Answer{Worker: workerID, Task: ids[a.p], Choice: int(a.choice)}
+func (s *System) profileWorker(workerID string, ws *workerState, c *campaign) error {
+	golden := ws.goldenAnswers()
+	answers := make([]model.Answer, len(golden))
+	for i, a := range golden {
+		answers[i] = model.Answer{Worker: workerID, Task: c.ids[a.p], Choice: int(a.choice)}
 	}
-	st := truth.EstimateFromGolden(s.goldenTasks(goldenList), answers, s.m)
+	st := truth.EstimateFromGolden(goldenTasks(c), answers, s.m)
 	anchor, _, err := s.store.MergeProfile(s.profileID(workerID), workerID, st)
 	if err != nil {
-		// The durable merge failed; abort profiling (the caller unwinds the
-		// triggering answer) rather than continue with an unrecorded merge.
+		// The durable merge failed; abort profiling rather than continue
+		// with an unrecorded merge.
 		return err
 	}
 	_ = s.inc.SetWorker(workerID, st)
-	ws.profiled = true
+	ws.profiled.Store(true)
 	// Profiling pins (or re-pins) the anchor: the recorded post-merge value
 	// is what rerun initialization must use from now on, live and replayed
 	// alike — all replicas receive the same recorded bits.
@@ -1489,96 +1401,61 @@ func (s *System) profileWorker(workerID string, ws *workerState, ids []int, gold
 	return nil
 }
 
-// goldenTasks mints the golden tasks as EstimateFromGolden reads them: ID,
-// domain vector and truth.
-func (s *System) goldenTasks(goldenList []goldenTask) []*model.Task {
-	ci := s.index.Load()
-	out := make([]*model.Task, len(goldenList))
-	for i, g := range goldenList {
-		out[i] = &model.Task{ID: g.id, Domain: ci.rests[g.p].R, Truth: g.truth}
+// goldenTasks mints the campaign's golden tasks as EstimateFromGolden reads
+// them: ID, domain vector and truth.
+func goldenTasks(c *campaign) []*model.Task {
+	out := make([]*model.Task, len(c.goldenList))
+	for i, g := range c.goldenList {
+		out[i] = &model.Task{ID: g.id, Domain: c.ci.rests[g.p].R, Truth: g.truth}
 	}
 	return out
 }
 
-// ensureWorker makes sure the incremental engine knows the worker, seeding
-// from the store when possible. The set-if-absent seed keeps a racing pair
-// of the worker's first submits from clobbering each other's updates. An
-// installed seed is logged (KindSeed) under logMu before the answer that
-// triggered it reserves its own slot, so replay re-installs the exact
-// seeded bits in the exact order; during recovery the store is never read
-// — seeds replay from their own records.
-func (s *System) ensureWorker(workerID string) error {
-	if s.inc.Quality(workerID, nil) {
-		return nil
+// rerun runs the full iterative TI (with pinned golden evidence) over the
+// answer log as it stands and reseeds the incremental engine with it (the
+// paper's "delayed" batch refresh every z submissions). The writer takes
+// the prefix and applies the swap through on — s.do off the writer, as the
+// background worker calls it, or a plain call on it (the synchronous
+// cadence and every replay) — and the inference runs on the caller. The
+// reseed skips tasks that received answers after the prefix, so per-task
+// truth state is never overwritten with stale values; worker quality stats
+// are overwritten from the rerun's session statistics, so a worker's
+// post-prefix increments can regress until the next rerun — the same
+// drift-and-correct contract the incremental engine documents.
+func (s *System) rerun(on func(func())) error {
+	var res *truth.Result
+	var tasks []truth.Row
+	var idx *model.LogIndex
+	var err error
+	if s.rerunFault != nil {
+		err = s.rerunFault()
 	}
-	if s.recovering {
-		return nil
+	if err == nil {
+		var pr *prefix
+		on(func() { pr = s.capture() })
+		res, tasks, _, idx, err = s.infer(pr)
 	}
-	st, ok := s.store.Worker(workerID)
-	if !ok {
-		return nil
-	}
-	s.logMu.Lock()
-	installed, p, err := s.logSeed(workerID, st, false, false)
-	s.logMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if installed {
-		s.applySeed(workerID, st, false)
-	}
-	return s.walCommit(p)
-}
-
-// runRerun runs the full iterative TI (with pinned golden evidence) over a
-// snapshot of the answer log and reseeds the incremental engine (the
-// paper's "delayed" batch refresh every z submissions). Runs are
-// serialized. The reseed skips tasks that received answers after the
-// snapshot, so per-task truth state is never overwritten with stale
-// values; worker quality stats are overwritten from the rerun's session
-// statistics, so a worker's post-snapshot increments can regress until the
-// next rerun — the same drift-and-correct contract the incremental engine
-// documents.
-func (s *System) runRerun() error {
-	s.rerunMu.Lock()
-	defer s.rerunMu.Unlock()
-	err := s.rerunLocked()
-	if err != nil {
-		// A failed rerun must still leave the candidate index resynced: the
-		// reseed never ran (inference failed before any swap), so no task
-		// reopened, but resync is also the periodic safety net for closures
-		// the incremental path missed — skipping it here would leave the
-		// index drifting until the next SUCCESSFUL rerun, unboundedly long
-		// if the failure repeats.
-		if ci := s.index.Load(); ci != nil {
+	on(func() {
+		if err == nil {
+			s.inc.Reseed(tasks, res, idx)
+			s.reruns.Add(1)
+		}
+		// The rerun swap is the only mutation that can change answer counts
+		// non-monotonically, so re-derive the open-task set from the reseeded
+		// snapshots (reopening any task the swap put back under its
+		// redundancy cap, and catching any closure the incremental path
+		// missed). A failed rerun resyncs too: skipping the safety net would
+		// leave the index drifting until the next successful rerun,
+		// unboundedly long if the failure repeats.
+		if ci := s.pub.Load().ci; ci != nil {
 			ci.resync(s.cfg.AnswersPerTask)
 		}
-	}
+	})
 	return err
 }
 
-// rerunLocked is runRerun's body; callers hold rerunMu.
-func (s *System) rerunLocked() error {
-	if s.rerunFault != nil {
-		if err := s.rerunFault(); err != nil {
-			return err
-		}
-	}
-	res, tasks, _, idx, err := s.infer()
-	if err != nil {
-		return err
-	}
-	s.inc.Reseed(tasks, res, idx)
-	// The rerun swap is the only mutation that can change answer counts
-	// non-monotonically, so re-derive the open-task set from the reseeded
-	// snapshots (reopening any task the swap put back under its redundancy
-	// cap, and catching any closure the incremental path missed).
-	if ci := s.index.Load(); ci != nil {
-		ci.resync(s.cfg.AnswersPerTask)
-	}
-	s.reruns.Add(1)
-	return nil
-}
+// onWriter runs f at once: rerun's on for a caller already on the writer.
+func onWriter(f func()) { f() }
 
 // initQuality gathers the initial quality of every answering worker with a
 // pinned anchor: the long-run store value adopted when she was profiled or
@@ -1591,15 +1468,11 @@ func (s *System) rerunLocked() error {
 // store on purpose: the store evolves under concurrent campaigns, and a
 // time-of-rerun store read is an unlogged float input that recovery could
 // not reproduce (see docs/persistence.md).
-func (s *System) initQuality(answers *model.LogIndex) map[string]model.QualityVector {
+func (s *System) initQuality(pr *prefix, answers *model.LogIndex) map[string]model.QualityVector {
 	init := make(map[string]model.QualityVector)
 	for _, w := range answers.Workers() {
-		if ws := s.stateOf(w); ws != nil {
-			ws.mu.Lock()
-			if ws.anchor != nil {
-				init[w] = slices.Clone(ws.anchor.Q)
-			}
-			ws.mu.Unlock()
+		if h, ok := s.inc.Handle(w); ok && int(h) < len(pr.anchors) && pr.anchors[h] != nil {
+			init[w] = slices.Clone(pr.anchors[h].Q)
 		}
 	}
 	return init

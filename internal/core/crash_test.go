@@ -86,7 +86,7 @@ func runLoggedTasks(t *testing.T, cfg Config, dir string, tasks []*model.Task) [
 func applyPrefix(t *testing.T, s *System, recs []wal.Record) {
 	t.Helper()
 	for _, rec := range recs {
-		if err := s.applyRecord(rec); err != nil {
+		if err := s.applyRecord(&entry{Record: rec}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,14 +2,14 @@
 //
 // When a WAL is armed (Recover), every accepted mutation — the campaign
 // publication, each golden or regular answer, and each worker-profile
-// seed adopted from the long-run store — is reserved in the log
-// under the same lock that orders the in-memory answer log, so the durable
-// order equals the order the serial-replay equivalence proofs are anchored
-// to. Submit acknowledges only after the record's group-commit batch is
-// down. Recovery replays the log's segments through the ordinary
-// Publish/Submit path with the last periodic rerun forced synchronous (each
-// rerun overwrites the ones before it), which reconstructs the exact
-// deterministic serial state.
+// seed adopted from the long-run store — is reserved in the log by the
+// campaign's one writer and then applied through applyRecord (writer.go),
+// so the durable order is the order the state was built in. Submit
+// acknowledges only after the record's group-commit batch is down.
+// Recovery replays the log's segments through the same applyRecord with
+// the last periodic rerun forced synchronous (each rerun overwrites the
+// ones before it), which reconstructs the exact deterministic serial
+// state.
 package core
 
 import (
@@ -73,16 +73,15 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	if dir == "" {
 		return RecoveryInfo{}, fmt.Errorf("core: empty WAL directory")
 	}
-	s.mu.RLock()
-	published := len(s.ids) > 0
-	s.mu.RUnlock()
-	if published || s.submissions.Load() != 0 || s.wal != nil {
+	if s.Published() || s.submissions.Load() != 0 || s.wal != nil {
 		return RecoveryInfo{}, fmt.Errorf("core: Recover must run once, before serving")
 	}
 
 	//docs:allow clock recovery duration is diagnostic metadata, never replayed or fingerprinted
 	start := time.Now()
-	info, err := s.replay(dir)
+	var info RecoveryInfo
+	var err error
+	s.do(func() { info, err = s.replay(dir) })
 	if err != nil {
 		return info, fmt.Errorf("core: WAL replay: %w", err)
 	}
@@ -107,8 +106,8 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 // replay rebuilds the serial state a virgin system's directory holds, in
 // replay mode (no re-logging, no store seeds, reruns synchronous). It is the
 // one way a campaign comes back into memory — a boot (Recover) and a
-// snapshot pass's scratch replica both run it — and it applies every record
-// from sequence 1 through the ordinary serving path. A regular answer skips
+// snapshot pass's scratch replica both run it, on the writer — and it
+// applies every record from sequence 1 through applyRecord. A regular answer skips
 // the engine math (submitOne) that a later overwrite in the same replay
 // replaces: the last periodic rerun the log reaches (rerunFrom), which
 // overwrites every rerun and every answer's math before it, and the newest
@@ -128,7 +127,7 @@ func (s *System) replay(dir string) (RecoveryInfo, error) {
 	var install func() // set once snap is checked
 	st, err := wal.Replay(dir, func(rec wal.Record) error {
 		s.covered = install != nil && rec.Seq <= snap.Seq
-		if err := s.applyRecord(rec); err != nil {
+		if err := s.applyRecord(&entry{Record: rec}); err != nil {
 			return err
 		}
 		if rec.Kind == wal.KindPublish {
@@ -167,14 +166,12 @@ func (s *System) lastRerun(dir string) (int64, error) {
 	if z <= 0 {
 		return 0, nil
 	}
-	s.mu.RLock()
-	order, golden := s.taskOrder, s.golden
-	s.mu.RUnlock()
+	c := s.pub.Load()
 	var n int64
 	_, err := wal.Replay(dir, func(rec wal.Record) error {
 		switch rec.Kind {
 		case wal.KindAnswer:
-			if p, ok := order.position(rec.Task); !ok || !golden[p] {
+			if p, ok := c.position(rec.Task); !ok || !c.golden[p] {
 				n++
 			}
 		case wal.KindBatch:
@@ -195,89 +192,89 @@ func (s *System) lastRerun(dir string) (int64, error) {
 // WAL is armed).
 func (s *System) Recovery() RecoveryInfo { return s.recovery }
 
-// applyRecord replays one durable record through the ordinary serving path.
-// The WAL is nil during recovery, so the replay does not re-log.
+// applyRecord applies one durable record — a live one the writer has just
+// reserved (commit), or one a replay read back, whose body it decodes here
+// — and so is the one way the campaign's state changes. It runs on the
+// writer; the WAL it logs to is nil during recovery, so the replay does not
+// re-log.
 //
-// This is THE replay entry point — a boot and a snapshot pass both funnel
-// through it (replay) — so docs-lint roots its determinism analysis here:
-// everything it reaches must replay bit-identically.
+// Because live mutation and replay both funnel through it, docs-lint roots
+// its determinism analysis here: everything it reaches must replay
+// bit-identically.
 //
 //docs:deterministic
-func (s *System) applyRecord(rec wal.Record) error {
-	if answerBearing(rec.Kind) {
-		s.answerSeq.Store(rec.Seq)
+func (s *System) applyRecord(e *entry) error {
+	if answerBearing(e.Kind) {
+		s.answerSeq.Store(e.Seq)
 	}
-	switch rec.Kind {
+	switch e.Kind {
 	case wal.KindPublish:
 		// The record's tasks all carry their domain vector, so the replay
-		// links no text; publishDecoded checks them as a publish does.
-		pub, err := decodePublication(rec, s.m)
-		if err != nil {
-			return err
+		// links no text; it checks them as a publish does.
+		if e.pub == nil {
+			pub, err := decodePublication(e.Record, s.m)
+			if err != nil {
+				return err
+			}
+			if err := pub.check(s.m); err != nil {
+				return fmt.Errorf("publish record %d: %w", e.Seq, err)
+			}
+			e.pub = pub
 		}
-		if err := s.publishDecoded(pub); err != nil {
-			return fmt.Errorf("publish record %d: %w", rec.Seq, err)
+		if s.Published() {
+			return fmt.Errorf("publish record %d: core: tasks already published", e.Seq)
 		}
+		s.installPublication(e.pub)
 	case wal.KindAnswer:
-		if err := s.Submit(rec.Worker, rec.Task, rec.Choice); err != nil {
-			return fmt.Errorf("answer record %d: %w", rec.Seq, err)
+		if err := s.submitOne(e.Worker, e.Task, e.Choice, e.pending); err != nil {
+			return fmt.Errorf("answer record %d: %w", e.Seq, err)
 		}
 	case wal.KindBatch:
-		// A batched submit: expand the group and replay every item through
-		// the ordinary Submit path. Items were each accepted when logged
-		// (rejected items never enter the record), so a rejection here means
-		// the log is corrupt and must fail loudly. Per-item Submit keeps the
-		// rerun cadence identical to the live batched run.
-		cols, err := wal.DecodeBatch(rec.Blob)
-		if err != nil {
-			return fmt.Errorf("batch record %d: bad body: %w", rec.Seq, err)
+		// A batched submit: every item through the one answer path, keeping
+		// the rerun cadence of the same answers one by one. Items were each
+		// checked when logged (rejected items never enter the record), so a
+		// rejection in a replay means the log is corrupt and fails it
+		// loudly; every item is applied first, as live.
+		if e.cols == nil {
+			cols, err := wal.DecodeBatch(e.Blob)
+			if err != nil {
+				return fmt.Errorf("batch record %d: bad body: %w", e.Seq, err)
+			}
+			e.cols = &cols
 		}
-		for i, wi := range cols.W {
-			if err := s.Submit(cols.Workers[wi], cols.T[i], cols.C[i]); err != nil {
-				return fmt.Errorf("batch record %d item %d: %w", rec.Seq, i+1, err)
+		var failed error
+		for i, wi := range e.cols.W {
+			if err := s.submitOne(e.cols.Workers[wi], e.cols.T[i], e.cols.C[i], e.pending); err != nil && failed == nil {
+				failed = fmt.Errorf("batch record %d %w", e.Seq, &itemError{i, err})
 			}
 		}
 		s.batches.Add(1)
-		s.batchAnswers.Add(int64(cols.Len()))
+		s.batchAnswers.Add(int64(e.cols.Len()))
+		return failed
 	case wal.KindSeed:
-		// A worker-profile seed: re-install the exact float64 bits the live
-		// system adopted from the long-run store, at the same point in the
-		// record order. The store itself is not consulted — its boot-time
-		// contents may postdate this read.
-		if rec.Worker == "" {
-			return fmt.Errorf("seed record %d has no worker", rec.Seq)
+		// A worker-profile seed: install the exact float64 bits adopted from
+		// the long-run store, at this point in the record order. A replay
+		// does not consult the store — its boot-time contents may postdate
+		// the read.
+		if e.seed == nil {
+			if e.Worker == "" {
+				return fmt.Errorf("seed record %d has no worker", e.Seq)
+			}
+			st, profiled, err := decodeSeed(e.Blob, s.m)
+			if err != nil {
+				return fmt.Errorf("seed record %d: %w", e.Seq, err)
+			}
+			e.seed, e.profiled = st, profiled
 		}
-		st, profiled, err := decodeSeed(rec.Blob, s.m)
-		if err != nil {
-			return fmt.Errorf("seed record %d: %w", rec.Seq, err)
-		}
-		s.applySeed(rec.Worker, st, profiled)
+		s.applySeed(e.Worker, e.seed, e.profiled)
 	case wal.KindStore:
 		// Only a worker store's log holds these: the directory is a store,
 		// not a campaign, and replaying it as one would serve nothing.
-		return fmt.Errorf("record %d is a worker-store update: this is a store log, not a campaign log", rec.Seq)
+		return fmt.Errorf("record %d is a worker-store update: this is a store log, not a campaign log", e.Seq)
 	default:
-		return fmt.Errorf("record %d has unknown kind %d", rec.Seq, rec.Kind)
+		return fmt.Errorf("record %d has unknown kind %d", e.Seq, e.Kind)
 	}
 	return nil
-}
-
-// walReserve queues one record for the armed WAL. Callers hold logMu
-// (directly or transitively), which makes reservation order — and
-// therefore durable replay order — equal to the in-memory answer-log
-// order. Returns a zero Pending when no WAL is armed.
-func (s *System) walReserve(rec wal.Record) (wal.Pending, error) {
-	if s.wal == nil {
-		return wal.Pending{}, nil
-	}
-	p, err := s.wal.Reserve(rec)
-	if err != nil {
-		return wal.Pending{}, fmt.Errorf("core: %w: %v", ErrDurability, err)
-	}
-	if answerBearing(rec.Kind) {
-		s.answerSeq.Store(p.Seq())
-	}
-	return p, nil
 }
 
 // answerBearing reports whether replaying a record of this kind runs

@@ -26,8 +26,14 @@ import (
 // It is a diagnostic: the crash-injection suites (here and in the campaign
 // registry) compare recovered systems against serial references — and,
 // since the live-vs-recovered suite, against the LIVE pre-kill system —
-// with it. It takes the internal locks briefly, so it is safe — but not
-// free — to call on a serving system.
+// with it. It runs on the writer, between two mutations, so it is safe —
+// but not free — to call on a serving system.
+func (s *System) Fingerprint() (fp string) {
+	s.do(func() { fp = s.fingerprint() })
+	return fp
+}
+
+// fingerprint is Fingerprint on the writer.
 //
 // docs-lint roots its determinism analysis here: everything reachable
 // from this function must be clock-free, rand-free and iterate maps only
@@ -35,14 +41,12 @@ import (
 // the analyzer accepts).
 //
 //docs:deterministic
-func (s *System) Fingerprint() string {
+func (s *System) fingerprint() string {
 	var b strings.Builder
 	bits := func(f float64) { fmt.Fprintf(&b, "%016x,", math.Float64bits(f)) }
 
-	s.mu.RLock()
-	ids, golden := s.ids, s.golden
-	s.mu.RUnlock()
-	ci := s.index.Load()
+	c := s.pub.Load()
+	ids, golden, ci := c.ids, c.golden, c.ci
 	fmt.Fprintf(&b, "tasks:%d;", len(ids))
 	for p, id := range ids {
 		fmt.Fprintf(&b, "t%d:g%v:", id, golden[p])
@@ -80,17 +84,15 @@ func (s *System) Fingerprint() string {
 
 	b.WriteString(";open:")
 	if ci != nil {
-		ci.mu.Lock()
 		for p, open := range ci.open {
 			if open {
 				fmt.Fprintf(&b, "%d,", ci.ids[p])
 			}
 		}
-		ci.mu.Unlock()
 	}
 
-	// Every worker's serving state, copied under their lock, and the tasks
-	// the log says they answered: a worker with either is listed.
+	// Every worker's serving state and the tasks the log says they
+	// answered: a worker with either is listed.
 	type servingFP struct {
 		golden   []goldenAnswer
 		profiled bool
@@ -100,14 +102,9 @@ func (s *System) Fingerprint() string {
 	}
 	serving, slab := make([]servingFP, len(names)), *s.workers.Load()
 	for h, ws := range slab[:min(len(names), len(slab))] {
-		ws.mu.Lock()
-		if len(ws.golden) > 0 || ws.profiled || ws.anchor != nil {
-			serving[h] = servingFP{golden: slices.Clone(ws.golden), profiled: ws.profiled, listed: true}
-			if ws.anchor != nil {
-				serving[h].anchor = ws.anchor.Clone()
-			}
+		if golden := ws.goldenAnswers(); len(golden) > 0 || ws.profiled.Load() || ws.anchor != nil {
+			serving[h] = servingFP{golden: golden, profiled: ws.profiled.Load(), anchor: ws.anchor, listed: true}
 		}
-		ws.mu.Unlock()
 	}
 	for i := range log.Len() {
 		fp := &serving[log.Worker[i]]

@@ -3,10 +3,10 @@
 //
 // Hibernate is Close plus one promise: when the memory is released, no
 // answer lies past the newest state snapshot. If one does, a final snapshot
-// is written through a scratch-boot pass (the live concurrent system is
-// never serialized — its state is not the canonical serial-replay state);
-// this is the only place a snapshot is written. If none does — the campaign
-// was only published, or only handed out tasks since it last woke — nothing
+// is written through a scratch-boot pass (the live system is never
+// serialized: its asynchronous reruns swap in where the serial replay's do
+// not); this is the only place a snapshot is written. If none does — the
+// campaign was only published, or only handed out tasks since it last woke — nothing
 // is written: the answers past the newest snapshot are none, and the
 // publication and worker seeds replay without running inference. A later
 // Recover then replays the log without any answer's math and installs the
@@ -40,10 +40,9 @@ func (s *System) Hibernate() error {
 	if s.wal == nil {
 		return fmt.Errorf("core: Hibernate needs an armed WAL")
 	}
-	// Stop the background rerun worker; a pending nudge drains first,
-	// exactly as in Close.
-	s.closed.Do(func() { close(s.quit) })
-	s.wg.Wait()
+	// Stop the background rerun worker and the writer; a pending nudge
+	// drains first, exactly as in Close.
+	s.stop()
 
 	// Everything reserved so far must be power-loss durable before the
 	// final snapshot pass reads the log: the pass replays the on-disk
@@ -58,8 +57,8 @@ func (s *System) Hibernate() error {
 		// eliminated, so it is surfaced loudly.
 		snapErr = fmt.Errorf("final snapshot covers seq %d but an answer was logged at %d", s.snapSeq.Load(), s.answerSeq.Load())
 	}
-	// Release everything regardless: Close is idempotent past the
-	// closed.Once above and flushes the WAL again on its way out.
+	// Release everything regardless: Close is idempotent past the stop
+	// above and flushes the WAL again on its way out.
 	closeErr := s.Close()
 	if snapErr != nil {
 		return fmt.Errorf("core: hibernate snapshot: %w", snapErr)

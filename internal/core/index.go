@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"docs/internal/truth"
@@ -26,7 +25,7 @@ type candidateArr struct {
 // its row), whether it is golden (a golden task is no candidate), the truth
 // slot its first answer fills and its openness, all set once at Publish.
 // The serving side reads an immutable candidateArr via an atomic pointer —
-// the open positions, ascending. Membership maintenance:
+// the open positions, ascending. Membership maintenance, on the writer:
 //
 //   - noteAnswer marks a task closed the moment its redundancy is met (an
 //     O(1) event on the Submit path, amortizing the occasional compaction);
@@ -44,12 +43,11 @@ type candidateArr struct {
 // tie-break indices, bit-identical assignments (asserted by
 // TestIndexedAssignmentEquivalence).
 type candidateIndex struct {
-	mu     sync.Mutex
 	ids    []int         // the publication's task IDs, by position (shared, read-only)
 	rests  []*truth.Rest // by position
 	golden []bool        // by position (shared, read-only)
 	slots  []truth.Slot  // by position: filled when a task materialises
-	open   []bool        // by position
+	open   []bool        // by position; the writer's alone
 	stale  int           // closed entries still present in the published array
 
 	openCount atomic.Int64
@@ -75,8 +73,8 @@ func staleThreshold(arrLen int) int {
 
 // newCandidateIndex builds the index over a publication — its task IDs,
 // each task's rest state and golden flag, by position — and publishes the
-// first generation. Called from Publish with the campaign write lock held,
-// before any request can see the tasks.
+// first generation. Called as the publication installs, before any request
+// can see the tasks.
 func newCandidateIndex(ids []int, rests []*truth.Rest, golden []bool) *candidateIndex {
 	ci := &candidateIndex{ids: ids, rests: rests, golden: golden, slots: make([]truth.Slot, len(rests)), open: make([]bool, len(rests))}
 	for p := range rests {
@@ -84,13 +82,13 @@ func newCandidateIndex(ids []int, rests []*truth.Rest, golden []bool) *candidate
 			ci.openCount.Add(1)
 		}
 	}
-	ci.publishLocked()
+	ci.publish()
 	return ci
 }
 
-// publishLocked compacts the open positions (ascending) into a fresh
+// publish compacts the open positions (ascending) into a fresh
 // immutable array and publishes it.
-func (ci *candidateIndex) publishLocked() {
+func (ci *candidateIndex) publish() {
 	entries := make([]int32, 0, ci.openCount.Load())
 	for p, open := range ci.open {
 		if open {
@@ -125,8 +123,6 @@ func (ci *candidateIndex) noteAnswer(p, numAnswers, redundancy int) {
 	if redundancy <= 0 || numAnswers < redundancy {
 		return
 	}
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
 	if !ci.open[p] {
 		return
 	}
@@ -134,7 +130,7 @@ func (ci *candidateIndex) noteAnswer(p, numAnswers, redundancy int) {
 	ci.openCount.Add(-1)
 	ci.stale++
 	if arr := ci.arr.Load(); ci.stale >= staleThreshold(len(arr.entries)) {
-		ci.publishLocked()
+		ci.publish()
 	}
 }
 
@@ -144,8 +140,6 @@ func (ci *candidateIndex) noteAnswer(p, numAnswers, redundancy int) {
 // count non-monotonically, so this is the reopen path (and a safety net
 // for any closure the incremental path missed).
 func (ci *candidateIndex) resync(redundancy int) {
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
 	changed := false
 	for p, golden := range ci.golden {
 		if golden {
@@ -163,6 +157,6 @@ func (ci *candidateIndex) resync(redundancy int) {
 		}
 	}
 	if changed || ci.stale > 0 {
-		ci.publishLocked()
+		ci.publish()
 	}
 }

@@ -93,10 +93,8 @@ func newScanSystem(t *testing.T, cfg Config) *System {
 // assigns through (System.assignOracle, TestIndexedAssignmentEquivalence):
 // the indexed path must stay bit-identical to it on serial campaigns.
 func (s *System) assignScan(as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
-	s.mu.RLock()
-	golden := s.golden
-	s.mu.RUnlock()
-	ci := s.index.Load()
+	c := s.pub.Load()
+	golden, ci := c.golden, c.ci
 	backing := make([]assign.TaskState, 0, len(golden))
 	for p := range golden {
 		if _, leased := slices.BinarySearch(held, p); golden[p] || leased {
@@ -247,13 +245,13 @@ func TestCandidateIndexResyncReopens(t *testing.T) {
 	// incremental bookkeeping behind; resync must reopen it from the live
 	// snapshot (0 answers < cap) while leaving the genuinely closed task 0
 	// out.
-	ci := s.index.Load()
-	ci.mu.Lock()
-	p, _ := s.position(3)
-	ci.open[p] = false
-	ci.openCount.Add(-1)
-	ci.stale++
-	ci.mu.Unlock()
+	ci := s.pub.Load().ci
+	p, _ := s.pub.Load().position(3)
+	s.do(func() {
+		ci.open[p] = false
+		ci.openCount.Add(-1)
+		ci.stale++
+	})
 	if got := s.Stats().OpenTasks; got != n-2 {
 		t.Fatalf("OpenTasks after force-close = %d, want %d", got, n-2)
 	}
@@ -365,10 +363,10 @@ func TestBenefitCompactMatchesDenseOnTraces(t *testing.T) {
 	var sc assign.Scratch
 	answered, rows := 0, 0
 	for p, tk := range publishedTasks(s) {
-		if s.golden[p] { // pinned, never assigned by benefit
+		if s.pub.Load().golden[p] { // pinned, never assigned by benefit
 			continue
 		}
-		v := s.index.Load().view(int32(p))
+		v := s.pub.Load().ci.view(int32(p))
 		if len(v.M) != tk.Domain.Support() {
 			t.Fatalf("task %d: view holds %d rows for a support of %d", tk.ID, len(v.M), tk.Domain.Support())
 		}

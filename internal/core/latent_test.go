@@ -139,7 +139,7 @@ func driveTrace(t *testing.T, seed uint64, steps int, cfg Config, now *time.Time
 // truth engine, each found through the slot at its position: the rest are
 // latent.
 func materialised(s *System) int {
-	n, ci := 0, s.index.Load()
+	n, ci := 0, s.pub.Load().ci
 	for p := range ci.slots {
 		if ci.slots[p].View() != nil {
 			n++

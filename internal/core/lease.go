@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"container/heap"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -34,9 +33,9 @@ import (
 // state corruption is possible. See docs/assignment.md.
 //
 // Time is injected (Config.Clock) so tests drive expiry deterministically
-// with no sleeps. All mutations take one mutex; per-task active counts are
-// additionally mirrored in atomics so the assignment filter reads them
-// without locking.
+// with no sleeps. Every grant, release and expiry runs on the campaign's
+// writer; per-task active counts are mirrored in atomics so the assignment
+// filter reads them beside it.
 type leaseTable struct {
 	ttl time.Duration
 	now func() time.Time
@@ -49,7 +48,6 @@ type leaseTable struct {
 
 	active atomic.Int64 // total live leases, the /stats gauge
 
-	mu       sync.Mutex
 	byWorker map[string][]heldLease // worker -> their leases, by ascending position
 	exp      expiryHeap             // possibly-stale (expiry, worker, position) entries
 }
@@ -67,14 +65,13 @@ func find(held []heldLease, p int) (int, bool) {
 }
 
 // staleSlack is how many heap entries beyond twice the live leases the
-// table tolerates before compactLocked rebuilds the heap.
+// table tolerates before compact rebuilds the heap.
 const staleSlack = 64
 
 // leaseEntry is one scheduled expiry; a live lease has exactly one whose
 // expiry is the lease's. A release or a re-grant leaves the old entry in
 // the heap, where it is discarded when popped (byWorker is the authority)
-// or dropped when stale entries come to outnumber live leases
-// (compactLocked).
+// or dropped when stale entries come to outnumber live leases (compact).
 type leaseEntry struct {
 	at     time.Time
 	worker string
@@ -107,13 +104,10 @@ func (lt *leaseTable) install(n int) { lt.slots = make([]atomic.Int32, n) }
 
 // beginRequest processes due expiries and appends to held, ascending, the
 // positions of the tasks the worker currently holds leases on — the
-// per-worker exclusion for this request. One locked pass per request; the
-// cost is O(expired·log + held·log held).
+// per-worker exclusion for this request. One pass per request; the cost is
+// O(expired·log + held·log held).
 func (lt *leaseTable) beginRequest(workerID string, held []int) []int {
-	now := lt.now()
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	lt.expireLocked(now)
+	lt.expire(lt.now())
 	for _, l := range lt.byWorker[workerID] {
 		held = append(held, l.pos)
 	}
@@ -125,17 +119,13 @@ func (lt *leaseTable) beginRequest(workerID string, held []int) []int {
 // requests arriving to run beginRequest — would report expired leases as
 // active forever.
 func (lt *leaseTable) activeNow() int64 {
-	now := lt.now()
-	lt.mu.Lock()
-	lt.expireLocked(now)
-	n := lt.active.Load()
-	lt.mu.Unlock()
-	return n
+	lt.expire(lt.now())
+	return lt.active.Load()
 }
 
-// expireLocked drops every lease whose TTL elapsed. Heap entries that were
+// expire drops every lease whose TTL elapsed. Heap entries that were
 // released or superseded by a newer grant are discarded without effect.
-func (lt *leaseTable) expireLocked(now time.Time) {
+func (lt *leaseTable) expire(now time.Time) {
 	for len(lt.exp) > 0 && !lt.exp[0].at.After(now) {
 		e := heap.Pop(&lt.exp).(leaseEntry)
 		held := lt.byWorker[e.worker]
@@ -143,12 +133,12 @@ func (lt *leaseTable) expireLocked(now time.Time) {
 		if !live || held[x].at.After(now) {
 			continue // released, or re-granted with a later expiry
 		}
-		lt.dropLocked(e.worker, held, x)
+		lt.drop(e.worker, held, x)
 	}
 }
 
-// dropLocked ends the worker's x'th lease, held being all of them.
-func (lt *leaseTable) dropLocked(workerID string, held []heldLease, x int) {
+// drop ends the worker's x'th lease, held being all of them.
+func (lt *leaseTable) drop(workerID string, held []heldLease, x int) {
 	lt.slots[held[x].pos].Add(-1)
 	lt.active.Add(-1)
 	if held = slices.Delete(held, x, x+1); len(held) == 0 {
@@ -162,13 +152,7 @@ func (lt *leaseTable) dropLocked(workerID string, held []heldLease, x int) {
 // position. A task the worker already holds (two racing requests selecting
 // it before either grant landed) only has its expiry extended.
 func (lt *leaseTable) grant(workerID string, positions []int) {
-	if len(positions) == 0 {
-		return
-	}
-	now := lt.now()
-	expiry := now.Add(lt.ttl)
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
+	expiry := lt.now().Add(lt.ttl)
 	held := lt.byWorker[workerID]
 	for _, p := range positions {
 		x, live := find(held, p)
@@ -184,17 +168,17 @@ func (lt *leaseTable) grant(workerID string, positions []int) {
 		heap.Push(&lt.exp, leaseEntry{at: expiry, worker: workerID, pos: p})
 	}
 	lt.byWorker[workerID] = held
-	lt.compactLocked()
+	lt.compact()
 }
 
-// compactLocked drops the stale entries — released, or superseded by a
+// compact drops the stale entries — released, or superseded by a
 // later grant — once the heap holds more than twice as many entries as
 // there are live leases (plus staleSlack), keeping the one entry each live
 // lease has. Without it the heap would hold every grant of the last TTL,
 // answered or not. Each task granted or released moves len(exp) − 2·live
 // by at most two, so a pass, which costs O(len(exp)), follows at least
 // (live+staleSlack)/2 of them since the last: O(1) amortised.
-func (lt *leaseTable) compactLocked() {
+func (lt *leaseTable) compact() {
 	if len(lt.exp) <= 2*int(lt.active.Load())+staleSlack {
 		return
 	}
@@ -214,13 +198,11 @@ func (lt *leaseTable) compactLocked() {
 // called when their answer is accepted. The heap entry stays behind until
 // its expiry comes due or a rebuild drops it.
 func (lt *leaseTable) release(workerID string, p int) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	held := lt.byWorker[workerID]
 	x, live := find(held, p)
 	if !live {
 		return
 	}
-	lt.dropLocked(workerID, held, x)
-	lt.compactLocked()
+	lt.drop(workerID, held, x)
+	lt.compact()
 }

@@ -17,12 +17,10 @@ import (
 	"docs/internal/wal"
 )
 
-// TestPublishPackFailureFailsStop: the install runs beside the packer, so a
-// pack that fails after it has left a campaign in memory that its log does
-// not hold. Publish returns ErrDurability; under a registry the core is
-// dropped and the next call wakes the campaign unpublished, with nothing in
-// its log; no goroutine is left behind; and a retry publishes and logs the
-// serial path's record.
+// TestPublishPackFailureFailsStop: a publish whose pack fails returns
+// ErrDurability; under a registry the core is dropped and the next call
+// wakes the campaign unpublished, with nothing in its log; no goroutine is
+// left behind; and a retry publishes and logs the serial path's record.
 func TestPublishPackFailureFailsStop(t *testing.T) {
 	const name = "packed"
 	root := t.TempDir()

@@ -250,11 +250,9 @@ func TestAllocsInstallPublication(t *testing.T) {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
-		s.mu.Lock()
 		runtime.ReadMemStats(&before)
 		s.installPublication(pub)
 		runtime.ReadMemStats(&after)
-		s.mu.Unlock()
 		return after.Mallocs - before.Mallocs
 	}
 	install(10) // the first task of each shape builds the shared rest states
@@ -297,9 +295,7 @@ func TestInstallBytesPerTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
 	s.installPublication(pub)
-	s.mu.Unlock()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
@@ -361,7 +357,7 @@ func TestLiveBytesPerPublishedTask(t *testing.T) {
 		b = nil
 		latent = live() - before - float64(text)
 
-		ci := s.index.Load()
+		ci := s.pub.Load().ci
 		rows := make([]truth.Row, n)
 		for p := range rows {
 			rows[p] = ci.row(p)
@@ -424,13 +420,11 @@ func TestAllocsRerunIndependentOfUnanswered(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.rerunMu.Lock()
-		defer s.rerunMu.Unlock()
 		least := ^uint64(0)
 		var before, after runtime.MemStats
 		for rep := 0; rep < 3; rep++ {
 			runtime.ReadMemStats(&before)
-			err := s.rerunLocked()
+			err := s.rerun(onWriter)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -473,13 +467,11 @@ func TestAllocsRerunPerAnswer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.rerunMu.Lock()
-		defer s.rerunMu.Unlock()
 		least := ^uint64(0)
 		var before, after runtime.MemStats
 		for rep := 0; rep < 3; rep++ {
 			runtime.ReadMemStats(&before)
-			err := s.rerunLocked()
+			err := s.rerun(onWriter)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -532,13 +524,11 @@ func TestAllocsGoldenRerunPerAnswer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.rerunMu.Lock()
-		defer s.rerunMu.Unlock()
 		least := ^uint64(0)
 		var before, after runtime.MemStats
 		for rep := 0; rep < 3; rep++ {
 			runtime.ReadMemStats(&before)
-			err := s.rerunLocked()
+			err := s.rerun(onWriter)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

@@ -16,7 +16,7 @@ func replayToSubmission(t *testing.T, cfg Config, recs []wal.Record, n int64) *S
 		if s.submissions.Load() == n {
 			break
 		}
-		if err := s.applyRecord(rec); err != nil {
+		if err := s.applyRecord(&entry{Record: rec}); err != nil {
 			t.Fatal(err)
 		}
 	}

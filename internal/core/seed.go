@@ -2,11 +2,11 @@
 // adopted, so recovery restores it instead of re-deriving it.
 //
 // A campaign reads the long-run worker store in two places: when a
-// store-known worker first becomes visible (workerReady / ensureWorker) and
+// store-known worker first becomes visible (workerReady / seedFromStore) and
 // when golden profiling completes (store.MergeProfile). Other campaigns keep
 // merging into the store, so a replay that re-read it would see other bits
 // than the live system did. So a seed is logged as a KindSeed record of the
-// exact bits adopted, under logMu in the critical section that installs it,
+// exact bits adopted, by the writer before it applies it (commitSeed),
 // which orders it before every answer that could observe it; replay applies
 // the logged bits and never reads the store. The profiling merge is
 // idempotent by ID instead, and the anchor it returns is pinned in the
@@ -64,35 +64,16 @@ func (s *System) profileID(workerID string) string {
 	return s.cfg.ProfileScope + "/" + workerID
 }
 
-// logSeed installs store statistics as the worker's incremental seed and
-// logs them as a KindSeed record. Callers hold logMu, so the record precedes
-// every answer that could observe the seed, in the log as in memory. With
-// force the record is logged even when the set-if-absent install lost:
-// workerReady makes its profiled-flag flip durable that way.
-func (s *System) logSeed(workerID string, st *truth.Stats, profiled, force bool) (installed bool, p wal.Pending, err error) {
-	blob, err := encodeSeed(st, profiled)
-	if err != nil {
-		return false, p, err
-	}
-	installed, _ = s.inc.SeedWorker(workerID, st)
-	if installed || force {
-		p, err = s.walReserve(wal.Record{Kind: wal.KindSeed, Worker: workerID, Blob: blob})
-	}
-	return installed, p, err
-}
-
 // applySeed applies one seed, live or replayed from its KindSeed record: the
 // bits installed set-if-absent, the profiled flag when the seed carried it,
 // and the anchor if none is pinned yet (the first seed wins).
 func (s *System) applySeed(workerID string, st *truth.Stats, profiled bool) {
 	_, _ = s.inc.SeedWorker(workerID, st)
 	ws := s.stateFor(workerID)
-	ws.mu.Lock()
 	if profiled {
-		ws.profiled = true
+		ws.profiled.Store(true)
 	}
 	if ws.anchor == nil {
 		ws.anchor = st.Clone()
 	}
-	ws.mu.Unlock()
 }

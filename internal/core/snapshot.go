@@ -5,9 +5,9 @@
 // through the ordinary serving path. A snapshot only lets it skip, for the
 // answers the snapshot covers, the engine math its install overwrites (see
 // replay). The numbers must be exactly the serial replay's, and the live
-// system, serving concurrently (and possibly rerunning inference
-// asynchronously), is NOT in that state, so the live System is never
-// serialized: a snapshot pass is a scratch boot. It builds a virgin serial
+// system, whose asynchronous reruns swap in at whatever answer they find,
+// is not in that state, so the live System is never serialized: a snapshot
+// pass is a scratch boot. It builds a virgin serial
 // System, replays the WAL directory into it exactly as Recover would,
 // writes the replica's engine numbers — every float as raw bits — into an
 // atomically-replaced snapshot file keyed by the WAL sequence it covers,
@@ -73,18 +73,15 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 	if snap.Seq < publishSeq {
 		return nil, fmt.Errorf("core: snapshot covers seq %d, before publish record %d", snap.Seq, publishSeq)
 	}
-	s.mu.RLock()
-	order, golden := s.taskOrder, s.golden
-	s.mu.RUnlock()
-	ci := s.index.Load()
+	c := s.pub.Load()
 	prev := -1 // task IDs are non-negative
 	for _, ts := range snap.TaskStates {
-		p, ok := order.position(ts.ID)
-		if !ok || golden[p] || ts.ID <= prev {
+		p, ok := c.position(ts.ID)
+		if !ok || c.golden[p] || ts.ID <= prev {
 			return nil, fmt.Errorf("core: snapshot state for unknown, golden, repeated or out-of-order task %d", ts.ID)
 		}
 		prev = ts.ID
-		t := ci.row(p)
+		t := c.ci.row(p)
 		// The codec guarantees every M̂ row is len(S) long. Which domains
 		// the rows stand for is the publication's to say: a row count that
 		// is not the support's would index the matrix wrongly.
@@ -122,18 +119,15 @@ func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth
 	if z := int64(s.cfg.RerunEvery); z > 0 && s.submissions.Load() >= z {
 		s.inc.ReseedLatent()
 	}
-	s.mu.RLock()
-	order := s.taskOrder
-	s.mu.RUnlock()
-	ci := s.index.Load()
+	c := s.pub.Load()
 	for _, ts := range snap.TaskStates {
-		p, _ := order.position(ts.ID)
-		s.inc.RestoreTask(ci.row(p), &ci.slots[p], truth.TaskState(ts))
+		p, _ := c.position(ts.ID)
+		s.inc.RestoreTask(c.ci.row(p), &c.ci.slots[p], truth.TaskState(ts))
 	}
 	for _, ws := range snap.Workers {
 		_ = s.inc.SetWorker(ws.ID, workers[ws.ID])
 	}
-	s.index.Load().resync(s.cfg.AnswersPerTask)
+	c.ci.resync(s.cfg.AnswersPerTask)
 }
 
 // validStats turns codec worker statistics into validated engine form: the
@@ -211,7 +205,8 @@ func (s *System) snapshotPass() error {
 	}
 	defer r.Close()
 	r.rerunFault, r.eagerInstall = s.passRerunFault, s.eagerInstall
-	info, err := r.replay(s.walDir)
+	var info RecoveryInfo
+	r.do(func() { info, err = r.replay(s.walDir) })
 	if err != nil {
 		return err
 	}

@@ -461,7 +461,7 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 	if got := s.Stats().OpenTasks; got != 14 {
 		t.Fatalf("OpenTasks = %d, want 14", got)
 	}
-	ci := s.index.Load()
+	ci := s.pub.Load().ci
 	if ci == nil {
 		t.Fatal("no candidate index")
 	}

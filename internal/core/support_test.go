@@ -123,7 +123,7 @@ func TestSupportIsNotPresence(t *testing.T) {
 	if err := s.Submit("w", 4, 1); err != nil {
 		t.Fatal(err)
 	}
-	if rows := len(s.index.Load().slots[0].View().M); rows != support {
+	if rows := len(s.pub.Load().ci.slots[0].View().M); rows != support {
 		t.Fatalf("the answered task holds %d rows, want the %d of its support (a −0 entry is stored, not weighed)", rows, support)
 	}
 }

@@ -17,13 +17,12 @@ import (
 // ID, text, choices, domain vector, truth and true domain, in publication
 // order: the per-task layout the table replaced, kept as the tests' oracle.
 func publishedTasks(s *System) []*model.Task {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ci := s.index.Load()
-	c := wal.NewCursor(s.body[s.truths:])
-	out := make([]*model.Task, len(s.ids))
-	for p, id := range s.ids {
-		t := s.task(p, id)
+	pub := s.pub.Load()
+	ci := pub.ci
+	c := wal.NewCursor(pub.body[pub.truths:])
+	out := make([]*model.Task, len(pub.ids))
+	for p, id := range pub.ids {
+		t := pub.task(p, id)
 		t.Domain = ci.rests[p].R
 		c.Uvarint()
 		out[p] = &t
@@ -128,7 +127,7 @@ func TestTaskTableSameAfterWake(t *testing.T) {
 		}
 		return s.Tasks(got)
 	}
-	published, want := live.taskTable, serve(live)
+	published, want := live.pub.Load().taskTable, serve(live)
 	for _, tk := range want {
 		src := tasks[len(tasks)-tk.ID/3]
 		if tk.Text != src.Text || !slices.Equal(tk.Choices, src.Choices) || tk.Truth != src.Truth {
@@ -144,7 +143,7 @@ func TestTaskTableSameAfterWake(t *testing.T) {
 	if _, err := woken.Recover(dir); err != nil {
 		t.Fatal(err)
 	}
-	got := woken.taskTable
+	got := woken.pub.Load().taskTable
 	if !bytes.Equal(got.body, published.body) || !slices.Equal(got.text, published.text) ||
 		!slices.Equal(got.choices, published.choices) || got.truths != published.truths || !slices.Equal(got.wide, published.wide) {
 		t.Fatal("the woken task table differs from the published one")

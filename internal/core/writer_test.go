@@ -1,0 +1,197 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"docs/internal/kb"
+	"docs/internal/store"
+	"docs/internal/truth"
+)
+
+// BenchmarkConcurrentSubmitRequest: GOMAXPROCS goroutines share one
+// WAL-armed campaign of 600 tasks, each a worker who requests a HIT of five
+// and answers its first task, taking a fresh worker name once the pool
+// serves them nothing. Reruns are off, so what is timed is serving alone.
+// Run it at -cpu 1,2 to see what one campaign's serving costs when its
+// mutations queue for one writer.
+func BenchmarkConcurrentSubmitRequest(b *testing.B) {
+	k := kb.MustDefault()
+	st, err := store.Open("", k.Domains().Size())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{KB: k, Store: st, ProfileScope: "bench", GoldenCount: -1, HITSize: 5, RerunEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Recover(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Publish(indexTasks(600, s.m)); err != nil {
+		b.Fatal(err)
+	}
+	var workers atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := fmt.Sprintf("w%d", workers.Add(1))
+		for pb.Next() {
+			served, err := s.Request(w, 5)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if len(served) == 0 {
+				w = fmt.Sprintf("w%d", workers.Add(1))
+				continue
+			}
+			if err := s.Submit(w, served[0].ID, 0); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// servedCampaign publishes 60 tasks, the first six golden-eligible, on a
+// WAL-armed system over a store that already holds the profiles of workers
+// w0–w3 from another campaign, and drives it from six goroutines, beside
+// which, when it is set, beside runs too: each goroutine requests HITs for
+// workers w0–w8 (so two goroutines may serve one worker at once) and
+// answers them, one goroutine in batches. A rejected answer (a racing
+// duplicate) is part of the traffic; a durability failure fails the test.
+func servedCampaign(t *testing.T, cfg Config, dir string, beside func(*System)) *System {
+	t.Helper()
+	s := newSystem(t, cfg)
+	for w := 0; w < 4; w++ {
+		st := truth.NewStats(s.m)
+		for k := range st.Q {
+			st.Q[k], st.U[k] = 0.6+0.05*float64(w), 2
+		}
+		if _, _, err := s.store.MergeProfile(fmt.Sprintf("elsewhere/w%d", w), fmt.Sprintf("w%d", w), st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	tasks := indexTasks(60, s.m)
+	for _, tk := range tasks[:6] {
+		tk.Truth = 0
+	}
+	if err := s.Publish(tasks); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	if beside != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					beside(s)
+				}
+			}
+		}()
+	}
+	var clients sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		clients.Add(1)
+		go func(g int) {
+			defer clients.Done()
+			for round := 0; round < 20; round++ {
+				w := fmt.Sprintf("w%d", (g*3+round)%9)
+				served, err := s.Request(w, 4)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				items := make([]BatchItem, len(served))
+				for i, tk := range served {
+					items[i] = BatchItem{Worker: w, Task: tk.ID, Choice: max(tk.Truth, (round+tk.ID)%2)}
+				}
+				if g == 0 {
+					_, err = s.SubmitBatch(items)
+				}
+				for i := 0; g != 0 && i < len(items) && !errors.Is(err, ErrDurability); i++ {
+					err = s.Submit(items[i].Worker, items[i].Task, items[i].Choice)
+				}
+				if errors.Is(err, ErrDurability) {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	clients.Wait()
+	close(stop)
+	wg.Wait()
+	return s
+}
+
+// TestLiveIsItsLogReplayed: a campaign served concurrently — requests under
+// leases, single and batched submits, golden gauntlets, store seeds and
+// synchronous reruns — is, bit for bit, the state a boot of its log
+// reaches: the writer applied every mutation in the order the log holds.
+func TestLiveIsItsLogReplayed(t *testing.T) {
+	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 15, LeaseTTL: time.Minute}
+	dir := t.TempDir()
+	live := servedCampaign(t, cfg, dir, nil)
+	want, st := live.Fingerprint(), live.Stats()
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Answers < 2*int64(cfg.RerunEvery) || st.RerunsCompleted == 0 || st.BatchesTotal == 0 {
+		t.Fatalf("the traffic gave %d answers, %d reruns and %d batches: too little to hold replay to", st.Answers, st.RerunsCompleted, st.BatchesTotal)
+	}
+	cfg.Store = live.store
+	boot := newSystem(t, cfg)
+	defer boot.Close()
+	if _, err := boot.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := boot.Fingerprint(); got != want {
+		t.Fatalf("the boot of the live campaign's log differs from it:\n%s", DiffFingerprints(got, want, 8))
+	}
+}
+
+// TestServingStressRecovers: the same traffic with reruns on the
+// background worker while Results, Stats and Fingerprint read the campaign
+// beside it; its log then boots to the answers and counters the live
+// campaign held. (An asynchronous rerun swaps in wherever it finds the
+// log, so the engine's numbers are the replay's only at the synchronous
+// cadence, which TestLiveIsItsLogReplayed holds.)
+func TestServingStressRecovers(t *testing.T) {
+	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 10, AsyncRerun: true, LeaseTTL: time.Minute}
+	dir := t.TempDir()
+	live := servedCampaign(t, cfg, dir, func(s *System) {
+		if _, err := s.Results(); err != nil {
+			t.Error(err)
+		}
+		_, _ = s.Stats(), s.Fingerprint()
+	})
+	want, st := live.Answers().All(), live.Stats()
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = live.store
+	boot := newSystem(t, cfg)
+	defer boot.Close()
+	if _, err := boot.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, bst := boot.Answers().All(), boot.Stats()
+	if !reflect.DeepEqual(got, want) || bst.Answers != st.Answers || bst.BatchesTotal != st.BatchesTotal || bst.BatchAnswersTotal != st.BatchAnswersTotal {
+		t.Fatalf("the boot holds %d answers in %d batches, the live campaign %d in %d", bst.Answers, bst.BatchesTotal, st.Answers, st.BatchesTotal)
+	}
+}

@@ -258,8 +258,9 @@ func TestCopyOnWriteExportRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCopyOnWriteConcurrentSubmits: submits privatizing distinct tasks of one
-// ℓ while readers walk every task's view — meaningful under -race.
+// TestCopyOnWriteConcurrentSubmits: the engine's one writer privatizing
+// distinct tasks of one ℓ while readers walk every task's view and load the
+// workers' qualities — meaningful under -race.
 func TestCopyOnWriteConcurrentSubmits(t *testing.T) {
 	inc, _ := cowEngine(t)
 	prior := restFloats()
@@ -275,6 +276,10 @@ func TestCopyOnWriteConcurrentSubmits(t *testing.T) {
 					return
 				default:
 				}
+				q := make(model.QualityVector, cowM)
+				for w := 0; w < 7; w++ {
+					inc.Quality(fmt.Sprintf("w%d", w), q)
+				}
 				for id := 0; id < cowN; id++ {
 					v := inc.View(id)
 					var sum float64
@@ -289,20 +294,17 @@ func TestCopyOnWriteConcurrentSubmits(t *testing.T) {
 			}
 		}()
 	}
-	const nWriters = 4
-	for g := 0; g < nWriters; g++ {
-		writers.Add(1)
-		go func(g int) {
-			defer writers.Done()
-			for id := g; id < cowN; id += nWriters {
-				a := model.Answer{Worker: fmt.Sprintf("w%d", id%7), Task: id, Choice: id % cowEll}
-				if err := inc.Submit(a); err != nil {
-					t.Error(err)
-					return
-				}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for id := 0; id < cowN; id++ {
+			a := model.Answer{Worker: fmt.Sprintf("w%d", id%7), Task: id, Choice: id % cowEll}
+			if err := inc.Submit(a); err != nil {
+				t.Error(err)
+				return
 			}
-		}(g)
-	}
+		}
+	}()
 	writers.Wait()
 	close(stop)
 	readers.Wait()

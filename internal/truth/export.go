@@ -28,21 +28,16 @@ type TaskState struct {
 // the rest state the engine derives from the task and whether a rerun has
 // landed, which a restore re-derives (ReseedLatent). RestoreTask marks a task
 // touched, so the exported set is the same before and after a restore. All
-// slices are private copies. The export is a consistent cut only on a
-// quiescent engine — the serving core calls it on a snapshot pass's scratch
-// replica, which nothing mutates concurrently.
+// slices are private copies. Like every mutation it runs on the engine's
+// writer — the serving core calls it on a snapshot pass's scratch replica.
 func (inc *Incremental) ExportTasks() []TaskState {
-	inc.restMu.RLock()
 	its := slices.Clone(inc.made)
-	inc.restMu.RUnlock()
 	slices.SortFunc(its, func(a, b *incTask) int { return cmp.Compare(a.id, b.id) })
 	var out []TaskState
 	for _, it := range its {
-		it.mu.Lock()
 		if it.touched {
 			out = append(out, TaskState{ID: it.id, MHat: cloneMatrix(it.mhat), S: mathx.Clone(it.s)})
 		}
-		it.mu.Unlock()
 	}
 	return out
 }
@@ -65,7 +60,6 @@ func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) {
 		inc.Materialise(t, slot)
 		it = slot.it.Load()
 	}
-	it.mu.Lock()
 	it.own()
 	for k := range it.mhat {
 		copy(it.mhat[k], ts.MHat[k])
@@ -73,7 +67,6 @@ func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) {
 	it.s = mathx.Clone(ts.S)
 	it.touched = true
 	it.publishView(inc.epoch.Add(1), normalizeRows(it.mhat))
-	it.mu.Unlock()
 }
 
 // atRest reports whether ts is, bit for bit, the state a latent t reads now.

@@ -31,15 +31,14 @@ import (
 // estimates can drift from the batch fixed point; DOCS therefore re-runs the
 // iterative solver every z submissions (see the core orchestrator).
 //
-// The engine is safe for concurrent use. Mutations take a per-task lock
-// (serializing answers to the same task) plus per-worker locks, so
-// submits to different tasks proceed in parallel. Readers never touch live
-// state: every mutation publishes an immutable TaskView via an atomic
-// pointer, and View/Slot.View read the latest published snapshot without
-// blocking writers. Under concurrency the incremental estimates can
-// interleave differently than a serial replay — the same kind of drift the
-// periodic batch rerun already corrects — but every published view is an
-// internally consistent (task, M, s) snapshot.
+// The engine has one writer: its mutations (AddTask, Materialise, Submit,
+// Record, SetWorker, SeedWorker, Reseed, RestoreTask) must not run
+// concurrently with each other — the serving core makes them on its
+// campaign's one writer goroutine. Readers run beside that writer and never
+// block it: every mutation publishes an immutable TaskView via an atomic
+// pointer, which View and Slot.View load; a worker's statistics are float
+// bits the writer stores entry by entry, which Quality and Worker load; and
+// Handle and Names read the worker table under its lock.
 //
 // A task the serving core publishes is addressed by its publication
 // position alone: the core holds there the Slot its state is found
@@ -56,13 +55,9 @@ type Incremental struct {
 	m     int
 	epoch atomic.Uint64 // bumped on every state mutation
 
-	// restMu guards rests, reseededAt, made and byID. rests holds, per
-	// domain vector and ℓ, what the engine's latent tasks of that shape
-	// read; reseededAt is the epoch of the first rerun that landed, 0
-	// before it. A task materialises under restMu at the rest state it
-	// reads, so a rerun's flip, which takes it too, either comes first or
-	// finds the task in made.
-	restMu     sync.RWMutex
+	// rests holds, per domain vector and ℓ, what the engine's latent tasks
+	// of that shape read; reseededAt is the epoch of the first rerun that
+	// landed, 0 before it.
 	rests      map[restKey]*Rest
 	reseededAt uint64
 	made       []*incTask // every materialised task, in the order it materialised
@@ -73,9 +68,10 @@ type Incremental struct {
 
 // workerTable is the engine's one table of workers: each worker ID is
 // interned once, at a handle — what V(i) and the serving core's answer log
-// name her by — and her statistics live at that handle once the engine
-// knows her. Handles only grow, and an entry never moves: a copy of names
-// or stats taken under mu stays valid.
+// name her by — and her statistics live at that handle. Handles only grow,
+// and an entry never moves: a copy of names or stats taken under mu stays
+// valid. mu is the engine's one lock: a serving request looks a worker's
+// handle up beside the writer that interns new ones.
 type workerTable struct {
 	mu     sync.RWMutex
 	handle map[string]int32
@@ -83,11 +79,45 @@ type workerTable struct {
 	stats  []*workerStats // by handle
 }
 
-// workerStats is one worker's statistics, nil until the engine knows her,
-// mutated only under its lock.
+// workerStats is one worker's statistics as float bits, valid once known is
+// set: only the engine's writer stores into them, and a reader loads them
+// entry by entry, so a read beside a write may see some entries before it
+// and others after it, each whole.
 type workerStats struct {
-	mu sync.Mutex
-	st *Stats
+	known atomic.Bool
+	q, u  floats
+}
+
+// floats is a vector of float64s one writer stores into while any goroutine
+// loads from it.
+type floats []atomic.Uint64
+
+func (f floats) at(k int) float64     { return math.Float64frombits(f[k].Load()) }
+func (f floats) set(k int, x float64) { f[k].Store(math.Float64bits(x)) }
+
+// statsOf copies the worker's statistics out.
+func (ws *workerStats) statsOf() *Stats {
+	st := &Stats{Q: make(model.QualityVector, len(ws.q)), U: make([]float64, len(ws.u))}
+	for k := range st.Q {
+		st.Q[k], st.U[k] = ws.q.at(k), ws.u.at(k)
+	}
+	return st
+}
+
+// install stores st as the worker's statistics and marks her known.
+func (ws *workerStats) install(st *Stats) {
+	for k := range ws.q {
+		ws.q.set(k, st.Q[k])
+		ws.u.set(k, st.U[k])
+	}
+	ws.known.Store(true)
+}
+
+// ensure gives a worker the engine does not know yet the default statistics.
+func (ws *workerStats) ensure(m int) {
+	if !ws.known.Load() {
+		ws.install(NewStats(m))
+	}
 }
 
 // Vote is one answer as its task holds it: the answering worker's handle
@@ -98,7 +128,6 @@ type Vote struct{ Worker, Choice int32 }
 // shape — the Rest of its domain vector and choice count ℓ, all its math
 // reads of the task.
 type incTask struct {
-	mu   sync.Mutex
 	id   int
 	p    int32
 	rest *Rest
@@ -181,7 +210,8 @@ func (inc *Incremental) Intern(w string) int32 {
 	h, ok := t.handle[w]
 	if !ok {
 		h = int32(len(t.names))
-		t.handle[w], t.names, t.stats = h, append(t.names, w), append(t.stats, &workerStats{})
+		vals := make(floats, 2*inc.m)
+		t.handle[w], t.names, t.stats = h, append(t.names, w), append(t.stats, &workerStats{q: vals[:inc.m:inc.m], u: vals[inc.m:]})
 	}
 	return h
 }
@@ -208,17 +238,6 @@ func (inc *Incremental) table() ([]string, []*workerStats) {
 
 // stats returns the statistics slot of the worker at handle h.
 func (inc *Incremental) stats(h int32) *workerStats { _, st := inc.table(); return st[h] }
-
-// with runs f with the worker's live stats under her lock, creating default
-// stats first if the engine does not know her yet.
-func (ws *workerStats) with(m int, f func(st *Stats)) {
-	ws.mu.Lock()
-	if ws.st == nil {
-		ws.st = NewStats(m)
-	}
-	f(ws.st)
-	ws.mu.Unlock()
-}
 
 // known returns the worker's statistics slot, nil unless she has a handle.
 func (inc *Incremental) known(w string) *workerStats {
@@ -262,9 +281,9 @@ func (inc *Incremental) Materialise(t Row, slot *Slot) {
 	}
 }
 
-// materialise is the one path an incTask is built on: n tasks under
-// restMu, into one slab, on the end of made, each with its first view, in
-// the order given; task(i) gives the i'th task's ID, position and shape.
+// materialise is the one path an incTask is built on: n tasks into one
+// slab, on the end of made, each with its first view, in the order given;
+// task(i) gives the i'th task's ID, position and shape.
 // Without a slot (AddTask) it takes them whole or not at all, at the
 // engine's next positions, enters them in byID and starts each at the
 // AddTask prior of its own Rest. With one (Materialise) the single task
@@ -272,8 +291,6 @@ func (inc *Incremental) Materialise(t Row, slot *Slot) {
 // slot — unless another materialisation filled it first.
 func (inc *Incremental) materialise(n int, task func(i int) (id int, p int32, rest *Rest), slot *atomic.Pointer[incTask]) error {
 	slab := make([]incTask, n)
-	inc.restMu.Lock()
-	defer inc.restMu.Unlock()
 	if slot != nil && slot.Load() != nil {
 		return nil
 	}
@@ -303,8 +320,7 @@ func (inc *Incremental) materialise(n int, task func(i int) (id int, p int32, re
 			it.mhat, it.s, M = prior.mhat, make([]float64, it.rest.Ell), prior.norm
 			applyDomain(it.s, it.rest.R, prior.norm)
 		} else {
-			// A rerun flips the rest state under restMu, so this is the state
-			// the task read until now.
+			// The state the task read until now.
 			rest := it.rest
 			v := rest.View()
 			it.mhat, it.s, M = rest.states.prior.mhat, v.S, v.M
@@ -321,15 +337,13 @@ func (inc *Incremental) materialise(n int, task func(i int) (id int, p int32, re
 }
 
 // find returns where id falls in byID, and whether a task AddTask
-// registered has it. Callers hold restMu.
+// registered has it.
 func (inc *Incremental) find(id int) (int, bool) {
 	return slices.BinarySearchFunc(inc.byID, id, func(x int32, id int) int { return cmp.Compare(inc.made[x].id, id) })
 }
 
 // registered returns the task AddTask registered with this ID, nil if none.
 func (inc *Incremental) registered(id int) *incTask {
-	inc.restMu.RLock()
-	defer inc.restMu.RUnlock()
 	if at, ok := inc.find(id); ok {
 		return inc.made[inc.byID[at]]
 	}
@@ -338,7 +352,6 @@ func (inc *Incremental) registered(id int) *incTask {
 
 // publishView snapshots the task's current state into an immutable view;
 // M is normalizeRows(it.mhat), which the caller has computed or shares.
-// Callers hold it.mu (or have exclusive access, as in materialise).
 func (it *incTask) publishView(epoch uint64, M [][]float64) {
 	v := &TaskView{
 		M:          M,
@@ -358,82 +371,65 @@ func (inc *Incremental) SetWorker(w string, st *Stats) error {
 	if err := st.Validate(inc.m); err != nil {
 		return fmt.Errorf("truth: worker %q: %w", w, err)
 	}
-	ws := inc.stats(inc.Intern(w))
-	ws.mu.Lock()
-	ws.st = st.Clone()
-	ws.mu.Unlock()
+	inc.stats(inc.Intern(w)).install(st)
 	return nil
 }
 
 // Worker returns a copy of the current statistics for a worker (nil if
-// unseen). The copy is private to the caller: live stats are only ever
-// mutated under the worker's lock.
-func (inc *Incremental) Worker(w string) (st *Stats) {
-	inc.read(w, func(live *Stats) { st = live.Clone() })
-	return st
+// unseen), private to the caller.
+func (inc *Incremental) Worker(w string) *Stats {
+	if ws := inc.known(w); ws != nil && ws.known.Load() {
+		return ws.statsOf()
+	}
+	return nil
 }
 
 // Quality copies the worker's current quality vector into q, of m entries
 // or nil, and reports whether the engine has statistics for her: Worker's Q
 // alone, with nothing allocated.
 func (inc *Incremental) Quality(w string, q model.QualityVector) bool {
-	return inc.read(w, func(live *Stats) { copy(q, live.Q) })
-}
-
-// read runs f on the worker's live statistics under her lock, if the
-// engine has any, and reports whether it did.
-func (inc *Incremental) read(w string, f func(live *Stats)) bool {
 	ws := inc.known(w)
-	if ws == nil {
+	if ws == nil || !ws.known.Load() {
 		return false
 	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.st != nil {
-		f(ws.st)
+	for k := range q {
+		q[k] = ws.q.at(k)
 	}
-	return ws.st != nil
+	return true
 }
 
 // Workers returns the IDs of every worker the engine has statistics for,
 // in sorted order. Used by state fingerprinting (recovery equivalence
-// checks) and diagnostics; it takes each worker's lock briefly, so it is
-// safe but not free to call while serving.
+// checks) and diagnostics.
 func (inc *Incremental) Workers() []string {
 	var ids []string
 	names, stats := inc.table()
 	for h, ws := range stats {
-		ws.mu.Lock()
-		if ws.st != nil {
+		if ws.known.Load() {
 			ids = append(ids, names[h])
 		}
-		ws.mu.Unlock()
 	}
 	sort.Strings(ids)
 	return ids
 }
 
-// SeedWorker installs the statistics only if the worker is still unseen —
-// the atomic set-if-absent the orchestrator needs when two of a worker's
-// first answers race: the loser must not overwrite stats the winner's
-// submit already updated. Reports whether the seed was installed.
+// SeedWorker installs the statistics only if the worker is still unseen:
+// a seed never overwrites stats her answers already updated. Reports
+// whether the seed was installed.
 func (inc *Incremental) SeedWorker(w string, st *Stats) (bool, error) {
 	if err := st.Validate(inc.m); err != nil {
 		return false, fmt.Errorf("truth: worker %q: %w", w, err)
 	}
 	ws := inc.stats(inc.Intern(w))
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.st != nil {
+	if ws.known.Load() {
 		return false, nil
 	}
-	ws.st = st.Clone()
+	ws.install(st)
 	return true, nil
 }
 
 // Submit processes one answer to a task AddTask registered through the two
-// incremental steps. Concurrent submits to distinct tasks run in parallel;
-// submits to the same task are serialized by the per-task lock.
+// incremental steps.
 func (inc *Incremental) Submit(a model.Answer) error {
 	w := inc.Intern(a.Worker)
 	it := inc.registered(a.Task)
@@ -468,8 +464,6 @@ func (inc *Incremental) take(w int32, it *incTask, choice int, steps bool) error
 	if choice < 0 || choice >= ell {
 		return fmt.Errorf("truth: choice %d out of range for task %d (ℓ=%d)", choice, it.id, ell)
 	}
-	it.mu.Lock()
-	defer it.mu.Unlock()
 	for _, prev := range it.answers {
 		if prev.Worker == w {
 			return fmt.Errorf("truth: worker %q already answered task %d", inc.Names()[w], it.id)
@@ -481,19 +475,18 @@ func (inc *Incremental) take(w int32, it *incTask, choice int, steps bool) error
 	}
 	it.own()
 	_, stats := inc.table()
-	// Snapshot the submitting worker's quality: Step 1 folds it into M̂ and
-	// must see one consistent vector even if other tasks' submits are
-	// adjusting this worker concurrently.
+	// The submitting worker's quality on the support, which Step 1 folds
+	// into M̂.
 	r := it.rest.R
-	stats[w].with(inc.m, func(st *Stats) {
-		x := 0
-		for k, qk := range st.Q {
-			if r.Has(k) {
-				it.qbuf[x] = qk
-				x++
-			}
+	ws := stats[w]
+	ws.ensure(inc.m)
+	x := 0
+	for k := range r {
+		if r.Has(k) {
+			it.qbuf[x] = ws.q.at(k)
+			x++
 		}
-	})
+	}
 
 	// Step 1: fold the answer's likelihood into M̂^(i), refresh M and s.
 	sTilde := it.s
@@ -522,26 +515,24 @@ func (inc *Incremental) take(w int32, it *incTask, choice int, steps bool) error
 	applyDomain(it.s, r, M)
 
 	// Step 2a: the submitting worker absorbs the new evidence.
-	stats[w].with(inc.m, func(st *Stats) {
-		for k, rk := range r {
-			if r.Has(k) {
-				st.Q[k] = clamp01((st.Q[k]*st.U[k] + it.s[choice]*rk) / (st.U[k] + rk))
-				st.U[k] += rk
-			}
+	for k, rk := range r {
+		if r.Has(k) {
+			q, u := ws.q.at(k), ws.u.at(k)
+			ws.q.set(k, clamp01((q*u+it.s[choice]*rk)/(u+rk)))
+			ws.u.set(k, u+rk)
 		}
-	})
+	}
 
 	// Step 2b: workers who answered this task before are corrected for the
 	// truth shift s̃ → s on their own chosen option.
 	for _, prev := range it.answers {
-		stats[prev.Worker].with(inc.m, func(ps *Stats) {
-			for k, rk := range r {
-				if !r.Has(k) || ps.U[k] == 0 {
-					continue
-				}
-				ps.Q[k] = clamp01((ps.Q[k]*ps.U[k] - sTilde[prev.Choice]*rk + it.s[prev.Choice]*rk) / ps.U[k])
+		ps := stats[prev.Worker]
+		ps.ensure(inc.m)
+		for k, rk := range r {
+			if u := ps.u.at(k); r.Has(k) && u != 0 {
+				ps.q.set(k, clamp01((ps.q.at(k)*u-sTilde[prev.Choice]*rk+it.s[prev.Choice]*rk)/u))
 			}
-		})
+		}
 	}
 
 	it.answers = append(it.answers, Vote{w, int32(choice)})
@@ -604,11 +595,9 @@ func (inc *Incremental) Epoch() uint64 { return inc.epoch.Load() }
 func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex) {
 	// A task materialised after this starts at the reseeded rest; one
 	// before it is among those walked.
-	inc.restMu.Lock()
 	epoch := inc.epoch.Add(1)
-	inc.reseedLatentLocked(epoch)
+	inc.reseedLatent(epoch)
 	its := slices.Clone(inc.made)
-	inc.restMu.Unlock()
 	slices.SortFunc(its, func(a, b *incTask) int { return cmp.Compare(a.p, b.p) })
 	listed := byPosition(tasks)
 	for _, it := range its {
@@ -623,9 +612,7 @@ func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex
 		}
 		i := listed[0]
 		snap := answers.ForTask(int32(it.p))
-		it.mu.Lock()
 		if len(it.answers) > len(snap) {
-			it.mu.Unlock()
 			continue
 		}
 		// Infer hands every unanswered task the shared uniform matrix (and
@@ -633,7 +620,6 @@ func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex
 		// dropping any private matrix it held.
 		if sameMatrix(res.M[i], restStatesFor(len(it.mhat), it.rest.Ell).reseeded.mhat) {
 			it.toRest(epoch)
-			it.mu.Unlock()
 			continue
 		}
 		it.own()
@@ -649,35 +635,28 @@ func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex
 		}
 		it.touched = true
 		it.publishView(epoch, normalizeRows(it.mhat))
-		it.mu.Unlock()
 	}
 	session := SessionStats(tasks, answers, res, inc.m)
 	for wi, w := range answers.Workers() {
-		st := &session[wi]
-		inc.stats(inc.Intern(w)).with(inc.m, func(cur *Stats) {
-			for k := 0; k < inc.m; k++ {
-				if st.U[k] > 0 {
-					cur.Q[k] = st.Q[k]
-					cur.U[k] = st.U[k]
-				}
+		st, cur := &session[wi], inc.stats(inc.Intern(w))
+		cur.ensure(inc.m)
+		for k := 0; k < inc.m; k++ {
+			if st.U[k] > 0 {
+				cur.q.set(k, st.Q[k])
+				cur.u.set(k, st.U[k])
 			}
-		})
+		}
 	}
 }
 
 // ReseedLatent flips the latent tasks to the reseeded rest, as a rerun
 // does; one epoch covers it. A boot installing a snapshot that covers a
 // rerun calls it, since the snapshot lists materialised tasks only.
-func (inc *Incremental) ReseedLatent() {
-	inc.restMu.Lock()
-	inc.reseedLatentLocked(inc.epoch.Add(1))
-	inc.restMu.Unlock()
-}
+func (inc *Incremental) ReseedLatent() { inc.reseedLatent(inc.epoch.Add(1)) }
 
-// reseedLatentLocked flips the latent tasks to the reseeded rest at epoch,
-// the first time it runs. Callers hold restMu, under which a task
-// materialises at the rest state it read.
-func (inc *Incremental) reseedLatentLocked(epoch uint64) {
+// reseedLatent flips the latent tasks to the reseeded rest at epoch, the
+// first time it runs.
+func (inc *Incremental) reseedLatent(epoch uint64) {
 	if inc.reseededAt != 0 {
 		return
 	}
@@ -692,17 +671,15 @@ func (inc *Incremental) reseedLatentLocked(epoch uint64) {
 // reseeded rest, unless an answer reached it since: that one keeps its
 // incremental evidence.
 func (it *incTask) restIfIdle(epoch uint64) {
-	it.mu.Lock()
 	if len(it.answers) == 0 {
 		it.toRest(epoch)
 	}
-	it.mu.Unlock()
 }
 
 // toRest makes the task alias the reseeded rest state whole, dropping any
 // private matrix it held. Note M̂ is 1/ℓ here, not the AddTask prior's 1 —
 // the bits exports and snapshots have always carried for a reseeded task.
-// Callers hold it.mu, and the task holds no answer.
+// The task holds no answer.
 func (it *incTask) toRest(epoch uint64) {
 	rest := restStatesFor(len(it.mhat), it.rest.Ell)
 	it.mhat, it.qbuf, it.s = rest.reseeded.mhat, nil, rest.uniform
@@ -745,21 +722,13 @@ type restKey struct {
 // and ℓ choices, made on first use.
 func (inc *Incremental) Rest(r model.DomainVector, ell int) *Rest {
 	key := restKey{&r[0], ell}
-	inc.restMu.RLock()
-	rest := inc.rests[key]
-	inc.restMu.RUnlock()
-	if rest != nil {
-		return rest
-	}
-	inc.restMu.Lock()
-	defer inc.restMu.Unlock()
-	if rest = inc.rests[key]; rest != nil {
+	if rest := inc.rests[key]; rest != nil {
 		return rest
 	}
 	st := restStatesFor(r.Support(), ell)
 	s := make([]float64, ell)
 	applyDomain(s, r, st.prior.norm)
-	rest = &Rest{R: r, Ell: ell, states: st, prior: &TaskView{M: st.prior.norm, S: s, Truth: mathx.ArgMax(s)}}
+	rest := &Rest{R: r, Ell: ell, states: st, prior: &TaskView{M: st.prior.norm, S: s, Truth: mathx.ArgMax(s)}}
 	if inc.reseededAt != 0 {
 		rest.reseeded.Store(st.reseededView(inc.reseededAt))
 	}
@@ -820,7 +789,7 @@ func restStatesFor(rows, ell int) *restStates {
 }
 
 // own gives the task a private M̂ (a copy of the shared one it aliased)
-// before its first write. Callers hold it.mu.
+// before its first write.
 func (it *incTask) own() {
 	if it.qbuf != nil {
 		return

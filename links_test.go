@@ -135,27 +135,33 @@ func TestDocReferencesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fenced := false
-		for i, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, "```") {
-				fenced = !fenced
-			}
-			if fenced {
+		// A code span may wrap a line but, as in CommonMark, never crosses a
+		// blank line or a fence, so spans are matched a paragraph at a time.
+		lines := strings.Split(string(data), "\n")
+		fenced, start := false, 0
+		for i := 0; i <= len(lines); i++ {
+			if i < len(lines) && !fenced && !strings.HasPrefix(lines[i], "```") && strings.TrimSpace(lines[i]) != "" {
 				continue
 			}
-			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
-				for _, name := range testName.FindAllString(span[1], -1) {
+			para := strings.Join(lines[start:i], "\n")
+			for _, m := range codeSpan.FindAllStringSubmatchIndex(para, -1) {
+				span, at := para[m[2]:m[3]], start+1+strings.Count(para[:m[0]], "\n")
+				for _, name := range testName.FindAllString(span, -1) {
 					if tests++; !names(name) {
-						t.Errorf("%s:%d: %s names no test function", f, i+1, name)
+						t.Errorf("%s:%d: %s names no test function", f, at, name)
 					}
 				}
-				for _, p := range repoPath.FindAllString(span[1], -1) {
+				for _, p := range repoPath.FindAllString(span, -1) {
 					paths++
 					if _, err := os.Stat(strings.TrimRight(strings.TrimPrefix(p, "./"), "./")); err != nil {
-						t.Errorf("%s:%d: %s does not exist", f, i+1, p)
+						t.Errorf("%s:%d: %s does not exist", f, at, p)
 					}
 				}
 			}
+			if i < len(lines) && strings.HasPrefix(lines[i], "```") {
+				fenced = !fenced
+			}
+			start = i + 1
 		}
 	}
 	if tests == 0 || paths == 0 {

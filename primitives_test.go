@@ -93,7 +93,10 @@ import (
 // for a publish and a wake alike; the table alone imports "unsafe", for its
 // zero-copy strings. A worker's serving state lives at their truth-engine
 // handle: nothing imports internal/shard, and no field of core's System or
-// workerState holds a map keyed by a string.
+// workerState holds a map keyed by a string. A campaign's mutations run on
+// its one writer, so internal/core and internal/truth declare only the
+// locks listed here by name, each for a reader or a fan-out beside that
+// writer.
 func TestOneReaderOneWriter(t *testing.T) {
 	want := map[string][]string{
 		"binary.Uvarint(":       {"internal/wal/cursor.go"},
@@ -821,6 +824,46 @@ func TestOneReaderOneWriter(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The locks the serving core and the truth engine declare — as a field
+	// of a named struct or as a package variable — are these, and only
+	// these: the publish's DVE fan-out shares one domain table, the rest
+	// table is shared by every campaign's engine, a request looks a
+	// worker's handle up beside the writer that interns new ones, and
+	// Results' store writes run off the writer.
+	allowed := "core.System.resultsMu core.domainTable.mu truth.restMu truth.workerTable.mu"
+	var locks []string
+	isLock := func(typ types.Type) bool {
+		s := types.TypeString(typ, nil)
+		return s == "sync.Mutex" || s == "sync.RWMutex"
+	}
+	for _, pkg := range prog.Packages {
+		name, ok := map[string]string{"docs/internal/core": "core", "docs/internal/truth": "truth"}[pkg.Path]
+		if !ok {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, id := range scope.Names() {
+			switch obj := scope.Lookup(id).(type) {
+			case *types.Var:
+				if isLock(obj.Type()) {
+					locks = append(locks, name+"."+id)
+				}
+			case *types.TypeName:
+				if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						if isLock(st.Field(i).Type()) {
+							locks = append(locks, name+"."+id+"."+st.Field(i).Name())
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(locks)
+	if got := strings.Join(locks, " "); got != allowed {
+		t.Errorf("internal/core and internal/truth declare the locks [%s], want only [%s]: a campaign's mutations run on its one writer", got, allowed)
 	}
 }
 
