@@ -144,6 +144,11 @@ const NoTruth = -1
 // Check with errors.Is; servers should answer 5xx, not 4xx.
 var ErrDurability = core.ErrDurability
 
+// ErrStopped marks a call its campaign stopped under twice: hibernated,
+// archived or closed before the call reached the core, and again on the
+// woken one. Nothing of the call was applied; it may be retried.
+var ErrStopped = core.ErrStopped
+
 // Task is a multiple-choice crowdsourcing task.
 type Task struct {
 	// ID must be unique within a campaign.
@@ -254,9 +259,8 @@ func (cfg Config) campaign() core.Config {
 
 // System is a running DOCS campaign, hosted by a registry: the registry of
 // one New opens for it, or an OpenRegistry one (Registry.Create,
-// Registry.Campaign). A System holds no core: each method leases the
-// campaign from its registry for the length of the call, so hibernation,
-// eviction, Archive and Close wait for it and never fail it. On a System
+// Registry.Campaign). A System holds no core: each method runs on the
+// campaign's core through its registry (see Registry.Do). On a System
 // whose campaign is archived or whose registry is closed, the methods
 // without an error result return zero values.
 type System struct {
@@ -265,7 +269,7 @@ type System struct {
 	own  bool // New opened reg for this System, so Close closes it
 }
 
-// do runs fn on the campaign's core, leased from the registry for the call.
+// do runs fn on the campaign's core through the registry (Registry.Do).
 func (s *System) do(fn func(*core.System) error) error { return s.reg.Do(s.name, fn) }
 
 // call runs f on the campaign's core (see do) and returns its results.
@@ -275,7 +279,7 @@ func call[T any](s *System, f func(*core.System) (T, error)) (v T, err error) {
 }
 
 // read runs f on the campaign's core (see do) and returns its result: the
-// zero value when a hosted campaign cannot be leased.
+// zero value when a hosted campaign cannot serve the call.
 func read[T any](s *System, f func(*core.System) T) (v T) {
 	s.do(func(sys *core.System) error { v = f(sys); return nil })
 	return v
@@ -460,7 +464,7 @@ func (s *System) WorkerQuality(workerID string) []float64 {
 // /stats keys.
 type Stats = core.Stats
 
-// Stats returns the campaign's serving counters, read in one lease. Safe
+// Stats returns the campaign's serving counters, read in one call. Safe
 // to call concurrently with serving.
 func (s *System) Stats() Stats { return read(s, (*core.System).Stats) }
 

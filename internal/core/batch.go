@@ -47,20 +47,30 @@ type BatchStatus struct {
 
 // batchGroup accumulates the checked regular answers of one SubmitBatch
 // call that are not yet logged, already in the columns their record will
-// hold, and the position of each in the call's items.
+// hold, with the task position the check found for each, its place in the
+// call's items, and its (worker, task) pairs as items without a choice.
 type batchGroup struct {
-	cols  wal.ColumnBuilder
-	items []int
+	cols   wal.ColumnBuilder
+	at     []int
+	items  []int
+	held   map[BatchItem]struct{}
+	probes int // lookups holds has made
 }
 
-// holds reports whether the group holds the worker's answer to the task.
+// holds reports whether the group holds the worker's answer to the task:
+// one lookup, however many answers the group holds.
 func (g *batchGroup) holds(workerID string, taskID int) bool {
-	for i, t := range g.cols.T {
-		if t == taskID && g.cols.Workers[g.cols.W[i]] == workerID {
-			return true
-		}
-	}
-	return false
+	g.probes++
+	_, ok := g.held[BatchItem{Worker: workerID, Task: taskID}]
+	return ok
+}
+
+// add puts the i'th item of the call, checked at task position at, into
+// the group.
+func (g *batchGroup) add(it BatchItem, at, i int) {
+	g.held[BatchItem{Worker: it.Worker, Task: it.Task}] = struct{}{}
+	g.cols.Add(it.Worker, it.Task, it.Choice)
+	g.at, g.items = append(g.at, at), append(g.items, i)
 }
 
 // flush logs the group as one KindBatch record and applies it, on the
@@ -72,12 +82,13 @@ func (g *batchGroup) flush(s *System, statuses []BatchStatus) (wal.Pending, erro
 	}
 	cols := g.cols.Columns
 	blob, err := wal.EncodeBatch(nil, &cols)
-	items := g.items
-	g.cols, g.items = wal.ColumnBuilder{}, nil
+	at, items := g.at, g.items
+	g.cols, g.at, g.items = wal.ColumnBuilder{}, nil, nil
+	clear(g.held)
 	if err != nil {
 		return wal.Pending{}, fmt.Errorf("core: %w: %v", ErrDurability, err)
 	}
-	p, err := s.commit(&entry{Record: wal.Record{Kind: wal.KindBatch, Blob: blob}, cols: &cols})
+	p, err := s.commit(&entry{Record: wal.Record{Kind: wal.KindBatch, Blob: blob}, cols: &cols, at: at})
 	if ie := (*itemError)(nil); errors.As(err, &ie) {
 		statuses[items[ie.item]] = BatchStatus{Err: ie.err.Error()}
 		err = nil
@@ -106,8 +117,7 @@ func (s *System) SubmitBatch(items []BatchItem) ([]BatchStatus, error) {
 	}
 	statuses := make([]BatchStatus, len(items))
 	var p wal.Pending
-	var err error
-	s.do(func() { p, err = s.submitBatch(items, statuses) })
+	err := s.do(func() (err error) { p, err = s.submitBatch(items, statuses); return err })
 	if err == nil {
 		err = s.walCommit(p)
 	}
@@ -120,7 +130,7 @@ func (s *System) SubmitBatch(items []BatchItem) ([]BatchStatus, error) {
 // submitBatch checks, logs and applies a batch's items on the writer and
 // returns the reservation of the last record it logged.
 func (s *System) submitBatch(items []BatchItem, statuses []BatchStatus) (last wal.Pending, err error) {
-	var g batchGroup
+	g := batchGroup{held: make(map[BatchItem]struct{})}
 	logged := func(p wal.Pending, err error) error {
 		if p.Seq() > last.Seq() {
 			last = p
@@ -128,19 +138,18 @@ func (s *System) submitBatch(items []BatchItem, statuses []BatchStatus) (last wa
 		return err
 	}
 	for i, it := range items {
-		_, golden, err := s.check(it.Worker, it.Task, it.Choice)
+		at, golden, err := s.check(it.Worker, it.Task, it.Choice)
 		switch {
 		case err != nil:
 		case golden:
 			if err = logged(g.flush(s, statuses)); err == nil {
-				err = logged(s.commit(&entry{Record: wal.Record{Kind: wal.KindAnswer, Worker: it.Worker, Task: it.Task, Choice: it.Choice}}))
+				err = logged(s.commit(&entry{Record: wal.Record{Kind: wal.KindAnswer, Worker: it.Worker, Task: it.Task, Choice: it.Choice}, at: []int{at}, golden: true}))
 			}
 		case g.holds(it.Worker, it.Task):
 			err = fmt.Errorf("truth: worker %q already answered task %d", it.Worker, it.Task)
 		default:
 			if err = logged(s.seedFromStore(it.Worker)); err == nil {
-				g.cols.Add(it.Worker, it.Task, it.Choice)
-				g.items = append(g.items, i)
+				g.add(it, at, i)
 			}
 		}
 		if errors.Is(err, ErrDurability) {

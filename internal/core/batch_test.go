@@ -307,3 +307,70 @@ func TestBatchIsOneWALRecord(t *testing.T) {
 		t.Fatalf("%d Submit calls advanced the WAL by %d records, want %d", n, got, n)
 	}
 }
+
+// TestAnswerCheckedOnce counts the checks an answer takes: a live one is
+// checked once, as the writer logs it, and applies with what that check
+// found; a replayed one is checked once, as it applies.
+func TestAnswerCheckedOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := newSystem(t, Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: 5})
+	if _, err := s.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Publish(concTasks(s.m, 12)); err != nil {
+		t.Fatal(err)
+	}
+	checks := func(s *System) (n int) {
+		s.read(func() { n = s.checks })
+		return n
+	}
+	if err := s.Submit("w0", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := checks(s); got != 1 {
+		t.Fatalf("one live answer took %d checks, want 1", got)
+	}
+	items := []BatchItem{{"w1", 0, 1}, {"w1", 1, 0}, {"w1", 1, 1}, {"w2", 2, 0}}
+	statuses, err := s.SubmitBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statuses[2].OK {
+		t.Fatal("a batch repeating a worker's task accepted the repeat")
+	}
+	if got := checks(s); got != 1+len(items) {
+		t.Fatalf("one answer and a %d-item batch took %d checks, want %d", len(items), got, 1+len(items))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := newSystem(t, Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: 5})
+	if _, err := r.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, answers := checks(r), r.Stats().Answers; answers != 4 || got != 4 {
+		t.Fatalf("replaying %d answers took %d checks, want 4 and 4", answers, got)
+	}
+}
+
+// TestBatchHoldsCost pins what a batch's duplicate check costs: one
+// lookup an item, so a 1,024-item batch makes 1,024 of them, where a scan
+// of the group compared each item against every one before it (523,776
+// comparisons for distinct items).
+func TestBatchHoldsCost(t *testing.T) {
+	const n = 1024
+	g := batchGroup{held: make(map[BatchItem]struct{})}
+	for i := range n {
+		it := BatchItem{Worker: fmt.Sprintf("w%d", i%32), Task: i / 32, Choice: 0}
+		if g.holds(it.Worker, it.Task) {
+			t.Fatalf("item %d: the group holds %+v before it is added", i, it)
+		}
+		g.add(it, it.Task, i)
+	}
+	if !g.holds("w5", 7) || g.holds("w5", n) {
+		t.Fatal("the group's set does not hold exactly what was added")
+	}
+	if g.probes > 10*n {
+		t.Fatalf("a %d-item batch made %d comparisons, want at most %d", n, g.probes, 10*n)
+	}
+}

@@ -174,7 +174,7 @@ func TestConcurrentAsyncRerun(t *testing.T) {
 	}
 	hammer(t, s, 8, 0.9, nil)
 	// Drain the pending rerun (if any) deterministically, then check state.
-	if err := s.rerun(s.do); err != nil {
+	if err := s.rerun(s.read); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -352,7 +352,7 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 func goldenAnswers(s *System) []model.Answer {
 	c := s.pub.Load()
 	var tail model.Columns
-	s.do(func() { tail, _ = s.goldenTail(c.goldenList) })
+	s.read(func() { tail, _ = s.goldenTail(c.goldenList) })
 	names := s.inc.Names()
 	out := make([]model.Answer, tail.Len())
 	for i := range out {

@@ -179,10 +179,13 @@ type System struct {
 	// in the truth engine, the task's publication position, the choice.
 	log model.Columns
 
-	// ops carries calls to the writer goroutine (write), which runs until
-	// halt closes and then closes halted.
-	ops          chan *call
-	halt, halted chan struct{}
+	// ops carries calls to the writer goroutine (write), which closes
+	// halted once a call has ended it (shut).
+	ops    chan *call
+	halted chan struct{}
+	ended  bool // on the writer
+	// checks counts the answers check has held, on the writer.
+	checks int
 
 	// wal fields are written once by Recover, before serving starts.
 	wal        *wal.Log
@@ -295,7 +298,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s.pub.Store(new(campaign))
 	s.workers.Store(new([]*workerState))
-	s.ops, s.halt, s.halted = make(chan *call), make(chan struct{}), make(chan struct{})
+	s.ops, s.halted = make(chan *call), make(chan struct{})
 	go s.write()
 	if cfg.LeaseTTL > 0 {
 		s.leases = newLeaseTable(cfg.LeaseTTL, cfg.Clock)
@@ -304,7 +307,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.AsyncRerun && cfg.RerunEvery > 0 {
 		s.wg.Add(1)
 		go s.worker(s.rerunCh, func() {
-			if err := s.rerun(s.do); err != nil {
+			if err := s.rerun(s.read); err != nil {
 				s.rerunErrs.Add(1)
 			}
 		})
@@ -313,27 +316,11 @@ func New(cfg Config) (*System, error) {
 }
 
 // Close stops the background rerun worker (a pending request is drained
-// first) and then flushes, fsyncs and closes the WAL, so a graceful
-// shutdown loses nothing regardless of sync policy. The store stays open:
-// its owner may share it. Serving methods must not be called after Close.
-func (s *System) Close() error {
-	s.stop()
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Close()
-}
-
-// stop ends the background rerun worker — a pending nudge runs first — and
-// then the writer, which that last pass may still call.
-func (s *System) stop() {
-	s.closed.Do(func() {
-		close(s.quit)
-		s.wg.Wait()
-		close(s.halt)
-		<-s.halted
-	})
-}
+// first) and then, as the writer's last call (shut), flushes, fsyncs and
+// closes the WAL, so a graceful shutdown loses nothing regardless of sync
+// policy. Closing again is a no-op. The store stays open: its owner may
+// share it.
+func (s *System) Close() error { return s.shut(func() error { return nil }) }
 
 // worker is the background rerun loop: run pass once per nudge until the
 // system quits. A nudge that raced the shutdown is drained first, so
@@ -572,12 +559,12 @@ func (s *System) PublishBatch(b *Batch) error {
 	// so recovery does not depend on re-running entity linking against a
 	// possibly different knowledge-base build.
 	var p wal.Pending
-	s.do(func() {
+	err = s.do(func() (err error) {
 		if s.Published() {
-			err = fmt.Errorf("core: tasks already published")
-			return
+			return fmt.Errorf("core: tasks already published")
 		}
 		p, err = s.commit(&entry{Record: wal.Record{Kind: wal.KindPublish, Blob: blob}, pub: pub})
+		return err
 	})
 	if err != nil {
 		return err
@@ -838,7 +825,9 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 	// already holds, so a re-request before submitting gets disjoint tasks.
 	sp.held = sp.held[:0]
 	if s.leases != nil {
-		s.do(func() { sp.held = s.leases.beginRequest(workerID, sp.held) })
+		if err := s.do(func() error { sp.held = s.leases.beginRequest(workerID, sp.held); return nil }); err != nil {
+			return nil, err
+		}
 	}
 	redundancy := s.cfg.AnswersPerTask
 	var ps []int
@@ -849,7 +838,9 @@ func (s *System) Request(workerID string, k int) ([]Served, error) {
 	}
 	s.spaces.Put(sp)
 	if s.leases != nil && len(ps) > 0 {
-		s.do(func() { s.leases.grant(workerID, ps) })
+		if err := s.do(func() error { s.leases.grant(workerID, ps); return nil }); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]Served, len(ps))
 	for i, p := range ps {
@@ -947,8 +938,7 @@ func (s *System) assignIndexed(ci *candidateIndex, as *assign.Assigner, w int32,
 // commit after.
 func (s *System) Submit(workerID string, taskID, choice int) error {
 	var p wal.Pending
-	var err error
-	s.do(func() { p, err = s.submit(workerID, taskID, choice) })
+	err := s.do(func() (err error) { p, err = s.submit(workerID, taskID, choice); return err })
 	if err != nil {
 		return err
 	}
@@ -960,11 +950,16 @@ func (s *System) Submit(workerID string, taskID, choice int) error {
 // the campaign, on the writer. A golden answer goes to its worker's golden
 // answers and, completing the gauntlet, profiles them; a regular one runs
 // through the truth engine and the serving state that follows it, joins the
-// chronological answer log and keeps the rerun cadence. p is the record's
-// reservation, which profiling waits on first.
-func (s *System) submitOne(workerID string, taskID, choice int, p wal.Pending) error {
-	at, golden, err := s.check(workerID, taskID, choice)
-	if err != nil {
+// chronological answer log and keeps the rerun cadence. It is the i'th
+// answer of record e, whose reservation profiling waits on first.
+func (s *System) submitOne(workerID string, taskID, choice int, e *entry, i int) error {
+	// A live record carries what the writer's check found; a replayed one
+	// is checked here.
+	at, golden := 0, e.golden
+	var err error
+	if e.at != nil {
+		at = e.at[i]
+	} else if at, golden, err = s.check(workerID, taskID, choice); err != nil {
 		return err
 	}
 	c := s.pub.Load()
@@ -984,7 +979,7 @@ func (s *System) submitOne(workerID string, taskID, choice int, p wal.Pending) e
 		// TestCrashRecoversUnmergedProfiling pins the repair. The writer
 		// waits here, once per worker, so the profile lands at the answer's
 		// place in the record order, where its replay lands it.
-		if err := s.walCommit(p); err != nil {
+		if err := s.walCommit(e.pending); err != nil {
 			return err
 		}
 		return s.profileWorker(workerID, ws, c)
@@ -1072,7 +1067,9 @@ func (s *System) Results() (*truth.Result, error) {
 	s.resultsMu.Lock()
 	defer s.resultsMu.Unlock()
 	var pr *prefix
-	s.do(func() { pr = s.capture() })
+	if err := s.do(func() error { pr = s.capture(); return nil }); err != nil {
+		return nil, err
+	}
 	res, tasks, n, idx, err := s.infer(pr)
 	if err != nil {
 		return nil, err
@@ -1223,7 +1220,7 @@ func (s *System) quality(workerID string, q model.QualityVector) model.QualityVe
 // Answers returns a snapshot of the collected non-golden answers.
 func (s *System) Answers() *model.AnswerSet {
 	var log model.Columns
-	s.do(func() { log = s.logPrefix() })
+	s.read(func() { log = s.logPrefix() })
 	ids := s.pub.Load().ids
 	names := s.inc.Names() // read after every handle the log holds
 	as := model.NewAnswerSet()
@@ -1309,7 +1306,7 @@ func (s *System) Stats() Stats {
 		st.OpenTasks, st.IndexEpoch = int(ci.openCount.Load()), ci.epoch.Load()
 	}
 	if s.leases != nil {
-		s.do(func() { st.LeasesActive = s.leases.activeNow() })
+		s.read(func() { st.LeasesActive = s.leases.activeNow() })
 	}
 	if s.wal != nil {
 		st.WALLastSeq = s.wal.LastSeq()
@@ -1352,11 +1349,11 @@ func (s *System) workerReady(workerID string, goldenList []goldenTask) (bool, er
 		return false, nil
 	}
 	var p wal.Pending
-	var err error
-	s.do(func() {
+	err := s.do(func() (err error) {
 		if !profiled() { // a racing request adopted the profile first
 			p, err = s.commitSeed(workerID, st, true)
 		}
+		return err
 	})
 	if err != nil {
 		return true, err

@@ -80,8 +80,7 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	//docs:allow clock recovery duration is diagnostic metadata, never replayed or fingerprinted
 	start := time.Now()
 	var info RecoveryInfo
-	var err error
-	s.do(func() { info, err = s.replay(dir) })
+	err := s.do(func() (err error) { info, err = s.replay(dir); return err })
 	if err != nil {
 		return info, fmt.Errorf("core: WAL replay: %w", err)
 	}
@@ -226,7 +225,7 @@ func (s *System) applyRecord(e *entry) error {
 		}
 		s.installPublication(e.pub)
 	case wal.KindAnswer:
-		if err := s.submitOne(e.Worker, e.Task, e.Choice, e.pending); err != nil {
+		if err := s.submitOne(e.Worker, e.Task, e.Choice, e, 0); err != nil {
 			return fmt.Errorf("answer record %d: %w", e.Seq, err)
 		}
 	case wal.KindBatch:
@@ -244,7 +243,7 @@ func (s *System) applyRecord(e *entry) error {
 		}
 		var failed error
 		for i, wi := range e.cols.W {
-			if err := s.submitOne(e.cols.Workers[wi], e.cols.T[i], e.cols.C[i], e.pending); err != nil && failed == nil {
+			if err := s.submitOne(e.cols.Workers[wi], e.cols.T[i], e.cols.C[i], e, i); err != nil && failed == nil {
 				failed = fmt.Errorf("batch record %d %w", e.Seq, &itemError{i, err})
 			}
 		}

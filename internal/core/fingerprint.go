@@ -29,7 +29,7 @@ import (
 // with it. It runs on the writer, between two mutations, so it is safe —
 // but not free — to call on a serving system.
 func (s *System) Fingerprint() (fp string) {
-	s.do(func() { fp = s.fingerprint() })
+	s.read(func() { fp = s.fingerprint() })
 	return fp
 }
 

@@ -247,7 +247,7 @@ func TestCandidateIndexResyncReopens(t *testing.T) {
 	// out.
 	ci := s.pub.Load().ci
 	p, _ := s.pub.Load().position(3)
-	s.do(func() {
+	s.read(func() {
 		ci.open[p] = false
 		ci.openCount.Add(-1)
 		ci.stale++

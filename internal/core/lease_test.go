@@ -231,7 +231,7 @@ func TestLeaseHeapTracksLiveLeases(t *testing.T) {
 	bound := func(step string) {
 		t.Helper()
 		var heapLen, live int
-		s.do(func() { heapLen, live = len(s.leases.exp), int(s.leases.active.Load()) })
+		s.read(func() { heapLen, live = len(s.leases.exp), int(s.leases.active.Load()) })
 		if heapLen > 2*live+slack {
 			t.Fatalf("%s: the expiry heap holds %d entries for %d live leases, want at most %d", step, heapLen, live, 2*live+slack)
 		}

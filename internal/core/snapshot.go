@@ -16,7 +16,9 @@
 // bit for bit.
 //
 // Hibernate is the only caller of a pass. It costs one boot and holds a
-// second copy of the campaign's state only while it runs.
+// second copy of the campaign's state only while it runs; a crash or error
+// before its write lands costs the next wake time, never state (see
+// docs/persistence.md, "Hibernation").
 package core
 
 import (
@@ -176,22 +178,40 @@ func loadUsableSnapshot(dir string) (*snapshot.State, string) {
 
 // --- the snapshot pass (Hibernate runs it) ---
 
-// unsnapshottedAnswers reports whether an answer-bearing record lies past
-// the newest snapshot — the one test for "a pass has something to do". A
-// suffix of publication and seeds replays without running inference, in
-// time linear in what it installs (a worker is seeded at most twice per
-// campaign, so seeds do not pile up); a snapshot of it would only repeat
-// the log.
-func (s *System) unsnapshottedAnswers() bool { return s.answerSeq.Load() > s.snapSeq.Load() }
+// Hibernate closes the system like Close, but first, in the same last call
+// of the writer, makes the WAL power-loss durable and writes a final
+// snapshot if an answer lies past the newest one, so the next Recover runs
+// no answer's math. It returns an error when the snapshot could not be
+// written; the system is closed and its state durable in the WAL either
+// way. Requires an armed WAL: a memory-only campaign would be gone.
+func (s *System) Hibernate() error {
+	if s.wal == nil {
+		return fmt.Errorf("core: Hibernate needs an armed WAL")
+	}
+	return s.shut(func() error {
+		// The pass replays the on-disk stream, and a snapshot may only ever
+		// cover durable records.
+		err := s.wal.Sync()
+		if err == nil {
+			err = s.snapshotPass()
+		}
+		if err != nil {
+			return fmt.Errorf("core: hibernate snapshot: %w", err)
+		}
+		return nil
+	})
+}
 
 // snapshotPass boots a scratch serial replica from the WAL directory —
 // the same replay a restarting process runs — and atomically replaces the
 // snapshot file with the replica's state. Nothing of the replica outlives
 // the pass, so a failed pass leaves nothing behind to repair: the next one
 // boots afresh and surfaces the real error again. With no answer past the
-// newest snapshot the pass returns before building anything.
+// newest snapshot the pass returns before building anything: a suffix of
+// publication and seeds replays without running inference, in time linear
+// in what it installs, and a snapshot of it would only repeat the log.
 func (s *System) snapshotPass() error {
-	if !s.unsnapshottedAnswers() {
+	if s.answerSeq.Load() <= s.snapSeq.Load() {
 		return nil
 	}
 	cfg := s.cfg
@@ -206,8 +226,7 @@ func (s *System) snapshotPass() error {
 	defer r.Close()
 	r.rerunFault, r.eagerInstall = s.passRerunFault, s.eagerInstall
 	var info RecoveryInfo
-	r.do(func() { info, err = r.replay(s.walDir) })
-	if err != nil {
+	if err := r.do(func() (err error) { info, err = r.replay(s.walDir); return err }); err != nil {
 		return err
 	}
 	// Everything the snapshot covers must be power-loss durable before the

@@ -7,9 +7,12 @@
 // campaign, reserves it in the WAL and applies it through applyRecord, the
 // same function a boot replays the log through (commit), and hands the
 // caller the reservation, which the caller waits on outside the writer so
-// that concurrent callers share one group commit. The live state is
-// therefore the serial replay of the log by construction, not by an
-// argument about lock order.
+// that concurrent callers share one group commit. With synchronous reruns
+// the live state is therefore the serial replay of the log by
+// construction; an asynchronous rerun's swap is not logged, so under
+// AsyncRerun a boot's truths may differ from the served ones. A campaign's
+// life ends on its writer too: Close and Hibernate are its last call
+// (shut), and a call that reaches it later gets ErrStopped.
 //
 // Readers do not call the writer. Request's scan, Result, Published and
 // Stats' counters load what the writer publishes: the campaign pointer
@@ -21,6 +24,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -29,6 +33,11 @@ import (
 	"docs/internal/truth"
 	"docs/internal/wal"
 )
+
+// ErrStopped is what a serving call gets when it reaches a campaign's writer
+// after the writer has stopped (the campaign hibernated, archived, failed
+// or closed under it): the call applied nothing.
+var ErrStopped = errors.New("core: the campaign's writer has stopped")
 
 // call is one mutation handed to the writer; done is signalled when f has
 // run.
@@ -40,35 +49,62 @@ type call struct {
 var calls = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // write is the writer goroutine: it runs each call to completion, in the
-// order they arrive, until halt closes.
+// order they arrive, until one of them ends it (shut).
 func (s *System) write() {
 	defer close(s.halted)
-	for {
-		select {
-		case c := <-s.ops:
-			c.f()
-			c.done <- struct{}{}
-		case <-s.halt:
-			return
-		}
+	for !s.ended {
+		c := <-s.ops
+		c.f()
+		c.done <- struct{}{}
 	}
 }
 
-// do runs f on the writer and returns when it has run. Once the writer has
-// stopped (Close) f runs on the caller: the campaign serves nothing then,
-// and a diagnostic read of it (Fingerprint, Stats) has nothing to race.
-// The writer itself never calls do.
-func (s *System) do(f func()) {
+// do runs f on the writer and returns f's error once it has run, or
+// ErrStopped, without running f, once the writer has stopped. The writer
+// itself never calls do.
+func (s *System) do(f func() error) (err error) {
 	c := calls.Get().(*call)
-	c.f = f
+	c.f = func() { err = f() }
 	select {
 	case s.ops <- c:
 		<-c.done
 	case <-s.halted:
-		f()
+		err = ErrStopped
 	}
 	c.f = nil
 	calls.Put(c)
+	return err
+}
+
+// read runs f on the writer, or on the caller once the writer has stopped:
+// a diagnostic read (Fingerprint, Stats, Answers) of a stopped campaign has
+// nothing left to race. The rerun worker calls through read too: the
+// writer outlives it (shut stops it first), so its swap runs on the writer.
+func (s *System) read(f func()) {
+	if s.do(func() error { f(); return nil }) != nil {
+		f()
+	}
+}
+
+// shut ends the campaign: it stops the background rerun worker — a pending
+// nudge runs first — and then runs final and closes the WAL as the writer's
+// last call, so nothing is logged past what they see, and returns final's
+// error, else the close's. A stopped system shuts as a no-op.
+func (s *System) shut(final func() error) (err error) {
+	s.closed.Do(func() {
+		close(s.quit)
+		s.wg.Wait()
+	})
+	_ = s.do(func() error {
+		s.ended, err = true, final()
+		if s.wal != nil {
+			if cerr := s.wal.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return nil
+	})
+	return err
 }
 
 // entry is one log record as the writer applies it: the record, the body a
@@ -81,7 +117,12 @@ type entry struct {
 	cols     *wal.Columns // KindBatch
 	seed     *truth.Stats // KindSeed
 	profiled bool         // KindSeed
-	pending  wal.Pending
+	// at is each answer's task position and golden whether a KindAnswer's
+	// task is golden, as the live check found them: nil in a replay, whose
+	// answers are checked as they apply.
+	at      []int
+	golden  bool
+	pending wal.Pending
 }
 
 // commit reserves e's record in the WAL, when one is armed, and applies it
@@ -101,8 +142,9 @@ func (s *System) commit(e *entry) (wal.Pending, error) {
 // check holds an answer against the campaign as it stands — a known task, a
 // choice in range, the worker's first answer to it — and returns the task's
 // position and whether it is golden. The writer checks a live answer before
-// it logs it, and a replayed one before it applies it.
+// it logs it, and a replayed one before it applies it: each answer once.
 func (s *System) check(workerID string, taskID, choice int) (p int, golden bool, err error) {
+	s.checks++
 	c := s.pub.Load()
 	p, ok := c.position(taskID)
 	switch {
@@ -129,7 +171,7 @@ func (s *System) check(workerID string, taskID, choice int) (p int, golden bool,
 // of a worker the truth engine does not know yet is preceded by their store
 // seed (seedFromStore), which the answer's later reservation covers.
 func (s *System) submit(workerID string, taskID, choice int) (wal.Pending, error) {
-	_, golden, err := s.check(workerID, taskID, choice)
+	p, golden, err := s.check(workerID, taskID, choice)
 	if err != nil {
 		return wal.Pending{}, err
 	}
@@ -138,7 +180,7 @@ func (s *System) submit(workerID string, taskID, choice int) (wal.Pending, error
 			return wal.Pending{}, err
 		}
 	}
-	return s.commit(&entry{Record: wal.Record{Kind: wal.KindAnswer, Worker: workerID, Task: taskID, Choice: choice}})
+	return s.commit(&entry{Record: wal.Record{Kind: wal.KindAnswer, Worker: workerID, Task: taskID, Choice: choice}, at: []int{p}, golden: golden})
 }
 
 // seedFromStore seeds a worker the truth engine does not know yet with the

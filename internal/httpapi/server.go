@@ -434,12 +434,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusFor maps a serving error to an HTTP status: durability failures
-// are the server's fault (500), a campaign archived since the request
-// resolved it is gone (410), everything else is a rejected input (400).
+// are the server's fault (500), a call its campaign stopped under twice
+// may be retried (503), a campaign archived since the request resolved it
+// is gone (410), everything else is a rejected input (400).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, docs.ErrDurability):
 		return http.StatusInternalServerError
+	case errors.Is(err, docs.ErrStopped):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, docs.ErrCampaignArchived):
 		return http.StatusGone
 	}

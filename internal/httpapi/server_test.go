@@ -1043,3 +1043,18 @@ func TestNoPhantomCampaign(t *testing.T) {
 		t.Fatalf("reopened listing = %+v, want exactly a and b", list)
 	}
 }
+
+// TestStatusFor pins the status each serving error answers: a call its
+// campaign stopped under twice is a 503 a client may retry, not a 400.
+func TestStatusFor(t *testing.T) {
+	for err, want := range map[error]int{
+		fmt.Errorf("submit: %w", docs.ErrDurability):       http.StatusInternalServerError,
+		fmt.Errorf("submit: %w", docs.ErrStopped):          http.StatusServiceUnavailable,
+		fmt.Errorf("submit: %w", docs.ErrCampaignArchived): http.StatusGone,
+		fmt.Errorf("core: unknown task 7"):                 http.StatusBadRequest,
+	} {
+		if got := statusFor(err); got != want {
+			t.Errorf("statusFor(%v) = %d, want %d", err, got, want)
+		}
+	}
+}

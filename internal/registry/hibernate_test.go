@@ -515,11 +515,11 @@ func TestWakeStampedeSingleFlight(t *testing.T) {
 }
 
 // TestHibernateRaceNeverDropsAcknowledged races submit traffic against
-// repeated hibernations. Every call holds the campaign's lease, so a
-// hibernation waits out the call in flight and the next call wakes the
-// campaign: no call fails, every hibernation's final snapshot covers the
-// log, and the woken campaign holds exactly the acknowledged answers. Run
-// under -race by the registry CI suite.
+// repeated hibernations. A hibernation is the writer's last call, so a
+// call in flight is either logged before it or refused and run again on
+// the woken campaign: no call fails, every hibernation's final snapshot
+// covers the log, and the woken campaign holds exactly the acknowledged
+// answers. Run under -race by the registry CI suite.
 func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 	root := t.TempDir()
 	cfg := crashConfig(root)

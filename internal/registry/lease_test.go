@@ -247,3 +247,66 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 		t.Fatalf("submit after the failure: %v", err)
 	}
 }
+
+// TestStoppedCallRunsOnTheWokenCore hibernates a campaign under a call:
+// the hibernation is the writer's last call, so the call's submit reaches a
+// stopped writer, applies nothing and gets core.ErrStopped, and Do runs the
+// call again on the woken core, once. A call whose core stops under both
+// runs fails with core.ErrStopped and leaves no answer behind.
+func TestStoppedCallRunsOnTheWokenCore(t *testing.T) {
+	reg, err := Open(crashConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	sys, err := create(reg, "stopped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 0)); err != nil {
+		t.Fatal(err)
+	}
+	profile(t, sys, "w0") // the answers below are regular ones
+	tasks, err := sys.Request("w0", 2)
+	if err != nil || len(tasks) != 2 {
+		t.Fatalf("request: %d tasks, %v", len(tasks), err)
+	}
+	submit := func(tk core.Served, stops int) (runs []*core.System, err error) {
+		err = reg.Do("stopped", func(sys *core.System) error {
+			runs = append(runs, sys)
+			if len(runs) <= stops {
+				if err := reg.Hibernate("stopped"); err != nil {
+					return err
+				}
+			}
+			return sys.Submit("w0", tk.ID, 0)
+		})
+		return runs, err
+	}
+
+	runs, err := submit(tasks[0], 1)
+	if err != nil {
+		t.Fatalf("a call the core stopped under failed: %v", err)
+	}
+	if len(runs) != 2 || runs[0] == runs[1] {
+		t.Fatalf("the call ran %d times, want twice on two cores", len(runs))
+	}
+	if !hasAnswer(runs[1], model.Answer{Worker: "w0", Task: tasks[0].ID, Choice: 0}) || runs[1].Stats().Answers != 1 {
+		t.Fatal("the woken core does not hold the one answer the second run gave")
+	}
+	if wakes := reg.Stats().WakesTotal; wakes != 1 {
+		t.Fatalf("%d wakes, want 1", wakes)
+	}
+
+	runs, err = submit(tasks[1], 2)
+	if !errors.Is(err, core.ErrStopped) || len(runs) != 2 {
+		t.Fatalf("a call stopped under twice ran %d times and returned %v, want twice and core.ErrStopped", len(runs), err)
+	}
+	final, err := get(reg, "stopped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hasAnswer(final, model.Answer{Worker: "w0", Task: tasks[1].ID, Choice: 0}) || final.Stats().Answers != 1 {
+		t.Fatal("a refused submit left an answer behind")
+	}
+}

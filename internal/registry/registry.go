@@ -38,33 +38,35 @@
 //
 // # Lifecycle
 //
-// Every use of a campaign's core runs through Do, which holds the
-// campaign's lease for the length of the call, and every change of its
-// lifecycle state runs through one transition under the campaign's write
-// lock, which waits out the calls in flight and keeps new ones out:
+// A campaign's lifecycle position is one immutable value the registry swaps
+// by compare-and-swap; no lock guards it. A transition marks the position
+// moving, which keeps every other transition and every call that needs the
+// campaign waiting on the mark until it lands:
 //
 //	from              to          on                        what happens
 //	absent            live        Create, boot              core built, WAL armed and replayed
 //	absent            hibernated  boot under a cap          listed, not replayed
 //	absent            archived    boot finds the marker     listed, never replayed
 //	hibernated        live        any call (wake)           a boot: replay, skipping the math the snapshot covers
-//	live              hibernated  Hibernate, cap, idle      drain; final snapshot if answered since the newest
-//	live (failed)     hibernated  ErrDurability, Close      core closed as it stands: no snapshot pass
-//	live, hibernated  archived    Archive                   core closed, archived marker written (terminal)
+//	live              hibernated  Hibernate, cap, idle      the writer's last call: final snapshot if answered since the newest
+//	live (failed)     hibernated  ErrDurability, Close      the writer's last call: core closed as it stands, no snapshot pass
+//	live, hibernated  archived    Archive                   core closed as its writer's last call, archived marker written (terminal)
 //
-// So no call ever runs on a closing core. Eviction — least recently used
-// first past Config.MaxLiveCampaigns, idle past Config.HibernateAfter —
-// never waits and never fails a call: it takes only campaigns whose write
-// lock it gets at once, so the resident set may exceed MaxLiveCampaigns by
-// the campaigns with a call in flight, and the next call to end trims it. A
-// call that fails its durability promise fails the campaign: its core is
-// dropped and the next call wakes it from its log, so a campaign only ever
-// serves state its log holds. A stampede of cold calls wakes the campaign
-// once. MaxLiveCampaigns also makes boot lazy: namespaces are listed, not
-// replayed, so a million-campaign root boots in O(readdir). Hibernate/wake
-// cycles are invisible at the bit level: the woken state is the
-// serial-replay state, which the live-vs-recovered suite proves equal to
-// the live fingerprint at every acknowledged boundary.
+// A call in flight needs no lease: one its writer took first is logged
+// before the core closes, and one that reaches the writer after gets
+// core.ErrStopped, and Do runs it again, once, on the woken core. Eviction
+// — least recently used first past Config.MaxLiveCampaigns, idle past
+// Config.HibernateAfter — never waits and never fails a call: it passes
+// over a campaign with a call in flight, so the resident set may exceed
+// MaxLiveCampaigns by those campaigns until the next call trims it. A call
+// that fails its durability promise fails the campaign: the next call
+// wakes it from its log. A stampede of cold calls wakes the campaign once.
+// MaxLiveCampaigns also makes boot lazy: a million-campaign root boots in
+// O(readdir). With synchronous reruns hibernate/wake cycles are invisible
+// at the bit level: the woken state is the serial-replay state, which the
+// live-vs-recovered suite proves equal to the live fingerprint at every
+// acknowledged boundary. With Campaign.AsyncRerun a rerun's swap is not
+// logged, so a wake may serve other truths than the ones served before.
 package registry
 
 import (
@@ -176,11 +178,12 @@ type Info struct {
 	Wakes int `json:"wakes"`
 }
 
-// campaignState is the lifecycle position of one registry entry.
+// campaignState is the lifecycle state of one registry entry.
 type campaignState int
 
 const (
-	// stateAbsent is an entry Create or boot has listed but not yet opened.
+	// stateAbsent is an entry listed before its first replay lands, or by
+	// a Create that failed.
 	stateAbsent campaignState = iota
 	stateLive
 	stateHibernated
@@ -193,30 +196,67 @@ const (
 
 // campaign is one registry entry.
 type campaign struct {
-	// mu is the campaign's lease. A call holds it for reading while it runs
-	// (Do); a transition holds it for writing, which waits out the calls in
-	// flight, keeps new ones out, and makes a stampede of cold calls wake
-	// the campaign once. Lock order: c.mu may be taken before r.mu; never
-	// the reverse. docs-lint enforces that order from the declaration below.
-	//
-	//docs:lockorder c.mu < r.mu
-	mu sync.RWMutex
-
-	// sys is the serving core, nil unless live. Atomic so eviction and
-	// Resident can look at it without the lease.
-	sys atomic.Pointer[core.System]
-
+	// life is the campaign's lifecycle position, never nil.
+	life atomic.Pointer[life]
+	// calls counts the Do calls in flight on the campaign, which eviction
+	// passes over. A call counts itself before it loads the life, and
+	// eviction loads the life first, so it never takes a core woken for a
+	// call in flight.
+	calls atomic.Int64
 	// lastTouch is the registry clock's UnixNano at the campaign's last
 	// call or wake — the LRU recency stamp.
 	lastTouch atomic.Int64
+}
 
-	// The fields below are guarded by the registry's mu and written only by
-	// transition.
+// life is one lifecycle position of a campaign, immutable once published.
+type life struct {
 	state campaignState
+	// sys is the serving core, nil unless live.
+	sys *core.System
+	// moving, when not nil, marks a transition in flight: it closes when
+	// the transition lands, and every other call waits for that.
+	moving chan struct{}
 	// last is the campaign's serving counters when it last left memory
 	// (hibernate or archive); zero for campaigns not resident this boot.
 	last  core.Stats
 	wakes int
+}
+
+// newCampaign returns a registry entry at position l.
+func newCampaign(l *life) *campaign {
+	c := &campaign{}
+	c.life.Store(l)
+	return c
+}
+
+// move marks campaign c moving from position from and returns the mark, or
+// nil when another call moved the campaign first.
+func (c *campaign) move(from *life) *life {
+	mark := *from
+	mark.moving = make(chan struct{})
+	if !c.life.CompareAndSwap(from, &mark) {
+		return nil
+	}
+	return &mark
+}
+
+// land ends the transition mark began: next becomes the campaign's
+// position and the calls waiting on the mark go on.
+func (c *campaign) land(mark *life, next life) {
+	next.moving = nil
+	c.life.Store(&next)
+	close(mark.moving)
+}
+
+// settled returns campaign c's position once no transition is in flight.
+func (c *campaign) settled() *life {
+	for {
+		l := c.life.Load()
+		if l.moving == nil {
+			return l
+		}
+		<-l.moving
+	}
 }
 
 // Registry manages many named campaigns over one shared worker store.
@@ -225,23 +265,25 @@ type Registry struct {
 	cfg   Config
 	store *store.Store
 
+	// mu guards the name table: campaigns, folded and the closing of
+	// closed, which Create checks as it lists a name.
 	mu        sync.RWMutex
 	campaigns map[string]*campaign
 	// folded maps each listed name, lower-cased, to the name: Create's
 	// case-insensitive collision check is one lookup. ValidateName admits
 	// ASCII alone, where strings.ToLower agrees with strings.EqualFold.
 	folded map[string]string
-	closed bool
+	closed atomic.Bool
 
-	// liveCount tracks resident campaigns (sys != nil) so the LRU cap
-	// check is O(1) on the hot path.
+	// liveCount tracks resident campaigns so the LRU cap check is O(1) on
+	// the hot path.
 	liveCount atomic.Int64
 
-	// wakeMu guards the ring of recent wake latencies; wakeNext counts
-	// every wake this process.
-	wakeMu   sync.Mutex
-	wakeDur  []time.Duration
-	wakeNext int
+	// wakes counts every wake this process, and wakeDur holds the latency
+	// of the most recent wakeWindow of them, the n'th wake's at n %
+	// wakeWindow.
+	wakes   atomic.Int64
+	wakeDur [wakeWindow]atomic.Int64
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -337,22 +379,14 @@ func (r *Registry) now() time.Time {
 }
 
 // recoverAll enumerates <WALDir>/campaigns and boots every namespace
-// found. Archived ones are listed; with a live-set cap the rest are
-// listed COLD — no replay at all, each campaign wakes on first touch, so
-// boot lag is O(readdir) regardless of how many campaigns the root holds.
-// Without a cap every non-archived campaign is replayed — CONCURRENTLY,
-// up to one replay per CPU. Concurrent boot is safe: replay's only store
-// writes are idempotent merge-once profiling repairs under
-// campaign-scoped profile IDs (disjoint across campaigns), and seeds
-// replay from each campaign's own log instead of reading the store — so
-// each campaign's recovered state is a pure function of its own log plus
-// the store file and boot order cannot affect it. The one residual
-// cross-campaign write interaction is documented in
-// docs/multi-campaign.md: two campaigns repairing lost merges for the
-// SAME worker concurrently can apply them in either order, which perturbs
-// only the worker's combined store record (each campaign's own state is
-// anchored and unaffected). For a registry hosting many campaigns this
-// turns boot lag from the sum of the replays into roughly the longest one.
+// found. Archived ones are listed; with a live-set cap the rest are listed
+// cold — no replay at all, each campaign wakes on first touch, so boot lag
+// is O(readdir). Without a cap every non-archived campaign is replayed
+// concurrently, up to one replay per CPU, so boot lag is roughly the
+// longest replay: a campaign's recovered state is a function of its own
+// log plus the store log (see the package comment), whatever the boot
+// order. docs/multi-campaign.md names the one residual interaction, two
+// campaigns repairing lost merges for the same worker at once.
 func (r *Registry) recoverAll() error {
 	root := filepath.Join(r.cfg.WALDir, campaignsDir)
 	if err := os.MkdirAll(root, 0o755); err != nil {
@@ -379,79 +413,46 @@ func (r *Registry) recoverAll() error {
 	}
 	sort.Strings(names)
 	bootStamp := r.now().UnixNano()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
+	var wg sync.WaitGroup
+	errs := make([]error, len(names))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, name := range names {
-		to := stateLive
+	for i, name := range names {
+		// Lazy boot under a cap: the campaign's state stays on disk until
+		// its first call wakes it, which is what bounds boot time and RSS
+		// at million-campaign density.
+		l := &life{state: stateHibernated}
 		switch _, err := os.Stat(filepath.Join(root, name, archivedMarker)); {
 		case err == nil:
-			to = stateArchived
+			l.state = stateArchived
 		case !errors.Is(err, os.ErrNotExist):
 			wg.Wait()
 			return fmt.Errorf("registry: campaign %q: %w", name, err)
-		case r.cfg.MaxLiveCampaigns > 0:
-			// Lazy boot: the campaign's state stays on disk until its first
-			// call wakes it, which is what bounds boot time and RSS at
-			// million-campaign density.
-			to = stateHibernated
+		case r.cfg.MaxLiveCampaigns == 0:
+			l = &life{moving: make(chan struct{})} // replayed below
 		}
-		c := &campaign{}
+		c := newCampaign(l)
 		c.lastTouch.Store(bootStamp)
-		r.mu.Lock()
-		r.campaigns[name], r.folded[strings.ToLower(name)] = c, name
-		r.mu.Unlock()
-		if to != stateLive {
-			c.mu.Lock()
-			r.transition(name, c, to) // lists it: cannot fail
-			c.mu.Unlock()
+		if err := r.list(name, c); err != nil {
+			wg.Wait()
+			return fmt.Errorf("registry: %s: %w", root, err)
+		}
+		if l.moving == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(name string, c *campaign) {
+		go func(i int, name string, c *campaign, mark *life) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			c.mu.Lock()
-			err := r.transition(name, c, stateLive)
-			c.mu.Unlock()
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("registry: recover campaign %q: %w", name, err)
-				}
-				errMu.Unlock()
+			if _, err := r.wake(name, c, mark); err != nil {
+				errs[i] = fmt.Errorf("registry: recover campaign %q: %w", name, err)
 			}
-		}(name, c)
+		}(i, name, c, l)
 	}
 	wg.Wait()
 	// On error the caller closes the registry, which shuts down whatever
 	// booted.
-	return firstErr
-}
-
-// openCampaign builds one campaign's core.System over the shared store and,
-// when the registry is durable, arms (and replays) its WAL namespace. The
-// campaign name becomes its ProfileScope, so profiling merges from
-// different campaigns never alias in the shared store's merge-once ledger.
-func (r *Registry) openCampaign(name, dir string) (*core.System, error) {
-	cc := r.cfg.Campaign
-	cc.Store = r.store
-	cc.ProfileScope = name
-	sys, err := core.New(cc)
-	if err != nil {
-		return nil, err
-	}
-	if dir != "" {
-		if _, err := sys.Recover(dir); err != nil {
-			sys.Close()
-			return nil, err
-		}
-	}
-	return sys, nil
+	return errors.Join(errs...)
 }
 
 // dir returns the campaign's WAL namespace ("" for memory-only registries).
@@ -468,32 +469,16 @@ func (r *Registry) Create(name string) error {
 	if err := ValidateName(name); err != nil {
 		return err
 	}
-	// The entry is listed locked, so a call that finds it before it opens
+	// The entry is listed moving, so a call that finds it before it opens
 	// waits for the outcome.
-	c := &campaign{}
-	c.mu.Lock()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		c.mu.Unlock()
-		return ErrClosed
+	mark := &life{moving: make(chan struct{})}
+	c := newCampaign(mark)
+	if err := r.list(name, c); err != nil {
+		return err
 	}
-	// Uniqueness is enforced case-insensitively: names become directory
-	// names, and on a case-insensitive filesystem "Foo" and "foo" would
-	// silently share one WAL namespace — two campaigns interleaving one
-	// log. Rejecting the collision here keeps the layout portable.
-	folded := strings.ToLower(name)
-	if existing, ok := r.folded[folded]; ok {
-		r.mu.Unlock()
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %q (collides with %q)", ErrExists, name, existing)
-	}
-	r.campaigns[name], r.folded[folded] = c, name
-	r.mu.Unlock()
 	// The campaign's directory is created, parent entry fsynced, by the
 	// WAL its Recover opens.
-	err := r.transition(name, c, stateLive)
-	if err != nil {
+	if _, err := r.wake(name, c, mark); err != nil {
 		// A failed Create leaves no namespace to list at the next boot. The
 		// directory is this call's own — a listed or case-folded name was
 		// refused above, before anything touched the disk — and it goes
@@ -503,86 +488,156 @@ func (r *Registry) Create(name string) error {
 		}
 		r.mu.Lock()
 		delete(r.campaigns, name)
-		delete(r.folded, folded)
+		delete(r.folded, strings.ToLower(name))
 		r.mu.Unlock()
+		return err
 	}
-	c.mu.Unlock()
-	if err == nil {
-		r.enforceCap()
+	r.enforceCap()
+	return nil
+}
+
+// list enters campaign c in the name table. It refuses a name a listed one
+// equals or differs from only by case, and every name once the registry is
+// closed, so Close finds every campaign a Create listed.
+func (r *Registry) list(name string, c *campaign) error {
+	// Uniqueness is enforced case-insensitively: names become directory
+	// names, and on a case-insensitive filesystem "Foo" and "foo" would
+	// silently share one WAL namespace — two campaigns interleaving one
+	// log. Rejecting the collision here keeps the layout portable.
+	folded := strings.ToLower(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed.Load() {
+		return ErrClosed
 	}
-	return err
+	if existing, ok := r.folded[folded]; ok {
+		return fmt.Errorf("%w: %q (collides with %q)", ErrExists, name, existing)
+	}
+	r.campaigns[name], r.folded[folded] = c, name
+	return nil
 }
 
 // Do runs fn on the named campaign's serving core, waking the campaign
-// first when it is hibernated, and holds the campaign's lease until fn
-// returns: no hibernation, eviction, Archive or Close closes the core
-// under fn. fn must not keep the core past its return. When fn's error is
-// core.ErrDurability the campaign fails: its core is dropped and the next
-// call wakes it from its log. The fast path — a resident campaign — is one
-// map read and one uncontended read lock.
+// first when it is hibernated. When a transition stops the core before a
+// writer call of fn, that call applies nothing and gets core.ErrStopped,
+// and Do runs fn again, once, on the woken core: fn must be safe to run
+// again past its earlier writer calls. fn must not keep the core past its
+// return. When fn's error is core.ErrDurability the campaign fails: its
+// core is closed and the next call wakes it from its log.
 func (r *Registry) Do(name string, fn func(*core.System) error) error {
 	c, err := r.lookup(name)
 	if err != nil {
 		return err
 	}
-	c.lastTouch.Store(r.now().UnixNano())
-	sys, err := r.leased(name, c, fn)
-	err = r.failStop(name, c, sys, err)
-	// A wake — this call's, or an earlier one whose eviction skipped
-	// campaigns with calls in flight — can leave the resident set over the
-	// cap: trim it holding no lease, so no call waits on another campaign's
-	// eviction.
+	err = r.call(name, c, fn)
+	// A wake can leave the resident set over the cap: trim it once the
+	// call is over, so no call waits on another campaign's eviction.
 	r.enforceCap()
 	return err
 }
 
-// leased runs fn under campaign c's lease and returns the core it ran on.
-// The lease is released by defer, so a panicking fn cannot leave the
-// campaign locked against every later transition.
-func (r *Registry) leased(name string, c *campaign, fn func(*core.System) error) (*core.System, error) {
-	c.mu.RLock()
-	if sys := c.sys.Load(); sys != nil {
-		defer c.mu.RUnlock()
-		return sys, fn(sys)
+// call runs fn on campaign c's core, counted in flight (see Do).
+func (r *Registry) call(name string, c *campaign, fn func(*core.System) error) error {
+	c.lastTouch.Store(r.now().UnixNano())
+	c.calls.Add(1)
+	defer c.calls.Add(-1)
+	for retry := false; ; retry = true {
+		sys, err := r.core(name, c)
+		if err != nil {
+			return err
+		}
+		if err = r.failStop(name, c, sys, fn(sys)); retry || !errors.Is(err, core.ErrStopped) {
+			return err
+		}
 	}
-	c.mu.RUnlock()
-	// Cold: wake under the write lock and run this call there too, so no
-	// eviction can come between the wake and the call it was for.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := r.transition(name, c, stateLive); err != nil {
+}
+
+// core returns campaign c's serving core, waking the campaign when it is
+// hibernated: once for a stampede of cold calls, whose first mark wins and
+// whose rest wait on it.
+func (r *Registry) core(name string, c *campaign) (*core.System, error) {
+	for {
+		l := c.settled()
+		switch {
+		case l.sys != nil:
+			return l.sys, nil
+		case l.state == stateArchived:
+			return nil, fmt.Errorf("%w: %q", ErrArchived, name)
+		case l.state == stateAbsent:
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, name) // a Create that failed
+		}
+		if mark := c.move(l); mark != nil {
+			return r.wake(name, c, mark)
+		}
+	}
+}
+
+// wake lands the transition mark began with the campaign live — Create,
+// boot or wake: a core over the shared store, its WAL namespace armed and
+// replayed — or back where it was on an error. The campaign's name is its
+// ProfileScope, so profiling merges from different campaigns never alias
+// in the store's merge-once ledger. Close marks the registry closed before
+// it looks at a campaign, and wake looks after marking it, so a core is
+// either refused here or closed by Close.
+func (r *Registry) wake(name string, c *campaign, mark *life) (*core.System, error) {
+	if r.closed.Load() {
+		c.land(mark, *mark)
+		return nil, ErrClosed
+	}
+	start := r.now()
+	cc := r.cfg.Campaign
+	cc.Store, cc.ProfileScope = r.store, name
+	sys, err := core.New(cc)
+	if dir := r.dir(name); err == nil && dir != "" {
+		if _, err = sys.Recover(dir); err != nil {
+			sys.Close()
+		}
+	}
+	if err != nil {
+		c.land(mark, *mark)
+		if mark.state == stateHibernated {
+			return nil, fmt.Errorf("registry: wake %q: %w", name, err)
+		}
 		return nil, err
 	}
-	sys := c.sys.Load()
-	return sys, fn(sys)
+	next := *mark
+	next.state, next.sys = stateLive, sys
+	if mark.state == stateHibernated {
+		next.wakes++
+		n := r.wakes.Add(1) - 1
+		r.wakeDur[n%wakeWindow].Store(int64(r.now().Sub(start)))
+	}
+	c.lastTouch.Store(r.now().UnixNano())
+	r.liveCount.Add(1)
+	c.land(mark, next)
+	return sys, nil
 }
 
 // failStop passes a call's error through, first failing the campaign when
 // the call broke its durability promise: the core it ran on holds state
-// its log may not, so it is dropped — if it is still the installed one —
+// its log may not, so it is closed — if it is still the installed one —
 // and the next call wakes the campaign from disk.
 func (r *Registry) failStop(name string, c *campaign, sys *core.System, err error) error {
 	// A memory-only campaign has no log to fail or to wake from.
 	if err == nil || !errors.Is(err, core.ErrDurability) || r.cfg.WALDir == "" {
 		return err
 	}
-	c.mu.Lock()
-	if c.sys.Load() == sys {
-		// The log is poisoned, so closing it fails too; the call's error is
-		// the one to report.
-		_ = r.transition(name, c, stateFailed)
+	// A core another transition moved is closing already. The log is
+	// poisoned, so closing it fails too; the call's error is the one to
+	// report.
+	if l := c.life.Load(); l.sys == sys && l.moving == nil {
+		r.stop(name, c, l, stateFailed)
 	}
-	c.mu.Unlock()
 	return err
 }
 
 // lookup resolves a listed campaign.
 func (r *Registry) lookup(name string) (*campaign, error) {
 	r.mu.RLock()
-	closed, c := r.closed, r.campaigns[name]
+	c := r.campaigns[name]
 	r.mu.RUnlock()
 	switch {
-	case closed:
+	case r.closed.Load():
 		return nil, ErrClosed
 	case c == nil:
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -590,108 +645,51 @@ func (r *Registry) lookup(name string) (*campaign, error) {
 	return c, nil
 }
 
-// transition moves campaign c toward state to; see the package comment's
-// table. It is the only writer of c.state and c.sys, and its caller holds
-// c.mu for writing, so no call is in flight on a core it installs or
-// removes. A transition to where the campaign already is is a no-op.
-func (r *Registry) transition(name string, c *campaign, to campaignState) error {
-	sys := c.sys.Load()
-	r.mu.RLock()
-	closed, from, listed := r.closed, c.state, r.campaigns[name] == c
-	r.mu.RUnlock()
-	switch {
-	case to == stateFailed:
-		if sys == nil {
-			return nil
-		}
-	case !listed:
-		return fmt.Errorf("%w: %q", ErrNotFound, name) // a Create that failed
-	case closed:
-		return ErrClosed
-	case from == stateArchived:
-		return fmt.Errorf("%w: %q", ErrArchived, name)
-	case from == stateAbsent && to != stateLive:
-		// Boot lists a campaign it does not replay: archived, or cold under
-		// a cap.
-		r.mu.Lock()
-		c.state = to
-		r.mu.Unlock()
-		return nil
-	case to == stateHibernated && sys == nil, to == stateLive && sys != nil:
-		return nil
-	case to == stateLive:
-		// Create, boot or wake: one replay of the campaign's log.
-		start := r.now()
-		sys, err := r.openCampaign(name, r.dir(name))
-		if err != nil {
-			if from == stateHibernated {
-				return fmt.Errorf("registry: wake %q: %w", name, err)
-			}
-			return err
-		}
-		elapsed := r.now().Sub(start)
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			sys.Close()
-			return ErrClosed
-		}
-		c.state = stateLive
-		if from == stateHibernated {
-			c.wakes++
-		}
-		r.mu.Unlock()
-		c.sys.Store(sys)
-		c.lastTouch.Store(r.now().UnixNano())
-		r.liveCount.Add(1)
-		if from == stateHibernated {
-			r.observeWake(elapsed)
-		}
-		return nil
+// stop takes campaign c from position l — live, or hibernated on its way
+// to the archive — toward to, and reports whether it did: false when
+// another transition moved the campaign first. A live core ends as its
+// writer's last call: a final snapshot pass for a hibernation, a close as
+// it stands otherwise.
+func (r *Registry) stop(name string, c *campaign, l *life, to campaignState) (bool, error) {
+	mark := c.move(l)
+	if mark == nil {
+		return false, nil
 	}
-	// Leaving memory (or archiving a hibernated campaign): keep the
-	// serving counters for List and flip the state, then release the core
-	// outside every registry lock — only calls to THIS campaign wait.
-	last := c.last
-	if sys != nil {
-		last = sys.Stats()
-	}
-	r.mu.Lock()
-	c.state, c.last = to, last
+	next := *mark
+	next.state, next.sys = to, nil
 	if to == stateFailed {
-		c.state = stateHibernated
+		next.state = stateHibernated
 	}
-	r.mu.Unlock()
 	var err error
-	if sys != nil {
-		c.sys.Store(nil)
+	if sys := l.sys; sys != nil {
 		r.liveCount.Add(-1)
 		if to == stateHibernated {
 			err = sys.Hibernate()
 		} else {
 			err = sys.Close()
 		}
+		// Kept for List: the counters as the core's last call left them.
+		next.last = sys.Stats()
 	}
 	if dir := r.dir(name); err == nil && to == stateArchived && dir != "" {
 		err = wal.WriteFileAtomic(filepath.Join(dir, archivedMarker), []byte("archived\n"))
 	}
+	c.land(mark, next)
 	if err != nil {
 		// A failed final snapshot still leaves the campaign hibernated: its
 		// state is durable in the WAL and the next wake replays longer. A
 		// failed archive leaves no marker: the next boot revives the
 		// campaign live, the safe direction (the requester re-archives).
 		verb := map[campaignState]string{stateHibernated: "hibernate", stateArchived: "archive", stateFailed: "close"}[to]
-		return fmt.Errorf("registry: %s %q: %w", verb, name, err)
+		return true, fmt.Errorf("registry: %s %q: %w", verb, name, err)
 	}
-	return nil
+	return true, nil
 }
 
-// Hibernate releases the named campaign's memory once the calls in flight
-// on it return: the core is drained, a final state snapshot is written by
-// one last snapshot pass if an answer lies past the newest one, the WAL is
-// closed (fsynced only if a byte of it may be unsynced), and the core is
-// dropped. A campaign with no answer since its snapshot — or none at all —
-// writes nothing. The campaign stays listed and any later call wakes it.
+// Hibernate releases the named campaign's memory: as the writer's last
+// call, a final state snapshot is written if an answer lies past the
+// newest one, and the WAL is closed (fsynced only if a byte of it may be
+// unsynced). The campaign stays listed and any later call wakes it.
 // Hibernating an already-hibernated campaign is a no-op. An error means
 // the final snapshot could not be written — the campaign is hibernated
 // regardless (its state is durable in the WAL) and the next wake pays a
@@ -703,24 +701,34 @@ func (r *Registry) Hibernate(name string) error {
 	return r.exclusive(name, stateHibernated)
 }
 
-// Archive ends a campaign for good once the calls in flight on it return:
-// the serving core (when resident) is drained and closed (its WAL flushed
-// and fsynced), and — for durable registries — an archive marker is
-// written so later boots list the campaign without replaying it. A
-// hibernated campaign archives without waking: its state is already
-// durable, only the marker is written.
+// Archive ends a campaign for good: a resident core is closed as its
+// writer's last call (its WAL flushed and fsynced), and — for durable
+// registries — an archive marker is written so later boots list the
+// campaign without replaying it. A hibernated campaign archives without
+// waking.
 func (r *Registry) Archive(name string) error { return r.exclusive(name, stateArchived) }
 
-// exclusive runs one transition of the named campaign under its write
-// lock, waiting out the calls in flight.
+// exclusive runs one transition of the named campaign toward to, after the
+// transition in flight on it, if any, has landed.
 func (r *Registry) exclusive(name string, to campaignState) error {
 	c, err := r.lookup(name)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return r.transition(name, c, to)
+	for {
+		l := c.settled()
+		switch {
+		case l.state == stateArchived:
+			return fmt.Errorf("%w: %q", ErrArchived, name)
+		case l.state == stateAbsent:
+			return fmt.Errorf("%w: %q", ErrNotFound, name) // a Create that failed
+		case l.sys == nil && to == stateHibernated:
+			return nil
+		}
+		if ok, err := r.stop(name, c, l, to); ok {
+			return err
+		}
+	}
 }
 
 // enforceCap hibernates least-recently-touched live campaigns until the
@@ -751,8 +759,8 @@ func (r *Registry) SweepIdle() int {
 
 // evict hibernates the live campaigns pick admits, least recently touched
 // first (ties broken by name), until done holds, and returns how many it
-// released. It never waits: a campaign whose write lock it cannot take at
-// once has a call in flight and is skipped.
+// released. It never waits: a campaign with a call in flight, or in a
+// transition, is passed over.
 func (r *Registry) evict(pick func(*campaign) bool, done func() bool) int {
 	type cand struct {
 		name  string
@@ -760,13 +768,11 @@ func (r *Registry) evict(pick func(*campaign) bool, done func() bool) int {
 		touch int64
 	}
 	var cands []cand
-	r.mu.RLock()
-	for name, c := range r.campaigns {
-		if c.sys.Load() != nil && pick(c) {
+	r.each(func(name string, c *campaign) {
+		if c.life.Load().sys != nil && pick(c) {
 			cands = append(cands, cand{name, c, c.lastTouch.Load()})
 		}
-	}
-	r.mu.RUnlock()
+	})
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
 		return a.touch < b.touch || (a.touch == b.touch && a.name < b.name)
@@ -776,18 +782,15 @@ func (r *Registry) evict(pick func(*campaign) bool, done func() bool) int {
 		if done() {
 			break
 		}
-		if !cd.c.mu.TryLock() {
+		// Re-checked: a call or another evictor may have come since the
+		// scan (see campaign.calls for the order).
+		l := cd.c.life.Load()
+		if l.sys == nil || l.moving != nil || cd.c.calls.Load() > 0 || !pick(cd.c) {
 			continue
 		}
-		// Re-checked under the lock: a call may have touched the campaign,
-		// or another evictor released it, since the scan.
-		if cd.c.sys.Load() != nil && pick(cd.c) {
-			r.transition(cd.name, cd.c, stateHibernated)
-			if cd.c.sys.Load() == nil {
-				released++ // a failed final snapshot still released the core
-			}
+		if ok, _ := r.stop(cd.name, cd.c, l, stateHibernated); ok {
+			released++ // a failed final snapshot still released the core
 		}
-		cd.c.mu.Unlock()
 	}
 	return released
 }
@@ -814,19 +817,6 @@ func (r *Registry) idleSweeper() {
 	}
 }
 
-// observeWake counts one wake and records its latency in the bounded ring
-// behind Stats.
-func (r *Registry) observeWake(d time.Duration) {
-	r.wakeMu.Lock()
-	if len(r.wakeDur) < wakeWindow {
-		r.wakeDur = append(r.wakeDur, d)
-	} else {
-		r.wakeDur[r.wakeNext%wakeWindow] = d
-	}
-	r.wakeNext++
-	r.wakeMu.Unlock()
-}
-
 // quantile picks the nearest-rank q-th percentile from a sorted slice.
 func quantile(sorted []time.Duration, q int) time.Duration {
 	idx := (len(sorted)*q + 99) / 100
@@ -836,38 +826,54 @@ func quantile(sorted []time.Duration, q int) time.Duration {
 	return sorted[idx]
 }
 
+// each calls f on every listed campaign under the name table's read lock,
+// so f must not block. Eviction and the census scan in place: a copy of
+// the table for each would be garbage the size of the table a call.
+func (r *Registry) each(f func(name string, c *campaign)) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for name, c := range r.campaigns {
+		f(name, c)
+	}
+}
+
+// listed is one entry of the name table.
+type listed struct {
+	name string
+	c    *campaign
+}
+
+// sorted returns the name table's entries, sorted by name.
+func (r *Registry) sorted() []listed {
+	var out []listed
+	r.each(func(name string, c *campaign) { out = append(out, listed{name, c}) })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // Names returns every campaign name (live, hibernated and archived),
 // sorted.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.campaigns))
-	for name := range r.campaigns {
-		names = append(names, name)
+	var names []string
+	for _, e := range r.sorted() {
+		names = append(names, e.name)
 	}
-	sort.Strings(names)
 	return names
 }
 
 // List describes every campaign, sorted by name.
 func (r *Registry) List() []Info {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.campaigns))
-	for name := range r.campaigns {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Info, 0, len(names))
-	for _, name := range names {
-		c := r.campaigns[name]
-		st := c.last
-		if sys := c.sys.Load(); sys != nil {
-			st = sys.Stats()
+	entries := r.sorted()
+	out := make([]Info, 0, len(entries))
+	for _, e := range entries {
+		l := e.c.life.Load()
+		st := l.last
+		if l.sys != nil {
+			st = l.sys.Stats()
 		}
-		out = append(out, Info{Name: name, Archived: c.state == stateArchived,
-			Hibernated: c.state == stateHibernated, Published: st.Published,
-			Answers: st.Answers, RecoveredRecords: st.Records, Wakes: c.wakes})
+		out = append(out, Info{Name: e.name, Archived: l.state == stateArchived,
+			Hibernated: l.state == stateHibernated, Published: st.Published,
+			Answers: st.Answers, RecoveredRecords: st.Records, Wakes: l.wakes})
 	}
 	return out
 }
@@ -886,12 +892,12 @@ type Stats struct {
 	WakeP99    time.Duration `json:"-"`
 }
 
-// Stats returns the campaign census and the wake record.
+// Stats returns the campaign census and the wake record. A Stats that races
+// a wake may read that wake's slot of the ring before its latency lands.
 func (r *Registry) Stats() Stats {
 	var st Stats
-	r.mu.RLock()
-	for _, c := range r.campaigns {
-		switch c.state {
+	r.each(func(_ string, c *campaign) {
+		switch c.life.Load().state {
 		case stateLive:
 			st.CampaignsLive++
 		case stateHibernated:
@@ -899,12 +905,12 @@ func (r *Registry) Stats() Stats {
 		case stateArchived:
 			st.CampaignsArchived++
 		}
+	})
+	st.WakesTotal = r.wakes.Load()
+	durs := make([]time.Duration, min(st.WakesTotal, wakeWindow))
+	for i := range durs {
+		durs[i] = time.Duration(r.wakeDur[i].Load())
 	}
-	r.mu.RUnlock()
-	r.wakeMu.Lock()
-	st.WakesTotal = int64(r.wakeNext)
-	durs := append([]time.Duration(nil), r.wakeDur...)
-	r.wakeMu.Unlock()
 	if len(durs) > 0 {
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 		st.WakeP50, st.WakeP99 = quantile(durs, 50), quantile(durs, 99)
@@ -914,49 +920,40 @@ func (r *Registry) Stats() Stats {
 
 // Resident reports whether the named campaign is live in memory right
 // now — without waking it (unlike Do). False for hibernated, archived
-// and unknown campaigns, and on a closed registry.
+// and unknown campaigns, for one in a transition, and on a closed
+// registry.
 func (r *Registry) Resident(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
+	c, err := r.lookup(name)
+	if err != nil {
 		return false
 	}
-	c := r.campaigns[name]
-	return c != nil && c.sys.Load() != nil
+	l := c.life.Load()
+	return l.sys != nil && l.moving == nil
 }
 
 // Store exposes the shared worker store (for diagnostics and tests).
 func (r *Registry) Store() *store.Store { return r.store }
 
-// Close shuts every resident campaign down gracefully once the calls in
-// flight on it return (background workers drained, WALs flushed and
-// fsynced, no snapshot pass) and releases the shared store. Every call
-// after Close fails with ErrClosed.
+// Close shuts every resident campaign down gracefully as its writer's last
+// call (background workers drained, WALs flushed and fsynced, no snapshot
+// pass) and releases the shared store. A call the writer took first
+// completes; every later call fails with ErrClosed.
 func (r *Registry) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if !r.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	r.closed = true
-	entries := make(map[string]*campaign, len(r.campaigns))
-	names := make([]string, 0, len(r.campaigns))
-	for name, c := range r.campaigns {
-		entries[name] = c
-		names = append(names, name)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
 	close(r.quit)
 	r.wg.Wait()
 	var err error
-	for _, name := range names {
-		c := entries[name]
-		c.mu.Lock()
-		if cerr := r.transition(name, c, stateFailed); cerr != nil && err == nil {
-			err = cerr
+	for _, e := range r.sorted() {
+		for l := e.c.settled(); l.sys != nil; l = e.c.settled() {
+			if ok, cerr := r.stop(e.name, e.c, l, stateFailed); ok {
+				if cerr != nil && err == nil {
+					err = cerr
+				}
+				break
+			}
 		}
-		c.mu.Unlock()
 	}
 	if cerr := r.store.Close(); cerr != nil && err == nil {
 		err = cerr

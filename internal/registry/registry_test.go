@@ -37,7 +37,7 @@ func synthTasks(m, n, offset int) []*model.Task {
 }
 
 // get returns the named campaign's core, waking it first if need be. The
-// core outlives the lease Do held for it, so only a test that does not
+// core outlives the call Do made with it, so only a test that does not
 // hibernate, archive or close the campaign while it uses the core — or
 // that means to use a closed one — may hold it.
 // memStore opens a memory-only worker store over the default KB's domains,

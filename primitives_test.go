@@ -67,7 +67,7 @@ import (
 // System or workerState, or of the truth engine's incTask, is a
 // []model.Answer or a map keyed by a task. A
 // campaign is a registry's: core.New is called from the registry's
-// openCampaign and core's own snapshotPass replica alone, the root package
+// wake and core's own snapshotPass replica alone, the root package
 // imports no store, and nothing mints a session scope (MintScope). A
 // task's domain vector is one its publication's tasks share, so nothing in
 // the root package or internal/{core,truth,assign,registry,httpapi}
@@ -228,33 +228,25 @@ func TestOneReaderOneWriter(t *testing.T) {
 		}
 	}
 
-	// A campaign's state field is set — assigned or given in a composite
-	// literal — only inside the registry's transition function.
+	// A campaign's lifecycle position is published only by newCampaign
+	// (a new entry), move (a transition's mark) and land (its outcome):
+	// nothing else stores or swaps a campaign's life.
 	writers := 0
 	funcNodes(t, fset, "internal/registry/*.go", func(fn *ast.FuncDecl, n ast.Node) {
-		var field ast.Node
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "state" {
-					field = sel
-				}
-			}
-		case *ast.KeyValueExpr:
-			if id, ok := n.Key.(*ast.Ident); ok && id.Name == "state" {
-				field = id
-			}
-		}
-		if field == nil {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Store" && sel.Sel.Name != "CompareAndSwap") {
 			return
 		}
-		if fn.Name.Name != "transition" {
-			t.Errorf("%s: %s sets a campaign's state outside transition", fset.Position(field.Pos()), fn.Name.Name)
+		if field, ok := sel.X.(*ast.SelectorExpr); !ok || field.Sel.Name != "life" {
+			return
+		}
+		if name := fn.Name.Name; name != "newCampaign" && name != "move" && name != "land" {
+			t.Errorf("%s: %s publishes a campaign's life outside newCampaign, move and land", fset.Position(sel.Pos()), name)
 		}
 		writers++
 	})
-	if writers == 0 {
-		t.Error("found no write of a campaign's state: the check no longer sees the field")
+	if writers != 3 {
+		t.Errorf("found %d publications of a campaign's life, want 3: the check no longer sees the field", writers)
 	}
 
 	// A task's domain vector is shared by every task of its publication with
@@ -428,7 +420,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 
 	// A campaign is a registry's: core.New builds one in the registry's
-	// openCampaign and in core's snapshotPass replica alone, and the root
+	// wake and in core's snapshotPass replica alone, and the root
 	// package reaches the worker store through a registry only.
 	var builders []string
 	for _, pkg := range prog.Packages {
@@ -455,7 +447,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		}
 	}
 	sort.Strings(builders)
-	if got, want := strings.Join(builders, " "), "docs/internal/core.snapshotPass docs/internal/registry.openCampaign"; got != want {
+	if got, want := strings.Join(builders, " "), "docs/internal/core.snapshotPass docs/internal/registry.wake"; got != want {
 		t.Errorf("core.New is called from [%s], want only [%s]", got, want)
 	}
 
@@ -826,20 +818,22 @@ func TestOneReaderOneWriter(t *testing.T) {
 		}
 	}
 
-	// The locks the serving core and the truth engine declare — as a field
-	// of a named struct or as a package variable — are these, and only
-	// these: the publish's DVE fan-out shares one domain table, the rest
-	// table is shared by every campaign's engine, a request looks a
-	// worker's handle up beside the writer that interns new ones, and
-	// Results' store writes run off the writer.
-	allowed := "core.System.resultsMu core.domainTable.mu truth.restMu truth.workerTable.mu"
+	// The locks the serving core, the truth engine and the campaign registry
+	// declare — as a field of a named struct, a package variable or a local
+	// — are these, and only these: the publish's DVE fan-out shares one
+	// domain table, the rest table is shared by every campaign's engine, a
+	// request looks a worker's handle up beside the writer that interns new
+	// ones, Results' store writes run off the writer, and the registry's
+	// name table is read by every call and written by Create. A campaign's
+	// lifecycle runs on its writer, so no registry lock guards it.
+	allowed := "core.System.resultsMu core.domainTable.mu registry.Registry.mu truth.restMu truth.workerTable.mu"
 	var locks []string
 	isLock := func(typ types.Type) bool {
 		s := types.TypeString(typ, nil)
 		return s == "sync.Mutex" || s == "sync.RWMutex"
 	}
 	for _, pkg := range prog.Packages {
-		name, ok := map[string]string{"docs/internal/core": "core", "docs/internal/truth": "truth"}[pkg.Path]
+		name, ok := map[string]string{"docs/internal/core": "core", "docs/internal/registry": "registry", "docs/internal/truth": "truth"}[pkg.Path]
 		if !ok {
 			continue
 		}
@@ -860,10 +854,15 @@ func TestOneReaderOneWriter(t *testing.T) {
 				}
 			}
 		}
+		for id, obj := range pkg.Info.Defs {
+			if v, ok := obj.(*types.Var); ok && !v.IsField() && v.Parent() != scope && isLock(v.Type()) {
+				locks = append(locks, name+".local "+id.Name)
+			}
+		}
 	}
 	sort.Strings(locks)
 	if got := strings.Join(locks, " "); got != allowed {
-		t.Errorf("internal/core and internal/truth declare the locks [%s], want only [%s]: a campaign's mutations run on its one writer", got, allowed)
+		t.Errorf("internal/core, internal/truth and internal/registry declare the locks [%s], want only [%s]: a campaign's mutations and its lifecycle run on its one writer", got, allowed)
 	}
 }
 

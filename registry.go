@@ -62,8 +62,8 @@ func (r *Registry) Create(name string) (*System, error) {
 }
 
 // Campaign returns the named campaign's System, waking the campaign if it
-// is hibernated. The handle serves concurrently like any System and leases
-// the campaign per call (see System); its lifetime is managed by the
+// is hibernated. The handle serves concurrently like any System, each call
+// on the campaign's core (see System); its lifetime is managed by the
 // registry — use Archive or the registry's Close rather than System.Close.
 func (r *Registry) Campaign(name string) (*System, error) {
 	if err := r.reg.Do(name, func(*core.System) error { return nil }); err != nil {
@@ -102,10 +102,9 @@ func (r *Registry) CampaignResident(name string) bool { return r.reg.Resident(na
 // Config.MaxLiveCampaigns); this is the explicit handle.
 func (r *Registry) Hibernate(name string) error { return r.reg.Hibernate(name) }
 
-// Archive ends a campaign for good once the calls in flight on it return:
-// its serving core is drained and closed (WAL flushed and fsynced), and
-// durable registries mark the campaign so later boots list it without
-// replaying.
+// Archive ends a campaign for good: its serving core is drained and closed
+// as its writer's last call (WAL flushed and fsynced), and durable
+// registries mark the campaign so later boots list it without replaying.
 func (r *Registry) Archive(name string) error { return r.reg.Archive(name) }
 
 // Close shuts every live campaign down gracefully and releases the shared
