@@ -42,7 +42,6 @@ func main() {
 	golden := flag.Int("golden", 0, "golden task count per campaign (0 = default 20, negative = disabled)")
 	hitSize := flag.Int("hit", 0, "tasks per assignment (0 = default 20)")
 	perTask := flag.Int("redundancy", 0, "max answers per task (0 = unlimited)")
-	syncRerun := flag.Bool("sync-rerun", false, "run the periodic batch re-inference on the submitting request instead of the background worker")
 	leaseTTL := flag.Duration("lease-ttl", 0, "assignment lease TTL: tasks served to a worker are excluded from their re-requests and count against redundancy until answered or expired (0 = leases disabled)")
 	maxBatch := flag.Int("max-batch", 0, "max answers one POST /submit-batch materializes; items past the clamp are rejected per-item (0 = default 256)")
 	maxLive := flag.Int("max-live-campaigns", 0, "max campaigns resident in memory; past the cap the least-recently-used campaign hibernates and wakes on its next request; a campaign with a request in flight is skipped, so the resident set may exceed the cap by those campaigns until the next request trims it; also makes boot lazy — campaign logs replay on first touch (requires -wal-dir, 0 = unlimited)")
@@ -56,7 +55,6 @@ func main() {
 		GoldenCount:       *golden,
 		HITSize:           *hitSize,
 		AnswersPerTask:    *perTask,
-		AsyncRerun:        !*syncRerun,
 		LeaseTTL:          *leaseTTL,
 		MaxLiveCampaigns:  *maxLive,
 		HibernateAfter:    *hibernateAfter,

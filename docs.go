@@ -35,13 +35,9 @@
 // Every mutation is applied by the campaign's one writer goroutine, in
 // arrival order, through the path a recovery replays the log with.
 //
-// The periodic full re-inference (Config.RerunEvery) runs synchronously on
-// the writer by default — serial callers get exactly
-// reproducible campaigns. Setting Config.AsyncRerun moves it to a
-// background worker that infers over a snapshot of the answer log and
-// swaps the result in atomically per task (skipping tasks that received
-// answers after the snapshot); submits then never stall on the iterative
-// solver. Use Close to stop the background worker when done.
+// The periodic full re-inference (Config.RerunEvery) runs on the writer,
+// inside the submit that reaches every z-th answer, where a replay of the
+// log runs it too: a campaign serves exactly what a boot of its log would.
 //
 // Staleness contract: CurrentResult and Request may trail the newest
 // answer by the snapshot in flight; Results always infers over all answers
@@ -189,13 +185,10 @@ type Config struct {
 	HITSize int
 	// AnswersPerTask caps redundancy per task (0 = unlimited).
 	AnswersPerTask int
-	// RerunEvery re-runs full iterative truth inference every z answers
-	// (0 = the default 100, negative = never).
+	// RerunEvery re-runs full iterative truth inference every z answers,
+	// inside the submit that reaches the z-th (0 = the default 100,
+	// negative = never).
 	RerunEvery int
-	// AsyncRerun runs the periodic re-inference on a background worker
-	// instead of the submitting goroutine; see the package comment for the
-	// staleness contract. Serving stays deterministic without it.
-	AsyncRerun bool
 	// StorePath is the log directory that persists worker statistics
 	// across campaigns (empty = <WALDir>/store when WALDir is set, else
 	// memory-only).
@@ -251,7 +244,6 @@ func (cfg Config) campaign() core.Config {
 		HITSize:        cfg.HITSize,
 		AnswersPerTask: cfg.AnswersPerTask,
 		RerunEvery:     cfg.RerunEvery,
-		AsyncRerun:     cfg.AsyncRerun,
 		WALSync:        walSync,
 		LeaseTTL:       cfg.LeaseTTL,
 	}
@@ -468,11 +460,11 @@ type Stats = core.Stats
 // to call concurrently with serving.
 func (s *System) Stats() Stats { return read(s, (*core.System).Stats) }
 
-// Close closes the registry New opened for the System: it stops the
-// background re-inference worker and flushes, fsyncs and closes the WAL and
-// the worker store, so a graceful shutdown loses nothing. Do not serve
-// after Close. A campaign a Registry hosts belongs to it: Close refuses its
-// System and closes nothing — end the campaign with Registry.Archive.
+// Close closes the registry New opened for the System: it flushes, fsyncs
+// and closes the WAL and the worker store, so a graceful shutdown loses
+// nothing. Do not serve after Close. A campaign a Registry hosts belongs to
+// it: Close refuses its System and closes nothing — end the campaign with
+// Registry.Archive.
 func (s *System) Close() error {
 	if !s.own {
 		return fmt.Errorf("docs: campaign %q belongs to its registry: end it with Registry.Archive, or close the registry", s.name)

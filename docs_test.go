@@ -340,7 +340,7 @@ func TestResultsConfidenceIsCallersCopy(t *testing.T) {
 // fullConfig has every field of Config non-zero.
 func fullConfig(dir string) Config {
 	return Config{
-		GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2, AsyncRerun: true,
+		GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2,
 		WALSyncEveryBatch: true, LeaseTTL: time.Minute,
 		WALDir: dir, StorePath: filepath.Join(dir, "workers"),
 		MaxLiveCampaigns: 4, HibernateAfter: time.Hour,
@@ -371,7 +371,7 @@ func TestConfigMapping(t *testing.T) {
 	for name := range placement {
 		t.Errorf("placement list names %s, which Config does not have", name)
 	}
-	want := core.Config{GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2, AsyncRerun: true,
+	want := core.Config{GoldenCount: 2, HITSize: 3, AnswersPerTask: 1, RerunEvery: 2,
 		WALSync: wal.SyncEveryBatch, LeaseTTL: time.Minute}
 	if got := fullConfig("dir").campaign(); !reflect.DeepEqual(got, want) {
 		t.Errorf("campaign() = %+v, want %+v", got, want)

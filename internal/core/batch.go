@@ -74,7 +74,7 @@ func (g *batchGroup) add(it BatchItem, at, i int) {
 }
 
 // flush logs the group as one KindBatch record and applies it, on the
-// writer; an item whose apply fails (a synchronous rerun at its place)
+// writer; an item whose apply fails (a rerun at its place)
 // gets the failure as its status. No-op when the group is empty.
 func (g *batchGroup) flush(s *System, statuses []BatchStatus) (wal.Pending, error) {
 	if g.cols.Len() == 0 {

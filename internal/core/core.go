@@ -20,10 +20,8 @@
 // the truth engine's immutable task views, an epoch-versioned array of the
 // open tasks (index.go) — without waiting for it. Config.LeaseTTL bounds
 // outstanding assignments per task and per worker (lease.go). The periodic
-// batch re-inference runs on the writer by default (the seed's
-// deterministic serial behavior) or, with Config.AsyncRerun, on a
-// background worker that infers over a prefix of the answer log and hands
-// the writer the swap.
+// batch re-inference runs on the writer at every RerunEvery-th answer, where
+// a replay of the log runs it too.
 package core
 
 import (
@@ -64,15 +62,9 @@ type Config struct {
 	// AnswersPerTask caps redundancy per task; 0 means unlimited.
 	AnswersPerTask int
 	// RerunEvery re-runs the full iterative TI every z submissions
-	// (default 100, the paper's z). Non-positive disables periodic reruns.
+	// (default 100, the paper's z), on the writer, inside the submit that
+	// reaches the z-th answer. Non-positive disables periodic reruns.
 	RerunEvery int
-	// AsyncRerun moves the periodic full re-inference off the Submit path
-	// onto a background worker. Submits then never block on the iterative
-	// solver; the rerun infers over a snapshot of the answer log and its
-	// result is swapped in atomically, skipping tasks that received answers
-	// after the snapshot. The default (false) reruns synchronously inside
-	// Submit, which serial callers rely on for exact reproducibility.
-	AsyncRerun bool
 	// WALSegmentBytes overrides the WAL segment rotation size (0 = the wal
 	// package default).
 	WALSegmentBytes int64
@@ -188,10 +180,9 @@ type System struct {
 	checks int
 
 	// wal fields are written once by Recover, before serving starts.
-	wal        *wal.Log
-	walDir     string
-	recovering bool // replay is in flight: no re-logging, no store seeds, sync reruns
-	recovery   RecoveryInfo
+	wal      *wal.Log
+	walDir   string
+	recovery RecoveryInfo
 	// replayed counts the answers the boot replayed and since is when the
 	// core began serving (Stats' Served and Since); both are written
 	// before it serves.
@@ -234,9 +225,6 @@ type System struct {
 	// rerun attempt; a non-nil return fails the rerun — the seam the
 	// failed-rerun regression test injects through.
 	rerunFault func() error
-	// passRerunFault (tests only) is installed as the rerunFault of every
-	// snapshot pass's scratch replica.
-	passRerunFault func() error
 	// publishFault, when set (tests only), is invoked before DVE runs over
 	// each chunk of a publication; a non-nil return fails that chunk.
 	publishFault func(chunk int) error
@@ -249,14 +237,9 @@ type System struct {
 	assignOracle func(as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int
 	// eagerInstall, when set (tests only, before Publish or Recover),
 	// materialises every regular task at publish and lists every one at
-	// every rerun, in this system and its snapshot passes' replicas — the
-	// oracle latent tasks and reruns sized by the answered tasks are held
-	// bit-identical to.
+	// every rerun — the oracle latent tasks and reruns sized by the
+	// answered tasks are held bit-identical to.
 	eagerInstall bool
-	rerunCh      chan struct{}
-	quit         chan struct{}
-	wg           sync.WaitGroup
-	closed       sync.Once
 
 	spaces sync.Pool // of *requestSpace
 }
@@ -285,14 +268,12 @@ func New(cfg Config) (*System, error) {
 	}
 	m := k.Domains().Size()
 	s := &System{
-		kb:      k,
-		linker:  entitylink.New(k),
-		m:       m,
-		store:   cfg.Store,
-		cfg:     cfg,
-		inc:     truth.NewIncremental(m),
-		rerunCh: make(chan struct{}, 1),
-		quit:    make(chan struct{}),
+		kb:     k,
+		linker: entitylink.New(k),
+		m:      m,
+		store:  cfg.Store,
+		cfg:    cfg,
+		inc:    truth.NewIncremental(m),
 		//docs:allow clock serving-age anchor for the /stats rate; reporting only, never durable
 		since: time.Now(),
 	}
@@ -304,43 +285,13 @@ func New(cfg Config) (*System, error) {
 		s.leases = newLeaseTable(cfg.LeaseTTL, cfg.Clock)
 	}
 	s.spaces.New = func() any { return new(requestSpace) }
-	if cfg.AsyncRerun && cfg.RerunEvery > 0 {
-		s.wg.Add(1)
-		go s.worker(s.rerunCh, func() {
-			if err := s.rerun(s.read); err != nil {
-				s.rerunErrs.Add(1)
-			}
-		})
-	}
 	return s, nil
 }
 
-// Close stops the background rerun worker (a pending request is drained
-// first) and then, as the writer's last call (shut), flushes, fsyncs and
-// closes the WAL, so a graceful shutdown loses nothing regardless of sync
-// policy. Closing again is a no-op. The store stays open: its owner may
-// share it.
+// Close flushes, fsyncs and closes the WAL as the writer's last call
+// (shut), so a graceful shutdown loses nothing regardless of sync policy.
+// Closing again is a no-op. The store stays open: its owner may share it.
 func (s *System) Close() error { return s.shut(func() error { return nil }) }
-
-// worker is the background rerun loop: run pass once per nudge until the
-// system quits. A nudge that raced the shutdown is drained first, so
-// Close's "pending requests run first" contract holds.
-func (s *System) worker(nudge <-chan struct{}, pass func()) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			select {
-			case <-nudge:
-				pass()
-			default:
-			}
-			return
-		case <-nudge:
-			pass()
-		}
-	}
-}
 
 // stateOf returns the worker's serving state, nil if they have no handle or
 // the slab does not reach it. It gives them neither.
@@ -933,9 +884,8 @@ func (s *System) assignIndexed(ci *candidateIndex, as *assign.Assigner, w int32,
 // Submit records a worker's answer. Golden-task answers feed the worker's
 // quality profile; regular answers flow through incremental truth
 // inference, with a periodic full iterative re-run every RerunEvery
-// submissions (inline, or on the background worker with AsyncRerun). The
-// writer checks, logs and applies the answer; Submit waits for its group
-// commit after.
+// submissions, on the writer. The writer checks, logs and applies the
+// answer; Submit waits for its group commit after.
 func (s *System) Submit(workerID string, taskID, choice int) error {
 	var p wal.Pending
 	err := s.do(func() (err error) { p, err = s.submit(workerID, taskID, choice); return err })
@@ -998,16 +948,7 @@ func (s *System) submitOne(workerID string, taskID, choice int, e *entry, i int)
 	s.log = s.log.Append(w, int32(at), int32(choice))
 	n := s.submissions.Add(1)
 	if z := s.cfg.RerunEvery; z > 0 && n%int64(z) == 0 && n >= s.rerunFrom && !s.covered {
-		// During recovery the rerun must be synchronous regardless of
-		// AsyncRerun: replay determinism is the whole point of the WAL.
-		if s.cfg.AsyncRerun && !s.recovering {
-			select {
-			case s.rerunCh <- struct{}{}:
-			default: // a rerun is already pending; it will cover this batch
-			}
-		} else {
-			return s.rerun(onWriter)
-		}
+		return s.rerun()
 	}
 	return nil
 }
@@ -1410,16 +1351,12 @@ func goldenTasks(c *campaign) []*model.Task {
 
 // rerun runs the full iterative TI (with pinned golden evidence) over the
 // answer log as it stands and reseeds the incremental engine with it (the
-// paper's "delayed" batch refresh every z submissions). The writer takes
-// the prefix and applies the swap through on — s.do off the writer, as the
-// background worker calls it, or a plain call on it (the synchronous
-// cadence and every replay) — and the inference runs on the caller. The
-// reseed skips tasks that received answers after the prefix, so per-task
-// truth state is never overwritten with stale values; worker quality stats
-// are overwritten from the rerun's session statistics, so a worker's
-// post-prefix increments can regress until the next rerun — the same
-// drift-and-correct contract the incremental engine documents.
-func (s *System) rerun(on func(func())) error {
+// paper's "delayed" batch refresh every z submissions). It runs on the
+// writer, inside the submit that reaches the boundary, live and in a
+// replay alike, so the swap lands at the same place in the log both ways;
+// worker quality stats are overwritten from the rerun's session
+// statistics. A failed rerun counts in RerunsFailed.
+func (s *System) rerun() error {
 	var res *truth.Result
 	var tasks []truth.Row
 	var idx *model.LogIndex
@@ -1428,31 +1365,26 @@ func (s *System) rerun(on func(func())) error {
 		err = s.rerunFault()
 	}
 	if err == nil {
-		var pr *prefix
-		on(func() { pr = s.capture() })
-		res, tasks, _, idx, err = s.infer(pr)
+		res, tasks, _, idx, err = s.infer(s.capture())
 	}
-	on(func() {
-		if err == nil {
-			s.inc.Reseed(tasks, res, idx)
-			s.reruns.Add(1)
-		}
-		// The rerun swap is the only mutation that can change answer counts
-		// non-monotonically, so re-derive the open-task set from the reseeded
-		// snapshots (reopening any task the swap put back under its
-		// redundancy cap, and catching any closure the incremental path
-		// missed). A failed rerun resyncs too: skipping the safety net would
-		// leave the index drifting until the next successful rerun,
-		// unboundedly long if the failure repeats.
-		if ci := s.pub.Load().ci; ci != nil {
-			ci.resync(s.cfg.AnswersPerTask)
-		}
-	})
+	if err == nil {
+		s.inc.Reseed(tasks, res, idx)
+		s.reruns.Add(1)
+	} else {
+		s.rerunErrs.Add(1)
+	}
+	// The rerun swap is the only mutation that can change answer counts
+	// non-monotonically, so re-derive the open-task set from the reseeded
+	// snapshots (reopening any task the swap put back under its redundancy
+	// cap, and catching any closure the incremental path missed). A failed
+	// rerun resyncs too: skipping the safety net would leave the index
+	// drifting until the next successful rerun, unboundedly long if the
+	// failure repeats.
+	if ci := s.pub.Load().ci; ci != nil {
+		ci.resync(s.cfg.AnswersPerTask)
+	}
 	return err
 }
-
-// onWriter runs f at once: rerun's on for a caller already on the writer.
-func onWriter(f func()) { f() }
 
 // initQuality gathers the initial quality of every answering worker with a
 // pinned anchor: the long-run store value adopted when she was profiled or

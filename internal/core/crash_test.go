@@ -218,7 +218,7 @@ func TestCrashRecoveryThenContinueServing(t *testing.T) {
 // replay equivalence is proven against.
 func TestConcurrentServeWithWALRecovers(t *testing.T) {
 	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 5, RerunEvery: 40,
-		AsyncRerun: true, WALSegmentBytes: 1 << 11}
+		WALSegmentBytes: 1 << 11}
 	dir := t.TempDir()
 	s := newSystem(t, cfg)
 	if _, err := s.Recover(dir); err != nil {

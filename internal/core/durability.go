@@ -6,10 +6,9 @@
 // campaign's one writer and then applied through applyRecord (writer.go),
 // so the durable order is the order the state was built in. Submit
 // acknowledges only after the record's group-commit batch is down.
-// Recovery replays the log's segments through the same applyRecord with
-// the last periodic rerun forced synchronous (each rerun overwrites the
-// ones before it), which reconstructs the exact deterministic serial
-// state.
+// Recovery replays the log's segments through the same applyRecord,
+// running only the last periodic rerun (each rerun overwrites the ones
+// before it), which reconstructs the exact state the live writer built.
 package core
 
 import (
@@ -61,10 +60,9 @@ type RecoveryInfo struct {
 // Recover arms the write-ahead log at dir, first replaying any state a
 // previous process left there: every intact WAL record, through the
 // ordinary Publish/Submit path (replay). The last periodic batch rerun
-// runs synchronously during replay even when Config.AsyncRerun is set, so
-// the recovered state is the deterministic serial state of the logged
-// stream — bit-identical to an uninterrupted serial run, which the
-// crash-injection tests assert record by record.
+// runs where the live writer ran it, so the recovered state is the
+// deterministic serial state of the logged stream — bit-identical to the
+// live campaign, which the crash-injection tests assert record by record.
 //
 // Recover must be called once, before any Publish or Submit (it refuses
 // otherwise). After it returns, every subsequent accepted mutation is
@@ -102,11 +100,10 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 	return info, nil
 }
 
-// replay rebuilds the serial state a virgin system's directory holds, in
-// replay mode (no re-logging, no store seeds, reruns synchronous). It is the
-// one way a campaign comes back into memory — a boot (Recover) and a
-// snapshot pass's scratch replica both run it, on the writer — and it
-// applies every record from sequence 1 through applyRecord. A regular answer skips
+// replay rebuilds the serial state a virgin system's directory holds,
+// without re-logging a record. It is the one way a campaign comes back into
+// memory — a boot (Recover) runs it, on the writer — and it applies every
+// record from sequence 1 through applyRecord. A regular answer skips
 // the engine math (submitOne) that a later overwrite in the same replay
 // replaces: the last periodic rerun the log reaches (rerunFrom), which
 // overwrites every rerun and every answer's math before it, and the newest
@@ -118,8 +115,7 @@ func (s *System) Recover(dir string) (RecoveryInfo, error) {
 // full — it then costs time, never state.
 func (s *System) replay(dir string) (RecoveryInfo, error) {
 	var info RecoveryInfo
-	s.recovering = true
-	defer func() { s.recovering, s.rerunFrom, s.covered = false, 0, false }()
+	defer func() { s.rerunFrom, s.covered = 0, false }()
 
 	snap, reject := loadUsableSnapshot(dir)
 	info.SnapshotRejected = reject

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"docs/internal/assign"
 	"docs/internal/model"
 )
 
@@ -13,9 +14,22 @@ import (
 // publication's record, and a non-nil return fails the pack.
 func ArmPackFault(s *System, f func() error) { s.packFault = f }
 
-// CountPassReruns makes *n count the reruns that the scratch replica of
-// every later snapshot pass of s runs.
-func CountPassReruns(s *System, n *int) { s.passRerunFault = func() error { *n++; return nil } }
+// ArmAssign runs f where a Request assigns: between a leased request's two
+// writer calls, the expiry and listing of the worker's leases before it and
+// the grant after it.
+func ArmAssign(s *System, f func()) {
+	s.assignOracle = func(as *assign.Assigner, w int32, held []int, q model.QualityVector, k, redundancy int) []int {
+		f()
+		return s.assignIndexed(s.pub.Load().ci, as, w, held, q, k, redundancy)
+	}
+}
+
+// ReplicaReruns boots s's log into a scratch replica, the snapshot pass's
+// oracle (snapshotReplica), and returns the reruns its replay ran.
+func ReplicaReruns(s *System) (n int, err error) {
+	_, err = snapshotReplica(s, func() error { n++; return nil })
+	return n, err
+}
 
 // SerialRecord is serialRecord: what the serial path logs for tasks.
 func SerialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {

@@ -424,7 +424,7 @@ func TestAllocsRerunIndependentOfUnanswered(t *testing.T) {
 		var before, after runtime.MemStats
 		for rep := 0; rep < 3; rep++ {
 			runtime.ReadMemStats(&before)
-			err := s.rerun(onWriter)
+			err := s.rerun()
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -471,7 +471,7 @@ func TestAllocsRerunPerAnswer(t *testing.T) {
 		var before, after runtime.MemStats
 		for rep := 0; rep < 3; rep++ {
 			runtime.ReadMemStats(&before)
-			err := s.rerun(onWriter)
+			err := s.rerun()
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -528,7 +528,7 @@ func TestAllocsGoldenRerunPerAnswer(t *testing.T) {
 		var before, after runtime.MemStats
 		for rep := 0; rep < 3; rep++ {
 			runtime.ReadMemStats(&before)
-			err := s.rerun(onWriter)
+			err := s.rerun()
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

@@ -15,10 +15,11 @@ import (
 
 // TestRecoveryRunsOneRerun: a replay runs the last periodic rerun its log
 // reaches and no other, since that one overwrites every rerun before it —
-// after a boot, after a registry wake, and inside the scratch replica
-// Hibernate's snapshot pass builds. It holds with every worker anchored by
-// a golden gauntlet and with none anchored, and a campaign short of z
-// regular answers replays no rerun at all.
+// after a boot, after a registry wake, and inside the scratch replica of
+// the snapshot pass's oracle; Hibernate's pass, which exports the live
+// engine, runs none. It holds with every worker anchored by a golden
+// gauntlet and with none anchored, and a campaign short of z regular
+// answers replays no rerun at all.
 func TestRecoveryRunsOneRerun(t *testing.T) {
 	const z, name = 20, "c"
 	var src []*model.Task
@@ -108,19 +109,21 @@ func TestRecoveryRunsOneRerun(t *testing.T) {
 			}
 
 			// Listed cold under a cap, the campaign wakes on its first call
-			// with no snapshot to restore; Hibernate's pass then replays the
-			// whole log once more, in its replica.
+			// with no snapshot to restore; a scratch replica then replays the
+			// whole log once more, and Hibernate's pass exports the woken
+			// engine without a rerun.
 			reg, err = registry.Open(registry.Config{WALDir: root, Campaign: cfg, MaxLiveCampaigns: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer reg.Close()
 			var woken int64
+			var sys *core.System
 			pass := 0
-			err = reg.Do(name, func(sys *core.System) error {
-				woken = sys.Stats().RerunsCompleted
-				core.CountPassReruns(sys, &pass)
-				return nil
+			err = reg.Do(name, func(s *core.System) (err error) {
+				sys, woken = s, s.Stats().RerunsCompleted
+				pass, err = core.ReplicaReruns(s)
+				return err
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -132,7 +135,10 @@ func TestRecoveryRunsOneRerun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if int64(pass) != want {
-				t.Errorf("Hibernate's snapshot pass replayed %d reruns, want %d", pass, want)
+				t.Errorf("a scratch replica of the log replayed %d reruns, want %d", pass, want)
+			}
+			if got := sys.Stats().RerunsCompleted; got != woken {
+				t.Errorf("Hibernate's snapshot pass ran %d reruns, want none", got-woken)
 			}
 		})
 	}

@@ -5,19 +5,17 @@
 // through the ordinary serving path. A snapshot only lets it skip, for the
 // answers the snapshot covers, the engine math its install overwrites (see
 // replay). The numbers must be exactly the serial replay's, and the live
-// system, whose asynchronous reruns swap in at whatever answer they find,
-// is not in that state, so the live System is never serialized: a snapshot
-// pass is a scratch boot. It builds a virgin serial
-// System, replays the WAL directory into it exactly as Recover would,
-// writes the replica's engine numbers — every float as raw bits — into an
-// atomically-replaced snapshot file keyed by the WAL sequence it covers,
-// and drops the replica. The crash-injection suite asserts at every kill
+// System is in that state: its writer applies every record, periodic
+// reruns included, as the replay applies it. So a snapshot pass exports
+// the live engine on the writer's last call: its numbers — every float as
+// raw bits — go into an atomically-replaced snapshot file keyed by the WAL
+// sequence it covers. The crash-injection suite asserts at every kill
 // point that a boot with the snapshot and one without reach the same state
-// bit for bit.
+// bit for bit, and the oracle that booted a scratch replica of the log
+// instead (snapshotReplica, in a test) is held byte-identical to the pass.
 //
-// Hibernate is the only caller of a pass. It costs one boot and holds a
-// second copy of the campaign's state only while it runs; a crash or error
-// before its write lands costs the next wake time, never state (see
+// Hibernate is the only caller of a pass. A crash or error before its
+// write lands costs the next wake time, never state (see
 // docs/persistence.md, "Hibernation").
 package core
 
@@ -31,8 +29,7 @@ import (
 )
 
 // exportState serializes the truth engine's numbers at the given WAL
-// sequence. The system must be quiescent (a pass's scratch replica, or a
-// freshly recovered system before serving).
+// sequence. On the writer, or on a system nothing mutates.
 //
 // A snapshot is compared bit-for-bit across boots, so this is a docs-lint
 // determinism root: every float travels as raw bits, in sorted order.
@@ -189,8 +186,6 @@ func (s *System) Hibernate() error {
 		return fmt.Errorf("core: Hibernate needs an armed WAL")
 	}
 	return s.shut(func() error {
-		// The pass replays the on-disk stream, and a snapshot may only ever
-		// cover durable records.
 		err := s.wal.Sync()
 		if err == nil {
 			err = s.snapshotPass()
@@ -202,41 +197,28 @@ func (s *System) Hibernate() error {
 	})
 }
 
-// snapshotPass boots a scratch serial replica from the WAL directory —
-// the same replay a restarting process runs — and atomically replaces the
-// snapshot file with the replica's state. Nothing of the replica outlives
-// the pass, so a failed pass leaves nothing behind to repair: the next one
-// boots afresh and surfaces the real error again. With no answer past the
-// newest snapshot the pass returns before building anything: a suffix of
-// publication and seeds replays without running inference, in time linear
-// in what it installs, and a snapshot of it would only repeat the log.
+// snapshotPass atomically replaces the snapshot file with the live
+// engine's numbers at the log's tail. It runs where nothing mutates the
+// campaign — Hibernate's last call of the writer, which has applied every
+// record it reserved — so the state it exports is the serial replay of the
+// log through that tail. A failed pass writes nothing and moves nothing:
+// the next one exports afresh. With no answer past the newest snapshot the
+// pass writes nothing: a suffix of publication and seeds replays without
+// running inference, in time linear in what it installs, and a snapshot of
+// it would only repeat the log.
 func (s *System) snapshotPass() error {
 	if s.answerSeq.Load() <= s.snapSeq.Load() {
 		return nil
-	}
-	cfg := s.cfg
-	cfg.KB = s.kb
-	cfg.AsyncRerun = false // no rerun worker: replay reruns synchronously anyway
-	cfg.LeaseTTL = 0       // the replica never serves requests
-	cfg.Store = s.store    // a replayed profiling merge finds its ID and changes nothing
-	r, err := New(cfg)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	r.rerunFault, r.eagerInstall = s.passRerunFault, s.eagerInstall
-	var info RecoveryInfo
-	if err := r.do(func() (err error) { info, err = r.replay(s.walDir); return err }); err != nil {
-		return err
 	}
 	// Everything the snapshot covers must be power-loss durable before the
 	// snapshot can become the boot source.
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
-	if err := snapshot.Write(s.walDir, r.exportState(info.LastSeq)); err != nil {
+	seq := s.wal.LastSeq()
+	if err := snapshot.Write(s.walDir, s.exportState(seq)); err != nil {
 		return err
 	}
-	s.snapSeq.Store(info.LastSeq)
+	s.snapSeq.Store(seq)
 	return nil
 }

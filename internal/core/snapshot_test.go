@@ -471,17 +471,18 @@ func TestFailedRerunStillResyncsIndex(t *testing.T) {
 	if s.Stats().IndexEpoch == epoch0 {
 		t.Fatal("index epoch unchanged: failed rerun did not republish")
 	}
+	if got := s.Stats().RerunsFailed; got != 1 {
+		t.Fatalf("RerunsFailed = %d, want the 1 that failed", got)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSnapshotPassRetriesAfterApplyFailure: a record that fails to apply
-// inside a pass's replica can be HALF-applied (Submit ingests the answer
-// before a due synchronous rerun fails). The replica is scratch, so the
-// failed pass fails, moves nothing, and leaves nothing behind: the next
-// pass boots afresh from the last good snapshot and covers the tail.
-func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
+// TestSnapshotPassRetriesAfterWriteFailure: a pass whose snapshot cannot
+// be written fails, and moves nothing; the next pass exports afresh and
+// covers the log's tail, and a boot from it is the live campaign.
+func TestSnapshotPassRetriesAfterWriteFailure(t *testing.T) {
 	cfg := Config{GoldenCount: -1, HITSize: 4, RerunEvery: 10, WALSegmentBytes: 1 << 10}
 	dir := t.TempDir()
 	s := newSystem(t, cfg)
@@ -501,30 +502,32 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 	}
 	goodSeq := s.Stats().SnapshotLastSeq
 
-	// Fault the next pass's replica and push the campaign across the next
-	// rerun boundary (the replica replays to 20 and its rerun fails AFTER
-	// the 20th answer was ingested — the half-applied shape).
-	s.passRerunFault = func() error { return fmt.Errorf("injected replica rerun failure") }
+	// A non-empty directory where the pass stages its file fails the
+	// write. The answers cross the next rerun boundary.
+	block := filepath.Join(dir, snapshot.FileName+".tmp")
+	if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	for i := 15; i < 21; i++ {
 		if err := s.Submit(fmt.Sprintf("w%d", i), i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.snapshotPass(); err == nil {
-		t.Fatal("faulted pass succeeded")
+		t.Fatal("a pass that could not write its snapshot succeeded")
 	}
 	if got := s.Stats().SnapshotLastSeq; got != goodSeq {
 		t.Fatalf("failed pass moved the snapshot seq to %d", got)
 	}
 
-	// With the fault gone, the next pass boots a fresh replica from the
-	// last good snapshot and succeeds.
-	s.passRerunFault = nil
+	if err := os.RemoveAll(block); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.snapshotPass(); err != nil {
-		t.Fatalf("recovery pass: %v", err)
+		t.Fatalf("retried pass: %v", err)
 	}
 	if got, want := s.Stats().SnapshotLastSeq, s.wal.ReservedSeq(); got != want {
-		t.Fatalf("recovered pass covered seq %d, want log tail %d", got, want)
+		t.Fatalf("retried pass covered seq %d, want log tail %d", got, want)
 	}
 	want := s.Fingerprint()
 	if err := s.Close(); err != nil {
@@ -535,15 +538,43 @@ func TestSnapshotPassRetriesAfterApplyFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.SnapshotUsed {
-		t.Fatalf("snapshot not used after the retried pass (rejected: %q)", info.SnapshotRejected)
+	if !info.SnapshotUsed || info.Records != 0 {
+		t.Fatalf("the retried pass's snapshot not used (%+v)", info)
 	}
 	if got := boot.Fingerprint(); got != want {
-		t.Fatal("boot from post-recovery snapshot differs from live serial state")
+		t.Fatal("boot from the retried pass's snapshot differs from the live campaign")
 	}
 	if err := boot.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// snapshotReplica is the snapshot pass's oracle: the pass as it ran while
+// a live campaign's reruns could swap in where its log's replay does not
+// run them. It boots a scratch serial replica from s's WAL directory — the
+// replay a restarting process runs — and returns the replica's engine
+// numbers at the log's durable tail; fault, when set, is the replica's
+// rerunFault. The log is synced on s's writer first, so the replica reads
+// every record s applied.
+func snapshotReplica(s *System, fault func() error) (*snapshot.State, error) {
+	if err := s.do(s.wal.Sync); err != nil {
+		return nil, err
+	}
+	cfg := s.cfg
+	cfg.KB = s.kb
+	cfg.LeaseTTL = 0    // the replica never serves requests
+	cfg.Store = s.store // a replayed profiling merge finds its ID and changes nothing
+	r, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	r.rerunFault, r.eagerInstall = fault, s.eagerInstall
+	var info RecoveryInfo
+	if err := r.do(func() (err error) { info, err = r.replay(s.walDir); return err }); err != nil {
+		return nil, err
+	}
+	return r.exportState(info.LastSeq), nil
 }
 
 // heapAfterGC is the live heap once a collection has run (the
@@ -555,10 +586,10 @@ func heapAfterGC() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestSnapshotPassLeavesNothingResident: a pass boots a scratch replica
-// and drops it, so the heap a campaign holds is the same before and after
-// one — a replica kept between passes would show up as roughly one more
-// copy of the campaign.
+// TestSnapshotPassLeavesNothingResident: a pass exports the engine and
+// drops the export once it is written, so the heap a campaign holds is the
+// same before and after one — an export or a replica kept between passes
+// would show up as roughly one more copy of the campaign's numbers.
 func TestSnapshotPassLeavesNothingResident(t *testing.T) {
 	const n = 3000
 	base := heapAfterGC()

@@ -1,26 +1,25 @@
 // The campaign's one writer: every mutation is applied, in arrival order, by
 // one goroutine.
 //
-// A publish, a submit, a batch of submits, a worker-profile seed, a rerun's
-// swap and a lease's grant, release or expiry reach the writer as calls
-// (do). For a logged mutation the writer checks the record against the
-// campaign, reserves it in the WAL and applies it through applyRecord, the
-// same function a boot replays the log through (commit), and hands the
-// caller the reservation, which the caller waits on outside the writer so
-// that concurrent callers share one group commit. With synchronous reruns
-// the live state is therefore the serial replay of the log by
-// construction; an asynchronous rerun's swap is not logged, so under
-// AsyncRerun a boot's truths may differ from the served ones. A campaign's
-// life ends on its writer too: Close and Hibernate are its last call
-// (shut), and a call that reaches it later gets ErrStopped.
+// A publish, a submit, a batch of submits, a worker-profile seed and a
+// lease's grant, release or expiry reach the writer as calls (do). For a
+// logged mutation the writer checks the record against the campaign,
+// reserves it in the WAL and applies it through applyRecord, the same
+// function a boot replays the log through (commit), and hands the caller
+// the reservation, which the caller waits on outside the writer so that
+// concurrent callers share one group commit. A periodic rerun runs
+// inside the submit that reaches its boundary, as its replay runs it, so
+// the live state is the serial replay of the log by construction. A
+// campaign's life ends on its writer too: Close and Hibernate are its last
+// call (shut), and a call that reaches it later gets ErrStopped.
 //
 // Readers do not call the writer. Request's scan, Result, Published and
 // Stats' counters load what the writer publishes: the campaign pointer
 // (immutable once published), the candidate index's epoch-versioned array,
 // the truth engine's task views and worker statistics, and atomic
 // counters. What only the writer reads — the answer log, the lease table,
-// a worker's anchor — a reader that needs it (a rerun, Results,
-// Fingerprint) captures on the writer in one call and works on the copy.
+// a worker's anchor — a reader that needs it (Results, Fingerprint)
+// captures on the writer in one call and works on the copy.
 package core
 
 import (
@@ -78,23 +77,17 @@ func (s *System) do(f func() error) (err error) {
 
 // read runs f on the writer, or on the caller once the writer has stopped:
 // a diagnostic read (Fingerprint, Stats, Answers) of a stopped campaign has
-// nothing left to race. The rerun worker calls through read too: the
-// writer outlives it (shut stops it first), so its swap runs on the writer.
+// nothing left to race.
 func (s *System) read(f func()) {
 	if s.do(func() error { f(); return nil }) != nil {
 		f()
 	}
 }
 
-// shut ends the campaign: it stops the background rerun worker — a pending
-// nudge runs first — and then runs final and closes the WAL as the writer's
+// shut ends the campaign: it runs final and closes the WAL as the writer's
 // last call, so nothing is logged past what they see, and returns final's
 // error, else the close's. A stopped system shuts as a no-op.
 func (s *System) shut(final func() error) (err error) {
-	s.closed.Do(func() {
-		close(s.quit)
-		s.wg.Wait()
-	})
 	_ = s.do(func() error {
 		s.ended, err = true, final()
 		if s.wal != nil {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -10,6 +13,7 @@ import (
 	"time"
 
 	"docs/internal/kb"
+	"docs/internal/snapshot"
 	"docs/internal/store"
 	"docs/internal/truth"
 )
@@ -141,7 +145,7 @@ func servedCampaign(t *testing.T, cfg Config, dir string, beside func(*System)) 
 
 // TestLiveIsItsLogReplayed: a campaign served concurrently — requests under
 // leases, single and batched submits, golden gauntlets, store seeds and
-// synchronous reruns — is, bit for bit, the state a boot of its log
+// reruns on the writer — is, bit for bit, the state a boot of its log
 // reaches: the writer applied every mutation in the order the log holds.
 func TestLiveIsItsLogReplayed(t *testing.T) {
 	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 15, LeaseTTL: time.Minute}
@@ -165,14 +169,12 @@ func TestLiveIsItsLogReplayed(t *testing.T) {
 	}
 }
 
-// TestServingStressRecovers: the same traffic with reruns on the
-// background worker while Results, Stats and Fingerprint read the campaign
-// beside it; its log then boots to the answers and counters the live
-// campaign held. (An asynchronous rerun swaps in wherever it finds the
-// log, so the engine's numbers are the replay's only at the synchronous
-// cadence, which TestLiveIsItsLogReplayed holds.)
+// TestServingStressRecovers: the same traffic with Results, Stats and
+// Fingerprint reading the campaign beside it; its log then boots to the
+// answers, counters and fingerprint the live campaign held — the default
+// configuration serves its log's replay.
 func TestServingStressRecovers(t *testing.T) {
-	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 10, AsyncRerun: true, LeaseTTL: time.Minute}
+	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 10, LeaseTTL: time.Minute}
 	dir := t.TempDir()
 	live := servedCampaign(t, cfg, dir, func(s *System) {
 		if _, err := s.Results(); err != nil {
@@ -180,7 +182,7 @@ func TestServingStressRecovers(t *testing.T) {
 		}
 		_, _ = s.Stats(), s.Fingerprint()
 	})
-	want, st := live.Answers().All(), live.Stats()
+	want, st, fp := live.Answers().All(), live.Stats(), live.Fingerprint()
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,5 +195,74 @@ func TestServingStressRecovers(t *testing.T) {
 	got, bst := boot.Answers().All(), boot.Stats()
 	if !reflect.DeepEqual(got, want) || bst.Answers != st.Answers || bst.BatchesTotal != st.BatchesTotal || bst.BatchAnswersTotal != st.BatchAnswersTotal {
 		t.Fatalf("the boot holds %d answers in %d batches, the live campaign %d in %d", bst.Answers, bst.BatchesTotal, st.Answers, st.BatchesTotal)
+	}
+	if got := boot.Fingerprint(); got != fp {
+		t.Fatalf("the boot of the live campaign's log differs from it:\n%s", DiffFingerprints(got, fp, 8))
+	}
+}
+
+// TestSnapshotPassMatchesReplica hibernates a campaign after the stress
+// traffic: the snapshot its pass exports from the live engine is, byte for
+// byte, the one a scratch replica booted from the same log exports
+// (snapshotReplica, the pass's oracle). A boot from that snapshot then
+// serves more traffic and hibernates again, and the second pass matches
+// its replica too.
+func TestSnapshotPassMatchesReplica(t *testing.T) {
+	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 15, LeaseTTL: time.Minute}
+	dir := t.TempDir()
+	s := servedCampaign(t, cfg, dir, nil)
+	cfg.Store = s.store
+	for round := 0; round < 2; round++ {
+		oracle, err := snapshotReplica(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := snapshot.Encode(oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Hibernate(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, snapshot.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the pass wrote %d B, the replica's export encodes to %d B, and they differ", round, len(got), len(want))
+		}
+		if round == 1 {
+			break
+		}
+		// The traffic may have met every task's redundancy: the woken
+		// campaign lifts the cap for three new workers, who pass the
+		// gauntlet and answer eight regular tasks each.
+		cfg.AnswersPerTask = 0
+		s = newSystem(t, cfg)
+		info, err := s.Recover(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.SnapshotUsed {
+			t.Fatalf("the wake did not install the pass's snapshot (rejected: %q)", info.SnapshotRejected)
+		}
+		before := s.Stats().Answers
+		for w := 0; w < 3; w++ {
+			worker := fmt.Sprintf("v%d", w)
+			for hit := 0; hit < 3; hit++ {
+				served, err := s.Request(worker, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tk := range served {
+					if err := s.Submit(worker, tk.ID, max(tk.Truth, tk.ID%2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if got := s.Stats().Answers - before; got != 24 {
+			t.Fatalf("the woken campaign took %d regular answers, want 24", got)
+		}
 	}
 }

@@ -624,7 +624,7 @@ func TestServerMultiCampaign(t *testing.T) {
 // across two campaigns; with -race it verifies the lock-free server plus
 // the concurrent cores end to end over real HTTP.
 func TestServerConcurrentTraffic(t *testing.T) {
-	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, AnswersPerTask: 4, AsyncRerun: true, RerunEvery: 10}, Options{})
+	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, AnswersPerTask: 4, RerunEvery: 10}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,11 +62,10 @@
 // that fails its durability promise fails the campaign: the next call
 // wakes it from its log. A stampede of cold calls wakes the campaign once.
 // MaxLiveCampaigns also makes boot lazy: a million-campaign root boots in
-// O(readdir). With synchronous reruns hibernate/wake cycles are invisible
-// at the bit level: the woken state is the serial-replay state, which the
-// live-vs-recovered suite proves equal to the live fingerprint at every
-// acknowledged boundary. With Campaign.AsyncRerun a rerun's swap is not
-// logged, so a wake may serve other truths than the ones served before.
+// O(readdir). Hibernate/wake cycles are invisible at the bit level: the
+// woken state is the serial-replay state, which the live-vs-recovered
+// suite proves equal to the live fingerprint at every acknowledged
+// boundary.
 package registry
 
 import (

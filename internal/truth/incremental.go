@@ -583,7 +583,7 @@ func (inc *Incremental) Epoch() uint64 { return inc.epoch.Load() }
 // nobody answered. One epoch covers the whole swap. The swap is atomic per
 // task: readers see either the pre-rerun view or the reseeded one, never a
 // mix. A task that has received more answers than the indexed answers cover
-// (possible when the rerun ran asynchronously off a snapshot) is left
+// (possible for a caller that reseeds from an earlier prefix) is left
 // untouched — its extra incremental evidence would otherwise be lost; the
 // next rerun picks it up. A materialised task with no answer in the prefix
 // goes to the reseeded rest, as Infer leaves it, when the run covered it:

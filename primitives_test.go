@@ -67,7 +67,7 @@ import (
 // System or workerState, or of the truth engine's incTask, is a
 // []model.Answer or a map keyed by a task. A
 // campaign is a registry's: core.New is called from the registry's
-// wake and core's own snapshotPass replica alone, the root package
+// wake alone, the root package
 // imports no store, and nothing mints a session scope (MintScope). A
 // task's domain vector is one its publication's tasks share, so nothing in
 // the root package or internal/{core,truth,assign,registry,httpapi}
@@ -420,8 +420,8 @@ func TestOneReaderOneWriter(t *testing.T) {
 	}
 
 	// A campaign is a registry's: core.New builds one in the registry's
-	// wake and in core's snapshotPass replica alone, and the root
-	// package reaches the worker store through a registry only.
+	// wake alone, and the root package reaches the worker store through a
+	// registry only.
 	var builders []string
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
@@ -447,7 +447,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 		}
 	}
 	sort.Strings(builders)
-	if got, want := strings.Join(builders, " "), "docs/internal/core.snapshotPass docs/internal/registry.wake"; got != want {
+	if got, want := strings.Join(builders, " "), "docs/internal/registry.wake"; got != want {
 		t.Errorf("core.New is called from [%s], want only [%s]", got, want)
 	}
 

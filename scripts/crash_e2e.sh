@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Live-vs-recovered kill -9 end-to-end: build the real server, drive a
-# contested campaign over HTTP (WAL + per-batch fsync, synchronous rerun),
+# contested campaign over HTTP (WAL + per-batch fsync, reruns every 100 answers),
 # capture the LIVE /result and /results bytes, kill -9 the process, restart
 # it over the same directory, and assert the recovered responses are
 # byte-identical to the live ones. This is the black-box face of the
@@ -29,7 +29,7 @@ campaign="$base/c/e2e"
 # start_server <data dir> <max live campaigns>
 start_server() {
     "$workdir/docs-server" -addr "$addr" -wal-dir "$1" -wal-fsync \
-        -sync-rerun -golden 3 -hit 3 -redundancy 3 -max-live-campaigns "$2" &
+        -golden 3 -hit 3 -redundancy 3 -max-live-campaigns "$2" &
     server_pid=$!
     for _ in $(seq 1 100); do
         if curl -sf "$base/healthz" >/dev/null 2>&1; then
