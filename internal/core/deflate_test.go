@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"docs/internal/mathx"
-	"docs/internal/wal"
 )
 
 // token is one step of a DEFLATE stream: a literal byte, or a copy of
@@ -662,27 +661,6 @@ func TestDeflateMatchesReference(t *testing.T) {
 	if b := blocks[1]; !bindingLimit(b.clUse, 7) || slices.Max(b.cl) != 7 {
 		t.Errorf("the 7-bit body's code-length code is %d bits deep, and the limit binds: %v", slices.Max(b.cl), bindingLimit(b.clUse, 7))
 	}
-}
-
-// TestFixedCodesReproduceDPC3: the writer's parse is the one the DPC3 record
-// logged, so what DPC4 saves is entropy coding alone. The writer's tokens
-// for the golden set's body, written in one fixed-code block, are byte for
-// byte the stream inside testdata/publication_dpc3.golden, which 0b7dcec's
-// writer wrote.
-func TestFixedCodesReproduceDPC3(t *testing.T) {
-	old := readLegacyGolden(t, "DPC3")
-	body := mustEncodeBinaryPublication(t, goldenPublication(600), 26)[len(publicationMagic):]
-	c := wal.NewCursor(old[len("DPC3"):])
-	if n := c.Uvarint(); c.Err() != nil || n != uint64(len(body)) {
-		t.Fatalf("the DPC3 golden states a %d-byte body (%v), want %d", n, c.Err(), len(body))
-	}
-	tokens, _ := readBlocks(t, deflateStream(body))
-	var w bitWriter
-	w.fixedBlock(tokens, true)
-	if stream := old[len(old)-c.Len():]; !bytes.Equal(w.bytes(), stream) {
-		t.Fatalf("the writer's tokens in the fixed codes are %d bytes that differ from the DPC3 golden's %d-byte stream", len(w.out), len(stream))
-	}
-	t.Logf("the golden body's %d tokens: %d bytes in the fixed codes, %d as DPC4's", len(tokens), len(w.out), len(deflateStream(body)))
 }
 
 // FuzzDeflateWriter holds the pinned writer to its reference on arbitrary

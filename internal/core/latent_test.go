@@ -1,15 +1,11 @@
 package core
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"docs/internal/crashtest"
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/store"
@@ -162,11 +158,7 @@ func answeredTasks(s *System) int {
 // stay latent until answered and one that materialises every task at
 // publish answer every call alike and have byte-equal fingerprints after
 // every step (every eighth under -race), and the latent one holds exactly
-// the answered tasks. Then a
-// log and snapshot written by 498f0da — whose snapshot lists every task a
-// rerun left unanswered — wake, latent and eager, to the fingerprint the
-// live campaign had when it closed, with only its answered tasks
-// materialised.
+// the answered tasks.
 func TestLatentTasksMatchEagerInstall(t *testing.T) {
 	every := 1 // steps between fingerprint comparisons
 	if raceEnabled {
@@ -204,35 +196,4 @@ func TestLatentTasksMatchEagerInstall(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("498f0da", func(t *testing.T) {
-		image := filepath.Join("testdata", "eager_498f0da")
-		want, err := os.ReadFile(filepath.Join(image, "fingerprint"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		now := time.Unix(1_460_000_000, 0)
-		cfg := latentConfig(&now)
-		for name, boot := range map[string]func(*System){"latent": nil, "eager": func(s *System) { s.eagerInstall = true }} {
-			dir := t.TempDir()
-			crashtest.CopyTree(t, filepath.Join(image, "campaign"), dir)
-			st, err := store.Open("", kb.MustDefault().Domains().Size())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sd := &traceSide{dir: dir, store: st, boot: boot}
-			sd.wake(t, cfg)
-			if !sd.s.Recovery().SnapshotUsed {
-				t.Fatalf("%s: the wake did not install 498f0da's snapshot: %q", name, sd.s.Recovery().SnapshotRejected)
-			}
-			if got := fmt.Sprintf("%x\n", sha256.Sum256([]byte(sd.s.Fingerprint()))); got != string(want) {
-				t.Errorf("%s: the wake's fingerprint hashes to %s, 498f0da's live campaign to %s", name, got, want)
-			}
-			if n, answered := materialised(sd.s), answeredTasks(sd.s); boot == nil && n != answered {
-				t.Errorf("latent: %d tasks materialised over 498f0da's snapshot, %d answered", n, answered)
-			}
-			sd.s.Close()
-			st.Close()
-		}
-	})
 }

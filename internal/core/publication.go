@@ -1,11 +1,11 @@
 // Publications: the durable record of a campaign's task set.
 //
 // Publish logs the tasks as they stand after DVE — every task carrying its
-// m-long domain vector — as one KindPublish record, so no boot, wake or
-// snapshot pass re-runs entity linking against a knowledge base that may
-// have changed since. Every one of those is a scratch replay that reads
-// this record again, so its size is most of a young campaign's disk bill
-// and its decode most of a wake.
+// m-long domain vector — as one KindPublish record, so no boot or wake
+// re-runs entity linking against a knowledge base that may have changed
+// since. Each of those replays the log and reads this record again, so its
+// size is most of a young campaign's disk bill and its decode most of a
+// wake.
 //
 // The task set is encoded canonical and binary, column by column, so that
 // like values lie together — texts next to texts, where the packing below
@@ -47,16 +47,14 @@
 // DPC1 body, and the record must be shorter than that body's DPC1 blob. So
 // what the decoder accepts decodes to one state, whichever writer spelled
 // the stream. A DPC1 record is read whatever its size; a publish
-// record under any other magic is refused, the row-major, LZW-packed and
-// fixed-code ones earlier builds logged with an error naming the last
-// commit that reads them (errFormatRows, errFormatLZW, errFormatFixed).
+// record under any other magic is refused as damage. A change to either
+// layout bumps the log's format version (docs/internal/wal).
 package core
 
 import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -298,15 +296,6 @@ func (dt *domainTable) intern(key []byte, v model.DomainVector, given bool) mode
 	return v
 }
 
-// The refusals of the publications earlier builds logged, each naming the
-// last commit that reads it: LZW-packed before the pinned DEFLATE writer,
-// task by task before the column layout, in fixed codes before DPC4.
-var (
-	errFormatLZW   = errors.New("DPB2 (LZW-packed) publication: this build reads DPC1 and DPC4 only; a3e04fd is the last commit that reads it")
-	errFormatRows  = errors.New("DPB1/DPB3 (row-major) publication: this build reads DPC1 and DPC4 only; 7137417 is the last commit that reads it")
-	errFormatFixed = errors.New("DPC3 (fixed-Huffman) publication: this build reads DPC1 and DPC4 only; 0b7dcec is the last commit that reads it")
-)
-
 // inflater is a pooled reader of DPC4 streams: compress/flate's, reset onto
 // src.
 type inflater struct {
@@ -380,20 +369,14 @@ func unpackPublication(blob []byte) ([]byte, error) {
 
 // decodePublication parses a publish record into the campaign's task
 // table. It is the one reader of the record (replay's applyRecord); a DPC4
-// blob unpacks to DPC1 and then reads as one, and a DPC1 blob is copied out
-// of the segment it was read from.
+// blob unpacks to DPC1 and then reads as one, any other blob is copied out
+// of the segment it was read from and must be DPC1. The segment's format
+// version is the record's: a magic neither names is damage.
 func decodePublication(rec wal.Record, m int) (*publication, error) {
 	blob, err := rec.Blob, error(nil)
-	switch {
-	case bytes.HasPrefix(blob, []byte(deflateMagic)):
+	if bytes.HasPrefix(blob, []byte(deflateMagic)) {
 		blob, err = unpackPublication(blob)
-	case bytes.HasPrefix(blob, []byte("DPC3")):
-		err = errFormatFixed
-	case bytes.HasPrefix(blob, []byte("DPB2")):
-		err = errFormatLZW
-	case bytes.HasPrefix(blob, []byte("DPB1")), bytes.HasPrefix(blob, []byte("DPB3")):
-		err = errFormatRows
-	default:
+	} else {
 		// The record's blob lies in the log segment it was read from: the
 		// slab owns a copy, or it would keep the whole segment alive.
 		blob = append(make([]byte, 0, len(blob)), blob...)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"docs/internal/crashtest"
 	"docs/internal/dataset"
 	"docs/internal/kb"
 	"docs/internal/mathx"
@@ -107,31 +105,6 @@ func encodeBinaryPublication(tasks []*model.Task, m int) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(ref))
 	}
 	return append(b, bytes.Join(table, nil)...), nil
-}
-
-// encodeRowPublication is the row-major encoder builds up to 7137417
-// logged with, kept to write the fixtures of its refusal: a DPB1 blob,
-// task after task, each with its own copy of its vector.
-func encodeRowPublication(tasks []*model.Task, m int) []byte {
-	b := binary.AppendUvarint([]byte("DPB1"), uint64(m))
-	b = binary.AppendUvarint(b, uint64(len(tasks)))
-	for _, t := range tasks {
-		b = binary.AppendUvarint(b, uint64(t.ID))
-		b = appendStr(b, t.Text)
-		b = binary.AppendUvarint(b, uint64(len(t.Choices)))
-		for _, c := range t.Choices {
-			b = appendStr(b, c)
-		}
-		b = binary.AppendUvarint(b, uint64(t.Truth+1))
-		b = binary.AppendUvarint(b, uint64(t.TrueDomain+1))
-		b, _ = wal.AppendSparseFloats(b, wal.SparseOf(wal.SparseFloats{}, t.Domain, 0), m, 0)
-	}
-	return b
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // packPublication is the serial packer packRecord replaced, kept as its
@@ -544,12 +517,10 @@ func TestPublicationDecodeDamage(t *testing.T) {
 // its stream's spelling. The body rows damage twinTasks' DPC1 blob, whose
 // columns lie at known offsets (one-byte IDs and refs, four table
 // entries), and each is refused as such unpacked and, packed, by the same
-// rule. A row-major blob, unpacked or packed, and a DPC3 one are refused
-// naming the last commit that reads them. Every other stream
-// compress/flate reads back to the body is accepted when the record is
-// shorter than the DPC1 blob, and decodes to the DPC1 blob's task table
-// byte for byte: the writer's tokens in the fixed codes (DPC3's stream)
-// under DPC4, a complete but different tree, an untrimmed HLIT, lengths
+// rule. Every other stream compress/flate reads back to the body is
+// accepted when the record is shorter than the DPC1 blob, and decodes to
+// the DPC1 blob's task table byte for byte: the writer's tokens in the
+// fixed codes under DPC4, a complete but different tree, an untrimmed HLIT, lengths
 // spelled without 16, 17 and 18, two blocks split in the middle, a match
 // cut short, ones in the padding bits (twinTasks' stream has some), and
 // compress/flate's own writer at four levels; a block after the first
@@ -588,7 +559,6 @@ func TestPackedPublicationRefusals(t *testing.T) {
 	}
 	withRefs := func(refs ...byte) []byte { return cat(dpc1[:refsAt], refs, dpc1[tableAt:]) }
 	withText := func(text string) []byte { return cat(dpc1[:textsAt], []byte(text), dpc1[textsAt+5:]) }
-	row := encodeRowPublication(twins, 4)
 	for name, r := range map[string]struct {
 		blob []byte
 		want string
@@ -600,9 +570,6 @@ func TestPackedPublicationRefusals(t *testing.T) {
 		"two byte-equal table entries":    {cat(dpc1[:tableAt], table[0], table[1], table[0], table[3]), "vector 2 repeats an earlier one"},
 		"another domain count":            {cat(dpc1[:4], []byte{5}, dpc1[5:]), "publication has 5 domains, want 4"},
 		"a byte after the last column":    {cat(dpc1, []byte{0}), "1 trailing bytes"},
-		"a row-major blob":                {row, "7137417"},
-		"a row-major blob, packed":        {packedBlob("DPB3", uint64(len(row)-4), deflateStream(row[4:])), "7137417"},
-		"a DPC3 record":                   {packedBlob("DPC3", n, fixedCodes(body)), "0b7dcec"},
 		"a block after the first token":   {packedBlob(deflateMagic, n, respelled(body, 1, spelling{})), "no shorter than"},
 		"a stored block":                  {packedBlob(deflateMagic, n, stored(body)), "no shorter than"},
 		"no shorter than the DPC1 blob":   {packedBlob(deflateMagic, uint64(len(randomBody)), deflateStream(randomBody)), "no shorter than"},
@@ -767,13 +734,8 @@ func goldenPublication(n int) []*model.Task {
 // TestPublicationPackerGolden pins the packer. testdata/
 // publication_dpc4.golden is the DPC4 record of goldenPublication(600), a
 // body over the writer's 32 KiB window: this build must write it byte for
-// byte — the writer's rules, not a toolchain, fix it — and read it back to
-// the set. The records older builds logged are refused with an error naming
-// their magic and the last commit that reads them: testdata/
-// publication_dpc3.golden, the fixed-code DPC3 record of the same set,
-// testdata/publication_dpb3.golden, its row-major DPB3 record, and
-// testdata/publication_dpb2.golden, the LZW-packed DPB2 record of
-// goldenPublication(200). The flag rewrites only the DPC4 file.
+// byte — the writer's rules, not a toolchain, fix it, so the file pins its
+// parse and its codes — and read it back to the set. The flag rewrites it.
 func TestPublicationPackerGolden(t *testing.T) {
 	path := filepath.Join("testdata", "publication_dpc4.golden")
 	tasks := goldenPublication(600)
@@ -807,71 +769,42 @@ func TestPublicationPackerGolden(t *testing.T) {
 	}
 	sameTasks(t, got, tasks)
 	t.Logf("%s: %d bytes as DPC4, %d as DPC1", path, len(want), len(dpc1))
-
-	for magic, commit := range map[string]string{"DPC3": "0b7dcec", "DPB3": "7137417", "DPB2": "a3e04fd"} {
-		old := readLegacyGolden(t, magic)
-		if got, err := decodeTasks(wal.Record{Seq: 1, Blob: old}, 26); err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), commit) {
-			t.Fatalf("the %s record decoded to %d tasks (%v), want a refusal naming %s and %s", magic, len(got), err, magic, commit)
-		}
-	}
-}
-
-// readLegacyGolden returns testdata/publication_<magic>.golden, a
-// publication as an older build logged it under magic: DEFLATE-packed in
-// the fixed codes under DPC3, row-major and so packed under DPB3, or
-// LZW-packed under DPB2.
-func readLegacyGolden(t testing.TB, magic string) []byte {
-	t.Helper()
-	blob, err := os.ReadFile(filepath.Join("testdata", "publication_"+strings.ToLower(magic)+".golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(blob, []byte(magic)) {
-		t.Fatalf("publication_%s.golden opens with %q", strings.ToLower(magic), blob[:4])
-	}
-	return blob
 }
 
 // FuzzPublicationDecode drives arbitrary bytes through the one reader of a
-// publish record, which every boot, wake and snapshot pass runs; an
-// accepted blob's tasks share a vector exactly when their encodings are
-// equal. Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
+// publish record, which every boot and wake runs; an accepted blob's tasks
+// share a vector exactly when their encodings are equal, and it re-encodes
+// to its DPC1 blob, so a blob under any other magic is refused.
+// Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
 // sampleTasks' DPC1 blob, the same cut in its middle, escapedTasks' DPC1
 // blob, twinTasks' with a ref above the table so far and with a repeated
 // table entry; sampleTasks' DPC4 record, the same cut in its stream and
 // with a byte after the final block, and the same record as compress/flate's
-// writer spells it (dpc4-stdlib). The older builds' records there must
-// all be refused: sampleTasks' fixed-code DPC3 record, the same cut in its
-// stream and with a byte after the final block; its row-major DPB1 blob,
-// the same cut at three points, with one byte flipped, with its task count
-// set to 2^63; its DPB3 record, the same cut in its stream and with a byte
-// after the final block; its LZW-packed DPB2 record, the same cut in its
-// stream, with a byte after the end code, and with the stream every byte a
-// literal; twinTasks' DPB1 blob; and a JSON publication, the format v0 blob
-// nothing reads.
+// writer spells it (dpc4-stdlib). The rest are blobs under magics no build
+// of this format version writes, each refused: sampleTasks' record as
+// fixed codes under DPC3, the same cut in its stream and with a byte after
+// the final block; a row-major DPB1 blob, the same cut at three points,
+// with one byte flipped, with its task count set to 2^63; a DPB3 record,
+// the same cut in its stream and with a byte after the final block; an
+// LZW-packed DPB2 record, the same cut in its stream, with a byte after the
+// end code, and with the stream every byte a literal; twinTasks' DPB1
+// blob; and a JSON publication.
 func FuzzPublicationDecode(f *testing.F) {
+	body := mustEncodeBinaryPublication(f, sampleTasks(), 4)[len(publicationMagic):]
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
 	f.Add(mustEncodeBinaryPublication(f, twinTasks(), 4))
-	f.Add(readLegacyGolden(f, "DPB2"))
+	f.Add(mustEncodePublication(f, twinTasks(), 4))
 	f.Add([]byte(publicationMagic))
 	f.Add([]byte("DPB2"))
 	f.Add([]byte(`[{"ID":1,"Choices":["a","b"],"Domain":[0,1,0,0],"Truth":-1,"TrueDomain":-1}]`))
 	f.Add(mustEncodePublication(f, sampleTasks(), 4))
 	f.Add([]byte(deflateMagic))
 	f.Add(mustEncodeBinaryPublication(f, escapedTasks(), 4))
-	f.Add(encodeRowPublication(sampleTasks(), 4))
+	f.Add(mustEncodePublication(f, escapedTasks(), 4))
 	f.Add([]byte("DPB3"))
-	f.Add(readLegacyGolden(f, "DPC3"))
-	refusals := map[string]error{"DPB1": errFormatRows, "DPB2": errFormatLZW, "DPB3": errFormatRows, "DPC3": errFormatFixed}
+	f.Add(packedBlob(deflateMagic, uint64(len(body)), fixedCodes(body)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPublicationDecode(t, data, 4)
-		for magic, refusal := range refusals {
-			if bytes.HasPrefix(data, []byte(magic)) {
-				if _, err := decodePublication(wal.Record{Blob: data}, 4); !errors.Is(err, refusal) {
-					t.Fatalf("a %s blob is refused with %v, want %v", magic, err, refusal)
-				}
-			}
-		}
 	})
 }
 
@@ -879,8 +812,7 @@ func FuzzPublicationDecode(f *testing.F) {
 // the record's size over the first 200 tasks of each of the four datasets,
 // after DVE, and the DPC1 blob it packs. Both are counts — the same on
 // every machine — and the numbers docs/architecture.md's cost model
-// quotes; the row-major DPB1 blob and the JSON encoding before it are
-// logged beside them.
+// quotes.
 func TestPublicationBytesPerTask(t *testing.T) {
 	want := map[string][2]int{"Item": {17831, 2990}, "4D": {19216, 2949}, "QA": {18838, 2565}, "SFV": {12413, 3376}}
 	names, sets, m := datasetPublications(t)
@@ -900,14 +832,9 @@ func TestPublicationBytesPerTask(t *testing.T) {
 				}
 			}
 		}
-		legacy, err := json.Marshal(tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := encodeRowPublication(tasks, m)
-		t.Logf("%-4s %6d B = %5.1f B a task as %s, %6d B = %5.1f as DPC1 (text and choices %5.1f, %.2f non-zero domains); as DPB1 %6d B = %5.1f, as JSON %6d B = %5.1f",
+		t.Logf("%-4s %6d B = %5.1f B a task as %s, %6d B = %5.1f as DPC1 (text and choices %5.1f, %.2f non-zero domains)",
 			name, len(blob), float64(len(blob))/200, blob[:4], len(dpc1), float64(len(dpc1))/200,
-			float64(text)/200, float64(nnz)/200, len(rows), float64(len(rows))/200, len(legacy), float64(len(legacy))/200)
+			float64(text)/200, float64(nnz)/200)
 		if got := [2]int{len(dpc1), len(blob)}; got != want[name] {
 			t.Errorf("%s: 200 tasks encode to %d bytes as DPC1 and are logged in %d, pinned %d and %d",
 				name, got[0], got[1], want[name][0], want[name][1])
@@ -975,115 +902,6 @@ func writePublishLog(t *testing.T, dir string, blob []byte) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestLegacyPublicationLogsBoot: builds up to 0b7dcec packed a publication
-// in one fixed-code block as DPC3, builds up to 7137417 logged it
-// row-major, as DPB1 or DEFLATE-packed as DPB3, and builds before the
-// pinned writer LZW-packed it as DPB2; this build reads none of them. A log
-// whose publish record is the DPC1 blob, or its DPC4 packing as
-// compress/flate's writer spells it, followed by the answers of a log the
-// pinned writer packed, boots to that log's Fingerprint. A log whose
-// publish record is DPC3
-// (the same tokens in the fixed codes, as 0b7dcec wrote them) is refused
-// with an error naming DPC3 and 0b7dcec, one whose record is DPB1 (the row
-// encoder's) or DPB3 (publication_dpb3.golden) naming its magic and
-// 7137417, one whose record is DPB2 naming a3e04fd, and each is left byte
-// for byte as it was.
-func TestLegacyPublicationLogsBoot(t *testing.T) {
-	cfg := Config{GoldenCount: -1, RerunEvery: -1}
-	dir := t.TempDir()
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	tasks := datasetTasks(5 * publishChunk)
-	if err := s.Publish(tasks); err != nil {
-		t.Fatal(err)
-	}
-	tasks = publishedTasks(s) // with the vectors DVE gave them
-	for i := 0; i < 200; i++ {
-		if err := s.Submit(fmt.Sprintf("w%d", i%7), i*13%len(tasks), i%2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, m := s.Fingerprint(), s.m
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs := crashtest.ReadStream(t, dir)
-	body := mustEncodeBinaryPublication(t, tasks, m)[len(publicationMagic):]
-	logs := map[string]struct { // by the record's magic, then who wrote it
-		blob    []byte
-		refusal string // the last commit that reads the record; "" boots
-	}{
-		deflateMagic: {recs[0].Blob, ""},
-		deflateMagic + " by compress/flate": {packedBlob(deflateMagic, uint64(len(body)),
-			flateStream(t, body, flate.DefaultCompression)), ""},
-		publicationMagic: {mustEncodeBinaryPublication(t, tasks, m), ""},
-		"DPC3":           {packedBlob("DPC3", uint64(len(body)), fixedCodes(body)), "0b7dcec"},
-		"DPB1":           {encodeRowPublication(tasks, m), "7137417"},
-		"DPB3":           {readLegacyGolden(t, "DPB3"), "7137417"},
-		"DPB2":           {readLegacyGolden(t, "DPB2"), "a3e04fd"},
-	}
-	if bytes.Equal(logs[deflateMagic+" by compress/flate"].blob, recs[0].Blob) {
-		t.Fatal("compress/flate spells the record as the pinned writer does")
-	}
-	for name, l := range logs {
-		if !bytes.HasPrefix(l.blob, []byte(name[:4])) {
-			t.Fatalf("the %s log's publish record opens with %q", name, l.blob[:4])
-		}
-		legacy := t.TempDir()
-		log, err := wal.Open(legacy, wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rec := range recs {
-			if i == 0 {
-				rec.Blob = l.blob
-			}
-			if _, err := log.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
-		before := readLogDir(t, legacy)
-		again := newSystem(t, cfg)
-		_, err = again.Recover(legacy)
-		switch {
-		case l.refusal != "" && (err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), l.refusal)):
-			t.Errorf("%s log: boot: %v, want a refusal naming %s and %s", name, err, name, l.refusal)
-		case l.refusal != "":
-			if !reflect.DeepEqual(readLogDir(t, legacy), before) {
-				t.Errorf("%s log: the refused boot changed the log", name)
-			}
-		case err != nil:
-			t.Fatalf("%s log: boot: %v", name, err)
-		case again.Fingerprint() != want:
-			t.Errorf("%s log: the booted state differs from the pinned writer's DPC4 log's", name)
-		}
-		again.Close()
-	}
-}
-
-// readLogDir maps every file in dir to its bytes.
-func readLogDir(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := map[string]string{}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[e.Name()] = string(data)
-	}
-	return files
 }
 
 // TestReplayedPublicationCarriesDomainVectors: a publish record exists so

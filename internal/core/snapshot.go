@@ -109,9 +109,7 @@ func (s *System) checkSnapshot(snap *snapshot.State, publishSeq uint64) (install
 // The answers up to snap.Seq skipped the engine's math (skipIngest), so
 // this is where their effect lands. The snapshot lists materialised tasks
 // only; every other one rests where the log says — at the reseeded rest once
-// the covered answers reach a rerun boundary. A snapshot written before
-// tasks were latent also lists the tasks a rerun left unanswered, at that
-// rest state: they stay latent (RestoreTask).
+// the covered answers reach a rerun boundary.
 //
 //docs:deterministic
 func (s *System) installSnapshot(snap *snapshot.State, workers map[string]*truth.Stats) {

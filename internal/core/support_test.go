@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -232,141 +231,5 @@ func TestSnapshotRowsMustMatchSupport(t *testing.T) {
 			t.Fatalf("%s: the full replay differs:\n%s", name, DiffFingerprints(got, want, 4))
 		}
 		s.Close()
-	}
-}
-
-// encodePreviousSnapshot is the image a build before DOCSSNP5 wrote for
-// st's engine numbers, with the sections those layouts carried beside them
-// (publish record, answer count, golden IDs, serving state, store, answer
-// log) present and empty. Version 4 is sparse; version 3 holds all m rows
-// of every task state (a row outside the support holds the prior's 1s
-// here; what it held was never read) and every statistics vector in full.
-// Nothing in production reads or writes either any more; this copy builds
-// TestOlderSnapshotFallsBackToReplay's files.
-func encodePreviousSnapshot(t *testing.T, version int, st *snapshot.State, byID map[int]*model.Task) []byte {
-	t.Helper()
-	var b []byte
-	uv := func(v int) { b = binary.AppendUvarint(b, uint64(v)) }
-	floats := func(fs ...float64) {
-		for _, f := range fs {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-		}
-	}
-	vector := func(sf wal.SparseFloats, base float64) {
-		if version == 4 {
-			var err error
-			if b, err = wal.AppendSparseFloats(b, sf, st.M, base); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		v := make([]float64, st.M)
-		for k := range v {
-			v[k] = base
-		}
-		if err := sf.Scatter(v); err != nil {
-			t.Fatal(err)
-		}
-		uv(len(v))
-		floats(v...)
-	}
-	uv(int(st.Seq))
-	uv(1) // the publish record
-	uv(0) // answers
-	if version == 4 {
-		uv(st.M)
-		floats(st.BaseQ)
-	}
-	uv(0) // golden IDs
-	uv(len(st.TaskStates))
-	for _, ts := range st.TaskStates {
-		uv(ts.ID)
-		if version == 4 {
-			uv(len(ts.MHat))
-		} else {
-			uv(st.M)
-		}
-		uv(len(ts.S))
-		x := 0
-		for k := 0; k < st.M; k++ {
-			if byID[ts.ID].Domain.Has(k) {
-				floats(ts.MHat[x]...)
-				x++
-			} else if version == 3 {
-				for range ts.S {
-					floats(1)
-				}
-			}
-		}
-		floats(ts.S...)
-	}
-	uv(len(st.Workers))
-	for _, w := range st.Workers {
-		b = appendStr(b, w.ID)
-		vector(w.Q, st.BaseQ)
-		vector(w.U, 0)
-	}
-	uv(0) // serving
-	uv(0) // store
-	uv(0) // store profiles
-	b, err := wal.AppendColumns(b, &wal.Columns{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wal.EncodeFrame([]byte(map[int]string{3: "DOCSSNP3", 4: "DOCSSNP4"}[version]), b)
-}
-
-// TestOlderSnapshotFallsBackToReplay: a directory whose snapshot is a
-// well-formed file of a previous version — right checksum, every section
-// in place — is not read: the magic is the version. The boot says so,
-// replays the whole log to the state a fresh run reaches, and the next pass
-// leaves the current format beside the same log.
-func TestOlderSnapshotFallsBackToReplay(t *testing.T) {
-	dir, image, want := supportCampaign(t, supportConfig)
-	st, err := snapshot.Decode(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := make(map[int]*model.Task)
-	for _, tk := range supportTasks(30) {
-		byID[tk.ID] = tk
-	}
-	path := filepath.Join(dir, snapshot.FileName)
-	for _, version := range []int{3, 4} {
-		legacy := encodePreviousSnapshot(t, version, st, byID)
-		if version == 3 && len(legacy) < 3*len(image) {
-			t.Fatalf("the DOCSSNP3 image is %d bytes against %d: not the dense layout", len(legacy), len(image))
-		}
-		if err := os.WriteFile(path, legacy, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s := newSystem(t, supportConfig)
-		info, err := s.Recover(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.SnapshotUsed || info.SnapshotRejected == "" || info.Records == 0 {
-			t.Fatalf("boot over a DOCSSNP%d snapshot: %+v", version, info)
-		}
-		if got := s.Fingerprint(); got != want {
-			t.Fatalf("DOCSSNP%d: the full replay differs from a fresh run:\n%s", version, DiffFingerprints(got, want, 4))
-		}
-		// The next pass (Hibernate's): the log's answers lie past the
-		// rejected snapshot, so it has work to do.
-		if err := s.snapshotPass(); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(string(after), "DOCSSNP5") {
-			t.Fatalf("the pass left a file opening %q", after[:8])
-		}
-		if _, err := snapshot.Decode(after); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("snapshot of the same engine: %d B as DOCSSNP%d, %d B as DOCSSNP5 (×%.3f)", len(legacy), version, len(image), float64(len(image))/float64(len(legacy)))
 	}
 }

@@ -8,8 +8,7 @@
 // The taxonomy (docs/experiments.md maps each to the paper's evaluation):
 //
 //	Spammer  — answers uniformly at random over ALL choices, ignoring the
-//	           task entirely: expected accuracy 1/ℓ, strictly worse than the
-//	           legacy AdversarialFraction workers (quality 0.5 coin flip).
+//	           task entirely: expected accuracy 1/ℓ.
 //	Sleeper  — answers perfectly for its first SleeperHonest answers (long
 //	           enough to ace the golden-task gauntlet and earn a high
 //	           quality estimate), then degrades to SleeperQuality.

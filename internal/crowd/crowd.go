@@ -115,13 +115,6 @@ type Config struct {
 	// domains, modelling per-domain difficulty (Figure 6(a) shows e.g.
 	// Auto easy, Food hard). Indexed by domain; may be nil.
 	DomainBias []float64
-	// AdversarialFraction of workers answer at uniform-random quality 1/ℓ
-	// regardless of domain (spammers). Default 0.
-	//
-	// Deprecated-ish: this legacy knob only flattens TrueQ to 0.5 coin
-	// flips. The Adversarial section below configures the real archetypes
-	// (spammers, sleepers, cliques, drift); both may coexist.
-	AdversarialFraction float64
 	// Adversarial configures spammer/sleeper/colluder/drift archetypes.
 	// The zero value is a no-op: populations are bit-identical to ones
 	// drawn before the field existed.
@@ -179,26 +172,22 @@ func NewPopulation(cfg Config) (*Population, error) {
 			ID:    fmt.Sprintf("w%03d", i),
 			TrueQ: make(model.QualityVector, c.M),
 		}
-		adversarial := r.Float64() < c.AdversarialFraction
+		// A draw that once picked coin-flip workers; kept so every
+		// population stays bit-identical to the ones drawn with it.
+		_ = r.Float64()
 		for k := 0; k < c.M; k++ {
 			w.TrueQ[k] = r.Range(c.NoviceQ[0], c.NoviceQ[1])
 		}
-		if !adversarial {
-			expertAny := false
-			for _, k := range relevant {
-				if r.Float64() < c.ExpertProb {
-					w.TrueQ[k] = r.Range(c.ExpertQ[0], c.ExpertQ[1])
-					expertAny = true
-				}
-			}
-			if !expertAny {
-				k := relevant[r.Intn(len(relevant))]
+		expertAny := false
+		for _, k := range relevant {
+			if r.Float64() < c.ExpertProb {
 				w.TrueQ[k] = r.Range(c.ExpertQ[0], c.ExpertQ[1])
+				expertAny = true
 			}
-		} else {
-			for k := 0; k < c.M; k++ {
-				w.TrueQ[k] = 0.5 // coin flip on binary tasks; worse on more choices
-			}
+		}
+		if !expertAny {
+			k := relevant[r.Intn(len(relevant))]
+			w.TrueQ[k] = r.Range(c.ExpertQ[0], c.ExpertQ[1])
 		}
 		if c.DomainBias != nil {
 			for k := 0; k < c.M && k < len(c.DomainBias); k++ {

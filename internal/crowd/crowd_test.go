@@ -136,19 +136,6 @@ func TestCollectErrors(t *testing.T) {
 	}
 }
 
-func TestAdversarialWorkers(t *testing.T) {
-	cfg := testConfig(40, 7)
-	cfg.AdversarialFraction = 1.0
-	pop, _ := NewPopulation(cfg)
-	for _, w := range pop.Workers {
-		for _, q := range w.TrueQ {
-			if q != 0.5 {
-				t.Fatalf("adversarial worker has quality %g, want 0.5", q)
-			}
-		}
-	}
-}
-
 func TestDomainBias(t *testing.T) {
 	cfg := testConfig(30, 9)
 	cfg.DomainBias = []float64{0, 0, 0.3, -0.3}

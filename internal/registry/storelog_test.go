@@ -1,7 +1,10 @@
 package registry
 
 import (
+	"encoding/binary"
+	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +13,8 @@ import (
 
 	"docs/internal/core"
 	"docs/internal/crashtest"
+	"docs/internal/kb"
+	"docs/internal/wal"
 )
 
 // TestLegacyStoreRefused: the worker store is a log directory, and nothing
@@ -121,62 +126,117 @@ func TestStoreAndCampaignLogsNotInterchangeable(t *testing.T) {
 	}
 }
 
-// TestFormatV0LogRefused: nothing reads a log of a format no build writes.
-// testdata/v0_wal holds a campaign log as builds before format v1 wrote it
-// — a segment with no header, whose publish record is JSON — and
-// internal/wal's testdata/v1_campaign one as a3e04fd's format v1 writer left
-// it, in several segments. core.Recover, a registry wake and a store opened
-// over either refuse it with an error naming its format and the last commit
-// that reads it, and leave every byte of it as it was.
+// TestFormatV0LogRefused: nothing reads a log of a format version no build
+// of this one writes. A campaign log this build wrote in segments of 1 KiB
+// is retagged as versions 0 (no header), 1 and 2 open a segment, in every
+// segment, in the first one only, and with an empty segment after the
+// last. core.Recover, a registry wake and a store opened over each refuse
+// it with the one error naming the version and the last commit that reads
+// it, and leave every byte of it as it was.
 func TestFormatV0LogRefused(t *testing.T) {
-	for _, row := range []struct{ fixture, format, commit string }{
-		{filepath.Join("testdata", "v0_wal"), "format v0", "af9f454"},
-		{filepath.Join("..", "wal", "testdata", "v1_campaign"), "format v1", "a3e04fd"},
-	} {
-		want := readTree(t, row.fixture)
-		check := func(what, dir string, err error) {
-			t.Helper()
-			if err == nil || !strings.Contains(err.Error(), row.format) || !strings.Contains(err.Error(), row.commit) {
-				t.Errorf("%s, %s: error %v, want a refusal naming %s and %s", row.format, what, err, row.format, row.commit)
-			}
-			if got := readTree(t, dir); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %s: the log directory changed", row.format, what)
-			}
-		}
-
-		dir := filepath.Join(t.TempDir(), "wal")
-		crashtest.CopyTree(t, row.fixture, dir)
-		sys, err := core.New(core.Config{Store: memStore(t), ProfileScope: "legacy"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sys.Recover(dir)
-		sys.Close()
-		check("core.Recover", dir, err)
-
-		root := t.TempDir()
-		dir = filepath.Join(root, campaignsDir, "legacy")
-		crashtest.CopyTree(t, row.fixture, dir)
-		cfg := crashConfig(root)
-		cfg.MaxLiveCampaigns = 1
-		reg, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = reg.Do("legacy", func(*core.System) error { return nil })
-		if cerr := reg.Close(); cerr != nil {
-			t.Fatal(cerr)
-		}
-		check("a registry wake", dir, err)
-
-		cfg = crashConfig(t.TempDir())
-		cfg.StorePath = filepath.Join(t.TempDir(), "store")
-		crashtest.CopyTree(t, row.fixture, cfg.StorePath)
-		if reg, err = Open(cfg); err == nil {
-			reg.Close()
-		}
-		check("store.Open", cfg.StorePath, err)
+	src := t.TempDir()
+	sys, err := core.New(core.Config{Store: memStore(t), ProfileScope: "legacy", GoldenCount: -1, WALSegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := sys.Recover(src); err != nil {
+		t.Fatal(err)
+	}
+	tasks := synthTasks(kb.MustDefault().Domains().Size(), 60, 0)
+	if err := sys.Publish(tasks); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := sys.Submit(fmt.Sprintf("w%d", i%7), i%len(tasks), i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	current := readTree(t, src)
+	if len(current) < 3 {
+		t.Fatalf("the log holds %d segments, want several", len(current))
+	}
+	for v, commit := range map[uint64]string{0: "af9f454", 1: "a3e04fd", 2: "21c7a3e"} {
+		want := fmt.Sprintf("format v%d; this build reads v3; %s is the last commit that reads v%d", v, commit, v)
+		every, first := map[string]string{}, maps.Clone(current)
+		for name, seg := range current {
+			every[name] = retag(t, seg, v)
+		}
+		first["/0000000000000001.wal"] = every["/0000000000000001.wal"]
+		empty := maps.Clone(every)
+		empty[fmt.Sprintf("/%016x.wal", 10_000)] = ""
+		for shape, files := range map[string]map[string]string{"every segment": every, "the first segment": first, "an empty segment after": empty} {
+			image := t.TempDir()
+			for name, data := range files {
+				if err := os.WriteFile(image+name, []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(what, dir string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("v%d in %s, %s: error %v, want %q", v, shape, what, err, want)
+				}
+				if got := readTree(t, dir); !reflect.DeepEqual(got, files) {
+					t.Errorf("v%d in %s, %s: the log directory changed", v, shape, what)
+				}
+			}
+
+			dir := filepath.Join(t.TempDir(), "wal")
+			crashtest.CopyTree(t, image, dir)
+			sys, err := core.New(core.Config{Store: memStore(t), ProfileScope: "legacy"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sys.Recover(dir)
+			sys.Close()
+			check("core.Recover", dir, err)
+
+			root := t.TempDir()
+			dir = filepath.Join(root, campaignsDir, "legacy")
+			crashtest.CopyTree(t, image, dir)
+			cfg := crashConfig(root)
+			cfg.MaxLiveCampaigns = 1
+			reg, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = reg.Do("legacy", func(*core.System) error { return nil })
+			if cerr := reg.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			check("a registry wake", dir, err)
+
+			cfg = crashConfig(t.TempDir())
+			cfg.StorePath = filepath.Join(t.TempDir(), "store")
+			crashtest.CopyTree(t, image, cfg.StorePath)
+			if reg, err = Open(cfg); err == nil {
+				reg.Close()
+			}
+			check("store.Open", cfg.StorePath, err)
+		}
+	}
+}
+
+// retag is seg, a segment this build wrote, as format version v opens one:
+// its header frame ("DWAL" | version uvarint | firstSeq uvarint) says v or,
+// for version 0, which had none, is a record frame (kind | sequence number,
+// as its records opened). What follows stays this build's: a refusal reads
+// no further.
+func retag(t *testing.T, seg string, v uint64) string {
+	t.Helper()
+	n := binary.LittleEndian.Uint32([]byte(seg))
+	header := seg[8 : 8+n]
+	if !strings.HasPrefix(header, "DWAL\x03") {
+		t.Fatalf("the segment opens with %q, not a format v3 header", header)
+	}
+	payload := append([]byte(header[:4]), byte(v))
+	if v == 0 {
+		payload = []byte{byte(wal.KindPublish)}
+	}
+	return string(wal.EncodeFrame(nil, append(payload, header[5:]...))) + seg[8+n:]
 }
 
 // readTree maps every file under dir to its bytes.

@@ -11,10 +11,10 @@
 // serving path; the snapshot lets that replay skip the engine math of the
 // answers it covers and install its numbers instead, at the record it
 // names (see docs/internal/core's replay). Those numbers must be exactly
-// the serial replay's, so the core never snapshots its live concurrently
-// mutated engine: each snapshot is written from a scratch serial replica
-// booted from the log. This package is just the codec and the atomic file
-// protocol.
+// the serial replay's, so the core exports its engine only where nothing
+// mutates it — on the campaign's writer, which applies every record in log
+// order, after the last record it reserved. This package is just the codec
+// and the atomic file protocol.
 //
 // Left out because derivable: the state of a task nothing has touched since
 // it was registered (it is the uniform prior truth.Incremental.AddTask
@@ -50,10 +50,12 @@
 // not below m, and trailing bytes are all corruption) — and every count is
 // checked against the bytes that remain before anything is allocated.
 //
-// The magic doubles as the format version. A snapshot with any other magic
-// is rejected as unreadable and the boot replays the whole log with its
-// math, which reconstructs everything — a lossless migration paid once per
-// campaign in boot time; the next snapshot pass writes the current format.
+// The layout's version is the log's: a change to it bumps the segment
+// format version (docs/internal/wal), which refuses the older log whole, so
+// a snapshot is only ever read beside a log of its own layout. The magic
+// only tells a snapshot from another file: one with any other magic is
+// rejected as foreign and the boot replays the whole log with its math,
+// which reconstructs everything.
 //
 // The frame is the WAL's frame encoding (wal.EncodeFrame), so torn-write
 // discrimination follows the WAL's rule: a frame cut short by EOF is a

@@ -270,3 +270,51 @@ func TestWriteAtomic(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotBytesPerAnsweredTask pins what an answered task and a worker
+// cost a snapshot: 100 two-choice tasks over 26 domains, alternately of
+// support 1 and 2, one answer each from a worker who has therefore touched
+// 3 domains.
+func TestSnapshotBytesPerAnsweredTask(t *testing.T) {
+	const m, n = 26, 100
+	st := &State{Seq: n + 2, M: m, BaseQ: 0.7}
+	supp := make([][]int, n)
+	q, u := make([]float64, m), make([]float64, m)
+	for k := range q {
+		q[k] = 0.7
+	}
+	for i := 0; i < n; i++ {
+		supp[i] = []int{3}
+		if i%2 == 1 {
+			supp[i] = []int{3, 11 + 6*(i%4/2)} // 3 and 11, or 3 and 17
+		}
+		ts := TaskState{ID: i, S: []float64{0.25, 0.75}}
+		for _, k := range supp[i] {
+			ts.MHat = append(ts.MHat, []float64{0.125, 1})
+			q[k], u[k] = 0.8125, u[k]+0.5
+		}
+		st.TaskStates = append(st.TaskStates, ts)
+	}
+	st.Workers = []WorkerStats{{ID: "worker-07", Q: sparse(0.7, q...), U: sparse(0, u...)}}
+
+	data, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, s := range supp {
+		rows += len(s)
+	}
+	t.Logf("%d answered tasks (mean support %.2f) and one worker with %d touched domains: %d B = %.1f B a task",
+		n, float64(rows)/n, len(st.Workers[0].Q.K), len(data), float64(len(data))/n)
+	if want := 4394; len(data) != want {
+		t.Errorf("the state encodes to %d bytes, pinned %d", len(data), want)
+	}
+	if len(st.Workers[0].Q.K) != 3 {
+		t.Fatalf("the worker touched %d domains, want 3", len(st.Workers[0].Q.K))
+	}
+	back, err := Decode(data)
+	if err != nil || len(back.TaskStates) != n {
+		t.Fatalf("the pinned image does not decode: %v", err)
+	}
+}

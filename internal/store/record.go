@@ -9,17 +9,12 @@ import (
 	"docs/internal/wal"
 )
 
-// The update ops a record can carry.
+// The update ops a record can carry; 2, a plain merge, is retired.
 const (
 	opPut     byte = 1 // overwrite the worker's base
-	opMerge   byte = 2 // a plain merge into the base, which nothing writes: refused
 	opProfile byte = 3 // fold a session into the base (Theorem 1) and record the result under a profile ID
 	opSession byte = 4 // hold a scope's latest session, replacing its previous one
 )
-
-// errOpMerge refuses op 2, a plain merge into the base, which older builds
-// logged.
-var errOpMerge = errors.New("op 2 (plain merge) update: this build reads ops 1, 3 and 4 only; a3e04fd is the last commit that reads op 2")
 
 // update is one Put, Session or MergeProfile: what a KindStore record
 // holds.
@@ -85,8 +80,6 @@ func decodeUpdate(rec wal.Record, m int) (update, error) {
 	u := update{op: c.Byte(), id: rec.Worker}
 	switch u.op {
 	case opPut:
-	case opMerge:
-		return update{}, errOpMerge
 	case opProfile, opSession:
 		if u.key = string(c.Bytes()); u.key == "" {
 			c.Failf("op %d update has an empty key", u.op)

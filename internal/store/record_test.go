@@ -138,7 +138,7 @@ func TestUpdateDecodeDamage(t *testing.T) {
 // FuzzStoreRecordDecode drives arbitrary bytes through the KindStore blob
 // reader, which every store Open runs once per logged update. Seed corpus
 // in testdata/fuzz/FuzzStoreRecordDecode (checked in): a put with −0 and a
-// denormal, an all-default merge (op 2, which must be refused), a profile,
+// denormal, an all-default op 2 (an unknown op, refused), a profile,
 // the profile cut short, with an overlong domain count, with an unknown op,
 // a session, a session with an empty scope, a session cut inside its scope.
 func FuzzStoreRecordDecode(f *testing.F) {

@@ -5,13 +5,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"docs/internal/truth"
-	"docs/internal/wal"
 )
 
 func TestOpenMemoryOnly(t *testing.T) {
@@ -246,70 +244,6 @@ func TestOlderMintedSessionStillFolds(t *testing.T) {
 		if u != 3+1 {
 			t.Fatalf("weight[%d] = %g, want both sessions' 3 + 1", k, u)
 		}
-	}
-}
-
-// TestMergeLogRefused: a log holding plain merges (op 2, which nothing
-// writes any more) beside puts, profiles and sessions does not open: Open
-// refuses it with an error naming op 2 and the last commit that reads it,
-// and leaves every byte of the log as it was.
-func TestMergeLogRefused(t *testing.T) {
-	const m = 2
-	path := filepath.Join(t.TempDir(), "store")
-	lg, err := wal.Open(path, wal.Options{Sync: wal.SyncEveryBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put, x, y, p, sess := mkStats(m, 1), mkStats(m, 2), mkStats(m, 3), mkStats(m, 4), mkStats(m, 5)
-	for _, u := range []update{
-		{op: opMerge, id: "w1", st: x},
-		{op: opMerge, id: "w1", st: y},
-		{op: opPut, id: "w2", st: put},
-		{op: opMerge, id: "w2", st: x},
-		{op: opProfile, id: "w2", key: "camp/w2", st: p},
-		{op: opSession, id: "w2", key: "camp", st: sess},
-		{op: opMerge, id: "w2", st: y},
-	} {
-		blob, err := encodeUpdate(u, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pending, err := lg.Reserve(wal.Record{Kind: wal.KindStore, Worker: u.id, Blob: blob})
-		if err == nil {
-			err = pending.Wait()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	readLog := func() map[string]string {
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := map[string]string{}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(path, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[e.Name()] = string(data)
-		}
-		return files
-	}
-	want := readLog()
-	s, err := Open(path, m)
-	if err == nil {
-		s.Close()
-	}
-	if err == nil || !strings.Contains(err.Error(), "op 2") || !strings.Contains(err.Error(), "a3e04fd") {
-		t.Errorf("Open: %v, want a refusal naming op 2 and a3e04fd", err)
-	}
-	if got := readLog(); !reflect.DeepEqual(got, want) {
-		t.Error("the refused log changed")
 	}
 }
 

@@ -179,17 +179,24 @@ func TestCopyOnWriteReseedIsolation(t *testing.T) {
 	check := cowSnapshot(t, inc)
 	check("Reseed", reseeded.norm, answered...)
 
-	if err := inc.Submit(model.Answer{Worker: "w0", Task: 600, Choice: 2}); err != nil {
+	late := model.Answer{Worker: "w0", Task: 600, Choice: 2}
+	if err := inc.Submit(late); err != nil {
 		t.Fatal(err)
 	}
 	check("Submit after Reseed", reseeded.norm, append(answered, 600)...)
 
-	// A second rerun over the same answers puts 600 — answered in the engine
-	// but not in the rerun's snapshot — aside and re-aliases nothing it should
-	// not.
+	// A second rerun covers 600's answer, as every rerun covers the whole
+	// log: 600 takes the run's own matrix, keeps its answer and re-aliases
+	// nothing.
+	if err := as.Add(late); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = Infer(tasks, as, cowM, Options{}); err != nil {
+		t.Fatal(err)
+	}
 	inc.Reseed(RowsOf(tasks), res, indexed(t, tasks, as))
-	if it := inc.registered(600); it.qbuf == nil || len(it.answers) != 1 {
-		t.Error("a rerun that predates task 600's answer overwrote it")
+	if it := inc.registered(600); sameMatrix(it.mhat, reseeded.mhat) || len(it.answers) != 1 {
+		t.Error("a rerun over task 600's answer did not reseed it with the answer")
 	}
 }
 

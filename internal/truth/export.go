@@ -29,7 +29,8 @@ type TaskState struct {
 // landed, which a restore re-derives (ReseedLatent). RestoreTask marks a task
 // touched, so the exported set is the same before and after a restore. All
 // slices are private copies. Like every mutation it runs on the engine's
-// writer — the serving core calls it on a snapshot pass's scratch replica.
+// writer — the serving core calls it in a snapshot pass, after the last
+// record the writer applied.
 func (inc *Incremental) ExportTasks() []TaskState {
 	its := slices.Clone(inc.made)
 	slices.SortFunc(its, func(a, b *incTask) int { return cmp.Compare(a.id, b.id) })
@@ -45,18 +46,12 @@ func (inc *Incremental) ExportTasks() []TaskState {
 // RestoreTask overwrites the internal inference state of task t, found
 // through its slot, with an exported one — raw numerators and probabilistic
 // truth — and republishes the task's immutable view over the answers it
-// holds, materialising a latent t first. A latent t — which holds no
-// answers — whose exported state is, bit for bit, the rest state it reads
-// stays latent: a snapshot written before tasks were latent lists every
-// task a rerun left unanswered, at that state. The caller has checked the
+// holds, materialising a latent t first. The caller has checked the
 // state against t, as the snapshot's check does where it enters: one row
 // of ℓ numerators per domain of t's support, and ℓ floats of s.
 func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) {
 	it := slot.it.Load()
 	if it == nil {
-		if inc.atRest(t, ts) {
-			return
-		}
 		inc.Materialise(t, slot)
 		it = slot.it.Load()
 	}
@@ -67,22 +62,4 @@ func (inc *Incremental) RestoreTask(t Row, slot *Slot, ts TaskState) {
 	it.s = mathx.Clone(ts.S)
 	it.touched = true
 	it.publishView(inc.epoch.Add(1), normalizeRows(it.mhat))
-}
-
-// atRest reports whether ts is, bit for bit, the state a latent t reads now.
-func (inc *Incremental) atRest(t Row, ts TaskState) bool {
-	rest := inc.Rest(t.R, int(t.Ell))
-	mhat, s := rest.states.prior.mhat, rest.prior.S
-	if rest.reseeded.Load() != nil {
-		mhat, s = rest.states.reseeded.mhat, rest.states.uniform
-	}
-	if !sameBits(ts.S, s) {
-		return false
-	}
-	for x := range mhat {
-		if !sameBits(ts.MHat[x], mhat[x]) {
-			return false
-		}
-	}
-	return true
 }

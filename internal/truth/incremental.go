@@ -582,16 +582,14 @@ func (inc *Incremental) Epoch() uint64 { return inc.epoch.Load() }
 // which lists the answered tasks and may list others; a latent task is one
 // nobody answered. One epoch covers the whole swap. The swap is atomic per
 // task: readers see either the pre-rerun view or the reseeded one, never a
-// mix. A task that has received more answers than the indexed answers cover
-// (possible for a caller that reseeds from an earlier prefix) is left
-// untouched — its extra incremental evidence would otherwise be lost; the
-// next rerun picks it up. A materialised task with no answer in the prefix
-// goes to the reseeded rest, as Infer leaves it, when the run covered it:
-// when tasks lists it, or for every such task when the run covered tasks it
-// did not list (Options.Unlisted). Otherwise it is left untouched. A
-// reseeded task's V(i) is the index's answers: what it holds already when
-// every answer came through Submit or Record, which put each answer a task
-// takes in it, and a fresh copy of the index's otherwise.
+// mix. answers must hold every answer the engine has taken — a rerun
+// indexes the whole log — so no task is ahead of it. A materialised task
+// with no answer goes to the reseeded rest, as Infer leaves it, when the
+// run covered it: when tasks lists it, or for every such task when the run
+// covered tasks it did not list (Options.Unlisted). Otherwise it is left
+// untouched. A reseeded task's V(i) is the index's answers: what it holds
+// already when every answer came through Submit or Record, which put each
+// answer a task takes in it, and a fresh copy of the index's otherwise.
 func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex) {
 	// A task materialised after this starts at the reseeded rest; one
 	// before it is among those walked.
@@ -606,15 +604,12 @@ func (inc *Incremental) Reseed(tasks []Row, res *Result, answers *model.LogIndex
 		}
 		if len(listed) == 0 || tasks[listed[0]].P != it.p {
 			if res.unlisted > 0 {
-				it.restIfIdle(epoch)
+				it.toRest(epoch)
 			}
 			continue
 		}
 		i := listed[0]
 		snap := answers.ForTask(int32(it.p))
-		if len(it.answers) > len(snap) {
-			continue
-		}
 		// Infer hands every unanswered task the shared uniform matrix (and
 		// s = Uniform(ℓ)): such a task aliases the reseeded rest state whole,
 		// dropping any private matrix it held.
@@ -664,15 +659,6 @@ func (inc *Incremental) reseedLatent(epoch uint64) {
 	//docs:allow determinism each Rest receives a view of its own; no iteration sees another's
 	for _, rest := range inc.rests {
 		rest.reseeded.Store(rest.states.reseededView(epoch))
-	}
-}
-
-// restIfIdle sends a task the rerun covered without an answer to the
-// reseeded rest, unless an answer reached it since: that one keeps its
-// incremental evidence.
-func (it *incTask) restIfIdle(epoch uint64) {
-	if len(it.answers) == 0 {
-		it.toRest(epoch)
 	}
 }
 
@@ -801,19 +787,6 @@ func (it *incTask) own() {
 		copy(private[x], row)
 	}
 	it.mhat, it.qbuf = private, buf[rows*ell:]
-}
-
-// sameBits reports whether a and b hold the same floats, bit for bit.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // sameMatrix reports whether a and b are the same matrix (not equal ones).

@@ -90,9 +90,9 @@ func TestFormatV2ReplaysWhatWasWritten(t *testing.T) {
 	}
 }
 
-// segmentV2 is what the format v2 writer puts in a segment that starts at
-// first and holds recs.
-func segmentV2(first uint64, recs ...Record) []byte {
+// segmentOf is what the writer puts in a segment that starts at first and
+// holds recs.
+func segmentOf(first uint64, recs ...Record) []byte {
 	seg := appendHeader(nil, first)
 	var d dictionary
 	for _, rec := range recs {
@@ -108,11 +108,12 @@ func segmentV2(first uint64, recs ...Record) []byte {
 	return seg
 }
 
-// TestFormatV2Refusals: each row is a format v2 segment broken in one
-// way. Bytes that are all present but wrong are ErrCorrupt for Replay and
-// Open, which change nothing on disk; a frame or length cut by the end of
-// the file is a torn tail when the segment is the last — replayed up to
-// the cut — and ErrCorrupt when another segment follows it.
+// TestFormatV2Refusals: each row is a segment of the record frame format
+// v2 introduced, broken in one way. Bytes that are all present but wrong
+// are ErrCorrupt for Replay and Open, which change nothing on disk; a
+// frame or length cut by the end of the file is a torn tail when the
+// segment is the last — replayed up to the cut — and ErrCorrupt when
+// another segment follows it.
 func TestFormatV2Refusals(t *testing.T) {
 	frame := func(length []byte, payload ...byte) []byte {
 		b := binary.LittleEndian.AppendUint32(length, crc32.Checksum(payload, castagnoli))
@@ -137,10 +138,10 @@ func TestFormatV2Refusals(t *testing.T) {
 		{"a length over MaxPayload", seg(header, answer, frame(binary.AppendUvarint(nil, MaxPayload+1), byte(KindAnswer), 0, 3, 1)), false},
 		{"four length bytes that all continue", seg(header, answer, []byte{0x80, 0x80, 0x80, 0x80}), false},
 		{"an answer after the worker field ends", seg(header, answer, record(byte(KindAnswer), 0)), false},
-		{"a v2 header with no firstSeq", seg(EncodeFrame(nil, []byte{'D', 'W', 'A', 'L', 2}), answer), false},
-		{"a v2 header with the wrong firstSeq", seg(appendHeader(nil, 2), answer), false},
-		{"a v2 header with the wrong firstSeq and no record", appendHeader(nil, 2), false},
-		{"a v2 header with firstSeq 0", seg(EncodeFrame(nil, []byte{'D', 'W', 'A', 'L', 2, 0}), answer), false},
+		{"a header with no firstSeq", seg(EncodeFrame(nil, []byte{'D', 'W', 'A', 'L', formatVersion}), answer), false},
+		{"a header with the wrong firstSeq", seg(appendHeader(nil, 2), answer), false},
+		{"a header with the wrong firstSeq and no record", appendHeader(nil, 2), false},
+		{"a header with firstSeq 0", seg(EncodeFrame(nil, []byte{'D', 'W', 'A', 'L', formatVersion, 0}), answer), false},
 		{"a length uvarint cut by the end", seg(header, answer, []byte{0x80}), true},
 		{"a three-byte length uvarint cut by the end", seg(header, answer, []byte{0x80, 0x80, 0x80}), true},
 		{"a frame cut inside its CRC", seg(header, answer, answer[:3]), true},
@@ -168,7 +169,7 @@ func TestFormatV2Refusals(t *testing.T) {
 			}
 			continue
 		}
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", 2, segmentSuffix)), segmentV2(2, answerRec("w", 1, 0)), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", 2, segmentSuffix)), segmentOf(2, answerRec("w", 1, 0)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Replay(dir, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {

@@ -64,7 +64,7 @@ type Record struct {
 	Blob []byte
 }
 
-// The format v2 payload of a record is
+// The payload of a record is
 //
 //	kind (1 byte) | kind-specific fields
 //
@@ -78,7 +78,7 @@ type Record struct {
 // position. A worker is named against the segment's dictionary (see
 // dictionary).
 
-// appendPayload appends r's format v2 payload, its worker named against d,
+// appendPayload appends r's payload, its worker named against d,
 // and reports whether it introduces the worker, which the caller adds to d
 // once the record is accepted.
 //
@@ -102,11 +102,11 @@ func (r Record) appendPayload(dst []byte, d *dictionary) ([]byte, bool) {
 	return dst, intro
 }
 
-// frameHeaderV2 is the most a format v2 frame spends before its payload: a
+// recordFrameHeader is the most a record's frame spends before its payload: a
 // uvarint no larger than MaxPayload, which takes 4 bytes, and the CRC.
-const frameHeaderV2 = 4 + 4
+const recordFrameHeader = 4 + 4
 
-// appendFrame appends r as a format v2 frame — length uvarint | CRC32-C
+// appendFrame appends r as a record frame — length uvarint | CRC32-C
 // u32le | payload — and reports whether it introduces its worker to d (see
 // appendPayload). A payload over MaxPayload is refused with ErrTooLarge and
 // dst comes back as it was.
@@ -114,12 +114,12 @@ func (r Record) appendFrame(dst []byte, d *dictionary) ([]byte, bool, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	dst, intro := r.appendPayload(dst, d)
-	payload := dst[start+frameHeaderV2:]
+	payload := dst[start+recordFrameHeader:]
 	n := len(payload)
 	if n > MaxPayload {
 		return dst[:start], false, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	var hdr [frameHeaderV2]byte
+	var hdr [recordFrameHeader]byte
 	h := binary.AppendUvarint(hdr[:0], uint64(n))
 	h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(payload, castagnoli))
 	// The length's uvarint is shorter than the placeholder unless the
@@ -163,7 +163,7 @@ func decode(payload []byte, seq uint64, d *dictionary) (Record, error) {
 	return r, nil
 }
 
-// dictionary names the workers of one format v2 segment. A worker field is
+// dictionary names the workers of one segment. A worker field is
 // a ref uvarint: a ref below the dictionary's length names the worker it
 // was given to; a ref equal to it introduces a new worker, spelled out
 // after it (len uvarint | bytes), who takes that ref. Any other ref, and an
@@ -270,10 +270,10 @@ func frame8(data []byte) (payload []byte, size int, err error) {
 	return checked(data[frameHeaderLen:size], binary.LittleEndian.Uint32(data[4:]), size)
 }
 
-// frameV2 reads the format v2 record frame data opens with, as frame8 does. A
+// recordFrame reads the record frame data opens with, as frame8 does. A
 // length uvarint cut by the end of data is a torn frame too; a non-minimal
 // one, or one over MaxPayload, is corruption.
-func frameV2(data []byte) (payload []byte, size int, err error) {
+func recordFrame(data []byte) (payload []byte, size int, err error) {
 	c := NewCursor(data)
 	n := c.Uvarint()
 	switch {

@@ -16,10 +16,10 @@
 // A log is a directory of segment files named <firstSeq:016x>.wal. They are
 // the only copy of the record stream and are never deleted, so sequence
 // numbers count up from 1 without a hole; replay reports a hole (a missing
-// segment) as corruption. Each segment (format v2) is a header frame and
-// then one frame per record:
+// segment) as corruption. Each segment is a header frame and then one frame
+// per record:
 //
-//	header | length u32le   | CRC32-C u32le | "DWAL" | 2 uvarint | firstSeq uvarint |
+//	header | length u32le   | CRC32-C u32le | "DWAL" | 3 uvarint | firstSeq uvarint |
 //	record | length uvarint | CRC32-C u32le | kind | fields (no sequence number)   |
 //
 // The header keeps the 8-byte frame every format has used, so any build can
@@ -30,11 +30,14 @@
 // the segment's dictionary (see dictionary), so a worker is spelled out
 // once a segment.
 //
-// No other format has a reader. A segment opening with anything but a
-// header is format v0 (errFormatV0), one whose header says version 1 is
-// format v1 (errFormatV1), and a log holding either is refused whole, by
-// every entry point, before anything in the directory is truncated or
-// appended. Each refusal names the last commit that reads the format.
+// The header's version is the one format number of every durable byte:
+// the segments' frames and records, the blobs the records carry (a
+// publication, a batch, a seed, a store update) and the snapshot beside
+// them. Any change to any of those layouts bumps it. A segment opening with
+// anything but a header is version 0, and a log holding a segment of any
+// version but formatVersion is refused whole (formatError), by every entry
+// point, before anything in the directory is truncated or appended. The
+// refusal names the last commit that reads the version (lastReader).
 //
 // The CRC covers the payload only. A frame whose bytes end before the
 // length it declares, or inside the length itself (writes deliver
@@ -122,24 +125,34 @@ const (
 	MaxBlob = MaxPayload - 1 - 2*binary.MaxVarintLen64
 	// segmentMagic and formatVersion open the header frame's payload.
 	segmentMagic  = "DWAL"
-	formatVersion = 2
+	formatVersion = 3
 )
 
 // appendHeader appends the header frame of a segment whose first record is
-// firstSeq: "DWAL" | 2 uvarint | firstSeq uvarint, in an 8-byte frame.
+// firstSeq: "DWAL" | formatVersion uvarint | firstSeq uvarint, in an 8-byte
+// frame.
 func appendHeader(dst []byte, firstSeq uint64) []byte {
 	var b [len(segmentMagic) + 1 + binary.MaxVarintLen64]byte
 	payload := binary.AppendUvarint(append(b[:0], segmentMagic...), formatVersion)
 	return EncodeFrame(dst, binary.AppendUvarint(payload, firstSeq))
 }
 
-// The refusals of the formats this build does not read: a segment written
-// before the header existed, and one whose records each carried an 8-byte
-// frame, their sequence number and their worker spelled out.
-var (
-	errFormatV0 = errors.New("wal: format v0 segment (no header): this build reads format v2 only; af9f454 is the last commit that reads v0")
-	errFormatV1 = errors.New("wal: format v1 segment: this build reads format v2 only; a3e04fd is the last commit that reads v1")
-)
+// lastReader names, for each format version before formatVersion, the last
+// commit that reads it. Version 0 is a segment with no header. A bump adds
+// the version it retires here and no other code.
+var lastReader = [formatVersion]string{"af9f454", "a3e04fd", "21c7a3e"}
+
+// formatError refuses a segment of a format version this build does not
+// read.
+type formatError uint64
+
+func (v formatError) Error() string {
+	msg := fmt.Sprintf("wal: format v%d; this build reads v%d", uint64(v), formatVersion)
+	if v < formatVersion {
+		msg += fmt.Sprintf("; %s is the last commit that reads v%d", lastReader[v], uint64(v))
+	}
+	return msg
+}
 
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
@@ -626,9 +639,9 @@ func segments(dir string) ([]segmentInfo, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
 	// A log in a format this build does not read shows it in its first
-	// segment: format v2 follows v1 and v1 follows v0, never the reverse.
-	// Open and TailSeq scan only the last segments, so the first one's head
-	// is checked here (a lone segment, every caller scans whole).
+	// segment: a build appends only its own version, after the versions
+	// before it. Open and TailSeq scan only the last segments, so the first
+	// one's head is checked here (a lone segment, every caller scans whole).
 	if len(segs) > 1 {
 		if err := refuseFormat(filepath.Join(dir, segs[0].name), segs[0].firstSeq); err != nil {
 			return nil, err
@@ -637,8 +650,8 @@ func segments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// refuseFormat returns the refusal of a segment in format v0 or v1, read
-// from its head — enough bytes for any header and no more.
+// refuseFormat returns the refusal of a segment in another format version,
+// read from its head — enough bytes for any header and no more.
 func refuseFormat(path string, named uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -650,7 +663,7 @@ func refuseFormat(path string, named uint64) error {
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := scanBytes(path, head[:n], named, nop); errors.Is(err, errFormatV0) || errors.Is(err, errFormatV1) {
+	if _, err := scanBytes(path, head[:n], named, nop); errors.As(err, new(formatError)) {
 		return err
 	}
 	return nil
@@ -681,10 +694,10 @@ func nop(Record, int64, int64) error { return nil }
 // not the one the file is named for — cannot come from a torn append; they
 // are rot or tampering and are reported as ErrCorrupt so acknowledged
 // records after them are never silently truncated away. A cut header is a
-// torn tail too; a segment opening with anything else is format v0
-// (errFormatV0), and one whose header says version 1 is format v1
-// (errFormatV1). It is exported for one caller outside this package: the
-// test kit internal/crashtest, which cuts crash images at its frame offsets.
+// torn tail too; a segment opening with anything else, or with the header
+// of another format version, is refused (formatError). It is exported for
+// one caller outside this package: the test kit internal/crashtest, which
+// cuts crash images at its frame offsets.
 func ScanSegment(path string, fn func(rec Record, start, end int64) error) error {
 	_, err := scanSegment(path, fn)
 	return err
@@ -720,7 +733,7 @@ func scanBytes(name string, data []byte, named uint64, fn func(rec Record, start
 	case off == 0 && named > 0 && bytes.HasPrefix(appendHeader(nil, named), data):
 		return st, fmt.Errorf("%s: truncated header: %w", name, errTornTail)
 	case off == 0:
-		return st, fmt.Errorf("%s: %w", name, errFormatV0) // the first frame is cut short and no header
+		return st, fmt.Errorf("%s: %w", name, formatError(0)) // the first frame is cut short and no header
 	}
 	if st.firstSeq, err = readHeader(payload); err != nil {
 		return st, fmt.Errorf("%s: %w", name, err)
@@ -729,7 +742,7 @@ func scanBytes(name string, data []byte, named uint64, fn func(rec Record, start
 		return st, fmt.Errorf("%w: %s: header says first sequence number %d", ErrCorrupt, name, st.firstSeq)
 	}
 	for seq := st.firstSeq; off < len(data); seq++ {
-		payload, n, err := frameV2(data[off:])
+		payload, n, err := recordFrame(data[off:])
 		if err != nil {
 			return st, fmt.Errorf("%s: %w at offset %d", name, err, off)
 		}
@@ -749,22 +762,17 @@ func scanBytes(name string, data []byte, named uint64, fn func(rec Record, start
 }
 
 // readHeader checks the payload of a segment's first frame, which must be a
-// format v2 header, and returns its first sequence number.
+// header of formatVersion, and returns its first sequence number.
 func readHeader(payload []byte) (firstSeq uint64, err error) {
 	if !bytes.HasPrefix(payload, []byte(segmentMagic)) {
-		return 0, errFormatV0
+		return 0, formatError(0)
 	}
 	c := NewCursor(payload[len(segmentMagic):])
-	switch version := c.Uvarint(); {
-	case c.Err() != nil:
-	case version == 1:
-		return 0, errFormatV1
-	case version != formatVersion:
-		return 0, fmt.Errorf("wal: format v%d segment: this build reads format v%d only", version, formatVersion)
-	default:
-		if firstSeq = c.Uvarint(); firstSeq == 0 && c.Err() == nil {
-			c.Failf("first sequence number 0")
-		}
+	if version := c.Uvarint(); c.Err() == nil && version != formatVersion {
+		return 0, formatError(version)
+	}
+	if firstSeq = c.Uvarint(); firstSeq == 0 && c.Err() == nil {
+		c.Failf("first sequence number 0")
 	}
 	if err := c.End(); err != nil {
 		return 0, fmt.Errorf("%w: segment header: %v", ErrCorrupt, err)

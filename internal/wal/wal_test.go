@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -324,7 +325,7 @@ func TestHeaderCrashWindows(t *testing.T) {
 		t.Fatalf("segment %x does not open with the header and a frame", data)
 	}
 	// A whole second segment, for the cut to sit in front of.
-	next := segmentV2(2, answerRec("w", 0, 0))
+	next := segmentOf(2, answerRec("w", 0, 0))
 	for cut := 0; cut < len(data); cut++ {
 		final := t.TempDir()
 		if err := os.WriteFile(filepath.Join(final, filepath.Base(seg)), data[:cut], 0o644); err != nil {
@@ -361,89 +362,93 @@ func TestHeaderCrashWindows(t *testing.T) {
 	}
 }
 
-// TestFormatV0Refused: formats v0 and v1 have no reader. A segment that
-// does not open with the header was written before format v1; a log of
-// format v1 segments is testdata/v1_campaign, a campaign log as a3e04fd's
-// v1 writer left it in segments of 1 KiB. Every way into the log refuses
-// either with an error naming the format and the last commit that reads it,
-// and leaves every byte of the directory as it was — also when the last
-// segment is empty, which says nothing of the format by itself, and when
-// a3e04fd went on in a format v2 segment behind the v1 ones, which any
-// single segment of the log but the first would pass for a v2 log.
+// TestFormatV0Refused: a log of any format version but this build's has no
+// reader. Each row is a log this build wrote, in segments of 1 KiB, with the
+// headers retagged as another version opens a segment: version 0, which had
+// no header, and the retired versions 1 and 2, each named with the last
+// commit that reads it, and version 4, which no build writes yet. Every way
+// into the log refuses each with that one error and leaves every byte of
+// the directory as it was — also when the last segment is empty, which
+// says nothing of the format by itself, and when the older version's first
+// segment is followed by this build's, which any single segment of the log
+// but the first would pass for a log of this version.
 func TestFormatV0Refused(t *testing.T) {
-	name := func(seq uint64) string { return fmt.Sprintf("%016x%s", seq, segmentSuffix) }
-	var v0 []byte
-	for i, rec := range testRecords(5) {
-		rec.Seq = uint64(i + 1)
-		v0 = EncodeFrame(v0, rec.encodeV1(nil))
-	}
-	v1 := map[string][]byte{}
-	entries, err := os.ReadDir(filepath.Join("testdata", "v1_campaign"))
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: minSegmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := uint64(0) // the sequence number after the fixture's last record
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join("testdata", "v1_campaign", e.Name()))
-		if err != nil {
+	appendAll(t, l, testRecords(300))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := segments(dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("%d segments (%v), want several", len(segs), err)
+	}
+	current := map[string][]byte{}
+	for _, seg := range segs {
+		if current[seg.name], err = os.ReadFile(filepath.Join(dir, seg.name)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(data[frameHeaderLen:], []byte{'D', 'W', 'A', 'L', 1}) {
-			t.Fatalf("%s is not a format v1 segment", e.Name())
-		}
-		v1[e.Name()] = data
-		records := -1 // the header is the first frame
-		if n, err := DecodeFrames(data, func([]byte) error { records++; return nil }); err != nil || n != len(data) {
-			t.Fatalf("%s: %d of %d bytes are whole frames (%v)", e.Name(), n, len(data), err)
-		}
-		first, _ := segmentSeq(e.Name())
-		next = max(next, first+uint64(records))
 	}
-	if len(v1) < 3 {
-		t.Fatalf("the v1 fixture holds %d segments; want several", len(v1))
-	}
-	with := func(files map[string][]byte, seq uint64, data []byte) map[string][]byte {
-		out := map[string][]byte{name(seq): data}
-		for f, b := range files {
-			out[f] = b
+	next := fmt.Sprintf("%016x%s", 301, segmentSuffix) // the segment after the last record
+	for v, commit := range map[uint64]string{0: "af9f454", 1: "a3e04fd", 2: "21c7a3e", 4: ""} {
+		want := fmt.Sprintf("format v%d; this build reads v3", v)
+		if commit != "" {
+			want += fmt.Sprintf("; %s is the last commit that reads v%d", commit, v)
 		}
-		return out
-	}
-	for _, row := range []struct {
-		name, format, commit string
-		files                map[string][]byte
-	}{
-		{"one v0 segment", "format v0", "af9f454", map[string][]byte{name(1): v0}},
-		{"a v0 segment and an empty one after it", "format v0", "af9f454", with(map[string][]byte{name(1): v0}, 6, nil)},
-		{"the v1 campaign log", "format v1", "a3e04fd", v1},
-		{"the v1 log gone on in a v2 segment", "format v1", "a3e04fd", with(v1, next, segmentV2(next, answerRec("late", 0, 0)))},
-		{"the v1 log and an empty segment after it", "format v1", "a3e04fd", with(v1, next, nil)},
-	} {
-		dir := t.TempDir()
-		for f, b := range row.files {
-			if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		older, firstOnly := map[string][]byte{}, map[string][]byte{}
+		for _, seg := range segs {
+			older[seg.name] = retag(current[seg.name], seg.firstSeq, v)
+			firstOnly[seg.name] = current[seg.name]
 		}
-		for entry, enter := range map[string]func() error{
-			"Open":    func() error { _, err := Open(dir, Options{}); return err },
-			"Replay":  func() error { _, err := Replay(dir, func(Record) error { return nil }); return err },
-			"TailSeq": func() error { _, err := TailSeq(dir); return err },
+		firstOnly[segs[0].name] = older[segs[0].name]
+		withEmpty := map[string][]byte{next: nil}
+		for name, data := range older {
+			withEmpty[name] = data
+		}
+		for shape, files := range map[string]map[string][]byte{
+			"every segment": older, "the first segment": firstOnly, "an empty segment after": withEmpty,
+			"one segment": {segs[0].name: older[segs[0].name]},
 		} {
-			err := enter()
-			if err == nil || !strings.Contains(err.Error(), row.format) || !strings.Contains(err.Error(), row.commit) {
-				t.Errorf("%s, %s: err = %v, want a refusal naming %s and %s", row.name, entry, err, row.format, row.commit)
-			}
-			for f, b := range row.files {
-				if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || !bytes.Equal(got, b) {
-					t.Fatalf("%s, %s: %s changed (%v)", row.name, entry, f, err)
+			dir := t.TempDir()
+			for f, b := range files {
+				if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if entries, _ := os.ReadDir(dir); len(entries) != len(row.files) {
-				t.Fatalf("%s, %s: the directory holds %d files, want %d", row.name, entry, len(entries), len(row.files))
+			for entry, enter := range map[string]func() error{
+				"Open":    func() error { _, err := Open(dir, Options{}); return err },
+				"Replay":  func() error { _, err := Replay(dir, func(Record) error { return nil }); return err },
+				"TailSeq": func() error { _, err := TailSeq(dir); return err },
+			} {
+				if err := enter(); err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("v%d in %s, %s: err = %v, want a refusal ending %q", v, shape, entry, err, want)
+				}
+				for f, b := range files {
+					if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || !bytes.Equal(got, b) {
+						t.Fatalf("v%d in %s, %s: %s changed (%v)", v, shape, entry, f, err)
+					}
+				}
+				if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+					t.Fatalf("v%d in %s, %s: the directory holds %d files, want %d", v, shape, entry, len(entries), len(files))
+				}
 			}
 		}
 	}
+}
+
+// retag is seg, a segment this build wrote starting at first, as format
+// version v opens one: with a header saying v or, for version 0, which had
+// none, with a record frame (kind | sequence number, as its records
+// opened). What follows stays this build's: a refusal reads no further.
+func retag(seg []byte, first, v uint64) []byte {
+	payload := binary.AppendUvarint([]byte(segmentMagic), v)
+	if v == 0 {
+		payload = []byte{byte(KindPublish)}
+	}
+	return append(EncodeFrame(nil, binary.AppendUvarint(payload, first)), seg[len(appendHeader(nil, first)):]...)
 }
 
 func TestConcurrentAppendGroupCommit(t *testing.T) {

@@ -29,20 +29,19 @@ import (
 // neither open a file of its own nor write a JSON one, and nothing under
 // internal/core or internal/wal imports "encoding/json": no record is JSON.
 // A frame's checksum is computed only beside the frame readers (the
-// 8-byte frame's wal.DecodeFrames and format v2's record frame) and their
-// writers, and the segment header's magic is spelled only in wal.go,
-// beside its one writer and one reader. A format nothing writes has no
-// reader. For format v0, the retired batch magic and the previous snapshot
-// version are spelled nowhere, and no decodeLegacy function survives — an
-// older blob is refused at its magic, an older segment at its first
-// bytes. For format v1, internal/wal declares no Decode, headerV1 or
+// 8-byte frame's wal.DecodeFrames and the record frame) and their writers,
+// and the segment header's magic is spelled only in wal.go, beside its one
+// writer and one reader. A format nothing writes has no reader, and the
+// segment header's version is the one format number: no file outside
+// internal/wal declares a version constant, and the blob magics and
+// snapshot layouts older versions carried (the batch's DBB1, the
+// publications' DPB1–DPB3 and DPC3, the snapshot's DOCSSNP3 and DOCSSNP4)
+// are spelled nowhere, so an older blob is refused as damage and an older
+// log at its first segment's header. No decodeLegacy function survives, no
+// file imports compress/lzw, internal/wal declares no Decode, headerV1 or
 // formatV1, no Log.sealed and no scanned.version, and its 8-byte frame
-// reader is called by DecodeFrames and, once, for the segment header. The
-// publications older builds logged — row-major DPB1 and DPB3, LZW-packed
-// DPB2, fixed-code DPC3 — are spelled only by their refusals, in
-// publication.go, the row encoder is declared in a test file alone, and no
-// file imports compress/lzw; store op 2 is named only by decodeUpdate's case that
-// refuses it. A publish record has one reader: applyRecord alone calls
+// reader is called by DecodeFrames and, once, for the segment header. A
+// publish record has one reader: applyRecord alone calls
 // decodePublication, and only that unpacks or decodes a publication blob.
 // The publication record is the one
 // compressed blob: publication.go alone imports compress/flate, for its
@@ -107,6 +106,10 @@ func TestOneReaderOneWriter(t *testing.T) {
 		`"DBB1"`:                nil,
 		`"DWAL"`:                {"internal/wal/wal.go"},
 		"decodeLegacy":          nil,
+		"DPB1":                  nil,
+		"DPB2":                  nil,
+		"DPB3":                  nil,
+		"DPC3":                  nil,
 		"DOCSSNP3":              nil,
 		"DOCSSNP4":              nil,
 		"restoreSnapshot":       nil,
@@ -131,8 +134,6 @@ func TestOneReaderOneWriter(t *testing.T) {
 		"internal/experiment/": {"truth.NewIncremental"},
 	}
 	got := map[string][]string{}
-	// magic → file → how often it spells a publication magic nothing writes
-	retired := map[string]map[string]int{"DPB1": {}, "DPB2": {}, "DPB3": {}, "DPC3": {}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -157,11 +158,6 @@ func TestOneReaderOneWriter(t *testing.T) {
 				}
 			}
 		}
-		for magic, files := range retired {
-			if n := strings.Count(string(src), magic); n > 0 {
-				files[filepath.ToSlash(path)] = n
-			}
-		}
 		// (*wal.Log).Sync is not an fsync site: it ends in wal's helper.
 		text := strings.ReplaceAll(string(src), ".wal.Sync()", "")
 		for call := range want {
@@ -179,35 +175,7 @@ func TestOneReaderOneWriter(t *testing.T) {
 			t.Errorf("%s appears in %v, want only %v", call, got[call], files)
 		}
 	}
-	// Each refusal's prefix test and its message.
-	for magic, files := range retired {
-		if want := map[string]int{"internal/core/publication.go": 2}; !reflect.DeepEqual(files, want) {
-			t.Errorf("%s is spelled %v times, want only %v: by the refusal", magic, files, want)
-		}
-	}
-
-	// The row encoder writes only the fixtures of its refusal: it is
-	// declared in a test file and nowhere else.
-	var rowEncoders []string
-	sources, err := filepath.Glob("internal/core/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
-	for _, path := range sources {
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "encodeRowPublication" {
-				rowEncoders = append(rowEncoders, filepath.ToSlash(path))
-			}
-		}
-	}
-	if want := "internal/core/publication_test.go"; strings.Join(rowEncoders, " ") != want {
-		t.Errorf("encodeRowPublication is declared in %v, want only in %s", rowEncoders, want)
-	}
 
 	// A publish record has one reader: applyRecord calls decodePublication,
 	// which alone unpacks a blob. A task table has one builder,
@@ -513,38 +481,30 @@ func TestOneReaderOneWriter(t *testing.T) {
 		t.Errorf("found %d calls of RestoreTask, want 1 (in installSnapshot)", calls)
 	}
 
-	// A plain merge (store op 2) has no reader: decodeUpdate names opMerge
-	// in a case of its own whose one statement returns errOpMerge, and no
-	// function names it anywhere else.
-	calls = 0
-	refusal := map[*ast.Ident]bool{}
-	isIdent := func(e ast.Expr, name string) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && id.Name == name
-	}
-	funcNodes(t, fset, "internal/store/*.go", func(fn *ast.FuncDecl, n ast.Node) {
-		switch n := n.(type) {
-		case *ast.CaseClause:
-			if fn.Name.Name != "decodeUpdate" || len(n.List) != 1 || !isIdent(n.List[0], "opMerge") || len(n.Body) != 1 {
-				return
-			}
-			if ret, ok := n.Body[0].(*ast.ReturnStmt); ok && len(ret.Results) > 0 && isIdent(ret.Results[len(ret.Results)-1], "errOpMerge") {
-				refusal[n.List[0].(*ast.Ident)] = true
-				calls++
-			}
-		case *ast.Ident:
-			if n.Name == "opMerge" && !refusal[n] {
-				t.Errorf("%s: %s names opMerge outside the refusal", fset.Position(n.Pos()), fn.Name.Name)
+	// One format number: internal/wal alone declares a version constant,
+	// its header's.
+	versions := 0
+	for _, pkg := range prog.Packages {
+		for _, name := range pkg.Types.Scope().Names() {
+			if _, ok := pkg.Types.Scope().Lookup(name).(*types.Const); ok && strings.Contains(strings.ToLower(name), "version") {
+				if pkg.Path != "docs/internal/wal" {
+					t.Errorf("%s declares %s: the segment header's version is the one format number", pkg.Path, name)
+				}
+				versions++
 			}
 		}
-	})
-	if calls != 1 {
-		t.Errorf("found %d refusals of opMerge in internal/store, want 1 (in decodeUpdate)", calls)
+	}
+	if versions != 1 {
+		t.Errorf("found %d version constants, want 1 (internal/wal's formatVersion): the check no longer sees it", versions)
 	}
 
 	// Format v1 has no reader: internal/wal declares none of its names, and
 	// the 8-byte frame reader reads the segment header and DecodeFrames'
 	// frames, not records.
+	isIdent := func(e ast.Expr, name string) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == name
+	}
 	for _, pkg := range prog.Packages {
 		if pkg.Path != "docs/internal/wal" {
 			continue
