@@ -1,10 +1,6 @@
 package assign
 
-import (
-	"fmt"
-
-	"docs/internal/model"
-)
+import "docs/internal/model"
 
 // DefaultBatchSize is k, the number of tasks batched into one HIT; the
 // paper uses k = 20 on AMT (and k = 3 per method in the parallel-comparison
@@ -137,12 +133,4 @@ func siftDown(h []scored, i int) {
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
-}
-
-// ValidateWorker checks the worker quality vector against m domains.
-func ValidateWorker(q model.QualityVector, m int) error {
-	if err := q.Validate(m); err != nil {
-		return fmt.Errorf("assign: %w", err)
-	}
-	return nil
 }

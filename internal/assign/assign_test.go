@@ -92,15 +92,6 @@ func TestAssignEdgeCases(t *testing.T) {
 	}
 }
 
-func TestValidateWorker(t *testing.T) {
-	if err := ValidateWorker(model.QualityVector{0.5, 0.5}, 2); err != nil {
-		t.Errorf("valid worker rejected: %v", err)
-	}
-	if err := ValidateWorker(model.QualityVector{0.5}, 2); err == nil {
-		t.Error("wrong-size worker accepted")
-	}
-}
-
 func TestAssignHugeKDoesNotAllocate(t *testing.T) {
 	// k arrives from the network (?k= on the HTTP API); a huge value must
 	// be clamped to the candidate count, not drive a heap allocation. The

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"fmt"
+
 	"docs/internal/model"
 	"docs/internal/truth"
 )
@@ -14,6 +16,7 @@ import (
 type DMaxAssigner struct {
 	tasks   []*model.Task
 	pos     map[int]int
+	slots   []truth.Slot // the engine's state of tasks[i], at slots[i]
 	inc     *truth.Incremental
 	m       int
 	stats   map[string]*truth.Stats
@@ -29,18 +32,29 @@ func NewDMaxAssigner(m int, initStats map[string]*truth.Stats) *DMaxAssigner {
 // Name implements Assigner.
 func (*DMaxAssigner) Name() string { return "D-Max" }
 
-// Init implements Assigner.
+// Init implements Assigner: each task is materialised at its position,
+// the way the serving core holds its publication.
 func (d *DMaxAssigner) Init(tasks []*model.Task) error {
 	d.tasks = tasks
 	d.pos = make(map[int]int, len(tasks))
-	d.inc = truth.NewIncremental(d.m)
-	d.answers = model.NewAnswerSet()
 	for i, t := range tasks {
-		d.pos[t.ID] = i
-		if err := d.inc.AddTask(t); err != nil {
+		if t.Domain == nil {
+			return fmt.Errorf("baselines: task %d has no domain vector", t.ID)
+		}
+		if err := t.Validate(d.m); err != nil {
 			return err
 		}
+		if _, dup := d.pos[t.ID]; dup {
+			return fmt.Errorf("baselines: task %d listed twice", t.ID)
+		}
+		d.pos[t.ID] = i
 	}
+	d.inc = truth.NewIncremental(d.m)
+	d.slots = make([]truth.Slot, len(tasks))
+	for i, t := range tasks {
+		d.inc.Materialise(truth.RowOf(i, t), &d.slots[i])
+	}
+	d.answers = model.NewAnswerSet()
 	for w, st := range d.stats {
 		if err := d.inc.SetWorker(w, st); err != nil {
 			return err
@@ -73,10 +87,14 @@ func (d *DMaxAssigner) Assign(workerID string, candidates []int, k int) []int {
 // Observe implements Assigner: incremental DOCS truth inference plus an
 // answer log for the final batch run.
 func (d *DMaxAssigner) Observe(a model.Answer) error {
+	p, ok := d.pos[a.Task]
+	if !ok {
+		return fmt.Errorf("baselines: observe unknown task %d", a.Task)
+	}
 	if err := d.answers.Add(a); err != nil {
 		return err
 	}
-	return d.inc.Submit(a)
+	return d.inc.SubmitBy(d.inc.Intern(a.Worker), &d.slots[p], a.Choice)
 }
 
 // Finalize implements Assigner: DOCS's iterative truth inference over all

@@ -16,7 +16,7 @@
 //
 // Hibernate is the only caller of a pass. A crash or error before its
 // write lands costs the next wake time, never state (see
-// docs/persistence.md, "Hibernation").
+// docs/multi-campaign.md, "Hibernation").
 package core
 
 import (

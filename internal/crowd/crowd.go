@@ -204,16 +204,6 @@ func NewPopulation(cfg Config) (*Population, error) {
 	return pop, nil
 }
 
-// ByID returns the worker with the given ID, or nil.
-func (p *Population) ByID(id string) *Worker {
-	for _, w := range p.Workers {
-		if w.ID == id {
-			return w
-		}
-	}
-	return nil
-}
-
 // Arrival returns a uniformly random worker (the platform's "a worker
 // comes" event).
 func (p *Population) Arrival() *Worker {

@@ -169,20 +169,6 @@ func TestAnswerGolden(t *testing.T) {
 	}
 }
 
-func TestArrivalAndByID(t *testing.T) {
-	pop, _ := NewPopulation(testConfig(10, 13))
-	w := pop.Arrival()
-	if w == nil {
-		t.Fatal("Arrival returned nil")
-	}
-	if got := pop.ByID(w.ID); got != w {
-		t.Error("ByID did not find arrived worker")
-	}
-	if pop.ByID("missing") != nil {
-		t.Error("ByID found a missing worker")
-	}
-}
-
 func TestTrueQualitiesIsCopy(t *testing.T) {
 	pop, _ := NewPopulation(testConfig(3, 17))
 	qs := pop.TrueQualities()

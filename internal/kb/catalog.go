@@ -26,7 +26,6 @@ const (
 	CatNBATeam    = "nba_team"
 	CatFood       = "food"
 	CatCar        = "car"
-	CatCarBrand   = "car_brand"
 	CatCountry    = "country"
 	CatMountain   = "mountain"
 	CatFilm       = "film"

@@ -116,9 +116,6 @@ func New(domains *model.DomainSet) *KB {
 // Domains returns the knowledge base's domain set.
 func (k *KB) Domains() *model.DomainSet { return k.domains }
 
-// NumConcepts returns the number of concepts in the catalogue.
-func (k *KB) NumConcepts() int { return len(k.concepts) }
-
 // NumKeywords returns the number of distinct context keywords.
 func (k *KB) NumKeywords() int { return len(k.keywords) }
 

@@ -1,5 +1,5 @@
 // Package mathx provides the small numeric substrate DOCS is built on:
-// Shannon entropy and KL divergence over discrete distributions, linear-time
+// Shannon entropy over discrete distributions, linear-time
 // top-k selection (the PICK algorithm the paper cites for O(n) assignment),
 // distribution helpers, and a deterministic random source used by the
 // simulators so every experiment is reproducible.
@@ -21,11 +21,6 @@ func Entropy(p []float64) float64 {
 	return h
 }
 
-// EntropyBits returns the entropy of p in bits (log base 2).
-func EntropyBits(p []float64) float64 {
-	return Entropy(p) / math.Ln2
-}
-
 // MaxEntropy returns the entropy of the uniform distribution over n
 // outcomes, ln n, which upper-bounds Entropy for any distribution of size n.
 func MaxEntropy(n int) float64 {
@@ -33,25 +28,4 @@ func MaxEntropy(n int) float64 {
 		return 0
 	}
 	return math.Log(float64(n))
-}
-
-// KLDivergence returns D(p ‖ q) = Σ p_i ln(p_i/q_i).
-// Entries where p_i = 0 contribute 0. Entries where p_i > 0 but q_i = 0
-// make the divergence +Inf, matching the mathematical definition.
-func KLDivergence(p, q []float64) float64 {
-	var d float64
-	for i, pi := range p {
-		if pi <= 0 {
-			continue
-		}
-		qi := 0.0
-		if i < len(q) {
-			qi = q[i]
-		}
-		if qi <= 0 {
-			return math.Inf(1)
-		}
-		d += pi * math.Log(pi/qi)
-	}
-	return d
 }

@@ -29,12 +29,6 @@ func TestEntropyDegenerate(t *testing.T) {
 	}
 }
 
-func TestEntropyBits(t *testing.T) {
-	if h := EntropyBits([]float64{0.5, 0.5}); !almostEqual(h, 1, 1e-12) {
-		t.Errorf("EntropyBits(fair coin) = %g, want 1", h)
-	}
-}
-
 func TestMaxEntropyBoundsEntropy(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
@@ -53,32 +47,5 @@ func TestMaxEntropyBoundsEntropy(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestKLDivergence(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.9, 0.1}
-	want := 0.5*math.Log(0.5/0.9) + 0.5*math.Log(0.5/0.1)
-	if d := KLDivergence(p, q); !almostEqual(d, want, 1e-12) {
-		t.Errorf("KL = %g, want %g", d, want)
-	}
-	if d := KLDivergence(p, p); !almostEqual(d, 0, 1e-12) {
-		t.Errorf("KL(p‖p) = %g, want 0", d)
-	}
-	if d := KLDivergence([]float64{1, 0}, []float64{0, 1}); !math.IsInf(d, 1) {
-		t.Errorf("KL with unsupported mass = %g, want +Inf", d)
-	}
-}
-
-func TestKLNonNegative(t *testing.T) {
-	r := NewRand(7)
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + r.Intn(8)
-		p := r.Dirichlet(n, 0.7)
-		q := r.Dirichlet(n, 0.7)
-		if d := KLDivergence(p, q); d < -1e-9 {
-			t.Fatalf("KL(%v‖%v) = %g < 0", p, q, d)
-		}
 	}
 }

@@ -76,11 +76,6 @@ func Open(path string, m int) (*Store, error) {
 	return s, nil
 }
 
-// Persistent reports whether the store is file-backed: its contents
-// survive the process, so replay-style recovery must not re-apply merges
-// the store already absorbed.
-func (s *Store) Persistent() bool { return s.log != nil }
-
 // write validates an update, logs and applies it under s.mu and waits for
 // its record after releasing the lock; a record the log refuses changes
 // nothing. A profile ID in the ledger, or a session its scope already holds,

@@ -20,9 +20,6 @@ func TestOpenMemoryOnly(t *testing.T) {
 	if s.Len() != 0 {
 		t.Errorf("fresh store has %d workers", s.Len())
 	}
-	if s.Persistent() {
-		t.Error("a memory-only store reports itself persistent")
-	}
 	if err := s.Close(); err != nil {
 		t.Errorf("memory-only Close: %v", err)
 	}

@@ -389,8 +389,11 @@ func TestOneReaderOneWriter(t *testing.T) {
 
 	// A campaign is a registry's: core.New builds one in the registry's
 	// wake alone, and the root package reaches the worker store through a
-	// registry only.
-	var builders []string
+	// registry only. The truth engine's ID-keyed surface (AddTask, Submit,
+	// View(id)) has one caller outside internal/truth, docs-perf's ladder:
+	// everything else holds its tasks by position in Slots. Resolved, since
+	// (*truth.Slot).View and (*truth.Rest).View are other methods.
+	var builders, byID []string
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, imp := range file.Imports {
@@ -405,8 +408,17 @@ func TestOneReaderOneWriter(t *testing.T) {
 				}
 				ast.Inspect(fn, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
-						if f, ok := pkg.Info.Uses[id].(*types.Func); ok && f.FullName() == "docs/internal/core.New" {
+						f, ok := pkg.Info.Uses[id].(*types.Func)
+						if !ok {
+							return true
+						}
+						switch f.FullName() {
+						case "docs/internal/core.New":
 							builders = append(builders, pkg.Path+"."+fn.Name.Name)
+						case "(*docs/internal/truth.Incremental).AddTask", "(*docs/internal/truth.Incremental).Submit", "(*docs/internal/truth.Incremental).View":
+							if pkg.Path != "docs/internal/truth" {
+								byID = append(byID, filepath.ToSlash(prog.Fset.Position(id.Pos()).Filename))
+							}
 						}
 					}
 					return true
@@ -417,6 +429,14 @@ func TestOneReaderOneWriter(t *testing.T) {
 	sort.Strings(builders)
 	if got, want := strings.Join(builders, " "), "docs/internal/registry.wake"; got != want {
 		t.Errorf("core.New is called from [%s], want only [%s]", got, want)
+	}
+	if len(byID) == 0 {
+		t.Error("found no call of the engine's ID-keyed surface: the check no longer sees docs-perf's ladder")
+	}
+	for _, file := range byID {
+		if !strings.HasSuffix(file, "cmd/docs-perf/layers.go") {
+			t.Errorf("%s calls the truth engine's ID-keyed AddTask/Submit/View; only docs-perf's ladder may", file)
+		}
 	}
 
 	// Each /stats counter is declared once, on the struct of the layer that
