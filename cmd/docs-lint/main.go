@@ -1,6 +1,6 @@
 // Command docs-lint is the project's static-analysis gate: it loads every
 // package in the module (stdlib-only tooling — go/parser, go/ast,
-// go/types; no external dependencies) and runs the five project-specific
+// go/types; no external dependencies) and runs the four project-specific
 // analyzers that prove the determinism and durability contracts at the
 // source level:
 //
@@ -8,7 +8,6 @@
 //	             Fingerprint, the snapshot/WAL encoders, or replay
 //	clock        time.Now/Since/Until only at //docs:allow-listed sites
 //	walswitch    every wal.Kind constant handled in every Kind switch
-//	lockorder    no acquisition violating a declared //docs:lockorder
 //	floatbits    no raw floats formatted in digest paths
 //
 // Findings print as "file:line: analyzer: message" and any finding makes
@@ -53,7 +52,7 @@ func main() {
 		fatal(err)
 	}
 
-	// The whole module is always loaded — the determinism and lock-order
+	// The whole module is always loaded — the determinism and floatbits
 	// analyzers need the full call graph — and the patterns only filter
 	// which files findings are REPORTED for.
 	prog, err := lint.LoadModule(root)

@@ -14,7 +14,9 @@ import (
 )
 
 // newSystem builds a campaign from cfg: named "test" and over a memory-only
-// store of its own unless cfg names a scope or brings a store.
+// store of its own unless cfg names a scope or brings a store. The test's
+// cleanup closes it (Close is idempotent), so no test leaves a writer or a
+// WAL flusher running into the next one.
 func newSystem(t *testing.T, cfg Config) *System {
 	t.Helper()
 	if cfg.ProfileScope == "" {
@@ -35,6 +37,7 @@ func newSystem(t *testing.T, cfg Config) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = s.Close() })
 	return s
 }
 

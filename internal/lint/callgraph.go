@@ -4,42 +4,27 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 )
 
-// funcInfo is one analyzable function: a declaration or a literal, its
-// body, and the package it lives in.
+// funcInfo is one analyzable function declaration: its body and the
+// package it lives in.
 type funcInfo struct {
 	// Name is a human-readable name for path reporting: "Fingerprint",
-	// "(*System).applyRecord", or "func@file:line" for literals.
+	// "(*System).applyRecord".
 	Name string
 	Pkg  *Package
-	Decl *ast.FuncDecl // nil for literals
-	Lit  *ast.FuncLit  // nil for declarations
-	Obj  *types.Func   // nil for literals
+	Decl *ast.FuncDecl
+	Obj  *types.Func
 }
 
-func (fi *funcInfo) body() *ast.BlockStmt {
-	if fi.Decl != nil {
-		return fi.Decl.Body
-	}
-	return fi.Lit.Body
-}
+func (fi *funcInfo) body() *ast.BlockStmt { return fi.Decl.Body }
 
-func (fi *funcInfo) pos() token.Pos {
-	if fi.Decl != nil {
-		return fi.Decl.Pos()
-	}
-	return fi.Lit.Pos()
-}
+func (fi *funcInfo) pos() token.Pos { return fi.Decl.Pos() }
 
 // funcIndex resolves *types.Func objects to the declarations carrying
 // their bodies, across every package in the program.
 type funcIndex struct {
 	byObj map[*types.Func]*funcInfo
-	// lits are all function literals, each standing alone (used by the
-	// lock-order analyzer, which analyzes annotated literals as roots).
-	lits []*funcInfo
 	// all is every declared function in deterministic order.
 	all []*funcInfo
 }
@@ -59,18 +44,6 @@ func indexFuncs(prog *Program) *funcIndex {
 					idx.byObj[obj] = fi
 				}
 				idx.all = append(idx.all, fi)
-				// Collect literals nested anywhere inside this declaration.
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						pos := prog.Fset.Position(lit.Pos())
-						idx.lits = append(idx.lits, &funcInfo{
-							Name: "func@" + pos.Filename + ":" + strconv.Itoa(pos.Line),
-							Pkg:  pkg,
-							Lit:  lit,
-						})
-					}
-					return true
-				})
 			}
 		}
 	}

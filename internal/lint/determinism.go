@@ -35,7 +35,7 @@ var determinismAnalyzer = &Analyzer{
 func deterministicRoots(prog *Program) []*funcInfo {
 	var roots []*funcInfo
 	for _, fi := range prog.funcs.all {
-		if _, ok := prog.dirs.marked("deterministic", funcKey(fi.pos())); ok {
+		if prog.dirs.deterministic[funcKey(fi.pos())] {
 			roots = append(roots, fi)
 		}
 	}

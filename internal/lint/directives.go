@@ -15,30 +15,25 @@ import (
 //	                                      required
 //	//docs:deterministic                  function is a determinism root
 //	//docs:exhaustive                     type's switches must be exhaustive
-//	//docs:lockorder <A> < <B>            lock A is acquired before lock B
-//	//docs:holds <lock>                   function runs with <lock> held
-//	//docs:acquires <lock>                function acquires <lock>
 //
-// Function-attached directives (deterministic, holds, acquires) bind to
-// the function declaration or literal whose `func` keyword is on the
-// directive's line or the line immediately after it — the end-of-doc and
-// line-above positions — or anywhere in a FuncDecl's doc comment.
+// A deterministic directive binds to the function declaration whose `func`
+// keyword is on the directive's line or the line immediately after it —
+// the end-of-doc and line-above positions — or anywhere in its doc
+// comment; one anywhere else, such as above a function literal, is
+// reported as unattached. Any other verb is reported as unknown.
 type directives struct {
 	// allows: file -> line -> set of analyzer names suppressed there.
 	allows map[string]map[int]map[string]bool
 	// badAllows are //docs:allow lines with no reason (reported as
 	// findings: an unexplained suppression is itself a violation).
 	badAllows []Finding
-	// funcMarks: directive name -> funcKey -> args (one per directive).
-	funcMarks map[string]map[funcKey][]string
+	// deterministic: the functions marked as determinism roots.
+	deterministic map[funcKey]bool
 	// exhaustive: "pkgpath.TypeName" set.
 	exhaustive map[string]bool
-	// lockOrder: declared before-pairs; lockOrder[a][b] means a < b (a is
-	// acquired before b). Transitively closed.
-	lockOrder map[string]map[string]bool
 }
 
-// funcKey identifies a function declaration or literal by the position of
+// funcKey identifies a function declaration by the position of
 // its `func` keyword.
 type funcKey token.Pos
 
@@ -52,10 +47,9 @@ type rawDirective struct {
 
 func scanDirectives(prog *Program) *directives {
 	d := &directives{
-		allows:     map[string]map[int]map[string]bool{},
-		funcMarks:  map[string]map[funcKey][]string{},
-		exhaustive: map[string]bool{},
-		lockOrder:  map[string]map[string]bool{},
+		allows:        map[string]map[int]map[string]bool{},
+		deterministic: map[funcKey]bool{},
+		exhaustive:    map[string]bool{},
 	}
 
 	var raws []rawDirective
@@ -122,15 +116,11 @@ func scanDirectives(prog *Program) *directives {
 	}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					note(fn.Pos())
-				case *ast.FuncLit:
-					note(fn.Pos())
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					note(fd.Pos())
 				}
-				return true
-			})
+			}
 		}
 	}
 	// FuncDecl doc comments may carry directives on any doc line; bind them
@@ -138,14 +128,6 @@ func scanDirectives(prog *Program) *directives {
 	// were consumed so the line-proximity pass below does not double-bind
 	// or mis-report them.
 	consumed := map[token.Pos]bool{}
-	bindFunc := func(verb string, key funcKey, args string) {
-		if d.funcMarks[verb] == nil {
-			d.funcMarks[verb] = map[funcKey][]string{}
-		}
-		if !contains(d.funcMarks[verb][key], args) {
-			d.funcMarks[verb][key] = append(d.funcMarks[verb][key], args)
-		}
-	}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -154,13 +136,8 @@ func scanDirectives(prog *Program) *directives {
 					continue
 				}
 				for _, c := range fd.Doc.List {
-					text, ok := strings.CutPrefix(c.Text, "//docs:")
-					if !ok {
-						continue
-					}
-					verb, args, _ := strings.Cut(text, " ")
-					if isFuncVerb(verb) {
-						bindFunc(verb, funcKey(fd.Pos()), strings.TrimSpace(args))
+					if text, _, _ := strings.Cut(c.Text, " "); text == "//docs:deterministic" {
+						d.deterministic[funcKey(fd.Pos())] = true
 						consumed[c.Pos()] = true
 					}
 				}
@@ -192,26 +169,9 @@ func scanDirectives(prog *Program) *directives {
 				}
 				d.allows[r.file][line][analyzer] = true
 			}
-		case "lockorder":
-			before, after, ok := strings.Cut(r.args, "<")
-			before, after = strings.TrimSpace(before), strings.TrimSpace(after)
-			if !ok || before == "" || after == "" {
-				d.badAllows = append(d.badAllows, Finding{
-					Pos:      prog.Fset.Position(r.pos),
-					Analyzer: "lockorder",
-					Message:  "//docs:lockorder wants the form `//docs:lockorder A < B`",
-				})
-				continue
-			}
-			if d.lockOrder[before] == nil {
-				d.lockOrder[before] = map[string]bool{}
-			}
-			d.lockOrder[before][after] = true
-		case "deterministic", "holds", "acquires":
+		case "deterministic":
 			// Bind to the function starting on this or the next line (the
-			// doc-comment path above already handled FuncDecl docs; binding
-			// twice is harmless for deterministic and duplicates are fine
-			// for holds/acquires since the sets dedupe).
+			// doc-comment path above already handled FuncDecl docs).
 			key, ok := funcNear(funcAt, r.file, r.line)
 			if !ok {
 				d.badAllows = append(d.badAllows, Finding{
@@ -221,12 +181,7 @@ func scanDirectives(prog *Program) *directives {
 				})
 				continue
 			}
-			if d.funcMarks[r.verb] == nil {
-				d.funcMarks[r.verb] = map[funcKey][]string{}
-			}
-			if !contains(d.funcMarks[r.verb][key], r.args) {
-				d.funcMarks[r.verb][key] = append(d.funcMarks[r.verb][key], r.args)
-			}
+			d.deterministic[key] = true
 		case "exhaustive":
 			// Handled via type-doc scan above.
 		default:
@@ -237,41 +192,13 @@ func scanDirectives(prog *Program) *directives {
 			})
 		}
 	}
-
-	// Transitive closure of the declared lock order.
-	for changed := true; changed; {
-		changed = false
-		for a, afters := range d.lockOrder {
-			for b := range afters {
-				for c := range d.lockOrder[b] {
-					if !d.lockOrder[a][c] {
-						d.lockOrder[a][c] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
 	return d
-}
-
-func isFuncVerb(v string) bool {
-	return v == "deterministic" || v == "holds" || v == "acquires"
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // funcNear finds a function starting on line or line+1 in file. A FuncDecl
 // with a doc comment starts at the doc's first line per go/ast, so a
 // directive inside the doc group still binds via the decl-doc scan; this
-// covers literals and bare declarations.
+// covers bare declarations.
 func funcNear(funcAt map[string]map[int]funcKey, file string, line int) (funcKey, bool) {
 	lines := funcAt[file]
 	if lines == nil {
@@ -294,33 +221,4 @@ func (d *directives) allowed(analyzer string, pos token.Position) bool {
 	}
 	set := lines[pos.Line]
 	return set != nil && set[analyzer]
-}
-
-// marked reports whether fn carries the given function directive, and the
-// directive's arguments.
-func (d *directives) marked(verb string, key funcKey) ([]string, bool) {
-	m := d.funcMarks[verb]
-	if m == nil {
-		return nil, false
-	}
-	args, ok := m[key]
-	return args, ok
-}
-
-// ordered reports whether the declared order says a must be acquired
-// before b.
-func (d *directives) ordered(a, b string) bool {
-	return d.lockOrder[a] != nil && d.lockOrder[a][b]
-}
-
-// lockNames returns every lock name mentioned in any lockorder directive.
-func (d *directives) lockNames() map[string]bool {
-	names := map[string]bool{}
-	for a, afters := range d.lockOrder {
-		names[a] = true
-		for b := range afters {
-			names[b] = true
-		}
-	}
-	return names
 }

@@ -1,6 +1,6 @@
 // Package lint is the project's static-analysis pass: a small, stdlib-only
 // analyzer framework (go/parser + go/ast + go/types — no external modules)
-// plus five project-specific analyzers that prove the repo's determinism
+// plus four project-specific analyzers that prove the repo's determinism
 // and durability contracts at the source level, before any crash-injection
 // suite runs.
 //
@@ -12,9 +12,6 @@
 //	                                 must be order- and clock-independent
 //	//docs:exhaustive                on a type declaration: every switch over
 //	                                 the type must enumerate every constant
-//	//docs:lockorder A < B           declares a lock-acquisition order
-//	//docs:holds L                   this function runs with L already held
-//	//docs:acquires L                this function acquires L
 //	//docs:allow <analyzer> <reason> suppresses findings of <analyzer> on
 //	                                 this line or the next one; the reason
 //	                                 is mandatory
@@ -78,7 +75,6 @@ func Analyzers() []*Analyzer {
 		determinismAnalyzer,
 		clockAnalyzer,
 		walswitchAnalyzer,
-		lockorderAnalyzer,
 		floatbitsAnalyzer,
 	}
 }
@@ -119,19 +115,6 @@ func (p *Program) finding(analyzer string, pos token.Pos, format string, args ..
 		Analyzer: analyzer,
 		Message:  fmt.Sprintf(format, args...),
 	}
-}
-
-// pkgOf returns the package a position belongs to (by file), or nil.
-func (p *Program) pkgOf(pos token.Pos) *Package {
-	file := p.Fset.Position(pos).Filename
-	for _, pkg := range p.Packages {
-		for _, f := range pkg.Files {
-			if p.Fset.Position(f.Pos()).Filename == file {
-				return pkg
-			}
-		}
-	}
-	return nil
 }
 
 // trimPath strips a leading root prefix so findings print repo-relative

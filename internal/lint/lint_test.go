@@ -100,7 +100,6 @@ func testFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 func TestClockFixture(t *testing.T)       { testFixture(t, "clock", clockAnalyzer) }
 func TestDeterminismFixture(t *testing.T) { testFixture(t, "determinism", determinismAnalyzer) }
 func TestWalswitchFixture(t *testing.T)   { testFixture(t, "walswitch", walswitchAnalyzer) }
-func TestLockorderFixture(t *testing.T)   { testFixture(t, "lockorder", lockorderAnalyzer) }
 func TestFloatbitsFixture(t *testing.T)   { testFixture(t, "floatbits", floatbitsAnalyzer) }
 
 // TestAllowFixture exercises the suppression grammar: a reasoned allow

@@ -99,3 +99,10 @@ func unreached(m map[int]bool) int {
 	}
 	return 0
 }
+
+// literal marks a function literal, which is never a root: the directive
+// is reported rather than silently checking nothing.
+func literal(m map[int]bool) func() int {
+	/* want deterministic "not attached to a function" */ //docs:deterministic
+	return func() int { return unreached(m) }
+}

@@ -16,7 +16,7 @@ out_dir=${1:-$(mktemp -d)}
 mkdir -p "$out_dir"
 
 # Preflight: numbers from a tree that violates the determinism or
-# lock-order contracts are not worth measuring. docs-lint findings print
+# float-bits contracts are not worth measuring. docs-lint findings print
 # as file:line: analyzer: message and abort the run.
 echo "check_bench: preflight docs-lint ./..."
 go run ./cmd/docs-lint ./...
