@@ -36,8 +36,9 @@
 // arrival order, through the path a recovery replays the log with.
 //
 // The periodic full re-inference (Config.RerunEvery) runs on the writer,
-// inside the submit that reaches every z-th answer, where a replay of the
-// log runs it too: a campaign serves exactly what a boot of its log would.
+// inside the submit that reaches a z-th answer — a batch's last — where a
+// replay of the log runs it too: a campaign serves exactly what a boot of
+// its log would.
 //
 // Staleness contract: CurrentResult and Request may trail the newest
 // answer by the snapshot in flight; Results always infers over all answers
@@ -186,8 +187,8 @@ type Config struct {
 	// AnswersPerTask caps redundancy per task (0 = unlimited).
 	AnswersPerTask int
 	// RerunEvery re-runs full iterative truth inference every z answers,
-	// inside the submit that reaches the z-th (0 = the default 100,
-	// negative = never).
+	// inside the submit that reaches the z-th, once for a batch at its last
+	// (0 = the default 100, negative = never).
 	RerunEvery int
 	// StorePath is the log directory that persists worker statistics
 	// across campaigns (empty = <WALDir>/store when WALDir is set, else
@@ -338,14 +339,6 @@ func CheckPublication(tasks []Task) (*Publication, error) {
 	k, err := kb.Default()
 	if err != nil {
 		return nil, err
-	}
-	for _, t := range tasks {
-		if len(t.Choices) < 2 {
-			return nil, fmt.Errorf("docs: task %d needs at least 2 choices", t.ID)
-		}
-		if t.GoldenTruth != NoTruth && (t.GoldenTruth < 0 || t.GoldenTruth >= len(t.Choices)) {
-			return nil, fmt.Errorf("docs: task %d golden truth %d out of range", t.ID, t.GoldenTruth)
-		}
 	}
 	batch, err := core.CheckEach(len(tasks), k.Domains().Size(), func(i int) model.Task {
 		t := &tasks[i]

@@ -374,3 +374,69 @@ func TestBatchHoldsCost(t *testing.T) {
 		t.Fatalf("a %d-item batch made %d comparisons, want at most %d", n, g.probes, 10*n)
 	}
 }
+
+// TestBatchRunsOneRerun: a batch record whose answers pass several rerun
+// boundaries runs one rerun, at the last of them — the reruns before it
+// would be overwritten before anything could observe them — and leaves the
+// state of the same answers submitted one by one, which rerun at every
+// boundary, and of a boot of its log.
+func TestBatchRunsOneRerun(t *testing.T) {
+	const z = 5
+	cfg := Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: z}
+	var items []BatchItem
+	for k := 0; k < 4*z; k++ { // after z-2 single answers: boundaries z, 2z, 3z and 4z
+		items = append(items, BatchItem{Worker: fmt.Sprintf("w%d", k/7), Task: k % 7, Choice: k % 2})
+	}
+	singles, batched := items[:z-2], items[z-2:]
+	dir := t.TempDir()
+	a, b := newSystem(t, cfg), newSystem(t, cfg)
+	if _, err := a.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*System{a, b} {
+		if err := s.Publish(concTasks(s.m, 12)); err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range singles {
+			if err := s.Submit(it.Worker, it.Task, it.Choice); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := a.Stats().RerunsCompleted
+	statuses, err := a.SubmitBatch(batched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range statuses {
+		if !st.OK {
+			t.Fatalf("item %d refused: %s", i, st.Err)
+		}
+	}
+	if got := a.Stats().RerunsCompleted - before; got != 1 {
+		t.Errorf("a batch record passing 4 boundaries ran %d reruns, want 1", got)
+	}
+	for _, it := range batched {
+		if err := b.Submit(it.Worker, it.Task, it.Choice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Stats().RerunsCompleted; got != 4 {
+		t.Fatalf("the answers one by one ran %d reruns, want 4", got)
+	}
+	live := a.Fingerprint()
+	if got := b.Fingerprint(); got != live {
+		t.Fatalf("the batch differs from its answers one by one\n%s", DiffFingerprints(live, got, 4))
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	booted := newSystem(t, cfg)
+	defer booted.Close()
+	if _, err := booted.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := booted.Fingerprint(); got != live {
+		t.Fatalf("a boot of the batch's log differs from it\n%s", DiffFingerprints(live, got, 4))
+	}
+}

@@ -20,8 +20,8 @@
 // the truth engine's immutable task views, an epoch-versioned array of the
 // open tasks (index.go) — without waiting for it. Config.LeaseTTL bounds
 // outstanding assignments per task and per worker (lease.go). The periodic
-// batch re-inference runs on the writer at every RerunEvery-th answer, where
-// a replay of the log runs it too.
+// batch re-inference runs on the writer at a record's last RerunEvery-th
+// answer, where a replay of the log runs it too.
 package core
 
 import (
@@ -62,8 +62,8 @@ type Config struct {
 	// AnswersPerTask caps redundancy per task; 0 means unlimited.
 	AnswersPerTask int
 	// RerunEvery re-runs the full iterative TI every z submissions
-	// (default 100, the paper's z), on the writer, inside the submit that
-	// reaches the z-th answer. Non-positive disables periodic reruns.
+	// (default 100, the paper's z), on the writer, at the last z-th answer
+	// of a record. Non-positive disables periodic reruns.
 	RerunEvery int
 	// WALSegmentBytes overrides the WAL segment rotation size (0 = the wal
 	// package default).
@@ -455,7 +455,7 @@ func CheckEach(n, m int, task func(i int) model.Task) (*Batch, error) {
 // get one from the DVE pipeline (entity linking + Algorithm 1); tasks the
 // requester already annotated keep their vector. DVE runs on every core and
 // the durable record's packing streams behind it (linkAndPack); the
-// publication is checked beside the rest of the pack, and the writer logs
+// publication is decoded beside the rest of the pack, and the writer logs
 // and installs it once the record is whole. A pack failure is
 // ErrDurability.
 func (s *System) Publish(tasks []*model.Task) error {
@@ -468,8 +468,8 @@ func (s *System) Publish(tasks []*model.Task) error {
 
 // PublishBatch is Publish for a batch CheckEach has checked over the
 // campaign's domain count. The campaign's task table is built from the
-// record's DPC1 blob by the decoder a wake runs, and checked as a wake
-// checks it, so a published campaign and a woken one hold the same bytes and
+// record's DPC1 blob by the decoder a wake runs, which validates as it
+// decodes, so a published campaign and a woken one hold the same bytes and
 // accept the same records.
 func (s *System) PublishBatch(b *Batch) error {
 	if s.Published() {
@@ -495,12 +495,9 @@ func (s *System) PublishBatch(b *Batch) error {
 		return err
 	}
 	pub, err := decodeBinaryPublication(dpc1, s.m)
-	if err == nil {
-		err = pub.check(s.m)
-	}
 	blob, packErr := record()
 	if err != nil {
-		return err // a publication that fails its check is never logged
+		return err // a publication its decoder refuses is never logged
 	}
 	if packErr != nil {
 		return fmt.Errorf("core: %w: publication record: %v", ErrDurability, packErr)
@@ -947,7 +944,11 @@ func (s *System) submitOne(workerID string, taskID, choice int, e *entry, i int)
 	}
 	s.log = s.log.Append(w, int32(at), int32(choice))
 	n := s.submissions.Add(1)
-	if z := s.cfg.RerunEvery; z > 0 && n%int64(z) == 0 && n >= s.rerunFrom && !s.covered {
+	// A boundary the same record passes again reruns nothing: nothing can
+	// observe the state between two of its answers, and the rerun at the
+	// later boundary overwrites this one's, as the one at rerunFrom
+	// overwrites every rerun a replay skips.
+	if z := int64(s.cfg.RerunEvery); z > 0 && n%z == 0 && n >= s.rerunFrom && !s.covered && (e.cols == nil || int64(e.cols.Len()-1-i) < z) {
 		return s.rerun()
 	}
 	return nil

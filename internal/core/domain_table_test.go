@@ -123,10 +123,11 @@ func TestPublishHoldsEachVectorOnce(t *testing.T) {
 // TestAllocsReplayVectors: decoding the DPC1 blob of datasetTasks(6000)
 // allocates one m-long vector per distinct logged encoding, not an n×m
 // block: what it allocates past the task table's columns and the ID order
-// is the distinct vectors and their transient table. The table holds the
-// blob itself, so its strings cost nothing; its two offset columns, the ID
-// column and its sorted permutation are four allocations, so the count is
-// the vectors plus a constant.
+// is the distinct vectors, their transient table and the column of each
+// entry's first task. The table holds the blob itself, so its strings cost
+// nothing; its two offset columns, the ID column, its sorted permutation
+// and the first tasks are five allocations, so the count is the vectors
+// plus a constant.
 func TestAllocsReplayVectors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -140,9 +141,9 @@ func TestAllocsReplayVectors(t *testing.T) {
 	tasks = publishedTasks(s)
 	_, distinct := vectorSharing(t, tasks, s.m)
 	blob := mustEncodeBinaryPublication(t, tasks, s.m)
-	// Everything but the vectors: the text and choices offsets, the IDs and
-	// their permutation, at their sizes.
-	rest := uint64(len(tasks)) * (4 + 4 + 8 + 4)
+	// Everything but the vectors: the text and choices offsets, the IDs,
+	// their permutation and the first tasks, at their sizes.
+	rest := uint64(len(tasks)) * (4 + 4 + 8 + 4 + 4)
 	const tableBytes = 16 << 10 // the table of under 128 vectors and the sparse scratch
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -171,9 +172,8 @@ func TestAllocsReplayVectors(t *testing.T) {
 
 // TestValidatesEachVectorOnce: a publication's domain vectors are checked
 // once each, not once a task. Publishing datasetTasks(6000) and waking it
-// both check the decoded table, validating each table entry as the first
-// task naming it is checked: as many validations as distinct vectors, both
-// times (a wake ran 6,000 while replay re-ran the publish's per-task check).
+// both run the one decoder, which validates each table entry for the first
+// task naming it: as many validations as distinct vectors, both times.
 func TestValidatesEachVectorOnce(t *testing.T) {
 	var validations atomic.Int64
 	defer func(v func(model.DomainVector, int) error) { validateVector = v }(validateVector)

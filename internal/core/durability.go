@@ -205,14 +205,11 @@ func (s *System) applyRecord(e *entry) error {
 	switch e.Kind {
 	case wal.KindPublish:
 		// The record's tasks all carry their domain vector, so the replay
-		// links no text; it checks them as a publish does.
+		// links no text; its decode refuses what a publish refuses.
 		if e.pub == nil {
 			pub, err := decodePublication(e.Record, s.m)
 			if err != nil {
 				return err
-			}
-			if err := pub.check(s.m); err != nil {
-				return fmt.Errorf("publish record %d: %w", e.Seq, err)
 			}
 			e.pub = pub
 		}
@@ -225,8 +222,9 @@ func (s *System) applyRecord(e *entry) error {
 			return fmt.Errorf("answer record %d: %w", e.Seq, err)
 		}
 	case wal.KindBatch:
-		// A batched submit: every item through the one answer path, keeping
-		// the rerun cadence of the same answers one by one. Items were each
+		// A batched submit: every item through the one answer path, with
+		// one rerun, at the last boundary the record reaches, which leaves
+		// the state of the same answers one by one. Items were each
 		// checked when logged (rejected items never enter the record), so a
 		// rejection in a replay means the log is corrupt and fails it
 		// loudly; every item is applied first, as live.

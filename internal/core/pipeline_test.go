@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -596,6 +598,39 @@ func TestLiveBytesPerAnswer(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
+// allocsUnder returns what f allocates under fn, a function's full name:
+// the objects and bytes the memory profile, recording every allocation
+// while f runs, holds under a stack through fn or a closure of it. So what
+// other goroutines allocate meanwhile — a collection, a test's leftover
+// writer — is not counted; what the writer runs of fn's is.
+func allocsUnder(fn string, f func()) (allocs, bytes int64) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	under := func() (allocs, bytes int64) {
+		runtime.GC() // the profile holds the allocations before the last collection
+		var records []runtime.MemProfileRecord
+		for n, ok := runtime.MemProfile(nil, true); !ok; {
+			records = make([]runtime.MemProfileRecord, n+64)
+			n, ok = runtime.MemProfile(records, true)
+			records = records[:min(n, len(records))]
+		}
+		for _, r := range records {
+			for frames, more := runtime.CallersFrames(r.Stack()), true; more; {
+				var frame runtime.Frame
+				if frame, more = frames.Next(); frame.Function == fn || strings.HasPrefix(frame.Function, fn+".") {
+					allocs, bytes = allocs+r.AllocObjects, bytes+r.AllocBytes
+					break
+				}
+			}
+		}
+		return allocs, bytes
+	}
+	allocs, bytes = under()
+	f()
+	after, afterBytes := under()
+	return after - allocs, afterBytes - bytes
+}
+
 // TestAllocsRequestIndependentOfAnswered: a request reads T(w) off each
 // candidate's V(i) and copies nothing of it, so what a Request allocates
 // does not follow what the worker answered: a worker with 500 answers costs
@@ -609,27 +644,37 @@ func TestLiveBytesPerAnswer(t *testing.T) {
 // held positions into the request's reused space, where a map was built
 // (one more allocation). There both requests serve nothing — every task is
 // answered by them or leased to them — so the grant, which books each new
-// lease, is no part of the comparison.
+// lease, is no part of the comparison. It counts what Request's own calls
+// allocate (allocsUnder), so no other goroutine's allocation moves it.
 func TestAllocsRequestIndependentOfAnswered(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const tasks, requestAllocs, requestBytes = 600, 3, 256
-	perRequest := func(s *System, worker string, want int) (allocs, bytes uint64) { // the least of three runs
+	// On one P, with no collection but a count's, so that a request finds
+	// the space the one before it pooled. A count's collection empties the
+	// pool, so each count pays the refill once, after a warm request:
+	// 2·runs requests cost runs requests' allocations more than runs do.
+	perRequest := func(s *System, worker string, want int) (allocs, bytes int64) {
 		const runs = 50
-		allocs, bytes = ^uint64(0), ^uint64(0)
-		var before, after runtime.MemStats
-		for rep := 0; rep < 3; rep++ {
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				if out, err := s.Request(worker, 0); err != nil || len(out) != want {
-					t.Fatalf("Request(%s): %d tasks, %v", worker, len(out), err)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		request := func(n int) func() {
+			return func() {
+				for i := 0; i < n; i++ {
+					if out, err := s.Request(worker, 0); err != nil || len(out) != want {
+						t.Fatalf("Request(%s): %d tasks, %v", worker, len(out), err)
+					}
 				}
 			}
-			runtime.ReadMemStats(&after)
-			allocs, bytes = min(allocs, (after.Mallocs-before.Mallocs)/runs), min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		return allocs, bytes
+		count := func(n int) (allocs, bytes int64) {
+			request(1)()
+			return allocsUnder("docs/internal/core.(*System).Request", request(n))
+		}
+		once, onceBytes := count(runs)
+		twice, twiceBytes := count(2 * runs)
+		return (twice - once) / runs, (twiceBytes - onceBytes) / runs
 	}
 	submit := func(s *System, worker string, ps ...int) {
 		for _, p := range ps {

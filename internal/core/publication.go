@@ -30,8 +30,9 @@
 // "domain unknown" vector round-trip bit for bit (presence is by bits; the
 // task's support is r_k > 0, model.DomainVector.Has, so a stored −0 is
 // outside it), and two entries are never byte-equal. One task set has one
-// byte string: the decoder accepts nothing the encoder would not write and
-// checks every count against the bytes that remain before it allocates.
+// byte string: the one reader (decodeBinaryPublication) accepts nothing the
+// encoder would not write, nor a task Publish would refuse, and checks
+// every count against the bytes that remain before it allocates.
 //
 // A publication is mostly its template — a campaign is a batch of questions
 // cut from a few sentence patterns — so the record Publish logs is that
@@ -276,8 +277,8 @@ type domainTable struct {
 }
 
 // validateVector is the check every distinct vector of a publication
-// passes once, at the decoded table's check, on a publish and on a wake
-// alike. A variable so a test can count the checks.
+// passes once, in its decode, on a publish and on a wake alike. A variable
+// so a test can count the checks.
 var validateVector = model.DomainVector.Validate
 
 // intern returns the vector held under key, v's encoding. On a miss it
@@ -402,15 +403,21 @@ type publication struct {
 }
 
 // decodeBinaryPublication builds the task table of a DPC1 blob stamped
-// with m domains — the one function that does, for a publish and for a
-// wake; both then check its tasks (check). Whatever it is given, it never
-// panics. The table holds the blob's body itself: the caller never writes
-// blob again. The table and the ID order are four allocations, five when
-// the IDs do not ascend and six when a truth takes more than a byte, plus
-// one m-long vector per table entry, which
-// every task naming it shares. n and d are checked against the bytes
-// remaining first, so a hostile count buys no memory the blob's own length
-// does not bound.
+// with m domains. It is the one function that accepts one, for a publish
+// and for a wake, so both accept the same records whatever a caller does
+// to its tasks after CheckEach: it refuses what CheckEach refuses, with
+// its error, where it reads the field — ℓ, a truth, a true domain — and
+// validates each distinct vector once, for the first task naming it. A
+// fault in the format is reported first; then the first task's fault in
+// publication order, a repeated ID before any later invalid task.
+//
+// Whatever it is given, it never panics. The table holds the blob's body
+// itself: the caller never writes blob again. The table, the ID order and
+// each entry's first ref are five allocations, six when the IDs do not
+// ascend and seven when a truth takes more than a byte, plus one m-long
+// vector per table entry, which every task naming it shares. n and d are
+// checked against the bytes remaining first, so a hostile count buys no
+// memory the blob's own length does not bound.
 func decodeBinaryPublication(blob []byte, m int) (*publication, error) {
 	if !bytes.HasPrefix(blob, []byte(publicationMagic)) {
 		return nil, fmt.Errorf("blob lacks magic %q", publicationMagic)
@@ -435,49 +442,70 @@ func decodeBinaryPublication(blob []byte, m int) (*publication, error) {
 		}
 		prev = ids[i]
 	}
+	pub.taskOrder = orderOf(ids)
+	// fault is the first task position with a fault, and why its fault: the
+	// first repeated ID until a task before it has one of its own.
+	fault, why := pub.firstRepeat(), error(nil)
+	if fault < n {
+		why = fmt.Errorf("core: duplicate task ID %d", ids[fault])
+	}
 	for i := range pub.text {
 		pub.text[i] = int32(d.Off())
 		checkTstr(&d)
 	}
 	for i := range pub.choices {
 		pub.choices[i] = int32(d.Off())
-		for l := d.Count(1); l > 0; l-- {
+		ell := d.Count(1)
+		if ell < 2 && i < fault {
+			fault, why = i, fmt.Errorf("model: task %d has %d choices, want >= 2", ids[i], ell)
+		}
+		for ; ell > 0; ell-- {
 			checkTstr(&d)
 		}
 	}
 	pub.truths = d.Off()
-	for range n {
-		d.Int()
-	}
-	if d.Off()-pub.truths != n && d.Err() == nil {
-		pub.wide = make([]int32, n)
-		c := wal.NewCursor(body[pub.truths:])
-		for p := range pub.wide {
-			pub.wide[p] = int32(c.Int() - 1) // check refuses a truth past ℓ
+	for i := range n {
+		at, truth := d.Off(), d.Int()-1
+		if d.Off()-at > 1 && pub.wide == nil && d.Err() == nil {
+			// The first truth of a byte more: every truth so far took one.
+			pub.wide = make([]int32, n)
+			for j := range i {
+				pub.wide[j] = int32(body[pub.truths+j]) - 1
+			}
+		}
+		switch ell := pub.ell(i); {
+		case truth != model.NoTruth && truth >= ell:
+			if i < fault {
+				fault, why = i, fmt.Errorf("model: task %d truth %d out of range [0,%d)", ids[i], truth, ell)
+			}
+		case pub.wide != nil:
+			pub.wide[i] = int32(truth) // below ℓ, which the body's length bounds
 		}
 	}
-	for range n {
-		d.Int()
+	for i := range n {
+		if trueDomain := d.Int() - 1; trueDomain != model.NoTruth && trueDomain >= m && i < fault {
+			fault, why = i, fmt.Errorf("model: task %d true domain %d out of range [0,%d)", ids[i], trueDomain, m)
+		}
 	}
 	pub.refs = d.Off()
-	entries := uint64(0)
-	for i := 0; i < n; i++ {
-		if ref := d.Uvarint(); ref > entries {
-			d.Failf("task %d names vector %d of %d", i, ref, entries)
-		} else if ref == entries {
-			entries++
+	first := make([]int32, 0, n) // by table entry, the first task naming it
+	for i := range n {
+		if ref := d.Uvarint(); ref > uint64(len(first)) {
+			d.Failf("task %d names vector %d of %d", i, ref, len(first))
+		} else if ref == uint64(len(first)) {
+			first = append(first, int32(i))
 		}
 	}
-	if entries > uint64(d.Len()) {
-		d.Failf("table of %d vectors exceeds the %d bytes remaining", entries, d.Len())
+	if len(first) > d.Len() {
+		d.Failf("table of %d vectors exceeds the %d bytes remaining", len(first), d.Len())
 	}
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	pub.vectors = make([]model.DomainVector, entries)
-	seen := make(map[string]struct{}, entries) // by encoding, in body
+	pub.vectors = make([]model.DomainVector, len(first))
+	seen := make(map[string]struct{}, len(first)) // by encoding, in body
 	domain := wal.SparseFloats{K: make([]int, 0, m), V: make([]float64, 0, m)}
-	for e := range pub.vectors {
+	for e, p := range first {
 		start := d.Off()
 		domain = d.SparseFloats(domain, m, 0)
 		if d.Err() != nil {
@@ -492,51 +520,19 @@ func decodeBinaryPublication(blob []byte, m int) (*publication, error) {
 		if err := domain.Scatter(pub.vectors[e]); err != nil {
 			return nil, fmt.Errorf("vector %d: %w", e, err)
 		}
+		if int(p) < fault {
+			if err := validateVector(pub.vectors[e], m); err != nil {
+				fault, why = int(p), fmt.Errorf("model: task %d: %w", ids[p], err)
+			}
+		}
 	}
 	if err := d.End(); err != nil {
 		return nil, err
 	}
-	pub.taskOrder = orderOf(ids)
+	if why != nil {
+		return nil, why
+	}
 	return pub, nil
-}
-
-// check holds a decoded publication to what CheckEach holds a batch to,
-// over m domains: the first fault in publication order is the one
-// reported, a task repeating an earlier ID before any invalid task. Each
-// distinct vector is validated once, when the first task naming it is
-// checked: a DVE vector is validated here, and nowhere before. A publish
-// runs it as a replay does, on the table it is about to install, so the two
-// accept the same records whatever a caller does to its tasks between
-// CheckEach and the publish.
-func (pub *publication) check(m int) error {
-	repeat := pub.firstRepeat()
-	truths, domains := wal.NewCursor(pub.body[pub.truths:]), wal.NewCursor(pub.body[pub.truths:])
-	for range pub.ids { // the true-domain column follows the truths
-		domains.Uvarint()
-	}
-	refs := wal.NewCursor(pub.body[pub.refs:])
-	checked := 0 // the table entries the tasks so far named
-	for p := 0; p < repeat; p++ {
-		id, ell, truth, trueDomain, ref := pub.ids[p], pub.ell(p), truths.Int()-1, domains.Int()-1, int(refs.Uvarint())
-		switch {
-		case ell < 2:
-			return fmt.Errorf("model: task %d has %d choices, want >= 2", id, ell)
-		case truth != model.NoTruth && truth >= ell:
-			return fmt.Errorf("model: task %d truth %d out of range [0,%d)", id, truth, ell)
-		case trueDomain != model.NoTruth && trueDomain >= m:
-			return fmt.Errorf("model: task %d true domain %d out of range [0,%d)", id, trueDomain, m)
-		}
-		if ref == checked {
-			if err := validateVector(pub.vectors[ref], m); err != nil {
-				return fmt.Errorf("model: task %d: %w", id, err)
-			}
-			checked++
-		}
-	}
-	if repeat < len(pub.ids) {
-		return fmt.Errorf("core: duplicate task ID %d", pub.ids[repeat])
-	}
-	return nil
 }
 
 // checkTstr pops a terminated string and checks its escapes: an escape

@@ -252,8 +252,8 @@ func sameTasks(t *testing.T, got, want []*model.Task) {
 	}
 }
 
-// TestPropertyPublicationRoundTrip: seeded task sets — sparse mixes,
-// single spikes, the uniform vector, −0, denormals and NaN payloads, empty
+// TestPropertyPublicationRoundTrip: seeded task sets Publish accepts —
+// sparse mixes, single spikes, the uniform vector, −0 and denormals, empty
 // texts and choices and ones holding 0x00 and 0x01 bytes, NoTruth and set
 // truths, over several domain counts — the first 200 tasks of the four
 // datasets after DVE, and sampleTasks' −0 and denormal vectors decode to
@@ -313,26 +313,30 @@ type seededSet struct {
 	m     int
 }
 
-// seededPublications is 200 seeded task sets — sparse mixes, single
-// spikes, the uniform vector, −0, denormals and NaN payloads, empty texts
+// seededPublications is 200 seeded task sets Publish accepts — sparse
+// mixes, single spikes, the uniform vector, −0 and denormals, empty texts
 // and choices and ones holding the 0x00 and 0x01 bytes a terminated string
 // escapes, NoTruth and set truths — over 1, 4 and 26 domains.
 func seededPublications() []seededSet {
 	r := mathx.NewRand(24)
-	odd := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.SmallestNonzeroFloat64,
-		math.NaN(), math.Inf(1), math.MaxFloat64, 1 - 1e-16}
+	odd := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.Float64frombits(1<<52 - 1)}
 	sets := make([]seededSet, 200)
 	for round := range sets {
 		m := []int{1, 4, 26}[r.Intn(3)]
 		tasks := make([]*model.Task, r.Intn(20))
+		used := map[int]bool{}
 		for i := range tasks {
 			tk := &model.Task{ID: r.Intn(1 << uint(1+r.Intn(40))), Truth: model.NoTruth, TrueDomain: model.NoTruth}
+			for used[tk.ID] {
+				tk.ID++
+			}
+			used[tk.ID] = true
 			tk.Text = draw(r, []string{"tëxt ", "\x00", "\x01", "a\x01\x02b "})
-			tk.Choices = make([]string, r.Intn(5))
+			tk.Choices = make([]string, 2+r.Intn(3))
 			for c := range tk.Choices {
 				tk.Choices[c] = draw(r, []string{"c", "\x00", "\x01c\x00"})
 			}
-			if len(tk.Choices) > 0 && r.Intn(2) == 0 {
+			if r.Intn(2) == 0 {
 				tk.Truth = r.Intn(len(tk.Choices))
 			}
 			if r.Intn(2) == 0 {
@@ -348,12 +352,17 @@ func seededPublications() []seededSet {
 				}
 			case 2: // the two or three domains DVE gives weight
 				for j := 0; j < 3; j++ {
-					tk.Domain[r.Intn(m)] = r.Float64()
+					tk.Domain[r.Intn(m)] = 0.5 + r.Float64()
 				}
-			case 3: // values only raw bits carry
+				sum := mathx.Sum(tk.Domain)
+				for k := range tk.Domain {
+					tk.Domain[k] /= sum
+				}
+			case 3: // values only raw bits carry, beside a spike
 				for j := 0; j < 3; j++ {
 					tk.Domain[r.Intn(m)] = odd[r.Intn(len(odd))]
 				}
+				tk.Domain[r.Intn(m)] = 1
 			}
 			tasks[i] = tk
 		}
@@ -471,10 +480,10 @@ func TestPublicationDecodeDamage(t *testing.T) {
 		}
 	}
 
-	// one is a task with ID 7, an empty text, no choices, no truth and no
-	// true domain, adding the table's one entry.
+	// one is a task with ID 7, an empty text, two empty choices, no truth
+	// and no true domain, adding the table's one entry.
 	one := func(entry ...byte) []byte {
-		return cat([]byte(publicationMagic), []byte{4, 1, 14, 0, 0, 0, 0, 0}, entry)
+		return cat([]byte(publicationMagic), []byte{4, 1, 14, 0, 2, 0, 0, 0, 0, 0}, entry)
 	}
 	bits := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
 	entry := func(k byte, x float64) []byte { return append([]byte{k}, bits(x)...) }
@@ -778,17 +787,18 @@ func TestPublicationPackerGolden(t *testing.T) {
 // Seed corpus in testdata/fuzz/FuzzPublicationDecode (checked in):
 // sampleTasks' DPC1 blob, the same cut in its middle, escapedTasks' DPC1
 // blob, twinTasks' with a ref above the table so far and with a repeated
-// table entry; sampleTasks' DPC4 record, the same cut in its stream and
-// with a byte after the final block, and the same record as compress/flate's
-// writer spells it (dpc4-stdlib). The rest are blobs under magics no build
-// of this format version writes, each refused: sampleTasks' record as
-// fixed codes under DPC3, the same cut in its stream and with a byte after
-// the final block; a row-major DPB1 blob, the same cut at three points,
-// with one byte flipped, with its task count set to 2^63; a DPB3 record,
-// the same cut in its stream and with a byte after the final block; an
-// LZW-packed DPB2 record, the same cut in its stream, with a byte after the
-// end code, and with the stream every byte a literal; twinTasks' DPB1
-// blob; and a JSON publication.
+// table entry; sampleTasks' with a truth past int32 and three tasks of no
+// choices whose last truth is past int32, both refused; sampleTasks' DPC4
+// record, the same cut in its stream and with a byte after the final block,
+// and the same record as compress/flate's writer spells it (dpc4-stdlib).
+// The rest are blobs under magics no build of this format version writes,
+// each refused: sampleTasks' record as fixed codes under DPC3, the same cut
+// in its stream and with a byte after the final block; a row-major DPB1
+// blob, the same cut at three points, with one byte flipped, with its task
+// count set to 2^63; a DPB3 record, the same cut in its stream and with a
+// byte after the final block; an LZW-packed DPB2 record, the same cut in its
+// stream, with a byte after the end code, and with the stream every byte a
+// literal; twinTasks' DPB1 blob; and a JSON publication.
 func FuzzPublicationDecode(f *testing.F) {
 	body := mustEncodeBinaryPublication(f, sampleTasks(), 4)[len(publicationMagic):]
 	f.Add(mustEncodeBinaryPublication(f, sampleTasks(), 4))
@@ -1126,5 +1136,43 @@ func TestReplayRefusesAVectorNoDistribution(t *testing.T) {
 	_, err = s.Recover(dir)
 	if err == nil || !strings.Contains(err.Error(), "publish record 1") || !strings.Contains(err.Error(), "task 3") || !strings.Contains(err.Error(), "sum to 0.5") {
 		t.Fatalf("boot over a vector summing to 0.5: %v, want a refusal naming publish record 1 and task 3", err)
+	}
+}
+
+// TestDecodeRefusesAsCheckEachDoes: the decoder holds a publication's tasks
+// to what CheckEach holds them to, field by field where it reads each
+// column, and reports CheckEach's error: the first fault in publication
+// order whatever column holds it, a task's choice count before its truth
+// and its fields before its vector, a repeated ID before any later invalid
+// task, and a truth past int32 as it was written. A fault in the format
+// is reported before any task's.
+func TestDecodeRefusesAsCheckEachDoes(t *testing.T) {
+	const m = 4
+	half := model.DomainVector{0.5, 0, 0, 0}
+	for name, spoil := range map[string]func(tasks []*model.Task){
+		"truth before a later single choice":  func(tasks []*model.Task) { tasks[2].Choices = tasks[2].Choices[:1]; tasks[1].Truth = 3 },
+		"single choice before its truth":      func(tasks []*model.Task) { tasks[1].Choices = tasks[1].Choices[:1]; tasks[1].Truth = 2 },
+		"true domain":                         func(tasks []*model.Task) { tasks[2].TrueDomain = m },
+		"truth past int32":                    func(tasks []*model.Task) { tasks[0].Truth = 0x302040810 - 1 },
+		"repeat before a later fault":         func(tasks []*model.Task) { tasks[1].ID = tasks[0].ID; tasks[2].TrueDomain = m },
+		"repeat before a later single choice": func(tasks []*model.Task) { tasks[1].ID = tasks[0].ID; tasks[2].Choices = tasks[2].Choices[:1] },
+		"fault before a later repeat":         func(tasks []*model.Task) { tasks[2].ID = tasks[0].ID; tasks[1].TrueDomain = m },
+		"vector before a later field":         func(tasks []*model.Task) { tasks[1].Domain = half; tasks[2].Truth = 9 },
+		"field before its vector":             func(tasks []*model.Task) { tasks[1].Domain = half; tasks[1].TrueDomain = m },
+		"shared vector named first later":     func(tasks []*model.Task) { tasks[2].Domain, tasks[1].Domain = half, half },
+	} {
+		tasks := sampleTasks()
+		spoil(tasks)
+		_, want := CheckTasks(tasks, m)
+		if want == nil {
+			t.Fatalf("%s: CheckTasks accepts the tasks", name)
+		}
+		blob := mustEncodeBinaryPublication(t, tasks, m)
+		if _, err := decodeBinaryPublication(blob, m); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: the decoder says %v, CheckTasks %v", name, err, want)
+		}
+		if _, err := decodeBinaryPublication(append(blob, 0), m); err == nil || err.Error() != "1 trailing bytes" {
+			t.Errorf("%s, and a trailing byte: the decoder says %v, want the trailing byte", name, err)
+		}
 	}
 }

@@ -13,10 +13,12 @@ import (
 
 // FuzzSubmitJSON drives arbitrary bytes through the POST
 // /c/{campaign}/submit body — the one endpoint every worker on the platform
-// hits — against a live published campaign. The handler must never panic and must answer every body with a
-// well-formed JSON response in {200, 400}; anything else means hostile
+// hits — against a live published campaign. The handler must never panic
+// and must answer every body with a well-formed JSON response: 200 or 400,
+// or 413 for a body over maxSmallBodyBytes; anything else means hostile
 // input reached deeper than the decode layer. Seed corpus under
-// testdata/fuzz/FuzzSubmitJSON (checked in).
+// testdata/fuzz/FuzzSubmitJSON (checked in), with a 4,153-byte body
+// (over_limit).
 func FuzzSubmitJSON(f *testing.F) {
 	srv, err := New(docs.Config{GoldenCount: -1, HITSize: 3, RerunEvery: -1}, Options{})
 	if err != nil {
@@ -52,7 +54,12 @@ func FuzzSubmitJSON(f *testing.F) {
 		req := httptest.NewRequest(http.MethodPost, "/c/fuzz/submit", strings.NewReader(body))
 		rr := httptest.NewRecorder()
 		handler.ServeHTTP(rr, req)
-		if rr.Code != http.StatusOK && rr.Code != http.StatusBadRequest {
+		switch {
+		case len(body) > maxSmallBodyBytes:
+			if rr.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("body of %d bytes: status %d, want 413", len(body), rr.Code)
+			}
+		case rr.Code != http.StatusOK && rr.Code != http.StatusBadRequest:
 			t.Fatalf("body %q: status %d, want 200 or 400", body, rr.Code)
 		}
 		if ct := rr.Header().Get("Content-Type"); ct != "application/json" {

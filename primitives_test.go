@@ -66,10 +66,12 @@ func TestOneReaderOneWriter(t *testing.T) {
 		{"", "wal.frame8", []string{"wal.DecodeFrames", "wal.scanBytes"}},
 		// A publish record has one reader: applyRecord decodes it, and only
 		// that unpacks its blob. The task table has one builder, which a
-		// publish runs on the blob it packed.
+		// publish runs on the blob it packed, and which alone validates a
+		// table's vectors.
 		{"", "core.decodePublication", []string{"(*core.System).applyRecord"}},
 		{"", "core.unpackPublication", []string{"core.decodePublication"}},
 		{"", "core.decodeBinaryPublication", []string{"(*core.System).PublishBatch", "core.decodePublication"}},
+		{"", "core.validateVector", []string{"core.decodeBinaryPublication"}},
 		// The publication is the one compressed blob. A decode runs no
 		// writer, and nothing allocates one of flate's own (≈807 KB each):
 		// a publish takes the pooled packer.
