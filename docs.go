@@ -79,8 +79,10 @@
 // ordinary serial submit path before serving. Because
 // concurrent serving is provably equivalent to a serial replay of the
 // chronological answer log, the recovered state is bit-identical to an
-// uninterrupted serial run of the logged stream; the crash-injection suite
-// in docs/internal/core asserts exactly that over randomized kill points.
+// uninterrupted serial run of the logged stream; one scenario driver
+// (docs/internal/crashtest) asserts exactly that, for the core and the
+// registry alike, at every acknowledged boundary and over randomized kill
+// points.
 // New refuses a WALDir holding any other campaign (open that root with
 // OpenRegistry) and one holding WAL segments at its top level: the layout
 // older versions of New wrote, which this one does not open.

@@ -7,12 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"docs/internal/crashtest"
 	"docs/internal/crowd"
-	"docs/internal/dataset"
-	"docs/internal/kb"
 	"docs/internal/mathx"
-	"docs/internal/wal"
 )
 
 // Adversarial stress suite: the serving core's equivalence and durability
@@ -27,74 +23,20 @@ import (
 //  3. the crash-injection kill-point sweep recovers bit-identically from a
 //     spammer-heavy campaign's WAL.
 
-// traceAdversarialCampaign is traceCampaign with an adversarial
-// population: same dataset, same serial protocol, but ~45% of the workers
-// are spammers/sleepers/colluders and everyone drifts.
-func traceAdversarialCampaign(t *testing.T, s *System) (string, *System) {
-	t.Helper()
-	ds := dataset.Item(3)
-	tasks := ds.Tasks[:120]
-	if err := s.Publish(tasks); err != nil {
-		t.Fatal(err)
-	}
-	m := kb.MustDefault().Domains().Size()
-	pop, err := crowd.NewPopulation(crowd.Config{
-		NumWorkers: 24, M: m, RelevantDomains: ds.YahooIndex, Seed: 7,
-		Adversarial: crowd.Adversarial{
-			SpammerFraction: 0.25,
-			SleeperFraction: 0.125,
-			Cliques:         1, CliqueSize: 3,
-			DriftPerAnswer: -0.002,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := pop.Rand()
-	trace := ""
-	for hit := 0; hit < 400; hit++ {
-		w := pop.Arrival()
-		got, err := s.Request(w.ID, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			break
-		}
-		for _, tk := range s.Tasks(got) {
-			c := w.Answer(&tk, r)
-			trace += fmt.Sprintf("%s:%d:%d;", w.ID, tk.ID, c)
-			if err := s.Submit(w.ID, tk.ID, c); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return trace, s
-}
+// adversarial is the crowd of the adversarial traces: ~45 % of the
+// workers spammers, sleepers or colluders, and everyone drifting.
+var adversarial = crowd.Adversarial{SpammerFraction: 0.25, SleeperFraction: 0.125, Cliques: 1, CliqueSize: 3, DriftPerAnswer: -0.002}
 
 // TestAdversarialIndexedAssignmentEquivalence extends the scan-vs-indexed
 // oracle to adversarial traffic: the candidate index (with and without
 // leases armed) must make bit-identical decisions and reach a bit-identical
 // Fingerprint even when the answer stream is pathological.
 func TestAdversarialIndexedAssignmentEquivalence(t *testing.T) {
-	base := Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}
-	leaseCfg := base
-	leaseCfg.LeaseTTL = time.Hour
-
-	scanTrace, scanSys := traceAdversarialCampaign(t, newScanSystem(t, base))
-	idxTrace, idxSys := traceAdversarialCampaign(t, newSystem(t, base))
-	leaseTrace, leaseSys := traceAdversarialCampaign(t, newSystem(t, leaseCfg))
-
-	diffTraces(t, "adversarial scan vs indexed", scanTrace, idxTrace)
-	diffTraces(t, "adversarial scan vs indexed+leases", scanTrace, leaseTrace)
-	if fa, fb := scanSys.Fingerprint(), idxSys.Fingerprint(); fa != fb {
-		t.Fatal("fingerprints differ between scan and indexed paths under adversarial traffic")
-	}
-	if fa, fb := scanSys.Fingerprint(), leaseSys.Fingerprint(); fa != fb {
-		t.Fatal("fingerprints differ between scan and leased paths under adversarial traffic")
-	}
-	if leaseSys.Stats().LeasesActive != 0 {
-		t.Fatalf("serial adversarial campaign left %d leases outstanding", leaseSys.Stats().LeasesActive)
+	for _, ttl := range []time.Duration{0, time.Hour} {
+		s := sameAsScan(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50, LeaseTTL: ttl}, adversarial)
+		if s.Stats().LeasesActive != 0 {
+			t.Fatalf("serial adversarial campaign left %d leases outstanding", s.Stats().LeasesActive)
+		}
 	}
 }
 
@@ -180,70 +122,19 @@ func TestAdversarialCliqueHammerLeaseBound(t *testing.T) {
 	}
 }
 
-// runLoggedAdversarialCampaign drives a spammer-heavy campaign (40%
-// spammers, sleepers, one clique, fatigue drift) with the WAL armed and
-// returns the durable record stream — the adversarial twin of
-// runLoggedCampaign.
-func runLoggedAdversarialCampaign(t *testing.T, cfg Config, dir string, nTasks int) []wal.Record {
-	t.Helper()
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Publish(concTasks(s.m, nTasks)); err != nil {
-		t.Fatal(err)
-	}
-	pop, err := crowd.NewPopulation(crowd.Config{
-		NumWorkers: 16, M: s.m, Seed: 1213,
-		Adversarial: crowd.Adversarial{
-			SpammerFraction: 0.4,
-			SleeperFraction: 0.15,
-			Cliques:         1, CliqueSize: 3,
-			DriftPerAnswer: -0.01,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := pop.Rand()
-	for idle := 0; idle < 4*len(pop.Workers); {
-		w := pop.Arrival()
-		got, err := s.Request(w.ID, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			idle++
-			continue
-		}
-		idle = 0
-		for _, tk := range s.Tasks(got) {
-			if err := s.Submit(w.ID, tk.ID, w.Answer(&tk, r)); err != nil {
-				t.Fatal(err)
+// TestAdversarialCrashInjectionRecoveryExact is the kill-point sweep over a
+// spammer-heavy crowd (40 % spammers, sleepers, one clique, fatigue drift):
+// adversarial answer streams — uniform spam, correlated clique votes,
+// mid-campaign sleeper flips — exercise WAL and replay value paths the
+// honest traffic never produces, and every surviving prefix must still
+// recover bit-identically.
+func TestAdversarialCrashInjectionRecoveryExact(t *testing.T) {
+	sweep(t, Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 4, RerunEvery: 25}, func(c *campaigns, _ *mathx.Rand) {
+		c.publish("c", 60, 0)
+		for idle := 0; idle < 64; idle++ {
+			if c.crowdVisit("c", 4, 1213) > 0 {
+				idle = -1
 			}
 		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	return crashtest.ReadStream(t, dir)
-}
-
-// TestAdversarialCrashInjectionRecoveryExact reuses the Fingerprint
-// kill-point harness on the spammer-heavy campaign: adversarial answer
-// streams (uniform spam, correlated clique votes, mid-campaign sleeper
-// flips) exercise WAL/replay value paths the honest simulator never
-// produces, and every surviving prefix must still recover bit-identically.
-func TestAdversarialCrashInjectionRecoveryExact(t *testing.T) {
-	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 4, RerunEvery: 25,
-		WALSegmentBytes: 1 << 10}
-	srcDir := t.TempDir()
-	runLoggedAdversarialCampaign(t, cfg, srcDir, 60)
-	log := crashtest.ReadLog(t, srcDir)
-	n := len(log.Records)
-	if n < 50 {
-		t.Fatalf("adversarial campaign produced only %d records", n)
-	}
-	sweepKills(t, cfg, log, crashtest.Kills(mathx.NewRand(13), 24, n, 0, crashtest.Kill{Surviving: n - 1, Torn: 5}), nil)
+	}, 24, nil)
 }

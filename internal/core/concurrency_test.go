@@ -6,7 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"docs/internal/crashtest"
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
@@ -29,137 +31,31 @@ func concTasks(m, nTasks int) []*model.Task {
 	return tasks
 }
 
-// hammer drives the system with nG goroutines of simulated workers until
-// the campaign saturates (every task at its redundancy cap). Each worker
-// first clears the golden gauntlet with perfect answers (when goldenSet is
-// non-empty), then answers one regular batch correctly with probability
-// pCorrect before the goroutine moves to its next worker.
-func hammer(t *testing.T, s *System, nG int, pCorrect float64, goldenSet map[int]bool) {
-	t.Helper()
-	var wg sync.WaitGroup
-	errs := make(chan error, nG)
-	for g := 0; g < nG; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := mathx.NewRand(uint64(1000 + g))
-			for i := 0; ; i++ {
-				w := fmt.Sprintf("w%d-%d", g, i)
-				for done := false; !done; {
-					got, err := s.Request(w, 4)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if len(got) == 0 {
-						return // saturated
-					}
-					for _, tk := range got {
-						c := tk.Truth
-						if c == model.NoTruth {
-							c = 0
-						} else if !goldenSet[tk.ID] && r.Float64() >= pCorrect {
-							c = 1 - c
-						}
-						if err := s.Submit(w, tk.ID, c); err != nil {
-							errs <- err
-							return
-						}
-						// Exercise the concurrent read paths.
-						s.Result(tk.ID)
-					}
-					// A batch is homogeneous: golden while unprofiled,
-					// regular after. One regular batch, then a new worker.
-					done = !goldenSet[got[0].ID]
-				}
-				s.WorkerQuality(w)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestConcurrentServeMatchesSerialReplay hammers Request/Submit/Result from
-// many goroutines, then replays the recorded answer stream into a fresh
-// system serially and checks the final batch inference agrees task by task.
-// Golden profiling is on so that Results' EM initialization comes from the
-// long-run store — a pure function of each worker's own golden answers —
-// making the concurrent system and the serial replay exactly comparable.
-// Run with -race: this test is the data-race canary for the whole serving
-// stack.
+// TestConcurrentServeMatchesSerialReplay: the served traffic from six
+// clients at once, reading Results and worker qualities between their
+// submits — the data-race canary of the serving stack under -race — is the
+// serial replay of its log: ten kill points drawn over it, and the whole
+// log, boot to a reference that applied the surviving records one by one
+// through the serial path. The final batch inference decodes the tasks'
+// ground truth.
 func TestConcurrentServeMatchesSerialReplay(t *testing.T) {
-	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 6, RerunEvery: 50}
-	s := newSystem(t, cfg)
-	tasks := concTasks(s.m, 150)
-	if err := s.Publish(tasks); err != nil {
-		t.Fatal(err)
-	}
-	goldenSet := map[int]bool{}
-	for _, id := range s.GoldenTasks() {
-		goldenSet[id] = true
-	}
-	hammer(t, s, 8, 0.9, goldenSet)
-
-	stream := s.Answers().All()
-	if len(stream) == 0 {
-		t.Fatal("no answers collected")
-	}
-	res, err := s.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Serial replay of the exact same streams — golden gauntlets first
-	// (worker order does not matter: profiling is per worker), then the
-	// regular answers in recorded order. The replayed tasks are fresh
-	// copies so the two systems share nothing.
-	replay := newSystem(t, cfg)
-	if err := replay.Publish(concTasks(replay.m, 150)); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range goldenAnswers(s) {
-		if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, a := range stream {
-		if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := replay.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(res.Truth) != len(want.Truth) {
-		t.Fatalf("result sizes differ: %d vs %d", len(res.Truth), len(want.Truth))
-	}
-	diff := 0
-	for i := range res.Truth {
-		if res.Truth[i] != want.Truth[i] {
-			diff++
-		}
-	}
-	if diff != 0 {
-		t.Errorf("%d/%d inferred truths differ from serial replay", diff, len(res.Truth))
-	}
-	// Both must decode the strong ground-truth signal.
-	inferTasks := s.InferTasks()
-	correct := 0
-	for i, tk := range inferTasks {
-		if res.Truth[i] == tk.Truth {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(inferTasks)); acc < 0.9 {
-		t.Errorf("concurrent campaign accuracy %.3f, want >= 0.9", acc)
-	}
+	scenario(Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 6, RerunEvery: 50, LeaseTTL: time.Minute}, true).run(t, script{Kills: 10,
+		Traffic: func(c *campaigns, _ *mathx.Rand) {
+			c.publish("c", 60, 0)
+			c.serveAll("c", false)
+			s := c.sys["c"]
+			res, err := s.Results()
+			c.must(err)
+			correct := 0
+			for i, tk := range s.InferTasks() {
+				if res.Truth[i] == tk.Truth {
+					correct++
+				}
+			}
+			if acc := float64(correct) / float64(len(res.Truth)); acc < 0.9 {
+				t.Errorf("concurrent campaign accuracy %.3f, want >= 0.9", acc)
+			}
+		}})
 }
 
 // TestConcurrentRerun runs the periodic re-inference on the writer under
@@ -172,7 +68,7 @@ func TestConcurrentRerun(t *testing.T) {
 	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
-	hammer(t, s, 8, 0.9, nil)
+	serve(t, s, nil)
 	st := s.Stats()
 	if want := st.Answers / 25; st.RerunsCompleted != want || want == 0 {
 		t.Errorf("%d batch reruns completed over %d answers, want %d", st.RerunsCompleted, st.Answers, want)
@@ -277,15 +173,11 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	live := cfg
+	live, dir := cfg, t.TempDir()
 	live.Store = st
-	s := newSystem(t, live)
+	s := bootSystem(t, live, dir)
 	if err := s.Publish(concTasks(s.m, 60)); err != nil {
 		t.Fatal(err)
-	}
-	goldenSet := map[int]bool{}
-	for _, id := range s.GoldenTasks() {
-		goldenSet[id] = true
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -308,7 +200,7 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 			}
 		}()
 	}
-	hammer(t, s, 4, 0.8, goldenSet)
+	serve(t, s, nil)
 	close(done)
 	wg.Wait()
 	if _, err := s.Results(); err != nil {
@@ -317,19 +209,7 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 	t.Logf("Results calls during the submits: %v", calls)
 
 	replay := newSystem(t, cfg)
-	if err := replay.Publish(concTasks(replay.m, 60)); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range goldenAnswers(s) {
-		if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, a := range s.Answers().All() {
-		if err := replay.Submit(a.Worker, a.Task, a.Choice); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyPrefix(t, replay, crashtest.ReadStream(t, dir))
 	if _, err := replay.Results(); err != nil {
 		t.Fatal(err)
 	}
@@ -338,20 +218,6 @@ func TestConcurrentResultsLandInSnapshotOrder(t *testing.T) {
 		return fp[strings.Index(fp, ";store:"):]
 	}
 	if got, want := section(s), section(replay); got != want {
-		t.Errorf("store after racing Results calls differs from one call at the final prefix:\n%s", DiffFingerprints(got, want, 8))
+		t.Errorf("store after racing Results calls differs from one call at the final prefix:\n%s", diff(got, want))
 	}
-}
-
-// goldenAnswers returns every worker's golden answers as a rerun reads
-// them: in worker-name order, each worker's in the order they gave them.
-func goldenAnswers(s *System) []model.Answer {
-	c := s.pub.Load()
-	var tail model.Columns
-	s.read(func() { tail, _ = s.goldenTail(c.goldenList) })
-	names := s.inc.Names()
-	out := make([]model.Answer, tail.Len())
-	for i := range out {
-		out[i] = model.Answer{Worker: names[tail.Worker[i]], Task: c.ids[tail.Task[i]], Choice: int(tail.Choice[i])}
-	}
-	return out
 }

@@ -342,13 +342,14 @@ func (s *System) Domains() *model.DomainSet { return s.kb.Domains() }
 // PublishBatch publishes it without checking it again. It reads its n
 // tasks through task, which lends task i as a value whenever the packer
 // encodes a column of it, so nothing of them is converted or kept but their
-// vectors: a Batch is published once — the publish writes the domain
-// vectors DVE gives its tasks into domains.
+// vectors: a Batch is published once — the publish writes the logged
+// encoding of each task's vector, the requester's or DVE's, into keys.
 type Batch struct {
 	n, m    int
 	task    func(i int) model.Task
 	head    int                  // the bytes of its DPC1 blob before the ref column (headSize)
-	domains []model.DomainVector // by position: the requester's vector, or DVE's; nil until one is
+	domains []model.DomainVector // by position: the requester's vector; nil where DVE gives one
+	keys    [][]byte             // by position: its vector's logged encoding (appendVector), in its chunk's slab
 }
 
 // taskOrder is a publication's one task ID → position lookup: the IDs in
@@ -590,16 +591,16 @@ const publishChunk = 64
 
 // linkAndPack runs DVE over chunks of the batch on up to GOMAXPROCS
 // goroutines, this one among them (the knowledge base is finished and each
-// task is its own), each reusing one workspace and all sharing one
-// domainTable, and encodes the record's DPC1 blob: when logged is set, on
-// one more goroutine that packs it beside them (packRecord, which waits
-// for the linkers only before the vectors). It returns the blob once it is
-// whole, with record to wait for the packer. Its error is the one a serial
-// loop would meet first, and then no goroutine it started is left. The
-// packer runs beside the linkers, not after them, because it encodes the
-// head columns while DVE runs: one that waited for the linkers made a
-// 6,000-task publish 34 % slower and a 200-task one 17 % slower, on 2
-// cores over 40 alternating pairs.
+// task is its own), each reusing one workspace and writing each vector's
+// logged encoding into its chunk's slab, and encodes the record's DPC1
+// blob: when logged is set, on one more goroutine that packs it beside
+// them (packRecord, which waits for the linkers only before the vectors).
+// It returns the blob once it is whole, with record to wait for the
+// packer. Its error is the one a serial loop would meet first, and then no
+// goroutine it started is left. The packer runs beside the linkers, not
+// after them, because it encodes the head columns while DVE runs: one that
+// waited for the linkers made a 6,000-task publish 34 % slower and a
+// 200-task one 17 % slower, on 2 cores over 40 alternating pairs.
 func (s *System) linkAndPack(b *Batch, logged bool) (dpc1 []byte, record func() ([]byte, error), err error) {
 	chunks := (b.n + publishChunk - 1) / publishChunk
 	errs, linked := make([]error, chunks), make(chan struct{})
@@ -630,11 +631,11 @@ func (s *System) linkAndPack(b *Batch, logged bool) (dpc1 []byte, record func() 
 	}
 	record = func() ([]byte, error) { packer.Wait(); return blob, packErr }
 	var next atomic.Int64
-	domains := domainTable{vec: make(map[string]model.DomainVector)}
+	b.keys = make([][]byte, b.n)
 	link := func() {
 		var ws linkSpace
 		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-			errs[c] = s.linkChunk(c, b, c*publishChunk, min((c+1)*publishChunk, b.n), &ws, &domains)
+			errs[c] = s.linkChunk(c, b, c*publishChunk, min((c+1)*publishChunk, b.n), &ws)
 		}
 	}
 	var linkers sync.WaitGroup
@@ -661,33 +662,52 @@ func (s *System) linkAndPack(b *Batch, logged bool) (dpc1 []byte, record func() 
 }
 
 // linkSpace is one DVE goroutine's memory: the workspace a vector is
-// computed in and the scratch its domainTable key is encoded in.
+// computed in and the scratch its encoding is built in.
 type linkSpace struct {
 	dve    dve.Workspace
 	sparse wal.SparseFloats
-	key    []byte
+	ends   []int
 }
 
 // linkChunk runs DVE over chunk c, the batch's tasks at positions lo to hi,
-// for those that have no domain vector, and gives every task the
-// publication's one copy of its vector. The vectors are validated once
-// each, by the check of the table the publish installs.
-func (s *System) linkChunk(c int, b *Batch, lo, hi int, ws *linkSpace, domains *domainTable) error {
+// for those that have no domain vector, and writes every task's logged
+// encoding into the chunk's slab (encodeChunk). The vectors are validated
+// once each, by the check of the table the publish installs.
+func (s *System) linkChunk(c int, b *Batch, lo, hi int, ws *linkSpace) error {
 	if s.publishFault != nil {
 		if err := s.publishFault(c); err != nil {
 			return err
 		}
 	}
+	return b.encodeChunk(lo, hi, ws, func(p int) model.DomainVector {
+		if v := b.domains[p]; v != nil {
+			return v // the requester's, validated with its task
+		}
+		return ws.dve.Vector(s.linker, b.task(p).Text, s.m)
+	})
+}
+
+// encodeChunk writes the logged encoding (appendVector) of the vector of
+// each position from lo to hi into one slab of the chunk's own, and points
+// the position's key at it: each vector is encoded once, before vector
+// gives the next.
+func (b *Batch) encodeChunk(lo, hi int, ws *linkSpace, vector func(p int) model.DomainVector) error {
+	var slab []byte
+	ws.ends = ws.ends[:0]
 	for p := lo; p < hi; p++ {
-		v, given := b.domains[p], b.domains[p] != nil // the requester's, validated with its task
-		if !given {
-			v = ws.dve.Vector(s.linker, b.task(p).Text, s.m)
+		v := vector(p)
+		if len(v) != b.m {
+			return fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d", b.task(p).ID, len(v), b.m)
 		}
 		var err error
-		if ws.key, err = appendVector(ws.key[:0], &ws.sparse, v, s.m); err != nil {
+		if slab, err = appendVector(slab, &ws.sparse, v, b.m); err != nil {
 			return fmt.Errorf("model: task %d: %w", b.task(p).ID, err)
 		}
-		b.domains[p] = domains.intern(ws.key, v, given)
+		ws.ends = append(ws.ends, len(slab))
+	}
+	start := 0
+	for i, end := range ws.ends {
+		b.keys[lo+i], start = slab[start:end:end], end
 	}
 	return nil
 }

@@ -203,38 +203,7 @@ func TestSubmitValidation(t *testing.T) {
 // dataset with a simulated crowd and verifies the final accuracy beats the
 // trivial bound.
 func TestEndToEndCampaign(t *testing.T) {
-	ds := dataset.Item(3)
-	tasks := ds.Tasks[:120]
-	s := newSystem(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50})
-	if err := s.Publish(tasks); err != nil {
-		t.Fatal(err)
-	}
-	m := kb.MustDefault().Domains().Size()
-	pop, err := crowd.NewPopulation(crowd.Config{
-		NumWorkers:      24,
-		M:               m,
-		RelevantDomains: ds.YahooIndex,
-		Seed:            7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := pop.Rand()
-	for hit := 0; hit < 400; hit++ {
-		w := pop.Arrival()
-		got, err := s.Request(w.ID, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			break // campaign saturated
-		}
-		for _, tk := range s.Tasks(got) {
-			if err := s.Submit(w.ID, tk.ID, w.Answer(&tk, r)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	_, s := traceCampaign(t, newSystem(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}), crowd.Adversarial{})
 	res, err := s.Results()
 	if err != nil {
 		t.Fatal(err)

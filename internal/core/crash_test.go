@@ -1,83 +1,49 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"docs/internal/crashtest"
 	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
-	"docs/internal/store"
 	"docs/internal/wal"
 )
 
-// The crash-injection harness. One uninterrupted serial campaign runs with
-// the WAL armed; the resulting log is then "killed" at randomized points —
-// clean record boundaries and torn mid-record cuts — and each surviving
-// prefix is recovered into a fresh System. The recovered state must be
-// bit-identical (float bits included) to a reference System that applied
-// exactly the surviving records through the ordinary serial path. That is
-// the durability contract: recovery IS the serial replay the concurrency
-// work proved equivalent to live serving.
+// The crash-injection sweeps. One serial campaign runs with the WAL armed;
+// its log is then "killed" at drawn points — whole records, and torn bytes
+// of the next frame — and each image boots bit-identical to a reference
+// that applied exactly the surviving records through the serial path
+// (campaigns.Replay). That is the durability contract: recovery IS the
+// serial replay that live serving is.
 
-// fingerprint is the state comparator the kill-point sweeps are built on;
-// the implementation moved to the exported (*System).Fingerprint so the
-// campaign-registry crash suite can make the same bit-exact comparison.
-func fingerprint(s *System) string { return s.Fingerprint() }
+// honest is the honest traffic: one campaign of n tasks that workers
+// w0–w10 visit in turn until it is dry, a regular answer wrong at 15 %.
+func honest(n int) func(*campaigns, *mathx.Rand) {
+	return func(c *campaigns, r *mathx.Rand) {
+		c.publish("c", n, 0)
+		visits(r, c.visit, "c", 11, 4, 0.15)
+	}
+}
 
-// runLoggedCampaign drives a deterministic serial campaign with the WAL
-// armed at dir and returns the record stream it wrote (publish + answers,
-// in durable order).
-func runLoggedCampaign(t *testing.T, cfg Config, dir string, nTasks int) []wal.Record {
+// runLoggedCampaign runs the honest traffic over n tasks and leaves its log
+// in dir, returning the records it holds.
+func runLoggedCampaign(t *testing.T, cfg Config, dir string, n int) []wal.Record {
 	t.Helper()
-	return runLoggedTasks(t, cfg, dir, concTasks(kb.MustDefault().Domains().Size(), nTasks))
+	return runLoggedTasks(t, cfg, dir, concTasks(kb.MustDefault().Domains().Size(), n))
 }
 
 // runLoggedTasks is runLoggedCampaign over the caller's task set.
 func runLoggedTasks(t *testing.T, cfg Config, dir string, tasks []*model.Task) []wal.Record {
 	t.Helper()
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Publish(tasks); err != nil {
-		t.Fatal(err)
-	}
-	goldenSet := map[int]bool{}
-	for _, id := range s.GoldenTasks() {
-		goldenSet[id] = true
-	}
-	r := mathx.NewRand(42)
-	for i := 0; ; i++ {
-		w := fmt.Sprintf("w%d", i%11)
-		got, err := s.Request(w, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			break
-		}
-		for _, tk := range got {
-			c := tk.Truth
-			if c == model.NoTruth {
-				c = 0
-			} else if !goldenSet[tk.ID] && r.Float64() >= 0.85 {
-				c = 1 - c
-			}
-			if err := s.Submit(w, tk.ID, c); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	c := scenario(cfg, false)
+	c.tasks = func(int, int, int) []*model.Task { return tasks }
+	live := c.run(t, script{Seed: 42, Traffic: honest(len(tasks))})
+	crashtest.CopyTree(t, filepath.Join(live.root, "campaigns", "c"), dir)
 	return crashtest.ReadStream(t, dir)
 }
 
@@ -92,68 +58,29 @@ func applyPrefix(t *testing.T, s *System, recs []wal.Record) {
 	}
 }
 
-// sweepKills boots the crash image of log at every kill point, sorted by
-// Surviving, and holds each boot bit-identical to a WAL-less reference that
-// applied exactly the surviving records. The reference advances
-// incrementally, so a sweep costs one extra serial pass plus the boots.
-// then, when non-nil, runs after each boot is checked and closed, with the
-// image and the reference's fingerprint.
-func sweepKills(t *testing.T, cfg Config, log *crashtest.Log, kills []crashtest.Kill, then func(i int, k crashtest.Kill, img, want string)) {
+// sweep boots kills drawn kill points of a campaign served traffic, plus
+// the image of everything but a torn last record and the points extra
+// adds. Its three traffics are the honest one, an adversarial crowd's and
+// a batched one.
+func sweep(t *testing.T, cfg Config, traffic func(*campaigns, *mathx.Rand), kills int, extra func([]wal.Record) []crashtest.Kill) {
 	t.Helper()
-	ref := newSystem(t, cfg)
-	defer ref.Close()
-	applied := 0
-	refPrint := fingerprint(ref)
-	for i, k := range kills {
-		if k.Surviving > applied {
-			applyPrefix(t, ref, log.Records[applied:k.Surviving])
-			applied = k.Surviving
-			refPrint = fingerprint(ref)
+	cfg.WALSegmentBytes = 1 << 10
+	scenario(cfg, false).run(t, script{Seed: 7, Traffic: traffic, Kills: kills, Extra: func(recs []wal.Record) []crashtest.Kill {
+		if len(recs) < 20 {
+			t.Fatalf("the campaign logged only %d records", len(recs))
 		}
-		img := t.TempDir()
-		log.Cut(t, img, k)
-		rec := newSystem(t, cfg)
-		info, err := rec.Recover(img)
-		if err != nil {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recover: %v", i, k.Surviving, k.Torn, err)
+		ks := []crashtest.Kill{{Surviving: len(recs) - 1, Torn: 5}}
+		if extra != nil {
+			ks = append(ks, extra(recs)...)
 		}
-		if info.Records != k.Surviving {
-			t.Fatalf("kill %d: recovered %d records, want %d (torn=%d)", i, info.Records, k.Surviving, k.Torn)
-		}
-		if info.SnapshotUsed {
-			t.Fatalf("kill %d: a cut image holds no snapshot, yet the boot used one", i)
-		}
-		if k.Torn > 0 && !info.TornTail {
-			t.Errorf("kill %d: torn cut not reported as torn tail", i)
-		}
-		if got := fingerprint(rec); got != refPrint {
-			t.Fatalf("kill %d (surviving=%d torn=%d): recovered state differs from serial reference\n%s", i, k.Surviving, k.Torn,
-				crashtest.Report(t, fmt.Sprintf("kill-%03d", i), DiffFingerprints(got, refPrint, 8)))
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if then != nil {
-			then(i, k, img, refPrint)
-		}
-	}
+		return ks
+	}})
 }
 
-// TestCrashInjectionRecoveryExact is the acceptance test: 100 randomized
-// kill points over a logged campaign (clean boundaries and torn final
-// records; the last always "everything but a torn last record"), each
-// recovered and compared bit-identical against the serial reference.
+// TestCrashInjectionRecoveryExact is the sweep over the honest traffic: 100
+// kill points over a logged campaign of 60 tasks.
 func TestCrashInjectionRecoveryExact(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20,
-		WALSegmentBytes: 1 << 10}
-	srcDir := t.TempDir()
-	runLoggedCampaign(t, cfg, srcDir, 60)
-	log := crashtest.ReadLog(t, srcDir)
-	n := len(log.Records)
-	if n < 50 {
-		t.Fatalf("campaign produced only %d records", n)
-	}
-	sweepKills(t, cfg, log, crashtest.Kills(mathx.NewRand(7), 99, n, 0, crashtest.Kill{Surviving: n - 1, Torn: 5}), nil)
+	sweep(t, Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20}, honest(60), 99, nil)
 }
 
 // TestCrashRecoveryThenContinueServing recovers from a mid-campaign crash
@@ -170,15 +97,12 @@ func TestCrashRecoveryThenContinueServing(t *testing.T) {
 
 	full := newSystem(t, cfg)
 	applyPrefix(t, full, recs)
-	want := fingerprint(full)
+	want := full.Fingerprint()
 
 	for _, cut := range []int{1, len(recs) / 3, len(recs) / 2, len(recs) - 1} {
 		crashDir := t.TempDir()
 		log.Cut(t, crashDir, crashtest.Kill{Surviving: cut})
-		s := newSystem(t, cfg)
-		if _, err := s.Recover(crashDir); err != nil {
-			t.Fatal(err)
-		}
+		s := bootSystem(t, cfg, crashDir)
 		// Every cut keeps the publish record (seq 1), so the lost tail is
 		// answers alone; resubmitting them is the traffic that resumes.
 		for _, rec := range recs[cut:] {
@@ -189,184 +113,48 @@ func TestCrashRecoveryThenContinueServing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := fingerprint(s); got != want {
-			t.Fatalf("cut=%d: continued state differs from uninterrupted run", cut)
+		if got := s.Fingerprint(); got != want {
+			t.Fatalf("cut=%d: continued state differs from uninterrupted run\n%s", cut, diff(got, want))
 		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// And the continued log must itself recover to the same state.
-		s2 := newSystem(t, cfg)
-		if _, err := s2.Recover(crashDir); err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(s2); got != want {
-			t.Fatalf("cut=%d: re-recovery of continued log differs", cut)
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
+		bootsAsLive(t, s, cfg, crashDir) // and the continued log boots to it
 	}
 }
 
-// TestConcurrentServeWithWALRecovers hammers the system from many
-// goroutines with the WAL armed (group commit under real contention, run
-// with -race), then recovers the log into a fresh system. The recovered
-// answer count must equal what the live system accepted, and the final
-// batch inference over the recovered state must match the live system's
-// bit for bit — the WAL order is the same chronological order the serial
-// replay equivalence is proven against.
+// TestConcurrentServeWithWALRecovers: the served traffic — six clients at
+// once, group commit under real contention, run with -race — over more
+// golden tasks, a higher redundancy and larger segments: its log boots to
+// the answers, batch counters and fingerprint the live campaign held, so
+// the final batch inference over either is the same bits.
 func TestConcurrentServeWithWALRecovers(t *testing.T) {
-	cfg := Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 5, RerunEvery: 40,
-		WALSegmentBytes: 1 << 11}
-	dir := t.TempDir()
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Publish(concTasks(s.m, 120)); err != nil {
-		t.Fatal(err)
-	}
-	goldenSet := map[int]bool{}
-	for _, id := range s.GoldenTasks() {
-		goldenSet[id] = true
-	}
-	hammer(t, s, 8, 0.9, goldenSet)
-	res, err := s.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := s.Stats().Answers
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := newSystem(t, cfg)
-	info, err := r.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if info.TornTail {
-		t.Error("graceful shutdown left a torn tail")
-	}
-	if got := r.Stats().Answers; got != accepted {
-		t.Fatalf("recovered %d answers, live system accepted %d", got, accepted)
-	}
-	res2, err := r.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Truth) != len(res2.Truth) {
-		t.Fatalf("result sizes differ: %d vs %d", len(res.Truth), len(res2.Truth))
-	}
-	for i := range res.Truth {
-		if res.Truth[i] != res2.Truth[i] {
-			t.Fatalf("task %d: live truth %d, recovered truth %d", i, res.Truth[i], res2.Truth[i])
-		}
-		for j := range res.S[i] {
-			if math.Float64bits(res.S[i][j]) != math.Float64bits(res2.S[i][j]) {
-				t.Fatalf("task %d choice %d: confidence differs in the last ulp", i, j)
-			}
-		}
-	}
+	served(t, Config{GoldenCount: 6, HITSize: 4, AnswersPerTask: 5, RerunEvery: 40, LeaseTTL: time.Minute, WALSegmentBytes: 1 << 11}, false)
 }
 
-// TestRecoveryDeterminism recovers the same directory twice; the two
-// Systems must fingerprint identically (replay is a pure function of the
-// log bytes).
+// TestRecoveryDeterminism: replay is a pure function of the log bytes. A
+// campaign restarted from its log (a first recovery) prints as a second
+// boot of the same log does.
 func TestRecoveryDeterminism(t *testing.T) {
-	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20}
-	dir := t.TempDir()
-	runLoggedCampaign(t, cfg, dir, 30)
-	a := newSystem(t, cfg)
-	if _, err := a.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	b := newSystem(t, cfg)
-	if _, err := b.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(a) != fingerprint(b) {
-		t.Fatal("two recoveries of the same log differ")
-	}
-	a.Close()
-	b.Close()
+	scenario(Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20}, false).run(t, script{Seed: 42,
+		Traffic: func(c *campaigns, r *mathx.Rand) {
+			honest(30)(c, r)
+			c.restart("c")
+		}})
 }
 
 // TestRecoveryDoesNotDoubleMergePersistentStore: golden profiling merges
 // worker stats into the long-run store at serving time, and a file-backed
 // store already holds (and durably logged) those merges. Replaying the
 // WAL must not merge them again — before the fix every restart compounded
-// each profiled worker's statistics.
+// each profiled worker's statistics. Every boundary of a gauntlet and three
+// restarts boots to the live state, whose fingerprint holds the store.
 func TestRecoveryDoesNotDoubleMergePersistentStore(t *testing.T) {
-	dir := t.TempDir()
-	storePath := filepath.Join(t.TempDir(), "store")
-	newSys := func() *System {
-		st, err := store.Open(storePath, kb.MustDefault().Domains().Size())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := newSystem(t, Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3,
-			RerunEvery: -1, Store: st})
-		return s
-	}
-
-	s := newSys()
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Publish(concTasks(s.m, 20)); err != nil {
-		t.Fatal(err)
-	}
-	goldenSet := map[int]bool{}
-	for _, id := range s.GoldenTasks() {
-		goldenSet[id] = true
-	}
-	// One worker clears the golden gauntlet (profiling merges into store).
-	for done := 0; done < len(goldenSet); {
-		got, err := s.Request("w0", 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tk := range got {
-			if !goldenSet[tk.ID] {
-				t.Fatalf("unprofiled worker served regular task %d", tk.ID)
+	scenario(Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: -1}, true).run(t, script{Every: true,
+		Traffic: func(c *campaigns, _ *mathx.Rand) {
+			c.publish("c", 20, 0)
+			c.gauntlet("c", "w0", 4)
+			for restart := 0; restart < 3; restart++ {
+				c.restart("c")
 			}
-			if err := s.Submit("w0", tk.ID, tk.Truth); err != nil {
-				t.Fatal(err)
-			}
-			done++
-		}
-	}
-	want, ok := s.store.Worker("w0")
-	if !ok {
-		t.Fatal("profiling did not reach the store")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for restart := 0; restart < 3; restart++ {
-		r := newSys()
-		if _, err := r.Recover(dir); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := r.store.Worker("w0")
-		if !ok {
-			t.Fatal("store lost the worker across restart")
-		}
-		for k := range got.U {
-			if math.Float64bits(got.U[k]) != math.Float64bits(want.U[k]) ||
-				math.Float64bits(got.Q[k]) != math.Float64bits(want.Q[k]) {
-				t.Fatalf("restart %d: store stats changed (U[%d]=%v, want %v) — replay re-merged profiling",
-					restart, k, got.U[k], want.U[k])
-			}
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+		}})
 }
 
 // TestRecoverRefusesAfterServing pins the API contract: Recover is a
@@ -412,4 +200,45 @@ func TestRecoverRefusesLegacyCheckpoint(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// The live-vs-recovered contract in its strongest form: a boot of the
+// durable files is bit-identical to the LIVE system as it stood when the
+// acknowledged prefix ended — not merely to a replay of that prefix. The
+// two are the same only if serving derives nothing from state a recovery
+// sees at another time; the ~1e-7 /result drift this suite was built to
+// catch came from such a gap (worker seeds re-read from the evolving store
+// on replay instead of restored from the log — see docs/persistence.md).
+
+// storeCampaigns is two contested campaigns run one after the other over
+// one file-backed store: the second one's workers are already profiled,
+// so its first requests seed them FROM the store — the path whose
+// time-of-read divergence this suite exists to catch.
+func storeCampaigns(t *testing.T, sc script) {
+	t.Helper()
+	cfg := Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 3, RerunEvery: 20, WALSegmentBytes: 1 << 10}
+	sc.Seed = 99
+	sc.Traffic = func(c *campaigns, r *mathx.Rand) {
+		c.publish("camp1", 16, 0)
+		visits(r, c.visit, "camp1", 7, 4, 0.2)
+		c.publish("camp2", 12, 100)
+		visits(r, c.visit, "camp2", 5, 4, 0.2)
+	}
+	scenario(cfg, true).run(t, sc)
+}
+
+// TestLiveVsRecoveredExact: every acknowledged boundary of storeCampaigns
+// boots to the live fingerprint — clean, and with a torn prefix of the next
+// operation's first frame, which boots to the boundary before it.
+func TestLiveVsRecoveredExact(t *testing.T) {
+	storeCampaigns(t, script{Every: true})
+}
+
+// TestLostStoreDeltaRepairedExact pins the closed lost-merge window: at
+// every boundary where a profiling merge reached the store log, an image
+// whose store lost that final record (its gauntlet answers are in the
+// WAL) boots to the live state, store included — the replay repairs the
+// merge — and a second boot of the repaired image lands on the same bits.
+func TestLostStoreDeltaRepairedExact(t *testing.T) {
+	storeCampaigns(t, script{Lost: true})
 }

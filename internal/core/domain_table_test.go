@@ -13,8 +13,8 @@ import (
 	"docs/internal/wal"
 )
 
-// A publication holds each distinct domain vector once: Publish's linkers
-// and replay's decoder intern every vector under its logged encoding.
+// A publication holds each distinct domain vector once: the packer and
+// replay's decoder key every vector by its logged encoding.
 
 // vectorSharing checks that tasks share a domain vector's backing array
 // exactly when their logged encodings are byte-equal, and returns how many
@@ -67,10 +67,7 @@ func twinVectors() []model.DomainVector {
 func TestPublishHoldsEachVectorOnce(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	s := bootSystem(t, cfg, dir)
 	tasks := datasetTasks(6000)
 	want := make([]model.DomainVector, 0, len(tasks))
 	for _, tk := range tasks {
@@ -112,11 +109,7 @@ func TestPublishHoldsEachVectorOnce(t *testing.T) {
 	check("published", publishedTasks(s))
 	s.Close()
 
-	r := newSystem(t, cfg)
-	defer r.Close()
-	if _, err := r.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	r := bootSystem(t, cfg, dir)
 	check("recovered", publishedTasks(r))
 }
 
@@ -180,10 +173,7 @@ func TestValidatesEachVectorOnce(t *testing.T) {
 	validateVector = func(v model.DomainVector, m int) error { validations.Add(1); return v.Validate(m) }
 	dir := t.TempDir()
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	s := bootSystem(t, cfg, dir)
 	if err := s.Publish(datasetTasks(6000)); err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +184,7 @@ func TestValidatesEachVectorOnce(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := newSystem(t, cfg)
-	defer r.Close()
-	if _, err := r.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	bootSystem(t, cfg, dir)
 	if got := validations.Load(); got != int64(distinct) {
 		t.Errorf("waking 6,000 tasks of %d distinct vectors validated %d vectors", distinct, got)
 	}

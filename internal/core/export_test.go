@@ -24,13 +24,6 @@ func ArmAssign(s *System, f func()) {
 	}
 }
 
-// ReplicaReruns boots s's log into a scratch replica, the snapshot pass's
-// oracle (snapshotReplica), and returns the reruns its replay ran.
-func ReplicaReruns(s *System) (n int, err error) {
-	_, err = snapshotReplica(s, func() error { n++; return nil })
-	return n, err
-}
-
 // SerialRecord is serialRecord: what the serial path logs for tasks.
 func SerialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {
 	return serialRecord(t, s, tasks)
@@ -38,6 +31,3 @@ func SerialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {
 
 // SettledGoroutines is settledGoroutines.
 var SettledGoroutines = settledGoroutines
-
-// Materialised is materialised.
-var Materialised = materialised

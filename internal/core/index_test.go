@@ -4,35 +4,34 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"docs/internal/assign"
 	"docs/internal/crowd"
 	"docs/internal/dataset"
-	"docs/internal/kb"
 	"docs/internal/mathx"
 	"docs/internal/model"
 )
 
-// traceCampaign drives a full serial campaign (the determinism-test
-// workload: golden gauntlet + OTA + periodic reruns + redundancy cap) on a
-// fresh system and returns the assignment/answer trace plus that system,
-// so callers can compare both the decisions and the final state.
-func traceCampaign(t *testing.T, s *System) (string, *System) {
+// traceCampaign drives a full serial campaign — 120 Item tasks, a golden
+// gauntlet, OTA, periodic reruns and a redundancy cap — on s, served to a
+// seeded crowd of 24 (adversarial as adv says), and returns the
+// assignment/answer trace plus s, so callers can compare both the
+// decisions and the final state.
+func traceCampaign(t *testing.T, s *System, adv crowd.Adversarial) (string, *System) {
 	t.Helper()
 	ds := dataset.Item(3)
-	tasks := ds.Tasks[:120]
-	if err := s.Publish(tasks); err != nil {
+	if err := s.Publish(ds.Tasks[:120]); err != nil {
 		t.Fatal(err)
 	}
-	m := kb.MustDefault().Domains().Size()
-	pop, err := crowd.NewPopulation(crowd.Config{NumWorkers: 24, M: m, RelevantDomains: ds.YahooIndex, Seed: 7})
+	pop, err := crowd.NewPopulation(crowd.Config{NumWorkers: 24, M: s.m, RelevantDomains: ds.YahooIndex, Seed: 7, Adversarial: adv})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := pop.Rand()
-	trace := ""
+	var trace strings.Builder
 	for hit := 0; hit < 400; hit++ {
 		w := pop.Arrival()
 		got, err := s.Request(w.ID, 4)
@@ -44,38 +43,27 @@ func traceCampaign(t *testing.T, s *System) (string, *System) {
 		}
 		for _, tk := range s.Tasks(got) {
 			c := w.Answer(&tk, r)
-			trace += fmt.Sprintf("%s:%d:%d;", w.ID, tk.ID, c)
+			fmt.Fprintf(&trace, "%s:%d:%d;", w.ID, tk.ID, c)
 			if err := s.Submit(w.ID, tk.ID, c); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return trace, s
+	return trace.String(), s
 }
 
+// diffTraces fails the test at the first byte where two traces part.
 func diffTraces(t *testing.T, label, a, b string) {
 	t.Helper()
-	if a == b {
-		return
-	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			lo := i - 120
-			if lo < 0 {
-				lo = 0
-			}
-			hi := i + 120
-			if hi > n {
-				hi = n
-			}
-			t.Fatalf("%s: diverge at %d:\nA: ...%s\nB: ...%s", label, i, a[lo:hi], b[lo:hi])
+			t.Fatalf("%s: diverge at %d:\nA: ...%s\nB: ...%s", label, i, a[max(i-120, 0):min(i+120, n)], b[max(i-120, 0):min(i+120, n)])
 		}
 	}
-	t.Fatalf("%s: one trace is a prefix of the other (len %d vs %d)", label, len(a), len(b))
+	if len(a) != len(b) {
+		t.Fatalf("%s: one trace is a prefix of the other (len %d vs %d)", label, len(a), len(b))
+	}
 }
 
 // newScanSystem builds a System served by the assignScan oracle instead of
@@ -118,20 +106,31 @@ func (s *System) assignScan(as *assign.Assigner, w int32, held []int, q model.Qu
 	return as.AssignStates(backing, q, k)
 }
 
+// sameAsScan serves the traced campaign twice — from the candidate index
+// under cfg, and from the assignScan oracle under cfg without leases — and
+// holds the two to the same trace and the same fingerprint, returning the
+// indexed system.
+func sameAsScan(t *testing.T, cfg Config, adv crowd.Adversarial) *System {
+	t.Helper()
+	scanCfg := cfg
+	scanCfg.LeaseTTL = 0
+	scanTrace, scan := traceCampaign(t, newScanSystem(t, scanCfg), adv)
+	trace, s := traceCampaign(t, newSystem(t, cfg), adv)
+	diffTraces(t, "scan vs indexed", scanTrace, trace)
+	if got, want := s.Fingerprint(), scan.Fingerprint(); got != want {
+		t.Fatalf("the indexed path's state differs from the scan's\n%s", diff(got, want))
+	}
+	return s
+}
+
 // TestIndexedAssignmentEquivalence is the tentpole contract: a serial
 // campaign served from the candidate index makes bit-identical assignment
 // decisions — and therefore ends in bit-identical campaign state
 // (Fingerprint compares every float as raw bits) — to the seed's
 // per-request full scan.
 func TestIndexedAssignmentEquivalence(t *testing.T) {
-	base := Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}
-	scanTrace, scanSys := traceCampaign(t, newScanSystem(t, base))
-	idxTrace, idxSys := traceCampaign(t, newSystem(t, base))
-	diffTraces(t, "scan vs indexed", scanTrace, idxTrace)
-	if fa, fb := scanSys.Fingerprint(), idxSys.Fingerprint(); fa != fb {
-		t.Fatalf("fingerprints differ between scan and indexed paths")
-	}
-	if idxSys.Stats().IndexEpoch == 0 {
+	s := sameAsScan(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}, crowd.Adversarial{})
+	if s.Stats().IndexEpoch == 0 {
 		t.Fatalf("indexed system never published a candidate array")
 	}
 }
@@ -141,31 +140,18 @@ func TestIndexedAssignmentEquivalence(t *testing.T) {
 // lease is released before the next request, so arming leases changes
 // nothing — the trace stays bit-identical to the lease-free scan.
 func TestIndexedAssignmentEquivalenceWithLeases(t *testing.T) {
-	base := Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}
-	leaseCfg := base
-	leaseCfg.LeaseTTL = time.Hour
-	scanTrace, scanSys := traceCampaign(t, newScanSystem(t, base))
-	leaseTrace, leaseSys := traceCampaign(t, newSystem(t, leaseCfg))
-	diffTraces(t, "scan vs indexed+leases", scanTrace, leaseTrace)
-	if fa, fb := scanSys.Fingerprint(), leaseSys.Fingerprint(); fa != fb {
-		t.Fatalf("fingerprints differ between scan and leased indexed paths")
-	}
-	if leaseSys.Stats().LeasesActive != 0 {
-		t.Fatalf("serial campaign left %d leases outstanding", leaseSys.Stats().LeasesActive)
+	s := sameAsScan(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50, LeaseTTL: time.Hour}, crowd.Adversarial{})
+	if s.Stats().LeasesActive != 0 {
+		t.Fatalf("serial campaign left %d leases outstanding", s.Stats().LeasesActive)
 	}
 }
 
 // indexTasks builds n two-choice tasks with precomputed one-hot domain
-// vectors (skipping DVE) for index unit tests.
+// vectors (skipping DVE) and no ground truth, for index unit tests.
 func indexTasks(n, m int) []*model.Task {
-	tasks := make([]*model.Task, n)
-	for i := range tasks {
-		dom := make(model.DomainVector, m)
-		dom[i%m] = 1
-		tasks[i] = &model.Task{
-			ID: i, Text: fmt.Sprintf("t%d", i), Choices: []string{"a", "b"},
-			Domain: dom, Truth: model.NoTruth, TrueDomain: model.NoTruth,
-		}
+	tasks := concTasks(m, n)
+	for _, tk := range tasks {
+		tk.Text, tk.Truth = fmt.Sprintf("t%d", tk.ID), model.NoTruth
 	}
 	return tasks
 }
@@ -359,7 +345,7 @@ func denseBenefit(r model.DomainVector, M [][]float64, s []float64, q model.Qual
 // over the same task with all m rows present (the rows outside the support
 // poisoned with NaN: nothing may read them).
 func TestBenefitCompactMatchesDenseOnTraces(t *testing.T) {
-	_, s := traceCampaign(t, newSystem(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}))
+	_, s := traceCampaign(t, newSystem(t, Config{GoldenCount: 8, HITSize: 4, AnswersPerTask: 5, RerunEvery: 50}), crowd.Adversarial{})
 	var sc assign.Scratch
 	answered, rows := 0, 0
 	for p, tk := range publishedTasks(s) {

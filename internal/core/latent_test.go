@@ -180,7 +180,7 @@ func TestLatentTasksMatchEagerInstall(t *testing.T) {
 					return
 				}
 				if got, want := latent.s.Fingerprint(), eager.s.Fingerprint(); got != want {
-					t.Fatalf("step %d: latent tasks differ from the eager install:\n%s", step, DiffFingerprints(got, want, 4))
+					t.Fatalf("step %d: latent tasks differ from the eager install:\n%s", step, diff(got, want))
 				}
 			})
 			if n := latent.s.Stats().Answers; n < 3*int64(cfg.RerunEvery) {
@@ -192,7 +192,7 @@ func TestLatentTasksMatchEagerInstall(t *testing.T) {
 				}
 			}
 			if got, want := latent.s.Fingerprint(), eager.s.Fingerprint(); got != want {
-				t.Fatalf("after Results: latent tasks differ from the eager install:\n%s", DiffFingerprints(got, want, 4))
+				t.Fatalf("after Results: latent tasks differ from the eager install:\n%s", diff(got, want))
 			}
 		})
 	}

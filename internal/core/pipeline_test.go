@@ -60,11 +60,7 @@ func serialRecord(t *testing.T, s *System, tasks []*model.Task) []byte {
 func publishLogged(t *testing.T, cfg Config, tasks []*model.Task) (*System, []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	s := newSystem(t, cfg)
-	t.Cleanup(func() { s.Close() })
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	s := bootSystem(t, cfg, dir)
 	if err := s.Publish(tasks); err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +177,7 @@ func TestPublishChunkFailure(t *testing.T) {
 		"last":            {chunks - 1},
 	} {
 		tasks := datasetTasks(chunks*publishChunk - 3)
-		s := newSystem(t, cfg)
-		if _, err := s.Recover(t.TempDir()); err != nil {
-			t.Fatal(err)
-		}
+		s := bootSystem(t, cfg, t.TempDir())
 		injected := errors.New("injected DVE failure")
 		s.publishFault = func(c int) error {
 			for _, f := range failing {

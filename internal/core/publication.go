@@ -58,7 +58,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"sync"
 
@@ -148,9 +147,9 @@ func tstrLen(s string) int {
 // (b.head), and d advances over them while the linkers run; linked waits
 // for the linkers, and only the ref and table columns follow it. built receives
 // the finished blob before d packs its last bytes. So the record is a pure
-// function of the tasks, as replay needs. It fails on linked's error or on
-// a task the format cannot express: a negative ID, a truth or true domain
-// below NoTruth, or a domain vector that is not m long.
+// function of the tasks, as replay needs. It fails on a task the format
+// cannot express — a negative ID or a truth or true domain below NoTruth —
+// or on linked's error, which a domain vector that is not m long is.
 //
 //docs:deterministic
 func packRecord(b *Batch, d *deflater, linked func() error, built func(dpc1 []byte)) ([]byte, error) {
@@ -196,10 +195,7 @@ func packRecord(b *Batch, d *deflater, linked func() error, built func(dpc1 []by
 	if err := linked(); err != nil {
 		return nil, err
 	}
-	blob, err := appendVectors(blob, b)
-	if err != nil {
-		return nil, err
-	}
+	blob = appendVectors(blob, b)
 	built(blob)
 	if d == nil {
 		return nil, nil
@@ -214,24 +210,16 @@ func packRecord(b *Batch, d *deflater, linked func() error, built func(dpc1 []by
 
 // appendVectors appends a batch's last two columns: each task's vector ref,
 // then the table of distinct vectors in order of first appearance, each
-// under its logged encoding (appendVector). A first pass numbers the
-// distinct encodings and sums the two columns' lengths; the second writes
-// them into a copy of the blob of exactly its length, which is the task
-// table's slab.
-func appendVectors(blob []byte, b *Batch) ([]byte, error) {
+// under its logged encoding, which the linkers wrote (Batch.keys). A first
+// pass numbers the distinct encodings, so two tasks share a table entry
+// exactly when their encodings are the same bytes — −0, a denormal and the
+// uniform "domain unknown" vector each keep their own — and sums the two
+// columns' lengths; the second writes them into a copy of the blob of
+// exactly its length, which is the task table's slab.
+func appendVectors(blob []byte, b *Batch) []byte {
 	refs := make(map[string]int) // by encoding
-	domain := wal.SparseFloats{K: make([]int, 0, b.m), V: make([]float64, 0, b.m)}
-	key := make([]byte, 0, maxVectorLen(b.m))
-	column, table := 0, 0 // their lengths
-	for p, v := range b.domains {
-		if len(v) != b.m {
-			return nil, fmt.Errorf("core: publication: task %d has a domain vector of size %d, want %d",
-				b.task(p).ID, len(v), b.m)
-		}
-		var err error
-		if key, err = appendVector(key[:0], &domain, v, b.m); err != nil {
-			return nil, fmt.Errorf("core: publication: task %d: %w", b.task(p).ID, err)
-		}
+	column, table := 0, 0        // their lengths
+	for _, key := range b.keys {
 		ref, seen := refs[string(key)]
 		if !seen {
 			ref = len(refs)
@@ -242,8 +230,7 @@ func appendVectors(blob []byte, b *Batch) ([]byte, error) {
 	}
 	whole := make([]byte, len(blob)+column+table)
 	at, entry, entries := copy(whole, blob), len(blob)+column, 0
-	for _, v := range b.domains {
-		key, _ = appendVector(key[:0], &domain, v, b.m) // encoded without error above
+	for _, key := range b.keys {
 		ref := refs[string(key)]
 		at += binary.PutUvarint(whole[at:], uint64(ref))
 		if ref == entries {
@@ -251,51 +238,21 @@ func appendVectors(blob []byte, b *Batch) ([]byte, error) {
 			entries++
 		}
 	}
-	return whole, nil
+	return whole
 }
 
 // appendVector appends a domain vector's logged encoding, a
 // wal.SparseFloats against +0 built in sparse: the bytes a DPC1 table entry
-// holds for the vector, and the key a domainTable holds it under.
+// holds for the vector.
 func appendVector(b []byte, sparse *wal.SparseFloats, v []float64, m int) ([]byte, error) {
 	*sparse = wal.SparseOf(*sparse, v, 0)
 	return wal.AppendSparseFloats(b, *sparse, m, 0)
-}
-
-// domainTable holds one publication's distinct domain vectors, each once,
-// under its logged encoding (appendVector), so two tasks share a vector
-// exactly when the record holds the same bytes for both. The key is bits,
-// never ==: −0, a denormal and the uniform "domain unknown" vector each
-// keep their own. Publish's linkers share one table. It is dropped once the
-// record is packed; the campaign's tasks share the
-// decoded record's table entries, so it holds m floats per distinct
-// vector, not per task. Sharing is safe because nothing writes an element
-// of a task's Domain (TestOneReaderOneWriter).
-type domainTable struct {
-	mu  sync.Mutex
-	vec map[string]model.DomainVector
 }
 
 // validateVector is the check every distinct vector of a publication
 // passes once, in its decode, on a publish and on a wake alike. A variable
 // so a test can count the checks.
 var validateVector = model.DomainVector.Validate
-
-// intern returns the vector held under key, v's encoding. On a miss it
-// holds v itself when given is set — the requester's — and otherwise a copy
-// (v is a workspace's scratch), so a hit allocates nothing.
-func (dt *domainTable) intern(key []byte, v model.DomainVector, given bool) model.DomainVector {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	if held, ok := dt.vec[string(key)]; ok {
-		return held
-	}
-	if !given {
-		v = slices.Clone(v)
-	}
-	dt.vec[string(key)] = v
-	return v
-}
 
 // inflater is a pooled reader of DPC4 streams: compress/flate's, reset onto
 // src.

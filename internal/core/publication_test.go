@@ -130,7 +130,8 @@ func serialPublication(t testing.TB, tasks []*model.Task, m int) []byte {
 func encodePublication(tasks []*model.Task, m int) ([]byte, error) {
 	d := deflaters.Get().(*deflater)
 	defer releaseDeflater(d)
-	return packRecord(batchOf(tasks, m), d, func() error { return nil }, func([]byte) {})
+	b := batchOf(tasks, m)
+	return packRecord(b, d, linkGiven(b), func([]byte) {})
 }
 
 // mustEncodePublication is the record Publish logs: DPC4 when packing is
@@ -864,9 +865,14 @@ func TestAllocsPublicationCodecPooled(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const maxBytes, maxAllocs = 4 << 10, 32
-	tasks := sampleTasks()
+	b := batchOf(sampleTasks(), 4)
+	if err := linkGiven(b)(); err != nil { // the linkers' work, not the codec's
+		t.Fatal(err)
+	}
 	codec := func() {
-		blob, err := encodePublication(tasks, 4)
+		d := deflaters.Get().(*deflater)
+		blob, err := packRecord(b, d, func() error { return nil }, func([]byte) {})
+		releaseDeflater(d)
 		if err != nil || !bytes.HasPrefix(blob, []byte(deflateMagic)) {
 			t.Fatalf("sampleTasks packs to %q (%v), want a DPC4 record", blob, err)
 		}
@@ -977,10 +983,7 @@ func TestReplayedPublicationCarriesDomainVectors(t *testing.T) {
 func TestPublishRejectsNegativeTaskID(t *testing.T) {
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
 	dir := t.TempDir()
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	s := bootSystem(t, cfg, dir)
 	tasks := indexTasks(2, s.m)
 	tasks[0].ID, tasks[1].ID = -1, 2
 	if _, err := CheckTasks(tasks, s.m); err == nil {
@@ -1003,18 +1006,7 @@ func TestPublishRejectsNegativeTaskID(t *testing.T) {
 	if err := s.Submit("w", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := s.Fingerprint()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	again := newSystem(t, cfg)
-	defer again.Close()
-	if _, err := again.Recover(dir); err != nil {
-		t.Fatalf("reboot: %v", err)
-	}
-	if again.Fingerprint() != want {
-		t.Fatal("rebooted state differs")
-	}
+	bootsAsLive(t, s, cfg, dir)
 }
 
 // TestLargePublicationBoots: 100,000 two-choice tasks. As JSON the publish
@@ -1028,10 +1020,7 @@ func TestLargePublicationBoots(t *testing.T) {
 	cfg := Config{KB: kb.New(model.MustDomainSet([]string{"fauna", "flora"})),
 		GoldenCount: -1, RerunEvery: -1}
 	dir := t.TempDir()
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	s := bootSystem(t, cfg, dir)
 	tasks := concTasks(s.m, 100_000)
 	for _, tk := range tasks {
 		tk.Text = fmt.Sprintf("Photo %06d of the survey: is the animal or plant nearest the centre of the frame native to the island it was taken on?", tk.ID)
@@ -1042,21 +1031,10 @@ func TestLargePublicationBoots(t *testing.T) {
 	if err := s.Submit("w", 99_999, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := s.Fingerprint()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if dpc1 := mustEncodeBinaryPublication(t, tasks, s.m); len(dpc1) < 12<<20 {
 		t.Fatalf("the DPC1 blob is %d bytes; the case needs one a JSON encoding pushes past %d", len(dpc1), wal.MaxPayload)
 	}
-	again := newSystem(t, cfg)
-	defer again.Close()
-	if _, err := again.Recover(dir); err != nil {
-		t.Fatalf("reboot: %v", err)
-	}
-	if again.Fingerprint() != want {
-		t.Fatal("rebooted state differs from the live state")
-	}
+	bootsAsLive(t, s, cfg, dir)
 }
 
 // TestOversizePublicationRejected: a publication whose blob no log record
@@ -1066,10 +1044,7 @@ func TestLargePublicationBoots(t *testing.T) {
 func TestOversizePublicationRejected(t *testing.T) {
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
 	dir := t.TempDir()
-	s := newSystem(t, cfg)
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	s := bootSystem(t, cfg, dir)
 	tasks := indexTasks(5, s.m)
 	long := strings.Repeat("a very long task description ", (4<<20)/29)
 	for _, tk := range tasks {
@@ -1092,21 +1067,10 @@ func TestOversizePublicationRejected(t *testing.T) {
 	if err := s.Submit("w", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := s.Fingerprint()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if info, err := os.Stat(filepath.Join(dir, "0000000000000001.wal")); err != nil || info.Size() > 1<<10 {
 		t.Fatalf("log after the refusal and the small publication: %v, %v", info, err)
 	}
-	again := newSystem(t, cfg)
-	defer again.Close()
-	if _, err := again.Recover(dir); err != nil {
-		t.Fatalf("reboot: %v", err)
-	}
-	if again.Fingerprint() != want {
-		t.Fatal("rebooted state differs")
-	}
+	bootsAsLive(t, s, cfg, dir)
 }
 
 // TestReplayRefusesAVectorNoDistribution: the rerun trusts every task's

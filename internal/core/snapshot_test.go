@@ -192,7 +192,7 @@ func TestSnapshotSparseTaskStates(t *testing.T) {
 		t.Fatalf("sparse snapshot not used (%+v)", info)
 	}
 	if got := snapped.Fingerprint(); got != want {
-		t.Fatalf("sparse snapshot boot differs from the live state\n%s", DiffFingerprints(got, want, 4))
+		t.Fatalf("sparse snapshot boot differs from the live state\n%s", diff(got, want))
 	}
 	assertReexportIdentical(t, snapped, dir)
 }
@@ -307,6 +307,43 @@ func TestSnapshotFallbackLoud(t *testing.T) {
 	}
 }
 
+// sweepKills boots the crash image of log at every kill point, sorted by
+// Surviving, holds each boot bit-identical to a WAL-less reference that
+// applied exactly the surviving records, and then runs then with the image
+// and the reference's fingerprint.
+func sweepKills(t *testing.T, cfg Config, log *crashtest.Log, kills []crashtest.Kill, then func(i int, k crashtest.Kill, img, want string)) {
+	t.Helper()
+	ref := newSystem(t, cfg)
+	applied := 0
+	for i, k := range kills {
+		applyPrefix(t, ref, log.Records[applied:k.Surviving])
+		applied = k.Surviving
+		img := t.TempDir()
+		log.Cut(t, img, k)
+		rec := newSystem(t, cfg)
+		info, err := rec.Recover(img)
+		if err != nil {
+			t.Fatalf("kill %d (surviving=%d torn=%d): recover: %v", i, k.Surviving, k.Torn, err)
+		}
+		if info.Records != k.Surviving {
+			t.Fatalf("kill %d: recovered %d records, want %d (torn=%d)", i, info.Records, k.Surviving, k.Torn)
+		}
+		if info.SnapshotUsed {
+			t.Fatalf("kill %d: a cut image holds no snapshot, yet the boot used one", i)
+		}
+		if k.Torn > 0 && !info.TornTail {
+			t.Errorf("kill %d: torn cut not reported as torn tail", i)
+		}
+		want := ref.Fingerprint()
+		if got := rec.Fingerprint(); got != want {
+			t.Fatalf("kill %d (surviving=%d torn=%d): recovered state differs from serial reference\n%s", i, k.Surviving, k.Torn,
+				crashtest.Report(t, fmt.Sprintf("kill-%03d", i), diff(got, want)))
+		}
+		rec.Close()
+		then(i, k, img, want)
+	}
+}
+
 // TestCrashInjectionSnapshotBothWays is the snapshot acceptance sweep: at
 // every randomized kill point (clean boundaries and torn mid-frame cuts)
 // the surviving log is recovered BOTH ways — full replay, and snapshot
@@ -368,7 +405,7 @@ func TestCrashInjectionSnapshotBothWays(t *testing.T) {
 		}
 		if got := snapped.Fingerprint(); got != fpFull {
 			t.Fatalf("kill %d (surviving=%d torn=%d snapshot=%d): snapshot boot differs from full replay\n%s",
-				i, k.Surviving, k.Torn, best, crashtest.Report(t, fmt.Sprintf("snapshot-%03d", i), DiffFingerprints(got, fpFull, 4)))
+				i, k.Surviving, k.Torn, best, crashtest.Report(t, fmt.Sprintf("snapshot-%03d", i), diff(got, fpFull)))
 		}
 		if err := snapped.Close(); err != nil {
 			t.Fatal(err)
@@ -407,7 +444,7 @@ func TestSnapshotCheckpointInterleaving(t *testing.T) {
 		t.Fatalf("snapshot not used as expected (%+v)", info)
 	}
 	if got := s.Fingerprint(); got != want {
-		t.Fatalf("recovered state differs from full replay\n%s", DiffFingerprints(got, want, 4))
+		t.Fatalf("recovered state differs from full replay\n%s", diff(got, want))
 	}
 	if err := s.snapshotPass(); err != nil {
 		t.Fatalf("snapshot pass: %v", err)

@@ -134,10 +134,7 @@ func supportCampaign(t *testing.T, cfg Config) (dir string, image []byte, want s
 	t.Helper()
 	dir = t.TempDir()
 	runLoggedTasks(t, cfg, dir, supportTasks(30))
-	full := newSystem(t, cfg)
-	if _, err := full.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	full := bootSystem(t, cfg, dir)
 	want = full.Fingerprint()
 	writeSnapshot(t, full)
 	if err := full.Close(); err != nil {
@@ -228,7 +225,7 @@ func TestSnapshotRowsMustMatchSupport(t *testing.T) {
 			t.Fatalf("%s: used %v, rejected %q", name, info.SnapshotUsed, info.SnapshotRejected)
 		}
 		if got := s.Fingerprint(); got != want {
-			t.Fatalf("%s: the full replay differs:\n%s", name, DiffFingerprints(got, want, 4))
+			t.Fatalf("%s: the full replay differs:\n%s", name, diff(got, want))
 		}
 		s.Close()
 	}

@@ -51,6 +51,15 @@ func batchOf(tasks []*model.Task, m int) *Batch {
 	return b
 }
 
+// linkGiven is the linkers' work on a batch whose vectors are all given:
+// each task's logged encoding, for the packer's linked to wait for.
+func linkGiven(b *Batch) func() error {
+	return func() error {
+		b.keys = make([][]byte, b.n)
+		return b.encodeChunk(0, b.n, &linkSpace{}, func(p int) model.DomainVector { return b.domains[p] })
+	}
+}
+
 // tasks mints a decoded publication's tasks whole, in publication order.
 func (pub *publication) tasks() []*model.Task {
 	c, refs := wal.NewCursor(pub.body[pub.truths:]), wal.NewCursor(pub.body[pub.refs:])
@@ -112,10 +121,7 @@ func servedTasks(m int) []*model.Task {
 func TestTaskTableSameAfterWake(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{GoldenCount: -1, RerunEvery: -1}
-	live := newSystem(t, cfg)
-	if _, err := live.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	live := bootSystem(t, cfg, dir)
 	tasks := servedTasks(live.m)
 	if err := live.Publish(tasks); err != nil {
 		t.Fatal(err)
@@ -138,11 +144,7 @@ func TestTaskTableSameAfterWake(t *testing.T) {
 	if err := live.Hibernate(); err != nil {
 		t.Fatal(err)
 	}
-	woken := newSystem(t, cfg)
-	defer woken.Close()
-	if _, err := woken.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
+	woken := bootSystem(t, cfg, dir)
 	got := woken.pub.Load().taskTable
 	if !bytes.Equal(got.body, published.body) || !slices.Equal(got.text, published.text) ||
 		!slices.Equal(got.choices, published.choices) || got.truths != published.truths || !slices.Equal(got.wide, published.wide) {
@@ -241,6 +243,9 @@ func TestAllocsPackManyVectors(t *testing.T) {
 	}
 	var blob []byte
 	b := batchOf(tasks, m)
+	if err := linkGiven(b)(); err != nil {
+		t.Fatal(err)
+	}
 	pack := func() {
 		if _, err := packRecord(b, nil, func() error { return nil }, func(dpc1 []byte) { blob = dpc1 }); err != nil {
 			t.Fatal(err)

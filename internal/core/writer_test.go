@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"docs/internal/kb"
+	"docs/internal/mathx"
+	"docs/internal/model"
 	"docs/internal/snapshot"
 	"docs/internal/store"
-	"docs/internal/truth"
 )
 
 // BenchmarkConcurrentSubmitRequest: GOMAXPROCS goroutines share one
@@ -63,35 +63,40 @@ func BenchmarkConcurrentSubmitRequest(b *testing.B) {
 	})
 }
 
-// servedCampaign publishes 60 tasks, the first six golden-eligible, on a
-// WAL-armed system over a store that already holds the profiles of workers
-// w0–w3 from another campaign, and drives it from six goroutines, beside
-// which, when it is set, beside runs too: each goroutine requests HITs for
-// workers w0–w8 (so two goroutines may serve one worker at once) and
-// answers them, one goroutine in batches. A rejected answer (a racing
-// duplicate) is part of the traffic; a durability failure fails the test.
-func servedCampaign(t *testing.T, cfg Config, dir string, beside func(*System)) *System {
-	t.Helper()
-	s := newSystem(t, cfg)
-	for w := 0; w < 4; w++ {
-		st := truth.NewStats(s.m)
-		for k := range st.Q {
-			st.Q[k], st.U[k] = 0.6+0.05*float64(w), 2
-		}
-		if _, _, err := s.store.MergeProfile(fmt.Sprintf("elsewhere/w%d", w), fmt.Sprintf("w%d", w), st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	tasks := indexTasks(60, s.m)
+// servedTasks60 is the task set the served traffic runs over: 60 tasks, the
+// first six golden-eligible.
+func servedTasks60(m int) []*model.Task {
+	tasks := indexTasks(60, m)
 	for _, tk := range tasks[:6] {
 		tk.Truth = 0
 	}
-	if err := s.Publish(tasks); err != nil {
+	return tasks
+}
+
+// servedCampaign publishes servedTasks60 on a WAL-armed system over a store
+// that holds the profiles of workers w0–w3 from another campaign, and
+// serves it, beside running beside when it is set.
+func servedCampaign(t *testing.T, cfg Config, dir string, beside func(*System)) *System {
+	t.Helper()
+	s := bootSystem(t, cfg, dir)
+	seedElsewhere(t, s)
+	if err := s.Publish(servedTasks60(s.m)); err != nil {
 		t.Fatal(err)
 	}
+	serve(t, s, beside)
+	return s
+}
+
+// serve drives s from six goroutines, beside which, when it is set, beside
+// runs too: each goroutine requests HITs for workers w0–w8 (so two
+// goroutines may serve one worker at once) and answers them — the truth,
+// one answer in eight aside, and either choice for a task without one —
+// one goroutine in batches, then reads each task's Result and the worker's
+// quality, the lock-free readers of the writer's state. A rejected answer
+// (a racing duplicate) is part of the traffic; a durability failure fails
+// the test.
+func serve(t *testing.T, s *System, beside func(*System)) {
+	t.Helper()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	if beside != nil {
@@ -122,7 +127,10 @@ func servedCampaign(t *testing.T, cfg Config, dir string, beside func(*System)) 
 				}
 				items := make([]BatchItem, len(served))
 				for i, tk := range served {
-					items[i] = BatchItem{Worker: w, Task: tk.ID, Choice: max(tk.Truth, (round+tk.ID)%2)}
+					items[i] = BatchItem{Worker: w, Task: tk.ID, Choice: (round + tk.ID) % 2}
+					if tk.Truth >= 0 && (round+tk.ID)%8 != 0 {
+						items[i].Choice = tk.Truth
+					}
 				}
 				if g == 0 {
 					_, err = s.SubmitBatch(items)
@@ -134,13 +142,36 @@ func servedCampaign(t *testing.T, cfg Config, dir string, beside func(*System)) 
 					t.Error(err)
 					return
 				}
+				for _, it := range items {
+					s.Result(it.Task)
+				}
+				s.WorkerQuality(w)
 			}
 		}(g)
 	}
 	clients.Wait()
 	close(stop)
 	wg.Wait()
-	return s
+}
+
+// served is the served traffic as a scenario: servedTasks60 served by six
+// clients at once, with Results, Stats and Fingerprint read beside them
+// when readers is set. The driver boots the log and holds the boot to the
+// live print — Fingerprint and batch counters — and served returns the live
+// campaign's Stats.
+func served(t *testing.T, cfg Config, readers bool) Stats {
+	t.Helper()
+	c := scenario(cfg, true)
+	c.tasks = func(m, _, _ int) []*model.Task { return servedTasks60(m) }
+	live := c.run(t, script{Traffic: func(c *campaigns, _ *mathx.Rand) {
+		c.publish("c", 0, 0)
+		c.serveAll("c", readers)
+	}})
+	st := live.stats["c"]
+	if st.Answers < 2*int64(cfg.RerunEvery) || st.RerunsCompleted == 0 || st.BatchesTotal == 0 {
+		t.Fatalf("the traffic gave %d answers, %d reruns and %d batches: too little to hold replay to", st.Answers, st.RerunsCompleted, st.BatchesTotal)
+	}
+	return st
 }
 
 // TestLiveIsItsLogReplayed: a campaign served concurrently — requests under
@@ -148,57 +179,15 @@ func servedCampaign(t *testing.T, cfg Config, dir string, beside func(*System)) 
 // reruns on the writer — is, bit for bit, the state a boot of its log
 // reaches: the writer applied every mutation in the order the log holds.
 func TestLiveIsItsLogReplayed(t *testing.T) {
-	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 15, LeaseTTL: time.Minute}
-	dir := t.TempDir()
-	live := servedCampaign(t, cfg, dir, nil)
-	want, st := live.Fingerprint(), live.Stats()
-	if err := live.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Answers < 2*int64(cfg.RerunEvery) || st.RerunsCompleted == 0 || st.BatchesTotal == 0 {
-		t.Fatalf("the traffic gave %d answers, %d reruns and %d batches: too little to hold replay to", st.Answers, st.RerunsCompleted, st.BatchesTotal)
-	}
-	cfg.Store = live.store
-	boot := newSystem(t, cfg)
-	defer boot.Close()
-	if _, err := boot.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := boot.Fingerprint(); got != want {
-		t.Fatalf("the boot of the live campaign's log differs from it:\n%s", DiffFingerprints(got, want, 8))
-	}
+	served(t, Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 15, LeaseTTL: time.Minute}, false)
 }
 
 // TestServingStressRecovers: the same traffic with Results, Stats and
 // Fingerprint reading the campaign beside it; its log then boots to the
-// answers, counters and fingerprint the live campaign held — the default
-// configuration serves its log's replay.
+// fingerprint, answers and batch counters the live campaign held — the
+// default configuration serves its log's replay.
 func TestServingStressRecovers(t *testing.T) {
-	cfg := Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 10, LeaseTTL: time.Minute}
-	dir := t.TempDir()
-	live := servedCampaign(t, cfg, dir, func(s *System) {
-		if _, err := s.Results(); err != nil {
-			t.Error(err)
-		}
-		_, _ = s.Stats(), s.Fingerprint()
-	})
-	want, st, fp := live.Answers().All(), live.Stats(), live.Fingerprint()
-	if err := live.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Store = live.store
-	boot := newSystem(t, cfg)
-	defer boot.Close()
-	if _, err := boot.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, bst := boot.Answers().All(), boot.Stats()
-	if !reflect.DeepEqual(got, want) || bst.Answers != st.Answers || bst.BatchesTotal != st.BatchesTotal || bst.BatchAnswersTotal != st.BatchAnswersTotal {
-		t.Fatalf("the boot holds %d answers in %d batches, the live campaign %d in %d", bst.Answers, bst.BatchesTotal, st.Answers, st.BatchesTotal)
-	}
-	if got := boot.Fingerprint(); got != fp {
-		t.Fatalf("the boot of the live campaign's log differs from it:\n%s", DiffFingerprints(got, fp, 8))
-	}
+	served(t, Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 4, RerunEvery: 10, LeaseTTL: time.Minute}, true)
 }
 
 // TestSnapshotPassMatchesReplica hibernates a campaign after the stress

@@ -1,14 +1,24 @@
-// Package crashtest builds the crash images the kill-point sweeps boot. A
-// crash image is what a kill -9 leaves of a log namespace: the segments
+// Package crashtest is the one oracle for "live equals its log": Run, the
+// scenario driver, runs a campaign system live over a seeded op stream and
+// boots its durable tree at every cut — each acknowledged boundary, a torn
+// prefix of the next frame, a store log that lost its final record, drawn
+// kill points — holding every boot to the live state, or for a kill point
+// to the serial replay of the records it left, as float bits. A kill
+// point's boot must also replay exactly those records, from no snapshot,
+// report a torn cut as a torn tail and log nothing to the store; the final
+// boot must find no torn tail. A package's tests adapt their system to it
+// once (Campaign), and a scenario's traffic drives that adapter through its
+// own calls.
+//
+// A crash image is what a kill -9 leaves of a log namespace: the segments
 // written before the kill point whole, the one holding it truncated there,
 // the later ones absent — they did not exist yet. Cut is the one primitive
 // that writes such an image; Log.Cut (a kill after some whole records, plus
 // a few torn bytes of the next frame) and Grow (an earlier capture plus a
 // torn prefix of the next operation's first new frame) compute its offsets.
-//
-// Beside it sit the helpers every sweep needs: the stream reader, each
-// segment's frame offsets, DropLast, CopyTree, the kill-point draw and the
-// diff reporter. The package is test support: no non-test file imports it.
+// Beside them sit the stream reader, each segment's frame offsets,
+// DropLast, CopyTree, the kill-point draw and the diff reporter. The
+// package is test support: no non-test file imports it.
 package crashtest
 
 import (

@@ -13,269 +13,57 @@ import (
 
 	"docs/internal/core"
 	"docs/internal/crashtest"
+	"docs/internal/kb"
 	"docs/internal/mathx"
-	"docs/internal/model"
 	"docs/internal/snapshot"
 	"docs/internal/truth"
-	"docs/internal/wal"
 )
 
 // The hibernation lifecycle suite. Hibernate/wake cycles must be invisible
 // at the bit level: a woken campaign's state is its serial-replay state,
 // which must equal a never-hibernated campaign that served the identical
-// traffic. The lockstep harness below runs exactly that experiment — two
-// registries, one interleaving hibernations, one never hibernating, fed
-// the same serial workload — and compares fingerprints (which cover the
-// full inference state AND the shared worker store) at every acknowledged
-// step. TestCampaignDeterminism in internal/core pins the premise that a
-// serial trace is reproducible, so any divergence here is hibernation's.
+// traffic. A twinned scenario runs exactly that experiment: every op runs on
+// a registry that hibernates and on a twin that never does, which must
+// assign the same tasks and agree as float bits — fingerprints cover the
+// inference state AND the shared worker store — after every op.
 
-// lockstep is a pair of campaigns — one in the hibernating registry, one
-// in the reference — driven with identical operations.
-type lockstep struct {
-	name   string
-	reg    *Registry // hibernates
-	ref    *Registry // never hibernates
-	golden map[int]bool
-}
+func twinned() *registries { return &registries{twinned: true} }
 
-func (l *lockstep) systems(t *testing.T) (*core.System, *core.System) {
-	t.Helper()
-	sysA, err := get(l.reg, l.name) // wakes if hibernated
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysB, err := get(l.ref, l.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sysA, sysB
-}
-
-// request issues one Request for one worker against both registries
-// (waking the hibernating side's campaign if need be), asserts the
-// assignments are identical and returns them. On its own it is a round that
-// logs no answer: at most the KindSeed of a store-known worker's first
-// visit.
-func (l *lockstep) request(t *testing.T, w string) (sysA, sysB *core.System, got []core.Served) {
-	t.Helper()
-	sysA, sysB = l.systems(t)
-	gotA, err := sysA.Request(w, crashKnobs.hit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, err := sysB.Request(w, crashKnobs.hit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotA) != len(gotB) {
-		t.Fatalf("campaign %s worker %s: hibernating registry assigned %d tasks, reference %d",
-			l.name, w, len(gotA), len(gotB))
-	}
-	for i := range gotA {
-		if gotA[i].ID != gotB[i].ID {
-			t.Fatalf("campaign %s worker %s: assignment diverged at slot %d: task %d vs %d",
-				l.name, w, i, gotA[i].ID, gotB[i].ID)
-		}
-	}
-	return sysA, sysB, gotA
-}
-
-// sameFingerprint asserts the hibernating registry's campaign and the
-// reference's are bit-identical.
-func (l *lockstep) sameFingerprint(t *testing.T, when string) {
-	t.Helper()
-	sysA, sysB := l.systems(t)
-	if fpA, fpB := sysA.Fingerprint(), sysB.Fingerprint(); fpA != fpB {
-		t.Fatalf("campaign %s: fingerprint diverged %s\n%s", l.name, when, core.DiffFingerprints(fpA, fpB, 8))
-	}
-}
-
-// step issues one Request/Submit round for one worker against both
-// registries and asserts the assignments and resulting fingerprints are
-// identical. Returns how many answers were submitted (0 = campaign idle).
-func (l *lockstep) step(t *testing.T, w string, flip func() bool) int {
-	t.Helper()
-	sysA, sysB, gotA := l.request(t, w)
-	for _, tk := range gotA {
-		c := tk.Truth
-		if c == model.NoTruth {
-			c = 0
-		} else if !l.golden[tk.ID] && flip() {
-			c = 1 - c
-		}
-		if err := sysA.Submit(w, tk.ID, c); err != nil {
-			t.Fatal(err)
-		}
-		if err := sysB.Submit(w, tk.ID, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.sameFingerprint(t, "after worker "+w+"'s submit round")
-	return len(gotA)
-}
-
-// wakeShape classifies the boot that produced the hibernating registry's
-// resident campaign and enforces the hibernation contract on it: whatever
-// the campaign's life held, the wake replayed no answer — it restored the
-// newest snapshot (none, for a life nobody answered) and re-installed at
-// most the publication and worker seeds past it.
-func (l *lockstep) wakeShape(t *testing.T, root string) (snapshotUsed bool, replayed int) {
-	t.Helper()
-	sysA, _ := l.systems(t)
-	info := sysA.Recovery()
-	if info.SnapshotRejected != "" {
-		t.Fatalf("campaign %s: wake rejected its snapshot: %s", l.name, info.SnapshotRejected)
-	}
-	suffix := crashtest.ReadStream(t, filepath.Join(root, campaignsDir, l.name))[info.SnapshotSeq:]
-	if len(suffix) < info.Records {
-		t.Fatalf("campaign %s: wake replayed %d records, the log holds %d past seq %d", l.name, info.Records, len(suffix), info.SnapshotSeq)
-	}
-	for _, rec := range suffix[:info.Records] {
-		if rec.Kind == wal.KindAnswer || rec.Kind == wal.KindBatch {
-			t.Fatalf("campaign %s: wake after a clean hibernate replayed answer record %d (snapshot used: %v at seq %d)",
-				l.name, rec.Seq, info.SnapshotUsed, info.SnapshotSeq)
-		}
-	}
-	return info.SnapshotUsed, info.Records
-}
-
-// TestHibernateWakeFingerprintExact is the randomized property test:
-// several campaigns interleave traffic with hibernate/wake cycles at
-// random points, and after EVERY acknowledged submit round the hibernating
-// registry's fingerprint must be bit-identical to the never-hibernated
-// reference's. Wakes after a clean hibernate must also be O(suffix): the
-// newest snapshot restored and no answer replayed past it. Two fixed rows
-// open the run, the lives a hibernation writes nothing for: every campaign
-// is hibernated straight after its publication (the wake replays that one
+// TestHibernateWakeFingerprintExact: several campaigns interleave traffic
+// with hibernations at random points against the twin. Fixed ops open the
+// run, the lives a hibernation writes nothing for: every campaign is
+// hibernated straight after its publication (its wake replays that one
 // record, from no snapshot), and two are hibernated again after a request
-// that logged a worker seed and no answer.
+// that logged a worker seed and no answer. Every wake after a clean
+// hibernate is O(suffix): the newest snapshot restored and no answer
+// replayed past it.
 func TestHibernateWakeFingerprintExact(t *testing.T) {
-	regRoot, refRoot := t.TempDir(), t.TempDir()
-	reg, err := Open(crashConfig(regRoot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	ref, err := Open(crashConfig(refRoot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
 	names := []string{"alpha", "beta", "gamma"}
-	steps := make(map[string]*lockstep, len(names))
-	for i, name := range names {
-		sysA, err := create(reg, name)
-		if err != nil {
-			t.Fatal(err)
+	live := scenario(t, script{Seed: 2016, Traffic: func(g *registries, r *mathx.Rand) {
+		for i, name := range names {
+			g.publish(name, 20+4*i, 3*i)
+			g.hibernate(name)
 		}
-		sysB, err := create(ref, name)
-		if err != nil {
-			t.Fatal(err)
+		// w0 passes alpha's gauntlet, so the store knows w0, whose first
+		// request of the other two logs a seed, nothing else.
+		if n := g.gauntlet("alpha", "w0"); n != crashKnobs.golden {
+			t.Fatalf("the gauntlet took %d answers, want %d", n, crashKnobs.golden)
 		}
-		m := sysA.Domains().Size()
-		tasks := synthTasks(m, 20+4*i, 3*i)
-		if err := sysA.Publish(tasks); err != nil {
-			t.Fatal(err)
+		for _, name := range names[1:] {
+			g.visit(r, name, "w0", crashKnobs.hit, 0, false)
+			g.hibernate(name)
 		}
-		if err := sysB.Publish(synthTasks(m, 20+4*i, 3*i)); err != nil {
-			t.Fatal(err)
-		}
-		golden := map[int]bool{}
-		for _, id := range sysA.GoldenTasks() {
-			golden[id] = true
-		}
-		// Golden selection is deterministic, so the reference must have
-		// picked the identical set — the lockstep premise.
-		refGolden := sysB.GoldenTasks()
-		if len(refGolden) != len(golden) {
-			t.Fatalf("campaign %s: golden sets differ in size", name)
-		}
-		for _, id := range refGolden {
-			if !golden[id] {
-				t.Fatalf("campaign %s: golden task %d only in reference", name, id)
-			}
-		}
-		steps[name] = &lockstep{name: name, reg: reg, ref: ref, golden: golden}
+		inTurn(g, r, names, 7, 40, 0.15, 0.12)
+	}}, twinned)
+	wakes := 0
+	for _, n := range live.shapes {
+		wakes += n
 	}
-
-	r := mathx.NewRand(2016)
-	flip := func() bool { return r.Float64() >= 0.85 }
-	idle := map[string]int{}
-	hibernations, cleanWakes := 0, 0
-	// cycle hibernates the campaign and wakes it again, holding the wake to
-	// the answer-free contract and the woken state to the reference.
-	cycle := func(name string) (snapshotUsed bool, replayed int) {
-		t.Helper()
-		if err := reg.Hibernate(name); err != nil {
-			t.Fatalf("hibernate %s: %v", name, err)
-		}
-		hibernations++
-		if reg.Resident(name) {
-			t.Fatalf("campaign %s still resident after Hibernate", name)
-		}
-		snapshotUsed, replayed = steps[name].wakeShape(t, regRoot)
-		cleanWakes++
-		steps[name].sameFingerprint(t, "across a hibernate/wake cycle")
-		return snapshotUsed, replayed
+	if wakes < 10 || live.shapes["publish-only"] != 3 || live.shapes["seeds-only"] != 2 {
+		t.Fatalf("wakes by shape %v: want 10 at least, 3 of them publish-only and 2 seeds-only", live.shapes)
 	}
-	for _, name := range names {
-		if used, n := cycle(name); used || n != 1 {
-			t.Fatalf("campaign %s: publish-only wake used a snapshot (%v) or replayed %d records, want the publication alone", name, used, n)
-		}
-	}
-	// One submit round takes w0 through alpha's golden gauntlet, so the store
-	// knows w0, whose first request of the other two logs a seed, nothing else.
-	if n := steps["alpha"].step(t, "w0", flip); n != crashKnobs.golden {
-		t.Fatalf("profiling round submitted %d answers, want %d", n, crashKnobs.golden)
-	}
-	for _, name := range names[1:] {
-		steps[name].request(t, "w0")
-		if used, n := cycle(name); used || n != 2 {
-			t.Fatalf("campaign %s: seeds-only wake used a snapshot (%v) or replayed %d records, want publication + seed", name, used, n)
-		}
-	}
-	if n := snapshotFiles(t, regRoot); n != 0 {
-		t.Fatalf("%d snapshot files after answer-free hibernations only, want 0", n)
-	}
-	for op := 0; ; op++ {
-		active := false
-		for _, name := range names {
-			if idle[name] > 40 {
-				continue
-			}
-			active = true
-			w := fmt.Sprintf("w%d", int(r.Float64()*7))
-			if n := steps[name].step(t, w, flip); n == 0 {
-				idle[name]++
-			} else {
-				idle[name] = 0
-			}
-			// Randomly hibernate this campaign mid-workload; the next step
-			// wakes it. Only the hibernating registry transitions — the
-			// reference keeps serving live.
-			if r.Float64() < 0.12 {
-				cycle(name)
-			}
-		}
-		if !active {
-			break
-		}
-	}
-	if hibernations < 10 {
-		t.Fatalf("workload only exercised %d hibernate/wake cycles", hibernations)
-	}
-	if st := reg.Stats(); st.WakesTotal != int64(cleanWakes) || st.WakeP99 < 0 {
-		t.Fatalf("Stats wakes total = %d, want %d", st.WakesTotal, cleanWakes)
-	}
-	// Final census: everything is live again (each hibernate was followed
-	// by a wake) and the reference never hibernated at all.
-	if st := reg.Stats(); st.CampaignsLive != len(names) || st.CampaignsHibernated != 0 || st.CampaignsArchived != 0 {
-		t.Fatalf("final counts = %d/%d/%d, want %d/0/0", st.CampaignsLive, st.CampaignsHibernated, st.CampaignsArchived, len(names))
-	}
-	if total := ref.Stats().WakesTotal; total != 0 {
-		t.Fatalf("reference registry woke %d campaigns", total)
+	if live.stats.WakesTotal != int64(wakes) || live.stats.WakeP99 < 0 {
+		t.Fatalf("Stats counts %d wakes, the scenario saw %d", live.stats.WakesTotal, wakes)
 	}
 }
 
@@ -286,20 +74,7 @@ func TestHibernateWakeFingerprintExact(t *testing.T) {
 // would build a replica), and the wake after that restores the same
 // snapshot and replays the seeds alone.
 func TestCleanEvictionWritesNothing(t *testing.T) {
-	root := t.TempDir()
-	reg, err := Open(crashConfig(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	sys, err := create(reg, "reader")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 2)); err != nil {
-		t.Fatal(err)
-	}
-	driveInterleaved(t, reg, []string{"reader"}, 3, 5)
+	root, reg := served(t, crashConfig, 5, 3, 12, "reader")
 	if err := reg.Hibernate("reader"); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +89,7 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A worker the campaign has never seen but the store knows.
-	st := truth.NewStats(sys.Domains().Size())
+	st := truth.NewStats(kb.MustDefault().Domains().Size())
 	st.Q[0], st.U[0] = 0.9, 3
 	if err := reg.Store().Put("stranger", st); err != nil {
 		t.Fatal(err)
@@ -322,7 +97,7 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 
 	var want string
 	for cycle, seeds := 0, 0; cycle < 3; cycle++ {
-		sys, err = get(reg, "reader") // wakes
+		sys, err := get(reg, "reader") // wakes
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,87 +141,32 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 // mid-run, requests come with and without the submits that would follow
 // them, and hibernations land anywhere — straight after a publication,
 // after a request that logged a seed, twice in a row with nothing between —
-// against a twin registry that never hibernates. Both sides must agree as
-// float bits after every operation, and every wake must have replayed no
-// answer.
+// against the twin. The wakes must have restored from all four shapes.
 func TestPropertyLifecycleInvisible(t *testing.T) {
-	regRoot, refRoot := t.TempDir(), t.TempDir()
-	reg, err := Open(crashConfig(regRoot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	ref, err := Open(crashConfig(refRoot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
-	r := mathx.NewRand(20160412)
-	pick := func(n int) int { return int(r.Float64() * float64(n)) }
-	flip := func() bool { return r.Float64() >= 0.85 }
-	var live []*lockstep
-	publish := func() {
-		name := fmt.Sprintf("c%d", len(live))
-		l := &lockstep{name: name, reg: reg, ref: ref, golden: map[int]bool{}}
-		for _, side := range []*Registry{reg, ref} {
-			sys, err := create(side, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Publish(synthTasks(sys.Domains().Size(), 10+2*len(live), len(live))); err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range sys.GoldenTasks() {
-				l.golden[id] = true
-			}
+	live := scenario(t, script{Seed: 20160412, Traffic: func(g *registries, r *mathx.Rand) {
+		pick := func(n int) int { return int(r.Float64() * float64(n)) }
+		campaigns := 0
+		publish := func() {
+			g.publish(fmt.Sprintf("c%d", campaigns), 10+2*campaigns, campaigns)
+			campaigns++
 		}
-		live = append(live, l)
-	}
-	publish()
-
-	// What the wakes restored from: no snapshot and the publication alone,
-	// no snapshot and seeds too, a snapshot with seeds past it, a snapshot
-	// covering everything.
-	var publishOnly, seedsOnly, seedGap, covered int
-	for op := 0; op < 400; op++ {
-		l := live[pick(len(live))]
-		w := fmt.Sprintf("w%d", pick(8))
-		if !reg.Resident(l.name) {
-			switch used, n := l.wakeShape(t, regRoot); {
-			case !used && n == 1:
-				publishOnly++
-			case !used:
-				seedsOnly++
-			case n > 0:
-				seedGap++
+		publish()
+		for op := 0; op < 400; op++ {
+			name, w := fmt.Sprintf("c%d", pick(campaigns)), fmt.Sprintf("w%d", pick(8))
+			switch x := r.Float64(); {
+			case x < 0.05 && campaigns < 6:
+				publish()
+			case x < 0.70:
+				g.visit(r, name, w, crashKnobs.hit, 0.15, x >= 0.35)
 			default:
-				covered++
+				g.hibernate(name)
 			}
-			l.sameFingerprint(t, fmt.Sprintf("at the wake before op %d", op))
 		}
-		switch x := r.Float64(); {
-		case x < 0.05 && len(live) < 6:
-			publish()
-			l = live[len(live)-1]
-		case x < 0.35:
-			l.request(t, w)
-		case x < 0.70:
-			l.step(t, w, flip)
-		default:
-			if err := reg.Hibernate(l.name); err != nil {
-				t.Fatalf("op %d: hibernate %s: %v", op, l.name, err)
-			}
-			continue // nothing resident to compare until the next touch wakes it
+	}}, twinned)
+	for _, shape := range []string{"publish-only", "seeds-only", "seeds-past-snapshot", "covered"} {
+		if live.shapes[shape] == 0 {
+			t.Fatalf("wakes by shape %v: the seed must exercise all four", live.shapes)
 		}
-		l.sameFingerprint(t, fmt.Sprintf("after op %d", op))
-	}
-	if publishOnly == 0 || seedsOnly == 0 || seedGap == 0 || covered == 0 {
-		t.Fatalf("wakes by shape: %d publish-only, %d seeds-only, %d seeds past a snapshot, %d fully covered — the seed must exercise all four",
-			publishOnly, seedsOnly, seedGap, covered)
-	}
-	if total := ref.Stats().WakesTotal; total != 0 {
-		t.Fatalf("reference registry woke %d campaigns", total)
 	}
 }
 
@@ -456,23 +176,9 @@ func TestPropertyLifecycleInvisible(t *testing.T) {
 // the woken state must be the pre-hibernation state. Run under -race by
 // the registry CI suite.
 func TestWakeStampedeSingleFlight(t *testing.T) {
-	root := t.TempDir()
-	reg, err := Open(crashConfig(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	sys, err := create(reg, "cold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := sys.Domains().Size()
-	if err := sys.Publish(synthTasks(m, 24, 0)); err != nil {
-		t.Fatal(err)
-	}
-	driveInterleaved(t, reg, []string{"cold"}, 5, 11)
-	before := sys.Fingerprint()
-	answers := sys.Stats().Answers
+	_, reg := served(t, crashConfig, 11, 5, 24, "cold")
+	sys := coreOf(t, reg, "cold")
+	before, answers := sys.Fingerprint(), sys.Stats().Answers
 	if err := reg.Hibernate("cold"); err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +216,7 @@ func TestWakeStampedeSingleFlight(t *testing.T) {
 	}
 	if after := got[0].Fingerprint(); after != before {
 		t.Fatalf("woken fingerprint differs from pre-hibernation state\n%s",
-			core.DiffFingerprints(after, before, 8))
+			diff(after, before))
 	}
 }
 
@@ -524,19 +230,8 @@ func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 	root := t.TempDir()
 	cfg := crashConfig(root)
 	cfg.Campaign.AnswersPerTask = 2
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	sys, err := create(reg, "racy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := sys.Domains().Size()
-	if err := sys.Publish(synthTasks(m, 40, 1)); err != nil {
-		t.Fatal(err)
-	}
+	reg := openRegistry(t, cfg)
+	sys := published(t, reg, "racy", 40, 1)
 	// Profile the workers up front so the raced submits are all regular
 	// answers — the population AnswerCount() counts (golden answers live
 	// in the profiling path, not the answer log).
@@ -564,10 +259,7 @@ func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 			}
 			idle = 0
 			for _, tk := range got {
-				c := tk.Truth
-				if c == model.NoTruth {
-					c = 0
-				}
+				c := max(tk.Truth, 0)
 				if err := reg.Do("racy", func(sys *core.System) error { return sys.Submit(worker, tk.ID, c) }); err != nil {
 					t.Errorf("submit: %v", err)
 					return
@@ -585,10 +277,7 @@ func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 	}
 	<-done
 
-	final, err := get(reg, "racy")
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := coreOf(t, reg, "racy")
 	if got, want := final.Stats().Answers, acked.Load(); got != want {
 		t.Fatalf("woken campaign has %d answers, %d were acknowledged", got, want)
 	}
@@ -599,43 +288,12 @@ func TestHibernateRaceNeverDropsAcknowledged(t *testing.T) {
 // demand bit-identically, and hibernates the least-recently-used campaign
 // when the resident set exceeds the cap.
 func TestLazyBootAndLRUCap(t *testing.T) {
-	root := t.TempDir()
-	reg, err := Open(crashConfig(root))
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
-	for i, name := range names {
-		sys, err := create(reg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Publish(synthTasks(sys.Domains().Size(), 10+2*i, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	driveInterleaved(t, reg, names, 6, 5)
-	fps := make(map[string]string, len(names))
-	counts := make(map[string]int64, len(names))
-	for _, name := range names {
-		sys, err := get(reg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[name] = sys.Fingerprint()
-		counts[name] = sys.Stats().Answers
-	}
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	live := scenario(t, script{Seed: 5, Traffic: interleaved(names, 10, 2, 1, 6, 40, 0.15)}, plain)
+	root := live.root
 	cfg := crashConfig(root)
 	cfg.MaxLiveCampaigns = 2
-	capped, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer capped.Close()
+	capped := openRegistry(t, cfg)
 	// Lazy boot: everything is listed, nothing is resident, no replay ran.
 	if st := capped.Stats(); st.CampaignsLive != 0 || st.CampaignsHibernated != len(names) || st.CampaignsArchived != 0 {
 		t.Fatalf("cold boot counts = %d/%d/%d, want 0/%d/0", st.CampaignsLive, st.CampaignsHibernated, st.CampaignsArchived, len(names))
@@ -649,23 +307,11 @@ func TestLazyBootAndLRUCap(t *testing.T) {
 	// Touch campaigns in order: the resident set never exceeds the cap and
 	// the victim is always the least recently used.
 	for i, name := range names {
-		sys, err := get(capped, name)
-		if err != nil {
-			t.Fatal(err)
+		sys := coreOf(t, capped, name)
+		if got, want := sys.Fingerprint(), live.prints[filepath.Join(campaignsDir, name)]; got != want {
+			t.Fatalf("campaign %s: woken fingerprint differs from pre-shutdown live state\n%s", name, diff(got, want))
 		}
-		if got := sys.Fingerprint(); got != fps[name] {
-			t.Fatalf("campaign %s: woken fingerprint differs from pre-shutdown live state\n%s",
-				name, core.DiffFingerprints(got, fps[name], 8))
-		}
-		if got := sys.Stats().Answers; got != counts[name] {
-			t.Fatalf("campaign %s: woke with %d answers, want %d", name, got, counts[name])
-		}
-		live := capped.Stats().CampaignsLive
-		want := i + 1
-		if want > 2 {
-			want = 2
-		}
-		if live != want {
+		if live, want := capped.Stats().CampaignsLive, min(i+1, 2); live != want {
 			t.Fatalf("after %d touches: %d live, want %d (cap 2)", i+1, live, want)
 		}
 		if i >= 2 {
@@ -688,28 +334,14 @@ func TestLazyBootAndLRUCap(t *testing.T) {
 // clock: campaigns idle past the deadline hibernate on the next sweep,
 // recently-touched ones survive it.
 func TestIdleSweepHibernates(t *testing.T) {
-	root := t.TempDir()
 	var clock atomic.Int64
 	base := time.Unix(1700000000, 0)
-	clock.Store(0)
-	cfg := crashConfig(root)
-	cfg.HibernateAfter = time.Minute
-	cfg.Clock = func() time.Time { return base.Add(time.Duration(clock.Load())) }
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	for _, name := range []string{"fresh", "stale"} {
-		sys, err := create(reg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Publish(synthTasks(sys.Domains().Size(), 8, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	driveInterleaved(t, reg, []string{"fresh", "stale"}, 3, 9)
+	_, reg := served(t, func(root string) Config {
+		cfg := crashConfig(root)
+		cfg.HibernateAfter = time.Minute
+		cfg.Clock = func() time.Time { return base.Add(time.Duration(clock.Load())) }
+		return cfg
+	}, 9, 3, 8, "fresh", "stale")
 
 	// Both idle 2 minutes; then "fresh" is touched just before the sweep.
 	clock.Add(int64(2 * time.Minute))
@@ -730,10 +362,7 @@ func TestIdleSweepHibernates(t *testing.T) {
 	if n := reg.SweepIdle(); n != 0 {
 		t.Fatalf("second sweep released %d campaigns, want 0", n)
 	}
-	sys, err := get(reg, "stale")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := coreOf(t, reg, "stale")
 	if sys.Stats().Answers == 0 {
 		t.Fatal("woken campaign lost its answers")
 	}
@@ -752,11 +381,7 @@ func TestHibernateLifecycleErrors(t *testing.T) {
 	}
 
 	// A memory-only registry cannot hibernate a campaign.
-	mem, err := Open(Config{Campaign: core.Config{GoldenCount: -1, HITSize: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
+	mem := openRegistry(t, Config{Campaign: core.Config{GoldenCount: -1, HITSize: 3}})
 	if _, err := create(mem, "m"); err != nil {
 		t.Fatal(err)
 	}
@@ -764,23 +389,10 @@ func TestHibernateLifecycleErrors(t *testing.T) {
 		t.Fatal("memory-only registry hibernated a campaign")
 	}
 
-	root := t.TempDir()
-	reg, err := Open(crashConfig(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
+	root, reg := served(t, crashConfig, 3, 3, 8, "naps")
 	if err := reg.Hibernate("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("hibernate unknown = %v, want ErrNotFound", err)
 	}
-	sys, err := create(reg, "naps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Publish(synthTasks(sys.Domains().Size(), 8, 2)); err != nil {
-		t.Fatal(err)
-	}
-	driveInterleaved(t, reg, []string{"naps"}, 3, 3)
 	if err := reg.Hibernate("naps"); err != nil {
 		t.Fatal(err)
 	}
@@ -807,15 +419,178 @@ func TestHibernateLifecycleErrors(t *testing.T) {
 	}
 
 	// The marker survived: a reboot lists the campaign archived, not live.
-	booted, err := Open(crashConfig(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer booted.Close()
+	booted := openRegistry(t, crashConfig(root))
 	if _, err := get(booted, "naps"); !errors.Is(err, ErrArchived) {
 		t.Fatalf("rebooted get archived = %v, want ErrArchived", err)
 	}
 	if st := booted.Stats(); st.CampaignsArchived != 1 || st.CampaignsLive+st.CampaignsHibernated != 0 {
 		t.Fatalf("rebooted counts = %d/%d/%d, want 0/0/1", st.CampaignsLive, st.CampaignsHibernated, st.CampaignsArchived)
+	}
+}
+
+// The hibernate-path crash sweep. A hibernation is a sequence of durable
+// steps — WAL fsync, final snapshot write (atomic tmp+rename), memory
+// release — and a kill -9 can land between any two of them, or tear the
+// snapshot file itself (a torn tmp promoted by a buggy filesystem, or a
+// corrupted sector). Every image must boot to the campaign's live state:
+// the safe direction is "boots with a longer replay", never state loss.
+// Each image is booted EAGERLY (uncapped registry, replay at Open) and
+// LAZILY (capped registry, replay on first use — the wake path), because
+// density is where crashed hibernations are rebooted.
+
+// hibernated runs a campaign through traffic → hibernate → wake → more
+// traffic → hibernate, and returns the live registries, closed: the final
+// tree, its print and the two snapshots the hibernations left — the first
+// a stale-but-valid one for the suffix-replay case.
+func hibernated(t *testing.T) *registries {
+	t.Helper()
+	live := scenario(t, script{Seed: 23, Traffic: func(g *registries, r *mathx.Rand) {
+		g.publish("solo", 24, 0)
+		for _, w := range []string{"w0", "w1"} {
+			g.gauntlet("solo", w)
+		}
+		for _, w := range []string{"w0", "w1"} {
+			g.visit(r, "solo", w, crashKnobs.hit, 0, true)
+		}
+		g.hibernate("solo")
+		inTurn(g, r, []string{"solo"}, 5, 40, 0.15, 0)
+		g.hibernate("solo")
+	}}, plain)
+	if len(live.snaps) != 2 || live.snaps[0].records >= live.snaps[1].records {
+		t.Fatalf("the hibernations left %d snapshots", len(live.snaps))
+	}
+	return live
+}
+
+// bootImage boots a copy of live's tree, damaged by mutate, eagerly or
+// lazily, and holds the campaign to the live print with the recovery
+// shape given: whether the boot used or rejected a snapshot, and how many
+// records it replayed.
+func bootImage(t *testing.T, live *registries, mutate func(dir string), lazy, used, rejected bool, records int) {
+	t.Helper()
+	img := t.TempDir()
+	crashtest.CopyTree(t, live.root, img)
+	mutate(filepath.Join(img, campaignsDir, "solo"))
+	g := &registries{}
+	if lazy {
+		g.cap = 1
+	}
+	g.Open(t, img, nil)
+	defer g.Close(t)
+	if st := g.reg.Stats(); lazy && st.CampaignsLive != 0 {
+		t.Fatalf("a capped cold boot holds %d campaigns live, want 0", st.CampaignsLive)
+	}
+	sys := g.core(t, g.reg, "solo")
+	info := sys.Recovery()
+	if info.SnapshotUsed != used || (info.SnapshotRejected != "") != rejected || info.Records != records {
+		t.Fatalf("lazy %v: used %v rejected %q records %d, want used %v rejected %v records %d",
+			lazy, info.SnapshotUsed, info.SnapshotRejected, info.Records, used, rejected, records)
+	}
+	if got, want := sys.Fingerprint(), live.prints["campaigns/solo"]; got != want {
+		t.Fatalf("lazy %v: the boot differs from the live state\n%s", lazy, crashtest.Report(t, "hibernate", g.Diff(got, want)))
+	}
+}
+
+// writeSnap returns a mutation that writes data as the snapshot file, or
+// removes the file when data is nil.
+func writeSnap(t *testing.T, data func() []byte) func(string) {
+	return func(dir string) {
+		path := filepath.Join(dir, snapshot.FileName)
+		if b := data(); b == nil {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHibernateCrashPointsExact sweeps the kill points of the hibernate
+// sequence. Every image recovers the whole log's state bit-exactly; only
+// the replay's LENGTH varies with where the crash landed. A life with no
+// answer in it hibernates by drain → sync → close and writes no file, so
+// every kill point of that hibernation leaves the log alone, which boots
+// by replaying all of it — the publication, and the seeds.
+func TestHibernateCrashPointsExact(t *testing.T) {
+	live := hibernated(t)
+	stale, last := live.snaps[0], live.snaps[1]
+	all := last.records
+	for _, tc := range []struct {
+		label          string
+		data           func() []byte
+		used, rejected bool
+		records        int
+	}{
+		// Killed after the memory release: the final snapshot covers the
+		// whole log, and a wake replays nothing.
+		{"clean-hibernate", func() []byte { return last.snap }, true, false, 0},
+		// Killed between the WAL fsync and the snapshot rename: the previous
+		// snapshot survives; restore it and replay the suffix.
+		{"crash-before-snapshot-rename", func() []byte { return stale.snap }, true, false, all - stale.records},
+		// Killed before any snapshot existed: full replay, nothing lost.
+		{"crash-before-first-snapshot", func() []byte { return nil }, false, false, all},
+		// A torn or rotten snapshot is rejected LOUDLY and the boot replays
+		// in full — losing time, never state.
+		{"torn-snapshot-frame", func() []byte { return last.snap[:len(last.snap)/3] }, false, true, all},
+		{"torn-snapshot-tail", func() []byte { return last.snap[:len(last.snap)-3] }, false, true, all},
+		{"corrupt-snapshot-byte", func() []byte {
+			b := append([]byte(nil), last.snap...)
+			b[len(b)/2] ^= 0x40
+			return b
+		}, false, true, all},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			for _, lazy := range []bool{false, true} {
+				bootImage(t, live, writeSnap(t, tc.data), lazy, tc.used, tc.rejected, tc.records)
+			}
+		})
+	}
+	for label, seeded := range map[string]bool{"publish-only": false, "seeds-only": true} {
+		live := scenario(t, script{Traffic: func(g *registries, r *mathx.Rand) {
+			g.publish("solo", 24, 0)
+			if seeded { // a store-known worker's first request logs her seed
+				g.publish("other", 12, 5)
+				g.gauntlet("other", "w0")
+				g.visit(r, "solo", "w0", crashKnobs.hit, 0, false)
+			}
+			g.hibernate("solo")
+		}}, plain)
+		if len(live.snaps) != 0 {
+			t.Fatalf("%s: an answer-free hibernation left a snapshot file", label)
+		}
+		records := map[bool]int{false: 1, true: 2}[seeded] // the publication, and the seed
+		for _, lazy := range []bool{false, true} {
+			bootImage(t, live, func(string) {}, lazy, false, false, records)
+		}
+	}
+}
+
+// TestHibernateCrashMidLogTear combines the stale snapshot with a torn WAL
+// tail — the double-fault image of a machine dying mid-hibernate while
+// the filesystem scrambles both files. The boot restores the snapshot,
+// replays the intact suffix up to the tear, and matches the serial
+// reference OF THAT PREFIX: every durable record survives, every torn one
+// was never acknowledged as covered.
+func TestHibernateCrashMidLogTear(t *testing.T) {
+	live := hibernated(t)
+	img := t.TempDir()
+	crashtest.CopyTree(t, filepath.Join(live.root, storeDir), filepath.Join(img, storeDir))
+	dir := filepath.Join(img, campaignsDir, "solo")
+	log := crashtest.ReadLog(t, filepath.Join(live.root, campaignsDir, "solo"))
+	surviving := len(log.Records) - 2
+	log.Cut(t, dir, crashtest.Kill{Surviving: surviving, Torn: 5})
+	writeSnap(t, func() []byte { return live.snaps[0].snap })(dir)
+	g := &registries{}
+	g.Open(t, img, nil)
+	defer g.Close(t)
+	sys := g.core(t, g.reg, "solo")
+	if info := sys.Recovery(); !info.SnapshotUsed || !info.TornTail || info.Records != surviving-live.snaps[0].records {
+		t.Fatalf("used %v (rejected %q), torn tail %v, replayed %d records; want the stale snapshot, the tear and the %d-record suffix",
+			info.SnapshotUsed, info.SnapshotRejected, info.TornTail, info.Records, surviving-live.snaps[0].records)
+	}
+	if got, want := sys.Fingerprint(), g.Replay(t, img, "campaigns/solo", log.Records[:surviving]); got != want {
+		t.Fatalf("the double-fault boot differs from the serial reference of the surviving prefix\n%s",
+			crashtest.Report(t, "double-fault", g.Diff(got, want)))
 	}
 }

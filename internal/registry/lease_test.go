@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"docs/internal/core"
+	"docs/internal/crashtest"
 	"docs/internal/model"
 	"docs/internal/wal"
 )
@@ -25,30 +26,11 @@ func TestCapOneNeverFailsACall(t *testing.T) {
 			cfg := crashConfig(root)
 			cfg.MaxLiveCampaigns = 1
 			cfg.Campaign.AnswersPerTask = 4
-			reg, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer reg.Close()
+			reg := openRegistry(t, cfg)
 			names := []string{"left", "right"}
 			golden := make(map[string]map[int]bool, len(names))
 			for i, name := range names {
-				if err := reg.Create(name); err != nil {
-					t.Fatal(err)
-				}
-				golden[name] = map[int]bool{}
-				err := reg.Do(name, func(sys *core.System) error {
-					if err := sys.Publish(synthTasks(sys.Domains().Size(), 60, 100*i)); err != nil {
-						return err
-					}
-					for _, id := range sys.GoldenTasks() {
-						golden[name][id] = true
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				golden[name] = goldenOf(published(t, reg, name, 60, 100*i))
 			}
 
 			// Each client serves one campaign as four workers in turn, each
@@ -118,28 +100,16 @@ func TestCapOneNeverFailsACall(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			booted, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer booted.Close()
+			booted := openRegistry(t, cfg)
 			for _, name := range names {
-				if len(acked[name]) == 0 {
-					t.Fatalf("%s: no regular answer was acknowledged", name)
+				sys := coreOf(t, booted, name)
+				if got, want := sys.Stats().Answers, int64(len(acked[name])); got != want || want == 0 {
+					t.Fatalf("%s: %d answers after reboot, %d acknowledged (and some must be)", name, got, want)
 				}
-				err := booted.Do(name, func(sys *core.System) error {
-					if got, want := sys.Stats().Answers, int64(len(acked[name])); got != want {
-						return fmt.Errorf("%d answers after reboot, %d acknowledged", got, want)
+				for _, a := range acked[name] {
+					if !hasAnswer(sys, a) {
+						t.Fatalf("%s: acknowledged answer %+v is missing after reboot", name, a)
 					}
-					for _, a := range acked[name] {
-						if !hasAnswer(sys, a) {
-							return fmt.Errorf("acknowledged answer %+v is missing after reboot", a)
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
 				}
 			}
 		})
@@ -165,16 +135,12 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 	root := t.TempDir()
 	cfg := crashConfig(root)
 	cfg.Campaign.WALSync = wal.SyncEveryBatch
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
+	reg := openRegistry(t, cfg)
 	if err := reg.Create("brittle"); err != nil {
 		t.Fatal(err)
 	}
 	var tasks []core.Served
-	err = reg.Do("brittle", func(sys *core.System) (err error) {
+	err := reg.Do("brittle", func(sys *core.System) (err error) {
 		if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 0)); err != nil {
 			return err
 		}
@@ -222,27 +188,13 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cc := cfg.Campaign
-	cc.ProfileScope = "brittle"
-	cc.Store = memStore(t)
-	fresh, err := core.New(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if _, err := fresh.Recover(filepath.Join(root, campaignsDir, "brittle")); err != nil {
-		t.Fatal(err)
-	}
-	if got := fresh.Fingerprint(); got != fp {
-		t.Fatalf("served state differs from a fresh recovery of the log:\nserved %s\nfresh  %s", fp, got)
+	dir := filepath.Join(campaignsDir, "brittle")
+	if got := (&registries{}).Replay(t, root, dir, crashtest.ReadStream(t, filepath.Join(root, dir))); got != fp {
+		t.Fatalf("served state differs from a fresh recovery of the log\n%s", diff(got, fp))
 	}
 
 	// The failure cost the campaign one answer, not its service.
-	booted, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer booted.Close()
+	booted := openRegistry(t, cfg)
 	if err := booted.Do("brittle", func(sys *core.System) error { return sys.Submit("w0", tasks[2].ID, 0) }); err != nil {
 		t.Fatalf("submit after the failure: %v", err)
 	}
@@ -254,18 +206,8 @@ func TestDurabilityFailureFailsStop(t *testing.T) {
 // call again on the woken core, once. A call whose core stops under both
 // runs fails with core.ErrStopped and leaves no answer behind.
 func TestStoppedCallRunsOnTheWokenCore(t *testing.T) {
-	reg, err := Open(crashConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	sys, err := create(reg, "stopped")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 0)); err != nil {
-		t.Fatal(err)
-	}
+	reg := openRegistry(t, crashConfig(t.TempDir()))
+	sys := published(t, reg, "stopped", 12, 0)
 	profile(t, sys, "w0") // the answers below are regular ones
 	tasks, err := sys.Request("w0", 2)
 	if err != nil || len(tasks) != 2 {
@@ -302,10 +244,7 @@ func TestStoppedCallRunsOnTheWokenCore(t *testing.T) {
 	if !errors.Is(err, core.ErrStopped) || len(runs) != 2 {
 		t.Fatalf("a call stopped under twice ran %d times and returned %v, want twice and core.ErrStopped", len(runs), err)
 	}
-	final, err := get(reg, "stopped")
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := coreOf(t, reg, "stopped")
 	if hasAnswer(final, model.Answer{Worker: "w0", Task: tasks[1].ID, Choice: 0}) || final.Stats().Answers != 1 {
 		t.Fatal("a refused submit left an answer behind")
 	}

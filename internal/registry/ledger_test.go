@@ -42,11 +42,7 @@ func TestEvictionIOLedger(t *testing.T) {
 			root := t.TempDir()
 			cfg := crashConfig(root)
 			cfg.Campaign.WALSync = policy.sync
-			reg, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer reg.Close()
+			reg := openRegistry(t, cfg)
 			touch := func(name string) func() error {
 				return func() error { _, err := get(reg, name); return err }
 			}
@@ -120,10 +116,7 @@ func TestEvictionIOLedger(t *testing.T) {
 				}
 			}
 			// The seed-only life replays as publication + seed, no snapshot.
-			sys, err := get(reg, "idle")
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys := coreOf(t, reg, "idle")
 			if info := sys.Recovery(); info.SnapshotUsed || info.Records != 2 {
 				t.Errorf("wake of a publish-plus-seed life: snapshot used %v, %d records replayed, want none and 2", info.SnapshotUsed, info.Records)
 			}
@@ -137,20 +130,10 @@ func TestEvictionIOLedger(t *testing.T) {
 		cfg := crashConfig(root)
 		cfg.Campaign.WALSync = wal.SyncEveryBatch
 		cfg.MaxLiveCampaigns = 16
-		reg, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer reg.Close()
+		reg := openRegistry(t, cfg)
 		before := wal.Fsyncs()
 		for i := 0; i < 80; i++ {
-			sys, err := create(reg, fmt.Sprintf("c%03d", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Publish(synthTasks(sys.Domains().Size(), 8, i)); err != nil {
-				t.Fatal(err)
-			}
+			published(t, reg, fmt.Sprintf("c%03d", i), 8, i)
 		}
 		if st := reg.Stats(); st.CampaignsLive != 16 || st.CampaignsHibernated != 64 {
 			t.Fatalf("%d live / %d hibernated, want 16/64", st.CampaignsLive, st.CampaignsHibernated)

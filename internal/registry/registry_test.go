@@ -14,6 +14,7 @@ import (
 	"docs/internal/crashtest"
 	"docs/internal/dataset"
 	"docs/internal/kb"
+	"docs/internal/mathx"
 	"docs/internal/model"
 	"docs/internal/store"
 	"docs/internal/truth"
@@ -69,10 +70,7 @@ func create(reg *Registry, name string) (*core.System, error) {
 // answers and returns the golden answers in the order they were submitted.
 func profile(t *testing.T, sys *core.System, w string) []model.Answer {
 	t.Helper()
-	goldenSet := map[int]bool{}
-	for _, id := range sys.GoldenTasks() {
-		goldenSet[id] = true
-	}
+	goldenSet := goldenOf(sys)
 	var answered []model.Answer
 	for len(answered) < len(goldenSet) {
 		got, err := sys.Request(w, 4)
@@ -95,12 +93,18 @@ func profile(t *testing.T, sys *core.System, w string) []model.Answer {
 	return answered
 }
 
+// goldenOf is the set of the campaign's golden task IDs.
+func goldenOf(sys *core.System) map[int]bool {
+	set := map[int]bool{}
+	for _, id := range sys.GoldenTasks() {
+		set[id] = true
+	}
+	return set
+}
+
 // goldenTasksOf returns the campaign's golden tasks in publication order.
 func goldenTasksOf(sys *core.System, tasks []*model.Task) []*model.Task {
-	goldenSet := map[int]bool{}
-	for _, id := range sys.GoldenTasks() {
-		goldenSet[id] = true
-	}
+	goldenSet := goldenOf(sys)
 	var out []*model.Task
 	for _, tk := range tasks {
 		if goldenSet[tk.ID] {
@@ -146,12 +150,9 @@ func TestValidateName(t *testing.T) {
 func TestFailedCreateLeavesNoCampaign(t *testing.T) {
 	root := t.TempDir()
 	cfg := Config{WALDir: root, Campaign: core.Config{GoldenCount: -1}}
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := openRegistry(t, cfg)
 	wal.FailFsyncAt(1)
-	err = reg.Create("ghost")
+	err := reg.Create("ghost")
 	wal.FailFsyncAt(0)
 	if !errors.Is(err, wal.ErrInjectedFsync) {
 		t.Fatalf("Create over a failed fsync = %v, want the injected failure", err)
@@ -165,11 +166,7 @@ func TestFailedCreateLeavesNoCampaign(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, campaignsDir, "ghost")); !os.IsNotExist(err) {
 		t.Fatalf("a failed Create left its namespace on disk: %v", err)
 	}
-	reg, err = Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
+	reg = openRegistry(t, cfg)
 	if list := reg.List(); len(list) != 0 {
 		t.Fatalf("the reboot lists %+v after a failed Create", list)
 	}
@@ -181,10 +178,7 @@ func TestFailedCreateLeavesNoCampaign(t *testing.T) {
 func TestRegistryLifecycle(t *testing.T) {
 	root := t.TempDir()
 	cfg := Config{WALDir: root, Campaign: core.Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 2, RerunEvery: -1}}
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := openRegistry(t, cfg)
 
 	if _, err := get(reg, "nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(unknown) = %v, want ErrNotFound", err)
@@ -213,10 +207,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := get(reg, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := coreOf(t, reg, "alpha")
 	if err := got.Submit("w0", 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +255,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 	// Reboot: beta comes back live (nothing published, nothing to replay),
 	// alpha stays archived and is not replayed.
-	reg2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Close()
+	reg2 := openRegistry(t, cfg)
 	infos = reg2.List()
 	if len(infos) != 2 {
 		t.Fatalf("rebooted List = %+v, want 2 campaigns", infos)
@@ -289,11 +276,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	// Under a cap, boot lists beta cold: its name still collides.
 	capped := cfg
 	capped.MaxLiveCampaigns = 1
-	reg3, err := Open(capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg3.Close()
+	reg3 := openRegistry(t, capped)
 	if infos := reg3.List(); !infos[1].Hibernated {
 		t.Fatalf("beta after a capped boot = %+v, want listed cold", infos[1])
 	}
@@ -306,51 +289,10 @@ func TestRegistryLifecycle(t *testing.T) {
 
 // TestRegistryRebootRecoversAllCampaigns publishes and serves several
 // campaigns, closes the registry gracefully, and boots a second one over
-// the same root: every campaign must come back published with its answers.
+// the same root: every campaign comes back published, with its answers,
+// to the live fingerprint.
 func TestRegistryRebootRecoversAllCampaigns(t *testing.T) {
-	root := t.TempDir()
-	cfg := Config{WALDir: root, Campaign: core.Config{GoldenCount: -1, HITSize: 4, AnswersPerTask: 3, RerunEvery: -1}}
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"a1", "a2", "a3"}
-	answers := map[string]int64{}
-	for i, name := range names {
-		sys, err := create(reg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Publish(synthTasks(sys.Domains().Size(), 6+i, i)); err != nil {
-			t.Fatal(err)
-		}
-		for w := 0; w < 2+i; w++ {
-			if err := sys.Submit(fmt.Sprintf("w%d", w), w%3, 0); err != nil {
-				t.Fatal(err)
-			}
-			answers[name]++
-		}
-	}
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Close()
-	for _, info := range reg2.List() {
-		if !info.Published {
-			t.Errorf("campaign %s not published after reboot", info.Name)
-		}
-		if info.Answers != answers[info.Name] {
-			t.Errorf("campaign %s recovered %d answers, want %d", info.Name, info.Answers, answers[info.Name])
-		}
-		if info.RecoveredRecords == 0 {
-			t.Errorf("campaign %s replayed no records", info.Name)
-		}
-	}
+	scenario(t, script{Seed: 3, Traffic: interleaved([]string{"a1", "a2", "a3"}, 6, 1, 1, 3, 2, 0)}, plain)
 }
 
 // TestCrossCampaignWorkerCarryover is the paper's returning-worker story:
@@ -359,21 +301,11 @@ func TestRegistryRebootRecoversAllCampaigns(t *testing.T) {
 // domain-quality vector carried over through the shared store — and the
 // store must hold exactly one profiling merge for them.
 func TestCrossCampaignWorkerCarryover(t *testing.T) {
-	reg, err := Open(Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
+	reg := openRegistry(t, Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1}})
 
-	a, err := create(reg, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := published(t, reg, "a", 20, 0)
 	m := a.Domains().Size()
 	tasksA := synthTasks(m, 20, 0)
-	if err := a.Publish(tasksA); err != nil {
-		t.Fatal(err)
-	}
 	goldenAnswers := profile(t, a, "w")
 
 	// The store now holds exactly the one profiling merge, bit for bit.
@@ -386,18 +318,8 @@ func TestCrossCampaignWorkerCarryover(t *testing.T) {
 		t.Fatal("store stats differ from the single profiling estimate")
 	}
 
-	b, err := create(reg, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasksB := synthTasks(m, 20, 7)
-	if err := b.Publish(tasksB); err != nil {
-		t.Fatal(err)
-	}
-	goldenB := map[int]bool{}
-	for _, id := range b.GoldenTasks() {
-		goldenB[id] = true
-	}
+	b := published(t, reg, "b", 20, 7)
+	goldenB := goldenOf(b)
 	if len(goldenB) == 0 {
 		t.Fatal("campaign b selected no golden tasks")
 	}
@@ -454,11 +376,7 @@ func TestCrossCampaignWorkerCarryover(t *testing.T) {
 // equal exactly their single profiling merge — no double counting, no lost
 // updates, under full concurrency.
 func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
-	reg, err := Open(Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 8, RerunEvery: 25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
+	reg := openRegistry(t, Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 8, RerunEvery: 25}})
 
 	const nCampaigns, nWorkers = 4, 12
 	names := make([]string, nCampaigns)
@@ -466,15 +384,8 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 	var m int
 	for i := range names {
 		names[i] = fmt.Sprintf("c%d", i)
-		sys, err := create(reg, names[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		m = sys.Domains().Size()
+		m = published(t, reg, names[i], 30, 3*i).Domains().Size()
 		allTasks[names[i]] = synthTasks(m, 30, 3*i)
-		if err := sys.Publish(allTasks[names[i]]); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	type profiled struct {
@@ -497,10 +408,7 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 				return
 			}
 			// Golden gauntlet in the home campaign (perfect answers).
-			goldenSet := map[int]bool{}
-			for _, id := range sys.GoldenTasks() {
-				goldenSet[id] = true
-			}
+			goldenSet := goldenOf(sys)
 			var answers []model.Answer
 			for len(answers) < len(goldenSet) {
 				got, err := sys.Request(w, 4)
@@ -551,10 +459,7 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 
 	for i := 0; i < nWorkers; i++ {
 		w := fmt.Sprintf("w%d", i)
-		sys, err := get(reg, results[i].home)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := coreOf(t, reg, results[i].home)
 		want := truth.EstimateFromGolden(goldenTasksOf(sys, allTasks[results[i].home]), results[i].answers, m)
 		got, ok := reg.Store().Worker(w)
 		if !ok {
@@ -570,30 +475,10 @@ func TestConcurrentCampaignsMergeStoreOnce(t *testing.T) {
 // shared store still carries workers across campaigns, nothing touches
 // disk.
 func TestMemoryOnlyRegistry(t *testing.T) {
-	reg, err := Open(Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := create(reg, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := a.Domains().Size()
-	if err := a.Publish(synthTasks(m, 16, 0)); err != nil {
-		t.Fatal(err)
-	}
-	profile(t, a, "w")
-	b, err := create(reg, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish(synthTasks(m, 16, 5)); err != nil {
-		t.Fatal(err)
-	}
-	goldenB := map[int]bool{}
-	for _, id := range b.GoldenTasks() {
-		goldenB[id] = true
-	}
+	reg := openRegistry(t, Config{Campaign: core.Config{GoldenCount: 4, HITSize: 4, AnswersPerTask: 4, RerunEvery: -1}})
+	profile(t, published(t, reg, "a", 16, 0), "w")
+	b := published(t, reg, "b", 16, 5)
+	goldenB := goldenOf(b)
 	batch, err := b.Request("w", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -612,80 +497,24 @@ func TestMemoryOnlyRegistry(t *testing.T) {
 }
 
 // TestConcurrentBootPreservesEveryCampaign pins the concurrent recoverAll:
-// many campaigns booted in parallel must each recover their own state
-// exactly (fingerprints compared against the pre-shutdown systems) and the
-// boot must remain a pure function of each campaign's log plus the shared
-// store — the safety argument for replaying concurrently at all. Run under
-// -race in CI, this is also the data-race gate for the parallel boot path.
+// many campaigns booted in parallel each recover their own state exactly
+// — the boot is a pure function of each campaign's log plus the shared
+// store, the safety argument for replaying concurrently at all. One
+// distinct worker per campaign passes its own gauntlet and answers eight
+// HITs; the driver boots the tree and holds every campaign to its live
+// fingerprint. Run under -race in CI, this is also the data-race gate for
+// the parallel boot path.
 func TestConcurrentBootPreservesEveryCampaign(t *testing.T) {
-	root := t.TempDir()
-	reg, err := Open(Config{WALDir: root, Campaign: core.Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 3, RerunEvery: 15}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nCampaigns = 6
-	want := make(map[string]string, nCampaigns)
-	answers := make(map[string]int64, nCampaigns)
-	for c := 0; c < nCampaigns; c++ {
-		name := fmt.Sprintf("c%d", c)
-		sys, err := create(reg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Publish(synthTasks(26, 20, 3*c)); err != nil {
-			t.Fatal(err)
-		}
-		// One distinct worker per campaign: the shared store carries
-		// profiles across campaigns, and this test wants each campaign to
-		// exercise its own golden gauntlet.
-		w := fmt.Sprintf("boot-w%d", c)
-		profile(t, sys, w)
-		for i := 0; i < 8; i++ {
-			got, err := sys.Request(w, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tk := range got {
-				if err := sys.Submit(w, tk.ID, tk.Truth); err != nil {
-					t.Fatal(err)
-				}
+	scenario(t, script{Traffic: func(g *registries, r *mathx.Rand) {
+		for c := 0; c < 6; c++ {
+			name, w := fmt.Sprintf("c%d", c), fmt.Sprintf("boot-w%d", c)
+			g.publish(name, 20, 3*c)
+			g.gauntlet(name, w)
+			for i := 0; i < 8; i++ {
+				g.visit(r, name, w, 4, 0, true)
 			}
 		}
-		answers[name] = sys.Stats().Answers
-	}
-	// Fingerprints are captured only after EVERY campaign has been driven:
-	// the comparator includes the shared store, which keeps absorbing
-	// profiling merges as later campaigns run — a snapshot taken mid-way
-	// would differ from the recovered state for store reasons, not
-	// recovery reasons.
-	for name := range answers {
-		sys, err := get(reg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[name] = sys.Fingerprint()
-	}
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(Config{WALDir: root, Campaign: core.Config{GoldenCount: 3, HITSize: 4, AnswersPerTask: 3, RerunEvery: 15}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for name, fp := range want {
-		sys, err := get(re, name)
-		if err != nil {
-			t.Fatalf("campaign %s: %v", name, err)
-		}
-		if got := sys.Stats().Answers; got != answers[name] {
-			t.Fatalf("campaign %s: recovered %d answers, want %d", name, got, answers[name])
-		}
-		if got := sys.Fingerprint(); got != fp {
-			t.Fatalf("campaign %s: concurrent boot recovered a different state", name)
-		}
-	}
+	}}, plain)
 }
 
 // TestConcurrentPublishesMatchSerial: four campaigns of one registry
@@ -708,11 +537,7 @@ func TestConcurrentPublishesMatchSerial(t *testing.T) {
 	}
 	run := func(concurrent bool) []string {
 		root := t.TempDir()
-		reg, err := Open(Config{WALDir: root, Campaign: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer reg.Close()
+		reg := openRegistry(t, Config{WALDir: root, Campaign: cfg})
 		errs := make([]error, len(names))
 		var wg sync.WaitGroup
 		for c, name := range names {
@@ -737,10 +562,7 @@ func TestConcurrentPublishesMatchSerial(t *testing.T) {
 			if errs[c] != nil {
 				t.Fatalf("%s: %v", name, errs[c])
 			}
-			sys, err := get(reg, name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys := coreOf(t, reg, name)
 			out[c] = fmt.Sprintf("%s|%v|%d|%d", sys.Fingerprint(), sys.GoldenTasks(), sys.Stats().IndexEpoch, sys.Stats().SnapshotEpoch)
 		}
 		if err := reg.Close(); err != nil {

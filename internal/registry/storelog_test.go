@@ -14,6 +14,7 @@ import (
 	"docs/internal/core"
 	"docs/internal/crashtest"
 	"docs/internal/kb"
+	"docs/internal/mathx"
 	"docs/internal/wal"
 )
 
@@ -28,12 +29,7 @@ func TestLegacyStoreRefused(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(root, name), []byte(`{"m":26,"workers":{}}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if reg, err := Open(crashConfig(root)); err == nil || !strings.Contains(err.Error(), name) {
-			if err == nil {
-				reg.Close()
-			}
-			t.Errorf("root holding %s: Open error %v, want one naming it", name, err)
-		}
+		refused(t, crashConfig(root), name, "a root holding "+name)
 	}
 	file := filepath.Join(t.TempDir(), "workers.json")
 	if err := os.WriteFile(file, []byte(`{"m":26,"workers":{}}`), 0o644); err != nil {
@@ -41,11 +37,27 @@ func TestLegacyStoreRefused(t *testing.T) {
 	}
 	cfg := crashConfig(t.TempDir())
 	cfg.StorePath = file
-	if reg, err := Open(cfg); err == nil || !strings.Contains(err.Error(), file) {
+	refused(t, cfg, file, "a regular file as the store path")
+}
+
+// profiledAlpha is the tree a registry leaves after campaign alpha, of 12
+// tasks, profiled worker w.
+func profiledAlpha(t *testing.T) string {
+	return scenario(t, script{Traffic: func(g *registries, _ *mathx.Rand) {
+		g.publish("alpha", 12, 0)
+		g.gauntlet("alpha", "w")
+	}}, plain).root
+}
+
+// refused holds Open under cfg, the case what names, to an error holding
+// want.
+func refused(t *testing.T, cfg Config, want, what string) {
+	t.Helper()
+	if reg, err := Open(cfg); err == nil || !strings.Contains(err.Error(), want) {
 		if err == nil {
 			reg.Close()
 		}
-		t.Errorf("a regular file as the store path: Open error %v, want one naming it", err)
+		t.Errorf("%s: Open error %v, want one holding %q", what, err, want)
 	}
 }
 
@@ -56,30 +68,10 @@ func TestLegacyStoreRefused(t *testing.T) {
 // and leaves every byte as it was, instead of booting an empty registry
 // beside the data.
 func TestSegmentsAtTheRootRefused(t *testing.T) {
-	root := t.TempDir()
-	reg, err := Open(crashConfig(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := create(reg, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 0)); err != nil {
-		t.Fatal(err)
-	}
-	profile(t, sys, "w")
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
+	root := profiledAlpha(t)
 	dir := filepath.Join(root, campaignsDir, "alpha")
 	want := readTree(t, dir)
-	if reg, err := Open(crashConfig(dir)); err == nil || !strings.Contains(err.Error(), ".wal") {
-		if err == nil {
-			reg.Close()
-		}
-		t.Errorf("a campaign's log as the root: Open error %v, want one naming a segment", err)
-	}
+	refused(t, crashConfig(dir), ".wal", "a campaign's log as the root")
 	if got := readTree(t, dir); !reflect.DeepEqual(got, want) {
 		t.Error("the refused root changed")
 	}
@@ -90,40 +82,15 @@ func TestSegmentsAtTheRootRefused(t *testing.T) {
 // — a store opened over a campaign's log, and a campaign directory holding a
 // store's log, fail the Open instead of serving an empty or a garbled state.
 func TestStoreAndCampaignLogsNotInterchangeable(t *testing.T) {
-	root := t.TempDir()
-	reg, err := Open(crashConfig(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := create(reg, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Publish(synthTasks(sys.Domains().Size(), 12, 0)); err != nil {
-		t.Fatal(err)
-	}
-	profile(t, sys, "w")
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
+	root := profiledAlpha(t)
 
 	cfg := crashConfig(t.TempDir())
 	cfg.StorePath = filepath.Join(root, campaignsDir, "alpha")
-	if reg, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "record 1") {
-		if err == nil {
-			reg.Close()
-		}
-		t.Errorf("a store over a campaign log: Open error %v, want a refusal at record 1", err)
-	}
+	refused(t, cfg, "record 1", "a store over a campaign log")
 
 	mixed := t.TempDir()
 	crashtest.CopyTree(t, filepath.Join(root, storeDir), filepath.Join(mixed, campaignsDir, "beta"))
-	if reg, err := Open(crashConfig(mixed)); err == nil || !strings.Contains(err.Error(), "record 1 is a worker-store update") {
-		if err == nil {
-			reg.Close()
-		}
-		t.Errorf("a campaign directory holding a store log: Open error %v, want a refusal at record 1", err)
-	}
+	refused(t, crashConfig(mixed), "record 1 is a worker-store update", "a campaign directory holding a store log")
 }
 
 // TestFormatV0LogRefused: nothing reads a log of a format version no build
@@ -199,10 +166,7 @@ func TestFormatV0LogRefused(t *testing.T) {
 			crashtest.CopyTree(t, image, dir)
 			cfg := crashConfig(root)
 			cfg.MaxLiveCampaigns = 1
-			reg, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			reg := openRegistry(t, cfg)
 			err = reg.Do("legacy", func(*core.System) error { return nil })
 			if cerr := reg.Close(); cerr != nil {
 				t.Fatal(cerr)

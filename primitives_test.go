@@ -26,8 +26,9 @@ import (
 // rules are one table of sites, a list of retired spellings, the field
 // shapes of the structs that hold a campaign, the locks by name, and two
 // bespoke checks (statsJSON's keys, the one version constant); only the
-// retired test helpers need a parse, of the _test.go files. A rule that
-// finds nothing it names fails too: the check no longer sees it.
+// retired test helpers and the test rules — who may scan a segment, who
+// compares campaign states — need a parse, of the _test.go files. A rule
+// that finds nothing it names fails too: the check no longer sees it.
 func TestOneReaderOneWriter(t *testing.T) {
 	prog, err := lint.LoadModule(".")
 	if err != nil {
@@ -138,7 +139,9 @@ func TestOneReaderOneWriter(t *testing.T) {
 	retired := map[string]bool{}
 	for _, s := range strings.Fields(`DBB1 DPB1 DPB2 DPB3 DPC3 DOCSSNP3 DOCSSNP4 decodeLegacy restoreSnapshot
 		readPublication wal.Decode wal.headerV1 wal.formatV1 MintScope readStream segmentSpans buildCrashDir
-		buildCrashCampaign copyTree copyDir copyFile dropLastRecord frameEnd tornVariant`) {
+		buildCrashCampaign copyTree copyDir copyFile dropLastRecord frameEnd tornVariant captureImage recoverImage
+		runLoggedAdversarialCampaign runLoggedBatchedCampaign buildHibernateCrashFixture buildAnswerFreeFixture
+		bootAndCheck driveInterleaved`) {
 		retired[s] = true
 	}
 	short := func(s string) string { return strings.ReplaceAll(s, "docs/internal/", "") }
@@ -440,10 +443,18 @@ func TestOneReaderOneWriter(t *testing.T) {
 		t.Errorf("statsJSON embeds [%s], want [core.Stats registry.Stats]", got)
 	}
 
-	// The one parse of test files: no test declares a retired helper, and
-	// none outside internal/wal and internal/crashtest names wal.ScanSegment,
-	// under whatever name it imports internal/wal; some test imports
-	// internal/crashtest.
+	// The one parse of test files: no test declares a retired helper; some
+	// test imports internal/crashtest; and a test names each function below,
+	// under whatever name it imports the package (bare in the package's own
+	// tests), only at its places — directories (/), or files, each of which
+	// must name it.
+	testRules := []struct{ pkg, name, why, places string }{
+		{"internal/wal", "ScanSegment", "outside internal/wal, only internal/crashtest scans a segment",
+			"internal/wal/ internal/crashtest/"},
+		{"internal/core", "DiffFingerprints", "a suite that compares campaign states runs on crashtest.Run, through its package's campaign adapter",
+			"internal/core/scenario_test.go internal/registry/scenario_test.go"},
+	}
+	named := map[string]int{}
 	fset := token.NewFileSet()
 	kitImports := 0
 	for _, pkg := range prog.Packages {
@@ -461,36 +472,51 @@ func TestOneReaderOneWriter(t *testing.T) {
 					t.Errorf("%s declares %s, which internal/crashtest replaced", fset.Position(fd.Pos()), fd.Name.Name)
 				}
 			}
-			walName := ""
-			for _, imp := range file.Imports {
-				switch p, _ := strconv.Unquote(imp.Path.Value); {
-				case p == "docs/internal/crashtest":
-					kitImports++
-				case p == "docs/internal/wal" && imp.Name != nil:
-					walName = imp.Name.Name
-				case p == "docs/internal/wal":
-					walName = "wal"
-				}
-			}
-			if dir := filepath.ToSlash(filepath.Dir(name)); walName == "" || dir == "internal/wal" || dir == "internal/crashtest" {
-				continue
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if s, ok := n.(*ast.SelectorExpr); ok && s.Sel.Name == "ScanSegment" {
-					if x, ok := s.X.(*ast.Ident); ok && x.Name == walName {
-						t.Errorf("%s names wal.ScanSegment: outside internal/wal, only internal/crashtest scans a segment", fset.Position(s.Pos()))
+			for _, r := range testRules {
+				local, imported := filepath.ToSlash(filepath.Dir(name)) == r.pkg, ""
+				for _, imp := range file.Imports {
+					switch p, _ := strconv.Unquote(imp.Path.Value); {
+					case p == "docs/internal/crashtest" && r.pkg == "internal/wal":
+						kitImports++
+					case p == "docs/"+r.pkg && imp.Name != nil:
+						local, imported = false, imp.Name.Name
+					case p == "docs/"+r.pkg:
+						local, imported = false, path.Base(p)
 					}
 				}
-				return true
-			})
+				sel := map[*ast.Ident]bool{} // the names a selector picks
+				ast.Inspect(file, func(n ast.Node) bool {
+					if s, ok := n.(*ast.SelectorExpr); ok {
+						sel[s.Sel] = true
+						if x, ok := s.X.(*ast.Ident); !ok || x.Name != imported || s.Sel.Name != r.name {
+							return true
+						}
+					} else if id, ok := n.(*ast.Ident); !ok || !local || id.Name != r.name || sel[id] {
+						return true
+					}
+					at := filepath.ToSlash(name)
+					if !slices.ContainsFunc(strings.Fields(r.places), func(p string) bool { return at == p || strings.HasSuffix(p, "/") && strings.HasPrefix(at, p) }) {
+						t.Errorf("%s names %s.%s: %s (test rule %s)", fset.Position(n.Pos()), path.Base(r.pkg), r.name, r.why, r.name)
+					}
+					named[r.name+" "+at]++
+					return true
+				})
+			}
 		}
 	}
 	if kitImports == 0 {
 		t.Error("no test imports internal/crashtest: the check no longer sees it")
 	}
+	for _, r := range testRules {
+		for _, place := range strings.Fields(r.places) {
+			if !strings.HasSuffix(place, "/") && named[r.name+" "+place] == 0 {
+				t.Errorf("%s names no %s.%s: the check no longer sees it", place, path.Base(r.pkg), r.name)
+			}
+		}
+	}
 
 	sort.Strings(locks)
-	if got, want := strings.Join(locks, " "), "core.System.resultsMu core.domainTable.mu registry.Registry.mu store.Store.mu truth.restMu truth.workerTable.mu wal.Log.ioMu wal.Log.mu"; got != want {
+	if got, want := strings.Join(locks, " "), "core.System.resultsMu registry.Registry.mu store.Store.mu truth.restMu truth.workerTable.mu wal.Log.ioMu wal.Log.mu"; got != want {
 		t.Errorf("the module declares the locks [%s], want only [%s]: a campaign's mutations and its lifecycle run on its one writer", got, want)
 	}
 	if got := strings.Join(versions, " "); got != "wal.formatVersion" {

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# sizes.sh prints the three sizes a CHANGES.md row reports, for the working
+# sizes.sh prints the four sizes a CHANGES.md row reports, for the working
 # tree or for a commit:
 #
 #   scripts/sizes.sh [commit]
 #
-#   go     non-blank lines of non-test Go, outside cmd/docs-perf (the frozen
-#          benchmark) and internal/crashtest (a test harness)
-#   test   non-blank lines of _test.go files
-#   words  words (wc -w) of docs/*.md, README.md and cmd/docs-server/README.md
+#   go       non-blank lines of non-test Go, outside cmd/docs-perf (the frozen
+#            benchmark) and internal/crashtest (the test harness)
+#   test     non-blank lines of _test.go files
+#   words    words (wc -w) of docs/*.md, README.md and cmd/docs-server/README.md
+#   harness  non-blank lines of internal/crashtest's non-test Go: the test
+#            support only tests import, so test plus harness is all of it
 #
 # Without a commit it counts the files git tracks plus the untracked ones it
 # does not ignore, as they are on disk; with one, the files of that commit.
@@ -29,10 +31,11 @@ else
   show() { cat "$1"; }
 fi
 
-go=0 test=0 words=0
+go=0 test=0 words=0 harness=0
 while IFS= read -r f; do
   case $f in
   *_test.go) test=$((test + $(show "$f" | grep -c '[^[:space:]]' || true))) ;;
+  internal/crashtest/*.go) harness=$((harness + $(show "$f" | grep -c '[^[:space:]]' || true))) ;;
   cmd/docs-perf/* | internal/crashtest/*) ;;
   *.go) go=$((go + $(show "$f" | grep -c '[^[:space:]]' || true))) ;;
   esac
@@ -44,3 +47,4 @@ done < <(files)
 echo "go $go"
 echo "test $test"
 echo "words $words"
+echo "harness $harness"
